@@ -10,14 +10,24 @@ from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass, field
+from struct import Struct
 
 from .errors import WireFormatError
-from .name import ROOT
 from .rrtypes import RType
-from .wire import WireReader, WireWriter
+from .wire import WireReader, pack_ipv4, pack_ipv6
 
 OPTION_CLIENT_SUBNET = 8
 DEFAULT_PAYLOAD_SIZE = 4096
+
+_ECS_FIXED = Struct("!HBB")         # family, source prefix, scope prefix
+_OPTION_FIXED = Struct("!HH")       # option code, option length
+#: Root owner, type OPT, then class=payload size, ttl=ext-rcode/version/
+#: flags, rdlength (RFC 6891 section 6.1.2).
+_OPT_RR = Struct("!BHHBBHH")
+_OPT_BODY = Struct("!HBBHH")        # the same, after owner name and type
+_FLAG_DO = 0x8000
+#: Address width in octets per ECS family (RFC 7871 section 6).
+_ECS_FAMILY_OCTETS = {1: 4, 2: 16}
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,32 +61,24 @@ class ClientSubnetOption:
         )
 
     def to_wire(self) -> bytes:
-        ip = ipaddress.ip_address(self.address)
-        octets = (self.source_prefix_length + 7) // 8
-        writer = WireWriter()
-        writer.write_u16(self.family)
-        writer.write_u8(self.source_prefix_length)
-        writer.write_u8(self.scope_prefix_length)
-        writer.write_bytes(ip.packed[:octets])
-        return writer.getvalue()
+        address = self.address
+        packed = pack_ipv6(address) if ":" in address else pack_ipv4(address)
+        return _ECS_FIXED.pack(
+            self.family, self.source_prefix_length, self.scope_prefix_length
+        ) + packed[: (self.source_prefix_length + 7) // 8]
 
     @classmethod
     def from_wire(cls, data: bytes) -> "ClientSubnetOption":
         reader = WireReader(data)
-        family = reader.read_u16()
-        source = reader.read_u8()
-        scope = reader.read_u8()
-        octets = (source + 7) // 8
-        raw = reader.read_bytes(octets)
-        if family == 1:
-            packed = raw.ljust(4, b"\x00")
-            address = str(ipaddress.IPv4Address(packed))
-        elif family == 2:
-            packed = raw.ljust(16, b"\x00")
-            address = str(ipaddress.IPv6Address(packed))
-        else:
+        family, source, scope = reader.unpack(_ECS_FIXED)
+        width = _ECS_FAMILY_OCTETS.get(family)
+        if width is None:
             raise WireFormatError(f"unknown ECS family {family}")
-        return cls(family, source, scope, address)
+        if source > 8 * width:
+            raise WireFormatError(
+                f"ECS source prefix /{source} exceeds family {family} width")
+        packed = reader.read_bytes((source + 7) // 8).ljust(width, b"\x00")
+        return cls(family, source, scope, str(ipaddress.ip_address(packed)))
 
 
 @dataclass(slots=True)
@@ -90,42 +92,33 @@ class EDNSOptions:
     client_subnet: ClientSubnetOption | None = None
     unknown_options: list[tuple[int, bytes]] = field(default_factory=list)
 
-    def write(self, writer: WireWriter) -> None:
-        """Emit the OPT RR (always owner name ".", type 41)."""
-        writer.write_name(ROOT)
-        writer.write_u16(int(RType.OPT))
-        writer.write_u16(self.payload_size)
-        writer.write_u8(self.extended_rcode)
-        writer.write_u8(self.version)
-        writer.write_u16(0x8000 if self.dnssec_ok else 0)
-        rdlength_at = len(writer)
-        writer.write_u16(0)
-        start = len(writer)
+    def to_wire(self) -> bytes:
+        """The OPT RR (always owner name ".", type 41).
+
+        Position-independent — a root owner and no names in the options
+        mean no compression pointers in or out — so a message encoder
+        can size it before deciding how many records fit in front of it.
+        """
+        options = b""
         if self.client_subnet is not None:
-            option_data = self.client_subnet.to_wire()
-            writer.write_u16(OPTION_CLIENT_SUBNET)
-            writer.write_u16(len(option_data))
-            writer.write_bytes(option_data)
+            data = self.client_subnet.to_wire()
+            options = _OPTION_FIXED.pack(OPTION_CLIENT_SUBNET, len(data)) + data
         for code, data in self.unknown_options:
-            writer.write_u16(code)
-            writer.write_u16(len(data))
-            writer.write_bytes(data)
-        writer.patch_u16(rdlength_at, len(writer) - start)
+            options += _OPTION_FIXED.pack(code, len(data)) + data
+        return _OPT_RR.pack(
+            0, RType.OPT, self.payload_size, self.extended_rcode, self.version,
+            _FLAG_DO if self.dnssec_ok else 0, len(options)) + options
 
     @classmethod
     def read_body(cls, reader: WireReader) -> "EDNSOptions":
         """Parse an OPT RR body; the owner name and type were consumed."""
-        payload_size = reader.read_u16()
-        extended_rcode = reader.read_u8()
-        version = reader.read_u8()
-        flags = reader.read_u16()
-        rdlength = reader.read_u16()
+        payload_size, extended_rcode, version, flags, rdlength = \
+            reader.unpack(_OPT_BODY)
         end = reader.position + rdlength
-        options = cls(payload_size=payload_size, extended_rcode=extended_rcode,
-                      version=version, dnssec_ok=bool(flags & 0x8000))
+        options = cls(payload_size, extended_rcode, version,
+                      bool(flags & _FLAG_DO))
         while reader.position < end:
-            code = reader.read_u16()
-            length = reader.read_u16()
+            code, length = reader.unpack(_OPTION_FIXED)
             data = reader.read_bytes(length)
             if code == OPTION_CLIENT_SUBNET:
                 options.client_subnet = ClientSubnetOption.from_wire(data)

@@ -8,15 +8,21 @@ the same parsing logic a production server would.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
+from itertools import chain
+from struct import Struct
 
 from .edns import EDNSOptions
 from .errors import WireFormatError
 from .name import Name
 from .records import Question, ResourceRecord, RRset
-from .rrtypes import Opcode, RClass, RCode, RType
+from .rrtypes import (OPCODE_BY_VALUE, RCODE_BY_VALUE, Opcode, RClass, RCode,
+                      RType)
 from .wire import WireReader, WireWriter
 
+_HEADER = Struct("!6H")     # id, flags, qdcount, ancount, nscount, arcount
+_BLANK_HEADER = bytes(_HEADER.size)
 _FLAG_QR = 0x8000
 _FLAG_AA = 0x0400
 _FLAG_TC = 0x0200
@@ -40,7 +46,7 @@ class Flags:
         value = 0
         if self.qr:
             value |= _FLAG_QR
-        value |= (int(self.opcode) & 0xF) << 11
+        value |= (self.opcode & 0xF) << 11
         if self.aa:
             value |= _FLAG_AA
         if self.tc:
@@ -49,23 +55,19 @@ class Flags:
             value |= _FLAG_RD
         if self.ra:
             value |= _FLAG_RA
-        value |= int(self.rcode) & 0xF
-        return value
+        return value | (self.rcode & 0xF)
 
     @classmethod
     def from_wire(cls, value: int) -> "Flags":
-        try:
-            opcode = Opcode((value >> 11) & 0xF)
-        except ValueError:
-            raise WireFormatError(f"unknown opcode {(value >> 11) & 0xF}") from None
-        try:
-            rcode = RCode(value & 0xF)
-        except ValueError:
-            raise WireFormatError(f"unknown rcode {value & 0xF}") from None
-        return cls(qr=bool(value & _FLAG_QR), opcode=opcode,
-                   aa=bool(value & _FLAG_AA), tc=bool(value & _FLAG_TC),
-                   rd=bool(value & _FLAG_RD), ra=bool(value & _FLAG_RA),
-                   rcode=rcode)
+        opcode = OPCODE_BY_VALUE.get((value >> 11) & 0xF)
+        if opcode is None:
+            raise WireFormatError(f"unknown opcode {(value >> 11) & 0xF}")
+        rcode = RCODE_BY_VALUE.get(value & 0xF)
+        if rcode is None:
+            raise WireFormatError(f"unknown rcode {value & 0xF}")
+        return cls(bool(value & _FLAG_QR), opcode, bool(value & _FLAG_AA),
+                   bool(value & _FLAG_TC), bool(value & _FLAG_RD),
+                   bool(value & _FLAG_RA), rcode)
 
 
 @dataclass(slots=True)
@@ -110,74 +112,66 @@ class Message:
 
     def to_wire(self, *, compress: bool = True,
                 max_size: int | None = None) -> bytes:
-        """Serialize; sets TC and truncates sections if over ``max_size``."""
-        wire = self._encode(compress=compress)
-        if max_size is None or len(wire) <= max_size:
-            return wire
-        # Truncate: drop additional, then authority, then answers, setting TC.
-        clone = Message(self.msg_id, Flags(**_flags_kwargs(self.flags)),
-                        list(self.questions), list(self.answers),
-                        list(self.authority), list(self.additional), self.edns)
-        clone.flags.tc = True
-        for section in ("additional", "authority", "answers"):
-            while getattr(clone, section):
-                getattr(clone, section).pop()
-                wire = clone._encode(compress=compress)
-                if len(wire) <= max_size:
-                    return wire
-        return clone._encode(compress=compress)
+        """Serialize in one pass; over ``max_size``, set TC and keep only
+        the longest run of records (answers, then authority, then
+        additional) that fits with the OPT record after it.
 
-    def _encode(self, *, compress: bool) -> bytes:
+        Cutting the encoded prefix equals re-encoding the shorter
+        message: compression pointers only point backwards, and the OPT
+        record (root owner, no names) has the same bytes at any offset.
+        """
         writer = WireWriter(compress=compress)
-        writer.write_u16(self.msg_id)
-        writer.write_u16(self.flags.to_wire())
-        writer.write_u16(len(self.questions))
-        writer.write_u16(len(self.answers))
-        writer.write_u16(len(self.authority))
-        extra = 1 if self.edns is not None else 0
-        writer.write_u16(len(self.additional) + extra)
+        buf = writer.buf
+        buf += _BLANK_HEADER            # counts are known only after the cut
         for question in self.questions:
             question.write(writer)
-        for record in self.answers:
-            record.write(writer)
-        for record in self.authority:
-            record.write(writer)
-        for record in self.additional:
-            record.write(writer)
-        if self.edns is not None:
-            self.edns.write(writer)
-        return writer.getvalue()
+        opt = b"" if self.edns is None else self.edns.to_wire()
+        room = (sys.maxsize if max_size is None else max_size) - len(opt)
+        truncated = len(buf) > room
+        kept = 0
+        if not truncated:
+            for record in chain(self.answers, self.authority, self.additional):
+                fits = len(buf)
+                record.write(writer)
+                if len(buf) > room:
+                    del buf[fits:]
+                    truncated = True
+                    break
+                kept += 1
+        buf += opt
+        ancount = min(kept, len(self.answers))
+        nscount = min(kept - ancount, len(self.authority))
+        flags = self.flags.to_wire() | (_FLAG_TC if truncated else 0)
+        _HEADER.pack_into(buf, 0, self.msg_id, flags, len(self.questions),
+                          ancount, nscount,
+                          kept - ancount - nscount + (self.edns is not None))
+        return bytes(buf)
 
     @classmethod
     def from_wire(cls, data: bytes) -> "Message":
         reader = WireReader(data)
-        msg_id = reader.read_u16()
-        flags = Flags.from_wire(reader.read_u16())
-        qdcount = reader.read_u16()
-        ancount = reader.read_u16()
-        nscount = reader.read_u16()
-        arcount = reader.read_u16()
-        message = cls(msg_id=msg_id, flags=flags)
-        for _ in range(qdcount):
-            message.questions.append(Question.read(reader))
-        for _ in range(ancount):
-            message.answers.append(ResourceRecord.read(reader))
-        for _ in range(nscount):
-            message.authority.append(ResourceRecord.read(reader))
+        msg_id, flags, qdcount, ancount, nscount, arcount = \
+            reader.unpack(_HEADER)
+        flags = Flags.from_wire(flags)
+        questions = [Question.read(reader) for _ in range(qdcount)]
+        answers = [ResourceRecord.read(reader) for _ in range(ancount)]
+        authority = [ResourceRecord.read(reader) for _ in range(nscount)]
+        additional = []
+        edns = None
         for _ in range(arcount):
             mark = reader.position
             owner = reader.read_name()
-            type_value = reader.read_u16()
-            if type_value == int(RType.OPT):
+            if reader.read_u16() == RType.OPT:
                 if not owner.is_root:
                     raise WireFormatError("OPT owner name must be root")
-                if message.edns is not None:
+                if edns is not None:
                     raise WireFormatError("duplicate OPT record")
-                message.edns = EDNSOptions.read_body(reader)
+                edns = EDNSOptions.read_body(reader)
             else:
                 reader.seek(mark)
-                message.additional.append(ResourceRecord.read(reader))
-        return message
+                additional.append(ResourceRecord.read(reader))
+        return cls(msg_id, flags, questions, answers, authority, additional,
+                   edns)
 
     def __str__(self) -> str:
         lines = [
@@ -197,12 +191,6 @@ class Message:
                 lines.append(f";; {label}")
                 lines.extend(str(entry) for entry in section)
         return "\n".join(lines)
-
-
-def _flags_kwargs(flags: Flags) -> dict:
-    return {"qr": flags.qr, "opcode": flags.opcode, "aa": flags.aa,
-            "tc": flags.tc, "rd": flags.rd, "ra": flags.ra,
-            "rcode": flags.rcode}
 
 
 def _group_rrsets(records: list[ResourceRecord]) -> list[RRset]:

@@ -97,6 +97,21 @@ class Name:
         return cached
 
     @classmethod
+    def from_wire_labels(cls, labels: tuple[bytes, ...],
+                         wire_len: int) -> "Name":
+        """The name a wire decoder parsed: ``labels`` already bounds-checked
+        (1-63 octets each, ``wire_len`` <= 255) and case-folded.
+
+        Reuses the interned instance when one exists but never inserts:
+        wire input is attacker-supplied and, like :meth:`prepend`'s
+        minted labels, would churn the flyweight table.
+        """
+        cached = _INTERN.get(labels)
+        if cached is None:
+            cached = cls._from_validated(labels, wire_len)
+        return cached
+
+    @classmethod
     def from_text(cls, text: str) -> "Name":
         """Parse presentation format, e.g. ``"www.example.com."``.
 

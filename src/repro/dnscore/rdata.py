@@ -10,12 +10,20 @@ from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass
+from struct import Struct
 from typing import ClassVar
 
 from .errors import WireFormatError
 from .name import Name, name
 from .rrtypes import RType
-from .wire import WireReader, WireWriter
+from .wire import WireReader, WireWriter, pack_ipv4, pack_ipv6
+
+_SOA_FIXED = Struct("!5I")          # serial refresh retry expire minimum
+_SRV_FIXED = Struct("!HHH")         # priority weight port
+_CAA_FIXED = Struct("!BB")          # flags, tag length
+_KEY_FIXED = Struct("!HBB")         # DNSKEY flags/protocol/alg; DS tag/alg/type
+_RRSIG_FIXED = Struct("!HBBIIIH")   # covered alg labels ttl expire incept tag
+_BITMAP_FIXED = Struct("!BB")       # NSEC window, bitmap length
 
 #: Registry mapping RType -> rdata class, populated by ``_register``.
 RDATA_CLASSES: dict[int, type["Rdata"]] = {}
@@ -63,13 +71,13 @@ class A(Rdata):
         ipaddress.IPv4Address(self.address)
 
     def write(self, writer: WireWriter) -> None:
-        writer.write_bytes(ipaddress.IPv4Address(self.address).packed)
+        writer.buf += pack_ipv4(self.address)
 
     @classmethod
     def read(cls, reader: WireReader, rdlength: int) -> "A":
         if rdlength != 4:
             raise WireFormatError(f"A rdata must be 4 octets, got {rdlength}")
-        return cls(str(ipaddress.IPv4Address(reader.read_bytes(4))))
+        return cls("%d.%d.%d.%d" % tuple(reader.read_bytes(4)))
 
     def to_text(self) -> str:
         return self.address
@@ -94,7 +102,7 @@ class AAAA(Rdata):
         )
 
     def write(self, writer: WireWriter) -> None:
-        writer.write_bytes(ipaddress.IPv6Address(self.address).packed)
+        writer.buf += pack_ipv6(self.address)
 
     @classmethod
     def read(cls, reader: WireReader, rdlength: int) -> "AAAA":
@@ -176,18 +184,13 @@ class SOA(Rdata):
     def write(self, writer: WireWriter) -> None:
         writer.write_name(self.mname)
         writer.write_name(self.rname)
-        for value in (self.serial, self.refresh, self.retry, self.expire,
-                      self.minimum):
-            writer.write_u32(value)
+        writer.buf += _SOA_FIXED.pack(self.serial, self.refresh, self.retry,
+                                      self.expire, self.minimum)
 
     @classmethod
     def read(cls, reader: WireReader, rdlength: int) -> "SOA":
-        mname = reader.read_name()
-        rname = reader.read_name()
-        serial, refresh, retry, expire, minimum = (
-            reader.read_u32() for _ in range(5)
-        )
-        return cls(mname, rname, serial, refresh, retry, expire, minimum)
+        return cls(reader.read_name(), reader.read_name(),
+                   *reader.unpack(_SOA_FIXED))
 
     def to_text(self) -> str:
         return (f"{self.mname} {self.rname} {self.serial} {self.refresh} "
@@ -241,9 +244,10 @@ class TXT(Rdata):
                 raise ValueError("TXT string exceeds 255 octets")
 
     def write(self, writer: WireWriter) -> None:
+        buf = writer.buf
         for s in self.strings:
-            writer.write_u8(len(s))
-            writer.write_bytes(s)
+            buf.append(len(s))
+            buf += s
 
     @classmethod
     def read(cls, reader: WireReader, rdlength: int) -> "TXT":
@@ -254,6 +258,8 @@ class TXT(Rdata):
             strings.append(reader.read_bytes(length))
         if reader.position != end:
             raise WireFormatError("TXT strings overran rdlength")
+        if not strings:
+            raise WireFormatError("TXT rdata needs at least one string")
         return cls(tuple(strings))
 
     def to_text(self) -> str:
@@ -281,15 +287,12 @@ class SRV(Rdata):
     rtype: ClassVar[RType] = RType.SRV
 
     def write(self, writer: WireWriter) -> None:
-        writer.write_u16(self.priority)
-        writer.write_u16(self.weight)
-        writer.write_u16(self.port)
+        writer.buf += _SRV_FIXED.pack(self.priority, self.weight, self.port)
         writer.write_name(self.target)
 
     @classmethod
     def read(cls, reader: WireReader, rdlength: int) -> "SRV":
-        return cls(reader.read_u16(), reader.read_u16(), reader.read_u16(),
-                   reader.read_name())
+        return cls(*reader.unpack(_SRV_FIXED), reader.read_name())
 
     def to_text(self) -> str:
         return f"{self.priority} {self.weight} {self.port} {self.target}"
@@ -312,19 +315,15 @@ class CAA(Rdata):
     rtype: ClassVar[RType] = RType.CAA
 
     def write(self, writer: WireWriter) -> None:
-        writer.write_u8(self.flags)
-        writer.write_u8(len(self.tag))
-        writer.write_bytes(self.tag)
-        writer.write_bytes(self.value)
+        writer.buf += _CAA_FIXED.pack(self.flags, len(self.tag))
+        writer.buf += self.tag
+        writer.buf += self.value
 
     @classmethod
     def read(cls, reader: WireReader, rdlength: int) -> "CAA":
-        start = reader.position
-        flags = reader.read_u8()
-        tag_len = reader.read_u8()
-        tag = reader.read_bytes(tag_len)
-        value = reader.read_bytes(rdlength - (reader.position - start))
-        return cls(flags, tag, value)
+        flags, tag_len = reader.unpack(_CAA_FIXED)
+        return cls(flags, reader.read_bytes(tag_len),
+                   reader.read_bytes(rdlength - 2 - tag_len))
 
     def to_text(self) -> str:
         return (f'{self.flags} {self.tag.decode("ascii")} '
@@ -362,16 +361,14 @@ def _write_type_bitmaps(writer: WireWriter, types: tuple[int, ...]) -> None:
         length = 32
         while length > 0 and bitmap[length - 1] == 0:
             length -= 1
-        writer.write_u8(window)
-        writer.write_u8(length)
-        writer.write_bytes(bytes(bitmap[:length]))
+        writer.buf += _BITMAP_FIXED.pack(window, length)
+        writer.buf += bitmap[:length]
 
 
 def _read_type_bitmaps(reader: WireReader, end: int) -> tuple[int, ...]:
     types: list[int] = []
     while reader.position < end:
-        window = reader.read_u8()
-        length = reader.read_u8()
+        window, length = reader.unpack(_BITMAP_FIXED)
         if not 0 < length <= 32:
             raise WireFormatError(f"NSEC bitmap length {length} out of range")
         bitmap = reader.read_bytes(length)
@@ -401,17 +398,15 @@ class DNSKEY(Rdata):
     rtype: ClassVar[RType] = RType.DNSKEY
 
     def write(self, writer: WireWriter) -> None:
-        writer.write_u16(self.flags)
-        writer.write_u8(self.protocol)
-        writer.write_u8(self.algorithm)
-        writer.write_bytes(self.public_key)
+        writer.buf += _KEY_FIXED.pack(self.flags, self.protocol,
+                                      self.algorithm)
+        writer.buf += self.public_key
 
     @classmethod
     def read(cls, reader: WireReader, rdlength: int) -> "DNSKEY":
         if rdlength < 4:
             raise WireFormatError(f"DNSKEY rdata too short: {rdlength}")
-        return cls(reader.read_u16(), reader.read_u8(), reader.read_u8(),
-                   reader.read_bytes(rdlength - 4))
+        return cls(*reader.unpack(_KEY_FIXED), reader.read_bytes(rdlength - 4))
 
     def to_text(self) -> str:
         return (f"{self.flags} {self.protocol} {self.algorithm} "
@@ -456,32 +451,20 @@ class RRSIG(Rdata):
     rtype: ClassVar[RType] = RType.RRSIG
 
     def write(self, writer: WireWriter) -> None:
-        writer.write_u16(self.type_covered)
-        writer.write_u8(self.algorithm)
-        writer.write_u8(self.labels)
-        writer.write_u32(self.original_ttl)
-        writer.write_u32(self.expiration)
-        writer.write_u32(self.inception)
-        writer.write_u16(self.key_tag)
+        writer.buf += _RRSIG_FIXED.pack(
+            self.type_covered, self.algorithm, self.labels, self.original_ttl,
+            self.expiration, self.inception, self.key_tag)
         writer.write_name_uncompressed(self.signer)
-        writer.write_bytes(self.signature)
+        writer.buf += self.signature
 
     @classmethod
     def read(cls, reader: WireReader, rdlength: int) -> "RRSIG":
         end = reader.position + rdlength
-        type_covered = reader.read_u16()
-        algorithm = reader.read_u8()
-        labels = reader.read_u8()
-        original_ttl = reader.read_u32()
-        expiration = reader.read_u32()
-        inception = reader.read_u32()
-        key_tag = reader.read_u16()
+        fixed = reader.unpack(_RRSIG_FIXED)
         signer = reader.read_name()
         if reader.position > end:
             raise WireFormatError("RRSIG signer overran rdlength")
-        signature = reader.read_bytes(end - reader.position)
-        return cls(type_covered, algorithm, labels, original_ttl,
-                   expiration, inception, key_tag, signer, signature)
+        return cls(*fixed, signer, reader.read_bytes(end - reader.position))
 
     def to_text(self) -> str:
         return (f"{_type_to_text(self.type_covered)} {self.algorithm} "
@@ -547,17 +530,15 @@ class DS(Rdata):
     rtype: ClassVar[RType] = RType.DS
 
     def write(self, writer: WireWriter) -> None:
-        writer.write_u16(self.key_tag)
-        writer.write_u8(self.algorithm)
-        writer.write_u8(self.digest_type)
-        writer.write_bytes(self.digest)
+        writer.buf += _KEY_FIXED.pack(self.key_tag, self.algorithm,
+                                      self.digest_type)
+        writer.buf += self.digest
 
     @classmethod
     def read(cls, reader: WireReader, rdlength: int) -> "DS":
         if rdlength < 4:
             raise WireFormatError(f"DS rdata too short: {rdlength}")
-        return cls(reader.read_u16(), reader.read_u8(), reader.read_u8(),
-                   reader.read_bytes(rdlength - 4))
+        return cls(*reader.unpack(_KEY_FIXED), reader.read_bytes(rdlength - 4))
 
     def to_text(self) -> str:
         return (f"{self.key_tag} {self.algorithm} {self.digest_type} "
@@ -579,7 +560,7 @@ class GenericRdata(Rdata):
     rtype: ClassVar[RType] = RType.ANY  # placeholder; real type in type_value
 
     def write(self, writer: WireWriter) -> None:
-        writer.write_bytes(self.data)
+        writer.buf += self.data
 
     @classmethod
     def read_generic(cls, reader: WireReader, rdlength: int,

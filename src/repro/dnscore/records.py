@@ -8,14 +8,18 @@ which an authoritative server stores and serves data (RFC 2181 section 5).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from struct import Struct
 
 from .errors import WireFormatError
 from .name import Name
 from .rdata import Rdata, read_rdata
-from .rrtypes import RClass, RType
+from .rrtypes import RCLASS_BY_VALUE, RTYPE_BY_VALUE, RClass, RType
 from .wire import WireReader, WireWriter
 
 MAX_TTL = 2**31 - 1
+
+_QUESTION_FIXED = Struct("!HH")     # qtype, qclass
+_RR_FIXED = Struct("!HHIH")         # type, class, ttl, rdlength
 
 
 @dataclass(frozen=True, slots=True)
@@ -28,22 +32,18 @@ class Question:
 
     def write(self, writer: WireWriter) -> None:
         writer.write_name(self.qname)
-        writer.write_u16(int(self.qtype))
-        writer.write_u16(int(self.qclass))
+        writer.buf += _QUESTION_FIXED.pack(self.qtype, self.qclass)
 
     @classmethod
     def read(cls, reader: WireReader) -> "Question":
         qname = reader.read_name()
-        qtype_value = reader.read_u16()
-        qclass_value = reader.read_u16()
-        try:
-            qtype = RType(qtype_value)
-        except ValueError:
-            raise WireFormatError(f"unsupported qtype {qtype_value}") from None
-        try:
-            qclass = RClass(qclass_value)
-        except ValueError:
-            raise WireFormatError(f"unsupported qclass {qclass_value}") from None
+        qtype_value, qclass_value = reader.unpack(_QUESTION_FIXED)
+        qtype = RTYPE_BY_VALUE.get(qtype_value)
+        if qtype is None:
+            raise WireFormatError(f"unsupported qtype {qtype_value}")
+        qclass = RCLASS_BY_VALUE.get(qclass_value)
+        if qclass is None:
+            raise WireFormatError(f"unsupported qclass {qclass_value}")
         return cls(qname, qtype, qclass)
 
     def __str__(self) -> str:
@@ -66,36 +66,24 @@ class ResourceRecord:
 
     def write(self, writer: WireWriter) -> None:
         writer.write_name(self.name)
-        writer.write_u16(int(self.rtype))
-        writer.write_u16(int(self.rclass))
-        writer.write_u32(self.ttl)
-        rdlength_at = len(writer)
-        writer.write_u16(0)
-        start = len(writer)
+        buf = writer.buf
+        buf += _RR_FIXED.pack(self.rtype, self.rclass, self.ttl, 0)
+        start = len(buf)
         self.rdata.write(writer)
-        writer.patch_u16(rdlength_at, len(writer) - start)
+        writer.patch_u16(start - 2, len(buf) - start)
 
     @classmethod
     def read(cls, reader: WireReader) -> "ResourceRecord":
         name = reader.read_name()
-        type_value = reader.read_u16()
-        class_value = reader.read_u16()
-        ttl = reader.read_u32()
+        type_value, class_value, ttl, rdlength = reader.unpack(_RR_FIXED)
         if ttl > MAX_TTL:
             # RFC 2181 section 8: a TTL with the high bit set is
             # treated as zero rather than rejected.
             ttl = 0
-        rdlength = reader.read_u16()
         rdata = read_rdata(reader, type_value, rdlength)
-        try:
-            rtype = RType(type_value)
-        except ValueError:
-            rtype = type_value  # type: ignore[assignment]
-        try:
-            rclass = RClass(class_value)
-        except ValueError:
-            rclass = class_value  # type: ignore[assignment]
-        return cls(name, rtype, rclass, ttl, rdata)
+        # Unknown types and classes round-trip as opaque integers.
+        return cls(name, RTYPE_BY_VALUE.get(type_value, type_value),
+                   RCLASS_BY_VALUE.get(class_value, class_value), ttl, rdata)
 
     def with_ttl(self, ttl: int) -> "ResourceRecord":
         """A copy of this record with a different TTL (cache aging)."""

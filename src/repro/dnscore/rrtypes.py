@@ -81,3 +81,11 @@ class RCode(enum.IntEnum):
     NXDOMAIN = 3
     NOTIMP = 4
     REFUSED = 5
+
+
+#: Wire value -> member, so decoders map a field with one dict probe
+#: instead of ``Enum.__call__`` inside ``try``/``except``.
+RTYPE_BY_VALUE: dict[int, RType] = {int(m): m for m in RType}
+RCLASS_BY_VALUE: dict[int, RClass] = {int(m): m for m in RClass}
+OPCODE_BY_VALUE: dict[int, Opcode] = {int(m): m for m in Opcode}
+RCODE_BY_VALUE: dict[int, RCode] = {int(m): m for m in RCode}

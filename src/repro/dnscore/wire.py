@@ -4,60 +4,104 @@ The writer implements RFC 1035 section 4.1.4 name compression: every name
 (or name suffix) already emitted is remembered by wire offset, and later
 occurrences are replaced with a two-octet pointer. The reader resolves
 pointers with loop and forward-reference protection.
+
+Multi-field layouts are precompiled :class:`struct.Struct` objects owned
+by the module that defines the layout; codecs append ``LAYOUT.pack(...)``
+to :attr:`WireWriter.buf` and decode with :meth:`WireReader.unpack`, so
+a fixed group of fields costs one bounds check and one C call.
 """
 
 from __future__ import annotations
 
-import struct
+from struct import Struct
 
-from .errors import CompressionError, TruncatedMessageError
-from .name import Name
+from .errors import CompressionError, TruncatedMessageError, WireFormatError
+from .name import MAX_LABEL_LENGTH, MAX_NAME_LENGTH, Name
 
 _POINTER_MASK = 0xC0
+_POINTER_FLAG = 0xC000
 _MAX_POINTER_TARGET = 0x3FFF
+_MAX_POINTER_JUMPS = 128
+
+_U8 = Struct("!B")
+_U16 = Struct("!H")
+_U32 = Struct("!I")
+_IPV4 = Struct("!4B")
+_IPV6 = Struct("!8H")
+
+
+def pack_ipv4(text: str) -> bytes:
+    """The four octets of a dotted-quad address (no ``ipaddress`` parse)."""
+    return _IPV4.pack(*map(int, text.split(".")))
+
+
+def pack_ipv6(text: str) -> bytes:
+    """The sixteen octets of an address in ``str(IPv6Address)`` form.
+
+    Accepts what :mod:`ipaddress` renders: hex groups with at most one
+    ``::``, an optional ``%scope`` (ignored, as ``.packed`` ignores it)
+    and the dotted IPv4 tail newer Pythons print for mapped addresses.
+    """
+    text = text.partition("%")[0]
+    if "." in text:
+        text, _, quad = text.rpartition(":")
+        a, b, c, d = pack_ipv4(quad)
+        text = f"{text}:{a << 8 | b:x}:{c << 8 | d:x}"
+    head, gap, tail = text.partition("::")
+    left = head.split(":") if head else []
+    right = tail.split(":") if tail else []
+    fill = 8 - len(left) - len(right) if gap else 0
+    return _IPV6.pack(*(int(g, 16) for g in left + ["0"] * fill + right))
 
 
 class WireWriter:
     """Accumulates a DNS message, compressing names as they are written."""
 
+    __slots__ = ("buf", "_offsets", "_compress")
+
     def __init__(self, *, compress: bool = True) -> None:
-        self._buf = bytearray()
+        #: The message so far; codecs append packed fields to it directly.
+        self.buf = bytearray()
         self._offsets: dict[tuple[bytes, ...], int] = {}
         self._compress = compress
 
     def __len__(self) -> int:
-        return len(self._buf)
+        return len(self.buf)
 
     def getvalue(self) -> bytes:
-        return bytes(self._buf)
+        return bytes(self.buf)
 
     def write_u8(self, value: int) -> None:
-        self._buf += struct.pack("!B", value)
+        self.buf += _U8.pack(value)
 
     def write_u16(self, value: int) -> None:
-        self._buf += struct.pack("!H", value)
+        self.buf += _U16.pack(value)
 
     def write_u32(self, value: int) -> None:
-        self._buf += struct.pack("!I", value)
+        self.buf += _U32.pack(value)
 
     def write_bytes(self, data: bytes) -> None:
-        self._buf += data
+        self.buf += data
 
     def write_name(self, name: Name) -> None:
         """Write ``name``, emitting a compression pointer where possible."""
+        if not self._compress:
+            self.write_name_uncompressed(name)
+            return
+        buf = self.buf
+        offsets = self._offsets
         labels = name.labels
-        for i in range(len(labels)):
+        for i, label in enumerate(labels):
             suffix = labels[i:]
-            offset = self._offsets.get(suffix) if self._compress else None
+            offset = offsets.get(suffix)
             if offset is not None:
-                self.write_u16(_POINTER_MASK << 8 | offset)
+                buf += _U16.pack(_POINTER_FLAG | offset)
                 return
-            if len(self._buf) <= _MAX_POINTER_TARGET:
-                self._offsets[suffix] = len(self._buf)
-            label = labels[i]
-            self.write_u8(len(label))
-            self.write_bytes(label)
-        self.write_u8(0)
+            if len(buf) <= _MAX_POINTER_TARGET:
+                offsets[suffix] = len(buf)
+            buf.append(len(label))
+            buf += label
+        buf.append(0)
 
     def write_name_uncompressed(self, name: Name) -> None:
         """Write ``name`` without emitting or recording pointers.
@@ -67,18 +111,21 @@ class WireWriter:
         and NSEC next-name fields uncompressed so signatures cover a
         stable byte sequence.
         """
+        buf = self.buf
         for label in name.labels:
-            self.write_u8(len(label))
-            self.write_bytes(label)
-        self.write_u8(0)
+            buf.append(len(label))
+            buf += label
+        buf.append(0)
 
     def patch_u16(self, offset: int, value: int) -> None:
         """Overwrite a previously written 16-bit field (rdlength back-patch)."""
-        self._buf[offset : offset + 2] = struct.pack("!H", value)
+        _U16.pack_into(self.buf, offset, value)
 
 
 class WireReader:
     """Cursor over a received DNS message with pointer-safe name parsing."""
+
+    __slots__ = ("_data", "_pos")
 
     def __init__(self, data: bytes) -> None:
         self._data = data
@@ -97,8 +144,19 @@ class WireReader:
             raise TruncatedMessageError(f"seek to {pos} outside message")
         self._pos = pos
 
+    def unpack(self, layout: Struct) -> tuple:
+        """Decode one fixed ``layout`` at the cursor and advance past it."""
+        pos = self._pos
+        end = pos + layout.size
+        if end > len(self._data):
+            raise TruncatedMessageError(
+                f"wanted {layout.size} octets, only {self.remaining} remain"
+            )
+        self._pos = end
+        return layout.unpack_from(self._data, pos)
+
     def read_bytes(self, count: int) -> bytes:
-        if self.remaining < count:
+        if not 0 <= count <= self.remaining:
             raise TruncatedMessageError(
                 f"wanted {count} octets, only {self.remaining} remain"
             )
@@ -107,51 +165,60 @@ class WireReader:
         return out
 
     def read_u8(self) -> int:
-        return self.read_bytes(1)[0]
+        return self.unpack(_U8)[0]
 
     def read_u16(self) -> int:
-        return struct.unpack("!H", self.read_bytes(2))[0]
+        return self.unpack(_U16)[0]
 
     def read_u32(self) -> int:
-        return struct.unpack("!I", self.read_bytes(4))[0]
+        return self.unpack(_U32)[0]
 
     def read_name(self) -> Name:
         """Parse a possibly compressed name starting at the cursor.
 
-        Pointers must point strictly backwards; loops therefore cannot
-        occur, but we also bound the label count defensively.
+        Pointers must point strictly backwards, so loops cannot occur;
+        work is bounded anyway by the pointer budget and by the
+        255-octet name limit, enforced while labels accumulate so a
+        pointer chain cannot assemble an over-long name.
         """
+        data = self._data
+        size = len(data)
         labels: list[bytes] = []
+        wire_len = 1
         jumps = 0
-        return_pos: int | None = None
+        return_pos = -1
         pos = self._pos
         while True:
-            if pos >= len(self._data):
+            if pos >= size:
                 raise TruncatedMessageError("name ran off end of message")
-            length = self._data[pos]
-            if length & _POINTER_MASK == _POINTER_MASK:
-                if pos + 1 >= len(self._data):
+            length = data[pos]
+            if length == 0:
+                break
+            if length <= MAX_LABEL_LENGTH:
+                end = pos + 1 + length
+                if end > size:
+                    raise TruncatedMessageError("label ran off end of message")
+                wire_len += 1 + length
+                if wire_len > MAX_NAME_LENGTH:
+                    raise WireFormatError(
+                        f"name exceeds {MAX_NAME_LENGTH} octets")
+                labels.append(data[pos + 1 : end].lower())
+                pos = end
+            elif length >= _POINTER_MASK:
+                if pos + 1 >= size:
                     raise TruncatedMessageError("truncated compression pointer")
-                target = ((length & 0x3F) << 8) | self._data[pos + 1]
+                target = ((length & 0x3F) << 8) | data[pos + 1]
                 if target >= pos:
                     raise CompressionError(
                         f"forward compression pointer {target} at {pos}"
                     )
-                if return_pos is None:
+                if return_pos < 0:
                     return_pos = pos + 2
                 jumps += 1
-                if jumps > 128:
+                if jumps > _MAX_POINTER_JUMPS:
                     raise CompressionError("too many compression pointers")
                 pos = target
-            elif length & _POINTER_MASK:
-                raise CompressionError(f"reserved label type {length:#04x}")
-            elif length == 0:
-                pos += 1
-                break
             else:
-                if pos + 1 + length > len(self._data):
-                    raise TruncatedMessageError("label ran off end of message")
-                labels.append(self._data[pos + 1 : pos + 1 + length])
-                pos += 1 + length
-        self._pos = return_pos if return_pos is not None else pos
-        return Name(tuple(labels))
+                raise CompressionError(f"reserved label type {length:#04x}")
+        self._pos = return_pos if return_pos >= 0 else pos + 1
+        return Name.from_wire_labels(tuple(labels), wire_len)

@@ -63,7 +63,8 @@ class FlowConfig:
     seed_roots: tuple[str, ...] = ("repro.dnssec.keys:derive_keypair",)
     #: ``module:qualname`` fnmatch patterns rooting the FLOW002
     #: hot-path reachability: the event-loop tick, the authoritative
-    #: respond/probe path, the machine ingress path, the resolver.
+    #: respond/probe path, the machine ingress path, the resolver, and
+    #: the wire codec every query crosses in wire mode.
     hot_roots: tuple[str, ...] = (
         "repro.netsim.clock:EventLoop.run",
         "repro.netsim.clock:EventLoop.run_until",
@@ -75,6 +76,8 @@ class FlowConfig:
         "repro.resolver.resolver:RecursiveResolver.resolve",
         "repro.resolver.resolver:RecursiveResolver.handle_datagram",
         "repro.resolver.service:ResolverService.handle_datagram",
+        "repro.dnscore.message:Message.to_wire",
+        "repro.dnscore.message:Message.from_wire",
     )
     #: Patterns rooting the FLOW003 work-unit reachability: experiment
     #: entry points and the parallel runner's unit pipeline.

@@ -22,7 +22,8 @@ exactly this.
 
 This module measures wall time by design; it is operator-facing tooling
 that never feeds simulation results, so the wall-clock reads carry
-documented DET001 suppressions (see docs/determinism.md).
+documented DET001 suppressions (see the "Determinism contract" section
+of docs/ARCHITECTURE.md).
 """
 
 from __future__ import annotations
@@ -334,6 +335,43 @@ def bench_telemetry(n_queries: int = 8_000) -> tuple[float, float]:
     return _best_of(one_point), _best_of(enabled_point)
 
 
+def bench_wire_codec(n_messages: int = 2_000) -> tuple[float, float, float]:
+    """Best-of-3 seconds for ``n_messages`` of each: (a) encode+decode
+    round trips of a one-answer response, then a 40-A response (over 512
+    octets) encoded (b) unbounded and (c) truncated to 512.
+
+    (c) / (b) gates the encoder's cost model: a single-pass encoder
+    stops at the first record that does not fit, so truncating costs no
+    more than encoding everything; an encoder that drops one record and
+    re-encodes until the message fits costs ~10x here.
+    """
+    from ..dnscore import A, Message, RType, make_query, make_response
+    from ..dnscore import make_rrset, name
+
+    def response(qname: str, addresses: list[str]) -> Message:
+        owner = name(qname)
+        message = make_response(make_query(1, owner, RType.A))
+        message.add_rrset("answers", make_rrset(
+            owner, RType.A, 300, [A(a) for a in addresses]))
+        return message
+
+    small = response("h1.bench.example", ["10.9.0.1"])
+    fat = response("fat.bench.example",
+                   [f"198.51.100.{i + 1}" for i in range(40)])
+
+    def timed(call) -> float:
+        def one_run() -> float:
+            started = _now()
+            for _ in range(n_messages):
+                call()
+            return _now() - started
+        return _best_of(one_run)
+
+    return (timed(lambda: Message.from_wire(small.to_wire())),
+            timed(fat.to_wire),
+            timed(lambda: fat.to_wire(max_size=512)))
+
+
 def bench_pending_ratio(large: int = 20_000, small: int = 50) -> float:
     """Cost ratio of ``loop.pending`` at two queue sizes (~1 when O(1))."""
 
@@ -364,6 +402,7 @@ def run_micro() -> dict:
     tap_bare, tap_armed = bench_observer_tap()
     telemetry_off, telemetry_on = bench_telemetry()
     signed_do0, signed_do1 = bench_signed_respond()
+    wire_roundtrip, encode_unbounded, encode_truncated = bench_wire_codec()
     return {
         "metrics": {
             # Gated, hardware-independent ratios.
@@ -378,6 +417,8 @@ def run_micro() -> dict:
                 telemetry_on / telemetry_off, 3),
             "signed_respond_overhead_ratio": round(
                 signed_do1 / signed_do0, 3),
+            "truncated_encode_cost_ratio": round(
+                encode_truncated / encode_unbounded, 3),
         },
         "info": {
             # Absolute throughput; varies with host, never gated.
@@ -393,6 +434,7 @@ def run_micro() -> dict:
             "telemetry_enabled_point_s": round(telemetry_on, 3),
             "signed_respond_do0_qps": round(10_000 / signed_do0),
             "signed_respond_do1_qps": round(10_000 / signed_do1),
+            "wire_roundtrip_msgs_per_sec": round(2_000 / wire_roundtrip),
         },
     }
 
@@ -405,6 +447,7 @@ _GATED = {
     "pending_cost_ratio_20000_vs_50": "lower",
     "telemetry_enabled_overhead_ratio": "lower",
     "signed_respond_overhead_ratio": "lower",
+    "truncated_encode_cost_ratio": "lower",
 }
 
 

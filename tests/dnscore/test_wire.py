@@ -1,5 +1,8 @@
 """Tests for wire-format primitives and name compression."""
 
+import ipaddress
+import struct
+
 import pytest
 
 from repro.dnscore import (
@@ -9,6 +12,7 @@ from repro.dnscore import (
     WireWriter,
     name,
 )
+from repro.dnscore.wire import pack_ipv4, pack_ipv6
 
 
 class TestWriter:
@@ -109,3 +113,28 @@ class TestReader:
         r.seek(3)
         with pytest.raises(TruncatedMessageError):
             r.seek(4)
+
+
+class TestAddressPacking:
+    """The encoder packs validated address text without ``ipaddress``;
+    the result must equal what ``ipaddress`` would have packed."""
+
+    @pytest.mark.parametrize("text", [
+        "0.0.0.0", "192.0.2.1", "255.255.255.255", "10.44.7.254"])
+    def test_ipv4(self, text):
+        assert pack_ipv4(text) == ipaddress.IPv4Address(text).packed
+
+    @pytest.mark.parametrize("text", [
+        "::", "::1", "1::", "2001:db8::1", "2001:db8:0:1:2:3:4:5",
+        "fe80::1%eth0", "::ffff:192.0.2.1", "64:ff9b::203.0.113.9",
+        "2001:DB8::Ff00:42:8329"])
+    def test_ipv6(self, text):
+        address = ipaddress.IPv6Address(text)
+        assert pack_ipv6(text) == address.packed
+        assert pack_ipv6(str(address)) == address.packed
+
+    def test_malformed_text_raises(self):
+        for pack, text in ((pack_ipv4, "1.2.3"), (pack_ipv4, "1.2.3.256"),
+                           (pack_ipv6, "1:2:3"), (pack_ipv6, "12345::")):
+            with pytest.raises((ValueError, struct.error)):
+                pack(text)
