@@ -64,8 +64,8 @@ def test_per_zone_tree_vs_global_tree(benchmark):
             "ablation-nxtree", "Per-hot-zone NXDOMAIN tree vs global tree")
         per_zone, efficacy_pz = _drive_attack(global_tree=False)
         global_, efficacy_gl = _drive_attack(global_tree=True)
-        size_pz = sum(t.size for t in per_zone._trees.values())
-        size_gl = sum(t.size for t in global_._trees.values())
+        size_pz = sum(len(t) for t in per_zone._trees.values())
+        size_gl = sum(len(t) for t in global_._trees.values())
         result.metrics.update({
             "per_zone_trees": per_zone.trees_built,
             "global_trees": global_.trees_built,
@@ -94,6 +94,6 @@ def test_tree_build_cost(benchmark):
     store = _store()
     zone = store.get(name("z0.example"))
 
-    from repro.filters.nxdomain import ZoneNameTree
-    tree = benchmark(lambda: ZoneNameTree(zone))
-    assert tree.size >= HOSTS_PER_ZONE
+    from repro.dnscore.zone import NxdomainIndex
+    tree = benchmark(lambda: NxdomainIndex(zone))
+    assert len(tree) >= HOSTS_PER_ZONE

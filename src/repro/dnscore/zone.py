@@ -12,12 +12,16 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Callable, TypeVar
 
 from .errors import ZoneError
 from .name import Name
 from .rdata import NS, SOA, CNAME
 from .records import ResourceRecord, RRset, make_rrset
 from .rrtypes import DNSSEC_TYPES, RClass, RType
+
+
+T = TypeVar("T")
 
 
 class LookupStatus(enum.Enum):
@@ -70,9 +74,11 @@ class Zone:
         self._names: set[Name] = set()
         self._cuts: set[Name] = set()
         self.serial_history: list[int] = []
-        #: Bumped on every content mutation; callers that memoize
-        #: derived answers (e.g. the engine's probe-response cache) use
-        #: it to detect staleness without subscribing to the zone.
+        #: Bumped on every content mutation, so holders of derived state
+        #: (the engine's response plans) detect staleness without
+        #: subscribing. It counts mutations of *this object*: two Zones
+        #: can share a version, so it only means something next to the
+        #: zone's identity.
         self.version = 0
         #: Memoized cname_chain results, flushed on any zone mutation.
         #: Lookups against static zone data are pure, and the query
@@ -82,6 +88,9 @@ class Zone:
         #: from one dict hit.
         self._answer_cache: dict[tuple[Name, RType],
                                  tuple[list[RRset], LookupResult]] = {}
+        #: Whole-zone indexes memoized by :meth:`derived`, keyed by
+        #: their builder and flushed with the answer cache.
+        self._derived: dict[Callable[[Zone], object], object] = {}
 
     # -- authoring -----------------------------------------------------
 
@@ -110,8 +119,7 @@ class Zone:
         if node_types is None:
             node_types = self._types_by_name[rrset.name] = set()
         node_types.add(rrset.rtype)
-        self.version += 1
-        self._answer_cache.clear()
+        self._mutated()
         if rrset.rtype == RType.NS and rrset.name != self.origin:
             self._cuts.add(rrset.name)
         self._index_names(rrset.name)
@@ -130,15 +138,13 @@ class Zone:
             self.add_rrset(rrset)
         else:
             existing.add(record)
-            self.version += 1
-            self._answer_cache.clear()
+            self._mutated()
 
     def remove_rrset(self, name: Name, rtype: RType) -> bool:
         """Delete an RRset; returns whether it existed."""
         removed = self._rrsets.pop((name, rtype), None) is not None
         if removed:
-            self.version += 1
-            self._answer_cache.clear()
+            self._mutated()
             if rtype == RType.NS:
                 self._cuts.discard(name)
             node_types = self._types_by_name.get(name)
@@ -148,6 +154,12 @@ class Zone:
                     del self._types_by_name[name]
                     self._reindex_names()
         return removed
+
+    def _mutated(self) -> None:
+        """The single invalidation point for content-derived state."""
+        self.version += 1
+        self._answer_cache.clear()
+        self._derived.clear()
 
     def _index_names(self, name: Name) -> None:
         for ancestor in name.ancestors():
@@ -197,6 +209,20 @@ class Zone:
 
     def rrset_count(self) -> int:
         return len(self._rrsets)
+
+    def derived(self, build: Callable[[Zone], T]) -> T:
+        """``build(self)``, memoized until the next content mutation.
+
+        For indexes that are pure functions of zone content (the
+        NXDOMAIN name index, the NSEC chain index): held here they
+        follow this object's identity *and* content, and a Zone on N
+        machines builds each once. ``build`` must be importable, not a
+        lambda — zones are pickled across the ``--jobs N`` pool.
+        """
+        value = self._derived.get(build)
+        if value is None:
+            value = self._derived[build] = build(self)
+        return value  # type: ignore[return-value]
 
     def validate(self) -> None:
         """Raise :class:`ZoneError` if the zone is not servable."""
@@ -316,6 +342,59 @@ class Zone:
 
     def __repr__(self) -> str:
         return f"Zone({self.origin}, {len(self._rrsets)} rrsets)"
+
+
+class NxdomainIndex:
+    """Exact "would :meth:`Zone.lookup` say NXDOMAIN?" over label tuples
+    — the tree of valid hostnames of paper section 4.3.4. The engine
+    answers random-subdomain floods from it without walking the zone,
+    and the NXDOMAIN filter penalizes the queries it rejects.
+
+    It agrees with ``Zone.lookup`` on every name under the origin:
+    existing name (including empty non-terminals) -> covering cut
+    anywhere on the ancestor chain (a name below occluded glue under a
+    cut still gets a referral) -> wildcard at the closest encloser.
+    Membership runs on raw label tuples because attack names are
+    unique: climbing to an ancestor is a tuple slice, not a Name per
+    level. A content snapshot: get it via ``zone.derived(NxdomainIndex)``.
+    """
+
+    __slots__ = ("_names", "_cuts", "_wildcard_parents", "_origin_len")
+
+    def __init__(self, zone: Zone) -> None:
+        names = zone._names
+        self._names: set[tuple[bytes, ...]] = {n.labels for n in names}
+        self._wildcard_parents: set[tuple[bytes, ...]] = {
+            n.labels[1:] for n in names if n.is_wildcard
+        }
+        self._cuts: set[tuple[bytes, ...]] = {
+            cut.labels for cut in zone._cuts}
+        self._origin_len = len(zone.origin.labels)
+
+    def __len__(self) -> int:
+        """Names indexed — the build cost the ablation benchmark reports."""
+        return len(self._names)
+
+    def is_nxdomain(self, labels: tuple[bytes, ...]) -> bool:
+        """Whether ``Zone.lookup`` returns NXDOMAIN for the name with
+        these ``labels``, which must be at or below the zone origin
+        (guaranteed when a ZoneStore resolved the name to this zone)."""
+        names = self._names
+        if labels in names:
+            return False
+        n_strip = len(labels) - self._origin_len
+        cuts = self._cuts
+        if cuts:
+            for i in range(1, n_strip + 1):
+                if labels[i:] in cuts:
+                    return False
+        for i in range(1, n_strip + 1):
+            ancestor = labels[i:]
+            if ancestor in names:
+                # First existing ancestor = the closest encloser; the
+                # name is synthesizable iff *.<encloser> exists.
+                return ancestor not in self._wildcard_parents
+        return True
 
 
 def _synthesize(rrset: RRset, qname: Name) -> RRset:

@@ -48,14 +48,13 @@ class DenialMode(enum.Enum):
 class NsecChainIndex:
     """Binary-searchable view of a signed zone's NSEC chain.
 
-    Built once per zone version (the engine caches it against
-    ``zone.version``); lookups are O(log n) over the canonical order.
+    A content snapshot: get it via ``zone.derived(NsecChainIndex)``,
+    built once per zone content; lookups are O(log n) in canonical order.
     """
 
-    __slots__ = ("version", "_keys", "_owners")
+    __slots__ = ("_keys", "_owners")
 
     def __init__(self, zone: Zone) -> None:
-        self.version = zone.version
         owners = sorted(
             (rrset.name for rrset in zone.iter_rrsets()
              if rrset.rtype == RType.NSEC),

@@ -318,7 +318,7 @@ def _run_signed_point(params: Fig10SignedParams, attack_rate: float,
     return {
         "goodput": answered / sent if sent else 0.0,
         "plan_cache_wipes": engine.plan_cache_wipes,
-        "neg_plans": len(engine._signed_neg_plans),
+        "neg_plans": engine.signed_negative_plans,
         "denial_records_avg": (counters["denial_records"]
                                / counters["denials"]
                                if counters["denials"] else 0.0),

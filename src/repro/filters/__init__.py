@@ -10,7 +10,7 @@ from .allowlist import ActivationPolicy, AllowlistConfig, AllowlistFilter
 from .base import Filter, QueryContext, ScoreBreakdown, ScoringPipeline
 from .hopcount import HopCountConfig, HopCountFilter
 from .loyalty import LoyaltyConfig, LoyaltyFilter
-from .nxdomain import NXDomainConfig, NXDomainFilter, ZoneNameTree
+from .nxdomain import NXDomainConfig, NXDomainFilter
 from .ratelimit import RateLimitConfig, RateLimitFilter
 from .scoring import QueuePolicy
 
@@ -19,5 +19,5 @@ __all__ = [
     "HopCountConfig", "HopCountFilter", "LoyaltyConfig", "LoyaltyFilter",
     "NXDomainConfig", "NXDomainFilter", "QueryContext", "QueuePolicy",
     "RateLimitConfig", "RateLimitFilter", "ScoreBreakdown",
-    "ScoringPipeline", "ZoneNameTree",
+    "ScoringPipeline",
 ]

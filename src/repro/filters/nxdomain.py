@@ -6,7 +6,11 @@ filter exploits the attack's signature instead: the random hostnames do
 not exist. It tracks NXDOMAIN responses per zone; when a zone's count
 exceeds a threshold, it builds a tree of all valid hostnames in that zone
 and penalizes queries that will miss the tree — identifying
-NXDOMAIN-bound queries before they consume full processing.
+NXDOMAIN-bound queries before they consume full processing. The tree is
+the zone's exact :class:`~repro.dnscore.zone.NxdomainIndex`, the same
+object the engine's negative lane answers from: a name that exists, is
+synthesizable from a wildcard, or falls at or below a delegation cut
+(where the correct answer is a referral) is never penalized.
 
 Building trees only for zones above the threshold (rather than one global
 tree) keeps the structure small and update contention low, the trade-off
@@ -21,60 +25,8 @@ from dataclasses import dataclass
 from ..dnscore.message import Message
 from ..dnscore.name import Name
 from ..dnscore.rrtypes import RCode
-from ..dnscore.zone import Zone
+from ..dnscore.zone import NxdomainIndex, Zone
 from .base import QueryContext
-
-
-class ZoneNameTree:
-    """The set of names a zone can answer non-negatively.
-
-    A query name is *covered* when it exists exactly, is synthesizable
-    from a wildcard, or falls below a delegation cut (where the correct
-    answer is a referral, not NXDOMAIN).
-    """
-
-    def __init__(self, zone: Zone) -> None:
-        self.origin = zone.origin
-        # The tree is consulted for every scored query during an attack,
-        # and attack names are unique, so membership runs on raw label
-        # tuples: climbing to an ancestor is a tuple slice instead of a
-        # Name construction per level.
-        names = zone.names()
-        self._names: set[tuple[bytes, ...]] = {n.labels for n in names}
-        self._wildcard_parents: set[tuple[bytes, ...]] = {
-            n.labels[1:] for n in names if n.is_wildcard
-        }
-        self._cuts: set[tuple[bytes, ...]] = {
-            rrset.name.labels for rrset in zone.iter_rrsets()
-            if rrset.rtype.name == "NS" and rrset.name != zone.origin
-        }
-        #: Approximate construction cost, used by the ablation benchmark.
-        self.size = len(self._names)
-
-    def covers(self, qname: Name) -> bool:
-        """Whether ``qname`` would get a non-NXDOMAIN response."""
-        labels = qname.labels
-        names = self._names
-        if labels in names:
-            return True
-        cuts = self._cuts
-        origin = self.origin.labels
-        for i in range(len(labels) + 1):
-            ancestor = labels[i:]
-            if ancestor == origin:
-                break
-            if ancestor in cuts:
-                return True
-            if ancestor:
-                parent = ancestor[1:]
-                if parent in self._wildcard_parents:
-                    return True
-                # Stop climbing once we hit an existing interior name:
-                # anything below it that wasn't matched above is NXDOMAIN —
-                # unless that name is a zone cut (referral territory).
-                if parent in names:
-                    return ancestor in names or parent in cuts
-        return False
 
 
 @dataclass(slots=True)
@@ -98,7 +50,7 @@ class NXDomainFilter:
         self.config = config or NXDomainConfig()
         self._zone_provider = zone_provider
         self._nxd_counts: dict[Name, deque[float]] = {}
-        self._trees: dict[Name, ZoneNameTree] = {}
+        self._trees: dict[Name, NxdomainIndex] = {}
         self.penalized = 0
         self.trees_built = 0
 
@@ -129,17 +81,15 @@ class NXDomainFilter:
             self._build_tree(zone)
 
     def _build_tree(self, zone: Zone) -> None:
-        if self.config.global_tree:
-            # Ablation mode: building any tree triggers building all.
-            for other in self._zone_provider.zones():
-                if other.origin not in self._trees:
-                    self._trees[other.origin] = ZoneNameTree(other)
-                    self.trees_built += 1
-        else:
-            self._trees[zone.origin] = ZoneNameTree(zone)
-            self.trees_built += 1
+        # Ablation mode: building any tree triggers building all.
+        zones = (self._zone_provider.zones() if self.config.global_tree
+                 else [zone])
+        for zone in zones:
+            if zone.origin not in self._trees:
+                self._trees[zone.origin] = zone.derived(NxdomainIndex)
+                self.trees_built += 1
 
-    def tree_for(self, origin: Name) -> ZoneNameTree | None:
+    def tree_for(self, origin: Name) -> NxdomainIndex | None:
         return self._trees.get(origin)
 
     def invalidate(self, origin: Name) -> None:
@@ -160,7 +110,7 @@ class NXDomainFilter:
         tree = trees.get(zone.origin)
         if tree is None:
             return 0.0
-        if tree.covers(ctx.qname):
+        if not tree.is_nxdomain(ctx.qname.labels):
             return 0.0
         self.penalized += 1
         return self.config.penalty

@@ -120,18 +120,15 @@ class _InFlight:
 class Network:
     """Couples a topology with BGP speakers, FIBs, and packet delivery."""
 
-    #: Class-wide default for the anycast route cache; the equivalence
-    #: test suite flips this to prove fast and slow paths agree.
-    route_cache_default = True
-    #: Class-wide default for coalescing same-tick delivery events into
-    #: one heap entry (see ``EventLoop.call_at_coalesced``); flipped by
-    #: the equivalence tests and the benchmark the same way.
-    delivery_coalesce_default = True
+    #: The anycast route cache. The equivalence tests and the benchmark
+    #: turn it off (on the class or one instance) to prove both paths agree.
+    route_cache_enabled = True
+    #: Coalescing of same-tick delivery events into one heap entry (see
+    #: ``EventLoop.call_at_coalesced``); turned off the same way.
+    delivery_coalesce = True
 
     def __init__(self, loop: EventLoop, topology: Topology,
-                 rng: random.Random, *,
-                 route_cache: bool | None = None,
-                 delivery_coalesce: bool | None = None) -> None:
+                 rng: random.Random) -> None:
         self.loop = loop
         self.topology = topology
         self.rng = rng
@@ -155,11 +152,6 @@ class Network:
         self._fib_version: dict[tuple[str, str], int] = {}
         self._fib_floor: dict[tuple[str, str], float] = {}
         # -- route cache state ------------------------------------------
-        self.route_cache_enabled = (self.route_cache_default
-                                    if route_cache is None else route_cache)
-        self.delivery_coalesce = (self.delivery_coalesce_default
-                                  if delivery_coalesce is None
-                                  else delivery_coalesce)
         #: Bumped on every FIB/link-state change; counts cache flushes.
         self.route_epoch = 0
         #: (ingress router, prefix) -> _CachedRoute, or None when the

@@ -536,10 +536,7 @@ class AkamaiDNSDeployment:
             tuple(weights))
         self.mapping.add_gtm_property(prop)
         for deployment in self.deployments:
-            deployment.machine.engine.dynamic_domains.append(gtm_name)
-            # Plans assembled before this name became dynamic would keep
-            # serving static zone data for it.
-            deployment.machine.engine.flush_plans()
+            deployment.machine.engine.add_dynamic_domain(gtm_name)
         self._initial_snapshot = self.mapping.publish()
         return prop
 

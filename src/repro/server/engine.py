@@ -17,7 +17,7 @@ from ..dnscore.message import Message, ResponseTemplate, make_response
 from ..dnscore.name import Name
 from ..dnscore.records import ResourceRecord, RRset
 from ..dnscore.rrtypes import Opcode, RClass, RCode, RType
-from ..dnscore.zone import LookupResult, LookupStatus, Zone
+from ..dnscore.zone import LookupResult, LookupStatus, NxdomainIndex, Zone
 from ..dnssec.denial import (
     DenialMode,
     NsecChainIndex,
@@ -26,6 +26,12 @@ from ..dnssec.denial import (
 )
 from ..dnssec.keys import KeyRing
 from ..dnssec.sign import SigningPolicy, covering_rrsigs, zone_is_signed
+
+
+#: Hoisted for the per-query gates and counters below.
+_QUERY = Opcode.QUERY
+_IN = RClass.IN
+_NXDOMAIN = RCode.NXDOMAIN
 
 
 class MappingProvider(Protocol):
@@ -57,11 +63,10 @@ class ZoneStore:
 
     def __init__(self) -> None:
         self._zones: dict[Name, Zone] = {}
-        #: Bumped whenever the zone *set* changes (add/remove/replace).
-        #: Memos validated as "zone.version unchanged AND store
-        #: generation unchanged" never need a per-hit ``find`` call:
-        #: an unchanged generation means the qname still maps to the
-        #: same Zone object.
+        #: Bumped whenever the zone *set* changes (add/remove/replace):
+        #: an unchanged generation means every qname still maps to the
+        #: same Zone object, which is what lets the engine validate a
+        #: response plan without a per-hit ``find`` call.
         self.generation = 0
         self._find_cache: dict[Name, Zone | None] = {}
         #: Same zones keyed by origin label tuple, so the hot
@@ -135,60 +140,56 @@ class ZoneStore:
         return origin in self._zones
 
 
-class _NegativePlan:
-    """Exact NXDOMAIN predicate plus denial template for one zone version.
-
-    Unlike the NXDOMAIN *filter*'s heuristic tree, this predicate must
-    agree with :meth:`Zone.lookup` on every input, so it mirrors the
-    lookup order exactly: existing name (including empty non-terminals)
-    -> covering cut anywhere on the ancestor chain (glue below a cut
-    exists in the name set but still gets a referral) -> wildcard at the
-    closest encloser. A hit answers from a precomputed SOA/authority
-    skeleton instead of walking the zone, which is what keeps
-    random-subdomain floods (every qname unique, so per-qname plans
-    never hit) cheap to serve.
+class _ZoneServing:
+    """What one engine derived from one zone as installed: the NXDOMAIN
+    count that arms the negative lane, its skeletons, and (by reference)
+    every response plan. All of it is valid exactly while :meth:`live`
+    holds; indexes that depend on zone content alone live on the zone
+    (:meth:`Zone.derived`), shared by every engine serving it.
     """
 
-    __slots__ = ("zone", "version", "template", "_names", "_cuts",
-                 "_wildcard_parents", "_origin_len")
+    __slots__ = ("zone", "version", "store", "generation", "nxdomains",
+                 "index", "skeletons")
 
-    def __init__(self, zone: Zone, template: ResponseTemplate) -> None:
+    def __init__(self, zone: Zone, store: ZoneStore) -> None:
         self.zone = zone
         self.version = zone.version
+        self.store = store
+        self.generation = store.generation
+        self.nxdomains = 0
+        #: Set with the first skeleton.
+        self.index: NxdomainIndex | None = None
+        #: signed? -> denial skeleton. Plain: NXDOMAIN, SOA in
+        #: authority. Signed (compact mode, DO=1): NOERROR, SOA + its
+        #: RRSIG; the synthesized NSEC is appended per query, so a
+        #: unique-qname flood still needs one skeleton per zone.
+        self.skeletons: dict[bool, ResponseTemplate] = {}
+
+    def live(self) -> bool:
+        """The serving path's one validity rule: same zone object, same
+        content, same zone set. The version counts mutations of
+        ``self.zone`` itself, and an unchanged store generation means
+        every qname that resolved to that object still does — hence no
+        per-hit ``find`` and no separate identity check. Neither
+        counter moves back, so a stale record stays stale."""
+        return (self.zone.version == self.version
+                and self.store.generation == self.generation)
+
+
+class _Plan:
+    """One plan-cache entry: the template answering a ``(qname, qtype,
+    DO)`` and the serving record that vouches for it."""
+
+    __slots__ = ("template", "serving", "shared")
+
+    def __init__(self, template: ResponseTemplate,
+                 serving: _ZoneServing) -> None:
         self.template = template
-        names = zone.names()
-        self._names: set[tuple[bytes, ...]] = {n.labels for n in names}
-        self._wildcard_parents: set[tuple[bytes, ...]] = {
-            n.labels[1:] for n in names if n.is_wildcard
-        }
-        self._cuts: set[tuple[bytes, ...]] = {
-            rrset.name.labels for rrset in zone.iter_rrsets()
-            if rrset.rtype == RType.NS and rrset.name != zone.origin
-        }
-        self._origin_len = len(zone.origin.labels)
-
-    def is_nxdomain(self, labels: tuple[bytes, ...]) -> bool:
-        """Whether ``Zone.lookup`` would return NXDOMAIN for ``labels``.
-
-        ``labels`` must belong to a name at or below the zone origin
-        (guaranteed when the ZoneStore resolved the qname to this zone).
-        """
-        names = self._names
-        if labels in names:
-            return False
-        n_strip = len(labels) - self._origin_len
-        cuts = self._cuts
-        if cuts:
-            for i in range(1, n_strip + 1):
-                if labels[i:] in cuts:
-                    return False
-        for i in range(1, n_strip + 1):
-            ancestor = labels[i:]
-            if ancestor in names:
-                # First existing ancestor = the closest encloser; the
-                # name is synthesizable iff *.<encloser> exists.
-                return ancestor not in self._wildcard_parents
-        return True
+        self.serving = serving
+        #: One Message stamped from ``template`` on first use by
+        #: ``respond_probe``, whose callers read it synchronously;
+        #: everything that travels the network gets a fresh one.
+        self.shared: Message | None = None
 
 
 class DnssecServing:
@@ -204,8 +205,7 @@ class DnssecServing:
     needs :meth:`register_keyring`, because it signs at query time.
     """
 
-    __slots__ = ("denial_mode", "policy", "keyrings", "clock",
-                 "_chain_indexes")
+    __slots__ = ("denial_mode", "policy", "keyrings", "clock")
 
     def __init__(self) -> None:
         self.denial_mode = DenialMode.NSEC_CHAIN
@@ -214,21 +214,12 @@ class DnssecServing:
         #: Sim-time source for compact denial's per-query RRSIGs; left
         #: None the inception is pinned at 0.0 (pure unit-test use).
         self.clock: Callable[[], float] | None = None
-        self._chain_indexes: dict[Name, NsecChainIndex] = {}
 
     def register_keyring(self, keys: KeyRing,
                          policy: SigningPolicy | None = None) -> None:
         self.keyrings[keys.origin] = keys
         if policy is not None:
             self.policy = policy
-
-    def chain_index(self, zone: Zone) -> NsecChainIndex:
-        """The zone's NSEC chain index, rebuilt when the version moves."""
-        index = self._chain_indexes.get(zone.origin)
-        if index is None or index.version != zone.version:
-            index = NsecChainIndex(zone)
-            self._chain_indexes[zone.origin] = index
-        return index
 
     def now(self) -> float:
         clock = self.clock
@@ -246,64 +237,41 @@ def _reowned(rrset: RRset, owner: Name) -> RRset:
 class AuthoritativeEngine:
     """Pure query-to-response logic, independent of transport and timing."""
 
-    #: Bound on the probe-response memo (one entry per probed qname).
-    _PROBE_CACHE_MAX = 1024
-    #: Bound on the network response plan cache.
+    #: Bound on the response plan cache, across all zones.
     _PLAN_CACHE_MAX = 4096
-    #: NXDOMAINs (per zone version) before the negative plan is built;
-    #: amortizes the O(zone size) predicate build against flood traffic
-    #: without paying it for one-off typos.
+    #: NXDOMAINs (per serving record) before the negative skeleton is
+    #: built; amortizes the O(zone size) index build against flood
+    #: traffic without paying it for one-off typos.
     _NEG_BUILD_AFTER = 8
 
-    #: Class-level default for the response plan cache, so the
-    #: equivalence tests can flip the whole fast lane off process-wide
-    #: (mirrors ``Network.route_cache_default``).
-    response_plan_cache_default = True
+    #: The response plan fast lane. The equivalence tests turn it off
+    #: (on the class or one instance) to prove it changes no byte.
+    plan_cache_enabled = True
 
     def __init__(self, store: ZoneStore,
                  mapping: MappingProvider | None = None,
                  dynamic_domains: list[Name] | None = None,
                  dynamic_delegations: dict[Name, DelegationProvider]
-                 | None = None,
-                 plan_cache: bool | None = None) -> None:
+                 | None = None) -> None:
         self.store = store
+        #: Plans are assembled around these three, so they are fixed at
+        #: construction — except that ``dynamic_domains`` (a tuple)
+        #: grows through :meth:`add_dynamic_domain`.
         self.mapping = mapping
-        self.dynamic_domains = list(dynamic_domains or [])
         self.dynamic_delegations = dict(dynamic_delegations or {})
+        self.dynamic_domains = tuple(dynamic_domains or ())
         self.queries_answered = 0
         self.nxdomain_count = 0
-        #: Memoized responses for the monitoring agent's probes, keyed
-        #: by (qname, qtype) and validated against the answering zone's
-        #: version. Only :meth:`respond_probe` uses this; probes are
-        #: consumed synchronously and discarded, so reusing one Message
-        #: object across cycles is safe where it would not be for
-        #: responses that travel the network.
-        self._probe_responses: dict[tuple[Name, RType],
-                                    tuple[Message, Zone, int, int]] = {}
-        #: The network-response fast lane: (qname, qtype) -> immutable
-        #: plan, validated per hit against the answering zone's version
-        #: counter and the store generation (which together guarantee
-        #: the qname still resolves to the same, unchanged zone object
-        #: without a per-hit find). Entries are stamped into fresh Messages
-        #: by ``ResponseTemplate.finalize``, so cached answers are
-        #: byte-identical to slow-path assembly. Client-dependent
-        #: answers (mapping names, tailored delegations) are never
-        #: planned; NXDOMAIN floods are served by ``_neg_plans`` instead
-        #: of per-qname entries so unique attack names cannot churn this
-        #: cache. The caches assume ``mapping`` / ``dynamic_domains`` /
-        #: ``dynamic_delegations`` are fixed after init — callers that
-        #: reconfigure them must call :meth:`flush_plans`.
-        self.plan_cache_enabled = (self.response_plan_cache_default
-                                   if plan_cache is None else plan_cache)
-        self._plan_cache: dict[tuple[Name, RType, bool],
-                               tuple[ResponseTemplate, Zone, int, int]] = {}
-        self._neg_plans: dict[Name, _NegativePlan] = {}
-        #: Compact-mode analogue of ``_neg_plans``: one NOERROR
-        #: skeleton (SOA + its RRSIG) per signed zone; the synthesized
-        #: NSEC is appended per query, so a unique-qname flood with
-        #: DO=1 still needs exactly one plan per zone.
-        self._signed_neg_plans: dict[Name, _NegativePlan] = {}
-        self._neg_seen: dict[Name, list] = {}
+        #: The fast lane: (qname, qtype, DO) -> plan, valid while its
+        #: serving record is live. ``ResponseTemplate.finalize`` stamps
+        #: a plan into a fresh Message, byte-identical to slow-path
+        #: assembly. Client-dependent answers (mapping names, tailored
+        #: delegations) are never planned, and NXDOMAIN floods are
+        #: served from the record's skeleton, not per-qname entries, so
+        #: unique attack names cannot churn this cache.
+        self._plans: dict[tuple[Name, RType, bool], _Plan] = {}
+        #: origin -> serving record, replaced once it is no longer live.
+        self._serving: dict[Name, _ZoneServing] = {}
         #: DNSSEC serving configuration; inert until a zone in the
         #: store actually carries an apex DNSKEY.
         self.dnssec = DnssecServing()
@@ -316,26 +284,27 @@ class AuthoritativeEngine:
         #: NXDOMAIN filter taps this to count negative answers per zone.
         self.response_observers: list[Callable[[Message, Message], None]] = []
 
+    def add_dynamic_domain(self, domain: Name) -> None:
+        """Route ``domain`` through the mapping provider from now on,
+        dropping every plan: no zone counter sees this change, and
+        plans assembled before it would keep serving static zone data
+        for what is now a mapping name."""
+        self.dynamic_domains += (domain,)
+        self._plans.clear()
+        self._serving.clear()
+
+    @property
+    def signed_negative_plans(self) -> int:
+        """Zones holding a signed (compact-mode) negative skeleton: one
+        however many unique names a flood carries, none in chain mode."""
+        return sum(True in serving.skeletons
+                   for serving in self._serving.values())
+
     def is_dynamic(self, qname: Name) -> bool:
         domains = self.dynamic_domains
         if not domains:
             return False
         return any(qname.is_subdomain_of(d) for d in domains)
-
-    def flush_plans(self) -> None:
-        """Drop every cached response plan and probe memo.
-
-        Zone *content* changes invalidate plans automatically through
-        the version counter and zone identity checks; this exists for
-        engine-level reconfiguration (mapping provider, dynamic domains,
-        delegation providers) that the validators cannot see.
-        """
-        self._plan_cache.clear()
-        self._neg_plans.clear()
-        self._signed_neg_plans.clear()
-        self._neg_seen.clear()
-        self._probe_responses.clear()
-        self.dnssec._chain_indexes.clear()
 
     def respond(self, query: Message,
                 client_key: str | None = None) -> Message:
@@ -344,72 +313,57 @@ class AuthoritativeEngine:
         ``client_key`` identifies the client for mapping purposes — the
         ECS subnet when present, else the resolver source address.
         """
-        # Fast lane: answer from a validated plan without touching the
-        # zone. Gated on the exact preconditions the slow path's early
-        # branches establish (QUERY opcode, one IN-class question);
-        # client_key is irrelevant here because client-dependent names
-        # are never planned.
+        # Fast lane: answer from a live plan without touching the zone.
+        # Gated (as in :meth:`respond_probe`) on what the slow path's
+        # early branches establish: QUERY opcode, one IN-class question.
+        # client_key is irrelevant: client-dependent names are never
+        # planned.
         if self.plan_cache_enabled:
             questions = query.questions
-            if len(questions) == 1 and query.flags.opcode is Opcode.QUERY:
+            if len(questions) == 1 and query.flags.opcode is _QUERY:
                 question = questions[0]
-                if question.qclass is RClass.IN:
+                if question.qclass is _IN:
                     edns = query.edns
                     do_bit = edns is not None and edns.dnssec_ok
                     key = (question.qname, question.qtype, do_bit)
-                    hit = self._plan_cache.get(key)
-                    if hit is not None:
-                        template, zone, version, generation = hit
-                        # An unchanged store generation means find(qname)
-                        # still returns this same zone object, so the
-                        # per-hit longest-match walk can be skipped.
-                        if (zone.version == version
-                                and self.store.generation == generation):
-                            return self._finish(query,
-                                                template.finalize(query))
-                        del self._plan_cache[key]
-                    elif self._neg_plans or (do_bit
-                                             and self._signed_neg_plans):
-                        zone = self.store.find(question.qname)
-                        if zone is not None:
-                            response = self._neg_fast_lane(
-                                query, question, zone, do_bit)
-                            if response is not None:
-                                return self._finish(query, response)
+                    plan = self._plans.get(key)
+                    if plan is not None:
+                        if plan.serving.live():
+                            return self._finish(
+                                query, plan.template.finalize(query))
+                        del self._plans[key]
+                    elif self._serving:
+                        response = self._neg_fast_lane(query, *key)
+                        if response is not None:
+                            return self._finish(query, response)
         return self._respond_full(query, client_key)
 
-    def _neg_fast_lane(self, query: Message, question, zone: Zone,
+    def _neg_fast_lane(self, query: Message, qname: Name, qtype: RType,
                        do_bit: bool) -> Message | None:
-        """Serve an NXDOMAIN from a per-zone negative plan, if one
+        """Serve an NXDOMAIN from the zone's negative skeleton, if one
         matches the query's DNSSEC expectations."""
         if (self.mapping is not None
-                and question.qtype in (RType.A, RType.AAAA)
-                and self.is_dynamic(question.qname)):
+                and qtype in (RType.A, RType.AAAA)
+                and self.is_dynamic(qname)):
             return None
-        if do_bit:
-            neg = self._signed_neg_plans.get(zone.origin)
-            if (neg is not None and neg.zone is zone
-                    and neg.version == zone.version
-                    and neg.is_nxdomain(question.qname.labels)):
-                response = neg.template.finalize(query)
-                self._attach_compact_denial(zone, question.qname, response)
-                self.signed_responses += 1
-                return response
-            # An unsigned zone owes DO=1 queries nothing extra, so the
-            # plain negative plan still applies to it.
-            neg = self._neg_plans.get(zone.origin)
-            if (neg is not None and neg.zone is zone
-                    and neg.version == zone.version
-                    and not zone_is_signed(zone)
-                    and neg.is_nxdomain(question.qname.labels)):
-                return neg.template.finalize(query)
+        zone = self.store.find(qname)
+        if zone is None:
             return None
-        neg = self._neg_plans.get(zone.origin)
-        if (neg is not None and neg.zone is zone
-                and neg.version == zone.version
-                and neg.is_nxdomain(question.qname.labels)):
-            return neg.template.finalize(query)
-        return None
+        serving = self._serving.get(zone.origin)
+        if serving is None:
+            return None
+        # An unsigned zone owes DO=1 queries nothing extra, so the
+        # plain skeleton serves both populations there.
+        signed = do_bit and zone_is_signed(zone)
+        skeleton = serving.skeletons.get(signed)
+        if (skeleton is None or not serving.live()
+                or not serving.index.is_nxdomain(qname.labels)):
+            return None
+        response = skeleton.finalize(query)
+        if signed:
+            self._attach_compact_denial(zone, qname, response)
+            self.signed_responses += 1
+        return response
 
     def _attach_compact_denial(self, zone: Zone, qname: Name,
                                response: Message,
@@ -517,22 +471,25 @@ class AuthoritativeEngine:
             plan_cacheable = self._augment_signed(zone, question, chain,
                                                   result, response, compact)
         if cacheable:
+            serving = self._serving.get(zone.origin)
+            if serving is None or not serving.live():
+                serving = self._serving[zone.origin] = _ZoneServing(
+                    zone, self.store)
             if (result.status == LookupStatus.NXDOMAIN and not chain
                     and (not signed or compact)):
                 # Unique attack qnames would churn the per-qname cache;
-                # feed the per-zone negative plan instead. Signed chain
-                # mode cannot do this (the NSEC proof depends on the
-                # qname) and falls through to per-qname planning — the
-                # churn compact denial exists to avoid.
-                self._note_negative(zone, signed_compact=compact)
+                # feed the per-zone negative skeleton instead. Signed
+                # chain mode cannot do this (the NSEC proof depends on
+                # the qname) and falls through to per-qname planning —
+                # the churn compact denial exists to avoid.
+                self._note_negative(serving, signed_compact=compact)
             elif plan_cacheable:
-                cache = self._plan_cache
-                if len(cache) >= self._PLAN_CACHE_MAX:
-                    cache.clear()
+                plans = self._plans
+                if len(plans) >= self._PLAN_CACHE_MAX:
+                    plans.clear()
                     self.plan_cache_wipes += 1
-                cache[(question.qname, question.qtype, do_bit)] = (
-                    ResponseTemplate.from_message(response),
-                    zone, zone.version, self.store.generation)
+                plans[(question.qname, question.qtype, do_bit)] = _Plan(
+                    ResponseTemplate.from_message(response), serving)
         return self._finish(query, response)
 
     def _augment_signed(self, zone: Zone, question, chain: list[RRset],
@@ -622,89 +579,68 @@ class AuthoritativeEngine:
 
     def _attach_chain_denial(self, zone: Zone, qname: Name,
                              response: Message, *, nxdomain: bool) -> None:
-        index = self.dnssec.chain_index(zone)
+        index = zone.derived(NsecChainIndex)
         for nsec, sigs in chain_denial(zone, index, qname,
                                        nxdomain=nxdomain):
             response.add_rrset("authority", nsec)
             if sigs is not None:
                 response.add_rrset("authority", sigs)
 
-    def _note_negative(self, zone: Zone, *,
+    def _note_negative(self, serving: _ZoneServing, *,
                        signed_compact: bool = False) -> None:
-        """Count an NXDOMAIN against ``zone``; build its negative plan
-        once the flood threshold for the current zone version passes.
+        """Count a slow-path NXDOMAIN against ``serving``; build its
+        negative skeleton once the flood threshold passes.
 
         Signed (DO=1, compact mode) and plain floods share the counter
-        but build separate plans: the signed skeleton carries the SOA's
+        but build separate skeletons: the signed one carries the SOA's
         RRSIG and answers NOERROR, black-lies style."""
-        origin = zone.origin
-        entry = self._neg_seen.get(origin)
-        if entry is None or entry[0] != zone.version:
-            self._neg_seen[origin] = [zone.version, 1]
+        serving.nxdomains += 1
+        if serving.nxdomains < self._NEG_BUILD_AFTER:
             return
-        entry[1] += 1
-        if entry[1] < self._NEG_BUILD_AFTER:
+        if signed_compact in serving.skeletons:
             return
-        plans = self._signed_neg_plans if signed_compact else self._neg_plans
-        plan = plans.get(origin)
-        if (plan is not None and plan.zone is zone
-                and plan.version == zone.version):
-            return
+        zone = serving.zone
         soa = zone.soa
         authority: tuple = tuple(soa.records) if soa is not None else ()
         if signed_compact and soa is not None:
-            sigs = covering_rrsigs(zone, origin, RType.SOA)
+            sigs = covering_rrsigs(zone, zone.origin, RType.SOA)
             if sigs is not None:
                 authority = authority + tuple(sigs.records)
-        rcode = RCode.NOERROR if signed_compact else RCode.NXDOMAIN
-        plans[origin] = _NegativePlan(
-            zone, ResponseTemplate(True, rcode, (), authority, ()))
+        serving.index = zone.derived(NxdomainIndex)
+        serving.skeletons[signed_compact] = ResponseTemplate(
+            True, RCode.NOERROR if signed_compact else RCode.NXDOMAIN,
+            (), authority, ())
 
     def respond_probe(self, query: Message) -> Message:
-        """`respond`, memoized for the monitoring agent's probe loop.
-
-        Agents re-ask the same (qname, qtype) every cycle against zone
-        data that rarely changes, so the assembled response is cached
-        and revalidated against the zone's version counter. Counters
-        and response observers still run on every call (via
-        :meth:`_finish`), so reporting is identical to the uncached
-        path. The returned Message is shared across cycles — callers
-        must treat it as read-only (see ``health_probe``).
-        """
-        questions = query.questions
-        if len(questions) != 1:
-            return self.respond(query)
-        question = questions[0]
-        key = (question.qname, question.qtype)
-        cached = self._probe_responses.get(key)
-        if cached is not None:
-            response, zone, version, generation = cached
-            if (zone.version == version
-                    and self.store.generation == generation):
-                response.msg_id = query.msg_id
-                return self._finish(query, response)
-            del self._probe_responses[key]
-        response = self.respond(query)
-        # Cache only answers that are pure functions of zone content:
-        # no EDNS echo, no per-client mapping tailoring, and no
-        # authority section (delegations and negative answers can be
-        # tailored per client or carry tailored glue).
-        if (query.edns is None and not response.authority
-                and response.flags.rcode == RCode.NOERROR
-                and (self.mapping is None
-                     or question.qtype not in (RType.A, RType.AAAA)
-                     or not self.is_dynamic(question.qname))):
-            zone = self.store.find(question.qname)
-            if zone is not None:
-                if len(self._probe_responses) >= self._PROBE_CACHE_MAX:
-                    self._probe_responses.clear()
-                self._probe_responses[key] = (
-                    response, zone, zone.version, self.store.generation)
-        return response
+        """:meth:`respond` for synchronous, read-only consumers — the
+        monitoring agent re-asking the same SOA questions every cycle.
+        Same plan cache, key, gate and liveness rule, but a hit for an
+        EDNS-free query returns the plan's shared Message, restamped,
+        instead of a fresh one. Counters and observers still run per
+        call. Callers must not mutate or keep the result (see
+        ``health_probe``)."""
+        if query.edns is None and self.plan_cache_enabled:
+            questions = query.questions
+            if len(questions) == 1 and query.flags.opcode is _QUERY:
+                question = questions[0]
+                if question.qclass is _IN:
+                    try:
+                        plan = self._plans[
+                            question.qname, question.qtype, False]
+                    except KeyError:
+                        return self.respond(query)
+                    if plan.serving.live():
+                        reply = plan.shared
+                        if reply is None:
+                            reply = plan.shared = plan.template.finalize(query)
+                        reply.msg_id = query.msg_id
+                        reply.flags.rd = query.flags.rd
+                        return self._finish(query, reply)
+        return self.respond(query)
 
     def _finish(self, query: Message, response: Message) -> Message:
         self.queries_answered += 1
-        if response.flags.rcode is RCode.NXDOMAIN:
+        if response.flags.rcode is _NXDOMAIN:
             self.nxdomain_count += 1
         observers = self.response_observers
         if observers:

@@ -233,13 +233,6 @@ class NameserverMachine:
         #: Zone updates deferred while degraded: latest pending
         #: (zone, rollback) per origin, replayed on exit_degraded().
         self._deferred_zones: dict[Name, tuple[Zone, bool]] = {}
-        #: Per-origin memo for the probe-time DNSSEC self-check:
-        #: origin -> (store generation, zone version, key tags
-        #: consistent, earliest RRSIG expiration). Keyed on the store
-        #: generation as well as the version because two different
-        #: Zone objects (install then rollback) can share a version.
-        self._dnssec_probe_memo: dict[
-            Name, tuple[int, int, bool, float]] = {}
 
     # -- metadata ------------------------------------------------------------
 
@@ -532,21 +525,14 @@ class NameserverMachine:
         Unsigned zones always pass. For a signed zone the machine acts
         as its own validating client: signatures must not be expired at
         probe time and every RRSIG's key tag must be published in the
-        apex DNSKEY RRset. The per-zone scan is memoized against the
-        zone's version counter, so steady-state probes cost one dict
-        lookup and a clock comparison.
+        apex DNSKEY RRset. The per-zone scan is memoized on the zone
+        (:meth:`Zone.derived`), so steady-state probes cost two dict
+        lookups and a clock comparison.
         """
-        store = self.engine.store
-        zone = store.find(qname)
+        zone = self.engine.store.find(qname)
         if zone is None:
             return True
-        memo = self._dnssec_probe_memo.get(zone.origin)
-        if (memo is None or memo[0] != store.generation
-                or memo[1] != zone.version):
-            keys_ok, horizon = _signature_horizon(zone)
-            memo = (store.generation, zone.version, keys_ok, horizon)
-            self._dnssec_probe_memo[zone.origin] = memo
-        _, _, keys_ok, horizon = memo
+        keys_ok, horizon = zone.derived(_signature_horizon)
         return keys_ok and self.loop.now < horizon
 
     def health_probe(self, message: Message) -> Message | None:
@@ -578,8 +564,8 @@ class NameserverMachine:
                 _t.dnssec_validation(str(question.qname), False)
             return degraded
         if self.fault == "wrong_answer":
-            # The probe response may be the engine's shared memoized
-            # object — degrade a fresh copy instead of mutating it.
+            # ``respond_probe`` may return a plan's shared Message —
+            # degrade a fresh copy instead of mutating it.
             # reprolint: disable-next=PERF001 - fault injection is cold
             degraded = make_response(message, RCode.SERVFAIL)
             degraded.flags.aa = response.flags.aa

@@ -103,7 +103,8 @@ def _line_network(route_cache: bool) -> tuple[EventLoop, Network, list[int]]:
     for a, b in zip(routers, routers[1:]):
         topo.add_link(Link(a, b, latency_ms=1.0))
     loop = EventLoop()
-    net = Network(loop, topo, random.Random(7), route_cache=route_cache)
+    net = Network(loop, topo, random.Random(7))
+    net.route_cache_enabled = route_cache
     got: list[int] = []
     net.register_local_delivery(routers[-1], "svc",
                                 lambda d: got.append(d.payload))
@@ -139,14 +140,16 @@ _BENCH_ZONE = "\n".join(
     + [f"h{i} IN A 192.0.2.{i + 1}" for i in range(40)]) + "\n"
 
 
-def _bench_engine(plan_cache: bool):
+def _bench_engine(plan_cache: bool = True):
     from ..dnscore import parse_zone_text
     from ..server.engine import AuthoritativeEngine, ZoneStore
 
     store = ZoneStore()
     # Bench fixture: no rollout machinery exists here to install through.
     store.add(parse_zone_text(_BENCH_ZONE))  # reprolint: disable=ROB001
-    return AuthoritativeEngine(store, plan_cache=plan_cache)
+    engine = AuthoritativeEngine(store)
+    engine.plan_cache_enabled = plan_cache
+    return engine
 
 
 def _respond_battery(n_queries: int) -> list:
@@ -161,35 +164,45 @@ def _respond_battery(n_queries: int) -> list:
     return [battery[i % len(battery)] for i in range(n_queries)]
 
 
-def bench_respond(plan_cache: bool, n_queries: int = 10_000) -> float:
-    """Best-of-3 seconds for ``n_queries`` engine.respond calls over a
-    repeating qname battery — the response plan cache's hot workload."""
-    queries = _respond_battery(n_queries)
+def _respond_seconds(queries: list, make_engine=_bench_engine,
+                     entry: str = "respond") -> float:
+    """Best-of-3 seconds for ``queries`` through a fresh engine's entry."""
 
     def one_run() -> float:
-        engine = _bench_engine(plan_cache)
-        respond = engine.respond
+        call = getattr(make_engine(), entry)
         started = _now()
         for query in queries:
-            respond(query)
+            call(query)
         return _now() - started
 
     return _best_of(one_run)
 
 
+def bench_respond(plan_cache: bool, n_queries: int = 10_000) -> float:
+    """Best-of-3 seconds for ``n_queries`` engine.respond calls over a
+    repeating qname battery — the response plan cache's hot workload."""
+    return _respond_seconds(_respond_battery(n_queries),
+                            lambda: _bench_engine(plan_cache))
+
+
+def bench_probe(n_probes: int = 10_000) -> float:
+    """Best-of-3 seconds for ``n_probes`` engine.respond_probe calls
+    re-asking one SOA question — the monitoring agent's loop, the most
+    frequent engine call in the ``text`` figure."""
+    from ..dnscore import RType, make_query, name
+
+    probe = make_query(1, name("bench.example"), RType.SOA)
+    return _respond_seconds([probe] * n_probes, entry="respond_probe")
+
+
 def _signed_bench_engine():
-    from ..dnscore import name, parse_zone_text
+    from ..dnscore import name
     from ..dnssec.keys import KeyRing
     from ..dnssec.sign import ZoneSigner
-    from ..server.engine import AuthoritativeEngine, ZoneStore
 
-    zone = parse_zone_text(_BENCH_ZONE)
+    engine = _bench_engine()
     keys = KeyRing(7, name("bench.example"))
-    ZoneSigner(keys).sign(zone, 0.0)
-    store = ZoneStore()
-    # Bench fixture: no rollout machinery exists here to install through.
-    store.add(zone)  # reprolint: disable=ROB001
-    engine = AuthoritativeEngine(store, plan_cache=True)
+    ZoneSigner(keys).sign(engine.store.get(keys.origin), 0.0)
     engine.dnssec.register_keyring(keys)
     return engine
 
@@ -214,19 +227,9 @@ def bench_signed_respond(n_queries: int = 10_000) -> tuple[float, float]:
     ratio bounds what answering validating resolvers costs relative to
     the legacy population on identical traffic.
     """
-    do0 = _do_battery(n_queries, do=False)
-    do1 = _do_battery(n_queries, do=True)
-
-    def one_run(queries: list) -> float:
-        engine = _signed_bench_engine()
-        respond = engine.respond
-        started = _now()
-        for query in queries:
-            respond(query)
-        return _now() - started
-
-    return (_best_of(lambda: one_run(do0)),
-            _best_of(lambda: one_run(do1)))
+    return tuple(_respond_seconds(_do_battery(n_queries, do),
+                                  _signed_bench_engine)
+                 for do in (False, True))
 
 
 def bench_nxdomain_flood(n_queries: int = 10_000) -> float:
@@ -236,16 +239,7 @@ def bench_nxdomain_flood(n_queries: int = 10_000) -> float:
 
     queries = [make_query(i & 0xFFFF, name(f"x{i}.bench.example"), RType.A)
                for i in range(n_queries)]
-
-    def one_run() -> float:
-        engine = _bench_engine(plan_cache=True)
-        respond = engine.respond
-        started = _now()
-        for query in queries:
-            respond(query)
-        return _now() - started
-
-    return n_queries / _best_of(one_run)
+    return n_queries / _respond_seconds(queries)
 
 
 def bench_observer_tap(n_queries: int = 10_000) -> tuple[float, float]:
@@ -258,22 +252,16 @@ def bench_observer_tap(n_queries: int = 10_000) -> tuple[float, float]:
     """
     from ..filters.nxdomain import NXDomainFilter
 
+    def armed_engine():
+        engine = _bench_engine()
+        filt = NXDomainFilter(engine.store)
+        engine.response_observers.append(
+            lambda q, r: filt.observe_response(q, r, 0.0))
+        return engine
+
     queries = _respond_battery(n_queries)
-
-    def one_run(armed: bool) -> float:
-        engine = _bench_engine(plan_cache=True)
-        if armed:
-            filt = NXDomainFilter(engine.store)
-            engine.response_observers.append(
-                lambda q, r: filt.observe_response(q, r, 0.0))
-        respond = engine.respond
-        started = _now()
-        for query in queries:
-            respond(query)
-        return _now() - started
-
-    return (_best_of(lambda: one_run(False)),
-            _best_of(lambda: one_run(True)))
+    return (_respond_seconds(queries),
+            _respond_seconds(queries, armed_engine))
 
 
 def bench_flood_delivery(coalesce: bool, n_packets: int = 5_000) -> float:
@@ -396,6 +384,7 @@ def run_micro() -> dict:
     cached = bench_forwarding(route_cache=True)
     respond_uncached = bench_respond(plan_cache=False)
     respond_cached = bench_respond(plan_cache=True)
+    probe_cached = bench_probe()
     flood_pps = bench_nxdomain_flood()
     delivery_plain = bench_flood_delivery(coalesce=False)
     delivery_coalesced = bench_flood_delivery(coalesce=True)
@@ -428,6 +417,7 @@ def run_micro() -> dict:
             "flood_pkts_per_sec": round(flood_pps),
             "respond_cached_qps": round(10_000 / respond_cached),
             "respond_uncached_qps": round(10_000 / respond_uncached),
+            "probe_cached_qps": round(10_000 / probe_cached),
             "observer_tap_idle_overhead_ratio": round(
                 tap_armed / tap_bare, 3),
             "telemetry_disabled_point_s": round(telemetry_off, 3),

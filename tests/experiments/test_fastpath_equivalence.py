@@ -2,7 +2,7 @@
 
 Two independent switches must be invisible in experiment output:
 
-* the anycast route cache (``Network.route_cache_default``), proven on a
+* the anycast route cache (``Network.route_cache_enabled``), proven on a
   full failover experiment — per-vantage records and all — not just on
   synthetic traffic;
 * the parallel runner's unit split (``--jobs``), proven by pushing
@@ -34,18 +34,18 @@ def serialized(result) -> bytes:
 
 class TestRouteCacheOnExperiments:
     def test_fig8_identical_with_and_without_cache(self, monkeypatch):
-        monkeypatch.setattr(Network, "route_cache_default", True)
+        monkeypatch.setattr(Network, "route_cache_enabled", True)
         cached = serialized(small_fig8_result())
-        monkeypatch.setattr(Network, "route_cache_default", False)
+        monkeypatch.setattr(Network, "route_cache_enabled", False)
         uncached = serialized(small_fig8_result())
         assert cached == uncached
 
     def test_resilience_unit_identical_with_and_without_cache(
             self, monkeypatch):
         params = resilience_scorecard.ScorecardParams.fast()
-        monkeypatch.setattr(Network, "route_cache_default", True)
+        monkeypatch.setattr(Network, "route_cache_enabled", True)
         cached = serialized(resilience_scorecard.run_unit(params, 0))
-        monkeypatch.setattr(Network, "route_cache_default", False)
+        monkeypatch.setattr(Network, "route_cache_enabled", False)
         uncached = serialized(resilience_scorecard.run_unit(params, 0))
         assert cached == uncached
 

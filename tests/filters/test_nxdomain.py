@@ -14,7 +14,7 @@ from repro.dnscore import (
     parse_zone_text,
 )
 from repro.filters import NXDomainConfig, NXDomainFilter, QueryContext
-from repro.filters.nxdomain import ZoneNameTree
+from repro.dnscore.zone import NxdomainIndex
 from repro.server.engine import AuthoritativeEngine, ZoneStore
 
 
@@ -38,35 +38,46 @@ def store(zone):
     return s
 
 
+def covers(zone, qname: str) -> bool:
+    """Whether the zone's name tree says ``qname`` gets a
+    non-NXDOMAIN answer."""
+    tree = zone.derived(NxdomainIndex)
+    return not tree.is_nxdomain(name(qname).labels)
+
+
 class TestZoneNameTree:
     def test_exact_names_covered(self, zone):
-        tree = ZoneNameTree(zone)
-        assert tree.covers(name("www.tree.example"))
-        assert tree.covers(name("tree.example"))
+        assert covers(zone, "www.tree.example")
+        assert covers(zone, "tree.example")
 
     def test_empty_nonterminals_covered(self, zone):
-        tree = ZoneNameTree(zone)
-        assert tree.covers(name("a.b.tree.example"))
-        assert tree.covers(name("b.tree.example"))
+        assert covers(zone, "a.b.tree.example")
+        assert covers(zone, "b.tree.example")
 
     def test_random_names_not_covered(self, zone):
-        tree = ZoneNameTree(zone)
-        assert not tree.covers(name("a3n92nv9.tree.example"))
-        assert not tree.covers(name("x.y.z.tree.example"))
+        assert not covers(zone, "a3n92nv9.tree.example")
+        assert not covers(zone, "x.y.z.tree.example")
 
     def test_wildcard_children_covered(self, zone):
-        tree = ZoneNameTree(zone)
-        assert tree.covers(name("anything.wild.tree.example"))
-        assert tree.covers(name("a.b.wild.tree.example"))
+        assert covers(zone, "anything.wild.tree.example")
+        assert covers(zone, "a.b.wild.tree.example")
 
     def test_below_delegation_covered(self, zone):
         # Names under a zone cut get referrals, not NXDOMAIN.
-        tree = ZoneNameTree(zone)
-        assert tree.covers(name("whatever.sub.tree.example"))
+        assert covers(zone, "whatever.sub.tree.example")
 
     def test_below_leaf_not_covered(self, zone):
-        tree = ZoneNameTree(zone)
-        assert not tree.covers(name("below.www.tree.example"))
+        assert not covers(zone, "below.www.tree.example")
+
+    def test_one_tree_per_zone_content(self, zone):
+        # Every holder (each machine's engine and filter) shares the
+        # zone's one tree until the content changes.
+        tree = zone.derived(NxdomainIndex)
+        assert zone.derived(NxdomainIndex) is tree
+        zone.add_rrset(make_rrset(name("new.tree.example"), RType.A, 60,
+                                  [A("10.0.0.4")]))
+        assert zone.derived(NxdomainIndex) is not tree
+        assert covers(zone, "new.tree.example")
 
 
 def drive_nxdomains(filter_, engine, store, count, start=0.0):
@@ -125,6 +136,30 @@ class TestFilter:
         assert f.score(bad) > 0
         assert f.score(good) == 0.0
         assert f.score(wild) == 0.0
+
+    def test_referral_bound_query_below_occluded_glue_not_penalized(self):
+        # ns.child sits under the child cut, so lookups at or below it
+        # are referrals; two labels further down there is no existing
+        # parent to stop at, which a heuristic tree mistook for a miss.
+        store = ZoneStore()
+        store.add(parse_zone_text(
+            "$ORIGIN cut.example.\n$TTL 300\n"
+            "@ IN SOA ns1.cut.example. admin.cut.example. 1 2 3 4 300\n"
+            "@ IN NS ns1.cut.example.\n"
+            "child IN NS ns.child.cut.example.\n"
+            "ns.child IN A 10.0.0.53\n"))
+        engine = AuthoritativeEngine(store)
+        f = NXDomainFilter(store, NXDomainConfig(trigger_count=10,
+                                                 window_seconds=60.0))
+        for i in range(15):
+            q = make_query(i, name(f"r{i}.cut.example"), RType.A)
+            f.observe_response(q, engine.respond(q), now=i * 0.01)
+        assert f.trees_built == 1
+        qname = name("a.b.ns.child.cut.example")
+        referral = engine.respond(make_query(99, qname, RType.A))
+        assert referral.authority[0].rtype is RType.NS
+        ctx = QueryContext(source="r", qname=qname, qtype=RType.A, now=1.0)
+        assert f.score(ctx) == 0.0
 
     def test_unknown_zone_not_penalized(self, store):
         engine = AuthoritativeEngine(store)

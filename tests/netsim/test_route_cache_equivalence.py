@@ -30,7 +30,8 @@ def build_world(route_cache: bool):
     pops = [attach_pop(inet, rng) for _ in range(3)]
     vps = [attach_host(inet, rng, host_id=f"vp-{i}") for i in range(6)]
     loop = EventLoop()
-    net = Network(loop, inet.topology, rng, route_cache=route_cache)
+    net = Network(loop, inet.topology, rng)
+    net.route_cache_enabled = route_cache
     net.build_speakers()
     return inet, pops, vps, loop, net
 
@@ -140,7 +141,7 @@ class TestRouteCacheInternals:
         assert not net._route_cache  # flushed by the epoch bump
 
     def test_default_mode_is_cached(self):
-        inet, pops, vps, loop, net = build_world(Network.route_cache_default)
+        inet, pops, vps, loop, net = build_world(Network.route_cache_enabled)
         assert net.route_cache_enabled
 
 

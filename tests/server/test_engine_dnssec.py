@@ -24,6 +24,8 @@ from repro.dnssec.keys import KeyRing
 from repro.dnssec.sign import SigningPolicy, ZoneSigner, verify_message
 from repro.server.engine import AuthoritativeEngine, ZoneStore
 
+from .zonespy import zone_walks
+
 ZONE_TEXT = """\
 $ORIGIN ex.com.
 $TTL 300
@@ -171,24 +173,36 @@ class TestCompactMode:
         resp = engine.respond(make_query(1, name("nope.ex.com"), RType.A))
         assert resp.rcode == RCode.NXDOMAIN
 
+    #: More unique qnames than the plan cache holds (4096).
+    FLOOD = 4200
+
     def test_unique_qname_flood_keeps_negative_state_bounded(self, signed):
-        engine, _, _, _ = signed
+        engine, zone, _, _ = signed
         engine.dnssec.denial_mode = DenialMode.COMPACT
-        for i in range(64):
+        walks = zone_walks(zone)
+        for i in range(self.FLOOD):
             resp = engine.respond(do_query(i, f"atk{i}.ex.com"))
             assert resp.rcode == RCode.NOERROR
-        # One per-zone skeleton; no per-qname DO=1 negative plans.
-        assert len(engine._signed_neg_plans) == 1
-        assert not any(do for (_, _, do) in engine._plan_cache)
+        # One per-zone skeleton, armed after a handful of slow answers;
+        # no per-qname DO=1 negative plans to overflow the plan cache.
+        assert engine.signed_negative_plans == 1
+        assert len(walks) < 16
+        assert engine.plan_cache_wipes == 0
 
     def test_chain_mode_floods_churn_the_plan_cache_instead(self, signed):
-        engine, _, _, _ = signed
+        engine, zone, _, _ = signed
         assert engine.dnssec.denial_mode is DenialMode.NSEC_CHAIN
-        for i in range(64):
+        walks = zone_walks(zone)
+        for i in range(self.FLOOD):
             engine.respond(do_query(i, f"atk{i}.ex.com"))
-        signed_neg = [k for k in engine._plan_cache if k[2]]
-        assert len(signed_neg) == 64
-        assert not engine._signed_neg_plans
+        # Every proof depends on its qname: each is walked and planned
+        # per qname, which overflows the plan cache.
+        assert len(walks) == self.FLOOD
+        assert engine.plan_cache_wipes == 1
+        assert engine.signed_negative_plans == 0
+        repeat = engine.respond(do_query(1, f"atk{self.FLOOD - 1}.ex.com"))
+        assert repeat.rcode == RCode.NXDOMAIN
+        assert len(walks) == self.FLOOD, "signed NXDOMAIN not planned"
 
 
 class TestPlanInvalidation:
@@ -199,10 +213,14 @@ class TestPlanInvalidation:
         engine, zone, _, signer = signed
         q0 = do_query(1, "www.ex.com")
         plain = make_query(2, name("www.ex.com"), RType.A)
+        walks = zone_walks(zone)
         first_signed = engine.respond(q0)
         first_plain = engine.respond(plain)
-        assert (name("www.ex.com"), RType.A, True) in engine._plan_cache
-        assert (name("www.ex.com"), RType.A, False) in engine._plan_cache
+        assert len(walks) == 2
+        # Both DO populations are now served from plans.
+        engine.respond(q0)
+        engine.respond(plain)
+        assert len(walks) == 2
 
         version_before = zone.version
         zone.add_rrset(make_rrset(name("www.ex.com"), RType.A, 300,
@@ -235,6 +253,34 @@ class TestPlanInvalidation:
         addresses = {r.rdata for r in resp.answers
                      if r.rtype is RType.A}
         assert addresses == {A("203.0.113.5")}
+
+    def test_same_version_replacement_gets_its_own_nsec_cover(self):
+        """``Zone.version`` counts mutations of one object, so two
+        differently-named zones built in the same number of steps
+        share it; the NSEC chain index must follow the object."""
+        def signed_zone(second_host):
+            zone = parse_zone_text(ZONE_TEXT + "bbb IN A 192.0.2.2\n"
+                                   + f"{second_host} IN A 192.0.2.3\n")
+            ZoneSigner(KeyRing(7, ORIGIN)).sign(zone, 0.0)
+            return zone
+
+        def nsec_owners(engine):
+            resp = engine.respond(do_query(1, "bzz.ex.com"))
+            assert resp.rcode == RCode.NXDOMAIN
+            return [r.name for r in resp.authority if r.rtype is RType.NSEC]
+
+        zone_a, zone_b = signed_zone("ddd"), signed_zone("bcc")
+        assert zone_a.version == zone_b.version
+        store = ZoneStore()
+        store.add(zone_a)
+        engine = AuthoritativeEngine(store)
+        assert name("bbb.ex.com") in nsec_owners(engine)
+        store.add(zone_b)
+        fresh_store = ZoneStore()
+        fresh_store.add(zone_b)
+        expected = nsec_owners(AuthoritativeEngine(fresh_store))
+        assert name("bcc.ex.com") in expected
+        assert nsec_owners(engine) == expected
 
     def test_signing_an_unsigned_zone_invalidates_do1_plans(self):
         zone = parse_zone_text(ZONE_TEXT)

@@ -5,12 +5,15 @@ the zone-versioned response plan cache (and the per-zone negative plan)
 must be invisible on the wire. Every test compares the fast lane against
 a plan-cache-disabled engine byte for byte, including the invalidation
 paths — zone republish (version bump), zone replacement (store
-generation bump), and engine reconfiguration (``flush_plans``).
+generation bump), and engine reconfiguration (``add_dynamic_domain``).
 """
 
 import json
 
 from repro.dnscore import (
+    Opcode,
+    Question,
+    RClass,
     RCode,
     RType,
     make_query,
@@ -18,9 +21,11 @@ from repro.dnscore import (
     name,
     parse_zone_text,
 )
-from repro.dnscore.rdata import TXT
+from repro.dnscore.rdata import A, TXT
 from repro.dnscore.message import EDNSOptions
 from repro.server.engine import AuthoritativeEngine, ZoneStore
+
+from .zonespy import zone_walks
 
 ZONE = """\
 $ORIGIN ex.com.
@@ -62,7 +67,9 @@ CASES = [
 def build_engine(plan_cache: bool) -> AuthoritativeEngine:
     store = ZoneStore()
     store.add(parse_zone_text(ZONE))
-    return AuthoritativeEngine(store, plan_cache=plan_cache)
+    engine = AuthoritativeEngine(store)
+    engine.plan_cache_enabled = plan_cache
+    return engine
 
 
 def wire(engine: AuthoritativeEngine, qname: str, qtype: RType,
@@ -114,6 +121,65 @@ class TestFastLaneByteEquality:
         assert c.rcode == RCode.NOERROR and c.answers
 
 
+class TestProbePath:
+    """``respond_probe`` is a client of the plan cache: same gate, same
+    key, same liveness rule as ``respond``."""
+
+    def test_probe_hit_shares_one_message_and_matches_respond(self):
+        fast = build_engine(plan_cache=True)
+        slow = build_engine(plan_cache=False)
+        probe = make_query(1, name("ex.com"), RType.SOA)
+        fast.respond_probe(probe)                      # populate the plan
+        probe.msg_id = 2
+        first = fast.respond_probe(probe)
+        assert first.to_wire() == slow.respond(probe).to_wire()
+        probe.msg_id = 3
+        second = fast.respond_probe(probe)
+        assert second is first, "a probe hit must not build a Message"
+        assert second.to_wire() == slow.respond(probe).to_wire()
+        # Responses that travel the network never alias the shared one.
+        assert fast.respond(probe) is not first
+        assert fast.queries_answered == 4
+
+    def test_probe_outside_the_plan_gate_answers_like_respond(self):
+        fast = build_engine(plan_cache=True)
+        slow = build_engine(plan_cache=False)
+        probe = make_query(1, name("ex.com"), RType.SOA)
+        fast.respond_probe(probe)
+        assert fast.respond_probe(probe).rcode == RCode.NOERROR
+        chaos = make_query(2, name("ex.com"), RType.SOA)
+        chaos.questions[0] = Question(name("ex.com"), RType.SOA, RClass.CH)
+        update = make_query(3, name("ex.com"), RType.SOA)
+        update.flags.opcode = Opcode.UPDATE
+        for query, rcode in ((chaos, RCode.REFUSED),
+                             (update, RCode.NOTIMP)):
+            response = fast.respond_probe(query)
+            assert response.rcode == rcode
+            assert response.to_wire() == slow.respond(query).to_wire()
+
+    def test_probe_with_edns_gets_the_opt_echo(self):
+        fast = build_engine(plan_cache=True)
+        slow = build_engine(plan_cache=False)
+        fast.respond_probe(make_query(1, name("ex.com"), RType.SOA))
+        query = make_query(2, name("ex.com"), RType.SOA,
+                           edns=EDNSOptions(payload_size=1232))
+        response = fast.respond_probe(query)
+        assert response.edns is not None
+        assert response.to_wire() == slow.respond(query).to_wire()
+
+    def test_probe_sees_zone_edits_and_replacement(self):
+        fast = build_engine(plan_cache=True)
+        probe = make_query(1, name("www.ex.com"), RType.A)
+        for _ in range(2):
+            assert len(fast.respond_probe(probe).answers) == 1
+        zone = fast.store.get(name("ex.com"))
+        zone.add_record(make_rrset(name("www.ex.com"), RType.A, 300,
+                                   [A("192.0.2.2")]).records[0])
+        assert len(fast.respond_probe(probe).answers) == 2
+        fast.store.add(parse_zone_text(ZONE))
+        assert len(fast.respond_probe(probe).answers) == 1
+
+
 class TestNegativePlan:
     def flood(self, engine: AuthoritativeEngine, n: int = 12) -> None:
         for i in range(n):
@@ -123,9 +189,10 @@ class TestNegativePlan:
         fast = build_engine(plan_cache=True)
         slow = build_engine(plan_cache=False)
         self.flood(fast)
-        assert fast._neg_plans, "flood should have built a negative plan"
+        walks = zone_walks(fast.store.get(name("ex.com")))
         for qname in ("zzz.ex.com", "deep.under.here.ex.com"):
             assert wire(fast, qname, RType.A) == wire(slow, qname, RType.A)
+        assert not walks, "flood should have built a negative plan"
 
     def test_negative_plan_never_claims_existing_names(self):
         fast = build_engine(plan_cache=True)
@@ -164,7 +231,8 @@ class TestInvalidation:
         wire(fast, "www.ex.com", RType.A)              # populate
         replaced = parse_zone_text(ZONE.replace("192.0.2.1", "192.0.2.99"))
         fast.store.add(replaced)                       # rollout-style swap
-        slow = AuthoritativeEngine(fast.store, plan_cache=False)
+        slow = AuthoritativeEngine(fast.store)
+        slow.plan_cache_enabled = False
         assert wire(fast, "www.ex.com", RType.A) == \
             wire(slow, "www.ex.com", RType.A)
         assert bytes([192, 0, 2, 99]) in wire(fast, "www.ex.com", RType.A)
@@ -176,26 +244,38 @@ class TestInvalidation:
         resp = fast.respond(make_query(5, name("www.ex.com"), RType.A))
         assert resp.rcode == RCode.REFUSED
 
-    def test_flush_plans_clears_every_cache(self):
+    def test_reconfiguration_drops_every_plan(self):
         fast = build_engine(plan_cache=True)
+        probe = make_query(1, name("ex.com"), RType.SOA)
         wire(fast, "www.ex.com", RType.A)
         TestNegativePlan().flood(fast)
-        fast.respond_probe(make_query(1, name("www.ex.com"), RType.A))
-        assert fast._plan_cache and fast._neg_plans
-        assert fast._probe_responses
-        fast.flush_plans()
-        assert not fast._plan_cache and not fast._neg_plans
-        assert not fast._neg_seen and not fast._probe_responses
+        fast.respond_probe(probe)
+        walks = zone_walks(fast.store.get(name("ex.com")))
+        wire(fast, "www.ex.com", RType.A)
+        wire(fast, "zzz.ex.com", RType.A)
+        fast.respond_probe(probe)
+        assert not walks, "plan, negative plan and probe should all hit"
+        fast.add_dynamic_domain(name("elsewhere.ex.com"))
+        wire(fast, "www.ex.com", RType.A)
+        wire(fast, "zzz.ex.com", RType.A)
+        fast.respond_probe(probe)
+        assert len(walks) == 3
 
     def test_gtm_provisioning_flushes_plans(self):
         """PR 5-style reconfiguration: adding a dynamic GTM domain after
         init must drop plans cached for what is now a mapping name."""
-        fast = build_engine(plan_cache=True)
+        class Mapping:
+            def answer(self, qname, qtype, client_key):
+                return make_rrset(qname, RType.A, 20, [A("203.0.113.9")])
+
+        store = ZoneStore()
+        store.add(parse_zone_text(ZONE))
+        fast = AuthoritativeEngine(store, mapping=Mapping())
         wire(fast, "www.ex.com", RType.A)              # populate
-        assert fast._plan_cache
-        fast.dynamic_domains.append(name("www.ex.com"))
-        fast.flush_plans()
-        assert not fast._plan_cache
+        assert bytes([192, 0, 2, 1]) in wire(fast, "www.ex.com", RType.A)
+        fast.add_dynamic_domain(name("www.ex.com"))
+        assert fast.dynamic_domains == (name("www.ex.com"),)
+        assert bytes([203, 0, 113, 9]) in wire(fast, "www.ex.com", RType.A)
 
 
 class TestRolloutInvalidation:
@@ -215,7 +295,7 @@ class TestRolloutInvalidation:
         store = ZoneStore()
         store.add(parse_zone_text(ZONE))
         return NameserverMachine(
-            EventLoop(), "m1", AuthoritativeEngine(store, plan_cache=True),
+            EventLoop(), "m1", AuthoritativeEngine(store),
             ScoringPipeline([]), QueuePolicy(),
             MachineConfig(staleness_threshold=float("inf")))
 
@@ -250,10 +330,10 @@ class TestExperimentEquivalence:
 
     def test_fig10_identical_with_and_without_cache(self, monkeypatch):
         monkeypatch.setattr(AuthoritativeEngine,
-                            "response_plan_cache_default", True)
+                            "plan_cache_enabled", True)
         cached = self.fig10_point()
         monkeypatch.setattr(AuthoritativeEngine,
-                            "response_plan_cache_default", False)
+                            "plan_cache_enabled", False)
         uncached = self.fig10_point()
         assert cached == uncached
 
@@ -266,10 +346,10 @@ class TestExperimentEquivalence:
 
     def test_fig3_identical_with_and_without_cache(self, monkeypatch):
         monkeypatch.setattr(AuthoritativeEngine,
-                            "response_plan_cache_default", True)
+                            "plan_cache_enabled", True)
         cached = self.fig3_result()
         monkeypatch.setattr(AuthoritativeEngine,
-                            "response_plan_cache_default", False)
+                            "plan_cache_enabled", False)
         uncached = self.fig3_result()
         assert cached == uncached
 
@@ -289,11 +369,11 @@ class TestExperimentEquivalence:
                     for r in parallel.run_serial(True)]
 
         monkeypatch.setattr(AuthoritativeEngine,
-                            "response_plan_cache_default", True)
-        monkeypatch.setattr(Network, "delivery_coalesce_default", True)
+                            "plan_cache_enabled", True)
+        monkeypatch.setattr(Network, "delivery_coalesce", True)
         fast = suite()
         monkeypatch.setattr(AuthoritativeEngine,
-                            "response_plan_cache_default", False)
-        monkeypatch.setattr(Network, "delivery_coalesce_default", False)
+                            "plan_cache_enabled", False)
+        monkeypatch.setattr(Network, "delivery_coalesce", False)
         slow = suite()
         assert fast == slow
