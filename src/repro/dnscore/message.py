@@ -194,15 +194,23 @@ class Message:
 
 
 def _group_rrsets(records: list[ResourceRecord]) -> list[RRset]:
-    order: list[tuple[Name, RType, RClass]] = []
-    groups: dict[tuple[Name, RType, RClass], RRset] = {}
+    """RRsets in order of first appearance, in time linear in the section:
+    duplicate rdata is found through a hash set per multi-record RRset."""
+    groups: dict[tuple[Name, RType, RClass], tuple[RRset, set]] = {}
     for record in records:
         key = (record.name, record.rtype, record.rclass)
-        if key not in groups:
-            groups[key] = RRset(record.name, record.rtype, record.rclass)
-            order.append(key)
-        groups[key].add(record)
-    return [groups[key] for key in order]
+        group = groups.get(key)
+        if group is None:
+            groups[key] = (RRset(record.name, record.rtype, record.rclass,
+                                 record.ttl, [record]), set())
+            continue
+        rrset, seen = group
+        if not seen:
+            seen.add(rrset.records[0].rdata)
+        if record.rdata not in seen:
+            seen.add(record.rdata)
+            rrset._append(record)
+    return [rrset for rrset, _seen in groups.values()]
 
 
 def make_query(msg_id: int, qname: Name, qtype: RType,

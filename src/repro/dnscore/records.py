@@ -122,23 +122,29 @@ class RRset:
     def add(self, record: ResourceRecord) -> None:
         if (record.name, record.rtype, record.rclass) != self.key:
             raise ValueError(f"record {record} does not belong to rrset {self.key}")
-        if record.rdata in (r.rdata for r in self.records):
-            return
-        if not self.records:
+        if record.rdata not in [r.rdata for r in self.records]:
+            self._append(record)
+
+    def _append(self, record: ResourceRecord) -> None:
+        """Add a record of this set whose rdata is known to be new."""
+        records = self.records
+        if not records:
             self.ttl = record.ttl
-        elif record.ttl != self.ttl:
-            self.ttl = min(self.ttl, record.ttl)
-        self.records.append(record)
-        self.records[:] = [r.with_ttl(self.ttl) for r in self.records]
+        elif record.ttl < self.ttl:
+            # Only a falling TTL rewrites the records already in the set.
+            self.ttl = record.ttl
+            records[:] = [r.with_ttl(record.ttl) for r in records]
+        elif record.ttl > self.ttl:
+            record = record.with_ttl(self.ttl)
+        records.append(record)
 
     def rdatas(self) -> list[Rdata]:
         return [r.rdata for r in self.records]
 
     def with_ttl(self, ttl: int) -> "RRset":
-        """A copy with every record's TTL set to ``ttl``."""
-        clone = RRset(self.name, self.rtype, self.rclass, ttl)
-        clone.records = [r.with_ttl(ttl) for r in self.records]
-        return clone
+        """A copy at TTL ``ttl``; records already at it are shared as is."""
+        return RRset(self.name, self.rtype, self.rclass, ttl, [
+            r if r.ttl == ttl else r.with_ttl(ttl) for r in self.records])
 
     def __len__(self) -> int:
         return len(self.records)

@@ -67,7 +67,18 @@ class DNSCache:
         self._negative[(qname, qtype)] = NegativeEntry(rcode, now + ttl)
 
     def get(self, qname: Name, qtype: RType, now: float) -> RRset | None:
-        """A live positive entry with its TTL aged, or None."""
+        """A live positive entry, copied with its TTL aged, or None: what
+        leaves the resolver. Code that only reads rdata uses :meth:`peek`."""
+        entry = self.peek(qname, qtype, now)
+        if entry is None:
+            return None
+        return entry.rrset.with_ttl(entry.remaining_ttl(now))
+
+    def peek(self, qname: Name, qtype: RType,
+             now: float) -> CacheEntry | None:
+        """The stored live entry itself, or None: nothing is copied, the
+        RRset keeps the TTL it was cached with and the caller must not
+        change it. Counts hits/misses and expires lazily, like ``get``."""
         entry = self._positive.get((qname, qtype))
         if entry is None or entry.expires_at <= now:
             if entry is not None:
@@ -75,7 +86,7 @@ class DNSCache:
             self.misses += 1
             return None
         self.hits += 1
-        return entry.rrset.with_ttl(entry.remaining_ttl(now))
+        return entry
 
     def get_negative(self, qname: Name, qtype: RType,
                      now: float) -> RCode | None:
@@ -88,11 +99,11 @@ class DNSCache:
 
     def best_delegation(self, qname: Name,
                         now: float) -> tuple[Name, RRset] | None:
-        """The deepest cached NS RRset enclosing ``qname``."""
+        """The deepest cached NS RRset enclosing ``qname`` (as ``peek``)."""
         for ancestor in qname.ancestors():
-            rrset = self.get(ancestor, RType.NS, now)
-            if rrset is not None:
-                return ancestor, rrset
+            entry = self.peek(ancestor, RType.NS, now)
+            if entry is not None:
+                return ancestor, entry.rrset
         return None
 
     def flush(self) -> None:

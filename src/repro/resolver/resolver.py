@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..dnscore.edns import ClientSubnetOption, EDNSOptions
+from ..dnscore.errors import WireFormatError
 from ..dnscore.message import Message, make_query
 from ..dnscore.name import Name
 from ..dnscore.rdata import CNAME, DNSKEY, RRSIG, SOA
@@ -173,6 +174,8 @@ class RecursiveResolver:
         self.queries_by_server: dict[str, int] = {}
         self.resolutions_started = 0
         self.resolutions_completed = 0
+        #: Wire-mode responses dropped because they did not parse.
+        self.malformed_responses = 0
         network.attach_endpoint(host_id, self)
 
     # -- public API ---------------------------------------------------------
@@ -223,20 +226,21 @@ class RecursiveResolver:
                               ) -> tuple[list[str], list[Name]]:
         """(addresses, address-less NS targets) for the best authority."""
         now = self.loop.now
+        # Only rdata is read here: stored entries, nothing copied or aged.
         delegation = self.cache.best_delegation(resolution.target, now)
         addresses: list[str] = []
         glueless: list[Name] = []
         if delegation is not None:
             _zone_cut, ns_rrset = delegation
-            for record in ns_rrset:
+            for record in ns_rrset.records:
                 target = record.rdata.target
                 found = False
                 for addr_type in (RType.A, RType.AAAA):
-                    glue = self.cache.get(target, addr_type, now)
+                    glue = self.cache.peek(target, addr_type, now)
                     if glue is not None:
                         found = True
                         addresses.extend(r.rdata.address
-                                         for r in glue.records)
+                                         for r in glue.rrset.records)
                 if not found:
                     glueless.append(target)
             if addresses or glueless:
@@ -393,7 +397,12 @@ class RecursiveResolver:
         envelope = dgram.payload
         wire = getattr(envelope, "wire", None)
         if wire is not None:
-            message = Message.from_wire(wire)
+            try:
+                message = Message.from_wire(wire)
+            except WireFormatError:
+                # Dropped like a lost datagram: the attempt times out.
+                self.malformed_responses += 1
+                return
         else:
             message = envelope.message
         resolution = self._inflight.pop(message.msg_id, None)
@@ -457,7 +466,7 @@ class RecursiveResolver:
                 if _t is not None:
                     _t.dnssec_validation(str(resolution.target), True)
         if message.rcode == RCode.NXDOMAIN:
-            ttl = _negative_ttl(message)
+            ttl = _negative_ttl(message.authority_rrsets())
             self.cache.put_negative(resolution.target, resolution.qtype,
                                     RCode.NXDOMAIN, ttl, now)
             self._finish(resolution, RCode.NXDOMAIN)
@@ -467,15 +476,18 @@ class RecursiveResolver:
             self._query_authority(resolution)
             return
 
-        for rrset in (message.answer_rrsets() + message.authority_rrsets()
+        # Each section is grouped once, and what is grouped is cached.
+        answer_sets = message.answer_rrsets()
+        authority_sets = message.authority_rrsets()
+        for rrset in (answer_sets + authority_sets
                       + message.additional_rrsets()):
             self.cache.put(rrset, now)
 
-        answer_sets = message.answer_rrsets()
         if answer_sets:
             terminal = False
             for rrset in answer_sets:
-                resolution.answers.append(rrset)
+                # A copy: no RRset the cache holds is reachable from a result.
+                resolution.answers.append(rrset.with_ttl(rrset.ttl))
                 if (rrset.name == resolution.target
                         and rrset.rtype == resolution.qtype):
                     terminal = True
@@ -492,9 +504,7 @@ class RecursiveResolver:
                 self._step(resolution)
             return
 
-        ns_sets = [r for r in message.authority_rrsets()
-                   if r.rtype == RType.NS]
-        if ns_sets:
+        if any(r.rtype == RType.NS for r in authority_sets):
             resolution.referrals += 1
             if resolution.referrals > MAX_REFERRALS:
                 self._finish(resolution, RCode.SERVFAIL)
@@ -505,7 +515,7 @@ class RecursiveResolver:
             return
 
         # NODATA.
-        ttl = _negative_ttl(message)
+        ttl = _negative_ttl(authority_sets)
         self.cache.put_negative(resolution.target, resolution.qtype,
                                 RCode.NOERROR, ttl, now)
         self._finish(resolution, RCode.NOERROR)
@@ -527,9 +537,9 @@ class RecursiveResolver:
             return "unsigned"
         now = self.loop.now
         dnskeys: list[DNSKEY] = []
-        cached = self.cache.get(signer, RType.DNSKEY, now)
+        cached = self.cache.peek(signer, RType.DNSKEY, now)
         if cached is not None:
-            dnskeys = [r.rdata for r in cached.records
+            dnskeys = [r.rdata for r in cached.rrset.records
                        if isinstance(r.rdata, DNSKEY)]
         else:
             # A DNSKEY response carries its own keys; anything else
@@ -588,8 +598,8 @@ class RecursiveResolver:
         resolution.callback(result)
 
 
-def _negative_ttl(message: Message) -> int:
-    for rrset in message.authority_rrsets():
+def _negative_ttl(authority_sets: list[RRset]) -> int:
+    for rrset in authority_sets:
         if rrset.rtype == RType.SOA:
             rdata = rrset.records[0].rdata
             assert isinstance(rdata, SOA)

@@ -360,6 +360,74 @@ def bench_wire_codec(n_messages: int = 2_000) -> tuple[float, float, float]:
             timed(lambda: fat.to_wire(max_size=512)))
 
 
+def bench_rrset_grouping(n_rounds: int = 5_000) -> tuple[float, float]:
+    """Best-of-3 seconds to group ``n_rounds`` sections holding (a) one
+    13-record NS RRset and (b) one record.
+
+    (a) / (13 x (b)) gates the cost model of RRset building: grouping
+    costs per record what a one-record set costs, however large the set.
+    An ``RRset.add`` that rewrites or rescans the whole set on every
+    record makes the ratio grow with the size of the set.
+    """
+    from ..dnscore import NS, RType, make_rrset, name
+
+    referral = make_rrset(
+        name("bench.example"), RType.NS, 4000,
+        [NS(name(f"ns{i}.bench.example")) for i in range(13)]).records
+    from ..dnscore.message import _group_rrsets
+
+    def timed(section: list) -> float:
+        def one_run() -> float:
+            started = _now()
+            for _ in range(n_rounds):
+                _group_rrsets(section)
+            return _now() - started
+        return _best_of(one_run)
+
+    return timed(referral), timed(referral[:1])
+
+
+def bench_cached_resolutions(n_resolutions: int = 20_000) -> float:
+    """Resolutions/sec a resolver answers from a warm cache: negative
+    lookup, aged copy of the answer, result and callback; one in four
+    follows a cached CNAME first."""
+    from ..dnscore import A, CNAME, RType, make_rrset, name
+    from ..resolver import RecursiveResolver
+
+    topo = Topology()
+    topo.add_node(Node("r0", asn=100, kind=NodeKind.TRANSIT,
+                       location=GeoPoint(0.0, 0.0)))
+    topo.add_node(Node("res", asn=100, kind=NodeKind.HOST,
+                       location=GeoPoint(0.0, 0.0)))
+    topo.add_link(Link("res", "r0", latency_ms=1.0))
+    loop = EventLoop()
+    resolver = RecursiveResolver(loop, Network(loop, topo, random.Random(7)),
+                                 "res", {}, rng=random.Random(7))
+    hosts = [name(f"h{i}.bench.example") for i in range(3)]
+    for i, host in enumerate(hosts):
+        resolver.cache.put(make_rrset(host, RType.A, 3600,
+                                      [A(f"192.0.2.{i + 1}")]), 0.0)
+    alias = name("alias.bench.example")
+    resolver.cache.put(make_rrset(alias, RType.CNAME, 3600,
+                                  [CNAME(hosts[0])]), 0.0)
+    qnames = hosts + [alias]
+    done = [0]
+
+    def finished(result) -> None:
+        done[0] += result.from_cache
+
+    def one_run() -> float:
+        done[0] = 0
+        started = _now()
+        for i in range(n_resolutions):
+            resolver.resolve(qnames[i & 3], RType.A, finished)
+        elapsed = _now() - started
+        assert done[0] == n_resolutions
+        return elapsed
+
+    return n_resolutions / _best_of(one_run)
+
+
 def bench_pending_ratio(large: int = 20_000, small: int = 50) -> float:
     """Cost ratio of ``loop.pending`` at two queue sizes (~1 when O(1))."""
 
@@ -392,6 +460,7 @@ def run_micro() -> dict:
     telemetry_off, telemetry_on = bench_telemetry()
     signed_do0, signed_do1 = bench_signed_respond()
     wire_roundtrip, encode_unbounded, encode_truncated = bench_wire_codec()
+    group_referral, group_single = bench_rrset_grouping()
     return {
         "metrics": {
             # Gated, hardware-independent ratios.
@@ -408,6 +477,8 @@ def run_micro() -> dict:
                 signed_do1 / signed_do0, 3),
             "truncated_encode_cost_ratio": round(
                 encode_truncated / encode_unbounded, 3),
+            "rrset_group_cost_ratio": round(
+                group_referral / (13 * group_single), 3),
         },
         "info": {
             # Absolute throughput; varies with host, never gated.
@@ -425,6 +496,8 @@ def run_micro() -> dict:
             "signed_respond_do0_qps": round(10_000 / signed_do0),
             "signed_respond_do1_qps": round(10_000 / signed_do1),
             "wire_roundtrip_msgs_per_sec": round(2_000 / wire_roundtrip),
+            "resolver_cached_resolutions_per_sec": round(
+                bench_cached_resolutions()),
         },
     }
 
@@ -438,6 +511,7 @@ _GATED = {
     "telemetry_enabled_overhead_ratio": "lower",
     "signed_respond_overhead_ratio": "lower",
     "truncated_encode_cost_ratio": "lower",
+    "rrset_group_cost_ratio": "lower",
 }
 
 

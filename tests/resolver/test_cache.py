@@ -1,5 +1,7 @@
 """Tests for the resolver cache."""
 
+import random
+
 from repro.dnscore import A, NS, RCode, RType, make_rrset, name
 from repro.resolver import DNSCache
 
@@ -100,3 +102,80 @@ class TestDelegationLookup:
 
     def test_none_when_empty(self):
         assert DNSCache().best_delegation(name("a.b.c"), 0.0) is None
+
+
+class TestCopyFreeRead:
+    """``peek`` (navigation: no copy, stored TTL) against ``get`` (a copy
+    with the TTL aged): same liveness, counters, expiry and eviction."""
+
+    def test_seeded_interleaving_agrees_with_get(self):
+        rng = random.Random(15)
+        by_get, by_peek = DNSCache(max_entries=8), DNSCache(max_entries=8)
+        owners = [name(f"h{i}.example") for i in range(12)]
+        now = 0.0
+        for _ in range(3000):
+            now += rng.choice([0.0, 0.3, 1.0, 7.0])
+            owner = rng.choice(owners)
+            op = rng.random()
+            if op < 0.3:
+                ttl = rng.choice([1, 5, 20, 60])
+                for cache in (by_get, by_peek):
+                    rrset = a_rrset(str(owner), ttl, f"10.0.{ttl}.1")
+                    cache.put(rrset, now)
+            elif op < 0.4:
+                ttl = rng.choice([2, 30])
+                for cache in (by_get, by_peek):
+                    cache.put_negative(owner, RType.A, RCode.NXDOMAIN,
+                                       ttl, now)
+            else:
+                copy = by_get.get(owner, RType.A, now)
+                entry = by_peek.peek(owner, RType.A, now)
+                assert (copy is None) == (entry is None)
+                if entry is not None:
+                    assert copy.rdatas() == entry.rrset.rdatas()
+                    assert copy.ttl == entry.remaining_ttl(now)
+                    assert copy.ttl <= entry.rrset.ttl
+                    assert all(r.ttl == copy.ttl for r in copy.records)
+                    assert all(r.ttl == entry.rrset.ttl
+                               for r in entry.rrset.records)
+                    assert entry.expires_at > now
+                assert by_get.get_negative(owner, RType.A, now) == \
+                    by_peek.get_negative(owner, RType.A, now)
+            assert (by_get.hits, by_get.misses, len(by_get)) == \
+                (by_peek.hits, by_peek.misses, len(by_peek))
+            assert len(by_peek) <= 8
+        assert by_get.hits > 200 and by_get.misses > 200
+
+    def test_aging_never_touches_the_stored_entry(self):
+        cache = DNSCache()
+        cache.put(a_rrset("x.com", ttl=60), now=0.0)
+        early = cache.get(name("x.com"), RType.A, now=10.0)
+        late = cache.get(name("x.com"), RType.A, now=45.5)
+        assert (early.ttl, late.ttl) == (50, 14)
+        assert [r.ttl for r in late.records] == [14]
+        stored = cache.peek(name("x.com"), RType.A, now=45.5).rrset
+        assert stored.ttl == 60 and [r.ttl for r in stored.records] == [60]
+
+    def test_mutating_a_returned_rrset_does_not_change_the_next_hit(self):
+        cache = DNSCache()
+        cache.put(a_rrset("x.com", ttl=60), now=0.0)
+        handed_out = cache.get(name("x.com"), RType.A, now=1.0)
+        handed_out.records.clear()
+        handed_out.ttl = 0
+        again = cache.get(name("x.com"), RType.A, now=1.0)
+        assert again.ttl == 59 and again.rdatas() == [A("10.0.0.1")]
+
+    def test_peek_expires_lazily_and_counts_like_get(self):
+        cache = DNSCache()
+        cache.put(a_rrset("x.com", ttl=5), now=0.0)
+        assert cache.peek(name("x.com"), RType.A, now=4.9) is not None
+        assert cache.peek(name("x.com"), RType.A, now=5.0) is None
+        assert (cache.hits, cache.misses, len(cache)) == (1, 1, 0)
+
+    def test_best_delegation_returns_the_stored_rrset(self):
+        cache = DNSCache()
+        ns = make_rrset(name("ex.com"), RType.NS, 1000,
+                        [NS(name("ns1.ex.com"))])
+        cache.put(ns, now=0.0)
+        _cut, found = cache.best_delegation(name("www.ex.com"), 400.0)
+        assert found is ns and found.ttl == 1000

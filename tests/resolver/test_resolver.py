@@ -178,6 +178,26 @@ class TestIterativeResolution:
         assert result.addresses() == ["93.184.216.34"]
         assert result.answers[0].rtype == RType.CNAME
 
+    def test_results_never_alias_the_cache(self, world):
+        # Fresh answers (grouped once, cached) and cache hits alike: a
+        # caller may do anything to its result without touching the cache.
+        loop, net, _, _ = world
+        r = make_resolver(loop, net)
+        fresh = resolve(loop, r, "alias.ex.net")
+        hit = resolve(loop, r, "alias.ex.net")
+        assert hit.from_cache
+        stored = {id(entry.rrset) for entry in r.cache._positive.values()}
+        for result in (fresh, hit):
+            assert [s.rtype for s in result.answers] == [RType.CNAME, RType.A]
+            for rrset in result.answers:
+                assert id(rrset) not in stored
+                rrset.records.clear()
+                rrset.ttl = 0
+        again = resolve(loop, r, "alias.ex.net")
+        assert again.from_cache
+        assert again.addresses() == ["93.184.216.34"]
+        assert again.answers[0].ttl > 0
+
     def test_glueless_referral_chased(self, world):
         loop, net, _, _ = world
         r = make_resolver(loop, net)

@@ -1,6 +1,7 @@
 """End-to-end wire-format tests: size limits, truncation, TCP retry."""
 
 import random
+import struct
 
 import pytest
 
@@ -21,6 +22,8 @@ from repro.server import (
     NameserverMachine,
     ZoneStore,
 )
+
+from ..dnscore.test_wire_hostile import _response_with
 
 # A zone whose apex TXT answer cannot fit a 512-octet UDP response.
 BIG_ZONE = (
@@ -112,3 +115,44 @@ class TestWireMode:
         resolver.handle_datagram = spy
         resolve(loop, resolver, "small.wire.example", RType.A)
         assert captured and all(isinstance(w, bytes) for w in captured)
+
+
+def _truncated(wire: bytes) -> bytes:
+    return wire[:len(wire) - 5]
+
+
+def _inflated_answer_count(wire: bytes) -> bytes:
+    mutated = bytearray(wire)
+    struct.pack_into("!H", mutated, 6, 0x7FFF)
+    return bytes(mutated)
+
+
+def _empty_txt_rdata(wire: bytes) -> bytes:
+    return wire[:2] + _response_with(RType.TXT, b"")[2:]    # keep the id
+
+
+class TestMalformedResponses:
+    """Mutations from tests/dnscore/test_wire_hostile.py, delivered to a
+    resolver in wire mode: dropped and counted, never raised into the
+    event loop; the attempt times out and the retry succeeds."""
+
+    @pytest.mark.parametrize("mutate", [_truncated, _inflated_answer_count,
+                                        _empty_txt_rdata])
+    def test_dropped_counted_and_retried(self, world, mutate):
+        loop, resolver = world
+        original = resolver.handle_datagram
+        seen = []
+
+        def corrupt_first(dgram):
+            seen.append(dgram.payload.wire)
+            if len(seen) == 1:
+                dgram.payload.wire = mutate(dgram.payload.wire)
+            original(dgram)
+
+        resolver.handle_datagram = corrupt_first
+        result = resolve(loop, resolver, "small.wire.example", RType.A)
+        assert resolver.malformed_responses == 1
+        assert len(seen) == 2
+        assert result.rcode == RCode.NOERROR
+        assert result.addresses() == ["10.0.0.1"]
+        assert (result.timeouts, result.queries_sent) == (1, 2)
