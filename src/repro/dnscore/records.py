@@ -127,16 +127,15 @@ class RRset:
 
     def _append(self, record: ResourceRecord) -> None:
         """Add a record of this set whose rdata is known to be new."""
-        records = self.records
-        if not records:
+        if not self.records:
             self.ttl = record.ttl
         elif record.ttl < self.ttl:
             # Only a falling TTL rewrites the records already in the set.
             self.ttl = record.ttl
-            records[:] = [r.with_ttl(record.ttl) for r in records]
+            self.records[:] = [r.with_ttl(self.ttl) for r in self.records]
         elif record.ttl > self.ttl:
             record = record.with_ttl(self.ttl)
-        records.append(record)
+        self.records.append(record)
 
     def rdatas(self) -> list[Rdata]:
         return [r.rdata for r in self.records]

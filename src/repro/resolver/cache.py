@@ -76,9 +76,8 @@ class DNSCache:
 
     def peek(self, qname: Name, qtype: RType,
              now: float) -> CacheEntry | None:
-        """The stored live entry itself, or None: nothing is copied, the
-        RRset keeps the TTL it was cached with and the caller must not
-        change it. Counts hits/misses and expires lazily, like ``get``."""
+        """The stored live entry itself, or None: no copy, TTL as cached, not
+        for the caller to change. Counts and expires lazily, like ``get``."""
         entry = self._positive.get((qname, qtype))
         if entry is None or entry.expires_at <= now:
             if entry is not None:

@@ -107,7 +107,8 @@ class _Resolution:
         self.attempts = 0
         self.referrals = 0
         self.tried: set[str] = set()
-        self.pending_msg_id: int | None = None
+        #: The query in flight; its answer echoes its id and question.
+        self.pending_query: Message | None = None
         self.pending_address: str | None = None
         self.pending_sent_at = 0.0
         self.timeout_handle: EventHandle | None = None
@@ -174,6 +175,8 @@ class RecursiveResolver:
         self.queries_by_server: dict[str, int] = {}
         self.resolutions_started = 0
         self.resolutions_completed = 0
+        #: Responses that answer no query in flight (by id and question).
+        self.unsolicited_responses = 0
         #: Wire-mode responses dropped because they did not parse.
         self.malformed_responses = 0
         network.attach_endpoint(host_id, self)
@@ -349,7 +352,7 @@ class RecursiveResolver:
             envelope.trace = attempt
         dgram = Datagram(src=self.host_id, dst=address,
                          payload=envelope, src_port=port)
-        resolution.pending_msg_id = msg_id
+        resolution.pending_query = query
         resolution.pending_address = address
         resolution.pending_sent_at = self.loop.now
         self._inflight[msg_id] = resolution
@@ -405,8 +408,14 @@ class RecursiveResolver:
                 return
         else:
             message = envelope.message
-        resolution = self._inflight.pop(message.msg_id, None)
-        if resolution is None or resolution.done:
+        resolution = self._inflight.get(message.msg_id)
+        if (resolution is None
+                or message.questions != resolution.pending_query.questions):
+            # Late, or a colliding id: a query in flight keeps waiting.
+            self.unsolicited_responses += 1
+            return
+        del self._inflight[message.msg_id]
+        if resolution.done:
             return
         if resolution.timeout_handle is not None:
             resolution.timeout_handle.cancel()
@@ -426,7 +435,7 @@ class RecursiveResolver:
         self._process_response(resolution, message)
 
     def _on_timeout(self, resolution: _Resolution, msg_id: int) -> None:
-        if resolution.done or resolution.pending_msg_id != msg_id:
+        if resolution.done or resolution.pending_query.msg_id != msg_id:
             return
         self._inflight.pop(msg_id, None)
         resolution.result.timeouts += 1

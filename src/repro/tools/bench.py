@@ -388,9 +388,9 @@ def bench_rrset_grouping(n_rounds: int = 5_000) -> tuple[float, float]:
 
 
 def bench_cached_resolutions(n_resolutions: int = 20_000) -> float:
-    """Resolutions/sec a resolver answers from a warm cache: negative
-    lookup, aged copy of the answer, result and callback; one in four
-    follows a cached CNAME first."""
+    """Resolutions/sec a resolver answers from a cache filled ten seconds
+    earlier: negative lookup, a copy of the answer with its TTL aged,
+    result and callback; one in four follows a cached CNAME first."""
     from ..dnscore import A, CNAME, RType, make_rrset, name
     from ..resolver import RecursiveResolver
 
@@ -406,10 +406,10 @@ def bench_cached_resolutions(n_resolutions: int = 20_000) -> float:
     hosts = [name(f"h{i}.bench.example") for i in range(3)]
     for i, host in enumerate(hosts):
         resolver.cache.put(make_rrset(host, RType.A, 3600,
-                                      [A(f"192.0.2.{i + 1}")]), 0.0)
+                                      [A(f"192.0.2.{i + 1}")]), -10.0)
     alias = name("alias.bench.example")
     resolver.cache.put(make_rrset(alias, RType.CNAME, 3600,
-                                  [CNAME(hosts[0])]), 0.0)
+                                  [CNAME(hosts[0])]), -10.0)
     qnames = hosts + [alias]
     done = [0]
 

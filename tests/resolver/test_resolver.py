@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from repro.dnscore import RCode, RType, name, parse_zone_text
+from repro.dnscore import (
+    RCode,
+    RType,
+    make_query,
+    make_response,
+    name,
+    parse_zone_text,
+)
 from repro.filters import QueuePolicy, ScoringPipeline
 from repro.netsim import (
     Datagram,
@@ -28,6 +35,7 @@ from repro.server import (
     MachineConfig,
     NameserverMachine,
     PoP,
+    ResponseEnvelope,
     ZoneStore,
 )
 
@@ -232,6 +240,49 @@ class TestFailureHandling:
         r = make_resolver(loop, net, timeout=0.5)
         result = resolve(loop, r, "www.ex.net", wait=40.0)
         assert result.rcode == RCode.SERVFAIL
+
+
+class TestResponseMatching:
+    """A response answers a query only by message id *and* question."""
+
+    @pytest.mark.parametrize("forged_name, forged_type", [
+        ("victim.attack.example", RType.A),     # another query's NXDOMAIN
+        ("www.ex.net", RType.TXT),              # right name, wrong type
+    ])
+    def test_forged_response_with_colliding_id_is_ignored(
+            self, world, forged_name, forged_type):
+        loop, net, _, _ = world
+        r = make_resolver(loop, net)
+        resolve(loop, r, "nodata.ex.net", RType.TXT)    # warm the delegations
+        sent = []
+        send = net.send
+        net.send = lambda dgram: (sent.append(dgram), send(dgram))
+        results = []
+        r.resolve(name("www.ex.net"), RType.A, results.append)
+        (query,) = sent
+        forged = make_response(
+            make_query(query.payload.message.msg_id, name(forged_name),
+                       forged_type), RCode.NXDOMAIN)
+        r.handle_datagram(Datagram(
+            src=query.dst, dst=query.src, src_port=53,
+            dst_port=query.src_port,
+            payload=ResponseEnvelope(forged, "", "forger", query.dst)))
+        assert not results and r.unsolicited_responses == 1
+        loop.run_until(loop.now + 20)
+        (result,) = results
+        assert result.rcode == RCode.NOERROR
+        assert result.addresses() == ["93.184.216.34"]
+        # The real answer was not delayed: no timeout, no second query.
+        assert (result.timeouts, result.queries_sent) == (0, 1)
+        assert r.unsolicited_responses == 1
+
+    def test_late_response_after_timeout_is_counted_not_processed(
+            self, world):
+        loop, net, _, _ = world
+        r = make_resolver(loop, net, timeout=0.001)     # shorter than any RTT
+        result = resolve(loop, r, "www.ex.net", wait=40.0)
+        assert result.timeouts > 0
+        assert r.unsolicited_responses > 0
 
 
 class TestSelectionStrategies:
