@@ -35,6 +35,7 @@ import platform
 import random
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 from ..netsim.bgp import LOCAL
@@ -70,6 +71,18 @@ def _best_of(measure, repeats: int = 3) -> float:
     """Minimum of ``repeats`` timings: scheduler noise only ever adds
     time, so the min is the most load-robust estimate for a CI gate."""
     return min(measure() for _ in range(repeats))
+
+
+def _loop_seconds(call, n_calls: int) -> float:
+    """Best-of-3 seconds for ``n_calls`` calls of ``call()``."""
+
+    def one_run() -> float:
+        started = _now()
+        for _ in range(n_calls):
+            call()
+        return _now() - started
+
+    return _best_of(one_run)
 
 
 # -- microbenchmarks ----------------------------------------------------------
@@ -347,17 +360,10 @@ def bench_wire_codec(n_messages: int = 2_000) -> tuple[float, float, float]:
     fat = response("fat.bench.example",
                    [f"198.51.100.{i + 1}" for i in range(40)])
 
-    def timed(call) -> float:
-        def one_run() -> float:
-            started = _now()
-            for _ in range(n_messages):
-                call()
-            return _now() - started
-        return _best_of(one_run)
-
-    return (timed(lambda: Message.from_wire(small.to_wire())),
-            timed(fat.to_wire),
-            timed(lambda: fat.to_wire(max_size=512)))
+    return (_loop_seconds(lambda: Message.from_wire(small.to_wire()),
+                          n_messages),
+            _loop_seconds(fat.to_wire, n_messages),
+            _loop_seconds(lambda: fat.to_wire(max_size=512), n_messages))
 
 
 def bench_rrset_grouping(n_rounds: int = 5_000) -> tuple[float, float]:
@@ -370,21 +376,14 @@ def bench_rrset_grouping(n_rounds: int = 5_000) -> tuple[float, float]:
     record makes the ratio grow with the size of the set.
     """
     from ..dnscore import NS, RType, make_rrset, name
+    from ..dnscore.message import _group_rrsets
 
     referral = make_rrset(
         name("bench.example"), RType.NS, 4000,
         [NS(name(f"ns{i}.bench.example")) for i in range(13)]).records
-    from ..dnscore.message import _group_rrsets
 
-    def timed(section: list) -> float:
-        def one_run() -> float:
-            started = _now()
-            for _ in range(n_rounds):
-                _group_rrsets(section)
-            return _now() - started
-        return _best_of(one_run)
-
-    return timed(referral), timed(referral[:1])
+    return (_loop_seconds(partial(_group_rrsets, referral), n_rounds),
+            _loop_seconds(partial(_group_rrsets, referral[:1]), n_rounds))
 
 
 def bench_cached_resolutions(n_resolutions: int = 20_000) -> float:

@@ -7,7 +7,7 @@ NODATA and timeouts with retry. What every resolution returned — names,
 rcode, addresses, the TTL of every answer RRset and of every record in
 it, completion time, upstream queries and the servers asked — was
 recorded before the read path stopped copying cache entries
-(``python tests/resolver/test_resolution_golden.py --record``) and must
+(``python -m tests.resolver.test_resolution_golden --record``) and must
 stay byte-identical: the read path is a speed change only.
 """
 
@@ -16,8 +16,7 @@ import random
 import sys
 from pathlib import Path
 
-from repro.dnscore import RCode, RType, name, parse_zone_text
-from repro.filters import QueuePolicy, ScoringPipeline
+from repro.dnscore import RCode, RType, name
 from repro.netsim import (
     EventLoop,
     InternetParams,
@@ -26,15 +25,11 @@ from repro.netsim import (
     build_internet,
 )
 from repro.resolver import RecursiveResolver
-from repro.server import (
-    AuthoritativeEngine,
-    HostNameserver,
-    MachineConfig,
-    NameserverMachine,
-    ZoneStore,
-)
+from repro.server import HostNameserver
 
-GOLDEN = Path(__file__).with_name("resolution_golden.json")
+from .test_resolver import mk_machine
+
+GOLDEN = Path(__file__).with_name("resolution_golden.jsonl")
 
 ROOT, TLD, GOLD_A, GOLD_B, DEAD, SUB = (
     "198.41.0.4", "192.5.6.30", "10.50.0.1", "10.50.0.2", "10.50.0.9",
@@ -111,13 +106,7 @@ def build_world():
     net = Network(loop, inet.topology, rng)
     net.build_speakers()
     for host, text in ZONES.items():
-        store = ZoneStore()
-        store.add(parse_zone_text(text))
-        machine = NameserverMachine(
-            loop, f"m-{host}", AuthoritativeEngine(store),
-            ScoringPipeline([]), QueuePolicy(),
-            MachineConfig(staleness_threshold=float("inf")))
-        HostNameserver(loop, net, host, machine)
+        HostNameserver(loop, net, host, mk_machine(loop, [text], f"m-{host}"))
     loop.run_until(25)
     resolver = RecursiveResolver(loop, net, "golden-resolver",
                                  {name("."): [ROOT]}, rng=random.Random(5))
@@ -152,11 +141,11 @@ def run_stream(n=300, seed=2024):
 
 
 def render(rows, resolver):
-    return json.dumps({
-        "cache": [resolver.cache.hits, resolver.cache.misses,
-                  len(resolver.cache)],
-        "queries_by_server": resolver.queries_by_server,
-        "rows": rows}, indent=0) + "\n"
+    """One JSON value per line: cache counters, queries per server, rows."""
+    cache = resolver.cache
+    head = [[cache.hits, cache.misses, len(cache)],
+            resolver.queries_by_server]
+    return "".join(json.dumps(value) + "\n" for value in head + rows)
 
 
 def test_stream_is_byte_identical_to_the_recording():
@@ -165,7 +154,7 @@ def test_stream_is_byte_identical_to_the_recording():
 
 
 def test_recording_covers_the_cases_it_claims():
-    rows = json.loads(GOLDEN.read_text())["rows"]
+    rows = [json.loads(line) for line in GOLDEN.read_text().splitlines()[2:]]
     assert len(rows) == 300 and None not in rows
     by_name = {}
     for r in rows:
@@ -206,6 +195,6 @@ def test_answer_from_cache_carries_the_aged_ttl():
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
-        raise SystemExit("usage: test_resolution_golden.py --record")
+        raise SystemExit("usage: python -m " + __spec__.name + " --record")
     GOLDEN.write_text(render(*run_stream()))
     print(f"wrote {GOLDEN}")
