@@ -44,7 +44,10 @@ class MachineBGPSpeaker:
 
     def withdraw_all(self) -> None:
         """Withdraw every advertisement (self-suspension path)."""
-        for prefix in list(self._advertised):
+        # In ``clouds`` order: the order of withdrawals is the order of
+        # BGP updates and RNG draws, and a set's order follows the
+        # process's hash seed.
+        for prefix in self.clouds:
             self.withdraw(prefix)
 
     def withdraw(self, prefix: str) -> None:
