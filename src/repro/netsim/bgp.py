@@ -55,10 +55,15 @@ class Route:
         return (self.local_pref, -len(self.as_path), -self.med, self.next_hop)
 
 
-class PeerChannel:
-    """Outbound update scheduling toward one peer, with MRAI batching.
+class PeerSession:
+    """One BGP session as seen from its speaker: the static facts of the
+    link, the adj-RIB-out, and outbound update scheduling with MRAI.
 
-    A channel with ``mrai == 0`` transmits as soon as an update is
+    Links never change relation or base latency and sessions are fixed
+    when the speakers are built, so everything the per-update path needs
+    is resolved here once and only indexed afterwards.
+
+    A session with ``mrai == 0`` transmits as soon as an update is
     queued. A nonzero MRAI models a router that batches outbound
     updates: queued updates wait for the next batch boundary (a random
     phase within the MRAI window), and at most one batch leaves per
@@ -69,11 +74,27 @@ class PeerChannel:
     to arrive already restores service.
     """
 
+    __slots__ = ("_speaker", "peer_id", "mrai", "relation", "local_pref",
+                 "latency_s", "peer", "rib_out", "down", "_pending",
+                 "_timer_running")
+
     def __init__(self, speaker: "BGPSpeaker", peer_id: str,
                  mrai: float) -> None:
         self._speaker = speaker
         self.peer_id = peer_id
         self.mrai = mrai
+        link = speaker.network.topology.link(speaker.node_id, peer_id)
+        #: What the peer is to this speaker (customer, peer, provider).
+        self.relation = link.relation_from(speaker.node_id)
+        self.local_pref = LOCAL_PREF[self.relation]
+        self.latency_s = link.latency_ms / 1000.0
+        #: The peer's speaker; set by ``Network.build_speakers`` once
+        #: every speaker exists.
+        self.peer: BGPSpeaker | None = None
+        #: adj-RIB-out: prefixes currently advertised to the peer.
+        self.rib_out: set[str] = set()
+        #: Session dropped (link failure or session reset).
+        self.down = False
         self._pending: set[str] = set()
         self._timer_running = False
 
@@ -83,11 +104,13 @@ class PeerChannel:
 
     def schedule(self, prefix: str) -> None:
         """Queue an update for ``prefix``; flush per the batching policy."""
+        if self.mrai <= 0:
+            # Unbatched: nothing is ever left queued, so the batch of
+            # one is sent as it is.
+            self._speaker.send_update(self.peer_id, prefix)
+            return
         self._pending.add(prefix)
         if self._timer_running:
-            return
-        if self.mrai <= 0:
-            self._flush()
             return
         # First batch after an idle period leaves quickly (update
         # generation delay); once the line is busy, subsequent batches
@@ -98,20 +121,15 @@ class PeerChannel:
         self._timer_running = True
         self._speaker.loop.call_later(phase, self._timer_expired)
 
-    def _flush(self) -> None:
-        prefixes, self._pending = self._pending, set()
-        for prefix in sorted(prefixes):
-            self._speaker.send_update(self.peer_id, prefix)
-
     def _timer_expired(self) -> None:
         self._timer_running = False
         if self._pending:
-            self._flush()
-            if self.mrai > 0:
-                # Hold the line busy for a full interval after a batch.
-                self._timer_running = True
-                self._speaker.loop.call_later(self.mrai,
-                                              self._timer_expired)
+            prefixes, self._pending = self._pending, set()
+            for prefix in sorted(prefixes):
+                self._speaker.send_update(self.peer_id, prefix)
+            # Hold the line busy for a full interval after a batch.
+            self._timer_running = True
+            self._speaker.loop.call_later(self.mrai, self._timer_expired)
 
 
 class BGPSpeaker:
@@ -125,7 +143,6 @@ class BGPSpeaker:
         self.node_id = node_id
         self.asn = asn
         self.rng = rng
-        self._rng = rng
         self._proc_lo, self._proc_hi = processing_delay
         #: adj-RIB-in: prefix -> peer -> Route
         self._rib_in: dict[str, dict[str, Route]] = {}
@@ -133,33 +150,35 @@ class BGPSpeaker:
         self._local: dict[str, Route] = {}
         #: current best per prefix
         self._best: dict[str, Route] = {}
-        #: adj-RIB-out: peer -> set of prefixes currently advertised to it
-        self._rib_out: dict[str, set[str]] = {}
-        self._channels: dict[str, PeerChannel] = {}
+        #: peer -> the session toward it, in ``bgp_neighbors`` order
+        self._sessions: dict[str, PeerSession] = {
+            peer_id: PeerSession(self, peer_id, mrai)
+            for peer_id in network.topology.bgp_neighbors(node_id)}
         self.updates_sent = 0
         self.updates_received = 0
         #: Per-(peer, prefix) export suppression — the knob anycast
         #: traffic engineering turns to withdraw from individual peering
         #: links (paper section 4.3.2).
         self._export_blocked: set[tuple[str, str]] = set()
-        #: Peers whose session is down (link failure or session reset).
-        self._sessions_down: set[str] = set()
         self._best_change_listeners: list[Callable[[str, Route | None], None]] = []
-        for peer_id in network.topology.bgp_neighbors(node_id):
-            self._channels[peer_id] = PeerChannel(self, peer_id, mrai)
-            self._rib_out[peer_id] = set()
+
+    def connect_peers(self, speakers: dict[str, "BGPSpeaker"]) -> None:
+        """Resolve each session's far end, once every speaker exists."""
+        for peer_id, session in self._sessions.items():
+            session.peer = speakers[peer_id]
 
     # -- public control ---------------------------------------------------
 
     def originate(self, prefix: str, med: int = 0) -> None:
         """Inject a locally originated route and propagate it."""
-        self._local[prefix] = Route(prefix, (), LOCAL, LOCAL_PREF_ORIGIN, med)
-        self._reselect(prefix)
+        route = Route(prefix, (), LOCAL, LOCAL_PREF_ORIGIN, med)
+        self._local[prefix] = route
+        self._decide(prefix, LOCAL, route)
 
     def withdraw_origin(self, prefix: str) -> None:
         """Remove a locally originated route and propagate the change."""
         if self._local.pop(prefix, None) is not None:
-            self._reselect(prefix, churn=True)
+            self._decide(prefix, LOCAL, None)
 
     def best_route(self, prefix: str) -> Route | None:
         return self._best.get(prefix)
@@ -178,8 +197,8 @@ class BGPSpeaker:
             self._export_blocked.add(key)
         else:
             self._export_blocked.discard(key)
-        if changed and peer_id in self._channels:
-            self._channels[peer_id].schedule(prefix)
+        if changed and peer_id in self._sessions:
+            self._sessions[peer_id].schedule(prefix)
 
     def export_blocked(self, peer_id: str, prefix: str) -> bool:
         return (peer_id, prefix) in self._export_blocked
@@ -192,7 +211,8 @@ class BGPSpeaker:
     # -- session lifecycle --------------------------------------------------
 
     def session_is_up(self, peer_id: str) -> bool:
-        return peer_id not in self._sessions_down
+        session = self._sessions.get(peer_id)
+        return session is None or not session.down
 
     def session_down(self, peer_id: str) -> None:
         """The session to ``peer_id`` dropped (link cut or reset).
@@ -202,126 +222,125 @@ class BGPSpeaker:
         cost of a session failure, and the adj-RIB-out toward the peer
         is forgotten so re-establishment re-advertises from scratch.
         """
-        if peer_id not in self._channels or peer_id in self._sessions_down:
+        session = self._sessions.get(peer_id)
+        if session is None or session.down:
             return
-        self._sessions_down.add(peer_id)
-        self._channels[peer_id].reset()
-        self._rib_out[peer_id] = set()
+        session.down = True
+        session.reset()
+        session.rib_out.clear()
         for prefix in list(self._rib_in):
             if self._rib_in[prefix].pop(peer_id, None) is not None:
-                self._reselect(prefix, churn=True)
+                self._decide(prefix, peer_id, None)
 
     def session_up(self, peer_id: str) -> None:
         """The session to ``peer_id`` re-established: re-advertise."""
-        if peer_id not in self._channels \
-                or peer_id not in self._sessions_down:
+        session = self._sessions.get(peer_id)
+        if session is None or not session.down:
             return
-        self._sessions_down.discard(peer_id)
-        channel = self._channels[peer_id]
+        session.down = False
         for prefix in self._best:
-            channel.schedule(prefix)
+            session.schedule(prefix)
 
     # -- update plumbing ----------------------------------------------------
 
     def send_update(self, peer_id: str, prefix: str) -> None:
         """Evaluate export policy for (peer, prefix) and transmit."""
-        if peer_id in self._sessions_down:
+        session = self._sessions[peer_id]
+        if session.down:
             return
         best = self._best.get(prefix)
-        advertise = best is not None and self._exportable(best, peer_id)
-        previously = prefix in self._rib_out[peer_id]
-        if advertise:
-            assert best is not None
-            path = (self.asn,) + best.as_path
-            self._rib_out[peer_id].add(prefix)
-            self._transmit(peer_id, prefix, path, best.med)
-        elif previously:
-            self._rib_out[peer_id].discard(prefix)
-            self._transmit(peer_id, prefix, None, 0)
+        if best is not None and self._exportable(best, session):
+            session.rib_out.add(prefix)
+            self._transmit(session, prefix, (self.asn,) + best.as_path,
+                           best.med)
+        elif prefix in session.rib_out:
+            session.rib_out.discard(prefix)
+            self._transmit(session, prefix, None, 0)
 
-    def _transmit(self, peer_id: str, prefix: str,
+    def _transmit(self, session: PeerSession, prefix: str,
                   path: tuple[int, ...] | None, med: int) -> None:
         self.updates_sent += 1
-        link = self.network.topology.link(self.node_id, peer_id)
-        delay = (link.latency_ms / 1000.0
-                 + self._rng.uniform(self._proc_lo, self._proc_hi))
-        peer_speaker = self.network.speaker(peer_id)
-        self.loop.call_later(delay, peer_speaker.receive_update,
+        delay = (session.latency_s
+                 + self.rng.uniform(self._proc_lo, self._proc_hi))
+        self.loop.call_later(delay, session.peer.receive_update,
                              self.node_id, prefix, path, med)
 
     def receive_update(self, from_peer: str, prefix: str,
                        path: tuple[int, ...] | None, med: int) -> None:
         """Handle an announce (path) or withdraw (path is None)."""
-        if from_peer in self._sessions_down:
+        session = self._sessions[from_peer]
+        if session.down:
             # In-flight update from a session that dropped meanwhile.
             return
         self.updates_received += 1
         rib = self._rib_in.setdefault(prefix, {})
         if path is None or self.asn in path:
             # Withdraw, or loop-poisoned announce treated as one.
-            if rib.pop(from_peer, None) is None and path is None:
-                return
-            self._reselect(prefix, churn=True)
+            if rib.pop(from_peer, None) is not None:
+                self._decide(prefix, from_peer, None)
         else:
-            relation = self.network.topology.link(
-                self.node_id, from_peer).relation_from(self.node_id)
-            rib[from_peer] = Route(prefix, path, from_peer,
-                                   LOCAL_PREF[relation], med)
-            self._reselect(prefix)
+            route = Route(prefix, path, from_peer, session.local_pref, med)
+            rib[from_peer] = route
+            self._decide(prefix, from_peer, route)
 
     # -- decision process ---------------------------------------------------
 
-    def _candidates(self, prefix: str) -> list[Route]:
-        routes = list(self._rib_in.get(prefix, {}).values())
-        local = self._local.get(prefix)
-        if local is not None:
-            routes.append(local)
-        return routes
+    def _decide(self, prefix: str, source: str,
+                route: Route | None) -> None:
+        """Re-run the decision process after ``source``'s candidate for
+        ``prefix`` became ``route`` (None: it is gone).
 
-    def _reselect(self, prefix: str, *, churn: bool = False) -> None:
-        """Re-run the decision process.
+        ``source`` is a peer id, or LOCAL for origination. The installed
+        best is the maximum of the candidates, so another source's route
+        either beats it or changes nothing; only when the best's own
+        source moved is every candidate in play again.
 
-        ``churn`` marks withdrawal-driven reselection: the RIB->FIB sync
-        for such changes pays the router's FIB programming delay (real
-        routers back up under withdrawal/path-hunting bursts), while a
-        plain announcement programs quickly.
+        A removal is withdrawal-driven churn: the RIB->FIB sync for such
+        changes pays the router's FIB programming delay (real routers
+        back up under withdrawal/path-hunting bursts), while a plain
+        announcement programs quickly.
         """
-        candidates = self._candidates(prefix)
-        new_best = (max(candidates, key=Route.preference_key)
-                    if candidates else None)
         old_best = self._best.get(prefix)
-        if new_best == old_best:
+        if old_best is not None and old_best.next_hop == source:
+            candidates = list(self._rib_in.get(prefix, {}).values())
+            local = self._local.get(prefix)
+            if local is not None:
+                candidates.append(local)
+            new_best = (max(candidates, key=Route.preference_key)
+                        if candidates else None)
+            if new_best == old_best:
+                return
+        elif route is not None and (
+                old_best is None
+                or route.preference_key() > old_best.preference_key()):
+            new_best = route
+        else:
             return
         if new_best is None:
             del self._best[prefix]
+            next_hop = None
         else:
             self._best[prefix] = new_best
-        next_hop = None if new_best is None else new_best.next_hop
-        self.network.set_fib(self.node_id, prefix, next_hop, churn=churn)
+            next_hop = new_best.next_hop
+        self.network.set_fib(self.node_id, prefix, next_hop,
+                             churn=route is None)
         for listener in self._best_change_listeners:
             listener(prefix, new_best)
-        for peer_id, channel in self._channels.items():
-            if new_best is not None and peer_id == new_best.next_hop:
-                # Split horizon toward the route's source; retract anything
-                # we previously advertised to it.
-                if prefix in self._rib_out[peer_id]:
-                    channel.schedule(prefix)
-                continue
-            channel.schedule(prefix)
+        for peer_id, session in self._sessions.items():
+            # Split horizon toward the route's source: only retract
+            # what we previously advertised to it.
+            if peer_id != next_hop or prefix in session.rib_out:
+                session.schedule(prefix)
 
-    def _exportable(self, route: Route, peer_id: str) -> bool:
+    def _exportable(self, route: Route, session: PeerSession) -> bool:
         """Gao-Rexford export rule plus per-peer suppression."""
-        if (peer_id, route.prefix) in self._export_blocked:
+        next_hop = route.next_hop
+        if next_hop == session.peer_id:
             return False
-        if peer_id == route.next_hop:
+        if (session.peer_id, route.prefix) in self._export_blocked:
             return False
-        if route.next_hop == LOCAL:
-            return True
-        learned_relation = self.network.topology.link(
-            self.node_id, route.next_hop).relation_from(self.node_id)
-        if learned_relation == LinkRelation.CUSTOMER:
-            return True
-        # Peer/provider routes go to customers only.
-        out_relation = self.network.topology.link(
-            self.node_id, peer_id).relation_from(self.node_id)
-        return out_relation == LinkRelation.CUSTOMER
+        # Customer (and own) routes go to everyone; peer/provider
+        # routes go to customers only.
+        return (next_hop == LOCAL
+                or session.relation is LinkRelation.CUSTOMER
+                or self._sessions[next_hop].relation is LinkRelation.CUSTOMER)

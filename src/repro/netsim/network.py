@@ -90,6 +90,39 @@ class _LinkState:
 
 
 @dataclass(slots=True)
+class _Access:
+    """A host's access link as :meth:`Network.send` needs it."""
+
+    router: str
+    up: bool
+    loss: float
+    delay: float
+
+
+class _LinkView:
+    """What the data plane reads off the topology and the link state,
+    resolved once per node instead of once per packet or per edge
+    relaxation. Entries fill on first use; the view describes one
+    topology version and one link state, and :class:`Network` drops the
+    whole object when either changes.
+    """
+
+    __slots__ = ("version", "edges", "access", "distances")
+
+    def __init__(self, version: int) -> None:
+        self.version = version
+        #: node -> (neighbor, base latency s, extra latency s) per live
+        #: link, in adjacency order. The cost terms stay apart: a path
+        #: cost is a sequence of float additions and pre-summing an edge
+        #: would round differently.
+        self.edges: dict[str, list[tuple[str, float, float]]] = {}
+        #: host -> its access link; None for a router.
+        self.access: dict[str, _Access | None] = {}
+        #: source -> node -> one-way shortest-path latency.
+        self.distances: dict[str, dict[str, float]] = {}
+
+
+@dataclass(slots=True)
 class _CachedRoute:
     """A fully resolved FIB path for one (ingress router, prefix).
 
@@ -123,9 +156,6 @@ class Network:
     #: The anycast route cache. The equivalence tests and the benchmark
     #: turn it off (on the class or one instance) to prove both paths agree.
     route_cache_enabled = True
-    #: Coalescing of same-tick delivery events into one heap entry (see
-    #: ``EventLoop.call_at_coalesced``); turned off the same way.
-    delivery_coalesce = True
 
     def __init__(self, loop: EventLoop, topology: Topology,
                  rng: random.Random) -> None:
@@ -138,8 +168,7 @@ class Network:
         #: router -> prefix -> local delivery handler
         self._local_delivery: dict[tuple[str, str], LocalDeliveryHandler] = {}
         self._endpoints: dict[str, Endpoint] = {}
-        self._unicast_cache: dict[str, dict[str, float]] = {}
-        self._unicast_cache_version = -1
+        self._link_view: _LinkView | None = None
         self._link_state: dict[tuple[str, str], _LinkState] = {}
         self._link_drops: dict[tuple[str, str], int] = {}
         self.stats = NetworkStats()
@@ -179,6 +208,8 @@ class Network:
             self._speakers[node.node_id] = BGPSpeaker(
                 self, node.node_id, node.asn, self.rng, mrai=mrai,
                 processing_delay=processing_delay)
+        for speaker in self._speakers.values():
+            speaker.connect_peers(self._speakers)
 
     def speaker(self, node_id: str) -> BGPSpeaker:
         return self._speakers[node_id]
@@ -250,7 +281,7 @@ class Network:
         if state.up == up:
             return
         state.up = up
-        self._unicast_cache.clear()
+        self._link_view = None
         self._bump_route_epoch()
         speaker_a = self._speakers.get(a)
         speaker_b = self._speakers.get(b)
@@ -289,7 +320,7 @@ class Network:
         state.loss = loss
         state.extra_latency_ms = extra_latency_ms
         # Added latency changes shortest paths.
-        self._unicast_cache.clear()
+        self._link_view = None
         self._bump_route_epoch()
 
     def link_degradation(self, a: str, b: str) -> tuple[float, float]:
@@ -344,18 +375,16 @@ class Network:
 
     def send(self, dgram: Datagram) -> None:
         """Inject a datagram from its source host into the network."""
-        src_node = self.topology.node(dgram.src)
-        if src_node.kind == NodeKind.HOST:
-            first_router = self.topology.attachment_router(dgram.src)
-            access = self.topology.link(dgram.src, first_router)
-            if not self.link_is_up(dgram.src, first_router):
+        access = self._access(dgram.src)
+        if access is not None:
+            if not access.up:
                 self.stats.dropped_unreachable += 1
                 return
-            if self._link_lossy_drop(dgram.src, first_router):
+            if access.loss > 0.0 and self.rng.random() < access.loss:
                 self.stats.dropped_loss += 1
                 return
-            delay = (access.latency_ms / 1000.0
-                     + self._link_extra_delay(dgram.src, first_router))
+            first_router = access.router
+            delay = access.delay
         else:
             first_router = dgram.src
             delay = 0.0
@@ -519,11 +548,8 @@ class Network:
         self._inflight_seq = flight_id = self._inflight_seq + 1
         # Same-tick floods on one cached route land on the same delivery
         # timestamp; coalescing folds them into one heap entry.
-        if self.delivery_coalesce:
-            handle = self.loop.call_at_coalesced(t, self._fast_delivery_due,
-                                                 flight_id)
-        else:
-            handle = self.loop.call_at(t, self._fast_delivery_due, flight_id)
+        handle = self.loop.call_at_coalesced(t, self._fast_delivery_due,
+                                             flight_id)
         self._inflight[flight_id] = _InFlight(dgram, route,
                                               self.loop.now, handle)
 
@@ -564,34 +590,66 @@ class Network:
         if latency is None:
             self.stats.dropped_unreachable += 1
             return
-        if self.topology.node(dgram.dst).kind == NodeKind.HOST:
-            # A degraded access link loses packets in both directions.
-            last_router = self.topology.attachment_router(dgram.dst)
-            if self._link_lossy_drop(dgram.dst, last_router):
-                self.stats.dropped_loss += 1
-                return
+        # A degraded access link loses packets in both directions.
+        access = self._access(dgram.dst)
+        if access is not None and access.loss > 0.0 \
+                and self.rng.random() < access.loss:
+            self.stats.dropped_loss += 1
+            return
         endpoint = self._endpoints[dgram.dst]
         self.stats.delivered += 1
         self._trace_delivery(dgram, self.loop.now + latency,
                              len(dgram.hops))
-        if self.delivery_coalesce:
-            self.loop.call_later_coalesced(latency, endpoint.handle_datagram,
-                                           dgram)
-        else:
-            self.loop.call_later(latency, endpoint.handle_datagram, dgram)
+        self.loop.call_later_coalesced(latency, endpoint.handle_datagram,
+                                       dgram)
+
+    # -- derived link view ---------------------------------------------------
+
+    def _view(self) -> _LinkView:
+        view = self._link_view
+        if view is None or view.version != self.topology.version:
+            # Link state changed, or the topology grew (new hosts/links).
+            view = self._link_view = _LinkView(self.topology.version)
+        return view
+
+    def _access(self, node_id: str) -> _Access | None:
+        """The access link of host ``node_id``; None for a router."""
+        view = self._view()
+        try:
+            return view.access[node_id]
+        except KeyError:
+            pass
+        access = None
+        if self.topology.node(node_id).kind == NodeKind.HOST:
+            router = self.topology.attachment_router(node_id)
+            loss, extra_ms = self.link_degradation(node_id, router)
+            access = _Access(
+                router, self.link_is_up(node_id, router), loss,
+                self.topology.link(node_id, router).latency_ms / 1000.0
+                + extra_ms / 1000.0)
+        view.access[node_id] = access
+        return access
+
+    def _live_edges(self, view: _LinkView,
+                    node_id: str) -> list[tuple[str, float, float]]:
+        edges = view.edges.get(node_id)
+        if edges is None:
+            edges = view.edges[node_id] = [
+                (neighbor,
+                 self.topology.link(node_id, neighbor).latency_ms / 1000.0,
+                 self._link_extra_delay(node_id, neighbor))
+                for neighbor in self.topology.neighbors(node_id)
+                if self.link_is_up(node_id, neighbor)]
+        return edges
 
     # -- unicast shortest paths ----------------------------------------------
 
     def unicast_latency(self, src: str, dst: str) -> float | None:
         """One-way latency along the shortest live path, or None."""
-        if self._unicast_cache_version != self.topology.version:
-            # Topology grew (new hosts/links) since the cache was built.
-            self._unicast_cache.clear()
-            self._unicast_cache_version = self.topology.version
-        distances = self._unicast_cache.get(src)
+        view = self._view()
+        distances = view.distances.get(src)
         if distances is None:
-            distances = self._dijkstra(src)
-            self._unicast_cache[src] = distances
+            distances = view.distances[src] = self._dijkstra(view, src)
         return distances.get(dst)
 
     def unicast_rtt_ms(self, a: str, b: str) -> float | None:
@@ -599,22 +657,20 @@ class Network:
         one_way = self.unicast_latency(a, b)
         return None if one_way is None else one_way * 2000.0
 
-    def _dijkstra(self, src: str) -> dict[str, float]:
+    def _dijkstra(self, view: _LinkView, src: str) -> dict[str, float]:
         distances = {src: 0.0}
         frontier: list[tuple[float, str]] = [(0.0, src)]
         visited: set[str] = set()
+        live_edges = self._live_edges
+        unreached = float("inf")
         while frontier:
             dist, node = heapq.heappop(frontier)
             if node in visited:
                 continue
             visited.add(node)
-            for neighbor in self.topology.neighbors(node):
-                if not self.link_is_up(node, neighbor):
-                    continue
-                link = self.topology.link(node, neighbor)
-                candidate = (dist + link.latency_ms / 1000.0 + HOP_COST_S
-                             + self._link_extra_delay(node, neighbor))
-                if candidate < distances.get(neighbor, float("inf")):
+            for neighbor, base, extra in live_edges(view, node):
+                candidate = dist + base + HOP_COST_S + extra
+                if candidate < distances.get(neighbor, unreached):
                     distances[neighbor] = candidate
                     heapq.heappush(frontier, (candidate, neighbor))
         return distances

@@ -8,6 +8,8 @@ optimization invisible — firing order, ``pending`` /
 unbatched scheduling.
 """
 
+import random
+
 import pytest
 
 from repro.netsim.clock import EventLoop
@@ -67,6 +69,40 @@ class TestCoalescing:
             loop.run_until(2.0)
         assert out_b == out_p == [1, 2, 3, 4]
         assert batched.events_processed == plain.events_processed == 4
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_schedules_match_plain_call_at(self, seed):
+        """The oracle ``Network`` used to carry as a switch: the same
+        seeded schedule — same-tick bursts, interleaved actions, members
+        cancelled before the run, callbacks that schedule more — through
+        ``call_at_coalesced`` and through plain ``call_at``."""
+
+        def run(coalesced: bool):
+            rng = random.Random(seed)
+            loop = EventLoop()
+            fired = []
+            schedule = loop.call_at_coalesced if coalesced else loop.call_at
+
+            def sink(tag):
+                def action(arg):
+                    fired.append((loop.now, tag, arg))
+                    if rng.random() < 0.2:
+                        # A delivery that causes another, now or later.
+                        schedule(loop.now + rng.choice((0.0, 0.5)),
+                                 rng.choice(sinks), -arg)
+                return action
+
+            sinks = [sink(tag) for tag in "abc"]
+            handles = [schedule(rng.randrange(1, 6) / 2.0,
+                                rng.choice(sinks[:rng.choice((1, 3))]), i)
+                       for i in range(200)]
+            for handle in rng.sample(handles, 30):
+                handle.cancel()
+            pending = loop.pending
+            loop.run()
+            return fired, pending, loop.pending, loop.events_processed
+
+        assert run(True) == run(False)
 
 
 class TestBatchCancellation:

@@ -354,12 +354,10 @@ class TestExperimentEquivalence:
         assert cached == uncached
 
     def test_runner_pass_identical_with_fast_lane_off(self, monkeypatch):
-        """A (small) full runner pass with BOTH fast-lane switches —
-        plan cache and coalesced delivery — flipped together, on the
-        machine-heaviest figures (resilience drives real attack floods
-        through the respond path)."""
+        """A (small) full runner pass with the plan cache flipped, on
+        the machine-heaviest figures (resilience drives real attack
+        floods through the respond path)."""
         from repro.experiments import parallel
-        from repro.netsim.network import Network
 
         monkeypatch.setattr(parallel, "JOB_ORDER", ("fig8", "resilience"))
 
@@ -370,10 +368,8 @@ class TestExperimentEquivalence:
 
         monkeypatch.setattr(AuthoritativeEngine,
                             "plan_cache_enabled", True)
-        monkeypatch.setattr(Network, "delivery_coalesce", True)
         fast = suite()
         monkeypatch.setattr(AuthoritativeEngine,
                             "plan_cache_enabled", False)
-        monkeypatch.setattr(Network, "delivery_coalesce", False)
         slow = suite()
         assert fast == slow
