@@ -236,7 +236,9 @@ class Zone:
     def _covering_cut(self, qname: Name) -> Name | None:
         """The closest enclosing zone cut strictly above the apex, if any."""
         best: Name | None = None
-        for cut in self._cuts:
+        # The cuts above one name are nested, so no two have the same
+        # length and the longest is the same in any order.
+        for cut in self._cuts:  # reprolint: disable=DET005
             if qname.is_subdomain_of(cut):
                 if best is None or len(cut) > len(best):
                     best = cut

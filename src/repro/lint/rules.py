@@ -191,15 +191,76 @@ class HashOrderingRule(Rule):
         self.generic_visit(node)
 
 
+def _is_set_type(annotation: ast.expr) -> bool:
+    """``set``, ``frozenset``, or a subscript of either."""
+    if isinstance(annotation, ast.Subscript):
+        annotation = annotation.value
+    return (isinstance(annotation, ast.Name)
+            and annotation.id in ("set", "frozenset"))
+
+
+def _is_set_value(value: ast.expr | None) -> bool:
+    return (isinstance(value, (ast.Set, ast.SetComp))
+            or (isinstance(value, ast.Call)
+                and isinstance(value.func, ast.Name)
+                and value.func.id in ("set", "frozenset")))
+
+
+def _set_attributes(cls: ast.ClassDef) -> frozenset[str]:
+    """Attributes the class body annotates or assigns as a set: fields
+    (``x: set[str]``) and ``self.x`` targets anywhere in its methods."""
+    found = set()
+    for node in ast.walk(cls):
+        if isinstance(node, ast.AnnAssign):
+            targets, is_set = [node.target], (
+                _is_set_type(node.annotation) or _is_set_value(node.value))
+        elif isinstance(node, ast.Assign):
+            targets, is_set = node.targets, _is_set_value(node.value)
+        else:
+            continue
+        if not is_set:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Name) and node in cls.body:
+                found.add(target.id)
+            elif (isinstance(target, ast.Attribute)
+                  and isinstance(target.value, ast.Name)
+                  and target.value.id == "self"):
+                found.add(target.attr)
+    return frozenset(found)
+
+
 class SetIterationRule(Rule):
     code = "DET005"
     name = "unordered-iteration"
     severity = Severity.WARNING
-    description = ("Iterating a set literal / set()/frozenset() call "
+    description = ("Iterating a set literal / set()/frozenset() call, or "
+                   "a `self` attribute the same class annotates or "
+                   "assigns as a set (also through list()/tuple()), "
                    "yields hash order, which varies across processes "
                    "for str keys; wrap in sorted() when the order can "
                    "reach results, tie-breaks, or RNG draws.")
     scopes = ("src/repro/",)
+
+    def __init__(self, ctx) -> None:
+        super().__init__(ctx)
+        #: Set-typed attribute names of the classes being visited,
+        #: innermost last.
+        self._set_attrs: list[frozenset[str]] = []
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        self._set_attrs.append(_set_attributes(node))
+        self.generic_visit(node)
+        self._set_attrs.pop()
+
+    def _set_attribute(self, node: ast.expr) -> str | None:
+        """``self.x`` where the enclosing class makes ``x`` a set."""
+        if (self._set_attrs and isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+                and node.attr in self._set_attrs[-1]):
+            return node.attr
+        return None
 
     def _check_iter(self, iter_node: ast.expr) -> None:
         if isinstance(iter_node, (ast.Set, ast.SetComp)):
@@ -214,9 +275,24 @@ class SetIterationRule(Rule):
                                    f"`{iter_node.func.id}(...)` has "
                                    f"salted hash order; wrap in "
                                    f"sorted(...)")
+        elif (attr := self._set_attribute(iter_node)) is not None:
+            self.report(iter_node, f"iteration over `self.{attr}`, a set "
+                                   f"in this class, has salted hash "
+                                   f"order; wrap in sorted(...) or "
+                                   f"iterate an ordered companion")
 
     def visit_For(self, node: ast.For) -> None:
         self._check_iter(node.iter)
+        self.generic_visit(node)
+
+    def visit_Call(self, node: ast.Call) -> None:
+        if (isinstance(node.func, ast.Name)
+                and node.func.id in ("list", "tuple")
+                and len(node.args) == 1
+                and (attr := self._set_attribute(node.args[0])) is not None):
+            self.report(node, f"`{node.func.id}(self.{attr})` freezes the "
+                              f"salted hash order of a set; use "
+                              f"sorted(...)")
         self.generic_visit(node)
 
     def _visit_comp(self, node) -> None:

@@ -62,7 +62,7 @@ class AnycastCloud:
 
     def catchment_sizes(self, node_ids: list[str]) -> dict[str, int]:
         """How many of ``node_ids`` land on each advertising PoP."""
-        sizes: dict[str, int] = {pop: 0 for pop in self.advertising}
+        sizes: dict[str, int] = {pop: 0 for pop in sorted(self.advertising)}
         for node_id in node_ids:
             pop = self.catchment_of(node_id)
             if pop is not None:

@@ -5,6 +5,8 @@ Every rule code must (a) fire on a deliberately seeded violation,
 suppression — the acceptance contract for the rule set.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.lint import ALL_RULES, lint_source, rule_by_code
@@ -146,6 +148,60 @@ class TestSetIteration:
 
     def test_sorted_wrapper_is_fine(self):
         src = "def f(xs):\n    return [x for x in sorted(set(xs))]\n"
+        assert codes(src) == []
+
+    def test_set_attribute_fixture(self):
+        """``self.x`` where the class body makes ``x`` a set: every
+        marked line of the fixture, and nothing else."""
+        source = (Path(__file__).parent / "fixtures"
+                  / "set_attribute_iteration.py").read_text()
+        expected = [number for number, line
+                    in enumerate(source.splitlines(), start=1)
+                    if line.endswith("# expect")]
+        findings = lint_source(source, path="src/repro/server/fake.py")
+        assert [f.code for f in findings] == ["DET005"] * len(expected)
+        assert [f.line for f in findings] == expected
+
+    def test_annotated_set_attribute(self):
+        src = ("class S:\n"
+               "    def __init__(self):\n"
+               "        self._x: set[str] = set()\n"
+               "    def f(self):\n"
+               "        return list(self._x)\n")
+        assert codes(src) == ["DET005"]
+
+    def test_assigned_set_attribute_in_for(self):
+        src = ("class S:\n"
+               "    def __init__(self, xs):\n"
+               "        self._x = frozenset(xs)\n"
+               "    def f(self):\n"
+               "        for x in self._x:\n"
+               "            use(x)\n")
+        assert codes(src) == ["DET005"]
+
+    def test_sorted_set_attribute_is_fine(self):
+        src = ("class S:\n"
+               "    def __init__(self):\n"
+               "        self._x: set[str] = set()\n"
+               "    def f(self):\n"
+               "        return sorted(self._x), len(self._x)\n")
+        assert codes(src) == []
+
+    def test_set_attribute_of_another_class_is_not_guessed(self):
+        src = ("class A:\n"
+               "    def __init__(self):\n"
+               "        self._x: set[str] = set()\n"
+               "class B:\n"
+               "    def f(self):\n"
+               "        return list(self._x)\n")
+        assert codes(src) == []
+
+    def test_set_attribute_suppressed(self):
+        src = ("class S:\n"
+               "    def __init__(self):\n"
+               "        self._x: set[str] = set()\n"
+               "    def f(self):\n"
+               "        return list(self._x)  # reprolint: disable=DET005\n")
         assert codes(src) == []
 
     def test_severity_is_warning(self):
