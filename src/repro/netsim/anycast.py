@@ -60,15 +60,6 @@ class AnycastCloud:
         """Catchment PoP for each node in ``node_ids``."""
         return {n: self.catchment_of(n) for n in node_ids}
 
-    def catchment_sizes(self, node_ids: list[str]) -> dict[str, int]:
-        """How many of ``node_ids`` land on each advertising PoP."""
-        sizes: dict[str, int] = {pop: 0 for pop in sorted(self.advertising)}
-        for node_id in node_ids:
-            pop = self.catchment_of(node_id)
-            if pop is not None:
-                sizes[pop] = sizes.get(pop, 0) + 1
-        return sizes
-
 
 def measure_catchments(network: Network, hosts: list[str], prefix: str,
                        *, window: float = 5.0) -> dict[str, str | None]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from .topology import LinkRelation
 
@@ -56,12 +56,9 @@ class Route:
 
 
 class PeerSession:
-    """One BGP session as seen from its speaker: the static facts of the
-    link, the adj-RIB-out, and outbound update scheduling with MRAI.
-
-    Links never change relation or base latency and sessions are fixed
-    when the speakers are built, so everything the per-update path needs
-    is resolved here once and only indexed afterwards.
+    """One BGP session as seen from its speaker: the link's static facts
+    (resolved once; links never change relation or base latency), the
+    adj-RIB-out, and outbound update scheduling with MRAI batching.
 
     A session with ``mrai == 0`` transmits as soon as an update is
     queued. A nonzero MRAI models a router that batches outbound
@@ -75,7 +72,7 @@ class PeerSession:
     """
 
     __slots__ = ("_speaker", "peer_id", "mrai", "relation", "local_pref",
-                 "latency_s", "peer", "rib_out", "down", "_pending",
+                 "latency_s", "peer", "rib_out", "down", "pending",
                  "_timer_running")
 
     def __init__(self, speaker: "BGPSpeaker", peer_id: str,
@@ -88,28 +85,22 @@ class PeerSession:
         self.relation = link.relation_from(speaker.node_id)
         self.local_pref = LOCAL_PREF[self.relation]
         self.latency_s = link.latency_ms / 1000.0
-        #: The peer's speaker; set by ``Network.build_speakers`` once
-        #: every speaker exists.
+        #: The peer's speaker; it may not exist yet, so first use finds it.
         self.peer: BGPSpeaker | None = None
         #: adj-RIB-out: prefixes currently advertised to the peer.
         self.rib_out: set[str] = set()
         #: Session dropped (link failure or session reset).
         self.down = False
-        self._pending: set[str] = set()
+        self.pending: set[str] = set()
         self._timer_running = False
-
-    def reset(self) -> None:
-        """Drop queued updates (session teardown)."""
-        self._pending.clear()
 
     def schedule(self, prefix: str) -> None:
         """Queue an update for ``prefix``; flush per the batching policy."""
         if self.mrai <= 0:
-            # Unbatched: nothing is ever left queued, so the batch of
-            # one is sent as it is.
+            # Unbatched: the queue would only ever hold this one update.
             self._speaker.send_update(self.peer_id, prefix)
             return
-        self._pending.add(prefix)
+        self.pending.add(prefix)
         if self._timer_running:
             return
         # First batch after an idle period leaves quickly (update
@@ -123,8 +114,8 @@ class PeerSession:
 
     def _timer_expired(self) -> None:
         self._timer_running = False
-        if self._pending:
-            prefixes, self._pending = self._pending, set()
+        if self.pending:
+            prefixes, self.pending = self.pending, set()
             for prefix in sorted(prefixes):
                 self._speaker.send_update(self.peer_id, prefix)
             # Hold the line busy for a full interval after a batch.
@@ -160,19 +151,13 @@ class BGPSpeaker:
         #: traffic engineering turns to withdraw from individual peering
         #: links (paper section 4.3.2).
         self._export_blocked: set[tuple[str, str]] = set()
-        self._best_change_listeners: list[Callable[[str, Route | None], None]] = []
-
-    def connect_peers(self, speakers: dict[str, "BGPSpeaker"]) -> None:
-        """Resolve each session's far end, once every speaker exists."""
-        for peer_id, session in self._sessions.items():
-            session.peer = speakers[peer_id]
 
     # -- public control ---------------------------------------------------
 
     def originate(self, prefix: str, med: int = 0) -> None:
         """Inject a locally originated route and propagate it."""
-        route = Route(prefix, (), LOCAL, LOCAL_PREF_ORIGIN, med)
-        self._local[prefix] = route
+        route = self._local[prefix] = Route(prefix, (), LOCAL,
+                                            LOCAL_PREF_ORIGIN, med)
         self._decide(prefix, LOCAL, route)
 
     def withdraw_origin(self, prefix: str) -> None:
@@ -203,11 +188,6 @@ class BGPSpeaker:
     def export_blocked(self, peer_id: str, prefix: str) -> bool:
         return (peer_id, prefix) in self._export_blocked
 
-    def on_best_change(self,
-                       listener: Callable[[str, Route | None], None]) -> None:
-        """Register a callback fired when the best route for a prefix moves."""
-        self._best_change_listeners.append(listener)
-
     # -- session lifecycle --------------------------------------------------
 
     def session_is_up(self, peer_id: str) -> bool:
@@ -226,7 +206,7 @@ class BGPSpeaker:
         if session is None or session.down:
             return
         session.down = True
-        session.reset()
+        session.pending.clear()
         session.rib_out.clear()
         for prefix in list(self._rib_in):
             if self._rib_in[prefix].pop(peer_id, None) is not None:
@@ -251,15 +231,15 @@ class BGPSpeaker:
         best = self._best.get(prefix)
         if best is not None and self._exportable(best, session):
             session.rib_out.add(prefix)
-            self._transmit(session, prefix, (self.asn,) + best.as_path,
-                           best.med)
+            path, med = (self.asn,) + best.as_path, best.med
         elif prefix in session.rib_out:
             session.rib_out.discard(prefix)
-            self._transmit(session, prefix, None, 0)
-
-    def _transmit(self, session: PeerSession, prefix: str,
-                  path: tuple[int, ...] | None, med: int) -> None:
+            path, med = None, 0
+        else:
+            return
         self.updates_sent += 1
+        if session.peer is None:
+            session.peer = self.network.speaker(peer_id)
         delay = (session.latency_s
                  + self.rng.uniform(self._proc_lo, self._proc_hi))
         self.loop.call_later(delay, session.peer.receive_update,
@@ -279,26 +259,23 @@ class BGPSpeaker:
             if rib.pop(from_peer, None) is not None:
                 self._decide(prefix, from_peer, None)
         else:
-            route = Route(prefix, path, from_peer, session.local_pref, med)
-            rib[from_peer] = route
+            route = rib[from_peer] = Route(prefix, path, from_peer,
+                                           session.local_pref, med)
             self._decide(prefix, from_peer, route)
 
     # -- decision process ---------------------------------------------------
 
     def _decide(self, prefix: str, source: str,
                 route: Route | None) -> None:
-        """Re-run the decision process after ``source``'s candidate for
-        ``prefix`` became ``route`` (None: it is gone).
+        """Re-run the decision process after the candidate of ``source``
+        (a peer, or LOCAL) for ``prefix`` became ``route``, None if gone.
 
-        ``source`` is a peer id, or LOCAL for origination. The installed
-        best is the maximum of the candidates, so another source's route
-        either beats it or changes nothing; only when the best's own
-        source moved is every candidate in play again.
-
-        A removal is withdrawal-driven churn: the RIB->FIB sync for such
-        changes pays the router's FIB programming delay (real routers
-        back up under withdrawal/path-hunting bursts), while a plain
-        announcement programs quickly.
+        The installed best is the maximum of the candidates, so another
+        source's route either beats it or changes nothing; only when the
+        best's own source moved is every candidate in play again. A
+        removal is withdrawal-driven churn: its RIB->FIB sync pays the
+        router's FIB programming delay (real routers back up under
+        withdrawal/path-hunting bursts); an announcement programs quickly.
         """
         old_best = self._best.get(prefix)
         if old_best is not None and old_best.next_hop == source:
@@ -318,14 +295,11 @@ class BGPSpeaker:
             return
         if new_best is None:
             del self._best[prefix]
-            next_hop = None
         else:
             self._best[prefix] = new_best
-            next_hop = new_best.next_hop
+        next_hop = None if new_best is None else new_best.next_hop
         self.network.set_fib(self.node_id, prefix, next_hop,
                              churn=route is None)
-        for listener in self._best_change_listeners:
-            listener(prefix, new_best)
         for peer_id, session in self._sessions.items():
             # Split horizon toward the route's source: only retract
             # what we previously advertised to it.

@@ -28,13 +28,13 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Protocol
+from typing import Callable, NamedTuple, Protocol
 
 from ..telemetry import state as _telemetry
 from .bgp import LOCAL, BGPSpeaker
 from .clock import BatchHandle, EventHandle, EventLoop
 from .packet import Datagram
-from .topology import NodeKind, Topology, link_key
+from .topology import Link, NodeKind, Topology, link_key
 
 #: Per-hop forwarding/serialization cost in seconds.
 HOP_COST_S = 0.00005
@@ -89,36 +89,33 @@ class _LinkState:
     extra_latency_ms: float = 0.0
 
 
-@dataclass(slots=True)
-class _Access:
-    """A host's access link as :meth:`Network.send` needs it."""
+#: The state of a link nothing has ever been done to.
+_PLAIN_LINK = _LinkState()
 
-    router: str
-    up: bool
+
+class _Edge(NamedTuple):
+    """One live link, from one end, as the data plane reads it."""
+
+    peer: str
+    #: One-way latency in seconds, base and degradation apart: a path
+    #: cost is a chain of float additions; a pre-summed edge rounds off.
+    base: float
+    extra: float
     loss: float
-    delay: float
+    link: Link
 
 
 class _LinkView:
-    """What the data plane reads off the topology and the link state,
-    resolved once per node instead of once per packet or per edge
-    relaxation. Entries fill on first use; the view describes one
-    topology version and one link state, and :class:`Network` drops the
-    whole object when either changes.
+    """What the data plane reads off one topology version and one link
+    state, resolved per node on first use instead of per packet or edge
+    relaxation. :class:`Network` drops the whole object when either moves.
     """
-
-    __slots__ = ("version", "edges", "access", "distances")
 
     def __init__(self, version: int) -> None:
         self.version = version
-        #: node -> (neighbor, base latency s, extra latency s) per live
-        #: link, in adjacency order. The cost terms stay apart: a path
-        #: cost is a sequence of float additions and pre-summing an edge
-        #: would round differently.
-        self.edges: dict[str, list[tuple[str, float, float]]] = {}
-        #: host -> its access link; None for a router.
-        self.access: dict[str, _Access | None] = {}
-        #: source -> node -> one-way shortest-path latency.
+        #: node -> neighbor -> edge, live links only, in adjacency order
+        self.edges: dict[str, dict[str, _Edge]] = {}
+        #: source -> node -> one-way shortest-path latency
         self.distances: dict[str, dict[str, float]] = {}
 
 
@@ -208,8 +205,6 @@ class Network:
             self._speakers[node.node_id] = BGPSpeaker(
                 self, node.node_id, node.asn, self.rng, mrai=mrai,
                 processing_delay=processing_delay)
-        for speaker in self._speakers.values():
-            speaker.connect_peers(self._speakers)
 
     def speaker(self, node_id: str) -> BGPSpeaker:
         return self._speakers[node_id]
@@ -294,8 +289,7 @@ class Network:
                 speaker_b.session_down(a)
 
     def link_is_up(self, a: str, b: str) -> bool:
-        state = self._link_state.get(link_key(a, b))
-        return state.up if state else True
+        return self._link_state.get(link_key(a, b), _PLAIN_LINK).up
 
     def set_link_degraded(self, a: str, b: str, *, loss: float = 0.0,
                           extra_latency_ms: float = 0.0) -> None:
@@ -325,21 +319,8 @@ class Network:
 
     def link_degradation(self, a: str, b: str) -> tuple[float, float]:
         """(loss probability, extra latency ms) currently on a link."""
-        state = self._link_state.get(link_key(a, b))
-        return (state.loss, state.extra_latency_ms) if state else (0.0, 0.0)
-
-    def _link_lossy_drop(self, a: str, b: str) -> bool:
-        """Whether a degraded link eats this datagram."""
-        state = self._link_state.get(link_key(a, b))
-        if state is None or state.loss <= 0.0:
-            return False
-        return self.rng.random() < state.loss
-
-    def _link_extra_delay(self, a: str, b: str) -> float:
-        state = self._link_state.get(link_key(a, b))
-        if state is None:
-            return 0.0
-        return state.extra_latency_ms / 1000.0
+        state = self._link_state.get(link_key(a, b), _PLAIN_LINK)
+        return state.loss, state.extra_latency_ms
 
     def link_drops(self, a: str, b: str) -> int:
         """Congestion drops recorded on one link."""
@@ -375,16 +356,16 @@ class Network:
 
     def send(self, dgram: Datagram) -> None:
         """Inject a datagram from its source host into the network."""
-        access = self._access(dgram.src)
-        if access is not None:
-            if not access.up:
+        if self.topology.node(dgram.src).kind == NodeKind.HOST:
+            access = self._access_edge(dgram.src)
+            if access is None:
                 self.stats.dropped_unreachable += 1
                 return
             if access.loss > 0.0 and self.rng.random() < access.loss:
                 self.stats.dropped_loss += 1
                 return
-            first_router = access.router
-            delay = access.delay
+            first_router = access.peer
+            delay = access.base + access.extra
         else:
             first_router = dgram.src
             delay = 0.0
@@ -419,18 +400,17 @@ class Network:
         if dgram.ip_ttl <= 1:
             self.stats.dropped_ttl_expired += 1
             return
-        if not self.link_is_up(router_id, next_hop):
+        edge = self._edges(self._view(), router_id).get(next_hop)
+        if edge is None:        # the link is down
             self.stats.dropped_no_route += 1
             return
-        link = self.topology.link(router_id, next_hop)
-        if not self._link_admit(link):
+        if not self._link_admit(edge.link):
             self.stats.dropped_congestion += 1
             return
-        if self._link_lossy_drop(router_id, next_hop):
+        if edge.loss > 0.0 and self.rng.random() < edge.loss:
             self.stats.dropped_loss += 1
             return
-        delay = (link.latency_ms / 1000.0 + HOP_COST_S
-                 + self._link_extra_delay(router_id, next_hop))
+        delay = edge.base + HOP_COST_S + edge.extra
         self.loop.call_later(delay, self._forward,
                              next_hop, dgram.decremented(router_id))
 
@@ -506,8 +486,7 @@ class Network:
         hops: list[str] = []
         delays: list[float] = []
         fib = self._fib
-        link_state = self._link_state
-        topology = self.topology
+        view = self._view()
         current = router_id
         while True:
             next_hop = fib.get(current, _EMPTY_FIB).get(dst)
@@ -519,20 +498,14 @@ class Network:
                                     current, handler)
             if next_hop is None:
                 return None
-            state = link_state.get(link_key(current, next_hop))
-            if state is not None and (not state.up or state.loss > 0.0
-                                      or state.extra_latency_ms > 0.0):
-                return None
-            try:
-                link = topology.link(current, next_hop)
-            except KeyError:
-                return None
-            if link.capacity_pps is not None:
+            edge = self._edges(view, current).get(next_hop)
+            if edge is None or edge.loss > 0.0 or edge.extra > 0.0 \
+                    or edge.link.capacity_pps is not None:
                 return None
             hops.append(current)
             if len(hops) > _MAX_CACHED_HOPS:
                 return None
-            delays.append(link.latency_ms / 1000.0 + HOP_COST_S)
+            delays.append(edge.base + HOP_COST_S)
             current = next_hop
 
     def _fast_forward(self, route: _CachedRoute, dgram: Datagram) -> None:
@@ -591,7 +564,7 @@ class Network:
             self.stats.dropped_unreachable += 1
             return
         # A degraded access link loses packets in both directions.
-        access = self._access(dgram.dst)
+        access = self._access_edge(dgram.dst)
         if access is not None and access.loss > 0.0 \
                 and self.rng.random() < access.loss:
             self.stats.dropped_loss += 1
@@ -603,7 +576,7 @@ class Network:
         self.loop.call_later_coalesced(latency, endpoint.handle_datagram,
                                        dgram)
 
-    # -- derived link view ---------------------------------------------------
+    # -- link view and unicast shortest paths --------------------------------
 
     def _view(self) -> _LinkView:
         view = self._link_view
@@ -612,37 +585,24 @@ class Network:
             view = self._link_view = _LinkView(self.topology.version)
         return view
 
-    def _access(self, node_id: str) -> _Access | None:
-        """The access link of host ``node_id``; None for a router."""
-        view = self._view()
-        try:
-            return view.access[node_id]
-        except KeyError:
-            pass
-        access = None
-        if self.topology.node(node_id).kind == NodeKind.HOST:
-            router = self.topology.attachment_router(node_id)
-            loss, extra_ms = self.link_degradation(node_id, router)
-            access = _Access(
-                router, self.link_is_up(node_id, router), loss,
-                self.topology.link(node_id, router).latency_ms / 1000.0
-                + extra_ms / 1000.0)
-        view.access[node_id] = access
-        return access
-
-    def _live_edges(self, view: _LinkView,
-                    node_id: str) -> list[tuple[str, float, float]]:
+    def _edges(self, view: _LinkView, node_id: str) -> dict[str, _Edge]:
         edges = view.edges.get(node_id)
         if edges is None:
-            edges = view.edges[node_id] = [
-                (neighbor,
-                 self.topology.link(node_id, neighbor).latency_ms / 1000.0,
-                 self._link_extra_delay(node_id, neighbor))
-                for neighbor in self.topology.neighbors(node_id)
-                if self.link_is_up(node_id, neighbor)]
+            edges = view.edges[node_id] = {}
+            for neighbor in self.topology.neighbors(node_id):
+                state = self._link_state.get(link_key(node_id, neighbor),
+                                             _PLAIN_LINK)
+                if state.up:
+                    link = self.topology.link(node_id, neighbor)
+                    edges[neighbor] = _Edge(
+                        neighbor, link.latency_ms / 1000.0,
+                        state.extra_latency_ms / 1000.0, state.loss, link)
         return edges
 
-    # -- unicast shortest paths ----------------------------------------------
+    def _access_edge(self, host_id: str) -> _Edge | None:
+        """The access link of a host; None while it is down."""
+        return self._edges(self._view(), host_id).get(
+            self.topology.attachment_router(host_id))
 
     def unicast_latency(self, src: str, dst: str) -> float | None:
         """One-way latency along the shortest live path, or None."""
@@ -661,16 +621,15 @@ class Network:
         distances = {src: 0.0}
         frontier: list[tuple[float, str]] = [(0.0, src)]
         visited: set[str] = set()
-        live_edges = self._live_edges
         unreached = float("inf")
         while frontier:
             dist, node = heapq.heappop(frontier)
             if node in visited:
                 continue
             visited.add(node)
-            for neighbor, base, extra in live_edges(view, node):
+            for peer, base, extra, _, _ in self._edges(view, node).values():
                 candidate = dist + base + HOP_COST_S + extra
-                if candidate < distances.get(neighbor, unreached):
-                    distances[neighbor] = candidate
-                    heapq.heappush(frontier, (candidate, neighbor))
+                if candidate < distances.get(peer, unreached):
+                    distances[peer] = candidate
+                    heapq.heappush(frontier, (candidate, peer))
         return distances

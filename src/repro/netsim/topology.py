@@ -99,6 +99,8 @@ class Topology:
         self._nodes: dict[str, Node] = {}
         self._links: dict[tuple[str, str], Link] = {}
         self._adjacency: dict[str, list[str]] = {}
+        #: node -> the far end of its first access link
+        self._attachment: dict[str, str] = {}
         #: Mutation counter so route caches can detect topology growth.
         self.version = 0
 
@@ -120,6 +122,9 @@ class Topology:
         self._links[key] = link
         self._adjacency[link.a].append(link.b)
         self._adjacency[link.b].append(link.a)
+        if link.relation == LinkRelation.ACCESS:
+            self._attachment.setdefault(link.a, link.b)
+            self._attachment.setdefault(link.b, link.a)
         self.version += 1
 
     def connect(self, a: str, b: str,
@@ -167,10 +172,10 @@ class Topology:
 
     def attachment_router(self, host_id: str) -> str:
         """The router a host hangs off (its single access-link neighbor)."""
-        for neighbor in self._adjacency[host_id]:
-            if self.link(host_id, neighbor).relation == LinkRelation.ACCESS:
-                return neighbor
-        raise KeyError(f"host {host_id} has no access link")
+        try:
+            return self._attachment[host_id]
+        except KeyError:
+            raise KeyError(f"host {host_id} has no access link") from None
 
     def __contains__(self, node_id: str) -> bool:
         return node_id in self._nodes
