@@ -120,16 +120,16 @@ def report(spec: dict, args: argparse.Namespace, parent_rev: str,
            f"{'metric':<15}{'parent median (q1..q3)':<32}"
            f"{'change median (q1..q3)':<32}{'change/parent':<15}"
            f"{'wins':<8}verdict"]
+
+    def cell(q: tuple[float, float, float]) -> str:
+        return f"{q[1]:.5g} ({q[0]:.5g}..{q[2]:.5g})"
+
     for metric in spec["end_to_end"]:
         name = metric["name"]
         parent = [p["metrics"][name]["value"] for _f, p, _c in runs]
         change = [c["metrics"][name]["value"] for _f, _p, c in runs]
         s = summarize(parent, change, bound=metric["bound"],
                       higher_is_better=metric["better"] == "higher")
-
-        def cell(q: tuple[float, float, float]) -> str:
-            return f"{q[1]:.5g} ({q[0]:.5g}..{q[2]:.5g})"
-
         out.append(f"{name:<15}{cell(s.parent):<32}{cell(s.change):<32}"
                    f"{s.ratio:<15.3f}{f'{s.wins}/{len(runs)}':<8}"
                    f"{s.verdict}")
