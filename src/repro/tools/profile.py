@@ -6,6 +6,10 @@ functions by cumulative time — the workflow that drove the fast-path
 optimization work, packaged so a regression hunt starts with one
 command.
 
+``--events LABEL`` counts instead of timing: events by scheduling site
+and records constructed by class, for a figure label or for a scenario
+of ``bench/workloads.py`` (measured phase only, per operation).
+
 Profiling is operator-facing tooling: the experiment result is
 discarded and nothing here feeds simulation output.
 """
@@ -14,27 +18,62 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import collections
+import contextlib
+import dataclasses
+import gc
+import importlib.util
 import pstats
 import re
 import sys
+import types
 from pathlib import Path
+from typing import Callable, Iterator
 
 from ..experiments import parallel
+from ..netsim.clock import EventLoop
 
 PROFILES_PATH = Path("docs/PROFILES.md")
+WORKLOADS_PATH = Path("bench/workloads.py")
 
 
-def _profile_label(label: str, fast: bool) -> pstats.Stats:
+def summed_stats(profiler: cProfile.Profile) -> pstats.Stats:
+    """``pstats.Stats`` of ``profiler`` with colliding labels summed.
+
+    ``pstats`` keys a row by ``(file, line, name)`` and the profiler
+    hands it one entry per code object, so code objects that share a
+    label — every dataclass ``__init__`` is ``('<string>', 2,
+    '__init__')`` — overwrite each other and the row reports whichever
+    came last. Rows are built here from ``getstats()`` instead.
+    """
+    rows: dict[tuple, list] = {}
+    for entry in profiler.getstats():
+        row = rows.setdefault(cProfile.label(entry.code), [0, 0, 0.0, 0.0])
+        row[0] += entry.callcount - entry.reccallcount
+        row[1] += entry.callcount
+        row[2] += entry.inlinetime
+        row[3] += entry.totaltime
+    return pstats.Stats(types.SimpleNamespace(
+        create_stats=lambda: None,
+        stats={label: (*row, {}) for label, row in rows.items()}))
+
+
+def _units(label: str, fast: bool) -> list:
     units = [u for u in parallel.work_units(fast) if u[0] == label]
     if not units:
         known = ", ".join(parallel.JOB_ORDER)
         raise SystemExit(f"unknown experiment {label!r}; one of: {known}")
+    return units
+
+
+def _profile_label(label: str, fast: bool) -> pstats.Stats:
+    units = _units(label, fast)
     profiler = cProfile.Profile()
     profiler.enable()
     for unit in units:
         parallel.run_unit(unit, fast)
     profiler.disable()
-    return pstats.Stats(profiler)
+    return summed_stats(profiler)
 
 
 def profile_experiment(label: str, *, fast: bool = True,
@@ -125,6 +164,194 @@ def profile_all_figures(*, fast: bool = True, top: int = 10,
     print(f"wrote {path}")
 
 
+class _Site:
+    """A scheduled action that counts itself when it fires.
+
+    Equal to another proxy of an equal action, because
+    ``call_at_coalesced`` batches consecutive schedules of the *same*
+    action and must keep doing so while counted.
+    """
+
+    __slots__ = ("action", "site", "tally")
+
+    def __init__(self, action: Callable, site: str,
+                 tally: "EventTally") -> None:
+        self.action = action
+        self.site = site
+        self.tally = tally
+
+    def __call__(self, *args):
+        self.tally.fired[self.site] += 1
+        return self.action(*args)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is _Site and self.action == other.action
+
+    def __hash__(self) -> int:
+        return hash(self.action)
+
+
+class EventTally:
+    """Events by scheduling site (``action.__qualname__``), over the
+    phase in progress: an event scheduled in one phase and fired in the
+    next counts as scheduled in the first and fired in the second."""
+
+    def __init__(self) -> None:
+        self.begin_phase()
+
+    def begin_phase(self) -> None:
+        self.scheduled: collections.Counter = collections.Counter()
+        self.fired: collections.Counter = collections.Counter()
+        #: ``call_at_coalesced`` calls, and the heap entries they made.
+        self.coalesced_members = 0
+        self.coalesced_entries = 0
+
+
+@contextlib.contextmanager
+def counted_events(tally: EventTally) -> Iterator[None]:
+    """Count into ``tally`` everything scheduled on any ``EventLoop``,
+    by wrapping the three scheduling entry points on the class."""
+    call_at, call_later = EventLoop.call_at, EventLoop.call_later
+    call_at_coalesced = EventLoop.call_at_coalesced
+
+    def site(action: Callable) -> _Site:
+        name = getattr(action, "__qualname__", type(action).__name__)
+        tally.scheduled[name] += 1
+        return _Site(action, name, tally)
+
+    def counted_call_at(self, when, action, *args):
+        return call_at(self, when, site(action), *args)
+
+    def counted_call_later(self, delay, action, *args):
+        return call_later(self, delay, site(action), *args)
+
+    def counted_call_at_coalesced(self, when, action, arg):
+        entries = self._seq
+        handle = call_at_coalesced(self, when, site(action), arg)
+        tally.coalesced_members += 1
+        tally.coalesced_entries += self._seq - entries
+        return handle
+
+    EventLoop.call_at = counted_call_at
+    EventLoop.call_later = counted_call_later
+    EventLoop.call_at_coalesced = counted_call_at_coalesced
+    try:
+        yield
+    finally:
+        EventLoop.call_at, EventLoop.call_later = call_at, call_later
+        EventLoop.call_at_coalesced = call_at_coalesced
+
+
+def records_by_class(profiler: cProfile.Profile) -> collections.Counter:
+    """Dataclass records constructed under ``profiler``, by class.
+
+    The profiler keeps one entry per code object, so the generated
+    ``__init__`` of each class is told apart by identity even though
+    every one of them carries the same label.
+    """
+    owner = {}
+    for cls in gc.get_objects():
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls):
+            code = getattr(vars(cls).get("__init__"), "__code__", None)
+            if code is not None:
+                owner[code] = (cls.__module__.removeprefix("repro.")
+                               + "." + cls.__qualname__)
+    built: collections.Counter = collections.Counter()
+    for entry in profiler.getstats():
+        if entry.code in owner:
+            built[owner[entry.code]] += entry.callcount
+    return built
+
+
+class _Untimed:
+    """Stands in for bench's ``HostClock``: set-up parts go untimed."""
+
+    @contextlib.contextmanager
+    def timed(self, parts: dict, key: str) -> Iterator[None]:
+        yield
+
+
+def load_scenarios(path: Path) -> dict:
+    """``SCENARIOS`` of a ``bench/workloads.py``, loaded by path (the
+    benchmark's directory is not a package)."""
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    if spec is None or spec.loader is None or not path.exists():
+        raise SystemExit(f"cannot load scenarios from {path}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.SCENARIOS
+
+
+def count_events(label: str, *, fast: bool = True, seed: int = 42,
+                 workloads: Path = WORKLOADS_PATH
+                 ) -> tuple[EventTally, collections.Counter, int | None]:
+    """Run ``label`` counting events and records; returns the tally,
+    records constructed by class, and the operations done (None for a
+    figure, which has no operation count)."""
+    tally = EventTally()
+    profiler = cProfile.Profile()
+    with counted_events(tally):
+        if label in parallel.JOB_ORDER:
+            units = _units(label, fast)
+            profiler.enable()
+            for unit in units:
+                parallel.run_unit(unit, fast)
+            profiler.disable()
+            return tally, records_by_class(profiler), None
+        scenarios = load_scenarios(workloads)
+        if label not in scenarios:
+            raise SystemExit(
+                f"unknown label {label!r}; a figure ("
+                f"{', '.join(parallel.JOB_ORDER)}) or a scenario of "
+                f"{workloads} ({', '.join(scenarios)})")
+        scenario = scenarios[label](seed, 1.0)
+        scenario.build(_Untimed())
+        scenario.begin()
+        tally.begin_phase()
+        profiler.enable()
+        for i in range(scenario.n_slices):
+            scenario.step(i)
+        profiler.disable()
+        measured = EventTally()
+        measured.__dict__.update(tally.__dict__)
+        tally.begin_phase()         # report() is outside the phase
+        return measured, records_by_class(profiler), scenario.report()["ops"]
+
+
+def events_report(label: str, tally: EventTally,
+                  records: collections.Counter, ops: int | None,
+                  top: int) -> str:
+    """Markdown: events by scheduling site, then records by class."""
+    fired = sum(tally.fired.values())
+    built = sum(records.values())
+
+    def per_op(count: int) -> str:
+        return f" {count / ops:.2f} |" if ops else ""
+
+    unit = "| per operation " if ops else ""
+    rule = "---:|" if ops else ""
+    head = (f"{ops:,} operations, " if ops else "") + \
+        f"{fired:,} events fired" + \
+        (f" ({fired / ops:.2f} per operation)" if ops else "") + \
+        f", {built:,} dataclass records constructed" + \
+        (f" ({built / ops:.2f} per operation)" if ops else "")
+    out = [f"## {label}", "", head + ".", "",
+           f"| scheduling site | scheduled | fired {unit}|",
+           f"|---|---:|---:|{rule}"]
+    sites = sorted(tally.scheduled | tally.fired,
+                   key=lambda s: (-tally.fired[s], -tally.scheduled[s], s))
+    for name in sites:
+        out.append(f"| `{name}` | {tally.scheduled[name]:,} | "
+                   f"{tally.fired[name]:,} |{per_op(tally.fired[name])}")
+    out += ["", f"`call_at_coalesced`: {tally.coalesced_members:,} members "
+                f"in {tally.coalesced_entries:,} heap entries.", "",
+            f"| record class | constructed {unit}|", f"|---|---:|{rule}"]
+    for name, count in sorted(records.items(),
+                              key=lambda kv: (-kv[1], kv[0]))[:top]:
+        out.append(f"| `{name}` | {count:,} |{per_op(count)}")
+    return "\n".join(out) + "\n"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("experiment", nargs="?",
@@ -134,6 +361,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--all-figures", action="store_true",
                         help="profile every figure and write "
                              f"{PROFILES_PATH}")
+    parser.add_argument("--events", metavar="LABEL",
+                        help="count events by scheduling site and records "
+                             "by class for a figure label or a scenario "
+                             "of --workloads (measured phase, per "
+                             "operation)")
+    parser.add_argument("--workloads", type=Path, default=WORKLOADS_PATH,
+                        help=f"scenario file (default {WORKLOADS_PATH})")
+    parser.add_argument("--seed", type=int, default=42,
+                        help="scenario seed for --events (default 42)")
     parser.add_argument("--full", action="store_true",
                         help="profile at full (non --fast) scale")
     parser.add_argument("--top", type=int, default=None,
@@ -143,6 +379,15 @@ def main(argv: list[str] | None = None) -> int:
                         choices=["cumulative", "tottime", "ncalls"],
                         help="pstats sort key (default cumulative)")
     args = parser.parse_args(argv)
+    if args.events is not None:
+        tally, records, ops = count_events(
+            args.events, fast=not args.full, seed=args.seed,
+            workloads=args.workloads)
+        heading = (args.events if ops is None
+                   else f"{args.events} (seed {args.seed})")
+        print(events_report(heading, tally, records, ops,
+                            args.top if args.top is not None else 20))
+        return 0
     if args.all_figures:
         profile_all_figures(fast=not args.full,
                             top=args.top if args.top is not None else 10)
