@@ -123,6 +123,9 @@ class EventLoop:
         self._now = 0.0
         self._queue: list[list] = []
         self._seq = 0
+        #: ``seq`` of the entry being run (after a ``run_until``: of the
+        #: newest entry there is, since everything due has run).
+        self._running = 0
         self._processed = 0
         self._alive = 0
         self._dead = 0
@@ -181,6 +184,22 @@ class EventLoop:
         heapq.heappush(self._queue, entry)
         self._alive += 1
         return EventHandle(entry, self)
+
+    def rewind(self, handle: EventHandle, when: float,
+               action: Callable[..., None], *args) -> bool:
+        """Replace the pending event behind ``handle`` by ``action(*args)``
+        at the earlier time ``when``, in the same place in scheduling
+        order: it fires exactly where it would have had the original
+        been scheduled for ``when``. Returns False and changes nothing
+        if that point has already gone by.
+        """
+        seq = handle._entry[_SEQ]
+        if when < self._now or (when == self._now and seq <= self._running):
+            return False
+        handle.cancel()
+        heapq.heappush(self._queue, [when, seq, action, args, _PENDING])
+        self._alive += 1
+        return True
 
     def _cancelled(self, entry: list) -> None:
         """Bookkeeping for a cancellation; compacts the heap lazily."""
@@ -279,6 +298,7 @@ class EventLoop:
             entry[_STATUS] = _FIRED
             self._alive -= 1
             self._now = entry[_TIME]
+            self._running = entry[_SEQ]
             self._processed += 1
             action = entry[_ACTION]
             args = entry[_ARGS]
@@ -288,6 +308,7 @@ class EventLoop:
             queue = self._queue
         if deadline > self._now:
             self._now = deadline
+        self._running = self._seq
 
     def run(self, max_events: int | None = None) -> None:
         """Process events until the queue drains (or ``max_events``)."""
@@ -304,6 +325,7 @@ class EventLoop:
             entry[_STATUS] = _FIRED
             self._alive -= 1
             self._now = entry[_TIME]
+            self._running = entry[_SEQ]
             self._processed += 1
             action = entry[_ACTION]
             args = entry[_ARGS]

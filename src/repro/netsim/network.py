@@ -21,6 +21,8 @@ in-flight fast-path datagrams back onto exact hop-by-hop forwarding at
 the next router they would have reached — so drop semantics, RNG draw
 order, and :class:`NetworkStats` stay bit-for-bit identical to the pure
 hop-by-hop execution (see docs/ARCHITECTURE.md, "Performance model").
+``send`` resolves the route itself, so a datagram with a clean path
+costs that one event from its source host to its PoP.
 """
 
 from __future__ import annotations
@@ -139,12 +141,17 @@ class _CachedRoute:
 
 @dataclass(slots=True)
 class _InFlight:
-    """A fast-path datagram between ingress and its delivery event."""
+    """A fast-path datagram between ``send`` (or the router that put it
+    on the fast path) and its delivery event."""
 
     dgram: Datagram
     route: _CachedRoute
+    #: When the datagram reaches (or reached) ``route.hops[0]``.
     start: float
     handle: EventHandle | BatchHandle
+    #: Planned by ``send``: until ``start`` the datagram is on its way to
+    #: this router, which has not consulted its FIB for it yet.
+    ingress: str | None = None
 
 
 class Network:
@@ -372,6 +379,17 @@ class Network:
         if dgram.dst in self._endpoints:
             self._deliver_unicast(dgram)
             return
+        if self.route_cache_enabled:
+            # Plan the whole trip now: the access-link leg folds into the
+            # delivery event. Should forwarding state move before the
+            # datagram reaches first_router, _bump_route_epoch puts the
+            # arrival there back on the loop.
+            route = self._route_lookup(first_router, dgram.dst)
+            if route is not None and route.hops \
+                    and dgram.ip_ttl > len(route.hops):
+                self._fast_forward(route, dgram, self.loop.now + delay,
+                                   first_router)
+                return
         self.loop.call_later(delay, self._forward, first_router, dgram)
 
     def _forward(self, router_id: str, dgram: Datagram) -> None:
@@ -384,7 +402,7 @@ class Network:
         if self.route_cache_enabled:
             route = self._route_lookup(router_id, dgram.dst)
             if route is not None and dgram.ip_ttl > len(route.hops):
-                self._fast_forward(route, dgram)
+                self._fast_forward(route, dgram, self.loop.now)
                 return
         handler = self._local_delivery.get((router_id, dgram.dst))
         next_hop = self._fib.get(router_id, _EMPTY_FIB).get(dgram.dst)
@@ -427,12 +445,19 @@ class Network:
             inflight, self._inflight = self._inflight, {}
             now = self.loop.now
             call_at = self.loop.call_at
+            rewind = self.loop.rewind
             for flight in inflight.values():
-                flight.handle.cancel()
                 route = flight.route
                 dgram = flight.dgram
                 hops = flight.route.hops
                 t = flight.start
+                if flight.ingress is not None and rewind(
+                        flight.handle, t, self._forward, flight.ingress,
+                        dgram):
+                    # Caught before its ingress router read its FIB for
+                    # it: that event is back, where send would have put it.
+                    continue
+                flight.handle.cancel()
                 # Arrival times fold the per-hop delays exactly as the
                 # slow path would have; the first arrival strictly after
                 # the change resumes hop-by-hop from that router.
@@ -508,23 +533,27 @@ class Network:
             delays.append(edge.base + HOP_COST_S)
             current = next_hop
 
-    def _fast_forward(self, route: _CachedRoute, dgram: Datagram) -> None:
-        """Schedule the single delivery event for a clean cached path."""
+    def _fast_forward(self, route: _CachedRoute, dgram: Datagram,
+                      start: float, ingress: str | None = None) -> None:
+        """Schedule the single delivery event for a clean cached path
+        that the datagram enters at ``start``."""
         if not route.hops:
             # Delivered at the ingress router itself — same instant and
             # side effects as the slow path's local-delivery branch.
             self._deliver_fast(route, dgram)
             return
-        t = self.loop.now
+        t = start
         for delay in route.delays:
             t = t + delay
         self._inflight_seq = flight_id = self._inflight_seq + 1
         # Same-tick floods on one cached route land on the same delivery
-        # timestamp; coalescing folds them into one heap entry.
-        handle = self.loop.call_at_coalesced(t, self._fast_delivery_due,
-                                             flight_id)
-        self._inflight[flight_id] = _InFlight(dgram, route,
-                                              self.loop.now, handle)
+        # timestamp; coalescing folds them into one heap entry. A flight
+        # planned by send keeps an entry of its own, which can be rewound.
+        schedule = (self.loop.call_at_coalesced if ingress is None
+                    else self.loop.call_at)
+        handle = schedule(t, self._fast_delivery_due, flight_id)
+        self._inflight[flight_id] = _InFlight(dgram, route, start, handle,
+                                              ingress)
 
     def _fast_delivery_due(self, flight_id: int) -> None:
         flight = self._inflight.pop(flight_id)

@@ -75,6 +75,49 @@ class TestEventLoop:
         assert loop.now == 3.0
 
 
+class TestRewind:
+    """``rewind`` moves a pending event earlier, to where it would have
+    fired had it been scheduled for that time in the first place."""
+
+    def test_keeps_its_place_among_events_of_one_instant(self):
+        loop = EventLoop()
+        fired = []
+        loop.call_at(1.0, fired.append, "a")
+        late = loop.call_at(9.0, fired.append, "late")
+        loop.call_at(1.0, fired.append, "c")
+        assert loop.rewind(late, 1.0, fired.append, "b")
+        assert late.cancelled and loop.pending == 3
+        loop.run()
+        assert fired == ["a", "b", "c"]
+        assert loop.events_processed == 3
+
+    def test_a_place_behind_the_running_event_is_gone(self):
+        loop = EventLoop()
+        fired = []
+        late = loop.call_at(9.0, fired.append, "late")
+
+        def strike():
+            fired.append(loop.rewind(late, 1.0, fired.append, "rewound"))
+
+        loop.call_at(1.0, strike)       # scheduled after ``late``
+        loop.run()
+        assert fired == [False, "late"]
+
+    def test_time_already_passed_or_fully_run(self):
+        loop = EventLoop()
+        fired = []
+        late = loop.call_at(9.0, fired.append, "late")
+        loop.run_until(2.0)
+        assert not loop.rewind(late, 1.0, fired.append, "rewound")
+        # Everything due at t=2 has run, the event's place included.
+        assert not loop.rewind(late, 2.0, fired.append, "rewound")
+        assert loop.rewind(late, 2.5, fired.append, "rewound")
+        fresh = loop.call_at(9.0, fired.append, "fresh")
+        assert loop.rewind(fresh, 2.0, fired.append, "fresh, now")
+        loop.run()
+        assert fired == ["fresh, now", "rewound"]
+
+
 class TestPeriodicTask:
     def test_fires_at_period(self):
         loop = EventLoop()

@@ -4,12 +4,19 @@ they replaced (``reference.py``, the parent commit's, verbatim).
 Each drawn world — Gao-Rexford relations by tier, mixed MRAI, several
 origins per prefix, hosts on access links — is built twice and driven by
 one drawn schedule of originate / withdraw / session resets / export
-blocks / link cuts / link degradation / datagrams. Everything observable
+blocks / link cuts / link degradation / datagrams from hosts and from
+routers / races (a datagram, and a change at its ingress router while it
+is still on its way there). Everything observable
 must match exactly: every BGP update as ``(time, receiver, peer, prefix,
 path, med)``, best routes, counters, delivered datagrams,
 ``NetworkStats``, the shared RNG's final state, and — at several points
 in the run — every FIB (routers program theirs with drawn delays) and
-the unicast latency of every node pair as bit-equal floats.
+the unicast latency of every node pair as bit-equal floats. Events
+processed differ by design and by an exact amount: the reference's
+``send`` (the one from before the trip was planned there) spends one
+event per datagram on the access-link leg, which ``Network.send`` folds
+into the delivery event of every datagram with a clean route that no
+change catches on that leg.
 
 The mutation tests edit the source of the code under test and want
 the comparison to fail, so the oracle is known to look where it claims.
@@ -35,7 +42,7 @@ from repro.netsim import (
 )
 from repro.netsim import bgp as bgp_module
 from repro.netsim import network as network_module
-from repro.netsim.bgp import BGPSpeaker
+from repro.netsim.bgp import LOCAL, BGPSpeaker
 from repro.netsim.topology import Link
 
 from .reference import BGPSpeaker as ReferenceSpeaker
@@ -81,7 +88,8 @@ def draw_world(rnd) -> dict:
         at = rnd.randrange(1, 120) / 2.0
         kind = rnd.choice(("originate", "originate", "withdraw", "withdraw",
                            "reset", "reset", "block", "link", "link",
-                           "degrade", "send", "send", "snapshot"))
+                           "degrade", "send", "send", "send_router", "race",
+                           "race", "snapshot"))
         if kind == "originate":
             return (at, kind, rnd.choice(routers), rnd.choice(PREFIXES),
                     rnd.choice((0, 0, 10)))
@@ -100,6 +108,16 @@ def draw_world(rnd) -> dict:
         if kind == "send":
             return (at, kind, rnd.choice(host_ids),
                     rnd.choice(host_ids + list(PREFIXES)))
+        if kind == "send_router":
+            return (at, kind, rnd.choice(routers), rnd.choice(PREFIXES))
+        if kind == "race":
+            # ``lead``: how far along its access link the datagram is when
+            # the change lands (1.0: exactly as it reaches the router;
+            # None: in the sending event itself). A router's lead is zero.
+            return (at, kind, rnd.choice(host_ids + routers),
+                    rnd.choice(PREFIXES), rnd.choice((None, 0.0, 0.5, 1.0, 1.0)),
+                    rnd.choice(("fib", "fib", "link", "degrade", "local")),
+                    rnd.random() < 0.5)
         return (at, kind)
 
     # Every prefix starts out originated somewhere, so the drawn events
@@ -150,6 +168,59 @@ def run_world(world: dict, network_cls, speaker_cls) -> dict:
     nodes = [n.node_id for n in topology.nodes()]
     originated = set()
 
+    # Datagrams whose access-link leg cost no event: planned by ``send``
+    # and not put back on the loop by a change that caught them there.
+    folded = [0]
+    fast_forward, rewind = net._fast_forward, loop.rewind
+
+    def counting_fast_forward(route, dgram, start, ingress=None):
+        folded[0] += ingress is not None
+        fast_forward(route, dgram, start, ingress)
+
+    def counting_rewind(*args):
+        put_back = rewind(*args)
+        folded[0] -= put_back
+        return put_back
+
+    net._fast_forward = counting_fast_forward
+    loop.rewind = counting_rewind
+
+    def deliver_at(router):
+        return lambda d: seen["deliveries"].append((loop.now, router, d.hops))
+
+    def race(src, prefix, lead, change, flag):
+        if src in net.speakers():
+            ingress, delay = src, 0.0
+        else:
+            ingress = topology.attachment_router(src)
+            delay = (topology.link(src, ingress).latency_ms / 1000.0
+                     + net.link_degradation(src, ingress)[1] / 1000.0)
+        next_hop = net.fib_entry(ingress, prefix)
+        far = next_hop if next_hop in net.speakers() else \
+            topology.bgp_neighbors(ingress)[0]
+
+        def strike():
+            if change == "fib":
+                net.set_fib(ingress, prefix, far if flag else None)
+            elif change == "link":
+                net.set_link_up(ingress, far, not net.link_is_up(ingress, far))
+            elif change == "degrade":
+                net.set_link_degraded(ingress, far, loss=0.5 if flag else 0.0,
+                                      extra_latency_ms=3.3)
+            else:
+                net.register_local_delivery(ingress, prefix,
+                                            deliver_at(ingress))
+                net.set_fib(ingress, prefix, LOCAL)
+
+        # Scheduled before the send, so a strike due at the very instant
+        # of arrival precedes the arrival in both networks.
+        if lead is not None:
+            loop.call_at(loop.now + delay * lead, strike)
+        net.send(Datagram(src=src, dst=prefix,
+                          payload=len(seen["deliveries"])))
+        if lead is None:
+            strike()
+
     def snapshot():
         seen["snapshots"].append((
             {src: {dst: net.unicast_latency(src, dst) for dst in nodes}
@@ -163,9 +234,8 @@ def run_world(world: dict, network_cls, speaker_cls) -> dict:
             _at, _kind, router, prefix, med = event
             if (router, prefix) not in originated:
                 originated.add((router, prefix))
-                net.register_local_delivery(
-                    router, prefix, lambda d, r=router: seen[
-                        "deliveries"].append((loop.now, r, d.hops)))
+                net.register_local_delivery(router, prefix,
+                                            deliver_at(router))
             net.speaker(router).originate(prefix, med)
         elif kind == "withdraw":
             net.speaker(event[2]).withdraw_origin(event[3])
@@ -184,9 +254,11 @@ def run_world(world: dict, network_cls, speaker_cls) -> dict:
         elif kind == "degrade":
             net.set_link_degraded(event[2], event[3], loss=event[4],
                                   extra_latency_ms=event[5])
-        elif kind == "send":
+        elif kind in ("send", "send_router"):
             net.send(Datagram(src=event[2], dst=event[3],
                               payload=len(seen["deliveries"])))
+        elif kind == "race":
+            race(*event[2:])
         else:
             snapshot()
 
@@ -210,15 +282,23 @@ def run_world(world: dict, network_cls, speaker_cls) -> dict:
                      for r, s in speakers.items()},
         "stats": asdict(net.stats),
         "rng": rng.getstate(),
-        "events": loop.events_processed,
+        # What the run would have processed had no leg been folded.
+        "events": loop.events_processed + folded[0],
+        "folded": folded[0],
     }
 
 
-def assert_matches_reference(world: dict) -> None:
+def differing(world: dict) -> list[str]:
+    """The observables on which the code under test and the reference
+    disagree (``folded`` is the reference's zero by construction)."""
     got = run_world(world, Network, BGPSpeaker)
     want = run_world(world, ReferenceNetwork, ReferenceSpeaker)
-    for key in want:
-        assert got[key] == want[key], key
+    assert want.pop("folded") == 0
+    return [key for key in want if got[key] != want[key]]
+
+
+def assert_matches_reference(world: dict) -> None:
+    assert differing(world) == []
 
 
 @given(st.randoms(use_true_random=False))
@@ -275,3 +355,15 @@ def test_skipping_the_rescan_is_caught(monkeypatch):
         "old_best is not None and old_best.next_hop == source", "False",
         vars(bgp_module)))
     assert some_fixed_world_differs()
+
+
+def test_ignoring_the_lead_is_caught(monkeypatch):
+    # A datagram a change catches on its access link has not been
+    # forwarded by its ingress router yet; treating it as if it had
+    # must show in what is delivered, not only in the event count.
+    monkeypatch.setattr(Network, "_bump_route_epoch", mutated(
+        Network, "_bump_route_epoch",
+        "flight.ingress is not None and rewind(", "False and (",
+        vars(network_module)))
+    assert any(set(differing(draw_world(random.Random(seed)))) - {"events"}
+               for seed in range(40))

@@ -6,6 +6,13 @@ hop trace and TTL, and the NetworkStats counters must match bit for
 bit — across clean forwarding, FIB churn, link failures, gray
 degradation, and congestion. These tests run each scenario twice, once
 per mode, and compare everything observable.
+
+``send`` plans a clean trip from the source host, so a datagram can be
+caught by a change *before its ingress router has forwarded it*: part-way
+along its access link, at the very instant it arrives, or — sent by a
+router, with no access link — in the instant it was sent.
+``TestChangeBeforeIngress`` strikes the ingress router at each of those
+moments with each kind of change.
 """
 
 import random
@@ -21,6 +28,7 @@ from repro.netsim import (
     build_internet,
     InternetParams,
 )
+from repro.netsim.bgp import LOCAL
 
 
 def build_world(route_cache: bool):
@@ -36,13 +44,21 @@ def build_world(route_cache: bool):
     return inet, pops, vps, loop, net
 
 
+def access_delay(inet, net, host):
+    """Seconds from ``send`` at ``host`` to arrival at its ingress router,
+    the float ``send`` itself computes."""
+    router = inet.topology.attachment_router(host)
+    return (inet.topology.link(host, router).latency_ms / 1000.0
+            + net.link_degradation(host, router)[1] / 1000.0)
+
+
 def stats_dict(net):
     s = net.stats
     return {f: getattr(s, f) for f in s.__dataclass_fields__}
 
 
 def run_scenario(route_cache: bool, scenario):
-    """Run one scripted scenario; returns (deliveries, stats)."""
+    """Run one scripted scenario; returns (deliveries, stats, RNG state)."""
     inet, pops, vps, loop, net = build_world(route_cache)
     deliveries = []
     for p in pops:
@@ -54,7 +70,7 @@ def run_scenario(route_cache: bool, scenario):
     loop.run_until(20)
     scenario(inet, pops, vps, loop, net)
     loop.run()
-    return deliveries, stats_dict(net)
+    return deliveries, stats_dict(net), net.rng.getstate()
 
 
 def assert_equivalent(scenario):
@@ -62,6 +78,8 @@ def assert_equivalent(scenario):
     slow = run_scenario(False, scenario)
     assert fast[0] == slow[0]  # timestamps, PoP, TTL, hop traces
     assert fast[1] == slow[1]  # every NetworkStats counter
+    assert fast[2] == slow[2]  # loss draws taken from the shared stream
+    return fast
 
 
 def burst(vps, net, loop, start=21.0, n=40):
@@ -116,6 +134,97 @@ class TestRouteCacheEquivalence:
             loop.call_at(35.0, net.speaker(pops[0]).originate, "acast")
             burst(vps, net, loop, start=50.0)
         assert_equivalent(scenario)
+
+
+def strike(inet, net, ingress, change):
+    """The change, applied at the router ``ingress`` to "acast"."""
+    next_hop = net.fib_entry(ingress, "acast")
+    if change == "fib":     # another neighbour; a single-homed stub has none
+        other = next((n for n in inet.topology.bgp_neighbors(ingress)
+                      if n != next_hop), None)
+        return lambda: net.set_fib(ingress, "acast", other)
+    if change == "no-route":
+        return lambda: net.set_fib(ingress, "acast", None)
+    if change == "link":
+        return lambda: net.set_link_up(ingress, next_hop, False)
+    if change == "degrade":
+        return lambda: net.set_link_degraded(ingress, next_hop, loss=0.5,
+                                             extra_latency_ms=7.3)
+
+    def terminate_here():
+        net.register_local_delivery(ingress, "acast", lambda d: None)
+        net.set_fib(ingress, "acast", LOCAL)
+    return terminate_here
+
+
+CHANGES = ("fib", "no-route", "link", "degrade", "local")
+
+
+class TestChangeBeforeIngress:
+    """A change at the ingress router while the datagram is not there yet."""
+
+    #: How far along its access link the datagram is when the change
+    #: lands; 1.0 is the instant of arrival (the change, scheduled first,
+    #: precedes it), past 1.0 the ingress router has already forwarded it.
+    @pytest.mark.parametrize("change", CHANGES)
+    @pytest.mark.parametrize("lead", [0.0, 0.5, 1.0, 1.5])
+    def test_datagrams_from_hosts(self, change, lead):
+        def scenario(inet, pops, vps, loop, net):
+            for i, vp in enumerate(vps):
+                at = 21.0 + 0.25 * i
+                ingress = inet.topology.attachment_router(vp)
+                if ingress in pops:
+                    continue
+                loop.call_at(at + access_delay(inet, net, vp) * lead,
+                             strike(inet, net, ingress, change))
+                for j in range(3):
+                    loop.call_at(at, net.send, Datagram(
+                        src=vp, dst="acast", payload=(i, j), src_port=j))
+        deliveries, stats, _ = assert_equivalent(scenario)
+        assert sum(stats[k] for k in stats if k != "hops_total") == 18
+
+    @pytest.mark.parametrize("change", CHANGES)
+    @pytest.mark.parametrize("order", ["same event", "scheduled before",
+                                       "scheduled after"])
+    def test_datagrams_from_routers(self, change, order):
+        """No access link, so no lead: the change shares the send's
+        instant, inside the sending event or in one on either side."""
+        def scenario(inet, pops, vps, loop, net):
+            routers = [inet.topology.attachment_router(vp) for vp in vps]
+            for i, router in enumerate(r for r in routers if r not in pops):
+                at = 21.0 + 0.25 * i
+                hit = strike(inet, net, router, change)
+                dgram = Datagram(src=router, dst="acast", payload=i)
+                if order == "same event":
+                    loop.call_at(at, lambda d=dgram, hit=hit:
+                                 (net.send(d), hit()))
+                elif order == "scheduled before":
+                    loop.call_at(at, hit)
+                    loop.call_at(at, net.send, dgram)
+                else:
+                    # Scheduled by the sending event, after the send: the
+                    # router forwards first in the hop-by-hop run.
+                    loop.call_at(at, lambda d=dgram, hit=hit:
+                                 (net.send(d), loop.call_at(at, hit)))
+        assert_equivalent(scenario)
+
+    def test_a_later_strike_on_the_arrival_instant_finds_it_forwarded(self):
+        """Two datagrams reach one router at one instant; a change
+        scheduled between their sends lands between their arrivals."""
+        def scenario(inet, pops, vps, loop, net):
+            vp = next(v for v in vps
+                      if inet.topology.attachment_router(v) not in pops)
+            ingress = inet.topology.attachment_router(vp)
+            arrival = 21.0 + access_delay(inet, net, vp)
+
+            def sends():
+                net.send(Datagram(src=vp, dst="acast", payload="first"))
+                loop.call_at(arrival, strike(inet, net, ingress, "no-route"))
+                net.send(Datagram(src=vp, dst="acast", payload="second"))
+            loop.call_at(21.0, sends)
+        deliveries, stats, _ = assert_equivalent(scenario)
+        assert [d[4] for d in deliveries] == ["first"]
+        assert stats["dropped_no_route"] == 1
 
 
 class TestRouteCacheInternals:
