@@ -125,8 +125,7 @@ class ZoneCounter:
                 errors[key] = 1
         _t = _telemetry.ACTIVE
         if _t is not None:
-            _t.zone_response(self.machine.machine_id, str(origin),
-                             rcode.name)
+            _t.zone_response(self.machine.machine_id, origin, rcode)
 
     def drain(self, window_start: float,
               window_end: float) -> list[ZoneTrafficSample]:

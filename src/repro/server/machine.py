@@ -718,12 +718,12 @@ class NameserverMachine:
         _t = _telemetry.ACTIVE
         if _t is not None:
             now = self.loop.now
-            rcode_name = response.flags.rcode.name
-            _t.query_answered(self.machine_id, rcode_name, now)
+            rcode = response.flags.rcode
+            _t.query_answered(self.machine_id, rcode, now)
             span = envelope.trace
             if span is not None:
                 _t.tracer.instant(span.trace_id, "engine.respond",
-                                  "engine", now, rcode=rcode_name)
+                                  "engine", now, rcode=rcode.name)
                 _t.tracer.finish(span, now)
         self.respond(dgram, response)
         self._kick()
@@ -765,6 +765,6 @@ class NameserverMachine:
         metrics.legit_answered += 1
         _t = _telemetry.ACTIVE
         if _t is not None:
-            _t.query_answered(self.machine_id,
-                              response.flags.rcode.name, self.loop.now)
+            _t.query_answered(self.machine_id, response.flags.rcode,
+                              self.loop.now)
         self.respond(dgram, response)

@@ -43,6 +43,8 @@ class PenaltyQueueRuntime(Generic[T]):
         self.clock = None
         self._queues: list[deque[T]] = [deque()
                                         for _ in range(policy.queue_count)]
+        #: Items queued over all queues, kept as they come and go.
+        self._depth = 0
         self.stats = QueueStats(
             enqueued_per_queue=[0] * policy.queue_count,
             served_per_queue=[0] * policy.queue_count,
@@ -59,10 +61,11 @@ class PenaltyQueueRuntime(Generic[T]):
             self.stats.dropped_full += 1
             return False
         queue.append(item)
+        self._depth += 1
         self.stats.enqueued_per_queue[index] += 1
         _t = _telemetry.ACTIVE
         if _t is not None and self.clock is not None:
-            _t.queue_enqueued(self.owner, index, self.total_depth(),
+            _t.queue_enqueued(self.owner, index, self._depth,
                               self.clock.now)
         return True
 
@@ -72,9 +75,10 @@ class PenaltyQueueRuntime(Generic[T]):
             if queue:
                 self.stats.served_per_queue[index] += 1
                 item = queue.popleft()
+                self._depth -= 1
                 _t = _telemetry.ACTIVE
                 if _t is not None and self.clock is not None:
-                    _t.queue_served(self.owner, self.total_depth(),
+                    _t.queue_served(self.owner, self._depth,
                                     self.clock.now)
                 return index, item
         return None
@@ -83,14 +87,15 @@ class PenaltyQueueRuntime(Generic[T]):
         return len(self._queues[index])
 
     def total_depth(self) -> int:
-        return sum(len(q) for q in self._queues)
+        return self._depth
 
     def clear(self) -> int:
         """Drop everything queued (machine crash); returns the count lost."""
-        lost = self.total_depth()
+        lost = self._depth
         for queue in self._queues:
             queue.clear()
+        self._depth = 0
         return lost
 
     def __bool__(self) -> bool:
-        return any(self._queues)
+        return self._depth > 0

@@ -70,6 +70,21 @@ class TelemetryConfig:
     arm_mitigations: bool = False
 
 
+class _Bound(dict):
+    """Hook arguments -> what the hook updates, resolved on first use:
+    a packet-path hook pays one dict probe per call, and
+    ``MetricFamily.labels`` (arity check, label spelling) once per series.
+    """
+
+    def __init__(self, resolve: Callable) -> None:
+        self._resolve = resolve
+
+    def __missing__(self, key):
+        bound = self[key] = (self._resolve(*key) if type(key) is tuple
+                             else self._resolve(key))
+        return bound
+
+
 class Telemetry:
     """One observability session: registry + tracer + alerts + stats taps.
 
@@ -187,6 +202,21 @@ class Telemetry:
             "gray_detection_seconds",
             "first differential evidence to conviction").labels()
 
+        # What the packet-path hooks update, bound once: their series by
+        # the arguments they are called with, and the live detector list
+        # of each feed (detectors added later land in the same lists).
+        self._received = _Bound(self._c_received.labels)
+        self._answered = _Bound(self._bind_answered)
+        self._dropped = _Bound(self._c_dropped.labels)
+        self._enqueued = _Bound(self._c_enqueued.labels)
+        self._depth = _Bound(self._g_queue_depth.labels)
+        self._filter = _Bound(self._c_filter.labels)
+        self._zone = _Bound(lambda machine_id, origin, rcode:
+                            self._c_zone.labels(machine_id, str(origin),
+                                                rcode.name))
+        self._qps, self._nxdomain, self._servfail, self._queue_depth = map(
+            self.alerts.feed, ("qps", "nxdomain", "servfail", "queue_depth"))
+
     # -- clock / epoch ------------------------------------------------------
 
     def attach_loop(self, loop) -> None:
@@ -222,35 +252,49 @@ class Telemetry:
     # -- machine hooks ------------------------------------------------------
 
     def query_received(self, machine_id: str, now: float) -> None:
-        self._c_received.labels(machine_id).inc()
-        self.alerts.observe("qps", now)
+        self._received[machine_id].value += 1.0
+        for detector in self._qps:
+            detector.observe(now, 1.0)
 
-    def query_answered(self, machine_id: str, rcode: str,
-                       now: float) -> None:
-        self._c_answered.labels(machine_id, rcode).inc()
-        self.alerts.observe("nxdomain", now,
-                            1.0 if rcode == "NXDOMAIN" else 0.0)
-        self.alerts.observe("servfail", now,
-                            1.0 if rcode == "SERVFAIL" else 0.0)
+    def _bind_answered(self, machine_id: str, rcode) -> tuple:
+        """The series of one (machine, rcode), and what an answer with
+        that rcode feeds the NXDOMAIN and SERVFAIL ratios."""
+        return (self._c_answered.labels(machine_id, rcode.name),
+                1.0 if rcode.name == "NXDOMAIN" else 0.0,
+                1.0 if rcode.name == "SERVFAIL" else 0.0)
+
+    def query_answered(self, machine_id: str, rcode, now: float) -> None:
+        """``rcode`` is the response's ``RCode`` member; its name is
+        looked up once per series, not per answer."""
+        counter, nxdomain, servfail = self._answered[machine_id, rcode]
+        counter.value += 1.0
+        for detector in self._nxdomain:
+            detector.observe(now, nxdomain)
+        for detector in self._servfail:
+            detector.observe(now, servfail)
 
     def query_dropped(self, machine_id: str, reason: str) -> None:
-        self._c_dropped.labels(machine_id, reason).inc()
+        self._dropped[machine_id, reason].value += 1.0
 
     def queue_enqueued(self, owner: str, queue_index: int,
                        total_depth: int, now: float) -> None:
-        self._c_enqueued.labels(owner, str(queue_index)).inc()
-        self._g_queue_depth.labels(owner).set(float(total_depth))
-        self.alerts.observe("queue_depth", now, float(total_depth))
+        self._enqueued[owner, queue_index].value += 1.0
+        depth = float(total_depth)
+        self._depth[owner].set(depth)
+        for detector in self._queue_depth:
+            detector.observe(now, depth)
 
     def queue_served(self, owner: str, total_depth: int,
                      now: float) -> None:
-        self._g_queue_depth.labels(owner).set(float(total_depth))
-        self.alerts.observe("queue_depth", now, float(total_depth))
+        depth = float(total_depth)
+        self._depth[owner].set(depth)
+        for detector in self._queue_depth:
+            detector.observe(now, depth)
 
     def filter_scored(self, contributions: dict[str, float],
                       total: float) -> None:
         for filter_name in contributions:
-            self._c_filter.labels(filter_name).inc()
+            self._filter[filter_name].value += 1.0
         self._h_penalty.record(total)
 
     def qod_event(self, event: str, now: float) -> None:
@@ -375,9 +419,10 @@ class Telemetry:
 
     # -- reporting hooks ----------------------------------------------------
 
-    def zone_response(self, machine_id: str, zone: str,
-                      rcode: str) -> None:
-        self._c_zone.labels(machine_id, zone, rcode).inc()
+    def zone_response(self, machine_id: str, origin, rcode) -> None:
+        """``origin`` is the zone's ``Name`` and ``rcode`` the ``RCode``
+        member: both are spelled once per series, not per response."""
+        self._zone[machine_id, origin, rcode].value += 1.0
 
     # -- SLO probe hooks ----------------------------------------------------
 

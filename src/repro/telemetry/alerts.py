@@ -120,25 +120,41 @@ class Detector:
         self._breach_streak = 0
         self._calm_streak = 0
         self._current: _Window | None = None
+        #: ``observe`` looks at the window index again only from here on.
+        self._until = float("-inf")
         self.history: deque[tuple[float, float]] = deque(maxlen=self.HISTORY)
         self.manager: "AlertManager | None" = None
 
     # -- feeding -------------------------------------------------------------
 
     def observe(self, now: float, value: float) -> None:
-        index = int(now // self.window)
+        if now >= self._until:
+            self._enter(int(now // self.window))
         current = self._current
-        if current is None:
-            self._current = current = _Window(index)
-        elif index > current.index:
-            self._close_through(index)
-            current = self._current
-            if current is None:
-                self._current = current = _Window(index)
         current.count += 1
         current.total += value
         if value > current.peak:
             current.peak = value
+
+    def _enter(self, index: int) -> None:
+        """The first observation, or one at or past the current window's
+        end as a float product. The product may round below the true
+        boundary but never past the first float of the next window, so
+        ``index`` is compared again here and the common case in
+        ``observe`` needs no division."""
+        if self._current is None:
+            self._current = _Window(index)
+            self._until = (index + 1) * self.window
+        elif index > self._current.index:
+            self._close_through(index)
+
+    def restart(self) -> None:
+        """Forget the window in progress and any streak (a new epoch)."""
+        self._current = None
+        self._until = float("-inf")
+        self._breach_streak = 0
+        self._calm_streak = 0
+        self.state = _DetectorState.OK
 
     def finalize(self, now: float) -> None:
         """Close every window that ends at or before ``now``."""
@@ -156,6 +172,7 @@ class Detector:
         for index in range(current.index + 1, new_index):
             self._judge(_Window(index))
         self._current = _Window(new_index)
+        self._until = (new_index + 1) * self.window
 
     # -- judging -------------------------------------------------------------
 
@@ -282,15 +299,19 @@ class AlertManager:
         return list(self._detectors)
 
     def has_feed(self, key: str) -> bool:
-        return key in self._feeds
+        """Whether a detector consumes ``key``."""
+        return bool(self._feeds.get(key))
+
+    def feed(self, key: str) -> list[Detector]:
+        """The live list of detectors consuming ``key`` — empty until
+        :meth:`add` names the key — for a caller that observes per packet
+        and resolves the key once."""
+        return self._feeds.setdefault(key, [])
 
     # -- feeding -------------------------------------------------------------
 
     def observe(self, key: str, now: float, value: float = 1.0) -> None:
-        detectors = self._feeds.get(key)
-        if detectors is None:
-            return
-        for detector in detectors:
+        for detector in self._feeds.get(key, ()):
             detector.observe(now, value)
 
     def finalize(self, now: float) -> None:
@@ -306,10 +327,7 @@ class AlertManager:
         """
         self.epoch = epoch
         for detector in self._detectors:
-            detector._current = None
-            detector._breach_streak = 0
-            detector._calm_streak = 0
-            detector.state = _DetectorState.OK
+            detector.restart()
         self._active.clear()
 
     # -- alert bookkeeping ---------------------------------------------------

@@ -1,10 +1,14 @@
 """Tests for penalty queues and the QoD firewall."""
 
+import random
+from types import SimpleNamespace
+
 import pytest
 
 from repro.dnscore import RType, name
 from repro.filters import QueuePolicy
 from repro.server import PenaltyQueueRuntime, QoDFirewall, QoDSignature
+from repro.telemetry import state as telemetry_state
 
 
 class TestPenaltyQueues:
@@ -65,6 +69,64 @@ class TestPenaltyQueues:
         q.pop_next()
         assert q.stats.enqueued_per_queue == [1, 1, 0]
         assert q.stats.served_per_queue == [1, 0, 0]
+
+
+class _HookLog:
+    """Stands in for a telemetry session: records the two queue hooks."""
+
+    def __init__(self):
+        self.calls = []
+
+    def queue_enqueued(self, *args):
+        self.calls.append(("enqueued", *args))
+
+    def queue_served(self, *args):
+        self.calls.append(("served", *args))
+
+
+def test_depth_is_kept_not_summed_over_a_long_interleaving():
+    """5,000 seeded enqueue / pop / clear steps: the running depth equals
+    the sum over the queues after every step, and the hooks are handed
+    what they always were — (owner, queue, depth after, now)."""
+    rng = random.Random(20)
+    policy = QueuePolicy(max_scores=(0.0, 10.0, 50.0), s_max=100.0)
+    q = PenaltyQueueRuntime(policy, max_depth_per_queue=6, owner="m9")
+    q.clock = SimpleNamespace(now=0.0)
+    model = [[] for _ in range(policy.queue_count)]
+    log = _HookLog()
+    expected = []
+    with telemetry_state.session(log):
+        for step in range(5000):
+            q.clock.now = step * 0.25
+            roll = rng.random()
+            if roll < 0.55:
+                score = rng.choice((0.0, 0.0, 5.0, 30.0, 70.0, 150.0))
+                index = policy.queue_for(score)
+                admitted = index is not None and len(model[index]) < 6
+                assert q.enqueue(step, score) == admitted
+                if admitted:
+                    model[index].append(step)
+                    expected.append(("enqueued", "m9", index,
+                                     sum(map(len, model)), q.clock.now))
+            elif roll < 0.98:
+                index = next((i for i, items in enumerate(model) if items),
+                             None)
+                want = None if index is None \
+                    else (index, model[index].pop(0))
+                assert q.pop_next() == want
+                if want is not None:
+                    expected.append(("served", "m9", sum(map(len, model)),
+                                     q.clock.now))
+            else:
+                assert q.clear() == sum(map(len, model))
+                model = [[] for _ in model]
+            assert q.total_depth() == sum(
+                q.depth(i) for i in range(policy.queue_count)) \
+                == sum(map(len, model))
+            assert bool(q) == any(model)
+    assert log.calls == expected
+    assert len(expected) > 3000 and q.stats.dropped_full > 0 \
+        and q.stats.discarded_s_max > 0
 
 
 class TestQoDFirewall:
