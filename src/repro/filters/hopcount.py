@@ -66,7 +66,9 @@ class HopCountFilter:
 
     def score(self, ctx: QueryContext) -> float:
         config = self.config
-        history = self._history.setdefault(ctx.source, _TTLHistory())
+        history = self._history.get(ctx.source)
+        if history is None:
+            history = self._history[ctx.source] = _TTLHistory()
         if history.expected is None:
             history.expected = ctx.ip_ttl
             history.total += 1

@@ -77,7 +77,9 @@ class RateLimitFilter:
 
     def score(self, ctx: QueryContext) -> float:
         config = self.config
-        bucket = self._buckets.setdefault(ctx.source, _Bucket())
+        bucket = self._buckets.get(ctx.source)
+        if bucket is None:
+            bucket = self._buckets[ctx.source] = _Bucket()
         limit = self._limit_for(bucket)
         capacity = limit * config.burst_seconds
 

@@ -120,7 +120,9 @@ class EventLoop:
     """A priority-queue event loop over simulated seconds."""
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: Current simulation time in seconds. A plain attribute, read
+        #: several times per event by every layer; only the loop writes it.
+        self.now = 0.0
         self._queue: list[list] = []
         self._seq = 0
         #: ``seq`` of the entry being run (after a ``run_until``: of the
@@ -142,11 +144,6 @@ class EventLoop:
             _t.attach_loop(self)
 
     @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
-
-    @property
     def events_processed(self) -> int:
         return self._processed
 
@@ -163,8 +160,8 @@ class EventLoop:
         schedulers (per-hop forwarding, BGP update delivery) free of
         per-call closure allocation.
         """
-        if when < self._now:
-            raise ValueError(f"cannot schedule at {when} < now {self._now}")
+        if when < self.now:
+            raise ValueError(f"cannot schedule at {when} < now {self.now}")
         self._seq = seq = self._seq + 1
         entry = [when, seq, action, args, _PENDING]
         heapq.heappush(self._queue, entry)
@@ -180,7 +177,7 @@ class EventLoop:
         # non-negative delay guarantees): this is the hottest scheduling
         # entry point, called once or more per simulated packet.
         self._seq = seq = self._seq + 1
-        entry = [self._now + delay, seq, action, args, _PENDING]
+        entry = [self.now + delay, seq, action, args, _PENDING]
         heapq.heappush(self._queue, entry)
         self._alive += 1
         return EventHandle(entry, self)
@@ -194,7 +191,7 @@ class EventLoop:
         if that point has already gone by.
         """
         seq = handle._entry[_SEQ]
-        if when < self._now or (when == self._now and seq <= self._running):
+        if when < self.now or (when == self.now and seq <= self._running):
             return False
         handle.cancel()
         heapq.heappush(self._queue, [when, seq, action, args, _PENDING])
@@ -241,8 +238,8 @@ class EventLoop:
                 self._alive += 1
                 return BatchHandle(last, members, live,
                                    len(members) - 1, self)
-        if when < self._now:
-            raise ValueError(f"cannot schedule at {when} < now {self._now}")
+        if when < self.now:
+            raise ValueError(f"cannot schedule at {when} < now {self.now}")
         members = [arg]
         live = [1]
         self._seq = seq = self._seq + 1
@@ -259,7 +256,7 @@ class EventLoop:
         """Coalescing variant of :meth:`call_later`."""
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        return self.call_at_coalesced(self._now + delay, action, arg)
+        return self.call_at_coalesced(self.now + delay, action, arg)
 
     def _run_batch(self, action: Callable[..., None], members: list,
                    live: list) -> None:
@@ -297,7 +294,7 @@ class EventLoop:
                 continue
             entry[_STATUS] = _FIRED
             self._alive -= 1
-            self._now = entry[_TIME]
+            self.now = entry[_TIME]
             self._running = entry[_SEQ]
             self._processed += 1
             action = entry[_ACTION]
@@ -306,8 +303,8 @@ class EventLoop:
             action(*args)
             # Compaction replaces the queue list; re-bind.
             queue = self._queue
-        if deadline > self._now:
-            self._now = deadline
+        if deadline > self.now:
+            self.now = deadline
         self._running = self._seq
 
     def run(self, max_events: int | None = None) -> None:
@@ -324,7 +321,7 @@ class EventLoop:
                 continue
             entry[_STATUS] = _FIRED
             self._alive -= 1
-            self._now = entry[_TIME]
+            self.now = entry[_TIME]
             self._running = entry[_SEQ]
             self._processed += 1
             action = entry[_ACTION]

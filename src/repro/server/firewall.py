@@ -83,6 +83,8 @@ class QoDFirewall:
 
     def should_drop(self, qname: Name, qtype: RType, now: float) -> bool:
         """Whether an arriving query matches a live rule."""
+        if not self._rules:
+            return False
         expired = [s for s, deadline in self._rules.items()
                    if deadline <= now]
         for signature in expired:

@@ -63,7 +63,8 @@ def encode_response(machine: NameserverMachine,
 
 def ecmp_hash(flow_key: tuple[str, int, str, int]) -> int:
     """Deterministic ECMP hash over the flow 4-tuple."""
-    return zlib.crc32("|".join(map(str, flow_key)).encode("ascii"))
+    src, src_port, dst, dst_port = flow_key
+    return zlib.crc32(f"{src}|{src_port}|{dst}|{dst_port}".encode("ascii"))
 
 
 class PoP:

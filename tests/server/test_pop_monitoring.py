@@ -1,6 +1,7 @@
 """Tests for PoP ECMP/origination and the monitoring agent."""
 
 import random
+import zlib
 
 import pytest
 
@@ -137,6 +138,14 @@ class TestPoPOrigination:
         key = ("1.2.3.4", 5353, "5.6.7.8", 53)
         assert ecmp_hash(key) == ecmp_hash(key)
         assert ecmp_hash(key) != ecmp_hash(("1.2.3.4", 5354, "5.6.7.8", 53))
+
+    def test_ecmp_hash_is_crc32_of_the_joined_tuple(self):
+        """Machine placement of every flow depends on these exact bytes."""
+        for key in (("1.2.3.4", 5353, "5.6.7.8", 53),
+                    ("2001:db8::1", 0, "2001:db8:53::", 65535),
+                    ("host-a", 40000, "acast", 53)):
+            assert ecmp_hash(key) == zlib.crc32(
+                "|".join(map(str, key)).encode("ascii"))
 
 
 class TestMonitoringAgent:
