@@ -15,7 +15,9 @@ parent's quartiles; a change whose median is worse than the parent's by
 more than the metric's bound is a *regression*; a spread wider than the
 bound leaves the metric *unresolved* unless every run of the change
 beats every run of the parent. Digest equality, the failed share and
-every single run are printed too.
+every single run are printed too; when the digests differ, one
+``bench/harness.py`` run a side names what differs among ``ops``,
+``oracle``, ``outcomes`` and the ``counters`` keys.
 
 Run it from the checkout under test; ``--parent`` is anything ``git
 rev-parse`` accepts.
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import statistics
 import subprocess
@@ -113,8 +116,41 @@ def run_side(checkout: Path, command: list[str]) -> dict:
     return result
 
 
+def digest_difference(parent: Path, change: Path, workload: str,
+                      seed: int) -> str:
+    """What the simulated results of two checkouts differ in, from one
+    untraced ``bench/harness.py`` run a side (hash seed pinned as
+    ``bench/run.py`` pins it)."""
+    reports = []
+    for checkout in (parent, change):
+        harness = checkout / "bench" / "harness.py"
+        if not harness.exists():
+            return f"  (no {harness.relative_to(checkout)} to ask)"
+        done = subprocess.run(
+            [sys.executable, str(harness), "--workload", workload,
+             "--seed", str(seed), "--trace", "0"], cwd=checkout,
+            env=dict(os.environ, PYTHONHASHSEED="0"),
+            stdout=subprocess.PIPE, text=True)
+        lines = done.stdout.strip().splitlines()
+        if done.returncode != 0 or not lines:
+            return f"  ({harness} failed in {checkout})"
+        reports.append(json.loads(lines[-1]))
+    parts = ("ops", "oracle", "outcomes")
+    differs = [part for part in parts
+               if reports[0].get(part) != reports[1].get(part)]
+    before, after = (r.get("counters", {}) for r in reports)
+    keys = sorted(set(before) | set(after))
+    moved = [key for key in keys if before.get(key) != after.get(key)]
+    same = [part for part in parts if part not in differs]
+    differs += [f"counters[{key}] {before.get(key)} -> {after.get(key)}"
+                for key in moved]
+    return (f"  differs in: {'; '.join(differs) or 'nothing it reports'}\n"
+            f"  equal: {', '.join(same + [''])}"
+            f"{len(keys) - len(moved)} of {len(keys)} counters")
+
+
 def report(spec: dict, args: argparse.Namespace, parent_rev: str,
-           runs: list[tuple[str, dict, dict]]) -> str:
+           runs: list[tuple[str, dict, dict]], difference: str = "") -> str:
     out = [f"{args.workload} seed {args.seed}: {len(runs)} pair(s), parent "
            f"{parent_rev[:10]} against the checkout, alternating first side",
            f"{'metric':<15}{'parent median (q1..q3)':<32}"
@@ -143,6 +179,8 @@ def report(spec: dict, args: argparse.Namespace, parent_rev: str,
     equal = ({p["digest"] for _f, p, _c in runs}
              == {c["digest"] for _f, _p, c in runs})
     out.append(f"digests equal: {'yes' if equal else 'NO'}")
+    if difference:
+        out.append(difference)
     out.append("every run (pair: first side; metric parent -> change):")
     for number, (first, p, c) in enumerate(runs, start=1):
         values = ", ".join(
@@ -179,7 +217,12 @@ def main(argv: list[str] | None = None) -> int:
                        (order if first == "parent" else order[::-1])}
             runs.append((first, results["parent"], results["change"]))
             print(f"pair {pair + 1}/{args.pairs} done", file=sys.stderr)
-    print(report(spec, args, parent_rev, runs))
+        difference = ""
+        if ({p["digest"] for _f, p, _c in runs}
+                != {c["digest"] for _f, _p, c in runs}):
+            difference = digest_difference(parent, root, args.workload,
+                                           args.seed)
+    print(report(spec, args, parent_rev, runs, difference))
     return 0
 
 

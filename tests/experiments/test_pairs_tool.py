@@ -1,6 +1,7 @@
 """``repro.tools.pairs``: the verdict rule, and one real pass — worktree,
-alternation, parsing, clean-up — over a throwaway repository whose
-"benchmark" prints a number read from the checkout."""
+alternation, parsing, clean-up, and naming what differs when the digests
+do — over a throwaway repository whose "benchmark" prints a number read
+from the checkout."""
 
 import json
 import shutil
@@ -85,6 +86,28 @@ FAKE_BENCH = textwrap.dedent("""\
     """)
 
 
+#: Stands in for bench/harness.py: one JSON object, last line of stdout.
+FAKE_HARNESS = textwrap.dedent("""\
+    import json, os, pathlib, sys
+    here = pathlib.Path(__file__).resolve().parent.parent
+    assert sys.argv[1:] == ["--workload", "w", "--seed", "7",
+                            "--trace", "0"], sys.argv
+    assert os.environ["PYTHONHASHSEED"] == "0"
+    events = int((here / "events.txt").read_text())
+    print("noise before the result")
+    print(json.dumps({"ops": 5, "oracle": {"r": {"checked": 5, "failed": 0}},
+                      "outcomes": "cafe", "sim_digest": "x",
+                      "counters": {"netsim.clock.events": events,
+                                   "resolver.resolutions": 5,
+                                   "workload.packets": 0}}))
+    """)
+
+
+def test_difference_without_a_harness_says_so(tmp_path):
+    assert pairs.digest_difference(tmp_path, tmp_path, "w", 7) == \
+        "  (no bench/harness.py to ask)"
+
+
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
 def test_one_real_pass_over_a_throwaway_repository(tmp_path, monkeypatch,
                                                    capsys):
@@ -99,6 +122,9 @@ def test_one_real_pass_over_a_throwaway_repository(tmp_path, monkeypatch,
     (repo / "bench.py").write_text(FAKE_BENCH)
     (repo / "speed.txt").write_text("100")
     (repo / "digest.txt").write_text("aaaa")
+    (repo / "bench").mkdir()
+    (repo / "bench" / "harness.py").write_text(FAKE_HARNESS)
+    (repo / "events.txt").write_text("128104")
     (repo / "BENCHMARK.json").write_text(json.dumps({
         "command": [sys.executable, "bench.py"], "run_seconds": 12,
         "end_to_end": [{"name": "queries_per_s", "unit": "1/s",
@@ -108,6 +134,7 @@ def test_one_real_pass_over_a_throwaway_repository(tmp_path, monkeypatch,
     # The change under test is the working tree, committed or not.
     (repo / "speed.txt").write_text("125")
     (repo / "digest.txt").write_text("bbbb")
+    (repo / "events.txt").write_text("103118")
 
     monkeypatch.chdir(repo)
     assert pairs.main(["--parent", "HEAD", "--workload", "w", "--seed", "7",
@@ -119,9 +146,11 @@ def test_one_real_pass_over_a_throwaway_repository(tmp_path, monkeypatch,
     assert "1.250" in row and "3/3" in row and row.endswith("gain")
     assert "parent: sim_digest aaaa; failed 0 of 15" in out
     assert "change: sim_digest bbbb" in out
-    assert "digests equal: NO" in out
+    assert ("digests equal: NO\n"
+            "  differs in: counters[netsim.clock.events] 128104 -> 103118\n"
+            "  equal: ops, oracle, outcomes, 2 of 3 counters\n") in out
     assert [line.split(":")[1].split(";")[0].strip()
-            for line in out.splitlines() if line.startswith("  ")] == \
+            for line in out.splitlines() if line[:3].strip().isdigit()] == \
         ["parent first", "change first", "parent first"]
     listed = subprocess.run(["git", "worktree", "list"], cwd=repo,
                             check=True, capture_output=True, text=True)
