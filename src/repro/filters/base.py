@@ -86,7 +86,7 @@ class ScoringPipeline:
             # (the dominant cost under flood load, where nearly every
             # query scores zero until a filter tree is built).
             if _t is not None:
-                _t.filter_scored({}, 0.0)
+                _t.filter_scored(self._CLEAN.contributions, 0.0)
             return self._CLEAN
         if _t is not None:
             _t.filter_scored(contributions, total)

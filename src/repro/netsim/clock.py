@@ -120,13 +120,11 @@ class EventLoop:
     """A priority-queue event loop over simulated seconds."""
 
     def __init__(self) -> None:
-        #: Current simulation time in seconds. A plain attribute, read
-        #: several times per event by every layer; only the loop writes it.
+        #: Simulation time in seconds; an attribute only the loop writes.
         self.now = 0.0
         self._queue: list[list] = []
         self._seq = 0
-        #: ``seq`` of the entry being run (after a ``run_until``: of the
-        #: newest entry there is, since everything due has run).
+        #: ``seq`` of the running entry, for :meth:`rewind`.
         self._running = 0
         self._processed = 0
         self._alive = 0
@@ -185,11 +183,8 @@ class EventLoop:
     def rewind(self, handle: EventHandle, when: float,
                action: Callable[..., None], *args) -> bool:
         """Replace the pending event behind ``handle`` by ``action(*args)``
-        at the earlier time ``when``, in the same place in scheduling
-        order: it fires exactly where it would have had the original
-        been scheduled for ``when``. Returns False and changes nothing
-        if that point has already gone by.
-        """
+        at the earlier ``when``, in the same place in scheduling order (as
+        if set for ``when`` originally). False once that place is past."""
         seq = handle._entry[_SEQ]
         if when < self.now or (when == self.now and seq <= self._running):
             return False
@@ -305,7 +300,7 @@ class EventLoop:
             queue = self._queue
         if deadline > self.now:
             self.now = deadline
-        self._running = self._seq
+        self._running = self._seq       # everything due so far has run
 
     def run(self, max_events: int | None = None) -> None:
         """Process events until the queue drains (or ``max_events``)."""

@@ -21,8 +21,6 @@ in-flight fast-path datagrams back onto exact hop-by-hop forwarding at
 the next router they would have reached — so drop semantics, RNG draw
 order, and :class:`NetworkStats` stay bit-for-bit identical to the pure
 hop-by-hop execution (see docs/ARCHITECTURE.md, "Performance model").
-``send`` resolves the route itself, so a datagram with a clean path
-costs that one event from its source host to its PoP.
 """
 
 from __future__ import annotations
@@ -141,16 +139,14 @@ class _CachedRoute:
 
 @dataclass(slots=True)
 class _InFlight:
-    """A fast-path datagram between ``send`` (or the router that put it
-    on the fast path) and its delivery event."""
+    """A fast-path datagram between entering the path and delivery."""
 
     dgram: Datagram
     route: _CachedRoute
     #: When the datagram reaches (or reached) ``route.hops[0]``.
     start: float
     handle: EventHandle | BatchHandle
-    #: Planned by ``send``: until ``start`` the datagram is on its way to
-    #: this router, which has not consulted its FIB for it yet.
+    #: That router, if ``send`` planned the flight (FIB read at ``start``).
     ingress: str | None = None
 
 
@@ -380,10 +376,8 @@ class Network:
             self._deliver_unicast(dgram)
             return
         if self.route_cache_enabled:
-            # Plan the whole trip now: the access-link leg folds into the
-            # delivery event. Should forwarding state move before the
-            # datagram reaches first_router, _bump_route_epoch puts the
-            # arrival there back on the loop.
+            # Plan the whole trip: the access-link leg folds into the
+            # delivery event (_bump_route_epoch unfolds it if need be).
             route = self._route_lookup(first_router, dgram.dst)
             if route is not None and route.hops \
                     and dgram.ip_ttl > len(route.hops):
@@ -437,7 +431,7 @@ class Network:
     def _bump_route_epoch(self) -> None:
         """A FIB or link-state change: flush the cache, and hand every
         in-flight fast-path datagram back to exact hop-by-hop forwarding
-        at the next router it would have reached."""
+        at the next router it would have reached, its ingress included."""
         self.route_epoch += 1
         if self._route_cache:
             self._route_cache.clear()
@@ -445,18 +439,15 @@ class Network:
             inflight, self._inflight = self._inflight, {}
             now = self.loop.now
             call_at = self.loop.call_at
-            rewind = self.loop.rewind
             for flight in inflight.values():
                 route = flight.route
                 dgram = flight.dgram
                 hops = flight.route.hops
                 t = flight.start
-                if flight.ingress is not None and rewind(
+                if flight.ingress is not None and self.loop.rewind(
                         flight.handle, t, self._forward, flight.ingress,
                         dgram):
-                    # Caught before its ingress router read its FIB for
-                    # it: that event is back, where send would have put it.
-                    continue
+                    continue    # its ingress router's FIB read is back
                 flight.handle.cancel()
                 # Arrival times fold the per-hop delays exactly as the
                 # slow path would have; the first arrival strictly after
@@ -535,8 +526,7 @@ class Network:
 
     def _fast_forward(self, route: _CachedRoute, dgram: Datagram,
                       start: float, ingress: str | None = None) -> None:
-        """Schedule the single delivery event for a clean cached path
-        that the datagram enters at ``start``."""
+        """Schedule the one delivery event of a path entered at ``start``."""
         if not route.hops:
             # Delivered at the ingress router itself — same instant and
             # side effects as the slow path's local-delivery branch.
@@ -547,8 +537,8 @@ class Network:
             t = t + delay
         self._inflight_seq = flight_id = self._inflight_seq + 1
         # Same-tick floods on one cached route land on the same delivery
-        # timestamp; coalescing folds them into one heap entry. A flight
-        # planned by send keeps an entry of its own, which can be rewound.
+        # timestamp; coalescing folds them into one heap entry (a flight
+        # planned by send keeps its own, which EventLoop.rewind can move).
         schedule = (self.loop.call_at_coalesced if ingress is None
                     else self.loop.call_at)
         handle = schedule(t, self._fast_delivery_due, flight_id)

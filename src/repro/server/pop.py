@@ -63,8 +63,7 @@ def encode_response(machine: NameserverMachine,
 
 def ecmp_hash(flow_key: tuple[str, int, str, int]) -> int:
     """Deterministic ECMP hash over the flow 4-tuple."""
-    src, src_port, dst, dst_port = flow_key
-    return zlib.crc32(f"{src}|{src_port}|{dst}|{dst_port}".encode("ascii"))
+    return zlib.crc32(("%s|%s|%s|%s" % flow_key).encode("ascii"))
 
 
 class PoP:

@@ -43,8 +43,7 @@ class PenaltyQueueRuntime(Generic[T]):
         self.clock = None
         self._queues: list[deque[T]] = [deque()
                                         for _ in range(policy.queue_count)]
-        #: Items queued over all queues, kept as they come and go.
-        self._depth = 0
+        self._depth = 0     # items queued, over all queues
         self.stats = QueueStats(
             enqueued_per_queue=[0] * policy.queue_count,
             served_per_queue=[0] * policy.queue_count,

@@ -28,7 +28,6 @@ site (see :mod:`.state`).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Callable
 
@@ -71,10 +70,8 @@ class TelemetryConfig:
 
 
 class _Bound(dict):
-    """Hook arguments -> what the hook updates, resolved on first use:
-    a packet-path hook pays one dict probe per call, and
-    ``MetricFamily.labels`` (arity check, label spelling) once per series.
-    """
+    """Hook arguments -> what the hook updates, resolved on first use: a
+    hook pays one dict probe per call, ``labels`` once per series."""
 
     def __init__(self, resolve: Callable) -> None:
         self._resolve = resolve
@@ -111,24 +108,32 @@ class Telemetry:
         self._stats_frozen: dict[str, dict] = {}
 
         reg = self.registry
-        self._c_received = reg.counter(
+        # Packet-path hooks: series bound by the hook's own arguments, and
+        # each feed's live detector list (later detectors land in it).
+        self._received = _Bound(reg.counter(
             "queries_received_total",
-            "queries arriving at nameserver machines", ("machine",))
-        self._c_answered = reg.counter(
+            "queries arriving at nameserver machines", ("machine",)).labels)
+        answered = reg.counter(
             "queries_answered_total",
             "responses assembled, by final rcode", ("machine", "rcode"))
-        self._c_dropped = reg.counter(
+        # (series, what an answer feeds the NXDOMAIN and SERVFAIL ratios)
+        self._answered = _Bound(lambda machine_id, rcode: (
+            answered.labels(machine_id, rcode.name),
+            float(rcode.name == "NXDOMAIN"), float(rcode.name == "SERVFAIL")))
+        self._dropped = _Bound(reg.counter(
             "queries_dropped_total",
-            "queries shed before service", ("machine", "reason"))
-        self._c_enqueued = reg.counter(
+            "queries shed before service", ("machine", "reason")).labels)
+        self._enqueued = _Bound(reg.counter(
             "penalty_enqueued_total",
-            "queries placed into penalty queues", ("owner", "queue"))
-        self._g_queue_depth = reg.gauge(
+            "queries placed into penalty queues", ("owner", "queue")).labels)
+        self._depth = _Bound(reg.gauge(
             "penalty_queue_depth",
-            "total queued queries per machine", ("owner",))
-        self._c_filter = reg.counter(
+            "total queued queries per machine", ("owner",)).labels)
+        self._filter = _Bound(reg.counter(
             "filter_penalties_total",
-            "nonzero penalties contributed per filter", ("filter",))
+            "nonzero penalties contributed per filter", ("filter",)).labels)
+        self._qps, self._nxdomain, self._servfail, self._queue_depth = map(
+            self.alerts.feed, ("qps", "nxdomain", "servfail", "queue_depth"))
         self._h_penalty = reg.histogram(
             "filter_penalty_score",
             "distribution of total penalty scores").labels()
@@ -153,10 +158,12 @@ class Telemetry:
         self._c_probe = reg.counter(
             "probe_outcomes_total",
             "SLO probe resolutions, graded", ("outcome",))
-        self._c_zone = reg.counter(
+        zone = reg.counter(
             "zone_responses_total",
             "per-zone responses, by rcode (feeds enterprise reports)",
             ("machine", "zone", "rcode"))
+        self._zone = _Bound(lambda machine_id, origin, rcode: zone.labels(
+            machine_id, str(origin), rcode.name))
         self._c_stale = reg.counter(
             "machine_stale_total",
             "positive staleness checks (inputs older than threshold)",
@@ -202,21 +209,6 @@ class Telemetry:
             "gray_detection_seconds",
             "first differential evidence to conviction").labels()
 
-        # What the packet-path hooks update, bound once: their series by
-        # the arguments they are called with, and the live detector list
-        # of each feed (detectors added later land in the same lists).
-        self._received = _Bound(self._c_received.labels)
-        self._answered = _Bound(self._bind_answered)
-        self._dropped = _Bound(self._c_dropped.labels)
-        self._enqueued = _Bound(self._c_enqueued.labels)
-        self._depth = _Bound(self._g_queue_depth.labels)
-        self._filter = _Bound(self._c_filter.labels)
-        self._zone = _Bound(lambda machine_id, origin, rcode:
-                            self._c_zone.labels(machine_id, str(origin),
-                                                rcode.name))
-        self._qps, self._nxdomain, self._servfail, self._queue_depth = map(
-            self.alerts.feed, ("qps", "nxdomain", "servfail", "queue_depth"))
-
     # -- clock / epoch ------------------------------------------------------
 
     def attach_loop(self, loop) -> None:
@@ -256,16 +248,8 @@ class Telemetry:
         for detector in self._qps:
             detector.observe(now, 1.0)
 
-    def _bind_answered(self, machine_id: str, rcode) -> tuple:
-        """The series of one (machine, rcode), and what an answer with
-        that rcode feeds the NXDOMAIN and SERVFAIL ratios."""
-        return (self._c_answered.labels(machine_id, rcode.name),
-                1.0 if rcode.name == "NXDOMAIN" else 0.0,
-                1.0 if rcode.name == "SERVFAIL" else 0.0)
-
     def query_answered(self, machine_id: str, rcode, now: float) -> None:
-        """``rcode`` is the response's ``RCode`` member; its name is
-        looked up once per series, not per answer."""
+        """``rcode``: the ``RCode`` member, named once per series."""
         counter, nxdomain, servfail = self._answered[machine_id, rcode]
         counter.value += 1.0
         for detector in self._nxdomain:
@@ -279,6 +263,7 @@ class Telemetry:
     def queue_enqueued(self, owner: str, queue_index: int,
                        total_depth: int, now: float) -> None:
         self._enqueued[owner, queue_index].value += 1.0
+        # As queue_served, inline: one hook call per instrumented event.
         depth = float(total_depth)
         self._depth[owner].set(depth)
         for detector in self._queue_depth:
@@ -420,8 +405,7 @@ class Telemetry:
     # -- reporting hooks ----------------------------------------------------
 
     def zone_response(self, machine_id: str, origin, rcode) -> None:
-        """``origin`` is the zone's ``Name`` and ``rcode`` the ``RCode``
-        member: both are spelled once per series, not per response."""
+        """``origin``: a ``Name``; ``rcode``: the ``RCode`` member."""
         self._zone[machine_id, origin, rcode].value += 1.0
 
     # -- SLO probe hooks ----------------------------------------------------
@@ -486,8 +470,3 @@ def standard_detectors(manager: AlertManager, *,
         "queue-depth", window=window, threshold=queue_depth),
         "queue_depth")
     return manager
-
-
-def snapshot_dataclass(obj) -> dict:
-    """Helper for ``register_stats``: a dataclass as a plain dict."""
-    return dataclasses.asdict(obj)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 
@@ -129,32 +129,19 @@ class Detector:
 
     def observe(self, now: float, value: float) -> None:
         if now >= self._until:
-            self._enter(int(now // self.window))
+            # First observation, or at/past the window's end: a float
+            # product that can round low, so the index is compared again.
+            index = int(now // self.window)
+            if self._current is None:
+                self._current = _Window(index)
+                self._until = (index + 1) * self.window
+            elif index > self._current.index:
+                self._close_through(index)
         current = self._current
         current.count += 1
         current.total += value
         if value > current.peak:
             current.peak = value
-
-    def _enter(self, index: int) -> None:
-        """The first observation, or one at or past the current window's
-        end as a float product. The product may round below the true
-        boundary but never past the first float of the next window, so
-        ``index`` is compared again here and the common case in
-        ``observe`` needs no division."""
-        if self._current is None:
-            self._current = _Window(index)
-            self._until = (index + 1) * self.window
-        elif index > self._current.index:
-            self._close_through(index)
-
-    def restart(self) -> None:
-        """Forget the window in progress and any streak (a new epoch)."""
-        self._current = None
-        self._until = float("-inf")
-        self._breach_streak = 0
-        self._calm_streak = 0
-        self.state = _DetectorState.OK
 
     def finalize(self, now: float) -> None:
         """Close every window that ends at or before ``now``."""
@@ -264,12 +251,6 @@ class GaugeDetector(Detector):
 AlertCallback = Callable[[Alert], None]
 
 
-@dataclass(slots=True)
-class _Subscription:
-    key: str
-    detector: Detector
-
-
 class AlertManager:
     """Routes observation feeds to detectors and records alerts."""
 
@@ -303,9 +284,7 @@ class AlertManager:
         return bool(self._feeds.get(key))
 
     def feed(self, key: str) -> list[Detector]:
-        """The live list of detectors consuming ``key`` — empty until
-        :meth:`add` names the key — for a caller that observes per packet
-        and resolves the key once."""
+        """The live detector list of ``key``, for per-packet observers."""
         return self._feeds.setdefault(key, [])
 
     # -- feeding -------------------------------------------------------------
@@ -327,7 +306,11 @@ class AlertManager:
         """
         self.epoch = epoch
         for detector in self._detectors:
-            detector.restart()
+            detector._current = None
+            detector._until = float("-inf")
+            detector._breach_streak = 0
+            detector._calm_streak = 0
+            detector.state = _DetectorState.OK
         self._active.clear()
 
     # -- alert bookkeeping ---------------------------------------------------

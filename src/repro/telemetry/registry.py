@@ -147,7 +147,8 @@ class MetricFamily:
 
     ``labels(...)`` returns the instrument for a label-value tuple,
     creating it on first use. Instruments are plain objects with no
-    back-pointer, so the hot path can cache them.
+    back-pointer, so per-packet callers hold them instead of asking
+    per call (``Telemetry``'s packet-path hooks do).
     """
 
     name: str
@@ -159,13 +160,6 @@ class MetricFamily:
     _CTORS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
     def labels(self, *labelvalues: str):
-        # Fast path: callers almost always pass str values, so the raw
-        # tuple equals the normalized key and one dict probe resolves
-        # the instrument. Stored keys always have the right arity, so a
-        # hit implies the arity check would have passed.
-        instrument = self.series.get(labelvalues)
-        if instrument is not None:
-            return instrument
         if len(labelvalues) != len(self.labelnames):
             raise ValueError(
                 f"{self.name}: expected labels {self.labelnames}, "
@@ -173,8 +167,7 @@ class MetricFamily:
         key = tuple(str(v) for v in labelvalues)
         instrument = self.series.get(key)
         if instrument is None:
-            instrument = self._CTORS[self.kind]()
-            self.series[key] = instrument
+            instrument = self.series[key] = self._CTORS[self.kind]()
         return instrument
 
     def items(self):

@@ -102,10 +102,11 @@ def parent_worktree(root: Path, rev: str) -> Iterator[Path]:
             git(root, "worktree", "remove", "--force", str(path))
 
 
-def run_side(checkout: Path, command: list[str]) -> dict:
-    """One benchmark run from ``checkout``: its result line plus digest."""
-    done = subprocess.run(command, cwd=checkout, stdout=subprocess.PIPE,
-                          text=True)
+def run_side(checkout: Path, command: list[str],
+             env: dict[str, str] | None = None) -> dict:
+    """One run from ``checkout``: the JSON it prints last, plus digest."""
+    done = subprocess.run(command, cwd=checkout, env=env,
+                          stdout=subprocess.PIPE, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         raise SystemExit(f"{' '.join(command)} failed in {checkout} "
@@ -121,20 +122,14 @@ def digest_difference(parent: Path, change: Path, workload: str,
     """What the simulated results of two checkouts differ in, from one
     untraced ``bench/harness.py`` run a side (hash seed pinned as
     ``bench/run.py`` pins it)."""
-    reports = []
-    for checkout in (parent, change):
-        harness = checkout / "bench" / "harness.py"
-        if not harness.exists():
-            return f"  (no {harness.relative_to(checkout)} to ask)"
-        done = subprocess.run(
-            [sys.executable, str(harness), "--workload", workload,
-             "--seed", str(seed), "--trace", "0"], cwd=checkout,
-            env=dict(os.environ, PYTHONHASHSEED="0"),
-            stdout=subprocess.PIPE, text=True)
-        lines = done.stdout.strip().splitlines()
-        if done.returncode != 0 or not lines:
-            return f"  ({harness} failed in {checkout})"
-        reports.append(json.loads(lines[-1]))
+    harness = Path("bench") / "harness.py"
+    if not ((parent / harness).exists() and (change / harness).exists()):
+        return f"  (no {harness} to ask)"
+    command = [sys.executable, str(harness), "--workload", workload,
+               "--seed", str(seed), "--trace", "0"]
+    reports = [run_side(checkout, command,
+                        dict(os.environ, PYTHONHASHSEED="0"))
+               for checkout in (parent, change)]
     parts = ("ops", "oracle", "outcomes")
     differs = [part for part in parts
                if reports[0].get(part) != reports[1].get(part)]

@@ -157,7 +157,9 @@ def profile_all_figures(*, fast: bool = True, top: int = 10,
         "use the tables to compare the *landscape* (which functions\n"
         "dominate, call-count ratios) against a fresh profile when\n"
         "hunting a regression, not to compare absolute seconds across\n"
-        "machines or commits.\n\n")
+        "machines or commits. A row sums every code object that carries\n"
+        "its label: each dataclass `__init__` is `<string>:2`, so that\n"
+        "row is all of them (`--events LABEL` splits it by class).\n\n")
     kept = (foreign_sections(path.read_text(), parallel.JOB_ORDER)
             if path.exists() else [])
     path.write_text(header + "\n".join(sections + kept))
@@ -312,10 +314,7 @@ def count_events(label: str, *, fast: bool = True, seed: int = 42,
         for i in range(scenario.n_slices):
             scenario.step(i)
         profiler.disable()
-        measured = EventTally()
-        measured.__dict__.update(tally.__dict__)
-        tally.begin_phase()         # report() is outside the phase
-        return measured, records_by_class(profiler), scenario.report()["ops"]
+    return tally, records_by_class(profiler), scenario.report()["ops"]
 
 
 def events_report(label: str, tally: EventTally,

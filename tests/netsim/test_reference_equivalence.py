@@ -363,7 +363,7 @@ def test_ignoring_the_lead_is_caught(monkeypatch):
     # must show in what is delivered, not only in the event count.
     monkeypatch.setattr(Network, "_bump_route_epoch", mutated(
         Network, "_bump_route_epoch",
-        "flight.ingress is not None and rewind(", "False and (",
+        "flight.ingress is not None and self.loop.rewind(", "False and (",
         vars(network_module)))
     assert any(set(differing(draw_world(random.Random(seed)))) - {"events"}
                for seed in range(40))
