@@ -212,13 +212,13 @@ class EventTally:
 @contextlib.contextmanager
 def counted_events(tally: EventTally) -> Iterator[None]:
     """Count into ``tally`` everything scheduled on any ``EventLoop``,
-    by wrapping the three scheduling entry points on the class."""
+    by wrapping the scheduling entry points on the class."""
     call_at, call_later = EventLoop.call_at, EventLoop.call_later
-    call_at_coalesced = EventLoop.call_at_coalesced
+    call_at_coalesced, rewind = EventLoop.call_at_coalesced, EventLoop.rewind
 
-    def site(action: Callable) -> _Site:
+    def site(action: Callable, scheduled: int = 1) -> _Site:
         name = getattr(action, "__qualname__", type(action).__name__)
-        tally.scheduled[name] += 1
+        tally.scheduled[name] += scheduled
         return _Site(action, name, tally)
 
     def counted_call_at(self, when, action, *args):
@@ -234,14 +234,22 @@ def counted_events(tally: EventTally) -> Iterator[None]:
         tally.coalesced_entries += self._seq - entries
         return handle
 
+    def counted_rewind(self, handle, when, action, *args):
+        proxy = site(action, scheduled=0)
+        moved = rewind(self, handle, when, proxy, *args)
+        tally.scheduled[proxy.site] += moved
+        return moved
+
     EventLoop.call_at = counted_call_at
     EventLoop.call_later = counted_call_later
     EventLoop.call_at_coalesced = counted_call_at_coalesced
+    EventLoop.rewind = counted_rewind
     try:
         yield
     finally:
         EventLoop.call_at, EventLoop.call_later = call_at, call_later
         EventLoop.call_at_coalesced = call_at_coalesced
+        EventLoop.rewind = rewind
 
 
 def records_by_class(profiler: cProfile.Profile) -> collections.Counter:
