@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple, Protocol
 
 from ..telemetry import state as _telemetry
 from .bgp import LOCAL, BGPSpeaker
-from .clock import BatchHandle, EventHandle, EventLoop
+from .clock import EventHandle, EventLoop
 from .packet import Datagram
 from .topology import Link, NodeKind, Topology, link_key
 
@@ -145,7 +145,7 @@ class _InFlight:
     route: _CachedRoute
     #: When the datagram reaches (or reached) ``route.hops[0]``.
     start: float
-    handle: EventHandle | BatchHandle
+    handle: EventHandle
     #: That router, if ``send`` planned the flight (FIB read at ``start``).
     ingress: str | None = None
 
@@ -379,8 +379,7 @@ class Network:
             # Plan the whole trip: the access-link leg folds into the
             # delivery event (_bump_route_epoch unfolds it if need be).
             route = self._route_lookup(first_router, dgram.dst)
-            if route is not None and route.hops \
-                    and dgram.ip_ttl > len(route.hops):
+            if route is not None and 0 < len(route.hops) < dgram.ip_ttl:
                 self._fast_forward(route, dgram, self.loop.now + delay,
                                    first_router)
                 return
@@ -536,12 +535,8 @@ class Network:
         for delay in route.delays:
             t = t + delay
         self._inflight_seq = flight_id = self._inflight_seq + 1
-        # Same-tick floods on one cached route land on the same delivery
-        # timestamp; coalescing folds them into one heap entry (a flight
-        # planned by send keeps its own, which EventLoop.rewind can move).
-        schedule = (self.loop.call_at_coalesced if ingress is None
-                    else self.loop.call_at)
-        handle = schedule(t, self._fast_delivery_due, flight_id)
+        # One heap entry per flight, which EventLoop.rewind can move.
+        handle = self.loop.call_at(t, self._fast_delivery_due, flight_id)
         self._inflight[flight_id] = _InFlight(dgram, route, start, handle,
                                               ingress)
 

@@ -147,8 +147,7 @@ class MetricFamily:
 
     ``labels(...)`` returns the instrument for a label-value tuple,
     creating it on first use. Instruments are plain objects with no
-    back-pointer, so per-packet callers hold them instead of asking
-    per call (``Telemetry``'s packet-path hooks do).
+    back-pointer, so the hot path can cache them.
     """
 
     name: str
@@ -160,14 +159,18 @@ class MetricFamily:
     _CTORS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
     def labels(self, *labelvalues: str):
-        if len(labelvalues) != len(self.labelnames):
-            raise ValueError(
-                f"{self.name}: expected labels {self.labelnames}, "
-                f"got {labelvalues!r}")
-        key = tuple(str(v) for v in labelvalues)
-        instrument = self.series.get(key)
+        # Fast path: callers almost always pass str values, so the raw
+        # tuple is a stored key (of the right arity) and one probe ends it.
+        instrument = self.series.get(labelvalues)
         if instrument is None:
-            instrument = self.series[key] = self._CTORS[self.kind]()
+            if len(labelvalues) != len(self.labelnames):
+                raise ValueError(
+                    f"{self.name}: expected labels {self.labelnames}, "
+                    f"got {labelvalues!r}")
+            key = tuple(str(v) for v in labelvalues)
+            instrument = self.series.get(key)
+            if instrument is None:
+                instrument = self.series[key] = self._CTORS[self.kind]()
         return instrument
 
     def items(self):

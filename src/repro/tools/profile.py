@@ -35,6 +35,7 @@ from ..netsim.clock import EventLoop
 
 PROFILES_PATH = Path("docs/PROFILES.md")
 WORKLOADS_PATH = Path("bench/workloads.py")
+SCENARIO_SEED = 42   # the seed every recorded --events table was taken at
 
 
 def summed_stats(profiler: cProfile.Profile) -> pstats.Stats:
@@ -292,8 +293,8 @@ def load_scenarios(path: Path) -> dict:
     return module.SCENARIOS
 
 
-def count_events(label: str, *, fast: bool = True, seed: int = 42,
-                 workloads: Path = WORKLOADS_PATH
+def count_events(label: str, *, fast: bool = True,
+                 seed: int = SCENARIO_SEED, workloads: Path = WORKLOADS_PATH
                  ) -> tuple[EventTally, collections.Counter, int | None]:
     """Run ``label`` counting events and records; returns the tally,
     records constructed by class, and the operations done (None for a
@@ -371,12 +372,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--events", metavar="LABEL",
                         help="count events by scheduling site and records "
                              "by class for a figure label or a scenario "
-                             "of --workloads (measured phase, per "
-                             "operation)")
-    parser.add_argument("--workloads", type=Path, default=WORKLOADS_PATH,
-                        help=f"scenario file (default {WORKLOADS_PATH})")
-    parser.add_argument("--seed", type=int, default=42,
-                        help="scenario seed for --events (default 42)")
+                             f"of {WORKLOADS_PATH} at seed {SCENARIO_SEED} "
+                             "(measured phase, per operation)")
     parser.add_argument("--full", action="store_true",
                         help="profile at full (non --fast) scale")
     parser.add_argument("--top", type=int, default=None,
@@ -387,11 +384,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="pstats sort key (default cumulative)")
     args = parser.parse_args(argv)
     if args.events is not None:
-        tally, records, ops = count_events(
-            args.events, fast=not args.full, seed=args.seed,
-            workloads=args.workloads)
+        tally, records, ops = count_events(args.events, fast=not args.full)
         heading = (args.events if ops is None
-                   else f"{args.events} (seed {args.seed})")
+                   else f"{args.events} (seed {SCENARIO_SEED})")
         print(events_report(heading, tally, records, ops,
                             args.top if args.top is not None else 20))
         return 0

@@ -15,6 +15,7 @@ router, with no access link — in the instant it was sent.
 moments with each kind of change.
 """
 
+import math
 import random
 
 import pytest
@@ -29,6 +30,7 @@ from repro.netsim import (
     InternetParams,
 )
 from repro.netsim.bgp import LOCAL
+from repro.netsim.network import HOP_COST_S
 
 
 def build_world(route_cache: bool):
@@ -208,9 +210,13 @@ class TestChangeBeforeIngress:
                                  (net.send(d), loop.call_at(at, hit)))
         assert_equivalent(scenario)
 
-    def test_a_later_strike_on_the_arrival_instant_finds_it_forwarded(self):
+    @pytest.mark.parametrize("change", CHANGES)
+    def test_a_later_strike_on_the_arrival_instant_finds_it_forwarded(
+            self, change):
         """Two datagrams reach one router at one instant; a change
-        scheduled between their sends lands between their arrivals."""
+        scheduled between their sends lands between their arrivals: the
+        first was forwarded on the old state (``rewind`` refuses), the
+        second meets the new one."""
         def scenario(inet, pops, vps, loop, net):
             vp = next(v for v in vps
                       if inet.topology.attachment_router(v) not in pops)
@@ -219,12 +225,67 @@ class TestChangeBeforeIngress:
 
             def sends():
                 net.send(Datagram(src=vp, dst="acast", payload="first"))
-                loop.call_at(arrival, strike(inet, net, ingress, "no-route"))
+                loop.call_at(arrival, strike(inet, net, ingress, change))
                 net.send(Datagram(src=vp, dst="acast", payload="second"))
             loop.call_at(21.0, sends)
         deliveries, stats, _ = assert_equivalent(scenario)
-        assert [d[4] for d in deliveries] == ["first"]
-        assert stats["dropped_no_route"] == 1
+        assert deliveries[0][4] == "first"
+        if change == "no-route":
+            assert [d[4] for d in deliveries] == ["first"]
+            assert stats["dropped_no_route"] == 1
+
+
+def trip(inet, net, host, at):
+    """(delivery time, PoP) of a datagram ``host`` sends at ``at`` on clean
+    forwarding state: the float chain of ``send`` and every ``_forward``."""
+    router = inet.topology.attachment_router(host)
+    t = at + access_delay(inet, net, host)
+    while (next_hop := net.fib_entry(router, "acast")) != LOCAL:
+        t = t + (inet.topology.link(router, next_hop).latency_ms / 1000.0
+                 + HOP_COST_S)
+        router = next_hop
+    return t, router
+
+
+def send_time_for(inet, net, host, due):
+    """When ``host`` must send to be delivered at exactly ``due``."""
+    at = due - (trip(inet, net, host, 21.0)[0] - 21.0)
+    for _ in range(64):
+        got = trip(inet, net, host, at)[0]
+        if got == due:
+            return at
+        at = math.nextafter(at, math.inf if got < due else -math.inf)
+    raise AssertionError("no send time lands on the tie")
+
+
+class TestDeliveriesOnOneInstant:
+    """What the oracle promises when events share a bit-equal timestamp:
+    the same deliveries at the same times with the same counters and RNG
+    draws. Their *order within the instant* is not part of the contract —
+    hop by hop it is the order of the last hops' forwards, with the cache
+    the order the delivery events were scheduled, which for a flight
+    planned by ``send`` is the order of the sends."""
+
+    def test_two_flights_with_unequal_access_legs_tie_at_the_pop(self):
+        def scenario(inet, pops, vps, loop, net):
+            trips = {vp: trip(inet, net, vp, 21.0) for vp in vps}
+            # Two hosts of one catchment; the one further away sends first.
+            far, near = next(
+                (a, b) for a in vps for b in vps
+                if trips[a][1] == trips[b][1] and trips[a][0] > trips[b][0]
+                and access_delay(inet, net, a) != access_delay(inet, net, b))
+            later = send_time_for(inet, net, near, trips[far][0])
+            assert later > 21.0 + access_delay(inet, net, far)
+            loop.call_at(21.0, net.send,
+                         Datagram(src=far, dst="acast", payload="far"))
+            loop.call_at(later, net.send,
+                         Datagram(src=near, dst="acast", payload="near"))
+        fast = run_scenario(True, scenario)
+        slow = run_scenario(False, scenario)
+        assert sorted(fast[0]) == sorted(slow[0]) and fast[1:] == slow[1:]
+        (t_far, pop_far, *_), (t_near, pop_near, *_) = fast[0]
+        assert (t_far, pop_far) == (t_near, pop_near)
+        assert [d[4] for d in fast[0]] == ["far", "near"]    # send order
 
 
 class TestRouteCacheInternals:
