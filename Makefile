@@ -36,8 +36,8 @@ lint:
 lint-flow:
 	PYTHONPATH=$(LINT_PYTHONPATH) $(PY) -m repro.lint --flow --select FLOW001,FLOW002,FLOW003 src
 
-# Refresh the committed performance baseline (BENCH_micro.json and
-# BENCH_experiments.json at the repo root).
+# Refresh the committed performance baseline (BENCH_micro.json at the
+# repo root).
 bench:
 	PYTHONPATH=$(LINT_PYTHONPATH) $(PY) -m repro.tools.bench
 

@@ -23,7 +23,7 @@ This module automates that sequence deterministically:
 
 Engaging defenses mutates simulation behaviour by design, so
 :meth:`DefenseController.arm` refuses passive telemetry sessions
-exactly like :func:`repro.telemetry.mitigation.arm` does. A quiet armed
+(``TelemetryConfig(arm_mitigations=True)`` opts in). A quiet armed
 run schedules nothing on the loop until the first alert raise, so
 results stay byte-identical when no attack occurs.
 """
@@ -284,8 +284,8 @@ class DefenseController:
     def arm(self, telemetry: Telemetry) -> "DefenseController":
         """Attach to a session's alert callbacks.
 
-        Like :func:`repro.telemetry.mitigation.arm`, refuses passive
-        sessions: walking the ladder mutates simulator state.
+        Refuses passive sessions: walking the ladder mutates simulator
+        state.
         """
         if not telemetry.config.arm_mitigations:
             raise ValueError(

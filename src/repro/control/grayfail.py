@@ -440,9 +440,7 @@ class GrayFailController:
         for track in self.tracks.values():
             machine = track.target.machine
             if track.lease_held:
-                renew = getattr(self.coordinator, "renew", None)
-                if renew is not None:
-                    renew(machine.machine_id)
+                self.coordinator.renew(machine.machine_id)
                 if track.verdict is Verdict.CONVICTED \
                         and machine.state is MachineState.SUSPENDED \
                         and track.suspended_at is not None \

@@ -346,7 +346,7 @@ class RolloutCoordinator:
 
     def rollback_origin(self, origin: Name, *,
                         reason: str = "external trigger") -> bool:
-        """Roll back an origin on an external signal (mitigation arm).
+        """Roll back an origin on an external signal (operator trigger).
 
         An active canary release is rolled back in place. With no
         release in flight, the last-known-good version is republished

@@ -77,26 +77,6 @@ class Name:
         return obj
 
     @classmethod
-    def intern(cls, labels: tuple[bytes, ...]) -> "Name":
-        """A shared instance for already-validated ``labels``.
-
-        Flyweight constructor: equal label tuples map to one shared
-        ``Name``, so downstream dict probes (zone trees, route caches,
-        resolver caches) hit the identity short-circuit instead of
-        calling ``__eq__``. Safe because Name is immutable and the memo
-        is a pure function of its key (FLOW003-safe like the parse
-        cache); bounded so unbounded distinct names cannot grow it
-        without limit.
-        """
-        cached = _INTERN.get(labels)
-        if cached is None:
-            cached = cls._from_validated(labels)
-            if len(_INTERN) >= _INTERN_MAX:
-                _INTERN.clear()  # reprolint: disable=FLOW003
-            _INTERN[labels] = cached  # reprolint: disable=FLOW003
-        return cached
-
-    @classmethod
     def from_wire_labels(cls, labels: tuple[bytes, ...],
                          wire_len: int) -> "Name":
         """The name a wire decoder parsed: ``labels`` already bounds-checked

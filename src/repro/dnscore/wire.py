@@ -80,9 +80,6 @@ class WireWriter:
     def write_u32(self, value: int) -> None:
         self.buf += _U32.pack(value)
 
-    def write_bytes(self, data: bytes) -> None:
-        self.buf += data
-
     def write_name(self, name: Name) -> None:
         """Write ``name``, emitting a compression pointer where possible."""
         if not self._compress:
@@ -169,9 +166,6 @@ class WireReader:
 
     def read_u16(self) -> int:
         return self.unpack(_U16)[0]
-
-    def read_u32(self) -> int:
-        return self.unpack(_U32)[0]
 
     def read_name(self) -> Name:
         """Parse a possibly compressed name starting at the cursor.

@@ -76,8 +76,6 @@ def _to_json(result: LintResult) -> dict[str, object]:
                          if f.severity is Severity.ERROR),
             "warning": sum(1 for f in findings
                            if f.severity is Severity.WARNING),
-            "advice": sum(1 for f in findings
-                          if f.severity is Severity.ADVICE),
             "grandfathered": len(result.grandfathered),
             "stale_baseline": len(result.stale_baseline),
         },
@@ -91,13 +89,8 @@ def _render_human(result: LintResult) -> str:
     for fp in result.stale_baseline:
         lines.append(f"baseline: entry {fp} no longer matches any "
                      f"finding; prune it with --update-baseline")
-    advisory = sum(1 for f in result.all_new_findings
-                   if f.severity is Severity.ADVICE)
-    blocking = len(result.all_new_findings) - advisory
     summary = (f"reprolint: {result.files_checked} files, "
-               f"{blocking} finding(s)")
-    if advisory:
-        summary += f", {advisory} advisory"
+               f"{len(result.all_new_findings)} finding(s)")
     if result.grandfathered:
         summary += f", {len(result.grandfathered)} grandfathered"
     if result.stale_baseline:

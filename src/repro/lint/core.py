@@ -17,12 +17,8 @@ from dataclasses import dataclass, field
 
 
 class Severity(str, enum.Enum):
-    """Finding severity. ``WARNING`` and ``ERROR`` fail the lint run;
-    ``ADVICE`` findings are printed but never affect the exit code —
-    they exist for hygiene rules (PERF001) whose violations need a
-    human judgment call, not a build break."""
+    """Finding severity; both fail the lint run."""
 
-    ADVICE = "advice"
     WARNING = "warning"
     ERROR = "error"
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .baseline import Baseline
-from .core import Finding, ModuleContext, Rule, Severity
+from .core import Finding, ModuleContext, Rule
 from .rules import ALL_RULES
 from .suppress import parse_suppressions
 
@@ -50,11 +50,7 @@ class LintResult:
 
     @property
     def clean(self) -> bool:
-        """No blocking findings: advisory-severity findings (PERF001)
-        are reported but never fail the run."""
-        if self.parse_errors:
-            return False
-        return all(f.severity is Severity.ADVICE for f in self.findings)
+        return not self.findings and not self.parse_errors
 
 
 def iter_python_files(paths: list[str | Path]) -> list[Path]:

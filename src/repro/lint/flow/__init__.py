@@ -15,10 +15,6 @@ hold *between* components, which is where distributed-DNS bugs live:
   experiment work unit mutates module-level state, the property that
   keeps ``--jobs 1`` and ``--jobs N`` byte-identical (allowlisting the
   guarded ``telemetry.state`` session pattern).
-* **PERF001** (:mod:`.perf`, advisory) — no ``Message``/``Name``
-  construction reachable from the FLOW002 hot roots outside the
-  protocol substrate itself, so future changes don't silently re-fatten
-  the query fast lane. Advisory findings print but never fail the run.
 
 All three emit standard :class:`~repro.lint.core.Finding` objects
 carrying a **call-chain witness** (entry point -> ... -> offending
@@ -37,7 +33,6 @@ from ..core import Finding, ModuleContext, Severity
 from ..suppress import parse_suppressions
 from .graph import ProjectModel, build_model, module_name_for
 from .parallel import check_parallel_safety
-from .perf import check_hot_construction
 from .purity import check_hot_path_purity
 from .rng import check_rng_provenance
 
@@ -90,20 +85,6 @@ class FlowConfig:
     #: Modules whose module-level state is a sanctioned, guarded
     #: session pattern (writes to or inside them are FLOW003-exempt).
     state_allowlist: tuple[str, ...] = ("repro.telemetry.state",)
-    #: ``module:qualname`` ids whose construction PERF001 flags when
-    #: reachable from a hot root — the protocol objects the response
-    #: fast lane exists to avoid building per query.
-    perf_costly: tuple[str, ...] = (
-        "repro.dnscore.message:Message",
-        "repro.dnscore.message:Flags",
-        "repro.dnscore.message:make_query",
-        "repro.dnscore.message:make_response",
-        "repro.dnscore.name:Name",
-        "repro.dnscore.name:name",
-    )
-    #: Module prefixes exempt from PERF001: the protocol substrate
-    #: itself (whose job is constructing these objects).
-    perf_exempt: tuple[str, ...] = ("repro.dnscore.",)
 
 
 DEFAULT_CONFIG = FlowConfig()
@@ -149,22 +130,10 @@ class ParallelSafetyRule(FlowRule):
                    "telemetry.state session pattern is allowlisted).")
 
 
-class PerfHotConstructionRule(FlowRule):
-    code = "PERF001"
-    name = "hot-path-construction"
-    severity = Severity.ADVICE
-    description = ("Whole-program advisory: Message/Name construction "
-                   "reachable from the FLOW002 hot roots re-fattens "
-                   "the query fast lane — serve from the plan cache / "
-                   "flyweights or acknowledge the site inline. "
-                   "Advisory findings never fail the run.")
-
-
 FLOW_RULES: tuple[type[FlowRule], ...] = (
     RngProvenanceRule,
     HotPathPurityRule,
     ParallelSafetyRule,
-    PerfHotConstructionRule,
 )
 
 FLOW_CODES: tuple[str, ...] = tuple(r.code for r in FLOW_RULES)
@@ -192,10 +161,6 @@ def analyze(contexts: list[ModuleContext],
     if ParallelSafetyRule.code in wanted:
         findings.extend(check_parallel_safety(
             model, config.workunit_roots, config.state_allowlist))
-    if PerfHotConstructionRule.code in wanted:
-        findings.extend(check_hot_construction(
-            model, config.hot_roots, config.perf_costly,
-            config.perf_exempt))
     # Inline suppressions, by offending file and line.
     suppression_maps = {}
     kept: list[Finding] = []
@@ -219,7 +184,6 @@ __all__ = [
     "FlowRule",
     "HotPathPurityRule",
     "ParallelSafetyRule",
-    "PerfHotConstructionRule",
     "ProjectModel",
     "RngProvenanceRule",
     "analyze",

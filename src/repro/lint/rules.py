@@ -17,8 +17,8 @@ Three families, mirroring the determinism contract in
 * ``ROB0xx`` — robustness discipline: zone updates go through the
   guarded install seam (validator + last-known-good retention), never
   straight into a ``ZoneStore``; mitigations engage through the
-  alert-driven paths (``telemetry.mitigation.arm``, the
-  ``control.defense`` ladder), never by direct ``engage()`` calls;
+  alert-driven ``control.defense`` ladder, never by direct
+  ``engage()`` calls;
   machine suspend/resume verdicts route through the quorum
   suspension lease (``control.consensus``), never by direct
   ``suspend()``/``resume()`` calls.
@@ -482,37 +482,29 @@ class ZoneInstallRule(Rule):
         self.generic_visit(node)
 
 
-#: The modules allowed to drive mitigations directly: the alert-bound
-#: mitigator arms themselves, and the defense ladder's controller
-#: (which owns hysteresis, soak, ordering, and the collateral-damage
-#: guardrail).
+#: The module allowed to drive mitigations directly: the defense
+#: ladder's controller (which owns hysteresis, soak, ordering, and the
+#: collateral-damage guardrail).
 _ENGAGE_EXEMPT = (
     "src/repro/control/defense.py",
-    "src/repro/telemetry/mitigation.py",
 )
 
+
 #: Receiver names that identify a mitigation-engage call site.
-_MITIGATOR_NAMES = frozenset({"mitigator", "arm", "rung"})
-
-
-def _is_mitigator_name(identifier: str) -> bool:
-    return (identifier in _MITIGATOR_NAMES
-            or identifier.endswith("_mitigator")
-            or identifier.endswith("_arm")
-            or identifier.endswith("_rung"))
+def _is_rung_name(identifier: str) -> bool:
+    return identifier == "rung" or identifier.endswith("_rung")
 
 
 class MitigatorEngageRule(Rule):
     code = "ROB002"
     name = "unguarded-mitigation-engage"
     severity = Severity.ERROR
-    description = ("Direct Mitigator/DefenseRung engage() calls skip the "
-                   "hysteresis, soak ordering, symmetric unwind and "
+    description = ("Direct DefenseRung engage()/disengage() calls skip "
+                   "the hysteresis, soak ordering, symmetric unwind and "
                    "collateral-damage guardrail that keep mitigations "
                    "from flapping or getting stuck; drive them through "
-                   "telemetry.mitigation.arm or control.defense."
-                   "DefenseController. Legitimate test/bootstrap sites "
-                   "carry an inline suppression.")
+                   "control.defense.DefenseController. Legitimate "
+                   "test/bootstrap sites carry an inline suppression.")
     scopes = ("src/repro/", "tests/", "benchmarks/")
 
     @classmethod
@@ -526,19 +518,19 @@ class MitigatorEngageRule(Rule):
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
         if (isinstance(func, ast.Attribute)
-                and func.attr in ("engage", "stand_down")):
+                and func.attr in ("engage", "disengage")):
             receiver = func.value
-            is_mitigator = (
+            is_rung = (
                 (isinstance(receiver, ast.Name)
-                 and _is_mitigator_name(receiver.id))
+                 and _is_rung_name(receiver.id))
                 or (isinstance(receiver, ast.Attribute)
-                    and _is_mitigator_name(receiver.attr)))
-            if is_mitigator:
+                    and _is_rung_name(receiver.attr)))
+            if is_rung:
                 self.report(node, f"direct mitigation `{func.attr}()` "
                                   f"bypasses the alert-driven engage "
                                   f"path (hysteresis, soak, guardrail); "
-                                  f"arm it via telemetry.mitigation.arm "
-                                  f"or control.defense.DefenseController")
+                                  f"arm it via "
+                                  f"control.defense.DefenseController")
         self.generic_visit(node)
 
 

@@ -93,8 +93,5 @@ class GeoModel:
         region = self.pick_region()
         return region, self.point_in_region(region)
 
-    def region_center(self, region: str) -> GeoPoint:
-        return self._centers[region]
-
     def regions(self) -> list[str]:
         return list(self._names)

@@ -587,8 +587,7 @@ class Network:
         self.stats.delivered += 1
         self._trace_delivery(dgram, self.loop.now + latency,
                              len(dgram.hops))
-        self.loop.call_later_coalesced(latency, endpoint.handle_datagram,
-                                       dgram)
+        self.loop.call_later(latency, endpoint.handle_datagram, dgram)
 
     # -- link view and unicast shortest paths --------------------------------
 

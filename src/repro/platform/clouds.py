@@ -119,9 +119,6 @@ class DelegationAssigner:
     def assignment(self, enterprise_id: str) -> tuple[int, ...] | None:
         return self._assigned.get(enterprise_id)
 
-    def assigned_count(self) -> int:
-        return len(self._used)
-
     def overlap(self, enterprise_a: str, enterprise_b: str) -> int:
         """How many clouds two enterprises share."""
         a = self._assigned[enterprise_a]

@@ -707,10 +707,5 @@ class AkamaiDNSDeployment:
         return None
 
 
-def _copy_config(config: MachineConfig) -> MachineConfig:
-    return MachineConfig(**{f: getattr(config, f)
-                            for f in MachineConfig.__dataclass_fields__})
-
-
 def _vars_slots(obj) -> dict:
     return {f: getattr(obj, f) for f in obj.__dataclass_fields__}

@@ -335,7 +335,6 @@ class RecursiveResolver:
                     if self.send_ecs_for is not None else None))
         # An upstream query has a fresh msg_id and per-resolution
         # target; nothing to reuse.
-        # reprolint: disable-next=PERF001
         query = make_query(msg_id, resolution.target, resolution.qtype,
                            edns=edns)
         port = (self.fixed_source_port if self.fixed_source_port is not None

@@ -111,7 +111,6 @@ class ResolverService:
                rcode: RCode, answers) -> None:
         # Client replies carry per-query answers assembled from the
         # resolver cache.
-        # reprolint: disable-next=PERF001
         response = make_response(query, rcode, aa=False)
         response.flags.ra = True
         for rrset in answers:

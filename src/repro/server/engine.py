@@ -380,17 +380,14 @@ class AuthoritativeEngine:
                       client_key: str | None = None) -> Message:
         """The slow path: full zone walk, populating the plan caches."""
         if query.flags.opcode != Opcode.QUERY:
-            # reprolint: disable-next=PERF001 - error paths are cold
             return self._finish(query, make_response(
                 query, RCode.NOTIMP, aa=False))
         try:
             question = query.question
         except Exception:
-            # reprolint: disable-next=PERF001 - error paths are cold
             return self._finish(query, make_response(
                 query, RCode.FORMERR, aa=False))
         if question.qclass != RClass.IN:
-            # reprolint: disable-next=PERF001 - error paths are cold
             return self._finish(query, make_response(
                 query, RCode.REFUSED, aa=False))
         if query.edns is not None and query.edns.client_subnet is not None:
@@ -398,7 +395,6 @@ class AuthoritativeEngine:
 
         zone = self.store.find(question.qname)
         if zone is None:
-            # reprolint: disable-next=PERF001 - error paths are cold
             return self._finish(query, make_response(
                 query, RCode.REFUSED, aa=False))
 
@@ -410,7 +406,6 @@ class AuthoritativeEngine:
 
         # The slow path's job is assembly; its product populates the
         # plan cache below.
-        # reprolint: disable-next=PERF001
         response = make_response(query, RCode.NOERROR, aa=True)
         cacheable = self.plan_cache_enabled
 

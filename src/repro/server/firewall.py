@@ -70,15 +70,15 @@ class QoDFirewall:
                      now: float) -> QoDSignature:
         """Install an expiring drop rule for the query's shape.
 
-        Used by the crash-dump path above and by alert-driven mitigation
-        (:mod:`repro.telemetry.mitigation`).
+        Used by the crash-dump path above and by the defense ladder's
+        firewall rung (:mod:`repro.control.defense`).
         """
         signature = QoDSignature.for_query(qname, qtype)
         self._rules[signature] = now + self.t_qod
         return signature
 
     def remove_rule(self, signature: QoDSignature) -> None:
-        """Withdraw a rule early (mitigation stand-down)."""
+        """Withdraw a rule early (the firewall rung disengaging)."""
         self._rules.pop(signature, None)
 
     def should_drop(self, qname: Name, qtype: RType, now: float) -> bool:

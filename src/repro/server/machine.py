@@ -566,7 +566,6 @@ class NameserverMachine:
         if self.fault == "wrong_answer":
             # ``respond_probe`` may return a plan's shared Message —
             # degrade a fresh copy instead of mutating it.
-            # reprolint: disable-next=PERF001 - fault injection is cold
             degraded = make_response(message, RCode.SERVFAIL)
             degraded.flags.aa = response.flags.aa
             return degraded

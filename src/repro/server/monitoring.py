@@ -33,6 +33,9 @@ class SuspensionCoordinator(Protocol):
     def release_suspension(self, machine_id: str) -> None:
         """The machine resumed; free its suspension slot."""
 
+    def renew(self, machine_id: str) -> bool:
+        """Extend the machine's lease; False if it holds none."""
+
 
 @dataclass(slots=True)
 class AgentMetrics:
@@ -180,9 +183,7 @@ class MonitoringAgent:
         if self._suspended_by_agent and self.coordinator is not None:
             # Keep the suspension lease alive while we hold the slot, so
             # the platform-wide concurrency bound stays accurate.
-            renew = getattr(self.coordinator, "renew", None)
-            if renew is not None:
-                renew(machine.machine_id)
+            self.coordinator.renew(machine.machine_id)
         if machine.state == MachineState.CRASHED:
             if not self._withdrew_for_crash:
                 self._on_crash(machine)

@@ -14,16 +14,17 @@ four layers:
   JSON, and an ASCII dashboard;
 * an **alerting pipeline** (:mod:`.alerts`) — rolling-window detectors
   (QPS spike, NXDOMAIN ratio, SERVFAIL rate, queue depth) that raise
-  typed :class:`~.alerts.Alert` objects and can arm mitigations
-  (:mod:`.mitigation`), closing the paper's detect -> mitigate loop.
+  typed :class:`~.alerts.Alert` objects; the defense ladder
+  (:mod:`repro.control.defense`) subscribes to them, closing the
+  paper's detect -> mitigate loop.
 
 Determinism contract (stronger than "seeded"): with a fixed telemetry
 seed, every export is bit-reproducible, **and** enabling telemetry does
 not change any simulation result — hooks never schedule events on the
 sim loop, never draw from simulation RNG streams, and never mutate sim
-state (mitigation arming is opt-in and off by default). When no session
-is active the entire subsystem costs one ``is not None`` guard per hook
-site (see :mod:`.state`).
+state (arming the defense ladder is opt-in and off by default). When no
+session is active the entire subsystem costs one ``is not None`` guard
+per hook site (see :mod:`.state`).
 """
 
 from __future__ import annotations
@@ -63,9 +64,9 @@ class TelemetryConfig:
     trace_sample_rate: float = 0.01
     #: Bound on retained spans/instants (overflow is counted, not kept).
     max_spans: int = 50_000
-    #: When False, alert callbacks that would mutate simulator state
-    #: (mitigation arming) are not invoked. Off by default so an
-    #: observing session can never change results.
+    #: When False, ``DefenseController.arm`` refuses the session, so no
+    #: alert callback that would mutate simulator state is attached.
+    #: Off by default so an observing session can never change results.
     arm_mitigations: bool = False
 
 

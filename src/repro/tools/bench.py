@@ -1,19 +1,12 @@
 """Tracked performance baseline: ``python -m repro.tools.bench``.
 
-Writes two committed artifacts at the repository root:
-
-* ``BENCH_micro.json`` — microbenchmarks of the simulator core: event
-  loop throughput, route-cached vs hop-by-hop anycast forwarding, and
-  the O(1) ``pending`` counter. Ratio metrics (under ``"metrics"``) are
-  hardware-independent and gate CI; absolute throughput (under
-  ``"info"``) varies with the host and is tracked for local comparison
-  only.
-* ``BENCH_experiments.json`` — per-figure wall time of
-  ``runner --fast`` plus the speedup against the recorded
-  pre-optimization baseline, stamped with the recording host's machine
-  profile. Overwriting it from a different machine class fails loudly
-  (``--reanchor`` accepts the new host), because the speedup compares
-  wall times that only mean something within one machine class.
+Writes ``BENCH_micro.json`` at the repository root — microbenchmarks of
+the simulator core: event loop throughput, route-cached vs hop-by-hop
+anycast forwarding, and the O(1) ``pending`` counter. Ratio metrics
+(under ``"metrics"``) are hardware-independent and gate CI; absolute
+throughput (under ``"info"``) varies with the host and is tracked for
+local comparison only. Figure wall times are not recorded here:
+``bench/run.py --figures-ledger`` times every figure per layer.
 
 ``--check`` re-runs the microbenchmarks and fails (exit 1) when any
 gated metric regresses more than ``--tolerance`` (default 30%) against
@@ -30,8 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import random
 import sys
 import time
@@ -46,21 +37,6 @@ from ..netsim.packet import Datagram
 from ..netsim.topology import Link, Node, NodeKind, Topology
 
 MICRO_PATH = Path("BENCH_micro.json")
-EXPERIMENTS_PATH = Path("BENCH_experiments.json")
-
-#: ``runner --fast`` wall times (seconds) measured at the commit before
-#: the fast-path work (reprolint seed, single process, reference dev
-#: container). The speedup figures in BENCH_experiments.json are
-#: relative to this recording.
-PRE_OPT_BASELINE = {
-    "total_s": 39.8,
-    "per_figure_s": {
-        "fig1": 0.0, "fig2": 0.3, "fig3": 2.2, "fig4": 0.1, "fig8": 1.5,
-        "fig9": 0.0, "fig10": 9.6, "fig11": 0.3, "fig12": 0.3,
-        "taxonomy": 7.5, "anycast-quality": 0.1, "enduser": 0.7,
-        "resilience": 1.7, "text": 16.4,
-    },
-}
 
 
 def _now() -> float:
@@ -277,27 +253,6 @@ def bench_observer_tap(n_queries: int = 10_000) -> tuple[float, float]:
             _respond_seconds(queries, armed_engine))
 
 
-def bench_flood_delivery(coalesce: bool, n_packets: int = 20_000) -> float:
-    """Best-of-3 seconds for the event loop to take and fire a same-tick
-    burst of deliveries — the shape where coalescing collapses heap
-    churn — against plain ``call_at``, which ``Network`` no longer
-    offers as an alternative."""
-
-    def one_run() -> float:
-        loop = EventLoop()
-        got: list[int] = []
-        schedule = loop.call_at_coalesced if coalesce else loop.call_at
-        started = _now()
-        for i in range(n_packets):
-            schedule(1.0, got.append, i)
-        loop.run()
-        elapsed = _now() - started
-        assert len(got) == n_packets
-        return elapsed
-
-    return _best_of(one_run)
-
-
 def bench_telemetry(n_queries: int = 8_000) -> tuple[float, float]:
     """(disabled, enabled) seconds for a hot instrumented machine path.
 
@@ -455,8 +410,6 @@ def run_micro() -> dict:
     respond_cached = bench_respond(plan_cache=True)
     probe_cached = bench_probe()
     flood_pps = bench_nxdomain_flood()
-    delivery_plain = bench_flood_delivery(coalesce=False)
-    delivery_coalesced = bench_flood_delivery(coalesce=True)
     tap_bare, tap_armed = bench_observer_tap()
     telemetry_off, telemetry_on = bench_telemetry()
     signed_do0, signed_do1 = bench_signed_respond()
@@ -468,8 +421,6 @@ def run_micro() -> dict:
             "route_cache_speedup": round(uncached / cached, 3),
             "respond_cached_speedup": round(
                 respond_uncached / respond_cached, 3),
-            "flood_coalesce_speedup": round(
-                delivery_plain / delivery_coalesced, 3),
             "pending_cost_ratio_20000_vs_50": round(
                 bench_pending_ratio(), 3),
             "telemetry_enabled_overhead_ratio": round(
@@ -507,7 +458,6 @@ def run_micro() -> dict:
 _GATED = {
     "route_cache_speedup": "higher",
     "respond_cached_speedup": "higher",
-    "flood_coalesce_speedup": "higher",
     "pending_cost_ratio_20000_vs_50": "lower",
     "telemetry_enabled_overhead_ratio": "lower",
     "signed_respond_overhead_ratio": "lower",
@@ -538,74 +488,6 @@ def check_micro(committed: dict, fresh: dict, tolerance: float) -> list[str]:
     return failures
 
 
-# -- experiment suite timing --------------------------------------------------
-
-
-def machine_profile() -> dict:
-    """Identity of the host the wall times were recorded on.
-
-    Speedups in BENCH_experiments.json compare wall times across
-    commits, which is only meaningful on one machine class; the profile
-    makes a cross-machine comparison fail loudly instead of silently
-    producing a bogus speedup.
-    """
-    return {
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "machine": platform.machine(),
-        "system": platform.system(),
-        "cpus": os.cpu_count(),
-    }
-
-
-def check_machine_drift(recorded: dict) -> list[str]:
-    """Mismatch messages between this host and the recorded profile."""
-    want = recorded.get("machine")
-    if want is None:
-        return []    # pre-guard recording: nothing to compare
-    live = machine_profile()
-    return [f"machine profile drift: {key} is {live.get(key)!r}, "
-            f"recorded on {want.get(key)!r}"
-            for key in want if live.get(key) != want.get(key)]
-
-
-def run_experiments(repeats: int = 3) -> dict:
-    """Time the fast suite; best (minimum) of ``repeats`` full runs.
-
-    Single-run suite times swing with host-level contention the guest
-    cannot see (same code measured 20% apart minutes apart), so — like
-    the micro benchmarks' ``_best_of`` — the recorded figure is the
-    minimum, the run least polluted by noise. Per-figure times come
-    from the same run that produced the winning total.
-    """
-    from ..experiments import parallel
-
-    best_total: float | None = None
-    best_figures: dict[str, float] = {}
-    for _ in range(repeats):
-        per_figure: dict[str, float] = {}
-        last = [_now()]
-
-        def progress(label: str, _result) -> None:
-            now = _now()
-            per_figure[label] = round(now - last[0], 2)
-            last[0] = now
-
-        started = _now()
-        parallel.run_serial(True, progress)
-        total = round(_now() - started, 2)
-        if best_total is None or total < best_total:
-            best_total = total
-            best_figures = per_figure
-    baseline_total = PRE_OPT_BASELINE["total_s"]
-    return {
-        "machine": machine_profile(),
-        "baseline": PRE_OPT_BASELINE,
-        "current": {"total_s": best_total, "per_figure_s": best_figures},
-        "speedup": round(baseline_total / best_total, 2),
-    }
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--check", action="store_true",
@@ -615,27 +497,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--tolerance", type=float, default=0.30,
                         help="allowed fractional regression for --check "
                              "(default 0.30)")
-    parser.add_argument("--skip-experiments", action="store_true",
-                        help="only run the microbenchmarks")
-    parser.add_argument("--reanchor", action="store_true",
-                        help="accept a machine-profile change and "
-                             "re-record BENCH_experiments.json on this "
-                             "host (wall times are only comparable "
-                             "within one machine class)")
     args = parser.parse_args(argv)
-
-    if not args.skip_experiments and EXPERIMENTS_PATH.exists():
-        recorded = json.loads(EXPERIMENTS_PATH.read_text())
-        drift = check_machine_drift(recorded)
-        if drift and not args.reanchor:
-            for line in drift:
-                print(f"ERROR {line}", file=sys.stderr)
-            print("refusing to overwrite BENCH_experiments.json from a "
-                  "different machine class; its speedup would compare "
-                  "wall times across hosts. Re-run with --reanchor to "
-                  "accept this host as the new reference.",
-                  file=sys.stderr)
-            return 1
 
     fresh = run_micro()
     if args.check:
@@ -653,13 +515,6 @@ def main(argv: list[str] | None = None) -> int:
 
     MICRO_PATH.write_text(json.dumps(fresh, indent=2) + "\n")
     print(f"wrote {MICRO_PATH}: {json.dumps(fresh['metrics'])}")
-    if not args.skip_experiments:
-        experiments = run_experiments()
-        EXPERIMENTS_PATH.write_text(
-            json.dumps(experiments, indent=2) + "\n")
-        print(f"wrote {EXPERIMENTS_PATH}: "
-              f"{experiments['current']['total_s']}s "
-              f"({experiments['speedup']}x vs recorded baseline)")
     return 0
 
 

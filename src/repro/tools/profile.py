@@ -168,12 +168,7 @@ def profile_all_figures(*, fast: bool = True, top: int = 10,
 
 
 class _Site:
-    """A scheduled action that counts itself when it fires.
-
-    Equal to another proxy of an equal action, because
-    ``call_at_coalesced`` batches consecutive schedules of the *same*
-    action and must keep doing so while counted.
-    """
+    """A scheduled action that counts itself when it fires."""
 
     __slots__ = ("action", "site", "tally")
 
@@ -187,12 +182,6 @@ class _Site:
         self.tally.fired[self.site] += 1
         return self.action(*args)
 
-    def __eq__(self, other) -> bool:
-        return type(other) is _Site and self.action == other.action
-
-    def __hash__(self) -> int:
-        return hash(self.action)
-
 
 class EventTally:
     """Events by scheduling site (``action.__qualname__``), over the
@@ -205,9 +194,6 @@ class EventTally:
     def begin_phase(self) -> None:
         self.scheduled: collections.Counter = collections.Counter()
         self.fired: collections.Counter = collections.Counter()
-        #: ``call_at_coalesced`` calls, and the heap entries they made.
-        self.coalesced_members = 0
-        self.coalesced_entries = 0
 
 
 @contextlib.contextmanager
@@ -215,7 +201,7 @@ def counted_events(tally: EventTally) -> Iterator[None]:
     """Count into ``tally`` everything scheduled on any ``EventLoop``,
     by wrapping the scheduling entry points on the class."""
     call_at, call_later = EventLoop.call_at, EventLoop.call_later
-    call_at_coalesced, rewind = EventLoop.call_at_coalesced, EventLoop.rewind
+    rewind = EventLoop.rewind
 
     def site(action: Callable, scheduled: int = 1) -> _Site:
         name = getattr(action, "__qualname__", type(action).__name__)
@@ -228,13 +214,6 @@ def counted_events(tally: EventTally) -> Iterator[None]:
     def counted_call_later(self, delay, action, *args):
         return call_later(self, delay, site(action), *args)
 
-    def counted_call_at_coalesced(self, when, action, arg):
-        entries = self._seq
-        handle = call_at_coalesced(self, when, site(action), arg)
-        tally.coalesced_members += 1
-        tally.coalesced_entries += self._seq - entries
-        return handle
-
     def counted_rewind(self, handle, when, action, *args):
         proxy = site(action, scheduled=0)
         moved = rewind(self, handle, when, proxy, *args)
@@ -243,13 +222,11 @@ def counted_events(tally: EventTally) -> Iterator[None]:
 
     EventLoop.call_at = counted_call_at
     EventLoop.call_later = counted_call_later
-    EventLoop.call_at_coalesced = counted_call_at_coalesced
     EventLoop.rewind = counted_rewind
     try:
         yield
     finally:
         EventLoop.call_at, EventLoop.call_later = call_at, call_later
-        EventLoop.call_at_coalesced = call_at_coalesced
         EventLoop.rewind = rewind
 
 
@@ -351,9 +328,7 @@ def events_report(label: str, tally: EventTally,
     for name in sites:
         out.append(f"| `{name}` | {tally.scheduled[name]:,} | "
                    f"{tally.fired[name]:,} |{per_op(tally.fired[name])}")
-    out += ["", f"`call_at_coalesced`: {tally.coalesced_members:,} members "
-                f"in {tally.coalesced_entries:,} heap entries.", "",
-            f"| record class | constructed {unit}|", f"|---|---:|{rule}"]
+    out += ["", f"| record class | constructed {unit}|", f"|---|---:|{rule}"]
     for name, count in sorted(records.items(),
                               key=lambda kv: (-kv[1], kv[0]))[:top]:
         out.append(f"| `{name}` | {count:,} |{per_op(count)}")

@@ -104,6 +104,7 @@ class TestArming:
 
     def test_passive_session_refuses_arming(self):
         loop = EventLoop()
+        assert Telemetry().config.arm_mitigations is False     # the default
         telemetry = Telemetry(TelemetryConfig(arm_mitigations=False))
         controller = DefenseController(loop, [RecordingRung("r", [])])
         with pytest.raises(ValueError):

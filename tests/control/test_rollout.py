@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from repro.control.pubsub import CDN_CHANNEL, MetadataBus
 from repro.control.rollout import (
     RolloutCoordinator,
@@ -30,8 +28,6 @@ from repro.server import (
 )
 from repro.telemetry import Telemetry, TelemetryConfig
 from repro.telemetry import state as telemetry_state
-from repro.telemetry.alerts import AlertSeverity, RatioDetector
-from repro.telemetry.mitigation import RollbackArm, arm
 
 ORIGIN = name("r.example")
 PARAMS = RolloutParams(soak_seconds=30.0, check_period=1.0)
@@ -181,29 +177,6 @@ class TestExternalRollback:
     def test_no_last_known_good_returns_false(self):
         train = Train()
         assert not train.coordinator.rollback_origin(name("unknown.test"))
-
-    def test_rollback_arm_bridges_alert_to_rollback(self):
-        train = Train()
-        telemetry = Telemetry(TelemetryConfig(arm_mitigations=True,
-                                              trace_sample_rate=0.0))
-        detector = RatioDetector("zone-servfail", window=2.0,
-                                 threshold=0.5, min_count=2,
-                                 severity=AlertSeverity.CRITICAL)
-        telemetry.alerts.add(detector, "edge.servfail")
-        mitigator = RollbackArm("zone-servfail", train.coordinator, ORIGIN)
-        arm(telemetry, mitigator)
-        for t in (0.5, 1.0, 1.5, 2.5):
-            telemetry.alerts.observe("edge.servfail", t, 1.0)
-        assert mitigator.engaged == 1
-        assert mitigator.rollbacks_triggered == 1
-        assert train.coordinator.rollbacks == 1
-
-    def test_arming_requires_opt_in(self):
-        train = Train()
-        telemetry = Telemetry(TelemetryConfig(trace_sample_rate=0.0))
-        with pytest.raises(ValueError):
-            arm(telemetry,
-                RollbackArm("any", train.coordinator, ORIGIN))
 
 
 class TestProbeTargets:

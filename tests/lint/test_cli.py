@@ -47,7 +47,7 @@ class TestJsonOutput:
         assert payload["version"] == JSON_SCHEMA_VERSION
         assert payload["files_checked"] == 2
         assert set(payload["counts"]) == {
-            "error", "warning", "advice", "grandfathered",
+            "error", "warning", "grandfathered",
             "stale_baseline"}
         assert payload["counts"]["error"] == 1
         finding = payload["findings"][0]

@@ -178,65 +178,6 @@ class TestParallelSafety:
                                   "parflow.state:activate")
 
 
-def perf_config(roots, exempt=()):
-    return FlowConfig(packages=("perfflow",), rng_exempt=(),
-                      hot_roots=roots, workunit_roots=(),
-                      state_allowlist=(),
-                      perf_costly=("perfflow.dnslike:Message",
-                                   "perfflow.dnslike:make_query"),
-                      perf_exempt=exempt)
-
-
-class TestHotPathConstruction:
-    def findings(self, roots=("perfflow.engine:Engine.respond",),
-                 exempt=("perfflow.dnslike.",)):
-        return analyze(load_contexts("perfflow"),
-                       config=perf_config(roots, exempt))
-
-    def test_direct_and_chained_construction_flagged(self):
-        found = self.findings()
-        assert {f.code for f in found} == {"PERF001"}
-        labels = sorted(f.message.split("`")[1] for f in found)
-        assert labels == ["Message", "make_query"]
-        assert all(f.path == "src/perfflow/engine.py" for f in found)
-
-    def test_witness_spans_the_call_chain(self):
-        found = self.findings()
-        chained = next(f for f in found if "make_query" in f.message)
-        assert chained.witness == ("perfflow.engine:Engine.respond",
-                                   "perfflow.engine:Engine._build")
-
-    def test_advisory_severity(self):
-        for finding in self.findings():
-            assert finding.severity is Severity.ADVICE
-
-    def test_cold_path_not_flagged(self):
-        found = self.findings()
-        contexts = {c.path: c for c in load_contexts("perfflow")}
-        engine = contexts["src/perfflow/engine.py"].source_lines
-        cold = next(i for i, t in enumerate(engine, 1)
-                    if "Message(99)" in t)
-        assert not any(f.line == cold for f in found)
-
-    def test_inline_suppression_honored(self):
-        found = self.findings()
-        assert not any("Message(0)" in (f.source or "")
-                       for f in found)
-
-    def test_exempt_modules_skipped(self):
-        # Without the exemption the factory's own construction flags
-        # too — the real config's repro.dnscore. entry is what keeps
-        # the protocol package itself out of scope.
-        with_exempt = self.findings()
-        assert not any(f.path.endswith("dnslike.py")
-                       for f in with_exempt)
-        without = self.findings(exempt=())
-        assert any(f.path.endswith("dnslike.py") for f in without)
-
-    def test_no_hot_roots_no_findings(self):
-        assert self.findings(roots=()) == []
-
-
 class TestFindingPlumbing:
     def test_witness_in_render_and_dict(self):
         found = analyze(

@@ -352,11 +352,11 @@ class TestZoneInstall:
 
 class TestMitigatorEngage:
     def test_direct_engage_flagged(self):
-        src = "def f(mitigator, alert):\n    mitigator.engage(alert)\n"
+        src = "def f(rung, now):\n    rung.engage(now)\n"
         assert codes(src, path=SIM_PATH) == ["ROB002"]
 
-    def test_stand_down_flagged(self):
-        src = "def f(nx_arm, alert):\n    nx_arm.stand_down(alert)\n"
+    def test_disengage_flagged(self):
+        src = "def f(nx_rung, now):\n    nx_rung.disengage(now)\n"
         assert codes(src, path=SIM_PATH) == ["ROB002"]
 
     def test_rung_attribute_receiver_flagged(self):
@@ -368,21 +368,17 @@ class TestMitigatorEngage:
         assert codes(src, path=SIM_PATH) == ["ROB002"]
 
     def test_tests_in_scope(self):
-        src = "def f(mitigator, alert):\n    mitigator.engage(alert)\n"
+        src = "def f(rung, now):\n    rung.engage(now)\n"
         assert codes(src, path="tests/telemetry/fake.py") == ["ROB002"]
 
     def test_defense_module_exempt(self):
         src = "def f(rung, now):\n    rung.engage(now)\n"
         assert codes(src, path="src/repro/control/defense.py") == []
 
-    def test_mitigation_module_exempt(self):
-        src = "def f(mitigator, alert):\n    mitigator.engage(alert)\n"
-        assert codes(src, path="src/repro/telemetry/mitigation.py") == []
-
     def test_unrelated_receiver_is_fine(self):
         src = ("def f(clutch, gear):\n"
                "    clutch.engage(gear)\n"
-               "    gear.stand_down(clutch)\n")
+               "    gear.disengage(clutch)\n")
         assert codes(src, path=SIM_PATH) == []
 
     def test_armed_controller_is_fine(self):
@@ -390,9 +386,9 @@ class TestMitigatorEngage:
         assert codes(src, path=SIM_PATH) == []
 
     def test_inline_suppression(self):
-        src = ("def f(mitigator, alert):\n"
+        src = ("def f(rung, now):\n"
                "    # reprolint: disable-next=ROB002 -- exercised directly\n"
-               "    mitigator.engage(alert)\n")
+               "    rung.engage(now)\n")
         assert codes(src, path=SIM_PATH) == []
 
 

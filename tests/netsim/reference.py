@@ -9,8 +9,8 @@ helpers, ``send``, ``_deliver_unicast``, ``unicast_latency`` and
 "improved": it is the definition of the behaviour the faster code must
 reproduce bit for bit. The only edits: ``unicast_latency`` recomputes on
 every call (so a view that outlives a link change is caught too), and
-``_deliver_unicast`` keeps the coalescing branch only, since the
-``delivery_coalesce`` switch is gone.
+``_deliver_unicast`` schedules with ``call_later``, the loop's one
+scheduling primitive.
 """
 
 from __future__ import annotations
@@ -363,8 +363,7 @@ class ReferenceNetwork(Network):
         self.stats.delivered += 1
         self._trace_delivery(dgram, self.loop.now + latency,
                              len(dgram.hops))
-        self.loop.call_later_coalesced(latency, endpoint.handle_datagram,
-                                       dgram)
+        self.loop.call_later(latency, endpoint.handle_datagram, dgram)
 
     def unicast_latency(self, src: str, dst: str) -> float | None:
         """One-way latency along the shortest live path, or None."""

@@ -88,12 +88,21 @@ class TestUnicast:
         inet, pops, vps, loop, net = small_internet
         sink = Collector(loop)
         net.attach_endpoint(vps[1], sink)
+        pending, processed = loop.pending, loop.events_processed
         net.send(Datagram(src=vps[0], dst=vps[1], payload="hi"))
+        # A second datagram for the same arrival instant is a scheduled
+        # event of its own, and so is whatever else is due then.
+        latency = net.unicast_latency(vps[0], vps[1])
+        bystander = loop.call_later(latency, sink.received.append, "tick")
+        net.send(Datagram(src=vps[0], dst=vps[1], payload="again"))
+        assert loop.pending == pending + 3
         loop.run_until(5)
-        assert len(sink.received) == 1
-        arrival, dgram = sink.received[0]
-        assert dgram.payload == "hi"
-        assert arrival > 0
+        assert loop.pending == pending
+        assert loop.events_processed == processed + 3
+        first, tick, second = sink.received
+        assert tick == "tick" and not bystander.cancelled
+        assert (first[1].payload, second[1].payload) == ("hi", "again")
+        assert first[0] == second[0] == latency > 0
 
     def test_rtt_symmetry(self, small_internet):
         inet, pops, vps, loop, net = small_internet

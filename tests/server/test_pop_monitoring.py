@@ -201,6 +201,9 @@ class TestMonitoringAgent:
             def release_suspension(self, machine_id):
                 pass
 
+            def renew(self, machine_id):
+                return False
+
         agent = MonitoringAgent(loop, machine, speaker, period=1.0,
                                 coordinator=Deny())
         speaker.advertise_all()
