@@ -47,9 +47,13 @@ class TestEventLoop:
         fired = []
         handle = loop.call_at(1.0, lambda: fired.append(1))
         handle.cancel()
+        # An event may cancel a later event of its own instant.
+        loop.call_at(2.0, lambda: later.cancel())
+        later = loop.call_at(2.0, lambda: fired.append(2))
         loop.run()
         assert fired == []
-        assert handle.cancelled
+        assert handle.cancelled and later.cancelled
+        assert loop.events_processed == 1
 
     def test_past_scheduling_rejected(self):
         loop = EventLoop()
