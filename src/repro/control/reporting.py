@@ -69,9 +69,6 @@ class ZoneTrafficReport:
 class ZoneCounter:
     """Per-zone counting tap on a nameserver's response stream."""
 
-    #: Bound on the qname -> origin memo (attack qnames are unbounded).
-    _ORIGIN_CACHE_MAX = 4096
-
     def __init__(self, machine: NameserverMachine) -> None:
         self.machine = machine
         self._queries: dict[Name, int] = {}
@@ -79,35 +76,17 @@ class ZoneCounter:
         self._errors: dict[tuple[Name, RCode], int] = {}
         #: Bound once: this observer runs on every response the engine
         #: assembles, so the attribute chain is hoisted out of the call.
-        self._store = machine.engine.store
-        self._find = self._store.find
-        #: qname -> origin (or None), valid for one store generation.
-        #: Probe and workload streams repeat a handful of qnames, so
-        #: this one-dict-probe memo replaces a find() call per response.
-        self._origin_cache: dict[Name, Name | None] = {}
-        self._origin_gen = self._store.generation
+        self._find = machine.engine.store.find
         machine.engine.response_observers.append(self._observe)
 
     def _observe(self, query: Message, response: Message) -> None:
         questions = query.questions
         if len(questions) != 1:
             return
-        qname = questions[0].qname
-        store = self._store
-        cache = self._origin_cache
-        if store.generation != self._origin_gen:
-            cache.clear()
-            self._origin_gen = store.generation
-        try:
-            origin = cache[qname]
-        except KeyError:
-            zone = self._find(qname)
-            origin = zone.origin if zone is not None else None
-            if len(cache) >= self._ORIGIN_CACHE_MAX:
-                cache.clear()
-            cache[qname] = origin
-        if origin is None:
+        zone = self._find(questions[0].qname)
+        if zone is None:
             return
+        origin = zone.origin
         queries = self._queries
         # try/except beats dict.get on the hot path: zero-cost when the
         # key exists, which is every observation after the first.

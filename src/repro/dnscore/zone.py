@@ -59,10 +59,6 @@ class Zone:
     glue addresses.
     """
 
-    #: Bound on the per-zone answer cache; random-subdomain floods
-    #: would otherwise grow it without limit.
-    _CACHE_MAX = 4096
-
     def __init__(self, origin: Name) -> None:
         self.origin = origin
         self._rrsets: dict[tuple[Name, RType], RRset] = {}
@@ -80,16 +76,8 @@ class Zone:
         #: can share a version, so it only means something next to the
         #: zone's identity.
         self.version = 0
-        #: Memoized cname_chain results, flushed on any zone mutation.
-        #: Lookups against static zone data are pure, and the query
-        #: streams the experiments generate repeat the same (qname,
-        #: qtype) pairs heavily (health probes every second, workload
-        #: hot names), so the authoritative path answers most queries
-        #: from one dict hit.
-        self._answer_cache: dict[tuple[Name, RType],
-                                 tuple[list[RRset], LookupResult]] = {}
         #: Whole-zone indexes memoized by :meth:`derived`, keyed by
-        #: their builder and flushed with the answer cache.
+        #: their builder and flushed on any zone mutation.
         self._derived: dict[Callable[[Zone], object], object] = {}
 
     # -- authoring -----------------------------------------------------
@@ -158,7 +146,6 @@ class Zone:
     def _mutated(self) -> None:
         """The single invalidation point for content-derived state."""
         self.version += 1
-        self._answer_cache.clear()
         self._derived.clear()
 
     def _index_names(self, name: Name) -> None:
@@ -316,16 +303,9 @@ class Zone:
                     max_depth: int = 16) -> tuple[list[RRset], LookupResult]:
         """Follow in-zone CNAMEs, returning the chain and final result.
 
-        Results for the default depth are memoized until the next zone
-        mutation; callers must treat the returned chain and result as
-        read-only (the engine only copies records out of them, which is
-        the same aliasing the uncached path produced).
+        The chain and result alias the zone's own RRsets; callers must
+        treat them as read-only (the engine only copies records out).
         """
-        cacheable = max_depth == 16
-        if cacheable:
-            cached = self._answer_cache.get((qname, qtype))
-            if cached is not None:
-                return cached
         chain: list[RRset] = []
         current = qname
         result = self.lookup(current, qtype)
@@ -336,10 +316,6 @@ class Zone:
             assert isinstance(target_rdata, CNAME)
             current = target_rdata.target
             result = self.lookup(current, qtype)
-        if cacheable:
-            if len(self._answer_cache) >= self._CACHE_MAX:
-                self._answer_cache.clear()
-            self._answer_cache[(qname, qtype)] = (chain, result)
         return chain, result
 
     def __repr__(self) -> str:

@@ -2,10 +2,10 @@
 
 The signer is a control-plane component: it mutates a :class:`Zone`
 through the normal authoring API, so every signing pass rides the same
-``Zone.version`` bump and answer-cache flush as any other update —
-downstream plan caches cannot serve stale signed answers by
-construction. Signing is deterministic: canonical-order iteration,
-seed-derived keys, and sim-time validity windows.
+``Zone.version`` bump as any other update — downstream plan caches
+cannot serve stale signed answers by construction. Signing is
+deterministic: canonical-order iteration, seed-derived keys, and
+sim-time validity windows.
 
 Layout follows RFC 4034/4035:
 

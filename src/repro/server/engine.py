@@ -58,9 +58,6 @@ class DelegationProvider(Protocol):
 class ZoneStore:
     """Holds zones indexed by origin with longest-match lookup."""
 
-    #: Bound on the qname -> zone memo (attack names are unbounded).
-    _FIND_CACHE_MAX = 4096
-
     def __init__(self) -> None:
         self._zones: dict[Name, Zone] = {}
         #: Bumped whenever the zone *set* changes (add/remove/replace):
@@ -68,7 +65,6 @@ class ZoneStore:
         #: same Zone object, which is what lets the engine validate a
         #: response plan without a per-hit ``find`` call.
         self.generation = 0
-        self._find_cache: dict[Name, Zone | None] = {}
         #: Same zones keyed by origin label tuple, so the hot
         #: longest-match walk in :meth:`find` slices label tuples
         #: instead of constructing a Name per ancestor.
@@ -81,7 +77,6 @@ class ZoneStore:
         self._by_labels[zone.origin.labels] = zone
         self._origins_sorted = None
         self.generation += 1
-        self._find_cache.clear()
 
     def remove(self, origin: Name) -> bool:
         zone = self._zones.pop(origin, None)
@@ -90,7 +85,6 @@ class ZoneStore:
         del self._by_labels[origin.labels]
         self._origins_sorted = None
         self.generation += 1
-        self._find_cache.clear()
         return True
 
     def get(self, origin: Name) -> Zone | None:
@@ -98,22 +92,13 @@ class ZoneStore:
 
     def find(self, qname: Name) -> Zone | None:
         """The zone with the longest origin that encloses ``qname``."""
-        cache = self._find_cache
-        try:
-            return cache[qname]
-        except KeyError:
-            pass
         labels = qname.labels
         by_labels = self._by_labels
-        zone = None
         for i in range(len(labels) + 1):
             zone = by_labels.get(labels[i:])
             if zone is not None:
-                break
-        if len(cache) >= self._FIND_CACHE_MAX:
-            cache.clear()
-        cache[qname] = zone
-        return zone
+                return zone
+        return None
 
     def origins(self) -> list[Name]:
         return list(self.origins_view())

@@ -104,6 +104,37 @@ class TestTrafficCollector:
         assert collector.latest(name("a.report")).queries == 4
         assert collector.total_queries(name("a.report")) == 14
 
+    def test_attribution_follows_child_zone_install_and_removal(self):
+        """One long-lived tap, one qname: it is the parent's traffic
+        until a child zone is installed over it, the child's while that
+        is served, and the parent's again once the child is removed."""
+        loop = EventLoop()
+        collector = TrafficCollector(loop, period=10.0)
+        machine = make_machine(loop, "m1")
+        collector.register(machine)
+        store = machine.engine.store
+        parent, child = name("a.report"), name("sub.a.report")
+
+        drive(loop, machine, "www.sub.a.report", 3, start=1.0)
+        loop.run_until(5.0)
+        store.add(parse_zone_text(ZONE_A.replace("a.report", "sub.a.report")))
+        drive(loop, machine, "www.sub.a.report", 4, start=6.0, msg_base=10)
+        loop.run_until(11.0)
+        assert collector.latest(parent).queries == 3
+        assert collector.latest(parent).nxdomains == 3
+        assert collector.latest(child).queries == 4
+        assert collector.latest(child).nxdomains == 0
+
+        drive(loop, machine, "www.sub.a.report", 2, start=12.0, msg_base=20)
+        loop.run_until(15.0)
+        store.remove(child)
+        drive(loop, machine, "www.sub.a.report", 5, start=16.0, msg_base=30)
+        loop.run_until(21.0)
+        assert collector.latest(child).queries == 2
+        assert collector.latest(parent).queries == 5
+        assert collector.total_queries(parent) == 8
+        assert collector.total_queries(child) == 6
+
     def test_qps_computed_over_window(self):
         loop = EventLoop()
         collector = TrafficCollector(loop, period=10.0)

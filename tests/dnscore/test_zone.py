@@ -7,6 +7,8 @@ from repro.dnscore import (
     CNAME,
     LookupStatus,
     NS,
+    RClass,
+    ResourceRecord,
     RType,
     SOA,
     Zone,
@@ -144,6 +146,28 @@ class TestCNAME:
         assert [c.name for c in chain] == [name("chain.ex.com"),
                                            name("alias.ex.com")]
         assert final.status == LookupStatus.SUCCESS
+
+    def test_chain_follows_every_mutation(self, zone):
+        """The same question, asked again after each kind of edit, gets
+        the zone as it is now."""
+        def ask():
+            chain, final = zone.cname_chain(name("chain.ex.com"), RType.A)
+            return ([c.name for c in chain], final.status,
+                    final.rrset and final.rrset.rdatas())
+
+        via_alias = [name("chain.ex.com"), name("alias.ex.com")]
+        assert ask() == (via_alias, LookupStatus.SUCCESS,
+                         [A("192.0.2.1"), A("192.0.2.2")])
+        zone.add_record(ResourceRecord(name("www.ex.com"), RType.A,
+                                       RClass.IN, 300, A("192.0.2.3")))
+        assert ask() == (via_alias, LookupStatus.SUCCESS,
+                         [A("192.0.2.1"), A("192.0.2.2"), A("192.0.2.3")])
+        zone.remove_rrset(name("www.ex.com"), RType.A)
+        assert ask() == (via_alias, LookupStatus.NXDOMAIN, None)
+        zone.add_rrset(make_rrset(name("chain.ex.com"), RType.CNAME, 300,
+                                  [CNAME(name("deep.empty.ex.com"))]))
+        assert ask() == ([name("chain.ex.com")], LookupStatus.SUCCESS,
+                         [A("192.0.2.77")])
 
     def test_chain_out_of_zone(self, zone):
         chain, final = zone.cname_chain(name("out.ex.com"), RType.A)

@@ -1,15 +1,19 @@
 """Tests for the authoritative engine and zone store."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dnscore import (
     A,
+    SOA,
     Opcode,
     RClass,
     RCode,
     RType,
     make_query,
     make_rrset,
+    make_zone,
     name,
     parse_zone_text,
 )
@@ -72,6 +76,43 @@ class TestZoneStore:
     def test_origins_sorted(self, store):
         store.add(parse_zone_text(CHILD))
         assert store.origins() == [name("ex.com"), name("child.ex.com")]
+
+    #: A root zone, a parent, a child and a grandchild under it, and an
+    #: unrelated zone; the probes sit at, under, between and outside them.
+    ORIGINS = [name(o) for o in (".", "com", "ex.com", "child.ex.com",
+                                 "a.child.ex.com", "other.org")]
+    PROBES = [name(q) for q in (
+        ".", "com", "ex.com", "www.ex.com", "child.ex.com",
+        "host.child.ex.com", "a.child.ex.com", "x.y.a.child.ex.com",
+        "childish.ex.com", "other.org", "www.other.org", "nope.net")]
+
+    @given(steps=st.lists(st.tuples(st.booleans(),
+                                    st.sampled_from(ORIGINS)), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_find_agrees_with_longest_suffix_scan(self, steps):
+        """After every add (a new origin, or a new Zone object over a
+        served one) and every remove (a child's names re-home to its
+        parent), ``find`` returns the very object a scan over every
+        installed zone picks."""
+        store = ZoneStore()
+        installed = {}
+        for adding, origin in steps:
+            if adding:
+                zone = make_zone(origin, SOA(name("ns.invalid"),
+                                             name("admin.invalid"),
+                                             1, 7200, 3600, 1209600, 300),
+                                 [name("ns.invalid")])
+                store.add(zone)
+                installed[origin] = zone
+            else:
+                assert store.remove(origin) == (origin in installed)
+                installed.pop(origin, None)
+            for qname in self.PROBES:
+                enclosing = [o for o in installed
+                             if qname.is_subdomain_of(o)]
+                expected = installed[max(enclosing, key=len)] \
+                    if enclosing else None
+                assert store.find(qname) is expected, (qname, steps)
 
 
 class TestRespond:

@@ -6,7 +6,9 @@ Hypothesis draws small zones over a deliberately tiny label alphabet
 and CNAMEs collide with each other and with the query names), a query
 stream, and a stream of the operations that invalidate derived state:
 installing a new Zone object, replacing the zone by a same-version
-twin, editing it in place, re-signing it, and adding a dynamic domain.
+twin, editing it in place, re-signing it, adding a dynamic domain, and
+installing a child zone under the served one (or removing it again, so
+its names re-home to the parent).
 After every step a plan-cache-on engine must put the same bytes on the
 wire as a brand-new plan-cache-off engine over the same store — through
 ``respond`` twice (populate, then hit) and through ``respond_probe`` —
@@ -63,6 +65,7 @@ operation = st.one_of(
     st.tuples(st.just("remove"), owner),
     st.tuples(st.just("resign")),
     st.tuples(st.just("dynamic"), owner),
+    st.tuples(st.just("child"), owner),
 )
 
 
@@ -175,6 +178,16 @@ class World:
                 self.signer.resign(self.zone, self.clock)
         elif kind == "dynamic":
             self.fast.add_dynamic_domain(name(f"{op[1]}.ex.com"))
+        elif kind == "child":
+            origin = name(f"{op[1]}.ex.com")
+            if not self.store.remove(origin):
+                child = make_zone(origin, SOA(name("ns1.ex.com"),
+                                              name("admin.ex.com"),
+                                              1, 7200, 3600, 1209600, 300),
+                                  [name("ns1.ex.com")])
+                child.add_rrset(make_rrset(name(f"a.{op[1]}.ex.com"),
+                                           RType.A, 300, [A("192.0.2.9")]))
+                self.store.add(child)
 
     def check(self, stream):
         fast = self.fast
