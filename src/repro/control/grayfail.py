@@ -40,6 +40,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable
 
+from ..dnscore.errors import WireFormatError
 from ..dnscore.message import Message, make_query
 from ..dnscore.name import Name
 from ..dnscore.rrtypes import RType
@@ -302,6 +303,8 @@ class GrayFailController:
         self.denials = 0
         self.rejoins = 0
         self.probes_sent = 0
+        #: Wire-mode responses dropped because they did not parse.
+        self.malformed_responses = 0
         #: (sim time, machine id, verdict value) per transition.
         self.timeline: list[tuple[float, str, str]] = []
         #: (machine id, seconds from first evidence to conviction).
@@ -599,8 +602,16 @@ class GrayFailController:
 
     def _on_response(self, vantage_id: str, dgram: Datagram) -> None:
         envelope = dgram.payload
-        pending = self._pending.pop((vantage_id, envelope.message.msg_id),
-                                    None)
+        message = envelope.message
+        if envelope.wire is not None:
+            try:
+                message = Message.from_wire(envelope.wire)
+            except WireFormatError:
+                # Dropped like a lost datagram: the probe stays pending
+                # and the machine shows one unanswered probe this round.
+                self.malformed_responses += 1
+                return
+        pending = self._pending.pop((vantage_id, message.msg_id), None)
         if pending is None:
             return
         expected_machine, kind = pending
@@ -612,9 +623,6 @@ class GrayFailController:
         record = self._records.get(expected_machine)
         if record is None:
             return
-        message = envelope.message
-        if envelope.wire is not None:
-            message = Message.from_wire(envelope.wire)
         record.answered += 1
         if kind == "A":
             digest = answer_digest(message)

@@ -15,24 +15,35 @@ traverse the same netsim path as client traffic.
 
 from dataclasses import replace
 
+import pytest
+
 from repro.control.grayfail import GrayFailParams, Verdict
 from repro.control.pubsub import CDN_CHANNEL
 from repro.dnscore import RType, Zone, make_rrset, name
 from repro.netsim.builder import InternetParams
 from repro.platform import AkamaiDNSDeployment, DeploymentParams
-from repro.server.machine import MachineState
+from repro.server.machine import MachineConfig, MachineState
+from repro.server.pop import ResponseEnvelope
+
+from ..resolver.test_wire_mode import (
+    _empty_txt_rdata,
+    _inflated_answer_count,
+    _truncated,
+)
 
 AKAM_ORIGIN = name("akam.net")
 
 
 def build(n_pops=6, machines_per_pop=1, seed=7,
-          params: GrayFailParams | None = None):
+          params: GrayFailParams | None = None,
+          machine_config: MachineConfig | None = None):
     deployment = AkamaiDNSDeployment(DeploymentParams(
         seed=seed, n_pops=n_pops, deployed_clouds=n_pops,
         machines_per_pop=machines_per_pop, pops_per_cloud=2,
         n_edge_servers=6,
         internet=InternetParams(n_tier1=4, n_tier2=10, n_stub=24),
-        filters_enabled=False))
+        filters_enabled=False,
+        machine_config=machine_config or MachineConfig()))
     deployment.settle(30)
     controller = deployment.enable_grayfail(params)
     return deployment, controller
@@ -243,3 +254,39 @@ class TestLeaseLifecycle:
         assert controller.verdict(machine.machine_id) is Verdict.HEALTHY
         assert machine.state is MachineState.RUNNING
         assert deployment.coordinator.active_suspensions() == set()
+
+
+class TestMalformedResponses:
+    """The mutations of tests/resolver/test_wire_mode.py, delivered to a
+    probe vantage in wire mode: dropped and counted, never raised into
+    the event loop; the machine shows one unanswered probe that round."""
+
+    @pytest.mark.parametrize("mutate", [_truncated, _inflated_answer_count,
+                                        _empty_txt_rdata])
+    def test_dropped_counted_and_probe_left_unanswered(self, mutate):
+        # One bad round makes a suspect, so a dropped probe is visible
+        # on the timeline and a single clean round clears it.
+        deployment, controller = build(
+            params=GrayFailParams(suspect_after=1, exonerate_after=1),
+            machine_config=MachineConfig(wire_responses=True))
+        network = deployment.network
+        deliver = network.send
+        corrupted = []
+
+        def corrupt_first_probe_response(dgram):
+            if (not corrupted and dgram.dst.startswith("gray-vp-")
+                    and isinstance(dgram.payload, ResponseEnvelope)):
+                corrupted.append(dgram.payload.machine_id)
+                dgram.payload.wire = mutate(dgram.payload.wire)
+            deliver(dgram)
+
+        network.send = corrupt_first_probe_response
+        run_for(deployment, 30.0)
+
+        (victim,) = corrupted
+        assert controller.malformed_responses == 1
+        assert controller.last_reasons(victim)[0].startswith("answered ")
+        assert [(m, v) for _t, m, v in controller.timeline] == [
+            (victim, "suspect"), (victim, "exonerated"),
+            (victim, "healthy")]
+        assert controller.convictions == 0
