@@ -20,15 +20,21 @@ from ..workload.arrivals import bursty_counts
 from ..workload.population import PopulationParams, ResolverPopulation
 
 SECONDS = 86_400
+#: The population size ``nameserver_share`` is calibrated at.
+CALIBRATED_RESOLVERS = 20_000
 
 
-def run(seed: int = 42, n_resolvers: int = 20_000,
+def run(seed: int = 42, n_resolvers: int = CALIBRATED_RESOLVERS,
         nameserver_share: float = 0.0002,
         simulate_threshold_qps: float = 0.02) -> ExperimentResult:
     """Regenerate the avg/max per-resolver CDFs.
 
     ``nameserver_share`` scales the platform-wide population down to one
     modestly-loaded nameserver (one machine among tens of thousands).
+    The population spreads one platform-wide ``total_qps`` over however
+    many resolvers it is given, so the share shrinks with the population
+    to keep each resolver's rate at this nameserver what it is at
+    ``CALIBRATED_RESOLVERS``.
     Resolvers above ``simulate_threshold_qps`` get full per-second
     ON/OFF simulation; the long tail is handled analytically (a resolver
     sending k queries uniformly in a day has max >= 1 iff k >= 1).
@@ -37,6 +43,7 @@ def run(seed: int = 42, n_resolvers: int = 20_000,
     np_rng = np.random.default_rng(seed)
     population = ResolverPopulation(
         rng, PopulationParams(n_resolvers=n_resolvers))
+    nameserver_share *= n_resolvers / CALIBRATED_RESOLVERS
 
     averages: list[float] = []
     maxima: list[float] = []

@@ -48,9 +48,7 @@ class TestFig3:
     def test_runs_small(self):
         result = fig3_per_resolver.run(n_resolvers=4_000)
         assert "avg" in result.series and "max" in result.series
-        # Key shape at any scale: bursts far exceed averages.
-        assert result.metrics["highest_max_qps"] > \
-            result.metrics["highest_avg_qps"] * 2
+        assert result.all_hold, result.comparisons
 
 
 class TestFig4:
