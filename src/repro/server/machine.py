@@ -116,7 +116,6 @@ class MachineMetrics:
     legit_answered: int = 0
     attack_received: int = 0
     attack_answered: int = 0
-    response_latency_sum: float = 0.0
     zone_installs: int = 0
     zone_rejects: int = 0
     zone_rollbacks: int = 0

@@ -286,7 +286,6 @@ class Telemetry:
     def qod_event(self, event: str, now: float) -> None:
         """``event`` is "crash_recorded", "dropped", or "armed"."""
         self._c_qod.labels(event).inc()
-        self.alerts.observe("qod", now)
 
     # -- monitoring / lifecycle hooks ---------------------------------------
 
@@ -294,32 +293,25 @@ class Telemetry:
                     now: float) -> None:
         outcome = "healthy" if healthy else "unhealthy"
         self._c_agent.labels(machine_id, outcome).inc()
-        self.alerts.observe("agent_failures", now,
-                            0.0 if healthy else 1.0)
 
     def machine_lifecycle(self, machine_id: str, event: str,
                           now: float) -> None:
         """``event``: "suspended", "resumed", "denied", "crashed",
         "degraded", or "restored"."""
         self._c_lifecycle.labels(machine_id, event).inc()
-        self.alerts.observe("lifecycle", now)
 
     def machine_stale(self, machine_id: str, now: float) -> None:
         """A staleness check came back positive for this machine."""
         self._c_stale.labels(machine_id).inc()
-        self.alerts.observe("machine_stale", now)
 
     def zone_update(self, machine_id: str, action: str,
                     now: float) -> None:
         """``action``: "install", "reject", or "rollback"."""
         self._c_zone_updates.labels(machine_id, action).inc()
-        self.alerts.observe("zone.reject", now,
-                            1.0 if action == "reject" else 0.0)
 
     def rollout_event(self, origin: str, phase: str, now: float) -> None:
         """A safe-rollout release changed phase (control.rollout)."""
         self._c_rollout.labels(origin, phase).inc()
-        self.alerts.observe("rollout", now)
 
     def defense_transition(self, controller: str, rung: str, action: str,
                            level: int, now: float,
@@ -332,7 +324,6 @@ class Telemetry:
         """
         self._c_defense.labels(controller, rung, action).inc()
         self._g_defense.labels(controller).set(float(level))
-        self.alerts.observe("defense", now, float(level))
         if trace_id is not None:
             self.tracer.instant(trace_id, f"defense.{action}", "defense",
                                 now, rung=rung, level=level)
@@ -346,14 +337,12 @@ class Telemetry:
         """
         self._c_gray.labels(machine_id, verdict).inc()
         self._g_gray.labels(machine_id).set(float(level))
-        self.alerts.observe("gray", now, float(level))
 
     def gray_detection(self, machine_id: str, latency: float,
                        now: float) -> None:
         """A conviction landed; record first-evidence-to-verdict latency."""
         del machine_id
         self._h_gray_detect.record(latency)
-        self.alerts.observe("gray_detection", now, latency)
 
     # -- resolver hooks -----------------------------------------------------
 
@@ -368,9 +357,6 @@ class Telemetry:
         self._h_resolution.record(duration)
         if timeouts:
             self._c_timeouts.inc(timeouts)
-        self.alerts.observe("resolver_servfail", now,
-                            0.0 if rcode in ("NOERROR", "NXDOMAIN")
-                            else 1.0)
         if span is not None:
             span.attrs["rcode"] = rcode
             span.attrs["timeouts"] = timeouts
@@ -385,7 +371,6 @@ class Telemetry:
             self._c_dnssec_sign.labels(origin, "created").inc(created)
         if reused:
             self._c_dnssec_sign.labels(origin, "reused").inc(reused)
-        self.alerts.observe("dnssec_sign", now)
 
     def dnssec_validation(self, qname: str, ok: bool) -> None:
         """A validator judged a response (resolver or probe client).
@@ -401,7 +386,6 @@ class Telemetry:
                         now: float) -> None:
         """A key-rollover state machine advanced (repro.dnssec.rollover)."""
         self._c_dnssec_rollover.labels(origin, kind, step).inc()
-        self.alerts.observe("dnssec_rollover", now)
 
     # -- reporting hooks ----------------------------------------------------
 

@@ -3,8 +3,8 @@
 The paper operates its defenses reactively: "when monitoring detects an
 anomaly" the operators (or automation) activate mitigations (section
 4.3). This module is that detection half, kept strictly passive and
-sim-time-clocked: instrumentation hooks feed named observation streams
-("qps", "nxdomain", "servfail", "queue_depth", "probe.fail", ...);
+sim-time-clocked: instrumentation hooks feed five named observation
+streams ("qps", "nxdomain", "servfail", "queue_depth", "probe.fail");
 detectors aggregate each stream into fixed-width windows keyed by
 ``int(now / window)`` and compare the finished window against a
 threshold.
