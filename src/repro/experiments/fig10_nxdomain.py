@@ -28,6 +28,7 @@ from ..dnscore.message import Flags, Message
 from ..dnscore.name import name
 from ..dnscore.records import Question
 from ..dnscore.rrtypes import RCode, RType
+from ..dnscore.zone import Zone
 from ..dnscore.zonefile import parse_zone_text
 from ..dnssec import KeyRing, SigningPolicy, ZoneSigner, verify_message
 from ..dnssec.denial import DenialMode
@@ -70,30 +71,38 @@ def _build_zone(params: Fig10Params):
     return parse_zone_text("\n".join(lines) + "\n")
 
 
-def _run_point(params: Fig10Params, attack_rate: float,
-               filter_enabled: bool) -> float:
-    """One testbed run; returns the fraction of legit queries answered."""
-    rng = random.Random(params.seed)
-    loop = EventLoop()
+def _testbed(params: Fig10Params | Fig10SignedParams, zone: Zone,
+             filter_enabled: bool = False) -> NameserverMachine:
+    """The nameserver half of the testbed: one machine serving ``zone``
+    on an event loop of its own."""
     store = ZoneStore()
     # reprolint: disable-next=ROB001 -- synthetic testbed bootstrap
-    store.add(_build_zone(params))
+    store.add(zone)
     engine = AuthoritativeEngine(store)
     filters = []
-    nxd = None
     if filter_enabled:
-        nxd = NXDomainFilter(store, NXDomainConfig(trigger_count=50,
-                                                   window_seconds=10.0))
-        filters.append(nxd)
-    machine = NameserverMachine(
-        loop, "testbed-ns", engine, ScoringPipeline(filters), QueuePolicy(),
+        filters.append(NXDomainFilter(
+            store, NXDomainConfig(trigger_count=50, window_seconds=10.0)))
+    return NameserverMachine(
+        EventLoop(), "testbed-ns", engine, ScoringPipeline(filters),
+        QueuePolicy(),
         MachineConfig(compute_capacity_qps=params.compute_capacity,
                       io_capacity_qps=params.io_capacity,
                       io_burst_seconds=0.05,
                       queue_depth=400,
                       staleness_threshold=float("inf")))
 
-    sources = [f"172.20.0.{i + 1}" for i in range(params.n_resolver_sources)]
+
+def _drive(params: Fig10Params | Fig10SignedParams,
+           machine: NameserverMachine, attack_rate: float, *,
+           source_prefix: str, do_cut: int = 0) -> float:
+    """The traffic-source half: Poisson legitimate and attack streams
+    through warm-up and the measured window. The first ``do_cut``
+    sources set DO=1. Returns the fraction of legit queries answered."""
+    rng = random.Random(params.seed)
+    loop = machine.loop
+    sources = [f"{source_prefix}.{i + 1}"
+               for i in range(params.n_resolver_sources)]
     valid = [name(f"h{i}.{VICTIM_ZONE}")
              for i in range(params.n_valid_hosts)]
     victim = name(VICTIM_ZONE)
@@ -115,12 +124,15 @@ def _run_point(params: Fig10Params, attack_rate: float,
             qname = victim.prepend(random_label(rng))
         else:
             qname = valid[randbelow(n_valid)]
+        src_index = randbelow(n_sources)
         query = Message(msg_id=mid, flags=Flags())
         query.questions.append(Question(qname, RType.A))
+        if src_index < do_cut:
+            query.edns = EDNSOptions(payload_size=1232, dnssec_ok=True)
         if not is_attack and measure_start <= loop.now < measure_end:
             counters["legit_sent"] += 1
         receive(Datagram(
-            src=sources[randbelow(n_sources)], dst="testbed",
+            src=sources[src_index], dst="testbed",
             payload=QueryEnvelope(query, is_attack=is_attack),
             src_port=1024 + randbelow(64512)))
 
@@ -147,6 +159,13 @@ def _run_point(params: Fig10Params, attack_rate: float,
     answered = machine.metrics.legit_answered - legit_answered_at_start
     sent = counters["legit_sent"]
     return answered / sent if sent else 0.0
+
+
+def _run_point(params: Fig10Params, attack_rate: float,
+               filter_enabled: bool) -> float:
+    """One testbed run; returns the fraction of legit queries answered."""
+    machine = _testbed(params, _build_zone(params), filter_enabled)
+    return _drive(params, machine, attack_rate, source_prefix="172.20.0")
 
 
 def run(params: Fig10Params | None = None) -> ExperimentResult:
@@ -223,39 +242,18 @@ class Fig10SignedParams:
 def _run_signed_point(params: Fig10SignedParams, attack_rate: float,
                       mode: DenialMode) -> dict:
     """One signed testbed run; returns goodput plus cache observables."""
-    rng = random.Random(params.seed)
-    loop = EventLoop()
     zone = _build_zone(params)
     keys = KeyRing(params.seed, zone.origin)
     signer = ZoneSigner(keys, SigningPolicy(sig_validity=86_400.0))
     signer.sign(zone, 0.0)
-    store = ZoneStore()
-    # reprolint: disable-next=ROB001 -- synthetic testbed bootstrap
-    store.add(zone)
-    engine = AuthoritativeEngine(store)
+    machine = _testbed(params, zone)
+    loop, engine = machine.loop, machine.engine
     engine.dnssec.register_keyring(keys)
     engine.dnssec.clock = lambda: loop.now
     engine.dnssec.denial_mode = mode
-    machine = NameserverMachine(
-        loop, "testbed-ns", engine, ScoringPipeline([]), QueuePolicy(),
-        MachineConfig(compute_capacity_qps=params.compute_capacity,
-                      io_capacity_qps=params.io_capacity,
-                      io_burst_seconds=0.05,
-                      queue_depth=400,
-                      staleness_threshold=float("inf")))
-
-    sources = [f"172.21.0.{i + 1}" for i in range(params.n_resolver_sources)]
-    do_cut = int(round(params.dnssec_ok_fraction * len(sources)))
-    valid = [name(f"h{i}.{VICTIM_ZONE}")
-             for i in range(params.n_valid_hosts)]
-    victim = name(VICTIM_ZONE)
     dnskeys = [r.rdata for r in
                zone.get_rrset(zone.origin, RType.DNSKEY).records]
-    msg_id = [0]
-    measure_start = params.warmup_seconds
-    measure_end = params.warmup_seconds + params.measure_seconds
-    counters = {"legit_sent": 0, "denials": 0, "denial_records": 0,
-                "bogus": 0, "checked": 0}
+    counters = {"denials": 0, "denial_records": 0, "bogus": 0, "checked": 0}
 
     def observe(query: Message, response: Message) -> None:
         if response.answers or not response.authority:
@@ -273,50 +271,12 @@ def _run_signed_point(params: Fig10SignedParams, attack_rate: float,
                     counters["bogus"] += 1
 
     engine.response_observers.append(observe)
-
-    def send(is_attack: bool, *, randbelow=rng._randbelow,
-             n_valid=len(valid), n_sources=len(sources),
-             receive=machine.receive_query) -> None:
-        mid = msg_id[0] = (msg_id[0] + 1) & 0xFFFF
-        if is_attack:
-            qname = victim.prepend(random_label(rng))
-        else:
-            qname = valid[randbelow(n_valid)]
-        src_index = randbelow(n_sources)
-        query = Message(msg_id=mid, flags=Flags())
-        query.questions.append(Question(qname, RType.A))
-        if src_index < do_cut:
-            query.edns = EDNSOptions(payload_size=1232, dnssec_ok=True)
-        if not is_attack and measure_start <= loop.now < measure_end:
-            counters["legit_sent"] += 1
-        receive(Datagram(
-            src=sources[src_index], dst="testbed",
-            payload=QueryEnvelope(query, is_attack=is_attack),
-            src_port=1024 + randbelow(64512)))
-
-    def schedule_stream(rate: float, is_attack: bool) -> None:
-        if rate <= 0:
-            return
-
-        def fire(*, random=rng.random, log=math.log,
-                 call_later=loop.call_later) -> None:
-            if loop.now >= measure_end:
-                return
-            send(is_attack)
-            call_later(-log(1.0 - random()) / rate, fire)
-
-        loop.call_later(rng.expovariate(rate), fire)
-
-    schedule_stream(params.legit_rate, is_attack=False)
-    schedule_stream(attack_rate, is_attack=True)
-
-    loop.run_until(measure_start)
-    legit_answered_at_start = machine.metrics.legit_answered
-    loop.run_until(measure_end + 2.0)
-    answered = machine.metrics.legit_answered - legit_answered_at_start
-    sent = counters["legit_sent"]
+    do_cut = int(round(params.dnssec_ok_fraction
+                       * params.n_resolver_sources))
+    goodput = _drive(params, machine, attack_rate,
+                     source_prefix="172.21.0", do_cut=do_cut)
     return {
-        "goodput": answered / sent if sent else 0.0,
+        "goodput": goodput,
         "plan_cache_wipes": engine.plan_cache_wipes,
         "neg_plans": engine.signed_negative_plans,
         "denial_records_avg": (counters["denial_records"]
