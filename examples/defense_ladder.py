@@ -27,24 +27,21 @@ Run:  python examples/defense_ladder.py
 """
 
 from repro.experiments.resilience_scorecard import (
+    SUITES,
     ScorecardParams,
-    build_deployment,
     run_campaign,
-    standard_campaigns,
 )
 
 
 def main() -> None:
     params = ScorecardParams.fast(42)
-    print("Enumerating the scorecard suite (fast platform)...\n")
-    suite = standard_campaigns(build_deployment(params), params.seed)
 
     for wanted in ("defense-ladder", "defense-guardrail"):
-        campaign, slo = next((c, s) for c, s in suite
-                             if c.name == wanted)
-        print(f"== {campaign.name}: {campaign.description}")
+        entry = next(e for e in SUITES["standard"] if e.name == wanted)
+        print(f"== {entry.name}")
         print("   running (fresh deployment, ~a minute)...")
-        outcome = run_campaign(params, campaign, slo)
+        outcome = run_campaign(params, entry)
+        print(f"   {outcome.campaign.description}")
 
         print("\n   fault timeline:")
         for line in outcome.fault_log.splitlines():

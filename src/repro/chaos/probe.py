@@ -174,8 +174,7 @@ class SLOProbe:
             timeouts=result.timeouts, ok=ok))
         _t = _telemetry.ACTIVE
         if _t is not None:
-            _t.probe_outcome(ok, result.rcode.name, result.duration,
-                             self.loop.now)
+            _t.probe_outcome(ok, result.duration, self.loop.now)
 
     # -- reporting -----------------------------------------------------------
 

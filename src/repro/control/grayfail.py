@@ -403,7 +403,7 @@ class GrayFailController:
         self.detections.append((machine_id, latency))
         _t = _telemetry.ACTIVE
         if _t is not None:
-            _t.gray_detection(machine_id, latency, now)
+            _t.gray_detection(latency)
         for hook in self.on_convict:
             hook(machine_id)
 
@@ -434,7 +434,7 @@ class GrayFailController:
         _t = _telemetry.ACTIVE
         if _t is not None:
             _t.gray_verdict(machine_id, verdict.value,
-                            _VERDICT_LEVEL[verdict], now)
+                            _VERDICT_LEVEL[verdict])
 
     # -- suspension lease lifecycle ------------------------------------------
 

@@ -384,7 +384,7 @@ class RolloutCoordinator:
                                         phase, detail))
         _t = _telemetry.ACTIVE
         if _t is not None:
-            _t.rollout_event(origin, phase.value, self.loop.now)
+            _t.rollout_event(origin, phase.value)
 
     def timeline(self) -> list[str]:
         """Human-readable event log (for examples and reports)."""

@@ -197,13 +197,6 @@ class Name:
             return True
         return len(self._labels) >= n and self._labels[-n:] == other._labels
 
-    def relativize(self, origin: "Name") -> tuple[bytes, ...]:
-        """Labels of ``self`` left of ``origin``; raises if not a subdomain."""
-        if not self.is_subdomain_of(origin):
-            raise NameError_(f"{self} is not under {origin}")
-        n = len(origin._labels)
-        return self._labels[: len(self._labels) - n] if n else self._labels
-
     def concatenate(self, suffix: "Name") -> "Name":
         """Join ``self`` (as a prefix) onto ``suffix``."""
         wire_len = self._wire_len + suffix._wire_len - 1
@@ -224,18 +217,6 @@ class Name:
         if wire_len > MAX_NAME_LENGTH:
             raise NameError_(f"name exceeds {MAX_NAME_LENGTH} octets")
         return Name._from_validated((validated,) + self._labels, wire_len)
-
-    def wildcard_sibling(self) -> "Name":
-        """The ``*.parent`` name used for wildcard lookups (RFC 4592)."""
-        labels = self._labels
-        if not labels:
-            raise NameError_("the root name has no wildcard sibling")
-        star = (b"*",) + labels[1:]
-        cached = _INTERN.get(star)
-        if cached is not None:
-            return cached
-        return Name._from_validated(
-            star, self._wire_len - len(labels[0]) + 1)._interned()
 
     def canonical_key(self) -> tuple[bytes, ...]:
         """Sort key for RFC 4034 canonical ordering (reversed label order)."""

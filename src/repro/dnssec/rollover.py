@@ -194,8 +194,7 @@ class KeyRolloverController:
         state.events.append((self.loop.now, step, detail))
         _t = _telemetry.ACTIVE
         if _t is not None:
-            _t.dnssec_rollover(str(state.origin), state.kind.value, step,
-                               self.loop.now)
+            _t.dnssec_rollover(str(state.origin), state.kind.value, step)
 
 
 def _clone_with_bumped_serial(zone: Zone) -> Zone:

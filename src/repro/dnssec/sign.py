@@ -34,7 +34,7 @@ from ..dnscore import DNSKEY, RRSIG, RType, make_rrset
 from ..dnscore.name import Name
 from ..dnscore.rdata import NSEC, SOA
 from ..dnscore.records import ResourceRecord, RRset
-from ..dnscore.rrtypes import DNSSEC_TYPES, RClass
+from ..dnscore.rrtypes import RClass
 from ..dnscore.wire import WireWriter
 from ..dnscore.zone import Zone
 from ..telemetry import state as _telemetry
@@ -213,24 +213,6 @@ def verify_message(message, dnskeys: list[DNSKEY], now: float,
     return failures
 
 
-def validate_dnskey_rrset(rrset: RRset, rrsigs: list[RRSIG],
-                          now: float) -> str | None:
-    """Check a DNSKEY RRset is self-signed by a contained SEP key.
-
-    The simulation's trust model stops here (parents are unsigned, so
-    there is no DS chain): a DNSKEY RRset vouches for itself the way a
-    configured trust anchor would.
-    """
-    keys = [r.rdata for r in rrset.records if isinstance(r.rdata, DNSKEY)]
-    sep_keys = [k for k in keys if k.flags & 0x1]
-    if not sep_keys:
-        return f"DNSKEY RRset at {rrset.name} has no SEP (KSK) key"
-    for sig in rrsigs:
-        if verify_rrsig(rrset, sig, sep_keys, now) is None:
-            return None
-    return f"DNSKEY RRset at {rrset.name} is not signed by a contained KSK"
-
-
 def covering_rrsigs(zone: Zone, owner: Name,
                     rtype: RType) -> RRset | None:
     """The RRSIGs at ``owner`` covering ``rtype``, as their own RRset."""
@@ -399,18 +381,5 @@ class ZoneSigner:
         _t = _telemetry.ACTIVE
         if _t is not None:
             _t.dnssec_signed(str(zone.origin), stats.signatures_created,
-                             stats.signatures_reused, now)
+                             stats.signatures_reused)
         return stats
-
-
-#: Types the signer maintains; exported for strip/compare helpers.
-SIGNING_TYPES = frozenset({RType.DNSKEY, RType.RRSIG, RType.NSEC})
-
-
-def strip_dnssec(zone: Zone) -> int:
-    """Remove all DNSSEC records from a zone; returns RRsets removed."""
-    doomed = [(rrset.name, rrset.rtype) for rrset in zone.iter_rrsets()
-              if rrset.rtype in DNSSEC_TYPES]
-    for owner, rtype in doomed:
-        zone.remove_rrset(owner, rtype)
-    return len(doomed)

@@ -4,27 +4,3 @@ Each module exposes ``run(...) -> ExperimentResult`` containing the
 regenerated series and paper-vs-measured shape checks; ``runner.run_all``
 executes the full suite.
 """
-
-from . import (
-    anycast_quality,
-    enduser_latency,
-    fig1_qps,
-    fig2_skew,
-    fig3_per_resolver,
-    fig4_stability,
-    fig8_failover,
-    fig9_decision_tree,
-    fig10_nxdomain,
-    fig11_speedup,
-    fig12_restime,
-    taxonomy,
-    text_stats,
-)
-from .runner import run_all
-
-__all__ = [
-    "anycast_quality", "enduser_latency", "fig1_qps", "fig2_skew", "fig3_per_resolver", "fig4_stability",
-    "fig8_failover", "fig9_decision_tree", "fig10_nxdomain",
-    "fig11_speedup", "fig12_restime", "run_all", "taxonomy",
-    "text_stats",
-]

@@ -17,7 +17,7 @@ Determinism rules (see docs/ARCHITECTURE.md, "Performance model"):
   world, which is why splitting below the unit level (e.g. fig8 trials,
   which reuse one world) is not allowed.
 * Merges consume unit payloads in declaration order, never completion
-  order. ``pool.map`` already guarantees ordered results.
+  order. ``pool.starmap`` already guarantees ordered results.
 
 This module lives in ``repro.experiments`` (driver code), not in a
 simulation package, so the reprolint LOOP002 import ban on concurrency
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import contextlib
 import multiprocessing
-from typing import Callable, ContextManager
+from typing import Callable, ContextManager, NamedTuple
 
 from ..analysis.report import ExperimentResult
 from ..netsim.builder import InternetParams
@@ -49,11 +49,6 @@ from . import (
     text_stats,
 )
 
-#: Figure labels in report order.
-JOB_ORDER = ("fig1", "fig2", "fig3", "fig4", "fig8", "fig9", "fig10",
-             "fig10-signed", "fig11", "fig12", "taxonomy",
-             "anycast-quality", "enduser", "resilience", "text")
-
 
 def _fig8_params(fast: bool) -> fig8_failover.Fig8Params:
     if fast:
@@ -64,48 +59,93 @@ def _fig8_params(fast: bool) -> fig8_failover.Fig8Params:
     return fig8_failover.Fig8Params()
 
 
-def _fig10_params(fast: bool) -> fig10_nxdomain.Fig10Params:
+def _sole_payload(fast: bool, payloads: list) -> ExperimentResult:
+    (result,) = payloads
+    return result
+
+
+def _unit_fig3(fast: bool, part: int) -> ExperimentResult:
+    return fig3_per_resolver.run(n_resolvers=6_000 if fast else 20_000)
+
+
+def _unit_fig4(fast: bool, part: int) -> ExperimentResult:
+    return fig4_stability.run(n_resolvers=6_000 if fast else 20_000)
+
+
+def _unit_fig8(fast: bool, part: int):
+    return fig8_failover.run_case(_fig8_params(fast), part)
+
+
+def _merge_fig8(fast: bool, payloads: list) -> ExperimentResult:
+    return fig8_failover.assemble(_fig8_params(fast), *payloads)
+
+
+def _unit_fig10(fast: bool, part: int) -> ExperimentResult:
     if fast:
-        return fig10_nxdomain.Fig10Params(
+        return fig10_nxdomain.run(fig10_nxdomain.Fig10Params(
             attack_rates=(0.0, 400.0, 1_500.0, 3_600.0, 6_000.0),
-            measure_seconds=8.0, warmup_seconds=3.0)
-    return fig10_nxdomain.Fig10Params()
+            measure_seconds=8.0, warmup_seconds=3.0))
+    return fig10_nxdomain.run()
 
 
-def _fig10_signed_params(fast: bool) -> fig10_nxdomain.Fig10SignedParams:
+def _unit_fig10_signed(fast: bool, part: int) -> ExperimentResult:
     if fast:
-        return fig10_nxdomain.Fig10SignedParams(
+        return fig10_nxdomain.run_signed(fig10_nxdomain.Fig10SignedParams(
             attack_rates=(0.0, 3_600.0),
-            measure_seconds=6.0, warmup_seconds=2.0)
-    return fig10_nxdomain.Fig10SignedParams()
+            measure_seconds=6.0, warmup_seconds=2.0))
+    return fig10_nxdomain.run_signed()
 
 
-def _resilience_params(fast: bool) -> resilience_scorecard.ScorecardParams:
-    if fast:
-        return resilience_scorecard.ScorecardParams.fast()
-    return resilience_scorecard.ScorecardParams()
+def _unit_taxonomy(fast: bool, part: int) -> ExperimentResult:
+    return taxonomy.run(phase_seconds=4.0 if fast else 12.0)
 
 
-#: label -> callable(fast) -> ExperimentResult, for single-unit figures.
-_SINGLE_UNIT: dict[str, Callable[[bool], ExperimentResult]] = {
-    "fig1": lambda fast: fig1_qps.run(),
-    "fig2": lambda fast: fig2_skew.run(),
-    "fig3": lambda fast: fig3_per_resolver.run(
-        n_resolvers=6_000 if fast else 20_000),
-    "fig4": lambda fast: fig4_stability.run(
-        n_resolvers=6_000 if fast else 20_000),
-    "fig9": lambda fast: fig9_decision_tree.run(),
-    "fig10": lambda fast: fig10_nxdomain.run(_fig10_params(fast)),
-    "fig10-signed": lambda fast: fig10_nxdomain.run_signed(
-        _fig10_signed_params(fast)),
-    "fig11": lambda fast: fig11_speedup.run(),
-    "fig12": lambda fast: fig12_restime.run(),
-    "taxonomy": lambda fast: taxonomy.run(
-        phase_seconds=4.0 if fast else 12.0),
-    "anycast-quality": lambda fast: anycast_quality.run(),
-    "enduser": lambda fast: enduser_latency.run(),
-    "text": lambda fast: text_stats.run(),
+def _unit_resilience(fast: bool, part: int) -> ExperimentResult:
+    params = (resilience_scorecard.ScorecardParams.fast() if fast
+              else resilience_scorecard.ScorecardParams())
+    return resilience_scorecard.run_unit(params, part)
+
+
+def _merge_resilience(fast: bool, payloads: list) -> ExperimentResult:
+    return resilience_scorecard.assemble(payloads)
+
+
+class Figure(NamedTuple):
+    """How one figure splits into work units and merges back."""
+
+    #: (fast, part) -> that unit's payload (type depends on the figure).
+    run: Callable[[bool, int], object]
+    #: How many independent units the figure has, at either scale.
+    parts: int = 1
+    #: (fast, payloads in unit order) -> the figure's result.
+    merge: Callable[[bool, list], ExperimentResult] = _sole_payload
+
+
+#: label -> its work units, in report order. A figure with a ``--fast``
+#: scale or several parts is a named ``_unit_*`` function (FlowConfig
+#: roots the work-unit analysis there); one with neither is its own
+#: ``run()``. Plain counts, so listing the units builds no world.
+FIGURES: dict[str, Figure] = {
+    "fig1": Figure(lambda fast, part: fig1_qps.run()),
+    "fig2": Figure(lambda fast, part: fig2_skew.run()),
+    "fig3": Figure(_unit_fig3),
+    "fig4": Figure(_unit_fig4),
+    "fig8": Figure(_unit_fig8, 2, _merge_fig8),
+    "fig9": Figure(lambda fast, part: fig9_decision_tree.run()),
+    "fig10": Figure(_unit_fig10),
+    "fig10-signed": Figure(_unit_fig10_signed),
+    "fig11": Figure(lambda fast, part: fig11_speedup.run()),
+    "fig12": Figure(lambda fast, part: fig12_restime.run()),
+    "taxonomy": Figure(_unit_taxonomy),
+    "anycast-quality": Figure(lambda fast, part: anycast_quality.run()),
+    "enduser": Figure(lambda fast, part: enduser_latency.run()),
+    "resilience": Figure(_unit_resilience, resilience_scorecard.unit_count(),
+                         _merge_resilience),
+    "text": Figure(lambda fast, part: text_stats.run()),
 }
+
+#: Figure labels in report order.
+JOB_ORDER = tuple(FIGURES)
 
 
 def select_labels(only: list[str] | None) -> tuple[str, ...]:
@@ -122,17 +162,10 @@ def select_labels(only: list[str] | None) -> tuple[str, ...]:
 
 def work_units(fast: bool,
                only: list[str] | None = None) -> list[tuple[str, int]]:
-    """All (label, part) work units for one suite run, in order."""
-    units: list[tuple[str, int]] = []
-    for label in select_labels(only):
-        if label == "fig8":
-            units.extend((label, part) for part in range(2))
-        elif label == "resilience":
-            n = resilience_scorecard.unit_count(_resilience_params(fast))
-            units.extend((label, part) for part in range(n))
-        else:
-            units.append((label, 0))
-    return units
+    """All (label, part) work units for one suite run, in order (the
+    split is the same at either scale)."""
+    return [(label, part) for label in select_labels(only)
+            for part in range(FIGURES[label].parts)]
 
 
 def run_unit(unit: tuple[str, int], fast: bool):
@@ -144,26 +177,12 @@ def run_unit(unit: tuple[str, int], fast: bool):
     process runs it.
     """
     label, part = unit
-    if label == "fig8":
-        return fig8_failover.run_case(_fig8_params(fast), part)
-    if label == "resilience":
-        return resilience_scorecard.run_unit(_resilience_params(fast), part)
-    return _SINGLE_UNIT[label](fast)
-
-
-def _unit_worker(packed: tuple[tuple[str, int], bool]):
-    unit, fast = packed
-    return run_unit(unit, fast)
+    return FIGURES[label].run(fast, part)
 
 
 def merge_label(label: str, payloads: list, fast: bool) -> ExperimentResult:
     """Combine one figure's unit payloads (in unit order) into its result."""
-    if label == "fig8":
-        return fig8_failover.assemble(_fig8_params(fast), *payloads)
-    if label == "resilience":
-        return resilience_scorecard.assemble(payloads)
-    (result,) = payloads
-    return result
+    return FIGURES[label].merge(fast, payloads)
 
 
 def run_parallel(fast: bool, jobs: int,
@@ -177,7 +196,7 @@ def run_parallel(fast: bool, jobs: int,
     """
     units = work_units(fast, only)
     with multiprocessing.Pool(processes=jobs) as pool:
-        payloads = pool.map(_unit_worker, [(u, fast) for u in units])
+        payloads = pool.starmap(run_unit, [(u, fast) for u in units])
     by_label: dict[str, list] = {}
     for (label, _part), payload in zip(units, payloads):
         by_label.setdefault(label, []).append(payload)
@@ -213,14 +232,8 @@ def run_serial(fast: bool,
     results = []
     for label in select_labels(only):
         with wrap(label):
-            if label == "fig8":
-                parts = [run_unit((label, p), fast) for p in range(2)]
-            elif label == "resilience":
-                n = resilience_scorecard.unit_count(
-                    _resilience_params(fast))
-                parts = [run_unit((label, p), fast) for p in range(n)]
-            else:
-                parts = [run_unit((label, 0), fast)]
+            parts = [run_unit(unit, fast)
+                     for unit in work_units(fast, [label])]
         result = merge_label(label, parts, fast)
         if progress is not None:
             progress(label, result)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from ..analysis.report import ExperimentResult
 from ..chaos import (
@@ -257,66 +258,83 @@ class CampaignOutcome:
         return max(measured)
 
 
-def standard_campaigns(deployment: AkamaiDNSDeployment,
-                       seed: int) -> list[tuple[Campaign, CampaignSLO]]:
-    """The fixed suite every scorecard run grades.
+class SuiteEntry(NamedTuple):
+    """One suite row: what is known about a campaign without a world.
 
-    Targets are chosen deterministically from the deployment (first
-    PoPs, one whole cloud's PoP set), so the suite itself is part of
-    the seed.
+    ``slo`` carries the platform build flags (``rollout`` / ``defense``
+    / ``gray``), so :func:`run_campaign` knows which platform to build;
+    ``bind`` then picks the campaign's targets deterministically off
+    *that* platform (first PoPs, one whole cloud's PoP set, sorted
+    machine ids), so the suite itself is part of the seed. The bound
+    campaign is named ``name``; :func:`run_campaign` gives it the seed.
     """
+
+    name: str
+    slo: CampaignSLO
+    bind: Callable[[AkamaiDNSDeployment], Campaign]
+
+
+def _probe_clouds(deployment: AkamaiDNSDeployment):
+    """The probed enterprise's delegation and its first deployed cloud."""
+    delegation = deployment.assigner.assign("slo-enterprise")
+    return delegation, next(c for c in delegation if c in deployment.clouds)
+
+
+def _pop_loss(deployment: AkamaiDNSDeployment) -> Campaign:
+    c = Campaign("pop-loss", duration=70.0,
+                 description="one PoP partitioned off the Internet; "
+                             "anycast reroutes to surviving PoPs")
+    return c.add(FaultSpec(FaultKind.PARTITION, sorted(deployment.pops)[0],
+                           Schedule.once(WARMUP, 25.0)))
+
+
+def _machine_attrition(deployment: AkamaiDNSDeployment) -> Campaign:
+    pops = sorted(deployment.pops)
+    c = Campaign("machine-attrition", duration=80.0,
+                 description="machines crash across two PoPs; restart "
+                             "timers and quorum-bounded suspension recover")
+    c.add(FaultSpec(FaultKind.MACHINE_CRASH, pops[0],
+                    Schedule.once(WARMUP, 20.0)))
+    return c.add(FaultSpec(FaultKind.MACHINE_CRASH, pops[1],
+                           Schedule.once(WARMUP + 10.0, 20.0)))
+
+
+def _metadata_freeze(deployment: AkamaiDNSDeployment) -> Campaign:
+    c = Campaign("metadata-freeze", duration=80.0,
+                 description="publisher-side metadata freeze; staleness "
+                             "clocks run but answers keep flowing")
+    return c.add(FaultSpec(FaultKind.METADATA_FREEZE, "platform",
+                           Schedule.once(WARMUP, 30.0)))
+
+
+def _bgp_churn(deployment: AkamaiDNSDeployment) -> Campaign:
+    pops = sorted(deployment.pops)
+    c = Campaign("bgp-churn", duration=80.0,
+                 description="control-plane resets and a degraded uplink "
+                             "while the data plane stays up")
+    c.add(FaultSpec(FaultKind.BGP_RESET, pops[2],
+                    Schedule.periodic(WARMUP, 15.0, 6.0, 2)))
+    return c.add(FaultSpec(FaultKind.LINK_DEGRADE, pops[1], severity=0.3,
+                           schedule=Schedule.once(WARMUP + 5.0, 25.0)))
+
+
+def _zone_corruption(deployment: AkamaiDNSDeployment) -> Campaign:
+    c = Campaign("zone-corruption", duration=80.0,
+                 description="truncated zone transfer installs cleanly, "
+                             "serves NXDOMAIN invisibly to SOA probes, "
+                             "then republication restores contents")
+    return c.add(FaultSpec(FaultKind.ZONE_CORRUPTION, PROBE_ZONE,
+                           Schedule.once(WARMUP, 25.0)))
+
+
+def _combined_storm(deployment: AkamaiDNSDeployment) -> Campaign:
     pops = sorted(deployment.pops)
     # Every PoP advertising the probed enterprise's first assigned
     # cloud: taking all of them out at once defeats anycast failover
     # *within* the cloud and forces the resolver to fail over *across*
     # clouds — the visible-degradation case.
-    delegation = deployment.assigner.assign("slo-enterprise")
-    slo_zone_cloud = next(c for c in delegation if c in deployment.clouds)
-    cloud_pops = deployment.cloud_pops[slo_zone_cloud.index]
-    suite: list[tuple[Campaign, CampaignSLO]] = []
-
-    c = Campaign("pop-loss", duration=70.0, seed=seed,
-                 description="one PoP partitioned off the Internet; "
-                             "anycast reroutes to surviving PoPs")
-    c.add(FaultSpec(FaultKind.PARTITION, pops[0],
-                    Schedule.once(WARMUP, 25.0)))
-    suite.append((c, CampaignSLO()))
-
-    c = Campaign("machine-attrition", duration=80.0, seed=seed,
-                 description="machines crash across two PoPs; restart "
-                             "timers and quorum-bounded suspension recover")
-    c.add(FaultSpec(FaultKind.MACHINE_CRASH, pops[0],
-                    Schedule.once(WARMUP, 20.0)))
-    c.add(FaultSpec(FaultKind.MACHINE_CRASH, pops[1],
-                    Schedule.once(WARMUP + 10.0, 20.0)))
-    suite.append((c, CampaignSLO()))
-
-    c = Campaign("metadata-freeze", duration=80.0, seed=seed,
-                 description="publisher-side metadata freeze; staleness "
-                             "clocks run but answers keep flowing")
-    c.add(FaultSpec(FaultKind.METADATA_FREEZE, "platform",
-                    Schedule.once(WARMUP, 30.0)))
-    suite.append((c, CampaignSLO()))
-
-    c = Campaign("bgp-churn", duration=80.0, seed=seed,
-                 description="control-plane resets and a degraded uplink "
-                             "while the data plane stays up")
-    c.add(FaultSpec(FaultKind.BGP_RESET, pops[2],
-                    Schedule.periodic(WARMUP, 15.0, 6.0, 2)))
-    c.add(FaultSpec(FaultKind.LINK_DEGRADE, pops[1], severity=0.3,
-                    schedule=Schedule.once(WARMUP + 5.0, 25.0)))
-    suite.append((c, CampaignSLO()))
-
-    c = Campaign("zone-corruption", duration=80.0, seed=seed,
-                 description="truncated zone transfer installs cleanly, "
-                             "serves NXDOMAIN invisibly to SOA probes, "
-                             "then republication restores contents")
-    c.add(FaultSpec(FaultKind.ZONE_CORRUPTION, PROBE_ZONE,
-                    Schedule.once(WARMUP, 25.0)))
-    suite.append((c, CampaignSLO(min_overall=0.55, min_worst_window=0.0,
-                                 expect_dip=True)))
-
-    c = Campaign("combined-storm", duration=110.0, seed=seed,
+    cloud_pops = deployment.cloud_pops[_probe_clouds(deployment)[1].index]
+    c = Campaign("combined-storm", duration=110.0,
                  description="crash loops across a whole cloud, its "
                              "input-delayed refuge partitioned, pubsub "
                              "partition + link flaps on top: graceful "
@@ -334,45 +352,46 @@ def standard_campaigns(deployment: AkamaiDNSDeployment,
                     Schedule.once(WARMUP + 5.0, 35.0)))
     c.add(FaultSpec(FaultKind.LINK_FLAP, pops[2],
                     Schedule.periodic(WARMUP + 2.0, 12.0, 5.0, 3)))
-    c.add(FaultSpec(FaultKind.SLOW_IO, pops[0], severity=0.5,
-                    schedule=Schedule.once(WARMUP + 8.0, 30.0)))
-    suite.append((c, CampaignSLO(min_overall=0.80, min_worst_window=0.30,
-                                 expect_dip=True)))
+    return c.add(FaultSpec(FaultKind.SLOW_IO, pops[0], severity=0.5,
+                           schedule=Schedule.once(WARMUP + 8.0, 30.0)))
 
-    c = Campaign("defense-ladder", duration=110.0, seed=seed,
+
+def _defense_ladder(deployment: AkamaiDNSDeployment) -> Campaign:
+    prefix = _probe_clouds(deployment)[1].prefix
+    c = Campaign("defense-ladder", duration=110.0,
                  description="escalating random-subdomain flood at the "
                              "probe zone's cloud; the defense ladder "
                              "detects, climbs rung by rung, contains the "
                              "attack, then fully unwinds")
-    c.add(FaultSpec(FaultKind.ATTACK_FLOOD, slo_zone_cloud.prefix,
+    c.add(FaultSpec(FaultKind.ATTACK_FLOOD, prefix,
                     Schedule.once(WARMUP, 30.0), severity=250.0,
                     note=VICTIM_ZONE))
-    c.add(FaultSpec(FaultKind.ATTACK_FLOOD, slo_zone_cloud.prefix,
-                    Schedule.once(WARMUP + 30.0, 30.0), severity=500.0,
-                    note=VICTIM_ZONE))
-    suite.append((c, CampaignSLO(min_overall=0.70, min_worst_window=0.0,
-                                 defense=True)))
+    return c.add(FaultSpec(FaultKind.ATTACK_FLOOD, prefix,
+                           Schedule.once(WARMUP + 30.0, 30.0),
+                           severity=500.0, note=VICTIM_ZONE))
 
+
+def _defense_guardrail(deployment: AkamaiDNSDeployment) -> Campaign:
     # A cloud *outside* the probe zone's delegation: attacking it leaves
     # legitimate traffic untouched (attack damage ~0), so an over-broad
     # mitigation is the only thing shedding good traffic — the cleanest
     # possible guardrail trip.
+    delegation, probe_cloud = _probe_clouds(deployment)
     offside_cloud = next((c for c in deployment.clouds
-                          if c not in delegation), slo_zone_cloud)
-    c = Campaign("defense-guardrail", duration=90.0, seed=seed,
+                          if c not in delegation), probe_cloud)
+    c = Campaign("defense-guardrail", duration=90.0,
                  description="flood at a cloud outside the probe zone's "
                              "delegation; a deliberately over-broad "
                              "firewall rung sheds good traffic and the "
                              "collateral-damage guardrail reverts and "
                              "latches it, then the safe rungs climb")
-    c.add(FaultSpec(FaultKind.ATTACK_FLOOD, offside_cloud.prefix,
-                    Schedule.once(WARMUP, 40.0), severity=300.0,
-                    note=VICTIM_ZONE))
-    suite.append((c, CampaignSLO(min_overall=0.80, min_worst_window=0.0,
-                                 expect_dip=True, defense=True,
-                                 defense_overblock=True)))
+    return c.add(FaultSpec(FaultKind.ATTACK_FLOOD, offside_cloud.prefix,
+                           Schedule.once(WARMUP, 40.0), severity=300.0,
+                           note=VICTIM_ZONE))
 
-    c = Campaign("rollout-containment", duration=90.0, seed=seed,
+
+def _rollout_containment(deployment: AkamaiDNSDeployment) -> Campaign:
+    c = Campaign("rollout-containment", duration=90.0,
                  description="semantically valid but content-corrupt zone "
                              "rides the rollout train; canary probes trip "
                              "the health gate and the rollback lands "
@@ -380,12 +399,12 @@ def standard_campaigns(deployment: AkamaiDNSDeployment,
     # "renamed" keeps the SOA/NS apex intact and bumps the serial, so
     # the validator passes it — only the canary health gate stands
     # between it and the fleet. That is the blast-radius case.
-    c.add(FaultSpec(FaultKind.BAD_ZONE_PUBLISH, PROBE_ZONE,
-                    Schedule.once(WARMUP, 55.0), note="renamed"))
-    suite.append((c, CampaignSLO(min_overall=0.55, min_worst_window=0.0,
-                                 rollout=True, contain_blast=True)))
+    return c.add(FaultSpec(FaultKind.BAD_ZONE_PUBLISH, PROBE_ZONE,
+                           Schedule.once(WARMUP, 55.0), note="renamed"))
 
-    c = Campaign("rollout-validation", duration=70.0, seed=seed,
+
+def _rollout_validation(deployment: AkamaiDNSDeployment) -> Campaign:
+    c = Campaign("rollout-validation", duration=70.0,
                  description="regressive, truncated and SOA-less zone "
                              "updates are all rejected by the validator "
                              "before a single machine sees them")
@@ -393,32 +412,13 @@ def standard_campaigns(deployment: AkamaiDNSDeployment,
                     Schedule.once(WARMUP, 8.0), note="regressive"))
     c.add(FaultSpec(FaultKind.BAD_ZONE_PUBLISH, PROBE_ZONE,
                     Schedule.once(WARMUP + 12.0, 8.0), note="truncated"))
-    c.add(FaultSpec(FaultKind.BAD_ZONE_PUBLISH, PROBE_ZONE,
-                    Schedule.once(WARMUP + 24.0, 8.0), note="missing-soa"))
-    suite.append((c, CampaignSLO(rollout=True, expect_reject=3)))
-
-    return suite
+    return c.add(FaultSpec(FaultKind.BAD_ZONE_PUBLISH, PROBE_ZONE,
+                           Schedule.once(WARMUP + 24.0, 8.0),
+                           note="missing-soa"))
 
 
-def dnssec_campaigns(deployment: AkamaiDNSDeployment,
-                     seed: int) -> list[tuple[Campaign, CampaignSLO]]:
-    """The opt-in DNSSEC rollover-containment suite (``--dnssec``).
-
-    Kept out of :func:`standard_campaigns` so the standard scorecard's
-    output stays byte-identical whether or not the DNSSEC subsystem is
-    exercised. The two campaigns bracket the two ways a key rollover
-    goes wrong:
-
-    * statically detectable (zone signed by unpublished keys) — the
-      validator must reject it before any machine sees it;
-    * dynamically detectable only (signatures valid at publish, lapsing
-      mid-soak) — the canary health gate is the only line of defense,
-      and containment must be invisible to non-validating clients.
-    """
-    del deployment  # targets are fixed; signature matches standard_campaigns
-    suite: list[tuple[Campaign, CampaignSLO]] = []
-
-    c = Campaign("dnssec-expiry-rollback", duration=90.0, seed=seed,
+def _dnssec_expiry_rollback(deployment: AkamaiDNSDeployment) -> Campaign:
+    c = Campaign("dnssec-expiry-rollback", duration=90.0,
                  description="a correctly signed zone whose RRSIGs lapse "
                              "mid-soak rides the rollout train; canary "
                              "probes go bogus, the health gate trips, "
@@ -426,61 +426,45 @@ def dnssec_campaigns(deployment: AkamaiDNSDeployment,
                              "window with zero client-visible damage")
     # Validity (severity) must leave room for gate detection plus
     # worst-case rollback delivery inside the ROLLOUT_SOAK window.
-    c.add(FaultSpec(FaultKind.SIGNATURE_EXPIRY, PROBE_ZONE,
-                    Schedule.once(WARMUP, 8.0), severity=15.0))
-    suite.append((c, CampaignSLO(rollout=True, expect_rollback=True)))
+    return c.add(FaultSpec(FaultKind.SIGNATURE_EXPIRY, PROBE_ZONE,
+                           Schedule.once(WARMUP, 8.0), severity=15.0))
 
-    c = Campaign("dnssec-key-mismatch-reject", duration=70.0, seed=seed,
+
+def _dnssec_key_mismatch(deployment: AkamaiDNSDeployment) -> Campaign:
+    c = Campaign("dnssec-key-mismatch-reject", duration=70.0,
                  description="a zone signed by keys its DNSKEY RRset "
                              "does not publish is rejected by the "
                              "validator before any canary serves it")
-    c.add(FaultSpec(FaultKind.KEY_MISMATCH, PROBE_ZONE,
-                    Schedule.once(WARMUP, 8.0)))
-    suite.append((c, CampaignSLO(rollout=True, expect_reject=1)))
-
-    return suite
+    return c.add(FaultSpec(FaultKind.KEY_MISMATCH, PROBE_ZONE,
+                           Schedule.once(WARMUP, 8.0)))
 
 
-def gray_campaigns(deployment: AkamaiDNSDeployment,
-                   seed: int) -> list[tuple[Campaign, CampaignSLO]]:
-    """The opt-in gray-failure detection suite (``--gray``).
+def _gray_machines(deployment: AkamaiDNSDeployment) -> list[str]:
+    return sorted(d.machine.machine_id
+                  for d in deployment.regular_deployments())
 
-    Kept out of :func:`standard_campaigns` so the standard scorecard's
-    output stays byte-identical whether or not the external prober is
-    exercised. The two campaigns bracket the two failure modes that
-    matter for gray faults:
 
-    * a single machine silently corrupting answers while its own
-      health probes stay green — only external differential probing
-      can see it, and the response must route through the suspension
-      quorum, then probation, then rejoin;
-    * correlated gray faults on *more* machines than the suspension
-      budget allows — the quorum coordinator must refuse to
-      mass-suspend, because a degraded platform that answers beats a
-      "clean" platform that is dark (section 4.2.2's capacity bound).
-    """
-    machine_ids = sorted(d.machine.machine_id
-                         for d in deployment.regular_deployments())
-    budget = deployment.coordinator.max_concurrent
-    suite: list[tuple[Campaign, CampaignSLO]] = []
-
-    c = Campaign("gray-corruption", duration=95.0, seed=seed,
+def _gray_corruption(deployment: AkamaiDNSDeployment) -> Campaign:
+    c = Campaign("gray-corruption", duration=95.0,
                  description="one machine silently strips every answer "
                              "section while its own health probes stay "
                              "green; the external prober convicts it by "
                              "differential comparison, the quorum "
                              "suspends it, and probation rejoins it "
                              "after the fault clears")
-    c.add(FaultSpec(FaultKind.GRAY_CORRUPT, machine_ids[0],
-                    Schedule.once(WARMUP, 35.0)))
-    suite.append((c, CampaignSLO(min_overall=0.70, min_worst_window=0.0,
-                                 gray=True)))
+    return c.add(FaultSpec(FaultKind.GRAY_CORRUPT,
+                           _gray_machines(deployment)[0],
+                           Schedule.once(WARMUP, 35.0)))
 
+
+def _gray_quorum_guard(deployment: AkamaiDNSDeployment) -> Campaign:
+    machine_ids = _gray_machines(deployment)
+    budget = deployment.coordinator.max_concurrent
     # More gray machines than the coordinator will ever suspend at
     # once, but still a strict minority of the probed fleet (the
     # majority-answer reference needs honest peers to out-vote liars).
     correlated = min(budget + 2, (len(machine_ids) - 1) // 2)
-    c = Campaign("gray-quorum-guard", duration=100.0, seed=seed,
+    c = Campaign("gray-quorum-guard", duration=100.0,
                  description=f"{correlated} machines go gray at once — "
                              f"beyond the suspension budget of {budget}; "
                              "the quorum refuses to mass-suspend and the "
@@ -488,10 +472,74 @@ def gray_campaigns(deployment: AkamaiDNSDeployment,
     for machine_id in machine_ids[:correlated]:
         c.add(FaultSpec(FaultKind.GRAY_CORRUPT, machine_id,
                         Schedule.once(WARMUP, 40.0)))
-    suite.append((c, CampaignSLO(min_overall=0.55, min_worst_window=0.0,
-                                 gray=True, gray_quorum_guard=True)))
+    return c
 
-    return suite
+
+#: suite name -> its campaigns, in scorecard order. The opt-in suites
+#: are kept out of ``standard`` so the standard scorecard's output stays
+#: byte-identical whether or not their subsystems are exercised.
+SUITES: dict[str, tuple[SuiteEntry, ...]] = {
+    # The fixed suite every scorecard run grades: one failure mode
+    # each, plus one combined "everything at once" campaign.
+    "standard": (
+        SuiteEntry("pop-loss", CampaignSLO(), _pop_loss),
+        SuiteEntry("machine-attrition", CampaignSLO(), _machine_attrition),
+        SuiteEntry("metadata-freeze", CampaignSLO(), _metadata_freeze),
+        SuiteEntry("bgp-churn", CampaignSLO(), _bgp_churn),
+        SuiteEntry("zone-corruption",
+                   CampaignSLO(min_overall=0.55, min_worst_window=0.0,
+                               expect_dip=True), _zone_corruption),
+        SuiteEntry("combined-storm",
+                   CampaignSLO(min_overall=0.80, min_worst_window=0.30,
+                               expect_dip=True), _combined_storm),
+        SuiteEntry("defense-ladder",
+                   CampaignSLO(min_overall=0.70, min_worst_window=0.0,
+                               defense=True), _defense_ladder),
+        SuiteEntry("defense-guardrail",
+                   CampaignSLO(min_overall=0.80, min_worst_window=0.0,
+                               expect_dip=True, defense=True,
+                               defense_overblock=True), _defense_guardrail),
+        SuiteEntry("rollout-containment",
+                   CampaignSLO(min_overall=0.55, min_worst_window=0.0,
+                               rollout=True, contain_blast=True),
+                   _rollout_containment),
+        SuiteEntry("rollout-validation",
+                   CampaignSLO(rollout=True, expect_reject=3),
+                   _rollout_validation),
+    ),
+    # ``--dnssec`` brackets the two ways a key rollover goes wrong:
+    # dynamically detectable only (signatures valid at publish, lapsing
+    # mid-soak — the canary health gate is the only line of defense,
+    # and containment must be invisible to non-validating clients) and
+    # statically detectable (zone signed by unpublished keys — the
+    # validator must reject it before any machine sees it).
+    "dnssec": (
+        SuiteEntry("dnssec-expiry-rollback",
+                   CampaignSLO(rollout=True, expect_rollback=True),
+                   _dnssec_expiry_rollback),
+        SuiteEntry("dnssec-key-mismatch-reject",
+                   CampaignSLO(rollout=True, expect_reject=1),
+                   _dnssec_key_mismatch),
+    ),
+    # ``--gray`` brackets the two failure modes that matter for gray
+    # faults: a single machine silently corrupting answers while its
+    # own health probes stay green (only external differential probing
+    # can see it, and the response must route through the suspension
+    # quorum, then probation, then rejoin), and correlated gray faults
+    # on *more* machines than the suspension budget allows (the quorum
+    # coordinator must refuse to mass-suspend, because a degraded
+    # platform that answers beats a "clean" platform that is dark —
+    # section 4.2.2's capacity bound).
+    "gray": (
+        SuiteEntry("gray-corruption",
+                   CampaignSLO(min_overall=0.70, min_worst_window=0.0,
+                               gray=True), _gray_corruption),
+        SuiteEntry("gray-quorum-guard",
+                   CampaignSLO(min_overall=0.55, min_worst_window=0.0,
+                               gray=True, gray_quorum_guard=True),
+                   _gray_quorum_guard),
+    ),
+}
 
 
 class _BlastRecorder:
@@ -629,9 +677,13 @@ def _wire_defense(deployment: AkamaiDNSDeployment, telemetry: Telemetry,
     return controller.arm(telemetry)
 
 
-def run_campaign(params: ScorecardParams, campaign: Campaign,
-                 slo: CampaignSLO | None = None) -> CampaignOutcome:
+def run_campaign(params: ScorecardParams,
+                 entry: SuiteEntry) -> CampaignOutcome:
     """One campaign on one fresh deployment, probe running throughout.
+
+    The deployment is the only one built: the entry's SLO says which
+    platform to build, and the campaign's targets are bound on it
+    before the chaos engine arms.
 
     A campaign-local telemetry session watches the probe's failure feed
     with a :class:`RatioDetector`, so the scorecard can report not only
@@ -639,9 +691,8 @@ def run_campaign(params: ScorecardParams, campaign: Campaign,
     pipeline *noticed* (time-to-detection). Telemetry is passive: the
     session changes no simulation behaviour, only what gets recorded.
     """
-    rollout = slo is not None and slo.rollout
-    defense = slo is not None and slo.defense
-    gray = slo is not None and slo.gray
+    slo = entry.slo
+    rollout, defense = slo.rollout, slo.defense
     # Defense campaigns arm mitigations: the controller mutates sim
     # state (policies, filters, firewall rules, BGP exports) by design.
     # Every other campaign keeps the session passive.
@@ -657,7 +708,9 @@ def run_campaign(params: ScorecardParams, campaign: Campaign,
     telemetry.alerts.add(detector, "probe.fail")
     with _telemetry_state.session(telemetry):
         deployment = build_deployment(params, rollout=rollout,
-                                      defense=defense, gray=gray)
+                                      defense=defense, gray=slo.gray)
+        campaign = entry.bind(deployment)
+        campaign.seed = params.seed
         recorder = _BlastRecorder(deployment) if rollout else None
         grayfail = deployment.grayfail
         gray_self: dict[str, bool] = {}
@@ -797,29 +850,26 @@ def run_campaign(params: ScorecardParams, campaign: Campaign,
 _TITLE = "Platform resilience scorecard (section 4.2 failure modes)"
 
 
-def unit_count(params: ScorecardParams) -> int:
-    """Number of independent campaign work units in the standard suite."""
-    return len(standard_campaigns(build_deployment(params), params.seed))
+def unit_count(suite: str = "standard") -> int:
+    """Number of independent campaign work units in a suite."""
+    return len(SUITES[suite])
 
 
 def run_unit(params: ScorecardParams, index: int,
              verbose: bool = False,
-             suite: list[tuple[Campaign, CampaignSLO]] | None = None,
-             ) -> ExperimentResult:
-    """Score one campaign on its own fresh deployment.
+             suite: str = "standard") -> ExperimentResult:
+    """Score one campaign of a suite on its own fresh deployment.
 
     Campaigns share nothing (each builds a new deployment from the same
     seed), so units may run in separate processes; :func:`assemble`
     concatenates the fragments in suite order to reproduce the serial
-    result exactly. ``suite`` defaults to the standard suite; the
-    DNSSEC suite passes its own.
+    result exactly.
     """
-    if suite is None:
-        suite = standard_campaigns(build_deployment(params), params.seed)
-    campaign, slo = suite[index]
+    entry = SUITES[suite][index]
+    slo = entry.slo
     result = ExperimentResult("resilience", _TITLE)
-    outcome = run_campaign(params, campaign, slo)
-    report = outcome.report
+    outcome = run_campaign(params, entry)
+    campaign, report = outcome.campaign, outcome.report
     if verbose:
         print(f"-- {campaign.name}: {campaign.description}",
               file=sys.stderr)
@@ -1105,53 +1155,29 @@ def assemble(fragments: list[ExperimentResult]) -> ExperimentResult:
     return result
 
 
+def select_campaigns(suite: str, only: str | None) -> list[int]:
+    """Indices of the suite's campaigns whose name contains ``only``."""
+    names = [entry.name for entry in SUITES[suite]]
+    indices = [i for i, campaign_name in enumerate(names)
+               if only is None or only in campaign_name]
+    if not indices:
+        raise ValueError(f"no campaign of the {suite} suite matches "
+                         f"{only!r} (choose from {', '.join(names)})")
+    return indices
+
+
 def run(params: ScorecardParams | None = None,
         verbose: bool = False,
-        only: str | None = None) -> ExperimentResult:
-    """Run the standard suite and emit the pass/fail scorecard.
+        only: str | None = None,
+        suite: str = "standard") -> ExperimentResult:
+    """Run one suite of :data:`SUITES` and emit the pass/fail scorecard.
 
     ``only`` restricts the suite to campaigns whose name contains the
-    given substring (``SystemExit`` if nothing matches).
+    given substring (``ValueError`` if nothing matches).
     """
     params = params or ScorecardParams()
-    indices = list(range(unit_count(params)))
-    if only is not None:
-        suite = standard_campaigns(build_deployment(params), params.seed)
-        indices = [i for i in indices if only in suite[i][0].name]
-        if not indices:
-            raise SystemExit(f"no campaign matches {only!r}")
-    return assemble([run_unit(params, index, verbose)
-                     for index in indices])
-
-
-def run_dnssec(params: ScorecardParams | None = None,
-               verbose: bool = False,
-               only: str | None = None) -> ExperimentResult:
-    """Run the opt-in DNSSEC rollover-containment suite (``--dnssec``)."""
-    params = params or ScorecardParams()
-    suite = dnssec_campaigns(build_deployment(params), params.seed)
-    indices = list(range(len(suite)))
-    if only is not None:
-        indices = [i for i in indices if only in suite[i][0].name]
-        if not indices:
-            raise SystemExit(f"no campaign matches {only!r}")
-    return assemble([run_unit(params, index, verbose, suite=suite)
-                     for index in indices])
-
-
-def run_gray(params: ScorecardParams | None = None,
-             verbose: bool = False,
-             only: str | None = None) -> ExperimentResult:
-    """Run the opt-in gray-failure detection suite (``--gray``)."""
-    params = params or ScorecardParams()
-    suite = gray_campaigns(build_deployment(params), params.seed)
-    indices = list(range(len(suite)))
-    if only is not None:
-        indices = [i for i in indices if only in suite[i][0].name]
-        if not indices:
-            raise SystemExit(f"no campaign matches {only!r}")
-    return assemble([run_unit(params, index, verbose, suite=suite)
-                     for index in indices])
+    return assemble([run_unit(params, index, verbose, suite)
+                     for index in select_campaigns(suite, only)])
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -1164,21 +1190,24 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--campaign", default=None, metavar="SUBSTR",
                         help="run only campaigns whose name contains "
                              "this substring")
-    parser.add_argument("--dnssec", action="store_true",
-                        help="run the opt-in DNSSEC rollover-containment "
-                             "suite instead of the standard one")
-    parser.add_argument("--gray", action="store_true",
-                        help="run the opt-in gray-failure detection "
-                             "suite instead of the standard one")
+    suite = parser.add_mutually_exclusive_group()
+    suite.add_argument("--dnssec", action="store_const", dest="suite",
+                       const="dnssec", default="standard",
+                       help="run the opt-in DNSSEC rollover-containment "
+                            "suite instead of the standard one")
+    suite.add_argument("--gray", action="store_const", dest="suite",
+                       const="gray", default="standard",
+                       help="run the opt-in gray-failure detection "
+                            "suite instead of the standard one")
     args = parser.parse_args(argv)
+    try:
+        select_campaigns(args.suite, args.campaign)
+    except ValueError as exc:
+        parser.error(str(exc))
     params = ScorecardParams.fast(args.seed) if args.fast \
         else ScorecardParams(seed=args.seed)
-    runner = run
-    if args.dnssec:
-        runner = run_dnssec
-    if args.gray:
-        runner = run_gray
-    result = runner(params, verbose=args.verbose, only=args.campaign)
+    result = run(params, verbose=args.verbose, only=args.campaign,
+                 suite=args.suite)
     print(result.render())
     return 0 if result.all_hold else 1
 

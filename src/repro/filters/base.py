@@ -26,9 +26,6 @@ class QueryContext:
     qtype: RType
     now: float               # arrival time (simulation seconds)
     ip_ttl: int = 64         # IP TTL observed on the arriving packet
-    nameserver_id: str = ""  # which nameserver machine received it
-    is_attack: bool = False  # ground-truth label for experiment accounting
-                             # (never read by filters)
 
 
 class Filter(Protocol):

@@ -17,14 +17,12 @@ Usage::
 
 Findings can be suppressed inline with ``# reprolint: disable=CODE``
 (same line), ``# reprolint: disable-next=CODE`` (next line), or
-``# reprolint: disable-file=CODE`` (whole file), and grandfathered via a
-checked-in baseline file (``reprolint.baseline.json``). The shipped
-baseline is empty: the tree is clean.
+``# reprolint: disable-file=CODE`` (whole file). There is no baseline
+of grandfathered findings: the tree is clean and stays so.
 """
 
 from __future__ import annotations
 
-from .baseline import Baseline, fingerprint
 from .core import Finding, ModuleContext, Rule, Severity
 from .engine import LintResult, lint_paths, lint_source
 from .flow import FLOW_CODES, FLOW_RULES, FlowConfig
@@ -33,7 +31,6 @@ from .rules import ALL_RULES, rule_by_code
 
 __all__ = [
     "ALL_RULES",
-    "Baseline",
     "FLOW_CODES",
     "FLOW_RULES",
     "Finding",
@@ -43,7 +40,6 @@ __all__ = [
     "Rule",
     "Severity",
     "analyze_flow",
-    "fingerprint",
     "lint_paths",
     "lint_source",
     "rule_by_code",

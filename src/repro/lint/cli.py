@@ -1,7 +1,6 @@
 """Command-line interface: ``python -m repro.lint [paths...]``.
 
-Exit codes: 0 = clean, 1 = non-baselined findings (or stale baseline
-entries under ``--strict-baseline``), 2 = usage/configuration error.
+Exit codes: 0 = clean, 1 = findings, 2 = usage/configuration error.
 """
 
 from __future__ import annotations
@@ -9,17 +8,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
-from .baseline import DEFAULT_BASELINE_NAME, Baseline
 from .core import Severity
 from .engine import LintResult, lint_paths
 from .flow import FLOW_RULES
 from .rules import ALL_RULES
 
 #: v2: findings carry a ``witness`` call-chain list (empty for
-#: per-file rules) and FLOW codes may appear.
-JSON_SCHEMA_VERSION = 2
+#: per-file rules) and FLOW codes may appear. v3: no baseline keys.
+JSON_SCHEMA_VERSION = 3
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -37,17 +34,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "(FLOW001 RNG provenance, FLOW002 hot-path "
                              "purity, FLOW003 parallel safety) over the "
                              "project call graph")
-    parser.add_argument("--baseline", metavar="PATH", default=None,
-                        help=f"baseline file (default: "
-                             f"./{DEFAULT_BASELINE_NAME} when present)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore any baseline file")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="write current findings to the baseline "
-                             "and exit 0")
-    parser.add_argument("--strict-baseline", action="store_true",
-                        help="also fail when baseline entries are "
-                             "stale (fixed but still recorded)")
     parser.add_argument("--select", metavar="CODES", default=None,
                         help="comma-separated rule codes to run "
                              "(default: all)")
@@ -76,26 +62,15 @@ def _to_json(result: LintResult) -> dict[str, object]:
                          if f.severity is Severity.ERROR),
             "warning": sum(1 for f in findings
                            if f.severity is Severity.WARNING),
-            "grandfathered": len(result.grandfathered),
-            "stale_baseline": len(result.stale_baseline),
         },
         "findings": [f.to_dict() for f in findings],
-        "stale_baseline": list(result.stale_baseline),
     }
 
 
 def _render_human(result: LintResult) -> str:
     lines = [f.render() for f in result.all_new_findings]
-    for fp in result.stale_baseline:
-        lines.append(f"baseline: entry {fp} no longer matches any "
-                     f"finding; prune it with --update-baseline")
-    summary = (f"reprolint: {result.files_checked} files, "
-               f"{len(result.all_new_findings)} finding(s)")
-    if result.grandfathered:
-        summary += f", {len(result.grandfathered)} grandfathered"
-    if result.stale_baseline:
-        summary += f", {len(result.stale_baseline)} stale baseline entry(ies)"
-    lines.append(summary)
+    lines.append(f"reprolint: {result.files_checked} files, "
+                 f"{len(result.all_new_findings)} finding(s)")
     return "\n".join(lines)
 
 
@@ -123,46 +98,11 @@ def main(argv: list[str] | None = None) -> int:
         # selection that names no FLOW code runs none of them.
         flow_enabled = args.flow or bool(flow_codes)
 
-    baseline_path: Path | None = None
-    if not args.no_baseline:
-        if args.baseline:
-            baseline_path = Path(args.baseline)
-            if not baseline_path.exists() and not args.update_baseline:
-                print(f"reprolint: baseline file not found: "
-                      f"{baseline_path}", file=sys.stderr)
-                return 2
-        else:
-            default = Path(DEFAULT_BASELINE_NAME)
-            if default.exists() or args.update_baseline:
-                baseline_path = default
-
-    if args.update_baseline:
-        result = lint_paths(args.paths, rules=rules, baseline=None,
-                            flow=flow_enabled, flow_codes=flow_codes)
-        target = baseline_path or Path(DEFAULT_BASELINE_NAME)
-        Baseline.from_findings(result.findings).save(target)
-        print(f"reprolint: wrote {len(result.findings)} finding(s) to "
-              f"{target}", file=sys.stderr)
-        return 0
-
-    baseline = None
-    if baseline_path is not None and baseline_path.exists():
-        try:
-            baseline = Baseline.load(baseline_path)
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
-            print(f"reprolint: bad baseline {baseline_path}: {exc}",
-                  file=sys.stderr)
-            return 2
-
-    result = lint_paths(args.paths, rules=rules, baseline=baseline,
+    result = lint_paths(args.paths, rules=rules,
                         flow=flow_enabled, flow_codes=flow_codes)
 
     if args.json:
         print(json.dumps(_to_json(result), indent=2))
     else:
         print(_render_human(result))
-
-    failed = not result.clean
-    if args.strict_baseline and result.stale_baseline:
-        failed = True
-    return 1 if failed else 0
+    return 0 if result.clean else 1

@@ -36,8 +36,7 @@ class Finding:
     code: str
     severity: Severity
     message: str
-    #: Stripped text of the offending source line (baseline fingerprint
-    #: input; keeps baselines stable across pure line-number drift).
+    #: Stripped text of the offending source line (in ``--json``).
     source: str = ""
     #: Call-chain witness for whole-program (FLOW) findings: qualified
     #: function ids from the analysis entry point down to the function

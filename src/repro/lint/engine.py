@@ -1,16 +1,14 @@
 """File discovery and rule execution.
 
 The engine parses each file once, builds one :class:`ModuleContext`,
-runs every in-scope rule over it, drops inline-suppressed findings, and
-(optionally) splits the remainder against a baseline. Paths are
-normalized relative to a root (default: the current working directory)
-so baselines and scope patterns are machine-independent.
+runs every in-scope rule over it and drops inline-suppressed findings.
+Paths are normalized relative to a root (default: the current working
+directory) so scope patterns are machine-independent.
 
 With ``flow=True`` the same parsed contexts feed the whole-program
 analyses in :mod:`repro.lint.flow` (call-graph reachability, RNG seed
 provenance, parallel safety); their findings merge into the normal
-stream so suppressions, the baseline, and output modes apply
-uniformly.
+stream so suppressions and output modes apply uniformly.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .baseline import Baseline
 from .core import Finding, ModuleContext, Rule
 from .rules import ALL_RULES
 from .suppress import parse_suppressions
@@ -38,8 +35,6 @@ class LintResult:
     """Outcome of a lint run over a set of paths."""
 
     findings: list[Finding] = field(default_factory=list)
-    grandfathered: list[Finding] = field(default_factory=list)
-    stale_baseline: list[str] = field(default_factory=list)
     files_checked: int = 0
     parse_errors: list[Finding] = field(default_factory=list)
 
@@ -115,12 +110,11 @@ def lint_source(source: str, path: str = "src/repro/<string>.py",
 
 def lint_paths(paths: list[str | Path],
                rules: tuple[type[Rule], ...] = ALL_RULES,
-               baseline: Baseline | None = None,
                root: str | Path | None = None,
                flow: bool = False,
                flow_codes: set[str] | None = None,
                flow_config=None) -> LintResult:
-    """Lint every ``*.py`` under ``paths`` and apply the baseline.
+    """Lint every ``*.py`` under ``paths``.
 
     ``flow=True`` additionally runs the whole-program analyses
     (restricted to ``flow_codes`` when given) over the same parsed
@@ -129,7 +123,6 @@ def lint_paths(paths: list[str | Path],
     """
     root_path = Path(root) if root is not None else Path.cwd()
     result = LintResult()
-    collected: list[Finding] = []
     contexts: list[ModuleContext] = []
     for file_path in iter_python_files(paths):
         logical = _logical_path(file_path, root_path)
@@ -156,16 +149,11 @@ def lint_paths(paths: list[str | Path],
                             source_lines=source_lines)
         contexts.append(ctx)
         suppressions = parse_suppressions(source_lines)
-        collected.extend(_rules_findings(ctx, suppressions, rules, True))
+        result.findings.extend(_rules_findings(ctx, suppressions, rules, True))
     if flow:
         from .flow import DEFAULT_CONFIG, analyze
-        collected.extend(analyze(
+        result.findings.extend(analyze(
             contexts, config=flow_config or DEFAULT_CONFIG,
             codes=flow_codes))
-    if baseline is not None:
-        result.findings, result.grandfathered = baseline.filter(collected)
-        result.stale_baseline = baseline.stale_entries(collected)
-    else:
-        result.findings = collected
     result.findings.sort(key=Finding.sort_key)
     return result

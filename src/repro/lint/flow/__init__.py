@@ -18,10 +18,8 @@ hold *between* components, which is where distributed-DNS bugs live:
 
 All three emit standard :class:`~repro.lint.core.Finding` objects
 carrying a **call-chain witness** (entry point -> ... -> offending
-function), so inline suppressions, the fingerprint baseline,
-``--select``, and JSON output work unchanged; witnesses participate in
-fingerprints so baselines survive moving unrelated code but notice a
-rewired call chain. Run via ``python -m repro.lint --flow src`` or
+function), so inline suppressions, ``--select``, and JSON output work
+unchanged. Run via ``python -m repro.lint --flow src`` or
 ``lint_paths(..., flow=True)``.
 """
 
@@ -75,10 +73,12 @@ class FlowConfig:
         "repro.dnscore.message:Message.from_wire",
     )
     #: Patterns rooting the FLOW003 work-unit reachability: experiment
-    #: entry points and the parallel runner's unit pipeline.
+    #: entry points, the parallel runner's unit pipeline and every
+    #: unit function its table dispatches to.
     workunit_roots: tuple[str, ...] = (
         "repro.experiments.*:run",
         "repro.experiments.parallel:run_unit",
+        "repro.experiments.parallel:_unit_*",
         "repro.experiments.fig8_failover:run_case",
         "repro.experiments.resilience_scorecard:run_unit",
     )

@@ -570,7 +570,7 @@ class Network:
         route.handler(Datagram(
             dgram.src, dgram.dst, dgram.payload, dgram.src_port,
             dgram.dst_port, dgram.ip_ttl - len(hops) - 1,
-            dgram.size_bytes, dgram.hops + hops + (route.dest_router,)))
+            dgram.hops + hops + (route.dest_router,)))
 
     def _deliver_unicast(self, dgram: Datagram) -> None:
         latency = self.unicast_latency(dgram.src, dgram.dst)

@@ -24,7 +24,6 @@ class Datagram:
     src_port: int = 0
     dst_port: int = 53
     ip_ttl: int = DEFAULT_IP_TTL
-    size_bytes: int = 120
     hops: tuple[str, ...] = field(default_factory=tuple)
 
     def decremented(self, via: str) -> "Datagram":
@@ -35,13 +34,7 @@ class Datagram:
         kwargs dict plus field introspection on every call.
         """
         return Datagram(self.src, self.dst, self.payload, self.src_port,
-                        self.dst_port, self.ip_ttl - 1, self.size_bytes,
-                        self.hops + (via,))
-
-    def reply_template(self) -> "Datagram":
-        """Swap src/dst to address a response back to the sender."""
-        return Datagram(src=self.dst, dst=self.src, payload=None,
-                        src_port=self.dst_port, dst_port=self.src_port)
+                        self.dst_port, self.ip_ttl - 1, self.hops + (via,))
 
     @property
     def flow_key(self) -> tuple[str, int, str, int]:

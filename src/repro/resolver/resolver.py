@@ -190,8 +190,7 @@ class RecursiveResolver:
         resolution = _Resolution(self, qname, qtype, callback)
         _t = _telemetry.ACTIVE
         if _t is not None:
-            resolution.span = _t.resolution_started(str(qname),
-                                                    self.loop.now)
+            resolution.span = _t.resolution_started(self.loop.now)
         self._step(resolution)
 
     # -- cache-driven stepping ------------------------------------------------
@@ -464,7 +463,7 @@ class RecursiveResolver:
             if verdict == "bogus":
                 self.validation_failures += 1
                 if _t is not None:
-                    _t.dnssec_validation(str(resolution.target), False)
+                    _t.dnssec_validation(False)
                 # Bogus data is indistinguishable from a lying server:
                 # retry the zone's other delegations, then give up.
                 self._query_authority(resolution)
@@ -472,7 +471,7 @@ class RecursiveResolver:
             if verdict == "ok":
                 self.validations_ok += 1
                 if _t is not None:
-                    _t.dnssec_validation(str(resolution.target), True)
+                    _t.dnssec_validation(True)
         if message.rcode == RCode.NXDOMAIN:
             ttl = _negative_ttl(message.authority_rrsets())
             self.cache.put_negative(resolution.target, resolution.qtype,

@@ -115,9 +115,8 @@ class ResolverService:
         response.flags.ra = True
         for rrset in answers:
             response.add_rrset("answers", rrset)
-        envelope = ResponseEnvelope(response, pop_id="",
-                                    machine_id=self.resolver.host_id,
-                                    anycast_dst=client_dgram.dst)
+        envelope = ResponseEnvelope(response,
+                                    machine_id=self.resolver.host_id)
         self.network.send(Datagram(
             src=self.resolver.host_id, dst=client_dgram.src,
             payload=envelope, src_port=client_dgram.dst_port,

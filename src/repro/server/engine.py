@@ -431,12 +431,9 @@ class AuthoritativeEngine:
             if result.soa is not None:
                 response.add_rrset("authority", result.soa)
         elif result.status == LookupStatus.NXDOMAIN:
-            if not chain:
-                response.flags.rcode = RCode.NXDOMAIN
-            # After a CNAME chain, RFC 6604: rcode reflects the last name,
-            # but many servers answer NOERROR; we follow the RFC.
-            else:
-                response.flags.rcode = RCode.NXDOMAIN
+            # Also after a CNAME chain: RFC 6604 has the rcode reflect the
+            # last name (many servers answer NOERROR; we follow the RFC).
+            response.flags.rcode = RCode.NXDOMAIN
             if result.soa is not None:
                 response.add_rrset("authority", result.soa)
         elif result.status == LookupStatus.CNAME:

@@ -64,7 +64,7 @@ class QoDFirewall:
         self.crash_dumps.append((now, signature))
         _t = _telemetry.ACTIVE
         if _t is not None:
-            _t.qod_event("crash_recorded", now)
+            _t.qod_event("crash_recorded")
 
     def install_rule(self, qname: Name, qtype: RType,
                      now: float) -> QoDSignature:
@@ -94,7 +94,7 @@ class QoDFirewall:
                 self.dropped += 1
                 _t = _telemetry.ACTIVE
                 if _t is not None:
-                    _t.qod_event("dropped", now)
+                    _t.qod_event("dropped")
                 return True
         return False
 

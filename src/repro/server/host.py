@@ -35,10 +35,8 @@ class HostNameserver:
 
     def _respond(self, query_dgram: Datagram, response: Message) -> None:
         wire = encode_response(self.machine, query_dgram.payload, response)
-        envelope = ResponseEnvelope(response, pop_id="",
-                                    machine_id=self.machine.machine_id,
-                                    anycast_dst=query_dgram.dst,
-                                    wire=wire)
+        envelope = ResponseEnvelope(
+            response, machine_id=self.machine.machine_id, wire=wire)
         reply = Datagram(src=self.host_id, dst=query_dgram.src,
                          payload=envelope, src_port=query_dgram.dst_port,
                          dst_port=query_dgram.src_port)

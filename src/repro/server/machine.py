@@ -320,7 +320,7 @@ class NameserverMachine:
             self._nxdomain_filter.invalidate(zone.origin)
         _t = _telemetry.ACTIVE
         if _t is not None:
-            _t.zone_update(self.machine_id, action, self.loop.now)
+            _t.zone_update(self.machine_id, action)
         return True
 
     def _reject_zone(self, zone: Zone) -> bool:
@@ -329,7 +329,7 @@ class NameserverMachine:
             (self.loop.now, "reject", str(zone.origin), _serial_of(zone)))
         _t = _telemetry.ACTIVE
         if _t is not None:
-            _t.zone_update(self.machine_id, "reject", self.loop.now)
+            _t.zone_update(self.machine_id, "reject")
         return False
 
     def rollback_zone(self, origin: Name) -> bool:
@@ -358,7 +358,7 @@ class NameserverMachine:
         if stale:
             _t = _telemetry.ACTIVE
             if _t is not None:
-                _t.machine_stale(self.machine_id, now)
+                _t.machine_stale(self.machine_id)
         return stale
 
     # -- degraded mode (defense ladder) ---------------------------------------
@@ -377,8 +377,7 @@ class NameserverMachine:
         if was_normal:
             _t = _telemetry.ACTIVE
             if _t is not None:
-                _t.machine_lifecycle(self.machine_id, "degraded",
-                                     self.loop.now)
+                _t.machine_lifecycle(self.machine_id, "degraded")
 
     def exit_degraded(self) -> None:
         """Leave degraded mode and replay deferred zone updates.
@@ -397,8 +396,7 @@ class NameserverMachine:
             self.install_zone(zone, rollback=rollback)
         _t = _telemetry.ACTIVE
         if _t is not None:
-            _t.machine_lifecycle(self.machine_id, "restored",
-                                 self.loop.now)
+            _t.machine_lifecycle(self.machine_id, "restored")
 
     def _count_shed(self) -> None:
         rung = self.degraded_rung
@@ -476,8 +474,7 @@ class NameserverMachine:
             self.state = MachineState.SUSPENDED
             _t = _telemetry.ACTIVE
             if _t is not None:
-                _t.machine_lifecycle(self.machine_id, "suspended",
-                                     self.loop.now)
+                _t.machine_lifecycle(self.machine_id, "suspended")
             self._notify_state()
 
     def resume(self) -> None:
@@ -485,8 +482,7 @@ class NameserverMachine:
             self.state = MachineState.RUNNING
             _t = _telemetry.ACTIVE
             if _t is not None:
-                _t.machine_lifecycle(self.machine_id, "resumed",
-                                     self.loop.now)
+                _t.machine_lifecycle(self.machine_id, "resumed")
             self._notify_state()
             self._kick()
 
@@ -495,8 +491,7 @@ class NameserverMachine:
         self.metrics.crashes += 1
         _t = _telemetry.ACTIVE
         if _t is not None:
-            _t.machine_lifecycle(self.machine_id, "crashed",
-                                 self.loop.now)
+            _t.machine_lifecycle(self.machine_id, "crashed")
         self.state = MachineState.CRASHED
         self.queues.clear()
         self._busy = False
@@ -560,7 +555,7 @@ class NameserverMachine:
             degraded.flags.aa = response.flags.aa
             _t = _telemetry.ACTIVE
             if _t is not None:
-                _t.dnssec_validation(str(question.qname), False)
+                _t.dnssec_validation(False)
             return degraded
         if self.fault == "wrong_answer":
             # ``respond_probe`` may return a plan's shared Message —
@@ -577,9 +572,8 @@ class NameserverMachine:
         envelope = dgram.payload
         assert isinstance(envelope, QueryEnvelope)
         metrics = self.metrics
-        is_attack = envelope.is_attack
         metrics.received += 1
-        if is_attack:
+        if envelope.is_attack:
             metrics.attack_received += 1
         else:
             metrics.legit_received += 1
@@ -631,9 +625,7 @@ class NameserverMachine:
 
         ctx = QueryContext(source=dgram.src, qname=qname,
                            qtype=qtype, now=now,
-                           ip_ttl=dgram.ip_ttl,
-                           nameserver_id=self.machine_id,
-                           is_attack=is_attack)
+                           ip_ttl=dgram.ip_ttl)
         breakdown = self.pipeline.score(ctx)
         if not self.queues.enqueue((dgram, envelope), breakdown.total):
             metrics.dropped_queue += 1

@@ -191,8 +191,7 @@ class MonitoringAgent:
         report = self.run_suite()
         _t = _telemetry.ACTIVE
         if _t is not None:
-            _t.agent_check(machine.machine_id, report.healthy,
-                           self.loop.now)
+            _t.agent_check(machine.machine_id, report.healthy)
         if not report.healthy:
             self.metrics.failures_detected += 1
             self._handle_unhealthy()
@@ -208,8 +207,7 @@ class MonitoringAgent:
             self.metrics.suspensions_denied += 1
             _t = _telemetry.ACTIVE
             if _t is not None:
-                _t.machine_lifecycle(self.machine.machine_id, "denied",
-                                     self.loop.now)
+                _t.machine_lifecycle(self.machine.machine_id, "denied")
             return
         # The quorum grant was obtained just above; this is the one
         # sanctioned direct-suspension site outside the controllers.

@@ -29,7 +29,8 @@ INTRA_POP_LATENCY_S = 0.0002
 
 @dataclass(slots=True)
 class ResponseEnvelope:
-    """A response message plus where it came from, for experiment logging.
+    """A response message plus which machine answered (the gray-failure
+    prober attributes evidence by it).
 
     When the answering machine runs in wire mode, ``wire`` carries the
     actual RFC 1035 encoding (possibly truncated with TC set) and
@@ -37,9 +38,7 @@ class ResponseEnvelope:
     """
 
     message: Message
-    pop_id: str
     machine_id: str
-    anycast_dst: str
     wire: bytes | None = None
 
 
@@ -109,8 +108,7 @@ class PoP:
         def respond(query_dgram: Datagram, response: Message) -> None:
             wire = encode_response(self.machines[machine_id],
                                    query_dgram.payload, response)
-            envelope = ResponseEnvelope(response, self.router_id, machine_id,
-                                        query_dgram.dst, wire=wire)
+            envelope = ResponseEnvelope(response, machine_id, wire=wire)
             reply = Datagram(src=self.router_id, dst=query_dgram.src,
                              payload=envelope, src_port=query_dgram.dst_port,
                              dst_port=query_dgram.src_port)

@@ -283,33 +283,30 @@ class Telemetry:
             self._filter[filter_name].value += 1.0
         self._h_penalty.record(total)
 
-    def qod_event(self, event: str, now: float) -> None:
+    def qod_event(self, event: str) -> None:
         """``event`` is "crash_recorded", "dropped", or "armed"."""
         self._c_qod.labels(event).inc()
 
     # -- monitoring / lifecycle hooks ---------------------------------------
 
-    def agent_check(self, machine_id: str, healthy: bool,
-                    now: float) -> None:
+    def agent_check(self, machine_id: str, healthy: bool) -> None:
         outcome = "healthy" if healthy else "unhealthy"
         self._c_agent.labels(machine_id, outcome).inc()
 
-    def machine_lifecycle(self, machine_id: str, event: str,
-                          now: float) -> None:
+    def machine_lifecycle(self, machine_id: str, event: str) -> None:
         """``event``: "suspended", "resumed", "denied", "crashed",
         "degraded", or "restored"."""
         self._c_lifecycle.labels(machine_id, event).inc()
 
-    def machine_stale(self, machine_id: str, now: float) -> None:
+    def machine_stale(self, machine_id: str) -> None:
         """A staleness check came back positive for this machine."""
         self._c_stale.labels(machine_id).inc()
 
-    def zone_update(self, machine_id: str, action: str,
-                    now: float) -> None:
+    def zone_update(self, machine_id: str, action: str) -> None:
         """``action``: "install", "reject", or "rollback"."""
         self._c_zone_updates.labels(machine_id, action).inc()
 
-    def rollout_event(self, origin: str, phase: str, now: float) -> None:
+    def rollout_event(self, origin: str, phase: str) -> None:
         """A safe-rollout release changed phase (control.rollout)."""
         self._c_rollout.labels(origin, phase).inc()
 
@@ -328,8 +325,8 @@ class Telemetry:
             self.tracer.instant(trace_id, f"defense.{action}", "defense",
                                 now, rung=rung, level=level)
 
-    def gray_verdict(self, machine_id: str, verdict: str, level: int,
-                     now: float) -> None:
+    def gray_verdict(self, machine_id: str, verdict: str,
+                     level: int) -> None:
         """The gray-failure controller moved a machine's verdict.
 
         ``level`` is the verdict's gauge encoding *after* the move, so
@@ -338,15 +335,13 @@ class Telemetry:
         self._c_gray.labels(machine_id, verdict).inc()
         self._g_gray.labels(machine_id).set(float(level))
 
-    def gray_detection(self, machine_id: str, latency: float,
-                       now: float) -> None:
+    def gray_detection(self, latency: float) -> None:
         """A conviction landed; record first-evidence-to-verdict latency."""
-        del machine_id
         self._h_gray_detect.record(latency)
 
     # -- resolver hooks -----------------------------------------------------
 
-    def resolution_started(self, qname: str, now: float) -> Span | None:
+    def resolution_started(self, now: float) -> Span | None:
         return self.tracer.start_trace("resolver.resolve", "resolver",
                                        now)
 
@@ -364,26 +359,23 @@ class Telemetry:
 
     # -- DNSSEC hooks -------------------------------------------------------
 
-    def dnssec_signed(self, origin: str, created: int, reused: int,
-                      now: float) -> None:
+    def dnssec_signed(self, origin: str, created: int,
+                      reused: int) -> None:
         """A zone (re-)signing pass finished (repro.dnssec.sign)."""
         if created:
             self._c_dnssec_sign.labels(origin, "created").inc(created)
         if reused:
             self._c_dnssec_sign.labels(origin, "reused").inc(reused)
 
-    def dnssec_validation(self, qname: str, ok: bool) -> None:
+    def dnssec_validation(self, ok: bool) -> None:
         """A validator judged a response (resolver or probe client).
 
-        ``qname`` is deliberately not a metric label — attack traffic
-        makes it unbounded — but stays in the signature so trace
-        integration can tag spans later.
+        The qname is deliberately not a metric label: attack traffic
+        makes it unbounded.
         """
-        del qname
         self._c_dnssec_validate.labels("ok" if ok else "bogus").inc()
 
-    def dnssec_rollover(self, origin: str, kind: str, step: str,
-                        now: float) -> None:
+    def dnssec_rollover(self, origin: str, kind: str, step: str) -> None:
         """A key-rollover state machine advanced (repro.dnssec.rollover)."""
         self._c_dnssec_rollover.labels(origin, kind, step).inc()
 
@@ -395,8 +387,7 @@ class Telemetry:
 
     # -- SLO probe hooks ----------------------------------------------------
 
-    def probe_outcome(self, ok: bool, rcode: str, duration: float,
-                      now: float) -> None:
+    def probe_outcome(self, ok: bool, duration: float, now: float) -> None:
         self._c_probe.labels("ok" if ok else "failed").inc()
         if ok:
             self._h_probe.record(duration)

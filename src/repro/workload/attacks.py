@@ -103,8 +103,7 @@ class VolumetricAttack(_BaseAttack):
         return Datagram(src=self.rng.choice(self.sources), dst=self.target,
                         payload=JunkPayload(),
                         src_port=self.rng.randint(1024, 65535),
-                        dst_port=self.rng.choice([53, 123, 80]),
-                        size_bytes=468)
+                        dst_port=self.rng.choice([53, 123, 80]))
 
 
 class DirectQueryAttack(_BaseAttack):

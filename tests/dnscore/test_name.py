@@ -78,11 +78,6 @@ class TestStructure:
     def test_everything_under_root(self):
         assert name("x.y").is_subdomain_of(ROOT)
 
-    def test_relativize(self):
-        assert name("a.b.ex.com").relativize(name("ex.com")) == (b"a", b"b")
-        with pytest.raises(NameError_):
-            name("a.other.com").relativize(name("ex.com"))
-
     def test_concatenate(self):
         assert name("www").concatenate(name("ex.com")) == name("www.ex.com")
 
@@ -93,7 +88,6 @@ class TestStructure:
         w = name("*.ex.com")
         assert w.is_wildcard
         assert not name("ex.com").is_wildcard
-        assert name("a.ex.com").wildcard_sibling() == w
 
     def test_wire_length(self):
         assert ROOT.wire_length() == 1

@@ -1,4 +1,5 @@
-"""Smoke tests: every example script runs cleanly end to end."""
+"""Smoke tests: every example script runs cleanly end to end, and the
+documented ``python -m`` entry points start without a warning."""
 
 import pathlib
 import subprocess
@@ -18,6 +19,17 @@ def test_example_runs(script):
         timeout=300)
     assert completed.returncode == 0, completed.stderr[-2000:]
     assert completed.stdout.strip(), "examples must narrate their run"
+
+
+@pytest.mark.parametrize("module", ["repro.experiments.runner",
+                                    "repro.experiments.resilience_scorecard"])
+def test_entry_point_starts_without_runtime_warning(module):
+    # An eager import of the module from its package's __init__ makes
+    # ``python -m`` execute it a second time as __main__ (runpy warns).
+    completed = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", module,
+         "--help"], capture_output=True, text=True, timeout=60)
+    assert completed.returncode == 0, completed.stderr[-2000:]
 
 
 def test_examples_present():

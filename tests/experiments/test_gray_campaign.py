@@ -11,14 +11,16 @@ from repro.chaos import Campaign
 from repro.experiments import resilience_scorecard as rs
 
 
+def gray_index(name):
+    return next(i for i, entry in enumerate(rs.SUITES["gray"])
+                if entry.name == name)
+
+
 class TestGrayCorruptionCampaign:
     def test_conviction_probation_and_detection_all_grade_green(self):
         params = rs.ScorecardParams.fast()
-        suite = rs.gray_campaigns(rs.build_deployment(params),
-                                  params.seed)
-        index = next(i for i, (c, _) in enumerate(suite)
-                     if c.name == "gray-corruption")
-        result = rs.run_unit(params, index, suite=suite)
+        result = rs.run_unit(params, gray_index("gray-corruption"),
+                             suite="gray")
         assert result.all_hold, result.render()
         assert result.metrics["gray-corruption.gray_convictions"] >= 1
         assert result.metrics["gray-corruption.gray_suspensions"] >= 1
@@ -32,11 +34,8 @@ class TestGrayCorruptionCampaign:
 class TestGrayQuorumGuardCampaign:
     def test_mass_gray_failure_degrades_but_keeps_serving(self):
         params = rs.ScorecardParams.fast()
-        suite = rs.gray_campaigns(rs.build_deployment(params),
-                                  params.seed)
-        index = next(i for i, (c, _) in enumerate(suite)
-                     if c.name == "gray-quorum-guard")
-        result = rs.run_unit(params, index, suite=suite)
+        result = rs.run_unit(params, gray_index("gray-quorum-guard"),
+                             suite="gray")
         assert result.all_hold, result.render()
         budget = result.metrics["gray-quorum-guard.gray_suspensions"]
         assert budget <= result.metrics[
@@ -49,9 +48,12 @@ class TestGrayQuorumGuardCampaign:
 class TestProberPassivity:
     def test_idle_prober_changes_no_slo_measurement(self):
         params = rs.ScorecardParams.fast()
-        idle = Campaign("idle", duration=30.0, seed=params.seed)
-        base = rs.run_campaign(params, idle)
-        probed = rs.run_campaign(params, idle, rs.CampaignSLO(gray=True))
+        def idle(deployment):
+            return Campaign("idle", duration=30.0)
+        base = rs.run_campaign(
+            params, rs.SuiteEntry("idle", rs.CampaignSLO(), idle))
+        probed = rs.run_campaign(
+            params, rs.SuiteEntry("idle", rs.CampaignSLO(gray=True), idle))
         for attr in ("overall_availability", "worst_window_availability",
                      "total_servfails", "total_timeouts"):
             assert getattr(probed.report, attr) \

@@ -10,9 +10,9 @@ from repro.filters import (
 )
 
 
-def ctx(source: str, now: float, ns: str = "ns1") -> QueryContext:
+def ctx(source: str, now: float) -> QueryContext:
     return QueryContext(source=source, qname=name("ex.com"),
-                        qtype=RType.A, now=now, nameserver_id=ns)
+                        qtype=RType.A, now=now)
 
 
 class TestAllowlistActivation:
@@ -118,5 +118,5 @@ class TestLoyalty:
         ns1.prime("x", 0.0)
         ns2.prime("y", 0.0)
         ns2.prime("z", 0.0)
-        assert ns1.score(ctx("r", 1.0, "ns1")) == 0.0
-        assert ns2.score(ctx("r", 1.0, "ns2")) > 0
+        assert ns1.score(ctx("r", 1.0)) == 0.0
+        assert ns2.score(ctx("r", 1.0)) > 0

@@ -1,4 +1,4 @@
-"""CLI behavior: exit codes, JSON schema, baseline workflow."""
+"""CLI behavior: exit codes, JSON schema, flow mode."""
 
 import json
 
@@ -32,9 +32,6 @@ class TestExitCodes:
     def test_unknown_rule_code_exits_two(self, tree, capsys):
         assert main(["src", "--select", "NOPE999"]) == 2
 
-    def test_missing_baseline_exits_two(self, tree, capsys):
-        assert main(["src", "--baseline", "nope.json"]) == 2
-
     def test_select_subset(self, tree, capsys):
         # Only LOOP001 selected: the wall-clock finding is invisible.
         assert main(["src", "--select", "LOOP001"]) == 0
@@ -46,9 +43,7 @@ class TestJsonOutput:
         payload = json.loads(capsys.readouterr().out)
         assert payload["version"] == JSON_SCHEMA_VERSION
         assert payload["files_checked"] == 2
-        assert set(payload["counts"]) == {
-            "error", "warning", "grandfathered",
-            "stale_baseline"}
+        assert set(payload["counts"]) == {"error", "warning"}
         assert payload["counts"]["error"] == 1
         finding = payload["findings"][0]
         assert set(finding) == {"path", "line", "col", "code",
@@ -64,30 +59,6 @@ class TestJsonOutput:
         assert main(["src", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["findings"] == []
-
-
-class TestBaselineWorkflow:
-    def test_update_then_clean(self, tree, capsys):
-        assert main(["src", "--update-baseline"]) == 0
-        assert (tree / "reprolint.baseline.json").exists()
-        # Grandfathered finding no longer fails the run...
-        assert main(["src"]) == 0
-        # ...but a fresh violation still does.
-        (tree / "src/repro/demo/clean.py").write_text(
-            "import random\nrandom.seed(1)\n")
-        assert main(["src"]) == 1
-
-    def test_stale_entry_reported(self, tree, capsys):
-        assert main(["src", "--update-baseline"]) == 0
-        (tree / "src/repro/demo/dirty.py").write_text(CLEAN)
-        assert main(["src"]) == 0
-        out = capsys.readouterr().out
-        assert "stale" in out
-        assert main(["src", "--strict-baseline"]) == 1
-
-    def test_no_baseline_flag_ignores_file(self, tree, capsys):
-        assert main(["src", "--update-baseline"]) == 0
-        assert main(["src", "--no-baseline"]) == 1
 
 
 class TestListRules:
@@ -147,9 +118,3 @@ class TestFlowMode:
         assert flow
         assert flow[0]["witness"] == [
             "repro.demo.app:run", "repro.demo.app:helper"]
-
-    def test_flow_findings_baseline_like_any_other(self, flow_tree,
-                                                   capsys):
-        assert main(["src", "--flow", "--update-baseline"]) == 0
-        assert main(["src", "--flow"]) == 0
-        assert main(["src", "--flow", "--no-baseline"]) == 1

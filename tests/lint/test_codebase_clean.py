@@ -1,48 +1,29 @@
 """Tier-1 gate: the shipped tree satisfies the determinism contract.
 
-Runs the full reprolint rule set over ``src/repro`` (and the test
-trees) against the checked-in baseline and fails on any non-baselined
-finding. This is the machine-checked form of the platform's headline
-claim: experiments and chaos campaigns are byte-identical under a
-fixed seed, and nothing in the tree can silently break that.
+Runs the full reprolint rule set, flow analyses included, over
+``src/repro`` (and the test trees) and fails on any finding. This is
+the machine-checked form of the platform's headline claim: experiments
+and chaos campaigns are byte-identical under a fixed seed, and nothing
+in the tree can silently break that.
 """
 
-import json
 from pathlib import Path
 
-from repro.lint import Baseline, lint_paths
+from repro.lint import lint_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-BASELINE_PATH = REPO_ROOT / "reprolint.baseline.json"
-
-
-def run_full_lint():
-    baseline = Baseline.load(BASELINE_PATH)
-    return lint_paths(
-        [REPO_ROOT / "src", REPO_ROOT / "tests", REPO_ROOT / "benchmarks"],
-        baseline=baseline, root=REPO_ROOT, flow=True)
 
 
 class TestCodebaseClean:
     def test_no_new_findings(self):
-        result = run_full_lint()
+        result = lint_paths(
+            [REPO_ROOT / "src", REPO_ROOT / "tests",
+             REPO_ROOT / "benchmarks"], root=REPO_ROOT, flow=True)
         assert result.files_checked > 150
         rendered = "\n".join(f.render() for f in result.all_new_findings)
         assert result.clean, (
-            f"reprolint found non-baselined violations — fix them or "
-            f"add an inline `# reprolint: disable=CODE` with "
-            f"justification:\n{rendered}")
-
-    def test_baseline_is_empty(self):
-        # The determinism debt burned down to zero in PR 2; keep it
-        # there. If you must grandfather a finding, this assertion is
-        # the conversation-starter.
-        raw = json.loads(BASELINE_PATH.read_text())
-        assert raw["findings"] == []
-
-    def test_no_stale_baseline_entries(self):
-        result = run_full_lint()
-        assert result.stale_baseline == []
+            f"reprolint found violations — fix them or add an inline "
+            f"`# reprolint: disable=CODE` with justification:\n{rendered}")
 
     def test_flow_analyses_actually_ran(self):
         # Guard against the flow layer silently matching zero entry

@@ -74,13 +74,6 @@ class TestDatagramHelpers:
         assert moved.hops == ("r1",)
         assert d.ip_ttl == 10  # original untouched
 
-    def test_reply_template_swaps_endpoints(self):
-        d = Datagram(src="client", dst="server", payload="q",
-                     src_port=5353, dst_port=53)
-        reply = d.reply_template()
-        assert (reply.src, reply.dst) == ("server", "client")
-        assert (reply.src_port, reply.dst_port) == (53, 5353)
-
     def test_flow_key(self):
         d = Datagram(src="a", dst="b", payload=None, src_port=1, dst_port=2)
         assert d.flow_key == ("a", 1, "b", 2)

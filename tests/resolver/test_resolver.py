@@ -266,7 +266,7 @@ class TestResponseMatching:
         r.handle_datagram(Datagram(
             src=query.dst, dst=query.src, src_port=53,
             dst_port=query.src_port,
-            payload=ResponseEnvelope(forged, "", "forger", query.dst)))
+            payload=ResponseEnvelope(forged, "forger")))
         assert not results and r.unsolicited_responses == 1
         loop.run_until(loop.now + 20)
         (result,) = results

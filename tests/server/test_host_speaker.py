@@ -75,7 +75,6 @@ class TestHostNameserver:
         envelope = sink.got[0].payload
         assert envelope.message.rcode == RCode.NOERROR
         assert envelope.machine_id == "host-ns"
-        assert envelope.pop_id == ""  # unicast, no PoP
 
     def test_reply_ports_swapped(self, world):
         loop, net, machine, host = world

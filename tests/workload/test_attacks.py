@@ -189,7 +189,7 @@ class TestTaxonomyCoverage:
         hopcount.prime("8.8.8.8", 58)
         # Attacker forged the TTL perfectly.
         forged = QueryContext("8.8.8.8", VALID[0], RType.A, now=0.0,
-                              ip_ttl=58, nameserver_id="ns-far")
+                              ip_ttl=58)
         assert hopcount.score(forged) == 0.0
         # But the far-away nameserver has never served this resolver.
         loyalty = LoyaltyFilter(LoyaltyConfig(min_history_sources=2))
