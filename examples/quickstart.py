@@ -76,6 +76,23 @@ def main() -> None:
     print(f"  fleet queries answered: {answered}")
     print(f"  metadata messages published: {deployment.bus.published}")
     print(f"  BGP events processed: {deployment.loop.events_processed}")
+    # Figure 5's last box: every machine's response stream is tapped
+    # per zone and aggregated each minute into what the portal shows.
+    # The tap sits on the engine, so the monitoring agents' own health
+    # probes of the zone are counted beside the resolver's queries.
+    report = deployment.enterprise_traffic_report("acme")
+    print(f"  enterprise 'acme' traffic report: "
+          f"{report['total_queries']:.0f} responses (health probes "
+          f"included) over {report['zones']:.0f} zone, "
+          f"{report['nxdomain_fraction']:.0%} NXDOMAIN, "
+          f"{report['servfail_fraction']:.0%} SERVFAIL, "
+          f"{report['refused_fraction']:.0%} REFUSED")
+    window = deployment.collector.latest(name("acme.net"))
+    print(f"  last reporting window: {window.window_start:.0f}-"
+          f"{window.window_end:.0f} s, {window.queries} responses "
+          f"({window.qps:.2f} qps, {window.nxdomain_fraction:.0%} "
+          f"NXDOMAIN, {window.servfail_fraction:.0%} SERVFAIL) from "
+          f"{window.reporting_machines} machines")
 
 
 if __name__ == "__main__":

@@ -1,19 +1,16 @@
 """Statistics helpers and experiment reporting."""
 
-from .asciiplot import PlotConfig, ascii_cdf, ascii_plot
+from .asciiplot import PlotConfig, ascii_plot
 from .report import Comparison, ExperimentResult, render_results
 from .stats import (
-    SeriesSummary,
     cdf_points,
     fraction_at_least,
     fraction_below,
     pdf_histogram,
-    quantile,
 )
 
 __all__ = [
-    "Comparison", "ExperimentResult", "PlotConfig", "SeriesSummary",
-    "ascii_cdf", "ascii_plot", "cdf_points",
-    "fraction_at_least", "fraction_below", "pdf_histogram", "quantile",
+    "Comparison", "ExperimentResult", "PlotConfig", "ascii_plot",
+    "cdf_points", "fraction_at_least", "fraction_below", "pdf_histogram",
     "render_results",
 ]

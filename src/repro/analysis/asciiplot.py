@@ -79,14 +79,3 @@ def ascii_plot(series: dict[str, tuple], *,
                         for i, label in enumerate(cleaned))
     lines.append(" " * 11 + legend)
     return "\n".join(lines)
-
-
-def ascii_cdf(series: dict[str, tuple], *, title: str = "",
-              log_x: bool = False, width: int = 64,
-              height: int = 16) -> str:
-    """Convenience wrapper for CDF-shaped series (y in [0, 1])."""
-    return ascii_plot(series,
-                      config=PlotConfig(width=width, height=height,
-                                        log_x=log_x),
-                      title=title, x_label="value",
-                      y_label="fraction")

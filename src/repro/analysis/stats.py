@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -38,10 +36,6 @@ def fraction_at_least(values, threshold, weights=None) -> float:
     return 1.0 - fraction_below(values, threshold, weights)
 
 
-def quantile(values, q: float) -> float:
-    return float(np.quantile(np.asarray(values, dtype=float), q))
-
-
 def pdf_histogram(values, weights=None, bins=50,
                   value_range=None) -> tuple[np.ndarray, np.ndarray]:
     """(bin centers, normalized density) for PDF-style figures."""
@@ -50,33 +44,3 @@ def pdf_histogram(values, weights=None, bins=50,
                                   weights=weights, density=True)
     centers = (edges[:-1] + edges[1:]) / 2
     return centers, density
-
-
-@dataclass(slots=True)
-class SeriesSummary:
-    """Descriptive statistics for one measured series."""
-
-    count: int
-    mean: float
-    median: float
-    p10: float
-    p90: float
-    minimum: float
-    maximum: float
-
-    @classmethod
-    def of(cls, values) -> "SeriesSummary":
-        arr = np.asarray(list(values), dtype=float)
-        if arr.size == 0:
-            raise ValueError("empty series")
-        return cls(count=int(arr.size), mean=float(arr.mean()),
-                   median=float(np.median(arr)),
-                   p10=float(np.quantile(arr, 0.10)),
-                   p90=float(np.quantile(arr, 0.90)),
-                   minimum=float(arr.min()), maximum=float(arr.max()))
-
-    def __str__(self) -> str:
-        return (f"n={self.count} mean={self.mean:.4g} "
-                f"median={self.median:.4g} p10={self.p10:.4g} "
-                f"p90={self.p90:.4g} min={self.minimum:.4g} "
-                f"max={self.maximum:.4g}")

@@ -202,8 +202,3 @@ class Campaign:
                 edges.append((min(end, self.duration), "clear", spec))
         edges.sort(key=lambda e: (e[0], e[1] == "inject"))
         return edges
-
-    def last_clear_time(self) -> float:
-        """When the final fault clears (0.0 for an empty campaign)."""
-        clears = [t for t, action, _ in self.timeline() if action == "clear"]
-        return max(clears) if clears else 0.0

@@ -49,10 +49,6 @@ class ProbeWindow:
     def availability(self) -> float:
         return self.answered / self.total if self.total else 1.0
 
-    @property
-    def mean_latency(self) -> float:
-        return self.latency_sum / self.answered if self.answered else 0.0
-
 
 @dataclass(slots=True)
 class SLOReport:

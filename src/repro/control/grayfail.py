@@ -319,9 +319,6 @@ class GrayFailController:
                                   self._round,
                                   start_delay=self.params.start_delay)
 
-    def stop(self) -> None:
-        self._task.stop()
-
     def verdict(self, machine_id: str) -> Verdict:
         return self.tracks[machine_id].verdict
 

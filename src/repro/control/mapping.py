@@ -149,10 +149,6 @@ class MappingView:
             self.snapshot = snapshot
             self.updates_applied += 1
 
-    @property
-    def version(self) -> int:
-        return 0 if self.snapshot is None else self.snapshot.version
-
     # -- MappingProvider -------------------------------------------------------
 
     def answer(self, qname: Name, qtype: RType,

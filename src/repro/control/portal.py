@@ -1,24 +1,21 @@
 """Management Portal: enterprise-facing zone and configuration CRUD.
 
 Enterprises modify DNS zones, GTM configurations, and CDN properties
-through the portal via website or API, or push zones by zone transfer
-(paper section 3.2). The portal validates every input before publishing
-— the first line of defense against input-induced failures (section
-4.2.3) — then publishes the accepted metadata on the CDN channel for the
-nameservers to consume.
+through the portal via website or API (paper section 3.2; its
+zone-transfer ingestion is not modelled). The portal validates every
+input before publishing — the first line of defense against
+input-induced failures (section 4.2.3) — then publishes the accepted
+metadata on the CDN channel for the nameservers to consume.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..dnscore.errors import DNSError, TransferError, ZoneError
-from ..dnscore.ixfr import ZoneDiff, ZoneHistory
-from ..dnscore.message import Message
+from ..dnscore.errors import DNSError, ZoneError
 from ..dnscore.name import Name
 from ..dnscore.rrtypes import RType
-from ..dnscore.transfer import zone_from_axfr
-from ..dnscore.zone import Zone
+from ..dnscore.zone import Zone, serial_gt
 from ..dnscore.zonefile import parse_zone_text
 from .pubsub import CDN_CHANNEL, MetadataBus
 
@@ -52,9 +49,6 @@ class ManagementPortal:
         self.bus = bus
         self.limits = limits or PortalLimits()
         self.enterprises: dict[str, Enterprise] = {}
-        #: Retained versions per zone, so consumers far behind can pull
-        #: incremental diffs instead of whole zones.
-        self.history = ZoneHistory()
         self.zones_published = 0
         self.rejections = 0
 
@@ -79,17 +73,6 @@ class ManagementPortal:
             raise ValidationError(f"zone rejected: {exc}") from exc
         return self._accept(enterprise_id, zone)
 
-    def submit_zone_transfer(self, enterprise_id: str, origin: Name,
-                             messages: list[Message]) -> Zone:
-        """Zone-transfer path: an AXFR stream from the enterprise's
-        primary."""
-        try:
-            zone = zone_from_axfr(origin, messages)
-        except DNSError as exc:
-            self.rejections += 1
-            raise ValidationError(f"transfer rejected: {exc}") from exc
-        return self._accept(enterprise_id, zone)
-
     def _accept(self, enterprise_id: str, zone: Zone) -> Zone:
         enterprise = self.enterprises.get(enterprise_id)
         if enterprise is None:
@@ -101,32 +84,19 @@ class ManagementPortal:
             self.rejections += 1
             raise ValidationError(str(exc)) from exc
         existing = enterprise.zones.get(zone.origin)
-        if existing is not None and existing.serial == zone.serial:
-            # Idempotent resubmission; nothing to publish.
-            return existing
-        try:
-            self.history.record(zone)
-        except TransferError as exc:
-            self.rejections += 1
-            raise ValidationError(
-                f"zone {zone.origin}: {exc} (serials must advance)"
-            ) from exc
+        if existing is not None:
+            if existing.serial == zone.serial:
+                # Idempotent resubmission; nothing to publish.
+                return existing
+            if not serial_gt(zone.serial, existing.serial):
+                self.rejections += 1
+                raise ValidationError(
+                    f"zone {zone.origin}: serial {zone.serial} does not "
+                    f"advance past {existing.serial} (serials must advance)")
         enterprise.zones[zone.origin] = zone
         self.zones_published += 1
         self.bus.publish_zone(CDN_CHANNEL, str(zone.origin), zone)
         return zone
-
-    def incremental_update(self, origin: Name,
-                           from_serial: int) -> list[ZoneDiff] | None:
-        """Diff chain from ``from_serial`` to the current version.
-
-        Returns None when the consumer is too far behind for the
-        retained history and must pull the full zone instead.
-        """
-        return self.history.diffs_since(origin, from_serial)
-
-    def current_zone(self, origin: Name) -> Zone | None:
-        return self.history.latest(origin)
 
     def _validate(self, enterprise: Enterprise, zone: Zone) -> None:
         zone.validate()
@@ -159,11 +129,3 @@ class ManagementPortal:
     def _zone_owners(self) -> dict[Name, str]:
         return {origin: e.enterprise_id
                 for e in self.enterprises.values() for origin in e.zones}
-
-    def remove_zone(self, enterprise_id: str, origin: Name) -> bool:
-        enterprise = self.enterprises[enterprise_id]
-        if origin not in enterprise.zones:
-            return False
-        del enterprise.zones[origin]
-        self.bus.publish(CDN_CHANNEL, "zone_delete", str(origin), origin)
-        return True

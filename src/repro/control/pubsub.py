@@ -129,10 +129,6 @@ class MetadataBus:
         self._zone_versions[key] = version
         return self._publish(channel, kind, key, payload, version, to)
 
-    def zone_version(self, key: str) -> int:
-        """Latest published version for ``key`` (0 if never published)."""
-        return self._zone_versions.get(key, 0)
-
     def _publish(self, channel: str, kind: str, key: str, payload: object,
                  zone_version: int, to: Sequence[Subscriber] | None,
                  ) -> MetadataMessage:

@@ -60,9 +60,6 @@ class RecoverySystem:
     def register(self, machine: NameserverMachine) -> None:
         self.machines.append(machine)
 
-    def stop(self) -> None:
-        self._task.stop()
-
     def sample(self) -> FleetSnapshot:
         """Take one fleet-health sample; raise an alert if degraded."""
         now = self.loop.now
@@ -85,8 +82,3 @@ class RecoverySystem:
                 f"({snapshot.crashed} crashed, {snapshot.suspended} "
                 f"suspended)"))
         return snapshot
-
-    def current_unavailable_fraction(self) -> float:
-        if not self.history:
-            return 0.0
-        return self.history[-1].unavailable_fraction

@@ -143,9 +143,6 @@ class TrafficCollector:
         self._counters.append(counter)
         return counter
 
-    def stop(self) -> None:
-        self._task.stop()
-
     def collect(self) -> list[ZoneTrafficReport]:
         """One reporting cycle: drain every counter and aggregate."""
         window_start, window_end = self._window_start, self.loop.now

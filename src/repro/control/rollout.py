@@ -225,9 +225,6 @@ class RolloutCoordinator:
         """Record an already-deployed zone as last-known-good."""
         self.last_known_good[zone.origin] = zone
 
-    def active_release(self, origin: Name) -> Release | None:
-        return self._active.get(origin)
-
     # -- release train -----------------------------------------------------
 
     def publish(self, zone: Zone) -> Release:

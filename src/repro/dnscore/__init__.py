@@ -1,4 +1,4 @@
-"""DNS protocol substrate: names, records, messages, zones, transfers.
+"""DNS protocol substrate: names, records, messages, zones.
 
 A from-scratch RFC 1035 implementation sized for what a large
 authoritative platform serves. Everything the simulator exchanges rides
@@ -6,20 +6,10 @@ through this package's real wire codec.
 """
 
 from .edns import ClientSubnetOption, EDNSOptions
-from .ixfr import (
-    ZoneDiff,
-    ZoneHistory,
-    apply_diff,
-    apply_ixfr_stream,
-    diff_zones,
-    ixfr_response_stream,
-    make_ixfr_query,
-)
 from .errors import (
     CompressionError,
     DNSError,
     NameError_,
-    TransferError,
     TruncatedMessageError,
     WireFormatError,
     ZoneError,
@@ -57,16 +47,8 @@ from .validate import (
     content_digest,
     validate_update,
 )
-from .transfer import (
-    axfr_response_stream,
-    make_axfr_query,
-    needs_transfer,
-    serial_gt,
-    transfer_zone,
-    zone_from_axfr,
-)
 from .wire import WireReader, WireWriter
-from .zone import LookupResult, LookupStatus, Zone, make_zone
+from .zone import LookupResult, LookupStatus, Zone, make_zone, serial_gt
 from .zonefile import parse_ttl, parse_zone_text, serialize_zone
 
 __all__ = [
@@ -77,14 +59,11 @@ __all__ = [
     "Opcode",
     "PTR", "Question", "RClass", "RCode", "ROOT", "RRSIG", "RRset", "RType",
     "Rdata",
-    "ResourceRecord", "SOA", "SRV", "TXT", "TransferError",
+    "ResourceRecord", "SOA", "SRV", "TXT",
     "TruncatedMessageError", "WireFormatError", "WireReader", "WireWriter",
-    "Zone", "ZoneError", "ZoneFileError", "axfr_response_stream",
-    "make_axfr_query", "make_query", "make_response", "make_rrset",
-    "make_zone", "name", "needs_transfer", "parse_ttl", "parse_zone_text",
-    "serial_gt", "serialize_zone", "transfer_zone", "zone_from_axfr",
-    "ZoneDiff", "ZoneHistory", "apply_diff", "apply_ixfr_stream",
-    "diff_zones", "ixfr_response_stream", "make_ixfr_query",
+    "Zone", "ZoneError", "ZoneFileError", "make_query", "make_response",
+    "make_rrset", "make_zone", "name", "parse_ttl", "parse_zone_text",
+    "serial_gt", "serialize_zone",
     "ADVISORY", "FATAL", "ValidationIssue", "ValidationLimits",
     "ValidationReport", "ZoneUpdate", "content_digest", "validate_update",
 ]

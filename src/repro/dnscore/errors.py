@@ -44,7 +44,3 @@ class ZoneFileError(ZoneError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-
-
-class TransferError(DNSError):
-    """A zone transfer (AXFR/IXFR-style) failed or was refused."""

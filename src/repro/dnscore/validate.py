@@ -60,8 +60,7 @@ from dataclasses import dataclass, field
 from .name import Name
 from .rdata import DNSKEY, NS, NSEC, RRSIG
 from .rrtypes import RType
-from .transfer import serial_gt
-from .zone import Zone
+from .zone import Zone, serial_gt
 
 #: Issue severities: only FATAL blocks an install.
 FATAL = "fatal"

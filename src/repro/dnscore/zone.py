@@ -23,6 +23,16 @@ from .rrtypes import DNSSEC_TYPES, RClass, RType
 
 T = TypeVar("T")
 
+_SERIAL_HALF = 2**31
+
+
+def serial_gt(a: int, b: int) -> bool:
+    """RFC 1982 serial-space ``a > b`` for 32-bit zone serials."""
+    if a == b:
+        return False
+    return ((a < b and b - a > _SERIAL_HALF)
+            or (a > b and a - b < _SERIAL_HALF))
+
 
 class LookupStatus(enum.Enum):
     """Outcome categories of an authoritative lookup."""
@@ -180,7 +190,7 @@ class Zone:
         return self._rrsets.get((name, rtype))
 
     def iter_rrsets(self):
-        """All RRsets in canonical name order (stable for AXFR/serialize)."""
+        """All RRsets in canonical name order (stable for serialize)."""
         return iter(sorted(self._rrsets.values(),
                            key=lambda rrset: (rrset.name.canonical_key(),
                                               int(rrset.rtype))))

@@ -48,19 +48,8 @@ from .sign import (
 )
 # Rollover rides the control-plane release train, whose machinery
 # imports the server package; the server engine in turn imports this
-# package for denial serving. Loading .rollover lazily (PEP 562) keeps
-# that loop open: `from repro.dnssec import KeyRolloverController`
-# still works, but importing repro.dnssec from the server does not
-# drag in repro.control.
-_ROLLOVER_EXPORTS = ("KeyRolloverController", "RolloverKind",
-                     "RolloverState", "ROLLOVER_STEPS")
-
-
-def __getattr__(name: str):
-    if name in _ROLLOVER_EXPORTS:
-        from . import rollover
-        return getattr(rollover, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# package for denial serving. So :mod:`.rollover` is not re-exported
+# here: import it by its module path.
 
 __all__ = [
     "DenialMode",
@@ -68,10 +57,7 @@ __all__ = [
     "FLAG_ZSK",
     "KeyPair",
     "KeyRing",
-    "KeyRolloverController",
     "NsecChainIndex",
-    "RolloverKind",
-    "RolloverState",
     "SignStats",
     "SigningPolicy",
     "TOY_ALGORITHM",

@@ -130,12 +130,6 @@ class KeyRing:
         return make_rrset(self.origin, RType.DNSKEY, ttl,
                           [k.rdata for k in ordered])
 
-    def signers(self) -> list[KeyPair]:
-        """Every key currently used to produce signatures."""
-        out = [self.zone_signer]
-        out.extend(k for k in self.dnskey_signers if k is not self.zone_signer)
-        return out
-
     def __repr__(self) -> str:
         tags = ",".join(str(k.key_tag) for k in self.published)
         return f"KeyRing({self.origin} published=[{tags}])"

@@ -202,7 +202,7 @@ def _clone_with_bumped_serial(zone: Zone) -> Zone:
 
     Each rollover step republishes the same zone data under new
     signatures; the serial bump keeps the update monotonic for the
-    validator and IXFR machinery, like any production re-sign.
+    release validator, like any production re-sign.
     """
     clone = Zone(zone.origin)
     for rrset in zone.iter_rrsets():

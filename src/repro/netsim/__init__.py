@@ -16,7 +16,7 @@ from .builder import (
     build_internet,
 )
 from .clock import EventHandle, EventLoop, PeriodicTask
-from .geo import GeoModel, GeoPoint, region_weights
+from .geo import GeoModel, GeoPoint
 from .network import Endpoint, Network, NetworkStats
 from .packet import DEFAULT_IP_TTL, Datagram
 from .topology import Link, LinkRelation, Node, NodeKind, Topology
@@ -27,5 +27,5 @@ __all__ = [
     "GeoPoint", "Internet", "InternetParams", "LOCAL", "Link",
     "LinkRelation", "Network", "NetworkStats", "Node", "NodeKind",
     "PeriodicTask", "Route", "Topology", "attach_host", "attach_pop",
-    "build_internet", "measure_catchments", "region_weights",
+    "build_internet", "measure_catchments",
 ]

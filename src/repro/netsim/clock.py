@@ -61,10 +61,6 @@ class EventHandle:
     def cancelled(self) -> bool:
         return self._entry[_STATUS] == _CANCELLED
 
-    @property
-    def time(self) -> float:
-        return self._entry[_TIME]
-
 
 class EventLoop:
     """A priority-queue event loop over simulated seconds."""

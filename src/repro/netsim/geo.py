@@ -58,11 +58,6 @@ REGIONS: list[tuple[str, float, float, float]] = [
 ]
 
 
-def region_weights() -> dict[str, float]:
-    """Mapping of region name to population weight."""
-    return {name: weight for name, _, _, weight in REGIONS}
-
-
 class GeoModel:
     """Draws geographically plausible locations for simulated entities."""
 
@@ -92,6 +87,3 @@ class GeoModel:
         """Sample (region, point) by population weight."""
         region = self.pick_region()
         return region, self.point_in_region(region)
-
-    def regions(self) -> list[str]:
-        return list(self._names)

@@ -170,7 +170,6 @@ class Network:
         self._endpoints: dict[str, Endpoint] = {}
         self._link_view: _LinkView | None = None
         self._link_state: dict[tuple[str, str], _LinkState] = {}
-        self._link_drops: dict[tuple[str, str], int] = {}
         self.stats = NetworkStats()
         #: Optional per-router FIB programming delay (seconds). Real
         #: routers take time to sync RIB decisions into the forwarding
@@ -325,10 +324,6 @@ class Network:
         state = self._link_state.get(link_key(a, b), _PLAIN_LINK)
         return state.loss, state.extra_latency_ms
 
-    def link_drops(self, a: str, b: str) -> int:
-        """Congestion drops recorded on one link."""
-        return self._link_drops.get(link_key(a, b), 0)
-
     def _link_admit(self, link) -> bool:
         """Token bucket over a capacity-limited link."""
         if link.capacity_pps is None:
@@ -346,7 +341,6 @@ class Network:
         if state.tokens >= 1.0:
             state.tokens -= 1.0
             return True
-        self._link_drops[key] = self._link_drops.get(key, 0) + 1
         return False
 
     # -- data plane ---------------------------------------------------------

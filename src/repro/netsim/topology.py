@@ -76,12 +76,6 @@ class Link:
     relation: LinkRelation = LinkRelation.PEER
     capacity_pps: float | None = None
 
-    def other(self, node_id: str) -> str:
-        if node_id == self.a:
-            return self.b
-        if node_id == self.b:
-            return self.a
-        raise KeyError(f"{node_id} is not on link {self.a}<->{self.b}")
 
     def relation_from(self, node_id: str) -> LinkRelation:
         """The relationship as seen from ``node_id`` toward the other end."""
@@ -147,9 +141,6 @@ class Topology:
     def link(self, a: str, b: str) -> Link:
         return self._links[link_key(a, b)]
 
-    def has_link(self, a: str, b: str) -> bool:
-        return link_key(a, b) in self._links
-
     def neighbors(self, node_id: str) -> list[str]:
         return list(self._adjacency[node_id])
 
@@ -166,9 +157,6 @@ class Topology:
 
     def routers(self) -> list[Node]:
         return [n for n in self._nodes.values() if n.kind != NodeKind.HOST]
-
-    def hosts(self) -> list[Node]:
-        return [n for n in self._nodes.values() if n.kind == NodeKind.HOST]
 
     def attachment_router(self, host_id: str) -> str:
         """The router a host hangs off (its single access-link neighbor)."""

@@ -12,7 +12,6 @@ from .clouds import (
     MAX_ENTERPRISES,
     TOTAL_CLOUDS,
     all_clouds,
-    cdn_delegation_clouds,
 )
 from .deployment import (
     AkamaiDNSDeployment,
@@ -49,6 +48,6 @@ __all__ = [
     "TEAction", "TEPlan", "TLD_SERVER_ADDRESS", "TOTAL_CLOUDS",
     "TailoredDelegationProvider", "TrafficEngineer", "TwoTierNames",
     "all_clouds", "average_rtt", "build_lowlevel_zone",
-    "build_toplevel_zone", "cdn_delegation_clouds", "decide",
-    "expected_rt", "speedup", "weighted_rtt",
+    "build_toplevel_zone", "decide", "expected_rt", "speedup",
+    "weighted_rtt",
 ]

@@ -63,11 +63,6 @@ def all_clouds() -> list[AnycastCloudSpec]:
     return [AnycastCloudSpec.build(i) for i in range(TOTAL_CLOUDS)]
 
 
-def cdn_delegation_clouds() -> list[AnycastCloudSpec]:
-    """The 13 clouds serving cross-enterprise CDN entry domains."""
-    return [AnycastCloudSpec.build(i) for i in range(CDN_DELEGATION_COUNT)]
-
-
 class DelegationAssigner:
     """Hands out unique 6-of-24 cloud combinations to enterprises.
 
@@ -115,12 +110,3 @@ class DelegationAssigner:
             self._generator = (c for c in combinations(
                 range(self.total), self.set_size)
                 if c not in self._used)
-
-    def assignment(self, enterprise_id: str) -> tuple[int, ...] | None:
-        return self._assigned.get(enterprise_id)
-
-    def overlap(self, enterprise_a: str, enterprise_b: str) -> int:
-        """How many clouds two enterprises share."""
-        a = self._assigned[enterprise_a]
-        b = self._assigned[enterprise_b]
-        return len(set(a) & set(b))

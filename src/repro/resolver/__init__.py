@@ -13,17 +13,11 @@ from .service import (
     ServiceStats,
     StubClient,
 )
-from .selection import (
-    FixedSelection,
-    RTTWeightedSelection,
-    SelectionStrategy,
-    UniformSelection,
-)
+from .selection import SelectionStrategy, UniformSelection
 
 __all__ = [
-    "CacheEntry", "DEFAULT_TIMEOUT", "DNSCache", "FixedSelection",
-    "MAX_ATTEMPTS", "NegativeEntry", "RTTWeightedSelection",
-    "ClientResult", "RecursiveResolver", "ResolutionResult",
+    "CacheEntry", "ClientResult", "DEFAULT_TIMEOUT", "DNSCache",
+    "MAX_ATTEMPTS", "NegativeEntry", "RecursiveResolver", "ResolutionResult",
     "ResolverService", "SelectionStrategy", "ServiceStats", "StubClient",
     "UniformSelection",
 ]

@@ -2,10 +2,11 @@
 
 Research cited by the paper ([34, 44, 56]) observes resolver behaviours
 from apparent uniformity to strong preference for low-RTT nameservers.
-Both extremes matter to the Two-Tier evaluation: uniform selection is the
-best case for Two-Tier (anycast toplevel RTTs vary widely) and
-RTT-weighted selection the worst case, so the experiments simulate both
-(paper section 5.2, "avg RTT" vs "wgt RTT").
+The simulated resolvers select uniformly, the best case for Two-Tier
+(anycast toplevel RTTs vary widely); the Two-Tier evaluation weighs the
+other extreme analytically, from measured RTTs (paper section 5.2,
+"avg RTT" vs "wgt RTT", ``experiments.fig11_speedup``), not by
+simulating an RTT-preferring resolver.
 """
 
 from __future__ import annotations
@@ -32,43 +33,3 @@ class UniformSelection:
 
     def observe_rtt(self, address: str, rtt: float) -> None:
         """Uniform selection ignores RTT feedback."""
-
-
-class RTTWeightedSelection:
-    """Preference inversely proportional to smoothed RTT.
-
-    Matches the paper's 'weighted RTT' resolver model: delegations with
-    lower observed RTT attract proportionally more queries, with
-    unprobed servers given a small exploration weight.
-    """
-
-    def __init__(self, alpha: float = 0.25,
-                 initial_rtt: float = 0.05) -> None:
-        self._alpha = alpha
-        self._initial = initial_rtt
-        self._srtt: dict[str, float] = {}
-
-    def srtt(self, address: str) -> float:
-        return self._srtt.get(address, self._initial)
-
-    def choose(self, addresses: list[str], rng: random.Random) -> str:
-        weights = [1.0 / max(1e-4, self.srtt(a)) for a in addresses]
-        return rng.choices(addresses, weights=weights, k=1)[0]
-
-    def observe_rtt(self, address: str, rtt: float) -> None:
-        previous = self._srtt.get(address)
-        if previous is None:
-            self._srtt[address] = rtt
-        else:
-            self._srtt[address] = (1 - self._alpha) * previous \
-                + self._alpha * rtt
-
-
-class FixedSelection:
-    """Always the first candidate; used to pin tests to one server."""
-
-    def choose(self, addresses: list[str], rng: random.Random) -> str:
-        return addresses[0]
-
-    def observe_rtt(self, address: str, rtt: float) -> None:
-        """Fixed selection ignores RTT feedback."""

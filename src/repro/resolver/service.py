@@ -188,6 +188,3 @@ class StubClient:
         self.results.append(record)
         if callback is not None:
             callback(record)
-
-    def latencies(self) -> list[float]:
-        return [r.latency for r in self.results]

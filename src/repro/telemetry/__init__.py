@@ -10,8 +10,9 @@ four layers:
   log-bucketed histograms, labeled and exported in sorted order;
 * **per-query trace spans** (:mod:`.trace`) — head-sampled traces that
   follow a query resolver -> network -> PoP -> penalty queue -> engine;
-* **exporters** (:mod:`.exporters`) — JSONL events, Chrome trace-event
-  JSON, and an ASCII dashboard;
+* **exporters** (:mod:`.exporters`) — Chrome trace-event JSON
+  (``runner --trace``) and JSONL events (the form the golden
+  recordings under ``tests/telemetry`` are kept in);
 * an **alerting pipeline** (:mod:`.alerts`) — rolling-window detectors
   (QPS spike, NXDOMAIN ratio, SERVFAIL rate, queue depth) that raise
   typed :class:`~.alerts.Alert` objects; the defense ladder
@@ -42,15 +43,15 @@ from .alerts import (
     RatioDetector,
 )
 from .registry import Counter, Gauge, Histogram, MetricsRegistry
-from .state import activate, active, deactivate, session
+from .state import activate, deactivate, session
 from .trace import InstantEvent, Span, Tracer
 
 __all__ = [
     "Alert", "AlertManager", "AlertSeverity", "Counter", "Detector",
     "Gauge", "GaugeDetector", "Histogram", "InstantEvent",
     "MetricsRegistry", "RateDetector", "RatioDetector", "Span",
-    "Telemetry", "TelemetryConfig", "Tracer", "activate", "active",
-    "deactivate", "session", "standard_detectors",
+    "Telemetry", "TelemetryConfig", "Tracer", "activate", "deactivate",
+    "session", "standard_detectors",
 ]
 
 
@@ -224,11 +225,6 @@ class Telemetry:
         self._loop = loop
         self.tracer.epoch = self.epoch
         self.alerts.reset_epoch(self.epoch)
-
-    @property
-    def now(self) -> float:
-        """Current simulated time of the attached world (0.0 if none)."""
-        return self._loop.now if self._loop is not None else 0.0
 
     # -- stats taps ---------------------------------------------------------
 

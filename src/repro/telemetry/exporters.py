@@ -1,4 +1,4 @@
-"""Telemetry exporters: JSONL events, Chrome trace JSON, ASCII dashboard.
+"""Telemetry exporters: JSONL events and Chrome trace JSON.
 
 All exporters are pure functions of a finished :class:`Telemetry`
 session — they never print. Writing/printing is the caller's job (the
@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import json
 from typing import IO, TYPE_CHECKING
-
-from ..analysis.asciiplot import PlotConfig, ascii_plot
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from . import Telemetry
@@ -49,14 +47,6 @@ def jsonl_events(telemetry: "Telemetry") -> list[str]:
                      {"kind": "alert", **alert.to_dict()}))
     rows.sort(key=lambda r: r[:4])
     return [json.dumps(row[4], sort_keys=True) for row in rows]
-
-
-def write_jsonl(telemetry: "Telemetry", stream: IO[str]) -> int:
-    """Write the event dump to ``stream``; returns the line count."""
-    lines = jsonl_events(telemetry)
-    for line in lines:
-        stream.write(line + "\n")
-    return len(lines)
 
 
 # -- Chrome trace-event JSON --------------------------------------------------
@@ -141,67 +131,3 @@ def write_chrome_trace(telemetry: "Telemetry", stream: IO[str]) -> int:
     document = chrome_trace(telemetry)
     json.dump(document, stream)
     return len(document["traceEvents"])
-
-
-# -- ASCII dashboard ----------------------------------------------------------
-
-
-def dashboard(telemetry: "Telemetry", *, width: int = 64) -> str:
-    """A terminal dashboard: counters, latency quantiles, detector plots,
-    and the alert log — the repro's stand-in for the paper's operator
-    dashboards (Figure 5's aggregation/alerting box)."""
-    lines: list[str] = []
-    snap = telemetry.registry.snapshot()
-
-    lines.append("== telemetry dashboard ==")
-    lines.append(f"epochs: {telemetry.epoch}   "
-                 f"spans: {len(telemetry.tracer.spans)}   "
-                 f"alerts: {len(telemetry.alerts.alerts)}")
-
-    if snap["counters"]:
-        lines.append("")
-        lines.append("-- counters --")
-        name_width = max(len(k) for k in snap["counters"])
-        for series in sorted(snap["counters"]):
-            value = snap["counters"][series]
-            lines.append(f"  {series:<{name_width}}  {value:>12g}")
-
-    if snap["histograms"]:
-        lines.append("")
-        lines.append("-- distributions --")
-        for series in sorted(snap["histograms"]):
-            h = snap["histograms"][series]
-            if not h["count"]:
-                continue
-            lines.append(
-                f"  {series}: n={h['count']} p50={h['p50']:.4g} "
-                f"p90={h['p90']:.4g} p99={h['p99']:.4g} "
-                f"max={h['max']:.4g}")
-
-    for detector in telemetry.alerts.detectors():
-        if len(detector.history) < 2:
-            continue
-        xs = [t for t, _ in detector.history]
-        ys = [v for _, v in detector.history]
-        lines.append("")
-        try:
-            lines.append(ascii_plot(
-                {detector.name: (xs, ys),
-                 "threshold": (xs, [detector.threshold] * len(xs))},
-                config=PlotConfig(width=width, height=10),
-                title=f"detector: {detector.name}",
-                x_label="simulated seconds"))
-        except ValueError:
-            continue
-
-    lines.append("")
-    lines.append("-- alerts --")
-    if not telemetry.alerts.alerts:
-        lines.append("  (none raised)")
-    for alert in telemetry.alerts.alerts:
-        cleared = (f"cleared {alert.cleared_at:.1f}s"
-                   if alert.cleared_at is not None else "still active")
-        lines.append(f"  [{alert.severity}] epoch {alert.epoch} "
-                     f"t={alert.raised_at:.1f}s {alert.message} "
-                     f"({cleared})")
-    return "\n".join(lines)

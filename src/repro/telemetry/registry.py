@@ -217,9 +217,6 @@ class MetricsRegistry:
                   labelnames: tuple[str, ...] = ()) -> MetricFamily:
         return self._family(name, "histogram", help_, labelnames)
 
-    def get(self, name: str) -> MetricFamily | None:
-        return self._families.get(name)
-
     def families(self) -> list[MetricFamily]:
         return [self._families[n] for n in sorted(self._families)]
 

@@ -48,11 +48,6 @@ def deactivate() -> None:
     ACTIVE = _STACK.pop() if _STACK else None
 
 
-def active() -> "Telemetry | None":
-    """The current handle (for code outside the hot path)."""
-    return ACTIVE
-
-
 @contextlib.contextmanager
 def session(handle: "Telemetry") -> Iterator["Telemetry"]:
     """Scoped activation: ``with session(Telemetry(...)) as t: ...``."""

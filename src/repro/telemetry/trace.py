@@ -123,14 +123,3 @@ class Tracer:
             return
         self.events.append(InstantEvent(trace_id, name, component, time,
                                         epoch=self.epoch, attrs=attrs))
-
-    # -- inspection ---------------------------------------------------------
-
-    def children_of(self, span: Span) -> list[Span]:
-        return [s for s in self.spans if s.parent_id == span.span_id
-                and s.trace_id == span.trace_id]
-
-    def trace_spans(self, trace_id: int) -> list[Span]:
-        """All recorded spans of one trace, in (start, span_id) order."""
-        return sorted((s for s in self.spans if s.trace_id == trace_id),
-                      key=lambda s: (s.start, s.span_id))

@@ -6,11 +6,9 @@ section 2, plus the attack-traffic generators of section 4.3.4.
 
 from .arrivals import (
     DiurnalModel,
-    QueryTrain,
     SECONDS_PER_DAY,
     SECONDS_PER_WEEK,
     bursty_counts,
-    poisson_counts,
 )
 from .attacks import (
     AttackStats,
@@ -27,7 +25,6 @@ from .geolocation import (
     GeoRecord,
     GeolocationService,
     MAJOR_REGIONS,
-    expected_major_share,
     major_region_share,
     regional_query_shares,
 )
@@ -43,11 +40,10 @@ from .population import (
 __all__ = [
     "AttackStats", "DirectQueryAttack", "DiurnalModel", "GeoRecord",
     "GeolocationService", "JunkPayload", "MAJOR_REGIONS",
-    "PopulationParams", "QoDInjector", "QueryTrain",
-    "RandomSubdomainAttack", "Resolver", "ResolverPopulation",
-    "SECONDS_PER_DAY", "SECONDS_PER_WEEK", "SpoofedIdentity",
-    "SpoofedSourceAttack", "VolumetricAttack", "ZonePopularity",
-    "bursty_counts", "expected_major_share", "major_region_share",
-    "overlap_fraction", "poisson_counts", "random_label",
-    "regional_query_shares", "share_of_top",
+    "PopulationParams", "QoDInjector", "RandomSubdomainAttack", "Resolver",
+    "ResolverPopulation", "SECONDS_PER_DAY", "SECONDS_PER_WEEK",
+    "SpoofedIdentity", "SpoofedSourceAttack", "VolumetricAttack",
+    "ZonePopularity", "bursty_counts", "major_region_share",
+    "overlap_fraction", "random_label", "regional_query_shares",
+    "share_of_top",
 ]

@@ -11,7 +11,6 @@ modulated Poisson process whose peak-to-mean ratio is the resolver's
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,12 +53,6 @@ class DiurnalModel:
         return times, rates
 
 
-def poisson_counts(rng: np.random.Generator, rate_qps: float,
-                   seconds: int) -> np.ndarray:
-    """Per-second Poisson query counts for one resolver."""
-    return rng.poisson(rate_qps, size=seconds)
-
-
 def bursty_counts(rng: np.random.Generator, mean_qps: float,
                   burstiness: float, seconds: int,
                   on_fraction: float | None = None) -> np.ndarray:
@@ -98,46 +91,3 @@ def bursty_counts(rng: np.random.Generator, mean_qps: float,
         t = end
         on = not on
     return counts
-
-
-class QueryTrain:
-    """Schedules per-query events onto the simulation loop.
-
-    Used by experiments that need real queries flowing through the
-    platform rather than count statistics: draws inter-arrival gaps from
-    an exponential (optionally ON/OFF-modulated) process and invokes a
-    send callback for each arrival.
-    """
-
-    def __init__(self, loop, rng: random.Random, rate_qps: float,
-                 send, *, burstiness: float = 1.0,
-                 duration: float | None = None) -> None:
-        self.loop = loop
-        self.rng = rng
-        self.rate = rate_qps
-        self.send = send
-        self.burstiness = burstiness
-        self.deadline = None if duration is None else loop.now + duration
-        self.sent = 0
-        self._stopped = False
-        self._schedule_next()
-
-    def stop(self) -> None:
-        self._stopped = True
-
-    def _schedule_next(self) -> None:
-        if self.rate <= 0:
-            return
-        gap = self.rng.expovariate(self.rate)
-        if self.burstiness > 1.0 and self.rng.random() < 0.2:
-            gap *= self.burstiness
-        self.loop.call_later(gap, self._fire)
-
-    def _fire(self) -> None:
-        if self._stopped:
-            return
-        if self.deadline is not None and self.loop.now > self.deadline:
-            return
-        self.send()
-        self.sent += 1
-        self._schedule_next()

@@ -66,9 +66,6 @@ class _BaseAttack:
     def stop(self) -> None:
         self._stopped = True
 
-    def set_rate(self, rate_pps: float) -> None:
-        self.rate = rate_pps
-
     def _schedule(self) -> None:
         if self.rate <= 0 or self._stopped:
             return

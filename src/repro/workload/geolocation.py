@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ..netsim.geo import GeoModel, GeoPoint, region_weights
+from ..netsim.geo import GeoModel, GeoPoint
 
 MAJOR_REGIONS = ("north-america", "europe", "asia")
 
@@ -47,10 +47,6 @@ class GeolocationService:
     def lookup(self, address: str) -> GeoRecord | None:
         return self._records.get(address)
 
-    def region_of(self, address: str) -> str | None:
-        record = self._records.get(address)
-        return record.region if record else None
-
     def __len__(self) -> int:
         return len(self._records)
 
@@ -75,9 +71,3 @@ def regional_query_shares(service: GeolocationService,
 def major_region_share(shares: dict[str, float]) -> float:
     """Combined share of NA + Europe + Asia (paper: 92%)."""
     return sum(shares.get(region, 0.0) for region in MAJOR_REGIONS)
-
-
-def expected_major_share() -> float:
-    """The share the geo model's weights imply."""
-    weights = region_weights()
-    return sum(weights[r] for r in MAJOR_REGIONS)

@@ -5,12 +5,12 @@ clouds, saturating every PoP serving enterprise A's clouds still leaves
 any other enterprise B at least one live delegation — resolvers retry
 against the other clouds and succeed. With a shared set (every
 enterprise on the same 6 clouds), the same attack takes everyone down.
-This benchmark runs both configurations end-to-end: it saturates A's
+This ablation runs both configurations end-to-end: it saturates A's
 clouds by suspending their machines and measures whether B's zone still
 resolves.
 """
 
-from conftest import report
+from .conftest import report
 
 from repro.analysis.report import ExperimentResult
 from repro.dnscore import RCode, RType, name
@@ -64,42 +64,34 @@ def _attack_and_resolve(shared_sets: bool) -> tuple[int, bool, RCode]:
     return overlap, not result.failed, result.rcode
 
 
-def test_unique_delegation_sets_bound_collateral_damage(benchmark):
-    def job():
-        result = ExperimentResult(
-            "ablation-delegation",
-            "Unique delegation sets vs shared set under attack")
-        overlap_u, b_alive_u, _ = _attack_and_resolve(shared_sets=False)
-        overlap_s, b_alive_s, rcode_s = _attack_and_resolve(
-            shared_sets=True)
-        result.metrics.update({
-            "unique_overlap_clouds": overlap_u,
-            "unique_b_resolvable": float(b_alive_u),
-            "shared_overlap_clouds": overlap_s,
-            "shared_b_resolvable": float(b_alive_s),
-        })
-        result.compare("unique sets: B differs from A in >= 1 cloud",
-                       "< 6 shared", f"{overlap_u}/6 shared",
-                       overlap_u < DELEGATION_SET_SIZE)
-        result.compare("unique sets: B still resolves under attack on A",
-                       "resolvable", str(b_alive_u), b_alive_u)
-        result.compare("shared set: B fully collateral-damaged",
-                       "unresolvable", f"alive={b_alive_s} ({rcode_s})",
-                       not b_alive_s)
-        return result
-
-    result = benchmark.pedantic(job, rounds=1, iterations=1)
+def test_unique_delegation_sets_bound_collateral_damage():
+    result = ExperimentResult(
+        "ablation-delegation",
+        "Unique delegation sets vs shared set under attack")
+    overlap_u, b_alive_u, _ = _attack_and_resolve(shared_sets=False)
+    overlap_s, b_alive_s, rcode_s = _attack_and_resolve(
+        shared_sets=True)
+    result.metrics.update({
+        "unique_overlap_clouds": overlap_u,
+        "unique_b_resolvable": float(b_alive_u),
+        "shared_overlap_clouds": overlap_s,
+        "shared_b_resolvable": float(b_alive_s),
+    })
+    result.compare("unique sets: B differs from A in >= 1 cloud",
+                   "< 6 shared", f"{overlap_u}/6 shared",
+                   overlap_u < DELEGATION_SET_SIZE)
+    result.compare("unique sets: B still resolves under attack on A",
+                   "resolvable", str(b_alive_u), b_alive_u)
+    result.compare("shared set: B fully collateral-damaged",
+                   "unresolvable", f"alive={b_alive_s} ({rcode_s})",
+                   not b_alive_s)
     report(result)
 
 
-def test_assignment_uniqueness_at_scale(benchmark):
-    def job():
-        assigner = DelegationAssigner()
-        sets = [tuple(c.index for c in assigner.assign(f"e{i}"))
-                for i in range(3_000)]
-        return len(set(sets)), max(
-            len(set(sets[0]) & set(s)) for s in sets[1:])
-
-    unique_count, worst_overlap = benchmark(job)
-    assert unique_count == 3_000
-    assert worst_overlap < DELEGATION_SET_SIZE
+def test_assignment_uniqueness_at_scale():
+    assigner = DelegationAssigner()
+    sets = [tuple(c.index for c in assigner.assign(f"e{i}"))
+            for i in range(3_000)]
+    assert len(set(sets)) == 3_000
+    assert max(len(set(sets[0]) & set(s))
+               for s in sets[1:]) < DELEGATION_SET_SIZE

@@ -9,7 +9,7 @@ collapses.
 
 import random
 
-from conftest import report
+from .conftest import report
 
 from repro.analysis.report import ExperimentResult
 from repro.dnscore import RType, make_query, name, parse_zone_text
@@ -19,6 +19,7 @@ from repro.netsim.clock import EventLoop
 from repro.netsim.packet import Datagram
 from repro.server.engine import AuthoritativeEngine, ZoneStore
 from repro.server.machine import MachineConfig, NameserverMachine, QueryEnvelope
+from repro.workload.attacks import QoDInjector
 
 DURATION = 120.0
 QOD_INTERVAL = 2.0
@@ -43,31 +44,25 @@ def _run(firewall_enabled: bool) -> tuple[int, float]:
                       qod_firewall_enabled=firewall_enabled,
                       t_qod=60.0,
                       staleness_threshold=float("inf")))
+    injector = QoDInjector(loop, machine.receive_query, "qod-target")
     sent = [0]
-    msg_id = [0]
-
-    def send(qname, poison):
-        msg_id[0] = (msg_id[0] + 1) & 0xFFFF
-        query = make_query(msg_id[0], qname, RType.TXT if poison
-                           else RType.A)
-        if not poison:
-            sent[0] += 1
-        machine.receive_query(Datagram(
-            src="198.18.7.7" if poison else f"10.5.0.{rng.randint(1, 40)}",
-            dst="qod-target",
-            payload=QueryEnvelope(query, is_attack=poison, poison=poison),
-            src_port=rng.randint(1024, 65535)))
 
     def legit():
         if loop.now >= DURATION:
             return
-        send(name("www.qod.example"), poison=False)
+        sent[0] += 1
+        query = make_query(sent[0] & 0xFFFF, name("www.qod.example"),
+                           RType.A)
+        machine.receive_query(Datagram(
+            src=f"10.5.0.{rng.randint(1, 40)}", dst="qod-target",
+            payload=QueryEnvelope(query),
+            src_port=rng.randint(1024, 65535)))
         loop.call_later(rng.expovariate(LEGIT_RATE), legit)
 
     def qod():
         if loop.now >= DURATION:
             return
-        send(name("crashme.qod.example"), poison=True)
+        injector.fire(name("crashme.qod.example"))
         loop.call_later(QOD_INTERVAL, qod)
 
     loop.call_later(0.01, legit)
@@ -77,30 +72,26 @@ def _run(firewall_enabled: bool) -> tuple[int, float]:
     return machine.metrics.crashes, goodput
 
 
-def test_qod_firewall(benchmark):
-    def job():
-        result = ExperimentResult(
-            "ablation-qod", "QoD firewall: crash containment")
-        crashes_on, goodput_on = _run(firewall_enabled=True)
-        crashes_off, goodput_off = _run(firewall_enabled=False)
-        result.metrics.update({
-            "crashes_with_firewall": crashes_on,
-            "crashes_without_firewall": crashes_off,
-            "goodput_with_firewall": goodput_on,
-            "goodput_without_firewall": goodput_off,
-        })
-        # 120 s, T_QoD 60 s: at most ~1 crash per expiry window + the
-        # initial one.
-        result.compare("firewall bounds crashes to ~1 per T_QoD",
-                       "<= 3 in 120 s", f"{crashes_on}", crashes_on <= 3)
-        result.compare("without firewall the machine crashloops",
-                       "~1 per restart cycle", f"{crashes_off}",
-                       crashes_off >= 3 * crashes_on)
-        result.compare("firewall preserves legitimate goodput",
-                       "higher with firewall",
-                       f"{goodput_on:.0%} vs {goodput_off:.0%}",
-                       goodput_on > goodput_off + 0.15)
-        return result
-
-    result = benchmark.pedantic(job, rounds=1, iterations=1)
+def test_qod_firewall():
+    result = ExperimentResult(
+        "ablation-qod", "QoD firewall: crash containment")
+    crashes_on, goodput_on = _run(firewall_enabled=True)
+    crashes_off, goodput_off = _run(firewall_enabled=False)
+    result.metrics.update({
+        "crashes_with_firewall": crashes_on,
+        "crashes_without_firewall": crashes_off,
+        "goodput_with_firewall": goodput_on,
+        "goodput_without_firewall": goodput_off,
+    })
+    # 120 s, T_QoD 60 s: at most ~1 crash per expiry window + the
+    # initial one.
+    result.compare("firewall bounds crashes to ~1 per T_QoD",
+                   "<= 3 in 120 s", f"{crashes_on}", crashes_on <= 3)
+    result.compare("without firewall the machine crashloops",
+                   "~1 per restart cycle", f"{crashes_off}",
+                   crashes_off >= 3 * crashes_on)
+    result.compare("firewall preserves legitimate goodput",
+                   "higher with firewall",
+                   f"{goodput_on:.0%} vs {goodput_off:.0%}",
+                   goodput_on > goodput_off + 0.15)
     report(result)

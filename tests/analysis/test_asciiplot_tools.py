@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import PlotConfig, ascii_cdf, ascii_plot
+from repro.analysis import PlotConfig, ascii_plot
 
 
 class TestAsciiPlot:
@@ -19,8 +19,9 @@ class TestAsciiPlot:
         assert "* a" in text and "o b" in text
 
     def test_log_x(self):
-        text = ascii_cdf({"cdf": ([0.1, 1.0, 10.0, 100.0],
-                                  [0.25, 0.5, 0.75, 1.0])}, log_x=True)
+        text = ascii_plot({"cdf": ([0.1, 1.0, 10.0, 100.0],
+                                   [0.25, 0.5, 0.75, 1.0])},
+                          config=PlotConfig(log_x=True))
         assert "0.1" in text and "100" in text
 
     def test_empty_rejected(self):

@@ -6,12 +6,10 @@ import pytest
 from repro.analysis import (
     Comparison,
     ExperimentResult,
-    SeriesSummary,
     cdf_points,
     fraction_at_least,
     fraction_below,
     pdf_histogram,
-    quantile,
     render_results,
 )
 
@@ -42,9 +40,6 @@ class TestFractions:
     def test_at_least(self):
         assert fraction_at_least([1, 2, 3, 4], 3) == 0.5
 
-    def test_quantile(self):
-        assert quantile(range(101), 0.5) == 50.0
-
 
 class TestHistogramAndSummary:
     def test_pdf_density_integrates_to_one(self):
@@ -53,18 +48,6 @@ class TestHistogramAndSummary:
         width = centers[1] - centers[0]
         assert float(np.sum(density) * width) == pytest.approx(1.0,
                                                                abs=0.02)
-
-    def test_summary(self):
-        s = SeriesSummary.of([1, 2, 3, 4, 5])
-        assert s.count == 5
-        assert s.mean == 3.0
-        assert s.median == 3.0
-        assert s.minimum == 1.0 and s.maximum == 5.0
-        assert "n=5" in str(s)
-
-    def test_summary_empty_rejected(self):
-        with pytest.raises(ValueError):
-            SeriesSummary.of([])
 
 
 class TestReporting:

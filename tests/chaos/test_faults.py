@@ -93,13 +93,6 @@ class TestCampaign:
         assert build(5) == build(5)
         assert build(5) != build(6)
 
-    def test_last_clear_time(self):
-        c = Campaign("t", duration=100.0)
-        assert c.last_clear_time() == 0.0
-        c.add(self.spec(Schedule.once(10.0, 5.0)))
-        c.add(self.spec(Schedule.once(30.0, 40.0), target="pop-1"))
-        assert c.last_clear_time() == 70.0
-
     def test_describe(self):
         spec = FaultSpec(FaultKind.SLOW_IO, "pop-3-m1",
                          Schedule.once(0.0, 1.0), note="disk brownout")

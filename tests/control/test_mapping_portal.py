@@ -16,13 +16,7 @@ from repro.control import (
     ValidationError,
     nearest_edges,
 )
-from repro.dnscore import (
-    RType,
-    make_axfr_query,
-    name,
-    parse_zone_text,
-)
-from repro.dnscore.transfer import axfr_response_stream
+from repro.dnscore import RType, name
 from repro.netsim import EventLoop, GeoPoint
 
 
@@ -128,10 +122,10 @@ class TestSnapshotPropagation:
         bus.subscribe(MULTICAST_CHANNEL, Adapter())
         mapping.publish()
         loop.run_until(2.0)
-        v1 = view.version
+        v1 = view.snapshot.version
         mapping.set_edge_alive("10.0.0.1", False)
         loop.run_until(4.0)
-        assert view.version > v1
+        assert view.snapshot.version > v1
         assert not [e for e in view.snapshot.edges
                     if e.address == "10.0.0.1"][0].alive
 
@@ -143,13 +137,13 @@ class TestSnapshotPropagation:
         from repro.control.pubsub import MetadataMessage
         view.apply(MetadataMessage(MULTICAST_CHANNEL, "mapping", "g",
                                    new, 0.0, 1))
-        first = view.version
+        first = view.snapshot.version
 
         from dataclasses import replace
         stale = replace(new, version=new.version - 1)
         view.apply(MetadataMessage(MULTICAST_CHANNEL, "mapping", "g",
                                    stale, 0.0, 2))
-        assert view.version == first
+        assert view.snapshot.version == first
 
     def test_nearest_edges_helper(self, world):
         loop, bus, mapping = world
@@ -204,6 +198,20 @@ class TestPortal:
         portal.submit_zone_text("acme", ZONE_TEXT.format(serial=2))
         assert portal.zones_published == 2
 
+    def test_older_serial_rejected_and_publishes_nothing(self):
+        loop, bus, portal = self.make()
+        portal.register_enterprise("acme")
+        portal.submit_zone_text("acme", ZONE_TEXT.format(serial=5))
+        with pytest.raises(ValidationError,
+                           match=r"serial 3 does not advance past 5 "
+                                 r"\(serials must advance\)"):
+            portal.submit_zone_text("acme", ZONE_TEXT.format(serial=3))
+        # The live zone is untouched by the rejected submission.
+        assert portal.enterprises["acme"].zones[name("cust.net")].serial == 5
+        assert portal.rejections == 1
+        assert portal.zones_published == 1
+        assert bus.published == 1
+
     def test_zone_ownership_enforced(self):
         loop, bus, portal = self.make()
         portal.register_enterprise("acme")
@@ -220,15 +228,6 @@ class TestPortal:
             # Apex NS references none of the assigned clouds.
             portal.submit_zone_text("acme", ZONE_TEXT.format(serial=1))
 
-    def test_zone_transfer_path(self):
-        loop, bus, portal = self.make()
-        portal.register_enterprise("acme")
-        zone = parse_zone_text(ZONE_TEXT.format(serial=3))
-        stream = list(axfr_response_stream(
-            zone, make_axfr_query(1, zone.origin)))
-        accepted = portal.submit_zone_transfer("acme", zone.origin, stream)
-        assert accepted.serial == 3
-
     def test_rrset_limit(self):
         loop, bus, portal = self.make()
         portal = ManagementPortal(bus, PortalLimits(max_rrsets_per_zone=3))
@@ -237,47 +236,3 @@ class TestPortal:
             + "b IN A 10.0.0.2\n"
         with pytest.raises(ValidationError):
             portal.submit_zone_text("acme", big)
-
-    def test_remove_zone(self):
-        loop, bus, portal = self.make()
-        portal.register_enterprise("acme")
-        zone = portal.submit_zone_text("acme", ZONE_TEXT.format(serial=1))
-        assert portal.remove_zone("acme", zone.origin)
-        assert not portal.remove_zone("acme", zone.origin)
-
-
-class TestPortalHistory:
-    def make(self):
-        from repro.netsim import EventLoop
-        loop = EventLoop()
-        bus = MetadataBus(loop, random.Random(4))
-        portal = ManagementPortal(bus)
-        portal.register_enterprise("acme")
-        return portal
-
-    def test_incremental_updates_served(self):
-        portal = self.make()
-        portal.submit_zone_text("acme", ZONE_TEXT.format(serial=1))
-        portal.submit_zone_text("acme", ZONE_TEXT.format(serial=2)
-                                + "api IN A 203.0.113.6\n")
-        diffs = portal.incremental_update(name("cust.net"), 1)
-        assert len(diffs) == 1
-        assert diffs[0].new_serial == 2
-        assert [str(r.name) for r in diffs[0].additions] == \
-            ["api.cust.net."]
-
-    def test_regressing_serial_rejected(self):
-        portal = self.make()
-        portal.submit_zone_text("acme", ZONE_TEXT.format(serial=5))
-        with pytest.raises(ValidationError, match="advance"):
-            portal.submit_zone_text("acme", ZONE_TEXT.format(serial=3))
-        # The live zone is untouched by the rejected submission.
-        assert portal.current_zone(name("cust.net")).serial == 5
-
-    def test_too_far_behind_returns_none(self):
-        portal = self.make()
-        portal.history.max_versions = 2
-        for serial in range(1, 6):
-            portal.submit_zone_text("acme", ZONE_TEXT.format(serial=serial))
-        assert portal.incremental_update(name("cust.net"), 1) is None
-        assert portal.current_zone(name("cust.net")).serial == 5

@@ -33,13 +33,11 @@ class TestVersionStamping:
         other = bus.publish_zone(CDN_CHANNEL, "other.net.", "v1")
         assert (m1.zone_version, m2.zone_version) == (1, 2)
         assert other.zone_version == 1
-        assert bus.zone_version("ex.com.") == 2
 
     def test_plain_publish_is_unversioned(self):
         loop, bus = make_bus()
         message = bus.publish(CDN_CHANNEL, "zone", "ex.com.", "v1")
         assert message.zone_version == 0
-        assert bus.zone_version("ex.com.") == 0
 
 
 def reordering_seed():

@@ -43,7 +43,7 @@ class TestRecoverySystem:
         loop.run_until(60.0)
         assert recovery.history
         assert not recovery.alerts
-        assert recovery.current_unavailable_fraction() == 0.0
+        assert recovery.history[-1].unavailable_fraction == 0.0
 
     def test_alert_on_widespread_failure(self):
         loop = EventLoop()
@@ -58,7 +58,7 @@ class TestRecoverySystem:
         loop.run_until(20.0)
         assert recovery.alerts
         assert "50%" in recovery.alerts[0].summary
-        assert recovery.current_unavailable_fraction() == 0.5
+        assert recovery.history[-1].unavailable_fraction == 0.5
 
     def test_snapshot_counts_states(self):
         loop = EventLoop()
@@ -73,12 +73,3 @@ class TestRecoverySystem:
         assert snap.crashed == 1
         assert snap.suspended == 1
         assert snap.running == 4
-
-    def test_stop_halts_sampling(self):
-        loop = EventLoop()
-        recovery = RecoverySystem(loop, sample_period=5.0)
-        loop.run_until(12.0)
-        count = len(recovery.history)
-        recovery.stop()
-        loop.run_until(60.0)
-        assert len(recovery.history) == count

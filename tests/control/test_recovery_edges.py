@@ -88,7 +88,7 @@ class TestFleetEdgeCases:
         for machine in fleet:
             machine.crash()
         loop.run_until(10.0)
-        assert recovery.current_unavailable_fraction() == 1.0
+        assert recovery.history[-1].unavailable_fraction == 1.0
         assert recovery.alerts
         assert "100%" in recovery.alerts[0].summary
 

@@ -17,8 +17,8 @@ from repro.dnscore import (
     WireWriter,
     make_query,
     name,
+    serial_gt,
 )
-from repro.dnscore.transfer import serial_gt
 
 label_chars = string.ascii_lowercase + string.digits + "-"
 labels = st.text(label_chars, min_size=1, max_size=12).map(str.encode)

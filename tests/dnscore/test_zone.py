@@ -16,6 +16,7 @@ from repro.dnscore import (
     make_rrset,
     make_zone,
     name,
+    serial_gt,
 )
 
 
@@ -225,3 +226,20 @@ class TestAuthoring:
 
     def test_serial(self, zone):
         assert zone.serial == 1
+
+
+class TestSerials:
+    def test_basic_ordering(self):
+        assert serial_gt(2, 1)
+        assert not serial_gt(1, 2)
+        assert not serial_gt(5, 5)
+
+    def test_wraparound(self):
+        # RFC 1982: 0 is "greater" than a serial just below 2^32.
+        assert serial_gt(0, 2**32 - 1)
+        assert not serial_gt(2**32 - 1, 0)
+
+    def test_newer_across_the_wrap(self):
+        assert serial_gt(11, 10)
+        assert not serial_gt(11, 12)
+        assert serial_gt(3, 2**32 - 5)

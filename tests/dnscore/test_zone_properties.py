@@ -1,4 +1,4 @@
-"""Property-based tests on zone serialization and transfer invariants."""
+"""Property-based tests on zone serialization invariants."""
 
 import string
 
@@ -15,9 +15,7 @@ from repro.dnscore import (
     name,
     parse_zone_text,
     serialize_zone,
-    transfer_zone,
 )
-from repro.dnscore.ixfr import apply_diff, diff_zones
 
 label = st.text(string.ascii_lowercase + string.digits, min_size=1,
                 max_size=8)
@@ -59,28 +57,6 @@ def zone_signature(zone):
 def test_serialize_parse_roundtrip(zone):
     reparsed = parse_zone_text(serialize_zone(zone))
     assert zone_signature(reparsed) == zone_signature(zone)
-
-
-@given(zones())
-@settings(max_examples=40)
-def test_axfr_roundtrip(zone):
-    transferred = transfer_zone(zone)
-    assert zone_signature(transferred) == zone_signature(zone)
-
-
-@given(zones(), zones(serial=2))
-@settings(max_examples=40)
-def test_ixfr_diff_apply_reaches_target(old, new):
-    diff = diff_zones(old, new)
-    rebuilt = apply_diff(old, diff)
-    assert zone_signature(rebuilt) == zone_signature(new)
-
-
-@given(zones())
-@settings(max_examples=40)
-def test_diff_against_self_is_empty(zone):
-    diff = diff_zones(zone, zone)
-    assert diff.change_count == 0
 
 
 @given(zones())

@@ -88,12 +88,3 @@ class TestKeyRing:
         # ZSKs (flag 256) sort before KSKs (flag 257).
         flags = [r.rdata.flags for r in rrset_a.records]
         assert flags == sorted(flags)
-
-    def test_signers_cover_zone_and_dnskey_roles(self):
-        ring = KeyRing(7, ORIGIN)
-        signers = ring.signers()
-        assert ring.zone_signer in signers
-        assert ring.active_ksk in signers
-        successor = ring.mint(FLAG_KSK)
-        ring.dnskey_signers = [ring.active_ksk, successor]
-        assert successor in ring.signers()

@@ -92,10 +92,6 @@ class TestHandleSemantics:
         assert h.cancelled
         assert loop.pending == 0  # no double-decrement
 
-    def test_handle_time(self):
-        loop = EventLoop()
-        assert loop.call_at(2.5, int).time == 2.5
-
 
 class TestVarargsScheduling:
     def test_call_at_passes_bound_args(self):

@@ -182,9 +182,6 @@ class TestLinkCongestion:
         # Only if the flow actually crosses the throttled link does it
         # drop; either way the counters must balance.
         assert delivered + net.stats.dropped_congestion >= 1000 * 0.9
-        if net.stats.dropped_congestion:
-            assert net.link_drops(pops[0], upstream) == \
-                net.stats.dropped_congestion
 
     def test_uncapped_links_never_congest(self, small_internet):
         inet, pops, vps, loop, net = small_internet

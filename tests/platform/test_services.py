@@ -94,13 +94,13 @@ class TestStaleState:
     def test_partitioned_machine_view_lags(self, deployment):
         victim = deployment.regular_deployments()[1]
         deployment.bus.set_partitioned(victim.machine, True)
-        version_before = victim.view.version
+        version_before = victim.view.snapshot.version
         deployment.mapping.publish()
         deployment.settle(5)
-        assert victim.view.version == version_before
+        assert victim.view.snapshot.version == version_before
         deployment.bus.set_partitioned(victim.machine, False)
         deployment.settle(deployment.params.monitoring_period * 3)
-        assert victim.view.version > version_before
+        assert victim.view.snapshot.version > version_before
 
 
 class TestVolumetricModel:

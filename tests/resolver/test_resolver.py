@@ -22,12 +22,7 @@ from repro.netsim import (
     attach_pop,
     build_internet,
 )
-from repro.resolver import (
-    FixedSelection,
-    RecursiveResolver,
-    RTTWeightedSelection,
-    UniformSelection,
-)
+from repro.resolver import RecursiveResolver, UniformSelection
 from repro.server import (
     AuthoritativeEngine,
     HostNameserver,
@@ -285,6 +280,21 @@ class TestResponseMatching:
         assert r.unsolicited_responses > 0
 
 
+class FixedSelection:
+    """Always the first candidate: pins a resolver to one server."""
+
+    def __init__(self):
+        self.chosen = []
+        self.observed = []
+
+    def choose(self, addresses, rng):
+        self.chosen.append(addresses[0])
+        return addresses[0]
+
+    def observe_rtt(self, address, rtt):
+        self.observed.append(address)
+
+
 class TestSelectionStrategies:
     def test_uniform_spreads(self):
         rng = random.Random(1)
@@ -292,23 +302,15 @@ class TestSelectionStrategies:
         picks = [s.choose(["a", "b", "c"], rng) for _ in range(300)]
         assert all(picks.count(x) > 50 for x in "abc")
 
-    def test_rtt_weighted_prefers_fast(self):
-        rng = random.Random(1)
-        s = RTTWeightedSelection()
-        s.observe_rtt("fast", 0.005)
-        s.observe_rtt("slow", 0.200)
-        picks = [s.choose(["fast", "slow"], rng) for _ in range(300)]
-        assert picks.count("fast") > 220
-
-    def test_rtt_smoothing(self):
-        s = RTTWeightedSelection(alpha=0.5, initial_rtt=0.1)
-        s.observe_rtt("x", 0.2)
-        s.observe_rtt("x", 0.1)
-        assert s.srtt("x") == pytest.approx(0.15)
-
-    def test_fixed_selection(self):
-        s = FixedSelection()
-        assert s.choose(["a", "b"], random.Random(0)) == "a"
+    def test_fixed_selection(self, world):
+        # The ``selection=`` seam: the resolver asks the strategy for
+        # every server it queries and feeds each answer's RTT back.
+        loop, net, _, _ = world
+        pinned = FixedSelection()
+        r = make_resolver(loop, net, selection=pinned)
+        result = resolve(loop, r, "www.ex.net")
+        assert result.addresses() == ["93.184.216.34"]
+        assert pinned.chosen == pinned.observed == result.servers
 
 
 class TestSourcePorts:

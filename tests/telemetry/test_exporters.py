@@ -1,4 +1,4 @@
-"""Exporters: JSONL ordering, Chrome trace validity, dashboard text."""
+"""Exporters: JSONL ordering, Chrome trace validity."""
 
 import io
 import json
@@ -7,10 +7,8 @@ from repro.telemetry import Telemetry, TelemetryConfig
 from repro.telemetry.alerts import GaugeDetector
 from repro.telemetry.exporters import (
     chrome_trace,
-    dashboard,
     jsonl_events,
     write_chrome_trace,
-    write_jsonl,
 )
 
 
@@ -56,13 +54,6 @@ class TestJsonl:
         assert keys == sorted(keys)
         assert lines == jsonl_events(telemetry)  # reproducible
 
-    def test_write_returns_line_count(self):
-        telemetry = _session_with_activity()
-        stream = io.StringIO()
-        count = write_jsonl(telemetry, stream)
-        written = stream.getvalue().splitlines()
-        assert len(written) == count == len(jsonl_events(telemetry))
-
 
 class TestChromeTrace:
     def test_document_shape(self):
@@ -97,16 +88,3 @@ class TestChromeTrace:
         parsed = json.loads(stream.getvalue())
         assert len(parsed["traceEvents"]) == count
         assert parsed["otherData"]["source"] == "repro.telemetry"
-
-
-class TestDashboard:
-    def test_renders_counters_and_alerts(self):
-        text = dashboard(_session_with_activity())
-        assert "== telemetry dashboard ==" in text
-        assert "queries_received_total{machine=m1}" in text
-        assert "ALERT" not in text          # dashboard is not the trace
-        assert "queue-depth" in text        # alert log line
-
-    def test_empty_session_renders(self):
-        text = dashboard(Telemetry())
-        assert "(none raised)" in text

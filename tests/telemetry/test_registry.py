@@ -57,7 +57,8 @@ class TestCounterGauge:
         with pytest.raises(ValueError):
             reg.counter("m", labelnames=("b",))
         # Same schema re-registration returns the same family.
-        assert reg.counter("m", labelnames=("a",)) is reg.get("m")
+        assert reg.counter("m", labelnames=("a",)) is \
+            reg.counter("m", labelnames=("a",))
 
 
 class TestHistogram:

@@ -89,19 +89,6 @@ class TestGenerators:
                              identities=identities, qnames=VALID)
         assert all(p.ip_ttl == 57 for p in packets)
 
-    def test_rate_ramp(self):
-        loop = EventLoop()
-        packets = []
-        attack = DirectQueryAttack(loop, random.Random(1), packets.append,
-                                   rate_pps=10.0, duration=100.0,
-                                   target="ns", qnames=VALID)
-        attack.start()
-        loop.run_until(5.0)
-        early = len(packets)
-        attack.set_rate(1000.0)
-        loop.run_until(10.0)
-        assert len(packets) - early > early * 5
-
     def test_stop(self):
         loop = EventLoop()
         packets = []
