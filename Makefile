@@ -5,7 +5,7 @@ LINT_PYTHONPATH = src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: install test reach bench bench-check chaos rollout-demo \
         defend-demo dnssec-demo gray-demo report report-fast examples lint \
-        lint-flow clean
+        clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -21,12 +21,11 @@ reach:
 	PYTHONPATH=$(LINT_PYTHONPATH) $(PY) -m pytest tests/reach -m reach
 
 # reprolint (the in-tree determinism/event-loop/seed-hygiene checker)
-# always runs, including the whole-program flow analyses (FLOW001-3);
-# ruff and mypy run when installed (pip install -e .[lint]) and are
-# skipped with a notice otherwise, so `make lint` works in minimal
-# containers.
+# always runs; ruff and mypy run when installed (pip install -e .[lint])
+# and are skipped with a notice otherwise, so `make lint` works in
+# minimal containers.
 lint:
-	PYTHONPATH=$(LINT_PYTHONPATH) $(PY) -m repro.lint --flow src tests
+	PYTHONPATH=$(LINT_PYTHONPATH) $(PY) -m repro.lint src tests
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests examples; \
 	else \
@@ -37,11 +36,6 @@ lint:
 	else \
 		echo "mypy not installed; skipping (pip install -e .[lint])"; \
 	fi
-
-# Just the whole-program flow analyses (call-graph RNG provenance,
-# hot-path purity, parallel safety) over the simulator sources.
-lint-flow:
-	PYTHONPATH=$(LINT_PYTHONPATH) $(PY) -m repro.lint --flow --select FLOW001,FLOW002,FLOW003 src
 
 # Refresh the committed performance baseline (BENCH_micro.json at the
 # repo root).

@@ -18,6 +18,9 @@ about:
   aborts the rollover restoring the key ring. The rest of the fleet
   never serves a bogus signature.
 
+The run sits inside a passive telemetry session, which counts every
+step the rollover state machines take.
+
 Everything is seeded; re-running reproduces the timelines exactly.
 
 Run:  python examples/dnssec_rollover.py
@@ -39,6 +42,8 @@ from repro.server import (
     NameserverMachine,
     ZoneStore,
 )
+from repro.telemetry import Telemetry, TelemetryConfig
+from repro.telemetry.state import session
 
 ORIGIN = name("demo.example")
 
@@ -97,6 +102,17 @@ def print_timeline(state):
 
 
 def main() -> None:
+    with session(Telemetry(TelemetryConfig(trace_sample_rate=0.0))) \
+            as telemetry:
+        run_rollovers()
+    steps = sum(
+        count for series, count
+        in telemetry.registry.snapshot()["counters"].items()
+        if series.startswith("dnssec_rollover_steps_total"))
+    print(f"Telemetry counted {steps:.0f} rollover steps.")
+
+
+def run_rollovers() -> None:
     loop, coordinator, keys, signer, machines = build_train()
     controller = KeyRolloverController(loop, coordinator, signer,
                                        step_hold_seconds=2.0)

@@ -141,8 +141,8 @@ class Name:
         if cached is not None:
             return cached
         if len(_INTERN) >= _INTERN_MAX:
-            _INTERN.clear()  # reprolint: disable=FLOW003
-        _INTERN[self._labels] = self  # reprolint: disable=FLOW003
+            _INTERN.clear()
+        _INTERN[self._labels] = self
         return self
 
     @property
@@ -294,8 +294,8 @@ def name(text: str) -> Name:
         cached = Name.from_text(text)
         # Idempotent memo: the value is a pure function of the key, so
         # per-worker caches converge and no result depends on which
-        # entries happen to be cached (FLOW003-safe by construction).
+        # entries happen to be cached.
         if len(_PARSE_CACHE) >= _PARSE_CACHE_MAX:
-            _PARSE_CACHE.clear()  # reprolint: disable=FLOW003
-        _PARSE_CACHE[text] = cached  # reprolint: disable=FLOW003
+            _PARSE_CACHE.clear()
+        _PARSE_CACHE[text] = cached
     return cached

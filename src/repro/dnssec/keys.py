@@ -81,9 +81,9 @@ def derive_keypair(seed: int, origin: Name, flags: int,
                    index: int = 0) -> KeyPair:
     """Mint the ``index``-th key of a role for a zone, from the seed.
 
-    This is the seed-provenance root of the signing path: reprolint's
-    FLOW001 checks that every caller feeds it a value derived from the
-    deployment seed, the same contract RNG constructions carry.
+    This is the seed-provenance root of the signing path: the seed test
+    (tests/experiments/test_seed_provenance.py) watches its arguments
+    move with the deployment seed, as it does RNG constructions'.
     """
     material = (f"repro-dnssec|{seed}|{origin}|{flags}|{index}"
                 .encode("ascii", "backslashreplace"))

@@ -122,9 +122,9 @@ class Figure(NamedTuple):
 
 
 #: label -> its work units, in report order. A figure with a ``--fast``
-#: scale or several parts is a named ``_unit_*`` function (FlowConfig
-#: roots the work-unit analysis there); one with neither is its own
-#: ``run()``. Plain counts, so listing the units builds no world.
+#: scale or several parts is a named ``_unit_*`` function; one with
+#: neither is its own ``run()``. Plain counts, so listing the units
+#: builds no world.
 FIGURES: dict[str, Figure] = {
     "fig1": Figure(lambda fast, part: fig1_qps.run()),
     "fig2": Figure(lambda fast, part: fig2_skew.run()),

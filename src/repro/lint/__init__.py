@@ -1,13 +1,16 @@
 """reprolint — AST-based invariant checker for the simulator codebase.
 
 The platform's headline claim is that every experiment and chaos
-campaign is byte-identical under a fixed seed. ``repro.lint`` makes that
-contract machine-checked: a small rule engine walks every module's AST
-and flags constructs that silently break reproducibility (wall-clock
-reads, global-RNG calls, entropy sources, hash-based ordering), violate
-event-loop discipline (blocking sleeps, thread/async scheduling that
-bypasses the shared :class:`~repro.netsim.clock.EventLoop`), or break
-API discipline (experiment entry points without an explicit seed).
+campaign is byte-identical under a fixed seed. ``repro.lint`` checks
+the part of that contract one file can show: a small rule engine walks
+every module's AST and flags constructs that silently break
+reproducibility (wall-clock reads, global-RNG calls, entropy sources,
+hash-based ordering) or event-loop discipline (blocking sleeps,
+thread/async scheduling that bypasses the shared
+:class:`~repro.netsim.clock.EventLoop`, host I/O). What spans modules —
+every RNG moving with the seed, no state shared between work units — is
+observed on running code by tier-1 tests instead (docs/ARCHITECTURE.md,
+"Determinism contract").
 
 Usage::
 
@@ -25,21 +28,15 @@ from __future__ import annotations
 
 from .core import Finding, ModuleContext, Rule, Severity
 from .engine import LintResult, lint_paths, lint_source
-from .flow import FLOW_CODES, FLOW_RULES, FlowConfig
-from .flow import analyze as analyze_flow
 from .rules import ALL_RULES, rule_by_code
 
 __all__ = [
     "ALL_RULES",
-    "FLOW_CODES",
-    "FLOW_RULES",
     "Finding",
-    "FlowConfig",
     "LintResult",
     "ModuleContext",
     "Rule",
     "Severity",
-    "analyze_flow",
     "lint_paths",
     "lint_source",
     "rule_by_code",

@@ -11,12 +11,10 @@ import sys
 
 from .core import Severity
 from .engine import LintResult, lint_paths
-from .flow import FLOW_RULES
 from .rules import ALL_RULES
 
-#: v2: findings carry a ``witness`` call-chain list (empty for
-#: per-file rules) and FLOW codes may appear. v3: no baseline keys.
-JSON_SCHEMA_VERSION = 3
+#: v3: no baseline keys. v4: findings carry no ``witness`` list.
+JSON_SCHEMA_VERSION = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -29,11 +27,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "(default: src)")
     parser.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON on stdout")
-    parser.add_argument("--flow", action="store_true",
-                        help="also run the whole-program flow analyses "
-                             "(FLOW001 RNG provenance, FLOW002 hot-path "
-                             "purity, FLOW003 parallel safety) over the "
-                             "project call graph")
     parser.add_argument("--select", metavar="CODES", default=None,
                         help="comma-separated rule codes to run "
                              "(default: all)")
@@ -44,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _list_rules() -> str:
     lines = []
-    for rule in ALL_RULES + FLOW_RULES:
+    for rule in ALL_RULES:
         scopes = ", ".join(rule.scopes)
         lines.append(f"{rule.code}  {rule.name}  "
                      f"[{rule.severity.value}]  (scopes: {scopes})")
@@ -82,24 +75,17 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     rules = ALL_RULES
-    flow_enabled = args.flow
-    flow_codes: set[str] | None = None
     if args.select:
         wanted = {code.strip() for code in args.select.split(",")
                   if code.strip()}
         rules = tuple(r for r in ALL_RULES if r.code in wanted)
-        flow_codes = {r.code for r in FLOW_RULES} & wanted
-        unknown = wanted - {r.code for r in rules} - flow_codes
+        unknown = wanted - {r.code for r in rules}
         if unknown:
             print(f"reprolint: unknown rule code(s): "
                   f"{', '.join(sorted(unknown))}", file=sys.stderr)
             return 2
-        # Selecting a FLOW code implies flow mode; --flow with a
-        # selection that names no FLOW code runs none of them.
-        flow_enabled = args.flow or bool(flow_codes)
 
-    result = lint_paths(args.paths, rules=rules,
-                        flow=flow_enabled, flow_codes=flow_codes)
+    result = lint_paths(args.paths, rules=rules)
 
     if args.json:
         print(json.dumps(_to_json(result), indent=2))

@@ -38,10 +38,6 @@ class Finding:
     message: str
     #: Stripped text of the offending source line (in ``--json``).
     source: str = ""
-    #: Call-chain witness for whole-program (FLOW) findings: qualified
-    #: function ids from the analysis entry point down to the function
-    #: containing the offending call. Empty for per-file findings.
-    witness: tuple[str, ...] = ()
 
     def sort_key(self) -> tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.code)
@@ -55,15 +51,11 @@ class Finding:
             "severity": self.severity.value,
             "message": self.message,
             "source": self.source,
-            "witness": list(self.witness),
         }
 
     def render(self) -> str:
-        text = (f"{self.path}:{self.line}:{self.col}: "
+        return (f"{self.path}:{self.line}:{self.col}: "
                 f"{self.code} [{self.severity.value}] {self.message}")
-        if self.witness:
-            text += f"\n    via: {' -> '.join(self.witness)}"
-        return text
 
 
 class ImportTable:
@@ -140,7 +132,7 @@ class Rule(ast.NodeVisitor):
     methods, calling :meth:`report` for each violation. ``scopes``
     restricts a rule to path fragments (matched against ``/``-joined
     paths), so e.g. event-loop rules only fire inside simulator
-    packages and API rules only inside ``experiments/``.
+    packages.
     """
 
     code: str = ""

@@ -4,11 +4,6 @@ The engine parses each file once, builds one :class:`ModuleContext`,
 runs every in-scope rule over it and drops inline-suppressed findings.
 Paths are normalized relative to a root (default: the current working
 directory) so scope patterns are machine-independent.
-
-With ``flow=True`` the same parsed contexts feed the whole-program
-analyses in :mod:`repro.lint.flow` (call-graph reachability, RNG seed
-provenance, parallel safety); their findings merge into the normal
-stream so suppressions and output modes apply uniformly.
 """
 
 from __future__ import annotations
@@ -24,9 +19,6 @@ from .suppress import parse_suppressions
 _SKIP_DIRS = frozenset({
     "__pycache__", ".git", ".pytest_cache", ".venv", "venv",
     "build", "dist", ".mypy_cache", ".ruff_cache",
-    # Flow-analysis fixture packages: deliberately violating test data,
-    # linted only by the flow unit tests that load them explicitly.
-    "fixtures_flow",
 })
 
 
@@ -110,20 +102,10 @@ def lint_source(source: str, path: str = "src/repro/<string>.py",
 
 def lint_paths(paths: list[str | Path],
                rules: tuple[type[Rule], ...] = ALL_RULES,
-               root: str | Path | None = None,
-               flow: bool = False,
-               flow_codes: set[str] | None = None,
-               flow_config=None) -> LintResult:
-    """Lint every ``*.py`` under ``paths``.
-
-    ``flow=True`` additionally runs the whole-program analyses
-    (restricted to ``flow_codes`` when given) over the same parsed
-    ASTs; ``flow_config`` overrides the project defaults (used by the
-    fixture tests).
-    """
+               root: str | Path | None = None) -> LintResult:
+    """Lint every ``*.py`` under ``paths``."""
     root_path = Path(root) if root is not None else Path.cwd()
     result = LintResult()
-    contexts: list[ModuleContext] = []
     for file_path in iter_python_files(paths):
         logical = _logical_path(file_path, root_path)
         try:
@@ -147,13 +129,7 @@ def lint_paths(paths: list[str | Path],
             continue
         ctx = ModuleContext(path=logical, tree=tree,
                             source_lines=source_lines)
-        contexts.append(ctx)
         suppressions = parse_suppressions(source_lines)
         result.findings.extend(_rules_findings(ctx, suppressions, rules, True))
-    if flow:
-        from .flow import DEFAULT_CONFIG, analyze
-        result.findings.extend(analyze(
-            contexts, config=flow_config or DEFAULT_CONFIG,
-            codes=flow_codes))
     result.findings.sort(key=Finding.sort_key)
     return result

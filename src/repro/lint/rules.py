@@ -1,6 +1,6 @@
 """The reprolint rule set.
 
-Three families, mirroring the determinism contract in
+Four families, mirroring the determinism contract in
 ``docs/ARCHITECTURE.md``:
 
 * ``DET0xx`` — determinism: no wall-clock reads, no global-RNG calls,
@@ -8,9 +8,7 @@ Three families, mirroring the determinism contract in
   iteration feeding orderings.
 * ``LOOP0xx`` — event-loop discipline: no blocking sleeps, no
   threading/async/socket machinery that bypasses the shared simulated
-  :class:`~repro.netsim.clock.EventLoop`.
-* ``API0xx`` — API discipline: experiment entry points must accept an
-  explicit seed and thread explicit ``Random`` instances.
+  :class:`~repro.netsim.clock.EventLoop`, no host I/O.
 * ``OBS0xx`` — observability discipline: library code reports through
   ``repro.telemetry`` (or returns data to its caller); only CLI entry
   points talk to stdout/stderr directly.
@@ -78,12 +76,18 @@ _NEEDS_SEED = frozenset({
 
 #: Modules whose presence in simulator code means callbacks or I/O are
 #: escaping the shared event loop (threads, OS sockets, subprocesses,
-#: alternative schedulers).
+#: alternative schedulers) or reaching the host (files, the OS, the
+#: network, logs).
 _LOOP_BYPASS = frozenset({
     "threading", "_thread", "asyncio", "sched", "multiprocessing",
     "concurrent", "concurrent.futures", "socket", "socketserver",
     "subprocess", "selectors", "signal", "queue",
+    "os", "pathlib", "shutil", "tempfile", "io", "logging", "http",
+    "urllib",
 })
+
+#: Builtins that reach the host without an import to ban.
+_HOST_BUILTINS = frozenset({"open", "input", "breakpoint"})
 
 #: Simulator packages held to event-loop discipline. Analysis/report
 #: and tools are offline post-processing and may do real I/O.
@@ -91,6 +95,7 @@ _SIM_SCOPES = (
     "src/repro/netsim/", "src/repro/server/", "src/repro/chaos/",
     "src/repro/control/", "src/repro/platform/", "src/repro/resolver/",
     "src/repro/filters/", "src/repro/workload/", "src/repro/dnscore/",
+    "src/repro/dnssec/", "src/repro/telemetry/",
 )
 
 
@@ -119,7 +124,7 @@ class GlobalRandomRule(Rule):
     description = ("Calls on the module-level `random` API or the "
                    "legacy `numpy.random` global state; thread an "
                    "explicit seeded Random/Generator instance instead.")
-    scopes = ("src/repro/", "tests/", "benchmarks/")
+    scopes = ("src/repro/", "tests/")
 
     def visit_Call(self, node: ast.Call) -> None:
         resolved = self.ctx.imports.resolve(node.func)
@@ -146,7 +151,7 @@ class EntropyRule(Rule):
     description = ("os.urandom / uuid.uuid1 / uuid.uuid4 / secrets.* / "
                    "random.SystemRandom draw OS entropy and can never "
                    "be reproduced from a seed.")
-    scopes = ("src/repro/", "tests/", "benchmarks/")
+    scopes = ("src/repro/", "tests/")
 
     def visit_Call(self, node: ast.Call) -> None:
         resolved = self.ctx.imports.resolve(node.func)
@@ -313,7 +318,7 @@ class UnseededRngRule(Rule):
     description = ("random.Random() / numpy.random.default_rng() "
                    "without a seed argument fall back to OS entropy; "
                    "always construct RNGs from an explicit seed.")
-    scopes = ("src/repro/", "tests/", "benchmarks/")
+    scopes = ("src/repro/", "tests/")
 
     def visit_Call(self, node: ast.Call) -> None:
         resolved = self.ctx.imports.resolve(node.func)
@@ -349,7 +354,10 @@ class LoopBypassRule(Rule):
     severity = Severity.ERROR
     description = ("Importing threading/asyncio/sched/socket/subprocess "
                    "etc. inside simulator packages means callbacks or "
-                   "I/O escape the deterministic EventLoop.")
+                   "I/O escape the deterministic EventLoop; importing "
+                   "os/pathlib/io/logging/urllib etc. or calling "
+                   "open()/input()/breakpoint() means the simulation "
+                   "touches the host.")
     scopes = _SIM_SCOPES
 
     def _check(self, node: ast.AST, module: str) -> None:
@@ -368,29 +376,14 @@ class LoopBypassRule(Rule):
         if node.level == 0 and node.module:
             self._check(node, node.module)
 
-
-class SeedParamRule(Rule):
-    code = "API001"
-    name = "seedless-entry-point"
-    severity = Severity.ERROR
-    description = ("Experiment entry points (module-level `run(...)` in "
-                   "experiments/) must accept an explicit `seed` "
-                   "parameter or a `params` object carrying one, and "
-                   "thread it into every RNG they construct.")
-    scopes = ("src/repro/experiments/",)
-
-    def visit_Module(self, node: ast.Module) -> None:
-        for stmt in node.body:
-            if isinstance(stmt, ast.FunctionDef) and stmt.name == "run":
-                args = stmt.args
-                names = {a.arg for a in (args.posonlyargs + args.args
-                                         + args.kwonlyargs)}
-                if not names & {"seed", "params"}:
-                    self.report(stmt, "experiment entry point run() "
-                                      "takes neither `seed` nor "
-                                      "`params`; reproducibility "
-                                      "requires an explicit seed")
-        # no generic_visit: only module-level `run` is an entry point
+    def visit_Call(self, node: ast.Call) -> None:
+        if (isinstance(node.func, ast.Name)
+                and node.func.id in _HOST_BUILTINS
+                and not self.ctx.imports.is_imported(node.func.id)):
+            self.report(node, f"`{node.func.id}()` reaches the host from "
+                              f"simulator code; return data to the "
+                              f"caller or report through repro.telemetry")
+        self.generic_visit(node)
 
 
 #: CLI entry points: the only places in ``src/repro`` allowed to call
@@ -505,7 +498,7 @@ class MitigatorEngageRule(Rule):
                    "from flapping or getting stuck; drive them through "
                    "control.defense.DefenseController. Legitimate "
                    "test/bootstrap sites carry an inline suppression.")
-    scopes = ("src/repro/", "tests/", "benchmarks/")
+    scopes = ("src/repro/", "tests/")
 
     @classmethod
     def applies_to(cls, path: str) -> bool:
@@ -595,7 +588,6 @@ ALL_RULES: tuple[type[Rule], ...] = (
     UnseededRngRule,
     SleepRule,
     LoopBypassRule,
-    SeedParamRule,
     BarePrintRule,
     ZoneInstallRule,
     MitigatorEngageRule,

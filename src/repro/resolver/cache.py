@@ -48,12 +48,7 @@ class DNSCache:
     def put(self, rrset: RRset, now: float) -> None:
         """Cache a positive RRset until its TTL expires."""
         if len(self._positive) >= self.max_entries:
-            self._evict_expired(now)
-            if len(self._positive) >= self.max_entries:
-                # Evict the soonest-to-expire entry.
-                victim = min(self._positive,
-                             key=lambda k: self._positive[k].expires_at)
-                del self._positive[victim]
+            self._make_room(self._positive, now)
         key = (rrset.name, rrset.rtype)
         entry = CacheEntry(rrset, now + rrset.ttl)
         existing = self._positive.get(key)
@@ -64,6 +59,8 @@ class DNSCache:
     def put_negative(self, qname: Name, qtype: RType, rcode: RCode,
                      ttl: int, now: float) -> None:
         """Cache an NXDOMAIN/NODATA answer for the SOA-derived TTL."""
+        if len(self._negative) >= self.max_entries:
+            self._make_room(self._negative, now)
         self._negative[(qname, qtype)] = NegativeEntry(rcode, now + ttl)
 
     def get(self, qname: Name, qtype: RType, now: float) -> RRset | None:
@@ -109,11 +106,14 @@ class DNSCache:
         self._positive.clear()
         self._negative.clear()
 
-    def _evict_expired(self, now: float) -> None:
-        expired = [k for k, e in self._positive.items()
-                   if e.expires_at <= now]
+    def _make_room(self, entries: dict, now: float) -> None:
+        """A full map (positive or negative, ``max_entries`` each) drops
+        what has expired, or failing that its soonest-to-expire entry."""
+        expired = [k for k, e in entries.items() if e.expires_at <= now]
         for key in expired:
-            del self._positive[key]
+            del entries[key]
+        if len(entries) >= self.max_entries:
+            del entries[min(entries, key=lambda k: entries[k].expires_at)]
 
     def __len__(self) -> int:
         return len(self._positive)

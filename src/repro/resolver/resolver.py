@@ -146,7 +146,7 @@ class RecursiveResolver:
         self.selection = selection or UniformSelection()
         # Unit-test convenience only: every deployment constructs the
         # resolver with a seed-derived rng (platform/deployment.py).
-        self.rng = rng or random.Random(0)  # reprolint: disable=FLOW001
+        self.rng = rng or random.Random(0)
         self.timeout = timeout
         self.resolution_deadline = resolution_deadline
         self.send_ecs_for = send_ecs_for

@@ -151,7 +151,7 @@ class StubClient:
         self.resolver_address = resolver_address
         # Unit-test convenience only: experiments pass a seed-derived
         # rng explicitly (see enduser_latency).
-        self.rng = rng or random.Random(0)  # reprolint: disable=FLOW001
+        self.rng = rng or random.Random(0)
         self.results: list[ClientResult] = []
         self._inflight: dict[int, tuple[ClientResult,
                                         Callable | None]] = {}

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from repro.dnscore import A, NS, RCode, RType, make_rrset, name
 from repro.resolver import DNSCache
 
@@ -79,6 +81,46 @@ class TestNegativeCache:
         cache.put(a_rrset("x.com"), now=1.0)
         assert cache.get_negative(name("x.com"), RType.A, 2.0) is None
         assert cache.get(name("x.com"), RType.A, 2.0) is not None
+
+
+class TestBound:
+    """Both maps hold ``max_entries`` each, under one eviction rule:
+    a full map drops what has expired, else its soonest-to-expire."""
+
+    @staticmethod
+    def fill(cache, kind, owner, ttl, now):
+        if kind == "positive":
+            cache.put(a_rrset(owner, ttl=ttl), now)
+        else:
+            cache.put_negative(name(owner), RType.A, RCode.NXDOMAIN,
+                               ttl, now)
+
+    @staticmethod
+    def live(cache, kind, owners, now):
+        read = cache.get if kind == "positive" else cache.get_negative
+        return [o for o in owners
+                if read(name(o), RType.A, now) is not None]
+
+    @pytest.mark.parametrize("kind", ["positive", "negative"])
+    def test_full_map_stays_at_the_bound(self, kind):
+        cache = DNSCache(max_entries=4)
+        owners = [f"h{i}.com" for i in range(50)]
+        for i, owner in enumerate(owners):
+            self.fill(cache, kind, owner, 1000, float(i))
+        # Equal TTLs, later inserts expire later: the newest four stay.
+        assert self.live(cache, kind, owners, 50.0) == owners[-4:]
+
+    @pytest.mark.parametrize("kind", ["positive", "negative"])
+    def test_expired_entries_go_before_live_ones(self, kind):
+        cache = DNSCache(max_entries=3)
+        self.fill(cache, kind, "soon.com", 20, 0.0)
+        self.fill(cache, kind, "dead1.com", 5, 0.0)
+        self.fill(cache, kind, "dead2.com", 5, 0.0)
+        self.fill(cache, kind, "new.com", 100, 10.0)
+        # soon.com expires first among the live, yet only the dead went.
+        assert self.live(cache, kind, ["soon.com", "dead1.com",
+                                       "dead2.com", "new.com"], 10.0) \
+            == ["soon.com", "new.com"]
 
 
 class TestDelegationLookup:
