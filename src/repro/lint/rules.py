@@ -363,10 +363,11 @@ class LoopBypassRule(Rule):
     def _check(self, node: ast.AST, module: str) -> None:
         root = module.split(".")[0]
         if root in _LOOP_BYPASS or module in _LOOP_BYPASS:
-            self.report(node, f"import of `{module}` bypasses the "
-                              f"shared deterministic EventLoop; "
-                              f"simulator code must schedule through "
-                              f"netsim.clock")
+            self.report(node, f"import of `{module}` takes simulator "
+                              f"code off the shared deterministic "
+                              f"EventLoop or onto the host; schedule "
+                              f"through netsim.clock, return data to "
+                              f"the caller")
 
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:

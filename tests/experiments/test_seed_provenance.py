@@ -66,11 +66,11 @@ def recording(log: list[tuple[str, str]]):
         yield
 
 
-def seed_blind_sites(unit, seeds=SEEDS) -> list[str]:
+def seed_blind_sites(unit) -> list[str]:
     """Run ``unit(seed)`` at two seeds; the construction sites where
     some call got the same arguments both times."""
     by_site: list[dict[str, list[str]]] = []
-    for seed in seeds:
+    for seed in SEEDS:
         log: list[tuple[str, str]] = []
         with recording(log):
             unit(seed)

@@ -135,9 +135,6 @@ MUTANTS = (
                 "    rng = random.Random(42)\n"))),
 )
 
-BY_ID = {mutant.id: mutant for mutant in MUTANTS}
-
-
 def plant(mutant: Mutant, source: str) -> str:
     """``source`` (the text of ``mutant.path``) with the defect in it."""
     for old, new in mutant.edits:
@@ -149,6 +146,6 @@ def plant(mutant: Mutant, source: str) -> str:
 
 
 if __name__ == "__main__":
-    mutant, root = BY_ID[sys.argv[1]], Path(sys.argv[2])
-    target = root / mutant.path
+    (mutant,) = [m for m in MUTANTS if m.id == sys.argv[1]]
+    target = Path(sys.argv[2]) / mutant.path
     target.write_text(plant(mutant, target.read_text()))
