@@ -13,10 +13,11 @@ install:
 test:
 	$(PY) -m pytest tests/
 
-# Every --fast product entry point under the reachability probe
-# (tests/reach/probe.py, ~4 min): fails when a definition no entry
-# point enters is missing from tests/reach/KEPT.txt, or a listed one is
-# now entered or gone.
+# Every product entry point under the probe (tests/reach/probe.py,
+# ~5 min): fails when a definition no entry point enters is missing
+# from tests/reach/KEPT.txt, when a defaulted constructor parameter they
+# all give one value is missing from tests/reach/OPTIONS.txt, or when a
+# line of either list no longer holds.
 reach:
 	PYTHONPATH=$(LINT_PYTHONPATH) $(PY) -m pytest tests/reach -m reach
 

@@ -114,8 +114,7 @@ def main() -> None:
 
 def run_rollovers() -> None:
     loop, coordinator, keys, signer, machines = build_train()
-    controller = KeyRolloverController(loop, coordinator, signer,
-                                       step_hold_seconds=2.0)
+    controller = KeyRolloverController(loop, coordinator, signer)
     print(f"Fleet: {len(machines)} machines, "
           f"{len(coordinator.canaries)} canaries; signed zone {ORIGIN}")
     print(f"Initial key ring: {ring_summary(keys)}\n")
@@ -142,8 +141,7 @@ def run_rollovers() -> None:
           "lapse mid-soak:")
     hasty = ZoneSigner(keys, SigningPolicy(sig_validity=6.0,
                                            inception_skew=0.0))
-    botched = KeyRolloverController(loop, coordinator, hasty,
-                                    step_hold_seconds=2.0)
+    botched = KeyRolloverController(loop, coordinator, hasty)
     before = ring_summary(keys)
     state = botched.start(RolloverKind.ZSK_PREPUBLISH)
     loop.run_until(loop.now + 60.0)

@@ -17,6 +17,7 @@ from repro.dnscore import RType, name
 from repro.netsim.builder import InternetParams
 from repro.platform import AkamaiDNSDeployment, DeploymentParams
 from repro.server.machine import MachineConfig, MachineState
+from repro.server.monitoring import PERIOD as MONITORING_PERIOD
 
 
 def probe(deployment, resolver, qname="www.drill.net", wait=25.0):
@@ -50,14 +51,14 @@ def main() -> None:
     print("\nScenario 1: one machine starts serving garbage")
     victim = deployment.regular_deployments()[0]
     victim.machine.fault = "wrong_answer"
-    deployment.settle(deployment.params.monitoring_period * 3)
+    deployment.settle(MONITORING_PERIOD * 3)
     print(f"  agent detected the fault; machine state: "
           f"{victim.machine.state.value}")
     status, result = probe(deployment, resolver)
     print(f"  client impact: {status} "
           f"(PoP ECMP shifted to the healthy sibling)")
     victim.machine.fault = None
-    deployment.settle(deployment.params.monitoring_period * 3)
+    deployment.settle(MONITORING_PERIOD * 3)
     print(f"  fault cleared; machine state: {victim.machine.state.value}")
 
     # --- Scenario 2: full PoP failure --------------------------------------
@@ -71,7 +72,7 @@ def main() -> None:
             and not d.input_delayed]
     for dep in dead:
         dep.machine.fault = "unresponsive"
-    deployment.settle(deployment.params.monitoring_period * 4 + 10)
+    deployment.settle(MONITORING_PERIOD * 4 + 10)
     advertising = deployment.pops[failing_pop].advertises(cloud.prefix)
     print(f"  {len(dead)} machines failed; PoP {failing_pop} still "
           f"advertising {cloud.prefix}: {advertising}")
@@ -81,7 +82,7 @@ def main() -> None:
     print(f"  client impact: {status} via {result.servers}")
     for dep in dead:
         dep.machine.fault = None
-    deployment.settle(deployment.params.monitoring_period * 4 + 10)
+    deployment.settle(MONITORING_PERIOD * 4 + 10)
     print(f"  PoP restored, advertising again: "
           f"{deployment.pops[failing_pop].advertises(cloud.prefix)}")
 

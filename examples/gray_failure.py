@@ -24,7 +24,7 @@ Everything is seeded; re-running reproduces the timeline exactly.
 Run:  python examples/gray_failure.py
 """
 
-from repro.control.grayfail import GrayFailParams, Verdict
+from repro.control.grayfail import Verdict
 from repro.netsim.builder import InternetParams
 from repro.platform import AkamaiDNSDeployment, DeploymentParams
 from repro.server.machine import MachineState
@@ -37,7 +37,7 @@ def build():
         internet=InternetParams(n_tier1=4, n_tier2=10, n_stub=30),
         filters_enabled=False))
     deployment.settle(30)
-    controller = deployment.enable_grayfail(GrayFailParams())
+    controller = deployment.enable_grayfail()
     return deployment, controller
 
 

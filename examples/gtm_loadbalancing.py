@@ -11,6 +11,7 @@ within one 20-second answer TTL.
 Run:  python examples/gtm_loadbalancing.py
 """
 
+import random
 from collections import Counter
 
 from repro.dnscore import RType, name
@@ -68,8 +69,9 @@ def main() -> None:
         from repro.netsim.builder import attach_host
         host = attach_host(deployment.internet, deployment.rng,
                            host_id=f"gtm-user-{i}")
-        clients.append(StubClient(deployment.loop, deployment.network,
-                                  host, "gtm-resolver"))
+        clients.append(StubClient(
+            deployment.loop, deployment.network, host, "gtm-resolver",
+            rng=random.Random(deployment.params.seed + i)))
 
     print(f"\nGTM property {PROPERTY}: east={DC_EAST} (weight 0.7), "
           f"west={DC_WEST} (weight 0.3)")

@@ -11,13 +11,13 @@ import math
 from dataclasses import dataclass
 
 _MARKS = "*o+x#@%&"
+WIDTH = 64
 
 
 @dataclass(slots=True)
 class PlotConfig:
-    """Canvas size and axis behaviour."""
+    """Canvas height and axis behaviour."""
 
-    width: int = 64
     height: int = 16
     log_x: bool = False
 
@@ -54,27 +54,27 @@ def ascii_plot(series: dict[str, tuple], *,
     if config.log_x:
         x_lo = max(x_lo, 1e-12)
 
-    grid = [[" "] * config.width for _ in range(config.height)]
+    grid = [[" "] * WIDTH for _ in range(config.height)]
     for index, (label, (xs, ys)) in enumerate(cleaned.items()):
         mark = _MARKS[index % len(_MARKS)]
         for x, y in zip(xs, ys):
-            col = _scale(x, x_lo, x_hi, config.width, config.log_x)
+            col = _scale(x, x_lo, x_hi, WIDTH, config.log_x)
             row = config.height - 1 - _scale(y, y_lo, y_hi, config.height)
             grid[row][col] = mark
 
     lines = []
     if title:
-        lines.append(title.center(config.width + 10))
+        lines.append(title.center(WIDTH + 10))
     for row_index, row in enumerate(grid):
         y_value = y_hi - (y_hi - y_lo) * row_index / (config.height - 1)
         lines.append(f"{y_value:>9.3g} |" + "".join(row))
-    lines.append(" " * 10 + "+" + "-" * config.width)
+    lines.append(" " * 10 + "+" + "-" * WIDTH)
     left = f"{x_lo:.3g}"
     right = f"{x_hi:.3g}"
-    pad = config.width - len(left) - len(right)
+    pad = WIDTH - len(left) - len(right)
     lines.append(" " * 11 + left + " " * max(1, pad) + right)
     if x_label:
-        lines.append(x_label.center(config.width + 10))
+        lines.append(x_label.center(WIDTH + 10))
     legend = "   ".join(f"{_MARKS[i % len(_MARKS)]} {label}"
                         for i, label in enumerate(cleaned))
     lines.append(" " * 11 + legend)

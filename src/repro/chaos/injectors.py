@@ -28,10 +28,11 @@ from ..dnscore.records import make_rrset
 from ..dnscore.rrtypes import DNSSEC_TYPES, RType
 from ..dnscore.zone import Zone
 from ..dnssec.keys import KeyRing
-from ..dnssec.sign import SigningPolicy, ZoneSigner
+from ..dnssec.sign import DNSKEY_TTL, SigningPolicy, ZoneSigner
 from ..netsim.clock import PeriodicTask
 from ..platform.deployment import AkamaiDNSDeployment, MachineDeployment
 from ..server.machine import MachineState
+from ..server.monitoring import PERIOD as MONITORING_PERIOD
 from ..workload.attacks import RandomSubdomainAttack
 from .faults import FaultKind, FaultSpec
 
@@ -199,8 +200,7 @@ class ServerInjector:
         crash_again()
         # Re-crash one monitoring period after each restart lands, so the
         # machine oscillates crashed -> briefly running -> crashed.
-        period = machine.config.restart_delay \
-            + self.deployment.params.monitoring_period
+        period = machine.config.restart_delay + MONITORING_PERIOD
         self._crash_loops[key] = PeriodicTask(
             self.deployment.loop, period, crash_again, start_delay=period)
 
@@ -284,6 +284,10 @@ class ControlInjector:
             raise ValueError(f"{spec.kind} is not a control fault")
 
 
+#: Stub routers a flood is sourced from.
+ATTACK_SOURCES = 8
+
+
 class AttackInjector:
     """Attack traffic as a declarative fault (section 4.3.4, class 3).
 
@@ -300,17 +304,15 @@ class AttackInjector:
 
     kinds = frozenset({FaultKind.ATTACK_FLOOD})
 
-    def __init__(self, deployment: AkamaiDNSDeployment,
-                 source_count: int = 8) -> None:
+    def __init__(self, deployment: AkamaiDNSDeployment) -> None:
         self.deployment = deployment
-        self.source_count = source_count
         self._attacks: dict[tuple[str, str], RandomSubdomainAttack] = {}
         self._launched = 0
 
     def attack_sources(self) -> list[str]:
         """The stub-router ids the flood is sourced from (stable order)."""
         stubs = sorted(self.deployment.internet.stubs)
-        return stubs[:self.source_count]
+        return stubs[:ATTACK_SOURCES]
 
     def inject(self, spec: FaultSpec) -> None:
         key = (spec.target, spec.note)
@@ -495,10 +497,9 @@ def mismatched_key_copy(zone: Zone, seed: int, now: float) -> Zone:
     """
     fresh = _resignable_copy(zone)
     keys = KeyRing(seed, zone.origin)
-    policy = SigningPolicy()
-    ZoneSigner(keys, policy).sign(fresh, now)
+    ZoneSigner(keys, SigningPolicy()).sign(fresh, now)
     rogue = KeyRing(seed + 1, zone.origin)
-    fresh.add_rrset(rogue.dnskey_rrset(policy.dnskey_ttl))
+    fresh.add_rrset(rogue.dnskey_rrset(DNSKEY_TTL))
     return fresh
 
 

@@ -21,6 +21,12 @@ from ..resolver.resolver import RecursiveResolver, ResolutionResult
 from ..telemetry import state as _telemetry
 
 
+#: Seconds of probing one availability window aggregates.
+WINDOW = 5.0
+#: An answer slower than this counts as unanswered.
+ANSWER_DEADLINE = 2.0
+
+
 @dataclass(slots=True)
 class ProbeOutcome:
     """One probe resolution, graded."""
@@ -121,17 +127,13 @@ class SLOProbe:
     """
 
     def __init__(self, loop: EventLoop, resolver: RecursiveResolver,
-                 zone: str, *, period: float = 0.25,
-                 window: float = 5.0,
-                 answer_deadline: float = 2.0) -> None:
-        if period <= 0 or window <= 0:
-            raise ValueError("period and window must be positive")
+                 zone: str, *, period: float = 0.25) -> None:
+        if period <= 0:
+            raise ValueError("period must be positive")
         self.loop = loop
         self.resolver = resolver
         self.zone = zone.rstrip(".")
         self.period = period
-        self.window = window
-        self.answer_deadline = answer_deadline
         self.outcomes: list[ProbeOutcome] = []
         self._seq = 0
         self._running = False
@@ -163,7 +165,7 @@ class SLOProbe:
     def _record(self, sent_at: float, result: ResolutionResult) -> None:
         ok = (result.rcode == RCode.NOERROR
               and bool(result.addresses())
-              and result.duration <= self.answer_deadline)
+              and result.duration <= ANSWER_DEADLINE)
         self.outcomes.append(ProbeOutcome(
             sent_at=sent_at, finished_at=self.loop.now,
             rcode=result.rcode, duration=result.duration,
@@ -181,12 +183,11 @@ class SLOProbe:
         if outcomes:
             t0 = self._started_at
             horizon = outcomes[-1].sent_at
-            count = int((horizon - t0) // self.window) + 1
-            windows = [ProbeWindow(t0 + i * self.window,
-                                   t0 + (i + 1) * self.window)
+            count = int((horizon - t0) // WINDOW) + 1
+            windows = [ProbeWindow(t0 + i * WINDOW, t0 + (i + 1) * WINDOW)
                        for i in range(count)]
             for outcome in outcomes:
-                slot = int((outcome.sent_at - t0) // self.window)
+                slot = int((outcome.sent_at - t0) // WINDOW)
                 window = windows[slot]
                 window.total += 1
                 window.timeouts += outcome.timeouts

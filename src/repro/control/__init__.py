@@ -13,7 +13,6 @@ from .defense import (
     DefenseTransition,
     FilterInsertRung,
     FirewallRuleRung,
-    GuardrailParams,
     QueueTightenRung,
     TrafficEngRung,
     known_resolver_estimator,
@@ -61,7 +60,7 @@ __all__ = [
     "DefenseController", "DefenseParams", "DefenseRung",
     "DefenseTransition", "EdgeServer", "Enterprise",
     "FilterInsertRung", "FirewallRuleRung", "FleetSnapshot",
-    "GTMProperty", "GuardrailParams", "MULTICAST_CHANNEL",
+    "GTMProperty", "MULTICAST_CHANNEL",
     "ManagementPortal", "MapSnapshot",
     "MappingIntelligence", "MappingView", "MetadataBus", "MetadataMessage",
     "CanaryHealthGate", "PortalLimits", "QueueTightenRung",

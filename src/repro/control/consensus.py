@@ -18,6 +18,10 @@ from dataclasses import dataclass, field
 from ..netsim.clock import EventLoop
 
 
+#: Replicas of the lease table; a grant needs a majority of them.
+REPLICAS = 5
+
+
 @dataclass(slots=True)
 class _Replica:
     """One replica's view of the lease table."""
@@ -39,15 +43,12 @@ class _Replica:
 class QuorumSuspensionCoordinator:
     """SuspensionCoordinator backed by a majority-quorum lease table."""
 
-    def __init__(self, loop: EventLoop, *, replicas: int = 5,
-                 max_concurrent: int = 2,
+    def __init__(self, loop: EventLoop, *, max_concurrent: int = 2,
                  lease_seconds: float = 300.0) -> None:
-        if replicas < 1:
-            raise ValueError("need at least one replica")
         self.loop = loop
         self.max_concurrent = max_concurrent
         self.lease_seconds = lease_seconds
-        self._replicas = [_Replica(i) for i in range(replicas)]
+        self._replicas = [_Replica(i) for i in range(REPLICAS)]
         self.grants = 0
         self.denials = 0
 

@@ -30,7 +30,7 @@ results stay byte-identical when no attack occurs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..telemetry import Telemetry, state as _telemetry
@@ -80,27 +80,29 @@ class DefenseRung:
         raise NotImplementedError
 
 
+#: What the first rung scales every penalty-queue boundary by.
+TIGHTEN_FACTOR = 0.5
+
+
 class QueueTightenRung(DefenseRung):
     """Rung: tighten every machine's penalty-queue score bands.
 
     Swaps each queue runtime's :class:`~repro.filters.scoring.QueuePolicy`
-    for a ``tightened(factor)`` copy (same queue count, scaled-down
-    boundaries and discard threshold) and restores the originals on
-    disengage.
+    for a ``tightened(TIGHTEN_FACTOR)`` copy (same queue count,
+    scaled-down boundaries and discard threshold) and restores the
+    originals on disengage.
     """
 
-    def __init__(self, machines: Sequence, factor: float = 0.5,
-                 **kwargs) -> None:
+    def __init__(self, machines: Sequence, **kwargs) -> None:
         super().__init__(kwargs.pop("name", "queue-tighten"), **kwargs)
         self.machines = list(machines)
-        self.factor = factor
         self._saved: list[tuple[object, object]] = []
 
     def engage(self, now: float) -> None:
         for machine in self.machines:
             policy = machine.queues.policy
             self._saved.append((machine, policy))
-            machine.queues.policy = policy.tightened(self.factor)
+            machine.queues.policy = policy.tightened(TIGHTEN_FACTOR)
 
     def disengage(self, now: float) -> None:
         for machine, policy in self._saved:
@@ -187,23 +189,23 @@ class TrafficEngRung(DefenseRung):
 # -- controller ---------------------------------------------------------------
 
 
-@dataclass(slots=True)
-class GuardrailParams:
-    """Collateral-damage guardrail tunables."""
-
-    #: Extra legitimate-traffic loss a rung may cause beyond what the
-    #: attack itself was already causing before it is reverted.
-    margin: float = 0.25
-    #: Known-resolver queries that must arrive under a rung (and in the
-    #: pre-mitigation baseline window) before its loss is judged.
-    min_samples: int = 4
+#: The alert that drives the ladder; whoever feeds the session's alert
+#: manager registers its detector under this name.
+ATTACK_QPS_ALERT = "attack-qps"
+#: Seconds between controller ticks while the alert or a rung is active.
+CHECK_PERIOD = 1.0
+#: Extra legitimate-traffic loss a rung may cause beyond what the attack
+#: itself was already causing before it is reverted.
+GUARDRAIL_MARGIN = 0.25
+#: Known-resolver queries that must arrive under a rung (and in the
+#: pre-mitigation baseline window) before its loss is judged.
+GUARDRAIL_MIN_SAMPLES = 4
 
 
 @dataclass(slots=True)
 class DefenseParams:
-    """Controller tunables."""
+    """How long the controller waits before it moves."""
 
-    check_period: float = 1.0
     #: Consecutive alert-active ticks before the first rung engages
     #: (also the pre-mitigation window the attack-damage baseline is
     #: measured over).
@@ -212,7 +214,6 @@ class DefenseParams:
     clear_ticks: int = 3
     #: Default per-rung soak; a rung's ``soak_seconds`` overrides.
     soak_seconds: float = 6.0
-    guardrail: GuardrailParams = field(default_factory=GuardrailParams)
 
 
 @dataclass(frozen=True, slots=True)
@@ -229,30 +230,26 @@ class DefenseTransition:
 class DefenseController:
     """Walks the escalation ladder off the alert pipeline.
 
-    ``ladder`` orders the rungs mildest-first. ``alert_name`` is the
-    driving signal — typically a QPS-spike detector fed by
-    ``query_received`` (which fires *before* any shedding, so the
-    signal persists while mitigations hold and clears only when the
-    attack actually stops). ``estimator`` feeds the guardrail;
-    ``machines`` are held in degraded mode (serve-from-LKG, per-rung
-    shed attribution) while any rung is engaged.
+    ``ladder`` orders the rungs mildest-first. ``ATTACK_QPS_ALERT`` is
+    the driving signal — a QPS-spike detector fed by ``query_received``
+    (which fires *before* any shedding, so the signal persists while
+    mitigations hold and clears only when the attack actually stops).
+    ``estimator`` feeds the guardrail; ``machines`` are held in degraded
+    mode (serve-from-LKG, per-rung shed attribution) while any rung is
+    engaged.
     """
 
     def __init__(self, loop, ladder: Sequence[DefenseRung], *,
-                 alert_name: str = "attack-qps",
                  params: DefenseParams | None = None,
                  estimator: EstimatorFn | None = None,
-                 machines: Sequence = (),
-                 controller_id: str = "defense") -> None:
+                 machines: Sequence = ()) -> None:
         if not ladder:
             raise ValueError("the ladder needs at least one rung")
         self.loop = loop
         self.ladder = list(ladder)
-        self.alert_name = alert_name
         self.params = params or DefenseParams()
         self.estimator = estimator
         self.machines = list(machines)
-        self.controller_id = controller_id
         #: Indices of currently engaged rungs, in engage order.
         self._stack: list[int] = []
         self.max_level = 0
@@ -300,7 +297,7 @@ class DefenseController:
         return self
 
     def _on_raise(self, alert: Alert) -> None:
-        if alert.name != self.alert_name:
+        if alert.name != ATTACK_QPS_ALERT:
             return
         self._alert_active = True
         if not self._stack and self.estimator is not None:
@@ -308,13 +305,13 @@ class DefenseController:
         self._ensure_ticking()
 
     def _on_clear(self, alert: Alert) -> None:
-        if alert.name == self.alert_name:
+        if alert.name == ATTACK_QPS_ALERT:
             self._alert_active = False
 
     def _ensure_ticking(self) -> None:
         if not self._ticking:
             self._ticking = True
-            self.loop.call_later(self.params.check_period, self._tick)
+            self.loop.call_later(CHECK_PERIOD, self._tick)
 
     # -- the tick loop --------------------------------------------------------
 
@@ -336,7 +333,7 @@ class DefenseController:
                     self._disengage_top(now, "disengage")
                     self._calm_ticks = 0
         if self._stack or self._alert_active:
-            self.loop.call_later(self.params.check_period, self._tick)
+            self.loop.call_later(CHECK_PERIOD, self._tick)
         else:
             self._ticking = False
 
@@ -363,7 +360,7 @@ class DefenseController:
     def _loss_between(self, before: tuple[int, int],
                       after: tuple[int, int]) -> float | None:
         received = after[0] - before[0]
-        if received < self.params.guardrail.min_samples:
+        if received < GUARDRAIL_MIN_SAMPLES:
             return None
         answered = after[1] - before[1]
         return 1.0 - answered / received
@@ -376,7 +373,7 @@ class DefenseController:
         loss = self._loss_between(self._rung_sample, self.estimator())
         if loss is None:
             return False
-        allowed = (self.attack_loss or 0.0) + self.params.guardrail.margin
+        allowed = (self.attack_loss or 0.0) + GUARDRAIL_MARGIN
         if loss <= allowed:
             return False
         index = self._stack[-1]
@@ -456,7 +453,7 @@ class DefenseController:
         if _t is not None:
             trace_id = (self._span.trace_id
                         if self._span is not None else None)
-            _t.defense_transition(self.controller_id, rung_name, action,
+            _t.defense_transition("defense", rung_name, action,
                                   self.level, now, trace_id)
 
     # -- reporting ------------------------------------------------------------

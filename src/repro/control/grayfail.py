@@ -83,38 +83,39 @@ _VERDICT_LEVEL = {
 }
 
 
+#: Seconds between probe rounds, and before the first.
+PROBE_PERIOD = 2.0
+START_DELAY = 1.0
+#: Vantage hosts attached at each PoP (each sends one A probe per
+#: machine per round; the first also sends the SOA serial probe).
+VANTAGES_PER_POP = 3
+#: Further consecutive bad rounds before SUSPECT becomes CONVICTED.
+CONVICT_AFTER = 2
+#: Seconds a suspended machine rests before probation probing starts.
+PROBATION_DELAY = 10.0
+#: Consecutive clean probation rounds before traffic is restored.
+PROBATION_CLEAN_ROUNDS = 3
+#: Shadow A-probes per probation round (elevated vs the live rate).
+PROBATION_PROBES = 4
+#: Minimum answered/sent fraction per round; below it is evidence.
+ANSWERED_FLOOR = 0.9
+#: Minimum machines reporting an answer digest before the majority
+#: cross-check applies (differential evidence needs peers).
+MIN_PEERS = 3
+
+
 @dataclass(slots=True)
 class GrayFailParams:
-    """Knobs for the external prober and the verdict hysteresis."""
+    """The verdict hysteresis, which tests shorten."""
 
-    #: Seconds between probe rounds.
-    probe_period: float = 2.0
-    #: Vantage hosts attached at each PoP (each sends one A probe per
-    #: machine per round; the first also sends the SOA serial probe).
-    vantages_per_pop: int = 3
     #: Consecutive bad rounds before HEALTHY escalates to SUSPECT.
     suspect_after: int = 2
-    #: Further consecutive bad rounds before SUSPECT becomes CONVICTED.
-    convict_after: int = 2
     #: Consecutive clean rounds that clear a SUSPECT (or a convicted-
     #: but-serving machine whose suspension was quorum-denied).
     exonerate_after: int = 2
-    #: Seconds a suspended machine rests before probation probing starts.
-    probation_delay: float = 10.0
-    #: Consecutive clean probation rounds before traffic is restored.
-    probation_clean_rounds: int = 3
-    #: Shadow A-probes per probation round (elevated vs the live rate).
-    probation_probes: int = 4
-    #: Minimum answered/sent fraction per round; below it is evidence.
-    answered_floor: float = 0.9
-    #: Minimum machines reporting an answer digest before the majority
-    #: cross-check applies (differential evidence needs peers).
-    min_peers: int = 3
     #: Continuous seconds a machine's SOA serial may lag the fleet-max
     #: serial before lag counts as evidence (absorbs pub/sub jitter).
     stale_grace: float = 30.0
-    #: Delay before the first probe round.
-    start_delay: float = 1.0
 
 
 @dataclass(slots=True)
@@ -168,10 +169,10 @@ class DifferentialAuditor:
     Three rules, each sufficient for evidence:
 
     1. **answered-fraction floor** — a machine answering fewer than
-       ``answered_floor`` of its probes is dropping real queries (the
+       ``ANSWERED_FLOOR`` of its probes is dropping real queries (the
        per-resolver partial-drop gray fault shows up here, because
        different vantages hash to different drop outcomes);
-    2. **majority answer** — with at least ``min_peers`` machines
+    2. **majority answer** — with at least ``MIN_PEERS`` machines
        reporting a digest, any machine whose representative digest
        differs from the strict-majority digest disagrees with peers
        serving the identical zone version;
@@ -191,7 +192,7 @@ class DifferentialAuditor:
         reasons: dict[str, list[str]] = {m: [] for m in records}
 
         for machine_id, rec in records.items():
-            if rec.sent and rec.answered / rec.sent < p.answered_floor:
+            if rec.sent and rec.answered / rec.sent < ANSWERED_FLOOR:
                 reasons[machine_id].append(
                     f"answered {rec.answered}/{rec.sent} probes")
 
@@ -202,7 +203,7 @@ class DifferentialAuditor:
             if rec.digests:
                 representative[machine_id] = min(
                     sorted(rec.digests), key=lambda d: -rec.digests[d])
-        if len(representative) >= p.min_peers:
+        if len(representative) >= MIN_PEERS:
             counts: dict[tuple, int] = {}
             for digest in representative.values():
                 counts[digest] = counts.get(digest, 0) + 1
@@ -315,9 +316,8 @@ class GrayFailController:
         self.on_convict: list[Callable[[str], None]] = []
         for track in self.tracks.values():
             track.target.machine.crash_listeners.append(self._on_crash)
-        self._task = PeriodicTask(loop, self.params.probe_period,
-                                  self._round,
-                                  start_delay=self.params.start_delay)
+        self._task = PeriodicTask(loop, PROBE_PERIOD, self._round,
+                                  start_delay=START_DELAY)
 
     def verdict(self, machine_id: str) -> Verdict:
         return self.tracks[machine_id].verdict
@@ -368,7 +368,7 @@ class GrayFailController:
                 # left the traffic set.
                 self._exonerate(track, now)
             elif track.verdict is Verdict.PROBATION \
-                    and track.clean_rounds >= p.probation_clean_rounds:
+                    and track.clean_rounds >= PROBATION_CLEAN_ROUNDS:
                 self._rejoin(track, now)
             return
         track.clean_rounds = 0
@@ -383,7 +383,7 @@ class GrayFailController:
                 and track.bad_rounds >= p.suspect_after:
             self._transition(track, Verdict.SUSPECT, now)
         elif track.verdict is Verdict.SUSPECT \
-                and track.bad_rounds >= p.suspect_after + p.convict_after:
+                and track.bad_rounds >= p.suspect_after + CONVICT_AFTER:
             self._convict(track, now)
         elif track.verdict is Verdict.PROBATION:
             # Failed a shadow probe round: back to the bench, probation
@@ -436,7 +436,6 @@ class GrayFailController:
     # -- suspension lease lifecycle ------------------------------------------
 
     def _service_leases(self, now: float) -> None:
-        p = self.params
         for track in self.tracks.values():
             machine = track.target.machine
             if track.lease_held:
@@ -444,7 +443,7 @@ class GrayFailController:
                 if track.verdict is Verdict.CONVICTED \
                         and machine.state is MachineState.SUSPENDED \
                         and track.suspended_at is not None \
-                        and now - track.suspended_at >= p.probation_delay:
+                        and now - track.suspended_at >= PROBATION_DELAY:
                     track.clean_rounds = 0
                     self._transition(track, Verdict.PROBATION, now)
             elif track.verdict is Verdict.CONVICTED:
@@ -543,13 +542,13 @@ class GrayFailController:
         record = ProbeRecord(machine_id)
         self._records[machine_id] = record
         router = target.pop.router_id
-        for k in range(self.params.probation_probes):
+        for k in range(PROBATION_PROBES):
             vantage = vantages[k % len(vantages)]
             self._send_shadow(vantage, router, target, _PORT_BASE + k,
                               self.probe_qname, RType.A, machine_id, "A")
             record.sent += 1
         self._send_shadow(vantages[0], router, target,
-                          _PORT_BASE + self.params.probation_probes,
+                          _PORT_BASE + PROBATION_PROBES,
                           self.probe_origin, RType.SOA, machine_id, "SOA")
         record.sent += 1
 

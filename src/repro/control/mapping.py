@@ -31,6 +31,8 @@ from .pubsub import MULTICAST_CHANNEL, MetadataBus, MetadataMessage
 
 #: TTL of mapped CDN answers (paper section 5.2: "currently 20 seconds").
 CDN_ANSWER_TTL = 20
+#: Edge addresses in one mapped answer.
+ANSWER_COUNT = 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,11 +73,9 @@ Locator = Callable[[str], GeoPoint | None]
 class MappingIntelligence:
     """Ground truth and publisher of mapping snapshots."""
 
-    def __init__(self, loop: EventLoop, bus: MetadataBus,
-                 *, map_key: str = "global") -> None:
+    def __init__(self, loop: EventLoop, bus: MetadataBus) -> None:
         self.loop = loop
         self.bus = bus
-        self.map_key = map_key
         self._edges: dict[str, EdgeServer] = {}
         self._gtm: dict[Name, GTMProperty] = {}
         self._version = 0
@@ -121,7 +121,7 @@ class MappingIntelligence:
     def publish(self) -> MapSnapshot:
         """Publish the current state on the multicast channel."""
         snapshot = self.snapshot()
-        self.bus.publish(MULTICAST_CHANNEL, "mapping", self.map_key, snapshot)
+        self.bus.publish(MULTICAST_CHANNEL, "mapping", "global", snapshot)
         return snapshot
 
 
@@ -133,11 +133,9 @@ class MappingView:
     proximity answers; GTM hostnames get weighted-liveness answers.
     """
 
-    def __init__(self, locator: Locator, rng: random.Random,
-                 *, answer_count: int = 2) -> None:
+    def __init__(self, locator: Locator, rng: random.Random) -> None:
         self.locator = locator
         self.rng = rng
-        self.answer_count = answer_count
         self.snapshot: MapSnapshot | None = None
         self.updates_applied = 0
 
@@ -169,7 +167,7 @@ class MappingView:
         if location is not None:
             alive.sort(key=lambda e: (e.location.distance_km(location)
                                       * (1.0 + e.load)))
-        chosen = alive[:self.answer_count]
+        chosen = alive[:ANSWER_COUNT]
         return make_rrset(qname, RType.A, CDN_ANSWER_TTL,
                           [A(e.address) for e in chosen])
 

@@ -79,7 +79,7 @@ class ChannelProfile:
     max_delay: float
 
 
-DEFAULT_PROFILES = {
+PROFILES = {
     CDN_CHANNEL: ChannelProfile(2.0, 20.0),
     MULTICAST_CHANNEL: ChannelProfile(0.1, 0.9),
 }
@@ -88,11 +88,9 @@ DEFAULT_PROFILES = {
 class MetadataBus:
     """The publish/subscribe fabric connecting control systems to servers."""
 
-    def __init__(self, loop: EventLoop, rng: random.Random,
-                 profiles: dict[str, ChannelProfile] | None = None) -> None:
+    def __init__(self, loop: EventLoop, rng: random.Random) -> None:
         self.loop = loop
         self.rng = rng
-        self.profiles = dict(profiles or DEFAULT_PROFILES)
         self._subs: dict[str, list[_Subscription]] = {}
         self._sequence = 0
         self._zone_versions: dict[str, int] = {}
@@ -132,14 +130,14 @@ class MetadataBus:
     def _publish(self, channel: str, kind: str, key: str, payload: object,
                  zone_version: int, to: Sequence[Subscriber] | None,
                  ) -> MetadataMessage:
-        if channel not in self.profiles:
+        if channel not in PROFILES:
             raise KeyError(f"unknown channel {channel!r}")
         self._sequence += 1
         self.published += 1
         message = MetadataMessage(channel, kind, key, payload,
                                   self.loop.now, self._sequence,
                                   zone_version)
-        profile = self.profiles[channel]
+        profile = PROFILES[channel]
         for sub in self._subs.get(channel, []):
             if to is not None and not any(sub.subscriber is t for t in to):
                 continue

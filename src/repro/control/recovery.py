@@ -1,10 +1,10 @@
 """Platform-wide monitoring, alerting, and automated recovery.
 
 Models the Monitoring/Automated Recovery component of paper Figure 5: it
-aggregates health reports from every machine, tracks trends, raises
-alerts for the NOCC when anomalies persist (human timescale), and hosts
-the quorum coordinator that bounds concurrent self-suspensions (machine
-timescale, section 4.2.1).
+aggregates health reports from every machine, tracks trends and raises
+alerts for the NOCC when anomalies persist (human timescale). The quorum
+coordinator that bounds concurrent self-suspensions (machine timescale,
+section 4.2.1) is :mod:`repro.control.consensus`.
 """
 
 from __future__ import annotations
@@ -13,7 +13,12 @@ from dataclasses import dataclass
 
 from ..netsim.clock import EventLoop, PeriodicTask
 from ..server.machine import MachineState, NameserverMachine
-from .consensus import QuorumSuspensionCoordinator
+
+
+#: Seconds between fleet-health samples.
+SAMPLE_PERIOD = 5.0
+#: Share of the fleet not running at which the NOCC is alerted.
+ALERT_UNAVAILABLE_FRACTION = 0.25
 
 
 @dataclass(slots=True)
@@ -42,20 +47,15 @@ class FleetSnapshot:
 
 
 class RecoverySystem:
-    """Aggregation, alerting, and the suspension coordinator."""
+    """Aggregation and alerting."""
 
-    def __init__(self, loop: EventLoop, *,
-                 coordinator: QuorumSuspensionCoordinator | None = None,
-                 sample_period: float = 5.0,
-                 alert_unavailable_fraction: float = 0.25) -> None:
+    def __init__(self, loop: EventLoop) -> None:
         self.loop = loop
-        self.coordinator = coordinator or QuorumSuspensionCoordinator(loop)
-        self.alert_threshold = alert_unavailable_fraction
         self.machines: list[NameserverMachine] = []
         self.history: list[FleetSnapshot] = []
         self.alerts: list[Alert] = []
-        self._task = PeriodicTask(loop, sample_period, self.sample,
-                                  start_delay=sample_period)
+        self._task = PeriodicTask(loop, SAMPLE_PERIOD, self.sample,
+                                  start_delay=SAMPLE_PERIOD)
 
     def register(self, machine: NameserverMachine) -> None:
         self.machines.append(machine)
@@ -75,7 +75,7 @@ class RecoverySystem:
             stale=sum(m.is_stale(now) for m in self.machines),
         )
         self.history.append(snapshot)
-        if snapshot.unavailable_fraction >= self.alert_threshold:
+        if snapshot.unavailable_fraction >= ALERT_UNAVAILABLE_FRACTION:
             self.alerts.append(Alert(
                 now, "critical",
                 f"{snapshot.unavailable_fraction:.0%} of fleet unavailable "

@@ -70,6 +70,17 @@ class RolloutPhase(enum.Enum):
     SUPERSEDED = "superseded"
 
 
+#: Max (qname, qtype) probe targets sampled from the previous zone.
+PROBE_SAMPLES = 8
+#: Detector window; with ``for_windows=1`` the gate can trip one window
+#: after the bad zone lands on a canary.
+GATE_WINDOW = 3.0
+#: Trip threshold of each of the three gate detectors.
+MAX_BAD_RATIO = 0.25
+#: Minimum probe answers per window before a ratio is believed.
+MIN_PROBES = 2
+
+
 @dataclass(frozen=True, slots=True)
 class RolloutParams:
     """Tunables for the release train."""
@@ -78,17 +89,6 @@ class RolloutParams:
     soak_seconds: float = 30.0
     #: Period of the canary probing / gate evaluation tick.
     check_period: float = 1.0
-    #: Max (qname, qtype) probe targets sampled from the previous zone.
-    probe_samples: int = 8
-    #: Detector window; with ``for_windows=1`` the gate can trip one
-    #: window after the bad zone lands on a canary.
-    gate_window: float = 3.0
-    #: Trip thresholds of the three gate detectors.
-    max_failure_ratio: float = 0.25
-    max_nxdomain_ratio: float = 0.25
-    max_servfail_ratio: float = 0.25
-    #: Minimum probe answers per window before a ratio is believed.
-    min_probes: int = 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,17 +127,13 @@ class CanaryHealthGate:
     perturbs the passive session.
     """
 
-    def __init__(self, params: RolloutParams) -> None:
-        common = dict(window=params.gate_window, min_count=params.min_probes,
-                      for_windows=1, severity=AlertSeverity.CRITICAL)
-        self.detectors = (
-            RatioDetector("canary-probe-failure",
-                          threshold=params.max_failure_ratio, **common),
-            RatioDetector("canary-nxdomain",
-                          threshold=params.max_nxdomain_ratio, **common),
-            RatioDetector("canary-servfail",
-                          threshold=params.max_servfail_ratio, **common),
-        )
+    def __init__(self) -> None:
+        self.detectors = tuple(
+            RatioDetector(name, threshold=MAX_BAD_RATIO, window=GATE_WINDOW,
+                          min_count=MIN_PROBES, for_windows=1,
+                          severity=AlertSeverity.CRITICAL)
+            for name in ("canary-probe-failure", "canary-nxdomain",
+                         "canary-servfail"))
         self.probes = 0
         self.failures = 0
 
@@ -194,14 +190,12 @@ class RolloutCoordinator:
     def __init__(self, loop: EventLoop, bus: MetadataBus, *,
                  canaries: list[NameserverMachine],
                  fleet: list[NameserverMachine],
-                 params: RolloutParams | None = None,
-                 channel: str = CDN_CHANNEL) -> None:
+                 params: RolloutParams | None = None) -> None:
         self.loop = loop
         self.bus = bus
         self.params = params or RolloutParams()
         self.canaries = list(canaries)
         self.fleet = list(fleet)
-        self.channel = channel
         #: Fleet minus canaries: the promotion audience.
         self._rest = [m for m in self.fleet
                       if not any(m is c for c in self.canaries)]
@@ -256,15 +250,14 @@ class RolloutCoordinator:
             self._transition(stale, RolloutPhase.SUPERSEDED,
                              f"superseded by release {release.release_id}")
         self._active[origin] = release
-        release.gate = CanaryHealthGate(self.params)
+        release.gate = CanaryHealthGate()
         release.targets = probe_targets(
-            previous if previous is not None else zone,
-            self.params.probe_samples)
+            previous if previous is not None else zone, PROBE_SAMPLES)
         self._transition(release, RolloutPhase.CANARY,
                          f"canary push to {len(self.canaries)} machines, "
                          f"soak {self.params.soak_seconds:g}s")
         self.bus.publish_zone(
-            self.channel, str(origin),
+            CDN_CHANNEL, str(origin),
             ZoneUpdate(zone, release_id=release.release_id),
             to=self.canaries)
         self.loop.call_later(self.params.check_period, self._tick, release)
@@ -318,7 +311,7 @@ class RolloutCoordinator:
             f"{len(self._rest)} remaining machines")
         if self._rest:
             self.bus.publish_zone(
-                self.channel, str(release.origin),
+                CDN_CHANNEL, str(release.origin),
                 ZoneUpdate(release.zone, release_id=release.release_id),
                 to=self._rest)
 
@@ -335,7 +328,7 @@ class RolloutCoordinator:
             f"{reason}; republishing last-known-good to "
             f"{len(self.canaries)} canaries")
         self.bus.publish_zone(
-            self.channel, str(release.origin),
+            CDN_CHANNEL, str(release.origin),
             ZoneUpdate(good, rollback=True, release_id=release.release_id),
             to=self.canaries)
 
@@ -361,7 +354,7 @@ class RolloutCoordinator:
         self._record(0, str(origin), RolloutPhase.ROLLED_BACK,
                      f"{reason}; emergency fleet-wide republish of "
                      f"last-known-good")
-        self.bus.publish_zone(self.channel, str(origin),
+        self.bus.publish_zone(CDN_CHANNEL, str(origin),
                               ZoneUpdate(good, rollback=True),
                               to=self.fleet)
         return True

@@ -77,20 +77,21 @@ class RolloverState:
                 f"{step}: {detail}" for t, step, detail in self.events]
 
 
+#: Settle time after a step promotes before the next release — the
+#: pre-publish interval caches need to learn new DNSKEYs.
+STEP_HOLD_SECONDS = 2.0
+#: Seconds between looks at the release a step is waiting on.
+WATCH_PERIOD = 1.0
+
+
 class KeyRolloverController:
     """Runs rollover state machines over the release train."""
 
     def __init__(self, loop: EventLoop, coordinator: RolloutCoordinator,
-                 signer: ZoneSigner, *,
-                 step_hold_seconds: float = 5.0,
-                 watch_period: float = 1.0) -> None:
+                 signer: ZoneSigner) -> None:
         self.loop = loop
         self.coordinator = coordinator
         self.signer = signer
-        #: Settle time after a step promotes before the next release —
-        #: the pre-publish interval caches need to learn new DNSKEYs.
-        self.step_hold_seconds = step_hold_seconds
-        self.watch_period = watch_period
         self.history: list[RolloverState] = []
         self._saved_ring: tuple | None = None
 
@@ -131,7 +132,7 @@ class KeyRolloverController:
         if release.phase is RolloutPhase.REJECTED:
             self._abort(state, f"release rejected: {release.detail}")
             return
-        self.loop.call_later(self.watch_period, self._watch, state, release)
+        self.loop.call_later(WATCH_PERIOD, self._watch, state, release)
 
     def _mutate_ring(self, state: RolloverState, step: str) -> None:
         keys = self.signer.keys
@@ -160,14 +161,14 @@ class KeyRolloverController:
             return
         phase = release.phase
         if phase is RolloutPhase.CANARY:
-            self.loop.call_later(self.watch_period, self._watch, state,
+            self.loop.call_later(WATCH_PERIOD, self._watch, state,
                                  release)
             return
         step = state.current_step or "?"
         if phase is RolloutPhase.PROMOTED:
             self._note(state, step, "promoted")
             state.step_index += 1
-            self.loop.call_later(self.step_hold_seconds, self._launch_step,
+            self.loop.call_later(STEP_HOLD_SECONDS, self._launch_step,
                                  state)
             return
         self._abort(state, f"release {release.release_id} "

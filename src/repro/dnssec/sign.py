@@ -41,12 +41,14 @@ from ..telemetry import state as _telemetry
 from .keys import KeyPair, KeyRing, toy_signature
 
 
+#: TTL of the apex DNSKEY RRset.
+DNSKEY_TTL = 3600
+
+
 @dataclass(frozen=True, slots=True)
 class SigningPolicy:
-    """Validity and TTL knobs for one zone's signing pipeline."""
+    """Signature lifetimes of one zone's signing pipeline."""
 
-    #: TTL of the apex DNSKEY RRset.
-    dnskey_ttl: int = 3600
     #: Signature lifetime in simulation seconds.
     sig_validity: float = 86_400.0
     #: Inception backdating, absorbing clock skew between machines.
@@ -270,7 +272,7 @@ class ZoneSigner:
         stats = SignStats()
 
         # 1. Apex DNSKEY RRset for the published keys.
-        dnskey_rrset = self.keys.dnskey_rrset(policy.dnskey_ttl)
+        dnskey_rrset = self.keys.dnskey_rrset(DNSKEY_TTL)
         existing_dnskey = zone.get_rrset(zone.origin, RType.DNSKEY)
         if existing_dnskey is None \
                 or existing_dnskey.rdatas() != dnskey_rrset.rdatas():
@@ -295,7 +297,7 @@ class ZoneSigner:
 
         chain = sorted(content, key=Name.canonical_key)
         stats.names_in_chain = len(chain)
-        soa_minimum = policy.dnskey_ttl
+        soa_minimum = DNSKEY_TTL
         apex_soa = content.get(zone.origin, {}).get(RType.SOA)
         if apex_soa is not None:
             soa_rdata = apex_soa.records[0].rdata

@@ -13,7 +13,7 @@ authoritative fleet.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,19 +25,18 @@ from ..resolver.service import ResolverService, StubClient
 from ..workload.population import ZonePopularity
 
 
+N_RESOLVERS = 3
+N_HOSTNAMES = 60
+MEAN_THINK_SECONDS = 6.0
+
+
 @dataclass(slots=True)
 class EndUserParams:
     """Scale knobs."""
 
     seed: int = 42
-    internet: InternetParams = field(
-        default_factory=lambda: InternetParams(n_tier1=4, n_tier2=12,
-                                               n_stub=40))
-    n_resolvers: int = 3
     clients_per_resolver: int = 4
-    n_hostnames: int = 60
     lookups_per_client: int = 60
-    mean_think_seconds: float = 6.0
 
 
 def run(params: EndUserParams | None = None) -> ExperimentResult:
@@ -46,23 +45,24 @@ def run(params: EndUserParams | None = None) -> ExperimentResult:
     deployment = AkamaiDNSDeployment(DeploymentParams(
         seed=params.seed, n_pops=8, deployed_clouds=8,
         machines_per_pop=1, pops_per_cloud=2, n_edge_servers=8,
-        internet=params.internet, filters_enabled=False))
+        internet=InternetParams(n_tier1=4, n_tier2=12, n_stub=40),
+        filters_enabled=False))
     body = "".join(f"h{i} IN A 203.0.113.{i % 250 + 1}\n"
-                   for i in range(params.n_hostnames))
+                   for i in range(N_HOSTNAMES))
     deployment.provision_enterprise("web", "web.net", body)
     deployment.settle(30)
 
     rng = random.Random(params.seed + 1)
-    popularity = ZonePopularity(rng, n_zones=params.n_hostnames)
+    popularity = ZonePopularity(rng, n_zones=N_HOSTNAMES)
     hostnames = [deployment.internet.topology  # noqa: F841 (clarity)
-                 and f"h{i}.web.net" for i in range(params.n_hostnames)]
+                 and f"h{i}.web.net" for i in range(N_HOSTNAMES)]
     from ..dnscore.name import name as mkname
     qnames = [mkname(h) for h in hostnames]
 
     services = []
     clients: list[StubClient] = []
     topology = deployment.internet.topology
-    for r in range(params.n_resolvers):
+    for r in range(N_RESOLVERS):
         resolver = deployment.add_resolver(f"eu-resolver-{r}")
         services.append(ResolverService(resolver))
         # End users live in the same access network as their ISP's
@@ -81,11 +81,11 @@ def run(params: EndUserParams | None = None) -> ExperimentResult:
     for client in clients:
         t = deployment.loop.now
         for _ in range(params.lookups_per_client):
-            t += rng.expovariate(1.0 / params.mean_think_seconds)
+            t += rng.expovariate(1.0 / MEAN_THINK_SECONDS)
             qname = qnames[popularity.sample()]
             deployment.loop.call_at(
                 t, lambda c=client, q=qname: c.lookup(q, RType.A))
-    horizon = (params.lookups_per_client * params.mean_think_seconds * 2
+    horizon = (params.lookups_per_client * MEAN_THINK_SECONDS * 2
                + 60)
     deployment.run_until(deployment.loop.now + horizon)
 

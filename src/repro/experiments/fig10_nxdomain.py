@@ -42,37 +42,39 @@ from ..server.machine import MachineConfig, NameserverMachine, QueryEnvelope
 from ..workload.attacks import random_label
 
 VICTIM_ZONE = "victim.example"
+#: The testbed, rates in queries/sec: the legitimate stream, what the
+#: nameserver answers, and what its stack hands the application.
+LEGIT_RATE = 400.0
+COMPUTE_CAPACITY = 1_000.0
+IO_CAPACITY = 4_000.0
+N_RESOLVER_SOURCES = 40
+N_SIGNED_HOSTS = 200
 
 
 @dataclass(slots=True)
 class Fig10Params:
-    """Testbed knobs (rates in queries/sec)."""
+    """The sweep and its scale."""
 
     seed: int = 42
-    legit_rate: float = 400.0
-    compute_capacity: float = 1_000.0
-    io_capacity: float = 4_000.0
     attack_rates: tuple[float, ...] = (
         0.0, 200.0, 400.0, 600.0, 1_000.0, 1_500.0, 2_000.0, 3_000.0,
         3_600.0, 4_500.0, 6_000.0, 9_000.0)
     measure_seconds: float = 20.0
     warmup_seconds: float = 5.0
     n_valid_hosts: int = 400
-    n_resolver_sources: int = 40
 
 
-def _build_zone(params: Fig10Params):
+def _build_zone(n_valid_hosts: int):
     lines = [f"$ORIGIN {VICTIM_ZONE}.", "$TTL 300",
              f"@ IN SOA ns1.{VICTIM_ZONE}. admin.{VICTIM_ZONE}. "
              "1 7200 3600 1209600 300",
              f"@ IN NS ns1.{VICTIM_ZONE}."]
-    for i in range(params.n_valid_hosts):
+    for i in range(n_valid_hosts):
         lines.append(f"h{i} IN A 10.9.{i // 250}.{i % 250 + 1}")
     return parse_zone_text("\n".join(lines) + "\n")
 
 
-def _testbed(params: Fig10Params | Fig10SignedParams, zone: Zone,
-             filter_enabled: bool = False) -> NameserverMachine:
+def _testbed(zone: Zone, filter_enabled: bool = False) -> NameserverMachine:
     """The nameserver half of the testbed: one machine serving ``zone``
     on an event loop of its own."""
     store = ZoneStore()
@@ -86,8 +88,8 @@ def _testbed(params: Fig10Params | Fig10SignedParams, zone: Zone,
     return NameserverMachine(
         EventLoop(), "testbed-ns", engine, ScoringPipeline(filters),
         QueuePolicy(),
-        MachineConfig(compute_capacity_qps=params.compute_capacity,
-                      io_capacity_qps=params.io_capacity,
+        MachineConfig(compute_capacity_qps=COMPUTE_CAPACITY,
+                      io_capacity_qps=IO_CAPACITY,
                       io_burst_seconds=0.05,
                       queue_depth=400,
                       staleness_threshold=float("inf")))
@@ -95,16 +97,17 @@ def _testbed(params: Fig10Params | Fig10SignedParams, zone: Zone,
 
 def _drive(params: Fig10Params | Fig10SignedParams,
            machine: NameserverMachine, attack_rate: float, *,
-           source_prefix: str, do_cut: int = 0) -> float:
+           source_prefix: str, n_valid_hosts: int, do_cut: int = 0
+           ) -> float:
     """The traffic-source half: Poisson legitimate and attack streams
     through warm-up and the measured window. The first ``do_cut``
     sources set DO=1. Returns the fraction of legit queries answered."""
     rng = random.Random(params.seed)
     loop = machine.loop
     sources = [f"{source_prefix}.{i + 1}"
-               for i in range(params.n_resolver_sources)]
+               for i in range(N_RESOLVER_SOURCES)]
     valid = [name(f"h{i}.{VICTIM_ZONE}")
-             for i in range(params.n_valid_hosts)]
+             for i in range(n_valid_hosts)]
     victim = name(VICTIM_ZONE)
     msg_id = [0]
     measure_start = params.warmup_seconds
@@ -150,7 +153,7 @@ def _drive(params: Fig10Params | Fig10SignedParams,
 
         loop.call_later(rng.expovariate(rate), fire)
 
-    schedule_stream(params.legit_rate, is_attack=False)
+    schedule_stream(LEGIT_RATE, is_attack=False)
     schedule_stream(attack_rate, is_attack=True)
 
     loop.run_until(measure_start)
@@ -164,8 +167,9 @@ def _drive(params: Fig10Params | Fig10SignedParams,
 def _run_point(params: Fig10Params, attack_rate: float,
                filter_enabled: bool) -> float:
     """One testbed run; returns the fraction of legit queries answered."""
-    machine = _testbed(params, _build_zone(params), filter_enabled)
-    return _drive(params, machine, attack_rate, source_prefix="172.20.0")
+    machine = _testbed(_build_zone(params.n_valid_hosts), filter_enabled)
+    return _drive(params, machine, attack_rate, source_prefix="172.20.0",
+                  n_valid_hosts=params.n_valid_hosts)
 
 
 def run(params: Fig10Params | None = None) -> ExperimentResult:
@@ -182,8 +186,8 @@ def run(params: Fig10Params | None = None) -> ExperimentResult:
     result.series["w/ filter"] = (rates, with_filter)
     result.series["w/o filter"] = (rates, without_filter)
 
-    a1 = params.compute_capacity - params.legit_rate
-    a2 = params.io_capacity - params.legit_rate
+    a1 = COMPUTE_CAPACITY - LEGIT_RATE
+    a2 = IO_CAPACITY - LEGIT_RATE
     region1 = [i for i, r in enumerate(rates) if r <= a1]
     region2 = [i for i, r in enumerate(rates) if a1 < r <= a2]
     region3 = [i for i, r in enumerate(rates) if r > a2]
@@ -220,33 +224,27 @@ def run(params: Fig10Params | None = None) -> ExperimentResult:
 class Fig10SignedParams:
     """The same two-machine testbed, with the victim zone DNSSEC-signed.
 
-    Every query carries DO=1 (``dnssec_ok_fraction`` of sources, 1.0 by
-    default), so each NXDOMAIN must ship a denial proof. The sweep runs
-    once per denial mode: the precomputed NSEC chain plans each signed
-    negative per qname — which a unique-qname flood churns — while
-    compact (black-lies) denial keeps one negative plan per zone.
+    Every query carries DO=1, so each NXDOMAIN must ship a denial
+    proof. The sweep runs once per denial mode: the precomputed NSEC
+    chain plans each signed negative per qname — which a unique-qname
+    flood churns — while compact (black-lies) denial keeps one negative
+    plan per zone.
     """
 
     seed: int = 42
-    legit_rate: float = 400.0
-    compute_capacity: float = 1_000.0
-    io_capacity: float = 4_000.0
     attack_rates: tuple[float, ...] = (0.0, 1_500.0, 3_600.0)
     measure_seconds: float = 12.0
     warmup_seconds: float = 3.0
-    n_valid_hosts: int = 200
-    n_resolver_sources: int = 40
-    dnssec_ok_fraction: float = 1.0
 
 
 def _run_signed_point(params: Fig10SignedParams, attack_rate: float,
                       mode: DenialMode) -> dict:
     """One signed testbed run; returns goodput plus cache observables."""
-    zone = _build_zone(params)
+    zone = _build_zone(N_SIGNED_HOSTS)
     keys = KeyRing(params.seed, zone.origin)
     signer = ZoneSigner(keys, SigningPolicy(sig_validity=86_400.0))
     signer.sign(zone, 0.0)
-    machine = _testbed(params, zone)
+    machine = _testbed(zone)
     loop, engine = machine.loop, machine.engine
     engine.dnssec.register_keyring(keys)
     engine.dnssec.clock = lambda: loop.now
@@ -271,10 +269,10 @@ def _run_signed_point(params: Fig10SignedParams, attack_rate: float,
                     counters["bogus"] += 1
 
     engine.response_observers.append(observe)
-    do_cut = int(round(params.dnssec_ok_fraction
-                       * params.n_resolver_sources))
     goodput = _drive(params, machine, attack_rate,
-                     source_prefix="172.21.0", do_cut=do_cut)
+                     source_prefix="172.21.0",
+                     n_valid_hosts=N_SIGNED_HOSTS,
+                     do_cut=N_RESOLVER_SOURCES)
     return {
         "goodput": goodput,
         "plan_cache_wipes": engine.plan_cache_wipes,

@@ -41,6 +41,13 @@ from ..platform.twotier import (
 )
 
 N_TOPLEVEL_CLOUDS = 13
+POPS_PER_CLOUD = 3
+#: Nearest reachable lowlevels a probe averages over.
+LOWLEVELS_PER_PROBE = 2
+#: Lognormal end-user demand per resolver, calibrated so mean rT is
+#: ~0.48 while the query-weighted mean is ~0.008 (section 5.2).
+DEMAND_MEDIAN_QPS = 1e-3
+DEMAND_SIGMA = 3.6
 
 
 @dataclass(slots=True)
@@ -51,13 +58,9 @@ class Fig11Params:
     internet: InternetParams = field(
         default_factory=lambda: InternetParams(n_tier1=6, n_tier2=24,
                                                n_stub=90))
-    pops_per_cloud: int = 3
     n_probes: int = 120
     n_edges: int = 80
-    lowlevels_per_probe: int = 2
     n_resolvers: int = 4_000
-    demand_median_qps: float = 1e-3
-    demand_sigma: float = 3.6
 
 
 @dataclass(slots=True)
@@ -69,8 +72,8 @@ class TwoTierDataset:
     L: np.ndarray
     r_t: np.ndarray
     query_weight: np.ndarray
-    lowlevel_beats_avg: float = 0.0
-    lowlevel_beats_wgt: float = 0.0
+    lowlevel_beats_avg: float
+    lowlevel_beats_wgt: float
 
 
 def build_dataset(params: Fig11Params | None = None) -> TwoTierDataset:
@@ -78,7 +81,7 @@ def build_dataset(params: Fig11Params | None = None) -> TwoTierDataset:
     params = params or Fig11Params()
     rng = random.Random(params.seed)
     internet = build_internet(rng, params.internet)
-    n_pops = N_TOPLEVEL_CLOUDS * params.pops_per_cloud
+    n_pops = N_TOPLEVEL_CLOUDS * POPS_PER_CLOUD
     pops = [attach_pop(internet, rng) for _ in range(n_pops)]
     # CDN edges deploy *inside* eyeball networks (1,600 networks in the
     # paper): spread them across distinct stub ASes.
@@ -98,8 +101,8 @@ def build_dataset(params: Fig11Params | None = None) -> TwoTierDataset:
     for c in range(N_TOPLEVEL_CLOUDS):
         prefix = f"toplevel-{c}"
         cloud = AnycastCloud(prefix, network)
-        for k in range(params.pops_per_cloud):
-            pop = pops[(c * params.pops_per_cloud + k) % len(pops)]
+        for k in range(POPS_PER_CLOUD):
+            pop = pops[(c * POPS_PER_CLOUD + k) % len(pops)]
             network.register_local_delivery(pop, prefix, lambda d: None)
             cloud.advertise(pop)
         clouds.append(cloud)
@@ -124,8 +127,7 @@ def build_dataset(params: Fig11Params | None = None) -> TwoTierDataset:
         edge_rtts = [(network.unicast_rtt_ms(probe, edge), edge)
                      for edge in edges]
         reachable = sorted((r, e) for r, e in edge_rtts if r is not None)
-        lowlevel_rtts = [r for r, _ in
-                         reachable[:params.lowlevels_per_probe]]
+        lowlevel_rtts = [r for r, _ in reachable[:LOWLEVELS_PER_PROBE]]
         if not lowlevel_rtts:
             continue
         avg_T.append(average_rtt(toplevel_rtts))
@@ -137,8 +139,8 @@ def build_dataset(params: Fig11Params | None = None) -> TwoTierDataset:
 
     # Per-resolver demand -> rT and query weight (lowlevel fetch rate).
     demand_rng = random.Random(params.seed + 1)
-    mu = math.log(params.demand_median_qps)
-    demands = np.array([demand_rng.lognormvariate(mu, params.demand_sigma)
+    mu = math.log(DEMAND_MEDIAN_QPS)
+    demands = np.array([demand_rng.lognormvariate(mu, DEMAND_SIGMA)
                         for _ in range(params.n_resolvers)])
     r_t = np.array([expected_rt(q) for q in demands])
     query_weight = demands / (1.0 + HOSTNAME_TTL * demands)

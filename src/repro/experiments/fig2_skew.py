@@ -19,7 +19,6 @@ from ..workload.geolocation import (
     regional_query_shares,
 )
 from ..workload.population import (
-    PopulationParams,
     ResolverPopulation,
     ZonePopularity,
     overlap_fraction,
@@ -30,8 +29,7 @@ def run(seed: int = 42, n_resolvers: int = 20_000,
         n_weeks_stability: int = 4) -> ExperimentResult:
     """Regenerate the three skew CDFs and the stability/geo statistics."""
     rng = random.Random(seed)
-    population = ResolverPopulation(
-        rng, PopulationParams(n_resolvers=n_resolvers))
+    population = ResolverPopulation(rng, n_resolvers)
     zones = ZonePopularity(rng)
 
     result = ExperimentResult(

@@ -17,7 +17,7 @@ import numpy as np
 from ..analysis.report import ExperimentResult
 from ..analysis.stats import cdf_points
 from ..workload.arrivals import bursty_counts
-from ..workload.population import PopulationParams, ResolverPopulation
+from ..workload.population import ResolverPopulation
 
 SECONDS = 86_400
 #: The population size ``nameserver_share`` is calibrated at.
@@ -41,8 +41,7 @@ def run(seed: int = 42, n_resolvers: int = CALIBRATED_RESOLVERS,
     """
     rng = random.Random(seed)
     np_rng = np.random.default_rng(seed)
-    population = ResolverPopulation(
-        rng, PopulationParams(n_resolvers=n_resolvers))
+    population = ResolverPopulation(rng, n_resolvers)
     nameserver_share *= n_resolvers / CALIBRATED_RESOLVERS
 
     averages: list[float] = []

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..analysis.report import ExperimentResult
 from ..analysis.stats import pdf_histogram
-from ..workload.population import PopulationParams, ResolverPopulation
+from ..workload.population import ResolverPopulation
 
 HOUR = 3600
 
@@ -25,8 +25,7 @@ def run(seed: int = 42, n_resolvers: int = 20_000,
     """Regenerate the weighted PDF of percent rate change."""
     rng = random.Random(seed)
     np_rng = np.random.default_rng(seed)
-    population = ResolverPopulation(
-        rng, PopulationParams(n_resolvers=n_resolvers))
+    population = ResolverPopulation(rng, n_resolvers)
 
     rates_before = {r.address: r.base_rate * nameserver_share
                     for r in population.resolvers}

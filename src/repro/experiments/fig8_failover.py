@@ -39,6 +39,16 @@ from ..netsim.topology import LinkRelation, Node, NodeKind
 TEST_PREFIX = "192.0.2.0"
 PROBE_INTERVAL = 0.1
 PROBE_TIMEOUT = 1.0
+#: Fraction of transit routers with a slow MRAI timer, and its range.
+MRAI_FRACTION = 0.30
+MRAI_RANGE = (5.0, 30.0)
+#: Fraction of transit routers with slow RIB->FIB programming under
+#: churn, and the delay ranges. Slow FIB sync keeps packets flowing
+#: toward a withdrawn origin after BGP has moved on — the mechanism
+#: behind the withdrawal-timeout tail.
+SLOW_FIB_FRACTION = 0.12
+SLOW_FIB_RANGE = (4.0, 25.0)
+FAST_FIB_RANGE = (0.01, 0.15)
 
 
 @dataclass(slots=True)
@@ -54,16 +64,6 @@ class Fig8Params:
     trials: int = 8
     measure_window: float = 40.0
     converge_time: float = 40.0
-    #: Fraction of transit routers with a slow MRAI timer, and its range.
-    mrai_fraction: float = 0.30
-    mrai_range: tuple[float, float] = (5.0, 30.0)
-    #: Fraction of transit routers with slow RIB->FIB programming under
-    #: churn, and the delay ranges. Slow FIB sync keeps packets flowing
-    #: toward a withdrawn origin after BGP has moved on — the mechanism
-    #: behind the withdrawal-timeout tail.
-    slow_fib_fraction: float = 0.12
-    slow_fib_range: tuple[float, float] = (4.0, 25.0)
-    fast_fib_range: tuple[float, float] = (0.01, 0.15)
 
 
 @dataclass(slots=True)
@@ -189,8 +189,8 @@ def _build_world(params: Fig8Params) -> tuple[EventLoop, Network,
     def mrai_for(router_id: str) -> float:
         if router_id.startswith("pop-"):
             return 0.0
-        if mrai_rng.random() < params.mrai_fraction:
-            return mrai_rng.uniform(*params.mrai_range)
+        if mrai_rng.random() < MRAI_FRACTION:
+            return mrai_rng.uniform(*MRAI_RANGE)
         return 0.0
 
     network.build_speakers(mrai_for=mrai_for)
@@ -200,10 +200,10 @@ def _build_world(params: Fig8Params) -> tuple[EventLoop, Network,
     for node in internet.topology.routers():
         if node.node_id.startswith("pop-"):
             fib_base[node.node_id] = 0.0
-        elif fib_rng.random() < params.slow_fib_fraction:
-            fib_base[node.node_id] = fib_rng.uniform(*params.slow_fib_range)
+        elif fib_rng.random() < SLOW_FIB_FRACTION:
+            fib_base[node.node_id] = fib_rng.uniform(*SLOW_FIB_RANGE)
         else:
-            fib_base[node.node_id] = fib_rng.uniform(*params.fast_fib_range)
+            fib_base[node.node_id] = fib_rng.uniform(*FAST_FIB_RANGE)
     jitter_rng = random.Random(params.seed + 3)
 
     def fib_delay_for(router_id: str) -> float:

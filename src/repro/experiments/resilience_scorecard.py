@@ -35,12 +35,12 @@ from ..chaos import (
     SLOProbe,
     SLOReport,
 )
+from ..chaos.probe import WINDOW as PROBE_WINDOW
 from ..control.defense import (
+    ATTACK_QPS_ALERT,
     DefenseController,
-    DefenseParams,
     FilterInsertRung,
     FirewallRuleRung,
-    GuardrailParams,
     QueueTightenRung,
     TrafficEngRung,
     known_resolver_estimator,
@@ -68,11 +68,6 @@ PROBE_ZONE = "slozone.net"
 #: nonexistent names) but never probed, so a firewall rung targeting it
 #: has zero probe collateral.
 VICTIM_ZONE = "victim.net"
-#: The defense ladder's driving signal: a QPS-spike detector on the
-#: fleet's ``query_received`` feed, which fires *before* any shedding —
-#: so the alert persists while mitigations hold and clears only when
-#: the flood actually stops.
-ATTACK_QPS_ALERT = "attack-qps"
 #: Soak of the deliberately over-broad firewall rung in the guardrail
 #: campaign; the auto-revert must land within it.
 OVERBLOCK_SOAK = 8.0
@@ -86,6 +81,29 @@ COOLDOWN = 30.0            # post-campaign window so recovery is observable
 ROLLOUT_SOAK = 45.0
 
 
+#: Recovery budget every campaign must meet (availability targets are
+#: per-campaign, in :class:`CampaignSLO`).
+MAX_RECOVERY_SECONDS = 25.0
+#: Budget from first fault injection to the telemetry pipeline's
+#: probe-failure alert, for campaigns that expect a visible dip.
+#: Measured from *injection*, so it includes fault-propagation time (a
+#: corrupted zone publishing to the fleet) and the stretch where the
+#: resiliency ladder still absorbs the fault invisibly (the combined
+#: storm's crash loops are masked by the input-delayed machine until its
+#: PoP is partitioned too) — not just the detector's window latency.
+MAX_DETECTION_SECONDS = 30.0
+#: Escalation levels the ladder must reach under sustained attack.
+DEFENSE_MIN_CLIMB = 3
+#: Known-resolver availability floor from the first rung engaging to the
+#: attack ending.
+DEFENSE_FLOOR = 0.60
+#: Budget from the flood stopping to the ladder back at level 0.
+DEFENSE_UNWIND_SECONDS = 30.0
+#: Fleet availability floor over the gray-fault window in the
+#: quorum-guard campaign (degraded-but-serving beats dark).
+GRAY_FLOOR = 0.50
+
+
 @dataclass(slots=True)
 class ScorecardParams:
     """Scale knobs; defaults match the paper-scale 24-cloud platform."""
@@ -97,23 +115,8 @@ class ScorecardParams:
     n_pops: int = 24
     deployed_clouds: int = 24
     machines_per_pop: int = 2
-    pops_per_cloud: int = 2
     n_edge_servers: int = 24
     probe_period: float = 0.25
-    probe_window: float = 5.0
-    answer_deadline: float = 2.0
-    #: Recovery budget every campaign must meet (availability targets
-    #: are per-campaign, in :class:`CampaignSLO`).
-    max_recovery_seconds: float = 25.0
-    #: Budget from first fault injection to the telemetry pipeline's
-    #: probe-failure alert, for campaigns that expect a visible dip.
-    #: Measured from *injection*, so it includes fault-propagation time
-    #: (a corrupted zone publishing to the fleet) and the stretch where
-    #: the resiliency ladder still absorbs the fault invisibly (the
-    #: combined storm's crash loops are masked by the input-delayed
-    #: machine until its PoP is partitioned too) — not just the
-    #: detector's window latency.
-    max_detection_seconds: float = 30.0
 
     @classmethod
     def fast(cls, seed: int = 42) -> "ScorecardParams":
@@ -161,13 +164,6 @@ class CampaignSLO:
     #: legitimate-availability floor while mitigations hold, and the
     #: full symmetric unwind after the attack ends.
     defense: bool = False
-    #: Escalation levels the ladder must reach under sustained attack.
-    defense_min_climb: int = 3
-    #: Known-resolver availability floor from the first rung engaging
-    #: to the attack ending.
-    defense_floor: float = 0.60
-    #: Budget from the flood stopping to the ladder back at level 0.
-    defense_unwind_seconds: float = 30.0
     #: Prepend a deliberately over-broad firewall rung (it drops the
     #: probe zone itself) and grade that the collateral-damage guardrail
     #: auto-reverts and latches it within its soak window.
@@ -182,9 +178,6 @@ class CampaignSLO:
     #: mass-suspend — suspensions stay within budget, at least one
     #: request is denied, and the fleet degrades but keeps serving.
     gray_quorum_guard: bool = False
-    #: Fleet availability floor over the gray-fault window in the
-    #: quorum-guard campaign (degraded-but-serving beats dark).
-    gray_floor: float = 0.50
 
 
 @dataclass(slots=True)
@@ -605,7 +598,6 @@ def build_deployment(params: ScorecardParams, *,
         seed=params.seed, internet=params.internet,
         n_pops=params.n_pops, deployed_clouds=params.deployed_clouds,
         machines_per_pop=params.machines_per_pop,
-        pops_per_cloud=params.pops_per_cloud,
         n_edge_servers=params.n_edge_servers,
         filters_enabled=False,
         rollout_enabled=rollout,
@@ -656,7 +648,7 @@ def _wire_defense(deployment: AkamaiDNSDeployment, telemetry: Telemetry,
         attack_peers=deployment.network.topology.bgp_neighbors(pop_router),
         fraction=0.34)
     ladder: list = [
-        QueueTightenRung(machines, factor=0.5),
+        QueueTightenRung(machines),
         FilterInsertRung(machines, lambda machine: RateLimitFilter(),
                          name="rate-limit"),
         FirewallRuleRung(machines, name(f"x.{VICTIM_ZONE}"), RType.A,
@@ -669,11 +661,8 @@ def _wire_defense(deployment: AkamaiDNSDeployment, telemetry: Telemetry,
             name="overblock-firewall", soak_seconds=OVERBLOCK_SOAK,
             cool_off_seconds=300.0))
     controller = DefenseController(
-        deployment.loop, ladder, alert_name=ATTACK_QPS_ALERT,
-        params=DefenseParams(guardrail=GuardrailParams(margin=0.25,
-                                                       min_samples=4)),
-        estimator=known_resolver_estimator(machines),
-        machines=machines)
+        deployment.loop, ladder,
+        estimator=known_resolver_estimator(machines), machines=machines)
     return controller.arm(telemetry)
 
 
@@ -703,7 +692,7 @@ def run_campaign(params: ScorecardParams,
     # availability dips below 75%, well under any campaign's healthy
     # baseline but above the worst dips the SLO targets tolerate.
     detector = RatioDetector("probe-failure",
-                             window=params.probe_window,
+                             window=PROBE_WINDOW,
                              threshold=0.25, min_count=2)
     telemetry.alerts.add(detector, "probe.fail")
     with _telemetry_state.session(telemetry):
@@ -730,9 +719,7 @@ def run_campaign(params: ScorecardParams,
                       if defense else None)
         resolver = deployment.add_resolver("slo-resolver")
         probe = SLOProbe(deployment.loop, resolver, PROBE_ZONE,
-                         period=params.probe_period,
-                         window=params.probe_window,
-                         answer_deadline=params.answer_deadline)
+                         period=params.probe_period)
         probe.start()
         engine = ChaosEngine(deployment)
         engine.run(campaign)
@@ -919,11 +906,11 @@ def run_unit(params: ScorecardParams, index: int,
         availability_holds)
     result.compare(
         f"{prefix}: full recovery after faults clear",
-        f"100% within {params.max_recovery_seconds:.0f}s",
+        f"100% within {MAX_RECOVERY_SECONDS:.0f}s",
         ("never recovered" if worst_ttr is None else
          f"TTR {worst_ttr:.1f}s, then {recovered:.0%}"),
         worst_ttr is not None
-        and worst_ttr <= params.max_recovery_seconds
+        and worst_ttr <= MAX_RECOVERY_SECONDS
         and recovered == 1.0)
     if slo.contain_blast:
         canaries = set(outcome.canary_ids)
@@ -990,16 +977,16 @@ def run_unit(params: ScorecardParams, index: int,
         result.compare(
             f"{prefix}: attack detected on the qps surface",
             f"{ATTACK_QPS_ALERT} alert within "
-            f"{params.max_detection_seconds:.0f}s of the first flood",
+            f"{MAX_DETECTION_SECONDS:.0f}s of the first flood",
             ("no alert" if attack_ttd is None
              else f"TTD {attack_ttd:.1f}s"),
             attack_ttd is not None
-            and attack_ttd <= params.max_detection_seconds)
+            and attack_ttd <= MAX_DETECTION_SECONDS)
         result.compare(
             f"{prefix}: ladder climbs under sustained attack",
-            f">= {slo.defense_min_climb} rungs engaged",
+            f">= {DEFENSE_MIN_CLIMB} rungs engaged",
             f"max level {outcome.defense_max_level}",
-            outcome.defense_max_level >= slo.defense_min_climb)
+            outcome.defense_max_level >= DEFENSE_MIN_CLIMB)
         floor = None
         if (outcome.defense_engaged_at is not None
                 and outcome.defense_attack_end is not None):
@@ -1008,10 +995,10 @@ def run_unit(params: ScorecardParams, index: int,
             result.metrics[f"{prefix}.mitigation_availability"] = floor
         result.compare(
             f"{prefix}: legitimate availability floor while mitigating",
-            f">= {slo.defense_floor:.0%} from first rung to attack end",
+            f">= {DEFENSE_FLOOR:.0%} from first rung to attack end",
             ("ladder never engaged" if floor is None
              else f"{floor:.1%}"),
-            floor is not None and floor >= slo.defense_floor)
+            floor is not None and floor >= DEFENSE_FLOOR)
         unwind_s = None
         if (outcome.defense_unwound_at is not None
                 and outcome.defense_attack_end is not None):
@@ -1020,7 +1007,7 @@ def run_unit(params: ScorecardParams, index: int,
             result.metrics[f"{prefix}.unwind_s"] = unwind_s
         result.compare(
             f"{prefix}: every mitigation unwinds after the attack",
-            f"ladder back to level 0 <= {slo.defense_unwind_seconds:.0f}s "
+            f"ladder back to level 0 <= {DEFENSE_UNWIND_SECONDS:.0f}s "
             f"after the flood stops",
             (f"still at level {outcome.defense_final_level}"
              if outcome.defense_final_level else
@@ -1028,7 +1015,7 @@ def run_unit(params: ScorecardParams, index: int,
               else f"unwound {unwind_s:.1f}s after the attack ended")),
             outcome.defense_final_level == 0
             and unwind_s is not None
-            and unwind_s <= slo.defense_unwind_seconds)
+            and unwind_s <= DEFENSE_UNWIND_SECONDS)
         if slo.defense_overblock:
             revert_after = outcome.defense_revert_after
             if revert_after is not None:
@@ -1080,11 +1067,11 @@ def run_unit(params: ScorecardParams, index: int,
                     floor
             result.compare(
                 f"{prefix}: degraded but serving through the gray storm",
-                f">= {slo.gray_floor:.0%} availability over the "
+                f">= {GRAY_FLOOR:.0%} availability over the "
                 f"fault window",
                 ("no gray fault window" if floor is None
                  else f"{floor:.1%}"),
-                floor is not None and floor >= slo.gray_floor)
+                floor is not None and floor >= GRAY_FLOOR)
             result.compare(
                 f"{prefix}: fleet heals after the faults clear",
                 "all verdicts healthy, suspended machines rejoined",
@@ -1111,12 +1098,12 @@ def run_unit(params: ScorecardParams, index: int,
             gray_ttd = outcome.gray_ttd_seconds
             result.compare(
                 f"{prefix}: external prober detects within budget",
-                f"conviction <= {params.max_detection_seconds:.0f}s "
+                f"conviction <= {MAX_DETECTION_SECONDS:.0f}s "
                 f"after inject",
                 ("never convicted" if gray_ttd is None
                  else f"TTD {gray_ttd:.1f}s"),
                 gray_ttd is not None
-                and gray_ttd <= params.max_detection_seconds)
+                and gray_ttd <= MAX_DETECTION_SECONDS)
             result.compare(
                 f"{prefix}: probationary rejoin after the fault clears",
                 ">= 1 rejoin, fleet back to all-healthy verdicts",
@@ -1129,10 +1116,10 @@ def run_unit(params: ScorecardParams, index: int,
         # the probe-failure detector has to fire, and quickly.
         result.compare(
             f"{prefix}: telemetry detects the degradation",
-            f"alert within {params.max_detection_seconds:.0f}s "
+            f"alert within {MAX_DETECTION_SECONDS:.0f}s "
             f"of first fault",
             ("no alert" if ttd is None else f"TTD {ttd:.1f}s"),
-            ttd is not None and ttd <= params.max_detection_seconds)
+            ttd is not None and ttd <= MAX_DETECTION_SECONDS)
     else:
         # Absorbed faults should stay below the SLO alert surface;
         # informational only — an early alert here is noisy, not wrong.

@@ -17,11 +17,13 @@ from dataclasses import dataclass
 from .base import QueryContext
 
 
+PENALTY = 30.0
+
+
 @dataclass(slots=True)
 class AllowlistConfig:
-    """Tunables for the allowlist filter and its activation policy."""
+    """The activation policy's thresholds."""
 
-    penalty: float = 30.0
     window_seconds: float = 10.0
     activate_qps: float = 2000.0        # aggregate rate threshold
     activate_unique_sources: int = 500  # source diversity threshold
@@ -96,4 +98,4 @@ class AllowlistFilter:
         if ctx.source in self.allowlist:
             return 0.0
         self.penalized += 1
-        return self.config.penalty
+        return PENALTY

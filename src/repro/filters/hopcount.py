@@ -33,12 +33,14 @@ class _TTLHistory:
     candidate_streak: int = 0
 
 
+PENALTY = 25.0
+TOLERANCE = 1   # |observed - expected| beyond this penalizes
+
+
 @dataclass(slots=True)
 class HopCountConfig:
-    """Tunables for the hop-count filter."""
+    """How much history the filter wants before it acts."""
 
-    penalty: float = 25.0
-    tolerance: int = 1           # |observed - expected| beyond this penalizes
     min_observations: int = 10   # history needed before enforcing
     relearn_streak: int = 200    # consecutive new-TTL packets to switch
 
@@ -73,7 +75,7 @@ class HopCountFilter:
             history.expected = ctx.ip_ttl
             history.total += 1
             return 0.0
-        matches = abs(ctx.ip_ttl - history.expected) <= config.tolerance
+        matches = abs(ctx.ip_ttl - history.expected) <= TOLERANCE
         if matches:
             # Validated observation: reinforce and clear any candidate.
             history.total += 1
@@ -97,4 +99,4 @@ class HopCountFilter:
         if history.total < config.min_observations:
             return 0.0
         self.penalized += 1
-        return config.penalty
+        return PENALTY

@@ -20,11 +20,13 @@ from dataclasses import dataclass
 from .base import QueryContext
 
 
+PENALTY = 25.0
+
+
 @dataclass(slots=True)
 class LoyaltyConfig:
-    """Tunables for the loyalty filter."""
+    """How loyalty is earned and kept."""
 
-    penalty: float = 25.0
     memory_seconds: float = 7 * 86400.0   # loyalty expires if silent this long
     maturity_seconds: float = 3600.0      # history span required to be loyal
     min_history_sources: int = 10         # don't enforce on a cold server
@@ -64,4 +66,4 @@ class LoyaltyFilter:
         if loyal or not enforce:
             return 0.0
         self.penalized += 1
-        return self.config.penalty
+        return PENALTY

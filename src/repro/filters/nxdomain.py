@@ -29,11 +29,13 @@ from ..dnscore.zone import NxdomainIndex, Zone
 from .base import QueryContext
 
 
+PENALTY = 40.0
+
+
 @dataclass(slots=True)
 class NXDomainConfig:
-    """Tunables for the NXDOMAIN filter."""
+    """When a zone's tree is built, and over what."""
 
-    penalty: float = 40.0
     trigger_count: int = 100        # NXDOMAINs in window before tree build
     window_seconds: float = 30.0
     global_tree: bool = False       # ablation: one tree over all zones
@@ -113,4 +115,4 @@ class NXDomainFilter:
         if not tree.is_nxdomain(ctx.qname.labels):
             return 0.0
         self.penalized += 1
-        return self.config.penalty
+        return PENALTY

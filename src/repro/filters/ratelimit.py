@@ -27,6 +27,10 @@ class _Bucket:
     observed: int = 0
 
 
+PENALTY = 20.0
+EGREGIOUS_PENALTY = 10_000.0
+
+
 @dataclass(slots=True)
 class RateLimitConfig:
     """Tunables for the rate-limit filter."""
@@ -36,12 +40,10 @@ class RateLimitConfig:
     burst_seconds: float = 5.0     # bucket capacity = limit * burst_seconds
     learning_alpha: float = 0.3    # EWMA weight per learning window
     learning_window: float = 60.0  # seconds per learning window
-    penalty: float = 20.0
     #: A source this far past its bucket is not merely bursty — it is
     #: definitively malicious; the score alone exceeds ``s_max`` so the
     #: query is discarded outright (paper section 4.3.3).
     egregious_multiplier: float = 50.0
-    egregious_penalty: float = 10_000.0
     warmup_queries: int = 20       # arrivals before the limit is enforced
 
 
@@ -108,8 +110,8 @@ class RateLimitFilter:
             return 0.0
         if bucket.level > capacity * config.egregious_multiplier:
             self.penalized += 1
-            return config.egregious_penalty
+            return EGREGIOUS_PENALTY
         if bucket.level > capacity:
             self.penalized += 1
-            return config.penalty
+            return PENALTY
         return 0.0

@@ -32,6 +32,8 @@ if TYPE_CHECKING:
 #: FIB next-hop sentinel meaning "delivered locally at this router".
 LOCAL = "<local>"
 
+#: Seconds a router spends on an update before it sends its own.
+MIN_PROCESSING, MAX_PROCESSING = 0.01, 0.10
 LOCAL_PREF_ORIGIN = 400
 LOCAL_PREF = {
     LinkRelation.CUSTOMER: 300,
@@ -48,7 +50,7 @@ class Route:
     as_path: tuple[int, ...]
     next_hop: str          # peer router id, or LOCAL for origination
     local_pref: int
-    med: int = 0
+    med: int
 
     def preference_key(self) -> tuple:
         """Sort key: larger is better."""
@@ -127,14 +129,12 @@ class BGPSpeaker:
     """The BGP process of one router."""
 
     def __init__(self, network: "Network", node_id: str, asn: int,
-                 rng: random.Random, *, mrai: float = 0.0,
-                 processing_delay: tuple[float, float] = (0.01, 0.10)) -> None:
+                 rng: random.Random, *, mrai: float = 0.0) -> None:
         self.network = network
         self.loop = network.loop
         self.node_id = node_id
         self.asn = asn
         self.rng = rng
-        self._proc_lo, self._proc_hi = processing_delay
         #: adj-RIB-in: prefix -> peer -> Route
         self._rib_in: dict[str, dict[str, Route]] = {}
         #: locally originated routes
@@ -241,7 +241,7 @@ class BGPSpeaker:
         if session.peer is None:
             session.peer = self.network.speaker(peer_id)
         delay = (session.latency_s
-                 + self.rng.uniform(self._proc_lo, self._proc_hi))
+                 + self.rng.uniform(MIN_PROCESSING, MAX_PROCESSING))
         self.loop.call_later(delay, session.peer.receive_update,
                              self.node_id, prefix, path, med)
 

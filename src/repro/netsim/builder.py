@@ -20,16 +20,19 @@ from .topology import LinkRelation, Node, NodeKind, Topology
 AKAMAI_ASN = 20940
 
 
+#: Providers a tier-2 or stub AS buys transit from, drawn uniformly.
+MIN_PROVIDERS, MAX_PROVIDERS = 1, 3
+#: Chance two tier-2s peer, before the same-region weighting.
+TIER2_PEER_PROBABILITY = 0.12
+
+
 @dataclass(slots=True)
 class InternetParams:
-    """Knobs for the synthetic Internet."""
+    """How many ASes of each tier the synthetic Internet has."""
 
     n_tier1: int = 8
     n_tier2: int = 40
     n_stub: int = 160
-    tier2_provider_count: tuple[int, int] = (1, 3)
-    stub_provider_count: tuple[int, int] = (1, 3)
-    tier2_peer_probability: float = 0.12
 
 
 @dataclass(slots=True)
@@ -80,13 +83,13 @@ def build_internet(rng: random.Random,
                                NodeKind.TRANSIT, point, region))
         internet.tier2.append(node_id)
         providers = _nearest(topology, point, internet.tier1,
-                             rng.randint(*params.tier2_provider_count), rng)
+                             rng.randint(MIN_PROVIDERS, MAX_PROVIDERS), rng)
         for provider in providers:
             topology.connect(provider, node_id, LinkRelation.CUSTOMER)
     for i, a in enumerate(internet.tier2):
         for b in internet.tier2[i + 1:]:
             same_region = topology.node(a).region == topology.node(b).region
-            p = params.tier2_peer_probability * (3.0 if same_region else 0.5)
+            p = TIER2_PEER_PROBABILITY * (3.0 if same_region else 0.5)
             if rng.random() < min(1.0, p):
                 topology.connect(a, b, LinkRelation.PEER)
 
@@ -98,7 +101,7 @@ def build_internet(rng: random.Random,
                                NodeKind.TRANSIT, point, region))
         internet.stubs.append(node_id)
         providers = _nearest(topology, point, internet.tier2,
-                             rng.randint(*params.stub_provider_count), rng)
+                             rng.randint(MIN_PROVIDERS, MAX_PROVIDERS), rng)
         for provider in providers:
             topology.connect(provider, node_id, LinkRelation.CUSTOMER)
 

@@ -194,8 +194,7 @@ class Network:
 
     # -- control plane ------------------------------------------------------
 
-    def build_speakers(self, *, mrai_for: Callable[[str], float] | None = None,
-                       processing_delay: tuple[float, float] = (0.01, 0.10),
+    def build_speakers(self, *, mrai_for: Callable[[str], float] | None = None
                        ) -> None:
         """Instantiate one BGP speaker per router node.
 
@@ -205,8 +204,7 @@ class Network:
         for node in self.topology.routers():
             mrai = mrai_for(node.node_id) if mrai_for else 0.0
             self._speakers[node.node_id] = BGPSpeaker(
-                self, node.node_id, node.asn, self.rng, mrai=mrai,
-                processing_delay=processing_delay)
+                self, node.node_id, node.asn, self.rng, mrai=mrai)
 
     def speaker(self, node_id: str) -> BGPSpeaker:
         return self._speakers[node_id]

@@ -13,7 +13,7 @@ through this facade.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..control.mapping import (
     EdgeServer,
@@ -29,6 +29,7 @@ from ..control.reporting import TrafficCollector
 from ..control.rollout import Release, RolloutCoordinator, RolloutParams
 from ..control.consensus import QuorumSuspensionCoordinator
 from ..control.grayfail import (
+    VANTAGES_PER_POP,
     GrayFailController,
     GrayFailParams,
     GrayTarget,
@@ -56,7 +57,6 @@ from ..netsim.clock import EventLoop, PeriodicTask
 from ..netsim.geo import GeoPoint
 from ..netsim.network import Network
 from ..resolver.resolver import RecursiveResolver
-from ..resolver.selection import SelectionStrategy
 from ..server.engine import AuthoritativeEngine, ZoneStore
 from ..server.host import HostNameserver
 from ..server.machine import MachineConfig, NameserverMachine
@@ -66,6 +66,7 @@ from ..server.speaker import MachineBGPSpeaker
 from .clouds import (
     AnycastCloudSpec,
     CDN_DELEGATION_COUNT,
+    TOTAL_CLOUDS,
     DelegationAssigner,
     all_clouds,
 )
@@ -79,33 +80,43 @@ from .twotier import (
 ROOT_SERVER_ADDRESS = "198.41.0.4"
 TLD_SERVER_ADDRESS = "192.5.6.30"
 INPUT_DELAYED_MED = 100
+#: Paper section 3.1: "no PoP advertising more than two clouds".
+MAX_CLOUDS_PER_POP = 2
+#: Seconds between the mapping system's platform-wide publications.
+METADATA_HEARTBEAT = 10.0
+#: How far behind the fleet an input-delayed nameserver's metadata runs.
+INPUT_DELAY_SECONDS = 3600.0
 
 
 @dataclass(slots=True)
 class DeploymentParams:
-    """Size and behaviour knobs for the assembled platform."""
+    """Scale, seed and the ablation switches of the assembled platform."""
 
     seed: int = 42
     internet: InternetParams = field(default_factory=InternetParams)
     n_pops: int = 24
     machines_per_pop: int = 2
     pops_per_cloud: int = 2
-    max_clouds_per_pop: int = 2          # paper: "no PoP advertising more
-                                         # than two clouds"
     deployed_clouds: int = 24
     n_edge_servers: int = 24
     input_delayed_enabled: bool = True
-    monitoring_period: float = 2.0
-    metadata_heartbeat: float = 10.0
-    input_delay_seconds: float = 3600.0
     filters_enabled: bool = True
     machine_config: MachineConfig = field(default_factory=MachineConfig)
-    queue_policy: QueuePolicy = field(default_factory=QueuePolicy)
     #: When True, :meth:`AkamaiDNSDeployment.publish_zone_update` runs
     #: updates through the safe-rollout release train (validate ->
     #: canary -> soak -> promote/rollback) instead of fire-and-forget.
     rollout_enabled: bool = False
     rollout: RolloutParams | None = None
+
+    def __post_init__(self) -> None:
+        for field_name in ("n_pops", "machines_per_pop", "pops_per_cloud",
+                           "n_edge_servers"):
+            if getattr(self, field_name) < 1:
+                raise ValueError(f"{field_name} must be at least 1, got "
+                                 f"{getattr(self, field_name)}")
+        if not 1 <= self.deployed_clouds <= TOTAL_CLOUDS:
+            raise ValueError(f"deployed_clouds must be within 1.."
+                             f"{TOTAL_CLOUDS}, got {self.deployed_clouds}")
 
 
 @dataclass(slots=True)
@@ -166,8 +177,7 @@ class AkamaiDNSDeployment:
         self.coordinator = QuorumSuspensionCoordinator(
             self.loop, max_concurrent=max(2, p.n_pops
                                           * p.machines_per_pop // 4))
-        self.recovery = RecoverySystem(self.loop,
-                                       coordinator=self.coordinator)
+        self.recovery = RecoverySystem(self.loop)
         self._initial_snapshot: MapSnapshot = self.mapping.snapshot()
 
         # Akamai zones.
@@ -196,15 +206,12 @@ class AkamaiDNSDeployment:
 
         # Data Collection/Aggregation (Figure 5): per-zone traffic
         # reports compiled for the portal.
-        self.collector = TrafficCollector(self.loop, period=60.0)
+        self.collector = TrafficCollector(self.loop)
         for deployment in self.deployments:
             self.collector.register(deployment.machine)
 
         # Heartbeats keep metadata fresh platform-wide.
-        self._heartbeat = PeriodicTask(
-            self.loop, p.metadata_heartbeat,
-            lambda: self.mapping.publish(),
-            start_delay=p.metadata_heartbeat)
+        self._heartbeat = self._start_heartbeat()
 
         #: Resolvers created through :meth:`add_resolver`.
         self.resolvers: dict[str, RecursiveResolver] = {}
@@ -218,7 +225,7 @@ class AkamaiDNSDeployment:
     def _assign_clouds_to_pops(self) -> dict[int, list[str]]:
         """Greedy assignment honoring the two-clouds-per-PoP cap."""
         p = self.params
-        capacity = {pop: p.max_clouds_per_pop for pop in self.pop_ids}
+        capacity = {pop: MAX_CLOUDS_PER_POP for pop in self.pop_ids}
         assignment: dict[int, list[str]] = {}
         ordered_pops = list(self.pop_ids)
         for cloud in self.clouds:
@@ -233,8 +240,9 @@ class AkamaiDNSDeployment:
                     break
             if len(chosen) < p.pops_per_cloud:
                 raise ValueError(
-                    "not enough PoP capacity: increase n_pops or "
-                    "max_clouds_per_pop, or lower pops_per_cloud")
+                    f"not enough PoP capacity: {p.deployed_clouds} clouds x "
+                    f"pops_per_cloud={p.pops_per_cloud} need more than "
+                    f"n_pops={p.n_pops} x {MAX_CLOUDS_PER_POP} clouds a PoP")
             assignment[cloud.index] = chosen
         return assignment
 
@@ -363,18 +371,16 @@ class AkamaiDNSDeployment:
             dynamic_delegations={self.names.lowlevel_zone: provider})
         pipeline = self._make_pipeline(store)
         machine = NameserverMachine(self.loop, machine_id, engine, pipeline,
-                                    self.params.queue_policy, config)
+                                    QueuePolicy(), config)
         machine.metadata_handlers["mapping"] = view.apply
         # The machine's own guarded install seam validates (when the
         # zone guard is on), retains last-known-good, and invalidates
         # the NXDOMAIN filter's cached hostname tree.
         machine.metadata_handlers["zone"] = machine.handle_zone_update
+        extra_delay = INPUT_DELAY_SECONDS if config.input_delayed else 0.0
         self.bus.subscribe(MULTICAST_CHANNEL, machine,
-                           extra_delay=(self.params.input_delay_seconds
-                                        if config.input_delayed else 0.0))
-        self.bus.subscribe(CDN_CHANNEL, machine,
-                           extra_delay=(self.params.input_delay_seconds
-                                        if config.input_delayed else 0.0))
+                           extra_delay=extra_delay)
+        self.bus.subscribe(CDN_CHANNEL, machine, extra_delay=extra_delay)
         self.recovery.register(machine)
         return machine, view
 
@@ -400,11 +406,7 @@ class AkamaiDNSDeployment:
         p = self.params
         self._machine_seq += 1
         machine_id = f"{pop.router_id}-m{self._machine_seq}"
-        config = MachineConfig(**{
-            **_vars_slots(p.machine_config),
-            "input_delayed": input_delayed,
-            "input_delay": p.input_delay_seconds,
-        })
+        config = replace(p.machine_config, input_delayed=input_delayed)
         machine, view = self._make_machine(machine_id, config)
         pop.add_machine(machine)
         speaker = MachineBGPSpeaker(
@@ -412,7 +414,6 @@ class AkamaiDNSDeployment:
             med=INPUT_DELAYED_MED if input_delayed else 0)
         agent = MonitoringAgent(
             self.loop, machine, speaker,
-            period=p.monitoring_period,
             coordinator=None if input_delayed else self.coordinator,
             allow_self_suspend=not input_delayed)
         speaker.advertise_all()
@@ -434,7 +435,7 @@ class AkamaiDNSDeployment:
             store.add(zone)  # reprolint: disable=ROB001 -- build bootstrap
         machine = NameserverMachine(
             self.loop, f"host-{address}", AuthoritativeEngine(store),
-            ScoringPipeline([]), self.params.queue_policy,
+            ScoringPipeline([]), QueuePolicy(),
             MachineConfig(staleness_threshold=float("inf"),
                           wire_responses=self.params.machine_config
                           .wire_responses))
@@ -455,7 +456,7 @@ class AkamaiDNSDeployment:
                 dynamic_domains=[self.names.lowlevel_zone])
             machine = NameserverMachine(
                 self.loop, f"ll-{address}", engine, ScoringPipeline([]),
-                self.params.queue_policy,
+                QueuePolicy(),
                 MachineConfig(staleness_threshold=float("inf"),
                               wire_responses=self.params.machine_config
                               .wire_responses))
@@ -565,18 +566,13 @@ class AkamaiDNSDeployment:
         return {name("."): [ROOT_SERVER_ADDRESS]}
 
     def add_resolver(self, resolver_id: str, *,
-                     selection: SelectionStrategy | None = None,
-                     attach_to: str | None = None,
-                     fixed_source_port: int | None = None,
                      timeout: float = 2.0) -> RecursiveResolver:
         """Attach a recursive resolver host to the Internet."""
-        attach_host(self.internet, self.rng, host_id=resolver_id,
-                    attach_to=attach_to)
+        attach_host(self.internet, self.rng, host_id=resolver_id)
         resolver = RecursiveResolver(
             self.loop, self.network, resolver_id, self.hints(),
-            selection=selection,
             rng=random.Random(self.rng.randrange(2**31)),
-            timeout=timeout, fixed_source_port=fixed_source_port)
+            timeout=timeout)
         self.resolvers[resolver_id] = resolver
         return resolver
 
@@ -606,6 +602,11 @@ class AkamaiDNSDeployment:
 
     # -- failure injection seams --------------------------------------------
 
+    def _start_heartbeat(self) -> PeriodicTask:
+        return PeriodicTask(self.loop, METADATA_HEARTBEAT,
+                            lambda: self.mapping.publish(),
+                            start_delay=METADATA_HEARTBEAT)
+
     def pause_metadata_heartbeat(self) -> None:
         """Stop the platform-wide metadata heartbeat (publisher freeze).
 
@@ -619,10 +620,7 @@ class AkamaiDNSDeployment:
     def resume_metadata_heartbeat(self) -> None:
         """Restart the heartbeat and publish immediately to catch up."""
         if self._heartbeat.stopped:
-            self._heartbeat = PeriodicTask(
-                self.loop, self.params.metadata_heartbeat,
-                lambda: self.mapping.publish(),
-                start_delay=self.params.metadata_heartbeat)
+            self._heartbeat = self._start_heartbeat()
             self.mapping.publish()
 
     def regular_deployments(self) -> list[MachineDeployment]:
@@ -650,12 +648,11 @@ class AkamaiDNSDeployment:
         """
         if self.grayfail is not None:
             return self.grayfail
-        params = params or GrayFailParams()
         rng = random.Random(self.params.seed ^ 0x67726179)
         vantages: dict[str, list[str]] = {}
         for pop_id in self.pop_ids:
             hosts = []
-            for index in range(params.vantages_per_pop):
+            for index in range(VANTAGES_PER_POP):
                 host_id = f"gray-vp-{pop_id}-{index}"
                 attach_host(self.internet, rng, host_id=host_id,
                             attach_to=pop_id)
@@ -706,6 +703,3 @@ class AkamaiDNSDeployment:
         self.bus.publish_zone(CDN_CHANNEL, str(zone.origin), zone)
         return None
 
-
-def _vars_slots(obj) -> dict:
-    return {f: getattr(obj, f) for f in obj.__dataclass_fields__}

@@ -14,8 +14,6 @@ with a mapping-driven :class:`TailoredDelegationProvider`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..dnscore.name import Name, name
 from ..dnscore.rdata import A, NS, SOA
 from ..dnscore.records import RRset, make_rrset
@@ -26,6 +24,8 @@ from ..control.mapping import MapSnapshot, nearest_edges
 #: Paper values (section 5.2).
 HOSTNAME_TTL = 20
 DELEGATION_TTL = 4000
+#: Lowlevel nameservers in one tailored delegation.
+LOWLEVELS_PER_DELEGATION = 2
 
 
 def speedup(toplevel_rtt: float, lowlevel_rtt: float, r_t: float) -> float:
@@ -88,12 +88,11 @@ def weighted_rtt(rtts: list[float]) -> float:
     return sum(r * w for r, w in zip(rtts, weights)) / total
 
 
-@dataclass(slots=True)
 class TwoTierNames:
     """The domain names the Two-Tier hierarchy hangs on."""
 
-    apex: Name = name("akamai.net")
-    lowlevel_zone: Name = name("w10.akamai.net")
+    apex = name("akamai.net")
+    lowlevel_zone = name("w10.akamai.net")
 
     def hostname(self, index: int = 1) -> Name:
         return name(f"a{index}.w10.akamai.net")
@@ -103,20 +102,16 @@ class TailoredDelegationProvider:
     """Mapping-driven lowlevel NS sets, one per querying resolver.
 
     The lowlevel nameservers are drawn from the mapping snapshot's edge
-    inventory: the ``count`` nearest alive edges to the client. Falls
-    back to a deterministic sample when the client cannot be located.
+    inventory: the ``LOWLEVELS_PER_DELEGATION`` nearest alive edges to
+    the client. Falls back to a deterministic sample when the client
+    cannot be located.
     """
 
-    def __init__(self, snapshot_source, locator, *, count: int = 2,
-                 lowlevel_zone: Name | None = None,
-                 delegation_ttl: int = DELEGATION_TTL) -> None:
+    def __init__(self, snapshot_source, locator) -> None:
         """``snapshot_source`` is a callable returning the current
         :class:`MapSnapshot`; ``locator`` maps client keys to GeoPoints."""
         self._snapshot_source = snapshot_source
         self._locator = locator
-        self.count = count
-        self.lowlevel_zone = lowlevel_zone or TwoTierNames().lowlevel_zone
-        self.delegation_ttl = delegation_ttl
 
     def delegation(self, cut: Name, client_key: str | None
                    ) -> tuple[RRset, list[RRset]] | None:
@@ -128,22 +123,23 @@ class TailoredDelegationProvider:
             alive = [e for e in snapshot.edges if e.alive]
             if not alive:
                 return None
-            chosen = alive[:self.count]
+            chosen = alive[:LOWLEVELS_PER_DELEGATION]
         else:
-            chosen = nearest_edges(snapshot, location, self.count)
+            chosen = nearest_edges(snapshot, location,
+                                   LOWLEVELS_PER_DELEGATION)
             if not chosen:
                 return None
         ns_targets = [self._ns_name(e.address) for e in chosen]
-        ns_rrset = make_rrset(cut, RType.NS, self.delegation_ttl,
+        ns_rrset = make_rrset(cut, RType.NS, DELEGATION_TTL,
                               [NS(t) for t in ns_targets])
-        glue = [make_rrset(target, RType.A, self.delegation_ttl,
+        glue = [make_rrset(target, RType.A, DELEGATION_TTL,
                            [A(edge.address)])
                 for target, edge in zip(ns_targets, chosen)]
         return ns_rrset, glue
 
     def _ns_name(self, address: str) -> Name:
         slug = address.replace(".", "-")
-        return name(f"n{slug}.{self.lowlevel_zone}")
+        return name(f"n{slug}.{TwoTierNames.lowlevel_zone}")
 
 
 def build_toplevel_zone(names: TwoTierNames,

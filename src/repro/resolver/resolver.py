@@ -130,13 +130,11 @@ class RecursiveResolver:
 
     def __init__(self, loop: EventLoop, network: Network, host_id: str,
                  hints: dict[Name, list[str]],
-                 *, selection: SelectionStrategy | None = None,
-                 rng: random.Random | None = None,
+                 *, rng: random.Random,
+                 selection: SelectionStrategy | None = None,
                  timeout: float = DEFAULT_TIMEOUT,
                  resolution_deadline: float = DEFAULT_RESOLUTION_DEADLINE,
-                 send_ecs_for: str | None = None,
                  edns_payload: int | None = 1232,
-                 fixed_source_port: int | None = None,
                  validate_dnssec: bool = False) -> None:
         self.loop = loop
         self.network = network
@@ -144,16 +142,17 @@ class RecursiveResolver:
         #: zone name -> nameserver addresses bootstrap (the "root hints").
         self.hints = {origin: list(addrs) for origin, addrs in hints.items()}
         self.selection = selection or UniformSelection()
-        # Unit-test convenience only: every deployment constructs the
-        # resolver with a seed-derived rng (platform/deployment.py).
-        self.rng = rng or random.Random(0)
+        self.rng = rng
         self.timeout = timeout
         self.resolution_deadline = resolution_deadline
-        self.send_ecs_for = send_ecs_for
+        #: Client address whose subnet rides every upstream query as
+        #: EDNS Client Subnet; None sends none. No deployment sets it:
+        #: tests/platform/test_ecs.py drives the platform's end-user
+        #: mapping through it.
+        self.send_ecs_for: str | None = None
         #: Advertised EDNS UDP payload size (None disables EDNS unless
         #: ECS is configured). Modern resolvers advertise ~1232.
         self.edns_payload = edns_payload
-        self.fixed_source_port = fixed_source_port
         #: Opt-in DNSSEC validation: queries carry DO=1, and responses
         #: bearing RRSIGs are verified against the signer's DNSKEY
         #: (fetched on demand and cached). The trust model is the
@@ -336,8 +335,7 @@ class RecursiveResolver:
         # target; nothing to reuse.
         query = make_query(msg_id, resolution.target, resolution.qtype,
                            edns=edns)
-        port = (self.fixed_source_port if self.fixed_source_port is not None
-                else self.rng.randint(1024, 65535))
+        port = self.rng.randint(1024, 65535)
         envelope = QueryEnvelope(query, tcp=tcp)
         _t = _telemetry.ACTIVE
         if _t is not None and resolution.span is not None:

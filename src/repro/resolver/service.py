@@ -143,15 +143,12 @@ class StubClient:
     """An end-user host sending queries to its assigned resolver."""
 
     def __init__(self, loop: EventLoop, network: Network, host_id: str,
-                 resolver_address: str,
-                 rng: random.Random | None = None) -> None:
+                 resolver_address: str, rng: random.Random) -> None:
         self.loop = loop
         self.network = network
         self.host_id = host_id
         self.resolver_address = resolver_address
-        # Unit-test convenience only: experiments pass a seed-derived
-        # rng explicitly (see enduser_latency).
-        self.rng = rng or random.Random(0)
+        self.rng = rng
         self.results: list[ClientResult] = []
         self._inflight: dict[int, tuple[ClientResult,
                                         Callable | None]] = {}

@@ -89,7 +89,6 @@ class MachineConfig:
     wire_responses: bool = False
     staleness_threshold: float = 30.0
     input_delayed: bool = False
-    input_delay: float = 3600.0
     #: When True, zone updates delivered over the metadata bus are
     #: semantically validated against the served version and rejected
     #: on any fatal issue (dnscore.validate). Rollback installs bypass
@@ -177,8 +176,7 @@ class NameserverMachine:
     def __init__(self, loop: EventLoop, machine_id: str,
                  engine: AuthoritativeEngine, pipeline: ScoringPipeline,
                  queue_policy: QueuePolicy,
-                 config: MachineConfig | None = None,
-                 respond: ResponseCallback | None = None) -> None:
+                 config: MachineConfig | None = None) -> None:
         self.loop = loop
         self.machine_id = machine_id
         self.engine = engine
@@ -189,7 +187,8 @@ class NameserverMachine:
                                 owner=machine_id))
         self.queues.clock = loop
         self.firewall = QoDFirewall(self.config.t_qod)
-        self.respond = respond or (lambda dgram, message: None)
+        #: Where answers go; the PoP or host the machine joins sets it.
+        self.respond: ResponseCallback = lambda dgram, message: None
         self.state = MachineState.RUNNING
         self.metrics = MachineMetrics()
         #: Injected hardware/software fault: None, "unresponsive", or

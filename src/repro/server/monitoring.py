@@ -49,6 +49,8 @@ class AgentMetrics:
 
 
 RegressionTest = Callable[[NameserverMachine], bool]
+#: Seconds between an agent's runs of its test suite.
+PERIOD = 2.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,7 +77,6 @@ class MonitoringAgent:
 
     def __init__(self, loop: EventLoop, machine: NameserverMachine,
                  speaker: MachineBGPSpeaker, *,
-                 period: float = 1.0,
                  coordinator: SuspensionCoordinator | None = None,
                  allow_self_suspend: bool = True,
                  regression_tests: list[RegressionTest] | None = None,
@@ -97,8 +98,8 @@ class MonitoringAgent:
         self._withdrew_for_crash = False
         self._msg_id = 0
         machine.crash_listeners.append(self._on_crash)
-        self._task = PeriodicTask(loop, period, self.run_check,
-                                  start_delay=period)
+        self._task = PeriodicTask(loop, PERIOD, self.run_check,
+                                  start_delay=PERIOD)
 
     def stop(self) -> None:
         self._task.stop()

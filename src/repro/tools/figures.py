@@ -17,7 +17,7 @@ from ..experiments.runner import run_all
 LOG_X_EXPERIMENTS = {"fig3", "fig8", "fig11"}
 
 
-def render_markdown(results, *, width: int = 64, height: int = 14) -> str:
+def render_markdown(results, *, height: int = 14) -> str:
     """One markdown document with an ASCII figure per experiment."""
     parts = ["# Regenerated figures (ASCII)",
              "",
@@ -42,7 +42,7 @@ def render_markdown(results, *, width: int = 64, height: int = 14) -> str:
         parts.append("```")
         parts.append(ascii_plot(
             plottable,
-            config=PlotConfig(width=width, height=height,
+            config=PlotConfig(height=height,
                               log_x=result.experiment_id
                               in LOG_X_EXPERIMENTS)))
         parts.append("```")

@@ -29,7 +29,6 @@ from .geolocation import (
     regional_query_shares,
 )
 from .population import (
-    PopulationParams,
     Resolver,
     ResolverPopulation,
     ZonePopularity,
@@ -40,7 +39,7 @@ from .population import (
 __all__ = [
     "AttackStats", "DirectQueryAttack", "DiurnalModel", "GeoRecord",
     "GeolocationService", "JunkPayload", "MAJOR_REGIONS",
-    "PopulationParams", "QoDInjector", "RandomSubdomainAttack", "Resolver",
+    "QoDInjector", "RandomSubdomainAttack", "Resolver",
     "ResolverPopulation", "SECONDS_PER_DAY", "SECONDS_PER_WEEK",
     "SpoofedIdentity", "SpoofedSourceAttack", "VolumetricAttack",
     "ZonePopularity", "bursty_counts", "major_region_share",

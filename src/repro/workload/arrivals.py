@@ -11,37 +11,34 @@ modulated Poisson process whose peak-to-mean ratio is the resolver's
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 SECONDS_PER_DAY = 86_400.0
 SECONDS_PER_WEEK = 7 * SECONDS_PER_DAY
+#: Figure 1's range, 3.9M-5.6M qps, with weekends ~8% below weekdays.
+TROUGH_QPS = 3_900_000.0
+PEAK_QPS = 5_600_000.0
+WEEKEND_DIP = 0.92
+PEAK_HOUR_UTC = 15.0   # aggregate peak across world regions
 
 
-@dataclass(slots=True)
 class DiurnalModel:
     """Weekly query-rate profile calibrated to Figure 1.
 
     ``rate(t)`` returns platform qps at second ``t`` of the week
-    (t=0 is Sunday 00:00). The trough-to-peak range defaults to the
-    paper's 3.9M-5.6M with weekends ~8% below weekdays.
+    (t=0 is Sunday 00:00).
     """
-
-    trough_qps: float = 3_900_000.0
-    peak_qps: float = 5_600_000.0
-    weekend_dip: float = 0.92
-    peak_hour_utc: float = 15.0   # aggregate peak across world regions
 
     def rate(self, t: float) -> float:
         day_fraction = (t % SECONDS_PER_DAY) / SECONDS_PER_DAY
-        phase = 2 * math.pi * (day_fraction - self.peak_hour_utc / 24.0)
-        mid = (self.peak_qps + self.trough_qps) / 2
-        amplitude = (self.peak_qps - self.trough_qps) / 2
+        phase = 2 * math.pi * (day_fraction - PEAK_HOUR_UTC / 24.0)
+        mid = (PEAK_QPS + TROUGH_QPS) / 2
+        amplitude = (PEAK_QPS - TROUGH_QPS) / 2
         base = mid + amplitude * math.cos(phase)
         day_index = int(t // SECONDS_PER_DAY) % 7
         if day_index in (0, 6):  # Sunday, Saturday
-            base *= self.weekend_dip
+            base *= WEEKEND_DIP
         return base
 
     def series(self, step_seconds: float = 3600.0,

@@ -30,12 +30,8 @@ from ..server.machine import QueryEnvelope
 SendFn = Callable[[Datagram], None]
 
 
-@dataclass(slots=True)
 class JunkPayload:
     """Non-DNS garbage used by volumetric attacks (reflection floods)."""
-
-    kind: str = "ntp-reflection"
-    size_bytes: int = 468
 
 
 @dataclass(slots=True)
@@ -90,11 +86,11 @@ class VolumetricAttack(_BaseAttack):
     """Class 1: bandwidth saturation with non-DNS reflection traffic."""
 
     def __init__(self, loop, rng, send, rate_pps, duration, *,
-                 target: str, source_count: int = 1000) -> None:
+                 target: str) -> None:
         super().__init__(loop, rng, send, rate_pps, duration)
         self.target = target
         self.sources = [f"203.0.{i // 250}.{i % 250 + 1}"
-                        for i in range(source_count)]
+                        for i in range(1000)]
 
     def make_packet(self) -> Datagram:
         return Datagram(src=self.rng.choice(self.sources), dst=self.target,

@@ -22,6 +22,19 @@ from dataclasses import dataclass
 RESOLVER_SIGMA = 2.72
 ZONE_SIGMA = 3.5
 ASN_SIGMA = 2.2
+N_ASNS = 600
+TOTAL_QPS = 4_750_000.0   # paper: 3.9M-5.6M qps, mid-range
+WEEKLY_DRIFT_SIGMA = 0.132  # ~53% of weight within +-10%
+WEEKLY_CHURN = 0.04         # fraction of resolvers replaced/week
+#: Fraction of top resolvers concentrated in the 6 largest ASNs — the
+#: paper's top ASNs are 3 public DNS services, 2 major ISPs, and Akamai
+#: itself, and they host the busiest resolvers.
+HEAVY_HITTER_FRACTION = 0.045
+MAJOR_ASN_COUNT = 6
+#: The very largest resolvers are public-DNS-service frontends whose
+#: rates sit far above even the lognormal tail; boost the top few.
+MEGA_RESOLVER_COUNT = 5
+MEGA_RESOLVER_BOOST = 4.0
 
 
 @dataclass(slots=True)
@@ -33,57 +46,25 @@ class Resolver:
     base_rate: float          # long-run average queries/sec to the platform
     burstiness: float = 4.0   # peak-to-mean ratio of its arrival process
     ip_ttl: int = 58          # typical observed IP TTL at the platform
-    dnssec_ok: bool = False   # sets DO=1 on its queries (validating)
-
-
-@dataclass(slots=True)
-class PopulationParams:
-    """Size and skew knobs."""
-
-    n_resolvers: int = 20_000
-    n_asns: int = 600
-    n_zones: int = 2_000
-    total_qps: float = 4_750_000.0   # paper: 3.9M-5.6M qps, mid-range
-    resolver_sigma: float = RESOLVER_SIGMA
-    zone_sigma: float = ZONE_SIGMA
-    asn_sigma: float = ASN_SIGMA
-    weekly_drift_sigma: float = 0.132  # ~53% of weight within +-10%
-    weekly_churn: float = 0.04         # fraction of resolvers replaced/week
-    #: Fraction of top resolvers concentrated in the 6 largest ASNs —
-    #: the paper's top ASNs are 3 public DNS services, 2 major ISPs, and
-    #: Akamai itself, and they host the busiest resolvers.
-    heavy_hitter_fraction: float = 0.045
-    major_asn_count: int = 6
-    #: The very largest resolvers are public-DNS-service frontends whose
-    #: rates sit far above even the lognormal tail; boost the top few.
-    mega_resolver_count: int = 5
-    mega_resolver_boost: float = 4.0
-    #: Fraction of resolvers that set the EDNS DO bit (i.e. validate
-    #: DNSSEC). 0.0 — the default — consumes no RNG draws at all, so
-    #: enabling it never perturbs other seeded streams retroactively.
-    dnssec_ok_fraction: float = 0.0
 
 
 class ResolverPopulation:
     """A persistent population of resolvers with stable heavy hitters."""
 
-    def __init__(self, rng: random.Random,
-                 params: PopulationParams | None = None) -> None:
+    def __init__(self, rng: random.Random, n_resolvers: int) -> None:
         self.rng = rng
-        self.params = params or PopulationParams()
-        p = self.params
         # ASN sizes: heavy-tailed so few ASNs host the busiest resolvers.
-        self._asn_weights = [rng.lognormvariate(0.0, p.asn_sigma)
-                             for _ in range(p.n_asns)]
+        self._asn_weights = [rng.lognormvariate(0.0, ASN_SIGMA)
+                             for _ in range(N_ASNS)]
         total_asn = sum(self._asn_weights)
         self._asn_cdf: list[float] = []
         acc = 0.0
         for w in self._asn_weights:
             acc += w / total_asn
             self._asn_cdf.append(acc)
-        raw = [rng.lognormvariate(0.0, p.resolver_sigma)
-               for _ in range(p.n_resolvers)]
-        scale = p.total_qps / sum(raw)
+        raw = [rng.lognormvariate(0.0, RESOLVER_SIGMA)
+               for _ in range(n_resolvers)]
+        scale = TOTAL_QPS / sum(raw)
         self.resolvers: list[Resolver] = []
         for i, rate in enumerate(raw):
             self.resolvers.append(Resolver(
@@ -92,23 +73,19 @@ class ResolverPopulation:
                 base_rate=rate * scale,
                 burstiness=1.5 + rng.random() * 15.0,
                 ip_ttl=rng.choice([64, 64, 64, 128, 255]) - rng.randint(5, 25),
-                # Short-circuit keeps the draw count at zero when the
-                # fraction is 0.0 (the byte-identity contract).
-                dnssec_ok=(p.dnssec_ok_fraction > 0.0
-                           and rng.random() < p.dnssec_ok_fraction),
             ))
         # Concentrate the heavy hitters in the few major ASNs (public DNS
         # services and the largest ISPs).
         major_asns = sorted(range(len(self._asn_weights)),
                             key=lambda a: -self._asn_weights[a]
-                            )[:p.major_asn_count]
+                            )[:MAJOR_ASN_COUNT]
         major_weights = [self._asn_weights[a] for a in major_asns]
-        for resolver in self.top_resolvers(p.heavy_hitter_fraction):
+        for resolver in self.top_resolvers(HEAVY_HITTER_FRACTION):
             resolver.asn = rng.choices(major_asns, weights=major_weights,
                                        k=1)[0]
         ranked = sorted(self.resolvers, key=lambda r: -r.base_rate)
-        for resolver in ranked[:p.mega_resolver_count]:
-            resolver.base_rate *= p.mega_resolver_boost
+        for resolver in ranked[:MEGA_RESOLVER_COUNT]:
+            resolver.base_rate *= MEGA_RESOLVER_BOOST
             resolver.burstiness = max(resolver.burstiness, 10.0)
 
     def _draw_asn(self) -> int:
@@ -164,11 +141,10 @@ class ResolverPopulation:
         reproducing the paper's 85-98% week-over-week overlap of the
         top-3% list and the +-10% mass concentration of Figure 4.
         """
-        p = self.params
         for resolver in self.resolvers:
-            drift = self.rng.lognormvariate(0.0, p.weekly_drift_sigma)
+            drift = self.rng.lognormvariate(0.0, WEEKLY_DRIFT_SIGMA)
             resolver.base_rate *= drift
-        n_churn = int(len(self.resolvers) * p.weekly_churn)
+        n_churn = int(len(self.resolvers) * WEEKLY_CHURN)
         indices = self.rng.sample(range(len(self.resolvers)), n_churn)
         raw_scale = self.total_qps() / max(1, len(self.resolvers))
         for i in indices:
@@ -176,11 +152,10 @@ class ResolverPopulation:
             self.resolvers[i] = Resolver(
                 address=old.address + "x",  # a brand-new source
                 asn=self._draw_asn(),
-                base_rate=self.rng.lognormvariate(0.0, p.resolver_sigma)
-                * raw_scale / math.exp(p.resolver_sigma ** 2 / 2),
+                base_rate=self.rng.lognormvariate(0.0, RESOLVER_SIGMA)
+                * raw_scale / math.exp(RESOLVER_SIGMA ** 2 / 2),
                 burstiness=1.5 + self.rng.random() * 15.0,
                 ip_ttl=old.ip_ttl,
-                dnssec_ok=old.dnssec_ok,
             )
 
 
@@ -196,14 +171,13 @@ class ZonePopularity:
     HEAD_SHARE = 0.88
     HEAD_ZIPF_EXPONENT = 0.12
 
-    def __init__(self, rng: random.Random, n_zones: int = 2_000,
-                 sigma: float = ZONE_SIGMA) -> None:
+    def __init__(self, rng: random.Random, n_zones: int = 2_000) -> None:
         head_count = max(1, round(n_zones * 0.01))
         head_raw = [1.0 / (r ** self.HEAD_ZIPF_EXPONENT)
                     for r in range(1, head_count + 1)]
         head_total = sum(head_raw)
         head = [self.HEAD_SHARE * w / head_total for w in head_raw]
-        tail_raw = [rng.lognormvariate(0.0, sigma)
+        tail_raw = [rng.lognormvariate(0.0, ZONE_SIGMA)
                     for _ in range(n_zones - head_count)]
         tail_total = sum(tail_raw) or 1.0
         tail = [(1.0 - self.HEAD_SHARE) * w / tail_total for w in tail_raw]

@@ -36,7 +36,7 @@ class TestAsciiPlot:
 
     def test_custom_canvas(self):
         text = ascii_plot({"s": ([0, 1], [0, 1])},
-                          config=PlotConfig(width=20, height=5))
+                          config=PlotConfig(height=5))
         rows = [r for r in text.splitlines() if "|" in r]
         assert len(rows) == 5
 

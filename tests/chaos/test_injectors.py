@@ -14,6 +14,7 @@ from repro.chaos.injectors import ControlInjector, ServerInjector
 from repro.dnscore import RCode, RType, name
 from repro.netsim.builder import InternetParams
 from repro.platform import AkamaiDNSDeployment, DeploymentParams
+from repro.platform.deployment import METADATA_HEARTBEAT
 from repro.server.machine import MachineState
 
 
@@ -187,11 +188,11 @@ class TestControlInjector:
 
         injector.inject(fault)
         frozen_at = dep.machine.last_input_time
-        deployment.settle(3 * deployment.params.metadata_heartbeat)
+        deployment.settle(3 * METADATA_HEARTBEAT)
         assert dep.machine.last_input_time == frozen_at
 
         injector.clear(fault)
-        deployment.settle(deployment.params.metadata_heartbeat + 5.0)
+        deployment.settle(METADATA_HEARTBEAT + 5.0)
         assert dep.machine.last_input_time > frozen_at
 
     def test_metadata_freeze_platform_wide(self):
@@ -204,7 +205,7 @@ class TestControlInjector:
         deployment.settle(25.0)
         inputs = [d.machine.last_input_time
                   for d in deployment.regular_deployments()]
-        deployment.settle(3 * deployment.params.metadata_heartbeat)
+        deployment.settle(3 * METADATA_HEARTBEAT)
         assert [d.machine.last_input_time
                 for d in deployment.regular_deployments()] == inputs
 
@@ -343,13 +344,12 @@ class TestAttackInjector:
 
     def test_sources_are_real_stub_routers(self, shared):
         from repro.chaos.injectors import AttackInjector
-        injector = AttackInjector(shared, source_count=4)
+        injector = AttackInjector(shared)
         sources = injector.attack_sources()
-        assert len(sources) == 4
+        assert len(sources) == 8
         assert set(sources) <= set(shared.internet.stubs)
         # Deterministic slice: same deployment, same sources.
-        assert sources == AttackInjector(shared, source_count=4) \
-            .attack_sources()
+        assert sources == AttackInjector(shared).attack_sources()
 
 
 class TestGrayInjector:

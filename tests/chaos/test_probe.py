@@ -55,10 +55,10 @@ class ScriptedResolver:
         self.loop.call_later(delay, finish)
 
 
-def run_probe(mode=None, until=20.0, period=0.5, window=5.0):
+def run_probe(mode=None, until=20.0, period=0.5):
     loop = EventLoop()
     probe = SLOProbe(loop, ScriptedResolver(loop, mode), "probe.net",
-                     period=period, window=window)
+                     period=period)
     probe.start()
     loop.run_until(until)
     probe.stop()
@@ -104,7 +104,7 @@ class TestGrading:
 
 class TestWindows:
     def test_windows_tile_the_run(self):
-        report = run_probe(until=12.0, window=5.0)
+        report = run_probe(until=12.0)
         assert [(w.start, w.end) for w in report.windows] == \
             [(0.0, 5.0), (5.0, 10.0), (10.0, 15.0)]
         assert report.total_probes == len(report.outcomes)
@@ -134,8 +134,6 @@ class TestWindows:
         loop = EventLoop()
         with pytest.raises(ValueError):
             SLOProbe(loop, ScriptedResolver(loop), "probe.net", period=0.0)
-        with pytest.raises(ValueError):
-            SLOProbe(loop, ScriptedResolver(loop), "probe.net", window=-1.0)
 
 
 class TestTimeToRecovery:

@@ -15,7 +15,6 @@ from repro.control.defense import (
     DefenseController,
     DefenseParams,
     DefenseRung,
-    GuardrailParams,
 )
 from repro.netsim import EventLoop
 from repro.telemetry import Telemetry, TelemetryConfig
@@ -50,9 +49,7 @@ class FakeMachine:
 
 
 def make_params(**overrides):
-    defaults = dict(check_period=1.0, for_ticks=2, clear_ticks=2,
-                    soak_seconds=3.0,
-                    guardrail=GuardrailParams(margin=0.25, min_samples=4))
+    defaults = dict(for_ticks=2, clear_ticks=2, soak_seconds=3.0)
     defaults.update(overrides)
     return DefenseParams(**defaults)
 

@@ -68,7 +68,6 @@ class TestMappingAnswers:
         mapping.set_edge_load("10.0.0.2", 0.95)
         view = make_view(mapping.snapshot(),
                          {"client-eu": GeoPoint(50.0, 1.0)})
-        view.answer_count = 1
         rrset = view.answer(name("a1.w10.akamai.net"), RType.A,
                             "client-eu")
         # The nearby-but-loaded London edge can lose to NYC.

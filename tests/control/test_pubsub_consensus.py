@@ -90,11 +90,10 @@ class TestMetadataBus:
 
 
 class TestQuorumCoordinator:
-    def make(self, replicas=5, limit=2):
+    def make(self, limit=2):
         loop = EventLoop()
         return loop, QuorumSuspensionCoordinator(
-            loop, replicas=replicas, max_concurrent=limit,
-            lease_seconds=100.0)
+            loop, max_concurrent=limit, lease_seconds=100.0)
 
     def test_grants_up_to_limit(self):
         loop, c = self.make(limit=2)
@@ -134,24 +133,18 @@ class TestQuorumCoordinator:
         assert "m1" in c.active_suspensions()
 
     def test_minority_partition_denies(self):
-        loop, c = self.make(replicas=5, limit=2)
+        loop, c = self.make(limit=2)
         for i in range(3):
             c.set_replica_reachable(i, False)
         assert not c.request_suspension("m1")
         assert c.denials == 1
 
     def test_majority_partition_still_grants(self):
-        loop, c = self.make(replicas=5, limit=2)
+        loop, c = self.make(limit=2)
         c.set_replica_reachable(0, False)
         c.set_replica_reachable(1, False)
         assert c.request_suspension("m1")
 
     def test_quorum_size(self):
-        _, c = self.make(replicas=5)
+        _, c = self.make()
         assert c.quorum_size == 3
-        _, c1 = self.make(replicas=1)
-        assert c1.quorum_size == 1
-
-    def test_invalid_replica_count(self):
-        with pytest.raises(ValueError):
-            QuorumSuspensionCoordinator(EventLoop(), replicas=0)

@@ -37,7 +37,7 @@ def make_fleet(loop, count):
 class TestRecoverySystem:
     def test_healthy_fleet_no_alerts(self):
         loop = EventLoop()
-        recovery = RecoverySystem(loop, sample_period=5.0)
+        recovery = RecoverySystem(loop)
         for machine in make_fleet(loop, 8):
             recovery.register(machine)
         loop.run_until(60.0)
@@ -47,8 +47,7 @@ class TestRecoverySystem:
 
     def test_alert_on_widespread_failure(self):
         loop = EventLoop()
-        recovery = RecoverySystem(loop, sample_period=5.0,
-                                  alert_unavailable_fraction=0.25)
+        recovery = RecoverySystem(loop)
         fleet = make_fleet(loop, 8)
         for machine in fleet:
             recovery.register(machine)
@@ -62,7 +61,7 @@ class TestRecoverySystem:
 
     def test_snapshot_counts_states(self):
         loop = EventLoop()
-        recovery = RecoverySystem(loop, sample_period=5.0)
+        recovery = RecoverySystem(loop)
         fleet = make_fleet(loop, 6)
         for machine in fleet:
             recovery.register(machine)

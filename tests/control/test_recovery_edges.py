@@ -72,7 +72,7 @@ def agented_machine(loop, pop, machine_id, coordinator, *,
     machine = make_machine(loop, machine_id, restart_delay=restart_delay)
     pop.add_machine(machine)
     speaker = MachineBGPSpeaker(pop, machine_id, [PREFIX])
-    agent = MonitoringAgent(loop, machine, speaker, period=1.0,
+    agent = MonitoringAgent(loop, machine, speaker,
                             coordinator=coordinator)
     speaker.advertise_all()
     return machine, speaker, agent
@@ -81,7 +81,7 @@ def agented_machine(loop, pop, machine_id, coordinator, *,
 class TestFleetEdgeCases:
     def test_all_crashed_fleet_still_alerts(self):
         loop = EventLoop()
-        recovery = RecoverySystem(loop, sample_period=5.0)
+        recovery = RecoverySystem(loop)
         fleet = [make_machine(loop, f"m{i}") for i in range(4)]
         for machine in fleet:
             recovery.register(machine)
@@ -94,7 +94,7 @@ class TestFleetEdgeCases:
 
     def test_empty_fleet_samples_without_dividing_by_zero(self):
         loop = EventLoop()
-        recovery = RecoverySystem(loop, sample_period=5.0)
+        recovery = RecoverySystem(loop)
         loop.run_until(20.0)
         assert recovery.history
         assert all(s.unavailable_fraction == 0.0 for s in recovery.history)

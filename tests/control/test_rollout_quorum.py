@@ -95,9 +95,9 @@ def test_rollback_lands_despite_active_quorum_denial():
     def corrupt_canaries():
         for machine in world.canaries:
             machine.fault = "wrong_answer"
-    world.loop.call_later(1.5, corrupt_canaries)
+    world.loop.call_later(2.5, corrupt_canaries)
     world.loop.call_later(
-        2.0, lambda: world.rollout.publish(zone_v(2, with_www=False)))
+        3.0, lambda: world.rollout.publish(zone_v(2, with_www=False)))
 
     world.loop.run_until(200.0)
 

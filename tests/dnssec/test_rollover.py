@@ -63,8 +63,7 @@ class SignedTrain:
             machine.install_zone(self.baseline)
         self.coordinator.set_baseline(self.baseline)
         self.controller = KeyRolloverController(
-            self.loop, self.coordinator, self.signer,
-            step_hold_seconds=2.0)
+            self.loop, self.coordinator, self.signer)
 
     def fleet_dnskey_tags(self):
         """Per-machine sets of DNSKEY tags actually being served."""

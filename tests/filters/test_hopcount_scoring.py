@@ -28,7 +28,7 @@ class TestHopCount:
             assert f.score(ctx(now=float(i), ip_ttl=58)) == 0.0
 
     def test_tolerance_allows_small_jitter(self):
-        f = HopCountFilter(HopCountConfig(min_observations=5, tolerance=1))
+        f = HopCountFilter(HopCountConfig(min_observations=5))
         f.prime("r1", 58)
         assert f.score(ctx(ip_ttl=57)) == 0.0
         assert f.score(ctx(ip_ttl=59)) == 0.0

@@ -1,7 +1,12 @@
 """Tests for the leaky-bucket rate-limit filter."""
 
 from repro.dnscore import RType, name
-from repro.filters import QueryContext, RateLimitConfig, RateLimitFilter
+from repro.filters import (
+    QueryContext,
+    RateLimitConfig,
+    RateLimitFilter,
+    ratelimit,
+)
 
 
 def ctx(source: str, now: float) -> QueryContext:
@@ -191,8 +196,7 @@ class TestLearnedRateDecayVsBands:
         # deprioritized into a penalty queue, never discarded outright.
         config = RateLimitConfig(min_limit_qps=1.0, headroom=1.0,
                                  burst_seconds=1.0, warmup_queries=0,
-                                 learning_window=10.0, learning_alpha=0.5,
-                                 penalty=20.0)
+                                 learning_window=10.0, learning_alpha=0.5)
         f = RateLimitFilter(config)
         f.prime("fading", 50.0)
         for i in range(6):
@@ -200,6 +204,6 @@ class TestLearnedRateDecayVsBands:
         policy = QueuePolicy()
         scores = [f.score(ctx("fading", 70.0 + i * 0.1))
                   for i in range(40)]  # 10 qps vs decayed ~1-2 qps limit
-        assert any(s == config.penalty for s in scores)
+        assert any(s == ratelimit.PENALTY for s in scores)
         for s in scores:
             assert policy.queue_for(s) is not None

@@ -68,10 +68,6 @@ MUTANTS = (
          "            self.pending = set()\n"),)),
     Mutant("unseeded-rng", "DET006", _DEPLOYMENT, (
         (_RESOLVER_RNG, "            rng=random.Random(),\n"),)),
-    Mutant("unseeded-default-rng", "DET006",
-           "src/repro/resolver/resolver.py", (
-               ("        self.rng = rng or random.Random(0)\n",
-                "        self.rng = rng or random.Random()\n"),)),
     Mutant("sleep-per-response", "LOOP001", _ENGINE, (
         _IMPORT_TIME,
         ("        self.queries_answered += 1\n",
@@ -124,9 +120,9 @@ MUTANTS = (
            "src/repro/workload/population.py", (
                ("class ResolverPopulation:\n",
                 "_BUILT: list[int] = []\n\n\nclass ResolverPopulation:\n"),
-               ("        scale = p.total_qps / sum(raw)\n",
+               ("        scale = TOTAL_QPS / sum(raw)\n",
                 "        _BUILT.append(1)\n"
-                "        scale = p.total_qps / sum(raw) * (1 + len(_BUILT) / 1e6)\n"))),
+                "        scale = TOTAL_QPS / sum(raw) * (1 + len(_BUILT) / 1e6)\n"))),
     Mutant("seedless-entry-point", _SEED_TEST,
            "src/repro/experiments/fig9_decision_tree.py", (
                ("def run(seed: int = 42) -> ExperimentResult:\n",

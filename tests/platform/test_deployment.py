@@ -6,6 +6,7 @@ from repro.dnscore import RCode, RType, name
 from repro.netsim.builder import InternetParams
 from repro.platform import AkamaiDNSDeployment, DeploymentParams
 from repro.server.machine import MachineState
+from repro.server.monitoring import PERIOD as MONITORING_PERIOD
 
 
 @pytest.fixture(scope="module")
@@ -107,13 +108,13 @@ class TestResiliencyIntegration:
         # resolution still succeeds.
         victim = deployment.regular_deployments()[0]
         victim.machine.fault = "unresponsive"
-        deployment.settle(deployment.params.monitoring_period * 3)
+        deployment.settle(MONITORING_PERIOD * 3)
         assert victim.machine.state == MachineState.SUSPENDED
         r = deployment.add_resolver("t-res-5", timeout=1.0)
         result = resolve(deployment, r, "www.acme.net", wait=30.0)
         assert result.rcode == RCode.NOERROR
         victim.machine.fault = None
-        deployment.settle(deployment.params.monitoring_period * 3)
+        deployment.settle(MONITORING_PERIOD * 3)
         assert victim.machine.state == MachineState.RUNNING
 
     def test_mapping_liveness_change_propagates(self, deployment):

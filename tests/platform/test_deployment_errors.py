@@ -19,6 +19,16 @@ def small(**overrides):
 
 
 class TestConstructionErrors:
+    @pytest.mark.parametrize("field, value", [
+        ("machines_per_pop", 0), ("pops_per_cloud", 0),
+        ("n_edge_servers", 0), ("n_pops", 0), ("n_pops", -3),
+        ("deployed_clouds", 0), ("deployed_clouds", 25)])
+    def test_out_of_range_scale_names_the_field(self, field, value):
+        # Before: a platform with no machines, two IndexErrors, and
+        # "not enough PoP capacity" for a PoP count of zero.
+        with pytest.raises(ValueError, match=f"{field} must be .* {value}$"):
+            small(**{field: value})
+
     def test_insufficient_pop_capacity(self):
         # 8 clouds x 3 PoPs each = 24 slots > 8 PoPs x 2 slots.
         with pytest.raises(ValueError, match="not enough PoP capacity"):

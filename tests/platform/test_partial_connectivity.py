@@ -14,6 +14,7 @@ from repro.dnscore import RCode, RType, name
 from repro.netsim.builder import InternetParams
 from repro.platform import AkamaiDNSDeployment, DeploymentParams
 from repro.server.machine import MachineState
+from repro.server.monitoring import PERIOD as MONITORING_PERIOD
 
 
 @pytest.fixture
@@ -51,7 +52,7 @@ def test_partial_connectivity_failure(deployment):
     # Past the threshold: staleness detected, machines self-suspend,
     # the PoP withdraws, anycast fails the catchment over.
     deployment.settle(threshold
-                      + deployment.params.monitoring_period * 4)
+                      + MONITORING_PERIOD * 4)
     assert all(d.machine.state == MachineState.SUSPENDED for d in victims)
     assert not deployment.pops[victim_pop].advertises(cloud.prefix)
     assert deployment.pops[backup_pop].advertises(cloud.prefix)
@@ -68,7 +69,7 @@ def test_partial_connectivity_failure(deployment):
     for dep in victims:
         deployment.bus.set_partitioned(dep.machine, False)
     deployment.mapping.publish()
-    deployment.settle(deployment.params.monitoring_period * 4)
+    deployment.settle(MONITORING_PERIOD * 4)
     assert all(d.machine.state == MachineState.RUNNING for d in victims)
     assert deployment.pops[victim_pop].advertises(cloud.prefix)
 

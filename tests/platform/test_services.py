@@ -8,6 +8,7 @@ from repro.netsim.builder import InternetParams
 from repro.netsim.geo import GeoPoint
 from repro.platform import AkamaiDNSDeployment, DeploymentParams
 from repro.server.machine import MachineState
+from repro.server.monitoring import PERIOD as MONITORING_PERIOD
 
 
 @pytest.fixture(scope="module")
@@ -82,13 +83,13 @@ class TestStaleState:
         threshold = machine.config.staleness_threshold
         deployment.bus.set_partitioned(machine, True)
         deployment.settle(threshold
-                          + deployment.params.monitoring_period * 3)
+                          + MONITORING_PERIOD * 3)
         assert machine.is_stale(deployment.loop.now)
         assert machine.state == MachineState.SUSPENDED
         # Connectivity restored: held metadata flushes, agent resumes.
         deployment.bus.set_partitioned(machine, False)
         deployment.mapping.publish()
-        deployment.settle(deployment.params.monitoring_period * 3)
+        deployment.settle(MONITORING_PERIOD * 3)
         assert machine.state == MachineState.RUNNING
 
     def test_partitioned_machine_view_lags(self, deployment):
@@ -99,7 +100,7 @@ class TestStaleState:
         deployment.settle(5)
         assert victim.view.snapshot.version == version_before
         deployment.bus.set_partitioned(victim.machine, False)
-        deployment.settle(deployment.params.monitoring_period * 3)
+        deployment.settle(MONITORING_PERIOD * 3)
         assert victim.view.snapshot.version > version_before
 
 

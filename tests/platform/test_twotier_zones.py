@@ -63,8 +63,7 @@ class TestTailoredDelegationProvider:
 
     def provider(self, edges, locations):
         snap = snapshot(edges)
-        return TailoredDelegationProvider(lambda: snap,
-                                          locations.get, count=1)
+        return TailoredDelegationProvider(lambda: snap, locations.get)
 
     def test_nearest_edge_selected_per_client(self):
         locations = {"eu-client": GeoPoint(48.8, 2.3),

@@ -328,18 +328,3 @@ class TestSourcePorts:
         r = make_resolver(loop, net)
         resolve(loop, r, "www.ex.net")
         assert len(set(ports)) > 1
-
-    def test_fixed_port_honored(self, world):
-        loop, net, _, _ = world
-        ports = []
-        original_send = net.send
-
-        def spy(dgram):
-            if isinstance(dgram, Datagram) and dgram.dst != "resolver-0":
-                ports.append(dgram.src_port)
-            original_send(dgram)
-
-        net.send = spy
-        r = make_resolver(loop, net, fixed_source_port=5353)
-        resolve(loop, r, "www.ex.net")
-        assert set(ports) == {5353}

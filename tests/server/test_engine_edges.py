@@ -78,9 +78,9 @@ class TestAgentZoneRotation:
             def advertise_all(self):
                 pass
 
-        agent = MonitoringAgent(loop, machine, NullSpeaker(), period=1.0,
+        agent = MonitoringAgent(loop, machine, NullSpeaker(),
                                 max_probe_zones=3)
-        loop.run_until(10.0)
+        loop.run_until(20.0)
         # Over successive cycles the rotation reaches every zone.
         assert {f"z{i}.example." for i in range(10)} <= set(probed)
         # But each cycle stays cheap.

@@ -152,7 +152,7 @@ class TestMonitoringAgent:
     def test_detects_fault_and_self_suspends(self, world):
         loop, net, pop = world
         machine, speaker = add_machine(loop, pop, "m1")
-        agent = MonitoringAgent(loop, machine, speaker, period=1.0)
+        agent = MonitoringAgent(loop, machine, speaker)
         speaker.advertise_all()
         loop.run_until(5)
         machine.fault = "wrong_answer"
@@ -164,7 +164,7 @@ class TestMonitoringAgent:
     def test_resumes_after_recovery(self, world):
         loop, net, pop = world
         machine, speaker = add_machine(loop, pop, "m1")
-        agent = MonitoringAgent(loop, machine, speaker, period=1.0)
+        agent = MonitoringAgent(loop, machine, speaker)
         speaker.advertise_all()
         loop.run_until(5)
         machine.fault = "unresponsive"
@@ -181,7 +181,7 @@ class TestMonitoringAgent:
             loop, pop, "m1",
             config=MachineConfig(restart_delay=3.0,
                                  staleness_threshold=float("inf")))
-        MonitoringAgent(loop, machine, speaker, period=1.0)
+        MonitoringAgent(loop, machine, speaker)
         speaker.advertise_all()
         loop.run_until(5)
         machine.crash()
@@ -204,7 +204,7 @@ class TestMonitoringAgent:
             def renew(self, machine_id):
                 return False
 
-        agent = MonitoringAgent(loop, machine, speaker, period=1.0,
+        agent = MonitoringAgent(loop, machine, speaker,
                                 coordinator=Deny())
         speaker.advertise_all()
         loop.run_until(5)
@@ -220,7 +220,7 @@ class TestMonitoringAgent:
         machine, speaker = add_machine(
             loop, pop, "m1",
             config=MachineConfig(staleness_threshold=10.0))
-        MonitoringAgent(loop, machine, speaker, period=1.0)
+        MonitoringAgent(loop, machine, speaker)
         speaker.advertise_all()
         machine.receive_metadata(0.0)
         loop.run_until(5)
@@ -237,7 +237,7 @@ class TestMonitoringAgent:
         machine, speaker = add_machine(loop, pop, "m1")
         failures = {"fail": False}
         MonitoringAgent(
-            loop, machine, speaker, period=1.0,
+            loop, machine, speaker,
             regression_tests=[lambda m: not failures["fail"]])
         speaker.advertise_all()
         loop.run_until(3)
@@ -252,7 +252,7 @@ class TestMonitoringAgent:
         coordinator = QuorumSuspensionCoordinator(loop, max_concurrent=1,
                                                   lease_seconds=5.0)
         machine, speaker = add_machine(loop, pop, "m1")
-        MonitoringAgent(loop, machine, speaker, period=1.0,
+        MonitoringAgent(loop, machine, speaker,
                         coordinator=coordinator)
         speaker.advertise_all()
         loop.run_until(3)
@@ -272,7 +272,7 @@ class TestHealthReportImmutability:
     def test_report_fields_are_frozen(self, world):
         loop, net, pop = world
         machine, speaker = add_machine(loop, pop, "m1")
-        agent = MonitoringAgent(loop, machine, speaker, period=1.0)
+        agent = MonitoringAgent(loop, machine, speaker)
         loop.run_until(2)
         report = agent.run_suite()
         assert report.healthy
@@ -294,10 +294,9 @@ class TestHealthReportImmutability:
         # report, not a poisoned singleton.
         loop, net, pop = world
         machine, speaker = add_machine(loop, pop, "m1")
-        agent = MonitoringAgent(loop, machine, speaker, period=1.0)
+        agent = MonitoringAgent(loop, machine, speaker)
         other_machine, other_speaker = add_machine(loop, pop, "m2")
-        other_agent = MonitoringAgent(loop, other_machine, other_speaker,
-                                      period=1.0)
+        other_agent = MonitoringAgent(loop, other_machine, other_speaker)
         loop.run_until(2)
         report = agent.run_suite()
         with pytest.raises(AttributeError):

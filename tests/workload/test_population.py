@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from repro.workload import (
+    arrivals,
     DiurnalModel,
     GeolocationService,
-    PopulationParams,
     ResolverPopulation,
     SECONDS_PER_WEEK,
     ZonePopularity,
@@ -24,8 +24,7 @@ from repro.workload.geolocation import MAJOR_REGIONS
 
 @pytest.fixture(scope="module")
 def population():
-    return ResolverPopulation(random.Random(7),
-                              PopulationParams(n_resolvers=8_000))
+    return ResolverPopulation(random.Random(7), 8_000)
 
 
 class TestResolverPopulation:
@@ -51,15 +50,13 @@ class TestResolverPopulation:
         assert len(set(addresses)) == len(addresses)
 
     def test_weekly_evolution_preserves_size(self):
-        pop = ResolverPopulation(random.Random(1),
-                                 PopulationParams(n_resolvers=2_000))
+        pop = ResolverPopulation(random.Random(1), 2_000)
         before = len(pop.resolvers)
         pop.advance_week()
         assert len(pop.resolvers) == before
 
     def test_weekly_overlap_high(self):
-        pop = ResolverPopulation(random.Random(1),
-                                 PopulationParams(n_resolvers=5_000))
+        pop = ResolverPopulation(random.Random(1), 5_000)
         top_before = [r.address for r in pop.top_resolvers(0.03)]
         pop.advance_week()
         top_after = [r.address for r in pop.top_resolvers(0.03)]
@@ -101,8 +98,9 @@ class TestDiurnal:
         model = DiurnalModel()
         rates = [model.rate(t) for t in range(0, int(SECONDS_PER_WEEK),
                                               3600)]
-        assert min(rates) >= model.trough_qps * model.weekend_dip * 0.99
-        assert max(rates) <= model.peak_qps * 1.01
+        assert min(rates) >= (arrivals.TROUGH_QPS * arrivals.WEEKEND_DIP
+                              * 0.99)
+        assert max(rates) <= arrivals.PEAK_QPS * 1.01
 
     def test_weekend_dip(self):
         model = DiurnalModel()
