@@ -24,8 +24,6 @@ class TestConstructionErrors:
         ("n_edge_servers", 0), ("n_pops", 0), ("n_pops", -3),
         ("deployed_clouds", 0), ("deployed_clouds", 25)])
     def test_out_of_range_scale_names_the_field(self, field, value):
-        # Before: a platform with no machines, two IndexErrors, and
-        # "not enough PoP capacity" for a PoP count of zero.
         with pytest.raises(ValueError, match=f"{field} must be .* {value}$"):
             small(**{field: value})
 
