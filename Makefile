@@ -3,7 +3,7 @@
 PY ?= python
 LINT_PYTHONPATH = src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test reach bench bench-check chaos rollout-demo \
+.PHONY: install test reach outputs bench bench-check chaos rollout-demo \
         defend-demo dnssec-demo gray-demo report report-fast examples lint \
         clean
 
@@ -20,6 +20,15 @@ test:
 # line of either list no longer holds.
 reach:
 	PYTHONPATH=$(LINT_PYTHONPATH) $(PY) -m pytest tests/reach -m reach
+
+# Every product output (15 --fast figures, six scorecards, ten examples,
+# eight bench sim_digests) hashed and compared with
+# tests/outputs/OUTPUTS.json (~1 min); the failure names each row that
+# differs. `$(PY) -m pytest tests/outputs -m outputs --record` rewrites
+# the file: record it on the parent commit, then the PR's diff of it is
+# the list of outputs the PR moved.
+outputs:
+	PYTHONPATH=$(LINT_PYTHONPATH) $(PY) -m pytest tests/outputs -m outputs
 
 # reprolint (the in-tree determinism/event-loop/seed-hygiene checker)
 # always runs; ruff and mypy run when installed (pip install -e .[lint])

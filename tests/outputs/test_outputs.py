@@ -1,0 +1,113 @@
+"""The outputs a PR says it kept: recomputed, and compared by hash.
+
+    python -m pytest tests/outputs -m outputs            # compare
+    python -m pytest tests/outputs -m outputs --record   # rewrite OUTPUTS.json
+
+``OUTPUTS.json`` holds one line per output: the SHA-256 of
+``to_dict(include_series=True)`` for each of the 15 ``--fast`` figures,
+of the stdout of the six scorecard runs and the ten examples (with the
+exit status), and the ``sim_digest`` ``bench/harness.py`` prints for the
+four workloads at seeds 42 and 977. Every command runs in a process of
+its own, as a user would run it. Tier-1 deselects the marker (about two
+minutes on two cpus); a PR records the file on its parent commit first,
+so its own diff of the file is the list of outputs it moved.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+import pytest
+
+from repro.experiments.parallel import JOB_ORDER
+
+HERE = Path(__file__).resolve().parent
+REPO = HERE.parents[1]
+MANIFEST = HERE / "OUTPUTS.json"
+
+SCORECARDS = [(*scale, *suite)
+              for scale in (("--fast",), ())
+              for suite in ((), ("--dnssec",), ("--gray",))]
+EXAMPLES = sorted(path.name for path in (REPO / "examples").glob("*.py"))
+WORKLOADS = ("resolve_steady", "flood_defend", "churn_mixed", "engine_wire")
+BENCH_SEEDS = (42, 977)
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _run(*args: str) -> subprocess.CompletedProcess:
+    """``python args...`` from the repo root, hash seed pinned as
+    ``bench/run.py`` pins it."""
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    return subprocess.run([sys.executable, *args], cwd=REPO, env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True)
+
+
+def _stdout_row(*args: str) -> str:
+    done = _run(*args)
+    return f"exit {done.returncode} {_sha(done.stdout)}"
+
+
+def _figures() -> dict[str, str]:
+    with tempfile.TemporaryDirectory(prefix="outputs-") as scratch:
+        path = Path(scratch) / "report.json"
+        done = _run("-m", "repro.experiments.runner", "--fast", "--jobs",
+                    "2", "--json", str(path))
+        assert path.exists(), done.stderr[-2000:]
+        results = json.loads(path.read_text())
+    assert len(results) == len(JOB_ORDER)
+    return {f"figure {label}": _sha(json.dumps(result, sort_keys=True))
+            for label, result in zip(JOB_ORDER, results)}
+
+
+def _sim_digest(workload: str, seed: int) -> str:
+    done = _run("bench/harness.py", "--workload", workload,
+                "--seed", str(seed))
+    assert done.returncode == 0, done.stderr[-2000:]
+    return json.loads(done.stdout.strip().splitlines()[-1])["sim_digest"]
+
+
+def compute() -> dict[str, str]:
+    """Every row, two child processes at a time."""
+    jobs = {"figures": _figures}
+    for flags in SCORECARDS:
+        jobs[" ".join(["scorecard", *flags])] = lambda flags=flags: \
+            _stdout_row("-m", "repro.experiments.resilience_scorecard",
+                        *flags)
+    for name in EXAMPLES:
+        jobs[f"example {name}"] = lambda name=name: \
+            _stdout_row(f"examples/{name}")
+    for workload in WORKLOADS:
+        for seed in BENCH_SEEDS:
+            jobs[f"sim_digest {workload} {seed}"] = \
+                lambda workload=workload, seed=seed: \
+                _sim_digest(workload, seed)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        done = dict(zip(jobs, pool.map(lambda job: job(), jobs.values())))
+    rows = done.pop("figures")
+    rows.update(done)
+    return rows
+
+
+@pytest.mark.outputs
+def test_outputs_match_the_committed_manifest(request):
+    rows = compute()
+    if request.config.getoption("--record"):
+        MANIFEST.write_text(json.dumps(rows, indent=1) + "\n")
+        return
+    recorded = json.loads(MANIFEST.read_text())
+    differs = [f"{name}: {recorded.get(name, 'not recorded')} -> "
+               f"{rows.get(name, 'gone')}"
+               for name in sorted(set(recorded) | set(rows))
+               if recorded.get(name) != rows.get(name)]
+    assert not differs, "\n".join(differs)
