@@ -84,6 +84,12 @@ ROLLOUT_SOAK = 45.0
 #: Recovery budget every campaign must meet (availability targets are
 #: per-campaign, in :class:`CampaignSLO`).
 MAX_RECOVERY_SECONDS = 25.0
+#: What "a visible dip" means, once: more than this share of one probe
+#: window's probes failing (four of the twenty a window holds at paper
+#: scale, two of ten at ``--fast``). It is the probe-failure detector's
+#: threshold and the bound the grader holds the worst window to, so a
+#: dip the availability row accepts is one the detection row can see.
+VISIBLE_DIP_RATIO = 0.15
 #: Budget from first fault injection to the telemetry pipeline's
 #: probe-failure alert, for campaigns that expect a visible dip.
 #: Measured from *injection*, so it includes fault-propagation time (a
@@ -688,12 +694,9 @@ def run_campaign(params: ScorecardParams,
     telemetry = Telemetry(TelemetryConfig(seed=params.seed,
                                           trace_sample_rate=0.0,
                                           arm_mitigations=defense))
-    # Fires when a detector window's failure ratio crosses 25% — i.e.
-    # availability dips below 75%, well under any campaign's healthy
-    # baseline but above the worst dips the SLO targets tolerate.
     detector = RatioDetector("probe-failure",
                              window=PROBE_WINDOW,
-                             threshold=0.25, min_count=2)
+                             threshold=VISIBLE_DIP_RATIO, min_count=2)
     telemetry.alerts.add(detector, "probe.fail")
     with _telemetry_state.session(telemetry):
         deployment = build_deployment(params, rollout=rollout,
@@ -894,7 +897,7 @@ def run_unit(params: ScorecardParams, index: int,
         # the platform is invincible.
         availability_holds = (availability_holds
                               and report.worst_window_availability
-                              < 1.0)
+                              < 1.0 - VISIBLE_DIP_RATIO)
         target = (f">= {slo.min_overall:.0%}, with a visible dip")
     else:
         target = f">= {slo.min_overall:.0%}"
