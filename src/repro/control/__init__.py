@@ -8,7 +8,6 @@ quorum-limited suspension coordinator.
 from .consensus import QuorumSuspensionCoordinator
 from .defense import (
     DefenseController,
-    DefenseParams,
     DefenseRung,
     DefenseTransition,
     FilterInsertRung,
@@ -57,7 +56,7 @@ from .reporting import (
 
 __all__ = [
     "Alert", "CDN_ANSWER_TTL", "CDN_CHANNEL", "ChannelProfile",
-    "DefenseController", "DefenseParams", "DefenseRung",
+    "DefenseController", "DefenseRung",
     "DefenseTransition", "EdgeServer", "Enterprise",
     "FilterInsertRung", "FirewallRuleRung", "FleetSnapshot",
     "GTMProperty", "MULTICAST_CHANNEL",

@@ -20,13 +20,16 @@ from ..netsim.clock import EventLoop
 
 #: Replicas of the lease table; a grant needs a majority of them.
 REPLICAS = 5
+#: How long a grant or a renewal holds. A holder that stops renewing (a
+#: machine that died suspended) frees its slot this long after its last
+#: renewal.
+LEASE_SECONDS = 300.0
 
 
 @dataclass(slots=True)
 class _Replica:
     """One replica's view of the lease table."""
 
-    replica_id: int
     leases: dict[str, float] = field(default_factory=dict)
     reachable: bool = True
 
@@ -43,13 +46,10 @@ class _Replica:
 class QuorumSuspensionCoordinator:
     """SuspensionCoordinator backed by a majority-quorum lease table."""
 
-    def __init__(self, loop: EventLoop, *, max_concurrent: int = 2,
-                 lease_seconds: float = 300.0) -> None:
+    def __init__(self, loop: EventLoop, *, max_concurrent: int = 2) -> None:
         self.loop = loop
         self.max_concurrent = max_concurrent
-        self.lease_seconds = lease_seconds
-        self._replicas = [_Replica(i) for i in range(REPLICAS)]
-        self.grants = 0
+        self._replicas = [_Replica() for _ in range(REPLICAS)]
         self.denials = 0
 
     @property
@@ -87,10 +87,9 @@ class QuorumSuspensionCoordinator:
         if votes < self.quorum_size:
             self.denials += 1
             return False
-        expiry = now + self.lease_seconds
+        expiry = now + LEASE_SECONDS
         for replica in reachable:
             replica.grant(machine_id, expiry)
-        self.grants += 1
         return True
 
     def release_suspension(self, machine_id: str) -> None:
@@ -102,7 +101,7 @@ class QuorumSuspensionCoordinator:
         """Extend an existing lease (agents renew while suspended)."""
         if machine_id not in self.active_suspensions():
             return False
-        expiry = self.loop.now + self.lease_seconds
+        expiry = self.loop.now + LEASE_SECONDS
         for replica in self._reachable():
             replica.grant(machine_id, expiry)
         return True

@@ -9,9 +9,9 @@ This module automates that sequence deterministically:
 * a :class:`DefenseController` consumes the telemetry alert pipeline
   and walks a configurable ladder of :class:`DefenseRung` steps, one
   rung at a time, each soaking before the next may engage;
-* tick-level hysteresis (``for_ticks``/``clear_ticks``, the detectors'
-  for_windows/clear_windows idiom one level up) keeps a flapping alert
-  from oscillating mitigations;
+* tick-level hysteresis (``FOR_TICKS``/``CLEAR_TICKS``, the detectors'
+  window streaks one level up) keeps a flapping alert from oscillating
+  mitigations;
 * de-escalation is symmetric — rungs unwind in reverse order once the
   signal clears, so no mitigation is ever left stuck; and
 * every rung runs under a **collateral-damage guardrail**: a rolling
@@ -61,7 +61,7 @@ def known_resolver_estimator(machines: Sequence) -> EstimatorFn:
 class DefenseRung:
     """One step of the ladder: a reversible mitigation.
 
-    ``soak_seconds`` (None = controller default) is how long the rung
+    ``soak_seconds`` (None = ``SOAK_SECONDS``) is how long the rung
     must hold — and its guardrail must stay clean — before the ladder
     may climb past it; ``cool_off_seconds`` is how long the rung stays
     latched out after a guardrail revert.
@@ -202,18 +202,14 @@ GUARDRAIL_MARGIN = 0.25
 GUARDRAIL_MIN_SAMPLES = 4
 
 
-@dataclass(slots=True)
-class DefenseParams:
-    """How long the controller waits before it moves."""
-
-    #: Consecutive alert-active ticks before the first rung engages
-    #: (also the pre-mitigation window the attack-damage baseline is
-    #: measured over).
-    for_ticks: int = 3
-    #: Consecutive calm ticks before each rung unwinds.
-    clear_ticks: int = 3
-    #: Default per-rung soak; a rung's ``soak_seconds`` overrides.
-    soak_seconds: float = 6.0
+#: Consecutive alert-active ticks before the first rung engages (also
+#: the pre-mitigation window the attack-damage baseline is measured
+#: over).
+FOR_TICKS = 3
+#: Consecutive calm ticks before each rung unwinds.
+CLEAR_TICKS = 3
+#: Per-rung soak; a rung's own ``soak_seconds`` overrides.
+SOAK_SECONDS = 6.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -240,14 +236,12 @@ class DefenseController:
     """
 
     def __init__(self, loop, ladder: Sequence[DefenseRung], *,
-                 params: DefenseParams | None = None,
                  estimator: EstimatorFn | None = None,
                  machines: Sequence = ()) -> None:
         if not ladder:
             raise ValueError("the ladder needs at least one rung")
         self.loop = loop
         self.ladder = list(ladder)
-        self.params = params or DefenseParams()
         self.estimator = estimator
         self.machines = list(machines)
         #: Indices of currently engaged rungs, in engage order.
@@ -329,7 +323,7 @@ class DefenseController:
             self._breach_ticks = 0
             if self._stack:
                 self._calm_ticks += 1
-                if self._calm_ticks >= self.params.clear_ticks:
+                if self._calm_ticks >= CLEAR_TICKS:
                     self._disengage_top(now, "disengage")
                     self._calm_ticks = 0
         if self._stack or self._alert_active:
@@ -338,13 +332,13 @@ class DefenseController:
             self._ticking = False
 
     def _may_escalate(self, now: float) -> bool:
-        if self._breach_ticks < self.params.for_ticks:
+        if self._breach_ticks < FOR_TICKS:
             return False
         if not self._stack:
             return True
         top = self.ladder[self._stack[-1]]
         soak = (top.soak_seconds if top.soak_seconds is not None
-                else self.params.soak_seconds)
+                else SOAK_SECONDS)
         return now - self._last_change >= soak
 
     def _next_rung(self, now: float) -> int | None:
@@ -385,7 +379,7 @@ class DefenseController:
             detail=(f"legit loss {loss:.0%} > allowed {allowed:.0%}; "
                     f"latched {rung.cool_off_seconds:g}s"))
         # A revert restarts the escalation clock: the ladder must see
-        # for_ticks more active ticks before trying the next rung.
+        # FOR_TICKS more active ticks before trying the next rung.
         self._breach_ticks = 0
         return True
 

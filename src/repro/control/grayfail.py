@@ -89,8 +89,16 @@ START_DELAY = 1.0
 #: Vantage hosts attached at each PoP (each sends one A probe per
 #: machine per round; the first also sends the SOA serial probe).
 VANTAGES_PER_POP = 3
+#: Consecutive bad rounds before HEALTHY escalates to SUSPECT.
+SUSPECT_AFTER = 2
 #: Further consecutive bad rounds before SUSPECT becomes CONVICTED.
 CONVICT_AFTER = 2
+#: Consecutive clean rounds that clear a SUSPECT (or a convicted-but-
+#: serving machine whose suspension was quorum-denied).
+EXONERATE_AFTER = 2
+#: Continuous seconds a machine's SOA serial may lag the fleet-max
+#: serial before lag counts as evidence (absorbs pub/sub jitter).
+STALE_GRACE = 30.0
 #: Seconds a suspended machine rests before probation probing starts.
 PROBATION_DELAY = 10.0
 #: Consecutive clean probation rounds before traffic is restored.
@@ -102,20 +110,6 @@ ANSWERED_FLOOR = 0.9
 #: Minimum machines reporting an answer digest before the majority
 #: cross-check applies (differential evidence needs peers).
 MIN_PEERS = 3
-
-
-@dataclass(slots=True)
-class GrayFailParams:
-    """The verdict hysteresis, which tests shorten."""
-
-    #: Consecutive bad rounds before HEALTHY escalates to SUSPECT.
-    suspect_after: int = 2
-    #: Consecutive clean rounds that clear a SUSPECT (or a convicted-
-    #: but-serving machine whose suspension was quorum-denied).
-    exonerate_after: int = 2
-    #: Continuous seconds a machine's SOA serial may lag the fleet-max
-    #: serial before lag counts as evidence (absorbs pub/sub jitter).
-    stale_grace: float = 30.0
 
 
 @dataclass(slots=True)
@@ -178,17 +172,15 @@ class DifferentialAuditor:
        serving the identical zone version;
     3. **SOA staleness bound** — a machine whose probe-zone SOA serial
        lags the fleet-max serial continuously for longer than
-       ``stale_grace`` is serving a frozen zone.
+       ``STALE_GRACE`` is serving a frozen zone.
     """
 
-    def __init__(self, params: GrayFailParams) -> None:
-        self.params = params
+    def __init__(self) -> None:
         #: machine id -> sim time its serial first lagged the fleet max.
         self._lag_since: dict[str, float] = {}
 
     def audit(self, now: float,
               records: dict[str, ProbeRecord]) -> dict[str, RoundFinding]:
-        p = self.params
         reasons: dict[str, list[str]] = {m: [] for m in records}
 
         for machine_id, rec in records.items():
@@ -226,7 +218,7 @@ class DifferentialAuditor:
             for machine_id, serial in serials.items():
                 if serial < reference:
                     since = self._lag_since.setdefault(machine_id, now)
-                    if now - since > p.stale_grace:
+                    if now - since > STALE_GRACE:
                         reasons[machine_id].append(
                             f"SOA serial {serial} behind fleet {reference}")
                 else:
@@ -276,16 +268,14 @@ class GrayFailController:
     def __init__(self, loop: EventLoop, network: Network,
                  targets: list[GrayTarget],
                  coordinator: SuspensionCoordinator, *,
-                 params: GrayFailParams | None = None,
                  vantages: dict[str, list[str]],
                  probe_qname: Name, probe_origin: Name) -> None:
         self.loop = loop
         self.network = network
         self.coordinator = coordinator
-        self.params = params or GrayFailParams()
         self.probe_qname = probe_qname
         self.probe_origin = probe_origin
-        self.auditor = DifferentialAuditor(self.params)
+        self.auditor = DifferentialAuditor()
         self.tracks: dict[str, _Track] = {
             t.machine.machine_id: _Track(t) for t in targets}
         #: PoP router id -> vantage host ids attached there.
@@ -299,7 +289,6 @@ class GrayFailController:
         self._msg_id = 0
         # -- observable outcomes ------------------------------------------
         self.convictions = 0
-        self.exonerations = 0
         self.suspensions = 0
         self.denials = 0
         self.rejoins = 0
@@ -353,16 +342,15 @@ class GrayFailController:
 
     def _apply_finding(self, track: _Track, finding: RoundFinding,
                        now: float) -> None:
-        p = self.params
         if finding.ok:
             track.bad_rounds = 0
             track.clean_rounds += 1
             if track.verdict is Verdict.SUSPECT \
-                    and track.clean_rounds >= p.exonerate_after:
+                    and track.clean_rounds >= EXONERATE_AFTER:
                 self._exonerate(track, now)
             elif track.verdict is Verdict.CONVICTED \
                     and not track.lease_held \
-                    and track.clean_rounds >= p.exonerate_after:
+                    and track.clean_rounds >= EXONERATE_AFTER:
                 # Quorum denied the suspension and the machine healed
                 # while serving degraded: no probation needed, it never
                 # left the traffic set.
@@ -380,10 +368,10 @@ class GrayFailController:
             # continuous evidence run that ends in conviction.
             track.first_evidence_at = now
         if track.verdict is Verdict.HEALTHY \
-                and track.bad_rounds >= p.suspect_after:
+                and track.bad_rounds >= SUSPECT_AFTER:
             self._transition(track, Verdict.SUSPECT, now)
         elif track.verdict is Verdict.SUSPECT \
-                and track.bad_rounds >= p.suspect_after + CONVICT_AFTER:
+                and track.bad_rounds >= SUSPECT_AFTER + CONVICT_AFTER:
             self._convict(track, now)
         elif track.verdict is Verdict.PROBATION:
             # Failed a shadow probe round: back to the bench, probation
@@ -406,7 +394,6 @@ class GrayFailController:
 
     def _exonerate(self, track: _Track, now: float) -> None:
         self._transition(track, Verdict.EXONERATED, now)
-        self.exonerations += 1
         self._transition(track, Verdict.HEALTHY, now)
         track.bad_rounds = 0
         track.clean_rounds = 0

@@ -123,20 +123,22 @@ class ZoneCounter:
         return samples
 
 
+#: Seconds between reporting cycles, and the reports kept per zone.
+PERIOD = 60.0
+HISTORY_WINDOWS = 64
+
+
 class TrafficCollector:
     """Aggregates zone counters across the fleet on a reporting period."""
 
-    def __init__(self, loop: EventLoop, *, period: float = 60.0,
-                 history_windows: int = 64) -> None:
+    def __init__(self, loop: EventLoop) -> None:
         self.loop = loop
-        self.period = period
-        self.history_windows = history_windows
         self._counters: list[ZoneCounter] = []
         #: zone -> list of reports, newest last
         self.reports: dict[Name, list[ZoneTrafficReport]] = {}
         self._window_start = loop.now
-        self._task = PeriodicTask(loop, period, self.collect,
-                                  start_delay=period)
+        self._task = PeriodicTask(loop, PERIOD, self.collect,
+                                  start_delay=PERIOD)
 
     def register(self, machine: NameserverMachine) -> ZoneCounter:
         counter = ZoneCounter(machine)
@@ -163,7 +165,7 @@ class TrafficCollector:
         for zone, report in aggregated.items():
             history = self.reports.setdefault(zone, [])
             history.append(report)
-            del history[:-self.history_windows]
+            del history[:-HISTORY_WINDOWS]
         return list(aggregated.values())
 
     def latest(self, zone: Name) -> ZoneTrafficReport | None:

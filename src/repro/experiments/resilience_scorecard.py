@@ -638,8 +638,8 @@ def _wire_defense(deployment: AkamaiDNSDeployment, telemetry: Telemetry,
         machine.known_sources.add("slo-resolver")
     telemetry.alerts.add(
         RateDetector(ATTACK_QPS_ALERT, window=1.0, threshold=120.0,
-                     for_windows=2, clear_windows=2,
-                     severity=AlertSeverity.CRITICAL), "qps")
+                     for_windows=2, severity=AlertSeverity.CRITICAL),
+        "qps")
     spec = next(f for f in campaign.faults
                 if f.kind is FaultKind.ATTACK_FLOOD)
     cloud = next(c for c in deployment.clouds if c.prefix == spec.target)

@@ -8,16 +8,15 @@ are dropped outright.
 
 from .allowlist import ActivationPolicy, AllowlistConfig, AllowlistFilter
 from .base import Filter, QueryContext, ScoreBreakdown, ScoringPipeline
-from .hopcount import HopCountConfig, HopCountFilter
-from .loyalty import LoyaltyConfig, LoyaltyFilter
+from .hopcount import HopCountFilter
+from .loyalty import LoyaltyFilter
 from .nxdomain import NXDomainConfig, NXDomainFilter
-from .ratelimit import RateLimitConfig, RateLimitFilter
+from .ratelimit import RateLimitFilter
 from .scoring import QueuePolicy
 
 __all__ = [
     "ActivationPolicy", "AllowlistConfig", "AllowlistFilter", "Filter",
-    "HopCountConfig", "HopCountFilter", "LoyaltyConfig", "LoyaltyFilter",
-    "NXDomainConfig", "NXDomainFilter", "QueryContext", "QueuePolicy",
-    "RateLimitConfig", "RateLimitFilter", "ScoreBreakdown",
+    "HopCountFilter", "LoyaltyFilter", "NXDomainConfig", "NXDomainFilter",
+    "QueryContext", "QueuePolicy", "RateLimitFilter", "ScoreBreakdown",
     "ScoringPipeline",
 ]

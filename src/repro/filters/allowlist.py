@@ -18,16 +18,16 @@ from .base import QueryContext
 
 
 PENALTY = 30.0
+WINDOW_SECONDS = 10.0    # the sliding window both rates are taken over
+DEACTIVATE_QPS = 500.0   # aggregate rate at which the filter stands down
 
 
 @dataclass(slots=True)
 class AllowlistConfig:
     """The activation policy's thresholds."""
 
-    window_seconds: float = 10.0
     activate_qps: float = 2000.0        # aggregate rate threshold
     activate_unique_sources: int = 500  # source diversity threshold
-    deactivate_qps: float = 500.0
 
 
 class ActivationPolicy:
@@ -49,7 +49,7 @@ class ActivationPolicy:
         counts = self._source_counts
         arrivals.append((now, source))
         counts[source] = counts.get(source, 0) + 1
-        cutoff = now - config.window_seconds
+        cutoff = now - WINDOW_SECONDS
         while arrivals and arrivals[0][0] < cutoff:
             _, expired = arrivals.popleft()
             remaining = counts[expired] - 1
@@ -57,12 +57,12 @@ class ActivationPolicy:
                 counts[expired] = remaining
             else:
                 del counts[expired]
-        qps = len(arrivals) / config.window_seconds
+        qps = len(arrivals) / WINDOW_SECONDS
         if not self.active:
             if qps >= config.activate_qps \
                     and len(counts) >= config.activate_unique_sources:
                 self.active = True
-        elif qps <= config.deactivate_qps:
+        elif qps <= DEACTIVATE_QPS:
             self.active = False
         return self.active
 

@@ -12,7 +12,7 @@ paper's [22]): only TTLs consistent with the current expectation update
 the history, so attack packets cannot poison the table. Genuine route
 changes — where the source's TTL really moves — are tracked by a
 long consecutive-streak rule: if every one of the last
-``relearn_streak`` observations carries the same new TTL (no interleaved
+``RELEARN_STREAK`` observations carries the same new TTL (no interleaved
 legitimate traffic at the old value), the expectation switches.
 """
 
@@ -35,14 +35,8 @@ class _TTLHistory:
 
 PENALTY = 25.0
 TOLERANCE = 1   # |observed - expected| beyond this penalizes
-
-
-@dataclass(slots=True)
-class HopCountConfig:
-    """How much history the filter wants before it acts."""
-
-    min_observations: int = 10   # history needed before enforcing
-    relearn_streak: int = 200    # consecutive new-TTL packets to switch
+MIN_OBSERVATIONS = 10   # history needed before enforcing
+RELEARN_STREAK = 200    # consecutive new-TTL packets to switch
 
 
 class HopCountFilter:
@@ -50,8 +44,7 @@ class HopCountFilter:
 
     name = "hopcount"
 
-    def __init__(self, config: HopCountConfig | None = None) -> None:
-        self.config = config or HopCountConfig()
+    def __init__(self) -> None:
         self._history: dict[str, _TTLHistory] = {}
         self.penalized = 0
         self.relearned = 0
@@ -67,7 +60,6 @@ class HopCountFilter:
         return history.expected if history else None
 
     def score(self, ctx: QueryContext) -> float:
-        config = self.config
         history = self._history.get(ctx.source)
         if history is None:
             history = self._history[ctx.source] = _TTLHistory()
@@ -89,14 +81,14 @@ class HopCountFilter:
         else:
             history.candidate = ctx.ip_ttl
             history.candidate_streak = 1
-        if history.candidate_streak >= config.relearn_streak:
+        if history.candidate_streak >= RELEARN_STREAK:
             history.expected = ctx.ip_ttl
             history.candidate = None
             history.candidate_streak = 0
-            history.total = max(history.total, config.min_observations)
+            history.total = max(history.total, MIN_OBSERVATIONS)
             self.relearned += 1
             return 0.0
-        if history.total < config.min_observations:
+        if history.total < MIN_OBSERVATIONS:
             return 0.0
         self.penalized += 1
         return PENALTY

@@ -24,36 +24,33 @@ class _Bucket:
     learned_rate: float = 0.0     # EWMA of per-window arrival rate, qps
     window_start: float = 0.0
     window_count: int = 0
-    observed: int = 0
 
 
 PENALTY = 20.0
 EGREGIOUS_PENALTY = 10_000.0
 
-
-@dataclass(slots=True)
-class RateLimitConfig:
-    """Tunables for the rate-limit filter."""
-
-    headroom: float = 4.0          # limit = learned_rate * headroom
-    min_limit_qps: float = 10.0    # floor so tiny resolvers are not penalized
-    burst_seconds: float = 5.0     # bucket capacity = limit * burst_seconds
-    learning_alpha: float = 0.3    # EWMA weight per learning window
-    learning_window: float = 60.0  # seconds per learning window
-    #: A source this far past its bucket is not merely bursty — it is
-    #: definitively malicious; the score alone exceeds ``s_max`` so the
-    #: query is discarded outright (paper section 4.3.3).
-    egregious_multiplier: float = 50.0
-    warmup_queries: int = 20       # arrivals before the limit is enforced
+HEADROOM = 4.0          # limit = learned_rate * HEADROOM
+MIN_LIMIT_QPS = 10.0    # floor so tiny resolvers are not penalized
+BURST_SECONDS = 5.0     # bucket capacity = limit * BURST_SECONDS
+LEARNING_ALPHA = 0.3    # EWMA weight per learning window
+LEARNING_WINDOW = 60.0  # seconds per learning window
+#: A source this far past its bucket is not merely bursty — it is
+#: definitively malicious; the score alone exceeds ``s_max`` so the
+#: query is discarded outright (paper section 4.3.3).
+EGREGIOUS_MULTIPLIER = 50.0
 
 
 class RateLimitFilter:
-    """Leaky-bucket limiter keyed by resolver source address."""
+    """Leaky-bucket limiter keyed by resolver source address.
+
+    A source with no history starts on the ``MIN_LIMIT_QPS`` floor with
+    an empty bucket, so its first ``MIN_LIMIT_QPS * BURST_SECONDS``
+    arrivals draw no penalty however fast they come.
+    """
 
     name = "ratelimit"
 
-    def __init__(self, config: RateLimitConfig | None = None) -> None:
-        self.config = config or RateLimitConfig()
+    def __init__(self) -> None:
         self._buckets: dict[str, _Bucket] = {}
         self.penalized = 0
 
@@ -62,28 +59,23 @@ class RateLimitFilter:
         'historically-observed query rates').
 
         Negative history is clamped to zero: a primed-at-zero source
-        still gets the ``min_limit_qps`` floor, it is never penalized
+        still gets the ``MIN_LIMIT_QPS`` floor, it is never penalized
         for merely existing.
         """
         bucket = self._buckets.setdefault(source, _Bucket())
         bucket.learned_rate = max(0.0, typical_qps)
-        bucket.observed = self.config.warmup_queries
 
     def learned_rate(self, source: str) -> float:
         bucket = self._buckets.get(source)
         return bucket.learned_rate if bucket else 0.0
 
-    def _limit_for(self, bucket: _Bucket) -> float:
-        return max(self.config.min_limit_qps,
-                   bucket.learned_rate * self.config.headroom)
-
     def score(self, ctx: QueryContext) -> float:
-        config = self.config
         bucket = self._buckets.get(ctx.source)
         if bucket is None:
-            bucket = self._buckets[ctx.source] = _Bucket()
-        limit = self._limit_for(bucket)
-        capacity = limit * config.burst_seconds
+            bucket = self._buckets[ctx.source] = _Bucket(
+                window_start=ctx.now)
+        limit = max(MIN_LIMIT_QPS, bucket.learned_rate * HEADROOM)
+        capacity = limit * BURST_SECONDS
 
         # Drain since last update, then add this query.
         elapsed = max(0.0, ctx.now - bucket.last_update)
@@ -93,22 +85,16 @@ class RateLimitFilter:
         # Learn from completed windows only: "historical data" adapts on
         # the order of minutes, so an attack cannot legitimize its own
         # rate before the bucket has penalized it.
-        if bucket.observed == 0:
-            bucket.window_start = ctx.now
-        if ctx.now - bucket.window_start >= config.learning_window:
+        if ctx.now - bucket.window_start >= LEARNING_WINDOW:
             window_rate = bucket.window_count / max(
                 1e-9, ctx.now - bucket.window_start)
-            alpha = config.learning_alpha
-            bucket.learned_rate = ((1 - alpha) * bucket.learned_rate
-                                   + alpha * window_rate)
+            bucket.learned_rate = ((1 - LEARNING_ALPHA) * bucket.learned_rate
+                                   + LEARNING_ALPHA * window_rate)
             bucket.window_start = ctx.now
             bucket.window_count = 0
         bucket.window_count += 1
-        bucket.observed += 1
 
-        if bucket.observed <= config.warmup_queries:
-            return 0.0
-        if bucket.level > capacity * config.egregious_multiplier:
+        if bucket.level > capacity * EGREGIOUS_MULTIPLIER:
             self.penalized += 1
             return EGREGIOUS_PENALTY
         if bucket.level > capacity:

@@ -31,7 +31,6 @@ from ..control.consensus import QuorumSuspensionCoordinator
 from ..control.grayfail import (
     VANTAGES_PER_POP,
     GrayFailController,
-    GrayFailParams,
     GrayTarget,
 )
 from ..dnscore.name import Name, name
@@ -631,8 +630,7 @@ class AkamaiDNSDeployment:
 
     # -- gray-failure detection ---------------------------------------------
 
-    def enable_grayfail(self, params: GrayFailParams | None = None
-                        ) -> GrayFailController:
+    def enable_grayfail(self) -> GrayFailController:
         """Attach the external gray-failure prober (control.grayfail).
 
         Opt-in: deployments that never call this are byte-identical to
@@ -666,7 +664,7 @@ class AkamaiDNSDeployment:
                 deployment.speaker.clouds[0]))
         self.grayfail = GrayFailController(
             self.loop, self.network, targets, self.coordinator,
-            params=params, vantages=vantages,
+            vantages=vantages,
             probe_qname=self.clouds[0].ns_hostname,
             probe_origin=name("akam.net"))
         return self.grayfail

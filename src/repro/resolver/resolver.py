@@ -52,7 +52,7 @@ MAX_BACKOFF_MULTIPLE = 4.0
 #: stay bit-for-bit reproducible while retries desynchronize.
 JITTER = 0.15
 #: Overall wall-clock budget for one resolution, seconds.
-DEFAULT_RESOLUTION_DEADLINE = 30.0
+RESOLUTION_DEADLINE = 30.0
 
 
 @dataclass(slots=True)
@@ -133,7 +133,6 @@ class RecursiveResolver:
                  *, rng: random.Random,
                  selection: SelectionStrategy | None = None,
                  timeout: float = DEFAULT_TIMEOUT,
-                 resolution_deadline: float = DEFAULT_RESOLUTION_DEADLINE,
                  edns_payload: int | None = 1232,
                  validate_dnssec: bool = False) -> None:
         self.loop = loop
@@ -144,7 +143,6 @@ class RecursiveResolver:
         self.selection = selection or UniformSelection()
         self.rng = rng
         self.timeout = timeout
-        self.resolution_deadline = resolution_deadline
         #: Client address whose subnet rides every upstream query as
         #: EDNS Client Subnet; None sends none. No deployment sets it:
         #: tests/platform/test_ecs.py drives the platform's end-user
@@ -258,7 +256,7 @@ class RecursiveResolver:
         # bounding the retry ladder keeps chaos campaigns from piling up
         # ancient in-flight resolutions.
         if (self.loop.now - resolution.result.started_at
-                >= self.resolution_deadline):
+                >= RESOLUTION_DEADLINE):
             self._finish(resolution, RCode.SERVFAIL)
             return
         candidates, glueless = self._authority_candidates(resolution)
@@ -379,7 +377,7 @@ class RecursiveResolver:
             jitter = 1.0 + JITTER * ((digest % 2001) / 1000.0 - 1.0)
             timeout = self.timeout * scale * jitter
         remaining = (resolution.result.started_at
-                     + self.resolution_deadline - self.loop.now)
+                     + RESOLUTION_DEADLINE - self.loop.now)
         return min(timeout, max(remaining, 0.05))
 
     def _allocate_id(self) -> int:

@@ -51,6 +51,9 @@ class AgentMetrics:
 RegressionTest = Callable[[NameserverMachine], bool]
 #: Seconds between an agent's runs of its test suite.
 PERIOD = 2.0
+#: Hosted zones one run probes; a machine hosting more is covered by
+#: rotation over successive runs.
+MAX_PROBE_ZONES = 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,15 +82,14 @@ class MonitoringAgent:
                  speaker: MachineBGPSpeaker, *,
                  coordinator: SuspensionCoordinator | None = None,
                  allow_self_suspend: bool = True,
-                 regression_tests: list[RegressionTest] | None = None,
-                 max_probe_zones: int = 8) -> None:
+                 regression_tests: list[RegressionTest] | None = None
+                 ) -> None:
         self.loop = loop
         self.machine = machine
         self.speaker = speaker
         self.coordinator = coordinator
         self.allow_self_suspend = allow_self_suspend
         self.regression_tests = list(regression_tests or [])
-        self.max_probe_zones = max_probe_zones
         self._probe_offset = 0
         #: Reused probe message per origin; only msg_id changes between
         #: cycles, so the agent avoids rebuilding an identical query
@@ -139,12 +141,12 @@ class MonitoringAgent:
         # suite runs every few simulated seconds on every machine, so a
         # fresh list copy per cycle is measurable.
         origins = machine.engine.store.origins_view()
-        if len(origins) > self.max_probe_zones:
+        if len(origins) > MAX_PROBE_ZONES:
             # Rotate through the zone list so every zone is probed over
             # successive cycles without making single cycles expensive.
             start = self._probe_offset % len(origins)
-            self._probe_offset += self.max_probe_zones
-            origins = (origins * 2)[start:start + self.max_probe_zones]
+            self._probe_offset += MAX_PROBE_ZONES
+            origins = (origins * 2)[start:start + MAX_PROBE_ZONES]
         msg_id = self._msg_id
         probe_cache = self._probe_cache
         health_probe = machine.health_probe

@@ -11,8 +11,8 @@ threshold.
 
 Hysteresis is built in so a sawtooth load cannot flap an alert: a
 detector must breach ``for_windows`` consecutive windows to raise, and
-must then stay below the (lower) ``clear_threshold`` for
-``clear_windows`` consecutive windows to clear.
+must then stay below ``CLEAR_RATIO`` of the threshold for
+``CLEAR_WINDOWS`` consecutive windows to clear.
 
 Detectors never schedule events on the simulation loop — windows close
 lazily, when a later observation (or an explicit ``finalize``) proves
@@ -82,6 +82,12 @@ class _Window:
     peak: float = float("-inf")
 
 
+#: An alert clears after this many consecutive windows below this share
+#: of its raise threshold.
+CLEAR_RATIO = 0.8
+CLEAR_WINDOWS = 2
+
+
 class Detector:
     """Base rolling-window detector.
 
@@ -96,25 +102,19 @@ class Detector:
 
     def __init__(self, name: str, *, window: float,
                  threshold: float,
-                 clear_threshold: float | None = None,
                  for_windows: int = 1,
-                 clear_windows: int = 2,
                  severity: AlertSeverity = AlertSeverity.WARNING) -> None:
         if window <= 0:
             raise ValueError("window must be positive")
-        if for_windows < 1 or clear_windows < 1:
-            raise ValueError("for_windows/clear_windows must be >= 1")
+        if for_windows < 1:
+            raise ValueError("for_windows must be >= 1")
         self.name = name
         self.window = window
         self.threshold = threshold
-        #: Hysteresis floor: the alert clears only below this (default
-        #: 80% of the raise threshold), never at threshold - epsilon.
-        self.clear_threshold = (threshold * 0.8 if clear_threshold is None
-                                else clear_threshold)
-        if self.clear_threshold > threshold:
-            raise ValueError("clear_threshold must not exceed threshold")
+        #: Hysteresis floor: the alert clears only below this, never at
+        #: threshold - epsilon.
+        self.clear_threshold = threshold * CLEAR_RATIO
         self.for_windows = for_windows
-        self.clear_windows = clear_windows
         self.severity = severity
         self.state = _DetectorState.OK
         self._breach_streak = 0
@@ -186,7 +186,7 @@ class Detector:
             self._calm_streak += 1
             self._breach_streak = 0
             if (self.state is _DetectorState.FIRING
-                    and self._calm_streak >= self.clear_windows):
+                    and self._calm_streak >= CLEAR_WINDOWS):
                 self.state = _DetectorState.OK
                 if self.manager is not None:
                     self.manager._cleared(self, window_end)

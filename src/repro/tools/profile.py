@@ -67,13 +67,26 @@ def _units(label: str, fast: bool) -> list:
     return units
 
 
+@contextlib.contextmanager
+def profiling(profiler: cProfile.Profile) -> Iterator[None]:
+    """``profiler`` on for the block. ``disable()`` clears whatever
+    profile hook the thread has, so the one found on entry goes back:
+    run in-process under another profiler, the tool is a guest."""
+    before = sys.getprofile()
+    profiler.enable()
+    try:
+        yield
+    finally:
+        profiler.disable()
+        sys.setprofile(before)
+
+
 def _profile_label(label: str, fast: bool) -> pstats.Stats:
     units = _units(label, fast)
     profiler = cProfile.Profile()
-    profiler.enable()
-    for unit in units:
-        parallel.run_unit(unit, fast)
-    profiler.disable()
+    with profiling(profiler):
+        for unit in units:
+            parallel.run_unit(unit, fast)
     return summed_stats(profiler)
 
 
@@ -281,10 +294,9 @@ def count_events(label: str, *, fast: bool = True,
     with counted_events(tally):
         if label in parallel.JOB_ORDER:
             units = _units(label, fast)
-            profiler.enable()
-            for unit in units:
-                parallel.run_unit(unit, fast)
-            profiler.disable()
+            with profiling(profiler):
+                for unit in units:
+                    parallel.run_unit(unit, fast)
             return tally, records_by_class(profiler), None
         scenarios = load_scenarios(workloads)
         if label not in scenarios:
@@ -296,10 +308,9 @@ def count_events(label: str, *, fast: bool = True,
         scenario.build(_Untimed())
         scenario.begin()
         tally.begin_phase()
-        profiler.enable()
-        for i in range(scenario.n_slices):
-            scenario.step(i)
-        profiler.disable()
+        with profiling(profiler):
+            for i in range(scenario.n_slices):
+                scenario.step(i)
     return tally, records_by_class(profiler), scenario.report()["ops"]
 
 

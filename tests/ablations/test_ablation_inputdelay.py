@@ -14,7 +14,7 @@ from repro.dnscore import RType, name
 from repro.netsim.builder import InternetParams
 from repro.platform.deployment import AkamaiDNSDeployment, DeploymentParams
 from repro.resolver.resolver import (
-    DEFAULT_RESOLUTION_DEADLINE,
+    RESOLUTION_DEADLINE,
     ResolutionResult,
 )
 from repro.server.machine import MachineConfig
@@ -22,7 +22,7 @@ from repro.server.machine import MachineConfig
 
 #: Long enough for a resolution started during the outage to finish
 #: either way: answered, or failed at the resolver's own deadline.
-OUTAGE_SETTLE = DEFAULT_RESOLUTION_DEADLINE + 10.0
+OUTAGE_SETTLE = RESOLUTION_DEADLINE + 10.0
 
 
 def _scenario(input_delayed: bool) -> tuple[bool, ResolutionResult, set[str]]:

@@ -6,16 +6,17 @@ raises/clears exactly like the scorecard's QPS detector, while
 recording rungs log every engage/disengage with its timestamp. All
 schedules (feed observations, traffic pumps) are installed up front, so
 at equal times they run before the controller's later-scheduled ticks —
-the timings asserted below are exact, not approximate.
+the timings asserted below are exact, not approximate. The detector
+raises at the end of the first breached 1 s window and clears at the end
+of the second calm one; the controller ticks every second from the
+raise, engages after ``FOR_TICKS`` = 3 active ticks, soaks each rung
+``SOAK_SECONDS`` = 6 and unwinds one rung per ``CLEAR_TICKS`` = 3 calm
+ticks.
 """
 
 import pytest
 
-from repro.control.defense import (
-    DefenseController,
-    DefenseParams,
-    DefenseRung,
-)
+from repro.control.defense import DefenseController, DefenseRung
 from repro.netsim import EventLoop
 from repro.telemetry import Telemetry, TelemetryConfig
 from repro.telemetry.alerts import GaugeDetector
@@ -48,27 +49,18 @@ class FakeMachine:
         self.modes.append(("exit",))
 
 
-def make_params(**overrides):
-    defaults = dict(for_ticks=2, clear_ticks=2, soak_seconds=3.0)
-    defaults.update(overrides)
-    return DefenseParams(**defaults)
-
-
-def make_session(n_rungs=3, *, params=None, estimator=None, machines=(),
+def make_session(n_rungs=3, *, estimator=None, machines=(),
                  ladder=None, log=None):
     loop = EventLoop()
     telemetry = Telemetry(TelemetryConfig(arm_mitigations=True))
     telemetry.alerts.add(
-        GaugeDetector("attack-qps", window=1.0, threshold=10.0,
-                      for_windows=1, clear_windows=1),
-        "attack")
+        GaugeDetector("attack-qps", window=1.0, threshold=10.0), "attack")
     if log is None:
         log = []
     if ladder is None:
         ladder = [RecordingRung(f"rung-{i}", log) for i in range(n_rungs)]
     controller = DefenseController(
-        loop, ladder, params=params or make_params(),
-        estimator=estimator, machines=machines).arm(telemetry)
+        loop, ladder, estimator=estimator, machines=machines).arm(telemetry)
     return loop, telemetry, controller, log
 
 
@@ -130,25 +122,28 @@ class TestArming:
 class TestEscalation:
     def test_climbs_one_rung_per_soak_in_order(self):
         loop, telemetry, controller, log = make_session(3)
-        feed(loop, telemetry, attack_between(0.0, 12.0), until=20.0)
-        loop.run_until(25.0)
-        # Raise at t=1.0; for_ticks=2 ticks later the first rung
-        # engages, then one rung per 3 s soak.
-        assert engages(log) == [(3.0, "rung-0"), (6.0, "rung-1"),
-                                (9.0, "rung-2")]
+        feed(loop, telemetry, attack_between(0.0, 20.0), until=40.0)
+        loop.run_until(45.0)
+        # Raise at t=1.0; three ticks later the first rung engages,
+        # then one rung per 6 s soak.
+        assert engages(log) == [(4.0, "rung-0"), (10.0, "rung-1"),
+                                (16.0, "rung-2")]
         assert controller.max_level == 3
 
     def test_engage_waits_for_ticks(self):
-        loop, telemetry, controller, log = make_session(
-            1, params=make_params(for_ticks=4))
-        feed(loop, telemetry, attack_between(0.0, 12.0), until=20.0)
-        loop.run_until(25.0)
-        assert engages(log)[0] == (5.0, "rung-0")
+        # Raised at 1.0 and clear again at 4.0: active at the ticks at
+        # 2.0 and 3.0 only, one short of engaging.
+        loop, telemetry, controller, log = make_session(1)
+        feed(loop, telemetry, attack_between(0.0, 1.5), until=10.0)
+        loop.run_until(15.0)
+        assert [a.raised_at for a in telemetry.alerts.alerts] == [1.0]
+        assert log == []
+        assert loop.pending == 0
 
     def test_transition_levels_recorded(self):
         loop, telemetry, controller, _ = make_session(2)
-        feed(loop, telemetry, attack_between(0.0, 8.0), until=16.0)
-        loop.run_until(25.0)
+        feed(loop, telemetry, attack_between(0.0, 14.0), until=30.0)
+        loop.run_until(35.0)
         assert [(t.action, t.level) for t in controller.transitions] == [
             ("engage", 1), ("engage", 2),
             ("disengage", 1), ("disengage", 0)]
@@ -157,33 +152,34 @@ class TestEscalation:
 class TestUnwind:
     def test_unwinds_in_reverse_after_clear(self):
         loop, telemetry, controller, log = make_session(3)
-        feed(loop, telemetry, attack_between(0.0, 12.0), until=20.0)
-        loop.run_until(25.0)
-        # Alert clears at t=13; clear_ticks=2 calm ticks per rung,
-        # mildest rung last.
-        assert disengages(log) == [(14.0, "rung-2"), (16.0, "rung-1"),
-                                   (18.0, "rung-0")]
+        feed(loop, telemetry, attack_between(0.0, 20.0), until=40.0)
+        loop.run_until(45.0)
+        # Alert clears at t=22; three calm ticks per rung, mildest
+        # rung last.
+        assert disengages(log) == [(24.0, "rung-2"), (27.0, "rung-1"),
+                                   (30.0, "rung-0")]
         assert controller.level == 0
-        assert controller.unwound_at() == 18.0
+        assert controller.unwound_at() == 30.0
         # Ticking stops once fully unwound: nothing left pending after
         # the feed runs out.
         loop.run_until(60.0)
         assert loop.pending == 0
 
     def test_brief_dip_does_not_unwind(self):
-        # The detector clears during a one-window lull, but
-        # clear_ticks=2 keeps the engaged rungs in place until the
-        # attack genuinely stops.
+        # The detector clears during a two-window lull (calm at the
+        # tick at 10.0 only), but it takes three calm ticks to unwind:
+        # the engaged rung stays until the attack genuinely stops.
         def value(t):
-            if 5.0 <= t < 6.0:
+            if 8.0 <= t < 10.0:
                 return 0.0
-            return 50.0 if t < 12.0 else 0.0
+            return 50.0 if t < 20.0 else 0.0
 
         loop, telemetry, controller, log = make_session(2)
-        feed(loop, telemetry, value, until=20.0)
-        loop.run_until(25.0)
+        feed(loop, telemetry, value, until=40.0)
+        loop.run_until(45.0)
+        assert len(telemetry.alerts.alerts) == 2
         down = disengages(log)
-        assert all(t > 12.0 for t, _ in down)
+        assert all(t > 20.0 for t, _ in down)
         # Each rung engaged exactly once: no flapping through the dip.
         up = engages(log)
         assert sorted(rung for _, rung in up) == ["rung-0", "rung-1"]
@@ -238,22 +234,23 @@ class TestGuardrail:
         bad.engage = lossy_engage
         bad.disengage = lossy_disengage
 
-        self.wire_traffic(loop, counters, answered_until=1e9, until=20.0)
-        feed(loop, telemetry, attack_between(0.0, 12.0), until=20.0)
-        loop.run_until(25.0)
+        self.wire_traffic(loop, counters, answered_until=1e9, until=40.0)
+        feed(loop, telemetry, attack_between(0.0, 20.0), until=40.0)
+        loop.run_until(45.0)
 
-        # bad-rung engaged at 3.0; one tick of 100% known-resolver loss
+        # bad-rung engaged at 4.0; one tick of 100% known-resolver loss
         # (vs attack_loss 0) reverts it and latches it for 30 s.
         assert controller.reverts == 1
-        assert controller.latched_until == {0: 34.0}
+        assert controller.latched_until == {0: 35.0}
         reverts = [t for t in controller.transitions
                    if t.action == "revert"]
-        assert [(t.time, t.rung) for t in reverts] == [(4.0, "bad-rung")]
+        assert [(t.time, t.rung) for t in reverts] == [(5.0, "bad-rung")]
         assert "latched 30s" in reverts[0].detail
-        # The ladder climbs past the latched rung to good-rung and
-        # never re-tries bad-rung (latched beyond the attack's end).
-        assert engages(log) == [(3.0, "bad-rung"), (5.0, "good-rung")]
-        assert controller.unwound_at() == 14.0
+        # Three active ticks from the revert's own and the ladder
+        # climbs past the latched rung to good-rung; it never re-tries
+        # bad-rung (latched beyond the attack's end).
+        assert engages(log) == [(4.0, "bad-rung"), (7.0, "good-rung")]
+        assert controller.unwound_at() == 24.0
         assert controller.attack_loss is None
 
     def test_attack_loss_is_tolerated(self):
@@ -263,9 +260,9 @@ class TestGuardrail:
         counters = {"received": 0, "answered": 0, "healthy": True}
         loop, telemetry, controller, log, _ = self.make_guarded(
             ["rung-0", "rung-1"], counters)
-        self.wire_traffic(loop, counters, answered_until=1.0, until=20.0)
-        feed(loop, telemetry, attack_between(0.0, 12.0), until=20.0)
-        loop.run_until(25.0)
+        self.wire_traffic(loop, counters, answered_until=1.0, until=40.0)
+        feed(loop, telemetry, attack_between(0.0, 20.0), until=40.0)
+        loop.run_until(45.0)
         assert controller.reverts == 0
         assert controller.max_level == 2
         assert [t for t in controller.transitions
@@ -281,23 +278,23 @@ class TestGuardrail:
         counters = {"received": 0, "answered": 0, "healthy": True}
         loop, telemetry, controller, log, _ = self.make_guarded(
             ["rung-0", "rung-1"], counters)
-        self.wire_traffic(loop, counters, answered_until=3.25, until=20.0)
-        feed(loop, telemetry, attack_between(0.0, 12.0), until=20.0)
-        loop.run_until(25.0)
+        self.wire_traffic(loop, counters, answered_until=4.25, until=40.0)
+        feed(loop, telemetry, attack_between(0.0, 20.0), until=40.0)
+        loop.run_until(45.0)
         assert [(t.time, t.rung) for t in controller.transitions
-                if t.action == "revert"] == [(4.0, "rung-0")]
+                if t.action == "revert"] == [(5.0, "rung-0")]
         # rung-1 engages after the revert and holds until the attack
         # clears — its 100% loss matched the re-measured attack loss.
-        # (The guardrail revert at 4.0 also shows as a rung disengage.)
-        assert engages(log) == [(3.0, "rung-0"), (5.0, "rung-1")]
-        assert disengages(log) == [(4.0, "rung-0"), (14.0, "rung-1")]
-        assert controller.unwound_at() == 14.0
+        # (The guardrail revert at 5.0 also shows as a rung disengage.)
+        assert engages(log) == [(4.0, "rung-0"), (7.0, "rung-1")]
+        assert disengages(log) == [(5.0, "rung-0"), (24.0, "rung-1")]
+        assert controller.unwound_at() == 24.0
 
     def test_too_few_samples_defers_judgement(self):
         loop, telemetry, controller, log = make_session(
             2, estimator=lambda: (2, 0))
-        feed(loop, telemetry, attack_between(0.0, 10.0), until=16.0)
-        loop.run_until(25.0)
+        feed(loop, telemetry, attack_between(0.0, 14.0), until=30.0)
+        loop.run_until(35.0)
         # Two known-resolver queries ever: below min_samples, so the
         # guardrail never judges and the ladder climbs normally.
         assert controller.reverts == 0
@@ -309,8 +306,8 @@ class TestDegradedWiring:
         machine = FakeMachine()
         loop, telemetry, controller, _ = make_session(
             2, machines=[machine])
-        feed(loop, telemetry, attack_between(0.0, 8.0), until=16.0)
-        loop.run_until(25.0)
+        feed(loop, telemetry, attack_between(0.0, 14.0), until=30.0)
+        loop.run_until(35.0)
         # Degraded attribution follows the top of the stack; exit only
         # at level 0.
         assert machine.modes == [("enter", "rung-0"), ("enter", "rung-1"),

@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.control.grayfail import GrayFailParams, Verdict
+from repro.control.grayfail import PROBE_PERIOD, Verdict
 from repro.control.pubsub import CDN_CHANNEL
 from repro.dnscore import RType, Zone, make_rrset, name
 from repro.netsim.builder import InternetParams
@@ -35,7 +35,6 @@ AKAM_ORIGIN = name("akam.net")
 
 
 def build(n_pops=6, machines_per_pop=1, seed=7,
-          params: GrayFailParams | None = None,
           machine_config: MachineConfig | None = None):
     deployment = AkamaiDNSDeployment(DeploymentParams(
         seed=seed, n_pops=n_pops, deployed_clouds=n_pops,
@@ -45,7 +44,7 @@ def build(n_pops=6, machines_per_pop=1, seed=7,
         filters_enabled=False,
         machine_config=machine_config or MachineConfig()))
     deployment.settle(30)
-    controller = deployment.enable_grayfail(params)
+    controller = deployment.enable_grayfail()
     return deployment, controller
 
 
@@ -157,19 +156,17 @@ class TestGrayKinds:
         assert lossy.metrics.dropped_gray > 0
 
     def test_stale_machine_convicted_after_grace(self):
-        deployment, controller = build(
-            params=GrayFailParams(stale_grace=10.0))
+        deployment, controller = build()
         machine = gray_target(deployment).machine
         machine.set_gray_fault("stale")
         # The fleet moves on to a newer serial; the stale machine's
         # installs silently no-op while it keeps reporting success.
         deployment.bus.publish_zone(CDN_CHANNEL, "akam.net",
                                     bumped_copy(akam_zone(deployment)))
-        run_for(deployment, 8.0)
-        # Inside the grace window lag is tolerated (zone pushes take
-        # time to propagate legitimately).
-        assert controller.verdict(machine.machine_id) \
-            in (Verdict.HEALTHY, Verdict.SUSPECT)
+        run_for(deployment, 28.0)
+        # Inside the 30 s grace window lag is tolerated (zone pushes
+        # take time to propagate legitimately).
+        assert controller.verdict(machine.machine_id) is Verdict.HEALTHY
         run_for(deployment, 20.0)
         assert controller.verdict(machine.machine_id) is Verdict.CONVICTED
         assert any("behind fleet" in reason
@@ -264,27 +261,32 @@ class TestMalformedResponses:
     @pytest.mark.parametrize("mutate", [_truncated, _inflated_answer_count,
                                         _empty_txt_rdata])
     def test_dropped_counted_and_probe_left_unanswered(self, mutate):
-        # One bad round makes a suspect, so a dropped probe is visible
-        # on the timeline and a single clean round clears it.
+        # Two bad rounds in a row make a suspect, so one machine loses
+        # a probe in each of two rounds: the drops are visible on the
+        # timeline and two clean rounds clear them.
         deployment, controller = build(
-            params=GrayFailParams(suspect_after=1, exonerate_after=1),
             machine_config=MachineConfig(wire_responses=True))
         network = deployment.network
+        loop = deployment.loop
         deliver = network.send
-        corrupted = []
+        corrupted = []   # (time, machine id)
 
-        def corrupt_first_probe_response(dgram):
-            if (not corrupted and dgram.dst.startswith("gray-vp-")
-                    and isinstance(dgram.payload, ResponseEnvelope)):
-                corrupted.append(dgram.payload.machine_id)
+        def corrupt_one_response_in_each_of_two_rounds(dgram):
+            if (len(corrupted) < 2 and dgram.dst.startswith("gray-vp-")
+                    and isinstance(dgram.payload, ResponseEnvelope)
+                    and (not corrupted or (
+                        dgram.payload.machine_id == corrupted[0][1]
+                        and loop.now - corrupted[0][0] > PROBE_PERIOD / 2))):
+                corrupted.append((loop.now, dgram.payload.machine_id))
                 dgram.payload.wire = mutate(dgram.payload.wire)
             deliver(dgram)
 
-        network.send = corrupt_first_probe_response
+        network.send = corrupt_one_response_in_each_of_two_rounds
         run_for(deployment, 30.0)
 
-        (victim,) = corrupted
-        assert controller.malformed_responses == 1
+        (_, victim), (_, again) = corrupted
+        assert again == victim
+        assert controller.malformed_responses == 2
         assert controller.last_reasons(victim)[0].startswith("answered ")
         assert [(m, v) for _t, m, v in controller.timeline] == [
             (victim, "suspect"), (victim, "exonerated"),

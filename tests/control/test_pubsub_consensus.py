@@ -92,8 +92,7 @@ class TestMetadataBus:
 class TestQuorumCoordinator:
     def make(self, limit=2):
         loop = EventLoop()
-        return loop, QuorumSuspensionCoordinator(
-            loop, max_concurrent=limit, lease_seconds=100.0)
+        return loop, QuorumSuspensionCoordinator(loop, max_concurrent=limit)
 
     def test_grants_up_to_limit(self):
         loop, c = self.make(limit=2)
@@ -118,18 +117,15 @@ class TestQuorumCoordinator:
     def test_lease_expiry_frees_slot(self):
         loop, c = self.make(limit=1)
         assert c.request_suspension("m1")
-        loop.call_at(150.0, lambda: None)
-        loop.run()
+        loop.run_until(450.0)
         assert c.request_suspension("m2")
 
     def test_renew_extends_lease(self):
         loop, c = self.make(limit=1)
         assert c.request_suspension("m1")
-        loop.call_at(80.0, lambda: None)
-        loop.run()
+        loop.run_until(240.0)
         assert c.renew("m1")
-        loop.call_at(150.0, lambda: None)
-        loop.run()
+        loop.run_until(450.0)
         assert "m1" in c.active_suspensions()
 
     def test_minority_partition_denies(self):

@@ -107,8 +107,7 @@ class TestSuspensionBudgetUnderChaos:
         # slot; otherwise every crash-looping machine leaks one lease
         # and healthy machines that need to suspend get denied forever.
         loop, net, pop = pop_world
-        coordinator = QuorumSuspensionCoordinator(loop, max_concurrent=1,
-                                                  lease_seconds=300.0)
+        coordinator = QuorumSuspensionCoordinator(loop, max_concurrent=1)
         m1, _, _ = agented_machine(loop, pop, "m1", coordinator)
         m2, _, _ = agented_machine(loop, pop, "m2", coordinator)
 
@@ -131,8 +130,7 @@ class TestSuspensionBudgetUnderChaos:
         # nothing queues on the budget and every machine restarts and
         # re-advertises.
         loop, net, pop = pop_world
-        coordinator = QuorumSuspensionCoordinator(loop, max_concurrent=1,
-                                                  lease_seconds=300.0)
+        coordinator = QuorumSuspensionCoordinator(loop, max_concurrent=1)
         machines = [
             agented_machine(loop, pop, f"m{i}", coordinator,
                             restart_delay=5.0)[0]
@@ -154,8 +152,7 @@ class TestSuspensionBudgetUnderChaos:
         # denied and keeps serving (degraded beats dark); when a slot
         # frees, it suspends on a later agent cycle.
         loop, net, pop = pop_world
-        coordinator = QuorumSuspensionCoordinator(loop, max_concurrent=1,
-                                                  lease_seconds=300.0)
+        coordinator = QuorumSuspensionCoordinator(loop, max_concurrent=1)
         m1, _, a1 = agented_machine(loop, pop, "m1", coordinator)
         m2, _, a2 = agented_machine(loop, pop, "m2", coordinator)
 

@@ -61,7 +61,7 @@ def _tap(counter, qname, rcode):
 class TestTrafficCollector:
     def test_per_zone_aggregation(self):
         loop = EventLoop()
-        collector = TrafficCollector(loop, period=10.0)
+        collector = TrafficCollector(loop)
         m1 = make_machine(loop, "m1")
         m2 = make_machine(loop, "m2")
         collector.register(m1)
@@ -69,7 +69,7 @@ class TestTrafficCollector:
         drive(loop, m1, "www.a.report", 20, start=1.0)
         drive(loop, m2, "www.a.report", 10, start=1.0, msg_base=100)
         drive(loop, m1, "www.b.report", 5, start=1.0, msg_base=200)
-        loop.run_until(11.0)
+        loop.run_until(61.0)
         report_a = collector.latest(name("a.report"))
         assert report_a.queries == 30
         assert report_a.reporting_machines == 2
@@ -77,30 +77,30 @@ class TestTrafficCollector:
 
     def test_nxdomain_fraction(self):
         loop = EventLoop()
-        collector = TrafficCollector(loop, period=10.0)
+        collector = TrafficCollector(loop)
         machine = make_machine(loop, "m1")
         collector.register(machine)
         drive(loop, machine, "www.a.report", 9, start=1.0)
         drive(loop, machine, "missing.a.report", 1, start=2.0,
               msg_base=300)
-        loop.run_until(11.0)
+        loop.run_until(61.0)
         report = collector.latest(name("a.report"))
         assert report.nxdomains == 1
         assert report.nxdomain_fraction == pytest.approx(0.1)
 
     def test_windows_reset(self):
         loop = EventLoop()
-        collector = TrafficCollector(loop, period=10.0)
+        collector = TrafficCollector(loop)
         machine = make_machine(loop, "m1")
         collector.register(machine)
         drive(loop, machine, "www.a.report", 10, start=1.0)
-        loop.run_until(11.0)
-        loop.run_until(21.0)
+        loop.run_until(61.0)
+        loop.run_until(121.0)
         # Second window saw nothing; the latest report is the first.
         assert collector.latest(name("a.report")).queries == 10
         assert collector.total_queries(name("a.report")) == 10
-        drive(loop, machine, "www.a.report", 4, start=22.0, msg_base=400)
-        loop.run_until(31.0)
+        drive(loop, machine, "www.a.report", 4, start=122.0, msg_base=400)
+        loop.run_until(181.0)
         assert collector.latest(name("a.report")).queries == 4
         assert collector.total_queries(name("a.report")) == 14
 
@@ -109,7 +109,7 @@ class TestTrafficCollector:
         until a child zone is installed over it, the child's while that
         is served, and the parent's again once the child is removed."""
         loop = EventLoop()
-        collector = TrafficCollector(loop, period=10.0)
+        collector = TrafficCollector(loop)
         machine = make_machine(loop, "m1")
         collector.register(machine)
         store = machine.engine.store
@@ -119,17 +119,17 @@ class TestTrafficCollector:
         loop.run_until(5.0)
         store.add(parse_zone_text(ZONE_A.replace("a.report", "sub.a.report")))
         drive(loop, machine, "www.sub.a.report", 4, start=6.0, msg_base=10)
-        loop.run_until(11.0)
+        loop.run_until(61.0)
         assert collector.latest(parent).queries == 3
         assert collector.latest(parent).nxdomains == 3
         assert collector.latest(child).queries == 4
         assert collector.latest(child).nxdomains == 0
 
-        drive(loop, machine, "www.sub.a.report", 2, start=12.0, msg_base=20)
-        loop.run_until(15.0)
+        drive(loop, machine, "www.sub.a.report", 2, start=62.0, msg_base=20)
+        loop.run_until(65.0)
         store.remove(child)
-        drive(loop, machine, "www.sub.a.report", 5, start=16.0, msg_base=30)
-        loop.run_until(21.0)
+        drive(loop, machine, "www.sub.a.report", 5, start=66.0, msg_base=30)
+        loop.run_until(121.0)
         assert collector.latest(child).queries == 2
         assert collector.latest(parent).queries == 5
         assert collector.total_queries(parent) == 8
@@ -137,22 +137,22 @@ class TestTrafficCollector:
 
     def test_qps_computed_over_window(self):
         loop = EventLoop()
-        collector = TrafficCollector(loop, period=10.0)
+        collector = TrafficCollector(loop)
         machine = make_machine(loop, "m1")
         collector.register(machine)
-        drive(loop, machine, "www.a.report", 50, start=0.5)
-        loop.run_until(11.0)
+        drive(loop, machine, "www.a.report", 300, start=0.5)
+        loop.run_until(61.0)
         assert collector.latest(name("a.report")).qps == \
             pytest.approx(5.0, rel=0.05)
 
     def test_enterprise_rollup(self):
         loop = EventLoop()
-        collector = TrafficCollector(loop, period=10.0)
+        collector = TrafficCollector(loop)
         machine = make_machine(loop, "m1")
         collector.register(machine)
         drive(loop, machine, "www.a.report", 8, start=1.0)
         drive(loop, machine, "www.b.report", 2, start=1.0, msg_base=500)
-        loop.run_until(11.0)
+        loop.run_until(61.0)
         rollup = collector.enterprise_report([name("a.report"),
                                               name("b.report")])
         assert rollup["total_queries"] == 10.0
@@ -161,7 +161,7 @@ class TestTrafficCollector:
     def test_rcode_breakdown(self):
         """SERVFAIL and REFUSED are counted per zone, not just NXDOMAIN."""
         loop = EventLoop()
-        collector = TrafficCollector(loop, period=10.0)
+        collector = TrafficCollector(loop)
         machine = make_machine(loop, "m1")
         counter = collector.register(machine)
         graded = [(RCode.NOERROR, 5), (RCode.NXDOMAIN, 2),
@@ -169,7 +169,7 @@ class TestTrafficCollector:
         for rcode, count in graded:
             for _ in range(count):
                 _tap(counter, "www.a.report", rcode)
-        loop.run_until(11.0)
+        loop.run_until(61.0)
         report = collector.latest(name("a.report"))
         assert report.queries == 10
         assert report.nxdomains == 2
@@ -179,14 +179,14 @@ class TestTrafficCollector:
 
     def test_enterprise_rollup_error_fractions(self):
         loop = EventLoop()
-        collector = TrafficCollector(loop, period=10.0)
+        collector = TrafficCollector(loop)
         machine = make_machine(loop, "m1")
         counter = collector.register(machine)
         for _ in range(8):
             _tap(counter, "www.a.report", RCode.NOERROR)
         _tap(counter, "www.a.report", RCode.SERVFAIL)
         _tap(counter, "www.b.report", RCode.REFUSED)
-        loop.run_until(11.0)
+        loop.run_until(61.0)
         rollup = collector.enterprise_report([name("a.report"),
                                               name("b.report")])
         assert rollup["total_queries"] == 10.0
@@ -198,12 +198,12 @@ class TestTrafficCollector:
         telemetry = Telemetry(TelemetryConfig(trace_sample_rate=0.0))
         with telemetry_state.session(telemetry):
             loop = EventLoop()
-            collector = TrafficCollector(loop, period=10.0)
+            collector = TrafficCollector(loop)
             machine = make_machine(loop, "m1")
             counter = collector.register(machine)
             _tap(counter, "www.a.report", RCode.NOERROR)
             _tap(counter, "missing.a.report", RCode.NXDOMAIN)
-            loop.run_until(11.0)
+            loop.run_until(61.0)
         counters = telemetry.registry.snapshot()["counters"]
         assert counters[
             "zone_responses_total{machine=m1,zone=a.report.,"
@@ -214,12 +214,13 @@ class TestTrafficCollector:
 
     def test_history_retention(self):
         loop = EventLoop()
-        collector = TrafficCollector(loop, period=1.0,
-                                     history_windows=3)
+        collector = TrafficCollector(loop)
         machine = make_machine(loop, "m1")
         collector.register(machine)
-        for window in range(6):
+        for window in range(70):
             drive(loop, machine, "www.a.report", 1,
-                  start=window * 1.0 + 0.1, msg_base=window * 10)
-        loop.run_until(7.0)
-        assert len(collector.reports[name("a.report")]) <= 3
+                  start=window * 60.0 + 0.1, msg_base=window * 10)
+        loop.run_until(70 * 60.0 + 1.0)
+        kept = collector.reports[name("a.report")]
+        assert len(kept) == 64
+        assert kept[0].window_start == 6 * 60.0

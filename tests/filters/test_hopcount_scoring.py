@@ -4,7 +4,6 @@ import pytest
 
 from repro.dnscore import RType, name
 from repro.filters import (
-    HopCountConfig,
     HopCountFilter,
     QueryContext,
     QueuePolicy,
@@ -22,19 +21,27 @@ class TestHopCount:
         f = HopCountFilter()
         assert f.score(ctx(ip_ttl=10)) == 0.0
 
+    def test_enforces_once_ten_observations_deep(self):
+        f = HopCountFilter()
+        for i in range(9):
+            f.score(ctx(now=float(i), ip_ttl=58))
+        assert f.score(ctx(now=9.0, ip_ttl=44)) == 0.0
+        f.score(ctx(now=10.0, ip_ttl=58))
+        assert f.score(ctx(now=11.0, ip_ttl=44)) > 0
+
     def test_consistent_ttl_never_penalized(self):
-        f = HopCountFilter(HopCountConfig(min_observations=5))
+        f = HopCountFilter()
         for i in range(50):
             assert f.score(ctx(now=float(i), ip_ttl=58)) == 0.0
 
     def test_tolerance_allows_small_jitter(self):
-        f = HopCountFilter(HopCountConfig(min_observations=5))
+        f = HopCountFilter()
         f.prime("r1", 58)
         assert f.score(ctx(ip_ttl=57)) == 0.0
         assert f.score(ctx(ip_ttl=59)) == 0.0
 
     def test_spoofed_ttl_penalized(self):
-        f = HopCountFilter(HopCountConfig(min_observations=5))
+        f = HopCountFilter()
         f.prime("r1", 58)
         assert f.score(ctx(ip_ttl=44)) > 0
         assert f.penalized == 1
@@ -46,28 +53,28 @@ class TestHopCount:
 
     def test_route_change_relearned_after_streak(self):
         # A genuine route change is a *clean* switch: every packet now
-        # carries the new TTL, so the streak rule relearns it.
-        f = HopCountFilter(HopCountConfig(min_observations=5,
-                                          relearn_streak=30))
+        # carries the new TTL, so the 200-packet streak rule relearns it.
+        f = HopCountFilter()
         f.prime("r1", 58)
-        for i in range(30):
+        for i in range(199):
             f.score(ctx(now=float(i), ip_ttl=61))
+        assert f.expected_ttl("r1") == 58
+        f.score(ctx(now=199.0, ip_ttl=61))
         assert f.expected_ttl("r1") == 61
         assert f.relearned == 1
-        assert f.score(ctx(now=100.0, ip_ttl=61)) == 0.0
+        assert f.score(ctx(now=300.0, ip_ttl=61)) == 0.0
 
     def test_attack_cannot_poison_history(self):
         # Interleaved legitimate traffic at the true TTL keeps breaking
         # the attacker's streak, so the expectation never flips.
-        f = HopCountFilter(HopCountConfig(min_observations=5,
-                                          relearn_streak=20))
+        f = HopCountFilter()
         f.prime("r1", 58)
-        for i in range(500):
-            # 10 attack packets for every legitimate one.
-            ttl = 41 if i % 11 else 58
+        for i in range(1_510):
+            # 150 attack packets for every legitimate one.
+            ttl = 41 if i % 151 else 58
             f.score(ctx(now=float(i), ip_ttl=ttl))
         assert f.expected_ttl("r1") == 58
-        assert f.penalized > 400
+        assert f.penalized == 1_500
 
 
 class TestPipeline:

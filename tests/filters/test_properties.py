@@ -9,7 +9,6 @@ from repro.dnscore import RType, name
 from repro.filters import (
     QueryContext,
     QueuePolicy,
-    RateLimitConfig,
     RateLimitFilter,
 )
 from repro.resolver import DNSCache
@@ -62,7 +61,7 @@ def test_queue_runtime_priority_monotone(items):
                           allow_nan=False), min_size=1, max_size=200))
 @settings(max_examples=60)
 def test_leaky_bucket_level_never_negative(gaps):
-    f = RateLimitFilter(RateLimitConfig(warmup_queries=0))
+    f = RateLimitFilter()
     now = 0.0
     for gap in gaps:
         now += gap

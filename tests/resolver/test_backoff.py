@@ -86,7 +86,7 @@ class TestBackoff:
 
 class TestResolutionDeadline:
     def test_attempt_timeout_clamped_to_remaining_budget(self):
-        resolver = make_resolver(timeout=2.0, resolution_deadline=30.0)
+        resolver = make_resolver(timeout=2.0)
         resolution = _Resolution(resolver, name("www.ex.net"), RType.A,
                                  lambda r: None)
         resolution.attempts = 5
@@ -97,8 +97,7 @@ class TestResolutionDeadline:
 
     def test_unresponsive_world_servfails_at_the_deadline(self):
         loop = EventLoop()
-        resolver = make_resolver(loop, timeout=2.0,
-                                 resolution_deadline=10.0)
+        resolver = make_resolver(loop, timeout=2.0)
         results = []
         resolver.resolve(name("www.ex.net"), RType.A, results.append)
         loop.run_until(120.0)
@@ -108,14 +107,13 @@ class TestResolutionDeadline:
         assert result.timeouts >= 2
         # Finishes at the deadline, not after exhausting a full
         # un-clamped retry ladder.
-        assert result.duration == pytest.approx(10.0, abs=0.2)
+        assert result.duration == pytest.approx(30.0, abs=0.2)
 
     def test_fast_failure_paths_unchanged_by_deadline(self):
         # A single lost query still fails over after exactly the base
         # timeout — backoff only shapes the later attempts.
         loop = EventLoop()
-        resolver = make_resolver(loop, timeout=2.0,
-                                 resolution_deadline=30.0)
+        resolver = make_resolver(loop, timeout=2.0)
         network = resolver.network
         resolver.resolve(name("www.ex.net"), RType.A, lambda r: None)
         assert len(network.sent) == 1

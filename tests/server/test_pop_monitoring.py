@@ -249,8 +249,7 @@ class TestMonitoringAgent:
     def test_suspension_lease_renewed_while_held(self, world):
         loop, net, pop = world
         from repro.control.consensus import QuorumSuspensionCoordinator
-        coordinator = QuorumSuspensionCoordinator(loop, max_concurrent=1,
-                                                  lease_seconds=5.0)
+        coordinator = QuorumSuspensionCoordinator(loop, max_concurrent=1)
         machine, speaker = add_machine(loop, pop, "m1")
         MonitoringAgent(loop, machine, speaker,
                         coordinator=coordinator)
@@ -259,9 +258,9 @@ class TestMonitoringAgent:
         machine.fault = "wrong_answer"
         loop.run_until(6)
         assert machine.state == MachineState.SUSPENDED
-        # Hold the fault far past the 5 s lease: the agent's renewals
+        # Hold the fault far past the 300 s lease: the agent's renewals
         # must keep the slot occupied so no second machine could claim it.
-        loop.run_until(30)
+        loop.run_until(1_000)
         assert "m1" in coordinator.active_suspensions()
         assert not coordinator.request_suspension("intruder")
 

@@ -47,7 +47,7 @@ def old_observe(self, now: float, value: float) -> None:
 def detectors(cls, window: float):
     """The detector under test and its oracle, each on its own manager."""
     kwargs = dict(window=window, threshold=2.0 if cls is not RatioDetector
-                  else 0.5, for_windows=2, clear_windows=2)
+                  else 0.5, for_windows=2)
     if cls is RatioDetector:
         kwargs["min_count"] = 2
     oracle_cls = type("Old" + cls.__name__, (cls,), {"observe": old_observe})
