@@ -23,6 +23,7 @@ from repro.chaos import (
     Schedule,
     SLOProbe,
 )
+from repro.control.recovery import ALERT_UNAVAILABLE_FRACTION
 from repro.netsim.builder import InternetParams
 from repro.platform import AkamaiDNSDeployment, DeploymentParams
 
@@ -87,6 +88,12 @@ def main() -> None:
         bar = "#" * round(window.availability * 40)
         print(f"  t={window.start:6.1f}s  {window.availability:7.1%}  "
               f"{bar}")
+
+    alerts = deployment.recovery.alerts
+    print(f"\nNOCC alerts ({ALERT_UNAVAILABLE_FRACTION:.0%} of the fleet "
+          f"down at a 5 s sample): {len(alerts)}")
+    for alert in alerts:
+        print(f"  t={alert.time:6.1f}s  {alert.severity}: {alert.summary}")
 
     print(f"\nOverall availability: {report.overall_availability:.1%} "
           f"(worst window {report.worst_window_availability:.0%}, "

@@ -137,7 +137,6 @@ class MappingView:
         self.locator = locator
         self.rng = rng
         self.snapshot: MapSnapshot | None = None
-        self.updates_applied = 0
 
     def apply(self, message: MetadataMessage) -> None:
         """Metadata handler: install a newer snapshot (ignore stale ones)."""
@@ -145,7 +144,6 @@ class MappingView:
         assert isinstance(snapshot, MapSnapshot)
         if self.snapshot is None or snapshot.version > self.snapshot.version:
             self.snapshot = snapshot
-            self.updates_applied += 1
 
     # -- MappingProvider -------------------------------------------------------
 

@@ -44,7 +44,6 @@ class MetadataMessage:
     and are monotonic per ``key``.
     """
 
-    channel: str
     kind: str           # e.g. "zone", "mapping", "config"
     key: str            # e.g. zone origin or map name
     payload: object
@@ -134,9 +133,8 @@ class MetadataBus:
             raise KeyError(f"unknown channel {channel!r}")
         self._sequence += 1
         self.published += 1
-        message = MetadataMessage(channel, kind, key, payload,
-                                  self.loop.now, self._sequence,
-                                  zone_version)
+        message = MetadataMessage(kind, key, payload, self.loop.now,
+                                  self._sequence, zone_version)
         profile = PROFILES[channel]
         for sub in self._subs.get(channel, []):
             if to is not None and not any(sub.subscriber is t for t in to):

@@ -39,7 +39,6 @@ class FleetSnapshot:
     running: int
     suspended: int
     crashed: int
-    stale: int
 
     @property
     def unavailable_fraction(self) -> float:
@@ -52,7 +51,8 @@ class RecoverySystem:
     def __init__(self, loop: EventLoop) -> None:
         self.loop = loop
         self.machines: list[NameserverMachine] = []
-        self.history: list[FleetSnapshot] = []
+        #: The newest sample; None before the first.
+        self.latest: FleetSnapshot | None = None
         self.alerts: list[Alert] = []
         self._task = PeriodicTask(loop, SAMPLE_PERIOD, self.sample,
                                   start_delay=SAMPLE_PERIOD)
@@ -72,9 +72,8 @@ class RecoverySystem:
                           for m in self.machines),
             crashed=sum(m.state == MachineState.CRASHED
                         for m in self.machines),
-            stale=sum(m.is_stale(now) for m in self.machines),
         )
-        self.history.append(snapshot)
+        self.latest = snapshot
         if snapshot.unavailable_fraction >= ALERT_UNAVAILABLE_FRACTION:
             self.alerts.append(Alert(
                 now, "critical",

@@ -49,8 +49,8 @@ from dataclasses import dataclass, field
 from ..dnscore.message import make_query
 from ..dnscore.name import Name
 from ..dnscore.rrtypes import RCode, RType
-from ..dnscore.validate import (ValidationLimits, ValidationReport,
-                                ZoneUpdate, validate_update)
+from ..dnscore.validate import (ValidationLimits, ZoneUpdate,
+                                validate_update)
 from ..dnscore.zone import Zone
 from ..netsim.clock import EventLoop
 from ..server.machine import NameserverMachine
@@ -109,7 +109,6 @@ class Release:
     release_id: int
     origin: Name
     zone: Zone
-    validation: ValidationReport
     phase: RolloutPhase
     published_at: float
     decided_at: float | None = None
@@ -236,8 +235,7 @@ class RolloutCoordinator:
         report = validate_update(
             zone, previous, limits=ValidationLimits(now=self.loop.now))
         release = Release(release_id=len(self.releases) + 1, origin=origin,
-                          zone=zone, validation=report,
-                          phase=RolloutPhase.VALIDATING,
+                          zone=zone, phase=RolloutPhase.VALIDATING,
                           published_at=self.loop.now)
         self.releases.append(release)
         if report.fatal:

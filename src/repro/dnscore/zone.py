@@ -79,7 +79,6 @@ class Zone:
         self._types_by_name: dict[Name, set[RType]] = {}
         self._names: set[Name] = set()
         self._cuts: set[Name] = set()
-        self.serial_history: list[int] = []
         #: Bumped on every content mutation, so holders of derived state
         #: (the engine's response plans) detect staleness without
         #: subscribing. It counts mutations of *this object*: two Zones
@@ -121,10 +120,6 @@ class Zone:
         if rrset.rtype == RType.NS and rrset.name != self.origin:
             self._cuts.add(rrset.name)
         self._index_names(rrset.name)
-        if rrset.rtype == RType.SOA:
-            soa = rrset.records[0].rdata
-            assert isinstance(soa, SOA)
-            self.serial_history.append(soa.serial)
 
     def add_record(self, record: ResourceRecord) -> None:
         """Insert one record, merging into an existing RRset if present."""

@@ -66,8 +66,6 @@ class SignStats:
     signatures_reused: int = 0
     nsec_written: int = 0
     rrsets_removed: int = 0
-    dnskey_written: bool = False
-    names_in_chain: int = 0
 
 
 def _name_wire(name: Name) -> bytes:
@@ -277,7 +275,6 @@ class ZoneSigner:
         if existing_dnskey is None \
                 or existing_dnskey.rdatas() != dnskey_rrset.rdatas():
             zone.add_rrset(dnskey_rrset)
-            stats.dnskey_written = True
 
         # 2. Authoritative content map, occluded names excluded.
         cuts = {rrset.name for rrset in zone.iter_rrsets()
@@ -296,7 +293,6 @@ class ZoneSigner:
             content.setdefault(rrset.name, {})[rrset.rtype] = rrset
 
         chain = sorted(content, key=Name.canonical_key)
-        stats.names_in_chain = len(chain)
         soa_minimum = DNSKEY_TTL
         apex_soa = content.get(zone.origin, {}).get(RType.SOA)
         if apex_soa is not None:

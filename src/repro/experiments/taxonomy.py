@@ -50,7 +50,6 @@ class TaxonomyRow:
     attack: str
     expected_filter: str
     legit_goodput: float
-    top_filter: str
     filter_hits: dict[str, int]
 
 
@@ -171,9 +170,7 @@ def run(seed: int = 42, phase_seconds: float = 12.0) -> ExperimentResult:
         testbed.run_phase(None, seconds=3.0)  # warm history
         goodput, hits = testbed.run_phase(factory,
                                           seconds=phase_seconds)
-        top = max(hits, key=lambda k: hits[k]) if any(hits.values()) \
-            else "(none)"
-        rows.append(TaxonomyRow(label, expected, goodput, top, hits))
+        rows.append(TaxonomyRow(label, expected, goodput, hits))
     result.series["goodput"] = (
         [row.attack for row in rows],
         [row.legit_goodput for row in rows])

@@ -422,13 +422,12 @@ class AkamaiDNSDeployment:
         return deployment
 
     def _build_infrastructure_hosts(self) -> None:
-        self._root_host = self._simple_host(ROOT_SERVER_ADDRESS,
-                                            [self.root_zone])
-        self._tld_host = self._simple_host(TLD_SERVER_ADDRESS,
-                                           [self.tld_zone])
+        self._simple_host(ROOT_SERVER_ADDRESS, [self.root_zone])
+        self._simple_host(TLD_SERVER_ADDRESS, [self.tld_zone])
 
-    def _simple_host(self, address: str, zones: list[Zone]
-                     ) -> HostNameserver:
+    def _simple_host(self, address: str, zones: list[Zone]) -> None:
+        """A plain nameserver for ``zones`` at ``address``; the network
+        holds the endpoint."""
         store = ZoneStore()
         for zone in zones:
             store.add(zone)  # reprolint: disable=ROB001 -- build bootstrap
@@ -438,7 +437,7 @@ class AkamaiDNSDeployment:
             MachineConfig(staleness_threshold=float("inf"),
                           wire_responses=self.params.machine_config
                           .wire_responses))
-        return HostNameserver(self.loop, self.network, address, machine)
+        HostNameserver(self.loop, self.network, address, machine)
 
     def _build_lowlevel_fleet(self) -> None:
         """Every CDN edge runs a lowlevel nameserver (section 5.2)."""

@@ -97,7 +97,6 @@ class _Resolution:
     def __init__(self, resolver: "RecursiveResolver", qname: Name,
                  qtype: RType, callback: ResolveCallback) -> None:
         self.resolver = resolver
-        self.original_qname = qname
         self.target = qname
         self.qtype = qtype
         self.callback = callback

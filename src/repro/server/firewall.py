@@ -55,13 +55,11 @@ class QoDFirewall:
     def __init__(self, t_qod: float = 300.0) -> None:
         self.t_qod = t_qod
         self._rules: dict[QoDSignature, float] = {}
-        self.crash_dumps: list[tuple[float, QoDSignature]] = []
         self.dropped = 0
 
     def record_crash(self, qname: Name, qtype: RType, now: float) -> None:
         """Install a rule from the payload the dying nameserver dumped."""
-        signature = self.install_rule(qname, qtype, now)
-        self.crash_dumps.append((now, signature))
+        self.install_rule(qname, qtype, now)
         _t = _telemetry.ACTIVE
         if _t is not None:
             _t.qod_event("crash_recorded")

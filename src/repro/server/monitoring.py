@@ -42,7 +42,6 @@ class AgentMetrics:
     """Counters for one agent."""
 
     checks_run: int = 0
-    failures_detected: int = 0
     suspensions: int = 0
     resumptions: int = 0
     suspensions_denied: int = 0
@@ -196,7 +195,6 @@ class MonitoringAgent:
         if _t is not None:
             _t.agent_check(machine.machine_id, report.healthy)
         if not report.healthy:
-            self.metrics.failures_detected += 1
             self._handle_unhealthy()
         else:
             self._handle_healthy()

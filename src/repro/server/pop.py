@@ -89,7 +89,6 @@ class PoP:
         #: prefix -> ordered ECMP set (lowest-MED advertisers)
         self._ecmp: dict[str, list[str]] = {}
         self.queries_forwarded = 0
-        self.dropped_no_machine = 0
         self.ingress_capacity_pps = ingress_capacity_pps
         self.dropped_ingress = 0
         self.junk_filtered = 0
@@ -186,7 +185,6 @@ class PoP:
             return
         ecmp = self._ecmp.get(dgram.dst)
         if not ecmp:
-            self.dropped_no_machine += 1
             return
         machine_id = ecmp[ecmp_hash(dgram.flow_key) % len(ecmp)]
         machine = self.machines[machine_id]

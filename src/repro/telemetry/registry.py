@@ -37,17 +37,15 @@ class Counter:
 class Gauge:
     """A point-in-time value, tracked with its observed extremes."""
 
-    __slots__ = ("value", "max_value", "min_value", "updates")
+    __slots__ = ("value", "max_value", "min_value")
 
     def __init__(self) -> None:
         self.value = 0.0
         self.max_value = float("-inf")
         self.min_value = float("inf")
-        self.updates = 0
 
     def set(self, value: float) -> None:
         self.value = value
-        self.updates += 1
         if value > self.max_value:
             self.max_value = value
         if value < self.min_value:

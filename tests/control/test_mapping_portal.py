@@ -134,14 +134,12 @@ class TestSnapshotPropagation:
         new = mapping.snapshot()
         # Apply v2 then a stale v1: v1 must not regress the view.
         from repro.control.pubsub import MetadataMessage
-        view.apply(MetadataMessage(MULTICAST_CHANNEL, "mapping", "g",
-                                   new, 0.0, 1))
+        view.apply(MetadataMessage("mapping", "g", new, 0.0, 1))
         first = view.snapshot.version
 
         from dataclasses import replace
         stale = replace(new, version=new.version - 1)
-        view.apply(MetadataMessage(MULTICAST_CHANNEL, "mapping", "g",
-                                   stale, 0.0, 2))
+        view.apply(MetadataMessage("mapping", "g", stale, 0.0, 2))
         assert view.snapshot.version == first
 
     def test_nearest_edges_helper(self, world):

@@ -41,9 +41,8 @@ class TestRecoverySystem:
         for machine in make_fleet(loop, 8):
             recovery.register(machine)
         loop.run_until(60.0)
-        assert recovery.history
         assert not recovery.alerts
-        assert recovery.history[-1].unavailable_fraction == 0.0
+        assert recovery.latest.unavailable_fraction == 0.0
 
     def test_alert_on_widespread_failure(self):
         loop = EventLoop()
@@ -57,7 +56,7 @@ class TestRecoverySystem:
         loop.run_until(20.0)
         assert recovery.alerts
         assert "50%" in recovery.alerts[0].summary
-        assert recovery.history[-1].unavailable_fraction == 0.5
+        assert recovery.latest.unavailable_fraction == 0.5
 
     def test_snapshot_counts_states(self):
         loop = EventLoop()
@@ -68,7 +67,7 @@ class TestRecoverySystem:
         fleet[0].crash()
         fleet[1].suspend()
         loop.run_until(6.0)
-        snap = recovery.history[-1]
+        snap = recovery.latest
         assert snap.crashed == 1
         assert snap.suspended == 1
         assert snap.running == 4

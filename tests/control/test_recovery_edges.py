@@ -88,7 +88,7 @@ class TestFleetEdgeCases:
         for machine in fleet:
             machine.crash()
         loop.run_until(10.0)
-        assert recovery.history[-1].unavailable_fraction == 1.0
+        assert recovery.latest.unavailable_fraction == 1.0
         assert recovery.alerts
         assert "100%" in recovery.alerts[0].summary
 
@@ -96,8 +96,7 @@ class TestFleetEdgeCases:
         loop = EventLoop()
         recovery = RecoverySystem(loop)
         loop.run_until(20.0)
-        assert recovery.history
-        assert all(s.unavailable_fraction == 0.0 for s in recovery.history)
+        assert recovery.latest.unavailable_fraction == 0.0
         assert not recovery.alerts
 
 

@@ -151,11 +151,12 @@ class TestQoDFirewall:
                                   61.0)
         assert fw.active_rules(61.0) == 0
 
-    def test_crash_dump_recorded(self):
+    def test_crash_rule_runs_from_the_crash_time(self):
         fw = QoDFirewall()
         fw.record_crash(name("a.b.c"), RType.A, now=5.0)
-        assert len(fw.crash_dumps) == 1
-        assert fw.crash_dumps[0][0] == 5.0
+        assert fw.active_rules(5.0) == 1
+        assert fw.should_drop(name("a.b.c"), RType.A, 304.0)
+        assert not fw.should_drop(name("a.b.c"), RType.A, 306.0)
 
     def test_signature_for_root(self):
         sig = QoDSignature.for_query(name("."), RType.ANY)
