@@ -1,8 +1,9 @@
 """Platform-wide monitoring, alerting, and automated recovery.
 
 Models the Monitoring/Automated Recovery component of paper Figure 5: it
-aggregates health reports from every machine, tracks trends and raises
-alerts for the NOCC when anomalies persist (human timescale). The quorum
+samples the health of every machine, keeps the newest fleet sample and
+raises alerts for the NOCC when too much of the fleet is down (human
+timescale). The quorum
 coordinator that bounds concurrent self-suspensions (machine timescale,
 section 4.2.1) is :mod:`repro.control.consensus`.
 """

@@ -81,20 +81,20 @@ def profiling(profiler: cProfile.Profile) -> Iterator[None]:
         sys.setprofile(before)
 
 
-def _profile_label(label: str, fast: bool) -> pstats.Stats:
+def _profiled_units(label: str, fast: bool) -> cProfile.Profile:
     units = _units(label, fast)
     profiler = cProfile.Profile()
     with profiling(profiler):
         for unit in units:
             parallel.run_unit(unit, fast)
-    return summed_stats(profiler)
+    return profiler
 
 
 def profile_experiment(label: str, *, fast: bool = True,
                        top: int = 20, sort: str = "cumulative",
                        stream=None) -> None:
     """Profile every work unit of one figure and print hotspots."""
-    stats = _profile_label(label, fast)
+    stats = summed_stats(_profiled_units(label, fast))
     stats.stream = stream or sys.stdout
     stats.sort_stats(sort).print_stats(top)
 
@@ -151,7 +151,7 @@ def profile_all_figures(*, fast: bool = True, top: int = 10,
     """
     sections = []
     for label in parallel.JOB_ORDER:
-        stats = _profile_label(label, fast)
+        stats = summed_stats(_profiled_units(label, fast))
         total = stats.total_tt  # type: ignore[attr-defined]
         rows = _top_rows(stats, top)
         sections.append(
@@ -290,13 +290,9 @@ def count_events(label: str, *, fast: bool = True,
     records constructed by class, and the operations done (None for a
     figure, which has no operation count)."""
     tally = EventTally()
-    profiler = cProfile.Profile()
     with counted_events(tally):
         if label in parallel.JOB_ORDER:
-            units = _units(label, fast)
-            with profiling(profiler):
-                for unit in units:
-                    parallel.run_unit(unit, fast)
+            profiler = _profiled_units(label, fast)
             return tally, records_by_class(profiler), None
         scenarios = load_scenarios(workloads)
         if label not in scenarios:
@@ -308,6 +304,7 @@ def count_events(label: str, *, fast: bool = True,
         scenario.build(_Untimed())
         scenario.begin()
         tally.begin_phase()
+        profiler = cProfile.Profile()
         with profiling(profiler):
             for i in range(scenario.n_slices):
                 scenario.step(i)

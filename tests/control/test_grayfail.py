@@ -284,11 +284,16 @@ class TestMalformedResponses:
         network.send = corrupt_one_response_in_each_of_two_rounds
         run_for(deployment, 30.0)
 
-        (_, victim), (_, again) = corrupted
+        (first_drop, victim), (_, again) = corrupted
         assert again == victim
         assert controller.malformed_responses == 2
         assert controller.last_reasons(victim)[0].startswith("answered ")
         assert [(m, v) for _t, m, v in controller.timeline] == [
             (victim, "suspect"), (victim, "exonerated"),
             (victim, "healthy")]
+        # Suspect at the audit of the second bad round, not the first;
+        # cleared at the audit of the second clean one.
+        suspected, cleared, _ = (t for t, _m, _v in controller.timeline)
+        assert PROBE_PERIOD < suspected - first_drop <= 2 * PROBE_PERIOD
+        assert cleared - suspected == 2 * PROBE_PERIOD
         assert controller.convictions == 0

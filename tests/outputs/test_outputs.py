@@ -8,8 +8,8 @@
 of the stdout of the six scorecard runs and the ten examples (with the
 exit status), and the ``sim_digest`` ``bench/harness.py`` prints for the
 four workloads at seeds 42 and 977. Every command runs in a process of
-its own, as a user would run it. Tier-1 deselects the marker (about two
-minutes on two cpus); a PR records the file on its parent commit first,
+its own, as a user would run it. Tier-1 deselects the marker (about 40 s
+on two cpus); a PR records the file on its parent commit first,
 so its own diff of the file is the list of outputs it moved.
 """
 
@@ -79,21 +79,19 @@ def _sim_digest(workload: str, seed: int) -> str:
 
 def compute() -> dict[str, str]:
     """Every row, two child processes at a time."""
-    jobs = {"figures": _figures}
-    for flags in SCORECARDS:
-        jobs[" ".join(["scorecard", *flags])] = lambda flags=flags: \
-            _stdout_row("-m", "repro.experiments.resilience_scorecard",
-                        *flags)
-    for name in EXAMPLES:
-        jobs[f"example {name}"] = lambda name=name: \
-            _stdout_row(f"examples/{name}")
-    for workload in WORKLOADS:
-        for seed in BENCH_SEEDS:
-            jobs[f"sim_digest {workload} {seed}"] = \
-                lambda workload=workload, seed=seed: \
-                _sim_digest(workload, seed)
+    scorecard = ("-m", "repro.experiments.resilience_scorecard")
+    jobs = {"figures": (_figures, ())}
+    jobs.update((" ".join(["scorecard", *flags]),
+                 (_stdout_row, (*scorecard, *flags)))
+                for flags in SCORECARDS)
+    jobs.update((f"example {name}", (_stdout_row, (f"examples/{name}",)))
+                for name in EXAMPLES)
+    jobs.update((f"sim_digest {workload} {seed}",
+                 (_sim_digest, (workload, seed)))
+                for workload in WORKLOADS for seed in BENCH_SEEDS)
     with ThreadPoolExecutor(max_workers=2) as pool:
-        done = dict(zip(jobs, pool.map(lambda job: job(), jobs.values())))
+        done = dict(zip(jobs, pool.map(lambda job: job[0](*job[1]),
+                                       jobs.values())))
     rows = done.pop("figures")
     rows.update(done)
     return rows
