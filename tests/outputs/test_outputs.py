@@ -6,11 +6,14 @@
 ``OUTPUTS.json`` holds one line per output: the SHA-256 of
 ``to_dict(include_series=True)`` for each of the 15 ``--fast`` figures,
 of the stdout of the six scorecard runs and the ten examples (with the
-exit status), and the ``sim_digest`` ``bench/harness.py`` prints for the
-four workloads at seeds 42 and 977. Every command runs in a process of
-its own, as a user would run it. Tier-1 deselects the marker (about 40 s
-on two cpus); a PR records the file on its parent commit first,
-so its own diff of the file is the list of outputs it moved.
+exit status), the ``sim_digest`` ``bench/harness.py`` prints for the
+four workloads at seeds 42 and 977, and two telemetry exports: the file
+``runner --fast --metrics`` writes, and the sessions the three ``--fast``
+scorecard suites open (``scorecard_sessions.py``), which the runner's
+file does not hold. Every command runs in a process of its own, as a
+user would run it. Tier-1 deselects the marker (about 45 s on two cpus);
+a PR records the file on its parent commit first, so its own diff of the
+file is the list of outputs it moved.
 """
 
 import hashlib
@@ -70,17 +73,34 @@ def _figures() -> dict[str, str]:
             for label, result in zip(JOB_ORDER, results)}
 
 
-def _sim_digest(workload: str, seed: int) -> str:
-    done = _run("bench/harness.py", "--workload", workload,
-                "--seed", str(seed))
+def _metrics_file() -> str:
+    with tempfile.TemporaryDirectory(prefix="outputs-") as scratch:
+        path = Path(scratch) / "metrics.json"
+        done = _run("-m", "repro.experiments.runner", "--fast",
+                    "--metrics", str(path))
+        assert path.exists(), done.stderr[-2000:]
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _last_line(*args: str) -> str:
+    done = _run(*args)
     assert done.returncode == 0, done.stderr[-2000:]
-    return json.loads(done.stdout.strip().splitlines()[-1])["sim_digest"]
+    return done.stdout.strip().splitlines()[-1]
+
+
+def _sim_digest(workload: str, seed: int) -> str:
+    line = _last_line("bench/harness.py", "--workload", workload,
+                      "--seed", str(seed))
+    return json.loads(line)["sim_digest"]
 
 
 def compute() -> dict[str, str]:
     """Every row, two child processes at a time."""
     scorecard = ("-m", "repro.experiments.resilience_scorecard")
-    jobs = {"figures": (_figures, ())}
+    jobs = {"figures": (_figures, ()),
+            "telemetry runner --fast --metrics": (_metrics_file, ()),
+            "telemetry scorecard --fast sessions": (
+                _last_line, ("tests/outputs/scorecard_sessions.py",))}
     jobs.update((" ".join(["scorecard", *flags]),
                  (_stdout_row, (*scorecard, *flags)))
                 for flags in SCORECARDS)
