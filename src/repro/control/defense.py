@@ -443,12 +443,15 @@ class DefenseController:
                 detail: str = "") -> None:
         self.transitions.append(
             DefenseTransition(now, rung_name, action, self.level, detail))
+        _telemetry.record("defense_transitions_total", "defense", rung_name,
+                          action)
+        _telemetry.record("defense_ladder_rung", "defense",
+                          value=float(self.level))
         _t = _telemetry.ACTIVE
-        if _t is not None:
-            trace_id = (self._span.trace_id
-                        if self._span is not None else None)
-            _t.defense_transition("defense", rung_name, action,
-                                  self.level, now, trace_id)
+        if _t is not None and self._span is not None:
+            _t.tracer.instant(self._span.trace_id, f"defense.{action}",
+                              "defense", now, rung=rung_name,
+                              level=self.level)
 
     # -- reporting ------------------------------------------------------------
 

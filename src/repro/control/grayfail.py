@@ -75,11 +75,11 @@ class Verdict(enum.Enum):
 #: Gauge encoding for telemetry (EXONERATED is transient; it lands on 0
 #: because the machine is immediately HEALTHY again).
 _VERDICT_LEVEL = {
-    Verdict.HEALTHY: 0,
-    Verdict.SUSPECT: 1,
-    Verdict.CONVICTED: 2,
-    Verdict.PROBATION: 3,
-    Verdict.EXONERATED: 0,
+    Verdict.HEALTHY: 0.0,
+    Verdict.SUSPECT: 1.0,
+    Verdict.CONVICTED: 2.0,
+    Verdict.PROBATION: 3.0,
+    Verdict.EXONERATED: 0.0,
 }
 
 
@@ -386,9 +386,7 @@ class GrayFailController:
         latency = now - (track.first_evidence_at
                          if track.first_evidence_at is not None else now)
         self.detections.append((machine_id, latency))
-        _t = _telemetry.ACTIVE
-        if _t is not None:
-            _t.gray_detection(latency)
+        _telemetry.record("gray_detection_seconds", value=latency)
         for hook in self.on_convict:
             hook(machine_id)
 
@@ -415,10 +413,9 @@ class GrayFailController:
         track.verdict = verdict
         machine_id = track.target.machine.machine_id
         self.timeline.append((now, machine_id, verdict.value))
-        _t = _telemetry.ACTIVE
-        if _t is not None:
-            _t.gray_verdict(machine_id, verdict.value,
-                            _VERDICT_LEVEL[verdict])
+        _telemetry.record("gray_verdicts_total", machine_id, verdict.value)
+        _telemetry.record("gray_verdict_state", machine_id,
+                          value=_VERDICT_LEVEL[verdict])
 
     # -- suspension lease lifecycle ------------------------------------------
 

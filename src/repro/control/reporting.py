@@ -102,9 +102,8 @@ class ZoneCounter:
                 errors[key] += 1
             except KeyError:
                 errors[key] = 1
-        _t = _telemetry.ACTIVE
-        if _t is not None:
-            _t.zone_response(self.machine.machine_id, origin, rcode)
+        _telemetry.record("zone_responses_total", self.machine.machine_id,
+                          origin, rcode)
 
     def drain(self, window_start: float,
               window_end: float) -> list[ZoneTrafficSample]:

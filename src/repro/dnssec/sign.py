@@ -28,7 +28,7 @@ a small zone update touches a small number of records.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..dnscore import DNSKEY, RRSIG, RType, make_rrset
 from ..dnscore.name import Name
@@ -376,8 +376,9 @@ class ZoneSigner:
             stats.rrsets_removed += 1
             self._digests = {k: v for k, v in self._digests.items()
                              if k[0] != owner}
-        _t = _telemetry.ACTIVE
-        if _t is not None:
-            _t.dnssec_signed(str(zone.origin), stats.signatures_created,
-                             stats.signatures_reused)
+        for disposition, count in (("created", stats.signatures_created),
+                                   ("reused", stats.signatures_reused)):
+            if count:
+                _telemetry.record("dnssec_signatures_total", zone.origin,
+                                  disposition, value=count)
         return stats

@@ -77,14 +77,12 @@ class ScoringPipeline:
                     contributions = {}
                 contributions[filter_.name] = penalty
                 total += penalty
-        _t = _telemetry.ACTIVE
+        _telemetry.record("filter_penalty_score", value=total)
         if contributions is None:
             # Clean query: skip the per-query dict/breakdown allocation
             # (the dominant cost under flood load, where nearly every
             # query scores zero until a filter tree is built).
-            if _t is not None:
-                _t.filter_scored(self._CLEAN.contributions, 0.0)
             return self._CLEAN
-        if _t is not None:
-            _t.filter_scored(contributions, total)
+        for filter_name in contributions:
+            _telemetry.record("filter_penalties_total", filter_name)
         return ScoreBreakdown(total, contributions)

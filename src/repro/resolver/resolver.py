@@ -454,19 +454,16 @@ class RecursiveResolver:
                 # A DNSKEY fetch is in flight; this response is
                 # re-processed when it lands.
                 return
-            _t = _telemetry.ACTIVE
             if verdict == "bogus":
                 self.validation_failures += 1
-                if _t is not None:
-                    _t.dnssec_validation(False)
+                _telemetry.record("dnssec_validations_total", "bogus")
                 # Bogus data is indistinguishable from a lying server:
                 # retry the zone's other delegations, then give up.
                 self._query_authority(resolution)
                 return
             if verdict == "ok":
                 self.validations_ok += 1
-                if _t is not None:
-                    _t.dnssec_validation(True)
+                _telemetry.record("dnssec_validations_total", "ok")
         if message.rcode == RCode.NXDOMAIN:
             ttl = _negative_ttl(message.authority_rrsets())
             self.cache.put_negative(resolution.target, resolution.qtype,

@@ -60,9 +60,7 @@ class QoDFirewall:
     def record_crash(self, qname: Name, qtype: RType, now: float) -> None:
         """Install a rule from the payload the dying nameserver dumped."""
         self.install_rule(qname, qtype, now)
-        _t = _telemetry.ACTIVE
-        if _t is not None:
-            _t.qod_event("crash_recorded")
+        _telemetry.record("qod_events_total", "crash_recorded")
 
     def install_rule(self, qname: Name, qtype: RType,
                      now: float) -> QoDSignature:
@@ -90,9 +88,7 @@ class QoDFirewall:
         for signature in self._rules:
             if signature.matches(qname, qtype):
                 self.dropped += 1
-                _t = _telemetry.ACTIVE
-                if _t is not None:
-                    _t.qod_event("dropped")
+                _telemetry.record("qod_events_total", "dropped")
                 return True
         return False
 

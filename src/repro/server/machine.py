@@ -317,18 +317,14 @@ class NameserverMachine:
             (self.loop.now, action, str(zone.origin), _serial_of(zone)))
         if self._nxdomain_filter is not None:
             self._nxdomain_filter.invalidate(zone.origin)
-        _t = _telemetry.ACTIVE
-        if _t is not None:
-            _t.zone_update(self.machine_id, action)
+        _telemetry.record("zone_updates_total", self.machine_id, action)
         return True
 
     def _reject_zone(self, zone: Zone) -> bool:
         self.metrics.zone_rejects += 1
         self.zone_install_log.append(
             (self.loop.now, "reject", str(zone.origin), _serial_of(zone)))
-        _t = _telemetry.ACTIVE
-        if _t is not None:
-            _t.zone_update(self.machine_id, "reject")
+        _telemetry.record("zone_updates_total", self.machine_id, "reject")
         return False
 
     def rollback_zone(self, origin: Name) -> bool:
@@ -355,9 +351,7 @@ class NameserverMachine:
             return False
         stale = now - self.last_input_time > self.config.staleness_threshold
         if stale:
-            _t = _telemetry.ACTIVE
-            if _t is not None:
-                _t.machine_stale(self.machine_id)
+            _telemetry.record("machine_stale_total", self.machine_id)
         return stale
 
     # -- degraded mode (defense ladder) ---------------------------------------
@@ -374,9 +368,8 @@ class NameserverMachine:
         was_normal = self.degraded_rung is None
         self.degraded_rung = rung_label
         if was_normal:
-            _t = _telemetry.ACTIVE
-            if _t is not None:
-                _t.machine_lifecycle(self.machine_id, "degraded")
+            _telemetry.record("machine_lifecycle_total", self.machine_id,
+                              "degraded")
 
     def exit_degraded(self) -> None:
         """Leave degraded mode and replay deferred zone updates.
@@ -393,11 +386,12 @@ class NameserverMachine:
         self._deferred_zones.clear()
         for _, (zone, rollback) in pending:
             self.install_zone(zone, rollback=rollback)
-        _t = _telemetry.ACTIVE
-        if _t is not None:
-            _t.machine_lifecycle(self.machine_id, "restored")
+        _telemetry.record("machine_lifecycle_total", self.machine_id,
+                          "restored")
 
-    def _count_shed(self) -> None:
+    def _shed(self, reason: str) -> None:
+        """Count a query shed at ``reason``, and against the held rung."""
+        _telemetry.record("queries_dropped_total", self.machine_id, reason)
         rung = self.degraded_rung
         if rung is not None:
             shed = self.metrics.shed_by_rung
@@ -471,26 +465,23 @@ class NameserverMachine:
         """Self-suspend: stop answering until resumed."""
         if self.state == MachineState.RUNNING:
             self.state = MachineState.SUSPENDED
-            _t = _telemetry.ACTIVE
-            if _t is not None:
-                _t.machine_lifecycle(self.machine_id, "suspended")
+            _telemetry.record("machine_lifecycle_total", self.machine_id,
+                              "suspended")
             self._notify_state()
 
     def resume(self) -> None:
         if self.state == MachineState.SUSPENDED:
             self.state = MachineState.RUNNING
-            _t = _telemetry.ACTIVE
-            if _t is not None:
-                _t.machine_lifecycle(self.machine_id, "resumed")
+            _telemetry.record("machine_lifecycle_total", self.machine_id,
+                              "resumed")
             self._notify_state()
             self._kick()
 
     def crash(self, qname=None, qtype=None) -> None:
         """Unrecoverable fault; queued queries are lost."""
         self.metrics.crashes += 1
-        _t = _telemetry.ACTIVE
-        if _t is not None:
-            _t.machine_lifecycle(self.machine_id, "crashed")
+        _telemetry.record("machine_lifecycle_total", self.machine_id,
+                          "crashed")
         self.state = MachineState.CRASHED
         self.queues.clear()
         self._busy = False
@@ -552,9 +543,7 @@ class NameserverMachine:
             # it) sees the failure (section 4.2.4 posture).
             degraded = make_response(message, RCode.SERVFAIL)
             degraded.flags.aa = response.flags.aa
-            _t = _telemetry.ACTIVE
-            if _t is not None:
-                _t.dnssec_validation(False)
+            _telemetry.record("dnssec_validations_total", "bogus")
             return degraded
         if self.fault == "wrong_answer":
             # ``respond_probe`` may return a plan's shared Message —
@@ -587,8 +576,8 @@ class NameserverMachine:
             # rcode, no log line, no health-probe signal. Only the
             # metric (experiment-side ground truth) records it.
             metrics.dropped_gray += 1
-            if _t is not None:
-                _t.query_dropped(self.machine_id, "gray")
+            _telemetry.record("queries_dropped_total", self.machine_id,
+                              "gray")
             return
 
         if self.state != MachineState.RUNNING:
@@ -599,8 +588,8 @@ class NameserverMachine:
                 self._serve_shadow(dgram, envelope)
                 return
             metrics.dropped_not_running += 1
-            if _t is not None:
-                _t.query_dropped(self.machine_id, "not_running")
+            _telemetry.record("queries_dropped_total", self.machine_id,
+                              "not_running")
             return
 
         now = self.loop.now
@@ -610,16 +599,12 @@ class NameserverMachine:
         if (self.config.qod_firewall_enabled
                 and self.firewall.should_drop(qname, qtype, now)):
             metrics.dropped_firewall += 1
-            self._count_shed()
-            if _t is not None:
-                _t.query_dropped(self.machine_id, "firewall")
+            self._shed("firewall")
             return
 
         if not self._io_admit(now):
             metrics.dropped_io += 1
-            self._count_shed()
-            if _t is not None:
-                _t.query_dropped(self.machine_id, "io")
+            self._shed("io")
             return
 
         ctx = QueryContext(source=dgram.src, qname=qname,
@@ -628,9 +613,7 @@ class NameserverMachine:
         breakdown = self.pipeline.score(ctx)
         if not self.queues.enqueue((dgram, envelope), breakdown.total):
             metrics.dropped_queue += 1
-            self._count_shed()
-            if _t is not None:
-                _t.query_dropped(self.machine_id, "queue")
+            self._shed("queue")
             return
         if _t is not None:
             parent = envelope.trace

@@ -191,9 +191,8 @@ class MonitoringAgent:
                 self._on_crash(machine)
             return
         report = self.run_suite()
-        _t = _telemetry.ACTIVE
-        if _t is not None:
-            _t.agent_check(machine.machine_id, report.healthy)
+        _telemetry.record("agent_checks_total", machine.machine_id,
+                          "healthy" if report.healthy else "unhealthy")
         if not report.healthy:
             self._handle_unhealthy()
         else:
@@ -206,9 +205,8 @@ class MonitoringAgent:
                 not self.coordinator.request_suspension(
                     self.machine.machine_id)):
             self.metrics.suspensions_denied += 1
-            _t = _telemetry.ACTIVE
-            if _t is not None:
-                _t.machine_lifecycle(self.machine.machine_id, "denied")
+            _telemetry.record("machine_lifecycle_total",
+                              self.machine.machine_id, "denied")
             return
         # The quorum grant was obtained just above; this is the one
         # sanctioned direct-suspension site outside the controllers.

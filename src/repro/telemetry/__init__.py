@@ -24,12 +24,12 @@ seed, every export is bit-reproducible, **and** enabling telemetry does
 not change any simulation result — hooks never schedule events on the
 sim loop, never draw from simulation RNG streams, and never mutate sim
 state (arming the defense ladder is opt-in and off by default). When no
-session is active the entire subsystem costs one ``is not None`` guard
-per hook site (see :mod:`.state`).
+session is active each site costs one ``is not None`` test (:mod:`.state`).
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 from typing import Callable
 
@@ -63,17 +63,89 @@ class TelemetryConfig:
     seed: int = 0
     #: Fraction of trace roots kept; 0 disables span recording entirely.
     trace_sample_rate: float = 0.01
-    #: Bound on retained spans/instants (overflow is counted, not kept).
+    #: Bound on retained spans, and separately on retained instants;
+    #: what overflows either is counted in ``dropped_spans``, not kept.
     max_spans: int = 50_000
     #: When False, ``DefenseController.arm`` refuses the session, so no
     #: alert callback that would mutate simulator state is attached.
     #: Off by default so an observing session can never change results.
     arm_mitigations: bool = False
 
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.trace_sample_rate <= 1.0:
+            raise ValueError(f"trace_sample_rate must be in [0, 1], "
+                             f"got {self.trace_sample_rate}")
+        if self.max_spans < 0:
+            raise ValueError(f"max_spans must be >= 0, got {self.max_spans}")
+
+
+#: Every metric family of a session: name -> (kind, label names). The
+#: comment above a row says what it counts; instrumented code reaches a
+#: row with :func:`.state.record` unless a hook below owns it.
+METRICS: dict[str, tuple[str, tuple[str, ...]]] = {
+    # queries arriving at nameserver machines
+    "queries_received_total": ("counter", ("machine",)),
+    # responses assembled, by final rcode
+    "queries_answered_total": ("counter", ("machine", "rcode")),
+    # queries shed before service: gray, not_running, firewall, io, queue
+    "queries_dropped_total": ("counter", ("machine", "reason")),
+    # queries placed into penalty queues
+    "penalty_enqueued_total": ("counter", ("owner", "queue")),
+    # total queued queries per machine
+    "penalty_queue_depth": ("gauge", ("owner",)),
+    # nonzero penalties contributed per filter
+    "filter_penalties_total": ("counter", ("filter",)),
+    # distribution of total penalty scores
+    "filter_penalty_score": ("histogram", ()),
+    # query-of-death firewall activity: crash_recorded, dropped
+    "qod_events_total": ("counter", ("event",)),
+    # monitoring-agent cycles by outcome
+    "agent_checks_total": ("counter", ("machine", "outcome")),
+    # suspended, resumed, denied, crashed, degraded, restored
+    "machine_lifecycle_total": ("counter", ("machine", "event")),
+    # recursive resolutions finished, by rcode
+    "resolutions_total": ("counter", ("rcode",)),
+    # end-to-end resolution latency
+    "resolution_seconds": ("histogram", ()),
+    # per-attempt timeouts during resolution
+    "resolution_timeouts_total": ("counter", ()),
+    # SLO probe resolutions, graded
+    "probe_outcomes_total": ("counter", ("outcome",)),
+    # SLO probe answer latency
+    "probe_seconds": ("histogram", ()),
+    # per-zone responses, by rcode (feeds enterprise reports)
+    "zone_responses_total": ("counter", ("machine", "zone", "rcode")),
+    # positive staleness checks (inputs older than threshold)
+    "machine_stale_total": ("counter", ("machine",)),
+    # zone installs/rejects/rollbacks at machines
+    "zone_updates_total": ("counter", ("machine", "action")),
+    # safe-rollout release phase transitions
+    "rollout_events_total": ("counter", ("origin", "phase")),
+    # defense-ladder rung transitions: engage, disengage, revert
+    "defense_transitions_total": ("counter", ("controller", "rung", "action")),
+    # the ladder's escalation level after each move (0 once unwound)
+    "defense_ladder_rung": ("gauge", ("controller",)),
+    # RRSIGs produced by the zone-signing pipeline: created, reused
+    "dnssec_signatures_total": ("counter", ("origin", "disposition")),
+    # validations at resolvers and probe clients (no qname: unbounded)
+    "dnssec_validations_total": ("counter", ("outcome",)),
+    # key-rollover state machine events
+    "dnssec_rollover_steps_total": ("counter", ("origin", "kind", "step")),
+    # gray-failure verdict transitions (control.grayfail)
+    "gray_verdicts_total": ("counter", ("machine", "verdict")),
+    # verdict level: 0 healthy, 1 suspect, 2 convicted, 3 probation
+    "gray_verdict_state": ("gauge", ("machine",)),
+    # first differential evidence to conviction
+    "gray_detection_seconds": ("histogram", ()),
+}
+
+#: What ``record``'s value does to an instrument of each kind.
+_UPDATE = {"counter": "inc", "gauge": "set", "histogram": "record"}
+
 
 class _Bound(dict):
-    """Hook arguments -> what the hook updates, resolved on first use: a
-    hook pays one dict probe per call, ``labels`` once per series."""
+    """Arguments as passed -> what they update, resolved on first use: a
+    caller pays one dict probe per call, ``labels`` once per series."""
 
     def __init__(self, resolve: Callable) -> None:
         self._resolve = resolve
@@ -84,14 +156,26 @@ class _Bound(dict):
         return bound
 
 
+def _series(family, method: str = "") -> _Bound:
+    """Label arguments as passed -> ``family``'s instrument, or its
+    ``method``. The label text (an enum member's name, as ``RCode``'s,
+    else ``str``) is computed once per series."""
+    def resolve(*args):
+        instrument = family.labels(*(
+            arg.name if isinstance(arg, enum.Enum) else str(arg)
+            for arg in args))
+        return getattr(instrument, method) if method else instrument
+    return _Bound(resolve)
+
+
 class Telemetry:
     """One observability session: registry + tracer + alerts + stats taps.
 
     Activate with :func:`repro.telemetry.activate` (or the
-    :func:`~repro.telemetry.state.session` context manager);
-    instrumentation hooks throughout the simulator feed whichever
-    session is active. The hook methods below are the *only* interface
-    instrumented code calls, so the instrumentation surface stays
+    :func:`~repro.telemetry.state.session` context manager). A site
+    that only counts reaches a :data:`METRICS` row through
+    :meth:`record`; the hooks below also feed alert detectors or spans.
+    Nothing else is called, so the instrumentation surface stays
     greppable and the hot-path cost auditable.
     """
 
@@ -109,107 +193,27 @@ class Telemetry:
         self._stats_providers: list[tuple[str, Callable[[], dict]]] = []
         self._stats_frozen: dict[str, dict] = {}
 
-        reg = self.registry
-        # Packet-path hooks: series bound by the hook's own arguments, and
-        # each feed's live detector list (later detectors land in it).
-        self._received = _Bound(reg.counter(
-            "queries_received_total",
-            "queries arriving at nameserver machines", ("machine",)).labels)
-        answered = reg.counter(
-            "queries_answered_total",
-            "responses assembled, by final rcode", ("machine", "rcode"))
+        families = {}
+        #: row -> label arguments as passed -> the series' update method.
+        self._update: dict[str, _Bound] = {}
+        for name, (kind, labelnames) in METRICS.items():
+            family = families[name] = self.registry.family(name, kind,
+                                                           labelnames)
+            if not labelnames:
+                family.labels()     # the export lists it even when empty
+            self._update[name] = _series(family, _UPDATE[kind])
+        # Packet-path hooks touch instruments directly and feed each
+        # detector list (detectors added later land in it too).
+        self._received = _series(families["queries_received_total"])
+        answered = families["queries_answered_total"]
         # (series, what an answer feeds the NXDOMAIN and SERVFAIL ratios)
         self._answered = _Bound(lambda machine_id, rcode: (
             answered.labels(machine_id, rcode.name),
             float(rcode.name == "NXDOMAIN"), float(rcode.name == "SERVFAIL")))
-        self._dropped = _Bound(reg.counter(
-            "queries_dropped_total",
-            "queries shed before service", ("machine", "reason")).labels)
-        self._enqueued = _Bound(reg.counter(
-            "penalty_enqueued_total",
-            "queries placed into penalty queues", ("owner", "queue")).labels)
-        self._depth = _Bound(reg.gauge(
-            "penalty_queue_depth",
-            "total queued queries per machine", ("owner",)).labels)
-        self._filter = _Bound(reg.counter(
-            "filter_penalties_total",
-            "nonzero penalties contributed per filter", ("filter",)).labels)
+        self._enqueued = _series(families["penalty_enqueued_total"])
+        self._depth = _series(families["penalty_queue_depth"])
         self._qps, self._nxdomain, self._servfail, self._queue_depth = map(
             self.alerts.feed, ("qps", "nxdomain", "servfail", "queue_depth"))
-        self._h_penalty = reg.histogram(
-            "filter_penalty_score",
-            "distribution of total penalty scores").labels()
-        self._c_qod = reg.counter(
-            "qod_events_total",
-            "query-of-death firewall activity", ("event",))
-        self._c_agent = reg.counter(
-            "agent_checks_total",
-            "monitoring-agent cycles by outcome", ("machine", "outcome"))
-        self._c_lifecycle = reg.counter(
-            "machine_lifecycle_total",
-            "suspensions/resumptions/crashes", ("machine", "event"))
-        self._c_resolutions = reg.counter(
-            "resolutions_total",
-            "recursive resolutions finished, by rcode", ("rcode",))
-        self._h_resolution = reg.histogram(
-            "resolution_seconds",
-            "end-to-end resolution latency").labels()
-        self._c_timeouts = reg.counter(
-            "resolution_timeouts_total",
-            "per-attempt timeouts during resolution").labels()
-        self._c_probe = reg.counter(
-            "probe_outcomes_total",
-            "SLO probe resolutions, graded", ("outcome",))
-        zone = reg.counter(
-            "zone_responses_total",
-            "per-zone responses, by rcode (feeds enterprise reports)",
-            ("machine", "zone", "rcode"))
-        self._zone = _Bound(lambda machine_id, origin, rcode: zone.labels(
-            machine_id, str(origin), rcode.name))
-        self._c_stale = reg.counter(
-            "machine_stale_total",
-            "positive staleness checks (inputs older than threshold)",
-            ("machine",))
-        self._c_zone_updates = reg.counter(
-            "zone_updates_total",
-            "zone installs/rejects/rollbacks at machines",
-            ("machine", "action"))
-        self._c_rollout = reg.counter(
-            "rollout_events_total",
-            "safe-rollout release phase transitions",
-            ("origin", "phase"))
-        self._h_probe = reg.histogram(
-            "probe_seconds", "SLO probe answer latency").labels()
-        self._c_defense = reg.counter(
-            "defense_transitions_total",
-            "defense-ladder rung transitions",
-            ("controller", "rung", "action"))
-        self._g_defense = reg.gauge(
-            "defense_ladder_rung",
-            "current defense-ladder escalation level", ("controller",))
-        self._c_dnssec_sign = reg.counter(
-            "dnssec_signatures_total",
-            "RRSIGs produced by the zone-signing pipeline",
-            ("origin", "disposition"))
-        self._c_dnssec_validate = reg.counter(
-            "dnssec_validations_total",
-            "signature validations at resolvers and probe clients",
-            ("outcome",))
-        self._c_dnssec_rollover = reg.counter(
-            "dnssec_rollover_steps_total",
-            "key-rollover state machine events",
-            ("origin", "kind", "step"))
-        self._c_gray = reg.counter(
-            "gray_verdicts_total",
-            "gray-failure verdict transitions (control.grayfail)",
-            ("machine", "verdict"))
-        self._g_gray = reg.gauge(
-            "gray_verdict_state",
-            "current verdict level (0 healthy, 1 suspect, 2 convicted, "
-            "3 probation)", ("machine",))
-        self._h_gray_detect = reg.histogram(
-            "gray_detection_seconds",
-            "first differential evidence to conviction").labels()
 
     # -- clock / epoch ------------------------------------------------------
 
@@ -238,6 +242,14 @@ class Telemetry:
             self._stats_frozen[f"epoch{self.epoch}.{name}"] = provider()
         self._stats_providers.clear()
 
+    # -- metrics ------------------------------------------------------------
+
+    def record(self, name: str, labels: tuple, value: float = 1.0) -> None:
+        """Add ``value`` to counter ``name`` at series ``labels`` (set the
+        gauge, sample the histogram); ``labels`` are the site's own values
+        (a ``Name``, an ``RCode``). An unknown ``name`` raises KeyError."""
+        self._update[name][labels](value)
+
     # -- machine hooks ------------------------------------------------------
 
     def query_received(self, machine_id: str, now: float) -> None:
@@ -253,9 +265,6 @@ class Telemetry:
             detector.observe(now, nxdomain)
         for detector in self._servfail:
             detector.observe(now, servfail)
-
-    def query_dropped(self, machine_id: str, reason: str) -> None:
-        self._dropped[machine_id, reason].value += 1.0
 
     def queue_enqueued(self, owner: str, queue_index: int,
                        total_depth: int, now: float) -> None:
@@ -273,68 +282,6 @@ class Telemetry:
         for detector in self._queue_depth:
             detector.observe(now, depth)
 
-    def filter_scored(self, contributions: dict[str, float],
-                      total: float) -> None:
-        for filter_name in contributions:
-            self._filter[filter_name].value += 1.0
-        self._h_penalty.record(total)
-
-    def qod_event(self, event: str) -> None:
-        """``event`` is "crash_recorded", "dropped", or "armed"."""
-        self._c_qod.labels(event).inc()
-
-    # -- monitoring / lifecycle hooks ---------------------------------------
-
-    def agent_check(self, machine_id: str, healthy: bool) -> None:
-        outcome = "healthy" if healthy else "unhealthy"
-        self._c_agent.labels(machine_id, outcome).inc()
-
-    def machine_lifecycle(self, machine_id: str, event: str) -> None:
-        """``event``: "suspended", "resumed", "denied", "crashed",
-        "degraded", or "restored"."""
-        self._c_lifecycle.labels(machine_id, event).inc()
-
-    def machine_stale(self, machine_id: str) -> None:
-        """A staleness check came back positive for this machine."""
-        self._c_stale.labels(machine_id).inc()
-
-    def zone_update(self, machine_id: str, action: str) -> None:
-        """``action``: "install", "reject", or "rollback"."""
-        self._c_zone_updates.labels(machine_id, action).inc()
-
-    def rollout_event(self, origin: str, phase: str) -> None:
-        """A safe-rollout release changed phase (control.rollout)."""
-        self._c_rollout.labels(origin, phase).inc()
-
-    def defense_transition(self, controller: str, rung: str, action: str,
-                           level: int, now: float,
-                           trace_id: int | None = None) -> None:
-        """The defense ladder moved (control.defense).
-
-        ``action``: "engage", "disengage", or "revert" (guardrail trip);
-        ``level`` is the ladder's escalation level *after* the move, so
-        the gauge tracks the ladder and reads 0 once fully unwound.
-        """
-        self._c_defense.labels(controller, rung, action).inc()
-        self._g_defense.labels(controller).set(float(level))
-        if trace_id is not None:
-            self.tracer.instant(trace_id, f"defense.{action}", "defense",
-                                now, rung=rung, level=level)
-
-    def gray_verdict(self, machine_id: str, verdict: str,
-                     level: int) -> None:
-        """The gray-failure controller moved a machine's verdict.
-
-        ``level`` is the verdict's gauge encoding *after* the move, so
-        the per-machine gauge reads 0 once a machine is exonerated.
-        """
-        self._c_gray.labels(machine_id, verdict).inc()
-        self._g_gray.labels(machine_id).set(float(level))
-
-    def gray_detection(self, latency: float) -> None:
-        """A conviction landed; record first-evidence-to-verdict latency."""
-        self._h_gray_detect.record(latency)
-
     # -- resolver hooks -----------------------------------------------------
 
     def resolution_started(self, now: float) -> Span | None:
@@ -344,49 +291,23 @@ class Telemetry:
     def resolution_finished(self, span: Span | None, rcode: str,
                             duration: float, timeouts: int,
                             now: float) -> None:
-        self._c_resolutions.labels(rcode).inc()
-        self._h_resolution.record(duration)
+        update = self._update
+        update["resolutions_total"][(rcode,)](1.0)
+        update["resolution_seconds"][()](duration)
         if timeouts:
-            self._c_timeouts.inc(timeouts)
+            update["resolution_timeouts_total"][()](timeouts)
         if span is not None:
             span.attrs["rcode"] = rcode
             span.attrs["timeouts"] = timeouts
             self.tracer.finish(span, now)
 
-    # -- DNSSEC hooks -------------------------------------------------------
-
-    def dnssec_signed(self, origin: str, created: int,
-                      reused: int) -> None:
-        """A zone (re-)signing pass finished (repro.dnssec.sign)."""
-        if created:
-            self._c_dnssec_sign.labels(origin, "created").inc(created)
-        if reused:
-            self._c_dnssec_sign.labels(origin, "reused").inc(reused)
-
-    def dnssec_validation(self, ok: bool) -> None:
-        """A validator judged a response (resolver or probe client).
-
-        The qname is deliberately not a metric label: attack traffic
-        makes it unbounded.
-        """
-        self._c_dnssec_validate.labels("ok" if ok else "bogus").inc()
-
-    def dnssec_rollover(self, origin: str, kind: str, step: str) -> None:
-        """A key-rollover state machine advanced (repro.dnssec.rollover)."""
-        self._c_dnssec_rollover.labels(origin, kind, step).inc()
-
-    # -- reporting hooks ----------------------------------------------------
-
-    def zone_response(self, machine_id: str, origin, rcode) -> None:
-        """``origin``: a ``Name``; ``rcode``: the ``RCode`` member."""
-        self._zone[machine_id, origin, rcode].value += 1.0
-
     # -- SLO probe hooks ----------------------------------------------------
 
     def probe_outcome(self, ok: bool, duration: float, now: float) -> None:
-        self._c_probe.labels("ok" if ok else "failed").inc()
+        update = self._update
+        update["probe_outcomes_total"][("ok" if ok else "failed",)](1.0)
         if ok:
-            self._h_probe.record(duration)
+            update["probe_seconds"][()](duration)
         self.alerts.observe("probe.fail", now, 0.0 if ok else 1.0)
 
     # -- export -------------------------------------------------------------

@@ -33,9 +33,6 @@ class AlertSeverity(str, enum.Enum):
     WARNING = "warning"
     CRITICAL = "critical"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
 
 @dataclass(slots=True)
 class Alert:
@@ -97,7 +94,8 @@ class Detector:
     observation (or ``finalize``) lands past their end.
     """
 
-    #: Number of (window_start, value) pairs retained for dashboards.
+    #: Number of judged (window_start, value) pairs ``history`` keeps,
+    #: the seam tests read a detector's windows through.
     HISTORY = 128
 
     def __init__(self, name: str, *, window: float,
@@ -335,9 +333,6 @@ class AlertManager:
             callback(alert)
 
     # -- reporting -----------------------------------------------------------
-
-    def active(self) -> list[Alert]:
-        return [self._active[name] for name in sorted(self._active)]
 
     def first_raise_after(self, t0: float, *, name: str | None = None,
                           epoch: int | None = None) -> Alert | None:

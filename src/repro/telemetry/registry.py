@@ -143,32 +143,26 @@ class Histogram:
 class MetricFamily:
     """One named metric with a fixed label schema.
 
-    ``labels(...)`` returns the instrument for a label-value tuple,
+    ``labels(...)`` returns the instrument for a tuple of label texts,
     creating it on first use. Instruments are plain objects with no
     back-pointer, so the hot path can cache them.
     """
 
     name: str
     kind: str                       # "counter" | "gauge" | "histogram"
-    help: str = ""
     labelnames: tuple[str, ...] = ()
     series: dict[tuple[str, ...], object] = field(default_factory=dict)
 
     _CTORS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
     def labels(self, *labelvalues: str):
-        # Fast path: callers almost always pass str values, so the raw
-        # tuple is a stored key (of the right arity) and one probe ends it.
         instrument = self.series.get(labelvalues)
         if instrument is None:
             if len(labelvalues) != len(self.labelnames):
                 raise ValueError(
                     f"{self.name}: expected labels {self.labelnames}, "
                     f"got {labelvalues!r}")
-            key = tuple(str(v) for v in labelvalues)
-            instrument = self.series.get(key)
-            if instrument is None:
-                instrument = self.series[key] = self._CTORS[self.kind]()
+            instrument = self.series[labelvalues] = self._CTORS[self.kind]()
         return instrument
 
     def items(self):
@@ -190,11 +184,12 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._families: dict[str, MetricFamily] = {}
 
-    def _family(self, name: str, kind: str, help_: str,
-                labelnames: tuple[str, ...]) -> MetricFamily:
+    def family(self, name: str, kind: str,
+               labelnames: tuple[str, ...] = ()) -> MetricFamily:
+        """The ``kind`` family ``name``, registered on first use."""
         family = self._families.get(name)
         if family is None:
-            family = MetricFamily(name, kind, help_, tuple(labelnames))
+            family = MetricFamily(name, kind, tuple(labelnames))
             self._families[name] = family
             return family
         if family.kind != kind or family.labelnames != tuple(labelnames):
@@ -203,26 +198,12 @@ class MetricsRegistry:
                 f"kind/label schema")
         return family
 
-    def counter(self, name: str, help_: str = "",
-                labelnames: tuple[str, ...] = ()) -> MetricFamily:
-        return self._family(name, "counter", help_, labelnames)
-
-    def gauge(self, name: str, help_: str = "",
-              labelnames: tuple[str, ...] = ()) -> MetricFamily:
-        return self._family(name, "gauge", help_, labelnames)
-
-    def histogram(self, name: str, help_: str = "",
-                  labelnames: tuple[str, ...] = ()) -> MetricFamily:
-        return self._family(name, "histogram", help_, labelnames)
-
-    def families(self) -> list[MetricFamily]:
-        return [self._families[n] for n in sorted(self._families)]
-
     def snapshot(self) -> dict[str, dict]:
         """The full registry as a sorted, JSON-ready mapping."""
         out: dict[str, dict] = {"counters": {}, "gauges": {},
                                 "histograms": {}}
-        for family in self.families():
+        for name in sorted(self._families):
+            family = self._families[name]
             for key, instrument in family.items():
                 series = _series_key(family.name, family.labelnames, key)
                 if family.kind == "counter":

@@ -1,18 +1,16 @@
 """Process-global telemetry handle with near-zero disabled overhead.
 
-Instrumented code guards every hook with one module-attribute read::
+A site that only records a metric makes one call, which holds the
+check for a session::
 
     from ..telemetry import state as _telemetry
-    ...
-    _t = _telemetry.ACTIVE
-    if _t is not None:
-        _t.query_received(...)
+    _telemetry.record("queries_dropped_total", self.machine_id, "io")
 
-When no telemetry session is active, ``ACTIVE`` is ``None`` and the
-guard costs a dict lookup plus an identity test — the contract that
-keeps the fast-path suite within its wall-time budget (see
-docs/ARCHITECTURE.md, "Observability"). This module deliberately
-imports nothing from the simulator so any layer may depend on it.
+A hook that also feeds a detector or a span guards itself with
+``_t = _telemetry.ACTIVE; if _t is not None: _t.query_received(...)``.
+With no session, ``ACTIVE`` is ``None`` and either costs an identity
+test (see docs/ARCHITECTURE.md, "Observability"). This module imports
+nothing from the simulator so any layer may depend on it.
 
 Sessions nest: :func:`activate` pushes, :func:`deactivate` pops and
 restores the previous handle, so a component that runs its own scoped
@@ -46,6 +44,12 @@ def deactivate() -> None:
     """Pop the current handle, restoring whatever was active before."""
     global ACTIVE
     ACTIVE = _STACK.pop() if _STACK else None
+
+
+def record(name: str, *labels, value: float = 1.0) -> None:
+    """``Telemetry.record(name, labels, value)`` on the active session."""
+    if ACTIVE is not None:
+        ACTIVE.record(name, labels, value)
 
 
 @contextlib.contextmanager

@@ -259,19 +259,15 @@ def bench_telemetry(n_queries: int = 8_000) -> tuple[float, float]:
     The workload drives the fig10 testbed point — queue policy, scoring
     pipeline, firewall, and engine, i.e. the most hook-dense path in
     the tree. *Disabled* is the shipped default (no session active:
-    every hook is one module-attribute read plus an identity test);
-    *enabled* runs inside a full-sampling session with the standard
-    detectors armed. The gated ratio bounds what turning telemetry on
-    costs; the disabled-mode absolute feeds the same committed-baseline
-    comparison as the forwarding benches, which also run entirely over
-    instrumented code with no session active.
+    every site is one identity test, inside ``state.record`` or its own
+    guard); *enabled* runs inside a full-sampling session with the
+    standard detectors armed. The gated ratio bounds what turning
+    telemetry on costs; the disabled-mode absolute feeds the same
+    committed-baseline comparison as the forwarding benches, which also
+    run entirely over instrumented code with no session active.
     """
     from ..experiments import fig10_nxdomain
-    from ..telemetry import (
-        Telemetry,
-        TelemetryConfig,
-        standard_detectors,
-    )
+    from ..telemetry import Telemetry, TelemetryConfig, standard_detectors
     from ..telemetry import state as telemetry_state
 
     measure = n_queries / 1_900.0   # legit 400/s + attack 1500/s

@@ -3,9 +3,9 @@
 A small platform (filters on, machines sized to saturate) takes three
 attack classes through the network beside four resolvers' legitimate
 queries, with a sampling session and low-threshold detectors active:
-every packet-path hook fires — ``query_received/answered/dropped``,
-``queue_enqueued/served``, ``filter_scored``, ``zone_response`` — and
-alerts raise. ``Telemetry.export()`` and every span, instant and alert
+every packet-path hook and row fires — ``query_received/answered``,
+``queue_enqueued/served``, ``queries_dropped_total``, the two filter
+rows, ``zone_responses_total`` — and alerts raise. ``Telemetry.export()`` and every span, instant and alert
 (``jsonl_events``) were recorded before the hooks stopped resolving
 their series and feeds per call (``python -m
 tests.telemetry.test_flood_golden --record``) and must stay

@@ -18,14 +18,14 @@ _REL_ERROR = math.sqrt(_BUCKET_BASE)
 class TestCounterGauge:
     def test_counter_inc(self):
         reg = MetricsRegistry()
-        c = reg.counter("queries_total").labels()
+        c = reg.family("queries_total", "counter").labels()
         c.inc()
         c.inc(3.0)
         assert reg.snapshot()["counters"]["queries_total"] == 4.0
 
     def test_gauge_tracks_extremes(self):
         reg = MetricsRegistry()
-        g = reg.gauge("depth").labels()
+        g = reg.family("depth", "gauge").labels()
         for v in (3.0, 9.0, 1.0):
             g.set(v)
         snap = reg.snapshot()["gauges"]["depth"]
@@ -33,7 +33,7 @@ class TestCounterGauge:
 
     def test_labeled_series_sorted(self):
         reg = MetricsRegistry()
-        fam = reg.counter("rcodes", labelnames=("machine", "rcode"))
+        fam = reg.family("rcodes", "counter", ("machine", "rcode"))
         fam.labels("m2", "NOERROR").inc()
         fam.labels("m1", "SERVFAIL").inc()
         fam.labels("m1", "NOERROR").inc()
@@ -45,20 +45,20 @@ class TestCounterGauge:
 
     def test_label_arity_enforced(self):
         reg = MetricsRegistry()
-        fam = reg.counter("c", labelnames=("a",))
+        fam = reg.family("c", "counter", ("a",))
         with pytest.raises(ValueError):
             fam.labels("x", "y")
 
     def test_schema_conflict_rejected(self):
         reg = MetricsRegistry()
-        reg.counter("m", labelnames=("a",))
+        reg.family("m", "counter", ("a",))
         with pytest.raises(ValueError):
-            reg.gauge("m", labelnames=("a",))
+            reg.family("m", "gauge", ("a",))
         with pytest.raises(ValueError):
-            reg.counter("m", labelnames=("b",))
+            reg.family("m", "counter", ("b",))
         # Same schema re-registration returns the same family.
-        assert reg.counter("m", labelnames=("a",)) is \
-            reg.counter("m", labelnames=("a",))
+        assert reg.family("m", "counter", ("a",)) is \
+            reg.family("m", "counter", ("a",))
 
 
 class TestHistogram:
@@ -102,7 +102,7 @@ class TestHistogram:
 
     def test_snapshot_shape(self):
         reg = MetricsRegistry()
-        h = reg.histogram("latency").labels()
+        h = reg.family("latency", "histogram").labels()
         for v in (0.01, 0.02, 0.04, 0.08):
             h.record(v)
         snap = reg.snapshot()["histograms"]["latency"]

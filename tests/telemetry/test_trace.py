@@ -1,5 +1,8 @@
 """Tracer: span parenting, deterministic head sampling, span budget."""
 
+import pytest
+
+from repro.telemetry import Telemetry, TelemetryConfig
 from repro.telemetry.trace import Tracer
 
 
@@ -55,9 +58,8 @@ class TestSampling:
         assert 30 <= kept <= 90  # ~30% of 200
 
     def test_invalid_rate_rejected(self):
-        import pytest
-        with pytest.raises(ValueError):
-            Tracer(sample_rate=1.5)
+        with pytest.raises(ValueError, match="trace_sample_rate"):
+            Telemetry(TelemetryConfig(trace_sample_rate=1.5))
 
 
 class TestBudget:
@@ -75,3 +77,32 @@ class TestBudget:
             t.instant(1, "net.delivered", "net", float(i))
         assert len(t.events) == 2
         assert t.dropped_spans == 2
+
+    def test_budget_is_per_span_so_a_child_outlives_its_root(self):
+        """Children finish before their root: the trace that crosses the
+        budget keeps the child that fit and loses the root."""
+        t = _tracer(max_spans=2)
+        first = t.start_trace("q", "m", 0.0)
+        t.finish(first, 0.1)
+        root = t.start_trace("resolver.resolve", "resolver", 1.0)
+        child = t.start_span(root, "resolver.attempt", "resolver", 1.1)
+        t.finish(child, 1.2)
+        t.finish(root, 1.3)
+        assert t.spans == [first, child]
+        assert t.dropped_spans == 1
+
+
+class TestConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("trace_sample_rate", -0.01),
+        ("trace_sample_rate", 1.01),
+        ("trace_sample_rate", float("nan")),
+        ("max_spans", -1),
+    ])
+    def test_out_of_range_value_names_its_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TelemetryConfig(**{field: value})
+
+    def test_bounds_are_accepted(self):
+        TelemetryConfig(trace_sample_rate=0.0, max_spans=0)
+        TelemetryConfig(trace_sample_rate=1.0)
