@@ -7,10 +7,12 @@
 ``to_dict(include_series=True)`` for each of the 15 ``--fast`` figures,
 of the stdout of the six scorecard runs and the ten examples (with the
 exit status), the ``sim_digest`` ``bench/harness.py`` prints for the
-four workloads at seeds 42 and 977, and two telemetry exports: the file
-``runner --fast --metrics`` writes, and the sessions the three ``--fast``
+four workloads at seeds 42 and 977, and four telemetry exports: the file
+``runner --fast --metrics`` writes, the sessions the three ``--fast``
 scorecard suites open (``scorecard_sessions.py``), which the runner's
-file does not hold. Every command runs in a process of its own, as a
+file does not hold, and the Chrome traces ``runner --fast --trace``
+writes for fig10 and enduser, the only rows that hold spans. Every
+command runs in a process of its own, as a
 user would run it. Tier-1 deselects the marker (about 45 s on two cpus);
 a PR records the file on its parent commit first, so its own diff of the
 file is the list of outputs it moved.
@@ -39,6 +41,10 @@ SCORECARDS = [(*scale, *suite)
 EXAMPLES = sorted(path.name for path in (REPO / "examples").glob("*.py"))
 WORKLOADS = ("resolve_steady", "flood_defend", "churn_mixed", "engine_wire")
 BENCH_SEEDS = (42, 977)
+#: Figures whose Chrome trace is pinned: fig10 holds the machine and
+#: engine spans and the alert instants, enduser the resolver, PoP and
+#: network ones.
+TRACED = ("fig10", "enduser")
 
 
 def _sha(text: str) -> str:
@@ -73,11 +79,12 @@ def _figures() -> dict[str, str]:
             for label, result in zip(JOB_ORDER, results)}
 
 
-def _metrics_file() -> str:
+def _runner_file(*args: str) -> str:
+    """SHA-256 of the file ``runner --fast args... PATH`` writes."""
     with tempfile.TemporaryDirectory(prefix="outputs-") as scratch:
-        path = Path(scratch) / "metrics.json"
-        done = _run("-m", "repro.experiments.runner", "--fast",
-                    "--metrics", str(path))
+        path = Path(scratch) / "written.json"
+        done = _run("-m", "repro.experiments.runner", "--fast", *args,
+                    str(path))
         assert path.exists(), done.stderr[-2000:]
         return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -98,9 +105,13 @@ def compute() -> dict[str, str]:
     """Every row, two child processes at a time."""
     scorecard = ("-m", "repro.experiments.resilience_scorecard")
     jobs = {"figures": (_figures, ()),
-            "telemetry runner --fast --metrics": (_metrics_file, ()),
+            "telemetry runner --fast --metrics": (_runner_file,
+                                                  ("--metrics",)),
             "telemetry scorecard --fast sessions": (
                 _last_line, ("tests/outputs/scorecard_sessions.py",))}
+    jobs.update((f"telemetry runner --fast --trace {label}", (
+        _runner_file, ("--only", label, "--trace", label, "--trace-out")))
+        for label in TRACED)
     jobs.update((" ".join(["scorecard", *flags]),
                  (_stdout_row, (*scorecard, *flags)))
                 for flags in SCORECARDS)
