@@ -170,9 +170,9 @@ class SLOProbe:
             sent_at=sent_at, finished_at=self.loop.now,
             rcode=result.rcode, duration=result.duration,
             timeouts=result.timeouts, ok=ok))
-        _t = _telemetry.ACTIVE
-        if _t is not None:
-            _t.probe_outcome(ok, result.duration, self.loop.now)
+        _telemetry.record("probe_outcomes_total", "ok" if ok else "failed")
+        if ok:
+            _telemetry.record("probe_seconds", value=result.duration)
 
     # -- reporting -----------------------------------------------------------
 

@@ -227,8 +227,8 @@ class DefenseController:
     """Walks the escalation ladder off the alert pipeline.
 
     ``ladder`` orders the rungs mildest-first. ``ATTACK_QPS_ALERT`` is
-    the driving signal — a QPS-spike detector fed by ``query_received``
-    (which fires *before* any shedding, so the signal persists while
+    the driving signal — a QPS-spike detector on ``queries_received_total``
+    (recorded *before* any shedding, so the signal persists while
     mitigations hold and clears only when the attack actually stops).
     ``estimator`` feeds the guardrail; ``machines`` are held in degraded
     mode (serve-from-LKG, per-rung shed attribution) while any rung is
@@ -400,10 +400,7 @@ class DefenseController:
         for machine in self.machines:
             machine.enter_degraded(rung.name)
         if len(self._stack) == 1:
-            _t = _telemetry.ACTIVE
-            if _t is not None:
-                self._span = _t.tracer.start_trace("defense.ladder",
-                                                   "defense", now)
+            self._span = _telemetry.begin("defense.ladder", "defense", now)
         self._record(now, rung.name, "engage")
 
     def _disengage_top(self, now: float, action: str,
@@ -433,10 +430,8 @@ class DefenseController:
                                      and self.estimator is not None
                                      else None)
         self._record(now, rung.name, action, detail)
-        if not self._stack and self._span is not None:
-            _t = _telemetry.ACTIVE
-            if _t is not None:
-                _t.tracer.finish(self._span, now)
+        if not self._stack:
+            _telemetry.end(self._span, now)
             self._span = None
 
     def _record(self, now: float, rung_name: str, action: str,
@@ -447,11 +442,8 @@ class DefenseController:
                           action)
         _telemetry.record("defense_ladder_rung", "defense",
                           value=float(self.level))
-        _t = _telemetry.ACTIVE
-        if _t is not None and self._span is not None:
-            _t.tracer.instant(self._span.trace_id, f"defense.{action}",
-                              "defense", now, rung=rung_name,
-                              level=self.level)
+        _telemetry.instant(self._span, f"defense.{action}", "defense", now,
+                           rung=rung_name, level=self.level)
 
     # -- reporting ------------------------------------------------------------
 

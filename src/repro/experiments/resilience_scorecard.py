@@ -639,7 +639,7 @@ def _wire_defense(deployment: AkamaiDNSDeployment, telemetry: Telemetry,
     telemetry.alerts.add(
         RateDetector(ATTACK_QPS_ALERT, window=1.0, threshold=120.0,
                      for_windows=2, severity=AlertSeverity.CRITICAL),
-        "qps")
+        "queries_received_total")
     spec = next(f for f in campaign.faults
                 if f.kind is FaultKind.ATTACK_FLOOD)
     cloud = next(c for c in deployment.clouds if c.prefix == spec.target)
@@ -680,10 +680,10 @@ def run_campaign(params: ScorecardParams,
     platform to build, and the campaign's targets are bound on it
     before the chaos engine arms.
 
-    A campaign-local telemetry session watches the probe's failure feed
-    with a :class:`RatioDetector`, so the scorecard can report not only
-    whether the platform degraded but how quickly the observability
-    pipeline *noticed* (time-to-detection). Telemetry is passive: the
+    A campaign-local telemetry session watches the probe's failed
+    outcomes with a :class:`RatioDetector`, so the scorecard can report
+    not only whether the platform degraded but how quickly the
+    observability pipeline *noticed* (time-to-detection). Telemetry is passive: the
     session changes no simulation behaviour, only what gets recorded.
     """
     slo = entry.slo
@@ -697,7 +697,7 @@ def run_campaign(params: ScorecardParams,
     detector = RatioDetector("probe-failure",
                              window=PROBE_WINDOW,
                              threshold=VISIBLE_DIP_RATIO, min_count=2)
-    telemetry.alerts.add(detector, "probe.fail")
+    telemetry.alerts.add(detector, "probe_outcomes_total", "outcome=failed")
     with _telemetry_state.session(telemetry):
         deployment = build_deployment(params, rollout=rollout,
                                       defense=defense, gray=slo.gray)

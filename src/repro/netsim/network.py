@@ -543,13 +543,10 @@ class Network:
         Purely observational: reads the payload's trace context (if any)
         and records a marker; never touches forwarding state.
         """
-        _t = _telemetry.ACTIVE
-        if _t is None:
-            return
         span = getattr(dgram.payload, "trace", None)
         if span is not None:
-            _t.tracer.instant(span.trace_id, "net.delivered", "net", at,
-                              dst=dgram.dst, hops=hops)
+            _telemetry.instant(span, "net.delivered", "net", at,
+                               dst=dgram.dst, hops=hops)
 
     def _deliver_fast(self, route: _CachedRoute, dgram: Datagram) -> None:
         hops = route.hops

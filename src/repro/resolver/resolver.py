@@ -184,9 +184,8 @@ class RecursiveResolver:
         """Start resolving; ``callback`` fires exactly once on completion."""
         self.resolutions_started += 1
         resolution = _Resolution(self, qname, qtype, callback)
-        _t = _telemetry.ACTIVE
-        if _t is not None:
-            resolution.span = _t.resolution_started(self.loop.now)
+        resolution.span = _telemetry.begin("resolver.resolve", "resolver",
+                                           self.loop.now)
         self._step(resolution)
 
     # -- cache-driven stepping ------------------------------------------------
@@ -334,15 +333,10 @@ class RecursiveResolver:
                            edns=edns)
         port = self.rng.randint(1024, 65535)
         envelope = QueryEnvelope(query, tcp=tcp)
-        _t = _telemetry.ACTIVE
-        if _t is not None and resolution.span is not None:
-            attempt = _t.tracer.start_span(resolution.span,
-                                           "resolver.attempt", "resolver",
-                                           self.loop.now)
-            attempt.attrs["server"] = address
-            attempt.attrs["tcp"] = tcp
-            resolution.attempt_span = attempt
-            envelope.trace = attempt
+        if resolution.span is not None:
+            resolution.attempt_span = envelope.trace = _telemetry.begin(
+                "resolver.attempt", "resolver", self.loop.now,
+                resolution.span, server=address, tcp=tcp)
         dgram = Datagram(src=self.host_id, dst=address,
                          payload=envelope, src_port=port)
         resolution.pending_query = query
@@ -412,11 +406,8 @@ class RecursiveResolver:
             return
         if resolution.timeout_handle is not None:
             resolution.timeout_handle.cancel()
-        if resolution.attempt_span is not None:
-            _t = _telemetry.ACTIVE
-            if _t is not None:
-                _t.tracer.finish(resolution.attempt_span, self.loop.now)
-            resolution.attempt_span = None
+        _telemetry.end(resolution.attempt_span, self.loop.now)
+        resolution.attempt_span = None
         rtt = self.loop.now - resolution.pending_sent_at
         address = resolution.pending_address
         if address is not None:
@@ -432,12 +423,8 @@ class RecursiveResolver:
             return
         self._inflight.pop(msg_id, None)
         resolution.result.timeouts += 1
-        if resolution.attempt_span is not None:
-            _t = _telemetry.ACTIVE
-            if _t is not None:
-                resolution.attempt_span.attrs["timeout"] = True
-                _t.tracer.finish(resolution.attempt_span, self.loop.now)
-            resolution.attempt_span = None
+        _telemetry.end(resolution.attempt_span, self.loop.now, timeout=True)
+        resolution.attempt_span = None
         # Retry: a different delegation of the same zone with high
         # probability, since tried addresses are excluded first.
         self._query_authority(resolution)
@@ -589,11 +576,13 @@ class RecursiveResolver:
         result.from_cache = from_cache and result.queries_sent == 0
         if resolution.sub_depth == 0:
             self.resolutions_completed += 1
-            _t = _telemetry.ACTIVE
-            if _t is not None:
-                _t.resolution_finished(resolution.span, rcode.name,
-                                       result.duration, result.timeouts,
-                                       self.loop.now)
+            _telemetry.record("resolutions_total", rcode)
+            _telemetry.record("resolution_seconds", value=result.duration)
+            if result.timeouts:
+                _telemetry.record("resolution_timeouts_total",
+                                  value=result.timeouts)
+            _telemetry.end(resolution.span, self.loop.now, rcode=rcode.name,
+                           timeouts=result.timeouts)
         resolution.callback(result)
 
 

@@ -185,7 +185,6 @@ class NameserverMachine:
         self.queues: PenaltyQueueRuntime[tuple[Datagram, QueryEnvelope]] = (
             PenaltyQueueRuntime(queue_policy, self.config.queue_depth,
                                 owner=machine_id))
-        self.queues.clock = loop
         self.firewall = QoDFirewall(self.config.t_qod)
         #: Where answers go; the PoP or host the machine joins sets it.
         self.respond: ResponseCallback = lambda dgram, message: None
@@ -567,9 +566,7 @@ class NameserverMachine:
             metrics.legit_received += 1
         if dgram.src in self.known_sources:
             metrics.known_received += 1
-        _t = _telemetry.ACTIVE
-        if _t is not None:
-            _t.query_received(self.machine_id, self.loop.now)
+        _telemetry.record("queries_received_total", self.machine_id)
 
         if self.gray_fault is not None and self._gray_drops(dgram.src):
             # Swallowed below every layer the machine can observe: no
@@ -615,15 +612,8 @@ class NameserverMachine:
             metrics.dropped_queue += 1
             self._shed("queue")
             return
-        if _t is not None:
-            parent = envelope.trace
-            if parent is None:
-                span = _t.tracer.start_trace("machine.process",
-                                             "machine", now)
-            else:
-                span = _t.tracer.start_span(parent, "machine.process",
-                                            "machine", now)
-            envelope.trace = span
+        envelope.trace = _telemetry.begin("machine.process", "machine", now,
+                                          envelope.trace)
         self._kick()
 
     def _io_admit(self, now: float) -> bool:
@@ -687,16 +677,14 @@ class NameserverMachine:
             metrics.legit_answered += 1
         if dgram.src in self.known_sources:
             metrics.known_answered += 1
-        _t = _telemetry.ACTIVE
-        if _t is not None:
+        rcode = response.flags.rcode
+        _telemetry.record("queries_answered_total", self.machine_id, rcode)
+        span = envelope.trace
+        if span is not None:
             now = self.loop.now
-            rcode = response.flags.rcode
-            _t.query_answered(self.machine_id, rcode, now)
-            span = envelope.trace
-            if span is not None:
-                _t.tracer.instant(span.trace_id, "engine.respond",
-                                  "engine", now, rcode=rcode.name)
-                _t.tracer.finish(span, now)
+            _telemetry.instant(span, "engine.respond", "engine", now,
+                               rcode=rcode.name)
+            _telemetry.end(span, now)
         self.respond(dgram, response)
         self._kick()
 
@@ -735,8 +723,6 @@ class NameserverMachine:
         metrics = self.metrics
         metrics.answered += 1
         metrics.legit_answered += 1
-        _t = _telemetry.ACTIVE
-        if _t is not None:
-            _t.query_answered(self.machine_id, response.flags.rcode,
-                              self.loop.now)
+        _telemetry.record("queries_answered_total", self.machine_id,
+                          response.flags.rcode)
         self.respond(dgram, response)

@@ -189,12 +189,9 @@ class PoP:
         machine_id = ecmp[ecmp_hash(dgram.flow_key) % len(ecmp)]
         machine = self.machines[machine_id]
         self.queries_forwarded += 1
-        _t = _telemetry.ACTIVE
-        if _t is not None:
-            span = dgram.payload.trace
-            if span is not None:
-                _t.tracer.instant(span.trace_id, "pop.ecmp", "pop",
-                                  self.loop.now, pop=self.router_id,
-                                  machine=machine_id)
+        span = dgram.payload.trace
+        if span is not None:
+            _telemetry.instant(span, "pop.ecmp", "pop", self.loop.now,
+                               pop=self.router_id, machine=machine_id)
         self.loop.call_later(INTRA_POP_LATENCY_S,
                              machine.receive_query, dgram)

@@ -38,9 +38,6 @@ class PenaltyQueueRuntime(Generic[T]):
         self.max_depth = max_depth_per_queue
         #: Telemetry label (typically the owning machine's id).
         self.owner = owner
-        #: Clock for telemetry timestamps; set by the owner when it has
-        #: a loop (queues are usable without one).
-        self.clock = None
         self._queues: list[deque[T]] = [deque()
                                         for _ in range(policy.queue_count)]
         self._depth = 0     # items queued, over all queues
@@ -62,10 +59,9 @@ class PenaltyQueueRuntime(Generic[T]):
         queue.append(item)
         self._depth += 1
         self.stats.enqueued_per_queue[index] += 1
-        _t = _telemetry.ACTIVE
-        if _t is not None and self.clock is not None:
-            _t.queue_enqueued(self.owner, index, self._depth,
-                              self.clock.now)
+        _telemetry.record("penalty_enqueued_total", self.owner, index)
+        _telemetry.record("penalty_queue_depth", self.owner,
+                          value=float(self._depth))
         return True
 
     def pop_next(self) -> tuple[int, T] | None:
@@ -75,10 +71,8 @@ class PenaltyQueueRuntime(Generic[T]):
                 self.stats.served_per_queue[index] += 1
                 item = queue.popleft()
                 self._depth -= 1
-                _t = _telemetry.ACTIVE
-                if _t is not None and self.clock is not None:
-                    _t.queue_served(self.owner, self._depth,
-                                    self.clock.now)
+                _telemetry.record("penalty_queue_depth", self.owner,
+                                  value=float(self._depth))
                 return index, item
         return None
 

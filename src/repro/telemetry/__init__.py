@@ -14,17 +14,18 @@ four layers:
   (``runner --trace``) and JSONL events (the form the golden
   recordings under ``tests/telemetry`` are kept in);
 * an **alerting pipeline** (:mod:`.alerts`) — rolling-window detectors
-  (QPS spike, NXDOMAIN ratio, SERVFAIL rate, queue depth) that raise
-  typed :class:`~.alerts.Alert` objects; the defense ladder
-  (:mod:`repro.control.defense`) subscribes to them, closing the
-  paper's detect -> mitigate loop.
+  (QPS spike, NXDOMAIN ratio, SERVFAIL rate, queue depth) subscribed to
+  :data:`METRICS` rows, raising typed :class:`~.alerts.Alert` objects;
+  the defense ladder (:mod:`repro.control.defense`) subscribes to them,
+  closing the paper's detect -> mitigate loop.
 
 Determinism contract (stronger than "seeded"): with a fixed telemetry
 seed, every export is bit-reproducible, **and** enabling telemetry does
-not change any simulation result — hooks never schedule events on the
-sim loop, never draw from simulation RNG streams, and never mutate sim
-state (arming the defense ladder is opt-in and off by default). When no
-session is active each site costs one ``is not None`` test (:mod:`.state`).
+not change any simulation result — instrumentation never schedules
+events on the sim loop, never draws from simulation RNG streams, and
+never mutates sim state (arming the defense ladder is opt-in and off by
+default). When no session is active each emit and span helper of
+:mod:`.state` costs a call and one ``is not None`` test.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .alerts import (
     RateDetector,
     RatioDetector,
 )
-from .registry import Counter, Gauge, Histogram, MetricsRegistry
+from .registry import METRICS, Counter, Gauge, Histogram, MetricsRegistry
 from .state import activate, deactivate, session
 from .trace import InstantEvent, Span, Tracer
 
@@ -79,104 +80,38 @@ class TelemetryConfig:
             raise ValueError(f"max_spans must be >= 0, got {self.max_spans}")
 
 
-#: Every metric family of a session: name -> (kind, label names). The
-#: comment above a row says what it counts; instrumented code reaches a
-#: row with :func:`.state.record` unless a hook below owns it.
-METRICS: dict[str, tuple[str, tuple[str, ...]]] = {
-    # queries arriving at nameserver machines
-    "queries_received_total": ("counter", ("machine",)),
-    # responses assembled, by final rcode
-    "queries_answered_total": ("counter", ("machine", "rcode")),
-    # queries shed before service: gray, not_running, firewall, io, queue
-    "queries_dropped_total": ("counter", ("machine", "reason")),
-    # queries placed into penalty queues
-    "penalty_enqueued_total": ("counter", ("owner", "queue")),
-    # total queued queries per machine
-    "penalty_queue_depth": ("gauge", ("owner",)),
-    # nonzero penalties contributed per filter
-    "filter_penalties_total": ("counter", ("filter",)),
-    # distribution of total penalty scores
-    "filter_penalty_score": ("histogram", ()),
-    # query-of-death firewall activity: crash_recorded, dropped
-    "qod_events_total": ("counter", ("event",)),
-    # monitoring-agent cycles by outcome
-    "agent_checks_total": ("counter", ("machine", "outcome")),
-    # suspended, resumed, denied, crashed, degraded, restored
-    "machine_lifecycle_total": ("counter", ("machine", "event")),
-    # recursive resolutions finished, by rcode
-    "resolutions_total": ("counter", ("rcode",)),
-    # end-to-end resolution latency
-    "resolution_seconds": ("histogram", ()),
-    # per-attempt timeouts during resolution
-    "resolution_timeouts_total": ("counter", ()),
-    # SLO probe resolutions, graded
-    "probe_outcomes_total": ("counter", ("outcome",)),
-    # SLO probe answer latency
-    "probe_seconds": ("histogram", ()),
-    # per-zone responses, by rcode (feeds enterprise reports)
-    "zone_responses_total": ("counter", ("machine", "zone", "rcode")),
-    # positive staleness checks (inputs older than threshold)
-    "machine_stale_total": ("counter", ("machine",)),
-    # zone installs/rejects/rollbacks at machines
-    "zone_updates_total": ("counter", ("machine", "action")),
-    # safe-rollout release phase transitions
-    "rollout_events_total": ("counter", ("origin", "phase")),
-    # defense-ladder rung transitions: engage, disengage, revert
-    "defense_transitions_total": ("counter", ("controller", "rung", "action")),
-    # the ladder's escalation level after each move (0 once unwound)
-    "defense_ladder_rung": ("gauge", ("controller",)),
-    # RRSIGs produced by the zone-signing pipeline: created, reused
-    "dnssec_signatures_total": ("counter", ("origin", "disposition")),
-    # validations at resolvers and probe clients (no qname: unbounded)
-    "dnssec_validations_total": ("counter", ("outcome",)),
-    # key-rollover state machine events
-    "dnssec_rollover_steps_total": ("counter", ("origin", "kind", "step")),
-    # gray-failure verdict transitions (control.grayfail)
-    "gray_verdicts_total": ("counter", ("machine", "verdict")),
-    # verdict level: 0 healthy, 1 suspect, 2 convicted, 3 probation
-    "gray_verdict_state": ("gauge", ("machine",)),
-    # first differential evidence to conviction
-    "gray_detection_seconds": ("histogram", ()),
-}
-
 #: What ``record``'s value does to an instrument of each kind.
 _UPDATE = {"counter": "inc", "gauge": "set", "histogram": "record"}
 
 
 class _Bound(dict):
-    """Arguments as passed -> what they update, resolved on first use: a
-    caller pays one dict probe per call, ``labels`` once per series."""
+    """Label arguments as passed -> (the series' update method, its label
+    texts), resolved on first use: a caller pays one dict probe per call
+    and the label text (an enum member's name, as ``RCode``'s, else
+    ``str``) is computed once per series."""
 
-    def __init__(self, resolve: Callable) -> None:
-        self._resolve = resolve
+    def __init__(self, family, method: str) -> None:
+        self._family = family
+        self._method = method
 
-    def __missing__(self, key):
-        bound = self[key] = (self._resolve(*key) if type(key) is tuple
-                             else self._resolve(key))
+    def __missing__(self, labels: tuple):
+        texts = tuple(arg.name if isinstance(arg, enum.Enum) else str(arg)
+                      for arg in labels)
+        bound = self[labels] = (
+            getattr(self._family.labels(*texts), self._method), texts)
         return bound
-
-
-def _series(family, method: str = "") -> _Bound:
-    """Label arguments as passed -> ``family``'s instrument, or its
-    ``method``. The label text (an enum member's name, as ``RCode``'s,
-    else ``str``) is computed once per series."""
-    def resolve(*args):
-        instrument = family.labels(*(
-            arg.name if isinstance(arg, enum.Enum) else str(arg)
-            for arg in args))
-        return getattr(instrument, method) if method else instrument
-    return _Bound(resolve)
 
 
 class Telemetry:
     """One observability session: registry + tracer + alerts + stats taps.
 
     Activate with :func:`repro.telemetry.activate` (or the
-    :func:`~repro.telemetry.state.session` context manager). A site
-    that only counts reaches a :data:`METRICS` row through
-    :meth:`record`; the hooks below also feed alert detectors or spans.
-    Nothing else is called, so the instrumentation surface stays
-    greppable and the hot-path cost auditable.
+    :func:`~repro.telemetry.state.session` context manager). Instrumented
+    code emits a :data:`METRICS` row through :func:`.state.record`, which
+    lands in :meth:`record`, and opens and closes spans through
+    :mod:`.state`'s ``begin``, ``end`` and ``instant``, which go straight
+    to :attr:`tracer`. Nothing else is called, so the instrumentation
+    surface stays greppable and the hot-path cost auditable.
     """
 
     def __init__(self, config: TelemetryConfig | None = None) -> None:
@@ -192,28 +127,15 @@ class Telemetry:
         #: name -> provider callable for end-of-epoch stats snapshots.
         self._stats_providers: list[tuple[str, Callable[[], dict]]] = []
         self._stats_frozen: dict[str, dict] = {}
-
-        families = {}
-        #: row -> label arguments as passed -> the series' update method.
-        self._update: dict[str, _Bound] = {}
+        #: row -> (its series by label arguments as passed, its detectors;
+        #: the alert manager's own list, so one added later is fed too).
+        self._rows: dict[str, tuple[_Bound, list]] = {}
         for name, (kind, labelnames) in METRICS.items():
-            family = families[name] = self.registry.family(name, kind,
-                                                           labelnames)
+            family = self.registry.family(name, kind, labelnames)
             if not labelnames:
                 family.labels()     # the export lists it even when empty
-            self._update[name] = _series(family, _UPDATE[kind])
-        # Packet-path hooks touch instruments directly and feed each
-        # detector list (detectors added later land in it too).
-        self._received = _series(families["queries_received_total"])
-        answered = families["queries_answered_total"]
-        # (series, what an answer feeds the NXDOMAIN and SERVFAIL ratios)
-        self._answered = _Bound(lambda machine_id, rcode: (
-            answered.labels(machine_id, rcode.name),
-            float(rcode.name == "NXDOMAIN"), float(rcode.name == "SERVFAIL")))
-        self._enqueued = _series(families["penalty_enqueued_total"])
-        self._depth = _series(families["penalty_queue_depth"])
-        self._qps, self._nxdomain, self._servfail, self._queue_depth = map(
-            self.alerts.feed, ("qps", "nxdomain", "servfail", "queue_depth"))
+            self._rows[name] = (_Bound(family, _UPDATE[kind]),
+                                self.alerts._subscribers[name])
 
     # -- clock / epoch ------------------------------------------------------
 
@@ -222,7 +144,8 @@ class Telemetry:
 
         Each :class:`~repro.netsim.clock.EventLoop` restarts simulated
         time at zero, so rolling alert windows and span timelines from
-        the previous world must not bleed into the new one.
+        the previous world must not bleed into the new one. The loop's
+        ``now`` is the time every detector observation is stamped with.
         """
         self._freeze_stats()
         self.epoch += 1
@@ -246,69 +169,22 @@ class Telemetry:
 
     def record(self, name: str, labels: tuple, value: float = 1.0) -> None:
         """Add ``value`` to counter ``name`` at series ``labels`` (set the
-        gauge, sample the histogram); ``labels`` are the site's own values
-        (a ``Name``, an ``RCode``). An unknown ``name`` raises KeyError."""
-        self._update[name][labels](value)
-
-    # -- machine hooks ------------------------------------------------------
-
-    def query_received(self, machine_id: str, now: float) -> None:
-        self._received[machine_id].value += 1.0
-        for detector in self._qps:
-            detector.observe(now, 1.0)
-
-    def query_answered(self, machine_id: str, rcode, now: float) -> None:
-        """``rcode``: the ``RCode`` member, named once per series."""
-        counter, nxdomain, servfail = self._answered[machine_id, rcode]
-        counter.value += 1.0
-        for detector in self._nxdomain:
-            detector.observe(now, nxdomain)
-        for detector in self._servfail:
-            detector.observe(now, servfail)
-
-    def queue_enqueued(self, owner: str, queue_index: int,
-                       total_depth: int, now: float) -> None:
-        self._enqueued[owner, queue_index].value += 1.0
-        # As queue_served, inline: one hook call per instrumented event.
-        depth = float(total_depth)
-        self._depth[owner].set(depth)
-        for detector in self._queue_depth:
-            detector.observe(now, depth)
-
-    def queue_served(self, owner: str, total_depth: int,
-                     now: float) -> None:
-        depth = float(total_depth)
-        self._depth[owner].set(depth)
-        for detector in self._queue_depth:
-            detector.observe(now, depth)
-
-    # -- resolver hooks -----------------------------------------------------
-
-    def resolution_started(self, now: float) -> Span | None:
-        return self.tracer.start_trace("resolver.resolve", "resolver",
-                                       now)
-
-    def resolution_finished(self, span: Span | None, rcode: str,
-                            duration: float, timeouts: int,
-                            now: float) -> None:
-        update = self._update
-        update["resolutions_total"][(rcode,)](1.0)
-        update["resolution_seconds"][()](duration)
-        if timeouts:
-            update["resolution_timeouts_total"][()](timeouts)
-        if span is not None:
-            span.attrs["rcode"] = rcode
-            span.attrs["timeouts"] = timeouts
-            self.tracer.finish(span, now)
-
-    # -- SLO probe hooks ----------------------------------------------------
-
-    def probe_outcome(self, ok: bool, duration: float, now: float) -> None:
-        update = self._update
-        update["probe_outcomes_total"][("ok" if ok else "failed",)](1.0)
-        if ok:
-            update["probe_seconds"][()](duration)
-        self.alerts.observe("probe.fail", now, 0.0 if ok else 1.0)
+        gauge, sample the histogram), then feed the row's detectors in the
+        order they were added, at the attached loop's ``now``. ``labels``
+        are the site's own values (a ``Name``, an ``RCode``). An unknown
+        ``name`` raises KeyError; a row with detectors recorded before a
+        loop is attached raises RuntimeError."""
+        series, subscribers = self._rows[name]
+        update, texts = series[labels]
+        update(value)
+        if subscribers:
+            if self._loop is None:
+                raise RuntimeError(f"{name} has detectors but no EventLoop "
+                                   f"is attached to stamp them")
+            now = self._loop.now
+            for detector, index, text in subscribers:
+                detector.observe(now, value if index is None else
+                                 1.0 if texts[index] == text else 0.0)
 
     # -- export -------------------------------------------------------------
 
@@ -337,12 +213,7 @@ class Telemetry:
         }
 
 
-def standard_detectors(manager: AlertManager, *,
-                       qps_threshold: float = 1_000.0,
-                       nxdomain_ratio: float = 0.30,
-                       servfail_ratio: float = 0.20,
-                       queue_depth: float = 200.0,
-                       window: float = 1.0) -> AlertManager:
+def standard_detectors(manager: AlertManager) -> AlertManager:
     """Arm the four detectors the paper's defenses key off.
 
     QPS spike and NXDOMAIN ratio are the section 4.3.4 attack signals
@@ -350,16 +221,15 @@ def standard_detectors(manager: AlertManager, *,
     penalty-queue depth are platform-health signals.
     """
     manager.add(RateDetector(
-        "qps-spike", window=window, threshold=qps_threshold,
-        for_windows=2, severity=AlertSeverity.CRITICAL), "qps")
+        "qps-spike", window=1.0, threshold=1_000.0, for_windows=2,
+        severity=AlertSeverity.CRITICAL), "queries_received_total")
     manager.add(RatioDetector(
-        "nxdomain-ratio", window=window, threshold=nxdomain_ratio,
-        min_count=20, for_windows=2,
-        severity=AlertSeverity.CRITICAL), "nxdomain")
+        "nxdomain-ratio", window=1.0, threshold=0.30, min_count=20,
+        for_windows=2, severity=AlertSeverity.CRITICAL),
+        "queries_answered_total", "rcode=NXDOMAIN")
     manager.add(RatioDetector(
-        "servfail-ratio", window=5 * window, threshold=servfail_ratio,
-        min_count=10), "servfail")
+        "servfail-ratio", window=5.0, threshold=0.20, min_count=10),
+        "queries_answered_total", "rcode=SERVFAIL")
     manager.add(GaugeDetector(
-        "queue-depth", window=window, threshold=queue_depth),
-        "queue_depth")
+        "queue-depth", window=1.0, threshold=200.0), "penalty_queue_depth")
     return manager

@@ -1,13 +1,14 @@
-"""The alerting pipeline: rolling-window detectors over telemetry feeds.
+"""The alerting pipeline: rolling-window detectors over metric rows.
 
 The paper operates its defenses reactively: "when monitoring detects an
 anomaly" the operators (or automation) activate mitigations (section
 4.3). This module is that detection half, kept strictly passive and
-sim-time-clocked: instrumentation hooks feed five named observation
-streams ("qps", "nxdomain", "servfail", "queue_depth", "probe.fail");
-detectors aggregate each stream into fixed-width windows keyed by
-``int(now / window)`` and compare the finished window against a
-threshold.
+sim-time-clocked: a detector subscribes to one row of
+:data:`~.registry.METRICS` (``queries_received_total``, say, or
+``queries_answered_total`` with the hit label ``rcode=NXDOMAIN``), and
+every ``record`` of that row is an observation. Detectors aggregate
+them into fixed-width windows keyed by ``int(now / window)`` and compare
+the finished window against a threshold.
 
 Hysteresis is built in so a sawtooth load cannot flap an alert: a
 detector must breach ``for_windows`` consecutive windows to raise, and
@@ -27,6 +28,8 @@ import enum
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable
+
+from .registry import METRICS
 
 
 class AlertSeverity(str, enum.Enum):
@@ -89,8 +92,7 @@ class Detector:
     """Base rolling-window detector.
 
     Subclasses define :meth:`window_value` — the scalar a finished
-    window is judged by — and a human message. ``observe`` may be
-    called with any of the detector's feed keys; windows close when an
+    window is judged by — and a human message. Windows close when an
     observation (or ``finalize``) lands past their end.
     """
 
@@ -213,8 +215,9 @@ class RateDetector(Detector):
 class RatioDetector(Detector):
     """Mean of observed 0/1 (or fractional) values exceeds a threshold.
 
-    Feed 1.0 for a "hit" (an NXDOMAIN answer, a failed probe) and 0.0
-    for the complement; the window value is the hit fraction.
+    Subscribed with a hit label, it observes 1.0 for a "hit" (an
+    NXDOMAIN answer, a failed probe) and 0.0 for the complement; the
+    window value is the hit fraction.
     ``min_count`` keeps a single stray hit in an idle window from
     counting as 100%.
     """
@@ -250,10 +253,14 @@ AlertCallback = Callable[[Alert], None]
 
 
 class AlertManager:
-    """Routes observation feeds to detectors and records alerts."""
+    """Subscribes detectors to metric rows and records their alerts."""
 
     def __init__(self) -> None:
-        self._feeds: dict[str, list[Detector]] = {}
+        #: row -> (detector, hit label index or None, hit label text),
+        #: in the order the detectors were added.
+        self._subscribers: dict[str, list[tuple[Detector, int | None,
+                                                str]]] = {
+            row: [] for row in METRICS}
         self._detectors: list[Detector] = []
         self.alerts: list[Alert] = []
         self._active: dict[str, Alert] = {}
@@ -264,32 +271,34 @@ class AlertManager:
 
     # -- wiring --------------------------------------------------------------
 
-    def add(self, detector: Detector, *keys: str) -> Detector:
-        """Register ``detector`` to consume the named feeds."""
-        if not keys:
-            raise ValueError("detector needs at least one feed key")
+    def add(self, detector: Detector, row: str,
+            hit: str | None = None) -> Detector:
+        """Subscribe ``detector`` to the :data:`~.registry.METRICS` row
+        ``row``. Without ``hit`` it observes each recorded value; with
+        ``hit`` (``"label=text"``) it observes 1.0 when the recorded
+        series has that label text and 0.0 otherwise. A row the table
+        lacks, or a hit label the row does not have, raises ValueError."""
+        subscribers = self._subscribers.get(row)
+        if subscribers is None:
+            raise ValueError(f"detector {detector.name!r}: no metric row "
+                             f"{row!r}")
+        index, text = None, ""
+        if hit is not None:
+            label, _, text = hit.partition("=")
+            labelnames = METRICS[row][1]
+            if label not in labelnames:
+                raise ValueError(f"detector {detector.name!r}: row {row} "
+                                 f"has no label {label!r}")
+            index = labelnames.index(label)
         detector.manager = self
         self._detectors.append(detector)
-        for key in keys:
-            self._feeds.setdefault(key, []).append(detector)
+        subscribers.append((detector, index, text))
         return detector
 
     def detectors(self) -> list[Detector]:
         return list(self._detectors)
 
-    def has_feed(self, key: str) -> bool:
-        """Whether a detector consumes ``key``."""
-        return bool(self._feeds.get(key))
-
-    def feed(self, key: str) -> list[Detector]:
-        """The live detector list of ``key``, for per-packet observers."""
-        return self._feeds.setdefault(key, [])
-
-    # -- feeding -------------------------------------------------------------
-
-    def observe(self, key: str, now: float, value: float = 1.0) -> None:
-        for detector in self._feeds.get(key, ()):
-            detector.observe(now, value)
+    # -- windows -------------------------------------------------------------
 
     def finalize(self, now: float) -> None:
         """Flush windows at end of run so trailing breaches still raise."""

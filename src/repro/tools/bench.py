@@ -259,8 +259,8 @@ def bench_telemetry(n_queries: int = 8_000) -> tuple[float, float]:
     The workload drives the fig10 testbed point — queue policy, scoring
     pipeline, firewall, and engine, i.e. the most hook-dense path in
     the tree. *Disabled* is the shipped default (no session active:
-    every site is one identity test, inside ``state.record`` or its own
-    guard); *enabled* runs inside a full-sampling session with the
+    every site is a call to a ``state`` helper that makes one identity
+    test); *enabled* runs inside a full-sampling session with the
     standard detectors armed. The gated ratio bounds what turning
     telemetry on costs; the disabled-mode absolute feeds the same
     committed-baseline comparison as the forwarding benches, which also

@@ -1,7 +1,6 @@
 """Tests for penalty queues and the QoD firewall."""
 
 import random
-from types import SimpleNamespace
 
 import pytest
 
@@ -71,33 +70,28 @@ class TestPenaltyQueues:
         assert q.stats.served_per_queue == [1, 0, 0]
 
 
-class _HookLog:
-    """Stands in for a telemetry session: records the two queue hooks."""
+class _RecordLog:
+    """Stands in for a telemetry session: logs every ``record``."""
 
     def __init__(self):
         self.calls = []
 
-    def queue_enqueued(self, *args):
-        self.calls.append(("enqueued", *args))
-
-    def queue_served(self, *args):
-        self.calls.append(("served", *args))
+    def record(self, name, labels, value):
+        self.calls.append((name, labels, value))
 
 
 def test_depth_is_kept_not_summed_over_a_long_interleaving():
     """5,000 seeded enqueue / pop / clear steps: the running depth equals
-    the sum over the queues after every step, and the hooks are handed
-    what they always were — (owner, queue, depth after, now)."""
+    the sum over the queues after every step, and the rows are handed
+    what the queue hooks were: the queue entered, and the depth after."""
     rng = random.Random(20)
     policy = QueuePolicy(max_scores=(0.0, 10.0, 50.0), s_max=100.0)
     q = PenaltyQueueRuntime(policy, max_depth_per_queue=6, owner="m9")
-    q.clock = SimpleNamespace(now=0.0)
     model = [[] for _ in range(policy.queue_count)]
-    log = _HookLog()
+    log = _RecordLog()
     expected = []
     with telemetry_state.session(log):
         for step in range(5000):
-            q.clock.now = step * 0.25
             roll = rng.random()
             if roll < 0.55:
                 score = rng.choice((0.0, 0.0, 5.0, 30.0, 70.0, 150.0))
@@ -106,8 +100,10 @@ def test_depth_is_kept_not_summed_over_a_long_interleaving():
                 assert q.enqueue(step, score) == admitted
                 if admitted:
                     model[index].append(step)
-                    expected.append(("enqueued", "m9", index,
-                                     sum(map(len, model)), q.clock.now))
+                    expected += [
+                        ("penalty_enqueued_total", ("m9", index), 1.0),
+                        ("penalty_queue_depth", ("m9",),
+                         float(sum(map(len, model))))]
             elif roll < 0.98:
                 index = next((i for i, items in enumerate(model) if items),
                              None)
@@ -115,8 +111,8 @@ def test_depth_is_kept_not_summed_over_a_long_interleaving():
                     else (index, model[index].pop(0))
                 assert q.pop_next() == want
                 if want is not None:
-                    expected.append(("served", "m9", sum(map(len, model)),
-                                     q.clock.now))
+                    expected.append(("penalty_queue_depth", ("m9",),
+                                     float(sum(map(len, model)))))
             else:
                 assert q.clear() == sum(map(len, model))
                 model = [[] for _ in model]

@@ -5,17 +5,19 @@ as the oracle, and drawn observation streams — times on exact multiples
 of the window, silent gaps, ``finalize`` in mid-stream, epochs restarted
 — must leave both with the same history, alerts, state and open window.
 
-Also here: the packet-path hooks of ``Telemetry`` resolve their feeds
-when the session is built, so detectors added afterwards must still be
-fed, and ``has_feed`` must keep meaning "a detector consumes this key".
+Also here: ``Telemetry.record`` feeds a row's detectors, so detectors
+added after the session is built must still be fed, each at the
+attached loop's ``now``, and a row with detectors needs that loop.
 """
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dnscore import RCode
+from repro.netsim import EventLoop
 from repro.telemetry import Telemetry, standard_detectors
 from repro.telemetry.alerts import (
     AlertManager,
@@ -54,7 +56,8 @@ def detectors(cls, window: float):
     pair = []
     for kind in (cls, oracle_cls):
         manager = AlertManager()
-        pair.append((manager, manager.add(kind("d", **kwargs), "feed")))
+        pair.append((manager, manager.add(kind("d", **kwargs),
+                                          "penalty_queue_depth")))
     return pair
 
 
@@ -90,8 +93,8 @@ def test_streams_leave_the_detector_as_the_old_observe_did(cls, window,
             k += step[1]
             # Exactly k * window, or further into that window.
             now = k * window if step[2] == 0.0 else (k + step[2]) * window
-            for manager, _ in pair:
-                manager.observe("feed", now, step[3])
+            for _, detector in pair:
+                detector.observe(now, step[3])
         elif step[0] == "gap":
             k += step[1]
         elif step[0] == "finalize":
@@ -124,48 +127,60 @@ def test_every_boundary_float_falls_in_the_window_the_division_names():
         assert list(new.history) == list(old.history)
 
 
-class TestFeedsResolvedOnce:
+def _at(telemetry, loop, at, *records):
+    """Make each ``(row, labels, value)`` record at ``at`` on ``loop``."""
+    for record in records:
+        loop.call_at(at, telemetry.record, *record)
+
+
+class TestRowsFeedTheirDetectors:
     def test_detectors_added_after_the_session_is_built_are_fed(self):
         telemetry = Telemetry()
-        assert not telemetry.alerts.has_feed("qps")
-        standard_detectors(telemetry.alerts, qps_threshold=5.0)
+        loop = EventLoop()
+        telemetry.attach_loop(loop)
+        standard_detectors(telemetry.alerts)
         late = telemetry.alerts.add(
-            RateDetector("late", window=1.0, threshold=5.0), "qps",
-            "queue_depth")
+            RateDetector("late", window=1.0, threshold=5.0),
+            "penalty_queue_depth")
         for i in range(40):
-            telemetry.query_received("m1", 0.5 + i * 0.01)
-            telemetry.query_answered("m1", RCode.NXDOMAIN, 0.5 + i * 0.01)
-            telemetry.queue_enqueued("m1", 0, i, 0.5 + i * 0.01)
-            telemetry.queue_served("m1", i, 0.5 + i * 0.01)
-        telemetry.query_received("m1", 3.5)
+            _at(telemetry, loop, 0.5 + i * 0.01,
+                ("queries_received_total", ("m1",), 1.0),
+                ("queries_answered_total", ("m1", RCode.NXDOMAIN), 1.0),
+                ("penalty_enqueued_total", ("m1", 0), 1.0),
+                ("penalty_queue_depth", ("m1",), float(i)),
+                ("penalty_queue_depth", ("m1",), float(i)))
+        _at(telemetry, loop, 3.5, ("queries_received_total", ("m1",), 1.0),
+            ("penalty_queue_depth", ("m1",), 0.0))
+        loop.run_until(3.5)
         by_name = {d.name: d for d in telemetry.alerts.detectors()}
         assert by_name["qps-spike"].history[0] == (0.0, 40.0)
-        assert late.history[0] == (0.0, 120.0)      # qps + both queue hooks
+        assert late.history[0] == (0.0, 80.0)   # enqueue and serve depths
         assert by_name["nxdomain-ratio"]._current.total == 40.0
         assert by_name["servfail-ratio"]._current.total == 0.0
-        assert by_name["queue-depth"]._current.peak == 39.0
+        assert by_name["servfail-ratio"]._current.count == 40.0
+        assert by_name["queue-depth"].history[0] == (0.0, 39.0)
 
-    def test_has_feed_means_a_detector_consumes_the_key(self):
+    def test_a_row_with_detectors_needs_a_loop_and_one_without_does_not(
+            self):
         telemetry = Telemetry()
-        alerts = telemetry.alerts
-        # The session resolved these keys; nobody consumes them yet.
-        assert not any(alerts.has_feed(key) for key in
-                       ("qps", "nxdomain", "servfail", "queue_depth"))
-        telemetry.query_received("m1", 0.1)         # and nobody is fed
-        alerts.add(GaugeDetector("g", window=1.0, threshold=1.0),
-                   "queue_depth")
-        assert alerts.has_feed("queue_depth")
-        assert not alerts.has_feed("qps")
-        assert not alerts.has_feed("never-named")
-        assert alerts.feed("queue_depth") is alerts.feed("queue_depth")
+        standard_detectors(telemetry.alerts)
+        telemetry.record("queries_dropped_total", ("m1", "io"))
+        with pytest.raises(RuntimeError, match="queries_received_total"):
+            telemetry.record("queries_received_total", ("m1",))
+        telemetry.attach_loop(EventLoop())
+        telemetry.record("queries_received_total", ("m1",))
+        assert telemetry.alerts.detectors()[0]._current.count == 1.0
 
-    def test_a_new_epoch_restarts_windows_the_hooks_feed(self):
+    def test_a_new_loop_restarts_windows_the_rows_feed(self):
         telemetry = Telemetry()
         standard_detectors(telemetry.alerts)
         qps = telemetry.alerts.detectors()[0]
-        telemetry.query_received("m1", 7.25)
+        loop = EventLoop()
+        telemetry.attach_loop(loop)
+        _at(telemetry, loop, 7.25, ("queries_received_total", ("m1",), 1.0))
+        loop.run_until(7.25)
         assert qps._current.index == 7
-        telemetry.alerts.reset_epoch(2)
-        telemetry.query_received("m1", 0.25)
+        telemetry.attach_loop(EventLoop())
+        telemetry.record("queries_received_total", ("m1",))
         assert (qps._current.index, qps._current.count) == (0, 1.0)
         assert not qps.history

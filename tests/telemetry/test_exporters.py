@@ -3,6 +3,7 @@
 import io
 import json
 
+from repro.netsim import EventLoop
 from repro.telemetry import Telemetry, TelemetryConfig
 from repro.telemetry.alerts import GaugeDetector
 from repro.telemetry.exporters import (
@@ -17,28 +18,30 @@ def _session_with_activity():
     telemetry = Telemetry(TelemetryConfig(trace_sample_rate=1.0))
     telemetry.alerts.add(
         GaugeDetector("queue-depth", window=1.0, threshold=10.0),
-        "queue_depth")
+        "penalty_queue_depth")
     tracer = telemetry.tracer
 
-    tracer.epoch = 1
-    telemetry.epoch = 1
-    telemetry.alerts.reset_epoch(1)
+    loop = EventLoop()
+    telemetry.attach_loop(loop)                 # epoch 1
     root = tracer.start_trace("machine.process", "machine", 0.5)
     child = tracer.start_span(root, "engine.respond", "engine", 0.6)
     tracer.instant(root.trace_id, "net.delivered", "net", 0.55, hops=3)
     tracer.finish(child, 0.7)
     tracer.finish(root, 0.8)
-    telemetry.queue_enqueued("m1", 0, 42, 0.65)
-    telemetry.query_received("m1", 0.5)
-    telemetry.alerts.observe("queue_depth", 0.65, 42.0)
+    loop.call_at(0.5, telemetry.record, "queries_received_total", ("m1",))
+    loop.call_at(0.65, telemetry.record, "penalty_enqueued_total", ("m1", 0))
+    loop.call_at(0.65, telemetry.record, "penalty_queue_depth", ("m1",),
+                 42.0)
+    loop.run_until(0.65)    # the window never closes in this epoch
 
-    tracer.epoch = 2
-    telemetry.epoch = 2
-    telemetry.alerts.reset_epoch(2)
+    loop = EventLoop()
+    telemetry.attach_loop(loop)                 # epoch 2
     other = tracer.start_trace("machine.process", "machine", 0.1)
     tracer.finish(other, 0.2)
-    telemetry.alerts.observe("queue_depth", 0.5, 42.0)
-    telemetry.alerts.finalize(2.0)
+    loop.call_at(0.5, telemetry.record, "penalty_queue_depth", ("m1",),
+                 42.0)
+    loop.run_until(2.0)
+    telemetry.finalize()
     return telemetry
 
 

@@ -3,13 +3,14 @@
 A small platform (filters on, machines sized to saturate) takes three
 attack classes through the network beside four resolvers' legitimate
 queries, with a sampling session and low-threshold detectors active:
-every packet-path hook and row fires — ``query_received/answered``,
-``queue_enqueued/served``, ``queries_dropped_total``, the two filter
-rows, ``zone_responses_total`` — and alerts raise. ``Telemetry.export()`` and every span, instant and alert
-(``jsonl_events``) were recorded before the hooks stopped resolving
-their series and feeds per call (``python -m
-tests.telemetry.test_flood_golden --record``) and must stay
-byte-identical: the hook path is a speed change only.
+every packet-path row fires — ``queries_received_total``,
+``queries_answered_total``, the two penalty-queue rows,
+``queries_dropped_total``, the two filter rows, ``zone_responses_total``
+— and alerts raise. ``Telemetry.export()`` and every span, instant and
+alert (``jsonl_events``) were recorded when each of these sites still
+called a hook of its own (``python -m tests.telemetry.test_flood_golden
+--record``) and must stay byte-identical: detectors subscribed to rows
+and spans opened through ``state`` change nothing recorded.
 """
 
 import json
@@ -21,7 +22,14 @@ from repro.dnscore import RType, name
 from repro.netsim.builder import InternetParams, attach_host
 from repro.platform import AkamaiDNSDeployment, DeploymentParams
 from repro.server.machine import MachineConfig
-from repro.telemetry import Telemetry, TelemetryConfig, standard_detectors
+from repro.telemetry import (
+    AlertSeverity,
+    GaugeDetector,
+    RateDetector,
+    RatioDetector,
+    Telemetry,
+    TelemetryConfig,
+)
 from repro.telemetry import state as telemetry_state
 from repro.telemetry.exporters import jsonl_events
 from repro.workload.attacks import (
@@ -41,9 +49,18 @@ FLOOD_SECONDS = 3.0
 def run_flood() -> Telemetry:
     telemetry = Telemetry(TelemetryConfig(seed=3, trace_sample_rate=0.05))
     # Detectors go in after the session is built, as the benchmark and
-    # the scorecard do; thresholds low enough that this flood trips them.
-    standard_detectors(telemetry.alerts, qps_threshold=300.0,
-                       nxdomain_ratio=0.2, queue_depth=20.0)
+    # the scorecard do: three of the standard four, in their order, at
+    # thresholds low enough that this flood trips them.
+    alerts = telemetry.alerts
+    alerts.add(RateDetector(
+        "qps-spike", window=1.0, threshold=300.0, for_windows=2,
+        severity=AlertSeverity.CRITICAL), "queries_received_total")
+    alerts.add(RatioDetector(
+        "nxdomain-ratio", window=1.0, threshold=0.2, min_count=20,
+        for_windows=2, severity=AlertSeverity.CRITICAL),
+        "queries_answered_total", "rcode=NXDOMAIN")
+    alerts.add(GaugeDetector("queue-depth", window=1.0, threshold=20.0),
+               "penalty_queue_depth")
     with telemetry_state.session(telemetry):
         dep = AkamaiDNSDeployment(DeploymentParams(
             seed=11, n_pops=6, deployed_clouds=6, machines_per_pop=1,

@@ -1,11 +1,13 @@
 """The metric table, the one ``record`` call, and the sites that use it.
 
-Every metric family is a row of ``repro.telemetry.METRICS``. A site that
-only records a metric calls ``state.record("<row>", *labels)``; the
-hooks left on ``Telemetry`` reach their rows by name. The AST check
-below reads every such name under ``src/repro``, so a misspelled row or
-a wrong label count at a cold site (a gray verdict, a rollover step)
-fails here instead of only when that campaign runs inside a session.
+Every metric family is a row of ``repro.telemetry.METRICS``, and every
+site reaches its row with ``state.record("<row>", *labels)``; detectors
+subscribe to rows and spans go through ``state``'s helpers, so nothing
+else on ``Telemetry`` is called from the simulator. The AST checks below
+read every such name under ``src/repro``, so a misspelled row or a wrong
+label count at a cold site (a gray verdict, a rollover step) fails here
+instead of only when that campaign runs inside a session, and keep the
+facade and the session reads from growing back.
 """
 
 import ast
@@ -19,7 +21,6 @@ from repro.telemetry import METRICS, Telemetry
 from repro.telemetry import state as telemetry_state
 
 SRC = Path(repro.__file__).resolve().parent
-HOOKS = SRC / "telemetry" / "__init__.py"
 
 
 def _record_calls() -> list[tuple[str, str, int]]:
@@ -45,15 +46,6 @@ def _record_calls() -> list[tuple[str, str, int]]:
     return calls
 
 
-def _hook_rows() -> set[str]:
-    """Rows the hooks in ``telemetry/__init__.py`` index by name."""
-    return {node.slice.value
-            for node in ast.walk(ast.parse(HOOKS.read_text()))
-            if isinstance(node, ast.Subscript)
-            and isinstance(node.slice, ast.Constant)
-            and node.slice.value in METRICS}
-
-
 def test_every_record_call_names_a_row_with_its_label_count():
     calls = _record_calls()
     assert len(calls) > 20
@@ -63,9 +55,35 @@ def test_every_record_call_names_a_row_with_its_label_count():
     assert not wrong, "\n".join(wrong)
 
 
-def test_every_row_is_recorded_by_a_site_or_a_hook():
-    recorded = {row for _, row, _ in _record_calls()} | _hook_rows()
+def test_every_row_is_recorded_by_a_site():
+    recorded = {row for _, row, _ in _record_calls()}
     assert sorted(set(METRICS) - recorded) == []
+
+
+def test_telemetry_keeps_five_public_methods():
+    assert sorted(attr for attr, value in vars(Telemetry).items()
+                  if callable(value) and not attr.startswith("_")) == [
+        "attach_loop", "export", "finalize", "record", "register_stats"]
+
+
+def test_the_session_is_read_outside_telemetry_only_where_a_world_starts():
+    """``ACTIVE`` outside ``telemetry/``: a new loop attaches itself and a
+    new network registers its stats; every other site calls a ``state``
+    function that reads it."""
+    reads = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.parent.name == "telemetry":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {node: f"{cls.name}.{func.name}"
+                 for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for func in cls.body if isinstance(func, ast.FunctionDef)
+                 for node in ast.walk(func)}
+        reads += [owner.get(node, f"{path.relative_to(SRC)}:{node.lineno}")
+                  for node in ast.walk(tree)
+                  if getattr(node, "attr", getattr(node, "id", None))
+                  == "ACTIVE"]
+    assert sorted(reads) == ["EventLoop.__init__", "Network.__init__"]
 
 
 def test_record_on_an_unknown_row_raises_and_adds_nothing():
