@@ -22,8 +22,9 @@ reach:
 	PYTHONPATH=$(LINT_PYTHONPATH) $(PY) -m pytest tests/reach -m reach
 
 # Every product output (15 --fast figures, six scorecards, ten examples,
-# eight bench sim_digests, the runner's --metrics file and the --fast
-# scorecard suites' telemetry sessions) hashed and compared with
+# eight bench sim_digests, the runner's --metrics file, its fig10 and
+# enduser --trace files and the --fast scorecard suites' telemetry
+# sessions) hashed and compared with
 # tests/outputs/OUTPUTS.json (~1 min); the failure names each row that
 # differs. `$(PY) -m pytest tests/outputs -m outputs --record` rewrites
 # the file: record it on the parent commit, then the PR's diff of it is
