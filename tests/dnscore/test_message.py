@@ -14,6 +14,7 @@ from repro.dnscore import (
     RCode,
     ResourceRecord,
     RType,
+    TruncatedMessageError,
     WireFormatError,
     make_query,
     make_response,
@@ -84,6 +85,13 @@ class TestMessageRoundtrip:
         assert m.edns.payload_size == 1400
         assert m.edns.client_subnet.address == "198.51.100.0"
         assert m.edns.client_subnet.source_prefix_length == 24
+
+    @pytest.mark.parametrize("length", [0, 1, 6, 11])
+    def test_shorter_than_a_header_is_truncated(self, length):
+        wire = make_query(9, name("ex.com"), RType.A).to_wire()
+        with pytest.raises(TruncatedMessageError,
+                           match=f"wanted 12 octets, only {length} remain"):
+            Message.from_wire(wire[:length])
 
     def test_duplicate_opt_rejected(self):
         q = make_query(9, name("ex.com"), RType.A, edns=EDNSOptions())
