@@ -114,16 +114,16 @@ class EDNSOptions:
         """Parse an OPT RR body; the owner name and type were consumed."""
         payload_size, extended_rcode, version, flags, rdlength = \
             reader.unpack(_OPT_BODY)
-        end = reader.position + rdlength
+        end = reader._pos + rdlength
         options = cls(payload_size, extended_rcode, version,
                       bool(flags & _FLAG_DO))
-        while reader.position < end:
+        while reader._pos < end:
             code, length = reader.unpack(_OPTION_FIXED)
             data = reader.read_bytes(length)
             if code == OPTION_CLIENT_SUBNET:
                 options.client_subnet = ClientSubnetOption.from_wire(data)
             else:
                 options.unknown_options.append((code, data))
-        if reader.position != end:
+        if reader._pos != end:
             raise WireFormatError("OPT options overran rdlength")
         return options

@@ -1,11 +1,14 @@
 """Property-based tests on the DNS substrate's core invariants."""
 
+import dataclasses
+import pickle
 import string
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dnscore import (
+    AAAA,
     A,
     Message,
     Name,
@@ -16,9 +19,11 @@ from repro.dnscore import (
     WireReader,
     WireWriter,
     make_query,
+    make_rrset,
     name,
     serial_gt,
 )
+from repro.dnscore.wire import pack_ipv4, pack_ipv6
 
 label_chars = string.ascii_lowercase + string.digits + "-"
 labels = st.text(label_chars, min_size=1, max_size=12).map(str.encode)
@@ -89,6 +94,44 @@ def test_response_records_roundtrip(owner, ttl, rdatas):
                                           rdata))
     parsed = Message.from_wire(msg.to_wire())
     assert parsed.answers == msg.answers
+
+
+def _same_octets_through_copies(rdata, other_text):
+    """``replace`` and pickle keep an address record's octets; replacing
+    the address brings that address's octets."""
+    for copy in (dataclasses.replace(rdata), pickle.loads(pickle.dumps(rdata))):
+        assert copy == rdata and hash(copy) == hash(rdata)
+        assert copy.octets == rdata.octets
+    other = type(rdata)(other_text)
+    assert dataclasses.replace(rdata, address=other_text).octets == other.octets
+
+
+@given(st.ip_addresses(v=4).map(str), st.ip_addresses(v=4).map(str))
+def test_a_record_carries_the_octets_of_its_text(text, other_text):
+    rdata = A(text)
+    assert rdata.octets == pack_ipv4(text)
+    twin = A(text)
+    assert twin == rdata and hash(twin) == hash(rdata)
+    assert repr(rdata) == f"A(address={text!r})"
+    assert rdata.to_text() == text
+    rrset = make_rrset(name("a.example"), RType.A, 60, [rdata, twin])
+    assert rrset.rdatas() == [rdata]
+    _same_octets_through_copies(rdata, other_text)
+
+
+@given(st.ip_addresses(v=6), st.sampled_from([str, lambda ip: ip.exploded,
+                                              lambda ip: str(ip).upper()]),
+       st.ip_addresses(v=6).map(str))
+def test_aaaa_record_carries_the_octets_of_its_normalized_text(
+        address, spell, other_text):
+    rdata = AAAA(spell(address))
+    assert rdata.address == str(address)
+    assert rdata.octets == pack_ipv6(rdata.address) == address.packed
+    twin = AAAA(str(address))
+    assert twin == rdata and hash(twin) == hash(rdata)
+    assert repr(rdata) == f"AAAA(address={str(address)!r})"
+    assert rdata.to_text() == str(address)
+    _same_octets_through_copies(rdata, other_text)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
