@@ -116,8 +116,9 @@ class TestReader:
 
 
 class TestAddressPacking:
-    """The encoder packs validated address text without ``ipaddress``;
-    the result must equal what ``ipaddress`` would have packed."""
+    """The ECS encoder packs validated address text without
+    ``ipaddress``; the result must equal what ``ipaddress`` would have
+    packed."""
 
     @pytest.mark.parametrize("text", [
         "0.0.0.0", "192.0.2.1", "255.255.255.255", "10.44.7.254"])
