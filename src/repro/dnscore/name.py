@@ -30,6 +30,71 @@ def _validate_label(label: bytes) -> bytes:
     return label.lower()
 
 
+def _escapes_next(text: str) -> bool:
+    """Whether ``text`` ends in an odd run of backslashes, so that the
+    character after it is escaped."""
+    return (len(text) - len(text.rstrip("\\"))) % 2 == 1
+
+
+def _octets(part: str, text: str) -> bytes:
+    """``part`` of name ``text`` as octets, one per character."""
+    try:
+        return part.encode("latin-1")
+    except UnicodeEncodeError as exc:
+        raise NameError_(f"character {part[exc.start]!r} above U+00FF "
+                         f"in {text!r}") from None
+
+
+def _split_labels(text: str) -> list[bytes]:
+    """The raw labels of presentation-format ``text``, left to right.
+
+    Splits on dots; only where a backslash occurs does it rejoin a split
+    made at an escaped dot (one after an odd run of backslashes) and
+    decode ``\\X`` and ``\\DDD``. A final dot ends the name and adds no
+    label. Defects are reported as a scan from the left meets them:
+    escapes and characters first, then empty labels.
+    """
+    if "\\" not in text:
+        labels = _octets(text, text).split(b".")
+    else:
+        labels = []
+        pieces = text.split(".")
+        last = len(pieces) - 1
+        label = ""
+        for i, piece in enumerate(pieces):
+            label += piece
+            if i < last and _escapes_next(label):
+                label += "."
+                continue
+            out = bytearray()
+            pos = 0
+            while (cut := label.find("\\", pos)) >= 0:
+                out += _octets(label[pos:cut], text)
+                nxt = label[cut + 1:cut + 2]
+                if not nxt:
+                    raise NameError_("dangling escape at end of name")
+                if nxt.isdigit():
+                    digits = label[cut + 1:cut + 4]
+                    if len(digits) < 3 or not digits.isdigit():
+                        raise NameError_(f"bad decimal escape in {text!r}")
+                    code = int(digits)
+                    if code > 255:
+                        raise NameError_(f"escape value {code} out of range")
+                    out.append(code)
+                    pos = cut + 4
+                else:
+                    out += _octets(nxt, text)
+                    pos = cut + 2
+            out += _octets(label[pos:], text)
+            labels.append(bytes(out))
+            label = ""
+    if not labels[-1]:
+        labels.pop()
+    if b"" in labels:
+        raise NameError_(f"empty label in {text!r}")
+    return labels
+
+
 @total_ordering
 class Name:
     """An immutable, case-folded domain name.
@@ -60,10 +125,11 @@ class Name:
         """Construct from labels already validated and case-folded.
 
         Internal fast path for derivations (parent walks, wildcard
-        siblings, prepends) that would otherwise re-validate every
-        label of an already-valid name; callers must guarantee the
-        labels came out of an existing :class:`Name` and that the
-        total wire length stays legal. ``wire_len`` lets derivations
+        siblings, prepends, zone-file names joined to their origin) that
+        would otherwise re-validate every label of an already-valid name;
+        callers must guarantee each label came out of an existing
+        :class:`Name` or ``_validate_label`` and that the total wire
+        length stays legal. ``wire_len`` lets derivations
         that can adjust the parent's stored length in O(1) skip the
         O(labels) recomputation.
         """
@@ -100,40 +166,24 @@ class Name:
         """
         if text in (".", ""):
             return ROOT
-        labels: list[bytes] = []
-        current = bytearray()
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch == "\\":
-                if i + 1 >= len(text):
-                    raise NameError_("dangling escape at end of name")
-                nxt = text[i + 1]
-                if nxt.isdigit():
-                    if i + 3 >= len(text) or not text[i + 1 : i + 4].isdigit():
-                        raise NameError_(f"bad decimal escape in {text!r}")
-                    code = int(text[i + 1 : i + 4])
-                    if code > 255:
-                        raise NameError_(f"escape value {code} out of range")
-                    current.append(code)
-                    i += 4
-                else:
-                    current.append(ord(nxt))
-                    i += 2
-            elif ch == ".":
-                labels.append(bytes(current))
-                current = bytearray()
-                i += 1
-            else:
-                current.append(ord(ch))
-                i += 1
-        if current:
-            labels.append(bytes(current))
-        elif text and not text.endswith("."):
-            raise NameError_(f"empty label in {text!r}")
-        if any(not lb for lb in labels):
-            raise NameError_(f"empty label in {text!r}")
-        return cls(tuple(labels))._interned()
+        return cls(tuple(_split_labels(text)))._interned()
+
+    @classmethod
+    def from_zone_text(cls, text: str, origin: "Name") -> "Name":
+        """A name as a zone file writes it, read against ``origin``.
+
+        Text ending in an unescaped dot is absolute and goes through
+        :func:`name`. Any other text is relative: its labels are joined
+        to ``origin`` and, like :meth:`prepend`'s, not interned, so a
+        zone's owners do not churn the flyweight table or the parse memo.
+        """
+        if text.endswith(".") and not _escapes_next(text[:-1]):
+            return name(text)
+        labels = tuple([_validate_label(lb) for lb in _split_labels(text)])
+        wire_len = origin._wire_len + sum(map(len, labels)) + len(labels)
+        if wire_len > MAX_NAME_LENGTH:
+            raise NameError_(f"name exceeds {MAX_NAME_LENGTH} octets")
+        return cls._from_validated(labels + origin._labels, wire_len)
 
     def _interned(self) -> "Name":
         """Self, or the previously-interned equal instance if one exists."""
@@ -196,13 +246,6 @@ class Name:
         if n == 0:
             return True
         return len(self._labels) >= n and self._labels[-n:] == other._labels
-
-    def concatenate(self, suffix: "Name") -> "Name":
-        """Join ``self`` (as a prefix) onto ``suffix``."""
-        wire_len = self._wire_len + suffix._wire_len - 1
-        if wire_len > MAX_NAME_LENGTH:
-            raise NameError_(f"name exceeds {MAX_NAME_LENGTH} octets")
-        return Name._from_validated(self._labels + suffix._labels, wire_len)
 
     def prepend(self, label: str | bytes) -> "Name":
         """Return a new name with one more label on the left.

@@ -9,6 +9,7 @@ drops records it does not understand.
 from __future__ import annotations
 
 import ipaddress
+import re
 from dataclasses import dataclass, field
 from struct import Struct
 from typing import ClassVar
@@ -24,6 +25,11 @@ _CAA_FIXED = Struct("!BB")          # flags, tag length
 _KEY_FIXED = Struct("!HBB")         # DNSKEY flags/protocol/alg; DS tag/alg/type
 _RRSIG_FIXED = Struct("!HBBIIIH")   # covered alg labels ttl expire incept tag
 _BITMAP_FIXED = Struct("!BB")       # NSEC window, bitmap length
+
+#: Exactly the text ``ipaddress.IPv4Address`` accepts: four decimal
+#: octets 0-255 in ASCII digits, no leading zeros, nothing around them.
+_OCTET = r"(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9][0-9]|[0-9])"
+_DOTTED_QUAD = re.compile(rf"{_OCTET}(?:\.{_OCTET}){{3}}")
 
 #: Registry mapping RType -> rdata class, populated by ``_register``.
 RDATA_CLASSES: dict[int, type["Rdata"]] = {}
@@ -70,8 +76,12 @@ class A(Rdata):
     rtype: ClassVar[RType] = RType.A
 
     def __post_init__(self) -> None:
+        address = self.address
+        if _DOTTED_QUAD.fullmatch(address) is None:
+            # Same verdict; ipaddress is called for its error text.
+            ipaddress.IPv4Address(address)
         object.__setattr__(self, "octets",
-                           ipaddress.IPv4Address(self.address).packed)
+                           bytes(map(int, address.split("."))))
 
     def write(self, writer: WireWriter) -> None:
         writer.buf += self.octets

@@ -39,6 +39,10 @@ class TestParsing:
         with pytest.raises(NameError_):
             name("abc\\")
 
+    def test_character_above_latin1_rejected(self):
+        with pytest.raises(NameError_, match="character 'Ā' above U\\+00FF"):
+            name("a.bĀ.com")
+
     def test_empty_label_rejected(self):
         with pytest.raises(NameError_):
             name("a..b.com")
@@ -78,8 +82,10 @@ class TestStructure:
     def test_everything_under_root(self):
         assert name("x.y").is_subdomain_of(ROOT)
 
-    def test_concatenate(self):
-        assert name("www").concatenate(name("ex.com")) == name("www.ex.com")
+    def test_zone_text_joins_relative_names_to_the_origin(self):
+        origin = name("ex.com")
+        assert Name.from_zone_text("WWW.a", origin) == name("www.a.ex.com")
+        assert Name.from_zone_text("www.other.", origin) is name("www.other")
 
     def test_prepend(self):
         assert name("ex.com").prepend("api") == name("api.ex.com")

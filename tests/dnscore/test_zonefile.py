@@ -58,6 +58,12 @@ class TestParsing:
         assert z.get_rrset(name("www.ex.com"), RType.A).ttl == 300
         assert z.get_rrset(name("mail.ex.com"), RType.A).ttl == 3600
 
+    def test_record_ttl_with_units_before_or_after_the_class(self):
+        z = parse_zone_text(BASIC + "u1 1H30m IN A 192.0.2.7\n"
+                                    "u2 IN 2d A 192.0.2.8\n")
+        assert z.get_rrset(name("u1.ex.com"), RType.A).ttl == 5400
+        assert z.get_rrset(name("u2.ex.com"), RType.A).ttl == 172800
+
     def test_mx_relative_exchange(self):
         z = parse_zone_text(BASIC)
         mx = z.get_rrset(name("ex.com"), RType.MX)
@@ -120,6 +126,41 @@ class TestErrors:
     def test_first_record_without_owner(self):
         with pytest.raises(ZoneFileError):
             parse_zone_text("$ORIGIN a.com.\n    IN A 1.2.3.4\n")
+
+    @pytest.mark.parametrize("line,message", [
+        ("a" * 64 + " IN A 192.0.2.9", "label exceeds 63 octets"),
+        ("a..b IN A 192.0.2.9", "empty label in 'a..b'"),
+        ("www IN CNAME a..b", "empty label in 'a..b'"),
+        ("www IN CNAME a..b.", "empty label in 'a..b.'"),
+        ("www IN NSEC a..b. A", "bad NSEC rdata: empty label in 'a..b.'"),
+        ("$ORIGIN a..b.", "empty label in 'a..b.'"),
+        ("Ā IN A 192.0.2.9", "character 'Ā' above U+00FF"),
+    ])
+    def test_a_bad_name_is_reported_with_its_line(self, line, message):
+        with pytest.raises(ZoneFileError) as exc:
+            parse_zone_text(BASIC + line + "\n")
+        assert exc.value.line == BASIC.count("\n") + 1
+        assert message in str(exc.value)
+
+
+class TestTrailingBackslashes:
+    """A final dot ends the name unless an odd run of backslashes
+    escapes it; an odd run at the very end escapes nothing."""
+
+    def test_escaped_backslash_before_the_final_dot_is_absolute(self):
+        z = parse_zone_text(BASIC + "alias IN CNAME a\\\\.\n")
+        cname = z.get_rrset(name("alias.ex.com"), RType.CNAME)
+        assert cname.rdatas()[0].target.labels == (b"a\\",)
+
+    def test_escaped_final_dot_is_part_of_a_relative_label(self):
+        z = parse_zone_text(BASIC + "w\\. IN A 192.0.2.9\n")
+        assert z.get_rrset(name("w\\..ex.com"), RType.A) is not None
+
+    def test_a_backslash_at_the_end_of_a_name_dangles(self):
+        with pytest.raises(ZoneFileError) as exc:
+            parse_zone_text(BASIC + "w\\ IN A 192.0.2.9\n")
+        assert exc.value.line == BASIC.count("\n") + 1
+        assert "dangling escape" in str(exc.value)
 
 
 class TestSerialization:
