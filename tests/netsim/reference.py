@@ -1,28 +1,46 @@
 """The parent commit's BGP decision/export code and unicast path code,
 kept verbatim as the oracle for ``test_reference_equivalence.py``.
 
-``PeerChannel`` and ``BGPSpeaker`` are ``src/repro/netsim/bgp.py`` as it
-stood before the per-session record and the incremental decision
-process; :class:`ReferenceNetwork` carries ``Network``'s per-link probe
-helpers, ``send``, ``_deliver_unicast``, ``unicast_latency`` and
-``_dijkstra`` from before the derived link view. Nothing here is to be
-"improved": it is the definition of the behaviour the faster code must
-reproduce bit for bit. The only edits: ``unicast_latency`` recomputes on
-every call (so a view that outlives a link change is caught too), and
-``_deliver_unicast`` schedules with ``call_later``, the loop's one
-scheduling primitive.
+``Route``, ``PeerChannel`` and ``BGPSpeaker`` are
+``src/repro/netsim/bgp.py`` as it stood before the per-session record,
+the incremental decision process and the export pass;
+:class:`ReferenceNetwork` carries ``Network``'s per-link probe helpers,
+``send``, ``_deliver_unicast``, ``unicast_latency`` and ``_dijkstra``
+from before the derived link view, and ``set_fib`` / ``_apply_fib`` from
+before a network without a FIB delay programmed its FIBs in place.
+Nothing here is to be "improved": it is the definition of the behaviour
+the faster code must reproduce bit for bit. The only edits:
+``unicast_latency`` recomputes on every call (so a view that outlives a
+link change is caught too), and ``_deliver_unicast`` schedules with
+``call_later``, the loop's one scheduling primitive.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
+from dataclasses import dataclass
 from typing import Callable
 
-from repro.netsim.bgp import LOCAL, LOCAL_PREF, LOCAL_PREF_ORIGIN, Route
+from repro.netsim.bgp import LOCAL, LOCAL_PREF, LOCAL_PREF_ORIGIN
 from repro.netsim.network import HOP_COST_S, Network
 from repro.netsim.packet import Datagram
 from repro.netsim.topology import LinkRelation, NodeKind, link_key
+
+
+@dataclass(frozen=True, slots=True)
+class Route:
+    """A candidate path for one prefix as stored in a router's RIB."""
+
+    prefix: str
+    as_path: tuple[int, ...]
+    next_hop: str          # peer router id, or LOCAL for origination
+    local_pref: int
+    med: int
+
+    def preference_key(self) -> tuple:
+        """Sort key: larger is better."""
+        return (self.local_pref, -len(self.as_path), -self.med, self.next_hop)
 
 
 class PeerChannel:
@@ -308,6 +326,44 @@ class ReferenceNetwork(Network):
             self._speakers[node.node_id] = BGPSpeaker(
                 self, node.node_id, node.asn, self.rng, mrai=mrai,
                 processing_delay=processing_delay)
+
+    def set_fib(self, router_id: str, prefix: str,
+                next_hop: str | None, *, churn: bool = False) -> None:
+        """Install or remove the FIB entry for (router, prefix).
+
+        ``churn`` marks withdrawal-driven changes: only those pay the
+        router's FIB programming delay (RIB->FIB sync backs up under
+        update bursts), applied such that out-of-order completions are
+        dropped and the newest decision always wins.
+        """
+        delay = (self.fib_delay_for(router_id)
+                 if self.fib_delay_for is not None and churn else 0.0)
+        key = (router_id, prefix)
+        version = self._fib_version.get(key, 0) + 1
+        self._fib_version[key] = version
+        now = self.loop.now
+        # The RIB->FIB queue is FIFO: a change cannot be programmed
+        # before changes issued earlier for the same entry.
+        apply_at = max(now + delay, self._fib_floor.get(key, 0.0))
+        self._fib_floor[key] = apply_at
+        if apply_at <= now:
+            self._apply_fib(router_id, prefix, next_hop, version)
+            return
+        self.loop.call_at(apply_at, self._apply_fib,
+                          router_id, prefix, next_hop, version)
+
+    def _apply_fib(self, router_id: str, prefix: str,
+                   next_hop: str | None, version: int | None = None) -> None:
+        if version is not None \
+                and self._fib_version.get((router_id, prefix)) != version:
+            return
+        table = self._fib.setdefault(router_id, {})
+        if next_hop is None:
+            if table.pop(prefix, None) is not None:
+                self._bump_route_epoch()
+        elif table.get(prefix) != next_hop:
+            table[prefix] = next_hop
+            self._bump_route_epoch()
 
     def link_is_up(self, a: str, b: str) -> bool:
         state = self._link_state.get(link_key(a, b))
