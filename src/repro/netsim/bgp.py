@@ -21,12 +21,14 @@ provider, which is also what confines an anycast catchment topologically.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .topology import LinkRelation
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable
+
     from .network import Network
 
 #: FIB next-hop sentinel meaning "delivered locally at this router".
@@ -34,6 +36,9 @@ LOCAL = "<local>"
 
 #: Seconds a router spends on an update before it sends its own.
 MIN_PROCESSING, MAX_PROCESSING = 0.01, 0.10
+#: ``rng.uniform(MIN_PROCESSING, MAX_PROCESSING)`` is
+#: ``MIN_PROCESSING + _PROCESSING_SPAN * rng.random()``, bit for bit.
+_PROCESSING_SPAN = MAX_PROCESSING - MIN_PROCESSING
 LOCAL_PREF_ORIGIN = 400
 LOCAL_PREF = {
     LinkRelation.CUSTOMER: 300,
@@ -42,19 +47,35 @@ LOCAL_PREF = {
 }
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, init=False)
 class Route:
-    """A candidate path for one prefix as stored in a router's RIB."""
+    """A candidate path for one prefix as stored in a router's RIB.
+
+    Never modified once built, so its preference key is computed here,
+    once, and the decision process compares the stored keys. Two routes
+    are equal when their five fields are.
+    """
 
     prefix: str
     as_path: tuple[int, ...]
     next_hop: str          # peer router id, or LOCAL for origination
     local_pref: int
     med: int
+    #: Sort key: larger is better.
+    key: tuple = field(compare=False, repr=False)
+
+    def __init__(self, prefix: str, as_path: tuple[int, ...], next_hop: str,
+                 local_pref: int, med: int) -> None:
+        self.prefix = prefix
+        self.as_path = as_path
+        self.next_hop = next_hop
+        self.local_pref = local_pref
+        self.med = med
+        self.key = (local_pref, -len(as_path), -med, next_hop)
 
     def preference_key(self) -> tuple:
         """Sort key: larger is better."""
-        return (self.local_pref, -len(self.as_path), -self.med, self.next_hop)
+        return self.key
 
 
 class PeerSession:
@@ -63,10 +84,11 @@ class PeerSession:
     adj-RIB-out, and outbound update scheduling with MRAI batching.
 
     A session with ``mrai == 0`` transmits as soon as an update is
-    queued. A nonzero MRAI models a router that batches outbound
-    updates: queued updates wait for the next batch boundary (a random
-    phase within the MRAI window), and at most one batch leaves per
-    MRAI interval. Batching is what gives BGP withdrawal its
+    queued (the decision process skips the queue and runs the export
+    pass over all of its speaker's sessions at once). A nonzero MRAI
+    models a router that batches outbound updates: queued updates wait
+    for the next batch boundary (a random phase within the MRAI
+    window), and at most one batch leaves per MRAI interval. Batching is what gives BGP withdrawal its
     convergence tail — every stale alternative path must clear, so the
     *slowest* router on any alternative bounds the blackhole window —
     while new advertisements stay fast because the *first* valid path
@@ -100,7 +122,7 @@ class PeerSession:
         """Queue an update for ``prefix``; flush per the batching policy."""
         if self.mrai <= 0:
             # Unbatched: the queue would only ever hold this one update.
-            self._speaker.send_update(self.peer_id, prefix)
+            self._speaker._export(prefix, (self,))
             return
         self.pending.add(prefix)
         if self._timer_running:
@@ -119,7 +141,7 @@ class PeerSession:
         if self.pending:
             prefixes, self.pending = self.pending, set()
             for prefix in sorted(prefixes):
-                self._speaker.send_update(self.peer_id, prefix)
+                self._speaker._export(prefix, (self,))
             # Hold the line busy for a full interval after a batch.
             self._timer_running = True
             self._speaker.loop.call_later(self.mrai, self._timer_expired)
@@ -135,6 +157,8 @@ class BGPSpeaker:
         self.node_id = node_id
         self.asn = asn
         self.rng = rng
+        #: Every session of this speaker batches (one MRAI per router).
+        self._batched = mrai > 0
         #: adj-RIB-in: prefix -> peer -> Route
         self._rib_in: dict[str, dict[str, Route]] = {}
         #: locally originated routes
@@ -223,28 +247,6 @@ class BGPSpeaker:
 
     # -- update plumbing ----------------------------------------------------
 
-    def send_update(self, peer_id: str, prefix: str) -> None:
-        """Evaluate export policy for (peer, prefix) and transmit."""
-        session = self._sessions[peer_id]
-        if session.down:
-            return
-        best = self._best.get(prefix)
-        if best is not None and self._exportable(best, session):
-            session.rib_out.add(prefix)
-            path, med = (self.asn,) + best.as_path, best.med
-        elif prefix in session.rib_out:
-            session.rib_out.discard(prefix)
-            path, med = None, 0
-        else:
-            return
-        self.updates_sent += 1
-        if session.peer is None:
-            session.peer = self.network.speaker(peer_id)
-        delay = (session.latency_s
-                 + self.rng.uniform(MIN_PROCESSING, MAX_PROCESSING))
-        self.loop.call_later(delay, session.peer.receive_update,
-                             self.node_id, prefix, path, med)
-
     def receive_update(self, from_peer: str, prefix: str,
                        path: tuple[int, ...] | None, med: int) -> None:
         """Handle an announce (path) or withdraw (path is None)."""
@@ -253,7 +255,11 @@ class BGPSpeaker:
             # In-flight update from a session that dropped meanwhile.
             return
         self.updates_received += 1
-        rib = self._rib_in.setdefault(prefix, {})
+        rib = self._rib_in.get(prefix)
+        if rib is None:
+            # Made on a prefix's first update, withdrawals included:
+            # ``_rib_in``'s order is the order session_down withdraws in.
+            rib = self._rib_in[prefix] = {}
         if path is None or self.asn in path:
             # Withdraw, or loop-poisoned announce treated as one.
             if rib.pop(from_peer, None) is not None:
@@ -276,6 +282,8 @@ class BGPSpeaker:
         removal is withdrawal-driven churn: its RIB->FIB sync pays the
         router's FIB programming delay (real routers back up under
         withdrawal/path-hunting bursts); an announcement programs quickly.
+        A changed best goes through the export pass to every session at
+        once, unless this speaker batches: then each session queues it.
         """
         old_best = self._best.get(prefix)
         if old_best is not None and old_best.next_hop == source:
@@ -287,9 +295,8 @@ class BGPSpeaker:
                         if candidates else None)
             if new_best == old_best:
                 return
-        elif route is not None and (
-                old_best is None
-                or route.preference_key() > old_best.preference_key()):
+        elif route is not None and (old_best is None
+                                    or route.key > old_best.key):
             new_best = route
         else:
             return
@@ -300,21 +307,64 @@ class BGPSpeaker:
         next_hop = None if new_best is None else new_best.next_hop
         self.network.set_fib(self.node_id, prefix, next_hop,
                              churn=route is None)
+        if not self._batched:
+            self._export(prefix, self._sessions.values())
+            return
         for peer_id, session in self._sessions.items():
-            # Split horizon toward the route's source: only retract
-            # what we previously advertised to it.
+            # Split horizon toward the route's source: queue only the
+            # retraction of what we previously advertised to it.
             if peer_id != next_hop or prefix in session.rib_out:
                 session.schedule(prefix)
 
-    def _exportable(self, route: Route, session: PeerSession) -> bool:
-        """Gao-Rexford export rule plus per-peer suppression."""
-        next_hop = route.next_hop
-        if next_hop == session.peer_id:
-            return False
-        if (session.peer_id, route.prefix) in self._export_blocked:
-            return False
-        # Customer (and own) routes go to everyone; peer/provider
-        # routes go to customers only.
-        return (next_hop == LOCAL
-                or session.relation is LinkRelation.CUSTOMER
-                or self._sessions[next_hop].relation is LinkRelation.CUSTOMER)
+    def _export(self, prefix: str, sessions: Iterable[PeerSession]) -> None:
+        """The export pass: send over each of ``sessions`` what the
+        export rule makes of ``prefix``'s best route now.
+
+        The rule, the only one: a peer is announced the best route
+        unless it is the route's source (split horizon), the route is a
+        peer or provider route and the peer is not a customer
+        (Gao-Rexford: customer and own routes go to everyone), or the
+        (peer, prefix) export is blocked. A peer the rule keeps the
+        route from is sent a withdrawal if the adj-RIB-out says it holds
+        an announcement, and nothing otherwise. The announced path and
+        MED and the Gao-Rexford test of the route are computed once for
+        every session.
+        """
+        best = self._best.get(prefix)
+        if best is None:
+            source = path = None
+            med = 0
+            to_everyone = False
+        else:
+            source = best.next_hop
+            path = (self.asn,) + best.as_path
+            med = best.med
+            to_everyone = source == LOCAL or (
+                self._sessions[source].relation is LinkRelation.CUSTOMER)
+        blocked = self._export_blocked
+        call_later = self.loop.call_later
+        draw = self.rng.random
+        for session in sessions:
+            if session.down:
+                continue
+            peer_id = session.peer_id
+            rib_out = session.rib_out
+            if (path is not None and peer_id != source
+                    and (to_everyone
+                         or session.relation is LinkRelation.CUSTOMER)
+                    and (peer_id, prefix) not in blocked):
+                rib_out.add(prefix)
+                sent_path, sent_med = path, med
+            elif prefix in rib_out:
+                rib_out.discard(prefix)
+                sent_path, sent_med = None, 0
+            else:
+                continue
+            self.updates_sent += 1
+            peer = session.peer
+            if peer is None:
+                peer = session.peer = self.network.speaker(peer_id)
+            call_later(session.latency_s
+                       + (MIN_PROCESSING + _PROCESSING_SPAN * draw()),
+                       peer.receive_update, self.node_id, prefix,
+                       sent_path, sent_med)

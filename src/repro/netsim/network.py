@@ -177,6 +177,9 @@ class Network:
         #: transient blackholes and loops after BGP has "converged",
         #: and of the withdrawal-timeout tail in paper Figure 8.
         self.fib_delay_for: Callable[[str], float] | None = None
+        #: The RIB->FIB queue, per (router, prefix): the newest change's
+        #: version and the time it applies at. Empty until a change is
+        #: programmed with a delay function installed.
         self._fib_version: dict[tuple[str, str], int] = {}
         self._fib_floor: dict[tuple[str, str], float] = {}
         # -- route cache state ------------------------------------------
@@ -219,8 +222,13 @@ class Network:
         ``churn`` marks withdrawal-driven changes: only those pay the
         router's FIB programming delay (RIB->FIB sync backs up under
         update bursts), applied such that out-of-order completions are
-        dropped and the newest decision always wins.
+        dropped and the newest decision always wins. Until a change
+        comes with a delay function installed there is no queue: each
+        change is programmed in place, and no version or floor is kept.
         """
+        if self.fib_delay_for is None and not self._fib_version:
+            self._apply_fib(router_id, prefix, next_hop)
+            return
         delay = (self.fib_delay_for(router_id)
                  if self.fib_delay_for is not None and churn else 0.0)
         key = (router_id, prefix)
@@ -242,7 +250,9 @@ class Network:
         if version is not None \
                 and self._fib_version.get((router_id, prefix)) != version:
             return
-        table = self._fib.setdefault(router_id, {})
+        table = self._fib.get(router_id)
+        if table is None:
+            table = self._fib[router_id] = {}
         if next_hop is None:
             if table.pop(prefix, None) is not None:
                 self._bump_route_epoch()

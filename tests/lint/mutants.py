@@ -62,9 +62,9 @@ MUTANTS = (
     Mutant("flush-in-set-order", "DET005", "src/repro/netsim/bgp.py", (
         ("            prefixes, self.pending = self.pending, set()\n"
          "            for prefix in sorted(prefixes):\n"
-         "                self._speaker.send_update(self.peer_id, prefix)\n",
+         "                self._speaker._export(prefix, (self,))\n",
          "            for prefix in list(self.pending):\n"
-         "                self._speaker.send_update(self.peer_id, prefix)\n"
+         "                self._speaker._export(prefix, (self,))\n"
          "            self.pending = set()\n"),)),
     Mutant("unseeded-rng", "DET006", _DEPLOYMENT, (
         (_RESOLVER_RNG, "            rng=random.Random(),\n"),)),

@@ -23,6 +23,7 @@ The mutation tests edit the source of the code under test and want
 the comparison to fail, so the oracle is known to look where it claims.
 """
 
+import __future__
 import inspect
 import random
 import textwrap
@@ -335,7 +336,9 @@ def mutated(owner, name: str, old: str, new: str, namespace: dict):
     source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
     assert source.count(old) == 1, f"{name} no longer contains {old!r}"
     scope = dict(namespace)
-    exec(source.replace(old, new), scope)
+    # Compiled as its module is: annotations stay unevaluated.
+    exec(compile(source.replace(old, new), name, "exec",
+                 flags=__future__.annotations.compiler_flag), scope)
     return scope[name]
 
 
@@ -349,10 +352,21 @@ def some_fixed_world_differs() -> bool:
 
 
 def test_dropping_the_split_horizon_retract_is_caught(monkeypatch):
-    monkeypatch.setattr(BGPSpeaker, "_decide", mutated(
-        BGPSpeaker, "_decide",
-        "peer_id != next_hop or prefix in session.rib_out",
-        "peer_id != next_hop", vars(bgp_module)))
+    # The route's source is never announced the route; what it was
+    # announced before must still be withdrawn.
+    monkeypatch.setattr(BGPSpeaker, "_export", mutated(
+        BGPSpeaker, "_export",
+        "elif prefix in rib_out:",
+        "elif prefix in rib_out and peer_id != source:", vars(bgp_module)))
+    assert some_fixed_world_differs()
+
+
+def test_announcing_a_peer_route_to_a_peer_is_caught(monkeypatch):
+    monkeypatch.setattr(BGPSpeaker, "_export", mutated(
+        BGPSpeaker, "_export",
+        "self._sessions[source].relation is LinkRelation.CUSTOMER",
+        "self._sessions[source].relation is not LinkRelation.PROVIDER",
+        vars(bgp_module)))
     assert some_fixed_world_differs()
 
 
