@@ -51,9 +51,8 @@ LOCAL_PREF = {
 class Route:
     """A candidate path for one prefix as stored in a router's RIB.
 
-    Never modified once built, so its preference key is computed here,
-    once, and the decision process compares the stored keys. Two routes
-    are equal when their five fields are.
+    Never modified once built, so the decision process compares a key
+    computed here, once; routes are equal when their five fields are.
     """
 
     prefix: str
@@ -317,18 +316,13 @@ class BGPSpeaker:
                 session.schedule(prefix)
 
     def _export(self, prefix: str, sessions: Iterable[PeerSession]) -> None:
-        """The export pass: send over each of ``sessions`` what the
-        export rule makes of ``prefix``'s best route now.
-
-        The rule, the only one: a peer is announced the best route
-        unless it is the route's source (split horizon), the route is a
-        peer or provider route and the peer is not a customer
-        (Gao-Rexford: customer and own routes go to everyone), or the
-        (peer, prefix) export is blocked. A peer the rule keeps the
-        route from is sent a withdrawal if the adj-RIB-out says it holds
-        an announcement, and nothing otherwise. The announced path and
-        MED and the Gao-Rexford test of the route are computed once for
-        every session.
+        """The export pass: send each of ``sessions`` what the one export
+        rule makes of ``prefix``'s best route now. A peer is announced
+        the route unless it is the route's source (split horizon), the
+        route is a peer or provider route and the peer no customer
+        (Gao-Rexford), or the export is blocked; a peer kept from it is
+        sent a withdrawal if its adj-RIB-out holds the prefix. The path,
+        the MED and the Gao-Rexford test are computed once for all.
         """
         best = self._best.get(prefix)
         if best is None:

@@ -13,13 +13,13 @@ programming that moves any update, delay draw or table entry moves it.
 
 import hashlib
 
+import pytest
+
 from repro.experiments.resilience_scorecard import (
     ScorecardParams,
     build_deployment,
 )
 from repro.platform import AkamaiDNSDeployment, DeploymentParams
-
-SETTLE_S = 30
 
 #: Recorded before the BGP update path was rewritten; a change to it
 #: must leave every one of these alone. The filters sit on the machines,
@@ -52,22 +52,12 @@ def settled(name: str) -> AkamaiDNSDeployment:
         return build_deployment(ScorecardParams.fast())
     deployment = AkamaiDNSDeployment(DeploymentParams(
         seed=42, filters_enabled=name == "seed42-filters-on"))
-    deployment.settle(SETTLE_S)
+    deployment.settle(30)
     return deployment
 
 
-def test_seed42_filters_off_settles_to_the_pinned_state():
-    name = "seed42-filters-off"
-    assert settle_digest(settled(name)) == PINNED[name]
-
-
-def test_seed42_filters_on_settles_to_the_pinned_state():
-    name = "seed42-filters-on"
-    assert settle_digest(settled(name)) == PINNED[name]
-
-
-def test_scorecard_fast_platform_settles_to_the_pinned_state():
-    name = "scorecard-fast"
+@pytest.mark.parametrize("name", PINNED)
+def test_settles_to_the_pinned_state(name):
     assert settle_digest(settled(name)) == PINNED[name]
 
 
