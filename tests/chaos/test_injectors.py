@@ -236,6 +236,23 @@ class TestControlInjector:
         deployment.settle(10.0)
         assert results[1].addresses() == ["203.0.113.7"]
 
+    def test_zone_corruption_shorter_than_delivery_jitter_clears(self):
+        # Both edges ride the CDN channel's U(2, 20) s delays. Cleared
+        # one second after it was injected, the corrupt copy can still
+        # arrive after the good one; the later publish must win anyway.
+        deployment = small_deployment()
+        injector = ControlInjector(deployment)
+        fault = spec(FaultKind.ZONE_CORRUPTION, "ex.net", duration=1.0)
+        good = deployment.enterprise_zones[name("ex.net")]
+
+        injector.inject(fault)
+        deployment.settle(1.0)
+        injector.clear(fault)
+        deployment.settle(70.0)
+        served = [dep.machine.engine.store.get(good.origin)
+                  for dep in deployment.deployments]
+        assert served and all(zone is good for zone in served)
+
     def test_zone_corruption_unknown_zone_raises(self, shared):
         injector = ControlInjector(shared)
         with pytest.raises(ValueError):

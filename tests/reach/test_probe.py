@@ -3,10 +3,13 @@
 The small cases run the probe on a throw-away package; one tier-1 case
 runs it over the two sub-second product entry points; the ``reach``
 case (deselected by default, ``-m reach`` selects it) runs every entry
-point and compares the table with ``KEPT.txt`` and the options census
-with ``OPTIONS.txt``.
+point and compares the table with ``KEPT.txt``, the options census
+with ``OPTIONS.txt`` and the output rows with ``OUTPUTS.json``
+(``--record`` rewrites that file from the run).
 """
 
+import hashlib
+import json
 import sys
 import textwrap
 
@@ -112,6 +115,24 @@ if __name__ == "__main__":
     ToolParams()
 '''
 
+#: A command with one output of each kind a line may hash; it exits 1,
+#: a verdict, so the status is part of the stdout row.
+OUTPUT = '''\
+import json
+import sys
+
+from pkg import mod
+
+tmp, value = sys.argv[1:]
+print("called", mod.called())
+with open(f"{tmp}/note.txt", "w") as handle:
+    handle.write(value)
+with open(f"{tmp}/rows.json", "w") as handle:
+    json.dump([{"id": "a", "n": 1}, {"id": "b", "n": value}], handle)
+print(json.dumps({"digest": value, "wall_s": 0.25}))
+raise SystemExit(1)
+'''
+
 
 @pytest.fixture(scope="module")
 def toy(tmp_path_factory):
@@ -124,6 +145,7 @@ def toy(tmp_path_factory):
     (package / "conf.py").write_text(CONF)
     (package / "tool.py").write_text(TOOL)
     (base / "entry.py").write_text(ENTRY)
+    (base / "out.py").write_text(OUTPUT)
     return base, package
 
 
@@ -259,6 +281,105 @@ def test_child_puts_the_profile_hook_it_found_back(toy, tmp_path,
     assert (tmp_path / "observed.json").exists()
 
 
+def sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def out_entry(name, hashes, value="v1"):
+    return probe.EntryPoint(name, "script", "out.py", ("{tmp}", value),
+                            hashes)
+
+
+def rows_of(toy, *entries):
+    """The output rows of the toy command lines, merged."""
+    base, package = toy
+    rows = {}
+    for entry in entries:
+        rows.update(probe.run_entry(entry, root=package, cwd=base).rows)
+    return rows
+
+
+class TestOutputRows:
+    @pytest.mark.parametrize("hashes, expected", [
+        (("stdout",), {"out stdout": "exit 1 " + sha(
+            'called 1\n{"digest": "v1", "wall_s": 0.25}\n')}),
+        (("file:note.txt",), {"out note.txt": sha("v1")}),
+        (("file:rows.json[id]",), {
+            "out rows.json a": sha('{"id": "a", "n": 1}'),
+            "out rows.json b": sha('{"id": "b", "n": "v1"}')}),
+        (("json:digest",), {"out digest": "v1"}),
+        ((), {}),
+    ], ids=["stdout", "file", "file-per-element", "json-field", "nothing"])
+    def test_each_hash_kind_makes_its_rows(self, toy, hashes, expected):
+        assert rows_of(toy, out_entry("out", hashes)) == expected
+
+    def test_a_pair_agrees_when_the_files_do_and_is_no_manifest_row(
+            self, toy):
+        first = out_entry("first", ("file:rows.json[id]",))
+        second = out_entry("second", ("file:rows.json[id]", "same:first"))
+        rows = rows_of(toy, first, second)
+        recorded = {"first rows.json a": sha('{"id": "a", "n": 1}'),
+                    "first rows.json b": sha('{"id": "b", "n": "v1"}')}
+        assert probe.output_disagreements([first, second], rows,
+                                          recorded) == []
+
+    def test_a_pair_fails_when_the_two_files_differ(self, toy):
+        first = out_entry("first", ("file:rows.json[id]",))
+        second = out_entry("second", ("file:rows.json[id]", "same:first"),
+                           value="v2")
+        rows = rows_of(toy, first, second)
+        recorded = {key: value for key, value in rows.items()
+                    if key.startswith("first ")}
+        assert probe.output_disagreements([first, second], rows,
+                                          recorded) == [
+            "second rows.json b differs from first rows.json b"]
+
+    def test_a_row_the_manifest_lacks_is_named(self, toy):
+        entry = out_entry("out", ("stdout", "json:digest"))
+        rows = rows_of(toy, entry)
+        recorded = {"out stdout": rows["out stdout"]}
+        assert probe.output_disagreements([entry], rows, recorded) == [
+            "out digest: not recorded -> v1"]
+
+    def test_a_manifest_row_the_run_lacks_is_named(self, toy):
+        entry = out_entry("out", ("json:digest",))
+        rows = rows_of(toy, entry)
+        recorded = {**rows, "out note.txt": "0f", "other stdout": "exit 0"}
+        # A line that did not run (``--only``) is not compared.
+        assert probe.output_disagreements([entry], rows, recorded) == [
+            "out note.txt: 0f -> gone"]
+
+    def test_record_round_trip(self, toy, tmp_path):
+        first = out_entry("first", ("stdout", "file:rows.json[id]"))
+        second = out_entry("second", ("file:rows.json[id]", "same:first"))
+        entries = [first, second]
+        rows = rows_of(toy, *entries)
+        manifest = tmp_path / "OUTPUTS.json"
+        probe.write_manifest(entries, rows, manifest)
+        recorded = probe.read_manifest(manifest)
+        assert list(recorded) == [
+            "first stdout", "first rows.json a", "first rows.json b"]
+        assert probe.output_disagreements(entries, rows, recorded) == []
+
+    def test_lines_name_known_hash_kinds_and_nothing_says_why(
+            self, tmp_path):
+        listing = tmp_path / "ENTRYPOINTS.txt"
+        listing.write_text(textwrap.dedent("""\
+            a  stdout,json:digest  module m --x {tmp}/f
+            b  -  script s.py  # prints timings
+            """))
+        assert probe.entry_points(listing) == [
+            probe.EntryPoint("a", "module", "m", ("--x", "{tmp}/f"),
+                             ("stdout", "json:digest")),
+            probe.EntryPoint("b", "script", "s.py", (), ())]
+        listing.write_text("a  stderr  module m\n")
+        with pytest.raises(ValueError, match="ENTRYPOINTS.txt:1"):
+            probe.entry_points(listing)
+        listing.write_text("b  -  script s.py\n")
+        with pytest.raises(ValueError, match="comment"):
+            probe.entry_points(listing)
+
+
 class TestOptionsList:
     def test_every_line_names_an_option_and_a_known_class(self):
         listed = probe.read_options()
@@ -300,10 +421,14 @@ class TestKeptList:
 
 
 def test_entry_point_targets_exist():
-    for entry in probe.entry_points():
+    entries = probe.entry_points()
+    names = [entry.name for entry in entries]
+    assert len(set(names)) == len(names)
+    for entry in entries:
         assert entry.kind in ("module", "script"), entry
         if entry.kind == "script":
             assert (probe.REPO / entry.target).is_file(), entry
+        assert entry.same in (None, *names), entry
 
 
 def test_sub_second_entry_points_reach_the_reporting_path():
@@ -319,12 +444,10 @@ def test_sub_second_entry_points_reach_the_reporting_path():
 
 
 @pytest.mark.reach
-def test_kept_and_options_lists_agree_with_every_entry_point():
-    observed = probe.run_entries(probe.entry_points())
-    dead = probe.never_entered(probe.definitions(probe.SOURCE),
-                               observed.entered)
-    single = probe.single_valued(probe.options(probe.SOURCE),
-                                 observed.values)
-    problems = (probe.disagreements(dead, probe.read_kept())
-                + probe.option_disagreements(single, probe.read_options()))
+def test_lists_and_manifest_agree_with_every_entry_point(request):
+    entries = probe.entry_points()
+    observed = probe.run_entries(entries)
+    if request.config.getoption("--record"):
+        probe.write_manifest(entries, observed.rows)
+    problems = probe.gate(entries, observed)
     assert not problems, "\n".join(problems)
