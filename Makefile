@@ -3,7 +3,7 @@
 PY ?= python
 LINT_PYTHONPATH = src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test reach outputs bench bench-check chaos rollout-demo \
+.PHONY: install test reach bench bench-check chaos rollout-demo \
         defend-demo dnssec-demo gray-demo report report-fast examples lint \
         clean
 
@@ -13,24 +13,14 @@ install:
 test:
 	$(PY) -m pytest tests/
 
-# Every product entry point under the probe (tests/reach/probe.py,
-# ~5 min): fails when a definition no entry point enters is missing
-# from tests/reach/KEPT.txt, when a defaulted constructor parameter they
-# all give one value is missing from tests/reach/OPTIONS.txt, or when a
-# line of either list no longer holds.
+# Every product entry point, once, under the probe (tests/reach/probe.py,
+# ~6 min): fails when a definition no entry point enters is missing from
+# tests/reach/KEPT.txt, when a defaulted constructor parameter they all
+# give one value is missing from tests/reach/OPTIONS.txt, when a line of
+# either list no longer holds, or when an output row differs from
+# tests/reach/OUTPUTS.json (`... -m reach --record` rewrites it).
 reach:
 	PYTHONPATH=$(LINT_PYTHONPATH) $(PY) -m pytest tests/reach -m reach
-
-# Every product output (15 --fast figures, six scorecards, ten examples,
-# eight bench sim_digests, the runner's --metrics file, its fig10 and
-# enduser --trace files and the --fast scorecard suites' telemetry
-# sessions) hashed and compared with
-# tests/outputs/OUTPUTS.json (~1 min); the failure names each row that
-# differs. `$(PY) -m pytest tests/outputs -m outputs --record` rewrites
-# the file: record it on the parent commit, then the PR's diff of it is
-# the list of outputs the PR moved.
-outputs:
-	PYTHONPATH=$(LINT_PYTHONPATH) $(PY) -m pytest tests/outputs -m outputs
 
 # reprolint (the in-tree determinism/event-loop/seed-hygiene checker)
 # always runs; ruff and mypy run when installed (pip install -e .[lint])
@@ -55,7 +45,7 @@ bench:
 	PYTHONPATH=$(LINT_PYTHONPATH) $(PY) -m repro.tools.bench
 
 # Re-run the microbenchmarks and fail on >30% regression against the
-# committed BENCH_micro.json (CI's bench-smoke job).
+# committed BENCH_micro.json (a step of CI's tier-1 job).
 bench-check:
 	PYTHONPATH=$(LINT_PYTHONPATH) $(PY) -m repro.tools.bench --check
 

@@ -252,8 +252,9 @@ class ControlInjector:
             good = self._good_zone(spec.target)
             payload = good if healthy else _corrupted_copy(good)
             from ..control.pubsub import CDN_CHANNEL
-            deployment.bus.publish(CDN_CHANNEL, "zone", str(good.origin),
-                                   payload)
+            # Versioned: the later edge wins whichever delivery lands last.
+            deployment.bus.publish_zone(CDN_CHANNEL, str(good.origin),
+                                        payload)
         elif spec.kind == FaultKind.BAD_ZONE_PUBLISH:
             # Clearing is a no-op by design: the corrupt publish is a
             # one-shot event and *recovery is the subsystem under test*

@@ -25,6 +25,11 @@ one value is a constant beside its use.
 
 Worker processes a run forks (``runner --jobs``) are not followed: they
 execute the same work units the serial run does in-process.
+
+The same run is the outputs check: each line names what of its output
+to hash (``HASH_KINDS``), and the ``reach`` test fails on a row unlike
+``OUTPUTS.json`` (``--record`` rewrites it). ``--only`` checks just the
+rows of its lines.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import argparse
 import ast
 import dataclasses
 import enum
+import hashlib
 import json
 import os
 import re
@@ -49,6 +55,16 @@ from typing import Iterable, NamedTuple
 HERE = Path(__file__).resolve().parent
 REPO = HERE.parents[1]
 SOURCE = REPO / "src" / "repro"
+MANIFEST = HERE / "OUTPUTS.json"
+
+#: What a line may hash, comma-separated, and nothing else: ``stdout``
+#: with the exit status; ``file:NAME``, a file it writes under ``{tmp}``
+#: (``file:NAME[KEY]``: a JSON list, one row per element, named by its
+#: KEY field); ``json:FIELD`` of the object its last stdout line holds;
+#: ``same:LINE``, its rows are checked against LINE's instead of the
+#: manifest. ``-`` hashes nothing, and a comment on the line says why.
+HASH_KINDS = re.compile(
+    r"stdout|file:[\w.-]+(\[\w+\])?|json:\w+|same:[\w-]+")
 
 #: The reason classes ``KEPT.txt`` may give, and no other.
 KEPT_CLASSES = ("interface", "codec", "input-handling", "bench-bound",
@@ -76,6 +92,13 @@ class EntryPoint(NamedTuple):
     kind: str  # "module" (python -m target) or "script" (python target)
     target: str
     args: tuple[str, ...]
+    hashes: tuple[str, ...] = ()  # HASH_KINDS tokens
+
+    @property
+    def same(self) -> str | None:
+        """The line whose rows this line's must equal, if any."""
+        return next((h[len("same:"):] for h in self.hashes
+                     if h.startswith("same:")), None)
 
 
 class Definition(NamedTuple):
@@ -116,16 +139,27 @@ class Option(NamedTuple):
 class Observed(NamedTuple):
     entered: set[tuple[str, int]]  # (path, first line) of code objects
     values: dict[str, set[str]]  # Option.key -> values constructed with
+    rows: dict[str, str]  # "line output" -> hash
 
 
 def entry_points(path: Path = HERE / "ENTRYPOINTS.txt") -> list[EntryPoint]:
-    """``name kind target args...`` per line, ``#`` starts a comment."""
+    """``name hashes kind target args...`` per line, ``#`` starts a
+    comment."""
     entries = []
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for number, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), 1):
         fields = shlex.split(line, comments=True)
-        if fields:
-            name, kind, target, *args = fields
-            entries.append(EntryPoint(name, kind, target, tuple(args)))
+        if not fields:
+            continue
+        name, hashes, kind, target, *args = fields
+        tokens = () if hashes == "-" else tuple(hashes.split(","))
+        if not all(HASH_KINDS.fullmatch(token) for token in tokens):
+            raise ValueError(f"{path.name}:{number}: unknown hash kind "
+                             f"in {hashes!r}")
+        if not tokens and "#" not in line:
+            raise ValueError(f"{path.name}:{number}: a line that hashes "
+                             f"nothing says why in a comment")
+        entries.append(EntryPoint(name, kind, target, tuple(args), tokens))
     return entries
 
 
@@ -216,11 +250,39 @@ def never_entered(defs: Iterable[Definition],
     return [d for d in dead if (d.path, d.outer) not in dead_names]
 
 
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _output_rows(entry: EntryPoint, done: subprocess.CompletedProcess,
+                 scratch: Path) -> dict[str, str]:
+    """The rows ``entry.hashes`` asks for, named ``"line output"``."""
+    rows = {}
+    for token in entry.hashes:
+        kind, _, what = token.partition(":")
+        if kind == "stdout":
+            rows["stdout"] = (f"exit {done.returncode} "
+                              f"{_sha(done.stdout.encode())}")
+        elif kind == "json":
+            last = done.stdout.strip().splitlines()[-1]
+            rows[what] = str(json.loads(last)[what])
+        elif kind == "file":
+            name, _, key = what.rstrip("]").partition("[")
+            path = scratch / name
+            if not key:
+                rows[name] = _sha(path.read_bytes())
+                continue
+            for item in json.loads(path.read_text()):
+                rows[f"{name} {item[key]}"] = _sha(
+                    json.dumps(item, sort_keys=True).encode())
+    return {f"{entry.name} {what}": value for what, value in rows.items()}
+
+
 def run_entry(entry: EntryPoint, root: Path = SOURCE,
               cwd: Path = REPO) -> Observed:
     """Run one entry point in a child process under the profile hooks
-    and return what it entered and what it constructed with."""
-    env = dict(os.environ)
+    and return what it entered and constructed with, and its rows."""
+    env = dict(os.environ, PYTHONHASHSEED="0")
     env["PYTHONPATH"] = os.pathsep.join(
         [str(root.parent), *filter(None, [env.get("PYTHONPATH")])])
     with tempfile.TemporaryDirectory(prefix="reach-") as scratch:
@@ -229,27 +291,31 @@ def run_entry(entry: EntryPoint, root: Path = SOURCE,
         done = subprocess.run(
             [sys.executable, str(Path(__file__).resolve()), "--child",
              str(out), str(root), entry.kind, entry.target, *args],
-            cwd=cwd, env=env, stdout=subprocess.DEVNULL,
+            cwd=cwd, env=env, stdout=subprocess.PIPE,
             stderr=subprocess.PIPE, text=True)
         if not out.exists():
             raise RuntimeError(
                 f"entry point {entry.name!r} died before reporting "
                 f"(status {done.returncode}):\n{done.stderr[-2000:]}")
         report = json.loads(out.read_text())
+        rows = _output_rows(entry, done, Path(scratch))
     return Observed({(path, line) for path, line in report["entered"]},
                     {key: set(seen)
-                     for key, seen in report["values"].items()})
+                     for key, seen in report["values"].items()},
+                    rows)
 
 
 def run_entries(entries: Iterable[EntryPoint], jobs: int = 2) -> Observed:
     """The union of what the entry points entered and constructed with,
-    ``jobs`` child processes at a time (the threads only wait on them)."""
-    union = Observed(set(), {})
+    and their rows, ``jobs`` child processes at a time (the threads only
+    wait on them)."""
+    union = Observed(set(), {}, {})
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        for entered, values in pool.map(run_entry, entries):
+        for entered, values, rows in pool.map(run_entry, entries):
             union.entered.update(entered)
             for key, seen in values.items():
                 union.values.setdefault(key, set()).update(seen)
+            union.rows.update(rows)
     return union
 
 
@@ -406,12 +472,13 @@ class Census:
 def _child(out: str, root: str, kind: str, target: str,
            args: list[str]) -> None:
     """In the child: install the hooks, run the entry point as
-    ``__main__``, write what was entered and constructed. Only an exit
-    status other than a usage error leaves quietly; anything else is the
-    entry point failing, and no report is written."""
+    ``__main__``, write what was entered and constructed, and exit with
+    the entry point's status. A usage error or an exception is the entry
+    point failing, and no report is written."""
     prefix = str(Path(root).resolve()) + os.sep
     codes = set()
     census = Census(prefix, {o.key for o in options(Path(root))})
+    ended = None
 
     def on_event(frame, event, arg):
         if event == "call":
@@ -438,6 +505,7 @@ def _child(out: str, root: str, kind: str, target: str,
         # ENTRYPOINTS.txt that ran nothing.
         if done.code == 2:
             raise
+        ended = done
     finally:
         # What was installed on entry goes back: run in-process under a
         # profiler, this is not the hook's owner.
@@ -452,6 +520,8 @@ def _child(out: str, root: str, kind: str, target: str,
         "entered": entered,
         "values": {key: sorted(seen)
                    for key, seen in census.values.items()}}))
+    if ended is not None:
+        raise ended
 
 
 def read_listing(path: Path, classes: tuple[str, ...]) -> dict[str, str]:
@@ -512,6 +582,71 @@ def option_disagreements(single: list[Option],
     now varies or is gone."""
     return _mismatches(single, listed, "OPTIONS.txt",
                        "one value in every run", "varies")
+
+
+def _line(row: str) -> str:
+    return row.split(" ", 1)[0]
+
+
+def manifest_rows(entries: Iterable[EntryPoint],
+                  rows: dict[str, str]) -> dict[str, str]:
+    """The rows the manifest holds: all but a ``same:`` line's."""
+    paired = {e.name for e in entries if e.same}
+    return {row: value for row, value in rows.items()
+            if _line(row) not in paired}
+
+
+def read_manifest(path: Path = MANIFEST) -> dict[str, str]:
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def write_manifest(entries: Iterable[EntryPoint], rows: dict[str, str],
+                   path: Path = MANIFEST) -> None:
+    path.write_text(json.dumps(manifest_rows(entries, rows), indent=1)
+                    + "\n", encoding="utf-8")
+
+
+def output_disagreements(entries: list[EntryPoint], rows: dict[str, str],
+                         recorded: dict[str, str]) -> list[str]:
+    """The outputs half of the gate, over the lines in ``entries``: a
+    ``same:`` line's row that differs from its partner's (when both
+    ran), then a row that differs from the manifest, that the manifest
+    lacks, or that the run no longer makes."""
+    def rows_of(line: str | None) -> dict[str, str]:
+        return {row.split(" ", 1)[1]: value for row, value in rows.items()
+                if _line(row) == line}
+
+    problems = []
+    for entry in entries:
+        theirs = rows_of(entry.same)
+        if not theirs:
+            continue
+        mine = rows_of(entry.name)
+        outputs = {what.split(" ", 1)[0] for what in mine}
+        theirs = {what: value for what, value in theirs.items()
+                  if what.split(" ", 1)[0] in outputs}
+        problems += [f"{entry.name} {what} differs from {entry.same} {what}"
+                     for what in sorted(set(mine) | set(theirs))
+                     if mine.get(what) != theirs.get(what)]
+    names = {e.name for e in entries}
+    pinned = manifest_rows(entries, rows)
+    recorded = {row: value for row, value in recorded.items()
+                if _line(row) in names}
+    return problems + [
+        f"{row}: {recorded.get(row, 'not recorded')} -> "
+        f"{pinned.get(row, 'gone')}"
+        for row in sorted(set(recorded) | set(pinned))
+        if recorded.get(row) != pinned.get(row)]
+
+
+def gate(entries: list[EntryPoint], observed: Observed) -> list[str]:
+    """Everything the ``reach`` test fails on: the kept list, the options
+    list and the manifest against one run of ``entries``."""
+    dead = never_entered(definitions(SOURCE), observed.entered)
+    single = single_valued(options(SOURCE), observed.values)
+    return (disagreements(dead, read_kept())
+            + option_disagreements(single, read_options())
+            + output_disagreements(entries, observed.rows, read_manifest()))
 
 
 def render_table(defs: list[Definition], dead: list[Definition]) -> str:
@@ -576,9 +711,12 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{listed.get(o.key, '-'):<15} {o.key}  "
                   f"[{len(seen)}] {', '.join(seen)}")
     if args.only:
-        return 0
-    problems = (disagreements(dead, read_kept())
-                + option_disagreements(single, read_options()))
+        for row, value in observed.rows.items():
+            print(f"{row}: {value}")
+        problems = output_disagreements(entries, observed.rows,
+                                        read_manifest())
+    else:
+        problems = gate(entries, observed)
     print("\n".join(problems))
     return 1 if problems else 0
 

@@ -1,17 +1,18 @@
-"""The telemetry sessions of the three ``--fast`` scorecard suites, hashed.
+"""The telemetry sessions of the three ``--fast`` scorecard suites.
 
-    PYTHONPATH=src python tests/outputs/scorecard_sessions.py
+    PYTHONPATH=src python tests/reach/scorecard_sessions.py PATH
 
 Each campaign of ``resilience_scorecard`` runs inside a session of its
 own that no command exports. This script puts a ``Telemetry`` subclass
 that keeps every instance into the scorecard module's namespace, runs
 the standard, ``--dnssec`` and ``--gray`` suites at ``--fast``, and
-prints the number of sessions and the SHA-256 of their ``export()``s in
-run order. Nothing under ``src/`` changes for it.
+writes the ``export()``s of the sessions, in run order, as JSON to PATH
+(the ``sessions`` line of ``ENTRYPOINTS.txt`` hashes the file). Nothing
+under ``src/`` changes for it.
 """
 
-import hashlib
 import json
+import sys
 
 from repro.experiments import resilience_scorecard as scorecard
 
@@ -37,6 +38,5 @@ def exports() -> list[dict]:
 
 
 if __name__ == "__main__":
-    done = exports()
-    text = json.dumps(done, sort_keys=True)
-    print(f"{len(done)} {hashlib.sha256(text.encode()).hexdigest()}")
+    with open(sys.argv[1], "w") as handle:
+        handle.write(json.dumps(exports(), sort_keys=True))
