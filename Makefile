@@ -13,12 +13,10 @@ install:
 test:
 	$(PY) -m pytest tests/
 
-# Every product entry point, once, under the probe (tests/reach/probe.py,
-# ~6 min): fails when a definition no entry point enters is missing from
-# tests/reach/KEPT.txt, when a defaulted constructor parameter they all
-# give one value is missing from tests/reach/OPTIONS.txt, when a line of
-# either list no longer holds, or when an output row differs from
-# tests/reach/OUTPUTS.json (`... -m reach --record` rewrites it).
+# Every product entry point, once, under tests/reach/probe.py (~6 min):
+# fails on a never-entered definition KEPT.txt lacks, a single-valued
+# option OPTIONS.txt lacks, a line of either that no longer holds, or an
+# output row unlike OUTPUTS.json (`... -m reach --record` rewrites it).
 reach:
 	PYTHONPATH=$(LINT_PYTHONPATH) $(PY) -m pytest tests/reach -m reach
 

@@ -26,10 +26,8 @@ one value is a constant beside its use.
 Worker processes a run forks (``runner --jobs``) are not followed: they
 execute the same work units the serial run does in-process.
 
-The same run is the outputs check: each line names what of its output
-to hash (``HASH_KINDS``), and the ``reach`` test fails on a row unlike
-``OUTPUTS.json`` (``--record`` rewrites it). ``--only`` checks just the
-rows of its lines.
+The same run hashes what each line names of its output (``HASH_KINDS``)
+into the rows ``OUTPUTS.json`` holds; ``--only`` checks just its lines'.
 """
 
 from __future__ import annotations
@@ -143,8 +141,7 @@ class Observed(NamedTuple):
 
 
 def entry_points(path: Path = HERE / "ENTRYPOINTS.txt") -> list[EntryPoint]:
-    """``name hashes kind target args...`` per line, ``#`` starts a
-    comment."""
+    """``name hashes kind target args...`` per line; ``#`` comments."""
     entries = []
     for number, line in enumerate(
             path.read_text(encoding="utf-8").splitlines(), 1):
@@ -306,9 +303,8 @@ def run_entry(entry: EntryPoint, root: Path = SOURCE,
 
 
 def run_entries(entries: Iterable[EntryPoint], jobs: int = 2) -> Observed:
-    """The union of what the entry points entered and constructed with,
-    and their rows, ``jobs`` child processes at a time (the threads only
-    wait on them)."""
+    """The union of what the entry points entered, constructed with and
+    output, ``jobs`` child processes at a time (threads only wait)."""
     union = Observed(set(), {}, {})
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         for entered, values, rows in pool.map(run_entry, entries):

@@ -2,13 +2,10 @@
 
     PYTHONPATH=src python tests/reach/scorecard_sessions.py PATH
 
-Each campaign of ``resilience_scorecard`` runs inside a session of its
-own that no command exports. This script puts a ``Telemetry`` subclass
-that keeps every instance into the scorecard module's namespace, runs
-the standard, ``--dnssec`` and ``--gray`` suites at ``--fast``, and
-writes the ``export()``s of the sessions, in run order, as JSON to PATH
-(the ``sessions`` line of ``ENTRYPOINTS.txt`` hashes the file). Nothing
-under ``src/`` changes for it.
+Each campaign runs inside a session no command exports. A ``Telemetry``
+subclass that keeps every instance goes into the scorecard module's
+namespace, the standard, ``--dnssec`` and ``--gray`` suites run at
+``--fast``, and the sessions' ``export()``s are written to PATH as JSON.
 """
 
 import json

@@ -9,7 +9,6 @@ with ``OPTIONS.txt`` and the output rows with ``OUTPUTS.json``
 """
 
 import hashlib
-import json
 import sys
 import textwrap
 
@@ -285,8 +284,8 @@ def sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def out_entry(name, hashes, value="v1"):
-    return probe.EntryPoint(name, "script", "out.py", ("{tmp}", value),
+def out_entry(name, hashes):
+    return probe.EntryPoint(name, "script", "out.py", ("{tmp}", "v1"),
                             hashes)
 
 
@@ -313,17 +312,6 @@ class TestOutputRows:
     def test_each_hash_kind_makes_its_rows(self, toy, hashes, expected):
         assert rows_of(toy, out_entry("out", hashes)) == expected
 
-    def test_a_pair_fails_when_the_two_files_differ(self, toy):
-        first = out_entry("first", ("file:rows.json[id]",))
-        second = out_entry("second", ("file:rows.json[id]", "same:first"),
-                           value="v2")
-        rows = rows_of(toy, first, second)
-        recorded = {key: value for key, value in rows.items()
-                    if key.startswith("first ")}
-        assert probe.output_disagreements([first, second], rows,
-                                          recorded) == [
-            "second rows.json b differs from first rows.json b"]
-
     def test_a_missing_and_an_extra_manifest_row_are_named(self, toy):
         entry = out_entry("out", ("stdout", "json:digest"))
         rows = rows_of(toy, entry)
@@ -334,34 +322,30 @@ class TestOutputRows:
         assert probe.output_disagreements([entry], rows, recorded) == [
             "out digest: not recorded -> v1", "out note.txt: 0f -> gone"]
 
-    def test_record_round_trip(self, toy, tmp_path):
+    def test_record_round_trip_and_the_pair_check(self, toy, tmp_path):
         first = out_entry("first", ("stdout", "file:rows.json[id]"))
         second = out_entry("second", ("file:rows.json[id]", "same:first"))
-        entries = [first, second]
-        rows = rows_of(toy, *entries)
+        rows = rows_of(toy, first, second)
         manifest = tmp_path / "OUTPUTS.json"
-        probe.write_manifest(entries, rows, manifest)
+        probe.write_manifest([first, second], rows, manifest)
         recorded = probe.read_manifest(manifest)
         assert list(recorded) == [
             "first stdout", "first rows.json a", "first rows.json b"]
-        assert probe.output_disagreements(entries, rows, recorded) == []
+        assert probe.output_disagreements([first, second], rows,
+                                          recorded) == []
+        drift = second._replace(args=("{tmp}", "v2"))
+        rows.update(rows_of(toy, drift))
+        assert probe.output_disagreements([first, drift], rows,
+                                          recorded) == [
+            "second rows.json b differs from first rows.json b"]
 
-    def test_lines_name_known_hash_kinds_and_nothing_says_why(
-            self, tmp_path):
+    @pytest.mark.parametrize("line, error", [
+        ("a  stderr  module m", "ENTRYPOINTS.txt:1: unknown hash kind"),
+        ("b  -  script s.py", "says why in a comment")])
+    def test_malformed_lines_are_rejected(self, tmp_path, line, error):
         listing = tmp_path / "ENTRYPOINTS.txt"
-        listing.write_text(textwrap.dedent("""\
-            a  stdout,json:digest  module m --x {tmp}/f
-            b  -  script s.py  # prints timings
-            """))
-        assert probe.entry_points(listing) == [
-            probe.EntryPoint("a", "module", "m", ("--x", "{tmp}/f"),
-                             ("stdout", "json:digest")),
-            probe.EntryPoint("b", "script", "s.py", (), ())]
-        listing.write_text("a  stderr  module m\n")
-        with pytest.raises(ValueError, match="ENTRYPOINTS.txt:1"):
-            probe.entry_points(listing)
-        listing.write_text("b  -  script s.py\n")
-        with pytest.raises(ValueError, match="comment"):
+        listing.write_text(line + "\n")
+        with pytest.raises(ValueError, match=error):
             probe.entry_points(listing)
 
 
