@@ -203,26 +203,88 @@ class TestStaleness:
         assert not m.is_stale(loop.now)
 
 
-class TestFaults:
-    def test_unresponsive_fault(self):
-        loop = EventLoop()
-        responses = []
-        m = make_machine(loop, responses=responses)
-        m.fault = "unresponsive"
-        m.receive_query(query_dgram())
-        loop.run_until(1.0)
-        assert not responses
-        assert m.health_probe(make_query(1, name("m.example"),
-                                         RType.SOA)) is None
+def set_fault(machine, kind, severity=1.0):
+    """The machine's fault seam: one fault at a time, None clears it."""
+    gray = kind not in ("unresponsive", "wrong_answer")
+    machine.fault = None if gray else kind
+    machine.set_gray_fault(kind if gray else None, severity)
 
-    def test_wrong_answer_fault(self):
+
+#: Each machine fault -> (its own health probe's answer, a live query's
+#: answer, whether a zone install lands). An answer is (rcode, answer
+#: count); None is no answer at all. Only the first two kinds are seen
+#: by the probe; the four gray ones show on the data path alone.
+FAULT_MATRIX = {
+    "unresponsive": (None, None, True),
+    "wrong_answer": ((RCode.SERVFAIL, 0), (RCode.SERVFAIL, 0), True),
+    "blackhole": ((RCode.NOERROR, 1), None, True),
+    "partial_drop": ((RCode.NOERROR, 1), None, True),
+    "corrupt": ((RCode.NOERROR, 1), (RCode.NOERROR, 0), True),
+    "stale": ((RCode.NOERROR, 1), (RCode.NOERROR, 1), False),
+}
+
+
+def _answer(response):
+    if response is None:
+        return None
+    return (response.rcode, len(response.answers))
+
+
+class TestFaults:
+    @pytest.mark.parametrize("kind", FAULT_MATRIX)
+    def test_health_probe(self, kind):
+        m = make_machine(EventLoop())
+        set_fault(m, kind)
+        probe = m.health_probe(make_query(1, name("www.m.example"),
+                                          RType.A))
+        assert _answer(probe) == FAULT_MATRIX[kind][0]
+
+    @pytest.mark.parametrize("kind", FAULT_MATRIX)
+    def test_live_query(self, kind):
         loop = EventLoop()
         responses = []
         m = make_machine(loop, responses=responses)
-        m.fault = "wrong_answer"
+        set_fault(m, kind)
         m.receive_query(query_dgram())
         loop.run_until(1.0)
-        assert responses[0].rcode == RCode.SERVFAIL
+        expected = FAULT_MATRIX[kind][1]
+        assert [_answer(r) for r in responses] \
+            == ([] if expected is None else [expected])
+        assert m.metrics.answered == len(responses)
+
+    @pytest.mark.parametrize("kind", FAULT_MATRIX)
+    def test_zone_install(self, kind):
+        m = make_machine(EventLoop())
+        set_fault(m, kind)
+        update = parse_zone_text(ZONE.replace("1 7200", "2 7200"))
+        assert m.install_zone(update) is True
+        lands = FAULT_MATRIX[kind][2]
+        assert m.engine.store.get(name("m.example")).serial \
+            == (2 if lands else 1)
+        assert m.metrics.zone_installs == int(lands)
+
+    @pytest.mark.parametrize("kind", FAULT_MATRIX)
+    def test_cleared_fault_leaves_nothing(self, kind):
+        loop = EventLoop()
+        responses = []
+        m = make_machine(loop, responses=responses)
+        set_fault(m, kind)
+        set_fault(m, None)
+        m.receive_query(query_dgram())
+        loop.run_until(1.0)
+        assert [_answer(r) for r in responses] == [(RCode.NOERROR, 1)]
+
+    def test_partial_drop_is_a_per_source_slice(self):
+        loop = EventLoop()
+        responses = []
+        m = make_machine(loop, responses=responses)
+        set_fault(m, "partial_drop", 0.5)
+        sources = [f"10.9.0.{i}" for i in range(40)]
+        for i, src in enumerate(sources):
+            m.receive_query(query_dgram(src=src, msg_id=i))
+        loop.run_until(1.0)
+        assert 0 < m.metrics.dropped_gray < len(sources)
+        assert m.metrics.dropped_gray + len(responses) == len(sources)
 
 
 class TestDegradedMode:
