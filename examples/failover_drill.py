@@ -50,14 +50,14 @@ def main() -> None:
     # --- Scenario 1: single machine failure --------------------------------
     print("\nScenario 1: one machine starts serving garbage")
     victim = deployment.regular_deployments()[0]
-    victim.machine.fault = "wrong_answer"
+    victim.machine.set_fault("wrong_answer")
     deployment.settle(MONITORING_PERIOD * 3)
     print(f"  agent detected the fault; machine state: "
           f"{victim.machine.state.value}")
     status, result = probe(deployment, resolver)
     print(f"  client impact: {status} "
           f"(PoP ECMP shifted to the healthy sibling)")
-    victim.machine.fault = None
+    victim.machine.set_fault(None)
     deployment.settle(MONITORING_PERIOD * 3)
     print(f"  fault cleared; machine state: {victim.machine.state.value}")
 
@@ -71,7 +71,7 @@ def main() -> None:
             if d.machine.machine_id.startswith(failing_pop + "-")
             and not d.input_delayed]
     for dep in dead:
-        dep.machine.fault = "unresponsive"
+        dep.machine.set_fault("unresponsive")
     deployment.settle(MONITORING_PERIOD * 4 + 10)
     advertising = deployment.pops[failing_pop].advertises(cloud.prefix)
     print(f"  {len(dead)} machines failed; PoP {failing_pop} still "
@@ -81,7 +81,7 @@ def main() -> None:
     status, result = probe(deployment, resolver)
     print(f"  client impact: {status} via {result.servers}")
     for dep in dead:
-        dep.machine.fault = None
+        dep.machine.set_fault(None)
     deployment.settle(MONITORING_PERIOD * 4 + 10)
     print(f"  PoP restored, advertising again: "
           f"{deployment.pops[failing_pop].advertises(cloud.prefix)}")

@@ -61,7 +61,7 @@ def main():
 
     print(f"\n== {machine.machine_id} goes gray: answers lose their "
           f"answer section, health_probe stays green ==")
-    machine.set_gray_fault("corrupt")
+    machine.set_fault("corrupt")
     start = loop.now
     deployment.run_until(loop.now + 20.0)
     own_view = target.agent.run_suite()
@@ -83,7 +83,7 @@ def main():
 
     print("\n== the fault heals: probation shadow-probes, then "
           "traffic returns ==")
-    machine.set_gray_fault(None)
+    machine.set_fault(None)
     deployment.run_until(loop.now + 40.0)
     print(f"  verdict: {controller.verdict(machine.machine_id).value}, "
           f"state: {machine.state.name}, "

@@ -1,8 +1,8 @@
 """Seedable chaos-injection for the assembled platform.
 
 Declarative failure campaigns (:mod:`~repro.chaos.faults`) drive typed
-fault kinds through per-layer injector adapters
-(:mod:`~repro.chaos.injectors`) while an SLO probe
+fault kinds through one fault table, a kind -> entry map over the
+layers' public seams (:mod:`~repro.chaos.injectors`), while an SLO probe
 (:mod:`~repro.chaos.probe`) measures the legitimate-user experience.
 The :class:`ChaosEngine` ties them together off the shared event loop;
 every run is a pure function of the campaign seed.
@@ -10,33 +10,19 @@ every run is a pure function of the campaign seed.
 
 from .engine import ChaosEngine, FaultEvent
 from .faults import Campaign, FaultKind, FaultSpec, Schedule
-from .injectors import (
-    AttackInjector,
-    ControlInjector,
-    FaultInjector,
-    GrayInjector,
-    NetsimInjector,
-    ServerInjector,
-    default_injectors,
-)
+from .injectors import INJECTORS
 from .probe import ProbeOutcome, ProbeWindow, SLOProbe, SLOReport
 
 __all__ = [
-    "AttackInjector",
     "Campaign",
     "ChaosEngine",
-    "ControlInjector",
     "FaultEvent",
-    "FaultInjector",
     "FaultKind",
     "FaultSpec",
-    "GrayInjector",
-    "NetsimInjector",
+    "INJECTORS",
     "ProbeOutcome",
     "ProbeWindow",
     "SLOProbe",
     "SLOReport",
     "Schedule",
-    "ServerInjector",
-    "default_injectors",
 ]

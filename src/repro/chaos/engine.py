@@ -1,22 +1,23 @@
 """The chaos engine: arms a campaign's timeline on the event loop.
 
 The engine is deliberately thin — all policy lives in the campaign
-(what breaks when) and the injectors (how each layer breaks). The
+(what breaks when) and the fault table (how each kind breaks). The
 engine's jobs are ordering and bookkeeping: expand the campaign into
-time-sorted edges, schedule each on the shared :class:`EventLoop`, route
-it to the injector that owns the fault kind, and keep an event log the
-scorecard uses to attribute probe failures and recovery times to
-specific faults.
+time-sorted edges, schedule each on the shared :class:`EventLoop`, hand
+it to the kind's entry in :data:`~repro.chaos.INJECTORS`, keep what the
+entries must undo, and keep an event log the scorecard uses to
+attribute probe failures and recovery times to specific faults.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..netsim.clock import EventHandle, EventLoop
+from ..netsim.clock import EventHandle, EventLoop, PeriodicTask
 from ..platform.deployment import AkamaiDNSDeployment
-from .faults import Campaign, FaultKind, FaultSpec
-from .injectors import FaultInjector, default_injectors
+from ..workload.attacks import RandomSubdomainAttack
+from .faults import Campaign, FaultSpec
+from .injectors import INJECTORS
 
 
 @dataclass(slots=True)
@@ -26,7 +27,7 @@ class FaultEvent:
     time: float
     action: str           # "inject" | "clear"
     spec: FaultSpec
-    error: str = ""       # non-empty if the injector raised
+    error: str = ""       # non-empty if the entry raised
 
     def describe(self) -> str:
         status = f" [FAILED: {self.error}]" if self.error else ""
@@ -39,14 +40,20 @@ class ChaosEngine:
     """Runs one campaign against one deployment."""
 
     deployment: AkamaiDNSDeployment
-    injectors: dict[FaultKind, FaultInjector] = field(default_factory=dict)
     events: list[FaultEvent] = field(default_factory=list)
-    strict: bool = True   # re-raise injector errors (tests want loud)
+    strict: bool = True   # re-raise entry errors (tests want loud)
     _armed: list[EventHandle] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not self.injectors:
-            self.injectors = default_injectors(self.deployment)
+    # What the run's injected faults must undo when cleared: crash-loop
+    # tasks by (target, machine id), capacities SLOW_IO scaled by machine
+    # id, floods by (prefix, victim zone), and the floods launched so
+    # far (each seeds its own generator).
+    crash_loops: dict[tuple[str, str], PeriodicTask] = field(
+        default_factory=dict, init=False)
+    saved_capacity: dict[str, tuple[float, float]] = field(
+        default_factory=dict, init=False)
+    floods: dict[tuple[str, str], RandomSubdomainAttack] = field(
+        default_factory=dict, init=False)
+    floods_launched: int = field(default=0, init=False)
 
     @property
     def loop(self) -> EventLoop:
@@ -55,12 +62,12 @@ class ChaosEngine:
     def arm(self, campaign: Campaign) -> None:
         """Schedule every fault edge relative to the current sim time.
 
-        Each spec is validated against the dispatch table up front so a
-        typo'd fault kind fails at arm time, not mid-run.
+        Each spec is validated against the fault table up front so a
+        kind without an entry fails at arm time, not mid-run.
         """
         base = self.loop.now
         for spec in campaign.faults:
-            if spec.kind not in self.injectors:
+            if spec.kind not in INJECTORS:
                 raise ValueError(f"no injector handles {spec.kind}")
         for time, action, spec in campaign.timeline():
             self._armed.append(self.loop.call_at(
@@ -81,13 +88,10 @@ class ChaosEngine:
         return self.events
 
     def _dispatch(self, action: str, spec: FaultSpec) -> None:
-        injector = self.injectors[spec.kind]
+        entry = INJECTORS[spec.kind]
         event = FaultEvent(time=self.loop.now, action=action, spec=spec)
         try:
-            if action == "inject":
-                injector.inject(spec)
-            else:
-                injector.clear(spec)
+            entry(self, spec, action == "clear")
         except Exception as exc:  # noqa: BLE001 — logged, optionally re-raised
             event.error = f"{type(exc).__name__}: {exc}"
             self.events.append(event)

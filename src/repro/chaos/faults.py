@@ -7,7 +7,8 @@ function of its seed — rerunning one reproduces every fault edge
 bit-for-bit, which is what makes resilience regressions diffable.
 
 The fault kinds cover the failure modes the paper's resiliency ladder
-(section 4.2) is built against, one per layer seam:
+(section 4.2) is built against, one per layer seam. Each kind's entry in
+:data:`~repro.chaos.injectors.INJECTORS` drives the seam below:
 
 ========================  =====================================================
 kind                      seam it drives
@@ -21,38 +22,38 @@ kind                      seam it drives
 ``SLOW_IO``               ``MachineConfig`` capacity scaling
 ``PUBSUB_PARTITION``      ``MetadataBus.set_partitioned``
 ``METADATA_FREEZE``       ``AkamaiDNSDeployment.pause_metadata_heartbeat``
-``ZONE_CORRUPTION``       corrupted zone published on the CDN channel
-``BAD_ZONE_PUBLISH``      corrupt/regressive zone submitted through the
-                          deployment's zone-update seam, so the
-                          safe-rollout train (validator, canary soak,
-                          rollback) is what stands between it and the
-                          fleet; ``note`` picks the corruption mode
-``ATTACK_FLOOD``          a random-subdomain attack (section 4.3.4 class
+``ZONE_CORRUPTION``       ``MetadataBus.publish_zone``: a corrupted copy on
+                          the CDN channel, the good one on clear
+``BAD_ZONE_PUBLISH``      ``AkamaiDNSDeployment.publish_zone_update``: a
+                          corrupt/regressive copy, so the safe-rollout
+                          train (validator, canary soak, rollback) is
+                          what stands between it and the fleet; ``note``
+                          picks the corruption mode
+``ATTACK_FLOOD``          a ``RandomSubdomainAttack`` (section 4.3.4 class
                           3) aimed at an anycast prefix; ``target`` is
                           the prefix, ``note`` the victim zone origin,
                           ``severity`` the rate in packets/sec
-``SIGNATURE_EXPIRY``      a *validly* signed copy of the zone published
-                          through the rollout seam whose RRSIGs lapse
-                          ``severity`` seconds later — it clears the
-                          validator (signatures are fresh at publish
-                          time) and goes bogus mid-soak, so the canary
-                          health gate is the only thing that can catch
-                          it and roll it back
-``KEY_MISMATCH``          a copy signed by keys the apex DNSKEY RRset
-                          does not publish, submitted through the same
-                          seam; the validator's ``rrsig-key-mismatch``
-                          rule must reject it outright
-``GRAY_BLACKHOLE``        ``NameserverMachine.set_gray_fault("blackhole")``
-                          — every data-path query silently dropped
-                          while ``health_probe`` keeps answering
-``GRAY_CORRUPT``          ``set_gray_fault("corrupt")`` — NOERROR
-                          responses silently lose their answer section
-``GRAY_STALE``            ``set_gray_fault("stale")`` — zone installs
-                          silently no-op; the machine serves a frozen
-                          zone while reporting the update landed
-``GRAY_PARTIAL_DROP``     ``set_gray_fault("partial_drop", severity)``
-                          — a per-source-hash slice of resolvers is
-                          silently dropped (severity = drop fraction)
+``SIGNATURE_EXPIRY``      ``publish_zone_update``: a *validly* signed copy
+                          whose RRSIGs lapse ``severity`` seconds later —
+                          it clears the validator (signatures are fresh
+                          at publish time) and goes bogus mid-soak, so
+                          the canary health gate is the only thing that
+                          can catch it and roll it back
+``KEY_MISMATCH``          ``publish_zone_update``: a copy signed by keys
+                          the apex DNSKEY RRset does not publish; the
+                          validator's ``rrsig-key-mismatch`` rule must
+                          reject it outright
+``GRAY_BLACKHOLE``        ``NameserverMachine.set_fault("blackhole")`` —
+                          every data-path query silently dropped while
+                          ``health_probe`` keeps answering
+``GRAY_CORRUPT``          ``set_fault("corrupt")`` — NOERROR responses
+                          silently lose their answer section
+``GRAY_STALE``            ``set_fault("stale")`` — zone installs silently
+                          no-op; the machine serves a frozen zone while
+                          reporting the update landed
+``GRAY_PARTIAL_DROP``     ``set_fault("partial_drop", severity)`` — a
+                          per-source-hash slice of resolvers is silently
+                          dropped (severity = drop fraction)
 ========================  =====================================================
 """
 

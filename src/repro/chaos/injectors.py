@@ -1,11 +1,15 @@
-"""Per-layer fault injector adapters.
+"""The fault table: every :class:`FaultKind` and the entry that drives it.
 
-Each injector translates a :class:`~repro.chaos.faults.FaultSpec` into
-calls on the *public* failure seams of one layer of the assembled
+An entry is one function, ``entry(engine, spec, healthy)``: called with
+``healthy=False`` on the inject edge and ``healthy=True`` on the clear.
+It drives the *public* failure seams of one layer of the assembled
 platform — links and BGP sessions (``netsim``), machines (``server``),
-metadata and zone delivery (``control``). No injector reaches into
-private state or monkey-patches: if a fault cannot be expressed through
-a public seam, the seam is the thing to build, not the injector.
+metadata and zone delivery (``control``), attack traffic
+(``workload``) — and keeps what it must undo on the
+:class:`~repro.chaos.engine.ChaosEngine` running the campaign. No
+entry reaches into private state or monkey-patches: if a fault cannot
+be expressed through a public seam, the seam is the thing to build,
+not the entry.
 
 Targets:
 
@@ -14,6 +18,7 @@ Targets:
   links, or its primary upstream link depending on fault kind;
 * a machine id (``"pop-3-m7"``) — that machine;
 * a zone origin (``"ex.net"``) — that zone's delivery path;
+* an anycast prefix — the flood's destination (``ATTACK_FLOOD``);
 * ``"platform"`` — platform-wide faults (metadata freeze).
 """
 
@@ -21,32 +26,31 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
-from typing import Protocol
+from typing import TYPE_CHECKING, Callable
 
+from ..control.pubsub import CDN_CHANNEL
 from ..dnscore.name import name
 from ..dnscore.records import make_rrset
 from ..dnscore.rrtypes import DNSSEC_TYPES, RType
+from ..dnscore.validate import ZoneUpdate
 from ..dnscore.zone import Zone
 from ..dnssec.keys import KeyRing
 from ..dnssec.sign import DNSKEY_TTL, SigningPolicy, ZoneSigner
 from ..netsim.clock import PeriodicTask
 from ..platform.deployment import AkamaiDNSDeployment, MachineDeployment
-from ..server.machine import MachineState
+from ..server.machine import MachineState, NameserverMachine
 from ..server.monitoring import PERIOD as MONITORING_PERIOD
 from ..workload.attacks import RandomSubdomainAttack
 from .faults import FaultKind, FaultSpec
 
+if TYPE_CHECKING:
+    from .engine import ChaosEngine
 
-class FaultInjector(Protocol):
-    """One layer's adapter between fault specs and platform seams."""
+#: ``entry(engine, spec, healthy)``: inject (False) or clear (True).
+Entry = Callable[["ChaosEngine", FaultSpec, bool], None]
 
-    kinds: frozenset[FaultKind]
-
-    def inject(self, spec: FaultSpec) -> None:
-        """Apply the fault."""
-
-    def clear(self, spec: FaultSpec) -> None:
-        """Remove the fault (restore the seam to healthy state)."""
+#: Stub routers a flood is sourced from.
+ATTACK_SOURCES = 8
 
 
 def _parse_link(deployment: AkamaiDNSDeployment,
@@ -79,303 +83,268 @@ def _target_deployments(deployment: AkamaiDNSDeployment,
     raise ValueError(f"no machines match chaos target {target!r}")
 
 
-class NetsimInjector:
-    """Faults in the Internet layer: links and BGP sessions."""
+def _good_zone(deployment: AkamaiDNSDeployment, target: str) -> Zone:
+    origin = name(target)
+    good = deployment.enterprise_zones.get(origin)
+    if good is None:
+        good = next((z for z in deployment.akamai_zones
+                     if z.origin == origin), None)
+    if good is None:
+        raise ValueError(f"no zone with origin {target!r}")
+    return good
 
-    kinds = frozenset({FaultKind.LINK_FLAP, FaultKind.LINK_DEGRADE,
-                       FaultKind.PARTITION, FaultKind.BGP_RESET})
 
-    def __init__(self, deployment: AkamaiDNSDeployment) -> None:
-        self.deployment = deployment
+def attack_sources(deployment: AkamaiDNSDeployment) -> list[str]:
+    """The stub-router ids a flood is sourced from (stable order)."""
+    return sorted(deployment.internet.stubs)[:ATTACK_SOURCES]
 
-    def inject(self, spec: FaultSpec) -> None:
-        self._apply(spec, healthy=False)
 
-    def clear(self, spec: FaultSpec) -> None:
-        self._apply(spec, healthy=True)
+# -- netsim: links and BGP sessions -------------------------------------------
 
-    def _apply(self, spec: FaultSpec, *, healthy: bool) -> None:
-        network = self.deployment.network
-        if spec.kind == FaultKind.LINK_FLAP:
-            a, b = _parse_link(self.deployment, spec.target)
-            network.set_link_up(a, b, healthy)
-        elif spec.kind == FaultKind.LINK_DEGRADE:
-            a, b = _parse_link(self.deployment, spec.target)
-            if healthy:
-                network.set_link_degraded(a, b)
-            else:
-                network.set_link_degraded(
-                    a, b, loss=min(1.0, spec.severity),
-                    extra_latency_ms=max(0.0, spec.severity) * 100.0)
-        elif spec.kind == FaultKind.PARTITION:
-            # Every BGP link of the target router goes down: the PoP is
-            # cut off from the routed Internet entirely.
-            for peer in self.deployment.internet.topology.bgp_neighbors(
-                    spec.target):
-                network.set_link_up(spec.target, peer, healthy)
-        elif spec.kind == FaultKind.BGP_RESET:
-            # Sessions drop while the links stay up: the control plane
-            # fails independently of the data plane.
-            speaker = network.speaker(spec.target)
-            for peer in self.deployment.internet.topology.bgp_neighbors(
-                    spec.target):
-                peer_speaker = network.speaker(peer)
-                if healthy:
-                    speaker.session_up(peer)
-                    peer_speaker.session_up(spec.target)
-                else:
-                    speaker.session_down(peer)
-                    peer_speaker.session_down(spec.target)
+def _link_flap(engine: ChaosEngine, spec: FaultSpec, healthy: bool) -> None:
+    a, b = _parse_link(engine.deployment, spec.target)
+    engine.deployment.network.set_link_up(a, b, healthy)
+
+
+def _link_degrade(engine: ChaosEngine, spec: FaultSpec,
+                  healthy: bool) -> None:
+    a, b = _parse_link(engine.deployment, spec.target)
+    severity = 0.0 if healthy else spec.severity
+    engine.deployment.network.set_link_degraded(
+        a, b, loss=min(1.0, severity),
+        extra_latency_ms=max(0.0, severity) * 100.0)
+
+
+def _partition(engine: ChaosEngine, spec: FaultSpec, healthy: bool) -> None:
+    # Every BGP link of the target router goes down: the PoP is cut off
+    # from the routed Internet entirely.
+    deployment = engine.deployment
+    for peer in deployment.internet.topology.bgp_neighbors(spec.target):
+        deployment.network.set_link_up(spec.target, peer, healthy)
+
+
+def _bgp_reset(engine: ChaosEngine, spec: FaultSpec, healthy: bool) -> None:
+    # Sessions drop while the links stay up: the control plane fails
+    # independently of the data plane.
+    deployment = engine.deployment
+    network = deployment.network
+    speaker = network.speaker(spec.target)
+    for peer in deployment.internet.topology.bgp_neighbors(spec.target):
+        peer_speaker = network.speaker(peer)
+        if healthy:
+            speaker.session_up(peer)
+            peer_speaker.session_up(spec.target)
         else:
-            raise ValueError(f"{spec.kind} is not a netsim fault")
+            speaker.session_down(peer)
+            peer_speaker.session_down(spec.target)
 
 
-class ServerInjector:
-    """Faults in the nameserver layer: crashes, crash loops, slow I/O."""
+# -- server: machines ---------------------------------------------------------
 
-    kinds = frozenset({FaultKind.MACHINE_CRASH, FaultKind.CRASH_LOOP,
-                       FaultKind.SLOW_IO})
+def _machine_crash(engine: ChaosEngine, spec: FaultSpec,
+                   healthy: bool) -> None:
+    # Cleared, there is nothing to do: the machine's own restart timer
+    # recovers it.
+    for dep in _target_deployments(engine.deployment, spec.target):
+        if not healthy and dep.machine.state != MachineState.CRASHED:
+            dep.machine.crash()
 
-    def __init__(self, deployment: AkamaiDNSDeployment) -> None:
-        self.deployment = deployment
-        self._crash_loops: dict[tuple[str, str], PeriodicTask] = {}
-        self._saved_capacity: dict[str, tuple[float, float]] = {}
 
-    def inject(self, spec: FaultSpec) -> None:
-        targets = _target_deployments(self.deployment, spec.target)
-        if spec.kind == FaultKind.MACHINE_CRASH:
-            for dep in targets:
-                if dep.machine.state != MachineState.CRASHED:
-                    dep.machine.crash()
-        elif spec.kind == FaultKind.CRASH_LOOP:
-            for dep in targets:
-                self._start_crash_loop(spec, dep)
-        elif spec.kind == FaultKind.SLOW_IO:
-            factor = spec.severity
-            if not 0.0 < factor <= 1.0:
-                raise ValueError("SLOW_IO severity is a capacity multiple "
-                                 f"in (0, 1], got {factor}")
-            for dep in targets:
-                config = dep.machine.config
-                self._saved_capacity.setdefault(
-                    dep.machine.machine_id,
-                    (config.io_capacity_qps, config.compute_capacity_qps))
-                config.io_capacity_qps *= factor
-                config.compute_capacity_qps *= factor
-        else:
-            raise ValueError(f"{spec.kind} is not a server fault")
-
-    def clear(self, spec: FaultSpec) -> None:
-        targets = _target_deployments(self.deployment, spec.target)
-        if spec.kind == FaultKind.MACHINE_CRASH:
-            pass  # the machine's own restart timer recovers it
-        elif spec.kind == FaultKind.CRASH_LOOP:
-            for dep in targets:
-                task = self._crash_loops.pop(
-                    (spec.target, dep.machine.machine_id), None)
-                if task is not None:
-                    task.stop()
-        elif spec.kind == FaultKind.SLOW_IO:
-            for dep in targets:
-                saved = self._saved_capacity.pop(dep.machine.machine_id,
-                                                 None)
-                if saved is not None:
-                    dep.machine.config.io_capacity_qps = saved[0]
-                    dep.machine.config.compute_capacity_qps = saved[1]
-        else:
-            raise ValueError(f"{spec.kind} is not a server fault")
-
-    def _start_crash_loop(self, spec: FaultSpec,
-                          dep: MachineDeployment) -> None:
-        """Crash now and again right after every restart completes."""
+def _crash_loop(engine: ChaosEngine, spec: FaultSpec, healthy: bool) -> None:
+    """Crash now and again right after every restart completes."""
+    for dep in _target_deployments(engine.deployment, spec.target):
         machine = dep.machine
         key = (spec.target, machine.machine_id)
-        if key in self._crash_loops:
-            return
-
-        def crash_again() -> None:
-            if machine.state != MachineState.CRASHED:
-                machine.crash()
-
-        crash_again()
-        # Re-crash one monitoring period after each restart lands, so the
-        # machine oscillates crashed -> briefly running -> crashed.
-        period = machine.config.restart_delay + MONITORING_PERIOD
-        self._crash_loops[key] = PeriodicTask(
-            self.deployment.loop, period, crash_again, start_delay=period)
+        if healthy:
+            task = engine.crash_loops.pop(key, None)
+            if task is not None:
+                task.stop()
+        elif key not in engine.crash_loops:
+            engine.crash_loops[key] = _start_crash_loop(engine, machine)
 
 
-class ControlInjector:
-    """Faults in the control plane: metadata delivery and zone contents."""
+def _start_crash_loop(engine: ChaosEngine,
+                      machine: NameserverMachine) -> PeriodicTask:
+    def crash_again() -> None:
+        if machine.state != MachineState.CRASHED:
+            machine.crash()
 
-    kinds = frozenset({FaultKind.PUBSUB_PARTITION,
-                       FaultKind.METADATA_FREEZE,
-                       FaultKind.ZONE_CORRUPTION,
-                       FaultKind.BAD_ZONE_PUBLISH,
-                       FaultKind.SIGNATURE_EXPIRY,
-                       FaultKind.KEY_MISMATCH})
+    crash_again()
+    # Re-crash one monitoring period after each restart lands, so the
+    # machine oscillates crashed -> briefly running -> crashed.
+    period = machine.config.restart_delay + MONITORING_PERIOD
+    return PeriodicTask(engine.loop, period, crash_again,
+                        start_delay=period)
 
-    def __init__(self, deployment: AkamaiDNSDeployment) -> None:
-        self.deployment = deployment
 
-    def _good_zone(self, target: str) -> Zone:
-        origin = name(target)
-        good = self.deployment.enterprise_zones.get(origin)
-        if good is None:
-            good = next((z for z in self.deployment.akamai_zones
-                         if z.origin == origin), None)
-        if good is None:
-            raise ValueError(f"no zone with origin {target!r}")
-        return good
-
-    def inject(self, spec: FaultSpec) -> None:
-        self._apply(spec, healthy=False)
-
-    def clear(self, spec: FaultSpec) -> None:
-        self._apply(spec, healthy=True)
-
-    def _apply(self, spec: FaultSpec, *, healthy: bool) -> None:
-        deployment = self.deployment
-        if spec.kind == FaultKind.PUBSUB_PARTITION:
-            for dep in _target_deployments(deployment, spec.target):
-                deployment.bus.set_partitioned(dep.machine, not healthy)
-            if healthy:
-                # Connectivity is back: next heartbeat refreshes staleness
-                # clocks; publish now so recovery is prompt, not lucky.
-                deployment.mapping.publish()
-        elif spec.kind == FaultKind.METADATA_FREEZE:
-            if healthy:
-                deployment.resume_metadata_heartbeat()
-            else:
-                deployment.pause_metadata_heartbeat()
-        elif spec.kind == FaultKind.ZONE_CORRUPTION:
-            good = self._good_zone(spec.target)
-            payload = good if healthy else _corrupted_copy(good)
-            from ..control.pubsub import CDN_CHANNEL
-            # Versioned: the later edge wins whichever delivery lands last.
-            deployment.bus.publish_zone(CDN_CHANNEL, str(good.origin),
-                                        payload)
-        elif spec.kind == FaultKind.BAD_ZONE_PUBLISH:
-            # Clearing is a no-op by design: the corrupt publish is a
-            # one-shot event and *recovery is the subsystem under test*
-            # — the safe-rollout train must reject or roll it back.
-            # Republishing the good zone here would also be rejected as
-            # a serial regression by the validator.
-            if healthy:
-                return
-            good = self._good_zone(spec.target)
-            mode = spec.note or "renamed"
-            deployment.publish_zone_update(bad_zone_copy(good, mode))
-        elif spec.kind == FaultKind.SIGNATURE_EXPIRY:
-            # One-shot like BAD_ZONE_PUBLISH: the botched signing run is
-            # the event, containment is the subsystem under test.
-            if healthy:
-                return
-            validity = spec.severity if spec.severity > 1.0 else 30.0
-            deployment.publish_zone_update(expiring_signed_copy(
-                self._good_zone(spec.target), deployment.params.seed,
-                deployment.loop.now, validity))
-        elif spec.kind == FaultKind.KEY_MISMATCH:
-            if healthy:
-                return
-            deployment.publish_zone_update(mismatched_key_copy(
-                self._good_zone(spec.target), deployment.params.seed,
-                deployment.loop.now))
+def _slow_io(engine: ChaosEngine, spec: FaultSpec, healthy: bool) -> None:
+    factor = spec.severity
+    if not healthy and not 0.0 < factor <= 1.0:
+        raise ValueError("SLOW_IO severity is a capacity multiple "
+                         f"in (0, 1], got {factor}")
+    saved_capacity = engine.saved_capacity
+    for dep in _target_deployments(engine.deployment, spec.target):
+        config = dep.machine.config
+        if healthy:
+            saved = saved_capacity.pop(dep.machine.machine_id, None)
+            if saved is not None:
+                config.io_capacity_qps, config.compute_capacity_qps = saved
         else:
-            raise ValueError(f"{spec.kind} is not a control fault")
+            saved_capacity.setdefault(
+                dep.machine.machine_id,
+                (config.io_capacity_qps, config.compute_capacity_qps))
+            config.io_capacity_qps *= factor
+            config.compute_capacity_qps *= factor
 
 
-#: Stub routers a flood is sourced from.
-ATTACK_SOURCES = 8
+#: The machine's fault name for each fault :meth:`set_fault` injects.
+_MACHINE_FAULT = {
+    FaultKind.GRAY_BLACKHOLE: "blackhole",
+    FaultKind.GRAY_CORRUPT: "corrupt",
+    FaultKind.GRAY_STALE: "stale",
+    FaultKind.GRAY_PARTIAL_DROP: "partial_drop",
+}
 
 
-class AttackInjector:
-    """Attack traffic as a declarative fault (section 4.3.4, class 3).
-
-    ``inject`` starts a random-subdomain flood at the anycast prefix
-    named by ``spec.target``, with ``spec.note`` as the victim zone
-    origin and ``spec.severity`` as the aggregate rate in packets/sec;
-    ``clear`` stops it (the attacker gives up). Sources are a
-    deterministic slice of the Internet's stub networks — real
-    topology nodes, so the flood routes exactly like legitimate
-    resolver traffic and anycast traffic engineering genuinely moves
-    it. The generator draws from its own seeded RNG (derived from the
-    deployment seed and a launch counter), never from a sim stream.
-    """
-
-    kinds = frozenset({FaultKind.ATTACK_FLOOD})
-
-    def __init__(self, deployment: AkamaiDNSDeployment) -> None:
-        self.deployment = deployment
-        self._attacks: dict[tuple[str, str], RandomSubdomainAttack] = {}
-        self._launched = 0
-
-    def attack_sources(self) -> list[str]:
-        """The stub-router ids the flood is sourced from (stable order)."""
-        stubs = sorted(self.deployment.internet.stubs)
-        return stubs[:ATTACK_SOURCES]
-
-    def inject(self, spec: FaultSpec) -> None:
-        key = (spec.target, spec.note)
-        if key in self._attacks:
-            return
-        if not spec.note:
-            raise ValueError("ATTACK_FLOOD needs the victim zone origin "
-                             "in spec.note")
-        deployment = self.deployment
-        rng = random.Random(deployment.params.seed * 1_000_003
-                            + self._launched * 7919 + 11)
-        self._launched += 1
-        attack = RandomSubdomainAttack(
-            deployment.loop, rng, deployment.network.send,
-            spec.severity, 10.0 ** 9,
-            target=spec.target, victim_zone=name(spec.note),
-            sources=self.attack_sources())
-        attack.start()
-        self._attacks[key] = attack
-
-    def clear(self, spec: FaultSpec) -> None:
-        attack = self._attacks.pop((spec.target, spec.note), None)
-        if attack is not None:
-            attack.stop()
-
-
-class GrayInjector:
+def _machine_fault(engine: ChaosEngine, spec: FaultSpec,
+                   healthy: bool) -> None:
     """Gray faults: the machine looks healthy while the data path lies.
 
-    Drives :meth:`NameserverMachine.set_gray_fault` — the public chaos
-    seam that degrades only the *real* query path. ``health_probe`` is
-    deliberately unaffected, so the on-machine monitoring agent never
-    sees these faults; only the external differential prober
-    (``control.grayfail``) can.
+    :meth:`NameserverMachine.set_fault` with a kind its own
+    ``health_probe`` cannot see, so the monitoring agent never notices;
+    only the external differential prober (``control.grayfail``) can.
     """
+    kind = None if healthy else _MACHINE_FAULT[spec.kind]
+    for dep in _target_deployments(engine.deployment, spec.target):
+        dep.machine.set_fault(kind, spec.severity)
 
-    kinds = frozenset({FaultKind.GRAY_BLACKHOLE, FaultKind.GRAY_CORRUPT,
-                       FaultKind.GRAY_STALE, FaultKind.GRAY_PARTIAL_DROP})
 
-    _GRAY_KIND = {
-        FaultKind.GRAY_BLACKHOLE: "blackhole",
-        FaultKind.GRAY_CORRUPT: "corrupt",
-        FaultKind.GRAY_STALE: "stale",
-        FaultKind.GRAY_PARTIAL_DROP: "partial_drop",
-    }
+# -- control: metadata delivery and zone contents -----------------------------
 
-    def __init__(self, deployment: AkamaiDNSDeployment) -> None:
-        self.deployment = deployment
+def _pubsub_partition(engine: ChaosEngine, spec: FaultSpec,
+                      healthy: bool) -> None:
+    deployment = engine.deployment
+    for dep in _target_deployments(deployment, spec.target):
+        deployment.bus.set_partitioned(dep.machine, not healthy)
+    if healthy:
+        # Connectivity is back: next heartbeat refreshes staleness
+        # clocks; publish now so recovery is prompt, not lucky.
+        deployment.mapping.publish()
 
-    def inject(self, spec: FaultSpec) -> None:
-        severity = spec.severity
-        if spec.kind is FaultKind.GRAY_PARTIAL_DROP \
-                and not 0.0 < severity <= 1.0:
-            raise ValueError("GRAY_PARTIAL_DROP severity is a drop "
-                             f"fraction in (0, 1], got {severity}")
-        for dep in _target_deployments(self.deployment, spec.target):
-            dep.machine.set_gray_fault(self._GRAY_KIND[spec.kind],
-                                       severity)
 
-    def clear(self, spec: FaultSpec) -> None:
-        for dep in _target_deployments(self.deployment, spec.target):
-            dep.machine.set_gray_fault(None)
+def _metadata_freeze(engine: ChaosEngine, spec: FaultSpec,
+                     healthy: bool) -> None:
+    if healthy:
+        engine.deployment.resume_metadata_heartbeat()
+    else:
+        engine.deployment.pause_metadata_heartbeat()
+
+
+def _zone_corruption(engine: ChaosEngine, spec: FaultSpec,
+                     healthy: bool) -> None:
+    deployment = engine.deployment
+    good = _good_zone(deployment, spec.target)
+    payload = good if healthy else _corrupted_copy(good)
+    # Versioned: the later edge wins whichever delivery lands last.
+    deployment.bus.publish_zone(CDN_CHANNEL, str(good.origin),
+                                ZoneUpdate(payload))
+
+
+def _bad_zone_publish(engine: ChaosEngine, spec: FaultSpec,
+                      healthy: bool) -> None:
+    # Clearing is a no-op by design: the corrupt publish is a one-shot
+    # event and *recovery is the subsystem under test* — the
+    # safe-rollout train must reject or roll it back. Republishing the
+    # good zone here would also be rejected as a serial regression by
+    # the validator.
+    if healthy:
+        return
+    deployment = engine.deployment
+    good = _good_zone(deployment, spec.target)
+    deployment.publish_zone_update(bad_zone_copy(good,
+                                                 spec.note or "renamed"))
+
+
+def _signature_expiry(engine: ChaosEngine, spec: FaultSpec,
+                      healthy: bool) -> None:
+    # One-shot like BAD_ZONE_PUBLISH: the botched signing run is the
+    # event, containment is the subsystem under test.
+    if healthy:
+        return
+    deployment = engine.deployment
+    validity = spec.severity if spec.severity > 1.0 else 30.0
+    deployment.publish_zone_update(expiring_signed_copy(
+        _good_zone(deployment, spec.target), deployment.params.seed,
+        deployment.loop.now, validity))
+
+
+def _key_mismatch(engine: ChaosEngine, spec: FaultSpec,
+                  healthy: bool) -> None:
+    if healthy:
+        return
+    deployment = engine.deployment
+    deployment.publish_zone_update(mismatched_key_copy(
+        _good_zone(deployment, spec.target), deployment.params.seed,
+        deployment.loop.now))
+
+
+# -- workload: attack traffic -------------------------------------------------
+
+def _attack_flood(engine: ChaosEngine, spec: FaultSpec,
+                  healthy: bool) -> None:
+    """A random-subdomain flood (section 4.3.4, class 3) at the anycast
+    prefix ``spec.target``, with ``spec.note`` as the victim zone origin
+    and ``spec.severity`` as the aggregate rate in packets/sec; cleared,
+    the attacker gives up.
+
+    Sources are :func:`attack_sources` — real topology nodes, so the
+    flood routes exactly like legitimate resolver traffic and anycast
+    traffic engineering genuinely moves it. The generator draws from
+    its own seeded RNG (derived from the deployment seed and the
+    engine's launch counter), never from a sim stream.
+    """
+    key = (spec.target, spec.note)
+    if healthy:
+        attack = engine.floods.pop(key, None)
+        if attack is not None:
+            attack.stop()
+        return
+    if key in engine.floods:
+        return
+    if not spec.note:
+        raise ValueError("ATTACK_FLOOD needs the victim zone origin "
+                         "in spec.note")
+    deployment = engine.deployment
+    rng = random.Random(deployment.params.seed * 1_000_003
+                        + engine.floods_launched * 7919 + 11)
+    engine.floods_launched += 1
+    attack = RandomSubdomainAttack(
+        deployment.loop, rng, deployment.network.send,
+        spec.severity, 10.0 ** 9,
+        target=spec.target, victim_zone=name(spec.note),
+        sources=attack_sources(deployment))
+    attack.start()
+    engine.floods[key] = attack
+
+
+#: Every fault kind's entry; the engine looks each edge up here.
+INJECTORS: dict[FaultKind, Entry] = {
+    FaultKind.LINK_FLAP: _link_flap,
+    FaultKind.LINK_DEGRADE: _link_degrade,
+    FaultKind.PARTITION: _partition,
+    FaultKind.BGP_RESET: _bgp_reset,
+    FaultKind.MACHINE_CRASH: _machine_crash,
+    FaultKind.CRASH_LOOP: _crash_loop,
+    FaultKind.SLOW_IO: _slow_io,
+    FaultKind.PUBSUB_PARTITION: _pubsub_partition,
+    FaultKind.METADATA_FREEZE: _metadata_freeze,
+    FaultKind.ZONE_CORRUPTION: _zone_corruption,
+    FaultKind.BAD_ZONE_PUBLISH: _bad_zone_publish,
+    FaultKind.ATTACK_FLOOD: _attack_flood,
+    FaultKind.SIGNATURE_EXPIRY: _signature_expiry,
+    FaultKind.KEY_MISMATCH: _key_mismatch,
+    **dict.fromkeys(_MACHINE_FAULT, _machine_fault),
+}
 
 
 def _corrupted_copy(zone: Zone) -> Zone:
@@ -502,15 +471,3 @@ def mismatched_key_copy(zone: Zone, seed: int, now: float) -> Zone:
     rogue = KeyRing(seed + 1, zone.origin)
     fresh.add_rrset(rogue.dnskey_rrset(DNSKEY_TTL))
     return fresh
-
-
-def default_injectors(deployment: AkamaiDNSDeployment
-                      ) -> dict[FaultKind, FaultInjector]:
-    """The standard kind -> injector dispatch table."""
-    table: dict[FaultKind, FaultInjector] = {}
-    for injector in (NetsimInjector(deployment), ServerInjector(deployment),
-                     ControlInjector(deployment),
-                     AttackInjector(deployment), GrayInjector(deployment)):
-        for kind in injector.kinds:
-            table[kind] = injector
-    return table

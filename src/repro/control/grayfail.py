@@ -497,16 +497,14 @@ class GrayFailController:
                 continue
             if first_port is None:
                 first_port = (vantage, port)
-            self._send_query(vantage, target.prefix, port,
-                             self.probe_qname, RType.A, machine_id, "A")
-            record.sent += 1
+            self._send_query(record, vantage, target.prefix, port,
+                             self.probe_qname, RType.A, "A")
         if first_port is not None:
             # Same flow 4-tuple -> same ECMP pick, so the serial probe
             # rides the already-planned port.
             vantage, port = first_port
-            self._send_query(vantage, target.prefix, port,
-                             self.probe_origin, RType.SOA, machine_id, "SOA")
-            record.sent += 1
+            self._send_query(record, vantage, target.prefix, port,
+                             self.probe_origin, RType.SOA, "SOA")
 
     def _probe_shadow(self, track: _Track) -> None:
         """Elevated-rate out-of-band probes at a suspended machine.
@@ -528,31 +526,33 @@ class GrayFailController:
         router = target.pop.router_id
         for k in range(PROBATION_PROBES):
             vantage = vantages[k % len(vantages)]
-            self._send_shadow(vantage, router, target, _PORT_BASE + k,
-                              self.probe_qname, RType.A, machine_id, "A")
-            record.sent += 1
-        self._send_shadow(vantages[0], router, target,
+            self._send_shadow(record, vantage, router, target,
+                              _PORT_BASE + k, self.probe_qname, RType.A, "A")
+        self._send_shadow(record, vantages[0], router, target,
                           _PORT_BASE + PROBATION_PROBES,
-                          self.probe_origin, RType.SOA, machine_id, "SOA")
-        record.sent += 1
+                          self.probe_origin, RType.SOA, "SOA")
 
-    def _send_query(self, vantage: str, dst: str, port: int, qname: Name,
-                    rtype: RType, machine_id: str, kind: str) -> None:
+    def _probe_query(self, record: ProbeRecord, vantage: str, qname: Name,
+                     rtype: RType, kind: str) -> Message:
+        """The next probe query from ``vantage``, counted and awaited."""
         self._msg_id = msg_id = (self._msg_id + 1) & 0xFFFF
         query = make_query(msg_id, qname, rtype)
-        self._pending[(vantage, msg_id)] = (machine_id, kind)
+        self._pending[(vantage, msg_id)] = (record.machine_id, kind)
         self.probes_sent += 1
+        record.sent += 1
+        return query
+
+    def _send_query(self, record: ProbeRecord, vantage: str, dst: str,
+                    port: int, qname: Name, rtype: RType, kind: str) -> None:
+        query = self._probe_query(record, vantage, qname, rtype, kind)
         self.network.send(Datagram(src=vantage, dst=dst,
                                    payload=QueryEnvelope(query),
                                    src_port=port, dst_port=53))
 
-    def _send_shadow(self, vantage: str, router: str, target: GrayTarget,
-                     port: int, qname: Name, rtype: RType,
-                     machine_id: str, kind: str) -> None:
-        self._msg_id = msg_id = (self._msg_id + 1) & 0xFFFF
-        query = make_query(msg_id, qname, rtype)
-        self._pending[(vantage, msg_id)] = (machine_id, kind)
-        self.probes_sent += 1
+    def _send_shadow(self, record: ProbeRecord, vantage: str, router: str,
+                     target: GrayTarget, port: int, qname: Name,
+                     rtype: RType, kind: str) -> None:
+        query = self._probe_query(record, vantage, qname, rtype, kind)
         dgram = Datagram(src=vantage, dst=target.prefix,
                          payload=QueryEnvelope(query, shadow=True),
                          src_port=port, dst_port=53)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from ..dnscore.errors import DNSError, ZoneError
 from ..dnscore.name import Name
 from ..dnscore.rrtypes import RType
+from ..dnscore.validate import ZoneUpdate
 from ..dnscore.zone import Zone, serial_gt
 from ..dnscore.zonefile import parse_zone_text
 from .pubsub import CDN_CHANNEL, MetadataBus
@@ -95,7 +96,7 @@ class ManagementPortal:
                     f"advance past {existing.serial} (serials must advance)")
         enterprise.zones[zone.origin] = zone
         self.zones_published += 1
-        self.bus.publish_zone(CDN_CHANNEL, str(zone.origin), zone)
+        self.bus.publish_zone(CDN_CHANNEL, str(zone.origin), ZoneUpdate(zone))
         return zone
 
     def _validate(self, enterprise: Enterprise, zone: Zone) -> None:

@@ -111,7 +111,6 @@ class MetadataBus:
         return self._publish(channel, kind, key, payload, 0, None)
 
     def publish_zone(self, channel: str, key: str, payload: object, *,
-                     kind: str = "zone",
                      to: Sequence[Subscriber] | None = None,
                      ) -> MetadataMessage:
         """Publish a zone update stamped with a monotonic per-key version.
@@ -124,7 +123,7 @@ class MetadataBus:
         """
         version = self._zone_versions.get(key, 0) + 1
         self._zone_versions[key] = version
-        return self._publish(channel, kind, key, payload, version, to)
+        return self._publish(channel, "zone", key, payload, version, to)
 
     def _publish(self, channel: str, kind: str, key: str, payload: object,
                  zone_version: int, to: Sequence[Subscriber] | None,

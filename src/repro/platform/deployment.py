@@ -37,6 +37,7 @@ from ..dnscore.name import Name, name
 from ..dnscore.rdata import A, AAAA, CNAME, NS, SOA
 from ..dnscore.records import make_rrset
 from ..dnscore.rrtypes import RType
+from ..dnscore.validate import ZoneUpdate
 from ..dnscore.zone import Zone, make_zone
 from ..filters.allowlist import AllowlistFilter
 from ..filters.base import ScoringPipeline
@@ -689,14 +690,13 @@ class AkamaiDNSDeployment:
     def publish_zone_update(self, zone: Zone) -> "Release | None":
         """Publish a zone update to the fleet.
 
-        With the safe-rollout train enabled the update is validated,
-        canaried, and health-gated before promotion (returns the
-        :class:`Release`); otherwise it is published fire-and-forget on
-        the CDN channel, versioned so out-of-order deliveries are
-        dropped (returns None).
+        With the safe-rollout train enabled it is validated, canaried
+        and health-gated before promotion (returns the :class:`Release`);
+        otherwise it goes out at once on the CDN channel, versioned so
+        out-of-order deliveries are dropped (returns None).
         """
         if self.rollout is not None:
             return self.rollout.publish(zone)
-        self.bus.publish_zone(CDN_CHANNEL, str(zone.origin), zone)
+        self.bus.publish_zone(CDN_CHANNEL, str(zone.origin), ZoneUpdate(zone))
         return None
 

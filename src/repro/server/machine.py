@@ -170,6 +170,14 @@ def _signature_horizon(zone: Zone) -> tuple[bool, float]:
     return (keys_ok, horizon)
 
 
+#: The faults :meth:`NameserverMachine.set_fault` injects.
+MACHINE_FAULTS = frozenset({"unresponsive", "wrong_answer", "blackhole",
+                            "partial_drop", "corrupt", "stale"})
+#: The ones the machine's own health probe sees (the agent's suite,
+#: section 4.2.1); the rest are gray, for control.grayfail to catch.
+PROBE_VISIBLE_FAULTS = frozenset({"unresponsive", "wrong_answer"})
+
+
 class NameserverMachine:
     """One machine running the nameserver software."""
 
@@ -190,14 +198,9 @@ class NameserverMachine:
         self.respond: ResponseCallback = lambda dgram, message: None
         self.state = MachineState.RUNNING
         self.metrics = MachineMetrics()
-        #: Injected hardware/software fault: None, "unresponsive", or
-        #: "wrong_answer" (e.g. answering from a failed disk's stale data).
-        self.fault: str | None = None
-        #: Injected *gray* fault: ``(kind, severity)`` or None. Gray
-        #: faults corrupt only the data path — :meth:`health_probe`
-        #: deliberately does not see them, which is the failure class
-        #: the external prober (control.grayfail) exists to catch.
-        self.gray_fault: tuple[str, float] | None = None
+        #: Injected fault, ``(kind, severity)`` or None; set through
+        #: :meth:`set_fault`.
+        self.fault: tuple[str, float] | None = None
         #: Timestamp of the most recent metadata input (staleness checks).
         self.last_input_time = 0.0
         #: Dispatch table for metadata kinds ("mapping", "zone", ...).
@@ -252,9 +255,8 @@ class NameserverMachine:
     def handle_zone_update(self, message) -> None:
         """Metadata-bus handler for ``kind="zone"`` deliveries.
 
-        Accepts both the typed :class:`ZoneUpdate` wrapper published by
-        the safe-rollout train and a bare :class:`Zone` payload from
-        legacy fire-and-forget publishes.
+        The payload is a :class:`ZoneUpdate`, whoever published it;
+        anything else is a publisher's bug and raises.
 
         While the machine is held in degraded mode by the defense
         ladder, updates are *deferred* rather than installed — the
@@ -262,13 +264,11 @@ class NameserverMachine:
         (section 4.2's serve-stale posture) and replays the newest
         pending update per origin on :meth:`exit_degraded`.
         """
-        payload = message.payload
-        if isinstance(payload, ZoneUpdate):
-            zone, rollback = payload.zone, payload.rollback
-        elif isinstance(payload, Zone):
-            zone, rollback = payload, False
-        else:
-            return
+        update = message.payload
+        if not isinstance(update, ZoneUpdate):
+            raise TypeError("zone deliveries carry a ZoneUpdate, not "
+                            f"{type(update).__name__}")
+        zone, rollback = update.zone, update.rollback
         if self.degraded_rung is not None:
             self._deferred_zones[zone.origin] = (zone, rollback)
             return
@@ -288,7 +288,7 @@ class NameserverMachine:
         skips validation (the restored serial is older by construction)
         and does not overwrite the retained version.
         """
-        if self._gray_kind() == "stale" and not rollback:
+        if self.fault and self.fault[0] == "stale" and not rollback:
             # Frozen-stale gray fault: the update is silently dropped
             # while the delivery path is told it landed. No log entry,
             # no counter — the machine genuinely believes it installed
@@ -396,41 +396,40 @@ class NameserverMachine:
             shed = self.metrics.shed_by_rung
             shed[rung] = shed.get(rung, 0) + 1
 
-    # -- gray faults (chaos seam) ----------------------------------------------
+    # -- faults (chaos seam) ---------------------------------------------------
 
-    def set_gray_fault(self, kind: str | None,
-                       severity: float = 1.0) -> None:
-        """Public chaos seam for data-path-only ("gray") faults.
+    def set_fault(self, kind: str | None, severity: float = 1.0) -> None:
+        """Public chaos seam: inject one of :data:`MACHINE_FAULTS`, or
+        clear the fault with ``None``.
 
-        ``kind`` is one of:
-
-        * ``"blackhole"`` — every data query is silently dropped while
-          the process (and so :meth:`health_probe`) stays healthy;
-        * ``"partial_drop"`` — queries from a deterministic
-          ``severity`` fraction of source addresses are dropped, the
-          per-resolver partial failure shape;
+        * ``"unresponsive"`` — queries are taken in, never answered;
+        * ``"wrong_answer"`` — every answer is an empty SERVFAIL (e.g.
+          serving from a failed disk);
+        * ``"blackhole"`` — every data query is silently dropped;
+        * ``"partial_drop"`` — queries from a deterministic ``severity``
+          fraction of source addresses are dropped, the per-resolver
+          partial failure shape;
         * ``"corrupt"`` — answers are silently emptied (rcode stays
           NOERROR), so clients see wrong data with a green status;
         * ``"stale"`` — zone updates are dropped while reporting
-          success, freezing the served content at its current serial;
-        * ``None`` — clear the fault.
+          success, freezing the served content at its current serial.
 
-        :meth:`health_probe` deliberately never reflects any of these:
-        a machine under a gray fault passes its own monitoring-agent
-        suite, which is exactly what the external differential prober
-        (:mod:`repro.control.grayfail`) exists to catch.
+        :meth:`health_probe` sees only :data:`PROBE_VISIBLE_FAULTS`. A
+        machine under one of the other four, the *gray* faults, passes
+        its own monitoring-agent suite, which is exactly what the
+        external differential prober (:mod:`repro.control.grayfail`)
+        exists to catch.
         """
-        if kind not in (None, "blackhole", "partial_drop", "corrupt",
-                        "stale"):
-            raise ValueError(f"unknown gray fault kind {kind!r}")
-        self.gray_fault = None if kind is None else (kind, severity)
+        if kind is not None and kind not in MACHINE_FAULTS:
+            raise ValueError(f"unknown machine fault {kind!r}")
+        if kind == "partial_drop" and not 0.0 < severity <= 1.0:
+            raise ValueError("partial_drop severity is a drop fraction "
+                             f"in (0, 1], got {severity}")
+        self.fault = None if kind is None else (kind, severity)
 
-    def _gray_kind(self) -> str | None:
-        fault = self.gray_fault
-        return fault[0] if fault is not None else None
-
-    def _gray_drops(self, src: str) -> bool:
-        """Whether the active gray fault swallows a query from ``src``.
+    @staticmethod
+    def _drops(fault: tuple[str, float], src: str) -> bool:
+        """Whether ``fault`` swallows a query from ``src`` on arrival.
 
         Partial drop is per-source and deterministic: a given resolver
         either always or never loses its queries to this machine,
@@ -438,9 +437,6 @@ class NameserverMachine:
         bad NIC queue) the answered-fraction auditor rule detects by
         probing from several vantage addresses.
         """
-        fault = self.gray_fault
-        if fault is None:
-            return False
         kind, severity = fault
         if kind == "blackhole":
             return True
@@ -449,14 +445,24 @@ class NameserverMachine:
                 < severity
         return False
 
-    def _gray_degrade(self, response: Message) -> None:
-        """Apply the answer-corrupting gray fault to a data response."""
-        if self._gray_kind() == "corrupt" \
-                and response.flags.rcode == RCode.NOERROR:
+    def _answer(self, dgram: Datagram,
+                envelope: QueryEnvelope) -> Message | None:
+        """The engine's answer to a data query with the fault's effect
+        on it; None when the fault leaves the query unanswered."""
+        kind = self.fault[0] if self.fault else None
+        if kind == "unresponsive":
+            return None
+        response = self.engine.respond(envelope.message,
+                                       client_key=dgram.src)
+        if kind == "wrong_answer":
+            response.answers.clear()
+            response.flags.rcode = RCode.SERVFAIL
+        elif kind == "corrupt" and response.flags.rcode == RCode.NOERROR:
             # Silent corruption: the status says success, the payload
             # is gone. SOA self-probes don't traverse this path, so
             # the machine keeps reporting healthy.
             response.answers.clear()
+        return response
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -530,21 +536,22 @@ class NameserverMachine:
         """
         if self.state == MachineState.CRASHED:
             return None
-        if self.fault == "unresponsive":
+        seen = self.fault[0] if self.fault else None
+        if seen not in PROBE_VISIBLE_FAULTS:
+            seen = None
+        if seen == "unresponsive":
             return None
         response = self.engine.respond_probe(message)
         question = message.question
-        if (question is not None
-                and not self._zone_signatures_healthy(question.qname)):
+        bogus = (question is not None
+                 and not self._zone_signatures_healthy(question.qname))
+        if bogus:
             # A validating probe client would get bogus data from this
             # machine; degrade the probe answer so the monitoring
             # agent's test suite (and the canary health gate built on
             # it) sees the failure (section 4.2.4 posture).
-            degraded = make_response(message, RCode.SERVFAIL)
-            degraded.flags.aa = response.flags.aa
             _telemetry.record("dnssec_validations_total", "bogus")
-            return degraded
-        if self.fault == "wrong_answer":
+        if bogus or seen == "wrong_answer":
             # ``respond_probe`` may return a plan's shared Message —
             # degrade a fresh copy instead of mutating it.
             degraded = make_response(message, RCode.SERVFAIL)
@@ -568,7 +575,8 @@ class NameserverMachine:
             metrics.known_received += 1
         _telemetry.record("queries_received_total", self.machine_id)
 
-        if self.gray_fault is not None and self._gray_drops(dgram.src):
+        fault = self.fault
+        if fault is not None and self._drops(fault, dgram.src):
             # Swallowed below every layer the machine can observe: no
             # rcode, no log line, no health-probe signal. Only the
             # metric (experiment-side ground truth) records it.
@@ -653,16 +661,10 @@ class NameserverMachine:
         if envelope.poison:
             self.crash(question.qname, question.qtype)
             return
-        if self.fault == "unresponsive":
+        response = self._answer(dgram, envelope)
+        if response is None:
             self._kick()
             return
-        response = self.engine.respond(envelope.message,
-                                       client_key=dgram.src)
-        if self.fault == "wrong_answer":
-            response.answers.clear()
-            response.flags.rcode = RCode.SERVFAIL
-        if self.gray_fault is not None:
-            self._gray_degrade(response)
         # The filter only learns from negative answers; hoisting the
         # rcode check keeps armed-but-idle sessions (filter installed,
         # no flood) from paying a call per response.
@@ -711,15 +713,9 @@ class NameserverMachine:
                          envelope: QueryEnvelope) -> None:
         if self.state == MachineState.CRASHED:
             return
-        if self.fault == "unresponsive":
+        response = self._answer(dgram, envelope)
+        if response is None:
             return
-        response = self.engine.respond(envelope.message,
-                                       client_key=dgram.src)
-        if self.fault == "wrong_answer":
-            response.answers.clear()
-            response.flags.rcode = RCode.SERVFAIL
-        if self.gray_fault is not None:
-            self._gray_degrade(response)
         metrics = self.metrics
         metrics.answered += 1
         metrics.legit_answered += 1

@@ -10,8 +10,8 @@ local comparison only. Figure wall times are not recorded here:
 
 ``--check`` re-runs the microbenchmarks and fails (exit 1) when any
 gated metric regresses more than ``--tolerance`` (default 30%) against
-the committed ``BENCH_micro.json`` — the CI ``bench-smoke`` job runs
-exactly this.
+the committed ``BENCH_micro.json`` — the CI ``tier-1 tests`` job runs
+exactly this after pytest, and ``make bench-check`` does locally.
 
 This module measures wall time by design; it is operator-facing tooling
 that never feeds simulation results, so the wall-clock reads carry

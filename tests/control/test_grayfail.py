@@ -19,7 +19,7 @@ import pytest
 
 from repro.control.grayfail import PROBE_PERIOD, Verdict
 from repro.control.pubsub import CDN_CHANNEL
-from repro.dnscore import RType, Zone, make_rrset, name
+from repro.dnscore import RType, Zone, ZoneUpdate, make_rrset, name
 from repro.netsim.builder import InternetParams
 from repro.platform import AkamaiDNSDeployment, DeploymentParams
 from repro.server.machine import MachineConfig, MachineState
@@ -93,7 +93,7 @@ class TestConvictionLifecycle:
         target = gray_target(deployment)
         machine = target.machine
 
-        machine.set_gray_fault("corrupt")
+        machine.set_fault("corrupt")
         run_for(deployment, 20.0)
 
         # Convicted by external differential evidence (and possibly
@@ -114,7 +114,7 @@ class TestConvictionLifecycle:
 
         # The fault heals; probation shadow-probes the suspended
         # machine and restores traffic after consecutive clean rounds.
-        machine.set_gray_fault(None)
+        machine.set_fault(None)
         run_for(deployment, 40.0)
         assert controller.rejoins == 1
         assert controller.verdict(machine.machine_id) is Verdict.HEALTHY
@@ -125,7 +125,7 @@ class TestConvictionLifecycle:
     def test_probation_relapses_while_fault_persists(self):
         deployment, controller = build()
         machine = gray_target(deployment).machine
-        machine.set_gray_fault("corrupt")
+        machine.set_fault("corrupt")
         # Long enough for conviction + probation entry + shadow probes
         # to observe the still-corrupt answers and re-convict.
         run_for(deployment, 40.0)
@@ -146,8 +146,8 @@ class TestGrayKinds:
         deployments = deployment.regular_deployments()
         blackhole = deployments[0].machine
         lossy = deployments[1].machine
-        blackhole.set_gray_fault("blackhole")
-        lossy.set_gray_fault("partial_drop", severity=0.75)
+        blackhole.set_fault("blackhole")
+        lossy.set_fault("partial_drop", severity=0.75)
         run_for(deployment, 25.0)
         assert controller.verdict(blackhole.machine_id) \
             is Verdict.CONVICTED
@@ -158,11 +158,12 @@ class TestGrayKinds:
     def test_stale_machine_convicted_after_grace(self):
         deployment, controller = build()
         machine = gray_target(deployment).machine
-        machine.set_gray_fault("stale")
+        machine.set_fault("stale")
         # The fleet moves on to a newer serial; the stale machine's
         # installs silently no-op while it keeps reporting success.
-        deployment.bus.publish_zone(CDN_CHANNEL, "akam.net",
-                                    bumped_copy(akam_zone(deployment)))
+        deployment.bus.publish_zone(
+            CDN_CHANNEL, "akam.net",
+            ZoneUpdate(bumped_copy(akam_zone(deployment))))
         run_for(deployment, 28.0)
         # Inside the 30 s grace window lag is tolerated (zone pushes
         # take time to propagate legitimately).
@@ -181,7 +182,7 @@ class TestQuorumGuard:
         deployments = deployment.regular_deployments()
         liars = [d.machine for d in deployments[:budget + 1]]
         for machine in liars:
-            machine.set_gray_fault("corrupt")
+            machine.set_fault("corrupt")
         run_for(deployment, 25.0)
         # All convicted, but the coordinator refuses to take more
         # capacity down than the budget allows.
@@ -199,7 +200,7 @@ class TestQuorumGuard:
 
         # Once the faults heal, everyone rejoins or is exonerated.
         for machine in liars:
-            machine.set_gray_fault(None)
+            machine.set_fault(None)
         run_for(deployment, 45.0)
         assert all(controller.verdict(d.machine.machine_id)
                    is Verdict.HEALTHY for d in deployments)
@@ -213,12 +214,12 @@ class TestLeaseLifecycle:
     def test_crash_while_suspended_releases_grayfail_lease(self):
         deployment, controller = build()
         machine = gray_target(deployment).machine
-        machine.set_gray_fault("corrupt")
+        machine.set_fault("corrupt")
         run_for(deployment, 20.0)
         assert machine.machine_id in \
             deployment.coordinator.active_suspensions()
 
-        machine.set_gray_fault(None)
+        machine.set_fault(None)
         machine.crash()
         # The crash listener must free the quorum slot immediately —
         # a crash-looping machine must not pin the suspension budget.
@@ -234,7 +235,7 @@ class TestLeaseLifecycle:
     def test_rollback_delivery_reaches_machine_in_probation(self):
         deployment, controller = build()
         machine = gray_target(deployment).machine
-        machine.set_gray_fault("corrupt")
+        machine.set_fault("corrupt")
         run_for(deployment, 16.0)
         assert machine.state is MachineState.SUSPENDED
 
@@ -242,9 +243,10 @@ class TestLeaseLifecycle:
         # machine sits in probation: metadata delivery must not depend
         # on suspension state, or rejoining machines would serve the
         # very release that was rolled back.
-        machine.set_gray_fault(None)
+        machine.set_fault(None)
         fixed = bumped_copy(akam_zone(deployment))
-        deployment.bus.publish_zone(CDN_CHANNEL, "akam.net", fixed)
+        deployment.bus.publish_zone(CDN_CHANNEL, "akam.net",
+                                    ZoneUpdate(fixed))
         run_for(deployment, 40.0)
         assert machine.engine.store.get(AKAM_ORIGIN).serial \
             == fixed.serial

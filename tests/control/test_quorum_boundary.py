@@ -120,8 +120,8 @@ class TestInterleavedRequesters:
 
         # Two agents then find their machines unhealthy; only one slot
         # remains, so exactly one self-suspends and one is denied.
-        machines[0].fault = "wrong_answer"
-        machines[1].fault = "wrong_answer"
+        machines[0].set_fault("wrong_answer")
+        machines[1].set_fault("wrong_answer")
         loop.run_until(3.0)
         assert [m.state for m in machines[:2]].count(
             MachineState.SUSPENDED) == 1
@@ -139,8 +139,8 @@ class TestInterleavedRequesters:
         assert len(quorum.active_suspensions()) == 2
 
         # Faults heal: both resume and every slot is returned.
-        machines[0].fault = None
-        machines[1].fault = None
+        machines[0].set_fault(None)
+        machines[1].set_fault(None)
         loop.run_until(9.0)
         assert all(m.state is MachineState.RUNNING for m in machines)
         assert quorum.active_suspensions() == set()
@@ -151,7 +151,7 @@ class TestInterleavedRequesters:
         machine = make_machine(loop, "m0")
         agent = MonitoringAgent(loop, machine, StubSpeaker(),
                                 coordinator=quorum)
-        machine.fault = "wrong_answer"
+        machine.set_fault("wrong_answer")
         loop.run_until(3.0)
         assert machine.state is MachineState.SUSPENDED
         assert quorum.active_suspensions() == {"m0"}

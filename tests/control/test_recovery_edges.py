@@ -110,7 +110,7 @@ class TestSuspensionBudgetUnderChaos:
         m1, _, _ = agented_machine(loop, pop, "m1", coordinator)
         m2, _, _ = agented_machine(loop, pop, "m2", coordinator)
 
-        m1.fault = "wrong_answer"
+        m1.set_fault("wrong_answer")
         loop.run_until(5.0)
         assert m1.state == MachineState.SUSPENDED
         assert coordinator.active_suspensions() == {"m1"}
@@ -118,7 +118,7 @@ class TestSuspensionBudgetUnderChaos:
         m1.crash()
         assert coordinator.active_suspensions() == set()
 
-        m2.fault = "wrong_answer"
+        m2.set_fault("wrong_answer")
         loop.run_until(10.0)
         assert m2.state == MachineState.SUSPENDED
         assert coordinator.active_suspensions() == {"m2"}
@@ -155,8 +155,8 @@ class TestSuspensionBudgetUnderChaos:
         m1, _, a1 = agented_machine(loop, pop, "m1", coordinator)
         m2, _, a2 = agented_machine(loop, pop, "m2", coordinator)
 
-        m1.fault = "wrong_answer"
-        m2.fault = "wrong_answer"
+        m1.set_fault("wrong_answer")
+        m2.set_fault("wrong_answer")
         loop.run_until(6.0)
         states = {m1.state, m2.state}
         assert states == {MachineState.SUSPENDED, MachineState.RUNNING}
@@ -167,7 +167,7 @@ class TestSuspensionBudgetUnderChaos:
         # The suspended one heals and releases; the other takes the slot.
         suspended, denied = (m1, m2) if m1.state == MachineState.SUSPENDED \
             else (m2, m1)
-        suspended.fault = None
+        suspended.set_fault(None)
         loop.run_until(12.0)
         assert suspended.state == MachineState.RUNNING
         assert denied.state == MachineState.SUSPENDED

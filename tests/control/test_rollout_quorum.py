@@ -86,7 +86,7 @@ def test_rollback_lands_despite_active_quorum_denial():
     # Two fleet machines go sick first and win both suspension slots.
     def fill_quorum():
         for machine in world.rest[:2]:
-            machine.fault = "wrong_answer"
+            machine.set_fault("wrong_answer")
     world.loop.call_later(0.2, fill_quorum)
 
     # The canaries then go sick while a corrupt (but semantically
@@ -94,7 +94,7 @@ def test_rollback_lands_despite_active_quorum_denial():
     # denied for the rest of the run.
     def corrupt_canaries():
         for machine in world.canaries:
-            machine.fault = "wrong_answer"
+            machine.set_fault("wrong_answer")
     world.loop.call_later(2.5, corrupt_canaries)
     world.loop.call_later(
         3.0, lambda: world.rollout.publish(zone_v(2, with_www=False)))
@@ -121,7 +121,7 @@ def test_rollback_lands_despite_active_quorum_denial():
 def test_suspended_machines_still_receive_emergency_rollback():
     world = World()
     sick = world.rest[0]
-    sick.fault = "wrong_answer"
+    sick.set_fault("wrong_answer")
     world.loop.run_until(5.0)
     assert sick.state == MachineState.SUSPENDED
 

@@ -100,11 +100,11 @@ MUTANTS = (
                 "            self.machine.suspend()\n"),)),
     Mutant("suspend-in-the-crash-loop", "ROB003",
            "src/repro/chaos/injectors.py", (
-               ("            if machine.state != MachineState.CRASHED:\n"
-                "                machine.crash()\n",
-                "            if machine.state != MachineState.CRASHED:\n"
-                "                machine.suspend()\n"
-                "                machine.crash()\n"),)),
+               ("        if machine.state != MachineState.CRASHED:\n"
+                "            machine.crash()\n",
+                "        if machine.state != MachineState.CRASHED:\n"
+                "            machine.suspend()\n"
+                "            machine.crash()\n"),)),
     # -- what the runtime proofs hold: no rule names these (the last is
     # what API001 named, before the seed test took it over)
     Mutant("seed-constant", _SEED_TEST, _DEPLOYMENT, (

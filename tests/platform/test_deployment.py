@@ -107,13 +107,13 @@ class TestResiliencyIntegration:
         # Fail one machine; its PoP keeps serving via the sibling and
         # resolution still succeeds.
         victim = deployment.regular_deployments()[0]
-        victim.machine.fault = "unresponsive"
+        victim.machine.set_fault("unresponsive")
         deployment.settle(MONITORING_PERIOD * 3)
         assert victim.machine.state == MachineState.SUSPENDED
         r = deployment.add_resolver("t-res-5", timeout=1.0)
         result = resolve(deployment, r, "www.acme.net", wait=30.0)
         assert result.rcode == RCode.NOERROR
-        victim.machine.fault = None
+        victim.machine.set_fault(None)
         deployment.settle(MONITORING_PERIOD * 3)
         assert victim.machine.state == MachineState.RUNNING
 

@@ -214,7 +214,7 @@ class TestIterativeResolution:
 class TestFailureHandling:
     def test_timeout_then_servfail(self, world):
         loop, net, machine, speaker = world
-        machine.fault = "unresponsive"
+        machine.set_fault("unresponsive")
         r = make_resolver(loop, net, timeout=0.5)
         result = resolve(loop, r, "www.ex.net", wait=40.0)
         assert result.rcode == RCode.SERVFAIL
@@ -222,7 +222,7 @@ class TestFailureHandling:
 
     def test_servfail_retries_other_server(self, world):
         loop, net, machine, speaker = world
-        machine.fault = "wrong_answer"  # SERVFAIL from the only auth
+        machine.set_fault("wrong_answer")  # SERVFAIL from the only auth
         r = make_resolver(loop, net, timeout=0.5)
         result = resolve(loop, r, "www.ex.net", wait=30.0)
         assert result.failed

@@ -111,7 +111,7 @@ class TestResolverService:
 
     def test_upstream_failure_servfails_clients(self, world):
         loop, service, clients, machine = world
-        machine.fault = "unresponsive"
+        machine.set_fault("unresponsive")
         service.resolver.timeout = 0.5
         clients[0].lookup(name("www.svc.example"))
         loop.run_until(40)

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.dnscore import RCode, RType, make_query, name, parse_zone_text
+from repro.dnscore import (
+    RCode,
+    RType,
+    ZoneUpdate,
+    make_query,
+    name,
+    parse_zone_text,
+)
 from repro.filters import QueuePolicy, ScoringPipeline
 from repro.netsim import Datagram, EventLoop
 from repro.server import (
@@ -205,9 +212,7 @@ class TestStaleness:
 
 def set_fault(machine, kind, severity=1.0):
     """The machine's fault seam: one fault at a time, None clears it."""
-    gray = kind not in ("unresponsive", "wrong_answer")
-    machine.fault = None if gray else kind
-    machine.set_gray_fault(kind if gray else None, severity)
+    machine.set_fault(kind, severity)
 
 
 #: Each machine fault -> (its own health probe's answer, a live query's
@@ -302,7 +307,7 @@ class TestDegradedMode:
         m = make_machine(loop)
         m.enter_degraded("rate-limit")
         m.handle_zone_update(SimpleNamespace(
-            payload=self.updated_zone(2, "10.0.0.2")))
+            payload=ZoneUpdate(self.updated_zone(2, "10.0.0.2"))))
         # Still serving last-known-good content under attack.
         assert m.engine.store.get(name("m.example")).serial == 1
         m.exit_degraded()
@@ -324,7 +329,7 @@ class TestDegradedMode:
         m.enter_degraded("qod-firewall")
         for serial in (2, 3):
             m.handle_zone_update(SimpleNamespace(
-                payload=self.updated_zone(serial, "10.0.0.9")))
+                payload=ZoneUpdate(self.updated_zone(serial, "10.0.0.9"))))
         m.exit_degraded()
         # The intermediate serial was superseded while degraded.
         assert installed == [3]

@@ -155,7 +155,7 @@ class TestMonitoringAgent:
         agent = MonitoringAgent(loop, machine, speaker)
         speaker.advertise_all()
         loop.run_until(5)
-        machine.fault = "wrong_answer"
+        machine.set_fault("wrong_answer")
         loop.run_until(8)
         assert machine.state == MachineState.SUSPENDED
         assert not pop.advertises(PREFIX)
@@ -167,9 +167,9 @@ class TestMonitoringAgent:
         agent = MonitoringAgent(loop, machine, speaker)
         speaker.advertise_all()
         loop.run_until(5)
-        machine.fault = "unresponsive"
+        machine.set_fault("unresponsive")
         loop.run_until(8)
-        machine.fault = None
+        machine.set_fault(None)
         loop.run_until(12)
         assert machine.state == MachineState.RUNNING
         assert pop.advertises(PREFIX)
@@ -208,7 +208,7 @@ class TestMonitoringAgent:
                                 coordinator=Deny())
         speaker.advertise_all()
         loop.run_until(5)
-        machine.fault = "wrong_answer"
+        machine.set_fault("wrong_answer")
         loop.run_until(10)
         # Denied: keeps serving in a degraded state.
         assert machine.state == MachineState.RUNNING
@@ -255,7 +255,7 @@ class TestMonitoringAgent:
                         coordinator=coordinator)
         speaker.advertise_all()
         loop.run_until(3)
-        machine.fault = "wrong_answer"
+        machine.set_fault("wrong_answer")
         loop.run_until(6)
         assert machine.state == MachineState.SUSPENDED
         # Hold the fault far past the 300 s lease: the agent's renewals

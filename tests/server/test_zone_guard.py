@@ -1,5 +1,7 @@
 """Tests for the machine's guarded zone-install seam and staleness check."""
 
+import pytest
+
 from repro.dnscore import (
     A,
     RCode,
@@ -114,10 +116,12 @@ class TestMetadataDispatch:
             "payload": ZoneUpdate(zone_v(1))})())
         assert m.engine.store.get(ORIGIN) is not None
 
-    def test_bare_zone_payload_still_works(self):
+    @pytest.mark.parametrize("payload", [zone_v(1), "v1", None])
+    def test_any_other_payload_raises(self, payload):
         m = make_machine(EventLoop())
-        m.handle_zone_update(type("Msg", (), {"payload": zone_v(1)})())
-        assert m.engine.store.get(ORIGIN) is not None
+        with pytest.raises(TypeError):
+            m.handle_zone_update(type("Msg", (), {"payload": payload})())
+        assert m.engine.store.get(ORIGIN) is None
 
     def test_rollback_flag_honoured_from_bus(self):
         m = make_machine(EventLoop())
