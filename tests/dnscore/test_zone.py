@@ -7,10 +7,13 @@ from repro.dnscore import (
     CNAME,
     LookupStatus,
     NS,
+    NSEC,
     RClass,
+    RRSIG,
     ResourceRecord,
     RType,
     SOA,
+    TXT,
     Zone,
     ZoneError,
     make_rrset,
@@ -226,6 +229,51 @@ class TestAuthoring:
 
     def test_serial(self, zone):
         assert zone.serial == 1
+
+    def test_types_at_follows_each_removal(self, zone):
+        owner = name("two.ex.com")
+        zone.add_rrset(make_rrset(owner, RType.A, 60, [A("10.0.0.1")]))
+        zone.add_rrset(make_rrset(owner, RType.TXT, 60, [TXT((b"v",))]))
+        assert zone.types_at(owner) == {RType.A, RType.TXT}
+        assert zone.remove_rrset(owner, RType.A)
+        assert zone.types_at(owner) == {RType.TXT}
+        assert zone.lookup(owner, RType.A).status == LookupStatus.NODATA
+        assert zone.remove_rrset(owner, RType.TXT)
+        assert zone.types_at(owner) == frozenset()
+        assert isinstance(zone.types_at(owner), frozenset)
+
+    def test_signed_alias_node_accepted(self, zone):
+        owner = name("alias.ex.com")
+        zone.add_rrset(make_rrset(owner, RType.RRSIG, 300, [RRSIG(
+            int(RType.CNAME), 13, 3, 300, 2000, 1000, 4242, name("ex.com"),
+            b"sig")]))
+        zone.add_rrset(make_rrset(owner, RType.NSEC, 300, [NSEC(
+            name("chain.ex.com"), (5, 46, 47))]))
+        assert zone.types_at(owner) == {RType.CNAME, RType.RRSIG, RType.NSEC}
+        with pytest.raises(ZoneError):
+            zone.add_rrset(make_rrset(owner, RType.TXT, 60,
+                                      [TXT((b"v",))]))
+        assert zone.lookup(owner, RType.A).status == LookupStatus.CNAME
+
+    def test_readding_a_type_lists_it_once(self, zone):
+        owner = name("www.ex.com")
+        zone.add_rrset(make_rrset(owner, RType.A, 60, [A("10.0.0.9")]))
+        zone.add_record(ResourceRecord(owner, RType.A, RClass.IN, 60,
+                                       A("10.0.0.10")))
+        assert zone.types_at(owner) == {RType.A}
+        assert zone.remove_rrset(owner, RType.A)
+        assert owner not in zone.names()
+
+    def test_last_type_removed_drops_name_and_reindexes(self, zone):
+        leaf, ent = name("deep.empty.ex.com"), name("empty.ex.com")
+        assert {leaf, ent} <= zone.names()
+        assert zone.remove_rrset(leaf, RType.A)
+        assert leaf not in zone.names()
+        assert ent not in zone.names()
+        assert zone.lookup(ent, RType.A).status == LookupStatus.NXDOMAIN
+        zone.add_rrset(make_rrset(leaf, RType.A, 60, [A("10.0.0.7")]))
+        assert {leaf, ent} <= zone.names()
+        assert zone.lookup(ent, RType.A).status == LookupStatus.NODATA
 
 
 class TestSerials:
