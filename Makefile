@@ -1,7 +1,8 @@
 # Convenience targets for the Akamai DNS reproduction.
 
 PY ?= python
-LINT_PYTHONPATH = src$(if $(PYTHONPATH),:$(PYTHONPATH))
+# Every target runs against this checkout's src/, installed or not.
+export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: install test reach bench bench-check chaos rollout-demo \
         defend-demo dnssec-demo gray-demo report report-fast examples lint \
@@ -10,22 +11,23 @@ LINT_PYTHONPATH = src$(if $(PYTHONPATH),:$(PYTHONPATH))
 install:
 	pip install -e . --no-build-isolation
 
+# The tier-1 command CI runs.
 test:
-	$(PY) -m pytest tests/
+	$(PY) -m pytest -x -q
 
 # Every product entry point, once, under tests/reach/probe.py (~6 min):
 # fails on a never-entered definition KEPT.txt lacks, a single-valued
 # option OPTIONS.txt lacks, a line of either that no longer holds, or an
 # output row unlike OUTPUTS.json (`... -m reach --record` rewrites it).
 reach:
-	PYTHONPATH=$(LINT_PYTHONPATH) $(PY) -m pytest tests/reach -m reach
+	$(PY) -m pytest tests/reach -m reach
 
 # reprolint (the in-tree determinism/event-loop/seed-hygiene checker)
 # always runs; ruff and mypy run when installed (pip install -e .[lint])
 # and are skipped with a notice otherwise, so `make lint` works in
 # minimal containers.
 lint:
-	PYTHONPATH=$(LINT_PYTHONPATH) $(PY) -m repro.lint src tests
+	$(PY) -m repro.lint src tests
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests examples; \
 	else \
@@ -40,12 +42,12 @@ lint:
 # Refresh the committed performance baseline (BENCH_micro.json at the
 # repo root).
 bench:
-	PYTHONPATH=$(LINT_PYTHONPATH) $(PY) -m repro.tools.bench
+	$(PY) -m repro.tools.bench
 
 # Re-run the microbenchmarks and fail on >30% regression against the
 # committed BENCH_micro.json (a step of CI's tier-1 job).
 bench-check:
-	PYTHONPATH=$(LINT_PYTHONPATH) $(PY) -m repro.tools.bench --check
+	$(PY) -m repro.tools.bench --check
 
 chaos:
 	$(PY) -m repro.experiments.resilience_scorecard --fast

@@ -25,6 +25,13 @@ T = TypeVar("T")
 
 _SERIAL_HALF = 2**31
 
+#: The types a CNAME may share its node with (RFC 4035 section 2.5).
+_CNAME_COMPANIONS = DNSSEC_TYPES | {RType.CNAME}
+
+#: The node-type tuple of each single-type owner name, shared by every
+#: such node (most names in a large zone hold one type).
+_ONE_TYPE = {rtype: (rtype,) for rtype in RType}
+
 
 def serial_gt(a: int, b: int) -> bool:
     """RFC 1982 serial-space ``a > b`` for 32-bit zone serials."""
@@ -72,11 +79,13 @@ class Zone:
     def __init__(self, origin: Name) -> None:
         self.origin = origin
         self._rrsets: dict[tuple[Name, RType], RRset] = {}
-        #: name -> rtypes present at that node. Maintained so authoring
-        #: checks (CNAME exclusivity, emptied-node detection) stay O(1)
-        #: per insert instead of scanning every rrset — zone builds are
-        #: O(records^2) without it.
-        self._types_by_name: dict[Name, set[RType]] = {}
+        #: name -> rtypes present at that node, an immutable tuple
+        #: rebuilt on each change (a node holds a handful of types, and
+        #: a tuple is a quarter of a set's memory). Maintained so
+        #: authoring checks (CNAME exclusivity, emptied-node detection)
+        #: stay O(1) per insert instead of scanning every rrset — zone
+        #: builds are O(records^2) without it.
+        self._types_by_name: dict[Name, tuple[RType, ...]] = {}
         self._names: set[Name] = set()
         self._cuts: set[Name] = set()
         #: Bumped on every content mutation, so holders of derived state
@@ -97,27 +106,28 @@ class Zone:
             raise ZoneError(f"{rrset.name} is outside zone {self.origin}")
         if rrset.rclass != RClass.IN:
             raise ZoneError("only class IN zones are supported")
+        rtype = rrset.rtype
         node_types = self._types_by_name.get(rrset.name)
         if node_types:
             # RFC 4035 section 2.5: RRSIG and NSEC (and the other
             # DNSSEC maintenance types) are exempt from the CNAME
             # single-type rule — a signed alias node holds all three.
-            if rrset.rtype == RType.CNAME \
-                    and node_types - {RType.CNAME} - DNSSEC_TYPES:
+            if rtype == RType.CNAME \
+                    and not _CNAME_COMPANIONS.issuperset(node_types):
                 raise ZoneError(
                     f"CNAME at {rrset.name} conflicts with other data")
-            if rrset.rtype != RType.CNAME \
-                    and rrset.rtype not in DNSSEC_TYPES \
+            if rtype not in _CNAME_COMPANIONS \
                     and RType.CNAME in node_types:
                 raise ZoneError(f"{rrset.name} already holds a CNAME")
-        if rrset.rtype == RType.SOA and rrset.name != self.origin:
+        if rtype == RType.SOA and rrset.name != self.origin:
             raise ZoneError("SOA must live at the zone apex")
-        self._rrsets[(rrset.name, rrset.rtype)] = rrset
+        self._rrsets[(rrset.name, rtype)] = rrset
         if node_types is None:
-            node_types = self._types_by_name[rrset.name] = set()
-        node_types.add(rrset.rtype)
+            self._types_by_name[rrset.name] = _ONE_TYPE.get(rtype) or (rtype,)
+        elif rtype not in node_types:
+            self._types_by_name[rrset.name] = node_types + (rtype,)
         self._mutated()
-        if rrset.rtype == RType.NS and rrset.name != self.origin:
+        if rtype == RType.NS and rrset.name != self.origin:
             self._cuts.add(rrset.name)
         self._index_names(rrset.name)
 
@@ -140,12 +150,12 @@ class Zone:
             self._mutated()
             if rtype == RType.NS:
                 self._cuts.discard(name)
-            node_types = self._types_by_name.get(name)
-            if node_types is not None:
-                node_types.discard(rtype)
-                if not node_types:
-                    del self._types_by_name[name]
-                    self._reindex_names()
+            rest = tuple(t for t in self._types_by_name[name] if t != rtype)
+            if rest:
+                self._types_by_name[name] = rest
+            else:
+                del self._types_by_name[name]
+                self._reindex_names()
         return removed
 
     def _mutated(self) -> None:
@@ -192,8 +202,7 @@ class Zone:
 
     def types_at(self, name: Name) -> frozenset[RType]:
         """The record types present at ``name`` (empty if absent)."""
-        types = self._types_by_name.get(name)
-        return frozenset(types) if types else frozenset()
+        return frozenset(self._types_by_name.get(name, ()))
 
     def names(self) -> set[Name]:
         """All names that exist in the zone, including empty non-terminals."""

@@ -1,15 +1,11 @@
 """Workload models: populations, arrivals, attacks, geolocation.
 
 Generative models calibrated to the traffic characterization of paper
-section 2, plus the attack-traffic generators of section 4.3.4.
+section 2, plus the attack-traffic generators of section 4.3.4. The
+numpy-backed arrival models are not re-exported: import them from
+:mod:`repro.workload.arrivals`, so the attack path stays numpy-free.
 """
 
-from .arrivals import (
-    DiurnalModel,
-    SECONDS_PER_DAY,
-    SECONDS_PER_WEEK,
-    bursty_counts,
-)
 from .attacks import (
     AttackStats,
     DirectQueryAttack,
@@ -37,12 +33,11 @@ from .population import (
 )
 
 __all__ = [
-    "AttackStats", "DirectQueryAttack", "DiurnalModel", "GeoRecord",
+    "AttackStats", "DirectQueryAttack", "GeoRecord",
     "GeolocationService", "JunkPayload", "MAJOR_REGIONS",
     "QoDInjector", "RandomSubdomainAttack", "Resolver",
-    "ResolverPopulation", "SECONDS_PER_DAY", "SECONDS_PER_WEEK",
-    "SpoofedIdentity", "SpoofedSourceAttack", "VolumetricAttack",
-    "ZonePopularity", "bursty_counts", "major_region_share",
+    "ResolverPopulation", "SpoofedIdentity", "SpoofedSourceAttack",
+    "VolumetricAttack", "ZonePopularity", "major_region_share",
     "overlap_fraction", "random_label", "regional_query_shares",
     "share_of_top",
 ]

@@ -6,6 +6,8 @@ for it and missed by the weaker filters it is designed to evade.
 """
 
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -172,3 +174,16 @@ class TestTaxonomyCoverage:
         for i in range(10):
             loyalty.prime(f"local-{i}", 0.0)
         assert loyalty.score(forged) > 0
+
+
+def test_serving_and_attack_modules_load_without_numpy():
+    # numpy is ~14 MB of RSS; only analysis, arrivals and the figures
+    # use it, so the platform, chaos and attack paths must not load it.
+    modules = ("repro.platform", "repro.chaos", "repro.server",
+               "repro.resolver", "repro.dnssec", "repro.telemetry",
+               "repro.workload.attacks")
+    code = "".join(f"import {module}\n" for module in modules) + \
+        "import sys\nassert 'numpy' not in sys.modules\n"
+    completed = subprocess.run([sys.executable, "-c", code],
+                               capture_output=True, text=True, timeout=60)
+    assert completed.returncode == 0, completed.stderr[-2000:]

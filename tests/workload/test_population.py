@@ -7,16 +7,18 @@ import pytest
 
 from repro.workload import (
     arrivals,
-    DiurnalModel,
     GeolocationService,
     ResolverPopulation,
-    SECONDS_PER_WEEK,
     ZonePopularity,
-    bursty_counts,
     major_region_share,
     overlap_fraction,
     regional_query_shares,
     share_of_top,
+)
+from repro.workload.arrivals import (
+    DiurnalModel,
+    SECONDS_PER_WEEK,
+    bursty_counts,
 )
 from repro.netsim.geo import REGIONS
 from repro.workload.geolocation import MAJOR_REGIONS
