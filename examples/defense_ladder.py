@@ -26,6 +26,8 @@ Everything is seeded; re-running reproduces every transition exactly.
 Run:  python examples/defense_ladder.py
 """
 
+from repro.chaos import FaultKind
+from repro.control.defense import ATTACK_QPS_ALERT
 from repro.experiments.resilience_scorecard import (
     SUITES,
     ScorecardParams,
@@ -35,32 +37,36 @@ from repro.experiments.resilience_scorecard import (
 
 def main() -> None:
     params = ScorecardParams.fast(42)
+    floods = {FaultKind.ATTACK_FLOOD}
 
     for wanted in ("defense-ladder", "defense-guardrail"):
         entry = next(e for e in SUITES["standard"] if e.name == wanted)
         print(f"== {entry.name}")
         print("   running (fresh deployment, ~a minute)...")
-        outcome = run_campaign(params, entry)
-        print(f"   {outcome.campaign.description}")
+        run = run_campaign(params, entry)
+        controller = run.defense
+        print(f"   {run.campaign.description}")
 
         print("\n   fault timeline:")
-        for line in outcome.fault_log.splitlines():
+        for line in run.engine.describe_log().splitlines():
             print(f"     {line}")
         print("\n   ladder transitions:")
-        for line in outcome.defense_timeline:
+        for line in controller.timeline():
             print(f"     {line}")
 
-        report = outcome.report
-        print(f"\n   attack detected after    "
-              f"{outcome.defense_attack_detect_seconds:.1f}s "
+        report = run.report
+        attack_ttd = run.seconds_to_alert(ATTACK_QPS_ALERT,
+                                          run.injects(floods))
+        print(f"\n   attack detected after    {attack_ttd:.1f}s "
               f"(attack-qps alert)")
-        print(f"   highest escalation level {outcome.defense_max_level} "
-              f"(final {outcome.defense_final_level})")
-        print(f"   guardrail reverts        {outcome.defense_reverts}")
-        if (outcome.defense_unwound_at is not None
-                and outcome.defense_attack_end is not None):
+        print(f"   highest escalation level {controller.max_level} "
+              f"(final {controller.level})")
+        print(f"   guardrail reverts        {controller.reverts}")
+        unwound_at = controller.unwound_at()
+        attack_end = max(run.clears(floods), default=None)
+        if unwound_at is not None and attack_end is not None:
             print(f"   fully unwound            "
-                  f"{outcome.defense_unwound_at - outcome.defense_attack_end:.1f}s "
+                  f"{unwound_at - attack_end:.1f}s "
                   f"after the flood stopped")
         print(f"   overall availability     "
               f"{report.overall_availability:.1%} "

@@ -145,6 +145,12 @@ class RRset:
         return RRset(self.name, self.rtype, self.rclass, ttl, [
             r if r.ttl == ttl else r.with_ttl(ttl) for r in self.records])
 
+    def with_owner(self, owner: Name) -> "RRset":
+        """A copy re-owned at ``owner`` (wildcard expansion)."""
+        return RRset(owner, self.rtype, self.rclass, self.ttl, [
+            ResourceRecord(owner, r.rtype, r.rclass, r.ttl, r.rdata)
+            for r in self.records])
+
     def __len__(self) -> int:
         return len(self.records)
 

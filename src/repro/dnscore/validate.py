@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .name import Name
 from .rdata import DNSKEY, NS, NSEC, RRSIG
@@ -143,6 +144,21 @@ def _has_glue(zone: Zone, target: Name) -> bool:
             or zone.get_rrset(target, RType.AAAA) is not None)
 
 
+def rrsig_key_checks(zone: Zone) -> Iterator[tuple[Name, RRSIG, bool]]:
+    """(owner, RRSIG, whether the apex DNSKEY RRset publishes its signer
+    and key tag) per RRSIG, in zone order; none for an unsigned zone."""
+    dnskeys = zone.get_rrset(zone.origin, RType.DNSKEY)
+    if dnskeys is None:
+        return
+    tags = {r.key_tag() for r in dnskeys.rdatas() if isinstance(r, DNSKEY)}
+    for rrset in zone.iter_rrsets():
+        if rrset.rtype is RType.RRSIG:
+            for rrsig in rrset.rdatas():
+                if isinstance(rrsig, RRSIG):
+                    yield (rrset.name, rrsig, rrsig.signer == zone.origin
+                           and rrsig.key_tag in tags)
+
+
 def _dnssec_issues(zone: Zone, limits: ValidationLimits,
                    issues: list[ValidationIssue]) -> None:
     """DNSSEC structural rules; no-op for unsigned zones.
@@ -151,35 +167,22 @@ def _dnssec_issues(zone: Zone, limits: ValidationLimits,
     RRset at its apex — exactly the condition the serving path uses to
     decide whether DO=1 responses carry signatures.
     """
-    dnskey_rrset = zone.get_rrset(zone.origin, RType.DNSKEY)
-    if dnskey_rrset is None:
+    if zone.get_rrset(zone.origin, RType.DNSKEY) is None:
         return
-    tags = {record.rdata.key_tag() for record in dnskey_rrset.records
-            if isinstance(record.rdata, DNSKEY)}
-
     mismatched: set[tuple[Name, int]] = set()
-    for rrset in zone.iter_rrsets():
-        if rrset.rtype is not RType.RRSIG:
-            continue
-        for record in rrset.records:
-            rrsig = record.rdata
-            if not isinstance(rrsig, RRSIG):
-                continue
-            if (rrsig.signer != zone.origin or rrsig.key_tag not in tags):
-                key = (rrset.name, rrsig.key_tag)
-                if key not in mismatched:
-                    mismatched.add(key)
-                    issues.append(ValidationIssue(
-                        "rrsig-key-mismatch", FATAL,
-                        f"RRSIG at {rrset.name} names key tag "
-                        f"{rrsig.key_tag} of {rrsig.signer}, which the "
-                        f"apex DNSKEY RRset does not publish"))
-            if limits.now is not None and rrsig.expiration <= limits.now:
-                issues.append(ValidationIssue(
-                    "signature-expired", FATAL,
-                    f"RRSIG at {rrset.name} covering type "
-                    f"{rrsig.type_covered} expired at "
-                    f"{rrsig.expiration} (now {limits.now:.0f})"))
+    for owner, rrsig, key_published in rrsig_key_checks(zone):
+        if not key_published and (owner, rrsig.key_tag) not in mismatched:
+            mismatched.add((owner, rrsig.key_tag))
+            issues.append(ValidationIssue(
+                "rrsig-key-mismatch", FATAL,
+                f"RRSIG at {owner} names key tag {rrsig.key_tag} of "
+                f"{rrsig.signer}, which the apex DNSKEY RRset does not "
+                f"publish"))
+        if limits.now is not None and rrsig.expiration <= limits.now:
+            issues.append(ValidationIssue(
+                "signature-expired", FATAL,
+                f"RRSIG at {owner} covering type {rrsig.type_covered} "
+                f"expired at {rrsig.expiration} (now {limits.now:.0f})"))
 
     owners: dict[Name, NSEC] = {}
     for rrset in zone.iter_rrsets():

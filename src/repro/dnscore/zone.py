@@ -290,12 +290,12 @@ class Zone:
                 if exact is not None:
                     return LookupResult(
                         LookupStatus.SUCCESS, wildcard=True, source=source,
-                        rrset=_synthesize(exact, qname))
+                        rrset=exact.with_owner(qname))
                 cname = self._rrsets.get((source, RType.CNAME))
                 if cname is not None and qtype != RType.CNAME:
                     return LookupResult(
                         LookupStatus.CNAME, wildcard=True, source=source,
-                        rrset=_synthesize(cname, qname))
+                        rrset=cname.with_owner(qname))
                 return LookupResult(LookupStatus.NODATA, soa=self.soa,
                                     wildcard=True, source=source)
             closest = parent
@@ -387,15 +387,6 @@ class NxdomainIndex:
                 # name is synthesizable iff *.<encloser> exists.
                 return ancestor not in self._wildcard_parents
         return True
-
-
-def _synthesize(rrset: RRset, qname: Name) -> RRset:
-    """Copy a wildcard RRset onto the query name."""
-    clone = RRset(qname, rrset.rtype, rrset.rclass, rrset.ttl)
-    for record in rrset.records:
-        clone.add(ResourceRecord(qname, record.rtype, record.rclass,
-                                 record.ttl, record.rdata))
-    return clone
 
 
 def make_zone(origin: Name, soa: SOA, ns_targets: list[Name],

@@ -23,7 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, Container, NamedTuple
 
 from ..analysis.report import ExperimentResult
 from ..chaos import (
@@ -54,6 +54,7 @@ from ..platform.deployment import AkamaiDNSDeployment, DeploymentParams
 from ..platform.traffic_eng import AttackSituation, TrafficEngineer
 from ..server.machine import MachineConfig
 from ..telemetry import (
+    AlertManager,
     AlertSeverity,
     RateDetector,
     RatioDetector,
@@ -186,75 +187,81 @@ class CampaignSLO:
     gray_quorum_guard: bool = False
 
 
-@dataclass(slots=True)
-class CampaignOutcome:
-    """One campaign's measured resilience."""
+def worst_recovery(recoveries: list[tuple[str, float, float | None]]
+                   ) -> float | None:
+    """Slowest measured recovery; None if the campaign never recovers.
+
+    ``recoveries`` holds (fault, clear time, TTR) per clear.
+    Mid-campaign clears can be masked by faults still active (their
+    TTR is None because recovery was impossible, not slow) — only the
+    *final* clear decides whether the platform came back.
+    """
+    if not recoveries:
+        return 0.0
+    final = max(recoveries, key=lambda r: r[1])
+    if final[2] is None:
+        return None
+    return max(ttr for _, _, ttr in recoveries if ttr is not None)
+
+
+class CampaignRun(NamedTuple):
+    """What one campaign run made, read directly by the grader.
+
+    The deployment carries the rollout train, the gray prober and the
+    quorum coordinator; ``defense`` is the armed ladder (None outside
+    the defense campaigns). The two maps are what only the run itself
+    can capture.
+    """
 
     campaign: Campaign
     report: SLOReport
-    recoveries: list[tuple[str, float, float | None]]  # (fault, clear, ttr)
-    fault_log: str
-    #: Seconds from the first fault injection to the telemetry
-    #: pipeline's probe-failure alert; None when no alert fired (the
-    #: resiliency ladder absorbed the fault below the SLO surface).
-    detection_seconds: float | None = None
+    deployment: AkamaiDNSDeployment
+    engine: ChaosEngine
+    alerts: AlertManager
+    defense: DefenseController | None
     #: machine_id -> first time it served a wrong answer for the probe
     #: zone (rollout campaigns only; empty otherwise).
-    blast: dict[str, float] = field(default_factory=dict)
-    #: The deployment's canary cohort (rollout campaigns only).
-    canary_ids: tuple[str, ...] = ()
-    #: Seconds from publishing the corrupt release to the last canary
-    #: installing the rollback; None when no rollback happened.
-    rollback_complete_seconds: float | None = None
-    #: Releases the rollout validator rejected before any publish.
-    rollout_rejections: int = 0
-    #: Defense-ladder measurements (defense campaigns only).
-    defense_max_level: int = 0
-    defense_final_level: int = 0
-    defense_reverts: int = 0
-    #: Seconds from the first flood inject to the attack-qps alert.
-    defense_attack_detect_seconds: float | None = None
-    #: When the first rung engaged / the last flood cleared / the
-    #: ladder last returned to level 0 (loop-absolute seconds).
-    defense_engaged_at: float | None = None
-    defense_attack_end: float | None = None
-    defense_unwound_at: float | None = None
-    #: Engage-to-revert delta of the first guardrail-reverted rung.
-    defense_revert_after: float | None = None
-    defense_timeline: list[str] = field(default_factory=list)
-    #: Gray-failure prober measurements (gray campaigns only).
-    gray_convictions: int = 0
-    gray_suspensions: int = 0
-    gray_denials: int = 0
-    gray_rejoins: int = 0
-    gray_budget: int = 0
-    #: verdict value -> machine count when the campaign ended.
-    gray_final_verdicts: dict[str, int] = field(default_factory=dict)
-    #: Seconds from the first gray inject to the first conviction.
-    gray_ttd_seconds: float | None = None
-    #: Slowest first-differential-evidence-to-conviction latency.
-    gray_detection_latency: float | None = None
+    first_wrong: dict[str, float]
     #: machine_id -> its *own* health suite verdict at conviction time
     #: (True == still calling itself healthy: the gray property).
-    gray_self_healthy: dict[str, bool] = field(default_factory=dict)
-    #: (first inject, last clear) across the campaign's gray faults.
-    gray_window: tuple[float, float] | None = None
+    self_healthy: dict[str, bool]
 
-    @property
-    def worst_recovery(self) -> float | None:
-        """Slowest measured recovery; None if the campaign never recovers.
+    def injects(self, kinds: Container[FaultKind] = FaultKind
+                ) -> list[float]:
+        """When the faults of ``kinds`` were injected (failed edges too)."""
+        return [e.time for e in self.engine.events
+                if e.action == "inject" and e.spec.kind in kinds]
 
-        Mid-campaign clears can be masked by faults still active (their
-        TTR is None because recovery was impossible, not slow) — only
-        the *final* clear decides whether the platform came back.
-        """
-        if not self.recoveries:
-            return 0.0
-        final = max(self.recoveries, key=lambda r: r[1])
-        if final[2] is None:
+    def clears(self, kinds: Container[FaultKind] = FaultKind
+               ) -> list[float]:
+        """When the faults of ``kinds`` were cleared without error."""
+        return [e.time for e in self.engine.clears() if e.spec.kind in kinds]
+
+    def seconds_to_alert(self, alert_name: str,
+                         injects: list[float]) -> float | None:
+        """Seconds from the first of ``injects`` to ``alert_name``'s
+        first raise after it; None without an inject or a raise."""
+        if not injects:
             return None
-        measured = [ttr for _, _, ttr in self.recoveries if ttr is not None]
-        return max(measured)
+        first = min(injects)
+        alert = self.alerts.first_raise_after(first, name=alert_name)
+        return None if alert is None else alert.raised_at - first
+
+    def rollback_seconds(self) -> float | None:
+        """Seconds from publishing the rolled-back probe-zone release to
+        the last canary installing the rollback; None when no rollback
+        happened."""
+        train = self.deployment.rollout
+        origin = str(name(PROBE_ZONE))
+        published = [r.published_at for r in train.releases
+                     if r.phase is RolloutPhase.ROLLED_BACK
+                     and str(r.origin) == origin]
+        installs = [t for machine in train.canaries
+                    for t, action, zone, _serial in machine.zone_install_log
+                    if action == "rollback" and zone == origin]
+        if published and installs:
+            return max(installs) - min(published)
+        return None
 
 
 class SuiteEntry(NamedTuple):
@@ -673,7 +680,7 @@ def _wire_defense(deployment: AkamaiDNSDeployment, telemetry: Telemetry,
 
 
 def run_campaign(params: ScorecardParams,
-                 entry: SuiteEntry) -> CampaignOutcome:
+                 entry: SuiteEntry) -> CampaignRun:
     """One campaign on one fresh deployment, probe running throughout.
 
     The deployment is the only one built: the entry's SLO says which
@@ -683,8 +690,10 @@ def run_campaign(params: ScorecardParams,
     A campaign-local telemetry session watches the probe's failed
     outcomes with a :class:`RatioDetector`, so the scorecard can report
     not only whether the platform degraded but how quickly the
-    observability pipeline *noticed* (time-to-detection). Telemetry is passive: the
-    session changes no simulation behaviour, only what gets recorded.
+    observability pipeline *noticed* (time-to-detection). Telemetry is
+    passive: the session changes no simulation behaviour, only what
+    gets recorded. The returned :class:`CampaignRun` holds the run's
+    own controllers; the grader derives everything else from them.
     """
     slo = entry.slo
     rollout, defense = slo.rollout, slo.defense
@@ -703,7 +712,8 @@ def run_campaign(params: ScorecardParams,
                                       defense=defense, gray=slo.gray)
         campaign = entry.bind(deployment)
         campaign.seed = params.seed
-        recorder = _BlastRecorder(deployment) if rollout else None
+        first_wrong = (_BlastRecorder(deployment).first_wrong if rollout
+                       else {})
         grayfail = deployment.grayfail
         gray_self: dict[str, bool] = {}
         if grayfail is not None:
@@ -731,110 +741,8 @@ def run_campaign(params: ScorecardParams,
         deployment.run_until(deployment.loop.now + 5.0)
         telemetry.finalize()
 
-    report = probe.report()
-    recoveries = []
-    injects = [e.time for e in engine.events if e.action == "inject"]
-    for event in engine.clears():
-        # Attribute recovery only up to the next *inject*: failures
-        # after a fresh fault lands are that fault's doing.
-        later = [t for t in injects if t > event.time]
-        horizon = min(later) if later else None
-        ttr = report.time_to_recovery(event.time, until=horizon)
-        recoveries.append((event.spec.describe(), event.time, ttr))
-    detection = None
-    if injects:
-        first_inject = min(injects)
-        alert = telemetry.alerts.first_raise_after(
-            first_inject, name="probe-failure")
-        if alert is not None:
-            detection = alert.raised_at - first_inject
-
-    blast: dict[str, float] = {}
-    canary_ids: tuple[str, ...] = ()
-    rollback_complete = None
-    rejections = 0
-    if rollout and deployment.rollout is not None:
-        blast = dict(recorder.first_wrong)
-        train = deployment.rollout
-        canary_ids = tuple(m.machine_id for m in train.canaries)
-        rejections = train.rejections
-        probe_origin = str(name(PROBE_ZONE))
-        rolled = [r for r in train.releases
-                  if r.phase is RolloutPhase.ROLLED_BACK
-                  and str(r.origin) == probe_origin]
-        rollback_installs = [
-            t for machine in train.canaries
-            for t, action, origin, _serial in machine.zone_install_log
-            if action == "rollback" and origin == probe_origin]
-        if rolled and rollback_installs:
-            rollback_complete = (max(rollback_installs)
-                                 - min(r.published_at for r in rolled))
-
-    outcome = CampaignOutcome(campaign=campaign, report=report,
-                              recoveries=recoveries,
-                              fault_log=engine.describe_log(),
-                              detection_seconds=detection,
-                              blast=blast, canary_ids=canary_ids,
-                              rollback_complete_seconds=rollback_complete,
-                              rollout_rejections=rejections)
-    if controller is not None:
-        outcome.defense_max_level = controller.max_level
-        outcome.defense_final_level = controller.level
-        outcome.defense_reverts = controller.reverts
-        outcome.defense_unwound_at = controller.unwound_at()
-        outcome.defense_timeline = controller.timeline()
-        flood_injects = [e.time for e in engine.events
-                         if e.action == "inject"
-                         and e.spec.kind is FaultKind.ATTACK_FLOOD]
-        flood_clears = [e.time for e in engine.clears()
-                        if e.spec.kind is FaultKind.ATTACK_FLOOD]
-        if flood_clears:
-            outcome.defense_attack_end = max(flood_clears)
-        if flood_injects:
-            alert = telemetry.alerts.first_raise_after(
-                min(flood_injects), name=ATTACK_QPS_ALERT)
-            if alert is not None:
-                outcome.defense_attack_detect_seconds = (
-                    alert.raised_at - min(flood_injects))
-        engages = [t for t in controller.transitions
-                   if t.action == "engage"]
-        if engages:
-            outcome.defense_engaged_at = engages[0].time
-        for i, transition in enumerate(controller.transitions):
-            if transition.action != "revert":
-                continue
-            prior = [p for p in controller.transitions[:i]
-                     if p.rung == transition.rung and p.action == "engage"]
-            if prior:
-                outcome.defense_revert_after = (transition.time
-                                                - prior[-1].time)
-            break
-    if grayfail is not None:
-        outcome.gray_convictions = grayfail.convictions
-        outcome.gray_suspensions = grayfail.suspensions
-        outcome.gray_denials = grayfail.denials
-        outcome.gray_rejoins = grayfail.rejoins
-        outcome.gray_budget = deployment.coordinator.max_concurrent
-        outcome.gray_final_verdicts = grayfail.verdict_counts()
-        outcome.gray_self_healthy = dict(gray_self)
-        if grayfail.detections:
-            outcome.gray_detection_latency = max(
-                latency for _, latency in grayfail.detections)
-        gray_injects = [e.time for e in engine.events
-                        if e.action == "inject"
-                        and e.spec.kind.value.startswith("gray_")]
-        gray_clears = [e.time for e in engine.clears()
-                       if e.spec.kind.value.startswith("gray_")]
-        if gray_injects and gray_clears:
-            outcome.gray_window = (min(gray_injects), max(gray_clears))
-        if gray_injects:
-            convicted_at = [t for t, _, verdict in grayfail.timeline
-                            if verdict == "convicted"
-                            and t >= min(gray_injects)]
-            if convicted_at:
-                outcome.gray_ttd_seconds = (min(convicted_at)
-                                            - min(gray_injects))
-    return outcome
+    return CampaignRun(campaign, probe.report(), deployment, engine,
+                       telemetry.alerts, controller, first_wrong, gray_self)
 
 
 _TITLE = "Platform resilience scorecard (section 4.2 failure modes)"
@@ -858,13 +766,14 @@ def run_unit(params: ScorecardParams, index: int,
     entry = SUITES[suite][index]
     slo = entry.slo
     result = ExperimentResult("resilience", _TITLE)
-    outcome = run_campaign(params, entry)
-    campaign, report = outcome.campaign, outcome.report
+    run = run_campaign(params, entry)
+    campaign, report, controller = run.campaign, run.report, run.defense
+    grayfail = run.deployment.grayfail
     if verbose:
         print(f"-- {campaign.name}: {campaign.description}",
               file=sys.stderr)
-        print(outcome.fault_log, file=sys.stderr)
-        for line in outcome.defense_timeline:
+        print(run.engine.describe_log(), file=sys.stderr)
+        for line in controller.timeline() if controller else ():
             print(line, file=sys.stderr)
 
     prefix = campaign.name
@@ -875,15 +784,27 @@ def run_unit(params: ScorecardParams, index: int,
     result.metrics[f"{prefix}.servfails"] = float(
         report.total_servfails)
     result.metrics[f"{prefix}.timeouts"] = float(report.total_timeouts)
-    worst_ttr = outcome.worst_recovery
+    injects = run.injects()
+    recoveries = []
+    for event in run.engine.clears():
+        # Attribute recovery only up to the next *inject*: failures
+        # after a fresh fault lands are that fault's doing.
+        later = [t for t in injects if t > event.time]
+        ttr = report.time_to_recovery(event.time,
+                                      until=min(later) if later else None)
+        recoveries.append((event.spec.describe(), event.time, ttr))
+    worst_ttr = worst_recovery(recoveries)
     if worst_ttr is not None:
         result.metrics[f"{prefix}.worst_ttr_s"] = worst_ttr
-    if outcome.detection_seconds is not None:
-        result.metrics[f"{prefix}.ttd_s"] = outcome.detection_seconds
+    ttd = run.seconds_to_alert("probe-failure", injects)
+    if ttd is not None:
+        result.metrics[f"{prefix}.ttd_s"] = ttd
 
-    baseline = report.availability_between(0.0, WARMUP)
-    final_clear = max((t for _, t, _ in outcome.recoveries),
-                      default=0.0)
+    # The probe starts, and the campaign arms, at the first window's
+    # start: probe times are loop-absolute, after the platform settled.
+    start = report.windows[0].start if report.windows else 0.0
+    baseline = report.availability_between(start, start + WARMUP)
+    final_clear = max((t for _, t, _ in recoveries), default=0.0)
     recovered = report.availability_between(
         final_clear + (worst_ttr or 0.0) + 1.0, float("inf"))
 
@@ -915,13 +836,14 @@ def run_unit(params: ScorecardParams, index: int,
         worst_ttr is not None
         and worst_ttr <= MAX_RECOVERY_SECONDS
         and recovered == 1.0)
+    train = run.deployment.rollout
     if slo.contain_blast:
-        canaries = set(outcome.canary_ids)
-        hit = set(outcome.blast)
+        canaries = {machine.machine_id for machine in train.canaries}
+        hit = set(run.first_wrong)
         escaped = sorted(hit - canaries)
         result.metrics[f"{prefix}.blast_machines"] = float(len(hit))
         result.metrics[f"{prefix}.blast_escaped"] = float(len(escaped))
-        rollback_s = outcome.rollback_complete_seconds
+        rollback_s = run.rollback_seconds()
         if rollback_s is not None:
             result.metrics[f"{prefix}.rollback_s"] = rollback_s
         result.compare(
@@ -940,8 +862,9 @@ def run_unit(params: ScorecardParams, index: int,
              else f"rollback complete after {rollback_s:.1f}s"),
             rollback_s is not None and rollback_s <= ROLLOUT_SOAK)
     if slo.expect_rollback:
-        rollback_s = outcome.rollback_complete_seconds
-        escaped = sorted(set(outcome.blast) - set(outcome.canary_ids))
+        rollback_s = run.rollback_seconds()
+        escaped = sorted(set(run.first_wrong).difference(
+            machine.machine_id for machine in train.canaries))
         if rollback_s is not None:
             result.metrics[f"{prefix}.rollback_s"] = rollback_s
         result.compare(
@@ -954,27 +877,27 @@ def run_unit(params: ScorecardParams, index: int,
         result.compare(
             f"{prefix}: containment invisible to non-validating clients",
             "zero wrong answers fleet-wide, availability ~100%",
-            (f"{len(outcome.blast)} machine(s) served wrong answers "
+            (f"{len(run.first_wrong)} machine(s) served wrong answers "
              f"({len(escaped)} outside the cohort), availability "
              f"{report.overall_availability:.1%}"),
-            not outcome.blast
+            not run.first_wrong
             and report.overall_availability >= 0.99)
     if slo.expect_reject:
-        result.metrics[f"{prefix}.rejections"] = float(
-            outcome.rollout_rejections)
+        result.metrics[f"{prefix}.rejections"] = float(train.rejections)
         result.compare(
             f"{prefix}: validator rejects every bad release up front",
             f"{slo.expect_reject} rejected, zero wrong answers served",
-            (f"{outcome.rollout_rejections} rejected, "
-             f"{len(outcome.blast)} machine(s) served wrong answers"),
-            outcome.rollout_rejections == slo.expect_reject
-            and not outcome.blast)
+            (f"{train.rejections} rejected, "
+             f"{len(run.first_wrong)} machine(s) served wrong answers"),
+            train.rejections == slo.expect_reject and not run.first_wrong)
     if slo.defense:
+        floods = {FaultKind.ATTACK_FLOOD}
         result.metrics[f"{prefix}.defense_max_level"] = float(
-            outcome.defense_max_level)
+            controller.max_level)
         result.metrics[f"{prefix}.defense_reverts"] = float(
-            outcome.defense_reverts)
-        attack_ttd = outcome.defense_attack_detect_seconds
+            controller.reverts)
+        attack_ttd = run.seconds_to_alert(ATTACK_QPS_ALERT,
+                                          run.injects(floods))
         if attack_ttd is not None:
             result.metrics[f"{prefix}.attack_ttd_s"] = attack_ttd
         result.compare(
@@ -988,13 +911,14 @@ def run_unit(params: ScorecardParams, index: int,
         result.compare(
             f"{prefix}: ladder climbs under sustained attack",
             f">= {DEFENSE_MIN_CLIMB} rungs engaged",
-            f"max level {outcome.defense_max_level}",
-            outcome.defense_max_level >= DEFENSE_MIN_CLIMB)
+            f"max level {controller.max_level}",
+            controller.max_level >= DEFENSE_MIN_CLIMB)
+        engaged_at = next((t.time for t in controller.transitions
+                           if t.action == "engage"), None)
+        attack_end = max(run.clears(floods), default=None)
         floor = None
-        if (outcome.defense_engaged_at is not None
-                and outcome.defense_attack_end is not None):
-            floor = report.availability_between(
-                outcome.defense_engaged_at, outcome.defense_attack_end)
+        if engaged_at is not None and attack_end is not None:
+            floor = report.availability_between(engaged_at, attack_end)
             result.metrics[f"{prefix}.mitigation_availability"] = floor
         result.compare(
             f"{prefix}: legitimate availability floor while mitigating",
@@ -1002,25 +926,33 @@ def run_unit(params: ScorecardParams, index: int,
             ("ladder never engaged" if floor is None
              else f"{floor:.1%}"),
             floor is not None and floor >= DEFENSE_FLOOR)
+        unwound_at = controller.unwound_at()
         unwind_s = None
-        if (outcome.defense_unwound_at is not None
-                and outcome.defense_attack_end is not None):
-            unwind_s = (outcome.defense_unwound_at
-                        - outcome.defense_attack_end)
+        if unwound_at is not None and attack_end is not None:
+            unwind_s = unwound_at - attack_end
             result.metrics[f"{prefix}.unwind_s"] = unwind_s
         result.compare(
             f"{prefix}: every mitigation unwinds after the attack",
             f"ladder back to level 0 <= {DEFENSE_UNWIND_SECONDS:.0f}s "
             f"after the flood stops",
-            (f"still at level {outcome.defense_final_level}"
-             if outcome.defense_final_level else
+            (f"still at level {controller.level}"
+             if controller.level else
              ("never engaged" if unwind_s is None
               else f"unwound {unwind_s:.1f}s after the attack ended")),
-            outcome.defense_final_level == 0
+            controller.level == 0
             and unwind_s is not None
             and unwind_s <= DEFENSE_UNWIND_SECONDS)
         if slo.defense_overblock:
-            revert_after = outcome.defense_revert_after
+            # Engage-to-revert delta of the first guardrail revert.
+            revert_after, engaged = None, {}
+            for transition in controller.transitions:
+                if transition.action == "engage":
+                    engaged[transition.rung] = transition.time
+                elif transition.action == "revert":
+                    if transition.rung in engaged:
+                        revert_after = (transition.time
+                                        - engaged[transition.rung])
+                    break
             if revert_after is not None:
                 result.metrics[f"{prefix}.revert_after_s"] = revert_after
             result.compare(
@@ -1028,44 +960,56 @@ def run_unit(params: ScorecardParams, index: int,
                 f"auto-revert + latch within its {OVERBLOCK_SOAK:.0f}s "
                 f"soak window",
                 ("no revert happened" if revert_after is None
-                 else f"{outcome.defense_reverts} revert(s), first "
+                 else f"{controller.reverts} revert(s), first "
                       f"{revert_after:.1f}s after engage"),
-                outcome.defense_reverts >= 1
+                controller.reverts >= 1
                 and revert_after is not None
                 and revert_after <= OVERBLOCK_SOAK)
     if slo.gray:
+        gray = {kind for kind in FaultKind if kind.value.startswith("gray_")}
         result.metrics[f"{prefix}.gray_convictions"] = float(
-            outcome.gray_convictions)
+            grayfail.convictions)
         result.metrics[f"{prefix}.gray_suspensions"] = float(
-            outcome.gray_suspensions)
-        result.metrics[f"{prefix}.gray_denials"] = float(
-            outcome.gray_denials)
-        result.metrics[f"{prefix}.gray_rejoins"] = float(
-            outcome.gray_rejoins)
-        if outcome.gray_ttd_seconds is not None:
-            result.metrics[f"{prefix}.gray_ttd_s"] = \
-                outcome.gray_ttd_seconds
-        if outcome.gray_detection_latency is not None:
+            grayfail.suspensions)
+        result.metrics[f"{prefix}.gray_denials"] = float(grayfail.denials)
+        result.metrics[f"{prefix}.gray_rejoins"] = float(grayfail.rejoins)
+        # First gray inject to first conviction.
+        gray_injects = run.injects(gray)
+        gray_ttd = None
+        if gray_injects:
+            convicted_at = [t for t, _, verdict in grayfail.timeline
+                            if verdict == "convicted"
+                            and t >= min(gray_injects)]
+            if convicted_at:
+                gray_ttd = min(convicted_at) - min(gray_injects)
+        if gray_ttd is not None:
+            result.metrics[f"{prefix}.gray_ttd_s"] = gray_ttd
+        # Slowest first-differential-evidence-to-conviction latency.
+        latency = max((seconds for _, seconds in grayfail.detections),
+                      default=None)
+        if latency is not None:
             result.metrics[f"{prefix}.gray_evidence_to_conviction_s"] = \
-                outcome.gray_detection_latency
-        verdicts = outcome.gray_final_verdicts
+                latency
+        verdicts = grayfail.verdict_counts()
         healthy_fleet = set(verdicts) <= {"healthy"}
         verdict_text = ", ".join(f"{count} {verdict}"
                                  for verdict, count in sorted(
                                      verdicts.items()))
         if slo.gray_quorum_guard:
+            budget = run.deployment.coordinator.max_concurrent
             result.compare(
                 f"{prefix}: quorum refuses to mass-suspend",
-                f"suspensions <= budget of {outcome.gray_budget}, "
-                f">= 1 denial",
-                f"{outcome.gray_convictions} convicted, "
-                f"{outcome.gray_suspensions} suspended, "
-                f"{outcome.gray_denials} denied",
-                0 < outcome.gray_suspensions <= outcome.gray_budget
-                and outcome.gray_denials >= 1)
+                f"suspensions <= budget of {budget}, >= 1 denial",
+                f"{grayfail.convictions} convicted, "
+                f"{grayfail.suspensions} suspended, "
+                f"{grayfail.denials} denied",
+                0 < grayfail.suspensions <= budget
+                and grayfail.denials >= 1)
+            gray_clears = run.clears(gray)
             floor = None
-            if outcome.gray_window is not None:
-                floor = report.availability_between(*outcome.gray_window)
+            if gray_injects and gray_clears:
+                floor = report.availability_between(min(gray_injects),
+                                                    max(gray_clears))
                 result.metrics[f"{prefix}.gray_window_availability"] = \
                     floor
             result.compare(
@@ -1079,18 +1023,17 @@ def run_unit(params: ScorecardParams, index: int,
                 f"{prefix}: fleet heals after the faults clear",
                 "all verdicts healthy, suspended machines rejoined",
                 f"final verdicts: {verdict_text}; "
-                f"{outcome.gray_rejoins} rejoined",
-                healthy_fleet and outcome.gray_rejoins >= 1)
+                f"{grayfail.rejoins} rejoined",
+                healthy_fleet and grayfail.rejoins >= 1)
         else:
             result.compare(
                 f"{prefix}: gray machine convicted and quorum-suspended",
                 "conviction routed through the suspension quorum",
-                f"{outcome.gray_convictions} conviction(s), "
-                f"{outcome.gray_suspensions} quorum-granted "
+                f"{grayfail.convictions} conviction(s), "
+                f"{grayfail.suspensions} quorum-granted "
                 f"suspension(s)",
-                outcome.gray_convictions >= 1
-                and outcome.gray_suspensions >= 1)
-            blind = outcome.gray_self_healthy
+                grayfail.convictions >= 1 and grayfail.suspensions >= 1)
+            blind = run.self_healthy
             result.compare(
                 f"{prefix}: self-monitoring stays blind (gray property)",
                 "machine's own health suite green at conviction time",
@@ -1098,7 +1041,6 @@ def run_unit(params: ScorecardParams, index: int,
                  f"machine(s) self-reported healthy" if blind
                  else "no conviction recorded"),
                 bool(blind) and all(blind.values()))
-            gray_ttd = outcome.gray_ttd_seconds
             result.compare(
                 f"{prefix}: external prober detects within budget",
                 f"conviction <= {MAX_DETECTION_SECONDS:.0f}s "
@@ -1110,10 +1052,9 @@ def run_unit(params: ScorecardParams, index: int,
             result.compare(
                 f"{prefix}: probationary rejoin after the fault clears",
                 ">= 1 rejoin, fleet back to all-healthy verdicts",
-                f"{outcome.gray_rejoins} rejoin(s), final verdicts: "
+                f"{grayfail.rejoins} rejoin(s), final verdicts: "
                 f"{verdict_text}",
-                outcome.gray_rejoins >= 1 and healthy_fleet)
-    ttd = outcome.detection_seconds
+                grayfail.rejoins >= 1 and healthy_fleet)
     if slo.expect_dip:
         # Client-visible degradation must also be *operator*-visible:
         # the probe-failure detector has to fire, and quickly.

@@ -15,7 +15,7 @@ from typing import Callable, Protocol
 
 from ..dnscore.message import Message, ResponseTemplate, make_response
 from ..dnscore.name import Name
-from ..dnscore.records import ResourceRecord, RRset
+from ..dnscore.records import RRset
 from ..dnscore.rrtypes import Opcode, RClass, RCode, RType
 from ..dnscore.zone import LookupResult, LookupStatus, NxdomainIndex, Zone
 from ..dnssec.denial import (
@@ -209,14 +209,6 @@ class DnssecServing:
     def now(self) -> float:
         clock = self.clock
         return clock() if clock is not None else 0.0
-
-
-def _reowned(rrset: RRset, owner: Name) -> RRset:
-    """A copy of ``rrset`` re-owned at ``owner`` (wildcard expansion)."""
-    clone = RRset(owner, rrset.rtype, rrset.rclass, rrset.ttl)
-    clone.records = [ResourceRecord(owner, r.rtype, r.rclass, r.ttl, r.rdata)
-                     for r in rrset.records]
-    return clone
 
 
 class AuthoritativeEngine:
@@ -494,7 +486,7 @@ class AuthoritativeEngine:
                 sigs = covering_rrsigs(zone, source, rrset.rtype)
                 if sigs is not None:
                     response.add_rrset("answers",
-                                       _reowned(sigs, rrset.name))
+                                       sigs.with_owner(rrset.name))
                 # RFC 4035 3.1.3.3: a wildcard expansion must prove the
                 # qname itself does not exist.
                 self._attach_chain_denial(zone, question.qname, response,

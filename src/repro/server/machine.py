@@ -25,9 +25,8 @@ from typing import Callable
 from ..dnscore.errors import ZoneError
 from ..dnscore.message import Message, make_response
 from ..dnscore.name import Name
-from ..dnscore.rdata import DNSKEY, RRSIG
-from ..dnscore.rrtypes import RCode, RType
-from ..dnscore.validate import ZoneUpdate, validate_update
+from ..dnscore.rrtypes import RCode
+from ..dnscore.validate import ZoneUpdate, rrsig_key_checks, validate_update
 from ..dnscore.zone import Zone
 from ..filters.base import QueryContext, ScoringPipeline
 from ..filters.nxdomain import NXDomainFilter
@@ -149,24 +148,11 @@ def _signature_horizon(zone: Zone) -> tuple[bool, float]:
     publishes or one whose signatures have lapsed, the two botched-
     rollover shapes the canary gate must catch.
     """
-    dnskey_rrset = zone.get_rrset(zone.origin, RType.DNSKEY)
-    if dnskey_rrset is None:
-        return (True, float("inf"))
-    tags = {record.rdata.key_tag() for record in dnskey_rrset.records
-            if isinstance(record.rdata, DNSKEY)}
     keys_ok = True
     horizon = float("inf")
-    for rrset in zone.iter_rrsets():
-        if rrset.rtype is not RType.RRSIG:
-            continue
-        for record in rrset.records:
-            rrsig = record.rdata
-            if not isinstance(rrsig, RRSIG):
-                continue
-            if rrsig.signer != zone.origin or rrsig.key_tag not in tags:
-                keys_ok = False
-            if rrsig.expiration < horizon:
-                horizon = float(rrsig.expiration)
+    for _owner, rrsig, key_published in rrsig_key_checks(zone):
+        keys_ok = keys_ok and key_published
+        horizon = min(horizon, float(rrsig.expiration))
     return (keys_ok, horizon)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from functools import partial
 
 from ..dnscore.message import Message
 from ..netsim.clock import EventLoop
@@ -42,22 +43,28 @@ class ResponseEnvelope:
     wire: bytes | None = None
 
 
-def encode_response(machine: NameserverMachine,
-                    query_envelope: QueryEnvelope,
-                    response: Message) -> bytes | None:
-    """Wire-encode a response under the transport's size limit.
+def send_reply(network: Network, address: str, machine: NameserverMachine,
+               query_dgram: Datagram, response: Message) -> None:
+    """Send ``machine``'s ``response`` from ``address`` back to the
+    querier, ports swapped.
 
-    UDP responses are capped at the EDNS-advertised payload size (512
-    octets without EDNS); TCP responses are unlimited. Returns None when
-    the machine is not running in wire mode.
+    In wire mode the response is also encoded under the transport's
+    size limit: UDP responses are capped at the EDNS-advertised payload
+    size (512 octets without EDNS); TCP responses are unlimited.
     """
-    if not machine.config.wire_responses:
-        return None
-    if query_envelope.tcp:
-        return response.to_wire()
-    edns = query_envelope.message.edns
-    limit = edns.payload_size if edns is not None else 512
-    return response.to_wire(max_size=limit)
+    wire = None
+    if machine.config.wire_responses:
+        query_envelope: QueryEnvelope = query_dgram.payload
+        if query_envelope.tcp:
+            wire = response.to_wire()
+        else:
+            edns = query_envelope.message.edns
+            wire = response.to_wire(
+                max_size=edns.payload_size if edns is not None else 512)
+    network.send(Datagram(
+        src=address, dst=query_dgram.src,
+        payload=ResponseEnvelope(response, machine.machine_id, wire=wire),
+        src_port=query_dgram.dst_port, dst_port=query_dgram.src_port))
 
 
 def ecmp_hash(flow_key: tuple[str, int, str, int]) -> int:
@@ -101,18 +108,8 @@ class PoP:
         if machine.machine_id in self.machines:
             raise ValueError(f"duplicate machine {machine.machine_id}")
         self.machines[machine.machine_id] = machine
-        machine.respond = self._make_responder(machine.machine_id)
-
-    def _make_responder(self, machine_id: str):
-        def respond(query_dgram: Datagram, response: Message) -> None:
-            wire = encode_response(self.machines[machine_id],
-                                   query_dgram.payload, response)
-            envelope = ResponseEnvelope(response, machine_id, wire=wire)
-            reply = Datagram(src=self.router_id, dst=query_dgram.src,
-                             payload=envelope, src_port=query_dgram.dst_port,
-                             dst_port=query_dgram.src_port)
-            self.network.send(reply)
-        return respond
+        machine.respond = partial(send_reply, self.network, self.router_id,
+                                  machine)
 
     # -- machine BGP sessions -----------------------------------------------------
 

@@ -6,12 +6,15 @@ alert. Both read ``VISIBLE_DIP_RATIO``; for six PRs they did not, the
 paper-scale ``defense-guardrail`` row was red (worst window 80 %, alert
 threshold 25 % failures) and tier-1, which ran ``--fast`` at seed 42
 only, stayed green.
+
+Also the grader's own rules: which recovery is the worst, and that the
+availability row's healthy baseline is the first ``WARMUP`` seconds of
+probing, not [0, ``WARMUP``) of loop time, which the probe never sees.
 """
 
 import pytest
 
 from repro.chaos import Campaign, FaultKind, FaultSpec, Schedule
-
 from repro.experiments import resilience_scorecard as scorecard
 
 EXPECT_DIP = [entry.name for entry in scorecard.SUITES["standard"]
@@ -37,24 +40,18 @@ def test_defense_guardrail_is_detected_at_paper_scale():
     assert result.all_hold, result.render()
 
 
-def _worst_recovery(recoveries):
-    return scorecard.CampaignOutcome(
-        campaign=None, report=None, recoveries=recoveries,
-        fault_log="").worst_recovery
-
-
 class TestWorstRecovery:
     def test_no_clears_is_an_instant_recovery(self):
-        assert _worst_recovery([]) == 0.0
+        assert scorecard.worst_recovery([]) == 0.0
 
     def test_a_final_clear_that_never_recovers_is_none(self):
         recoveries = [("a", 10.0, 2.0), ("b", 30.0, None)]
-        assert _worst_recovery(recoveries) is None
+        assert scorecard.worst_recovery(recoveries) is None
 
     def test_a_masked_earlier_clear_yields_the_largest_measured(self):
         recoveries = [("a", 10.0, None), ("b", 20.0, 4.5),
                       ("c", 30.0, 1.5)]
-        assert _worst_recovery(recoveries) == 4.5
+        assert scorecard.worst_recovery(recoveries) == 4.5
 
 
 def test_damage_inside_the_baseline_window_misses_availability(

@@ -58,6 +58,7 @@ class TestProberPassivity:
                      "total_servfails", "total_timeouts"):
             assert getattr(probed.report, attr) \
                 == getattr(base.report, attr)
-        assert probed.gray_convictions == 0
-        assert probed.gray_suspensions == 0
-        assert set(probed.gray_final_verdicts) == {"healthy"}
+        grayfail = probed.deployment.grayfail
+        assert grayfail.convictions == 0
+        assert grayfail.suspensions == 0
+        assert set(grayfail.verdict_counts()) == {"healthy"}

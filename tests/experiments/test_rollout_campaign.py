@@ -53,13 +53,14 @@ class TestContainmentCampaign:
     def test_blast_radius_confined_to_canaries(self):
         entry = scorecard.SUITES["standard"][index_of("rollout-containment")]
         assert entry.slo.rollout and entry.slo.contain_blast
-        outcome = scorecard.run_campaign(PARAMS, entry)
-        hit = set(outcome.blast)
+        run = scorecard.run_campaign(PARAMS, entry)
+        hit = set(run.first_wrong)
+        canaries = {m.machine_id for m in run.deployment.rollout.canaries}
         assert hit, "the corruption never reached a canary"
-        assert hit <= set(outcome.canary_ids), \
-            f"blast escaped the cohort: {hit - set(outcome.canary_ids)}"
-        assert outcome.rollback_complete_seconds is not None
-        assert outcome.rollback_complete_seconds <= scorecard.ROLLOUT_SOAK
+        assert hit <= canaries, \
+            f"blast escaped the cohort: {hit - canaries}"
+        assert run.rollback_seconds() is not None
+        assert run.rollback_seconds() <= scorecard.ROLLOUT_SOAK
 
 
 def test_scorecard_is_deterministic():
