@@ -93,11 +93,21 @@ MUTANTS = (
                ("            cool_off_seconds=300.0))\n",
                 "            cool_off_seconds=300.0))\n"
                 "        overblock_rung.engage(deployment.loop.now)\n"))),
+    Mutant("disengage-past-the-revert", "ROB002",
+           "src/repro/control/defense.py", (
+               ("        self.reverts += 1\n",
+                "        self.reverts += 1\n"
+                "        rung.disengage(now)\n"),)),
     Mutant("suspend-on-a-denied-lease", "ROB003",
            "src/repro/server/monitoring.py", (
                ("            self.metrics.suspensions_denied += 1\n",
                 "            self.metrics.suspensions_denied += 1\n"
                 "            self.machine.suspend()\n"),)),
+    Mutant("suspend-on-a-denied-verdict", "ROB003",
+           "src/repro/control/grayfail.py", (
+               ("                    self.denials += 1\n",
+                "                    self.denials += 1\n"
+                "                    machine.suspend()\n"),)),
     Mutant("suspend-in-the-crash-loop", "ROB003",
            "src/repro/chaos/injectors.py", (
                ("        if machine.state != MachineState.CRASHED:\n"

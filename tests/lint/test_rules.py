@@ -5,6 +5,8 @@ Every rule code must (a) fire on a deliberately seeded violation,
 suppression — the acceptance contract for the rule set.
 """
 
+import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ import pytest
 from repro.lint import ALL_RULES, lint_source, rule_by_code
 from repro.lint.core import Severity
 
+REPO_ROOT = Path(__file__).resolve().parents[2]
 SIM_PATH = "src/repro/netsim/fake.py"
 EXPERIMENT_PATH = "src/repro/experiments/fake.py"
 
@@ -326,9 +329,9 @@ class TestZoneInstall:
         src = "def f(pipeline, x):\n    pipeline.add(x)\n    items.add(x)\n"
         assert codes(src, path=SIM_PATH) == []
 
-    def test_rollout_module_exempt(self):
+    def test_rollout_module_flagged(self):
         src = "def f(store, zone):\n    store.add(zone)\n"
-        assert codes(src, path="src/repro/control/rollout.py") == []
+        assert codes(src, path="src/repro/control/rollout.py") == ["ROB001"]
 
     def test_tests_out_of_scope(self):
         src = "def f(store, zone):\n    store.add(zone)\n"
@@ -362,9 +365,19 @@ class TestMitigatorEngage:
         src = "def f(rung, now):\n    rung.engage(now)\n"
         assert codes(src, path="tests/telemetry/fake.py") == ["ROB002"]
 
-    def test_defense_module_exempt(self):
+    def test_defense_module_flagged(self):
         src = "def f(rung, now):\n    rung.engage(now)\n"
-        assert codes(src, path="src/repro/control/defense.py") == []
+        assert codes(src, path="src/repro/control/defense.py") == ["ROB002"]
+
+    def test_defense_bypass_beside_the_seam_flagged(self):
+        # The controller's own rung calls are suppressed line by line,
+        # so a further call anywhere in the module is still caught.
+        path = "src/repro/control/defense.py"
+        src = ((REPO_ROOT / path).read_text()
+               + "\n\ndef bypass(rung, now):\n    rung.engage(now)\n")
+        findings = lint_source(src, path=path)
+        assert [(f.code, f.line) for f in findings] == \
+            [("ROB002", src.count("\n"))]
 
     def test_unrelated_receiver_is_fine(self):
         src = ("def f(clutch, gear):\n"
@@ -400,13 +413,15 @@ class TestSuspensionPath:
         src = "def f(gray_machine):\n    gray_machine.resume()\n"
         assert codes(src, path=SIM_PATH) == ["ROB003"]
 
-    def test_grayfail_module_exempt(self):
+    def test_grayfail_module_flagged(self):
         src = "def f(machine):\n    machine.suspend()\n"
-        assert codes(src, path="src/repro/control/grayfail.py") == []
+        assert codes(src, path="src/repro/control/grayfail.py") == \
+            ["ROB003"]
 
-    def test_recovery_module_exempt(self):
+    def test_recovery_module_flagged(self):
         src = "def f(machine):\n    machine.resume()\n"
-        assert codes(src, path="src/repro/control/recovery.py") == []
+        assert codes(src, path="src/repro/control/recovery.py") == \
+            ["ROB003"]
 
     def test_tests_out_of_scope(self):
         src = "def f(machine):\n    machine.suspend()\n"
@@ -448,3 +463,55 @@ class TestRuleCatalogue:
     def test_syntax_error_reported_not_raised(self):
         findings = lint_source("def broken(:\n")
         assert [f.code for f in findings] == ["E999"]
+
+
+#: The guarded seams, (module under src/repro, enclosing function, code):
+#: the only places a ROB rule may be suppressed.
+SEAMS = [
+    ("control/consensus.py", "QuorumSuspensionCoordinator.resume", "ROB003"),
+    ("control/consensus.py", "QuorumSuspensionCoordinator.suspend", "ROB003"),
+    ("control/defense.py", "DefenseController._disengage_top", "ROB002"),
+    ("control/defense.py", "DefenseController._engage", "ROB002"),
+    ("server/machine.py", "NameserverMachine.install_zone", "ROB001"),
+]
+_SUPPRESSION = re.compile(r"reprolint: disable(-next)?=(\S+)")
+
+
+def _functions(node, prefix=""):
+    """(qualified name, node) of every function under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                              ast.AsyncFunctionDef)):
+            qualname = prefix + child.name
+            if not isinstance(child, ast.ClassDef):
+                yield qualname, child
+            yield from _functions(child, qualname + ".")
+
+
+def rob_suppressions():
+    """(module, enclosing function, code) per ROB suppression in src/."""
+    root = REPO_ROOT / "src" / "repro"
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        text = path.read_text()
+        for number, line in enumerate(text.splitlines(), 1):
+            match = _SUPPRESSION.search(line)
+            if match is None:
+                continue
+            target = number + 1 if match.group(1) else number
+            enclosing = max(
+                ((node.lineno, qualname) for qualname, node
+                 in _functions(ast.parse(text))
+                 if node.lineno <= target <= node.end_lineno),
+                default=(0, None))[1]
+            found += [(path.relative_to(root).as_posix(), enclosing, code)
+                      for code in match.group(2).split(",")
+                      if code.startswith("ROB")]
+    return sorted(found)
+
+
+def test_rob_suppressions_sit_only_at_the_seams():
+    # A bootstrap or controller that wants past a guard builds through
+    # the seam instead (ZoneStore(zones), the coordinator's suspend and
+    # resume, the ladder's tick); it does not join this list.
+    assert rob_suppressions() == SEAMS

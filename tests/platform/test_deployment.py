@@ -45,7 +45,7 @@ class TestTopologyInvariants:
         assert len(delayed) == len(deployment.clouds)
         for dep in delayed:
             assert dep.machine.config.input_delayed
-            assert not dep.agent.allow_self_suspend
+            assert dep.agent.coordinator is None
 
     def test_fleet_advertises_after_settle(self, deployment):
         for cloud in deployment.clouds:

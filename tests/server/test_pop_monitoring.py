@@ -5,6 +5,7 @@ import zlib
 
 import pytest
 
+from repro.control.consensus import QuorumSuspensionCoordinator
 from repro.dnscore import RType, make_query, name, parse_zone_text
 from repro.filters import QueuePolicy, ScoringPipeline
 from repro.netsim import (
@@ -152,7 +153,9 @@ class TestMonitoringAgent:
     def test_detects_fault_and_self_suspends(self, world):
         loop, net, pop = world
         machine, speaker = add_machine(loop, pop, "m1")
-        agent = MonitoringAgent(loop, machine, speaker)
+        agent = MonitoringAgent(
+            loop, machine, speaker,
+            coordinator=QuorumSuspensionCoordinator(loop))
         speaker.advertise_all()
         loop.run_until(5)
         machine.set_fault("wrong_answer")
@@ -164,7 +167,9 @@ class TestMonitoringAgent:
     def test_resumes_after_recovery(self, world):
         loop, net, pop = world
         machine, speaker = add_machine(loop, pop, "m1")
-        agent = MonitoringAgent(loop, machine, speaker)
+        agent = MonitoringAgent(
+            loop, machine, speaker,
+            coordinator=QuorumSuspensionCoordinator(loop))
         speaker.advertise_all()
         loop.run_until(5)
         machine.set_fault("unresponsive")
@@ -195,8 +200,11 @@ class TestMonitoringAgent:
         machine, speaker = add_machine(loop, pop, "m1")
 
         class Deny:
-            def request_suspension(self, machine_id):
+            def suspend(self, machine, speaker):
                 return False
+
+            def resume(self, machine, speaker):
+                pass
 
             def release_suspension(self, machine_id):
                 pass
@@ -220,7 +228,8 @@ class TestMonitoringAgent:
         machine, speaker = add_machine(
             loop, pop, "m1",
             config=MachineConfig(staleness_threshold=10.0))
-        MonitoringAgent(loop, machine, speaker)
+        MonitoringAgent(loop, machine, speaker,
+                        coordinator=QuorumSuspensionCoordinator(loop))
         speaker.advertise_all()
         machine.receive_metadata(0.0)
         loop.run_until(5)
@@ -238,6 +247,7 @@ class TestMonitoringAgent:
         failures = {"fail": False}
         MonitoringAgent(
             loop, machine, speaker,
+            coordinator=QuorumSuspensionCoordinator(loop),
             regression_tests=[lambda m: not failures["fail"]])
         speaker.advertise_all()
         loop.run_until(3)
@@ -246,9 +256,24 @@ class TestMonitoringAgent:
         loop.run_until(6)
         assert machine.state == MachineState.SUSPENDED
 
+    def test_without_coordinator_never_self_suspends(self, world):
+        # Input-delayed machines run an agent with no coordinator: it
+        # keeps testing but never takes the machine out of service.
+        loop, net, pop = world
+        machine, speaker = add_machine(loop, pop, "m1")
+        agent = MonitoringAgent(loop, machine, speaker)
+        speaker.advertise_all()
+        loop.run_until(5)
+        machine.set_fault("wrong_answer")
+        loop.run_until(30)
+        assert machine.state == MachineState.RUNNING
+        assert pop.advertises(PREFIX)
+        assert agent.metrics.checks_run >= 10
+        assert (agent.metrics.suspensions,
+                agent.metrics.suspensions_denied) == (0, 0)
+
     def test_suspension_lease_renewed_while_held(self, world):
         loop, net, pop = world
-        from repro.control.consensus import QuorumSuspensionCoordinator
         coordinator = QuorumSuspensionCoordinator(loop, max_concurrent=1)
         machine, speaker = add_machine(loop, pop, "m1")
         MonitoringAgent(loop, machine, speaker,
