@@ -25,7 +25,6 @@ Targets:
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from typing import TYPE_CHECKING, Callable
 
 from ..control.pubsub import CDN_CHANNEL
@@ -33,7 +32,7 @@ from ..dnscore.name import name
 from ..dnscore.records import make_rrset
 from ..dnscore.rrtypes import DNSSEC_TYPES, RType
 from ..dnscore.validate import ZoneUpdate
-from ..dnscore.zone import Zone
+from ..dnscore.zone import Zone, soa_with_serial_delta
 from ..dnssec.keys import KeyRing
 from ..dnssec.sign import DNSKEY_TTL, SigningPolicy, ZoneSigner
 from ..netsim.clock import PeriodicTask
@@ -367,15 +366,6 @@ def _corrupted_copy(zone: Zone) -> Zone:
     return corrupt
 
 
-def _soa_with_serial_delta(zone: Zone, delta: int):
-    """The zone's SOA RRset with its serial shifted by ``delta``."""
-    soa_rrset = zone.soa
-    assert soa_rrset is not None
-    rdata = soa_rrset.records[0].rdata
-    return make_rrset(soa_rrset.name, RType.SOA, soa_rrset.ttl,
-                      [replace(rdata, serial=rdata.serial + delta)])
-
-
 def bad_zone_copy(zone: Zone, mode: str) -> Zone:
     """Build a corrupt copy of ``zone``, by corruption mode.
 
@@ -403,14 +393,14 @@ def bad_zone_copy(zone: Zone, mode: str) -> Zone:
         return bad
     if mode == "regressive":
         bad = Zone(zone.origin)
-        bad.add_rrset(_soa_with_serial_delta(zone, -1))
+        bad.add_rrset(soa_with_serial_delta(zone, -1))
         for rrset in zone.iter_rrsets():
             if rrset.rtype is not RType.SOA:
                 bad.add_rrset(rrset)
         return bad
     if mode == "renamed":
         bad = Zone(zone.origin)
-        bad.add_rrset(_soa_with_serial_delta(zone, +1))
+        bad.add_rrset(soa_with_serial_delta(zone, +1))
         index = 0
         for rrset in zone.iter_rrsets():
             if rrset.rtype is RType.SOA:
@@ -429,7 +419,7 @@ def bad_zone_copy(zone: Zone, mode: str) -> Zone:
 def _resignable_copy(zone: Zone) -> Zone:
     """Serial-bumped copy of ``zone`` with any DNSSEC records stripped."""
     fresh = Zone(zone.origin)
-    fresh.add_rrset(_soa_with_serial_delta(zone, +1))
+    fresh.add_rrset(soa_with_serial_delta(zone, +1))
     for rrset in zone.iter_rrsets():
         if rrset.rtype is RType.SOA or rrset.rtype in DNSSEC_TYPES:
             continue

@@ -14,8 +14,13 @@ than silently shrinking the fleet (design principle iii).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..netsim.clock import EventLoop
+
+if TYPE_CHECKING:  # annotations only; keeps control's import order
+    from ..server.machine import NameserverMachine
+    from ..server.speaker import MachineBGPSpeaker
 
 
 #: Replicas of the lease table; a grant needs a majority of them.
@@ -91,6 +96,22 @@ class QuorumSuspensionCoordinator:
         for replica in reachable:
             replica.grant(machine_id, expiry)
         return True
+
+    def suspend(self, machine: NameserverMachine,
+                speaker: MachineBGPSpeaker) -> bool:
+        """Lease, suspend, withdraw; False and no change if denied."""
+        if not self.request_suspension(machine.machine_id):
+            return False
+        machine.suspend()  # reprolint: disable=ROB003 -- the lease is held
+        speaker.withdraw_all()
+        return True
+
+    def resume(self, machine: NameserverMachine,
+               speaker: MachineBGPSpeaker) -> None:
+        """Resume, re-advertise, then free the machine's lease."""
+        machine.resume()  # reprolint: disable=ROB003 -- frees the lease
+        speaker.advertise_all()
+        self.release_suspension(machine.machine_id)
 
     def release_suspension(self, machine_id: str) -> None:
         """Release the lease on every reachable replica."""

@@ -391,7 +391,7 @@ class DefenseController:
             self.attack_loss = self._loss_between(
                 self._baseline_sample, self.estimator())
         rung = self.ladder[index]
-        rung.engage(now)
+        rung.engage(now)  # reprolint: disable=ROB002 -- the ladder's seam
         self._stack.append(index)
         self.max_level = max(self.max_level, len(self._stack))
         self._last_change = now
@@ -407,7 +407,7 @@ class DefenseController:
                        detail: str = "") -> None:
         index = self._stack.pop()
         rung = self.ladder[index]
-        rung.disengage(now)
+        rung.disengage(now)  # reprolint: disable=ROB002 -- the ladder's seam
         self._last_change = now
         self._rung_sample = (self.estimator()
                              if self.estimator is not None and self._stack

@@ -399,12 +399,8 @@ class GrayFailController:
         track.suspended_at = None
 
     def _rejoin(self, track: _Track, now: float) -> None:
-        machine = track.target.machine
-        machine.resume()
-        track.target.speaker.advertise_all()
-        if track.lease_held:
-            self.coordinator.release_suspension(machine.machine_id)
-            track.lease_held = False
+        self.coordinator.resume(track.target.machine, track.target.speaker)
+        track.lease_held = False
         self.rejoins += 1
         self._exonerate(track, now)
 
@@ -435,11 +431,9 @@ class GrayFailController:
                     # Crashed, or suspended by its own agent: nothing
                     # for the external controller to remove.
                     continue
-                if self.coordinator.request_suspension(machine.machine_id):
+                if self.coordinator.suspend(machine, track.target.speaker):
                     track.lease_held = True
                     track.suspended_at = now
-                    machine.suspend()
-                    track.target.speaker.withdraw_all()
                     self.suspensions += 1
                 else:
                     # Quorum says the concurrent-suspension budget is
@@ -582,15 +576,13 @@ class GrayFailController:
 
     def _on_response(self, vantage_id: str, dgram: Datagram) -> None:
         envelope = dgram.payload
-        message = envelope.message
-        if envelope.wire is not None:
-            try:
-                message = Message.from_wire(envelope.wire)
-            except WireFormatError:
-                # Dropped like a lost datagram: the probe stays pending
-                # and the machine shows one unanswered probe this round.
-                self.malformed_responses += 1
-                return
+        try:
+            message = envelope.read()
+        except WireFormatError:
+            # Dropped like a lost datagram: the probe stays pending and
+            # the machine shows one unanswered probe this round.
+            self.malformed_responses += 1
+            return
         pending = self._pending.pop((vantage_id, message.msg_id), None)
         if pending is None:
             return

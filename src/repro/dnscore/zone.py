@@ -11,7 +11,7 @@ the nameserver engine can assemble responses without re-deriving policy.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, TypeVar
 
 from .errors import ZoneError
@@ -398,3 +398,10 @@ def make_zone(origin: Name, soa: SOA, ns_targets: list[Name],
     zone.add_rrset(make_rrset(origin, RType.NS, ns_ttl or ttl,
                               [NS(t) for t in ns_targets]))
     return zone
+
+
+def soa_with_serial_delta(zone: Zone, delta: int) -> RRset:
+    """The zone's SOA RRset with its serial shifted by ``delta``."""
+    soa = zone.soa.records[0].rdata
+    return make_rrset(zone.origin, RType.SOA, zone.soa.ttl,
+                      [replace(soa, serial=soa.serial + delta)])

@@ -29,10 +29,9 @@ from dataclasses import dataclass, field
 
 from ..control.rollout import Release, RolloutCoordinator, RolloutPhase
 from ..dnscore.name import Name
-from ..dnscore.rdata import SOA
-from ..dnscore.records import ResourceRecord, RRset
+from ..dnscore.records import RRset
 from ..dnscore.rrtypes import RType
-from ..dnscore.zone import Zone
+from ..dnscore.zone import Zone, soa_with_serial_delta
 from ..netsim.clock import EventLoop
 from ..telemetry import state as _telemetry
 from .keys import FLAG_KSK, FLAG_ZSK, KeyPair
@@ -207,14 +206,7 @@ def _clone_with_bumped_serial(zone: Zone) -> Zone:
     clone = Zone(zone.origin)
     for rrset in zone.iter_rrsets():
         if rrset.rtype == RType.SOA:
-            old = rrset.records[0].rdata
-            assert isinstance(old, SOA)
-            bumped = SOA(old.mname, old.rname, old.serial + 1, old.refresh,
-                         old.retry, old.expire, old.minimum)
-            copy = RRset(rrset.name, rrset.rtype, rrset.rclass, rrset.ttl)
-            copy.add(ResourceRecord(rrset.name, rrset.rtype, rrset.rclass,
-                                    rrset.ttl, bumped))
-            clone.add_rrset(copy)
+            clone.add_rrset(soa_with_serial_delta(zone, 1))
             continue
         copy = RRset(rrset.name, rrset.rtype, rrset.rclass, rrset.ttl)
         for record in rrset.records:

@@ -77,9 +77,7 @@ def _build_zone(n_valid_hosts: int):
 def _testbed(zone: Zone, filter_enabled: bool = False) -> NameserverMachine:
     """The nameserver half of the testbed: one machine serving ``zone``
     on an event loop of its own."""
-    store = ZoneStore()
-    # reprolint: disable-next=ROB001 -- synthetic testbed bootstrap
-    store.add(zone)
+    store = ZoneStore([zone])
     engine = AuthoritativeEngine(store)
     filters = []
     if filter_enabled:
@@ -91,8 +89,7 @@ def _testbed(zone: Zone, filter_enabled: bool = False) -> NameserverMachine:
         MachineConfig(compute_capacity_qps=COMPUTE_CAPACITY,
                       io_capacity_qps=IO_CAPACITY,
                       io_burst_seconds=0.05,
-                      queue_depth=400,
-                      staleness_threshold=float("inf")))
+                      queue_depth=400))
 
 
 def _drive(params: Fig10Params | Fig10SignedParams,

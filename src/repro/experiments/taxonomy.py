@@ -59,15 +59,13 @@ class _Testbed:
     def __init__(self, seed: int) -> None:
         self.rng = random.Random(seed)
         self.loop = EventLoop()
-        store = ZoneStore()
         text = ("$ORIGIN tax.example.\n$TTL 300\n"
                 "@ IN SOA ns1.tax.example. admin.tax.example. "
                 "1 7200 3600 1209600 300\n"
                 "@ IN NS ns1.tax.example.\n"
                 + "".join(f"h{i} IN A 10.4.{i // 250}.{i % 250 + 1}\n"
                           for i in range(N_HOSTS)))
-        # reprolint: disable-next=ROB001 -- synthetic testbed bootstrap
-        store.add(parse_zone_text(text))
+        store = ZoneStore([parse_zone_text(text)])
         self.resolvers = [f"10.60.0.{i + 1}" for i in range(N_RESOLVERS)]
         self.filters = {
             "ratelimit": RateLimitFilter(),
@@ -89,8 +87,7 @@ class _Testbed:
             self.loop, "tax-ns", AuthoritativeEngine(store),
             ScoringPipeline(list(self.filters.values())), QueuePolicy(),
             MachineConfig(compute_capacity_qps=1_200.0,
-                          io_capacity_qps=15_000.0,
-                          staleness_threshold=float("inf")))
+                          io_capacity_qps=15_000.0))
         self.valid = [name(f"h{i}.tax.example") for i in range(N_HOSTS)]
         self._msg_id = 0
         self._legit_running = True

@@ -44,9 +44,7 @@ def _legit_zone(n_hosts: int = 200):
 
 def _nxdomain_share(seed: int, result: ExperimentResult) -> None:
     rng = random.Random(seed)
-    store = ZoneStore()
-    # reprolint: disable-next=ROB001 -- synthetic testbed bootstrap
-    store.add(_legit_zone())
+    store = ZoneStore([_legit_zone()])
     engine = AuthoritativeEngine(store)
     nxd = NXDomainFilter(store, NXDomainConfig(trigger_count=100,
                                                window_seconds=30.0))

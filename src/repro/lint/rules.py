@@ -17,9 +17,10 @@ Four families, mirroring the determinism contract in
   straight into a ``ZoneStore``; mitigations engage through the
   alert-driven ``control.defense`` ladder, never by direct
   ``engage()`` calls;
-  machine suspend/resume verdicts route through the quorum
-  suspension lease (``control.consensus``), never by direct
-  ``suspend()``/``resume()`` calls.
+  machines leave and rejoin service through the quorum suspension
+  coordinator's ``suspend``/``resume`` (``control.consensus``), never
+  by direct ``suspend()``/``resume()`` calls. No module is exempt:
+  the seams' own calls carry the only inline suppressions.
 """
 
 from __future__ import annotations
@@ -428,13 +429,6 @@ class BarePrintRule(Rule):
         self.generic_visit(node)
 
 
-#: The one module allowed to drive zone installs directly: the
-#: safe-rollout release train (validation lives inside
-#: ``NameserverMachine.install_zone``, which rollout deliveries use).
-_ZONE_INSTALL_EXEMPT = (
-    "src/repro/control/rollout.py",
-)
-
 #: Receiver names that identify a zone-store ``add`` call site.
 _ZONE_STORE_NAMES = frozenset({"store", "zone_store"})
 
@@ -447,17 +441,10 @@ class ZoneInstallRule(Rule):
                    "validator (dnscore.validate) and the last-known-good "
                    "retention that makes rollback possible; route zone "
                    "updates through NameserverMachine.install_zone or "
-                   "the rollout train. Build-time bootstrap sites carry "
-                   "an inline suppression.")
+                   "the rollout train. A store is built with its "
+                   "zones (ZoneStore(zones)); the one suppression is "
+                   "the add inside install_zone.")
     scopes = ("src/repro/",)
-
-    @classmethod
-    def applies_to(cls, path: str) -> bool:
-        if not super().applies_to(path):
-            return False
-        norm = "/" + path.replace("\\", "/").lstrip("/")
-        return not any(f"/{entry}" in norm
-                       for entry in _ZONE_INSTALL_EXEMPT)
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
@@ -476,14 +463,6 @@ class ZoneInstallRule(Rule):
         self.generic_visit(node)
 
 
-#: The module allowed to drive mitigations directly: the defense
-#: ladder's controller (which owns hysteresis, soak, ordering, and the
-#: collateral-damage guardrail).
-_ENGAGE_EXEMPT = (
-    "src/repro/control/defense.py",
-)
-
-
 #: Receiver names that identify a mitigation-engage call site.
 def _is_rung_name(identifier: str) -> bool:
     return identifier == "rung" or identifier.endswith("_rung")
@@ -497,17 +476,10 @@ class MitigatorEngageRule(Rule):
                    "the hysteresis, soak ordering, symmetric unwind and "
                    "collateral-damage guardrail that keep mitigations "
                    "from flapping or getting stuck; drive them through "
-                   "control.defense.DefenseController. Legitimate "
-                   "test/bootstrap sites carry an inline suppression.")
+                   "control.defense.DefenseController. The "
+                   "suppressions are the rung calls in its _engage "
+                   "and _disengage_top, and tests that drive a rung.")
     scopes = ("src/repro/", "tests/")
-
-    @classmethod
-    def applies_to(cls, path: str) -> bool:
-        if not super().applies_to(path):
-            return False
-        norm = "/" + path.replace("\\", "/").lstrip("/")
-        return not any(f"/{entry}" in norm
-                       for entry in _ENGAGE_EXEMPT)
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
@@ -528,14 +500,6 @@ class MitigatorEngageRule(Rule):
         self.generic_visit(node)
 
 
-#: Modules allowed to drive machine suspend/resume directly: the
-#: gray-failure verdict controller (every transition it makes is
-#: already gated on a quorum lease) and the restart/recovery flows.
-_SUSPEND_EXEMPT = (
-    "src/repro/control/grayfail.py",
-    "src/repro/control/recovery.py",
-)
-
 #: Receiver names that identify a nameserver-machine call site.
 def _is_machine_name(identifier: str) -> bool:
     return identifier == "machine" or identifier.endswith("_machine")
@@ -547,19 +511,11 @@ class SuspensionPathRule(Rule):
     severity = Severity.ERROR
     description = ("Direct NameserverMachine.suspend()/resume() calls "
                    "skip the quorum lease that bounds how much capacity "
-                   "may be down at once (section 4.2.2); route verdicts "
-                   "through control.consensus.SuspensionCoordinator "
-                   "(request/release) and suspend only on a grant. "
-                   "Grant-guarded sites carry an inline suppression.")
+                   "may be down at once (section 4.2.1); route verdicts "
+                   "through QuorumSuspensionCoordinator.suspend/"
+                   "resume, whose two machine calls are the one "
+                   "suppression.")
     scopes = ("src/repro/",)
-
-    @classmethod
-    def applies_to(cls, path: str) -> bool:
-        if not super().applies_to(path):
-            return False
-        norm = "/" + path.replace("\\", "/").lstrip("/")
-        return not any(f"/{entry}" in norm
-                       for entry in _SUSPEND_EXEMPT)
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
@@ -574,9 +530,9 @@ class SuspensionPathRule(Rule):
             if is_machine:
                 self.report(node, f"direct machine `{func.attr}()` "
                                   f"bypasses the quorum suspension lease "
-                                  f"(capacity bound); request a lease "
-                                  f"from the SuspensionCoordinator and "
-                                  f"act only on a grant")
+                                  f"(capacity bound); go through "
+                                  f"QuorumSuspensionCoordinator."
+                                  f"{func.attr}")
         self.generic_visit(node)
 
 

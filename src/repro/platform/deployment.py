@@ -352,15 +352,12 @@ class AkamaiDNSDeployment:
     def _make_machine(self, machine_id: str,
                       config: MachineConfig) -> tuple[NameserverMachine,
                                                       MappingView]:
-        store = ZoneStore()
-        for zone in self.akamai_zones:
-            # Fleet (toplevel) machines do NOT serve the lowlevel zone:
-            # they delegate it — that split *is* the Two-Tier system.
-            if zone.origin == self.names.lowlevel_zone:
-                continue
-            store.add(zone)  # reprolint: disable=ROB001 -- build bootstrap
-        for zone in self.enterprise_zones.values():
-            store.add(zone)  # reprolint: disable=ROB001 -- build bootstrap
+        # Fleet (toplevel) machines do NOT serve the lowlevel zone: they
+        # delegate it — that split *is* the Two-Tier system.
+        store = ZoneStore([
+            *(zone for zone in self.akamai_zones
+              if zone.origin != self.names.lowlevel_zone),
+            *self.enterprise_zones.values()])
         view = MappingView(self._locate_client, random.Random(
             self.rng.randrange(2**31)))
         view.snapshot = self._initial_snapshot
@@ -414,8 +411,7 @@ class AkamaiDNSDeployment:
             med=INPUT_DELAYED_MED if input_delayed else 0)
         agent = MonitoringAgent(
             self.loop, machine, speaker,
-            coordinator=None if input_delayed else self.coordinator,
-            allow_self_suspend=not input_delayed)
+            coordinator=None if input_delayed else self.coordinator)
         speaker.advertise_all()
         deployment = MachineDeployment(machine, speaker, agent, view,
                                        input_delayed)
@@ -429,14 +425,11 @@ class AkamaiDNSDeployment:
     def _simple_host(self, address: str, zones: list[Zone]) -> None:
         """A plain nameserver for ``zones`` at ``address``; the network
         holds the endpoint."""
-        store = ZoneStore()
-        for zone in zones:
-            store.add(zone)  # reprolint: disable=ROB001 -- build bootstrap
         machine = NameserverMachine(
-            self.loop, f"host-{address}", AuthoritativeEngine(store),
-            ScoringPipeline([]), QueuePolicy(),
-            MachineConfig(staleness_threshold=float("inf"),
-                          wire_responses=self.params.machine_config
+            self.loop, f"host-{address}",
+            AuthoritativeEngine(ZoneStore(zones)), ScoringPipeline([]),
+            QueuePolicy(),
+            MachineConfig(wire_responses=self.params.machine_config
                           .wire_responses))
         HostNameserver(self.loop, self.network, address, machine)
 
@@ -445,19 +438,16 @@ class AkamaiDNSDeployment:
         self.lowlevel_hosts: dict[str, HostNameserver] = {}
         lowlevel_zone = self.akamai_zones[1]
         for address in self.edge_addresses:
-            store = ZoneStore()
-            store.add(lowlevel_zone)  # reprolint: disable=ROB001 -- bootstrap
             view = MappingView(self._locate_client, random.Random(
                 self.rng.randrange(2**31)))
             view.snapshot = self._initial_snapshot
             engine = AuthoritativeEngine(
-                store, mapping=view,
+                ZoneStore([lowlevel_zone]), mapping=view,
                 dynamic_domains=[self.names.lowlevel_zone])
             machine = NameserverMachine(
                 self.loop, f"ll-{address}", engine, ScoringPipeline([]),
                 QueuePolicy(),
-                MachineConfig(staleness_threshold=float("inf"),
-                              wire_responses=self.params.machine_config
+                MachineConfig(wire_responses=self.params.machine_config
                               .wire_responses))
             machine.metadata_handlers["mapping"] = view.apply
             self.bus.subscribe(MULTICAST_CHANNEL, machine)

@@ -384,17 +384,12 @@ class RecursiveResolver:
 
     def handle_datagram(self, dgram: Datagram) -> None:
         """A response arrived at this resolver's host."""
-        envelope = dgram.payload
-        wire = getattr(envelope, "wire", None)
-        if wire is not None:
-            try:
-                message = Message.from_wire(wire)
-            except WireFormatError:
-                # Dropped like a lost datagram: the attempt times out.
-                self.malformed_responses += 1
-                return
-        else:
-            message = envelope.message
+        try:
+            message = dgram.payload.read()
+        except WireFormatError:
+            # Dropped like a lost datagram: the attempt times out.
+            self.malformed_responses += 1
+            return
         resolution = self._inflight.get(message.msg_id)
         if (resolution is None
                 or message.questions != resolution.pending_query.questions):

@@ -11,6 +11,7 @@ which is how the platform layer plugs in GTM/CDN load-balanced answers
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from typing import Callable, Protocol
 
 from ..dnscore.message import Message, ResponseTemplate, make_response
@@ -56,9 +57,10 @@ class DelegationProvider(Protocol):
 
 
 class ZoneStore:
-    """Holds zones indexed by origin with longest-match lookup."""
+    """Holds zones indexed by origin with longest-match lookup;
+    ``zones`` are added in order, as that many :meth:`add` calls would."""
 
-    def __init__(self) -> None:
+    def __init__(self, zones: Iterable[Zone] = ()) -> None:
         self._zones: dict[Name, Zone] = {}
         #: Bumped whenever the zone *set* changes (add/remove/replace):
         #: an unchanged generation means every qname still maps to the
@@ -70,6 +72,8 @@ class ZoneStore:
         #: instead of constructing a Name per ancestor.
         self._by_labels: dict[tuple[bytes, ...], Zone] = {}
         self._origins_sorted: tuple[Name, ...] | None = None
+        for zone in zones:
+            self.add(zone)
 
     def add(self, zone: Zone) -> None:
         zone.validate()

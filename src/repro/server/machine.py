@@ -203,7 +203,6 @@ class NameserverMachine:
         self._busy = False
         #: Observers notified on crash (monitoring agent).
         self.crash_listeners: list[Callable[["NameserverMachine"], None]] = []
-        self.state_listeners: list[Callable[["NameserverMachine"], None]] = []
         #: NXDOMAIN filter reference so responses feed its learning loop.
         self._nxdomain_filter: NXDomainFilter | None = next(
             (f for f in pipeline.filters if isinstance(f, NXDomainFilter)),
@@ -458,14 +457,12 @@ class NameserverMachine:
             self.state = MachineState.SUSPENDED
             _telemetry.record("machine_lifecycle_total", self.machine_id,
                               "suspended")
-            self._notify_state()
 
     def resume(self) -> None:
         if self.state == MachineState.SUSPENDED:
             self.state = MachineState.RUNNING
             _telemetry.record("machine_lifecycle_total", self.machine_id,
                               "resumed")
-            self._notify_state()
             self._kick()
 
     def crash(self, qname=None, qtype=None) -> None:
@@ -481,18 +478,12 @@ class NameserverMachine:
             self.firewall.record_crash(qname, qtype, self.loop.now)
         for listener in self.crash_listeners:
             listener(self)
-        self._notify_state()
         self.loop.call_later(self.config.restart_delay, self._restart)
 
     def _restart(self) -> None:
         if self.state == MachineState.CRASHED:
             self.state = MachineState.RUNNING
-            self._notify_state()
             self._kick()
-
-    def _notify_state(self) -> None:
-        for listener in self.state_listeners:
-            listener(self)
 
     def _zone_signatures_healthy(self, qname: Name) -> bool:
         """Probe-time DNSSEC self-check over the zone serving ``qname``.

@@ -27,11 +27,16 @@ from .speaker import MachineBGPSpeaker
 class SuspensionCoordinator(Protocol):
     """Platform service bounding concurrent self-suspensions."""
 
-    def request_suspension(self, machine_id: str) -> bool:
-        """True if the machine may suspend now."""
+    def suspend(self, machine: NameserverMachine,
+                speaker: MachineBGPSpeaker) -> bool:
+        """Suspend and withdraw under a lease; False if denied."""
+
+    def resume(self, machine: NameserverMachine,
+               speaker: MachineBGPSpeaker) -> None:
+        """Resume and re-advertise, then free the lease."""
 
     def release_suspension(self, machine_id: str) -> None:
-        """The machine resumed; free its suspension slot."""
+        """Free the machine's slot without resuming it (a crash)."""
 
     def renew(self, machine_id: str) -> bool:
         """Extend the machine's lease; False if it holds none."""
@@ -80,14 +85,14 @@ class MonitoringAgent:
     def __init__(self, loop: EventLoop, machine: NameserverMachine,
                  speaker: MachineBGPSpeaker, *,
                  coordinator: SuspensionCoordinator | None = None,
-                 allow_self_suspend: bool = True,
                  regression_tests: list[RegressionTest] | None = None
                  ) -> None:
         self.loop = loop
         self.machine = machine
         self.speaker = speaker
+        #: Bounds this agent's self-suspensions; without one the agent
+        #: never self-suspends (input-delayed machines).
         self.coordinator = coordinator
-        self.allow_self_suspend = allow_self_suspend
         self.regression_tests = list(regression_tests or [])
         self._probe_offset = 0
         #: Reused probe message per origin; only msg_id changes between
@@ -118,8 +123,7 @@ class MonitoringAgent:
             # machines that *need* to suspend are denied. The crash
             # withdrawal already protects clients, so free the slot.
             self._suspended_by_agent = False
-            if self.coordinator is not None:
-                self.coordinator.release_suspension(machine.machine_id)
+            self.coordinator.release_suspension(machine.machine_id)
 
     # -- periodic test suite -------------------------------------------------------
 
@@ -182,7 +186,7 @@ class MonitoringAgent:
         """One periodic agent cycle."""
         self.metrics.checks_run += 1
         machine = self.machine
-        if self._suspended_by_agent and self.coordinator is not None:
+        if self._suspended_by_agent:
             # Keep the suspension lease alive while we hold the slot, so
             # the platform-wide concurrency bound stays accurate.
             self.coordinator.renew(machine.machine_id)
@@ -199,33 +203,20 @@ class MonitoringAgent:
             self._handle_healthy()
 
     def _handle_unhealthy(self) -> None:
-        if self._suspended_by_agent or not self.allow_self_suspend:
+        if self._suspended_by_agent or self.coordinator is None:
             return
-        if (self.coordinator is not None and
-                not self.coordinator.request_suspension(
-                    self.machine.machine_id)):
+        if not self.coordinator.suspend(self.machine, self.speaker):
             self.metrics.suspensions_denied += 1
             _telemetry.record("machine_lifecycle_total",
                               self.machine.machine_id, "denied")
             return
-        # The quorum grant was obtained just above; this is the one
-        # sanctioned direct-suspension site outside the controllers.
-        # reprolint: disable-next=ROB003
-        self.machine.suspend()
-        self.speaker.withdraw_all()
         self._suspended_by_agent = True
         self.metrics.suspensions += 1
 
     def _handle_healthy(self) -> None:
         if self._suspended_by_agent:
-            # Resume releases the lease below; paired with the granted
-            # suspension in _handle_unhealthy.
-            # reprolint: disable-next=ROB003
-            self.machine.resume()
-            self.speaker.advertise_all()
+            self.coordinator.resume(self.machine, self.speaker)
             self._suspended_by_agent = False
-            if self.coordinator is not None:
-                self.coordinator.release_suspension(self.machine.machine_id)
             self.metrics.resumptions += 1
         elif self._withdrew_for_crash:
             # Recovered from a crash: resume advertising.

@@ -34,13 +34,20 @@ class ResponseEnvelope:
     prober attributes evidence by it).
 
     When the answering machine runs in wire mode, ``wire`` carries the
-    actual RFC 1035 encoding (possibly truncated with TC set) and
-    receivers must parse it rather than trust ``message``.
+    actual RFC 1035 encoding (possibly truncated with TC set), and
+    :meth:`read` parses it rather than trusting ``message``.
     """
 
     message: Message
     machine_id: str
     wire: bytes | None = None
+
+    def read(self) -> Message:
+        """The response as received; raises WireFormatError when the
+        wire does not parse."""
+        if self.wire is None:
+            return self.message
+        return Message.from_wire(self.wire)
 
 
 def send_reply(network: Network, address: str, machine: NameserverMachine,

@@ -133,10 +133,7 @@ def _bench_engine(plan_cache: bool = True):
     from ..dnscore import parse_zone_text
     from ..server.engine import AuthoritativeEngine, ZoneStore
 
-    store = ZoneStore()
-    # Bench fixture: no rollout machinery exists here to install through.
-    store.add(parse_zone_text(_BENCH_ZONE))  # reprolint: disable=ROB001
-    engine = AuthoritativeEngine(store)
+    engine = AuthoritativeEngine(ZoneStore([parse_zone_text(_BENCH_ZONE)]))
     engine.plan_cache_enabled = plan_cache
     return engine
 
