@@ -1,7 +1,7 @@
 """Authoritative zone data model and lookup semantics.
 
-A :class:`Zone` stores RRsets indexed by (name, type) and implements the
-full RFC 1034 section 4.3.2 lookup algorithm a production authoritative
+A :class:`Zone` stores RRsets in one table of name nodes and implements
+the full RFC 1034 section 4.3.2 lookup algorithm a production authoritative
 server needs: exact matches, zone cuts (referrals), CNAME aliases, wildcard
 synthesis, empty non-terminals, and NXDOMAIN with the SOA for negative
 caching. Lookup results are returned as a typed :class:`LookupResult` so
@@ -28,9 +28,16 @@ _SERIAL_HALF = 2**31
 #: The types a CNAME may share its node with (RFC 4035 section 2.5).
 _CNAME_COMPANIONS = DNSSEC_TYPES | {RType.CNAME}
 
-#: The node-type tuple of each single-type owner name, shared by every
-#: such node (most names in a large zone hold one type).
-_ONE_TYPE = {rtype: (rtype,) for rtype in RType}
+#: A name's RRsets in insertion order; ``()`` at an empty non-terminal.
+Node = tuple[RRset, ...]
+
+
+def _rrset_at(node: Node, rtype: RType) -> RRset | None:
+    """The RRset of type ``rtype`` in ``node``, if present."""
+    for rrset in node:
+        if rrset.rtype == rtype:
+            return rrset
+    return None
 
 
 def serial_gt(a: int, b: int) -> bool:
@@ -70,6 +77,10 @@ class LookupResult:
 class Zone:
     """One authoritative zone: an origin plus its RRsets.
 
+    Each name in the zone is one ``_nodes`` entry: its labels (a probe
+    needs no Name) map to its :data:`Node`, and a node's ancestors down
+    to the origin are nodes too.
+
     The zone enforces standard consistency rules on insert: exactly one
     SOA at the apex, no CNAME coexisting with other data at a node
     (RFC 1034 section 3.6.2), and no data below a zone cut other than
@@ -78,15 +89,7 @@ class Zone:
 
     def __init__(self, origin: Name) -> None:
         self.origin = origin
-        self._rrsets: dict[tuple[Name, RType], RRset] = {}
-        #: name -> rtypes present at that node, an immutable tuple
-        #: rebuilt on each change (a node holds a handful of types, and
-        #: a tuple is a quarter of a set's memory). Maintained so
-        #: authoring checks (CNAME exclusivity, emptied-node detection)
-        #: stay O(1) per insert instead of scanning every rrset — zone
-        #: builds are O(records^2) without it.
-        self._types_by_name: dict[Name, tuple[RType, ...]] = {}
-        self._names: set[Name] = set()
+        self._nodes: dict[tuple[bytes, ...], Node] = {}
         self._cuts: set[Name] = set()
         #: Bumped on every content mutation, so holders of derived state
         #: (the engine's response plans) detect staleness without
@@ -107,80 +110,77 @@ class Zone:
         if rrset.rclass != RClass.IN:
             raise ZoneError("only class IN zones are supported")
         rtype = rrset.rtype
-        node_types = self._types_by_name.get(rrset.name)
-        if node_types:
+        labels = rrset.name.labels
+        node = self._nodes.get(labels, ())
+        if node:
             # RFC 4035 section 2.5: RRSIG and NSEC (and the other
             # DNSSEC maintenance types) are exempt from the CNAME
             # single-type rule — a signed alias node holds all three.
-            if rtype == RType.CNAME \
-                    and not _CNAME_COMPANIONS.issuperset(node_types):
+            if rtype == RType.CNAME and any(
+                    held.rtype not in _CNAME_COMPANIONS for held in node):
                 raise ZoneError(
                     f"CNAME at {rrset.name} conflicts with other data")
             if rtype not in _CNAME_COMPANIONS \
-                    and RType.CNAME in node_types:
+                    and _rrset_at(node, RType.CNAME) is not None:
                 raise ZoneError(f"{rrset.name} already holds a CNAME")
-        if rtype == RType.SOA and rrset.name != self.origin:
+        if rtype == RType.SOA and labels != self.origin.labels:
             raise ZoneError("SOA must live at the zone apex")
-        self._rrsets[(rrset.name, rtype)] = rrset
-        if node_types is None:
-            self._types_by_name[rrset.name] = _ONE_TYPE.get(rtype) or (rtype,)
-        elif rtype not in node_types:
-            self._types_by_name[rrset.name] = node_types + (rtype,)
+        held = _rrset_at(node, rtype)
+        self._nodes[labels] = (node + (rrset,) if held is None else tuple(
+            rrset if r is held else r for r in node))
+        self._mark_ancestors(labels)
         self._mutated()
         if rtype == RType.NS and rrset.name != self.origin:
             self._cuts.add(rrset.name)
-        self._index_names(rrset.name)
 
     def add_record(self, record: ResourceRecord) -> None:
         """Insert one record, merging into an existing RRset if present."""
-        key = (record.name, record.rtype)
-        existing = self._rrsets.get(key)
+        existing = self.get_rrset(record.name, record.rtype)
         if existing is None:
-            rrset = RRset(record.name, record.rtype, record.rclass)
-            rrset.add(record)
-            self.add_rrset(rrset)
+            self.add_rrset(RRset(record.name, record.rtype, record.rclass,
+                                 record.ttl, [record]))
         else:
             existing.add(record)
             self._mutated()
 
     def remove_rrset(self, name: Name, rtype: RType) -> bool:
         """Delete an RRset; returns whether it existed."""
-        removed = self._rrsets.pop((name, rtype), None) is not None
-        if removed:
-            self._mutated()
-            if rtype == RType.NS:
-                self._cuts.discard(name)
-            rest = tuple(t for t in self._types_by_name[name] if t != rtype)
-            if rest:
-                self._types_by_name[name] = rest
-            else:
-                del self._types_by_name[name]
-                self._reindex_names()
-        return removed
+        node = self._nodes.get(name.labels, ())
+        rest = tuple(rrset for rrset in node if rrset.rtype != rtype)
+        if len(rest) == len(node):
+            return False
+        self._mutated()
+        if rtype == RType.NS:
+            self._cuts.discard(name)
+        self._nodes[name.labels] = rest
+        if not rest:
+            self._reindex_names()
+        return True
 
     def _mutated(self) -> None:
         """The single invalidation point for content-derived state."""
         self.version += 1
         self._derived.clear()
 
-    def _index_names(self, name: Name) -> None:
-        for ancestor in name.ancestors():
-            if not ancestor.is_subdomain_of(self.origin):
-                break
-            self._names.add(ancestor)
-            if ancestor == self.origin:
-                break
+    def _mark_ancestors(self, labels: tuple[bytes, ...]) -> None:
+        """Add ``labels``' missing ancestors as empty non-terminals; the
+        first one present ends the climb (its ancestors are too)."""
+        for i in range(1, len(labels) - len(self.origin.labels) + 1):
+            if labels[i:] in self._nodes:
+                return
+            self._nodes[labels[i:]] = ()
 
     def _reindex_names(self) -> None:
-        self._names.clear()
-        for (name, _rtype) in self._rrsets:
-            self._index_names(name)
+        """Drop every empty node, then mark the ancestors of the rest."""
+        self._nodes = {k: node for k, node in self._nodes.items() if node}
+        for labels in list(self._nodes):
+            self._mark_ancestors(labels)
 
     # -- introspection -------------------------------------------------
 
     @property
     def soa(self) -> RRset | None:
-        return self._rrsets.get((self.origin, RType.SOA))
+        return self.get_rrset(self.origin, RType.SOA)
 
     @property
     def serial(self) -> int:
@@ -192,24 +192,30 @@ class Zone:
         return rdata.serial
 
     def get_rrset(self, name: Name, rtype: RType) -> RRset | None:
-        return self._rrsets.get((name, rtype))
+        return _rrset_at(self._nodes.get(name.labels, ()), rtype)
 
     def iter_rrsets(self):
         """All RRsets in canonical name order (stable for serialize)."""
-        return iter(sorted(self._rrsets.values(),
+        return iter(sorted((rrset for node in self._nodes.values()
+                            for rrset in node),
                            key=lambda rrset: (rrset.name.canonical_key(),
                                               int(rrset.rtype))))
 
     def types_at(self, name: Name) -> frozenset[RType]:
         """The record types present at ``name`` (empty if absent)."""
-        return frozenset(self._types_by_name.get(name, ()))
+        return frozenset(rrset.rtype
+                         for rrset in self._nodes.get(name.labels, ()))
+
+    def has_name(self, name: Name) -> bool:
+        """Whether :meth:`names` holds ``name``, without copying it."""
+        return name.labels in self._nodes
 
     def names(self) -> set[Name]:
         """All names that exist in the zone, including empty non-terminals."""
-        return set(self._names)
+        return {Name._from_validated(labels) for labels in self._nodes}
 
     def rrset_count(self) -> int:
-        return len(self._rrsets)
+        return sum(map(len, self._nodes.values()))
 
     def derived(self, build: Callable[[Zone], T]) -> T:
         """``build(self)``, memoized until the next content mutation.
@@ -229,7 +235,7 @@ class Zone:
         """Raise :class:`ZoneError` if the zone is not servable."""
         if self.soa is None:
             raise ZoneError(f"zone {self.origin} has no SOA record")
-        if self._rrsets.get((self.origin, RType.NS)) is None:
+        if self.get_rrset(self.origin, RType.NS) is None:
             raise ZoneError(f"zone {self.origin} has no apex NS records")
 
     # -- lookup ---------------------------------------------------------
@@ -252,19 +258,14 @@ class Zone:
 
         cut = self._covering_cut(qname)
         if cut is not None and not (qname == cut and qtype == RType.NS):
-            delegation = self._rrsets[(cut, RType.NS)]
+            delegation = self.get_rrset(cut, RType.NS)
             return LookupResult(LookupStatus.DELEGATION,
                                 delegation=delegation,
                                 glue=self._glue_for(delegation))
 
-        if qname in self._names:
-            exact = self._rrsets.get((qname, qtype))
-            if exact is not None:
-                return LookupResult(LookupStatus.SUCCESS, rrset=exact)
-            cname = self._rrsets.get((qname, RType.CNAME))
-            if cname is not None and qtype != RType.CNAME:
-                return LookupResult(LookupStatus.CNAME, rrset=cname)
-            return LookupResult(LookupStatus.NODATA, soa=self.soa)
+        node = self._nodes.get(qname.labels)
+        if node is not None:
+            return self._answer(node, qname, qtype)
 
         # Wildcard synthesis (RFC 4592): the source of synthesis is
         # *.<closest encloser>.
@@ -275,31 +276,34 @@ class Zone:
 
     def _wildcard_lookup(self, qname: Name,
                          qtype: RType) -> LookupResult | None:
-        closest = qname
-        while not closest.is_root and closest != self.origin:
-            parent = closest.parent()
-            if parent in self._names:
-                source = parent.prepend("*")
-                if source not in self._names:
-                    return None
-                # A name one label under an existing wildcard-owning parent:
-                # synthesize from *.parent only if qname itself is covered,
-                # i.e. nothing between parent and qname exists (guaranteed
-                # since closest is the first existing ancestor's child).
-                exact = self._rrsets.get((source, qtype))
-                if exact is not None:
-                    return LookupResult(
-                        LookupStatus.SUCCESS, wildcard=True, source=source,
-                        rrset=exact.with_owner(qname))
-                cname = self._rrsets.get((source, RType.CNAME))
-                if cname is not None and qtype != RType.CNAME:
-                    return LookupResult(
-                        LookupStatus.CNAME, wildcard=True, source=source,
-                        rrset=cname.with_owner(qname))
-                return LookupResult(LookupStatus.NODATA, soa=self.soa,
-                                    wildcard=True, source=source)
-            closest = parent
+        labels = qname.labels
+        for i in range(1, len(labels) - len(self.origin.labels) + 1):
+            if labels[i:] not in self._nodes:
+                continue
+            # The first existing ancestor is the closest encloser, and
+            # nothing between it and qname exists, so qname is covered
+            # by *.<closest encloser> if that node exists.
+            source = (b"*",) + labels[i:]
+            node = self._nodes.get(source)
+            if node is None:
+                return None
+            return self._answer(node, qname, qtype,
+                                Name._from_validated(source))
         return None
+
+    def _answer(self, node: Node, qname: Name, qtype: RType,
+                source: Name | None = None) -> LookupResult:
+        """Answer, alias or NODATA at ``node``, re-owned if ``source``."""
+        status, rrset = LookupStatus.SUCCESS, _rrset_at(node, qtype)
+        if rrset is None and qtype != RType.CNAME:
+            status, rrset = LookupStatus.CNAME, _rrset_at(node, RType.CNAME)
+        wildcard = source is not None
+        if rrset is None:
+            return LookupResult(LookupStatus.NODATA, soa=self.soa,
+                                wildcard=wildcard, source=source)
+        return LookupResult(status, source=source, wildcard=wildcard,
+                            rrset=rrset.with_owner(qname) if wildcard
+                            else rrset)
 
     def _glue_for(self, delegation: RRset) -> list[RRset]:
         """Address records for in-zone (or in-bailiwick) delegation targets."""
@@ -307,10 +311,10 @@ class Zone:
         for record in delegation.records:
             rdata = record.rdata
             assert isinstance(rdata, NS)
-            for addr_type in (RType.A, RType.AAAA):
-                addr = self._rrsets.get((rdata.target, addr_type))
-                if addr is not None:
-                    glue.append(addr)
+            node = self._nodes.get(rdata.target.labels, ())
+            glue += [addr for addr in (_rrset_at(node, RType.A),
+                                       _rrset_at(node, RType.AAAA))
+                     if addr is not None]
         return glue
 
     def cname_chain(self, qname: Name, qtype: RType,
@@ -333,7 +337,7 @@ class Zone:
         return chain, result
 
     def __repr__(self) -> str:
-        return f"Zone({self.origin}, {len(self._rrsets)} rrsets)"
+        return f"Zone({self.origin}, {self.rrset_count()} rrsets)"
 
 
 class NxdomainIndex:
@@ -348,16 +352,17 @@ class NxdomainIndex:
     cut still gets a referral) -> wildcard at the closest encloser.
     Membership runs on raw label tuples because attack names are
     unique: climbing to an ancestor is a tuple slice, not a Name per
-    level. A content snapshot: get it via ``zone.derived(NxdomainIndex)``.
+    level. A content snapshot, its own copy of the node table's keys
+    (the NXDOMAIN filter holds one across in-place zone edits): get it
+    via ``zone.derived(NxdomainIndex)``.
     """
 
     __slots__ = ("_names", "_cuts", "_wildcard_parents", "_origin_len")
 
     def __init__(self, zone: Zone) -> None:
-        names = zone._names
-        self._names: set[tuple[bytes, ...]] = {n.labels for n in names}
+        names = self._names = set(zone._nodes)
         self._wildcard_parents: set[tuple[bytes, ...]] = {
-            n.labels[1:] for n in names if n.is_wildcard
+            labels[1:] for labels in names if labels and labels[0] == b"*"
         }
         self._cuts: set[tuple[bytes, ...]] = {
             cut.labels for cut in zone._cuts}

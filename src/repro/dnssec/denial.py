@@ -90,11 +90,10 @@ def _nsec_pair(zone: Zone, owner: Name) -> tuple[RRset, RRset | None] | None:
 
 
 def _closest_encloser(zone: Zone, qname: Name) -> Name:
-    names = zone.names()
     current = qname
     while current != zone.origin and not current.is_root:
         current = current.parent()
-        if current in names:
+        if zone.has_name(current):
             return current
     return zone.origin
 

@@ -3,18 +3,22 @@
 The lexer and the name parser are held to the character loops kept in
 ``zonefile_oracle.py``; ``A`` is held to ``ipaddress``; and whole zones
 are held to structural digests recorded before the regex lexer, the label
-splitter and the dotted-quad check replaced those loops.
+splitter and the dotted-quad check replaced those loops. The loaded zone
+and its NXDOMAIN index are also held to a memory bound per name.
 """
 
+import gc
 import hashlib
 import ipaddress
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.dnscore import A, Name, NameError_, RType, Zone, parse_zone_text
+from repro.dnscore.zone import NxdomainIndex
 from repro.dnscore.zonefile import _tokenize_line
 
 from . import zonefile_oracle as oracle
@@ -122,9 +126,9 @@ def test_a_accepts_exactly_what_ipaddress_accepts(text):
 # -- whole zones --------------------------------------------------------------
 
 def _zone_digest(zone: Zone) -> str:
-    """SHA-256 over the zone's structure: rrsets in insertion order with
-    their records, TTLs and A octets; the name, cut and type indexes; and
-    ``version``."""
+    """SHA-256 over the zone's structure: rrsets in node order with their
+    records, TTLs and A octets; the names, cuts and each non-empty node's
+    types; and ``version``."""
     sha = hashlib.sha256()
 
     def put(*fields):
@@ -132,18 +136,20 @@ def _zone_digest(zone: Zone) -> str:
         sha.update(b"\n")
 
     put("origin", zone.origin.labels, zone.version)
-    for (owner, rtype), rrset in zone._rrsets.items():
-        put("rrset", owner.labels, int(rtype), rrset.name.labels,
-            int(rrset.rtype), int(rrset.rclass), rrset.ttl)
-        for record in rrset.records:
-            rdata = record.rdata
-            put("record", record.name.labels, int(record.rtype),
-                int(record.rclass), record.ttl, repr(rdata),
-                getattr(rdata, "octets", None))
-    put("names", sorted(n.labels for n in zone._names))
+    for owner, node in zone._nodes.items():
+        for rrset in node:
+            put("rrset", owner, int(rrset.rtype), rrset.name.labels,
+                int(rrset.rtype), int(rrset.rclass), rrset.ttl)
+            for record in rrset.records:
+                rdata = record.rdata
+                put("record", record.name.labels, int(record.rtype),
+                    int(record.rclass), record.ttl, repr(rdata),
+                    getattr(rdata, "octets", None))
+    put("names", sorted(zone._nodes))
     put("cuts", sorted(n.labels for n in zone._cuts))
-    for owner, types in zone._types_by_name.items():
-        put("types", owner.labels, sorted(map(int, types)))
+    for owner, node in zone._nodes.items():
+        if node:
+            put("types", owner, sorted(int(rrset.rtype) for rrset in node))
     return sha.hexdigest()
 
 
@@ -216,3 +222,26 @@ def test_wire_shaped_zone_is_unchanged(seed):
 def test_provisioned_zone_is_unchanged(monkeypatch):
     zone = parse_zone_text(_provisioned_zone_text(monkeypatch))
     assert _zone_digest(zone) == _DIGESTS["provisioned"]
+
+
+#: Traced bytes per name the wire-shaped zone and its NXDOMAIN index may
+#: hold. Three per-name indexes and a Name-to-labels index copy traced
+#: about 940; one node table and an index set built from its keys about
+#: 730.
+_BYTES_PER_NAME = 800
+
+
+def test_wire_shaped_zone_and_index_fit_the_memory_bound():
+    text = _wire_shaped_zone_text(42)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        zone = parse_zone_text(text)
+        index = zone.derived(NxdomainIndex)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(index) == len(zone.names()) == 20_268
+    assert held / len(index) <= _BYTES_PER_NAME

@@ -3,6 +3,7 @@
 from repro.dnscore import A, NS, RType, SOA, make_rrset, make_zone, name
 from repro.dnscore.name import Name
 from repro.dnscore.rdata import NSEC
+from repro.dnssec import denial
 from repro.dnssec.denial import (
     NsecChainIndex,
     chain_denial,
@@ -140,6 +141,38 @@ class TestChainDenial:
         pairs = chain_denial(zone, index, name("q.w.ex.com"), nxdomain=True)
         owners = {nsec.name for nsec, _ in pairs}
         assert name("*.w.ex.com") in owners
+
+    def test_nxdomain_proof_never_copies_the_zone_names(self, monkeypatch):
+        """The closest-encloser search probes the node table: a zone
+        whose ``names`` raises gives the pairs the search over a copy of
+        every name gives."""
+        zone, _ = build_signed()
+        index = NsecChainIndex(zone)
+        qnames = [name(text) for text in (
+            "zzz.ex.com", "q.w.ex.com", "x.y.w.ex.com", "a.b.ent.ex.com",
+            "x.leaf.ent.ex.com", "x.www.ex.com", "ex.com")]
+
+        def by_copy(zone, qname):
+            names = zone.names()
+            current = qname
+            while current != zone.origin:
+                current = current.parent()
+                if current in names:
+                    return current
+            return zone.origin
+
+        with monkeypatch.context() as patch:
+            patch.setattr(denial, "_closest_encloser", by_copy)
+            expected = [chain_denial(zone, index, q, nxdomain=True)
+                        for q in qnames]
+
+        def no_copy():
+            raise AssertionError("names() copied on the denial path")
+
+        monkeypatch.setattr(zone, "names", no_copy)
+        assert [chain_denial(zone, index, q, nxdomain=True)
+                for q in qnames] == expected
+        assert any(len(pairs) == 2 for pairs in expected)
 
     def test_nodata_proof_is_single_interval(self):
         zone, _ = build_signed()
