@@ -117,7 +117,7 @@ class Zone:
             # DNSSEC maintenance types) are exempt from the CNAME
             # single-type rule — a signed alias node holds all three.
             if rtype == RType.CNAME and any(
-                    held.rtype not in _CNAME_COMPANIONS for held in node):
+                    other.rtype not in _CNAME_COMPANIONS for other in node):
                 raise ZoneError(
                     f"CNAME at {rrset.name} conflicts with other data")
             if rtype not in _CNAME_COMPANIONS \
@@ -125,9 +125,9 @@ class Zone:
                 raise ZoneError(f"{rrset.name} already holds a CNAME")
         if rtype == RType.SOA and labels != self.origin.labels:
             raise ZoneError("SOA must live at the zone apex")
-        held = _rrset_at(node, rtype)
-        self._nodes[labels] = (node + (rrset,) if held is None else tuple(
-            rrset if r is held else r for r in node))
+        replaced = _rrset_at(node, rtype)
+        self._nodes[labels] = (node + (rrset,) if replaced is None else tuple(
+            rrset if r is replaced else r for r in node))
         self._mark_ancestors(labels)
         self._mutated()
         if rtype == RType.NS and rrset.name != self.origin:

@@ -1,4 +1,4 @@
-"""Property-based tests on zone serialization invariants."""
+"""Property-based tests on zone serialization and edit invariants."""
 
 import itertools
 import string
