@@ -40,7 +40,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..dnscore.errors import WireFormatError
 from ..dnscore.message import Message, make_query
 from ..dnscore.name import Name
 from ..dnscore.rrtypes import RType
@@ -293,8 +292,6 @@ class GrayFailController:
         self.denials = 0
         self.rejoins = 0
         self.probes_sent = 0
-        #: Wire-mode responses dropped because they did not parse.
-        self.malformed_responses = 0
         #: (sim time, machine id, verdict value) per transition.
         self.timeline: list[tuple[float, str, str]] = []
         #: (machine id, seconds from first evidence to conviction).
@@ -576,13 +573,7 @@ class GrayFailController:
 
     def _on_response(self, vantage_id: str, dgram: Datagram) -> None:
         envelope = dgram.payload
-        try:
-            message = envelope.read()
-        except WireFormatError:
-            # Dropped like a lost datagram: the probe stays pending and
-            # the machine shows one unanswered probe this round.
-            self.malformed_responses += 1
-            return
+        message = envelope.message
         pending = self._pending.pop((vantage_id, message.msg_id), None)
         if pending is None:
             return

@@ -428,9 +428,7 @@ class AkamaiDNSDeployment:
         machine = NameserverMachine(
             self.loop, f"host-{address}",
             AuthoritativeEngine(ZoneStore(zones)), ScoringPipeline([]),
-            QueuePolicy(),
-            MachineConfig(wire_responses=self.params.machine_config
-                          .wire_responses))
+            QueuePolicy(), MachineConfig())
         HostNameserver(self.loop, self.network, address, machine)
 
     def _build_lowlevel_fleet(self) -> None:
@@ -446,9 +444,7 @@ class AkamaiDNSDeployment:
                 dynamic_domains=[self.names.lowlevel_zone])
             machine = NameserverMachine(
                 self.loop, f"ll-{address}", engine, ScoringPipeline([]),
-                QueuePolicy(),
-                MachineConfig(wire_responses=self.params.machine_config
-                              .wire_responses))
+                QueuePolicy(), MachineConfig())
             machine.metadata_handlers["mapping"] = view.apply
             self.bus.subscribe(MULTICAST_CHANNEL, machine)
             self.lowlevel_hosts[address] = HostNameserver(

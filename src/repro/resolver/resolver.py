@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..dnscore.edns import ClientSubnetOption, EDNSOptions
-from ..dnscore.errors import WireFormatError
 from ..dnscore.message import Message, make_query
 from ..dnscore.name import Name
 from ..dnscore.rdata import CNAME, DNSKEY, RRSIG, SOA
@@ -53,6 +52,8 @@ MAX_BACKOFF_MULTIPLE = 4.0
 JITTER = 0.15
 #: Overall wall-clock budget for one resolution, seconds.
 RESOLUTION_DEADLINE = 30.0
+#: EDNS UDP payload size every upstream query advertises.
+EDNS_PAYLOAD = 1232
 
 
 @dataclass(slots=True)
@@ -67,7 +68,6 @@ class ResolutionResult:
     finished_at: float = 0.0
     queries_sent: int = 0
     timeouts: int = 0
-    tcp_retries: int = 0
     servers: list[str] = field(default_factory=list)
     from_cache: bool = False
 
@@ -132,7 +132,6 @@ class RecursiveResolver:
                  *, rng: random.Random,
                  selection: SelectionStrategy | None = None,
                  timeout: float = DEFAULT_TIMEOUT,
-                 edns_payload: int | None = 1232,
                  validate_dnssec: bool = False) -> None:
         self.loop = loop
         self.network = network
@@ -147,9 +146,6 @@ class RecursiveResolver:
         #: tests/platform/test_ecs.py drives the platform's end-user
         #: mapping through it.
         self.send_ecs_for: str | None = None
-        #: Advertised EDNS UDP payload size (None disables EDNS unless
-        #: ECS is configured). Modern resolvers advertise ~1232.
-        self.edns_payload = edns_payload
         #: Opt-in DNSSEC validation: queries carry DO=1, and responses
         #: bearing RRSIGs are verified against the signer's DNSKEY
         #: (fetched on demand and cached). The trust model is the
@@ -173,8 +169,6 @@ class RecursiveResolver:
         self.resolutions_completed = 0
         #: Responses that answer no query in flight (by id and question).
         self.unsolicited_responses = 0
-        #: Wire-mode responses dropped because they did not parse.
-        self.malformed_responses = 0
         network.attach_endpoint(host_id, self)
 
     # -- public API ---------------------------------------------------------
@@ -280,16 +274,6 @@ class RecursiveResolver:
         resolution.tried.add(address)
         self._send_query(resolution, address)
 
-    def _retry_over_tcp(self, resolution: _Resolution,
-                        address: str) -> None:
-        """A UDP answer came back truncated; re-ask over TCP.
-
-        TCP retries are progress, not failures, so they do not count
-        against the attempt budget.
-        """
-        resolution.result.tcp_retries += 1
-        self._send_query(resolution, address, tcp=True)
-
     def _chase_glue(self, resolution: _Resolution,
                     glueless: list[Name]) -> bool:
         """Resolve a glueless NS target's address, then resume.
@@ -315,28 +299,22 @@ class RecursiveResolver:
         self._step(sub)
         return True
 
-    def _send_query(self, resolution: _Resolution, address: str,
-                    *, tcp: bool = False) -> None:
+    def _send_query(self, resolution: _Resolution, address: str) -> None:
         msg_id = self._allocate_id()
-        edns = None
-        if (self.send_ecs_for is not None or self.edns_payload is not None
-                or self.validate_dnssec):
-            edns = EDNSOptions(
-                payload_size=self.edns_payload or 512,
-                dnssec_ok=self.validate_dnssec,
-                client_subnet=(ClientSubnetOption.for_client(
-                    self.send_ecs_for)
-                    if self.send_ecs_for is not None else None))
+        edns = EDNSOptions(
+            payload_size=EDNS_PAYLOAD, dnssec_ok=self.validate_dnssec,
+            client_subnet=(ClientSubnetOption.for_client(self.send_ecs_for)
+                           if self.send_ecs_for is not None else None))
         # An upstream query has a fresh msg_id and per-resolution
         # target; nothing to reuse.
         query = make_query(msg_id, resolution.target, resolution.qtype,
                            edns=edns)
         port = self.rng.randint(1024, 65535)
-        envelope = QueryEnvelope(query, tcp=tcp)
+        envelope = QueryEnvelope(query)
         if resolution.span is not None:
             resolution.attempt_span = envelope.trace = _telemetry.begin(
                 "resolver.attempt", "resolver", self.loop.now,
-                resolution.span, server=address, tcp=tcp)
+                resolution.span, server=address)
         dgram = Datagram(src=self.host_id, dst=address,
                          payload=envelope, src_port=port)
         resolution.pending_query = query
@@ -384,12 +362,7 @@ class RecursiveResolver:
 
     def handle_datagram(self, dgram: Datagram) -> None:
         """A response arrived at this resolver's host."""
-        try:
-            message = dgram.payload.read()
-        except WireFormatError:
-            # Dropped like a lost datagram: the attempt times out.
-            self.malformed_responses += 1
-            return
+        message = dgram.payload.message
         resolution = self._inflight.get(message.msg_id)
         if (resolution is None
                 or message.questions != resolution.pending_query.questions):
@@ -407,10 +380,6 @@ class RecursiveResolver:
         address = resolution.pending_address
         if address is not None:
             self.selection.observe_rtt(address, rtt)
-        if message.flags.tc and address is not None:
-            # Truncated UDP answer: discard it and retry over TCP.
-            self._retry_over_tcp(resolution, address)
-            return
         self._process_response(resolution, message)
 
     def _on_timeout(self, resolution: _Resolution, msg_id: int) -> None:

@@ -53,13 +53,11 @@ class QueryEnvelope:
 
     ``is_attack`` labels traffic for experiment accounting only; no filter
     or server logic may read it. ``poison`` marks a query-of-death.
-    ``tcp`` marks a retry over TCP after a truncated UDP response.
     """
 
     message: Message
     is_attack: bool = False
     poison: bool = False
-    tcp: bool = False
     #: Shadow probes are out-of-band gray-failure probes (control.
     #: grayfail): a *suspended* machine still serves them through the
     #: real data path so the external prober can observe recovery
@@ -82,10 +80,6 @@ class MachineConfig:
     restart_delay: float = 10.0
     qod_firewall_enabled: bool = True
     t_qod: float = 300.0
-    #: When True, responses are serialized to real wire bytes with UDP
-    #: size limits (the EDNS-advertised payload size, else 512), setting
-    #: TC on overflow so resolvers retry over TCP.
-    wire_responses: bool = False
     staleness_threshold: float = 30.0
     input_delayed: bool = False
     #: When True, zone updates delivered over the metadata bus are

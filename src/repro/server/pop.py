@@ -31,46 +31,21 @@ INTRA_POP_LATENCY_S = 0.0002
 @dataclass(slots=True)
 class ResponseEnvelope:
     """A response message plus which machine answered (the gray-failure
-    prober attributes evidence by it).
-
-    When the answering machine runs in wire mode, ``wire`` carries the
-    actual RFC 1035 encoding (possibly truncated with TC set), and
-    :meth:`read` parses it rather than trusting ``message``.
-    """
+    prober attributes evidence by it). The transport carries the
+    ``Message`` itself, never its wire encoding."""
 
     message: Message
     machine_id: str
-    wire: bytes | None = None
-
-    def read(self) -> Message:
-        """The response as received; raises WireFormatError when the
-        wire does not parse."""
-        if self.wire is None:
-            return self.message
-        return Message.from_wire(self.wire)
 
 
 def send_reply(network: Network, address: str, machine: NameserverMachine,
                query_dgram: Datagram, response: Message) -> None:
     """Send ``machine``'s ``response`` from ``address`` back to the
-    querier, ports swapped.
-
-    In wire mode the response is also encoded under the transport's
-    size limit: UDP responses are capped at the EDNS-advertised payload
-    size (512 octets without EDNS); TCP responses are unlimited.
-    """
-    wire = None
-    if machine.config.wire_responses:
-        query_envelope: QueryEnvelope = query_dgram.payload
-        if query_envelope.tcp:
-            wire = response.to_wire()
-        else:
-            edns = query_envelope.message.edns
-            wire = response.to_wire(
-                max_size=edns.payload_size if edns is not None else 512)
+    querier, ports swapped, as a ``Message``: nothing is encoded or
+    truncated on the way."""
     network.send(Datagram(
         src=address, dst=query_dgram.src,
-        payload=ResponseEnvelope(response, machine.machine_id, wire=wire),
+        payload=ResponseEnvelope(response, machine.machine_id),
         src_port=query_dgram.dst_port, dst_port=query_dgram.src_port))
 
 

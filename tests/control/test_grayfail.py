@@ -15,34 +15,23 @@ traverse the same netsim path as client traffic.
 
 from dataclasses import replace
 
-import pytest
-
-from repro.control.grayfail import PROBE_PERIOD, Verdict
+from repro.control.grayfail import Verdict
 from repro.control.pubsub import CDN_CHANNEL
 from repro.dnscore import RType, Zone, ZoneUpdate, make_rrset, name
 from repro.netsim.builder import InternetParams
 from repro.platform import AkamaiDNSDeployment, DeploymentParams
-from repro.server.machine import MachineConfig, MachineState
-from repro.server.pop import ResponseEnvelope
-
-from ..resolver.test_wire_mode import (
-    _empty_txt_rdata,
-    _inflated_answer_count,
-    _truncated,
-)
+from repro.server.machine import MachineState
 
 AKAM_ORIGIN = name("akam.net")
 
 
-def build(n_pops=6, machines_per_pop=1, seed=7,
-          machine_config: MachineConfig | None = None):
+def build(n_pops=6, machines_per_pop=1, seed=7):
     deployment = AkamaiDNSDeployment(DeploymentParams(
         seed=seed, n_pops=n_pops, deployed_clouds=n_pops,
         machines_per_pop=machines_per_pop, pops_per_cloud=2,
         n_edge_servers=6,
         internet=InternetParams(n_tier1=4, n_tier2=10, n_stub=24),
-        filters_enabled=False,
-        machine_config=machine_config or MachineConfig()))
+        filters_enabled=False))
     deployment.settle(30)
     controller = deployment.enable_grayfail()
     return deployment, controller
@@ -254,48 +243,3 @@ class TestLeaseLifecycle:
         assert machine.state is MachineState.RUNNING
         assert deployment.coordinator.active_suspensions() == set()
 
-
-class TestMalformedResponses:
-    """The mutations of tests/resolver/test_wire_mode.py, delivered to a
-    probe vantage in wire mode: dropped and counted, never raised into
-    the event loop; the machine shows one unanswered probe that round."""
-
-    @pytest.mark.parametrize("mutate", [_truncated, _inflated_answer_count,
-                                        _empty_txt_rdata])
-    def test_dropped_counted_and_probe_left_unanswered(self, mutate):
-        # Two bad rounds in a row make a suspect, so one machine loses
-        # a probe in each of two rounds: the drops are visible on the
-        # timeline and two clean rounds clear them.
-        deployment, controller = build(
-            machine_config=MachineConfig(wire_responses=True))
-        network = deployment.network
-        loop = deployment.loop
-        deliver = network.send
-        corrupted = []   # (time, machine id)
-
-        def corrupt_one_response_in_each_of_two_rounds(dgram):
-            if (len(corrupted) < 2 and dgram.dst.startswith("gray-vp-")
-                    and isinstance(dgram.payload, ResponseEnvelope)
-                    and (not corrupted or (
-                        dgram.payload.machine_id == corrupted[0][1]
-                        and loop.now - corrupted[0][0] > PROBE_PERIOD / 2))):
-                corrupted.append((loop.now, dgram.payload.machine_id))
-                dgram.payload.wire = mutate(dgram.payload.wire)
-            deliver(dgram)
-
-        network.send = corrupt_one_response_in_each_of_two_rounds
-        run_for(deployment, 30.0)
-
-        (first_drop, victim), (_, again) = corrupted
-        assert again == victim
-        assert controller.malformed_responses == 2
-        assert controller.last_reasons(victim)[0].startswith("answered ")
-        assert [(m, v) for _t, m, v in controller.timeline] == [
-            (victim, "suspect"), (victim, "exonerated"),
-            (victim, "healthy")]
-        # Suspect at the audit of the second bad round, not the first;
-        # cleared at the audit of the second clean one.
-        suspected, cleared, _ = (t for t, _m, _v in controller.timeline)
-        assert PROBE_PERIOD < suspected - first_drop <= 2 * PROBE_PERIOD
-        assert cleared - suspected == 2 * PROBE_PERIOD
-        assert controller.convictions == 0
