@@ -15,12 +15,13 @@ traverse the same netsim path as client traffic.
 
 from dataclasses import replace
 
-from repro.control.grayfail import Verdict
+from repro.control.grayfail import PROBE_PERIOD, Verdict
 from repro.control.pubsub import CDN_CHANNEL
 from repro.dnscore import RType, Zone, ZoneUpdate, make_rrset, name
 from repro.netsim.builder import InternetParams
 from repro.platform import AkamaiDNSDeployment, DeploymentParams
 from repro.server.machine import MachineState
+from repro.server.pop import ResponseEnvelope
 
 AKAM_ORIGIN = name("akam.net")
 
@@ -243,3 +244,42 @@ class TestLeaseLifecycle:
         assert machine.state is MachineState.RUNNING
         assert deployment.coordinator.active_suspensions() == set()
 
+
+
+class TestLostProbes:
+    """Verdict hysteresis on lost probe answers: one machine loses a
+    probe answer in each of two rounds and shows one unanswered probe
+    in each."""
+
+    def test_two_bad_rounds_suspect_and_two_clean_rounds_clear(self):
+        deployment, controller = build()
+        network = deployment.network
+        loop = deployment.loop
+        deliver = network.send
+        lost = []   # (time, machine id)
+
+        def lose_one_response_in_each_of_two_rounds(dgram):
+            if (len(lost) < 2 and dgram.dst.startswith("gray-vp-")
+                    and isinstance(dgram.payload, ResponseEnvelope)
+                    and (not lost or (
+                        dgram.payload.machine_id == lost[0][1]
+                        and loop.now - lost[0][0] > PROBE_PERIOD / 2))):
+                lost.append((loop.now, dgram.payload.machine_id))
+                return
+            deliver(dgram)
+
+        network.send = lose_one_response_in_each_of_two_rounds
+        run_for(deployment, 30.0)
+
+        (first_loss, victim), (_, again) = lost
+        assert again == victim
+        assert controller.last_reasons(victim)[0].startswith("answered ")
+        assert [(m, v) for _t, m, v in controller.timeline] == [
+            (victim, "suspect"), (victim, "exonerated"),
+            (victim, "healthy")]
+        # Suspect at the audit of the second bad round, not the first;
+        # cleared at the audit of the second clean one.
+        suspected, cleared, _ = (t for t, _m, _v in controller.timeline)
+        assert PROBE_PERIOD < suspected - first_loss <= 2 * PROBE_PERIOD
+        assert cleared - suspected == 2 * PROBE_PERIOD
+        assert controller.convictions == 0
