@@ -245,7 +245,6 @@ class TestLeaseLifecycle:
         assert deployment.coordinator.active_suspensions() == set()
 
 
-
 class TestLostProbes:
     """Verdict hysteresis on lost probe answers: one machine loses a
     probe answer in each of two rounds and shows one unanswered probe
