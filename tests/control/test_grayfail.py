@@ -15,6 +15,8 @@ traverse the same netsim path as client traffic.
 
 from dataclasses import replace
 
+import pytest
+
 from repro.control.grayfail import PROBE_PERIOD, Verdict
 from repro.control.pubsub import CDN_CHANNEL
 from repro.dnscore import RType, Zone, ZoneUpdate, make_rrset, name
@@ -245,12 +247,30 @@ class TestLeaseLifecycle:
         assert deployment.coordinator.active_suspensions() == set()
 
 
-class TestLostProbes:
-    """Verdict hysteresis on lost probe answers: one machine loses a
-    probe answer in each of two rounds and shows one unanswered probe
-    in each."""
+def _lost(_envelope):
+    return None
 
-    def test_two_bad_rounds_suspect_and_two_clean_rounds_clear(self):
+
+def _from_another_machine(envelope):
+    # ECMP moved under the probe: the answer names a different machine.
+    return ResponseEnvelope(envelope.message, "elsewhere")
+
+
+def _unknown_id(envelope):
+    # Probe ids count up from 1, so id 0 matches no probe in flight.
+    return ResponseEnvelope(replace(envelope.message, msg_id=0),
+                            envelope.machine_id)
+
+
+class TestLostProbes:
+    """Verdict hysteresis on lost probe answers: one machine's probe
+    answer is lost, or arrives where the controller cannot match it to
+    the probe, in each of two rounds, and shows one unanswered probe in
+    each."""
+
+    @pytest.mark.parametrize("spoil", [_lost, _from_another_machine,
+                                       _unknown_id])
+    def test_two_bad_rounds_suspect_and_two_clean_rounds_clear(self, spoil):
         deployment, controller = build()
         network = deployment.network
         loop = deployment.loop
@@ -264,7 +284,10 @@ class TestLostProbes:
                         dgram.payload.machine_id == lost[0][1]
                         and loop.now - lost[0][0] > PROBE_PERIOD / 2))):
                 lost.append((loop.now, dgram.payload.machine_id))
-                return
+                envelope = spoil(dgram.payload)
+                if envelope is None:
+                    return
+                dgram = replace(dgram, payload=envelope)
             deliver(dgram)
 
         network.send = lose_one_response_in_each_of_two_rounds

@@ -1,4 +1,7 @@
-"""Dual stack: every cloud is reachable over IPv4 and IPv6 anycast."""
+"""Full-platform resolution on a default-config deployment: descent
+from the TLD, the CDN chain, replies attributed to the machine that
+answered, and dual stack (every cloud is reachable over IPv4 and IPv6
+anycast)."""
 
 import random
 
@@ -7,7 +10,9 @@ import pytest
 from repro.dnscore import RCode, RType, name
 from repro.netsim.builder import InternetParams, attach_host
 from repro.platform import AkamaiDNSDeployment, DeploymentParams
+from repro.platform.deployment import ROOT_SERVER_ADDRESS, TLD_SERVER_ADDRESS
 from repro.resolver import RecursiveResolver
+from repro.server.pop import ResponseEnvelope
 
 
 @pytest.fixture(scope="module")
@@ -22,6 +27,54 @@ def deployment():
                              cdn_hostnames=["cdn.wired.net"])
     dep.settle(30)
     return dep
+
+
+def resolve(dep, resolver, qname):
+    results = []
+    resolver.resolve(name(qname), RType.A, results.append)
+    dep.settle(20)
+    assert results
+    return results[0]
+
+
+class TestResolution:
+    def test_full_descent(self, deployment):
+        r = deployment.add_resolver("descent-res")
+        result = resolve(deployment, r, "www.wired.net")
+        assert result.rcode == RCode.NOERROR
+        assert result.addresses() == ["203.0.113.70"]
+        assert result.timeouts == 0
+
+    def test_cdn_chain(self, deployment):
+        r = deployment.add_resolver("cdn-res")
+        result = resolve(deployment, r, "cdn.wired.net")
+        assert result.rcode == RCode.NOERROR
+        assert result.addresses()
+        for addr in result.addresses():
+            assert addr in deployment.edge_addresses
+
+    def test_replies_name_a_serving_machine(self, deployment):
+        fleet = {m.machine_id for m in deployment.machines()}
+        serving = (fleet | {f"host-{ROOT_SERVER_ADDRESS}",
+                            f"host-{TLD_SERVER_ADDRESS}"}
+                   | {h.machine.machine_id
+                      for h in deployment.lowlevel_hosts.values()})
+        r = deployment.add_resolver("attrib-res")
+        envelopes = []
+        original = r.handle_datagram
+
+        def spy(dgram):
+            envelopes.append(dgram.payload)
+            original(dgram)
+
+        r.handle_datagram = spy
+        resolve(deployment, r, "www.wired.net")
+        assert envelopes
+        for envelope in envelopes:
+            assert isinstance(envelope, ResponseEnvelope)
+            assert envelope.machine_id in serving
+        # The enterprise zone's answer came from an anycast fleet machine.
+        assert envelopes[-1].machine_id in fleet
 
 
 class TestDualStack:
