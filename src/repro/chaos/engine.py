@@ -77,7 +77,7 @@ class ChaosEngine:
     def disarm(self) -> None:
         """Cancel every not-yet-fired fault edge."""
         for handle in self._armed:
-            handle.cancel()
+            self.loop.cancel(handle)
         self._armed.clear()
 
     def run(self, campaign: Campaign) -> list[FaultEvent]:

@@ -170,7 +170,7 @@ class SLOProbe:
             sent_at=sent_at, finished_at=self.loop.now,
             rcode=result.rcode, duration=result.duration,
             timeouts=result.timeouts, ok=ok))
-        _telemetry.record("probe_outcomes_total", "ok" if ok else "failed")
+        _telemetry.record("probe_outcomes_total", ("ok" if ok else "failed",))
         if ok:
             _telemetry.record("probe_seconds", value=result.duration)
 

@@ -438,9 +438,9 @@ class DefenseController:
                 detail: str = "") -> None:
         self.transitions.append(
             DefenseTransition(now, rung_name, action, self.level, detail))
-        _telemetry.record("defense_transitions_total", "defense", rung_name,
-                          action)
-        _telemetry.record("defense_ladder_rung", "defense",
+        _telemetry.record("defense_transitions_total",
+                          ("defense", rung_name, action))
+        _telemetry.record("defense_ladder_rung", ("defense",),
                           value=float(self.level))
         _telemetry.instant(self._span, f"defense.{action}", "defense", now,
                            rung=rung_name, level=self.level)

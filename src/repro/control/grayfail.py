@@ -406,8 +406,8 @@ class GrayFailController:
         track.verdict = verdict
         machine_id = track.target.machine.machine_id
         self.timeline.append((now, machine_id, verdict.value))
-        _telemetry.record("gray_verdicts_total", machine_id, verdict.value)
-        _telemetry.record("gray_verdict_state", machine_id,
+        _telemetry.record("gray_verdicts_total", (machine_id, verdict.value))
+        _telemetry.record("gray_verdict_state", (machine_id,),
                           value=_VERDICT_LEVEL[verdict])
 
     # -- suspension lease lifecycle ------------------------------------------

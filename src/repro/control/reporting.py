@@ -24,6 +24,10 @@ from ..netsim.clock import EventLoop, PeriodicTask
 from ..server.machine import NameserverMachine
 from ..telemetry import state as _telemetry
 
+#: Read per response; an Enum member read off its class is a metaclass
+#: attribute lookup per use.
+_NOERROR = RCode.NOERROR
+
 
 @dataclass(slots=True)
 class ZoneTrafficSample:
@@ -95,15 +99,15 @@ class ZoneCounter:
         except KeyError:
             queries[origin] = 1
         rcode = response.flags.rcode
-        if rcode != RCode.NOERROR:
+        if rcode != _NOERROR:
             key = (origin, rcode)
             errors = self._errors
             try:
                 errors[key] += 1
             except KeyError:
                 errors[key] = 1
-        _telemetry.record("zone_responses_total", self.machine.machine_id,
-                          origin, rcode)
+        _telemetry.record("zone_responses_total",
+                          (self.machine.machine_id, origin, rcode))
 
     def drain(self, window_start: float,
               window_end: float) -> list[ZoneTrafficSample]:

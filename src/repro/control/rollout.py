@@ -370,7 +370,7 @@ class RolloutCoordinator:
                 detail: str) -> None:
         self.events.append(RolloutEvent(self.loop.now, release_id, origin,
                                         phase, detail))
-        _telemetry.record("rollout_events_total", origin, phase.value)
+        _telemetry.record("rollout_events_total", (origin, phase.value))
 
     def timeline(self) -> list[str]:
         """Human-readable event log (for examples and reports)."""

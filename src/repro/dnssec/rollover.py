@@ -192,8 +192,8 @@ class KeyRolloverController:
 
     def _note(self, state: RolloverState, step: str, detail: str) -> None:
         state.events.append((self.loop.now, step, detail))
-        _telemetry.record("dnssec_rollover_steps_total", state.origin,
-                          state.kind.value, step)
+        _telemetry.record("dnssec_rollover_steps_total",
+                          (state.origin, state.kind.value, step))
 
 
 def _clone_with_bumped_serial(zone: Zone) -> Zone:

@@ -379,6 +379,6 @@ class ZoneSigner:
         for disposition, count in (("created", stats.signatures_created),
                                    ("reused", stats.signatures_reused)):
             if count:
-                _telemetry.record("dnssec_signatures_total", zone.origin,
-                                  disposition, value=count)
+                _telemetry.record("dnssec_signatures_total",
+                                  (zone.origin, disposition), value=count)
         return stats

@@ -169,16 +169,37 @@ def _run_point(params: Fig10Params, attack_rate: float,
                   n_valid_hosts=params.n_valid_hosts)
 
 
-def run(params: Fig10Params | None = None) -> ExperimentResult:
-    """Sweep attack rates with and without the NXDOMAIN filter."""
-    params = params or Fig10Params()
+def sweep_halves(params: Fig10Params) -> tuple[tuple[float, ...], ...]:
+    """The attack rates cut in two runs of about equal work (a point
+    costs about its packet rate), in sweep order: the runner's two work
+    units. Cutting the sweep, not the two series apart, keeps the points
+    in the order a serial sweep runs them, which a telemetry session
+    over the run records."""
+    rates = params.attack_rates
+    half = sum(rate + LEGIT_RATE for rate in rates) / 2.0
+    done = 0.0
+    for cut, rate in enumerate(rates, 1):
+        done += rate + LEGIT_RATE
+        if done >= half:
+            break
+    return rates[:cut], rates[cut:]
+
+
+def run_points(params: Fig10Params,
+               rates: tuple[float, ...]) -> list[tuple[float, float]]:
+    """(goodput with the NXDOMAIN filter, without it) at each of
+    ``rates``. Every point seeds a testbed of its own."""
+    return [(_run_point(params, rate, True), _run_point(params, rate, False))
+            for rate in rates]
+
+
+def assemble(params: Fig10Params,
+             points: list[tuple[float, float]]) -> ExperimentResult:
+    """The figure from every rate's point, and the regions' checks."""
     result = ExperimentResult(
         "fig10", "Legitimate queries answered vs attack rate")
-    with_filter: list[float] = []
-    without_filter: list[float] = []
-    for attack_rate in params.attack_rates:
-        with_filter.append(_run_point(params, attack_rate, True))
-        without_filter.append(_run_point(params, attack_rate, False))
+    with_filter = [with_ for with_, _ in points]
+    without_filter = [without for _, without in points]
     rates = list(params.attack_rates)
     result.series["w/ filter"] = (rates, with_filter)
     result.series["w/o filter"] = (rates, without_filter)
@@ -212,6 +233,12 @@ def run(params: Fig10Params | None = None) -> ExperimentResult:
                        "both decline", f"{r3_with:.0%}",
                        r3_with < max(0.90, r2_with))
     return result
+
+
+def run(params: Fig10Params | None = None) -> ExperimentResult:
+    """Sweep attack rates with and without the NXDOMAIN filter."""
+    params = params or Fig10Params()
+    return assemble(params, run_points(params, params.attack_rates))
 
 
 # -- signed variant ----------------------------------------------------
@@ -282,16 +309,26 @@ def _run_signed_point(params: Fig10SignedParams, attack_rate: float,
     }
 
 
-def run_signed(params: Fig10SignedParams | None = None) -> ExperimentResult:
-    """Sweep the flood against a signed zone under both denial modes."""
-    params = params or Fig10SignedParams()
+#: The signed sweep's denial modes, in series (and work unit) order.
+DENIAL_MODES = (DenialMode.NSEC_CHAIN, DenialMode.COMPACT)
+
+
+def run_signed_mode(params: Fig10SignedParams,
+                    mode: DenialMode) -> list[dict]:
+    """One denial mode's sweep, a runner work unit: each attack rate's
+    point, every one on a testbed of its own."""
+    return [_run_signed_point(params, rate, mode)
+            for rate in params.attack_rates]
+
+
+def assemble_signed(params: Fig10SignedParams,
+                    *series: list[dict]) -> ExperimentResult:
+    """The signed figure from each of :data:`DENIAL_MODES`' sweeps."""
     result = ExperimentResult(
         "fig10-signed",
         "Signed zone under random-subdomain flood, by denial mode")
     rates = list(params.attack_rates)
-    points = {mode: [_run_signed_point(params, rate, mode)
-                     for rate in rates]
-              for mode in (DenialMode.NSEC_CHAIN, DenialMode.COMPACT)}
+    points = dict(zip(DENIAL_MODES, series))
     for mode, series in points.items():
         result.series[mode.value] = (rates,
                                      [p["goodput"] for p in series])
@@ -332,3 +369,10 @@ def run_signed(params: Fig10SignedParams | None = None) -> ExperimentResult:
         "sampled signed responses all validate",
         "0 bogus", f"{bogus}/{checked} bogus", bogus == 0 and checked > 0)
     return result
+
+
+def run_signed(params: Fig10SignedParams | None = None) -> ExperimentResult:
+    """Sweep the flood against a signed zone under both denial modes."""
+    params = params or Fig10SignedParams()
+    return assemble_signed(params, *(run_signed_mode(params, mode)
+                                     for mode in DENIAL_MODES))

@@ -80,20 +80,42 @@ def _merge_fig8(fast: bool, payloads: list) -> ExperimentResult:
     return fig8_failover.assemble(_fig8_params(fast), *payloads)
 
 
-def _unit_fig10(fast: bool, part: int) -> ExperimentResult:
+def _fig10_params(fast: bool) -> fig10_nxdomain.Fig10Params:
     if fast:
-        return fig10_nxdomain.run(fig10_nxdomain.Fig10Params(
+        return fig10_nxdomain.Fig10Params(
             attack_rates=(0.0, 400.0, 1_500.0, 3_600.0, 6_000.0),
-            measure_seconds=8.0, warmup_seconds=3.0))
-    return fig10_nxdomain.run()
+            measure_seconds=8.0, warmup_seconds=3.0)
+    return fig10_nxdomain.Fig10Params()
 
 
-def _unit_fig10_signed(fast: bool, part: int) -> ExperimentResult:
+def _unit_fig10(fast: bool, part: int) -> list[tuple[float, float]]:
+    params = _fig10_params(fast)
+    return fig10_nxdomain.run_points(
+        params, fig10_nxdomain.sweep_halves(params)[part])
+
+
+def _merge_fig10(fast: bool, payloads: list) -> ExperimentResult:
+    first, second = payloads
+    return fig10_nxdomain.assemble(_fig10_params(fast), first + second)
+
+
+def _fig10_signed_params(fast: bool) -> fig10_nxdomain.Fig10SignedParams:
     if fast:
-        return fig10_nxdomain.run_signed(fig10_nxdomain.Fig10SignedParams(
+        return fig10_nxdomain.Fig10SignedParams(
             attack_rates=(0.0, 3_600.0),
-            measure_seconds=6.0, warmup_seconds=2.0))
-    return fig10_nxdomain.run_signed()
+            measure_seconds=6.0, warmup_seconds=2.0)
+    return fig10_nxdomain.Fig10SignedParams()
+
+
+def _unit_fig10_signed(fast: bool, part: int) -> list[dict]:
+    """One part per denial mode, in ``DENIAL_MODES`` order."""
+    return fig10_nxdomain.run_signed_mode(
+        _fig10_signed_params(fast), fig10_nxdomain.DENIAL_MODES[part])
+
+
+def _merge_fig10_signed(fast: bool, payloads: list) -> ExperimentResult:
+    return fig10_nxdomain.assemble_signed(_fig10_signed_params(fast),
+                                          *payloads)
 
 
 def _unit_taxonomy(fast: bool, part: int) -> ExperimentResult:
@@ -132,8 +154,10 @@ FIGURES: dict[str, Figure] = {
     "fig4": Figure(_unit_fig4),
     "fig8": Figure(_unit_fig8, 2, _merge_fig8),
     "fig9": Figure(lambda fast, part: fig9_decision_tree.run()),
-    "fig10": Figure(_unit_fig10),
-    "fig10-signed": Figure(_unit_fig10_signed),
+    "fig10": Figure(_unit_fig10, 2, _merge_fig10),
+    "fig10-signed": Figure(_unit_fig10_signed,
+                           len(fig10_nxdomain.DENIAL_MODES),
+                           _merge_fig10_signed),
     "fig11": Figure(lambda fast, part: fig11_speedup.run()),
     "fig12": Figure(lambda fast, part: fig12_restime.run()),
     "taxonomy": Figure(_unit_taxonomy),

@@ -7,7 +7,7 @@ are dropped outright.
 """
 
 from .allowlist import ActivationPolicy, AllowlistConfig, AllowlistFilter
-from .base import Filter, QueryContext, ScoreBreakdown, ScoringPipeline
+from .base import Filter, QueryContext, ScoringPipeline
 from .hopcount import HopCountFilter
 from .loyalty import LoyaltyFilter
 from .nxdomain import NXDomainConfig, NXDomainFilter
@@ -17,6 +17,5 @@ from .scoring import QueuePolicy
 __all__ = [
     "ActivationPolicy", "AllowlistConfig", "AllowlistFilter", "Filter",
     "HopCountFilter", "LoyaltyFilter", "NXDomainConfig", "NXDomainFilter",
-    "QueryContext", "QueuePolicy", "RateLimitFilter", "ScoreBreakdown",
-    "ScoringPipeline",
+    "QueryContext", "QueuePolicy", "RateLimitFilter", "ScoringPipeline",
 ]

@@ -37,14 +37,6 @@ class Filter(Protocol):
         """Penalty contributed by this filter for ``ctx`` (0 = clean)."""
 
 
-@dataclass(slots=True)
-class ScoreBreakdown:
-    """Total penalty plus the per-filter contributions, for observability."""
-
-    total: float
-    contributions: dict[str, float]
-
-
 class ScoringPipeline:
     """Runs a query through every filter and sums penalties.
 
@@ -61,28 +53,19 @@ class ScoringPipeline:
     def add(self, filter_: Filter) -> None:
         self.filters.append(filter_)
 
-    #: Shared zero-penalty result for clean queries; treated as
-    #: read-only by every consumer (the machine only reads ``total``).
-    _CLEAN = ScoreBreakdown(0.0, {})
-
-    def score(self, ctx: QueryContext) -> ScoreBreakdown:
-        """Total penalty and per-filter breakdown for one query."""
+    def score(self, ctx: QueryContext) -> float:
+        """Total penalty for one query: the sum over the filters. The
+        ``filter_penalty_score`` row samples it, and each filter that
+        added a penalty counts a ``filter_penalties_total`` row."""
         self.scored += 1
-        contributions: dict[str, float] | None = None
         total = 0.0
+        penalized = ()
         for filter_ in self.filters:
             penalty = filter_.score(ctx)
             if penalty:
-                if contributions is None:
-                    contributions = {}
-                contributions[filter_.name] = penalty
                 total += penalty
+                penalized += (filter_.name,)
         _telemetry.record("filter_penalty_score", value=total)
-        if contributions is None:
-            # Clean query: skip the per-query dict/breakdown allocation
-            # (the dominant cost under flood load, where nearly every
-            # query scores zero until a filter tree is built).
-            return self._CLEAN
-        for filter_name in contributions:
-            _telemetry.record("filter_penalties_total", filter_name)
-        return ScoreBreakdown(total, contributions)
+        for filter_name in penalized:
+            _telemetry.record("filter_penalties_total", (filter_name,))
+        return total

@@ -5,13 +5,17 @@ component (routers, nameservers, resolvers, monitoring agents). Events at
 equal timestamps fire in scheduling order, which keeps runs bit-for-bit
 reproducible given the same seed.
 
-The heap stores plain list entries ``[time, seq, action, args, status]``
-rather than objects: entry comparison never goes past ``seq`` (which is
-unique), actions are bound methods or callables invoked with pre-bound
-``args`` so hot callers schedule without allocating a closure, and
-cancellation just flips ``status`` in place. Cancelled entries are
-dropped lazily — on pop, or in bulk once they outnumber the live ones —
-while a live counter keeps :attr:`EventLoop.pending` O(1).
+Each scheduled event is one object: a plain list
+``[time, seq, action, args, status]`` that is both the heap entry and the
+handle ``call_at`` returns (:data:`EventHandle`). Entry comparison never
+goes past ``seq`` (which is unique), actions are bound methods or
+callables invoked with pre-bound ``args`` so hot callers schedule without
+allocating a closure, and :meth:`EventLoop.cancel` just flips ``status``
+in place. Cancelled entries are dropped lazily — on pop, or in bulk once
+they outnumber the live ones — while a live counter keeps
+:attr:`EventLoop.pending` O(1). A list subclass with ``cancel`` as a
+method would cost more per event than the old list-plus-wrapper pair:
+CPython builds and frees subclass instances without the list fast paths.
 """
 
 from __future__ import annotations
@@ -36,30 +40,9 @@ _STATUS = 4
 #: *and* they outnumber the live ones (amortized O(1) per cancellation).
 _COMPACT_MIN = 64
 
-class EventHandle:
-    """Handle returned by :meth:`EventLoop.call_at`; supports cancellation."""
-
-    __slots__ = ("_entry", "_loop")
-
-    def __init__(self, entry: list, loop: "EventLoop") -> None:
-        self._entry = entry
-        self._loop = loop
-
-    def cancel(self) -> None:
-        """Prevent the event from firing; safe to call more than once."""
-        entry = self._entry
-        if entry[_STATUS] == _PENDING:
-            entry[_STATUS] = _CANCELLED
-            entry[_ACTION] = entry[_ARGS] = None
-            self._loop._cancelled(entry)
-        elif entry[_STATUS] == _FIRED:
-            # Matches the historical semantics: cancelling after the
-            # event fired is a no-op but the handle reads as cancelled.
-            entry[_STATUS] = _CANCELLED
-
-    @property
-    def cancelled(self) -> bool:
-        return self._entry[_STATUS] == _CANCELLED
+#: A scheduled event: its heap entry, returned by :meth:`EventLoop.call_at`
+#: and :meth:`EventLoop.call_later`; cancel it with :meth:`EventLoop.cancel`.
+EventHandle = list
 
 
 class EventLoop:
@@ -106,7 +89,7 @@ class EventLoop:
         entry = [when, seq, action, args, _PENDING]
         heapq.heappush(self._queue, entry)
         self._alive += 1
-        return EventHandle(entry, self)
+        return entry
 
     def call_later(self, delay: float, action: Callable[..., None],
                    *args) -> EventHandle:
@@ -120,30 +103,44 @@ class EventLoop:
         entry = [self.now + delay, seq, action, args, _PENDING]
         heapq.heappush(self._queue, entry)
         self._alive += 1
-        return EventHandle(entry, self)
+        return entry
 
     def rewind(self, handle: EventHandle, when: float,
                action: Callable[..., None], *args) -> bool:
         """Replace the pending event behind ``handle`` by ``action(*args)``
         at the earlier ``when``, in the same place in scheduling order (as
         if set for ``when`` originally). False once that place is past."""
-        seq = handle._entry[_SEQ]
+        seq = handle[_SEQ]
         if when < self.now or (when == self.now and seq <= self._running):
             return False
-        handle.cancel()
+        self.cancel(handle)
         heapq.heappush(self._queue, [when, seq, action, args, _PENDING])
         self._alive += 1
         return True
 
-    def _cancelled(self, entry: list) -> None:
-        """Bookkeeping for a cancellation; compacts the heap lazily."""
-        self._alive -= 1
-        self._dead += 1
-        if self._dead >= _COMPACT_MIN and self._dead > self._alive:
-            self._queue = [e for e in self._queue
-                           if e[_STATUS] == _PENDING]
-            heapq.heapify(self._queue)
-            self._dead = 0
+    def cancel(self, handle: EventHandle) -> None:
+        """Prevent the event behind this loop's ``handle`` from firing;
+        safe to call more than once. Compacts the heap lazily."""
+        status = handle[_STATUS]
+        if status == _PENDING:
+            handle[_STATUS] = _CANCELLED
+            handle[_ACTION] = handle[_ARGS] = None
+            self._alive -= 1
+            self._dead += 1
+            if self._dead >= _COMPACT_MIN and self._dead > self._alive:
+                self._queue = [e for e in self._queue
+                               if e[_STATUS] == _PENDING]
+                heapq.heapify(self._queue)
+                self._dead = 0
+        elif status == _FIRED:
+            # Matches the historical semantics: cancelling after the
+            # event fired is a no-op but the handle reads as cancelled.
+            handle[_STATUS] = _CANCELLED
+
+    @staticmethod
+    def cancelled(handle: EventHandle) -> bool:
+        """Whether ``handle`` was cancelled (before or after it fired)."""
+        return handle[_STATUS] == _CANCELLED
 
     # Not a second path: bench/tracing.py binds ``call_at_coalesced`` by
     # name, and bench/ was closed to the PR that retired coalescing.
@@ -228,7 +225,7 @@ class PeriodicTask:
     def stop(self) -> None:
         """Stop re-arming; a pending firing is cancelled."""
         self._stopped = True
-        self._handle.cancel()
+        self._loop.cancel(self._handle)
 
     @property
     def stopped(self) -> bool:

@@ -42,6 +42,10 @@ HOP_COST_S = 0.00005
 #: Shared empty FIB table so per-hop misses never allocate.
 _EMPTY_FIB: dict[str, str] = {}
 
+#: Read on every send; an Enum member read off its class is a metaclass
+#: attribute lookup per use.
+_HOST = NodeKind.HOST
+
 #: Route-cache paths longer than this are assumed to loop (no sane
 #: converged FIB path approaches it) and fall back to hop-by-hop
 #: forwarding, which owns the TTL-expiry semantics.
@@ -361,7 +365,7 @@ class Network:
 
     def send(self, dgram: Datagram) -> None:
         """Inject a datagram from its source host into the network."""
-        if self.topology.node(dgram.src).kind == NodeKind.HOST:
+        if self.topology.node(dgram.src).kind is _HOST:
             access = self._access_edge(dgram.src)
             if access is None:
                 self.stats.dropped_unreachable += 1
@@ -449,7 +453,7 @@ class Network:
                         flight.handle, t, self._forward, flight.ingress,
                         dgram):
                     continue    # its ingress router's FIB read is back
-                flight.handle.cancel()
+                self.loop.cancel(flight.handle)
                 # Arrival times fold the per-hop delays exactly as the
                 # slow path would have; the first arrival strictly after
                 # the change resumes hop-by-hop from that router.
@@ -560,10 +564,14 @@ class Network:
 
     def _deliver_fast(self, route: _CachedRoute, dgram: Datagram) -> None:
         hops = route.hops
-        self.stats.delivered += 1
-        self.stats.hops_total += len(dgram.hops) + len(hops)
-        self._trace_delivery(dgram, self.loop.now,
-                             len(dgram.hops) + len(hops))
+        travelled = len(dgram.hops) + len(hops)
+        stats = self.stats
+        stats.delivered += 1
+        stats.hops_total += travelled
+        # _trace_delivery's test inline: one delivery per packet, nearly
+        # never sampled, so no frame for the common case.
+        if getattr(dgram.payload, "trace", None) is not None:
+            self._trace_delivery(dgram, self.loop.now, travelled)
         # Positional construction: dataclasses.replace costs a kwargs
         # dict + field introspection per packet on this per-delivery path.
         route.handler(Datagram(

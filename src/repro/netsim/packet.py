@@ -35,8 +35,3 @@ class Datagram:
         """
         return Datagram(self.src, self.dst, self.payload, self.src_port,
                         self.dst_port, self.ip_ttl - 1, self.hops + (via,))
-
-    @property
-    def flow_key(self) -> tuple[str, int, str, int]:
-        """The tuple ECMP hashes on (paper section 3.1)."""
-        return (self.src, self.src_port, self.dst, self.dst_port)

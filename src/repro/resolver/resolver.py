@@ -373,7 +373,7 @@ class RecursiveResolver:
         if resolution.done:
             return
         if resolution.timeout_handle is not None:
-            resolution.timeout_handle.cancel()
+            self.loop.cancel(resolution.timeout_handle)
         _telemetry.end(resolution.attempt_span, self.loop.now)
         resolution.attempt_span = None
         rtt = self.loop.now - resolution.pending_sent_at
@@ -407,14 +407,14 @@ class RecursiveResolver:
                 return
             if verdict == "bogus":
                 self.validation_failures += 1
-                _telemetry.record("dnssec_validations_total", "bogus")
+                _telemetry.record("dnssec_validations_total", ("bogus",))
                 # Bogus data is indistinguishable from a lying server:
                 # retry the zone's other delegations, then give up.
                 self._query_authority(resolution)
                 return
             if verdict == "ok":
                 self.validations_ok += 1
-                _telemetry.record("dnssec_validations_total", "ok")
+                _telemetry.record("dnssec_validations_total", ("ok",))
         if message.rcode == RCode.NXDOMAIN:
             ttl = _negative_ttl(message.authority_rrsets())
             self.cache.put_negative(resolution.target, resolution.qtype,
@@ -532,7 +532,7 @@ class RecursiveResolver:
             return
         resolution.done = True
         if resolution.timeout_handle is not None:
-            resolution.timeout_handle.cancel()
+            self.loop.cancel(resolution.timeout_handle)
         result = resolution.result
         result.rcode = rcode
         result.answers = resolution.answers
@@ -540,7 +540,7 @@ class RecursiveResolver:
         result.from_cache = from_cache and result.queries_sent == 0
         if resolution.sub_depth == 0:
             self.resolutions_completed += 1
-            _telemetry.record("resolutions_total", rcode)
+            _telemetry.record("resolutions_total", (rcode,))
             _telemetry.record("resolution_seconds", value=result.duration)
             if result.timeouts:
                 _telemetry.record("resolution_timeouts_total",

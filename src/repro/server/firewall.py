@@ -60,7 +60,7 @@ class QoDFirewall:
     def record_crash(self, qname: Name, qtype: RType, now: float) -> None:
         """Install a rule from the payload the dying nameserver dumped."""
         self.install_rule(qname, qtype, now)
-        _telemetry.record("qod_events_total", "crash_recorded")
+        _telemetry.record("qod_events_total", ("crash_recorded",))
 
     def install_rule(self, qname: Name, qtype: RType,
                      now: float) -> QoDSignature:
@@ -88,7 +88,7 @@ class QoDFirewall:
         for signature in self._rules:
             if signature.matches(qname, qtype):
                 self.dropped += 1
-                _telemetry.record("qod_events_total", "dropped")
+                _telemetry.record("qod_events_total", ("dropped",))
                 return True
         return False
 

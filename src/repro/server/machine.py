@@ -47,6 +47,13 @@ class MachineState(enum.Enum):
     SUSPENDED = "suspended"
 
 
+#: Hot-path aliases: reading a member off an Enum class is a metaclass
+#: attribute lookup (~0.2 us) on every use.
+_RUNNING = MachineState.RUNNING
+_SUSPENDED = MachineState.SUSPENDED
+_NXDOMAIN = RCode.NXDOMAIN
+
+
 @dataclass(slots=True)
 class QueryEnvelope:
     """A query in flight plus simulation-side ground truth.
@@ -295,14 +302,14 @@ class NameserverMachine:
             (self.loop.now, action, str(zone.origin), _serial_of(zone)))
         if self._nxdomain_filter is not None:
             self._nxdomain_filter.invalidate(zone.origin)
-        _telemetry.record("zone_updates_total", self.machine_id, action)
+        _telemetry.record("zone_updates_total", (self.machine_id, action))
         return True
 
     def _reject_zone(self, zone: Zone) -> bool:
         self.metrics.zone_rejects += 1
         self.zone_install_log.append(
             (self.loop.now, "reject", str(zone.origin), _serial_of(zone)))
-        _telemetry.record("zone_updates_total", self.machine_id, "reject")
+        _telemetry.record("zone_updates_total", (self.machine_id, "reject"))
         return False
 
     def rollback_zone(self, origin: Name) -> bool:
@@ -329,7 +336,7 @@ class NameserverMachine:
             return False
         stale = now - self.last_input_time > self.config.staleness_threshold
         if stale:
-            _telemetry.record("machine_stale_total", self.machine_id)
+            _telemetry.record("machine_stale_total", (self.machine_id,))
         return stale
 
     # -- degraded mode (defense ladder) ---------------------------------------
@@ -346,8 +353,8 @@ class NameserverMachine:
         was_normal = self.degraded_rung is None
         self.degraded_rung = rung_label
         if was_normal:
-            _telemetry.record("machine_lifecycle_total", self.machine_id,
-                              "degraded")
+            _telemetry.record("machine_lifecycle_total",
+                              (self.machine_id, "degraded"))
 
     def exit_degraded(self) -> None:
         """Leave degraded mode and replay deferred zone updates.
@@ -364,12 +371,12 @@ class NameserverMachine:
         self._deferred_zones.clear()
         for _, (zone, rollback) in pending:
             self.install_zone(zone, rollback=rollback)
-        _telemetry.record("machine_lifecycle_total", self.machine_id,
-                          "restored")
+        _telemetry.record("machine_lifecycle_total",
+                          (self.machine_id, "restored"))
 
     def _shed(self, reason: str) -> None:
         """Count a query shed at ``reason``, and against the held rung."""
-        _telemetry.record("queries_dropped_total", self.machine_id, reason)
+        _telemetry.record("queries_dropped_total", (self.machine_id, reason))
         rung = self.degraded_rung
         if rung is not None:
             shed = self.metrics.shed_by_rung
@@ -449,21 +456,21 @@ class NameserverMachine:
         """Self-suspend: stop answering until resumed."""
         if self.state == MachineState.RUNNING:
             self.state = MachineState.SUSPENDED
-            _telemetry.record("machine_lifecycle_total", self.machine_id,
-                              "suspended")
+            _telemetry.record("machine_lifecycle_total",
+                              (self.machine_id, "suspended"))
 
     def resume(self) -> None:
         if self.state == MachineState.SUSPENDED:
             self.state = MachineState.RUNNING
-            _telemetry.record("machine_lifecycle_total", self.machine_id,
-                              "resumed")
+            _telemetry.record("machine_lifecycle_total",
+                              (self.machine_id, "resumed"))
             self._kick()
 
     def crash(self, qname=None, qtype=None) -> None:
         """Unrecoverable fault; queued queries are lost."""
         self.metrics.crashes += 1
-        _telemetry.record("machine_lifecycle_total", self.machine_id,
-                          "crashed")
+        _telemetry.record("machine_lifecycle_total",
+                          (self.machine_id, "crashed"))
         self.state = MachineState.CRASHED
         self.queues.clear()
         self._busy = False
@@ -521,7 +528,7 @@ class NameserverMachine:
             # machine; degrade the probe answer so the monitoring
             # agent's test suite (and the canary health gate built on
             # it) sees the failure (section 4.2.4 posture).
-            _telemetry.record("dnssec_validations_total", "bogus")
+            _telemetry.record("dnssec_validations_total", ("bogus",))
         if bogus or seen == "wrong_answer":
             # ``respond_probe`` may return a plan's shared Message —
             # degrade a fresh copy instead of mutating it.
@@ -544,7 +551,7 @@ class NameserverMachine:
             metrics.legit_received += 1
         if dgram.src in self.known_sources:
             metrics.known_received += 1
-        _telemetry.record("queries_received_total", self.machine_id)
+        _telemetry.record("queries_received_total", (self.machine_id,))
 
         fault = self.fault
         if fault is not None and self._drops(fault, dgram.src):
@@ -552,20 +559,20 @@ class NameserverMachine:
             # rcode, no log line, no health-probe signal. Only the
             # metric (experiment-side ground truth) records it.
             metrics.dropped_gray += 1
-            _telemetry.record("queries_dropped_total", self.machine_id,
-                              "gray")
+            _telemetry.record("queries_dropped_total",
+                              (self.machine_id, "gray"))
             return
 
-        if self.state != MachineState.RUNNING:
-            if envelope.shadow and self.state == MachineState.SUSPENDED:
+        if self.state is not _RUNNING:
+            if envelope.shadow and self.state is _SUSPENDED:
                 # Probation shadow probes: the suspended process still
                 # runs, so the external prober may exercise the data
                 # path out-of-band before traffic is restored.
                 self._serve_shadow(dgram, envelope)
                 return
             metrics.dropped_not_running += 1
-            _telemetry.record("queries_dropped_total", self.machine_id,
-                              "not_running")
+            _telemetry.record("queries_dropped_total",
+                              (self.machine_id, "not_running"))
             return
 
         now = self.loop.now
@@ -583,11 +590,9 @@ class NameserverMachine:
             self._shed("io")
             return
 
-        ctx = QueryContext(source=dgram.src, qname=qname,
-                           qtype=qtype, now=now,
-                           ip_ttl=dgram.ip_ttl)
-        breakdown = self.pipeline.score(ctx)
-        if not self.queues.enqueue((dgram, envelope), breakdown.total):
+        score = self.pipeline.score(
+            QueryContext(dgram.src, qname, qtype, now, dgram.ip_ttl))
+        if not self.queues.enqueue((dgram, envelope), score):
             metrics.dropped_queue += 1
             self._shed("queue")
             return
@@ -614,7 +619,7 @@ class NameserverMachine:
     # -- service ----------------------------------------------------------------
 
     def _kick(self) -> None:
-        if self._busy or self.state != MachineState.RUNNING:
+        if self._busy or self.state is not _RUNNING:
             return
         item = self.queues.pop_next()
         if item is None:
@@ -626,7 +631,7 @@ class NameserverMachine:
 
     def _complete(self, dgram: Datagram, envelope: QueryEnvelope) -> None:
         self._busy = False
-        if self.state != MachineState.RUNNING:
+        if self.state is not _RUNNING:
             return
         question = envelope.message.question
         if envelope.poison:
@@ -640,7 +645,7 @@ class NameserverMachine:
         # rcode check keeps armed-but-idle sessions (filter installed,
         # no flood) from paying a call per response.
         nxd = self._nxdomain_filter
-        if nxd is not None and response.flags.rcode == RCode.NXDOMAIN:
+        if nxd is not None and response.flags.rcode == _NXDOMAIN:
             nxd.observe_response(envelope.message, response, self.loop.now)
         metrics = self.metrics
         metrics.answered += 1
@@ -651,7 +656,7 @@ class NameserverMachine:
         if dgram.src in self.known_sources:
             metrics.known_answered += 1
         rcode = response.flags.rcode
-        _telemetry.record("queries_answered_total", self.machine_id, rcode)
+        _telemetry.record("queries_answered_total", (self.machine_id, rcode))
         span = envelope.trace
         if span is not None:
             now = self.loop.now
@@ -690,6 +695,6 @@ class NameserverMachine:
         metrics = self.metrics
         metrics.answered += 1
         metrics.legit_answered += 1
-        _telemetry.record("queries_answered_total", self.machine_id,
-                          response.flags.rcode)
+        _telemetry.record("queries_answered_total",
+                          (self.machine_id, response.flags.rcode))
         self.respond(dgram, response)

@@ -195,8 +195,8 @@ class MonitoringAgent:
                 self._on_crash(machine)
             return
         report = self.run_suite()
-        _telemetry.record("agent_checks_total", machine.machine_id,
-                          "healthy" if report.healthy else "unhealthy")
+        verdict = "healthy" if report.healthy else "unhealthy"
+        _telemetry.record("agent_checks_total", (machine.machine_id, verdict))
         if not report.healthy:
             self._handle_unhealthy()
         else:
@@ -208,7 +208,7 @@ class MonitoringAgent:
         if not self.coordinator.suspend(self.machine, self.speaker):
             self.metrics.suspensions_denied += 1
             _telemetry.record("machine_lifecycle_total",
-                              self.machine.machine_id, "denied")
+                              (self.machine.machine_id, "denied"))
             return
         self._suspended_by_agent = True
         self.metrics.suspensions += 1

@@ -137,9 +137,8 @@ class PoP:
     # -- data plane ----------------------------------------------------------------
 
     def _ingress_admit(self) -> bool:
-        """Token bucket over the PoP's aggregate peering bandwidth."""
-        if self.ingress_capacity_pps is None:
-            return True
+        """Token bucket over the PoP's aggregate peering bandwidth (set
+        only when ``ingress_capacity_pps`` is)."""
         elapsed = self.loop.now - self._ingress_last
         self._ingress_last = self.loop.now
         cap = self.ingress_capacity_pps * 0.05
@@ -152,7 +151,8 @@ class PoP:
 
     def _deliver(self, dgram: Datagram) -> None:
         """Router handed us a packet for an anycast prefix we originate."""
-        if not self._ingress_admit():
+        if self.ingress_capacity_pps is not None \
+                and not self._ingress_admit():
             self.dropped_ingress += 1
             return
         if dgram.dst_port != 53 \
@@ -165,7 +165,10 @@ class PoP:
         ecmp = self._ecmp.get(dgram.dst)
         if not ecmp:
             return
-        machine_id = ecmp[ecmp_hash(dgram.flow_key) % len(ecmp)]
+        # ecmp_hash of the flow 4-tuple, its key text built in place.
+        machine_id = ecmp[zlib.crc32(
+            f"{dgram.src}|{dgram.src_port}|{dgram.dst}|{dgram.dst_port}"
+            .encode("ascii")) % len(ecmp)]
         machine = self.machines[machine_id]
         self.queries_forwarded += 1
         span = dgram.payload.trace

@@ -59,8 +59,8 @@ class PenaltyQueueRuntime(Generic[T]):
         queue.append(item)
         self._depth += 1
         self.stats.enqueued_per_queue[index] += 1
-        _telemetry.record("penalty_enqueued_total", self.owner, index)
-        _telemetry.record("penalty_queue_depth", self.owner,
+        _telemetry.record("penalty_enqueued_total", (self.owner, index))
+        _telemetry.record("penalty_queue_depth", (self.owner,),
                           value=float(self._depth))
         return True
 
@@ -71,7 +71,7 @@ class PenaltyQueueRuntime(Generic[T]):
                 self.stats.served_per_queue[index] += 1
                 item = queue.popleft()
                 self._depth -= 1
-                _telemetry.record("penalty_queue_depth", self.owner,
+                _telemetry.record("penalty_queue_depth", (self.owner,),
                                   value=float(self._depth))
                 return index, item
         return None

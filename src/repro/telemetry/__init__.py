@@ -24,8 +24,9 @@ seed, every export is bit-reproducible, **and** enabling telemetry does
 not change any simulation result — instrumentation never schedules
 events on the sim loop, never draws from simulation RNG streams, and
 never mutates sim state (arming the defense ladder is opt-in and off by
-default). When no session is active each emit and span helper of
-:mod:`.state` costs a call and one ``is not None`` test.
+default). When no session is active ``state.record`` is a no-op
+function (one call) and each span helper of :mod:`.state` costs a call
+and one ``is not None`` test.
 """
 
 from __future__ import annotations
@@ -108,10 +109,11 @@ class Telemetry:
     Activate with :func:`repro.telemetry.activate` (or the
     :func:`~repro.telemetry.state.session` context manager). Instrumented
     code emits a :data:`METRICS` row through :func:`.state.record`, which
-    lands in :meth:`record`, and opens and closes spans through
-    :mod:`.state`'s ``begin``, ``end`` and ``instant``, which go straight
-    to :attr:`tracer`. Nothing else is called, so the instrumentation
-    surface stays greppable and the hot-path cost auditable.
+    is :meth:`record` bound to the active session, and opens and closes
+    spans through :mod:`.state`'s ``begin``, ``end`` and ``instant``,
+    which go straight to :attr:`tracer`. Nothing else is called, so the
+    instrumentation surface stays greppable and the hot-path cost
+    auditable.
     """
 
     def __init__(self, config: TelemetryConfig | None = None) -> None:
@@ -167,7 +169,8 @@ class Telemetry:
 
     # -- metrics ------------------------------------------------------------
 
-    def record(self, name: str, labels: tuple, value: float = 1.0) -> None:
+    def record(self, name: str, labels: tuple = (),
+               value: float = 1.0) -> None:
         """Add ``value`` to counter ``name`` at series ``labels`` (set the
         gauge, sample the histogram), then feed the row's detectors in the
         order they were added, at the attached loop's ``now``. ``labels``

@@ -1,19 +1,21 @@
 """Process-global telemetry handle with near-zero disabled overhead.
 
-Instrumented code emits through four functions here, each of which
-holds the check for a session::
+Instrumented code emits through four functions here::
 
     from ..telemetry import state as _telemetry
-    _telemetry.record("queries_dropped_total", self.machine_id, "io")
+    _telemetry.record("queries_dropped_total", (self.machine_id, "io"))
     span = _telemetry.begin("machine.process", "machine", now, parent)
     _telemetry.instant(span, "engine.respond", "engine", now, rcode=...)
     _telemetry.end(span, now)
 
 ``record`` reaches a :data:`~.registry.METRICS` row and the detectors
-subscribed to it; the span helpers go straight to the session's tracer.
-With no session, ``ACTIVE`` is ``None`` and each costs a call and an
-identity test (see docs/ARCHITECTURE.md, "Observability"). This module
-imports nothing from the simulator so any layer may depend on it.
+subscribed to it: it *is* the session's ``Telemetry.record`` (bound by
+:func:`activate` and :func:`deactivate`), so a row costs one call, and
+with no session it is a no-op function. The span helpers hold the check
+for a session and go straight to the session's tracer; with no session,
+``ACTIVE`` is ``None`` and each costs a call and an identity test (see
+docs/ARCHITECTURE.md, "Observability"). This module imports nothing
+from the simulator so any layer may depend on it.
 
 Sessions nest: :func:`activate` pushes, :func:`deactivate` pops and
 restores the previous handle, so a component that runs its own scoped
@@ -36,24 +38,32 @@ ACTIVE = None
 _STACK: list = []
 
 
+def _off(name: str, labels: tuple = (), value: float = 1.0) -> None:
+    """``record`` while no session is active: the row goes nowhere."""
+
+
+#: ``Telemetry.record(name, labels=(), value=1.0)`` of the active
+#: session, bound method and all, or :func:`_off`. Sites call it as
+#: ``_telemetry.record(...)``, reading the module attribute per call.
+record = _off
+
+
+def _bind(handle: "Telemetry | None") -> None:
+    global ACTIVE, record
+    ACTIVE = handle
+    record = _off if handle is None else handle.record
+
+
 def activate(handle: "Telemetry") -> "Telemetry":
     """Make ``handle`` the process-global telemetry sink."""
-    global ACTIVE
     _STACK.append(ACTIVE)
-    ACTIVE = handle
+    _bind(handle)
     return handle
 
 
 def deactivate() -> None:
     """Pop the current handle, restoring whatever was active before."""
-    global ACTIVE
-    ACTIVE = _STACK.pop() if _STACK else None
-
-
-def record(name: str, *labels, value: float = 1.0) -> None:
-    """``Telemetry.record(name, labels, value)`` on the active session."""
-    if ACTIVE is not None:
-        ACTIVE.record(name, labels, value)
+    _bind(_STACK.pop() if _STACK else None)
 
 
 def begin(name: str, component: str, now: float,

@@ -6,9 +6,12 @@ functions by cumulative time — the workflow that drove the fast-path
 optimization work, packaged so a regression hunt starts with one
 command.
 
-``--events LABEL`` counts instead of timing: events by scheduling site
-and records constructed by class, for a figure label or for a scenario
-of ``bench/workloads.py`` (measured phase only, per operation).
+``--events LABEL`` counts instead of timing: events by scheduling site,
+records constructed by class and calls made, for a figure label or for
+a scenario of ``bench/workloads.py`` (measured phase only, per
+operation). All three are deterministic: the calls are the profiler's
+count of every Python and builtin function call, less the counting
+wrappers' own.
 
 Profiling is operator-facing tooling: the experiment result is
 discarded and nothing here feeds simulation output.
@@ -192,8 +195,17 @@ class _Site:
         self.tally = tally
 
     def __call__(self, *args):
-        self.tally.fired[self.site] += 1
+        _tick(self.tally.fired, self.site, 1)
         return self.action(*args)
+
+
+def _tick(counter: collections.Counter, key: str, count: int) -> None:
+    """``counter[key] += count`` without ``Counter.__missing__``: the
+    counting makes no call the profiler would see outside this module."""
+    if key in counter:
+        counter[key] += count
+    else:
+        counter[key] = count
 
 
 class EventTally:
@@ -217,8 +229,11 @@ def counted_events(tally: EventTally) -> Iterator[None]:
     rewind = EventLoop.rewind
 
     def site(action: Callable, scheduled: int = 1) -> _Site:
-        name = getattr(action, "__qualname__", type(action).__name__)
-        tally.scheduled[name] += scheduled
+        try:
+            name = action.__qualname__
+        except AttributeError:
+            name = type(action).__name__
+        _tick(tally.scheduled, name, scheduled)
         return _Site(action, name, tally)
 
     def counted_call_at(self, when, action, *args):
@@ -230,7 +245,7 @@ def counted_events(tally: EventTally) -> Iterator[None]:
     def counted_rewind(self, handle, when, action, *args):
         proxy = site(action, scheduled=0)
         moved = rewind(self, handle, when, proxy, *args)
-        tally.scheduled[proxy.site] += moved
+        _tick(tally.scheduled, proxy.site, moved)
         return moved
 
     EventLoop.call_at = counted_call_at
@@ -264,6 +279,16 @@ def records_by_class(profiler: cProfile.Profile) -> collections.Counter:
     return built
 
 
+def calls_made(profiler: cProfile.Profile) -> int:
+    """Calls of Python and builtin functions made under ``profiler``,
+    less those of this module's frames (the event-counting wrappers;
+    they call nothing else the profiler sees but the wrapped
+    scheduling functions and actions, which count)."""
+    here = __file__
+    return sum(entry.callcount for entry in profiler.getstats()
+               if getattr(entry.code, "co_filename", None) != here)
+
+
 class _Untimed:
     """Stands in for bench's ``HostClock``: set-up parts go untimed."""
 
@@ -285,15 +310,16 @@ def load_scenarios(path: Path) -> dict:
 
 def count_events(label: str, *, fast: bool = True,
                  seed: int = SCENARIO_SEED, workloads: Path = WORKLOADS_PATH
-                 ) -> tuple[EventTally, collections.Counter, int | None]:
-    """Run ``label`` counting events and records; returns the tally,
-    records constructed by class, and the operations done (None for a
-    figure, which has no operation count)."""
+                 ) -> tuple[EventTally, collections.Counter, int, int | None]:
+    """Run ``label`` counting events, records and calls; returns the
+    tally, records constructed by class, calls made, and the operations
+    done (None for a figure, which has no operation count)."""
     tally = EventTally()
     with counted_events(tally):
         if label in parallel.JOB_ORDER:
             profiler = _profiled_units(label, fast)
-            return tally, records_by_class(profiler), None
+            return (tally, records_by_class(profiler), calls_made(profiler),
+                    None)
         scenarios = load_scenarios(workloads)
         if label not in scenarios:
             raise SystemExit(
@@ -308,12 +334,13 @@ def count_events(label: str, *, fast: bool = True,
         with profiling(profiler):
             for i in range(scenario.n_slices):
                 scenario.step(i)
-    return tally, records_by_class(profiler), scenario.report()["ops"]
+    return (tally, records_by_class(profiler), calls_made(profiler),
+            scenario.report()["ops"])
 
 
 def events_report(label: str, tally: EventTally,
                   records: collections.Counter, ops: int | None,
-                  top: int) -> str:
+                  top: int, calls: int | None = None) -> str:
     """Markdown: events by scheduling site, then records by class."""
     fired = sum(tally.fired.values())
     built = sum(records.values())
@@ -327,7 +354,9 @@ def events_report(label: str, tally: EventTally,
         f"{fired:,} events fired" + \
         (f" ({fired / ops:.2f} per operation)" if ops else "") + \
         f", {built:,} dataclass records constructed" + \
-        (f" ({built / ops:.2f} per operation)" if ops else "")
+        (f" ({built / ops:.2f} per operation)" if ops else "") + \
+        ("" if calls is None else f", {calls:,} calls made" +
+         (f" ({calls / ops:.1f} per operation)" if ops else ""))
     out = [f"## {label}", "", head + ".", "",
            f"| scheduling site | scheduled | fired {unit}|",
            f"|---|---:|---:|{rule}"]
@@ -353,10 +382,11 @@ def main(argv: list[str] | None = None) -> int:
                         help="profile every figure and write "
                              f"{PROFILES_PATH}")
     parser.add_argument("--events", metavar="LABEL",
-                        help="count events by scheduling site and records "
-                             "by class for a figure label or a scenario "
-                             f"of {WORKLOADS_PATH} at seed {SCENARIO_SEED} "
-                             "(measured phase, per operation)")
+                        help="count events by scheduling site, records "
+                             "by class and calls made for a figure label "
+                             f"or a scenario of {WORKLOADS_PATH} at seed "
+                             f"{SCENARIO_SEED} (measured phase, per "
+                             "operation)")
     parser.add_argument("--full", action="store_true",
                         help="profile at full (non --fast) scale")
     parser.add_argument("--top", type=int, default=None,
@@ -367,11 +397,12 @@ def main(argv: list[str] | None = None) -> int:
                         help="pstats sort key (default cumulative)")
     args = parser.parse_args(argv)
     if args.events is not None:
-        tally, records, ops = count_events(args.events, fast=not args.full)
+        tally, records, calls, ops = count_events(args.events,
+                                                  fast=not args.full)
         heading = (args.events if ops is None
                    else f"{args.events} (seed {SCENARIO_SEED})")
         print(events_report(heading, tally, records, ops,
-                            args.top if args.top is not None else 20))
+                            args.top if args.top is not None else 20, calls))
         return 0
     if args.all_figures:
         profile_all_figures(fast=not args.full,

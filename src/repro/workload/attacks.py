@@ -19,15 +19,21 @@ from __future__ import annotations
 import random
 import string
 from dataclasses import dataclass
+from math import log
 from typing import Callable
 
-from ..dnscore.message import make_query
+from ..dnscore.message import Flags, Message, make_query
 from ..dnscore.name import Name
+from ..dnscore.records import Question
 from ..dnscore.rrtypes import RType
-from ..netsim.packet import Datagram
+from ..netsim.packet import DEFAULT_IP_TTL, Datagram
 from ..server.machine import QueryEnvelope
 
 SendFn = Callable[[Datagram], None]
+
+#: Every attack query asks for A; bound once, as reading a member off an
+#: Enum class is a metaclass attribute lookup per use.
+_A = RType.A
 
 
 class JunkPayload:
@@ -42,7 +48,16 @@ class AttackStats:
 
 
 class _BaseAttack:
-    """Common send-loop plumbing for attack generators."""
+    """Common send-loop plumbing for attack generators.
+
+    Every packet is a draw or three, so the generators call the RNG's
+    primitives where the stdlib conveniences would wrap them, with the
+    same bits consumed: ``seq[_randbelow(len(seq))]`` for ``choice``,
+    ``1024 + _randbelow(64512)`` for ``randint(1024, 65535)`` and
+    ``-log(1 - random()) / rate`` for ``expovariate(rate)``. Packets are
+    built positionally, every field given, so no dataclass default
+    factory runs (``make_query`` would build the same ``Message``).
+    """
 
     def __init__(self, loop, rng: random.Random, send: SendFn,
                  rate_pps: float, duration: float) -> None:
@@ -65,21 +80,40 @@ class _BaseAttack:
     def _schedule(self) -> None:
         if self.rate <= 0 or self._stopped:
             return
-        self.loop.call_later(self.rng.expovariate(self.rate), self._fire)
+        self.loop.call_later(-log(1.0 - self.rng.random()) / self.rate,
+                             self._fire)
 
     def _fire(self) -> None:
         if self._stopped or self.loop.now > self.deadline:
             return
         self.send(self.make_packet())
         self.stats.packets_sent += 1
-        self._schedule()
+        if not self._stopped:       # _schedule, inline: once per packet
+            self.loop.call_later(-log(1.0 - self.rng.random()) / self.rate,
+                                 self._fire)
 
-    def _next_id(self) -> int:
-        self._msg_id = (self._msg_id + 1) & 0xFFFF
-        return self._msg_id
+    def _query(self, qname: Name) -> QueryEnvelope:
+        """An attack query for ``qname`` A under the next message id."""
+        self._msg_id = msg_id = (self._msg_id + 1) & 0xFFFF
+        return QueryEnvelope(
+            Message(msg_id, Flags(), [Question(qname, _A)], [], [], [], None),
+            True)
 
     def make_packet(self) -> Datagram:
         raise NotImplementedError
+
+
+def _nonempty(items: list, what: str) -> list:
+    """``items`` as a list; a generator with none to draw from is an
+    error here, not an endless ``_randbelow(0)`` at the first packet."""
+    items = list(items)
+    if not items:
+        raise ValueError(f"an attack needs at least one {what}")
+    return items
+
+
+#: Where reflection junk lands: DNS, NTP and HTTP.
+_JUNK_PORTS = (53, 123, 80)
 
 
 class VolumetricAttack(_BaseAttack):
@@ -93,10 +127,11 @@ class VolumetricAttack(_BaseAttack):
                         for i in range(1000)]
 
     def make_packet(self) -> Datagram:
-        return Datagram(src=self.rng.choice(self.sources), dst=self.target,
-                        payload=JunkPayload(),
-                        src_port=self.rng.randint(1024, 65535),
-                        dst_port=self.rng.choice([53, 123, 80]))
+        randbelow = self.rng._randbelow
+        sources = self.sources
+        return Datagram(sources[randbelow(len(sources))], self.target,
+                        JunkPayload(), 1024 + randbelow(64512),
+                        _JUNK_PORTS[randbelow(3)], DEFAULT_IP_TTL, ())
 
 
 class DirectQueryAttack(_BaseAttack):
@@ -107,15 +142,17 @@ class DirectQueryAttack(_BaseAttack):
                  source_count: int = 8) -> None:
         super().__init__(loop, rng, send, rate_pps, duration)
         self.target = target
-        self.qnames = list(qnames)
-        self.sources = [f"198.18.0.{i + 1}" for i in range(source_count)]
+        self.qnames = _nonempty(qnames, "qname")
+        self.sources = _nonempty(
+            [f"198.18.0.{i + 1}" for i in range(source_count)], "source")
 
     def make_packet(self) -> Datagram:
-        query = make_query(self._next_id(), self.rng.choice(self.qnames),
-                           RType.A)
-        return Datagram(src=self.rng.choice(self.sources), dst=self.target,
-                        payload=QueryEnvelope(query, is_attack=True),
-                        src_port=self.rng.randint(1024, 65535))
+        randbelow = self.rng._randbelow
+        qnames, sources = self.qnames, self.sources
+        envelope = self._query(qnames[randbelow(len(qnames))])
+        return Datagram(sources[randbelow(len(sources))], self.target,
+                        envelope, 1024 + randbelow(64512), 53,
+                        DEFAULT_IP_TTL, ())
 
 
 _LABEL_ALPHABET = string.ascii_lowercase + string.digits
@@ -130,17 +167,17 @@ def random_label(rng: random.Random, length: int = 10) -> str:
 
     The hottest RNG site in the attack workloads, so it draws all the
     label's entropy in one ``getrandbits`` call and peels digits off
-    with divmod (6 bits of entropy per character makes the modulo bias
-    ~2^-14 per character — irrelevant here, where the only property the
-    attacks rely on is that labels are effectively unique).
+    with ``%`` and ``//`` (6 bits of entropy per character makes the
+    modulo bias ~2^-14 per character — irrelevant here, where the only
+    property the attacks rely on is that labels are effectively unique).
     """
     r = rng.getrandbits(6 * length)
     pairs = _LABEL_PAIRS
     out = []
     append = out.append
     for _ in range(length // 2):
-        r, idx = divmod(r, 1296)
-        append(pairs[idx])
+        append(pairs[r % 1296])
+        r //= 1296
     if length & 1:
         append(_LABEL_ALPHABET[r % 36])
     return "".join(out)
@@ -160,19 +197,20 @@ class RandomSubdomainAttack(_BaseAttack):
         super().__init__(loop, rng, send, rate_pps, duration)
         self.target = target
         self.victim_zone = victim_zone
-        self.sources = list(sources)
+        self.sources = _nonempty(sources, "source")
         #: Pass-through attacks arrive as *real* packets from the
         #: resolvers, so they carry each resolver's genuine IP TTL.
         self.source_ip_ttls = dict(source_ip_ttls or {})
 
     def make_packet(self) -> Datagram:
-        qname = self.victim_zone.prepend(random_label(self.rng))
-        query = make_query(self._next_id(), qname, RType.A)
-        source = self.rng.choice(self.sources)
-        return Datagram(src=source, dst=self.target,
-                        payload=QueryEnvelope(query, is_attack=True),
-                        src_port=self.rng.randint(1024, 65535),
-                        ip_ttl=self.source_ip_ttls.get(source, 64))
+        rng = self.rng
+        randbelow = rng._randbelow
+        sources = self.sources
+        envelope = self._query(self.victim_zone.prepend(random_label(rng)))
+        source = sources[randbelow(len(sources))]
+        return Datagram(source, self.target, envelope,
+                        1024 + randbelow(64512), 53,
+                        self.source_ip_ttls.get(source, DEFAULT_IP_TTL), ())
 
 
 @dataclass(frozen=True, slots=True)
@@ -196,20 +234,19 @@ class SpoofedSourceAttack(_BaseAttack):
                  qnames: list[Name], attacker_ip_ttl: int = 44) -> None:
         super().__init__(loop, rng, send, rate_pps, duration)
         self.target = target
-        self.identities = list(identities)
-        self.qnames = list(qnames)
+        self.identities = _nonempty(identities, "identity")
+        self.qnames = _nonempty(qnames, "qname")
         self.attacker_ip_ttl = attacker_ip_ttl
 
     def make_packet(self) -> Datagram:
-        identity = self.rng.choice(self.identities)
-        query = make_query(self._next_id(), self.rng.choice(self.qnames),
-                           RType.A)
+        randbelow = self.rng._randbelow
+        identities, qnames = self.identities, self.qnames
+        identity = identities[randbelow(len(identities))]
+        envelope = self._query(qnames[randbelow(len(qnames))])
         ttl = (identity.ip_ttl if identity.ip_ttl is not None
                else self.attacker_ip_ttl)
-        return Datagram(src=identity.address, dst=self.target,
-                        payload=QueryEnvelope(query, is_attack=True),
-                        src_port=self.rng.randint(1024, 65535),
-                        ip_ttl=ttl)
+        return Datagram(identity.address, self.target, envelope,
+                        1024 + randbelow(64512), 53, ttl, ())
 
 
 @dataclass(slots=True)

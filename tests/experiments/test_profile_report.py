@@ -115,7 +115,7 @@ def test_events_are_counted_by_site_in_the_phase_they_fire_in():
         cancelled = loop.call_later(2.0, fired.append, "never")
         for i in range(3):
             loop.call_at(3.0, fired.append, i)
-        cancelled.cancel()
+        loop.cancel(cancelled)
         loop.run_until(2.0)
         assert tally.scheduled["list.append"] == 6
         assert tally.fired["list.append"] == 1
@@ -156,6 +156,11 @@ def test_events_report_is_per_operation_for_a_scenario():
                                      {"m.R": 6, "m.S": 2}), 4, top=1)
     assert "4 operations, 12 events fired (3.00 per operation), " \
            "8 dataclass records constructed (2.00 per operation)." in text
+    counted = profile.events_report("w (seed 1)", tally,
+                                    collections.Counter(), 4, top=1,
+                                    calls=30)
+    assert "0 dataclass records constructed (0.00 per operation), " \
+           "30 calls made (7.5 per operation)." in counted
     assert "| `A.f` | 10 | 8 | 2.00 |" in text
     assert "| `m.R` | 6 | 1.50 |" in text and "m.S" not in text
     # A figure has no operation count: plain counts only.
@@ -194,10 +199,15 @@ def tiny_workloads(tmp_path):
 
 def test_a_scenario_is_loaded_by_path_and_counted_over_its_measured_phase(
         tiny_workloads):
-    tally, records, ops = profile.count_events("tiny", seed=6,
-                                               workloads=tiny_workloads)
+    tally, records, calls, ops = profile.count_events(
+        "tiny", seed=6, workloads=tiny_workloads)
     assert ops == 3 and not records
     assert tally.fired == {"Tiny.tick": 6} and not tally.scheduled
+    # Two steps, each a run_until; six events, each a heappop and a
+    # tick; three calls leaving the profiled block (the context
+    # manager's exit, its next() and disable()). The counting wrappers'
+    # frames are not among them.
+    assert calls == 2 + 2 + 6 + 6 + 3
 
 
 def test_the_tool_puts_the_profile_hook_it_found_back(tiny_workloads):

@@ -9,6 +9,8 @@ from repro.filters import (
     QueuePolicy,
     ScoringPipeline,
 )
+from repro.telemetry import Telemetry
+from repro.telemetry import state as telemetry_state
 
 
 def ctx(source="r1", now=0.0, ip_ttl=58):
@@ -89,13 +91,23 @@ class TestPipeline:
 
         pipeline = ScoringPipeline([Fixed("a", 5.0), Fixed("b", 0.0),
                                     Fixed("c", 7.0)])
-        breakdown = pipeline.score(ctx())
-        assert breakdown.total == 12.0
-        assert breakdown.contributions == {"a": 5.0, "c": 7.0}
+        with telemetry_state.session(Telemetry()) as telemetry:
+            assert pipeline.score(ctx()) == 12.0
         assert pipeline.scored == 1
+        metrics = telemetry.export()["metrics"]
+        assert {series: count for series, count
+                in metrics["counters"].items()
+                if series.startswith("filter_penalties_total")} == {
+            "filter_penalties_total{filter=a}": 1.0,
+            "filter_penalties_total{filter=c}": 1.0}
+        assert metrics["histograms"]["filter_penalty_score"]["count"] == 1
 
     def test_empty_pipeline_scores_zero(self):
-        assert ScoringPipeline([]).score(ctx()).total == 0.0
+        with telemetry_state.session(Telemetry()) as telemetry:
+            assert ScoringPipeline([]).score(ctx()) == 0.0
+        assert not any(series.startswith("filter_penalties_total")
+                       for series in telemetry.export()["metrics"]
+                       ["counters"])
 
 
 class TestQueuePolicy:

@@ -73,7 +73,3 @@ class TestDatagramHelpers:
         assert moved.ip_ttl == 9
         assert moved.hops == ("r1",)
         assert d.ip_ttl == 10  # original untouched
-
-    def test_flow_key(self):
-        d = Datagram(src="a", dst="b", payload=None, src_port=1, dst_port=2)
-        assert d.flow_key == ("a", 1, "b", 2)

@@ -46,13 +46,13 @@ class TestEventLoop:
         loop = EventLoop()
         fired = []
         handle = loop.call_at(1.0, lambda: fired.append(1))
-        handle.cancel()
+        loop.cancel(handle)
         # An event may cancel a later event of its own instant.
-        loop.call_at(2.0, lambda: later.cancel())
+        loop.call_at(2.0, lambda: loop.cancel(later))
         later = loop.call_at(2.0, lambda: fired.append(2))
         loop.run()
         assert fired == []
-        assert handle.cancelled and later.cancelled
+        assert loop.cancelled(handle) and loop.cancelled(later)
         assert loop.events_processed == 1
 
     def test_past_scheduling_rejected(self):
@@ -90,7 +90,7 @@ class TestRewind:
         late = loop.call_at(9.0, fired.append, "late")
         loop.call_at(1.0, fired.append, "c")
         assert loop.rewind(late, 1.0, fired.append, "b")
-        assert late.cancelled and loop.pending == 3
+        assert loop.cancelled(late) and loop.pending == 3
         loop.run()
         assert fired == ["a", "b", "c"]
         assert loop.events_processed == 3

@@ -10,7 +10,7 @@ class TestPendingCounter:
         loop = EventLoop()
         handles = [loop.call_at(float(i + 1), int) for i in range(10)]
         assert loop.pending == 10
-        handles[3].cancel()
+        loop.cancel(handles[3])
         assert loop.pending == 9
         loop.run_until(5.0)
         assert loop.pending == 5  # events at t=6..10 remain
@@ -24,7 +24,7 @@ class TestPendingCounter:
         loop = EventLoop()
         handles = [loop.call_at(float(i + 1), int) for i in range(500)]
         for h in handles[::2]:
-            h.cancel()
+            loop.cancel(h)
         assert loop.pending == 250
         assert loop.pending == len(
             [e for e in loop._queue if e[4] == 0])
@@ -33,11 +33,11 @@ class TestPendingCounter:
         loop = EventLoop()
         h = loop.call_at(1.0, int)
         other = loop.call_at(2.0, int)
-        h.cancel()
-        h.cancel()
+        loop.cancel(h)
+        loop.cancel(h)
         assert loop.pending == 1
         loop.run()
-        assert not other.cancelled
+        assert not loop.cancelled(other)
 
 
 class TestLazyCompaction:
@@ -47,7 +47,7 @@ class TestLazyCompaction:
         # Cancel enough that dead (>=64) outnumbers alive: compaction
         # must shrink the physical heap while preserving live entries.
         for h in handles[:150]:
-            h.cancel()
+            loop.cancel(h)
         assert loop.pending == 50
         # Compaction fired once dead outnumbered alive (at the 101st
         # cancellation), purging every entry cancelled up to then.
@@ -62,7 +62,7 @@ class TestLazyCompaction:
         for i in range(200):
             handle = loop.call_at(float(i + 1), fired.append, i)
             if i % 4:
-                handle.cancel()
+                loop.cancel(handle)
             else:
                 keep.append(i)
         loop.run()
@@ -71,7 +71,7 @@ class TestLazyCompaction:
     def test_small_cancel_counts_do_not_compact(self):
         loop = EventLoop()
         handles = [loop.call_at(float(i + 1), int) for i in range(10)]
-        handles[0].cancel()
+        loop.cancel(handles[0])
         # Below the compaction threshold the dead entry lingers in the
         # heap (dropped on pop), but pending is already correct.
         assert len(loop._queue) == 10
@@ -87,9 +87,9 @@ class TestHandleSemantics:
         h = loop.call_at(1.0, fired.append, "x")
         loop.run()
         assert fired == ["x"]
-        assert not h.cancelled
-        h.cancel()
-        assert h.cancelled
+        assert not loop.cancelled(h)
+        loop.cancel(h)
+        assert loop.cancelled(h)
         assert loop.pending == 0  # no double-decrement
 
 

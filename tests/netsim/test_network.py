@@ -100,7 +100,7 @@ class TestUnicast:
         assert loop.pending == pending
         assert loop.events_processed == processed + 3
         first, tick, second = sink.received
-        assert tick == "tick" and not bystander.cancelled
+        assert tick == "tick" and not loop.cancelled(bystander)
         assert (first[1].payload, second[1].payload) == ("hi", "again")
         assert first[0] == second[0] == latency > 0
 

@@ -93,7 +93,7 @@ class TestEventLoopPending:
         h1 = loop.call_at(1.0, lambda: None)
         loop.call_at(2.0, lambda: None)
         assert loop.pending == 2
-        h1.cancel()
+        loop.cancel(h1)
         assert loop.pending == 1
         loop.run()
         assert loop.pending == 0

@@ -140,6 +140,27 @@ class TestPoPOrigination:
         assert ecmp_hash(key) == ecmp_hash(key)
         assert ecmp_hash(key) != ecmp_hash(("1.2.3.4", 5354, "5.6.7.8", 53))
 
+    def test_each_flow_lands_where_ecmp_hash_places_it(self, world):
+        """The PoP spells the key out per packet; the gray-failure
+        prober predicts placement with ``ecmp_hash``. They must agree."""
+        loop, net, pop = world
+        machines = {}
+        for i in range(4):
+            m, s = add_machine(loop, pop, f"m{i}")
+            s.advertise_all()
+            machines[m.machine_id] = m
+        loop.run_until(30)
+        ecmp = pop.ecmp_set(PREFIX)
+        expected = dict.fromkeys(machines, 0)
+        for port in range(5000, 5040):
+            send_query(loop, net, port=port, msg_id=port)
+            expected[ecmp[ecmp_hash(("client-0", port, PREFIX, 53))
+                          % len(ecmp)]] += 1
+        loop.run_until(40)
+        assert {m: machine.metrics.received
+                for m, machine in machines.items()} == expected
+        assert len([n for n in expected.values() if n]) > 1
+
     def test_ecmp_hash_is_crc32_of_the_joined_tuple(self):
         """Machine placement of every flow depends on these exact bytes."""
         for key in (("1.2.3.4", 5353, "5.6.7.8", 53),

@@ -76,7 +76,7 @@ class _RecordLog:
     def __init__(self):
         self.calls = []
 
-    def record(self, name, labels, value):
+    def record(self, name, labels=(), value=1.0):
         self.calls.append((name, labels, value))
 
 

@@ -13,6 +13,7 @@ called a hook of its own (``python -m tests.telemetry.test_flood_golden
 and spans opened through ``state`` change nothing recorded.
 """
 
+import cProfile
 import json
 import random
 import sys
@@ -32,6 +33,7 @@ from repro.telemetry import (
 )
 from repro.telemetry import state as telemetry_state
 from repro.telemetry.exporters import jsonl_events
+from repro.tools import profile
 from repro.workload.attacks import (
     DirectQueryAttack,
     RandomSubdomainAttack,
@@ -40,6 +42,12 @@ from repro.workload.attacks import (
 )
 
 GOLDEN = Path(__file__).with_name("flood_golden.jsonl")
+
+#: Dataclass records constructed per machine-received query over
+#: :func:`run_flood`, platform set-up included: 11.05 while the scoring
+#: pipeline built a ``ScoreBreakdown`` for every penalized query, 10.54
+#: since it returns the float total.
+MAX_RECORDS_PER_RECEIVED = 10.6
 
 ORIGIN = "victim.net"
 N_NAMES = 40
@@ -120,6 +128,20 @@ def render(telemetry: Telemetry) -> str:
 
 def test_session_is_byte_identical_to_the_recording():
     assert render(run_flood()) == GOLDEN.read_text()
+
+
+def test_records_per_received_query_stay_within_the_bound():
+    profiler = cProfile.Profile()
+    with profile.profiling(profiler):
+        telemetry = run_flood()
+    received = sum(
+        count for series, count
+        in telemetry.export()["metrics"]["counters"].items()
+        if series.startswith("queries_received_total"))
+    built = sum(profile.records_by_class(profiler).values())
+    assert received > 3000
+    assert built / received <= MAX_RECORDS_PER_RECEIVED, \
+        f"{built / received:.2f} records per received query"
 
 
 def test_recording_covers_the_hooks_it_claims():

@@ -1,7 +1,7 @@
 """The metric table, the one ``record`` call, and the sites that use it.
 
 Every metric family is a row of ``repro.telemetry.METRICS``, and every
-site reaches its row with ``state.record("<row>", *labels)``; detectors
+site reaches its row with ``state.record("<row>", (label, ...))``; detectors
 subscribe to rows and spans go through ``state``'s helpers, so nothing
 else on ``Telemetry`` is called from the simulator. The AST checks below
 read every such name under ``src/repro``, so a misspelled row or a wrong
@@ -38,11 +38,12 @@ def _record_calls() -> list[tuple[str, str, int]]:
                     isinstance(first, ast.Constant)
                     and isinstance(first.value, str)):
                 continue
-            labels = node.args[1:]
-            assert not any(isinstance(a, ast.Starred) for a in labels), \
-                f"{path}:{node.lineno}: labels must be spelled out"
             site = f"{path.relative_to(SRC)}:{node.lineno}"
-            calls.append((site, first.value, len(labels)))
+            labels = node.args[1] if len(node.args) > 1 else ast.Tuple([])
+            assert isinstance(labels, ast.Tuple) and not any(
+                isinstance(a, ast.Starred) for a in labels.elts), \
+                f"{site}: labels must be a tuple spelled out"
+            calls.append((site, first.value, len(labels.elts)))
     return calls
 
 
@@ -103,13 +104,13 @@ def test_record_spells_labels_and_updates_by_kind():
     origin = name("a.example")
     with telemetry_state.session(telemetry):
         for _ in range(2):
-            telemetry_state.record("zone_responses_total", "m1", origin,
-                                   RCode.NXDOMAIN)
-        telemetry_state.record("gray_verdict_state", "m1", value=2.0)
-        telemetry_state.record("gray_verdict_state", "m1", value=0.0)
+            telemetry_state.record("zone_responses_total",
+                                   ("m1", origin, RCode.NXDOMAIN))
+        telemetry_state.record("gray_verdict_state", ("m1",), value=2.0)
+        telemetry_state.record("gray_verdict_state", ("m1",), value=0.0)
         telemetry_state.record("gray_detection_seconds", value=4.0)
-    telemetry_state.record("zone_responses_total", "m1", origin,
-                           RCode.NXDOMAIN)        # no session: not counted
+    telemetry_state.record("zone_responses_total",
+                           ("m1", origin, RCode.NXDOMAIN))  # no session
     metrics = telemetry.export()["metrics"]
     assert metrics["counters"][
         "zone_responses_total{machine=m1,zone=a.example.,rcode=NXDOMAIN}"

@@ -5,6 +5,7 @@ taxonomy end to end: each attack class is caught by the filter designed
 for it and missed by the weaker filters it is designed to evade.
 """
 
+import hashlib
 import random
 import subprocess
 import sys
@@ -112,6 +113,80 @@ class TestGenerators:
     def test_random_label_deterministic(self):
         assert random_label(random.Random(3)) == \
             random_label(random.Random(3))
+
+
+#: The first 500 packets of each attack class at seed 2020, as
+#: :func:`stream_digest` spells them. The generators draw with the RNG's
+#: primitives and build their packets positionally; these pin that the
+#: stream is the one ``choice`` / ``randint`` / ``expovariate`` and
+#: ``make_query`` gave.
+STREAM_DIGESTS = {
+    "volumetric":
+        "6339d6c9c4d1b5487a3b913e6e57fc17baa8849fc82c1d814c609a087d3b8836",
+    "direct_query":
+        "2ae8e60d2e4580a95617897781bb483ce8defd4b8d40461647f3459640e784ce",
+    "random_subdomain":
+        "d46295eb161c441b4b78b10831d47462a12e2feb9385359a0c6a27aa2ff8b7ae",
+    "spoofed_source":
+        "f22fbb6810af7e1549ec500edfe0656b5f34dff52e7132f190acccd50f688ff4",
+    "spoofed_source_ttl":
+        "324292bfe932fb1e41440b593a40441e10dda422cb07d77f43cffd80d7252352",
+}
+
+
+def _stream(kind):
+    identities = [SpoofedIdentity(f"192.0.2.{i}") for i in range(1, 4)]
+    forged = [SpoofedIdentity(f"192.0.2.{i}", ip_ttl=50 + i)
+              for i in range(1, 4)] + [SpoofedIdentity("192.0.2.9")]
+    return {
+        "volumetric": (VolumetricAttack, dict(target="pop-x")),
+        "direct_query": (DirectQueryAttack,
+                         dict(target="ns", qnames=VALID, source_count=6)),
+        "random_subdomain": (RandomSubdomainAttack,
+                             dict(target="ns", victim_zone=VICTIM,
+                                  sources=["10.1.1.1", "10.1.1.2",
+                                           "10.1.1.3"],
+                                  source_ip_ttls={"10.1.1.2": 51})),
+        "spoofed_source": (SpoofedSourceAttack,
+                           dict(target="ns", identities=identities,
+                                qnames=VALID, attacker_ip_ttl=37)),
+        "spoofed_source_ttl": (SpoofedSourceAttack,
+                               dict(target="ns", identities=forged,
+                                    qnames=VALID)),
+    }[kind]
+
+
+def stream_digest(kind, count=500, seed=2020):
+    """sha256 over the first ``count`` packets of one attack class: each
+    packet's inter-arrival time, addresses, ports, IP TTL, and for a
+    query its id, flags, qname and qtype."""
+    attack_cls, kwargs = _stream(kind)
+    loop = EventLoop()
+    lines = []
+    last = [0.0]
+
+    def send(p):
+        now = loop.now
+        message = getattr(p.payload, "message", None)
+        query = (None if message is None else
+                 (message.msg_id, message.flags.to_wire(),
+                  str(message.question.qname), int(message.question.qtype),
+                  len(message.questions), message.edns,
+                  p.payload.is_attack))
+        lines.append(repr(((now - last[0]).hex(), p.src, p.dst, p.src_port,
+                           p.dst_port, p.ip_ttl, p.hops, query)))
+        last[0] = now
+
+    attack_cls(loop, random.Random(seed), send, rate_pps=1_000.0,
+               duration=1e9, **kwargs).start()
+    loop.run(max_events=count)
+    assert len(lines) == count
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("kind", sorted(STREAM_DIGESTS))
+def test_generator_stream_is_pinned(kind):
+    assert stream_digest(kind) == STREAM_DIGESTS[kind]
 
 
 class TestTaxonomyCoverage:
