@@ -137,8 +137,8 @@ class PoP:
     # -- data plane ----------------------------------------------------------------
 
     def _ingress_admit(self) -> bool:
-        """Token bucket over the PoP's aggregate peering bandwidth (set
-        only when ``ingress_capacity_pps`` is)."""
+        """Token bucket over the PoP's aggregate peering bandwidth; asked
+        only when ``ingress_capacity_pps`` is set."""
         elapsed = self.loop.now - self._ingress_last
         self._ingress_last = self.loop.now
         cap = self.ingress_capacity_pps * 0.05

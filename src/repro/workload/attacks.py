@@ -88,9 +88,7 @@ class _BaseAttack:
             return
         self.send(self.make_packet())
         self.stats.packets_sent += 1
-        if not self._stopped:       # _schedule, inline: once per packet
-            self.loop.call_later(-log(1.0 - self.rng.random()) / self.rate,
-                                 self._fire)
+        self._schedule()
 
     def _query(self, qname: Name) -> QueryEnvelope:
         """An attack query for ``qname`` A under the next message id."""
