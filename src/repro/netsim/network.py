@@ -568,8 +568,8 @@ class Network:
         stats = self.stats
         stats.delivered += 1
         stats.hops_total += travelled
-        # _trace_delivery's test inline: one delivery per packet, nearly
-        # never sampled, so no frame for the common case.
+        # _trace_delivery's test inline (here and for unicast): one
+        # delivery per packet, nearly never sampled.
         if getattr(dgram.payload, "trace", None) is not None:
             self._trace_delivery(dgram, self.loop.now, travelled)
         # Positional construction: dataclasses.replace costs a kwargs
@@ -592,8 +592,9 @@ class Network:
             return
         endpoint = self._endpoints[dgram.dst]
         self.stats.delivered += 1
-        self._trace_delivery(dgram, self.loop.now + latency,
-                             len(dgram.hops))
+        if getattr(dgram.payload, "trace", None) is not None:
+            self._trace_delivery(dgram, self.loop.now + latency,
+                                 len(dgram.hops))
         self.loop.call_later(latency, endpoint.handle_datagram, dgram)
 
     # -- link view and unicast shortest paths --------------------------------

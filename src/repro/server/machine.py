@@ -585,10 +585,22 @@ class NameserverMachine:
             self._shed("firewall")
             return
 
-        if not self._io_admit(now):
+        # The network stack's read capacity: a token bucket every
+        # arriving query draws on, kept inline on this per-packet path.
+        config = self.config
+        rate = config.io_capacity_qps
+        elapsed = now - self._io_last
+        self._io_last = now
+        cap = rate * config.io_burst_seconds
+        tokens = self._io_tokens + elapsed * rate
+        if tokens > cap:
+            tokens = cap
+        if tokens < 1.0:
+            self._io_tokens = tokens
             metrics.dropped_io += 1
             self._shed("io")
             return
+        self._io_tokens = tokens - 1.0
 
         score = self.pipeline.score(
             QueryContext(dgram.src, qname, qtype, now, dgram.ip_ttl))
@@ -598,23 +610,8 @@ class NameserverMachine:
             return
         envelope.trace = _telemetry.begin("machine.process", "machine", now,
                                           envelope.trace)
-        self._kick()
-
-    def _io_admit(self, now: float) -> bool:
-        """Token bucket modelling the network stack's read capacity."""
-        config = self.config
-        rate = config.io_capacity_qps
-        elapsed = now - self._io_last
-        self._io_last = now
-        cap = rate * config.io_burst_seconds
-        tokens = self._io_tokens + elapsed * rate
-        if tokens > cap:
-            tokens = cap
-        if tokens >= 1.0:
-            self._io_tokens = tokens - 1.0
-            return True
-        self._io_tokens = tokens
-        return False
+        if not self._busy:
+            self._kick()
 
     # -- service ----------------------------------------------------------------
 
