@@ -109,8 +109,9 @@ def test_record_spells_labels_and_updates_by_kind():
         telemetry_state.record("gray_verdict_state", ("m1",), value=2.0)
         telemetry_state.record("gray_verdict_state", ("m1",), value=0.0)
         telemetry_state.record("gray_detection_seconds", value=4.0)
+    # No session: not counted.
     telemetry_state.record("zone_responses_total",
-                           ("m1", origin, RCode.NXDOMAIN))  # no session
+                           ("m1", origin, RCode.NXDOMAIN))
     metrics = telemetry.export()["metrics"]
     assert metrics["counters"][
         "zone_responses_total{machine=m1,zone=a.example.,rcode=NXDOMAIN}"
@@ -118,6 +119,27 @@ def test_record_spells_labels_and_updates_by_kind():
     assert metrics["gauges"]["gray_verdict_state{machine=m1}"] == {
         "value": 0.0, "max": 2.0, "min": 0.0}
     assert metrics["histograms"]["gray_detection_seconds"]["count"] == 1
+
+
+def test_record_is_the_active_sessions_and_sessions_nest():
+    """``state.record`` is bound, not dispatched: each session's own
+    ``Telemetry.record`` while it is active, the outer one's again when
+    an inner session ends, and nothing after the last."""
+    outer, inner = Telemetry(), Telemetry()
+    with telemetry_state.session(outer):
+        assert telemetry_state.record == outer.record
+        with telemetry_state.session(inner):
+            assert telemetry_state.record == inner.record
+            telemetry_state.record("qod_events_total", ("dropped",))
+        telemetry_state.record("qod_events_total", ("dropped",), value=2.0)
+    assert telemetry_state.ACTIVE is None
+    telemetry_state.record("qod_events_total", ("dropped",))
+
+    def dropped(telemetry):
+        return telemetry.export()["metrics"]["counters"][
+            "qod_events_total{event=dropped}"]
+
+    assert (dropped(outer), dropped(inner)) == (2.0, 1.0)
 
 
 def test_rows_without_labels_are_exported_when_empty():
