@@ -580,17 +580,26 @@ class Network:
             dgram.hops + hops + (route.dest_router,)))
 
     def _deliver_unicast(self, dgram: Datagram) -> None:
-        latency = self.unicast_latency(dgram.src, dgram.dst)
+        # unicast_latency and _access_edge, over one read of the link view.
+        view = self._view()
+        src, dst = dgram.src, dgram.dst
+        distances = view.distances.get(src)
+        if distances is None:
+            distances = view.distances[src] = self._dijkstra(view, src)
+        latency = distances.get(dst)
         if latency is None:
             self.stats.dropped_unreachable += 1
             return
         # A degraded access link loses packets in both directions.
-        access = self._access_edge(dgram.dst)
+        edges = view.edges.get(dst)
+        if edges is None:
+            edges = self._edges(view, dst)
+        access = edges.get(self.topology.attachment_router(dst))
         if access is not None and access.loss > 0.0 \
                 and self.rng.random() < access.loss:
             self.stats.dropped_loss += 1
             return
-        endpoint = self._endpoints[dgram.dst]
+        endpoint = self._endpoints[dst]
         self.stats.delivered += 1
         if getattr(dgram.payload, "trace", None) is not None:
             self._trace_delivery(dgram, self.loop.now + latency,

@@ -15,6 +15,11 @@ from ..dnscore.name import Name
 from ..dnscore.records import RRset
 from ..dnscore.rrtypes import RCode, RType
 
+#: The types :meth:`DNSCache.glue` and :meth:`DNSCache.best_delegation`
+#: read, bound once.
+_GLUE_TYPES = (RType.A, RType.AAAA)
+_NS = RType.NS
+
 
 @dataclass(slots=True)
 class CacheEntry:
@@ -22,9 +27,6 @@ class CacheEntry:
 
     rrset: RRset
     expires_at: float
-
-    def remaining_ttl(self, now: float) -> int:
-        return max(0, int(self.expires_at - now))
 
 
 @dataclass(slots=True)
@@ -65,11 +67,18 @@ class DNSCache:
 
     def get(self, qname: Name, qtype: RType, now: float) -> RRset | None:
         """A live positive entry, copied with its TTL aged, or None: what
-        leaves the resolver. Code that only reads rdata uses :meth:`peek`."""
-        entry = self.peek(qname, qtype, now)
-        if entry is None:
+        leaves the resolver. Code that only reads rdata uses :meth:`peek`.
+        (The lookup is :meth:`peek`'s, written out: this runs per resolution.)"""
+        key = (qname, qtype)
+        entry = self._positive.get(key)
+        if entry is None or entry.expires_at <= now:
+            if entry is not None:
+                del self._positive[key]
+            self.misses += 1
             return None
-        return entry.rrset.with_ttl(entry.remaining_ttl(now))
+        self.hits += 1
+        # A live entry expires after ``now``: the aged TTL is positive.
+        return entry.rrset.with_ttl(int(entry.expires_at - now))
 
     def peek(self, qname: Name, qtype: RType,
              now: float) -> CacheEntry | None:
@@ -84,6 +93,37 @@ class DNSCache:
         self.hits += 1
         return entry
 
+    def glue(self, ns_rrset: RRset, now: float,
+             addresses: list[str]) -> list[Name]:
+        """Append to ``addresses`` the cached A then AAAA addresses of each
+        NS target of ``ns_rrset``, in record order; return the targets
+        with neither. Each (target, type) read is :meth:`peek`'s — one
+        lookup, counted and expired lazily the same way — and, like it,
+        copies nothing."""
+        positive = self._positive
+        glueless: list[Name] = []
+        hits = misses = 0
+        for record in ns_rrset.records:
+            target = record.rdata.target
+            found = False
+            for rtype in _GLUE_TYPES:
+                key = (target, rtype)
+                entry = positive.get(key)
+                if entry is None or entry.expires_at <= now:
+                    if entry is not None:
+                        del positive[key]
+                    misses += 1
+                else:
+                    hits += 1
+                    found = True
+                    for glue in entry.rrset.records:
+                        addresses.append(glue.rdata.address)
+            if not found:
+                glueless.append(target)
+        self.hits += hits
+        self.misses += misses
+        return glueless
+
     def get_negative(self, qname: Name, qtype: RType,
                      now: float) -> RCode | None:
         entry = self._negative.get((qname, qtype))
@@ -95,12 +135,23 @@ class DNSCache:
 
     def best_delegation(self, qname: Name,
                         now: float) -> tuple[Name, RRset] | None:
-        """The deepest cached NS RRset enclosing ``qname`` (as ``peek``)."""
-        for ancestor in qname.ancestors():
-            entry = self.peek(ancestor, RType.NS, now)
-            if entry is not None:
+        """The deepest cached NS RRset enclosing ``qname``: a :meth:`peek`
+        of each ancestor, deepest first, written out."""
+        positive = self._positive
+        ancestor = qname
+        while True:
+            key = (ancestor, _NS)
+            entry = positive.get(key)
+            if entry is None or entry.expires_at <= now:
+                if entry is not None:
+                    del positive[key]
+                self.misses += 1
+            else:
+                self.hits += 1
                 return ancestor, entry.rrset
-        return None
+            if ancestor.is_root:
+                return None
+            ancestor = ancestor.parent()
 
     def flush(self) -> None:
         self._positive.clear()

@@ -23,15 +23,15 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..dnscore.edns import ClientSubnetOption, EDNSOptions
-from ..dnscore.message import Message, make_query
+from ..dnscore.message import Flags, Message
 from ..dnscore.name import Name
 from ..dnscore.rdata import CNAME, DNSKEY, RRSIG, SOA
-from ..dnscore.records import RRset
-from ..dnscore.rrtypes import RCode, RType
+from ..dnscore.records import Question, RRset
+from ..dnscore.rrtypes import Opcode, RClass, RCode, RType
 from ..dnssec.sign import verify_message
 from ..netsim.clock import EventHandle, EventLoop
 from ..netsim.network import Network
-from ..netsim.packet import Datagram
+from ..netsim.packet import DEFAULT_IP_TTL, Datagram
 from ..server.machine import QueryEnvelope
 from ..telemetry import state as _telemetry
 from .cache import DNSCache
@@ -54,6 +54,16 @@ JITTER = 0.15
 RESOLUTION_DEADLINE = 30.0
 #: EDNS UDP payload size every upstream query advertises.
 EDNS_PAYLOAD = 1232
+
+#: Enum members read per resolution or per upstream query, bound once:
+#: reading a member off an Enum class is a metaclass attribute lookup.
+_NOERROR = RCode.NOERROR
+_NXDOMAIN = RCode.NXDOMAIN
+_SERVFAIL = RCode.SERVFAIL
+_CNAME = RType.CNAME
+_NS = RType.NS
+_QUERY = Opcode.QUERY
+_IN = RClass.IN
 
 
 @dataclass(slots=True)
@@ -94,15 +104,22 @@ ResolveCallback = Callable[[ResolutionResult], None]
 class _Resolution:
     """State machine for one in-flight resolution."""
 
+    __slots__ = ("target", "qtype", "callback", "result", "answers",
+                 "attempts", "referrals", "tried", "pending_query",
+                 "pending_address", "pending_sent_at", "timeout_handle",
+                 "done", "sub_depth", "glue_chased", "keys_chased", "span",
+                 "attempt_span")
+
     def __init__(self, resolver: "RecursiveResolver", qname: Name,
                  qtype: RType, callback: ResolveCallback) -> None:
-        self.resolver = resolver
         self.target = qname
         self.qtype = qtype
         self.callback = callback
-        self.result = ResolutionResult(qname, qtype, RCode.SERVFAIL,
-                                       started_at=resolver.loop.now)
+        #: The answer chain; the result holds this same list.
         self.answers: list[RRset] = []
+        self.result = ResolutionResult(qname, qtype, _SERVFAIL, self.answers,
+                                       resolver.loop.now, 0.0, 0, 0, [],
+                                       False)
         self.attempts = 0
         self.referrals = 0
         self.tried: set[str] = set()
@@ -179,7 +196,7 @@ class RecursiveResolver:
         self.resolutions_started += 1
         resolution = _Resolution(self, qname, qtype, callback)
         resolution.span = _telemetry.begin("resolver.resolve", "resolver",
-                                           self.loop.now)
+                                           resolution.result.started_at)
         self._step(resolution)
 
     # -- cache-driven stepping ------------------------------------------------
@@ -188,28 +205,30 @@ class RecursiveResolver:
         if resolution.done:
             return
         now = self.loop.now
+        cache = self.cache
+        target = resolution.target
+        qtype = resolution.qtype
         # Negative cache.
-        negative = self.cache.get_negative(resolution.target,
-                                           resolution.qtype, now)
+        negative = cache.get_negative(target, qtype, now)
         if negative is not None:
-            self._finish(resolution, negative, from_cache=True)
+            self._finish(resolution, negative, True)
             return
         # Positive cache, following CNAMEs that are cached.
         chased = 0
         while chased < 16:
-            answer = self.cache.get(resolution.target, resolution.qtype, now)
+            answer = cache.get(target, qtype, now)
             if answer is not None:
                 resolution.answers.append(answer)
-                self._finish(resolution, RCode.NOERROR,
-                             from_cache=resolution.result.queries_sent == 0)
+                self._finish(resolution, _NOERROR,
+                             resolution.result.queries_sent == 0)
                 return
-            cname = self.cache.get(resolution.target, RType.CNAME, now)
-            if cname is None or resolution.qtype == RType.CNAME:
+            cname = cache.get(target, _CNAME, now)
+            if cname is None or qtype == _CNAME:
                 break
             resolution.answers.append(cname)
             rdata = cname.records[0].rdata
             assert isinstance(rdata, CNAME)
-            resolution.target = rdata.target
+            resolution.target = target = rdata.target
             chased += 1
         self._query_authority(resolution)
 
@@ -217,23 +236,12 @@ class RecursiveResolver:
                               ) -> tuple[list[str], list[Name]]:
         """(addresses, address-less NS targets) for the best authority."""
         now = self.loop.now
+        cache = self.cache
         # Only rdata is read here: stored entries, nothing copied or aged.
-        delegation = self.cache.best_delegation(resolution.target, now)
-        addresses: list[str] = []
-        glueless: list[Name] = []
+        delegation = cache.best_delegation(resolution.target, now)
         if delegation is not None:
-            _zone_cut, ns_rrset = delegation
-            for record in ns_rrset.records:
-                target = record.rdata.target
-                found = False
-                for addr_type in (RType.A, RType.AAAA):
-                    glue = self.cache.peek(target, addr_type, now)
-                    if glue is not None:
-                        found = True
-                        addresses.extend(r.rdata.address
-                                         for r in glue.rrset.records)
-                if not found:
-                    glueless.append(target)
+            addresses: list[str] = []
+            glueless = cache.glue(delegation[1], now, addresses)
             if addresses or glueless:
                 return addresses, glueless
         # Fall back to configured hints: deepest hint enclosing target.
@@ -249,7 +257,7 @@ class RecursiveResolver:
         # ancient in-flight resolutions.
         if (self.loop.now - resolution.result.started_at
                 >= RESOLUTION_DEADLINE):
-            self._finish(resolution, RCode.SERVFAIL)
+            self._finish(resolution, _SERVFAIL)
             return
         candidates, glueless = self._authority_candidates(resolution)
         untried = [a for a in candidates if a not in resolution.tried]
@@ -257,14 +265,16 @@ class RecursiveResolver:
         if not pool:
             if self._chase_glue(resolution, glueless):
                 return
-            self._finish(resolution, RCode.SERVFAIL)
+            self._finish(resolution, _SERVFAIL)
             return
         # Resolvers retry against every delegation of a zone before
         # giving up (the behaviour section 4.3.1's compartmentalization
-        # depends on); the budget scales with the candidate set.
-        attempt_budget = max(MAX_ATTEMPTS, len(candidates) + 3)
-        if resolution.attempts >= attempt_budget:
-            self._finish(resolution, RCode.SERVFAIL)
+        # depends on); the budget scales with the candidate set, and is
+        # at least MAX_ATTEMPTS.
+        attempt_budget = len(candidates) + 3
+        if resolution.attempts >= attempt_budget \
+                and resolution.attempts >= MAX_ATTEMPTS:
+            self._finish(resolution, _SERVFAIL)
             return
         # Prefer untried addresses outright while any remain.
         if untried:
@@ -301,30 +311,33 @@ class RecursiveResolver:
 
     def _send_query(self, resolution: _Resolution, address: str) -> None:
         msg_id = self._allocate_id()
-        edns = EDNSOptions(
-            payload_size=EDNS_PAYLOAD, dnssec_ok=self.validate_dnssec,
-            client_subnet=(ClientSubnetOption.for_client(self.send_ecs_for)
-                           if self.send_ecs_for is not None else None))
-        # An upstream query has a fresh msg_id and per-resolution
-        # target; nothing to reuse.
-        query = make_query(msg_id, resolution.target, resolution.qtype,
-                           edns=edns)
-        port = self.rng.randint(1024, 65535)
-        envelope = QueryEnvelope(query)
+        ecs = self.send_ecs_for
+        # Every field given, in order: this runs per upstream query.
+        query = Message(
+            msg_id, Flags(False, _QUERY, False, False, False, False, _NOERROR),
+            [Question(resolution.target, resolution.qtype, _IN)], [], [], [],
+            EDNSOptions(EDNS_PAYLOAD, 0, 0, self.validate_dnssec,
+                        None if ecs is None
+                        else ClientSubnetOption.for_client(ecs), []))
+        # randint(1024, 65535), draw for draw.
+        port = 1024 + self.rng._randbelow(64512)
+        envelope = QueryEnvelope(query, False, False, False, None)
+        now = self.loop.now
         if resolution.span is not None:
             resolution.attempt_span = envelope.trace = _telemetry.begin(
-                "resolver.attempt", "resolver", self.loop.now,
-                resolution.span, server=address)
-        dgram = Datagram(src=self.host_id, dst=address,
-                         payload=envelope, src_port=port)
+                "resolver.attempt", "resolver", now, resolution.span,
+                server=address)
+        dgram = Datagram(self.host_id, address, envelope, port, 53,
+                         DEFAULT_IP_TTL, ())
         resolution.pending_query = query
         resolution.pending_address = address
-        resolution.pending_sent_at = self.loop.now
+        resolution.pending_sent_at = now
         self._inflight[msg_id] = resolution
-        resolution.result.queries_sent += 1
-        resolution.result.servers.append(address)
-        self.queries_by_server[address] = \
-            self.queries_by_server.get(address, 0) + 1
+        result = resolution.result
+        result.queries_sent += 1
+        result.servers.append(address)
+        by_server = self.queries_by_server
+        by_server[address] = by_server.get(address, 0) + 1
         self.network.send(dgram)
         resolution.timeout_handle = self.loop.call_later(
             self._attempt_timeout(resolution),
@@ -339,7 +352,7 @@ class RecursiveResolver:
         off geometrically and are jittered per (resolver, attempt) so
         the fleet's retry edges never align during a platform fault.
         """
-        attempt = max(1, resolution.attempts)
+        attempt = resolution.attempts
         timeout = self.timeout
         if attempt > 1:
             scale = min(BACKOFF_FACTOR ** (attempt - 1),
@@ -349,7 +362,9 @@ class RecursiveResolver:
             timeout = self.timeout * scale * jitter
         remaining = (resolution.result.started_at
                      + RESOLUTION_DEADLINE - self.loop.now)
-        return min(timeout, max(remaining, 0.05))
+        if remaining < 0.05:
+            remaining = 0.05
+        return remaining if remaining < timeout else timeout
 
     def _allocate_id(self) -> int:
         for _ in range(0x10000):
@@ -374,8 +389,9 @@ class RecursiveResolver:
             return
         if resolution.timeout_handle is not None:
             self.loop.cancel(resolution.timeout_handle)
-        _telemetry.end(resolution.attempt_span, self.loop.now)
-        resolution.attempt_span = None
+        if resolution.attempt_span is not None:
+            _telemetry.end(resolution.attempt_span, self.loop.now)
+            resolution.attempt_span = None
         rtt = self.loop.now - resolution.pending_sent_at
         address = resolution.pending_address
         if address is not None:
@@ -387,8 +403,10 @@ class RecursiveResolver:
             return
         self._inflight.pop(msg_id, None)
         resolution.result.timeouts += 1
-        _telemetry.end(resolution.attempt_span, self.loop.now, timeout=True)
-        resolution.attempt_span = None
+        if resolution.attempt_span is not None:
+            _telemetry.end(resolution.attempt_span, self.loop.now,
+                           timeout=True)
+            resolution.attempt_span = None
         # Retry: a different delegation of the same zone with high
         # probability, since tried addresses are excluded first.
         self._query_authority(resolution)
@@ -398,8 +416,8 @@ class RecursiveResolver:
     def _process_response(self, resolution: _Resolution,
                           message: Message) -> None:
         now = self.loop.now
-        if self.validate_dnssec and message.rcode in (RCode.NOERROR,
-                                                      RCode.NXDOMAIN):
+        rcode = message.flags.rcode
+        if self.validate_dnssec and rcode in (_NOERROR, _NXDOMAIN):
             verdict = self._validate_response(resolution, message)
             if verdict == "pending":
                 # A DNSKEY fetch is in flight; this response is
@@ -415,49 +433,57 @@ class RecursiveResolver:
             if verdict == "ok":
                 self.validations_ok += 1
                 _telemetry.record("dnssec_validations_total", ("ok",))
-        if message.rcode == RCode.NXDOMAIN:
+        if rcode == _NXDOMAIN:
             ttl = _negative_ttl(message.authority_rrsets())
             self.cache.put_negative(resolution.target, resolution.qtype,
-                                    RCode.NXDOMAIN, ttl, now)
-            self._finish(resolution, RCode.NXDOMAIN)
+                                    _NXDOMAIN, ttl, now)
+            self._finish(resolution, _NXDOMAIN)
             return
-        if message.rcode != RCode.NOERROR:
+        if rcode != _NOERROR:
             # SERVFAIL/REFUSED: try another server.
             self._query_authority(resolution)
             return
 
-        # Each section is grouped once, and what is grouped is cached.
-        answer_sets = message.answer_rrsets()
-        authority_sets = message.authority_rrsets()
-        for rrset in (answer_sets + authority_sets
-                      + message.additional_rrsets()):
-            self.cache.put(rrset, now)
+        # Each non-empty section is grouped once, and what is grouped
+        # is cached, answers first, then authority, then additional.
+        put = self.cache.put
+        answer_sets = message.answer_rrsets() if message.answers else []
+        authority_sets = (message.authority_rrsets() if message.authority
+                          else [])
+        for rrset in answer_sets:
+            put(rrset, now)
+        for rrset in authority_sets:
+            put(rrset, now)
+        if message.additional:
+            for rrset in message.additional_rrsets():
+                put(rrset, now)
 
         if answer_sets:
             terminal = False
+            target = resolution.target
+            qtype = resolution.qtype
+            answers = resolution.answers
             for rrset in answer_sets:
                 # A copy: no RRset the cache holds is reachable from a result.
-                resolution.answers.append(rrset.with_ttl(rrset.ttl))
-                if (rrset.name == resolution.target
-                        and rrset.rtype == resolution.qtype):
+                answers.append(rrset.with_ttl(rrset.ttl))
+                if rrset.name == target and rrset.rtype == qtype:
                     terminal = True
-                elif rrset.rtype == RType.CNAME \
-                        and rrset.name == resolution.target:
+                elif rrset.rtype == _CNAME and rrset.name == target:
                     rdata = rrset.records[0].rdata
                     assert isinstance(rdata, CNAME)
-                    resolution.target = rdata.target
+                    resolution.target = target = rdata.target
             if terminal:
-                self._finish(resolution, RCode.NOERROR)
+                self._finish(resolution, _NOERROR)
             else:
                 # CNAME led elsewhere: continue from cache/authorities.
                 resolution.tried.clear()
                 self._step(resolution)
             return
 
-        if any(r.rtype == RType.NS for r in authority_sets):
+        if any(r.rtype == _NS for r in authority_sets):
             resolution.referrals += 1
             if resolution.referrals > MAX_REFERRALS:
-                self._finish(resolution, RCode.SERVFAIL)
+                self._finish(resolution, _SERVFAIL)
                 return
             # Referral: NS (+glue) were cached above; requery deeper.
             resolution.tried.clear()
@@ -467,8 +493,8 @@ class RecursiveResolver:
         # NODATA.
         ttl = _negative_ttl(authority_sets)
         self.cache.put_negative(resolution.target, resolution.qtype,
-                                RCode.NOERROR, ttl, now)
-        self._finish(resolution, RCode.NOERROR)
+                                _NOERROR, ttl, now)
+        self._finish(resolution, _NOERROR)
 
     def _validate_response(self, resolution: _Resolution,
                            message: Message) -> str:
@@ -527,26 +553,29 @@ class RecursiveResolver:
         return True
 
     def _finish(self, resolution: _Resolution, rcode: RCode,
-                *, from_cache: bool = False) -> None:
+                from_cache: bool = False) -> None:
         if resolution.done:
             return
         resolution.done = True
+        loop = self.loop
         if resolution.timeout_handle is not None:
-            self.loop.cancel(resolution.timeout_handle)
+            loop.cancel(resolution.timeout_handle)
+        now = loop.now
         result = resolution.result
         result.rcode = rcode
-        result.answers = resolution.answers
-        result.finished_at = self.loop.now
+        result.finished_at = now
         result.from_cache = from_cache and result.queries_sent == 0
         if resolution.sub_depth == 0:
             self.resolutions_completed += 1
             _telemetry.record("resolutions_total", (rcode,))
-            _telemetry.record("resolution_seconds", value=result.duration)
+            _telemetry.record("resolution_seconds",
+                              value=now - result.started_at)
             if result.timeouts:
                 _telemetry.record("resolution_timeouts_total",
                                   value=result.timeouts)
-            _telemetry.end(resolution.span, self.loop.now, rcode=rcode.name,
-                           timeouts=result.timeouts)
+            if resolution.span is not None:
+                _telemetry.end(resolution.span, now, rcode=rcode.name,
+                               timeouts=result.timeouts)
         resolution.callback(result)
 
 

@@ -35,6 +35,8 @@ _IN = RClass.IN
 _NXDOMAIN = RCode.NXDOMAIN
 #: The qtypes a mapping provider may tailor.
 _ADDRESS_TYPES = (RType.A, RType.AAAA)
+#: ``_respond_full``'s zone when the caller has not looked it up.
+_UNSEEN = object()
 
 
 class MappingProvider(Protocol):
@@ -321,22 +323,22 @@ class AuthoritativeEngine:
                                 query, plan.template.finalize(query))
                         del self._plans[key]
                     elif self._serving:
-                        response = self._neg_fast_lane(query, *key)
-                        if response is not None:
-                            return self._finish(query, response)
+                        # One find serves both lanes: a miss here goes
+                        # to the slow path with the zone in hand.
+                        zone = self.store.find(question.qname)
+                        if zone is not None:
+                            response = self._neg_fast_lane(query, zone, *key)
+                            if response is not None:
+                                return self._finish(query, response)
+                        return self._respond_full(query, client_key, zone)
         return self._respond_full(query, client_key)
 
-    def _neg_fast_lane(self, query: Message, qname: Name, qtype: RType,
-                       do_bit: bool) -> Message | None:
-        """Serve an NXDOMAIN from the zone's negative skeleton, if one
-        matches the query's DNSSEC expectations."""
-        if (self.mapping is not None
-                and qtype in _ADDRESS_TYPES
-                and self.is_dynamic(qname)):
-            return None
-        zone = self.store.find(qname)
-        if zone is None:
-            return None
+    def _neg_fast_lane(self, query: Message, zone: Zone, qname: Name,
+                       qtype: RType, do_bit: bool) -> Message | None:
+        """Serve an NXDOMAIN from ``zone``'s negative skeleton, if one
+        matches the query's DNSSEC expectations and the name is not
+        answered by the mapping provider. (The tests are pure; the
+        dynamic-name walk goes last, as most misses fail before it.)"""
         serving = self._serving.get(zone.origin)
         if serving is None:
             return None
@@ -346,6 +348,10 @@ class AuthoritativeEngine:
         skeleton = serving.skeletons.get(signed)
         if (skeleton is None or not serving.live()
                 or not serving.index.is_nxdomain(qname.labels)):
+            return None
+        if (self.mapping is not None
+                and qtype in _ADDRESS_TYPES
+                and self.is_dynamic(qname)):
             return None
         response = skeleton.finalize(query)
         if signed:
@@ -364,9 +370,11 @@ class AuthoritativeEngine:
             if sigs is not None:
                 response.add_rrset("authority", sigs)
 
-    def _respond_full(self, query: Message,
-                      client_key: str | None = None) -> Message:
-        """The slow path: full zone walk, populating the plan caches."""
+    def _respond_full(self, query: Message, client_key: str | None = None,
+                      zone: object = _UNSEEN) -> Message:
+        """The slow path: full zone walk, populating the plan caches.
+        ``zone`` is the question's ``store.find`` when the fast lane
+        already made it (None included)."""
         if query.flags.opcode != Opcode.QUERY:
             return self._finish(query, make_response(
                 query, RCode.NOTIMP, aa=False))
@@ -381,7 +389,8 @@ class AuthoritativeEngine:
         if query.edns is not None and query.edns.client_subnet is not None:
             client_key = str(query.edns.client_subnet.network())
 
-        zone = self.store.find(question.qname)
+        if zone is _UNSEEN:
+            zone = self.store.find(question.qname)
         if zone is None:
             return self._finish(query, make_response(
                 query, RCode.REFUSED, aa=False))

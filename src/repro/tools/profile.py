@@ -9,9 +9,10 @@ command.
 ``--events LABEL`` counts instead of timing: events by scheduling site,
 records constructed by class and calls made, for a figure label or for
 a scenario of ``bench/workloads.py`` (measured phase only, per
-operation). All three are deterministic: the calls are the profiler's
-count of every Python and builtin function call, less the counting
-wrappers' own.
+operation), and for a scenario the GC-tracked objects its measured
+phase leaves alive. All four are deterministic: the calls are the
+profiler's count of every Python and builtin function call, less the
+counting wrappers' own.
 
 Profiling is operator-facing tooling: the experiment result is
 discarded and nothing here feeds simulation output.
@@ -289,6 +290,30 @@ def calls_made(profiler: cProfile.Profile) -> int:
                if getattr(entry.code, "co_filename", None) != here)
 
 
+def tracked_before() -> list:
+    """Every GC-tracked object, after a collection: held by the returned
+    list, so none of their ids can be reused by an object made later."""
+    gc.collect()
+    return gc.get_objects()
+
+
+def survivors(before: list) -> collections.Counter:
+    """GC-tracked objects alive after a collection that ``before`` (from
+    :func:`tracked_before`) does not hold, by class; the event-counting
+    wrappers still pending are not counted."""
+    gc.collect()
+    alive = gc.get_objects()
+    old = {id(obj) for obj in before}
+    old.add(id(before))
+    found: collections.Counter = collections.Counter()
+    for obj in alive:
+        if id(obj) not in old and type(obj) is not _Site:
+            cls = type(obj)
+            found[cls.__module__.removeprefix("repro.") + "."
+                  + cls.__qualname__] += 1
+    return found
+
+
 class _Untimed:
     """Stands in for bench's ``HostClock``: set-up parts go untimed."""
 
@@ -310,16 +335,18 @@ def load_scenarios(path: Path) -> dict:
 
 def count_events(label: str, *, fast: bool = True,
                  seed: int = SCENARIO_SEED, workloads: Path = WORKLOADS_PATH
-                 ) -> tuple[EventTally, collections.Counter, int, int | None]:
+                 ) -> tuple[EventTally, collections.Counter, int, int | None,
+                            collections.Counter | None]:
     """Run ``label`` counting events, records and calls; returns the
-    tally, records constructed by class, calls made, and the operations
-    done (None for a figure, which has no operation count)."""
+    tally, records constructed by class, calls made, the operations
+    done and the measured phase's survivors by class (both None for a
+    figure, which has no operation count and no phase of its own)."""
     tally = EventTally()
     with counted_events(tally):
         if label in parallel.JOB_ORDER:
             profiler = _profiled_units(label, fast)
             return (tally, records_by_class(profiler), calls_made(profiler),
-                    None)
+                    None, None)
         scenarios = load_scenarios(workloads)
         if label not in scenarios:
             raise SystemExit(
@@ -331,17 +358,22 @@ def count_events(label: str, *, fast: bool = True,
         scenario.begin()
         tally.begin_phase()
         profiler = cProfile.Profile()
+        before = tracked_before()
         with profiling(profiler):
             for i in range(scenario.n_slices):
                 scenario.step(i)
+        alive = survivors(before)
+        del before
     return (tally, records_by_class(profiler), calls_made(profiler),
-            scenario.report()["ops"])
+            scenario.report()["ops"], alive)
 
 
 def events_report(label: str, tally: EventTally,
                   records: collections.Counter, ops: int | None,
-                  top: int, calls: int | None = None) -> str:
-    """Markdown: events by scheduling site, then records by class."""
+                  top: int, calls: int | None = None,
+                  alive: collections.Counter | None = None) -> str:
+    """Markdown: events by scheduling site, records by class, then, for
+    a scenario (``alive`` given), the survivors by class."""
     fired = sum(tally.fired.values())
     built = sum(records.values())
 
@@ -369,6 +401,15 @@ def events_report(label: str, tally: EventTally,
     for name, count in sorted(records.items(),
                               key=lambda kv: (-kv[1], kv[0]))[:top]:
         out.append(f"| `{name}` | {count:,} |{per_op(count)}")
+    if alive is not None:
+        left = sum(alive.values())
+        out += ["", f"{left:,} GC-tracked objects left alive by the "
+                    "measured phase" +
+                (f" ({left / ops:.2f} per operation)" if ops else "") + ".",
+                "", f"| surviving class | alive {unit}|", f"|---|---:|{rule}"]
+        for name, count in sorted(alive.items(),
+                                  key=lambda kv: (-kv[1], kv[0]))[:top]:
+            out.append(f"| `{name}` | {count:,} |{per_op(count)}")
     return "\n".join(out) + "\n"
 
 
@@ -397,12 +438,13 @@ def main(argv: list[str] | None = None) -> int:
                         help="pstats sort key (default cumulative)")
     args = parser.parse_args(argv)
     if args.events is not None:
-        tally, records, calls, ops = count_events(args.events,
-                                                  fast=not args.full)
+        tally, records, calls, ops, alive = count_events(args.events,
+                                                         fast=not args.full)
         heading = (args.events if ops is None
                    else f"{args.events} (seed {SCENARIO_SEED})")
         print(events_report(heading, tally, records, ops,
-                            args.top if args.top is not None else 20, calls))
+                            args.top if args.top is not None else 20, calls,
+                            alive))
         return 0
     if args.all_figures:
         profile_all_figures(fast=not args.full,

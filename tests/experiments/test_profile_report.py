@@ -163,6 +163,13 @@ def test_events_report_is_per_operation_for_a_scenario():
            "30 calls made (7.5 per operation)." in counted
     assert "| `A.f` | 10 | 8 | 2.00 |" in text
     assert "| `m.R` | 6 | 1.50 |" in text and "m.S" not in text
+    assert "left alive" not in text
+    kept = profile.events_report("w (seed 1)", tally, collections.Counter(),
+                                 4, top=1, calls=30, alive=collections.Counter(
+                                     {"builtins.list": 10, "m.R": 2}))
+    assert "\n12 GC-tracked objects left alive by the measured phase " \
+           "(3.00 per operation).\n" in kept
+    assert "| `builtins.list` | 10 | 2.50 |" in kept and "`m.R` | 2" not in kept
     # A figure has no operation count: plain counts only.
     plain = profile.events_report("fig", tally, collections.Counter(),
                                   None, top=1)
@@ -193,21 +200,40 @@ def tiny_workloads(tmp_path):
         "        self.loop.run_until(10.0 * (i + 1))\n"
         "    def report(self):\n"
         "        return {'ops': 3}\n"
-        "SCENARIOS = {'tiny': Tiny}\n")
+        "class Keeper(Tiny):\n"
+        "    kept = []\n"
+        "    def tick(self):\n"
+        "        self.kept.append([])\n"
+        "    def step(self, i):\n"
+        "        super().step(i)\n"
+        "        if i == 1:\n"
+        "            self.loop.call_at(99.0, self.tick)\n"
+        "SCENARIOS = {'tiny': Tiny, 'keeper': Keeper}\n")
     return workloads
 
 
 def test_a_scenario_is_loaded_by_path_and_counted_over_its_measured_phase(
         tiny_workloads):
-    tally, records, calls, ops = profile.count_events(
+    tally, records, calls, ops, alive = profile.count_events(
         "tiny", seed=6, workloads=tiny_workloads)
-    assert ops == 3 and not records
+    assert ops == 3 and not records and not alive
     assert tally.fired == {"Tiny.tick": 6} and not tally.scheduled
     # Two steps, each a run_until; six events, each a heappop and a
     # tick; three calls leaving the profiled block (the context
     # manager's exit, its next() and disable()). The counting wrappers'
     # frames are not among them.
     assert calls == 2 + 2 + 6 + 6 + 3
+
+
+def test_what_the_measured_phase_leaves_alive_is_counted_by_class(
+        tiny_workloads):
+    """Survivors: objects made in the measured phase and alive after a
+    collection. Six ticks keep a list each; the event set for after the
+    run is pending, its heap entry a list and its action a bound method.
+    The set-up tick's list and the counting wrapper are not counted."""
+    *_, alive = profile.count_events("keeper", seed=6,
+                                     workloads=tiny_workloads)
+    assert alive == {"builtins.list": 7, "builtins.method": 1}
 
 
 def test_the_tool_puts_the_profile_hook_it_found_back(tiny_workloads):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.dnscore import A, NS, RCode, RType, make_rrset, name
+from repro.dnscore import A, AAAA, NS, RCode, RType, make_rrset, name
 from repro.resolver import DNSCache
 
 
@@ -175,7 +175,7 @@ class TestCopyFreeRead:
                 assert (copy is None) == (entry is None)
                 if entry is not None:
                     assert copy.rdatas() == entry.rrset.rdatas()
-                    assert copy.ttl == entry.remaining_ttl(now)
+                    assert copy.ttl == max(0, int(entry.expires_at - now))
                     assert copy.ttl <= entry.rrset.ttl
                     assert all(r.ttl == copy.ttl for r in copy.records)
                     assert all(r.ttl == entry.rrset.ttl
@@ -213,6 +213,48 @@ class TestCopyFreeRead:
         assert cache.peek(name("x.com"), RType.A, now=4.9) is not None
         assert cache.peek(name("x.com"), RType.A, now=5.0) is None
         assert (cache.hits, cache.misses, len(cache)) == (1, 1, 0)
+
+    def test_glue_reads_like_a_peek_per_target_and_type(self):
+        """``glue`` against the loop it writes out: a ``peek`` of A then
+        AAAA per NS target, in record order. Same addresses, address-less
+        targets, counters, expiry and eviction over a seeded run."""
+        rng = random.Random(38)
+        by_glue, by_peek = DNSCache(max_entries=10), DNSCache(max_entries=10)
+        targets = [name(f"ns{i}.example") for i in range(6)]
+        ns = make_rrset(name("example"), RType.NS, 300,
+                        [NS(t) for t in targets[:4]])
+        now = 0.0
+        for _ in range(3000):
+            now += rng.choice([0.0, 0.4, 2.0, 9.0])
+            if rng.random() < 0.4:
+                target = rng.choice(targets)
+                ttl = rng.choice([1, 4, 15])
+                rrset = (make_rrset(target, RType.A, ttl,
+                                    [A(f"10.1.{ttl}.{n}")
+                                     for n in range(rng.randint(1, 3))])
+                         if rng.random() < 0.6 else
+                         make_rrset(target, RType.AAAA, ttl,
+                                    [AAAA(f"2001:db8::{ttl}")]))
+                for cache in (by_glue, by_peek):
+                    cache.put(rrset, now)
+                continue
+            addresses = []
+            glueless = by_glue.glue(ns, now, addresses)
+            expected, missing = [], []
+            for record in ns.records:
+                found = False
+                for rtype in (RType.A, RType.AAAA):
+                    entry = by_peek.peek(record.rdata.target, rtype, now)
+                    if entry is not None:
+                        found = True
+                        expected += [r.rdata.address
+                                     for r in entry.rrset.records]
+                if not found:
+                    missing.append(record.rdata.target)
+            assert (addresses, glueless) == (expected, missing)
+            assert (by_glue.hits, by_glue.misses, len(by_glue)) == \
+                (by_peek.hits, by_peek.misses, len(by_peek))
+        assert by_glue.hits > 500 and by_glue.misses > 500
 
     def test_best_delegation_returns_the_stored_rrset(self):
         cache = DNSCache()

@@ -216,6 +216,30 @@ class TestNegativePlan:
         assert resp.rcode == RCode.NOERROR and resp.answers
 
 
+    def test_plan_miss_finds_the_zone_once(self):
+        """With a zone served (so the negative lane is asked first), a
+        positive name with no plan yet and a name outside every zone each
+        cost one ``store.find``; the answers are the slow path's."""
+        fast = build_engine(plan_cache=True)
+        slow = build_engine(plan_cache=False)
+        self.flood(fast)
+        assert fast._serving
+        finds = []
+        find = fast.store.find
+
+        def counted(qname):
+            finds.append(qname)
+            return find(qname)
+
+        fast.store.find = counted
+        for qname, qtype in (("www.ex.com", RType.A),
+                             ("missing.ex.com", RType.A),
+                             ("outside.org", RType.A)):
+            del finds[:]
+            assert wire(fast, qname, qtype) == wire(slow, qname, qtype)
+            assert finds == [name(qname)], qname
+
+
 class TestInvalidation:
     def test_zone_content_republish_invalidates_plan(self):
         fast = build_engine(plan_cache=True)
