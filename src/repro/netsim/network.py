@@ -16,18 +16,20 @@ every FIB along a datagram's path is quiescent and no link on it is
 lossy, capacity-limited, or degraded, the **route cache** resolves the
 full path once per (ingress router, prefix) and schedules a single
 delivery event instead of one event per hop. Any FIB or link-state
-change bumps a global epoch, flushes the cache, and re-materializes
-in-flight fast-path datagrams back onto exact hop-by-hop forwarding at
-the next router they would have reached — so drop semantics, RNG draw
-order, and :class:`NetworkStats` stay bit-for-bit identical to the pure
-hop-by-hop execution (see docs/ARCHITECTURE.md, "Performance model").
+change bumps a global epoch, drops the cached routes it can reach (a
+FIB or delivery change for a prefix: that prefix's; a link change:
+all), and re-materializes in-flight fast-path datagrams back onto exact
+hop-by-hop forwarding at the next router they would have reached — so
+drop semantics, RNG draw order, and :class:`NetworkStats` stay
+bit-for-bit identical to the pure hop-by-hop execution (see
+docs/ARCHITECTURE.md, "Performance model").
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple, Protocol
 
 from ..telemetry import state as _telemetry
@@ -187,11 +189,14 @@ class Network:
         self._fib_version: dict[tuple[str, str], int] = {}
         self._fib_floor: dict[tuple[str, str], float] = {}
         # -- route cache state ------------------------------------------
-        #: Bumped on every FIB/link-state change; counts cache flushes.
+        #: Bumped on every FIB, delivery-handler or link-state change;
+        #: counts the hand-backs of in-flight fast-path datagrams.
         self.route_epoch = 0
-        #: (ingress router, prefix) -> _CachedRoute, or None when the
+        #: prefix -> ingress router -> _CachedRoute, or None when the
         #: path is ineligible (churning, lossy, capacity-limited, ...).
-        self._route_cache: dict[tuple[str, str], _CachedRoute | None] = {}
+        #: A walk toward a prefix reads only that prefix's FIB entries
+        #: and delivery handlers, and the link view.
+        self._route_cache: dict[str, dict[str, _CachedRoute | None]] = {}
         self._route_cache_topo_version = -1
         self._inflight: dict[int, _InFlight] = {}
         self._inflight_seq = 0
@@ -259,10 +264,10 @@ class Network:
             table = self._fib[router_id] = {}
         if next_hop is None:
             if table.pop(prefix, None) is not None:
-                self._bump_route_epoch()
+                self._bump_route_epoch(prefix)
         elif table.get(prefix) != next_hop:
             table[prefix] = next_hop
-            self._bump_route_epoch()
+            self._bump_route_epoch(prefix)
 
     def fib_entry(self, router_id: str, prefix: str) -> str | None:
         return self._fib.get(router_id, _EMPTY_FIB).get(prefix)
@@ -271,7 +276,7 @@ class Network:
                                 handler: LocalDeliveryHandler) -> None:
         """Route packets for ``prefix`` that terminate at ``router_id``."""
         self._local_delivery[(router_id, prefix)] = handler
-        self._bump_route_epoch()
+        self._bump_route_epoch(prefix)
 
     # -- failure injection ----------------------------------------------------
 
@@ -433,13 +438,19 @@ class Network:
 
     # -- route cache (fast path) ---------------------------------------------
 
-    def _bump_route_epoch(self) -> None:
-        """A FIB or link-state change: flush the cache, and hand every
-        in-flight fast-path datagram back to exact hop-by-hop forwarding
-        at the next router it would have reached, its ingress included."""
+    def _bump_route_epoch(self, prefix: str | None = None) -> None:
+        """A change to ``prefix``'s FIB entries or delivery handlers, or
+        (``prefix`` None) to the link state: drop the cached routes it
+        can reach, that prefix's or all, and hand every in-flight
+        fast-path datagram back to exact hop-by-hop forwarding at the
+        next router it would have reached, its ingress included. Every
+        flight, whatever its prefix: which ones go back decides the
+        events and their order, so the simulation with them."""
         self.route_epoch += 1
-        if self._route_cache:
+        if prefix is None:
             self._route_cache.clear()
+        else:
+            self._route_cache.pop(prefix, None)
         if self._inflight:
             inflight, self._inflight = self._inflight, {}
             now = self.loop.now
@@ -461,9 +472,10 @@ class Network:
                 for j, delay in enumerate(route.delays):
                     t = t + delay
                     if t > now:
-                        moved = replace(
-                            dgram, ip_ttl=dgram.ip_ttl - (j + 1),
-                            hops=dgram.hops + hops[:j + 1])
+                        moved = Datagram(
+                            dgram.src, dgram.dst, dgram.payload,
+                            dgram.src_port, dgram.dst_port,
+                            dgram.ip_ttl - (j + 1), dgram.hops + hops[:j + 1])
                         target = (hops[j + 1] if j + 1 < len(hops)
                                   else route.dest_router)
                         call_at(t, self._forward, target, moved)
@@ -474,9 +486,10 @@ class Network:
                     # in the past or at this instant: the delivery event
                     # itself was due now — deliver through _forward so a
                     # same-instant FIB change is still honoured.
-                    moved = replace(
-                        dgram, ip_ttl=dgram.ip_ttl - len(hops),
-                        hops=dgram.hops + hops)
+                    moved = Datagram(
+                        dgram.src, dgram.dst, dgram.payload, dgram.src_port,
+                        dgram.dst_port, dgram.ip_ttl - len(hops),
+                        dgram.hops + hops)
                     call_at(max(t, now), self._forward,
                             route.dest_router, moved)
 
@@ -485,13 +498,13 @@ class Network:
         if self._route_cache_topo_version != self.topology.version:
             self._route_cache.clear()
             self._route_cache_topo_version = self.topology.version
-        key = (router_id, dst)
-        cache = self._route_cache
+        routes = self._route_cache.get(dst)
+        if routes is None:
+            routes = self._route_cache[dst] = {}
         try:
-            return cache[key]
+            return routes[router_id]
         except KeyError:
-            route = self._resolve_route(router_id, dst)
-            cache[key] = route
+            route = routes[router_id] = self._resolve_route(router_id, dst)
             return route
 
     def _resolve_route(self, router_id: str,
@@ -648,18 +661,38 @@ class Network:
         return None if one_way is None else one_way * 2000.0
 
     def _dijkstra(self, view: _LinkView, src: str) -> dict[str, float]:
+        """Shortest live-path latency from ``src`` to every node it
+        reaches, in the order the nodes were first reached.
+
+        A node with one live link (a host, a single-homed stub router)
+        is reached over that link and could relax nothing but the node
+        it was reached from, already settled at a lower cost; it gets
+        its distance and is never pushed. Settling order of the rest
+        is the heap's order of (cost, node), which the leaves never
+        affected, so distances and their order are those of the plain
+        algorithm (``tests/netsim/dijkstra_reference.py``).
+        """
         distances = {src: 0.0}
         frontier: list[tuple[float, str]] = [(0.0, src)]
         visited: set[str] = set()
         unreached = float("inf")
+        all_edges = view.edges
+        heappop, heappush = heapq.heappop, heapq.heappush
         while frontier:
-            dist, node = heapq.heappop(frontier)
+            dist, node = heappop(frontier)
             if node in visited:
                 continue
             visited.add(node)
-            for peer, base, extra, _, _ in self._edges(view, node).values():
+            edges = all_edges.get(node)
+            if edges is None:
+                edges = self._edges(view, node)
+            for peer, base, extra, _, _ in edges.values():
                 candidate = dist + base + HOP_COST_S + extra
                 if candidate < distances.get(peer, unreached):
                     distances[peer] = candidate
-                    heapq.heappush(frontier, (candidate, peer))
+                    peer_edges = all_edges.get(peer)
+                    if peer_edges is None:
+                        peer_edges = self._edges(view, peer)
+                    if len(peer_edges) > 1:
+                        heappush(frontier, (candidate, peer))
         return distances

@@ -65,11 +65,15 @@ class ZoneStore:
     ``zones`` are added in order, as that many :meth:`add` calls would."""
 
     def __init__(self, zones: Iterable[Zone] = ()) -> None:
-        self._zones: dict[Name, Zone] = {}
-        #: Bumped whenever the zone *set* changes (add/remove/replace):
-        #: an unchanged generation means every qname still maps to the
-        #: same Zone object, which is what lets the engine validate a
-        #: response plan without a per-hit ``find`` call.
+        #: origin -> its cell: a one-slot list holding the zone installed
+        #: there. Replacing an origin's zone writes the slot, so whoever
+        #: holds the cell (:class:`_ZoneServing`) sees the replacement
+        #: without a lookup; the cell itself lives as long as the origin.
+        self._cells: dict[Name, list[Zone]] = {}
+        #: Bumped whenever the *origin set* changes (an origin added or
+        #: removed): an unchanged generation means every qname still maps
+        #: to the same origin. A same-origin replacement leaves it alone
+        #: and moves that origin's cell only.
         self.generation = 0
         #: Same zones keyed by origin label tuple, so the hot
         #: longest-match walk in :meth:`find` slices label tuples
@@ -81,14 +85,18 @@ class ZoneStore:
 
     def add(self, zone: Zone) -> None:
         zone.validate()
-        self._zones[zone.origin] = zone
-        self._by_labels[zone.origin.labels] = zone
-        self._origins_sorted = None
-        self.generation += 1
+        origin = zone.origin
+        cell = self._cells.get(origin)
+        if cell is None:
+            self._cells[origin] = [zone]
+            self._origins_sorted = None
+            self.generation += 1
+        else:
+            cell[0] = zone
+        self._by_labels[origin.labels] = zone
 
     def remove(self, origin: Name) -> bool:
-        zone = self._zones.pop(origin, None)
-        if zone is None:
+        if self._cells.pop(origin, None) is None:
             return False
         del self._by_labels[origin.labels]
         self._origins_sorted = None
@@ -96,7 +104,13 @@ class ZoneStore:
         return True
 
     def get(self, origin: Name) -> Zone | None:
-        return self._zones.get(origin)
+        cell = self._cells.get(origin)
+        return None if cell is None else cell[0]
+
+    def cell(self, origin: Name) -> list[Zone]:
+        """The one-slot list holding ``origin``'s zone, replacements
+        included, for as long as the origin stays in the store."""
+        return self._cells[origin]
 
     def find(self, qname: Name) -> Zone | None:
         """The zone with the longest origin that encloses ``qname``.
@@ -125,17 +139,17 @@ class ZoneStore:
         view = self._origins_sorted
         if view is None:
             view = self._origins_sorted = tuple(
-                sorted(self._zones, key=Name.canonical_key))
+                sorted(self._cells, key=Name.canonical_key))
         return view
 
     def zones(self) -> list[Zone]:
-        return [self._zones[o] for o in self.origins()]
+        return [self._cells[o][0] for o in self.origins()]
 
     def __len__(self) -> int:
-        return len(self._zones)
+        return len(self._cells)
 
     def __contains__(self, origin: Name) -> bool:
-        return origin in self._zones
+        return origin in self._cells
 
 
 class _ZoneServing:
@@ -146,12 +160,13 @@ class _ZoneServing:
     (:meth:`Zone.derived`), shared by every engine serving it.
     """
 
-    __slots__ = ("zone", "version", "store", "generation", "nxdomains",
-                 "index", "skeletons")
+    __slots__ = ("zone", "version", "cell", "store", "generation",
+                 "nxdomains", "index", "skeletons")
 
     def __init__(self, zone: Zone, store: ZoneStore) -> None:
         self.zone = zone
         self.version = zone.version
+        self.cell = store.cell(zone.origin)
         self.store = store
         self.generation = store.generation
         self.nxdomains = 0
@@ -164,13 +179,20 @@ class _ZoneServing:
         self.skeletons: dict[bool, ResponseTemplate] = {}
 
     def live(self) -> bool:
-        """The serving path's one validity rule: same zone object, same
-        content, same zone set. The version counts mutations of
-        ``self.zone`` itself, and an unchanged store generation means
-        every qname that resolved to that object still does — hence no
-        per-hit ``find`` and no separate identity check. Neither
-        counter moves back, so a stale record stays stale."""
-        return (self.zone.version == self.version
+        """The serving path's one validity rule: the zone is still the
+        one installed at its origin, with the same content, under the
+        same origin set. The cell is the store's slot for this origin,
+        so a replacement of this zone shows here and a replacement of
+        any other zone does not; the version counts mutations of
+        ``self.zone`` itself; and an unchanged store generation means
+        every qname that mapped to this origin still does. Hence no
+        per-hit ``find``, dict probe or ``Name`` hash. Neither counter
+        moves back, so a record they retired stays retired; one retired
+        by a replacement holds again only if a rollback puts this very
+        object, unmutated, back in the slot, when its plans are that
+        zone's answers again."""
+        return (self.cell[0] is self.zone
+                and self.zone.version == self.version
                 and self.store.generation == self.generation)
 
 

@@ -9,10 +9,12 @@ command.
 ``--events LABEL`` counts instead of timing: events by scheduling site,
 records constructed by class and calls made, for a figure label or for
 a scenario of ``bench/workloads.py`` (measured phase only, per
-operation), and for a scenario the GC-tracked objects its measured
-phase leaves alive. All four are deterministic: the calls are the
-profiler's count of every Python and builtin function call, less the
-counting wrappers' own.
+operation), and for a scenario the collector's work in its measured
+phase (collections and seconds by generation, through ``gc.callbacks``)
+and the GC-tracked objects that phase leaves alive. All but the
+collector's seconds are deterministic: the calls are the profiler's
+count of every Python and builtin function call, less the counting
+wrappers' own and the collector tally's clock reads.
 
 Profiling is operator-facing tooling: the experiment result is
 discarded and nothing here feeds simulation output.
@@ -30,6 +32,7 @@ import importlib.util
 import pstats
 import re
 import sys
+import time
 import types
 from pathlib import Path
 from typing import Callable, Iterator
@@ -280,14 +283,50 @@ def records_by_class(profiler: cProfile.Profile) -> collections.Counter:
     return built
 
 
+class CollectorTally:
+    """The collector's work while this is a ``gc.callbacks`` entry:
+    collections and the host seconds they took, by generation."""
+
+    def __init__(self) -> None:
+        self.collections = [0, 0, 0]
+        self.seconds = [0.0, 0.0, 0.0]
+        self._started = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        now = time.perf_counter()  # reprolint: disable=DET001
+        if phase == "start":
+            self._started = now
+        else:
+            generation = info["generation"]
+            self.collections[generation] += 1
+            self.seconds[generation] += now - self._started
+
+
+@contextlib.contextmanager
+def collector_work(tally: CollectorTally) -> Iterator[None]:
+    """Count every collection that finishes inside the block."""
+    gc.callbacks.append(tally)
+    try:
+        yield
+    finally:
+        gc.callbacks.remove(tally)
+
+
 def calls_made(profiler: cProfile.Profile) -> int:
     """Calls of Python and builtin functions made under ``profiler``,
     less those of this module's frames (the event-counting wrappers;
     they call nothing else the profiler sees but the wrapped
-    scheduling functions and actions, which count)."""
+    scheduling functions and actions, which count) and the clock reads
+    of :class:`CollectorTally`, which the collector's timing makes."""
     here = __file__
-    return sum(entry.callcount for entry in profiler.getstats()
-               if getattr(entry.code, "co_filename", None) != here)
+    tally_code = CollectorTally.__call__.__code__
+    made = 0
+    for entry in profiler.getstats():
+        if getattr(entry.code, "co_filename", None) != here:
+            made += entry.callcount
+        elif entry.code is tally_code:
+            made -= sum(sub.callcount for sub in entry.calls or ())
+    return made
 
 
 def tracked_before() -> list:
@@ -336,17 +375,19 @@ def load_scenarios(path: Path) -> dict:
 def count_events(label: str, *, fast: bool = True,
                  seed: int = SCENARIO_SEED, workloads: Path = WORKLOADS_PATH
                  ) -> tuple[EventTally, collections.Counter, int, int | None,
+                            CollectorTally | None,
                             collections.Counter | None]:
     """Run ``label`` counting events, records and calls; returns the
     tally, records constructed by class, calls made, the operations
-    done and the measured phase's survivors by class (both None for a
-    figure, which has no operation count and no phase of its own)."""
+    done, the collector's work in the measured phase and that phase's
+    survivors by class (the last three None for a figure, which has no
+    operation count and no phase of its own)."""
     tally = EventTally()
     with counted_events(tally):
         if label in parallel.JOB_ORDER:
             profiler = _profiled_units(label, fast)
             return (tally, records_by_class(profiler), calls_made(profiler),
-                    None, None)
+                    None, None, None)
         scenarios = load_scenarios(workloads)
         if label not in scenarios:
             raise SystemExit(
@@ -358,22 +399,25 @@ def count_events(label: str, *, fast: bool = True,
         scenario.begin()
         tally.begin_phase()
         profiler = cProfile.Profile()
+        collector = CollectorTally()
         before = tracked_before()
-        with profiling(profiler):
+        with collector_work(collector), profiling(profiler):
             for i in range(scenario.n_slices):
                 scenario.step(i)
         alive = survivors(before)
         del before
     return (tally, records_by_class(profiler), calls_made(profiler),
-            scenario.report()["ops"], alive)
+            scenario.report()["ops"], collector, alive)
 
 
 def events_report(label: str, tally: EventTally,
                   records: collections.Counter, ops: int | None,
                   top: int, calls: int | None = None,
-                  alive: collections.Counter | None = None) -> str:
+                  alive: collections.Counter | None = None,
+                  collector: CollectorTally | None = None) -> str:
     """Markdown: events by scheduling site, records by class, then, for
-    a scenario (``alive`` given), the survivors by class."""
+    a scenario, the collector's work (``collector`` given) and the
+    survivors by class (``alive`` given)."""
     fired = sum(tally.fired.values())
     built = sum(records.values())
 
@@ -401,6 +445,14 @@ def events_report(label: str, tally: EventTally,
     for name, count in sorted(records.items(),
                               key=lambda kv: (-kv[1], kv[0]))[:top]:
         out.append(f"| `{name}` | {count:,} |{per_op(count)}")
+    if collector is not None:
+        out += ["", f"{sum(collector.collections):,} collections in the "
+                    f"measured phase, {sum(collector.seconds):.3f} s "
+                    "(host time, not deterministic).", "",
+                "| generation | collections | seconds |", "|---|---:|---:|"]
+        for generation, (count, seconds) in enumerate(
+                zip(collector.collections, collector.seconds)):
+            out.append(f"| {generation} | {count:,} | {seconds:.3f} |")
     if alive is not None:
         left = sum(alive.values())
         out += ["", f"{left:,} GC-tracked objects left alive by the "
@@ -425,6 +477,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--events", metavar="LABEL",
                         help="count events by scheduling site, records "
                              "by class and calls made for a figure label "
+                             "(a scenario also the collector's work and "
+                             "the objects left alive) "
                              f"or a scenario of {WORKLOADS_PATH} at seed "
                              f"{SCENARIO_SEED} (measured phase, per "
                              "operation)")
@@ -438,13 +492,13 @@ def main(argv: list[str] | None = None) -> int:
                         help="pstats sort key (default cumulative)")
     args = parser.parse_args(argv)
     if args.events is not None:
-        tally, records, calls, ops, alive = count_events(args.events,
-                                                         fast=not args.full)
+        tally, records, calls, ops, collector, alive = count_events(
+            args.events, fast=not args.full)
         heading = (args.events if ops is None
                    else f"{args.events} (seed {SCENARIO_SEED})")
         print(events_report(heading, tally, records, ops,
                             args.top if args.top is not None else 20, calls,
-                            alive))
+                            alive, collector))
         return 0
     if args.all_figures:
         profile_all_figures(fast=not args.full,

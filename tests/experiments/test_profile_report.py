@@ -6,6 +6,7 @@ counts events by scheduling site and records by class."""
 import cProfile
 import collections
 import dataclasses
+import gc
 import pstats
 import sys
 
@@ -214,9 +215,10 @@ def tiny_workloads(tmp_path):
 
 def test_a_scenario_is_loaded_by_path_and_counted_over_its_measured_phase(
         tiny_workloads):
-    tally, records, calls, ops, alive = profile.count_events(
+    tally, records, calls, ops, collector, alive = profile.count_events(
         "tiny", seed=6, workloads=tiny_workloads)
     assert ops == 3 and not records and not alive
+    assert collector not in gc.callbacks
     assert tally.fired == {"Tiny.tick": 6} and not tally.scheduled
     # Two steps, each a run_until; six events, each a heappop and a
     # tick; three calls leaving the profiled block (the context
@@ -234,6 +236,30 @@ def test_what_the_measured_phase_leaves_alive_is_counted_by_class(
     *_, alive = profile.count_events("keeper", seed=6,
                                      workloads=tiny_workloads)
     assert alive == {"builtins.list": 7, "builtins.method": 1}
+
+
+def test_the_collector_is_counted_by_generation_and_its_clock_is_not():
+    """Every collection that ends inside the block counts under its
+    generation; the tally's clock reads are not the program's calls."""
+    collector = profile.CollectorTally()
+    with profile.collector_work(collector):
+        gc.collect(1)
+        gc.collect()
+    assert collector not in gc.callbacks
+    assert collector.collections[1] >= 1 and collector.collections[2] == 1
+    assert collector.seconds[2] > 0.0
+    profiler = cProfile.Profile()
+    with profile.profiling(profiler):
+        collector("start", {"generation": 0})
+        collector("stop", {"generation": 0})
+    # Only the three calls leaving the profiled block.
+    assert profile.calls_made(profiler) == 3
+    tally = profile.EventTally()
+    collector.collections, collector.seconds = [5, 2, 1], [0.01, 0.02, 0.3]
+    text = profile.events_report("w (seed 1)", tally, collections.Counter(),
+                                 4, top=1, collector=collector)
+    assert "\n8 collections in the measured phase, 0.330 s " in text
+    assert "| 2 | 1 | 0.300 |" in text
 
 
 def test_the_tool_puts_the_profile_hook_it_found_back(tiny_workloads):

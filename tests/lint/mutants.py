@@ -133,6 +133,13 @@ MUTANTS = (
                ("        scale = TOTAL_QPS / sum(raw)\n",
                 "        _BUILT.append(1)\n"
                 "        scale = TOTAL_QPS / sum(raw) * (1 + len(_BUILT) / 1e6)\n"))),
+    # -- what the plan cache's validity rule holds: a replacement that
+    # leaves the old zone in the cell its serving records read
+    Mutant("replacement-keeps-the-old-cell",
+           "tests/server/test_engine_dnssec.py::TestPlanInvalidation"
+           "::test_store_replacement_retires_only_its_own_plans", _ENGINE, (
+               ("            cell[0] = zone\n",
+                "            self._cells[origin] = [zone]\n"),)),
     Mutant("seedless-entry-point", _SEED_TEST,
            "src/repro/experiments/fig9_decision_tree.py", (
                ("def run(seed: int = 42) -> ExperimentResult:\n",

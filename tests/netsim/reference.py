@@ -6,8 +6,10 @@ kept verbatim as the oracle for ``test_reference_equivalence.py``.
 the incremental decision process and the export pass;
 :class:`ReferenceNetwork` carries ``Network``'s per-link probe helpers,
 ``send``, ``_deliver_unicast``, ``unicast_latency`` and ``_dijkstra``
-from before the derived link view, and ``set_fib`` / ``_apply_fib`` from
-before a network without a FIB delay programmed its FIBs in place.
+from before the derived link view, ``set_fib`` / ``_apply_fib`` from
+before a network without a FIB delay programmed its FIBs in place, and
+``register_local_delivery`` from before a prefix's change dropped that
+prefix's cached routes alone (both flush the whole route cache).
 Nothing here is to be "improved": it is the definition of the behaviour
 the faster code must reproduce bit for bit. The only edits:
 ``unicast_latency`` recomputes on every call (so a view that outlives a
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.netsim.bgp import LOCAL, LOCAL_PREF, LOCAL_PREF_ORIGIN
-from repro.netsim.network import HOP_COST_S, Network
+from repro.netsim.network import HOP_COST_S, LocalDeliveryHandler, Network
 from repro.netsim.packet import Datagram
 from repro.netsim.topology import LinkRelation, NodeKind, link_key
 
@@ -364,6 +366,12 @@ class ReferenceNetwork(Network):
         elif table.get(prefix) != next_hop:
             table[prefix] = next_hop
             self._bump_route_epoch()
+
+    def register_local_delivery(self, router_id: str, prefix: str,
+                                handler: LocalDeliveryHandler) -> None:
+        """Route packets for ``prefix`` that terminate at ``router_id``."""
+        self._local_delivery[(router_id, prefix)] = handler
+        self._bump_route_epoch()
 
     def link_is_up(self, a: str, b: str) -> bool:
         state = self._link_state.get(link_key(a, b))

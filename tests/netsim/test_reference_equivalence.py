@@ -378,6 +378,17 @@ def test_presumming_an_edge_cost_is_caught(monkeypatch):
     assert some_fixed_world_differs()
 
 
+def test_keeping_a_prefixs_routes_on_its_own_change_is_caught(monkeypatch):
+    # A change to one prefix's FIB entries or delivery handlers must drop
+    # that prefix's cached routes; the reference flushes every route.
+    monkeypatch.setattr(Network, "_bump_route_epoch", mutated(
+        Network, "_bump_route_epoch",
+        "self._route_cache.pop(prefix, None)", "pass",
+        vars(network_module)))
+    assert any(set(differing(draw_world(random.Random(seed)))) - {"events"}
+               for seed in range(40))
+
+
 def test_skipping_the_rescan_is_caught(monkeypatch):
     # Comparing with the installed best alone is wrong once the best's
     # own source re-announces something worse, or withdraws.

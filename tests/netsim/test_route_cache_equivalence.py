@@ -138,6 +138,33 @@ class TestRouteCacheEquivalence:
         assert_equivalent(scenario)
 
 
+def test_churn_on_one_prefix_beside_another():
+    """Routes toward a second prefix outlive the first one's churn; both
+    modes must still agree on everything."""
+    def run(route_cache):
+        inet, pops, vps, loop, net = build_world(route_cache)
+        deliveries = []
+        for prefix in ("acast", "other"):
+            for p in pops[:2]:
+                net.register_local_delivery(
+                    p, prefix, lambda d, p=p: deliveries.append(
+                        (loop.now, p, d.dst, d.ip_ttl, d.hops, d.payload)))
+                net.speaker(p).originate(prefix)
+        loop.run_until(20)
+        for i in range(60):
+            loop.call_at(21.0 + 0.01 * i, net.send, Datagram(
+                src=vps[i % len(vps)], dst=("acast", "other")[i % 2],
+                payload=i, src_port=i))
+        loop.call_at(21.15, net.speaker(pops[0]).withdraw_origin, "acast")
+        loop.call_at(21.35, net.speaker(pops[0]).originate, "acast")
+        loop.run()
+        return deliveries, stats_dict(net), net.rng.getstate()
+
+    fast, slow = run(True), run(False)
+    assert fast == slow
+    assert {d[2] for d in fast[0]} == {"acast", "other"}
+
+
 def strike(inet, net, ingress, change):
     """The change, applied at the router ``ingress`` to "acast"."""
     next_hop = net.fib_entry(ingress, "acast")
@@ -309,6 +336,33 @@ class TestRouteCacheInternals:
         neighbor = inet.topology.neighbors(router)[0]
         net.set_link_up(router, neighbor, False)
         assert not net._route_cache  # flushed by the epoch bump
+
+    def test_a_prefix_change_drops_only_that_prefixs_routes(self):
+        inet, pops, vps, loop, net = build_world(True)
+        for prefix in ("acast", "other"):
+            net.register_local_delivery(pops[0], prefix, lambda d: None)
+            net.speaker(pops[0]).originate(prefix)
+        loop.run_until(20)
+
+        def send_both():
+            for prefix in ("acast", "other"):
+                net.send(Datagram(src=vps[0], dst=prefix, payload=None))
+            loop.run()
+
+        send_both()
+        kept = net._route_cache["other"]
+        assert kept and net._route_cache["acast"]
+        ingress = inet.topology.attachment_router(vps[0])
+        net.set_fib(ingress, "acast", None)
+        assert "acast" not in net._route_cache
+        assert net._route_cache["other"] is kept and kept
+        net.register_local_delivery(pops[0], "other", lambda d: None)
+        assert "other" not in net._route_cache
+        send_both()
+        assert set(net._route_cache) == {"acast", "other"}
+        neighbor = inet.topology.neighbors(pops[0])[0]
+        net.set_link_up(pops[0], neighbor, False)
+        assert net._route_cache == {}
 
     def test_default_mode_is_cached(self):
         inet, pops, vps, loop, net = build_world(Network.route_cache_enabled)

@@ -4,7 +4,8 @@ Covers the PR's serving contract: DO=0 responses from a signed zone
 are byte-identical to an unsigned zone's, DO=1 responses verify end
 to end, both denial modes answer negatives correctly, and the
 response-plan fast lane is invalidated by signing passes (the
-``Zone.version`` / ``ZoneStore.generation`` regression).
+``Zone.version`` / ``ZoneStore.generation`` regression), and a zone
+replacement retires that origin's plans and no other's.
 """
 
 import pytest
@@ -40,6 +41,25 @@ ns.child IN A 192.0.2.54
 
 ORIGIN = name("ex.com")
 
+#: A second origin on the same store, for plans a change must spare.
+OTHER_ZONE_TEXT = """\
+$ORIGIN other.org.
+$TTL 300
+@ IN SOA ns1.other.org. admin.other.org. 1 7200 3600 1209600 300
+@ IN NS ns1.other.org.
+ns1 IN A 192.0.2.60
+www IN A 198.51.100.4
+"""
+
+#: An origin under ``ex.com`` that takes ``www.ex.com`` over.
+WWW_ZONE_TEXT = """\
+$ORIGIN www.ex.com.
+$TTL 300
+@ IN SOA ns1.ex.com. admin.ex.com. 1 7200 3600 1209600 300
+@ IN NS ns1.ex.com.
+@ IN A 198.51.100.80
+"""
+
 
 def do_query(msg_id, qname, qtype=RType.A, do=True):
     return make_query(msg_id, name(qname), qtype,
@@ -63,6 +83,20 @@ def signed_setup(policy=None):
 @pytest.fixture
 def signed():
     return signed_setup()
+
+
+def count_full_assemblies(engine, monkeypatch) -> list:
+    """Record every query ``engine`` answers by full assembly, not from
+    a plan or a negative skeleton; returns the live list."""
+    full: list = []
+    respond_full = engine._respond_full
+
+    def counted(query, *args):
+        full.append(query.question.qname)
+        return respond_full(query, *args)
+
+    monkeypatch.setattr(engine, "_respond_full", counted)
+    return full
 
 
 def dnskeys_of(zone):
@@ -240,19 +274,56 @@ class TestPlanInvalidation:
                                  if r.rtype is RType.A}
         assert verify_message(fresh_signed, dnskeys_of(zone), 10.0) == []
 
-    def test_store_replacement_bumps_generation(self, signed):
-        engine, zone, keys, signer = signed
+    def test_store_replacement_retires_only_its_own_plans(
+            self, signed, monkeypatch):
+        """A same-origin replacement serves the new data at once, while a
+        plan of another origin on the same store stays a fast-lane hit."""
+        engine, _zone, _keys, signer = signed
+        engine.store.add(parse_zone_text(OTHER_ZONE_TEXT))
+        full = count_full_assemblies(engine, monkeypatch)
         engine.respond(do_query(1, "www.ex.com"))
-        generation = engine.store.generation
+        engine.respond(do_query(2, "www.other.org"))
+        assert len(full) == 2
         replacement = parse_zone_text(ZONE_TEXT.replace(
             "www IN A 192.0.2.1", "www IN A 203.0.113.5"))
         signer.sign(replacement, 20.0)
         engine.store.add(replacement)
-        assert engine.store.generation > generation
-        resp = engine.respond(do_query(2, "www.ex.com"))
+        resp = engine.respond(do_query(3, "www.ex.com"))
         addresses = {r.rdata for r in resp.answers
                      if r.rtype is RType.A}
         assert addresses == {A("203.0.113.5")}
+        assert len(full) == 3
+        other = engine.respond(do_query(4, "www.other.org"))
+        assert {r.rdata for r in other.answers} == {A("198.51.100.4")}
+        assert len(full) == 3, "a replacement retired another origin's plan"
+
+    @pytest.mark.parametrize("change", ["more-specific", "new", "removed"])
+    def test_origin_set_change_retires_every_plan(self, signed, monkeypatch,
+                                                  change):
+        """A new origin, one under an existing origin included, or a
+        removed one can move qnames between zones: every plan goes."""
+        engine, _zone, _keys, _signer = signed
+        engine.store.add(parse_zone_text(OTHER_ZONE_TEXT))
+        full = count_full_assemblies(engine, monkeypatch)
+        queries = (("www.ex.com", RType.A), ("www.other.org", RType.A))
+        for qname, qtype in queries:
+            engine.respond(do_query(1, qname, qtype))
+        assert len(full) == 2
+        if change == "more-specific":
+            engine.store.add(parse_zone_text(WWW_ZONE_TEXT))
+        elif change == "new":
+            engine.store.add(parse_zone_text(
+                OTHER_ZONE_TEXT.replace("other.org", "third.net")))
+        else:
+            assert engine.store.remove(name("other.org"))
+        answers = [engine.respond(do_query(2, qname, qtype))
+                   for qname, qtype in queries]
+        assert len(full) == 4
+        www = {r.rdata for r in answers[0].answers if r.rtype is RType.A}
+        assert www == ({A("198.51.100.80")} if change == "more-specific"
+                       else {A("192.0.2.1")})
+        assert answers[1].rcode == (RCode.REFUSED if change == "removed"
+                                    else RCode.NOERROR)
 
     def test_same_version_replacement_gets_its_own_nsec_cover(self):
         """``Zone.version`` counts mutations of one object, so two
