@@ -498,12 +498,13 @@ class Network:
         if self._route_cache_topo_version != self.topology.version:
             self._route_cache.clear()
             self._route_cache_topo_version = self.topology.version
-        routes = self._route_cache.get(dst)
-        if routes is None:
-            routes = self._route_cache[dst] = {}
+        cache = self._route_cache
         try:
-            return routes[router_id]
+            return cache[dst][router_id]
         except KeyError:
+            routes = cache.get(dst)
+            if routes is None:
+                routes = cache[dst] = {}
             route = routes[router_id] = self._resolve_route(router_id, dst)
             return route
 
