@@ -285,11 +285,13 @@ def records_by_class(profiler: cProfile.Profile) -> collections.Counter:
 
 class CollectorTally:
     """The collector's work while this is a ``gc.callbacks`` entry:
-    collections and the host seconds they took, by generation."""
+    collections and the host seconds they took, by generation, and the
+    host seconds of the block :func:`collector_work` ran."""
 
     def __init__(self) -> None:
         self.collections = [0, 0, 0]
         self.seconds = [0.0, 0.0, 0.0]
+        self.phase_s = 0.0
         self._started = 0.0
 
     def __call__(self, phase: str, info: dict) -> None:
@@ -304,11 +306,15 @@ class CollectorTally:
 
 @contextlib.contextmanager
 def collector_work(tally: CollectorTally) -> Iterator[None]:
-    """Count every collection that finishes inside the block."""
+    """Count every collection that finishes inside the block, and time
+    the block."""
     gc.callbacks.append(tally)
+    started = time.perf_counter()  # reprolint: disable=DET001
     try:
         yield
     finally:
+        ended = time.perf_counter()  # reprolint: disable=DET001
+        tally.phase_s = ended - started
         gc.callbacks.remove(tally)
 
 
@@ -446,9 +452,12 @@ def events_report(label: str, tally: EventTally,
                               key=lambda kv: (-kv[1], kv[0]))[:top]:
         out.append(f"| `{name}` | {count:,} |{per_op(count)}")
     if collector is not None:
+        spent = sum(collector.seconds)
+        share = spent / collector.phase_s if collector.phase_s else 0.0
         out += ["", f"{sum(collector.collections):,} collections in the "
-                    f"measured phase, {sum(collector.seconds):.3f} s "
-                    "(host time, not deterministic).", "",
+                    f"measured phase, {spent:.3f} s of its "
+                    f"{collector.phase_s:.2f} s ({share:.1%}; host time "
+                    "under the profiler, not deterministic).", "",
                 "| generation | collections | seconds |", "|---|---:|---:|"]
         for generation, (count, seconds) in enumerate(
                 zip(collector.collections, collector.seconds)):

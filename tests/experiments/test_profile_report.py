@@ -255,10 +255,13 @@ def test_the_collector_is_counted_by_generation_and_its_clock_is_not():
     # Only the three calls leaving the profiled block.
     assert profile.calls_made(profiler) == 3
     tally = profile.EventTally()
+    assert collector.phase_s >= sum(collector.seconds)
     collector.collections, collector.seconds = [5, 2, 1], [0.01, 0.02, 0.3]
+    collector.phase_s = 3.3
     text = profile.events_report("w (seed 1)", tally, collections.Counter(),
                                  4, top=1, collector=collector)
-    assert "\n8 collections in the measured phase, 0.330 s " in text
+    assert "\n8 collections in the measured phase, 0.330 s of its " \
+           "3.30 s (10.0%; " in text
     assert "| 2 | 1 | 0.300 |" in text
 
 
