@@ -486,11 +486,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--events", metavar="LABEL",
                         help="count events by scheduling site, records "
                              "by class and calls made for a figure label "
-                             "(a scenario also the collector's work and "
-                             "the objects left alive) "
                              f"or a scenario of {WORKLOADS_PATH} at seed "
                              f"{SCENARIO_SEED} (measured phase, per "
-                             "operation)")
+                             "operation; for a scenario also the "
+                             "collector's work and the objects left "
+                             "alive)")
     parser.add_argument("--full", action="store_true",
                         help="profile at full (non --fast) scale")
     parser.add_argument("--top", type=int, default=None,

@@ -4,8 +4,8 @@ Mirrors ``tests/netsim/test_route_cache_equivalence.py`` one layer up:
 the zone-versioned response plan cache (and the per-zone negative plan)
 must be invisible on the wire. Every test compares the fast lane against
 a plan-cache-disabled engine byte for byte, including the invalidation
-paths — zone republish (version bump), zone replacement (store
-generation bump), and engine reconfiguration (``add_dynamic_domain``).
+paths — zone republish (version bump), zone replacement (the origin's
+store cell), and engine reconfiguration (``add_dynamic_domain``).
 """
 
 import json
@@ -306,9 +306,10 @@ class TestRolloutInvalidation:
     """The PR 5 rollout/rollback train never serves a stale plan.
 
     ``install_zone`` (the one guarded install seam) and
-    ``rollback_zone`` both land in ``ZoneStore.add``, whose generation
-    bump is what invalidates plans — proven here through the real
-    machine path rather than by poking the store directly.
+    ``rollback_zone`` both land in ``ZoneStore.add``, whose write of the
+    origin's cell is what invalidates that origin's plans — proven here
+    through the real machine path rather than by poking the store
+    directly.
     """
 
     def make_machine(self):
