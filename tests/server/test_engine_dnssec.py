@@ -305,9 +305,9 @@ class TestPlanInvalidation:
         engine, _zone, _keys, _signer = signed
         engine.store.add(parse_zone_text(OTHER_ZONE_TEXT))
         full = count_full_assemblies(engine, monkeypatch)
-        queries = (("www.ex.com", RType.A), ("www.other.org", RType.A))
-        for qname, qtype in queries:
-            engine.respond(do_query(1, qname, qtype))
+        qnames = ("www.ex.com", "www.other.org")
+        for qname in qnames:
+            engine.respond(do_query(1, qname))
         assert len(full) == 2
         if change == "more-specific":
             engine.store.add(parse_zone_text(WWW_ZONE_TEXT))
@@ -316,8 +316,7 @@ class TestPlanInvalidation:
                 OTHER_ZONE_TEXT.replace("other.org", "third.net")))
         else:
             assert engine.store.remove(name("other.org"))
-        answers = [engine.respond(do_query(2, qname, qtype))
-                   for qname, qtype in queries]
+        answers = [engine.respond(do_query(2, qname)) for qname in qnames]
         assert len(full) == 4
         www = {r.rdata for r in answers[0].answers if r.rtype is RType.A}
         assert www == ({A("198.51.100.80")} if change == "more-specific"
