@@ -159,10 +159,6 @@ class _InFlight:
 class Network:
     """Couples a topology with BGP speakers, FIBs, and packet delivery."""
 
-    #: The anycast route cache. The equivalence tests and the benchmark
-    #: turn it off (on the class or one instance) to prove both paths agree.
-    route_cache_enabled = True
-
     def __init__(self, loop: EventLoop, topology: Topology,
                  rng: random.Random) -> None:
         self.loop = loop
@@ -386,14 +382,13 @@ class Network:
         if dgram.dst in self._endpoints:
             self._deliver_unicast(dgram)
             return
-        if self.route_cache_enabled:
-            # Plan the whole trip: the access-link leg folds into the
-            # delivery event (_bump_route_epoch unfolds it if need be).
-            route = self._route_lookup(first_router, dgram.dst)
-            if route is not None and 0 < len(route.hops) < dgram.ip_ttl:
-                self._fast_forward(route, dgram, self.loop.now + delay,
-                                   first_router)
-                return
+        # Plan the whole trip: the access-link leg folds into the
+        # delivery event (_bump_route_epoch unfolds it if need be).
+        route = self._route_lookup(first_router, dgram.dst)
+        if route is not None and 0 < len(route.hops) < dgram.ip_ttl:
+            self._fast_forward(route, dgram, self.loop.now + delay,
+                               first_router)
+            return
         self.loop.call_later(delay, self._forward, first_router, dgram)
 
     def _forward(self, router_id: str, dgram: Datagram) -> None:
@@ -403,11 +398,10 @@ class Network:
         path would consult this router's FIB — so both paths sample
         identical forwarding state.
         """
-        if self.route_cache_enabled:
-            route = self._route_lookup(router_id, dgram.dst)
-            if route is not None and dgram.ip_ttl > len(route.hops):
-                self._fast_forward(route, dgram, self.loop.now)
-                return
+        route = self._route_lookup(router_id, dgram.dst)
+        if route is not None and dgram.ip_ttl > len(route.hops):
+            self._fast_forward(route, dgram, self.loop.now)
+            return
         handler = self._local_delivery.get((router_id, dgram.dst))
         next_hop = self._fib.get(router_id, _EMPTY_FIB).get(dgram.dst)
         if next_hop == LOCAL and handler is not None:

@@ -22,7 +22,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..dnscore.edns import ClientSubnetOption, EDNSOptions
+from ..dnscore.edns import EDNSOptions
 from ..dnscore.message import Flags, Message
 from ..dnscore.name import Name
 from ..dnscore.rdata import CNAME, DNSKEY, RRSIG, SOA
@@ -158,11 +158,6 @@ class RecursiveResolver:
         self.selection = selection or UniformSelection()
         self.rng = rng
         self.timeout = timeout
-        #: Client address whose subnet rides every upstream query as
-        #: EDNS Client Subnet; None sends none. No deployment sets it:
-        #: tests/platform/test_ecs.py drives the platform's end-user
-        #: mapping through it.
-        self.send_ecs_for: str | None = None
         #: Opt-in DNSSEC validation: queries carry DO=1, and responses
         #: bearing RRSIGs are verified against the signer's DNSKEY
         #: (fetched on demand and cached). The trust model is the
@@ -311,14 +306,11 @@ class RecursiveResolver:
 
     def _send_query(self, resolution: _Resolution, address: str) -> None:
         msg_id = self._allocate_id()
-        ecs = self.send_ecs_for
         # Every field given, in order: this runs per upstream query.
         query = Message(
             msg_id, Flags(False, _QUERY, False, False, False, False, _NOERROR),
             [Question(resolution.target, resolution.qtype, _IN)], [], [], [],
-            EDNSOptions(EDNS_PAYLOAD, 0, 0, self.validate_dnssec,
-                        None if ecs is None
-                        else ClientSubnetOption.for_client(ecs), []))
+            EDNSOptions(EDNS_PAYLOAD, 0, 0, self.validate_dnssec, None, []))
         # randint(1024, 65535), draw for draw.
         port = 1024 + self.rng._randbelow(64512)
         envelope = QueryEnvelope(query, False, False, False, None)

@@ -256,10 +256,6 @@ class AuthoritativeEngine:
     #: traffic without paying it for one-off typos.
     _NEG_BUILD_AFTER = 8
 
-    #: The response plan fast lane. The equivalence tests turn it off
-    #: (on the class or one instance) to prove it changes no byte.
-    plan_cache_enabled = True
-
     def __init__(self, store: ZoneStore,
                  mapping: MappingProvider | None = None,
                  dynamic_domains: list[Name] | None = None,
@@ -330,29 +326,28 @@ class AuthoritativeEngine:
         # early branches establish: QUERY opcode, one IN-class question.
         # client_key is irrelevant: client-dependent names are never
         # planned.
-        if self.plan_cache_enabled:
-            questions = query.questions
-            if len(questions) == 1 and query.flags.opcode is _QUERY:
-                question = questions[0]
-                if question.qclass is _IN:
-                    edns = query.edns
-                    do_bit = edns is not None and edns.dnssec_ok
-                    key = (question.qname, question.qtype, do_bit)
-                    plan = self._plans.get(key)
-                    if plan is not None:
-                        if plan.serving.live():
-                            return self._finish(
-                                query, plan.template.finalize(query))
-                        del self._plans[key]
-                    elif self._serving:
-                        # One find serves both lanes: a miss here goes
-                        # to the slow path with the zone in hand.
-                        zone = self.store.find(question.qname)
-                        if zone is not None:
-                            response = self._neg_fast_lane(query, zone, *key)
-                            if response is not None:
-                                return self._finish(query, response)
-                        return self._respond_full(query, client_key, zone)
+        questions = query.questions
+        if len(questions) == 1 and query.flags.opcode is _QUERY:
+            question = questions[0]
+            if question.qclass is _IN:
+                edns = query.edns
+                do_bit = edns is not None and edns.dnssec_ok
+                key = (question.qname, question.qtype, do_bit)
+                plan = self._plans.get(key)
+                if plan is not None:
+                    if plan.serving.live():
+                        return self._finish(
+                            query, plan.template.finalize(query))
+                    del self._plans[key]
+                elif self._serving:
+                    # One find serves both lanes: a miss here goes to
+                    # the slow path with the zone in hand.
+                    zone = self.store.find(question.qname)
+                    if zone is not None:
+                        response = self._neg_fast_lane(query, zone, *key)
+                        if response is not None:
+                            return self._finish(query, response)
+                    return self._respond_full(query, client_key, zone)
         return self._respond_full(query, client_key)
 
     def _neg_fast_lane(self, query: Message, zone: Zone, qname: Name,
@@ -426,7 +421,7 @@ class AuthoritativeEngine:
         # The slow path's job is assembly; its product populates the
         # plan cache below.
         response = make_response(query, RCode.NOERROR, aa=True)
-        cacheable = self.plan_cache_enabled
+        cacheable = True
 
         # Mapping hook: tailored answers for GTM/CDN names. (qtype is
         # checked before the is_dynamic subdomain walk — the predicates
@@ -630,7 +625,7 @@ class AuthoritativeEngine:
         instead of a fresh one. Counters and observers still run per
         call. Callers must not mutate or keep the result (see
         ``health_probe``)."""
-        if query.edns is None and self.plan_cache_enabled:
+        if query.edns is None:
             questions = query.questions
             if len(questions) == 1 and query.flags.opcode is _QUERY:
                 question = questions[0]

@@ -1,17 +1,18 @@
 """Tracked performance baseline: ``python -m repro.tools.bench``.
 
 Writes ``BENCH_micro.json`` at the repository root — microbenchmarks of
-the simulator core: event loop throughput, route-cached vs hop-by-hop
-anycast forwarding, and the O(1) ``pending`` counter. Ratio metrics
-(under ``"metrics"``) are hardware-independent and gate CI; absolute
+the simulator core: event loop throughput, route-cached anycast
+forwarding, and the O(1) ``pending`` counter. Ratio metrics (under
+``"metrics"``) are hardware-independent and gate CI; absolute
 throughput (under ``"info"``) varies with the host and is tracked for
 local comparison only. Figure wall times are not recorded here:
 ``bench/run.py --figures-ledger`` times every figure per layer.
 
 ``--check`` re-runs the microbenchmarks and fails (exit 1) when any
 gated metric regresses more than ``--tolerance`` (default 30%) against
-the committed ``BENCH_micro.json`` — the CI ``tier-1 tests`` job runs
-exactly this after pytest, and ``make bench-check`` does locally.
+the committed ``BENCH_micro.json``, or is missing from either side —
+the CI ``tier-1 tests`` job runs exactly this after pytest, and ``make
+bench-check`` does locally.
 
 This module measures wall time by design; it is operator-facing tooling
 that never feeds simulation results, so the wall-clock reads carry
@@ -82,7 +83,7 @@ def bench_event_loop(n_events: int = 200_000) -> float:
     return n_events / elapsed
 
 
-def _line_network(route_cache: bool) -> tuple[EventLoop, Network, list[int]]:
+def _line_network() -> tuple[EventLoop, Network, list[int]]:
     """A 6-router line with a local delivery handler at the far end."""
     topo = Topology()
     routers = [f"r{i}" for i in range(6)]
@@ -93,7 +94,6 @@ def _line_network(route_cache: bool) -> tuple[EventLoop, Network, list[int]]:
         topo.add_link(Link(a, b, latency_ms=1.0))
     loop = EventLoop()
     net = Network(loop, topo, random.Random(7))
-    net.route_cache_enabled = route_cache
     got: list[int] = []
     net.register_local_delivery(routers[-1], "svc",
                                 lambda d: got.append(d.payload))
@@ -103,11 +103,11 @@ def _line_network(route_cache: bool) -> tuple[EventLoop, Network, list[int]]:
     return loop, net, got
 
 
-def bench_forwarding(route_cache: bool, n_packets: int = 20_000) -> float:
+def bench_forwarding(n_packets: int = 20_000) -> float:
     """Best-of-3 seconds to deliver ``n_packets`` on a 6-router line."""
 
     def one_run() -> float:
-        loop, net, got = _line_network(route_cache)
+        loop, net, got = _line_network()
         started = _now()
         for i in range(n_packets):
             net.send(Datagram(src="r0", dst="svc", payload=i,
@@ -129,13 +129,11 @@ _BENCH_ZONE = "\n".join(
     + [f"h{i} IN A 192.0.2.{i + 1}" for i in range(40)]) + "\n"
 
 
-def _bench_engine(plan_cache: bool = True):
+def _bench_engine():
     from ..dnscore import parse_zone_text
     from ..server.engine import AuthoritativeEngine, ZoneStore
 
-    engine = AuthoritativeEngine(ZoneStore([parse_zone_text(_BENCH_ZONE)]))
-    engine.plan_cache_enabled = plan_cache
-    return engine
+    return AuthoritativeEngine(ZoneStore([parse_zone_text(_BENCH_ZONE)]))
 
 
 def _respond_battery(n_queries: int) -> list:
@@ -162,13 +160,6 @@ def _respond_seconds(queries: list, make_engine=_bench_engine,
         return _now() - started
 
     return _best_of(one_run)
-
-
-def bench_respond(plan_cache: bool, n_queries: int = 10_000) -> float:
-    """Best-of-3 seconds for ``n_queries`` engine.respond calls over a
-    repeating qname battery — the response plan cache's hot workload."""
-    return _respond_seconds(_respond_battery(n_queries),
-                            lambda: _bench_engine(plan_cache))
 
 
 def bench_probe(n_probes: int = 10_000) -> float:
@@ -231,7 +222,8 @@ def bench_nxdomain_flood(n_queries: int = 10_000) -> float:
 def bench_observer_tap(n_queries: int = 10_000) -> tuple[float, float]:
     """(bare, armed-idle) seconds for the respond loop.
 
-    *Bare* has no response observers; *armed-idle* attaches the
+    *Bare* has no response observers (``respond_cached_qps`` is its
+    throughput, the plan cache's hot workload); *armed-idle* attaches the
     NXDOMAIN filter's learning tap while serving only NOERROR traffic —
     the common steady state, whose per-response cost must stay at one
     rcode check.
@@ -397,10 +389,7 @@ def bench_pending_ratio(large: int = 20_000, small: int = 50) -> float:
 
 
 def run_micro() -> dict:
-    uncached = bench_forwarding(route_cache=False)
-    cached = bench_forwarding(route_cache=True)
-    respond_uncached = bench_respond(plan_cache=False)
-    respond_cached = bench_respond(plan_cache=True)
+    cached = bench_forwarding()
     probe_cached = bench_probe()
     flood_pps = bench_nxdomain_flood()
     tap_bare, tap_armed = bench_observer_tap()
@@ -411,9 +400,6 @@ def run_micro() -> dict:
     return {
         "metrics": {
             # Gated, hardware-independent ratios.
-            "route_cache_speedup": round(uncached / cached, 3),
-            "respond_cached_speedup": round(
-                respond_uncached / respond_cached, 3),
             "pending_cost_ratio_20000_vs_50": round(
                 bench_pending_ratio(), 3),
             "telemetry_enabled_overhead_ratio": round(
@@ -429,10 +415,8 @@ def run_micro() -> dict:
             # Absolute throughput; varies with host, never gated.
             "event_loop_events_per_sec": round(bench_event_loop()),
             "forwarding_cached_pkts_per_sec": round(20_000 / cached),
-            "forwarding_uncached_pkts_per_sec": round(20_000 / uncached),
             "flood_pkts_per_sec": round(flood_pps),
-            "respond_cached_qps": round(10_000 / respond_cached),
-            "respond_uncached_qps": round(10_000 / respond_uncached),
+            "respond_cached_qps": round(10_000 / tap_bare),
             "probe_cached_qps": round(10_000 / probe_cached),
             "observer_tap_idle_overhead_ratio": round(
                 tap_armed / tap_bare, 3),
@@ -449,8 +433,6 @@ def run_micro() -> dict:
 
 #: metric name -> direction ("higher"/"lower" is better) for --check.
 _GATED = {
-    "route_cache_speedup": "higher",
-    "respond_cached_speedup": "higher",
     "pending_cost_ratio_20000_vs_50": "lower",
     "telemetry_enabled_overhead_ratio": "lower",
     "signed_respond_overhead_ratio": "lower",
@@ -460,12 +442,15 @@ _GATED = {
 
 
 def check_micro(committed: dict, fresh: dict, tolerance: float) -> list[str]:
-    """Regression messages for gated metrics (empty when clean)."""
+    """One line per gated metric that is missing from either side or
+    regressed (empty when clean)."""
     failures = []
     for metric, direction in _GATED.items():
         want = committed.get("metrics", {}).get(metric)
         got = fresh["metrics"].get(metric)
         if want is None or got is None:
+            where = "committed baseline" if want is None else "fresh run"
+            failures.append(f"MISSING {metric}: not in the {where}")
             continue
         if direction == "higher":
             bound = want * (1.0 - tolerance)
@@ -475,7 +460,7 @@ def check_micro(committed: dict, fresh: dict, tolerance: float) -> list[str]:
             bad = got > bound
         if bad:
             failures.append(
-                f"{metric}: {got} vs committed {want} "
+                f"REGRESSION {metric}: {got} vs committed {want} "
                 f"(allowed {'>=' if direction == 'higher' else '<='} "
                 f"{bound:.3f})")
     return failures
@@ -501,7 +486,7 @@ def main(argv: list[str] | None = None) -> int:
         committed = json.loads(MICRO_PATH.read_text())
         failures = check_micro(committed, fresh, args.tolerance)
         for line in failures:
-            print(f"REGRESSION {line}", file=sys.stderr)
+            print(line, file=sys.stderr)
         print(f"bench-check: {len(_GATED) - len(failures)}/{len(_GATED)} "
               f"gated metrics within {args.tolerance:.0%}")
         return 1 if failures else 0

@@ -20,22 +20,37 @@ def regressed(metric: str) -> dict:
     return fresh
 
 
+def lacking(metric: str) -> dict:
+    fresh = copy.deepcopy(COMMITTED)
+    del fresh["metrics"][metric]
+    return fresh
+
+
 def test_every_gated_ratio_is_committed():
     assert set(COMMITTED["metrics"]) == set(bench._GATED)
 
 
-@pytest.mark.parametrize("fresh, code, line", [
-    (COMMITTED, 0, "bench-check: 7/7 gated metrics within 30%"),
-    (regressed("route_cache_speedup"), 1, "bench-check: 6/7"),
-    (regressed("rrset_group_cost_ratio"), 1, "bench-check: 6/7"),
+@pytest.mark.parametrize("fresh, code, line, error", [
+    (COMMITTED, 0, "bench-check: 5/5 gated metrics within 30%", ""),
+    (regressed("pending_cost_ratio_20000_vs_50"), 1, "bench-check: 4/5",
+     "REGRESSION pending_cost_ratio_20000_vs_50"),
+    (regressed("rrset_group_cost_ratio"), 1, "bench-check: 4/5",
+     "REGRESSION rrset_group_cost_ratio"),
+    (lacking("truncated_encode_cost_ratio"), 1, "bench-check: 4/5",
+     "MISSING truncated_encode_cost_ratio: not in the fresh run"),
 ])
 def test_check_is_the_gate_and_needs_only_the_micro_baseline(
-        tmp_path, monkeypatch, capsys, fresh, code, line):
+        tmp_path, monkeypatch, capsys, fresh, code, line, error):
     monkeypatch.chdir(tmp_path)         # no BENCH_experiments.json here
     baseline = json.dumps(COMMITTED)
     (tmp_path / bench.MICRO_PATH).write_text(baseline)
     monkeypatch.setattr(bench, "run_micro", lambda: fresh)
     assert bench.main(["--check"]) == code
-    assert line in capsys.readouterr().out
+    out, err = capsys.readouterr()
+    assert line in out
+    if error:
+        assert error in err
+    else:
+        assert err == ""
     assert [p.name for p in tmp_path.iterdir()] == [bench.MICRO_PATH.name]
     assert (tmp_path / bench.MICRO_PATH).read_text() == baseline

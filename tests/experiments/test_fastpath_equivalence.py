@@ -1,10 +1,10 @@
 """End-to-end equivalence: the fast-path core never changes results.
 
-Two independent switches must be invisible in experiment output:
+Two independent mechanisms must be invisible in experiment output:
 
-* the anycast route cache (``Network.route_cache_enabled``), proven on a
-  full failover experiment — per-vantage records and all — not just on
-  synthetic traffic;
+* the anycast route cache, proven against the hop-by-hop oracle
+  (``tests/oracles.py``) on a full failover experiment — per-vantage
+  records and all — not just on synthetic traffic;
 * the parallel runner's unit split (``--jobs``), proven by pushing
   real experiment units through a process pool and comparing the merged
   results byte for byte with the serial composition.
@@ -19,6 +19,8 @@ from repro.experiments import fig8_failover, parallel, resilience_scorecard
 from repro.netsim.builder import InternetParams
 from repro.netsim.network import Network
 
+from ..oracles import HopByHopNetwork
+
 
 def small_fig8_result():
     return fig8_failover.run(fig8_failover.Fig8Params(
@@ -32,20 +34,23 @@ def serialized(result) -> bytes:
                       sort_keys=True).encode("utf-8")
 
 
+def hop_by_hop(monkeypatch):
+    monkeypatch.setattr(Network, "_route_lookup",
+                        HopByHopNetwork._route_lookup)
+
+
 class TestRouteCacheOnExperiments:
     def test_fig8_identical_with_and_without_cache(self, monkeypatch):
-        monkeypatch.setattr(Network, "route_cache_enabled", True)
         cached = serialized(small_fig8_result())
-        monkeypatch.setattr(Network, "route_cache_enabled", False)
+        hop_by_hop(monkeypatch)
         uncached = serialized(small_fig8_result())
         assert cached == uncached
 
     def test_resilience_unit_identical_with_and_without_cache(
             self, monkeypatch):
         params = resilience_scorecard.ScorecardParams.fast()
-        monkeypatch.setattr(Network, "route_cache_enabled", True)
         cached = serialized(resilience_scorecard.run_unit(params, 0))
-        monkeypatch.setattr(Network, "route_cache_enabled", False)
+        hop_by_hop(monkeypatch)
         uncached = serialized(resilience_scorecard.run_unit(params, 0))
         assert cached == uncached
 

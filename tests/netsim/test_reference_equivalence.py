@@ -23,10 +23,7 @@ The mutation tests edit the source of the code under test and want
 the comparison to fail, so the oracle is known to look where it claims.
 """
 
-import __future__
-import inspect
 import random
-import textwrap
 from dataclasses import asdict
 
 from hypothesis import HealthCheck, given, settings
@@ -47,6 +44,7 @@ from repro.netsim import network as network_module
 from repro.netsim.bgp import LOCAL, BGPSpeaker
 from repro.netsim.topology import Link
 
+from ..oracles import mutated
 from .reference import BGPSpeaker as ReferenceSpeaker
 from .reference import ReferenceNetwork
 
@@ -329,17 +327,6 @@ def test_drawn_worlds_match_the_reference(rnd):
 def test_fixed_worlds_match_the_reference():
     for seed in range(40):
         assert_matches_reference(draw_world(random.Random(seed)))
-
-
-def mutated(owner, name: str, old: str, new: str, namespace: dict):
-    """``owner.name`` recompiled with ``old`` replaced by ``new``."""
-    source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
-    assert source.count(old) == 1, f"{name} no longer contains {old!r}"
-    scope = dict(namespace)
-    # Compiled as its module is: annotations stay unevaluated.
-    exec(compile(source.replace(old, new), name, "exec",
-                 flags=__future__.annotations.compiler_flag), scope)
-    return scope[name]
 
 
 def some_fixed_world_differs() -> bool:

@@ -4,8 +4,9 @@ The route cache is a pure optimization: with it on or off, every
 datagram must be delivered at the same simulated instant, with the same
 hop trace and TTL, and the NetworkStats counters must match bit for
 bit — across clean forwarding, FIB churn, link failures, gray
-degradation, and congestion. These tests run each scenario twice, once
-per mode, and compare everything observable.
+degradation, and congestion. These tests run each scenario twice, on
+``Network`` and on the hop-by-hop oracle (``tests/oracles.py``), and
+compare everything observable.
 
 ``send`` plans a clean trip from the source host, so a datagram can be
 caught by a change *before its ingress router has forwarded it*: part-way
@@ -32,16 +33,17 @@ from repro.netsim import (
 from repro.netsim.bgp import LOCAL
 from repro.netsim.network import HOP_COST_S
 
+from ..oracles import HopByHopNetwork
 
-def build_world(route_cache: bool):
+
+def build_world(network_cls=Network):
     rng = random.Random(1234)
     inet = build_internet(rng, InternetParams(n_tier1=4, n_tier2=10,
                                               n_stub=30))
     pops = [attach_pop(inet, rng) for _ in range(3)]
     vps = [attach_host(inet, rng, host_id=f"vp-{i}") for i in range(6)]
     loop = EventLoop()
-    net = Network(loop, inet.topology, rng)
-    net.route_cache_enabled = route_cache
+    net = network_cls(loop, inet.topology, rng)
     net.build_speakers()
     return inet, pops, vps, loop, net
 
@@ -59,9 +61,9 @@ def stats_dict(net):
     return {f: getattr(s, f) for f in s.__dataclass_fields__}
 
 
-def run_scenario(route_cache: bool, scenario):
+def run_scenario(network_cls, scenario):
     """Run one scripted scenario; returns (deliveries, stats, RNG state)."""
-    inet, pops, vps, loop, net = build_world(route_cache)
+    inet, pops, vps, loop, net = build_world(network_cls)
     deliveries = []
     for p in pops:
         net.register_local_delivery(
@@ -76,8 +78,8 @@ def run_scenario(route_cache: bool, scenario):
 
 
 def assert_equivalent(scenario):
-    fast = run_scenario(True, scenario)
-    slow = run_scenario(False, scenario)
+    fast = run_scenario(Network, scenario)
+    slow = run_scenario(HopByHopNetwork, scenario)
     assert fast[0] == slow[0]  # timestamps, PoP, TTL, hop traces
     assert fast[1] == slow[1]  # every NetworkStats counter
     assert fast[2] == slow[2]  # loss draws taken from the shared stream
@@ -141,8 +143,8 @@ class TestRouteCacheEquivalence:
 def test_churn_on_one_prefix_beside_another():
     """Routes toward a second prefix outlive the first one's churn; both
     modes must still agree on everything."""
-    def run(route_cache):
-        inet, pops, vps, loop, net = build_world(route_cache)
+    def run(network_cls):
+        inet, pops, vps, loop, net = build_world(network_cls)
         deliveries = []
         for prefix in ("acast", "other"):
             for p in pops[:2]:
@@ -160,7 +162,7 @@ def test_churn_on_one_prefix_beside_another():
         loop.run()
         return deliveries, stats_dict(net), net.rng.getstate()
 
-    fast, slow = run(True), run(False)
+    fast, slow = run(Network), run(HopByHopNetwork)
     assert fast == slow
     assert {d[2] for d in fast[0]} == {"acast", "other"}
 
@@ -307,8 +309,8 @@ class TestDeliveriesOnOneInstant:
                          Datagram(src=far, dst="acast", payload="far"))
             loop.call_at(later, net.send,
                          Datagram(src=near, dst="acast", payload="near"))
-        fast = run_scenario(True, scenario)
-        slow = run_scenario(False, scenario)
+        fast = run_scenario(Network, scenario)
+        slow = run_scenario(HopByHopNetwork, scenario)
         assert sorted(fast[0]) == sorted(slow[0]) and fast[1:] == slow[1:]
         (t_far, pop_far, *_), (t_near, pop_near, *_) = fast[0]
         assert (t_far, pop_far) == (t_near, pop_near)
@@ -317,7 +319,7 @@ class TestDeliveriesOnOneInstant:
 
 class TestRouteCacheInternals:
     def test_epoch_bumps_on_fib_change(self):
-        inet, pops, vps, loop, net = build_world(True)
+        inet, pops, vps, loop, net = build_world()
         net.register_local_delivery(pops[0], "acast", lambda d: None)
         net.speaker(pops[0]).originate("acast")
         before = net.route_epoch
@@ -325,7 +327,7 @@ class TestRouteCacheInternals:
         assert net.route_epoch > before
 
     def test_cache_populated_and_flushed(self):
-        inet, pops, vps, loop, net = build_world(True)
+        inet, pops, vps, loop, net = build_world()
         net.register_local_delivery(pops[0], "acast", lambda d: None)
         net.speaker(pops[0]).originate("acast")
         loop.run_until(20)
@@ -338,7 +340,7 @@ class TestRouteCacheInternals:
         assert not net._route_cache  # flushed by the epoch bump
 
     def test_a_prefix_change_drops_only_that_prefixs_routes(self):
-        inet, pops, vps, loop, net = build_world(True)
+        inet, pops, vps, loop, net = build_world()
         for prefix in ("acast", "other"):
             net.register_local_delivery(pops[0], prefix, lambda d: None)
             net.speaker(pops[0]).originate(prefix)
@@ -364,16 +366,30 @@ class TestRouteCacheInternals:
         net.set_link_up(pops[0], neighbor, False)
         assert net._route_cache == {}
 
-    def test_default_mode_is_cached(self):
-        inet, pops, vps, loop, net = build_world(Network.route_cache_enabled)
-        assert net.route_cache_enabled
+    def test_a_clean_route_is_cached_and_planned_in_one_event(self):
+        """The fast path engages: a datagram on a clean route costs the
+        event loop its delivery alone, access-link leg and hops folded
+        in (hop by hop, the same trip is one event per router)."""
+        inet, pops, vps, loop, net = build_world()
+        got = []
+        net.register_local_delivery(pops[0], "acast", got.append)
+        net.speaker(pops[0]).originate("acast")
+        loop.run()
+        for i in range(3):
+            before = loop.events_processed
+            net.send(Datagram(src=vps[0], dst="acast", payload=i))
+            loop.run()
+            assert loop.events_processed == before + 1
+        assert [d.payload for d in got] == [0, 1, 2]
+        assert len(got[0].hops) > 1
+        assert net._route_cache["acast"]
 
 
-@pytest.mark.parametrize("route_cache", [True, False])
-def test_stats_repeatable_within_mode(route_cache):
+@pytest.mark.parametrize("network_cls", [Network, HopByHopNetwork])
+def test_stats_repeatable_within_mode(network_cls):
     """Same mode twice -> identical everything (sanity anchor)."""
     def scenario(inet, pops, vps, loop, net):
         burst(vps, net, loop, n=30)
-    a = run_scenario(route_cache, scenario)
-    b = run_scenario(route_cache, scenario)
+    a = run_scenario(network_cls, scenario)
+    b = run_scenario(network_cls, scenario)
     assert a == b

@@ -237,6 +237,12 @@ class TestCompactMode:
         repeat = engine.respond(do_query(1, f"atk{self.FLOOD - 1}.ex.com"))
         assert repeat.rcode == RCode.NXDOMAIN
         assert len(walks) == self.FLOOD, "signed NXDOMAIN not planned"
+        # The wipe came when the cache held its bound: the last plan
+        # made before it is gone, the one that met the full cache stays.
+        bound = engine._PLAN_CACHE_MAX
+        engine.respond(do_query(2, f"atk{bound - 1}.ex.com"))
+        engine.respond(do_query(3, f"atk{bound}.ex.com"))
+        assert len(walks) == self.FLOOD + 1
 
 
 class TestPlanInvalidation:

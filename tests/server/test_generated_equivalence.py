@@ -9,16 +9,23 @@ installing a new Zone object, replacing the zone by a same-version
 twin, editing it in place, re-signing it, adding a dynamic domain, and
 installing a child zone under the served one (or removing it again, so
 its names re-home to the parent).
-After every step a plan-cache-on engine must put the same bytes on the
-wire as a brand-new plan-cache-off engine over the same store — through
-``respond`` twice (populate, then hit) and through ``respond_probe`` —
-and the zone's shared ``NxdomainIndex`` must agree with
-``Zone.lookup`` on every generated name.
+After every step a long-lived engine must put the same bytes on the
+wire as a brand-new ``AssemblingEngine`` over the same store — through
+``respond`` twice (populate, then hit, the second time with RD set and
+ECS attached) and through ``respond_probe`` — and the zone's shared
+``NxdomainIndex`` must agree with ``Zone.lookup`` on every generated
+name.
+
+The planted-defect tests edit the source of the code under test and
+want one fixed world's check to fail, so the comparison is known to
+look where it claims.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dnscore import message as message_module
 from repro.dnscore import (
     A,
     CNAME,
@@ -33,13 +40,19 @@ from repro.dnscore import (
     make_zone,
     name,
 )
+from repro.dnscore.edns import ClientSubnetOption
+from repro.dnscore.message import ResponseTemplate
 from repro.dnscore.zone import LookupStatus, NxdomainIndex
 from repro.dnssec.denial import DenialMode
 from repro.dnssec.keys import KeyRing
 from repro.dnssec.sign import ZoneSigner
-from repro.server.engine import AuthoritativeEngine, ZoneStore
+from repro.server import engine as engine_module
+from repro.server.engine import AuthoritativeEngine, ZoneStore, _ZoneServing
+
+from ..oracles import AssemblingEngine, mutated
 
 ORIGIN = name("ex.com")
+ECS = ClientSubnetOption.for_client("198.51.100.7")
 
 label = st.sampled_from(["a", "b", "w", "ns", "child"])
 owner = st.lists(label, min_size=1, max_size=3).map(".".join)
@@ -128,8 +141,8 @@ class Mapping:
 
 
 class World:
-    """One store served by a long-lived plan-cache-on engine, checked
-    against a plan-cache-off engine with no history at all."""
+    """One store served by a long-lived engine, checked against an
+    assembling engine with no history at all."""
 
     def __init__(self, spec, signed, compact):
         self.spec = spec
@@ -141,9 +154,9 @@ class World:
         self.fast = self.engine()
         self.install(build(spec))
 
-    def engine(self, dynamic=()):
-        engine = AuthoritativeEngine(self.store, mapping=Mapping(),
-                                     dynamic_domains=list(dynamic))
+    def engine(self, dynamic=(), cls=AuthoritativeEngine):
+        engine = cls(self.store, mapping=Mapping(),
+                     dynamic_domains=list(dynamic))
         engine.dnssec.register_keyring(self.keys)
         if self.compact:
             engine.dnssec.denial_mode = DenialMode.COMPACT
@@ -191,18 +204,24 @@ class World:
 
     def check(self, stream):
         fast = self.fast
-        slow = self.engine(fast.dynamic_domains)
-        slow.plan_cache_enabled = False
+        slow = self.engine(fast.dynamic_domains, AssemblingEngine)
         # Arm the negative lane where the zone allows it, then ask every
-        # question twice (populate, hit) as each EDNS population.
+        # question twice (populate, hit) as each EDNS population. The
+        # second pass sets RD and attaches ECS, so every hit (a probe's
+        # shared reply too) is stamped from a query whose RD and ECS
+        # differ from the one its plan was last stamped for.
         flood = [(f"flood{i}.zz.ex.com", RType.A) for i in range(9)]
+        first = len(flood + stream)
         msg_id = 0
         for qname, qtype in flood + stream + stream:
+            second = msg_id >= 3 * first
             for do in (None, False, True):
                 msg_id += 1
                 edns = None if do is None else EDNSOptions(
-                    payload_size=1232, dnssec_ok=do)
-                query = make_query(msg_id, name(qname), qtype, edns=edns)
+                    payload_size=1232, dnssec_ok=do,
+                    client_subnet=ECS if second else None)
+                query = make_query(msg_id, name(qname), qtype, rd=second,
+                                   edns=edns)
                 reference = slow.respond(query).to_wire()
                 assert fast.respond(query).to_wire() == reference, \
                     (qname, qtype, do)
@@ -222,7 +241,7 @@ class World:
        ops=st.lists(operation, max_size=6),
        signed=st.booleans(), compact=st.booleans())
 @settings(max_examples=100, deadline=None)
-def test_plan_cache_on_equals_off_after_every_operation(
+def test_plan_cache_equals_assembly_after_every_operation(
         spec, stream, ops, signed, compact):
     world = World(spec, signed, compact)
     world.check(stream)
@@ -242,3 +261,52 @@ def test_name_index_agrees_with_lookup(spec, probes):
                 assert index.is_nxdomain(qname.labels) == (
                     zone.lookup(qname, qtype).status
                     is LookupStatus.NXDOMAIN), (qname, qtype)
+
+
+#: (class, method, text planted out, text planted in, operation after
+#: the first check or None): each a defect the property above catches.
+PLANTED = {
+    "stale plan after an in-place edit": (
+        _ZoneServing, "live", "self.zone.version == self.version", "True",
+        ("edit", ("A", "a"))),
+    "plan kept across an origin-set change": (
+        _ZoneServing, "live", "self.store.generation == self.generation",
+        "True", ("child", "a")),
+    "plan kept across a same-origin replacement": (
+        _ZoneServing, "live", "self.cell[0] is self.zone", "True",
+        ("twin",)),
+    "negative lane without the name index": (
+        AuthoritativeEngine, "_neg_fast_lane",
+        "not serving.index.is_nxdomain(qname.labels)", "False", None),
+    "probe hit keeps the RD it was first stamped with": (
+        AuthoritativeEngine, "respond_probe",
+        "reply.flags.rd = query.flags.rd", "pass", None),
+    "plan stamped without the query's RD": (
+        ResponseTemplate, "finalize", "rd=query.flags.rd", "rd=False", None),
+    "plan stamped without its additional section": (
+        ResponseTemplate, "finalize", "additional=list(self.additional)",
+        "additional=[]", None),
+    "plan stamped without the DO echo": (
+        ResponseTemplate, "finalize", "dnssec_ok=edns.dnssec_ok",
+        "dnssec_ok=False", None),
+    "plan stamped without the ECS echo": (
+        ResponseTemplate, "finalize", "client_subnet=edns.client_subnet",
+        "client_subnet=None", None),
+}
+
+
+@pytest.mark.parametrize("defect", PLANTED)
+def test_planted_plan_cache_defect_is_caught(monkeypatch, defect):
+    owner, method, old, new, op = PLANTED[defect]
+    module = (message_module if owner is ResponseTemplate
+              else engine_module)
+    monkeypatch.setattr(owner, method,
+                        mutated(owner, method, old, new, vars(module)))
+    world = World([("A", "a"), ("CUT", "child")], signed=False,
+                  compact=False)
+    stream = [("a.ex.com", RType.A), ("x.child.ex.com", RType.A)]
+    with pytest.raises(AssertionError):
+        world.check(stream)
+        if op is not None:
+            world.apply(op)
+            world.check(stream)

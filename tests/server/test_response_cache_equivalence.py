@@ -3,12 +3,11 @@
 Mirrors ``tests/netsim/test_route_cache_equivalence.py`` one layer up:
 the zone-versioned response plan cache (and the per-zone negative plan)
 must be invisible on the wire. Every test compares the fast lane against
-a plan-cache-disabled engine byte for byte, including the invalidation
-paths — zone republish (version bump), zone replacement (the origin's
-store cell), and engine reconfiguration (``add_dynamic_domain``).
+an assembling engine (``tests/oracles.py``) byte for byte, including the
+invalidation paths — zone republish (version bump), zone replacement
+(the origin's store cell), and engine reconfiguration
+(``add_dynamic_domain``).
 """
-
-import json
 
 from repro.dnscore import (
     Opcode,
@@ -25,6 +24,7 @@ from repro.dnscore.rdata import A, TXT
 from repro.dnscore.message import EDNSOptions
 from repro.server.engine import AuthoritativeEngine, ZoneStore
 
+from ..oracles import AssemblingEngine
 from .zonespy import zone_walks
 
 ZONE = """\
@@ -64,12 +64,10 @@ CASES = [
 ]
 
 
-def build_engine(plan_cache: bool) -> AuthoritativeEngine:
+def build_engine(cls=AuthoritativeEngine) -> AuthoritativeEngine:
     store = ZoneStore()
     store.add(parse_zone_text(ZONE))
-    engine = AuthoritativeEngine(store)
-    engine.plan_cache_enabled = plan_cache
-    return engine
+    return cls(store)
 
 
 def wire(engine: AuthoritativeEngine, qname: str, qtype: RType,
@@ -80,8 +78,8 @@ def wire(engine: AuthoritativeEngine, qname: str, qtype: RType,
 
 class TestFastLaneByteEquality:
     def test_battery_identical_with_and_without_cache(self):
-        fast = build_engine(plan_cache=True)
-        slow = build_engine(plan_cache=False)
+        fast = build_engine()
+        slow = build_engine(AssemblingEngine)
         for qname, qtype in CASES:
             # Ask the cached engine twice: the first answer populates
             # the plan, the second is served from it. Both must match
@@ -93,22 +91,22 @@ class TestFastLaneByteEquality:
             assert second == reference, (qname, qtype)
 
     def test_cached_plan_restamps_per_query(self):
-        fast = build_engine(plan_cache=True)
-        slow = build_engine(plan_cache=False)
+        fast = build_engine()
+        slow = build_engine(AssemblingEngine)
         wire(fast, "www.ex.com", RType.A, msg_id=1)    # populate
         assert wire(fast, "www.ex.com", RType.A, msg_id=9) == \
             wire(slow, "www.ex.com", RType.A, msg_id=9)
 
     def test_edns_echo_identical(self):
-        fast = build_engine(plan_cache=True)
-        slow = build_engine(plan_cache=False)
+        fast = build_engine()
+        slow = build_engine(AssemblingEngine)
         opts = EDNSOptions(payload_size=1232)
         wire(fast, "www.ex.com", RType.A)              # plain populate
         got = wire(fast, "www.ex.com", RType.A, edns=opts)
         assert got == wire(slow, "www.ex.com", RType.A, edns=opts)
 
     def test_cached_response_is_a_fresh_message(self):
-        fast = build_engine(plan_cache=True)
+        fast = build_engine()
         q = make_query(1, name("www.ex.com"), RType.A)
         a = fast.respond(q)
         b = fast.respond(make_query(2, name("www.ex.com"), RType.A))
@@ -126,8 +124,8 @@ class TestProbePath:
     key, same liveness rule as ``respond``."""
 
     def test_probe_hit_shares_one_message_and_matches_respond(self):
-        fast = build_engine(plan_cache=True)
-        slow = build_engine(plan_cache=False)
+        fast = build_engine()
+        slow = build_engine(AssemblingEngine)
         probe = make_query(1, name("ex.com"), RType.SOA)
         fast.respond_probe(probe)                      # populate the plan
         probe.msg_id = 2
@@ -142,8 +140,8 @@ class TestProbePath:
         assert fast.queries_answered == 4
 
     def test_probe_outside_the_plan_gate_answers_like_respond(self):
-        fast = build_engine(plan_cache=True)
-        slow = build_engine(plan_cache=False)
+        fast = build_engine()
+        slow = build_engine(AssemblingEngine)
         probe = make_query(1, name("ex.com"), RType.SOA)
         fast.respond_probe(probe)
         assert fast.respond_probe(probe).rcode == RCode.NOERROR
@@ -158,8 +156,8 @@ class TestProbePath:
             assert response.to_wire() == slow.respond(query).to_wire()
 
     def test_probe_with_edns_gets_the_opt_echo(self):
-        fast = build_engine(plan_cache=True)
-        slow = build_engine(plan_cache=False)
+        fast = build_engine()
+        slow = build_engine(AssemblingEngine)
         fast.respond_probe(make_query(1, name("ex.com"), RType.SOA))
         query = make_query(2, name("ex.com"), RType.SOA,
                            edns=EDNSOptions(payload_size=1232))
@@ -168,7 +166,7 @@ class TestProbePath:
         assert response.to_wire() == slow.respond(query).to_wire()
 
     def test_probe_sees_zone_edits_and_replacement(self):
-        fast = build_engine(plan_cache=True)
+        fast = build_engine()
         probe = make_query(1, name("www.ex.com"), RType.A)
         for _ in range(2):
             assert len(fast.respond_probe(probe).answers) == 1
@@ -186,8 +184,8 @@ class TestNegativePlan:
             engine.respond(make_query(i + 1, name(f"r{i}.ex.com"), RType.A))
 
     def test_negative_plan_builds_and_matches_slow_path(self):
-        fast = build_engine(plan_cache=True)
-        slow = build_engine(plan_cache=False)
+        fast = build_engine()
+        slow = build_engine(AssemblingEngine)
         self.flood(fast)
         walks = zone_walks(fast.store.get(name("ex.com")))
         for qname in ("zzz.ex.com", "deep.under.here.ex.com"):
@@ -195,8 +193,8 @@ class TestNegativePlan:
         assert not walks, "flood should have built a negative plan"
 
     def test_negative_plan_never_claims_existing_names(self):
-        fast = build_engine(plan_cache=True)
-        slow = build_engine(plan_cache=False)
+        fast = build_engine()
+        slow = build_engine(AssemblingEngine)
         self.flood(fast)
         # Names the exact-NXDOMAIN predicate must NOT treat as missing:
         # glue below a cut (referral), wildcard synthesis, and empty
@@ -206,7 +204,7 @@ class TestNegativePlan:
                 (qname, qtype)
 
     def test_negative_plan_invalidated_by_republish(self):
-        fast = build_engine(plan_cache=True)
+        fast = build_engine()
         self.flood(fast)
         zone = fast.store.get(name("ex.com"))
         new = parse_zone_text(ZONE + "fresh IN A 192.0.2.88\n")
@@ -220,8 +218,8 @@ class TestNegativePlan:
         """With a zone served (so the negative lane is asked first), a
         positive name with no plan yet and a name outside every zone each
         cost one ``store.find``; the answers are the slow path's."""
-        fast = build_engine(plan_cache=True)
-        slow = build_engine(plan_cache=False)
+        fast = build_engine()
+        slow = build_engine(AssemblingEngine)
         self.flood(fast)
         assert fast._serving
         finds = []
@@ -242,7 +240,7 @@ class TestNegativePlan:
 
 class TestInvalidation:
     def test_zone_content_republish_invalidates_plan(self):
-        fast = build_engine(plan_cache=True)
+        fast = build_engine()
         wire(fast, "www.ex.com", RType.TXT)            # cache NODATA
         zone = fast.store.get(name("ex.com"))
         zone.add_rrset(make_rrset(name("www.ex.com"), RType.TXT, 300,
@@ -251,25 +249,24 @@ class TestInvalidation:
         assert resp.answers, "stale NODATA plan served after version bump"
 
     def test_zone_replacement_invalidates_plan(self):
-        fast = build_engine(plan_cache=True)
+        fast = build_engine()
         wire(fast, "www.ex.com", RType.A)              # populate
         replaced = parse_zone_text(ZONE.replace("192.0.2.1", "192.0.2.99"))
         fast.store.add(replaced)                       # rollout-style swap
-        slow = AuthoritativeEngine(fast.store)
-        slow.plan_cache_enabled = False
+        slow = AssemblingEngine(fast.store)
         assert wire(fast, "www.ex.com", RType.A) == \
             wire(slow, "www.ex.com", RType.A)
         assert bytes([192, 0, 2, 99]) in wire(fast, "www.ex.com", RType.A)
 
     def test_zone_removal_invalidates_plan(self):
-        fast = build_engine(plan_cache=True)
+        fast = build_engine()
         wire(fast, "www.ex.com", RType.A)              # populate
         fast.store.remove(name("ex.com"))
         resp = fast.respond(make_query(5, name("www.ex.com"), RType.A))
         assert resp.rcode == RCode.REFUSED
 
     def test_reconfiguration_drops_every_plan(self):
-        fast = build_engine(plan_cache=True)
+        fast = build_engine()
         probe = make_query(1, name("ex.com"), RType.SOA)
         wire(fast, "www.ex.com", RType.A)
         TestNegativePlan().flood(fast)
@@ -336,65 +333,3 @@ class TestRolloutInvalidation:
         assert machine.rollback_zone(name("ex.com"))
         assert wire(engine, "www.ex.com", RType.A) == v1_wire
 
-
-class TestExperimentEquivalence:
-    """Cache on/off byte-identical through a full testbed experiment."""
-
-    @staticmethod
-    def fig10_point():
-        from repro.experiments import fig10_nxdomain
-        # One attack rate per capacity region (below compute headroom,
-        # between compute and IO headroom, above IO headroom) — the
-        # smallest grid the figure's region summaries accept.
-        params = fig10_nxdomain.Fig10Params(
-            attack_rates=(300.0, 1_500.0, 4_500.0), warmup_seconds=2.0,
-            measure_seconds=6.0, n_valid_hosts=60)
-        result = fig10_nxdomain.run(params)
-        return json.dumps(result.to_dict(include_series=True),
-                          sort_keys=True)
-
-    def test_fig10_identical_with_and_without_cache(self, monkeypatch):
-        monkeypatch.setattr(AuthoritativeEngine,
-                            "plan_cache_enabled", True)
-        cached = self.fig10_point()
-        monkeypatch.setattr(AuthoritativeEngine,
-                            "plan_cache_enabled", False)
-        uncached = self.fig10_point()
-        assert cached == uncached
-
-    @staticmethod
-    def fig3_result():
-        from repro.experiments import fig3_per_resolver
-        result = fig3_per_resolver.run(seed=42, n_resolvers=2_000)
-        return json.dumps(result.to_dict(include_series=True),
-                          sort_keys=True)
-
-    def test_fig3_identical_with_and_without_cache(self, monkeypatch):
-        monkeypatch.setattr(AuthoritativeEngine,
-                            "plan_cache_enabled", True)
-        cached = self.fig3_result()
-        monkeypatch.setattr(AuthoritativeEngine,
-                            "plan_cache_enabled", False)
-        uncached = self.fig3_result()
-        assert cached == uncached
-
-    def test_runner_pass_identical_with_fast_lane_off(self, monkeypatch):
-        """A (small) full runner pass with the plan cache flipped, on
-        the machine-heaviest figures (resilience drives real attack
-        floods through the respond path)."""
-        from repro.experiments import parallel
-
-        monkeypatch.setattr(parallel, "JOB_ORDER", ("fig8", "resilience"))
-
-        def suite():
-            return [json.dumps(r.to_dict(include_series=True),
-                               sort_keys=True)
-                    for r in parallel.run_serial(True)]
-
-        monkeypatch.setattr(AuthoritativeEngine,
-                            "plan_cache_enabled", True)
-        fast = suite()
-        monkeypatch.setattr(AuthoritativeEngine,
-                            "plan_cache_enabled", False)
-        slow = suite()
-        assert fast == slow
