@@ -21,11 +21,12 @@ want one fixed world's check to fail, so the comparison is known to
 look where it claims.
 """
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dnscore import message as message_module
 from repro.dnscore import (
     A,
     CNAME,
@@ -46,7 +47,6 @@ from repro.dnscore.zone import LookupStatus, NxdomainIndex
 from repro.dnssec.denial import DenialMode
 from repro.dnssec.keys import KeyRing
 from repro.dnssec.sign import ZoneSigner
-from repro.server import engine as engine_module
 from repro.server.engine import AuthoritativeEngine, ZoneStore, _ZoneServing
 
 from ..oracles import AssemblingEngine, mutated
@@ -298,10 +298,9 @@ PLANTED = {
 @pytest.mark.parametrize("defect", PLANTED)
 def test_planted_plan_cache_defect_is_caught(monkeypatch, defect):
     owner, method, old, new, op = PLANTED[defect]
-    module = (message_module if owner is ResponseTemplate
-              else engine_module)
+    namespace = vars(sys.modules[owner.__module__])
     monkeypatch.setattr(owner, method,
-                        mutated(owner, method, old, new, vars(module)))
+                        mutated(owner, method, old, new, namespace))
     world = World([("A", "a"), ("CUT", "child")], signed=False,
                   compact=False)
     stream = [("a.ex.com", RType.A), ("x.child.ex.com", RType.A)]
