@@ -1,6 +1,6 @@
 """Fast-path/slow-path equivalence for the anycast route cache.
 
-The route cache is a pure optimization: with it on or off, every
+The route cache is a pure optimization: with it or hop by hop, every
 datagram must be delivered at the same simulated instant, with the same
 hop trace and TTL, and the NetworkStats counters must match bit for
 bit — across clean forwarding, FIB churn, link failures, gray
@@ -387,7 +387,7 @@ class TestRouteCacheInternals:
 
 @pytest.mark.parametrize("network_cls", [Network, HopByHopNetwork])
 def test_stats_repeatable_within_mode(network_cls):
-    """Same mode twice -> identical everything (sanity anchor)."""
+    """Same class twice -> identical everything (sanity anchor)."""
     def scenario(inet, pops, vps, loop, net):
         burst(vps, net, loop, n=30)
     a = run_scenario(network_cls, scenario)
