@@ -14,7 +14,6 @@ from .defense import (
     FirewallRuleRung,
     QueueTightenRung,
     TrafficEngRung,
-    known_resolver_estimator,
 )
 from .mapping import (
     CDN_ANSWER_TTL,
@@ -68,5 +67,5 @@ __all__ = [
     "RolloutParams", "RolloutPhase", "TrafficCollector", "TrafficEngRung",
     "ValidationError", "ZoneCounter",
     "ZoneTrafficReport", "ZoneTrafficSample",
-    "known_resolver_estimator", "nearest_edges",
+    "nearest_edges",
 ]

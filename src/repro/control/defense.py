@@ -36,25 +36,6 @@ from typing import Callable, Sequence
 from ..telemetry import Telemetry, state as _telemetry
 from ..telemetry.alerts import Alert
 
-#: Cumulative (known_received, known_answered) across the fleet.
-EstimatorFn = Callable[[], tuple[int, int]]
-
-
-def known_resolver_estimator(machines: Sequence) -> EstimatorFn:
-    """Sum the known-resolver counters across ``machines``.
-
-    The machines' ``known_sources`` sets decide what counts as
-    legitimate; wire those before arming the controller.
-    """
-    def estimate() -> tuple[int, int]:
-        received = answered = 0
-        for machine in machines:
-            received += machine.metrics.known_received
-            answered += machine.metrics.known_answered
-        return received, answered
-    return estimate
-
-
 # -- rungs --------------------------------------------------------------------
 
 
@@ -230,19 +211,20 @@ class DefenseController:
     the driving signal — a QPS-spike detector on ``queries_received_total``
     (recorded *before* any shedding, so the signal persists while
     mitigations hold and clears only when the attack actually stops).
-    ``estimator`` feeds the guardrail; ``machines`` are held in degraded
-    mode (serve-from-LKG, per-rung shed attribution) while any rung is
-    engaged.
+    ``machines`` feed the guardrail (their known-resolver counters; the
+    ``known_sources`` sets decide what counts as legitimate, so wire
+    those before arming) and are held in degraded mode (serve-from-LKG,
+    per-rung shed attribution) while any rung is engaged. Without
+    machines no sample reaches ``GUARDRAIL_MIN_SAMPLES`` and the
+    guardrail never judges.
     """
 
     def __init__(self, loop, ladder: Sequence[DefenseRung], *,
-                 estimator: EstimatorFn | None = None,
                  machines: Sequence = ()) -> None:
         if not ladder:
             raise ValueError("the ladder needs at least one rung")
         self.loop = loop
         self.ladder = list(ladder)
-        self.estimator = estimator
         self.machines = list(machines)
         #: Indices of currently engaged rungs, in engage order.
         self._stack: list[int] = []
@@ -294,8 +276,8 @@ class DefenseController:
         if alert.name != ATTACK_QPS_ALERT:
             return
         self._alert_active = True
-        if not self._stack and self.estimator is not None:
-            self._baseline_sample = self.estimator()
+        if not self._stack:
+            self._baseline_sample = self._known_counts()
         self._ensure_ticking()
 
     def _on_clear(self, alert: Alert) -> None:
@@ -351,6 +333,14 @@ class DefenseController:
 
     # -- guardrail ------------------------------------------------------------
 
+    def _known_counts(self) -> tuple[int, int]:
+        """Cumulative (known_received, known_answered) over the machines."""
+        received = answered = 0
+        for machine in self.machines:
+            received += machine.metrics.known_received
+            answered += machine.metrics.known_answered
+        return received, answered
+
     def _loss_between(self, before: tuple[int, int],
                       after: tuple[int, int]) -> float | None:
         received = after[0] - before[0]
@@ -361,10 +351,9 @@ class DefenseController:
 
     def _check_guardrail(self, now: float) -> bool:
         """Revert the top rung if it sheds too much good traffic."""
-        if (not self._stack or self.estimator is None
-                or self._rung_sample is None):
+        if not self._stack or self._rung_sample is None:
             return False
-        loss = self._loss_between(self._rung_sample, self.estimator())
+        loss = self._loss_between(self._rung_sample, self._known_counts())
         if loss is None:
             return False
         allowed = (self.attack_loss or 0.0) + GUARDRAIL_MARGIN
@@ -386,17 +375,15 @@ class DefenseController:
     # -- transitions ----------------------------------------------------------
 
     def _engage(self, index: int, now: float) -> None:
-        if not self._stack and self.estimator is not None \
-                and self._baseline_sample is not None:
+        if not self._stack and self._baseline_sample is not None:
             self.attack_loss = self._loss_between(
-                self._baseline_sample, self.estimator())
+                self._baseline_sample, self._known_counts())
         rung = self.ladder[index]
         rung.engage(now)  # reprolint: disable=ROB002 -- the ladder's seam
         self._stack.append(index)
         self.max_level = max(self.max_level, len(self._stack))
         self._last_change = now
-        self._rung_sample = (self.estimator() if self.estimator is not None
-                             else None)
+        self._rung_sample = self._known_counts()
         for machine in self.machines:
             machine.enter_degraded(rung.name)
         if len(self._stack) == 1:
@@ -409,9 +396,7 @@ class DefenseController:
         rung = self.ladder[index]
         rung.disengage(now)  # reprolint: disable=ROB002 -- the ladder's seam
         self._last_change = now
-        self._rung_sample = (self.estimator()
-                             if self.estimator is not None and self._stack
-                             else None)
+        self._rung_sample = self._known_counts() if self._stack else None
         if self._stack:
             top = self.ladder[self._stack[-1]]
             for machine in self.machines:
@@ -425,10 +410,8 @@ class DefenseController:
             # attack damage, not a stale pre-incident sample (or, worse,
             # none at all — every rung would then be blamed for the
             # attack's own losses and falsely reverted).
-            self._baseline_sample = (self.estimator()
-                                     if self._alert_active
-                                     and self.estimator is not None
-                                     else None)
+            self._baseline_sample = (self._known_counts()
+                                     if self._alert_active else None)
         self._record(now, rung.name, action, detail)
         if not self._stack:
             _telemetry.end(self._span, now)

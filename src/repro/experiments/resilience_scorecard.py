@@ -43,7 +43,6 @@ from ..control.defense import (
     FirewallRuleRung,
     QueueTightenRung,
     TrafficEngRung,
-    known_resolver_estimator,
 )
 from ..control.rollout import RolloutParams, RolloutPhase
 from ..dnscore.name import name
@@ -673,9 +672,8 @@ def _wire_defense(deployment: AkamaiDNSDeployment, telemetry: Telemetry,
             machines, name(f"x.{PROBE_ZONE}"), RType.A,
             name="overblock-firewall", soak_seconds=OVERBLOCK_SOAK,
             cool_off_seconds=300.0))
-    controller = DefenseController(
-        deployment.loop, ladder,
-        estimator=known_resolver_estimator(machines), machines=machines)
+    controller = DefenseController(deployment.loop, ladder,
+                                   machines=machines)
     return controller.arm(telemetry)
 
 

@@ -1,4 +1,4 @@
-"""Recursive resolver simulation: cache, selection strategies, iteration."""
+"""Recursive resolver simulation: cache and iteration."""
 
 from .cache import CacheEntry, DNSCache, NegativeEntry
 from .resolver import (
@@ -13,11 +13,9 @@ from .service import (
     ServiceStats,
     StubClient,
 )
-from .selection import SelectionStrategy, UniformSelection
 
 __all__ = [
     "CacheEntry", "ClientResult", "DEFAULT_TIMEOUT", "DNSCache",
     "MAX_ATTEMPTS", "NegativeEntry", "RecursiveResolver", "ResolutionResult",
-    "ResolverService", "SelectionStrategy", "ServiceStats", "StubClient",
-    "UniformSelection",
+    "ResolverService", "ServiceStats", "StubClient",
 ]

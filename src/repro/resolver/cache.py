@@ -66,9 +66,9 @@ class DNSCache:
         self._negative[(qname, qtype)] = NegativeEntry(rcode, now + ttl)
 
     def get(self, qname: Name, qtype: RType, now: float) -> RRset | None:
-        """A live positive entry, copied with its TTL aged, or None: what
-        leaves the resolver. Code that only reads rdata uses :meth:`peek`.
-        (The lookup is :meth:`peek`'s, written out: this runs per resolution.)"""
+        """The live stored RRset, copied with its TTL aged, or None: what
+        leaves the resolver. An entry at or past its expiry is dropped on
+        the read that finds it, which counts a miss; a live one, a hit."""
         key = (qname, qtype)
         entry = self._positive.get(key)
         if entry is None or entry.expires_at <= now:
@@ -80,26 +80,13 @@ class DNSCache:
         # A live entry expires after ``now``: the aged TTL is positive.
         return entry.rrset.with_ttl(int(entry.expires_at - now))
 
-    def peek(self, qname: Name, qtype: RType,
-             now: float) -> CacheEntry | None:
-        """The stored live entry itself, or None: no copy, TTL as cached, not
-        for the caller to change. Counts and expires lazily, like ``get``."""
-        entry = self._positive.get((qname, qtype))
-        if entry is None or entry.expires_at <= now:
-            if entry is not None:
-                del self._positive[(qname, qtype)]
-            self.misses += 1
-            return None
-        self.hits += 1
-        return entry
-
     def glue(self, ns_rrset: RRset, now: float,
              addresses: list[str]) -> list[Name]:
         """Append to ``addresses`` the cached A then AAAA addresses of each
         NS target of ``ns_rrset``, in record order; return the targets
-        with neither. Each (target, type) read is :meth:`peek`'s — one
-        lookup, counted and expired lazily the same way — and, like it,
-        copies nothing."""
+        with neither. Each (target, type) read is one lookup of the stored
+        entry, counted and expired lazily as in :meth:`get`; no RRset is
+        copied."""
         positive = self._positive
         glueless: list[Name] = []
         hits = misses = 0
@@ -135,8 +122,9 @@ class DNSCache:
 
     def best_delegation(self, qname: Name,
                         now: float) -> tuple[Name, RRset] | None:
-        """The deepest cached NS RRset enclosing ``qname``: a :meth:`peek`
-        of each ancestor, deepest first, written out."""
+        """The deepest live NS entry enclosing ``qname`` as (owner, the
+        stored RRset), not a copy. Each ancestor, deepest first, is one
+        lookup, counted and expired lazily as in :meth:`get`."""
         positive = self._positive
         ancestor = qname
         while True:

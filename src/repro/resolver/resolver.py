@@ -25,17 +25,15 @@ from typing import Callable
 from ..dnscore.edns import EDNSOptions
 from ..dnscore.message import Flags, Message
 from ..dnscore.name import Name
-from ..dnscore.rdata import CNAME, DNSKEY, RRSIG, SOA
+from ..dnscore.rdata import CNAME, SOA
 from ..dnscore.records import Question, RRset
 from ..dnscore.rrtypes import Opcode, RClass, RCode, RType
-from ..dnssec.sign import verify_message
 from ..netsim.clock import EventHandle, EventLoop
 from ..netsim.network import Network
 from ..netsim.packet import DEFAULT_IP_TTL, Datagram
 from ..server.machine import QueryEnvelope
 from ..telemetry import state as _telemetry
 from .cache import DNSCache
-from .selection import SelectionStrategy, UniformSelection
 
 DEFAULT_TIMEOUT = 2.0
 MAX_ATTEMPTS = 9
@@ -106,9 +104,8 @@ class _Resolution:
 
     __slots__ = ("target", "qtype", "callback", "result", "answers",
                  "attempts", "referrals", "tried", "pending_query",
-                 "pending_address", "pending_sent_at", "timeout_handle",
-                 "done", "sub_depth", "glue_chased", "keys_chased", "span",
-                 "attempt_span")
+                 "timeout_handle", "done", "sub_depth", "glue_chased",
+                 "span", "attempt_span")
 
     def __init__(self, resolver: "RecursiveResolver", qname: Name,
                  qtype: RType, callback: ResolveCallback) -> None:
@@ -125,16 +122,12 @@ class _Resolution:
         self.tried: set[str] = set()
         #: The query in flight; its answer echoes its id and question.
         self.pending_query: Message | None = None
-        self.pending_address: str | None = None
-        self.pending_sent_at = 0.0
         self.timeout_handle: EventHandle | None = None
         self.done = False
         #: Depth of nested NS-address (glueless referral) resolutions.
         self.sub_depth = 0
         #: NS targets whose addresses we already tried to resolve.
         self.glue_chased: set[Name] = set()
-        #: Signer names whose DNSKEYs we already tried to fetch.
-        self.keys_chased: set[Name] = set()
         #: Telemetry trace context (root span / current attempt span)
         #: when this resolution was head-sampled; purely observational.
         self.span = None
@@ -147,31 +140,14 @@ class RecursiveResolver:
     def __init__(self, loop: EventLoop, network: Network, host_id: str,
                  hints: dict[Name, list[str]],
                  *, rng: random.Random,
-                 selection: SelectionStrategy | None = None,
-                 timeout: float = DEFAULT_TIMEOUT,
-                 validate_dnssec: bool = False) -> None:
+                 timeout: float = DEFAULT_TIMEOUT) -> None:
         self.loop = loop
         self.network = network
         self.host_id = host_id
         #: zone name -> nameserver addresses bootstrap (the "root hints").
         self.hints = {origin: list(addrs) for origin, addrs in hints.items()}
-        self.selection = selection or UniformSelection()
         self.rng = rng
         self.timeout = timeout
-        #: Opt-in DNSSEC validation: queries carry DO=1, and responses
-        #: bearing RRSIGs are verified against the signer's DNSKEY
-        #: (fetched on demand and cached). The trust model is the
-        #: simulation's islands-of-security one — a DNSKEY RRset
-        #: vouches for itself via its SEP key, standing in for a DS
-        #: chain. Bogus answers are treated like SERVFAILs: the
-        #: resolver retries other servers, then fails the resolution.
-        #: Unsigned responses pass (opportunistic validation) — the
-        #: parents here are unsigned, so absence of signatures is not
-        #: provable either way.
-        self.validate_dnssec = validate_dnssec
-        self.validations_ok = 0
-        self.validation_failures = 0
-        self.dnskey_fetches = 0
         self.cache = DNSCache()
         self._inflight: dict[int, _Resolution] = {}
         self._next_id = self.rng.randrange(0, 0xFFFF)
@@ -274,7 +250,13 @@ class RecursiveResolver:
         # Prefer untried addresses outright while any remain.
         if untried:
             pool = untried
-        address = self.selection.choose(pool, self.rng)
+        # Uniform selection, the best case for Two-Tier (anycast toplevel
+        # RTTs vary widely). Research the paper cites ([34, 44, 56]) sees
+        # resolvers from apparent uniformity to a strong low-RTT
+        # preference; section 5.2 weighs the other extreme analytically
+        # from measured RTTs ("avg RTT" vs "wgt RTT",
+        # ``experiments.fig11_speedup``), not by simulating one.
+        address = self.rng.choice(pool)
         resolution.attempts += 1
         resolution.tried.add(address)
         self._send_query(resolution, address)
@@ -310,20 +292,17 @@ class RecursiveResolver:
         query = Message(
             msg_id, Flags(False, _QUERY, False, False, False, False, _NOERROR),
             [Question(resolution.target, resolution.qtype, _IN)], [], [], [],
-            EDNSOptions(EDNS_PAYLOAD, 0, 0, self.validate_dnssec, None, []))
+            EDNSOptions(EDNS_PAYLOAD, 0, 0, False, None, []))
         # randint(1024, 65535), draw for draw.
         port = 1024 + self.rng._randbelow(64512)
         envelope = QueryEnvelope(query, False, False, False, None)
-        now = self.loop.now
         if resolution.span is not None:
             resolution.attempt_span = envelope.trace = _telemetry.begin(
-                "resolver.attempt", "resolver", now, resolution.span,
-                server=address)
+                "resolver.attempt", "resolver", self.loop.now,
+                resolution.span, server=address)
         dgram = Datagram(self.host_id, address, envelope, port, 53,
                          DEFAULT_IP_TTL, ())
         resolution.pending_query = query
-        resolution.pending_address = address
-        resolution.pending_sent_at = now
         self._inflight[msg_id] = resolution
         result = resolution.result
         result.queries_sent += 1
@@ -384,10 +363,6 @@ class RecursiveResolver:
         if resolution.attempt_span is not None:
             _telemetry.end(resolution.attempt_span, self.loop.now)
             resolution.attempt_span = None
-        rtt = self.loop.now - resolution.pending_sent_at
-        address = resolution.pending_address
-        if address is not None:
-            self.selection.observe_rtt(address, rtt)
         self._process_response(resolution, message)
 
     def _on_timeout(self, resolution: _Resolution, msg_id: int) -> None:
@@ -409,22 +384,6 @@ class RecursiveResolver:
                           message: Message) -> None:
         now = self.loop.now
         rcode = message.flags.rcode
-        if self.validate_dnssec and rcode in (_NOERROR, _NXDOMAIN):
-            verdict = self._validate_response(resolution, message)
-            if verdict == "pending":
-                # A DNSKEY fetch is in flight; this response is
-                # re-processed when it lands.
-                return
-            if verdict == "bogus":
-                self.validation_failures += 1
-                _telemetry.record("dnssec_validations_total", ("bogus",))
-                # Bogus data is indistinguishable from a lying server:
-                # retry the zone's other delegations, then give up.
-                self._query_authority(resolution)
-                return
-            if verdict == "ok":
-                self.validations_ok += 1
-                _telemetry.record("dnssec_validations_total", ("ok",))
         if rcode == _NXDOMAIN:
             ttl = _negative_ttl(message.authority_rrsets())
             self.cache.put_negative(resolution.target, resolution.qtype,
@@ -487,62 +446,6 @@ class RecursiveResolver:
         self.cache.put_negative(resolution.target, resolution.qtype,
                                 _NOERROR, ttl, now)
         self._finish(resolution, _NOERROR)
-
-    def _validate_response(self, resolution: _Resolution,
-                           message: Message) -> str:
-        """Classify a response: 'ok', 'unsigned', 'bogus', or 'pending'.
-
-        'pending' means the signer's DNSKEY is being fetched; the
-        message will be re-processed once the sub-resolution lands.
-        """
-        signer: Name | None = None
-        for record in message.answers + message.authority:
-            if record.rtype == RType.RRSIG and isinstance(record.rdata,
-                                                          RRSIG):
-                signer = record.rdata.signer
-                break
-        if signer is None:
-            return "unsigned"
-        now = self.loop.now
-        dnskeys: list[DNSKEY] = []
-        cached = self.cache.peek(signer, RType.DNSKEY, now)
-        if cached is not None:
-            dnskeys = [r.rdata for r in cached.rrset.records
-                       if isinstance(r.rdata, DNSKEY)]
-        else:
-            # A DNSKEY response carries its own keys; anything else
-            # needs a fetch.
-            dnskeys = [r.rdata for r in message.answers
-                       if r.rtype == RType.DNSKEY and r.name == signer
-                       and isinstance(r.rdata, DNSKEY)]
-        if not dnskeys:
-            if self._chase_dnskey(resolution, signer, message):
-                return "pending"
-            return "bogus"
-        errors = verify_message(message, dnskeys, now)
-        return "bogus" if errors else "ok"
-
-    def _chase_dnskey(self, resolution: _Resolution, signer: Name,
-                      message: Message) -> bool:
-        """Fetch ``signer``'s DNSKEY RRset, then re-process ``message``.
-
-        Returns True when a sub-resolution was started. One attempt per
-        signer per resolution — a failed or bogus key fetch must not
-        loop."""
-        if signer in resolution.keys_chased or resolution.sub_depth >= 3:
-            return False
-        resolution.keys_chased.add(signer)
-        self.dnskey_fetches += 1
-
-        def resumed(_sub_result: ResolutionResult) -> None:
-            if not resolution.done:
-                self._process_response(resolution, message)
-
-        sub = _Resolution(self, signer, RType.DNSKEY, resumed)
-        sub.sub_depth = resolution.sub_depth + 1
-        sub.keys_chased = resolution.keys_chased
-        self._step(sub)
-        return True
 
     def _finish(self, resolution: _Resolution, rcode: RCode,
                 from_cache: bool = False) -> None:

@@ -1,20 +1,21 @@
 """The on-machine monitoring agent (paper sections 3.2 and 4.2.1).
 
 Every nameserver machine carries an agent that continually runs a test
-suite against the nameserver — a DNS query per hosted zone plus
-regression probes for known failure cases — and checks metadata
-staleness. On failure the agent *self-suspends* the machine: it
-instructs the co-resident BGP speaker to withdraw the anycast
-advertisements, shifting traffic to healthy machines (or, transitively,
-to other PoPs). Self-suspension is gated by the platform-wide recovery
-coordinator so a bad input or a buggy agent cannot suspend the fleet
-wholesale (section 4.2.1's consensus limit).
+suite against the nameserver — a DNS query per hosted zone (the
+paper's suite adds regression probes for known failure cases, which
+this model has none of) — and checks metadata staleness. On failure
+the agent *self-suspends* the machine: it instructs the co-resident BGP
+speaker to withdraw the anycast advertisements, shifting traffic to
+healthy machines (or, transitively, to other PoPs). Self-suspension is
+gated by the platform-wide recovery coordinator so a bad input or a
+buggy agent cannot suspend the fleet wholesale (section 4.2.1's
+consensus limit).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Protocol
 
 from ..dnscore.message import make_query
 from ..dnscore.rrtypes import RCode, RType
@@ -52,7 +53,6 @@ class AgentMetrics:
     suspensions_denied: int = 0
 
 
-RegressionTest = Callable[[NameserverMachine], bool]
 #: Seconds between an agent's runs of its test suite.
 PERIOD = 2.0
 #: Hosted zones one run probes; a machine hosting more is covered by
@@ -84,16 +84,13 @@ class MonitoringAgent:
 
     def __init__(self, loop: EventLoop, machine: NameserverMachine,
                  speaker: MachineBGPSpeaker, *,
-                 coordinator: SuspensionCoordinator | None = None,
-                 regression_tests: list[RegressionTest] | None = None
-                 ) -> None:
+                 coordinator: SuspensionCoordinator | None = None) -> None:
         self.loop = loop
         self.machine = machine
         self.speaker = speaker
         #: Bounds this agent's self-suspensions; without one the agent
         #: never self-suspends (input-delayed machines).
         self.coordinator = coordinator
-        self.regression_tests = list(regression_tests or [])
         self._probe_offset = 0
         #: Reused probe message per origin; only msg_id changes between
         #: cycles, so the agent avoids rebuilding an identical query
@@ -172,12 +169,6 @@ class MonitoringAgent:
                     reasons = []
                 reasons.append(f"bad answer for {origin}")
         self._msg_id = msg_id
-        if self.regression_tests:
-            for index, test in enumerate(self.regression_tests):
-                if not test(machine):
-                    if reasons is None:
-                        reasons = []
-                    reasons.append(f"regression test {index} failed")
         if reasons is None:
             return self._HEALTHY
         return HealthReport(False, reasons)

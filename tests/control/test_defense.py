@@ -23,6 +23,7 @@ from repro.control.defense import (
     DefenseRung,
 )
 from repro.netsim import EventLoop
+from repro.server.machine import MachineMetrics
 from repro.telemetry import Telemetry, TelemetryConfig
 from repro.telemetry import state as telemetry_state
 from repro.telemetry.alerts import Alert, AlertSeverity, GaugeDetector
@@ -43,10 +44,13 @@ class RecordingRung(DefenseRung):
 
 
 class FakeMachine:
-    """Records degraded-mode transitions the controller pushes at it."""
+    """Records degraded-mode transitions the controller pushes at it, and
+    holds the known-resolver counters its guardrail reads (zero until a
+    test pumps them)."""
 
     def __init__(self):
         self.modes = []
+        self.metrics = MachineMetrics()
 
     def enter_degraded(self, rung_label):
         self.modes.append(("enter", rung_label))
@@ -55,8 +59,7 @@ class FakeMachine:
         self.modes.append(("exit",))
 
 
-def make_session(n_rungs=3, *, estimator=None, machines=(),
-                 ladder=None, log=None):
+def make_session(n_rungs=3, *, machines=(), ladder=None, log=None):
     loop = EventLoop()
     telemetry = Telemetry(TelemetryConfig(arm_mitigations=True))
     telemetry.attach_loop(loop)
@@ -68,7 +71,7 @@ def make_session(n_rungs=3, *, estimator=None, machines=(),
     if ladder is None:
         ladder = [RecordingRung(f"rung-{i}", log) for i in range(n_rungs)]
     controller = DefenseController(
-        loop, ladder, estimator=estimator, machines=machines).arm(telemetry)
+        loop, ladder, machines=machines).arm(telemetry)
     return loop, telemetry, controller, log
 
 
@@ -196,53 +199,54 @@ class TestUnwind:
 
 class TestGuardrail:
     @staticmethod
-    def wire_traffic(loop, counters, answered_until, until, period=0.5):
-        """Pump known-resolver counters: 2 received (and, while
-        healthy, 2 answered) per pump."""
+    def wire_traffic(loop, machine, health, answered_until, until,
+                     period=0.5):
+        """Pump the machine's known-resolver counters: 2 received (and,
+        while healthy, 2 answered) per pump."""
+        metrics = machine.metrics
+
         def pump():
-            counters["received"] += 2
-            if counters["healthy"] and loop.now < answered_until:
-                counters["answered"] += 2
+            metrics.known_received += 2
+            if health["healthy"] and loop.now < answered_until:
+                metrics.known_answered += 2
 
         steps = int(round(until / period))
         for i in range(1, steps + 1):
             loop.call_at(i * period, pump)
 
-    def make_guarded(self, ladder_names, counters, **rung_kwargs):
+    def make_guarded(self, ladder_names, **rung_kwargs):
         log = []
         ladder = []
         for rung_name in ladder_names:
             kwargs = dict(rung_kwargs.get(rung_name, {}))
             ladder.append(RecordingRung(rung_name, log, **kwargs))
-
-        def estimator():
-            return counters["received"], counters["answered"]
-
+        machine = FakeMachine()
         loop, telemetry, controller, _ = make_session(
-            ladder=ladder, log=log, estimator=estimator)
-        return loop, telemetry, controller, log, ladder
+            ladder=ladder, log=log, machines=[machine])
+        return loop, telemetry, controller, log, ladder, machine
 
     def test_lossy_rung_reverted_and_latched(self):
-        counters = {"received": 0, "answered": 0, "healthy": True}
-        loop, telemetry, controller, log, ladder = self.make_guarded(
-            ["bad-rung", "good-rung"], counters,
-            **{"bad-rung": dict(cool_off_seconds=30.0)})
+        health = {"healthy": True}
+        loop, telemetry, controller, log, ladder, machine = \
+            self.make_guarded(["bad-rung", "good-rung"],
+                              **{"bad-rung": dict(cool_off_seconds=30.0)})
 
         bad = ladder[0]
         orig_engage, orig_disengage = bad.engage, bad.disengage
 
         def lossy_engage(now):
-            counters["healthy"] = False
+            health["healthy"] = False
             orig_engage(now)
 
         def lossy_disengage(now):
-            counters["healthy"] = True
+            health["healthy"] = True
             orig_disengage(now)
 
         bad.engage = lossy_engage
         bad.disengage = lossy_disengage
 
-        self.wire_traffic(loop, counters, answered_until=1e9, until=40.0)
+        self.wire_traffic(loop, machine, health, answered_until=1e9,
+                          until=40.0)
         feed(loop, telemetry, attack_between(0.0, 20.0), until=40.0)
         loop.run_until(45.0)
 
@@ -265,10 +269,10 @@ class TestGuardrail:
         # The attack itself sheds every known-resolver answer before
         # any rung engages; a rung causing the *same* loss is within
         # the relative guardrail and must not be blamed.
-        counters = {"received": 0, "answered": 0, "healthy": True}
-        loop, telemetry, controller, log, _ = self.make_guarded(
-            ["rung-0", "rung-1"], counters)
-        self.wire_traffic(loop, counters, answered_until=1.0, until=40.0)
+        loop, telemetry, controller, log, _, machine = self.make_guarded(
+            ["rung-0", "rung-1"])
+        self.wire_traffic(loop, machine, {"healthy": True},
+                          answered_until=1.0, until=40.0)
         feed(loop, telemetry, attack_between(0.0, 20.0), until=40.0)
         loop.run_until(45.0)
         assert controller.reverts == 0
@@ -283,10 +287,10 @@ class TestGuardrail:
         # then engages under 100% ambient loss and survives. Without
         # the re-baseline it would be judged against a stale healthy
         # sample and falsely reverted too.
-        counters = {"received": 0, "answered": 0, "healthy": True}
-        loop, telemetry, controller, log, _ = self.make_guarded(
-            ["rung-0", "rung-1"], counters)
-        self.wire_traffic(loop, counters, answered_until=4.25, until=40.0)
+        loop, telemetry, controller, log, _, machine = self.make_guarded(
+            ["rung-0", "rung-1"])
+        self.wire_traffic(loop, machine, {"healthy": True},
+                          answered_until=4.25, until=40.0)
         feed(loop, telemetry, attack_between(0.0, 20.0), until=40.0)
         loop.run_until(45.0)
         assert [(t.time, t.rung) for t in controller.transitions
@@ -299,8 +303,10 @@ class TestGuardrail:
         assert controller.unwound_at() == 24.0
 
     def test_too_few_samples_defers_judgement(self):
+        machine = FakeMachine()
+        machine.metrics.known_received = 2
         loop, telemetry, controller, log = make_session(
-            2, estimator=lambda: (2, 0))
+            2, machines=[machine])
         feed(loop, telemetry, attack_between(0.0, 14.0), until=30.0)
         loop.run_until(35.0)
         # Two known-resolver queries ever: below min_samples, so the
@@ -318,7 +324,7 @@ class TestLadderSpans:
         and cleared at 20.0 through the callbacks ``arm`` attached; the
         middle rung sheds every known-resolver answer, so the guardrail
         reverts it one tick after it engages."""
-        counters = {"received": 0, "answered": 0}
+        machine = FakeMachine()
         healthy = [True]
         log = []
 
@@ -332,9 +338,9 @@ class TestLadderSpans:
                 super().disengage(now)
 
         def pump():
-            counters["received"] += 2
+            machine.metrics.known_received += 2
             if healthy[0]:
-                counters["answered"] += 2
+                machine.metrics.known_answered += 2
 
         ladder = [RecordingRung("rung-0", log), LossyRung("bad-rung", log),
                   RecordingRung("rung-2", log)]
@@ -342,10 +348,8 @@ class TestLadderSpans:
                                               arm_mitigations=True))
         with telemetry_state.session(telemetry):
             loop = EventLoop()
-            DefenseController(
-                loop, ladder, machines=[FakeMachine()],
-                estimator=lambda: (counters["received"],
-                                   counters["answered"])).arm(telemetry)
+            DefenseController(loop, ladder,
+                              machines=[machine]).arm(telemetry)
             alert = Alert(ATTACK_QPS_ALERT, AlertSeverity.CRITICAL, 1, 1.0,
                           0.0, 0.0, "")
             loop.call_at(1.0, lambda: [raised(alert) for raised

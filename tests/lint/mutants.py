@@ -40,9 +40,9 @@ MUTANTS = (
         _IMPORT_TIME,
         (_RESPOND, "        self.last_query_at = time.time()\n" + _RESPOND))),
     Mutant("global-random-selection", "DET002",
-           "src/repro/resolver/selection.py", (
-               ("        return rng.choice(addresses)\n",
-                "        return random.choice(addresses)\n"),)),
+           "src/repro/resolver/resolver.py", (
+               ("        address = self.rng.choice(pool)\n",
+                "        address = random.choice(pool)\n"),)),
     Mutant("global-random-gtm", "DET002", "src/repro/control/mapping.py", (
         ("        chosen = self.rng.choices(",
          "        chosen = random.choices("),)),

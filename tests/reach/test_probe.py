@@ -409,7 +409,7 @@ def test_sub_second_entry_points_reach_the_reporting_path():
         probe.definitions(probe.SOURCE), entered)}
     assert "control/reporting.py::TrafficCollector.enterprise_report" \
         not in dead
-    assert "resolver/resolver.py::RecursiveResolver._chase_dnskey" in dead
+    assert "resolver/resolver.py::RecursiveResolver._chase_glue" in dead
 
 
 @pytest.mark.reach

@@ -7,6 +7,8 @@ import pytest
 from repro.dnscore import A, AAAA, NS, RCode, RType, make_rrset, name
 from repro.resolver import DNSCache
 
+from ..oracles import peek
+
 
 def a_rrset(owner, ttl=60, addr="10.0.0.1"):
     return make_rrset(name(owner), RType.A, ttl, [A(addr)])
@@ -147,8 +149,9 @@ class TestDelegationLookup:
 
 
 class TestCopyFreeRead:
-    """``peek`` (navigation: no copy, stored TTL) against ``get`` (a copy
-    with the TTL aged): same liveness, counters, expiry and eviction."""
+    """The ``peek`` oracle (``tests/oracles.py``: the stored entry, no
+    copy, stored TTL) against ``get`` (a copy with the TTL aged): same
+    liveness, counters, expiry and eviction."""
 
     def test_seeded_interleaving_agrees_with_get(self):
         rng = random.Random(15)
@@ -171,7 +174,7 @@ class TestCopyFreeRead:
                                        ttl, now)
             else:
                 copy = by_get.get(owner, RType.A, now)
-                entry = by_peek.peek(owner, RType.A, now)
+                entry = peek(by_peek, owner, RType.A, now)
                 assert (copy is None) == (entry is None)
                 if entry is not None:
                     assert copy.rdatas() == entry.rrset.rdatas()
@@ -195,7 +198,7 @@ class TestCopyFreeRead:
         late = cache.get(name("x.com"), RType.A, now=45.5)
         assert (early.ttl, late.ttl) == (50, 14)
         assert [r.ttl for r in late.records] == [14]
-        stored = cache.peek(name("x.com"), RType.A, now=45.5).rrset
+        stored = peek(cache, name("x.com"), RType.A, 45.5).rrset
         assert stored.ttl == 60 and [r.ttl for r in stored.records] == [60]
 
     def test_mutating_a_returned_rrset_does_not_change_the_next_hit(self):
@@ -210,8 +213,8 @@ class TestCopyFreeRead:
     def test_peek_expires_lazily_and_counts_like_get(self):
         cache = DNSCache()
         cache.put(a_rrset("x.com", ttl=5), now=0.0)
-        assert cache.peek(name("x.com"), RType.A, now=4.9) is not None
-        assert cache.peek(name("x.com"), RType.A, now=5.0) is None
+        assert peek(cache, name("x.com"), RType.A, 4.9) is not None
+        assert peek(cache, name("x.com"), RType.A, 5.0) is None
         assert (cache.hits, cache.misses, len(cache)) == (1, 1, 0)
 
     def test_glue_reads_like_a_peek_per_target_and_type(self):
@@ -244,7 +247,7 @@ class TestCopyFreeRead:
             for record in ns.records:
                 found = False
                 for rtype in (RType.A, RType.AAAA):
-                    entry = by_peek.peek(record.rdata.target, rtype, now)
+                    entry = peek(by_peek, record.rdata.target, rtype, now)
                     if entry is not None:
                         found = True
                         expected += [r.rdata.address

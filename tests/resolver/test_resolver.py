@@ -22,7 +22,7 @@ from repro.netsim import (
     attach_pop,
     build_internet,
 )
-from repro.resolver import RecursiveResolver, UniformSelection
+from repro.resolver import RecursiveResolver
 from repro.server import (
     AuthoritativeEngine,
     HostNameserver,
@@ -280,37 +280,28 @@ class TestResponseMatching:
         assert r.unsolicited_responses > 0
 
 
-class FixedSelection:
+class FirstChoice(random.Random):
     """Always the first candidate: pins a resolver to one server."""
 
-    def __init__(self):
+    def __init__(self, seed):
+        super().__init__(seed)
         self.chosen = []
-        self.observed = []
 
-    def choose(self, addresses, rng):
-        self.chosen.append(addresses[0])
-        return addresses[0]
-
-    def observe_rtt(self, address, rtt):
-        self.observed.append(address)
+    def choice(self, seq):
+        self.chosen.append(seq[0])
+        return seq[0]
 
 
 class TestSelectionStrategies:
-    def test_uniform_spreads(self):
-        rng = random.Random(1)
-        s = UniformSelection()
-        picks = [s.choose(["a", "b", "c"], rng) for _ in range(300)]
-        assert all(picks.count(x) > 50 for x in "abc")
-
     def test_fixed_selection(self, world):
-        # The ``selection=`` seam: the resolver asks the strategy for
-        # every server it queries and feeds each answer's RTT back.
+        # Every server the resolver queries is its rng's ``choice``.
         loop, net, _, _ = world
-        pinned = FixedSelection()
-        r = make_resolver(loop, net, selection=pinned)
+        pinned = FirstChoice(5)
+        r = RecursiveResolver(loop, net, "resolver-0",
+                              {name("."): ["198.41.0.4"]}, rng=pinned)
         result = resolve(loop, r, "www.ex.net")
         assert result.addresses() == ["93.184.216.34"]
-        assert pinned.chosen == pinned.observed == result.servers
+        assert pinned.chosen == result.servers
 
 
 class TestSourcePorts:

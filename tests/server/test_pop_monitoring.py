@@ -31,6 +31,8 @@ from repro.server import (
 )
 from repro.server.monitoring import HealthReport
 
+from ..oracles import FailingAgent
+
 ZONE = """\
 $ORIGIN p.example.
 $TTL 300
@@ -262,19 +264,18 @@ class TestMonitoringAgent:
         loop.run_until(25)
         assert machine.state == MachineState.RUNNING
 
-    def test_regression_tests_run(self, world):
+    def test_failing_suite_suspends(self, world):
         loop, net, pop = world
         machine, speaker = add_machine(loop, pop, "m1")
-        failures = {"fail": False}
-        MonitoringAgent(
-            loop, machine, speaker,
-            coordinator=QuorumSuspensionCoordinator(loop),
-            regression_tests=[lambda m: not failures["fail"]])
+        agent = FailingAgent(loop, machine, speaker,
+                             coordinator=QuorumSuspensionCoordinator(loop))
         speaker.advertise_all()
         loop.run_until(3)
         assert machine.state == MachineState.RUNNING
-        failures["fail"] = True
-        loop.run_until(6)
+        agent.failing = True
+        # The first check after the fault (t=4) suspends: one failed
+        # suite is enough.
+        loop.run_until(4)
         assert machine.state == MachineState.SUSPENDED
 
     def test_without_coordinator_never_self_suspends(self, world):
