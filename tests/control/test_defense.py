@@ -314,6 +314,42 @@ class TestGuardrail:
         assert controller.reverts == 0
         assert controller.max_level == 2
 
+    def test_without_machines_never_judges(self):
+        # No machines: every sample is (0, 0), below the minimum, so
+        # the ladder climbs and unwinds with no guardrail verdict.
+        loop, telemetry, controller, log = make_session(2)
+        feed(loop, telemetry, attack_between(0.0, 14.0), until=30.0)
+        loop.run_until(35.0)
+        assert controller.reverts == 0
+        assert controller.max_level == 2
+        assert controller.unwound_at() is not None
+
+    def test_counters_are_summed_over_machines(self):
+        # Each machine sees 2 known-resolver queries per tick, below
+        # the minimum on its own; summed, a tick holds 4. The rung
+        # loses every answer on one machine: 50% summed loss, past the
+        # margin, so it is reverted at the first tick after engaging.
+        healthy, starved = FakeMachine(), FakeMachine()
+        log = []
+        rung = RecordingRung("rung-0", log)
+        loop, telemetry, controller, _ = make_session(
+            ladder=[rung], log=log, machines=[healthy, starved])
+
+        def pump():
+            healthy.metrics.known_received += 1
+            healthy.metrics.known_answered += 1
+            starved.metrics.known_received += 1
+            if controller.level == 0:
+                starved.metrics.known_answered += 1
+
+        for i in range(1, 80):
+            loop.call_at(i * 0.5, pump)
+        feed(loop, telemetry, attack_between(0.0, 20.0), until=40.0)
+        loop.run_until(45.0)
+        reverts = [(t.time, t.rung) for t in controller.transitions
+                   if t.action == "revert"]
+        assert reverts[:1] == [(5.0, "rung-0")]
+
 
 class TestLadderSpans:
     def test_one_climb_and_unwind_is_one_root_with_an_instant_per_move(self):

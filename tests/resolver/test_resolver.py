@@ -23,6 +23,7 @@ from repro.netsim import (
     build_internet,
 )
 from repro.resolver import RecursiveResolver
+from repro.resolver.resolver import EDNS_PAYLOAD
 from repro.server import (
     AuthoritativeEngine,
     HostNameserver,
@@ -302,6 +303,46 @@ class TestSelectionStrategies:
         result = resolve(loop, r, "www.ex.net")
         assert result.addresses() == ["93.184.216.34"]
         assert pinned.chosen == result.servers
+
+    def test_choice_spreads_over_the_hints(self, world):
+        # With three root hints and nothing cached, each resolution's
+        # first query goes to a uniform draw from all three.
+        loop, net, _, _ = world
+        hints = ["198.41.0.4", "192.5.6.30", "10.44.0.1"]
+        r = RecursiveResolver(loop, net, "resolver-0", {name("."): hints},
+                              rng=random.Random(5))
+        first = []
+        send = net.send
+        net.send = lambda dgram: (first.append(dgram.dst), send(dgram))
+        for i in range(90):
+            r.resolve(name(f"n{i}.ex.net"), RType.A, lambda _result: None)
+        assert len(first) == 90
+        assert all(first.count(address) > 15 for address in hints)
+
+
+class TestUpstreamQueries:
+    def test_every_query_carries_do_zero(self, world):
+        # The resolver does not validate: no upstream query, glue
+        # sub-resolutions included, asks for DNSSEC records.
+        loop, net, _, _ = world
+        queries = []
+        send = net.send
+
+        def spy(dgram):
+            if dgram.src == "resolver-0":
+                queries.append(dgram.payload.message)
+            send(dgram)
+
+        net.send = spy
+        r = make_resolver(loop, net)
+        resolve(loop, r, "www.ex.net")
+        resolve(loop, r, "www.glueless.net")
+        assert len(queries) == sum(r.queries_by_server.values()) >= 5
+        for query in queries:
+            assert query.edns is not None
+            assert query.edns.dnssec_ok is False
+            assert query.edns.payload_size == EDNS_PAYLOAD
+            assert query.flags.rd is False
 
 
 class TestSourcePorts:

@@ -125,3 +125,30 @@ class TestBogusData:
         result = resolve(loop, r, "www.ex.net")
         assert result.rcode == RCode.NOERROR
         assert result.addresses() == ["93.184.216.34"]
+
+    def test_no_signature_reaches_the_resolver(self, expired_world):
+        # The zone is signed, but DO=0 queries get no RRSIG, DNSKEY or
+        # NSEC records in any section.
+        loop, net = expired_world
+        responses = []
+        send = net.send
+
+        def spy(dgram):
+            if dgram.dst == "resolver-0":
+                responses.append(dgram.payload.message)
+            send(dgram)
+
+        net.send = spy
+        try:
+            r = make_resolver(loop, net)
+            resolve(loop, r, "www.ex.net")
+            denial = resolve(loop, r, "missing.ex.net")
+        finally:
+            net.send = send
+        assert denial.rcode == RCode.NXDOMAIN
+        # Root, TLD and ex.net for the first name; ex.net for the second.
+        assert len(responses) == 4
+        dnssec_types = {RType.RRSIG, RType.DNSKEY, RType.NSEC}
+        for message in responses:
+            for rr in message.answers + message.authority + message.additional:
+                assert rr.rtype not in dnssec_types

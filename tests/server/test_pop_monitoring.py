@@ -278,6 +278,27 @@ class TestMonitoringAgent:
         loop.run_until(4)
         assert machine.state == MachineState.SUSPENDED
 
+    def test_passing_suite_resumes(self, world):
+        loop, net, pop = world
+        machine, speaker = add_machine(loop, pop, "m1")
+        agent = FailingAgent(loop, machine, speaker,
+                             coordinator=QuorumSuspensionCoordinator(loop))
+        speaker.advertise_all()
+        agent.failing = True
+        # Checks run every 2 s from t=2; the first one suspends.
+        loop.run_until(2)
+        assert machine.state == MachineState.SUSPENDED
+        assert not pop.advertises(PREFIX)
+        # Still failing at t=4: the agent holds the one suspension.
+        loop.run_until(5)
+        assert (agent.metrics.suspensions, agent.metrics.resumptions) == (1, 0)
+        # The first passing suite (t=6) resumes the machine.
+        agent.failing = False
+        loop.run_until(6)
+        assert machine.state == MachineState.RUNNING
+        assert pop.advertises(PREFIX)
+        assert (agent.metrics.suspensions, agent.metrics.resumptions) == (1, 1)
+
     def test_without_coordinator_never_self_suspends(self, world):
         # Input-delayed machines run an agent with no coordinator: it
         # keeps testing but never takes the machine out of service.
