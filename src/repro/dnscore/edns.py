@@ -115,15 +115,16 @@ class EDNSOptions:
         payload_size, extended_rcode, version, flags, rdlength = \
             reader.unpack(_OPT_BODY)
         end = reader._pos + rdlength
-        options = cls(payload_size, extended_rcode, version,
-                      bool(flags & _FLAG_DO))
+        client_subnet = None
+        unknown_options = []
         while reader._pos < end:
             code, length = reader.unpack(_OPTION_FIXED)
             data = reader.read_bytes(length)
             if code == OPTION_CLIENT_SUBNET:
-                options.client_subnet = ClientSubnetOption.from_wire(data)
+                client_subnet = ClientSubnetOption.from_wire(data)
             else:
-                options.unknown_options.append((code, data))
+                unknown_options.append((code, data))
         if reader._pos != end:
             raise WireFormatError("OPT options overran rdlength")
-        return options
+        return cls(payload_size, extended_rcode, version,
+                   flags & _FLAG_DO != 0, client_subnet, unknown_options)

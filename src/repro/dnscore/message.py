@@ -16,7 +16,8 @@ from struct import Struct
 from .edns import EDNSOptions
 from .errors import TruncatedMessageError, WireFormatError
 from .name import Name
-from .records import Question, ResourceRecord, RRset
+from .records import (QUESTION_FIXED, RR_FIXED, Question, ResourceRecord,
+                      RRset)
 from .rrtypes import (OPCODE_BY_VALUE, RCODE_BY_VALUE, Opcode, RClass, RCode,
                       RType)
 from .wire import WireReader, WireWriter
@@ -42,33 +43,6 @@ class Flags:
     rd: bool = False
     ra: bool = False
     rcode: RCode = RCode.NOERROR
-
-    def to_wire(self) -> int:
-        value = 0
-        if self.qr:
-            value |= _FLAG_QR
-        value |= (self.opcode & 0xF) << 11
-        if self.aa:
-            value |= _FLAG_AA
-        if self.tc:
-            value |= _FLAG_TC
-        if self.rd:
-            value |= _FLAG_RD
-        if self.ra:
-            value |= _FLAG_RA
-        return value | (self.rcode & 0xF)
-
-    @classmethod
-    def from_wire(cls, value: int) -> "Flags":
-        opcode = OPCODE_BY_VALUE.get((value >> 11) & 0xF)
-        if opcode is None:
-            raise WireFormatError(f"unknown opcode {(value >> 11) & 0xF}")
-        rcode = RCODE_BY_VALUE.get(value & 0xF)
-        if rcode is None:
-            raise WireFormatError(f"unknown rcode {value & 0xF}")
-        return cls(bool(value & _FLAG_QR), opcode, bool(value & _FLAG_AA),
-                   bool(value & _FLAG_TC), bool(value & _FLAG_RD),
-                   bool(value & _FLAG_RA), rcode)
 
 
 @dataclass(slots=True)
@@ -122,10 +96,12 @@ class Message:
         record (root owner, no names) has the same bytes at any offset.
         """
         writer = WireWriter(compress=compress)
+        write_name = writer.write_name
         buf = writer.buf
         buf += _BLANK_HEADER            # counts are known only after the cut
-        for question in self.questions:
-            question.write(writer)
+        for qname, qtype, qclass in self.questions:
+            write_name(qname)
+            buf += QUESTION_FIXED.pack(qtype, qclass)
         opt = b"" if self.edns is None else self.edns.to_wire()
         room = (sys.maxsize if max_size is None else max_size) - len(opt)
         truncated = len(buf) > room
@@ -133,7 +109,19 @@ class Message:
         if not truncated:
             for record in chain(self.answers, self.authority, self.additional):
                 fits = len(buf)
-                record.write(writer)
+                write_name(record.name)
+                rdata = record.rdata
+                octets = rdata.octets
+                if octets is not None:
+                    buf += RR_FIXED.pack(record.rtype, record.rclass,
+                                         record.ttl, len(octets))
+                    buf += octets
+                else:
+                    buf += RR_FIXED.pack(record.rtype, record.rclass,
+                                         record.ttl, 0)
+                    start = len(buf)
+                    rdata.write(writer)
+                    writer.patch_u16(start - 2, len(buf) - start)
                 if len(buf) > room:
                     del buf[fits:]
                     truncated = True
@@ -142,8 +130,13 @@ class Message:
         buf += opt
         ancount = min(kept, len(self.answers))
         nscount = min(kept - ancount, len(self.authority))
-        flags = self.flags.to_wire() | (_FLAG_TC if truncated else 0)
-        _HEADER.pack_into(buf, 0, self.msg_id, flags, len(self.questions),
+        flags = self.flags
+        bits = ((_FLAG_QR if flags.qr else 0) | (flags.opcode & 0xF) << 11
+                | (_FLAG_AA if flags.aa else 0)
+                | (_FLAG_TC if flags.tc or truncated else 0)
+                | (_FLAG_RD if flags.rd else 0) | (_FLAG_RA if flags.ra else 0)
+                | flags.rcode & 0xF)
+        _HEADER.pack_into(buf, 0, self.msg_id, bits, len(self.questions),
                           ancount, nscount,
                           kept - ancount - nscount + (self.edns is not None))
         return bytes(buf)
@@ -156,14 +149,30 @@ class Message:
         if len(data) < _HEADER.size:
             raise TruncatedMessageError(
                 f"wanted {_HEADER.size} octets, only {len(data)} remain")
-        msg_id, flags, qdcount, ancount, nscount, arcount = \
+        msg_id, bits, qdcount, ancount, nscount, arcount = \
             _HEADER.unpack_from(data)
-        flags = Flags.from_wire(flags)
+        opcode = OPCODE_BY_VALUE.get((bits >> 11) & 0xF)
+        if opcode is None:
+            raise WireFormatError(f"unknown opcode {(bits >> 11) & 0xF}")
+        rcode = RCODE_BY_VALUE.get(bits & 0xF)
+        if rcode is None:
+            raise WireFormatError(f"unknown rcode {bits & 0xF}")
+        flags = Flags(bits & _FLAG_QR != 0, opcode, bits & _FLAG_AA != 0,
+                      bits & _FLAG_TC != 0, bits & _FLAG_RD != 0,
+                      bits & _FLAG_RA != 0, rcode)
         reader = WireReader(data)
         reader._pos = _HEADER.size
-        questions = [Question.read(reader) for _ in range(qdcount)]
-        answers = [ResourceRecord.read(reader) for _ in range(ancount)]
-        authority = [ResourceRecord.read(reader) for _ in range(nscount)]
+        # Loops, not comprehensions: before Python 3.12 a comprehension
+        # runs in a frame of its own, even over an empty section.
+        questions = []
+        for _ in range(qdcount):
+            questions.append(Question.read(reader))
+        answers = []
+        for _ in range(ancount):
+            answers.append(ResourceRecord.read(reader))
+        authority = []
+        for _ in range(nscount):
+            authority.append(ResourceRecord.read(reader))
         additional = []
         edns = None
         for _ in range(arcount):
@@ -236,15 +245,14 @@ def make_query(msg_id: int, qname: Name, qtype: RType,
 def make_response(query: Message, rcode: RCode = RCode.NOERROR,
                   *, aa: bool = True) -> Message:
     """Build an empty response echoing the query's id and question."""
-    flags = Flags(qr=True, opcode=query.flags.opcode, aa=aa,
-                  rd=query.flags.rd, rcode=rcode)
-    response = Message(msg_id=query.msg_id, flags=flags,
-                       questions=list(query.questions))
-    if query.edns is not None:
-        response.edns = EDNSOptions(payload_size=query.edns.payload_size,
-                                    dnssec_ok=query.edns.dnssec_ok,
-                                    client_subnet=query.edns.client_subnet)
-    return response
+    flags = query.flags
+    edns = query.edns
+    return Message(
+        query.msg_id,
+        Flags(True, flags.opcode, aa, False, flags.rd, False, rcode),
+        list(query.questions), [], [], [],
+        None if edns is None else EDNSOptions(
+            edns.payload_size, 0, 0, edns.dnssec_ok, edns.client_subnet))
 
 
 class ResponseTemplate:
@@ -288,16 +296,13 @@ class ResponseTemplate:
 
     def finalize(self, query: Message) -> Message:
         """Stamp this plan into a full response for ``query``."""
-        flags = Flags(qr=True, opcode=query.flags.opcode, aa=self.aa,
-                      rd=query.flags.rd, rcode=self.rcode)
-        response = Message(msg_id=query.msg_id, flags=flags,
-                           questions=list(query.questions),
-                           answers=list(self.answers),
-                           authority=list(self.authority),
-                           additional=list(self.additional))
+        flags = query.flags
         edns = query.edns
-        if edns is not None:
-            response.edns = EDNSOptions(payload_size=edns.payload_size,
-                                        dnssec_ok=edns.dnssec_ok,
-                                        client_subnet=edns.client_subnet)
-        return response
+        return Message(
+            query.msg_id,
+            Flags(True, flags.opcode, self.aa, False, flags.rd, False,
+                  self.rcode),
+            list(query.questions), list(self.answers), list(self.authority),
+            list(self.additional),
+            None if edns is None else EDNSOptions(
+                edns.payload_size, 0, 0, edns.dnssec_ok, edns.client_subnet))

@@ -13,7 +13,6 @@ the NXDOMAIN filter's hostname tree.
 
 from __future__ import annotations
 
-from functools import total_ordering
 from typing import Iterator
 
 from .errors import NameError_
@@ -95,67 +94,32 @@ def _split_labels(text: str) -> list[bytes]:
     return labels
 
 
-@total_ordering
-class Name:
-    """An immutable, case-folded domain name.
+class Name(tuple):
+    """An immutable, case-folded domain name: the tuple of its labels.
 
     Construct from presentation format with :meth:`from_text` (or the
     module-level :func:`name` shorthand), or from raw labels. The root name
     is the empty tuple of labels and renders as ``"."``.
+
+    A name *is* its label tuple, so it hashes and compares equal to one
+    (``hash(name) == hash(labels)``) with no Python frame, and a slice of
+    it is a plain label tuple that finds it in any map. Only ordering
+    differs: names sort canonically (RFC 4034 section 6.1).
     """
 
-    __slots__ = ("_labels", "_hash", "_wire_len", "_str")
+    __slots__ = ()
 
-    def __init__(self, labels: tuple[bytes, ...]) -> None:
-        validated = tuple(_validate_label(lb) for lb in labels)
-        wire_len = sum(len(lb) + 1 for lb in validated) + 1
-        if wire_len > MAX_NAME_LENGTH:
+    def __new__(cls, labels: tuple[bytes, ...]) -> "Name":
+        validated = [_validate_label(lb) for lb in labels]
+        if sum(map(len, validated)) + len(validated) >= MAX_NAME_LENGTH:
             raise NameError_(f"name exceeds {MAX_NAME_LENGTH} octets")
-        object.__setattr__(self, "_labels", validated)
-        object.__setattr__(self, "_hash", hash(validated))
-        object.__setattr__(self, "_wire_len", wire_len)
-        object.__setattr__(self, "_str", None)
-
-    def __setattr__(self, key: str, value: object) -> None:
-        raise AttributeError("Name is immutable")
+        return _new(cls, validated)
 
     @classmethod
-    def _from_validated(cls, labels: tuple[bytes, ...],
-                        wire_len: int | None = None) -> "Name":
-        """Construct from labels already validated and case-folded.
-
-        Internal fast path for derivations (parent walks, wildcard
-        siblings, prepends, zone-file names joined to their origin) that
-        would otherwise re-validate every label of an already-valid name;
-        callers must guarantee each label came out of an existing
-        :class:`Name` or ``_validate_label`` and that the total wire
-        length stays legal. ``wire_len`` lets derivations
-        that can adjust the parent's stored length in O(1) skip the
-        O(labels) recomputation.
-        """
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "_labels", labels)
-        object.__setattr__(obj, "_hash", hash(labels))
-        if wire_len is None:
-            wire_len = sum(len(lb) + 1 for lb in labels) + 1
-        object.__setattr__(obj, "_wire_len", wire_len)
-        object.__setattr__(obj, "_str", None)
-        return obj
-
-    @classmethod
-    def from_wire_labels(cls, labels: tuple[bytes, ...],
-                         wire_len: int) -> "Name":
-        """The name a wire decoder parsed: ``labels`` already bounds-checked
-        (1-63 octets each, ``wire_len`` <= 255) and case-folded.
-
-        Reuses the interned instance when one exists but never inserts:
-        wire input is attacker-supplied and, like :meth:`prepend`'s
-        minted labels, would churn the flyweight table.
-        """
-        cached = _INTERN.get(labels)
-        if cached is None:
-            cached = cls._from_validated(labels, wire_len)
-        return cached
+    def _from_validated(cls, labels: tuple[bytes, ...]) -> "Name":
+        """A name of labels already validated and case-folded (sliced
+        off an existing name): no check runs."""
+        return _new(cls, labels)
 
     @classmethod
     def from_text(cls, text: str) -> "Name":
@@ -166,7 +130,7 @@ class Name:
         """
         if text in (".", ""):
             return ROOT
-        return cls(tuple(_split_labels(text)))._interned()
+        return cls(_split_labels(text))._interned()
 
     @classmethod
     def from_zone_text(cls, text: str, origin: "Name") -> "Name":
@@ -179,73 +143,61 @@ class Name:
         """
         if text.endswith(".") and not _escapes_next(text[:-1]):
             return name(text)
-        labels = tuple([_validate_label(lb) for lb in _split_labels(text)])
-        wire_len = origin._wire_len + sum(map(len, labels)) + len(labels)
-        if wire_len > MAX_NAME_LENGTH:
+        labels = [_validate_label(lb) for lb in _split_labels(text)]
+        labels += origin
+        if sum(map(len, labels)) + len(labels) >= MAX_NAME_LENGTH:
             raise NameError_(f"name exceeds {MAX_NAME_LENGTH} octets")
-        return cls._from_validated(labels + origin._labels, wire_len)
+        return _new(cls, labels)
 
     def _interned(self) -> "Name":
         """Self, or the previously-interned equal instance if one exists."""
-        cached = _INTERN.get(self._labels)
+        cached = _INTERN.get(self)
         if cached is not None:
             return cached
         if len(_INTERN) >= _INTERN_MAX:
             _INTERN.clear()
-        _INTERN[self._labels] = self
+        _INTERN[self] = self
         return self
 
     @property
-    def labels(self) -> tuple[bytes, ...]:
-        """The labels from leftmost (deepest) to rightmost (nearest root)."""
-        return self._labels
-
-    @property
     def is_root(self) -> bool:
-        return not self._labels
+        return not self
 
     @property
     def is_wildcard(self) -> bool:
         """Whether the leftmost label is ``*`` (RFC 4592)."""
-        return bool(self._labels) and self._labels[0] == b"*"
-
-    def __len__(self) -> int:
-        return len(self._labels)
+        return bool(self) and self[0] == b"*"
 
     def wire_length(self) -> int:
         """Uncompressed wire length in octets, including the root byte."""
-        return self._wire_len
+        return sum(map(len, self)) + len(self) + 1
 
     def parent(self) -> "Name":
         """The name with the leftmost label removed.
 
         Raises :class:`NameError_` on the root name, which has no parent.
         """
-        labels = self._labels
-        if not labels:
+        if not self:
             raise NameError_("the root name has no parent")
-        rest = labels[1:]
+        rest = self[1:]
         cached = _INTERN.get(rest)
         if cached is not None:
             return cached
-        return Name._from_validated(
-            rest, self._wire_len - len(labels[0]) - 1)._interned()
+        return _new(Name, rest)._interned()
 
     def ancestors(self) -> Iterator["Name"]:
         """Yield ``self``, its parent, ..., down to the root name."""
         current = self
         while True:
             yield current
-            if current.is_root:
+            if not current:
                 return
             current = current.parent()
 
     def is_subdomain_of(self, other: "Name") -> bool:
         """True if ``self`` equals ``other`` or lies below it."""
-        n = len(other._labels)
-        if n == 0:
-            return True
-        return len(self._labels) >= n and self._labels[-n:] == other._labels
+        n = len(other)
+        return n == 0 or (len(self) >= n and self[-n:] == other)
 
     def prepend(self, label: str | bytes) -> "Name":
         """Return a new name with one more label on the left.
@@ -256,41 +208,45 @@ class Name:
         """
         raw = label.encode("ascii") if isinstance(label, str) else label
         validated = _validate_label(raw)
-        wire_len = self._wire_len + len(validated) + 1
-        if wire_len > MAX_NAME_LENGTH:
+        if self.wire_length() + len(validated) + 1 > MAX_NAME_LENGTH:
             raise NameError_(f"name exceeds {MAX_NAME_LENGTH} octets")
-        return Name._from_validated((validated,) + self._labels, wire_len)
+        return _new(Name, (validated, *self))
 
     def canonical_key(self) -> tuple[bytes, ...]:
         """Sort key for RFC 4034 canonical ordering (reversed label order)."""
-        return tuple(reversed(self._labels))
+        return self[::-1]
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
+    def __lt__(self, other: object) -> bool:
         if not isinstance(other, Name):
             return NotImplemented
-        return self._labels == other._labels
+        return self[::-1] < other[::-1]
 
-    def __lt__(self, other: "Name") -> bool:
+    def __le__(self, other: object) -> bool:
         if not isinstance(other, Name):
             return NotImplemented
-        return self.canonical_key() < other.canonical_key()
+        return self[::-1] <= other[::-1]
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __gt__(self, other: object) -> bool:
+        if not isinstance(other, Name):
+            return NotImplemented
+        return self[::-1] > other[::-1]
+
+    def __ge__(self, other: object) -> bool:
+        if not isinstance(other, Name):
+            return NotImplemented
+        return self[::-1] >= other[::-1]
 
     def __str__(self) -> str:
         # Memoized: telemetry labels and log formatting stringify the
         # same zone origins millions of times across a run.
-        cached = self._str
-        if cached is not None:
-            return cached
-        if not self._labels:
+        text = _TEXT.get(self)
+        if text is not None:
+            return text
+        if not self:
             text = "."
         else:
             parts = []
-            for label in self._labels:
+            for label in self:
                 out = []
                 for b in label:
                     ch = chr(b)
@@ -304,12 +260,16 @@ class Name:
                         out.append(f"\\{b:03d}")
                 parts.append("".join(out))
             text = ".".join(parts) + "."
-        object.__setattr__(self, "_str", text)
+        if len(_TEXT) >= _TEXT_MAX:
+            _TEXT.clear()
+        _TEXT[self] = text
         return text
 
     def __repr__(self) -> str:
         return f"Name({str(self)!r})"
 
+
+_new = tuple.__new__
 
 #: Flyweight table: validated label tuple -> shared Name. Extends the
 #: parse cache one level down so *derived* names (parents, wildcard
@@ -320,7 +280,12 @@ _INTERN: dict[tuple[bytes, ...], Name] = {}
 _INTERN_MAX = 8192
 
 ROOT = Name(())
-_INTERN[()] = ROOT
+_INTERN[ROOT] = ROOT
+
+#: :meth:`Name.__str__` memo, bounded with clear-on-full like the two
+#: tables beside it: the text is a pure function of the labels.
+_TEXT: dict[Name, str] = {}
+_TEXT_MAX = 8192
 
 #: Parse memo for :func:`name`. Experiments resolve the same handful of
 #: presentation-format strings millions of times; Name is immutable, so

@@ -9,42 +9,39 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from struct import Struct
+from typing import NamedTuple
 
 from .errors import WireFormatError
 from .name import Name
 from .rdata import Rdata, read_rdata
 from .rrtypes import RCLASS_BY_VALUE, RTYPE_BY_VALUE, RClass, RType
-from .wire import WireReader, WireWriter
+from .wire import WireReader
 
 MAX_TTL = 2**31 - 1
 
-_QUESTION_FIXED = Struct("!HH")     # qtype, qclass
-_RR_FIXED = Struct("!HHIH")         # type, class, ttl, rdlength
+QUESTION_FIXED = Struct("!HH")      # qtype, qclass
+RR_FIXED = Struct("!HHIH")          # type, class, ttl, rdlength
+_new = tuple.__new__
 
 
-@dataclass(frozen=True, slots=True)
-class Question:
-    """One entry of a DNS question section."""
+class Question(NamedTuple):
+    """One entry of a DNS question section: an immutable tuple."""
 
     qname: Name
     qtype: RType
     qclass: RClass = RClass.IN
 
-    def write(self, writer: WireWriter) -> None:
-        writer.write_name(self.qname)
-        writer.buf += _QUESTION_FIXED.pack(self.qtype, self.qclass)
-
     @classmethod
     def read(cls, reader: WireReader) -> "Question":
         qname = reader.read_name()
-        qtype_value, qclass_value = reader.unpack(_QUESTION_FIXED)
+        qtype_value, qclass_value = reader.unpack(QUESTION_FIXED)
         qtype = RTYPE_BY_VALUE.get(qtype_value)
         if qtype is None:
             raise WireFormatError(f"unsupported qtype {qtype_value}")
         qclass = RCLASS_BY_VALUE.get(qclass_value)
         if qclass is None:
             raise WireFormatError(f"unsupported qclass {qclass_value}")
-        return cls(qname, qtype, qclass)
+        return _new(cls, (qname, qtype, qclass))
 
     def __str__(self) -> str:
         return f"{self.qname} {self.qclass.name} {self.qtype.name}"
@@ -64,18 +61,10 @@ class ResourceRecord:
         if not 0 <= self.ttl <= MAX_TTL:
             raise ValueError(f"TTL {self.ttl} out of range")
 
-    def write(self, writer: WireWriter) -> None:
-        writer.write_name(self.name)
-        buf = writer.buf
-        buf += _RR_FIXED.pack(self.rtype, self.rclass, self.ttl, 0)
-        start = len(buf)
-        self.rdata.write(writer)
-        writer.patch_u16(start - 2, len(buf) - start)
-
     @classmethod
     def read(cls, reader: WireReader) -> "ResourceRecord":
         name = reader.read_name()
-        type_value, class_value, ttl, rdlength = reader.unpack(_RR_FIXED)
+        type_value, class_value, ttl, rdlength = reader.unpack(RR_FIXED)
         if ttl > MAX_TTL:
             # RFC 2181 section 8: a TTL with the high bit set is
             # treated as zero rather than rejected.
@@ -86,9 +75,20 @@ class ResourceRecord:
                    RCLASS_BY_VALUE.get(class_value, class_value), ttl, rdata)
 
     def with_ttl(self, ttl: int) -> "ResourceRecord":
-        """A copy of this record with a different TTL (cache aging)."""
-        return ResourceRecord(self.name, self.rtype, self.rclass, ttl,
-                              self.rdata)
+        """A copy of this record with a different TTL (cache aging).
+
+        Set through the slots, without the dataclass ``__init__`` and
+        ``__post_init__`` frames; the TTL range check is the same.
+        """
+        if not 0 <= ttl <= MAX_TTL:
+            raise ValueError(f"TTL {ttl} out of range")
+        copy = _new_object(ResourceRecord)
+        _set_name(copy, self.name)
+        _set_rtype(copy, self.rtype)
+        _set_rclass(copy, self.rclass)
+        _set_ttl(copy, ttl)
+        _set_rdata(copy, self.rdata)
+        return copy
 
     def to_text(self) -> str:
         rtype_name = (self.rtype.name if isinstance(self.rtype, RType)
@@ -98,6 +98,12 @@ class ResourceRecord:
 
     def __str__(self) -> str:
         return self.to_text()
+
+
+_new_object = object.__new__
+_set_name, _set_rtype, _set_rclass, _set_ttl, _set_rdata = (
+    ResourceRecord.__dict__[f].__set__
+    for f in ("name", "rtype", "rclass", "ttl", "rdata"))
 
 
 @dataclass(slots=True)

@@ -28,6 +28,7 @@ _U16 = Struct("!H")
 _U32 = Struct("!I")
 _IPV4 = Struct("!4B")
 _IPV6 = Struct("!8H")
+_new = tuple.__new__
 
 
 def pack_ipv4(text: str) -> bytes:
@@ -87,17 +88,21 @@ class WireWriter:
             return
         buf = self.buf
         offsets = self._offsets
-        labels = name.labels
-        for i, label in enumerate(labels):
-            suffix = labels[i:]
+        # The name is the first suffix: it and the label tuples sliced
+        # off it are equal keys.
+        suffix: tuple[bytes, ...] = name
+        while suffix:
             offset = offsets.get(suffix)
             if offset is not None:
                 buf += _U16.pack(_POINTER_FLAG | offset)
                 return
-            if len(buf) <= _MAX_POINTER_TARGET:
-                offsets[suffix] = len(buf)
+            here = len(buf)
+            if here <= _MAX_POINTER_TARGET:
+                offsets[suffix] = here
+            label = suffix[0]
             buf.append(len(label))
             buf += label
+            suffix = suffix[1:]
         buf.append(0)
 
     def write_name_uncompressed(self, name: Name) -> None:
@@ -109,7 +114,7 @@ class WireWriter:
         stable byte sequence.
         """
         buf = self.buf
-        for label in name.labels:
+        for label in name:
             buf.append(len(label))
             buf += label
         buf.append(0)
@@ -215,4 +220,6 @@ class WireReader:
             else:
                 raise CompressionError(f"reserved label type {length:#04x}")
         self._pos = return_pos if return_pos >= 0 else pos + 1
-        return Name.from_wire_labels(tuple(labels), wire_len)
+        # Bounds-checked and case-folded above: one construction, not
+        # interned (wire input is attacker-supplied).
+        return _new(Name, labels)

@@ -77,9 +77,10 @@ class LookupResult:
 class Zone:
     """One authoritative zone: an origin plus its RRsets.
 
-    Each name in the zone is one ``_nodes`` entry: its labels (a probe
-    needs no Name) map to its :data:`Node`, and a node's ancestors down
-    to the origin are nodes too.
+    Each name in the zone is one ``_nodes`` entry mapping it to its
+    :data:`Node`, and a node's ancestors down to the origin are nodes
+    too, keyed by label tuples sliced off a name (a name equals its
+    label tuple, so either finds the other).
 
     The zone enforces standard consistency rules on insert: exactly one
     SOA at the apex, no CNAME coexisting with other data at a node
@@ -110,8 +111,8 @@ class Zone:
         if rrset.rclass != RClass.IN:
             raise ZoneError("only class IN zones are supported")
         rtype = rrset.rtype
-        labels = rrset.name.labels
-        node = self._nodes.get(labels, ())
+        owner = rrset.name
+        node = self._nodes.get(owner, ())
         if node:
             # RFC 4035 section 2.5: RRSIG and NSEC (and the other
             # DNSSEC maintenance types) are exempt from the CNAME
@@ -123,15 +124,15 @@ class Zone:
             if rtype not in _CNAME_COMPANIONS \
                     and _rrset_at(node, RType.CNAME) is not None:
                 raise ZoneError(f"{rrset.name} already holds a CNAME")
-        if rtype == RType.SOA and labels != self.origin.labels:
+        if rtype == RType.SOA and owner != self.origin:
             raise ZoneError("SOA must live at the zone apex")
         replaced = _rrset_at(node, rtype)
-        self._nodes[labels] = (node + (rrset,) if replaced is None else tuple(
+        self._nodes[owner] = (node + (rrset,) if replaced is None else tuple(
             rrset if r is replaced else r for r in node))
-        self._mark_ancestors(labels)
+        self._mark_ancestors(owner)
         self._mutated()
-        if rtype == RType.NS and rrset.name != self.origin:
-            self._cuts.add(rrset.name)
+        if rtype == RType.NS and owner != self.origin:
+            self._cuts.add(owner)
 
     def add_record(self, record: ResourceRecord) -> None:
         """Insert one record, merging into an existing RRset if present."""
@@ -145,14 +146,14 @@ class Zone:
 
     def remove_rrset(self, name: Name, rtype: RType) -> bool:
         """Delete an RRset; returns whether it existed."""
-        node = self._nodes.get(name.labels, ())
+        node = self._nodes.get(name, ())
         rest = tuple(rrset for rrset in node if rrset.rtype != rtype)
         if len(rest) == len(node):
             return False
         self._mutated()
         if rtype == RType.NS:
             self._cuts.discard(name)
-        self._nodes[name.labels] = rest
+        self._nodes[name] = rest
         if not rest:
             self._reindex_names()
         return True
@@ -165,7 +166,7 @@ class Zone:
     def _mark_ancestors(self, labels: tuple[bytes, ...]) -> None:
         """Add ``labels``' missing ancestors as empty non-terminals; the
         first one present ends the climb (its ancestors are too)."""
-        for i in range(1, len(labels) - len(self.origin.labels) + 1):
+        for i in range(1, len(labels) - len(self.origin) + 1):
             if labels[i:] in self._nodes:
                 return
             self._nodes[labels[i:]] = ()
@@ -192,7 +193,7 @@ class Zone:
         return rdata.serial
 
     def get_rrset(self, name: Name, rtype: RType) -> RRset | None:
-        return _rrset_at(self._nodes.get(name.labels, ()), rtype)
+        return _rrset_at(self._nodes.get(name, ()), rtype)
 
     def iter_rrsets(self):
         """All RRsets in canonical name order (stable for serialize)."""
@@ -204,15 +205,15 @@ class Zone:
     def types_at(self, name: Name) -> frozenset[RType]:
         """The record types present at ``name`` (empty if absent)."""
         return frozenset(rrset.rtype
-                         for rrset in self._nodes.get(name.labels, ()))
+                         for rrset in self._nodes.get(name, ()))
 
     def has_name(self, name: Name) -> bool:
         """Whether :meth:`names` holds ``name``, without copying it."""
-        return name.labels in self._nodes
+        return name in self._nodes
 
     def names(self) -> set[Name]:
         """All names that exist in the zone, including empty non-terminals."""
-        return {Name._from_validated(labels) for labels in self._nodes}
+        return {Name(labels) for labels in self._nodes}
 
     def rrset_count(self) -> int:
         return sum(map(len, self._nodes.values()))
@@ -263,7 +264,7 @@ class Zone:
                                 delegation=delegation,
                                 glue=self._glue_for(delegation))
 
-        node = self._nodes.get(qname.labels)
+        node = self._nodes.get(qname)
         if node is not None:
             return self._answer(node, qname, qtype)
 
@@ -276,14 +277,13 @@ class Zone:
 
     def _wildcard_lookup(self, qname: Name,
                          qtype: RType) -> LookupResult | None:
-        labels = qname.labels
-        for i in range(1, len(labels) - len(self.origin.labels) + 1):
-            if labels[i:] not in self._nodes:
+        for i in range(1, len(qname) - len(self.origin) + 1):
+            if qname[i:] not in self._nodes:
                 continue
             # The first existing ancestor is the closest encloser, and
             # nothing between it and qname exists, so qname is covered
             # by *.<closest encloser> if that node exists.
-            source = (b"*",) + labels[i:]
+            source = (b"*",) + qname[i:]
             node = self._nodes.get(source)
             if node is None:
                 return None
@@ -311,7 +311,7 @@ class Zone:
         for record in delegation.records:
             rdata = record.rdata
             assert isinstance(rdata, NS)
-            node = self._nodes.get(rdata.target.labels, ())
+            node = self._nodes.get(rdata.target, ())
             glue += [addr for addr in (_rrset_at(node, RType.A),
                                        _rrset_at(node, RType.AAAA))
                      if addr is not None]
@@ -364,9 +364,8 @@ class NxdomainIndex:
         self._wildcard_parents: set[tuple[bytes, ...]] = {
             labels[1:] for labels in names if labels and labels[0] == b"*"
         }
-        self._cuts: set[tuple[bytes, ...]] = {
-            cut.labels for cut in zone._cuts}
-        self._origin_len = len(zone.origin.labels)
+        self._cuts: set[tuple[bytes, ...]] = set(zone._cuts)
+        self._origin_len = len(zone.origin)
 
     def __len__(self) -> int:
         """Names indexed — the build cost the ablation benchmark reports."""
@@ -374,7 +373,8 @@ class NxdomainIndex:
 
     def is_nxdomain(self, labels: tuple[bytes, ...]) -> bool:
         """Whether ``Zone.lookup`` returns NXDOMAIN for the name with
-        these ``labels``, which must be at or below the zone origin
+        these ``labels`` (the name itself serves), which must be at or
+        below the zone origin
         (guaranteed when a ZoneStore resolved the name to this zone)."""
         names = self._names
         if labels in names:

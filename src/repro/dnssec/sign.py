@@ -70,7 +70,7 @@ class SignStats:
 
 def _name_wire(name: Name) -> bytes:
     out = bytearray()
-    for label in name.labels:
+    for label in name:
         out.append(len(label))
         out += label
     out.append(0)
@@ -120,7 +120,7 @@ def _rrsig_prefix(rrsig: RRSIG) -> bytes:
 
 def _owner_labels(owner: Name) -> int:
     """RFC 4034 labels field: label count, not counting a leftmost ``*``."""
-    count = len(owner.labels)
+    count = len(owner)
     return count - 1 if owner.is_wildcard else count
 
 
@@ -161,9 +161,9 @@ def verify_rrsig(rrset: RRset, rrsig: RRSIG, dnskeys: list[DNSKEY],
         return (f"RRSIG({rrset.name} {rrset.rtype.name}) key tag "
                 f"{rrsig.key_tag} matches no DNSKEY")
     owner = rrset.name
-    if rrsig.labels < len(owner.labels):
+    if rrsig.labels < len(owner):
         # Wildcard expansion: the signature covers *.<closest encloser>.
-        owner = Name((b"*",) + owner.labels[-rrsig.labels:])
+        owner = Name((b"*",) + owner[-rrsig.labels:])
     data = (_rrsig_prefix(rrsig)
             + canonical_rrset_bytes(rrset, rrsig.original_ttl, owner=owner))
     for key in matching:

@@ -112,7 +112,7 @@ class NXDomainFilter:
         tree = trees.get(zone.origin)
         if tree is None:
             return 0.0
-        if not tree.is_nxdomain(ctx.qname.labels):
+        if not tree.is_nxdomain(ctx.qname):
             return 0.0
         self.penalized += 1
         return PENALTY

@@ -75,10 +75,6 @@ class ZoneStore:
         #: to the same origin. A same-origin replacement leaves it alone
         #: and moves that origin's cell only.
         self.generation = 0
-        #: Same zones keyed by origin label tuple, so the hot
-        #: longest-match walk in :meth:`find` slices label tuples
-        #: instead of constructing a Name per ancestor.
-        self._by_labels: dict[tuple[bytes, ...], Zone] = {}
         self._origins_sorted: tuple[Name, ...] | None = None
         for zone in zones:
             self.add(zone)
@@ -93,12 +89,10 @@ class ZoneStore:
             self.generation += 1
         else:
             cell[0] = zone
-        self._by_labels[origin.labels] = zone
 
     def remove(self, origin: Name) -> bool:
         if self._cells.pop(origin, None) is None:
             return False
-        del self._by_labels[origin.labels]
         self._origins_sorted = None
         self.generation += 1
         return True
@@ -117,15 +111,16 @@ class ZoneStore:
 
         Every query pays for this up to four times (filter, engine,
         zone counter, filter learning), so the suffix walk makes no
-        calls: ``in`` and a slice per label.
+        calls: ``in`` and a slice per label (a label tuple finds the
+        origin Name it equals).
         """
-        labels = qname.labels
-        by_labels = self._by_labels
-        while labels not in by_labels:
+        labels: tuple[bytes, ...] = qname
+        cells = self._cells
+        while labels not in cells:
             if not labels:
                 return None
             labels = labels[1:]
-        return by_labels[labels]
+        return cells[labels][0]
 
     def origins(self) -> list[Name]:
         return list(self.origins_view())
@@ -364,7 +359,7 @@ class AuthoritativeEngine:
         signed = do_bit and zone_is_signed(zone)
         skeleton = serving.skeletons.get(signed)
         if (skeleton is None or not serving.live()
-                or not serving.index.is_nxdomain(qname.labels)):
+                or not serving.index.is_nxdomain(qname)):
             return None
         if (self.mapping is not None
                 and qtype in _ADDRESS_TYPES

@@ -28,17 +28,25 @@ def a_record(owner, addr, ttl=300):
 
 
 class TestFlags:
+    """The header's flag word, written and read by the message codec."""
+
     def test_roundtrip_all_bits(self):
         f = Flags(qr=True, opcode=Opcode.QUERY, aa=True, tc=True, rd=True,
                   ra=True, rcode=RCode.NXDOMAIN)
-        assert Flags.from_wire(f.to_wire()) == f
+        assert Message.from_wire(Message(flags=f).to_wire()).flags == f
 
     def test_defaults_are_zero(self):
-        assert Flags().to_wire() == 0
+        assert Message().to_wire()[2:4] == b"\x00\x00"
 
     def test_unknown_opcode_rejected(self):
         with pytest.raises(WireFormatError):
-            Flags.from_wire(0x7800)  # opcode 15
+            Message.from_wire(b"\x00\x00\x78\x00" + bytes(8))  # opcode 15
+
+    def test_each_decoded_message_has_its_own_flags(self):
+        wire = make_query(1, name("www.ex.com"), RType.A, rd=True).to_wire()
+        first, second = Message.from_wire(wire), Message.from_wire(wire)
+        first.flags.rd = False
+        assert second.flags.rd
 
 
 class TestMessageRoundtrip:

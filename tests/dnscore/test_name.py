@@ -1,5 +1,7 @@
 """Tests for domain name handling."""
 
+import importlib
+
 import pytest
 
 from repro.dnscore import Name, NameError_, ROOT, name
@@ -8,7 +10,7 @@ from repro.dnscore import Name, NameError_, ROOT, name
 class TestParsing:
     def test_simple_name(self):
         n = name("www.example.com")
-        assert n.labels == (b"www", b"example", b"com")
+        assert tuple(n) == (b"www", b"example", b"com")
 
     def test_trailing_dot_optional(self):
         assert name("example.com.") == name("example.com")
@@ -24,12 +26,12 @@ class TestParsing:
 
     def test_escaped_dot(self):
         n = name(r"a\.b.example.com")
-        assert n.labels[0] == b"a.b"
+        assert n[0] == b"a.b"
         assert len(n) == 3
 
     def test_decimal_escape(self):
         n = name(r"a\065b.com")
-        assert n.labels[0] == b"aab"  # \065 = 'A', case-folded
+        assert n[0] == b"aab"  # \065 = 'A', case-folded
 
     def test_decimal_escape_out_of_range(self):
         with pytest.raises(NameError_):
@@ -53,7 +55,7 @@ class TestParsing:
 
     def test_label_max_length_ok(self):
         n = name("a" * 63 + ".com")
-        assert len(n.labels[0]) == 63
+        assert len(n[0]) == 63
 
     def test_name_too_long(self):
         label = "a" * 63
@@ -126,3 +128,25 @@ class TestOrderingAndDisplay:
         n = name("ex.com")
         with pytest.raises(AttributeError):
             n._labels = ()
+
+
+class TestOneKey:
+    """A name is its label tuple: one key in every map."""
+
+    def test_hashes_and_compares_as_its_labels(self):
+        n = name("www.ex.com")
+        labels = (b"www", b"ex", b"com")
+        assert hash(n) == hash(labels) and n == labels
+        assert {labels: 1}[n] == 1 and {n: 1}[labels] == 1
+        assert type(n[1:]) is tuple and {name("ex.com"): 2}[n[1:]] == 2
+
+    def test_ordering_stays_canonical(self):
+        assert name("z.com") < name("a.org")
+        assert name("a.org") > name("z.com")
+        assert name("com") <= name("a.com") and name("a.com") >= name("com")
+
+    def test_text_memo_is_bounded(self):
+        module = importlib.import_module("repro.dnscore.name")
+        for i in range(module._TEXT_MAX + 10):
+            str(Name((b"m%d" % i, b"memo")))
+        assert 0 < len(module._TEXT) <= module._TEXT_MAX

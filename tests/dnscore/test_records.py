@@ -33,6 +33,15 @@ class TestResourceRecord:
         assert original.ttl == 300
         assert aged.rdata == original.rdata
 
+    def test_with_ttl_checks_the_range(self):
+        original = record(ttl=300)
+        with pytest.raises(ValueError):
+            original.with_ttl(-1)
+        with pytest.raises(ValueError):
+            original.with_ttl(2**31)
+        assert original.with_ttl(2**31 - 1) == record(ttl=2**31 - 1)
+        assert hash(original.with_ttl(300)) == hash(original)
+
     def test_to_text(self):
         assert record().to_text() == "r.example. 300 IN A 10.0.0.1"
 
@@ -89,3 +98,8 @@ class TestQuestion:
         b = Question(name("Q.EXAMPLE"), RType.A)
         assert a == b
         assert hash(a) == hash(b)
+
+    def test_immutable(self):
+        q = Question(name("q.example"), RType.A)
+        with pytest.raises(AttributeError):
+            q.qclass = RClass.CH

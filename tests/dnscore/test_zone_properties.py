@@ -158,7 +158,7 @@ def check_against_model(zone, model):
                 assert all(r.ttl == rrset.ttl for r in rrset.records)
     index = zone.derived(NxdomainIndex)
     for probe in EDIT_PROBES:
-        assert index.is_nxdomain(probe.labels) == (
+        assert index.is_nxdomain(probe) == (
             zone.lookup(probe, RType.A).status == LookupStatus.NXDOMAIN)
 
 

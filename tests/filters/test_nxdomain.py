@@ -42,7 +42,7 @@ def covers(zone, qname: str) -> bool:
     """Whether the zone's name tree says ``qname`` gets a
     non-NXDOMAIN answer."""
     tree = zone.derived(NxdomainIndex)
-    return not tree.is_nxdomain(name(qname).labels)
+    return not tree.is_nxdomain(name(qname))
 
 
 class TestZoneNameTree:

@@ -32,6 +32,9 @@ _RESPOND = "        # Fast lane: answer from a live plan without touching the zo
 _RESOLVER_RNG = "            rng=random.Random(self.rng.randrange(2**31)),\n"
 _SEED_TEST = ("tests/experiments/test_seed_provenance.py::"
               "test_every_rng_moves_with_the_seed")
+_MESSAGE = "src/repro/dnscore/message.py"
+_STAMP_TEST = ("tests/server/test_generated_equivalence.py::"
+               "test_plan_cache_equals_assembly_after_every_operation")
 
 MUTANTS = (
     # -- per-file rules: the defect each one names, on a path every
@@ -146,6 +149,31 @@ MUTANTS = (
                 "def run() -> ExperimentResult:\n"),
                ("    rng = random.Random(seed)\n",
                 "    rng = random.Random(42)\n"))),
+    # -- what the codec holds with one construction per value on the
+    # wire path
+    Mutant("compression-offset-off-by-one",
+           "tests/dnscore/test_wire_equivalence.py::test_golden_vector",
+           "src/repro/dnscore/wire.py", (
+               ("                offsets[suffix] = here\n",
+                "                offsets[suffix] = here + 1\n"),)),
+    Mutant("stamp-drops-the-do-bit", _STAMP_TEST, _MESSAGE, (
+        ("\n                edns.payload_size, 0, 0, edns.dnssec_ok,",
+         "\n                edns.payload_size, 0, 0, False,"),)),
+    Mutant("stamp-drops-the-rd-echo", _STAMP_TEST, _MESSAGE, (
+        ("self.aa, False, flags.rd, False,", "self.aa, False, False, False,"),)),
+    Mutant("decoded-messages-share-flags",
+           "tests/dnscore/test_message.py::TestFlags"
+           "::test_each_decoded_message_has_its_own_flags", _MESSAGE, (
+               ("_BLANK_HEADER = bytes(_HEADER.size)\n",
+                "_BLANK_HEADER = bytes(_HEADER.size)\n_DECODED: dict = {}\n"),
+               ("                      bits & _FLAG_RA != 0, rcode)\n",
+                "                      bits & _FLAG_RA != 0, rcode)\n"
+                "        flags = _DECODED.setdefault(bits, flags)\n"))),
+    Mutant("name-order-by-tuple",
+           "tests/dnscore/test_name.py::TestOrderingAndDisplay"
+           "::test_canonical_ordering", "src/repro/dnscore/name.py", (
+               ("        return self[::-1] < other[::-1]\n",
+                "        return tuple(self) < tuple(other)\n"),)),
 )
 
 def plant(mutant: Mutant, source: str) -> str:

@@ -167,7 +167,7 @@ class TestRespond:
 
     def test_chaos_class_refused(self, engine):
         query = make_query(9, name("www.ex.com"), RType.A)
-        object.__setattr__(query.questions[0], "qclass", RClass.CH)
+        query.questions[0] = query.questions[0]._replace(qclass=RClass.CH)
         assert engine.respond(query).rcode == RCode.REFUSED
 
     def test_counters(self, engine):

@@ -232,7 +232,7 @@ class World:
             qname = name(qname)
             if qname.is_subdomain_of(ORIGIN):
                 status = self.zone.lookup(qname, RType.A).status
-                assert index.is_nxdomain(qname.labels) == \
+                assert index.is_nxdomain(qname) == \
                     (status is LookupStatus.NXDOMAIN), qname
 
 
@@ -258,7 +258,7 @@ def test_name_index_agrees_with_lookup(spec, probes):
     for qname in map(name, probes):
         if qname.is_subdomain_of(ORIGIN):
             for qtype in (RType.A, RType.NS):
-                assert index.is_nxdomain(qname.labels) == (
+                assert index.is_nxdomain(qname) == (
                     zone.lookup(qname, qtype).status
                     is LookupStatus.NXDOMAIN), (qname, qtype)
 
@@ -277,21 +277,18 @@ PLANTED = {
         ("twin",)),
     "negative lane without the name index": (
         AuthoritativeEngine, "_neg_fast_lane",
-        "not serving.index.is_nxdomain(qname.labels)", "False", None),
+        "not serving.index.is_nxdomain(qname)", "False", None),
     "probe hit keeps the RD it was first stamped with": (
         AuthoritativeEngine, "respond_probe",
         "reply.flags.rd = query.flags.rd", "pass", None),
     "plan stamped without the query's RD": (
-        ResponseTemplate, "finalize", "rd=query.flags.rd", "rd=False", None),
+        ResponseTemplate, "finalize", "flags.rd", "False", None),
     "plan stamped without its additional section": (
-        ResponseTemplate, "finalize", "additional=list(self.additional)",
-        "additional=[]", None),
+        ResponseTemplate, "finalize", "list(self.additional)", "[]", None),
     "plan stamped without the DO echo": (
-        ResponseTemplate, "finalize", "dnssec_ok=edns.dnssec_ok",
-        "dnssec_ok=False", None),
+        ResponseTemplate, "finalize", "edns.dnssec_ok", "False", None),
     "plan stamped without the ECS echo": (
-        ResponseTemplate, "finalize", "client_subnet=edns.client_subnet",
-        "client_subnet=None", None),
+        ResponseTemplate, "finalize", "edns.client_subnet", "None", None),
 }
 
 

@@ -169,7 +169,8 @@ def stream_digest(kind, count=500, seed=2020):
         now = loop.now
         message = getattr(p.payload, "message", None)
         query = (None if message is None else
-                 (message.msg_id, message.flags.to_wire(),
+                 (message.msg_id,
+                  int.from_bytes(message.to_wire()[2:4], "big"),
                   str(message.question.qname), int(message.question.qtype),
                   len(message.questions), message.edns,
                   p.payload.is_attack))
