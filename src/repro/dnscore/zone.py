@@ -213,7 +213,7 @@ class Zone:
 
     def names(self) -> set[Name]:
         """All names that exist in the zone, including empty non-terminals."""
-        return {Name(labels) for labels in self._nodes}
+        return {Name._from_validated(labels) for labels in self._nodes}
 
     def rrset_count(self) -> int:
         return sum(map(len, self._nodes.values()))
