@@ -16,13 +16,15 @@ from struct import Struct
 from .edns import EDNSOptions
 from .errors import TruncatedMessageError, WireFormatError
 from .name import Name
-from .records import (QUESTION_FIXED, RR_FIXED, Question, ResourceRecord,
-                      RRset)
-from .rrtypes import (OPCODE_BY_VALUE, RCODE_BY_VALUE, Opcode, RClass, RCode,
-                      RType)
+from .rdata import read_rdata
+from .records import MAX_TTL, Question, ResourceRecord, RRset
+from .rrtypes import (OPCODE_BY_VALUE, RCLASS_BY_VALUE, RCODE_BY_VALUE,
+                      RTYPE_BY_VALUE, Opcode, RClass, RCode, RType)
 from .wire import WireReader, WireWriter
 
 _HEADER = Struct("!6H")     # id, flags, qdcount, ancount, nscount, arcount
+_QUESTION_FIXED = Struct("!HH")     # qtype, qclass
+_RR_FIXED = Struct("!HHIH")         # type, class, ttl, rdlength
 _BLANK_HEADER = bytes(_HEADER.size)
 _ROOT_OPT = b"\x00" + RType.OPT.to_bytes(2, "big")     # owner ".", type OPT
 _FLAG_QR = 0x8000
@@ -101,7 +103,7 @@ class Message:
         buf += _BLANK_HEADER            # counts are known only after the cut
         for qname, qtype, qclass in self.questions:
             write_name(qname)
-            buf += QUESTION_FIXED.pack(qtype, qclass)
+            buf += _QUESTION_FIXED.pack(qtype, qclass)
         opt = b"" if self.edns is None else self.edns.to_wire()
         room = (sys.maxsize if max_size is None else max_size) - len(opt)
         truncated = len(buf) > room
@@ -110,18 +112,11 @@ class Message:
             for record in chain(self.answers, self.authority, self.additional):
                 fits = len(buf)
                 write_name(record.name)
-                rdata = record.rdata
-                octets = rdata.octets
-                if octets is not None:
-                    buf += RR_FIXED.pack(record.rtype, record.rclass,
-                                         record.ttl, len(octets))
-                    buf += octets
-                else:
-                    buf += RR_FIXED.pack(record.rtype, record.rclass,
-                                         record.ttl, 0)
-                    start = len(buf)
-                    rdata.write(writer)
-                    writer.patch_u16(start - 2, len(buf) - start)
+                buf += _RR_FIXED.pack(record.rtype, record.rclass, record.ttl,
+                                      0)
+                start = len(buf)
+                record.rdata.write(writer)
+                writer.patch_u16(start - 2, len(buf) - start)
                 if len(buf) > room:
                     del buf[fits:]
                     truncated = True
@@ -166,13 +161,13 @@ class Message:
         # runs in a frame of its own, even over an empty section.
         questions = []
         for _ in range(qdcount):
-            questions.append(Question.read(reader))
+            questions.append(_read_question(reader))
         answers = []
         for _ in range(ancount):
-            answers.append(ResourceRecord.read(reader))
+            answers.append(_read_record(reader))
         authority = []
         for _ in range(nscount):
-            authority.append(ResourceRecord.read(reader))
+            authority.append(_read_record(reader))
         additional = []
         edns = None
         for _ in range(arcount):
@@ -183,7 +178,7 @@ class Message:
                 owner = reader.read_name()
                 if reader.read_u16() != RType.OPT:
                     reader.seek(mark)
-                    additional.append(ResourceRecord.read(reader))
+                    additional.append(_read_record(reader))
                     continue
                 if not owner.is_root:
                     raise WireFormatError("OPT owner name must be root")
@@ -211,6 +206,32 @@ class Message:
                 lines.append(f";; {label}")
                 lines.extend(str(entry) for entry in section)
         return "\n".join(lines)
+
+
+def _read_question(reader: WireReader) -> Question:
+    qname = reader.read_name()
+    qtype_value, qclass_value = reader.unpack(_QUESTION_FIXED)
+    qtype = RTYPE_BY_VALUE.get(qtype_value)
+    if qtype is None:
+        raise WireFormatError(f"unsupported qtype {qtype_value}")
+    qclass = RCLASS_BY_VALUE.get(qclass_value)
+    if qclass is None:
+        raise WireFormatError(f"unsupported qclass {qclass_value}")
+    return Question(qname, qtype, qclass)
+
+
+def _read_record(reader: WireReader) -> ResourceRecord:
+    name = reader.read_name()
+    type_value, class_value, ttl, rdlength = reader.unpack(_RR_FIXED)
+    if ttl > MAX_TTL:
+        # RFC 2181 section 8: a TTL with the high bit set is
+        # treated as zero rather than rejected.
+        ttl = 0
+    rdata = read_rdata(reader, type_value, rdlength)
+    # Unknown types and classes round-trip as opaque integers.
+    return ResourceRecord(name, RTYPE_BY_VALUE.get(type_value, type_value),
+                          RCLASS_BY_VALUE.get(class_value, class_value), ttl,
+                          rdata)
 
 
 def _group_rrsets(records: list[ResourceRecord]) -> list[RRset]:
@@ -245,14 +266,15 @@ def make_query(msg_id: int, qname: Name, qtype: RType,
 def make_response(query: Message, rcode: RCode = RCode.NOERROR,
                   *, aa: bool = True) -> Message:
     """Build an empty response echoing the query's id and question."""
-    flags = query.flags
+    flags = Flags(qr=True, opcode=query.flags.opcode, aa=aa,
+                  rd=query.flags.rd, rcode=rcode)
     edns = query.edns
-    return Message(
-        query.msg_id,
-        Flags(True, flags.opcode, aa, False, flags.rd, False, rcode),
-        list(query.questions), [], [], [],
-        None if edns is None else EDNSOptions(
-            edns.payload_size, 0, 0, edns.dnssec_ok, edns.client_subnet))
+    if edns is not None:
+        edns = EDNSOptions(payload_size=edns.payload_size,
+                           dnssec_ok=edns.dnssec_ok,
+                           client_subnet=edns.client_subnet)
+    return Message(msg_id=query.msg_id, flags=flags,
+                   questions=list(query.questions), edns=edns)
 
 
 class ResponseTemplate:
@@ -296,13 +318,8 @@ class ResponseTemplate:
 
     def finalize(self, query: Message) -> Message:
         """Stamp this plan into a full response for ``query``."""
-        flags = query.flags
-        edns = query.edns
-        return Message(
-            query.msg_id,
-            Flags(True, flags.opcode, self.aa, False, flags.rd, False,
-                  self.rcode),
-            list(query.questions), list(self.answers), list(self.authority),
-            list(self.additional),
-            None if edns is None else EDNSOptions(
-                edns.payload_size, 0, 0, edns.dnssec_ok, edns.client_subnet))
+        response = make_response(query, self.rcode, aa=self.aa)
+        response.answers.extend(self.answers)
+        response.authority.extend(self.authority)
+        response.additional.extend(self.additional)
+        return response

@@ -104,7 +104,8 @@ class Name(tuple):
     A name *is* its label tuple, so it hashes and compares equal to one
     (``hash(name) == hash(labels)``) with no Python frame, and a slice of
     it is a plain label tuple that finds it in any map. Only ordering
-    differs: names sort canonically (RFC 4034 section 6.1).
+    differs: names sort canonically (RFC 4034 section 6.1), against a
+    plain label tuple too, so a set holding both sorts in one order.
     """
 
     __slots__ = ()
@@ -113,13 +114,13 @@ class Name(tuple):
         validated = [_validate_label(lb) for lb in labels]
         if sum(map(len, validated)) + len(validated) >= MAX_NAME_LENGTH:
             raise NameError_(f"name exceeds {MAX_NAME_LENGTH} octets")
-        return _new(cls, validated)
+        return tuple.__new__(cls, validated)
 
-    @classmethod
-    def _from_validated(cls, labels: tuple[bytes, ...]) -> "Name":
-        """A name of labels already validated and case-folded (sliced
-        off an existing name): no check runs."""
-        return _new(cls, labels)
+    #: ``Name._from_validated(labels)``: a name of labels already
+    #: validated and case-folded (sliced off an existing name, or
+    #: bounds-checked by the wire reader), built with no check and no
+    #: Python frame.
+    _from_validated = classmethod(tuple.__new__)
 
     @classmethod
     def from_text(cls, text: str) -> "Name":
@@ -147,7 +148,7 @@ class Name(tuple):
         labels += origin
         if sum(map(len, labels)) + len(labels) >= MAX_NAME_LENGTH:
             raise NameError_(f"name exceeds {MAX_NAME_LENGTH} octets")
-        return _new(cls, labels)
+        return cls._from_validated(labels)
 
     def _interned(self) -> "Name":
         """Self, or the previously-interned equal instance if one exists."""
@@ -183,7 +184,7 @@ class Name(tuple):
         cached = _INTERN.get(rest)
         if cached is not None:
             return cached
-        return _new(Name, rest)._interned()
+        return Name._from_validated(rest)._interned()
 
     def ancestors(self) -> Iterator["Name"]:
         """Yield ``self``, its parent, ..., down to the root name."""
@@ -210,29 +211,29 @@ class Name(tuple):
         validated = _validate_label(raw)
         if self.wire_length() + len(validated) + 1 > MAX_NAME_LENGTH:
             raise NameError_(f"name exceeds {MAX_NAME_LENGTH} octets")
-        return _new(Name, (validated, *self))
+        return Name._from_validated((validated, *self))
 
     def canonical_key(self) -> tuple[bytes, ...]:
         """Sort key for RFC 4034 canonical ordering (reversed label order)."""
         return self[::-1]
 
     def __lt__(self, other: object) -> bool:
-        if not isinstance(other, Name):
+        if not isinstance(other, tuple):
             return NotImplemented
         return self[::-1] < other[::-1]
 
     def __le__(self, other: object) -> bool:
-        if not isinstance(other, Name):
+        if not isinstance(other, tuple):
             return NotImplemented
         return self[::-1] <= other[::-1]
 
     def __gt__(self, other: object) -> bool:
-        if not isinstance(other, Name):
+        if not isinstance(other, tuple):
             return NotImplemented
         return self[::-1] > other[::-1]
 
     def __ge__(self, other: object) -> bool:
-        if not isinstance(other, Name):
+        if not isinstance(other, tuple):
             return NotImplemented
         return self[::-1] >= other[::-1]
 
@@ -268,8 +269,6 @@ class Name(tuple):
     def __repr__(self) -> str:
         return f"Name({str(self)!r})"
 
-
-_new = tuple.__new__
 
 #: Flyweight table: validated label tuple -> shared Name. Extends the
 #: parse cache one level down so *derived* names (parents, wildcard

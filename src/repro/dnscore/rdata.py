@@ -41,14 +41,9 @@ def _register(cls: type["Rdata"]) -> type["Rdata"]:
 
 
 class Rdata:
-    """Base class; subclasses set :attr:`rtype` and implement the codecs.
-
-    ``octets`` is the rdata's wire form where a subclass keeps it (no
-    name inside to compress), else None and the encoder calls ``write``.
-    """
+    """Base class; subclasses set :attr:`rtype` and implement the codecs."""
 
     rtype: ClassVar[RType]
-    octets: bytes | None = None
 
     def write(self, writer: WireWriter) -> None:
         raise NotImplementedError

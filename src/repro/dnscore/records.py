@@ -8,20 +8,13 @@ which an authoritative server stores and serves data (RFC 2181 section 5).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from struct import Struct
 from typing import NamedTuple
 
-from .errors import WireFormatError
 from .name import Name
-from .rdata import Rdata, read_rdata
-from .rrtypes import RCLASS_BY_VALUE, RTYPE_BY_VALUE, RClass, RType
-from .wire import WireReader
+from .rdata import Rdata
+from .rrtypes import RClass, RType
 
 MAX_TTL = 2**31 - 1
-
-QUESTION_FIXED = Struct("!HH")      # qtype, qclass
-RR_FIXED = Struct("!HHIH")          # type, class, ttl, rdlength
-_new = tuple.__new__
 
 
 class Question(NamedTuple):
@@ -30,18 +23,6 @@ class Question(NamedTuple):
     qname: Name
     qtype: RType
     qclass: RClass = RClass.IN
-
-    @classmethod
-    def read(cls, reader: WireReader) -> "Question":
-        qname = reader.read_name()
-        qtype_value, qclass_value = reader.unpack(QUESTION_FIXED)
-        qtype = RTYPE_BY_VALUE.get(qtype_value)
-        if qtype is None:
-            raise WireFormatError(f"unsupported qtype {qtype_value}")
-        qclass = RCLASS_BY_VALUE.get(qclass_value)
-        if qclass is None:
-            raise WireFormatError(f"unsupported qclass {qclass_value}")
-        return _new(cls, (qname, qtype, qclass))
 
     def __str__(self) -> str:
         return f"{self.qname} {self.qclass.name} {self.qtype.name}"
@@ -60,19 +41,6 @@ class ResourceRecord:
     def __post_init__(self) -> None:
         if not 0 <= self.ttl <= MAX_TTL:
             raise ValueError(f"TTL {self.ttl} out of range")
-
-    @classmethod
-    def read(cls, reader: WireReader) -> "ResourceRecord":
-        name = reader.read_name()
-        type_value, class_value, ttl, rdlength = reader.unpack(RR_FIXED)
-        if ttl > MAX_TTL:
-            # RFC 2181 section 8: a TTL with the high bit set is
-            # treated as zero rather than rejected.
-            ttl = 0
-        rdata = read_rdata(reader, type_value, rdlength)
-        # Unknown types and classes round-trip as opaque integers.
-        return cls(name, RTYPE_BY_VALUE.get(type_value, type_value),
-                   RCLASS_BY_VALUE.get(class_value, class_value), ttl, rdata)
 
     def with_ttl(self, ttl: int) -> "ResourceRecord":
         """A copy of this record with a different TTL (cache aging).

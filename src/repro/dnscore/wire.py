@@ -28,7 +28,6 @@ _U16 = Struct("!H")
 _U32 = Struct("!I")
 _IPV4 = Struct("!4B")
 _IPV6 = Struct("!8H")
-_new = tuple.__new__
 
 
 def pack_ipv4(text: str) -> bytes:
@@ -222,4 +221,4 @@ class WireReader:
         self._pos = return_pos if return_pos >= 0 else pos + 1
         # Bounds-checked and case-folded above: one construction, not
         # interned (wire input is attacker-supplied).
-        return _new(Name, labels)
+        return Name._from_validated(labels)

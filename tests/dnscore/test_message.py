@@ -135,13 +135,13 @@ class TestTruncation:
 class TestHelpers:
     def test_make_response_echoes(self):
         q = make_query(42, name("x.com"), RType.AAAA, rd=True,
-                       edns=EDNSOptions(payload_size=1232))
+                       edns=EDNSOptions(payload_size=1232, dnssec_ok=True))
         r = make_response(q, RCode.NXDOMAIN)
         assert r.msg_id == 42
         assert r.flags.qr and r.flags.rd
         assert r.rcode == RCode.NXDOMAIN
         assert r.questions == q.questions
-        assert r.edns.payload_size == 1232
+        assert r.edns.payload_size == 1232 and r.edns.dnssec_ok
 
     def test_question_property_requires_one(self):
         m = Message()

@@ -145,6 +145,14 @@ class TestOneKey:
         assert name("a.org") > name("z.com")
         assert name("com") <= name("a.com") and name("a.com") >= name("com")
 
+    def test_ordering_against_a_label_tuple_is_canonical(self):
+        # Tuple order would put (b"z", b"com") after (b"a", b"org").
+        labels = (b"z", b"com")
+        assert name("a.org") > labels and labels < name("a.org")
+        assert name("z.com") <= labels <= name("z.com")
+        assert sorted([name("a.org"), labels, name("com")]) == \
+            [name("com"), labels, name("a.org")]
+
     def test_text_memo_is_bounded(self):
         module = importlib.import_module("repro.dnscore.name")
         for i in range(module._TEXT_MAX + 10):

@@ -33,8 +33,8 @@ _RESOLVER_RNG = "            rng=random.Random(self.rng.randrange(2**31)),\n"
 _SEED_TEST = ("tests/experiments/test_seed_provenance.py::"
               "test_every_rng_moves_with_the_seed")
 _MESSAGE = "src/repro/dnscore/message.py"
-_STAMP_TEST = ("tests/server/test_generated_equivalence.py::"
-               "test_plan_cache_equals_assembly_after_every_operation")
+_STAMP_TEST = ("tests/dnscore/test_message.py::TestHelpers"
+               "::test_make_response_echoes")
 
 MUTANTS = (
     # -- per-file rules: the defect each one names, on a path every
@@ -157,10 +157,9 @@ MUTANTS = (
                ("                offsets[suffix] = here\n",
                 "                offsets[suffix] = here + 1\n"),)),
     Mutant("stamp-drops-the-do-bit", _STAMP_TEST, _MESSAGE, (
-        ("\n                edns.payload_size, 0, 0, edns.dnssec_ok,",
-         "\n                edns.payload_size, 0, 0, False,"),)),
+        ("dnssec_ok=edns.dnssec_ok,", "dnssec_ok=False,"),)),
     Mutant("stamp-drops-the-rd-echo", _STAMP_TEST, _MESSAGE, (
-        ("self.aa, False, flags.rd, False,", "self.aa, False, False, False,"),)),
+        ("rd=query.flags.rd,", "rd=False,"),)),
     Mutant("decoded-messages-share-flags",
            "tests/dnscore/test_message.py::TestFlags"
            "::test_each_decoded_message_has_its_own_flags", _MESSAGE, (

@@ -188,8 +188,8 @@ def definitions(root: Path) -> list[Definition]:
 
 def options(root: Path) -> list[Option]:
     """Every constructor parameter under ``root`` that has a default:
-    the defaulted fields of a dataclass and the defaulted arguments of
-    an ``__init__``, in file order. Left out, because a caller does not
+    the defaulted fields of a dataclass or a ``NamedTuple`` and the
+    defaulted arguments of an ``__init__``, in file order. Left out, because a caller does not
     choose them: ``init=False`` and ``ClassVar`` fields; an empty
     ``list`` / ``dict`` / ``set`` from a ``default_factory``, which is
     where an object accumulates; and, outside the config classes, a
@@ -206,7 +206,9 @@ def options(root: Path) -> list[Option]:
                 continue
             owner = f"{scope}{child.name}"
             is_dataclass = any("dataclass" in ast.unparse(d)
-                               for d in child.decorator_list)
+                               for d in child.decorator_list) or any(
+                ast.unparse(base).endswith("NamedTuple")
+                for base in child.bases)
             kept = set() if CONFIG_CLASS.search(owner) else state
             for stmt in child.body:
                 if (is_dataclass and isinstance(stmt, ast.AnnAssign)
@@ -337,6 +339,12 @@ def _show(value: object) -> str:
     return f"<{getattr(value, '__qualname__', type(value).__qualname__)}>"
 
 
+#: The frames whose arguments the options census reads: ``__init__``
+#: and ``__new__``, which ``collections.namedtuple`` (so a
+#: ``NamedTuple``) builds as a lambda.
+_CONSTRUCTORS = frozenset({"__init__", "__new__", "<lambda>"})
+
+
 class _Watch:
     """One watched constructor: what is read from its frames, the class
     whose writes are recorded instead, and the constructions left."""
@@ -354,7 +362,7 @@ class Census:
     """The values the constructors under ``root`` are called with.
 
     ``constructed`` is fed every ``__init__`` frame the profile hook
-    sees. The first frame of a code object decides whether it is watched
+    sees, and every ``__new__`` frame (a ``NamedTuple`` is built there). The first frame of a code object decides whether it is watched
     (its class is defined under ``root`` and ``options`` lists some of
     its parameters). A dataclass that is not frozen gets a recording
     ``__setattr__`` on the class for as long as it is watched, so
@@ -418,9 +426,16 @@ class Census:
         code = frame.f_code
         if not code.co_argcount:
             return None
-        instance = frame.f_locals[code.co_varnames[0]]
-        for cls in type(instance).__mro__:
-            init = vars(cls).get("__init__")
+        first = frame.f_locals[code.co_varnames[0]]
+        if code.co_name == "__init__":
+            method, mro = "__init__", type(first).__mro__
+        elif isinstance(first, type):   # ``__new__`` is handed the class
+            method, mro = "__new__", first.__mro__
+        else:
+            return None
+        for cls in mro:
+            init = vars(cls).get(method)
+            init = getattr(init, "__func__", init)  # __new__: staticmethod
             if getattr(init, "__code__", None) is code:
                 break
         else:
@@ -480,7 +495,7 @@ def _child(out: str, root: str, kind: str, target: str,
         if event == "call":
             code = frame.f_code
             codes.add(code)
-            if code.co_name == "__init__":
+            if code.co_name in _CONSTRUCTORS:
                 census.constructed(frame)
 
     os.register_at_fork(after_in_child=lambda: sys.setprofile(None))

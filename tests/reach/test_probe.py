@@ -65,10 +65,12 @@ conf.Server("a"), conf.Server("b", depth=4, mode="fast")
 first, second = conf.Config(), conf.Config(varied=2)
 second.written = 3
 conf.Frozen(), conf.Frozen(varied=2)
+conf.Pair(1), conf.Pair(1, right=3)
 '''
 
 CONF = '''\
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 @dataclass
@@ -99,6 +101,11 @@ class Stats:
 
 def send(stats):
     stats.sent += 1
+
+
+class Pair(NamedTuple):
+    left: int
+    right: int = 2
 '''
 
 TOOL = '''\
@@ -219,7 +226,7 @@ class TestOptionsCensus:
             "conf.py::Config.written", "conf.py::Frozen.fixed",
             "conf.py::Frozen.varied", "conf.py::Server.depth",
             "conf.py::Server.mode", "conf.py::Stats.limit",
-            "tool.py::ToolParams.scale"]
+            "conf.py::Pair.right", "tool.py::ToolParams.scale"]
 
     def test_keyword_passed_one_value_is_reported(self, census):
         _, single, values = census
@@ -234,6 +241,11 @@ class TestOptionsCensus:
         assert values["conf.py::Server.mode"] == {"'slow'", "'fast'"}
         assert not {"conf.py::Server.mode", "conf.py::Config.varied",
                     "conf.py::Frozen.varied"} & set(single)
+
+    def test_named_tuple_field_is_read_from_its_new(self, census):
+        _, single, values = census
+        assert values["conf.py::Pair.right"] == {"2", "3"}
+        assert "conf.py::Pair.right" not in single
 
     def test_attribute_written_after_construction_counts(self, census):
         _, single, values = census

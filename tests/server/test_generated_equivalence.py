@@ -263,6 +263,11 @@ def test_name_index_agrees_with_lookup(spec, probes):
                     is LookupStatus.NXDOMAIN), (qname, qtype)
 
 
+#: ``finalize``'s last line as ``mutated`` reads it (dedented): a defect
+#: planted before it overwrites one field the plan stamped.
+_RETURN = "\n    return response"
+_SET_EDNS = "\n    if response.edns is not None:\n        response.edns."
+
 #: (class, method, text planted out, text planted in, operation after
 #: the first check or None): each a defect the property above catches.
 PLANTED = {
@@ -282,13 +287,17 @@ PLANTED = {
         AuthoritativeEngine, "respond_probe",
         "reply.flags.rd = query.flags.rd", "pass", None),
     "plan stamped without the query's RD": (
-        ResponseTemplate, "finalize", "flags.rd", "False", None),
+        ResponseTemplate, "finalize", _RETURN,
+        "\n    response.flags.rd = False" + _RETURN, None),
     "plan stamped without its additional section": (
-        ResponseTemplate, "finalize", "list(self.additional)", "[]", None),
+        ResponseTemplate, "finalize",
+        "response.additional.extend(self.additional)", "pass", None),
     "plan stamped without the DO echo": (
-        ResponseTemplate, "finalize", "edns.dnssec_ok", "False", None),
+        ResponseTemplate, "finalize", _RETURN,
+        _SET_EDNS + "dnssec_ok = False" + _RETURN, None),
     "plan stamped without the ECS echo": (
-        ResponseTemplate, "finalize", "edns.client_subnet", "None", None),
+        ResponseTemplate, "finalize", _RETURN,
+        _SET_EDNS + "client_subnet = None" + _RETURN, None),
 }
 
 

