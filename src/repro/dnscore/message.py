@@ -25,6 +25,7 @@ from .wire import WireReader, WireWriter
 _HEADER = Struct("!6H")     # id, flags, qdcount, ancount, nscount, arcount
 _QUESTION_FIXED = Struct("!HH")     # qtype, qclass
 _RR_FIXED = Struct("!HHIH")         # type, class, ttl, rdlength
+_RDLENGTH = Struct("!H")            # back-patched once the rdata is written
 _BLANK_HEADER = bytes(_HEADER.size)
 _ROOT_OPT = b"\x00" + RType.OPT.to_bytes(2, "big")     # owner ".", type OPT
 _FLAG_QR = 0x8000
@@ -116,7 +117,7 @@ class Message:
                                       0)
                 start = len(buf)
                 record.rdata.write(writer)
-                writer.patch_u16(start - 2, len(buf) - start)
+                _RDLENGTH.pack_into(buf, start - 2, len(buf) - start)
                 if len(buf) > room:
                     del buf[fits:]
                     truncated = True

@@ -118,10 +118,6 @@ class WireWriter:
             buf += label
         buf.append(0)
 
-    def patch_u16(self, offset: int, value: int) -> None:
-        """Overwrite a previously written 16-bit field (rdlength back-patch)."""
-        _U16.pack_into(self.buf, offset, value)
-
 
 class WireReader:
     """Cursor over a received DNS message with pointer-safe name parsing."""

@@ -52,13 +52,6 @@ class TestWriter:
         w.write_name(name("."))
         assert w.getvalue() == b"\x00"
 
-    def test_patch_u16(self):
-        w = WireWriter()
-        w.write_u16(0)
-        w.write_u8(7)
-        w.patch_u16(0, 0xBEEF)
-        assert w.getvalue() == b"\xbe\xef\x07"
-
 
 class TestReader:
     def test_roundtrip_compressed(self):
