@@ -25,6 +25,7 @@ _OPTION_FIXED = Struct("!HH")       # option code, option length
 #: flags, rdlength (RFC 6891 section 6.1.2).
 _OPT_RR = Struct("!BHHBBHH")
 _OPT_BODY = Struct("!HBBHH")        # the same, after owner name and type
+_OPT = RType.OPT                    # a module read, not an Enum class read
 _FLAG_DO = 0x8000
 #: Address width in octets per ECS family (RFC 7871 section 6).
 _ECS_FAMILY_OCTETS = {1: 4, 2: 16}
@@ -106,7 +107,7 @@ class EDNSOptions:
         for code, data in self.unknown_options:
             options += _OPTION_FIXED.pack(code, len(data)) + data
         return _OPT_RR.pack(
-            0, RType.OPT, self.payload_size, self.extended_rcode, self.version,
+            0, _OPT, self.payload_size, self.extended_rcode, self.version,
             _FLAG_DO if self.dnssec_ok else 0, len(options)) + options
 
     @classmethod

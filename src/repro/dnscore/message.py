@@ -162,7 +162,15 @@ class Message:
         # runs in a frame of its own, even over an empty section.
         questions = []
         for _ in range(qdcount):
-            questions.append(_read_question(reader))
+            qname = reader.read_name()
+            qtype_value, qclass_value = reader.unpack(_QUESTION_FIXED)
+            qtype = RTYPE_BY_VALUE.get(qtype_value)
+            if qtype is None:
+                raise WireFormatError(f"unsupported qtype {qtype_value}")
+            qclass = RCLASS_BY_VALUE.get(qclass_value)
+            if qclass is None:
+                raise WireFormatError(f"unsupported qclass {qclass_value}")
+            questions.append(Question(qname, qtype, qclass))
         answers = []
         for _ in range(ancount):
             answers.append(_read_record(reader))
@@ -207,18 +215,6 @@ class Message:
                 lines.append(f";; {label}")
                 lines.extend(str(entry) for entry in section)
         return "\n".join(lines)
-
-
-def _read_question(reader: WireReader) -> Question:
-    qname = reader.read_name()
-    qtype_value, qclass_value = reader.unpack(_QUESTION_FIXED)
-    qtype = RTYPE_BY_VALUE.get(qtype_value)
-    if qtype is None:
-        raise WireFormatError(f"unsupported qtype {qtype_value}")
-    qclass = RCLASS_BY_VALUE.get(qclass_value)
-    if qclass is None:
-        raise WireFormatError(f"unsupported qclass {qclass_value}")
-    return Question(qname, qtype, qclass)
 
 
 def _read_record(reader: WireReader) -> ResourceRecord:

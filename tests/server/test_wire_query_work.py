@@ -18,9 +18,9 @@ from repro.tools import profile
 
 #: Per query over the eight classes, the new value + 5 %: calls made
 #: (203.4 while a Name was an object holding its labels and a Question
-#: a frozen dataclass; 167.5 since) and dataclass records (7.6, then
+#: a frozen dataclass; 166.5 since) and dataclass records (7.6, then
 #: 6.6: a Question is a tuple).
-CALLS_PER_QUERY = 175.9
+CALLS_PER_QUERY = 174.8
 RECORDS_PER_QUERY = 6.96
 
 EDNS_SIZE = 1232
