@@ -114,7 +114,9 @@ class _Edge(NamedTuple):
 class _LinkView:
     """What the data plane reads off one topology version and one link
     state, resolved per node on first use instead of per packet or edge
-    relaxation. :class:`Network` drops the whole object when either moves.
+    relaxation. :class:`Network` drops the whole object when the topology
+    moves, and when a link's state moves, that link's two ends' edge maps
+    and every distance table (a link on one source's tree is on most).
     """
 
     def __init__(self, version: int) -> None:
@@ -291,7 +293,7 @@ class Network:
         if state.up == up:
             return
         state.up = up
-        self._link_view = None
+        self._link_changed(a, b)
         self._bump_route_epoch()
         speaker_a = self._speakers.get(a)
         speaker_b = self._speakers.get(b)
@@ -329,7 +331,7 @@ class Network:
         state.loss = loss
         state.extra_latency_ms = extra_latency_ms
         # Added latency changes shortest paths.
-        self._link_view = None
+        self._link_changed(a, b)
         self._bump_route_epoch()
 
     def link_degradation(self, a: str, b: str) -> tuple[float, float]:
@@ -622,6 +624,15 @@ class Network:
             # Link state changed, or the topology grew (new hosts/links).
             view = self._link_view = _LinkView(self.topology.version)
         return view
+
+    def _link_changed(self, a: str, b: str) -> None:
+        """Drop what the a—b link's state went into: the edge maps of its
+        two ends and every unicast distance table."""
+        view = self._link_view
+        if view is not None:
+            view.edges.pop(a, None)
+            view.edges.pop(b, None)
+            view.distances.clear()
 
     def _edges(self, view: _LinkView, node_id: str) -> dict[str, _Edge]:
         edges = view.edges.get(node_id)

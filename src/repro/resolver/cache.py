@@ -38,7 +38,13 @@ class NegativeEntry:
 
 
 class DNSCache:
-    """TTL-driven cache of positive RRsets and negative answers."""
+    """TTL-driven cache of positive RRsets and negative answers.
+
+    The one owner of the RRsets it stores: lookups return them as they
+    are, and no reader changes them (a stored RRset is replaced by
+    :meth:`put`, never edited), so a resolution can keep a reference
+    where it used to keep a copy.
+    """
 
     def __init__(self, max_entries: int = 100_000) -> None:
         self._positive: dict[tuple[Name, RType], CacheEntry] = {}
@@ -65,10 +71,13 @@ class DNSCache:
             self._make_room(self._negative, now)
         self._negative[(qname, qtype)] = NegativeEntry(rcode, now + ttl)
 
-    def get(self, qname: Name, qtype: RType, now: float) -> RRset | None:
-        """The live stored RRset, copied with its TTL aged, or None: what
-        leaves the resolver. An entry at or past its expiry is dropped on
-        the read that finds it, which counts a miss; a live one, a hit."""
+    def get(self, qname: Name, qtype: RType,
+            now: float) -> tuple[RRset, int] | None:
+        """(the live stored RRset, its TTL aged to ``now``), or None. The
+        RRset is the cache's own, not a copy: a reader that hands it out
+        stamps a copy at the TTL (:meth:`RRset.with_ttl`). An entry at or
+        past its expiry is dropped on the read that finds it, which
+        counts a miss; a live one, a hit."""
         key = (qname, qtype)
         entry = self._positive.get(key)
         if entry is None or entry.expires_at <= now:
@@ -78,15 +87,14 @@ class DNSCache:
             return None
         self.hits += 1
         # A live entry expires after ``now``: the aged TTL is positive.
-        return entry.rrset.with_ttl(int(entry.expires_at - now))
+        return entry.rrset, int(entry.expires_at - now)
 
     def glue(self, ns_rrset: RRset, now: float,
              addresses: list[str]) -> list[Name]:
         """Append to ``addresses`` the cached A then AAAA addresses of each
         NS target of ``ns_rrset``, in record order; return the targets
         with neither. Each (target, type) read is one lookup of the stored
-        entry, counted and expired lazily as in :meth:`get`; no RRset is
-        copied."""
+        entry, counted and expired lazily as in :meth:`get`."""
         positive = self._positive
         glueless: list[Name] = []
         hits = misses = 0
@@ -123,7 +131,7 @@ class DNSCache:
     def best_delegation(self, qname: Name,
                         now: float) -> tuple[Name, RRset] | None:
         """The deepest live NS entry enclosing ``qname`` as (owner, the
-        stored RRset), not a copy. Each ancestor, deepest first, is one
+        stored RRset). Each ancestor, deepest first, is one
         lookup, counted and expired lazily as in :meth:`get`."""
         positive = self._positive
         ancestor = qname

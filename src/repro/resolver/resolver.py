@@ -62,16 +62,24 @@ _CNAME = RType.CNAME
 _NS = RType.NS
 _QUERY = Opcode.QUERY
 _IN = RClass.IN
+_ADDRESS_TYPES = (RType.A, RType.AAAA)
 
 
 @dataclass(slots=True)
 class ResolutionResult:
-    """Outcome of one recursive resolution."""
+    """Outcome of one recursive resolution.
+
+    ``chain`` is the answer chain as (RRset, TTL) pairs: each RRset the
+    one the resolver cached (a cache hit's stored RRset, or the grouped
+    RRset of the response it just cached), never a copy, and each TTL
+    the one the resolution read, fixed by the time it finished.
+    :attr:`answers` stamps the copies a caller may keep and change.
+    """
 
     qname: Name
     qtype: RType
     rcode: RCode
-    answers: list[RRset] = field(default_factory=list)
+    chain: list[tuple[RRset, int]] = field(default_factory=list)
     started_at: float = 0.0
     finished_at: float = 0.0
     queries_sent: int = 0
@@ -87,11 +95,18 @@ class ResolutionResult:
     def failed(self) -> bool:
         return self.rcode not in (RCode.NOERROR, RCode.NXDOMAIN)
 
+    @property
+    def answers(self) -> list[RRset]:
+        """The answer chain as RRsets stamped with their TTLs: new copies
+        on every read, so changing one changes neither the cache nor the
+        next read."""
+        return [rrset.with_ttl(ttl) for rrset, ttl in self.chain]
+
     def addresses(self) -> list[str]:
         """All A/AAAA rdata strings in the answer chain."""
         out = []
-        for rrset in self.answers:
-            if rrset.rtype in (RType.A, RType.AAAA):
+        for rrset, _ttl in self.chain:
+            if rrset.rtype in _ADDRESS_TYPES:
                 out.extend(r.rdata.address for r in rrset.records)
         return out
 
@@ -102,7 +117,7 @@ ResolveCallback = Callable[[ResolutionResult], None]
 class _Resolution:
     """State machine for one in-flight resolution."""
 
-    __slots__ = ("target", "qtype", "callback", "result", "answers",
+    __slots__ = ("target", "qtype", "callback", "result", "chain",
                  "attempts", "referrals", "tried", "pending_query",
                  "timeout_handle", "done", "sub_depth", "glue_chased",
                  "span", "attempt_span")
@@ -113,8 +128,8 @@ class _Resolution:
         self.qtype = qtype
         self.callback = callback
         #: The answer chain; the result holds this same list.
-        self.answers: list[RRset] = []
-        self.result = ResolutionResult(qname, qtype, _SERVFAIL, self.answers,
+        self.chain: list[tuple[RRset, int]] = []
+        self.result = ResolutionResult(qname, qtype, _SERVFAIL, self.chain,
                                        resolver.loop.now, 0.0, 0, 0, [],
                                        False)
         self.attempts = 0
@@ -184,20 +199,21 @@ class RecursiveResolver:
         if negative is not None:
             self._finish(resolution, negative, True)
             return
-        # Positive cache, following CNAMEs that are cached.
+        # Positive cache, following CNAMEs that are cached. A hit is
+        # (stored RRset, aged TTL), the chain's own pair form.
         chased = 0
         while chased < 16:
             answer = cache.get(target, qtype, now)
             if answer is not None:
-                resolution.answers.append(answer)
+                resolution.chain.append(answer)
                 self._finish(resolution, _NOERROR,
                              resolution.result.queries_sent == 0)
                 return
             cname = cache.get(target, _CNAME, now)
             if cname is None or qtype == _CNAME:
                 break
-            resolution.answers.append(cname)
-            rdata = cname.records[0].rdata
+            resolution.chain.append(cname)
+            rdata = cname[0].records[0].rdata
             assert isinstance(rdata, CNAME)
             resolution.target = target = rdata.target
             chased += 1
@@ -413,10 +429,10 @@ class RecursiveResolver:
             terminal = False
             target = resolution.target
             qtype = resolution.qtype
-            answers = resolution.answers
+            chain = resolution.chain
             for rrset in answer_sets:
-                # A copy: no RRset the cache holds is reachable from a result.
-                answers.append(rrset.with_ttl(rrset.ttl))
+                # The grouped RRset put above, at the TTL it came with.
+                chain.append((rrset, rrset.ttl))
                 if rrset.name == target and rrset.rtype == qtype:
                     terminal = True
                 elif rrset.rtype == _CNAME and rrset.name == target:

@@ -90,7 +90,8 @@ class ResolverService:
                                          now)
         if cached is not None:
             self.stats.cache_answers += 1
-            self._reply(dgram, query, RCode.NOERROR, [cached])
+            rrset, ttl = cached
+            self._reply(dgram, query, RCode.NOERROR, [rrset.with_ttl(ttl)])
             return
 
         self._pending[key] = [(dgram, query)]
@@ -104,8 +105,9 @@ class ResolverService:
         waiting = self._pending.pop(key, [])
         if result.failed:
             self.stats.servfails += 1
+        answers = result.answers
         for dgram, query in waiting:
-            self._reply(dgram, query, result.rcode, result.answers)
+            self._reply(dgram, query, result.rcode, answers)
 
     def _reply(self, client_dgram: Datagram, query: Message,
                rcode: RCode, answers) -> None:

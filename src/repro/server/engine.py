@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from typing import Callable, Protocol
 
+from ..dnscore.edns import ClientSubnetOption
 from ..dnscore.message import Message, ResponseTemplate, make_response
 from ..dnscore.name import Name
 from ..dnscore.records import RRset
@@ -32,6 +33,7 @@ from ..dnssec.sign import SigningPolicy, covering_rrsigs, zone_is_signed
 #: Hoisted for the per-query gates and counters below.
 _QUERY = Opcode.QUERY
 _IN = RClass.IN
+_NOERROR = RCode.NOERROR
 _NXDOMAIN = RCode.NXDOMAIN
 #: The qtypes a mapping provider may tailor.
 _ADDRESS_TYPES = (RType.A, RType.AAAA)
@@ -387,7 +389,7 @@ class AuthoritativeEngine:
         """The slow path: full zone walk, populating the plan caches.
         ``zone`` is the question's ``store.find`` when the fast lane
         already made it (None included)."""
-        if query.flags.opcode != Opcode.QUERY:
+        if query.flags.opcode != _QUERY:
             return self._finish(query, make_response(
                 query, RCode.NOTIMP, aa=False))
         try:
@@ -395,11 +397,12 @@ class AuthoritativeEngine:
         except Exception:
             return self._finish(query, make_response(
                 query, RCode.FORMERR, aa=False))
-        if question.qclass != RClass.IN:
+        if question.qclass != _IN:
             return self._finish(query, make_response(
                 query, RCode.REFUSED, aa=False))
-        if query.edns is not None and query.edns.client_subnet is not None:
-            client_key = str(query.edns.client_subnet.network())
+        subnet = None if query.edns is None else query.edns.client_subnet
+        if subnet is not None:
+            client_key = str(subnet.network())
 
         if zone is _UNSEEN:
             zone = self.store.find(question.qname)
@@ -415,7 +418,7 @@ class AuthoritativeEngine:
 
         # The slow path's job is assembly; its product populates the
         # plan cache below.
-        response = make_response(query, RCode.NOERROR, aa=True)
+        response = make_response(query, _NOERROR, aa=True)
         cacheable = True
 
         # Mapping hook: tailored answers for GTM/CDN names. (qtype is
@@ -429,6 +432,8 @@ class AuthoritativeEngine:
                                          client_key)
             if mapped is not None:
                 response.add_rrset("answers", mapped)
+                if subnet is not None:
+                    _scope_to_source(response, subnet)
                 return self._finish(query, response)
 
         chain, result = zone.cname_chain(question.qname, question.qtype)
@@ -448,6 +453,8 @@ class AuthoritativeEngine:
                 tailored = provider.delegation(delegation.name, client_key)
                 if tailored is not None:
                     delegation, glue_sets = tailored
+                    if subnet is not None:
+                        _scope_to_source(response, subnet)
             response.add_rrset("authority", delegation)
             for glue in glue_sets:
                 response.add_rrset("additional", glue)
@@ -555,7 +562,7 @@ class AuthoritativeEngine:
             if compact:
                 # Black lies: the synthesized proof says the name
                 # exists with no data, so the rcode follows suit.
-                response.flags.rcode = RCode.NOERROR
+                response.flags.rcode = _NOERROR
                 self._attach_compact_denial(zone, question.qname, response)
                 return False
             self._attach_chain_denial(zone, question.qname, response,
@@ -609,7 +616,7 @@ class AuthoritativeEngine:
                 authority = authority + tuple(sigs.records)
         serving.index = zone.derived(NxdomainIndex)
         serving.skeletons[signed_compact] = ResponseTemplate(
-            True, RCode.NOERROR if signed_compact else RCode.NXDOMAIN,
+            True, _NOERROR if signed_compact else _NXDOMAIN,
             (), authority, ())
 
     def respond_probe(self, query: Message) -> Message:
@@ -648,3 +655,13 @@ class AuthoritativeEngine:
             for observer in observers:
                 observer(query, response)
         return response
+
+
+def _scope_to_source(response: Message, subnet: ClientSubnetOption) -> None:
+    """Echo ``subnet`` with SCOPE PREFIX-LENGTH = SOURCE PREFIX-LENGTH: the
+    answer was tailored to the query's whole source prefix, and is valid
+    for that subnet only (RFC 7871 section 7.2.1). An untailored answer
+    keeps the echo as sent, scope 0: valid for every client."""
+    response.edns.client_subnet = ClientSubnetOption(
+        subnet.family, subnet.source_prefix_length,
+        subnet.source_prefix_length, subnet.address)

@@ -47,7 +47,7 @@ class ScriptedResolver:
                                           timeouts=2)
             else:
                 result = ResolutionResult(qname, qtype, RCode.NOERROR,
-                                          answers=[answer_rrset(qname)],
+                                          chain=[(answer_rrset(qname), 300)],
                                           started_at=sent,
                                           finished_at=self.loop.now)
             callback(result)

@@ -82,5 +82,7 @@ def test_cache_ttl_aging_bounds(age, ttl):
         assert hit is None
     else:
         assert hit is not None
-        assert 0 <= hit.ttl <= ttl
-        assert hit.ttl == ttl - age
+        stored, aged = hit
+        assert stored is rrset
+        assert 0 <= aged <= ttl
+        assert aged == ttl - age

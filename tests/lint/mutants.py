@@ -35,6 +35,9 @@ _SEED_TEST = ("tests/experiments/test_seed_provenance.py::"
 _MESSAGE = "src/repro/dnscore/message.py"
 _STAMP_TEST = ("tests/dnscore/test_message.py::TestHelpers"
                "::test_make_response_echoes")
+_RESOLVER = "src/repro/resolver/resolver.py"
+_STAMP_ANSWERS = \
+    "        return [rrset.with_ttl(ttl) for rrset, ttl in self.chain]\n"
 
 MUTANTS = (
     # -- per-file rules: the defect each one names, on a path every
@@ -42,14 +45,13 @@ MUTANTS = (
     Mutant("wall-clock-in-respond", "DET001", _ENGINE, (
         _IMPORT_TIME,
         (_RESPOND, "        self.last_query_at = time.time()\n" + _RESPOND))),
-    Mutant("global-random-selection", "DET002",
-           "src/repro/resolver/resolver.py", (
-               ("        address = self.rng.choice(pool)\n",
-                "        address = random.choice(pool)\n"),)),
+    Mutant("global-random-selection", "DET002", _RESOLVER, (
+        ("        address = self.rng.choice(pool)\n",
+         "        address = random.choice(pool)\n"),)),
     Mutant("global-random-gtm", "DET002", "src/repro/control/mapping.py", (
         ("        chosen = self.rng.choices(",
          "        chosen = random.choices("),)),
-    Mutant("uuid-message-ids", "DET003", "src/repro/resolver/resolver.py", (
+    Mutant("uuid-message-ids", "DET003", _RESOLVER, (
         ("import random\n", "import random\nimport uuid\n"),
         ("        self._next_id = self.rng.randrange(0, 0xFFFF)\n",
          "        self._next_id = uuid.uuid4().int & 0xFFFF\n"))),
@@ -173,6 +175,24 @@ MUTANTS = (
            "::test_canonical_ordering", "src/repro/dnscore/name.py", (
                ("        return self[::-1] < other[::-1]\n",
                 "        return tuple(self) < tuple(other)\n"),)),
+    # -- what a resolution result holds: the cache's own RRsets, stamped
+    # on read at the TTLs fixed when it finished
+    Mutant("answers-hand-out-the-cached-rrsets",
+           "tests/resolver/test_resolver.py::TestIterativeResolution"
+           "::test_results_never_alias_the_cache", _RESOLVER, (
+               (_STAMP_ANSWERS,
+                "        return [rrset for rrset, _ttl in self.chain]\n"),)),
+    Mutant("answers-age-at-read-time",
+           "tests/resolver/test_resolution_golden.py"
+           "::test_ttls_read_later_are_the_ttls_at_finish", _RESOLVER, (
+               ("        self.loop = loop\n",
+                "        self.loop = loop\n"
+                "        global _READ_LOOP\n"
+                "        _READ_LOOP = loop\n"),
+               (_STAMP_ANSWERS,
+                "        return [rrset.with_ttl("
+                "ttl - int(_READ_LOOP.now - self.finished_at))\n"
+                "                for rrset, ttl in self.chain]\n"))),
 )
 
 def plant(mutant: Mutant, source: str) -> str:

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.netsim import (
     EventLoop,
@@ -13,7 +15,10 @@ from repro.netsim import (
     NodeKind,
     Topology,
 )
+from repro.netsim.network import _LinkView
 from repro.netsim.packet import Datagram
+
+from .test_dijkstra_oracle import worlds
 
 
 def build_line(*relations):
@@ -231,3 +236,34 @@ class TestLinkDegradation:
             return sink.times
 
         assert run(False) == run(True)
+
+
+@given(worlds(), st.data())
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_a_link_change_leaves_the_view_reading_as_a_fresh_one(world, data):
+    """A link goes down, comes back and degrades, each after every edge
+    map and distance table was built: the edge maps the view keeps and
+    every ``unicast_latency`` then equal a view built from scratch."""
+    net, nodes = world
+    links = [(link.a, link.b) for link in net.topology.links()]
+
+    def check():
+        kept = net._view().edges
+        fresh = _LinkView(net.topology.version)
+        for node, edges in kept.items():
+            assert list(edges.items()) == \
+                list(net._edges(fresh, node).items()), node
+        for src in nodes:
+            want = net._dijkstra(fresh, src)
+            for dst in nodes:
+                assert net.unicast_latency(src, dst) == want.get(dst)
+
+    check()
+    a, b = data.draw(st.sampled_from(links))
+    net.set_link_up(a, b, False)
+    check()
+    net.set_link_up(a, b, True)
+    check()
+    net.set_link_degraded(a, b, loss=0.5, extra_latency_ms=3.3)
+    check()

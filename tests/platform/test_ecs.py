@@ -33,14 +33,20 @@ def deployment():
     return dep
 
 
-def edges_for(dep, client_ip):
-    """The lowlevel edges a toplevel machine refers ``client_ip``'s
-    subnet to, asked through one resolver address with ECS attached."""
+def ask(dep, qname, qtype, client_ip):
+    """A toplevel machine's response to ``qname``/``qtype`` asked through
+    one resolver address with ``client_ip``'s ECS subnet attached."""
     engine = dep.deployments[0].machine.engine
-    query = make_query(1, name("a1.w10.akamai.net"), RType.A,
+    query = make_query(1, name(qname), qtype,
                        edns=EDNSOptions(client_subnet=(
                            ClientSubnetOption.for_client(client_ip))))
-    response = engine.respond(query, client_key="ecs-res-shared")
+    return engine.respond(query, client_key="ecs-res-shared")
+
+
+def edges_for(dep, client_ip):
+    """The lowlevel edges a toplevel machine refers ``client_ip``'s
+    subnet to."""
+    response = ask(dep, "a1.w10.akamai.net", RType.A, client_ip)
     assert response.rcode == RCode.NOERROR and response.authority
     return [record.rdata.address for record in response.additional]
 
@@ -70,3 +76,25 @@ class TestECSMapping:
         deployment.settle(20)
         assert results[0].rcode == RCode.NOERROR
         assert results[0].addresses()
+
+
+class TestECSScope:
+    """RFC 7871 section 7.2.1: SCOPE PREFIX-LENGTH says which clients an
+    answer is valid for, 0 meaning every client."""
+
+    def test_tailored_referral_is_scoped_to_the_source_prefix(
+            self, deployment):
+        for client_ip in SUBNETS:
+            subnet = ask(deployment, "a1.w10.akamai.net", RType.A,
+                         client_ip).edns.client_subnet
+            assert subnet.source_prefix_length == 24
+            assert subnet.scope_prefix_length == 24
+
+    def test_untailored_answer_keeps_scope_zero(self, deployment):
+        for _ in range(2):      # the slow path, then its plan
+            response = ask(deployment, "akamai.net", RType.SOA,
+                           "198.51.100.7")
+            assert response.rcode == RCode.NOERROR and response.answers
+            subnet = response.edns.client_subnet
+            assert (subnet.source_prefix_length,
+                    subnet.scope_prefix_length) == (24, 0)

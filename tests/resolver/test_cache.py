@@ -25,8 +25,8 @@ class TestPositiveCache:
     def test_ttl_ages(self):
         cache = DNSCache()
         cache.put(a_rrset("x.com", ttl=60), now=0.0)
-        hit = cache.get(name("x.com"), RType.A, now=45.0)
-        assert hit.ttl == 15
+        _stored, ttl = cache.get(name("x.com"), RType.A, now=45.0)
+        assert ttl == 15
 
     def test_expiry(self):
         cache = DNSCache()
@@ -40,14 +40,14 @@ class TestPositiveCache:
         cache.put(a_rrset("x.com", ttl=100, addr="10.0.0.2"), now=0.0)
         hit = cache.get(name("x.com"), RType.A, now=50.0)
         assert hit is not None
-        assert hit.rdatas() == [A("10.0.0.2")]
+        assert hit[0].rdatas() == [A("10.0.0.2")]
 
     def test_shorter_ttl_does_not_replace(self):
         cache = DNSCache()
         cache.put(a_rrset("x.com", ttl=100), now=0.0)
         cache.put(a_rrset("x.com", ttl=5, addr="10.0.0.9"), now=0.0)
         hit = cache.get(name("x.com"), RType.A, now=50.0)
-        assert hit.rdatas() == [A("10.0.0.1")]
+        assert hit[0].rdatas() == [A("10.0.0.1")]
 
     def test_eviction_caps_size(self):
         cache = DNSCache(max_entries=10)
@@ -149,8 +149,8 @@ class TestDelegationLookup:
 
 
 class TestCopyFreeRead:
-    """The ``peek`` oracle (``tests/oracles.py``: the stored entry, no
-    copy, stored TTL) against ``get`` (a copy with the TTL aged): same
+    """The ``peek`` oracle (``tests/oracles.py``: the stored entry, its
+    expiry) against ``get`` (the stored RRset and its aged TTL): same
     liveness, counters, expiry and eviction."""
 
     def test_seeded_interleaving_agrees_with_get(self):
@@ -173,16 +173,15 @@ class TestCopyFreeRead:
                     cache.put_negative(owner, RType.A, RCode.NXDOMAIN,
                                        ttl, now)
             else:
-                copy = by_get.get(owner, RType.A, now)
+                hit = by_get.get(owner, RType.A, now)
                 entry = peek(by_peek, owner, RType.A, now)
-                assert (copy is None) == (entry is None)
+                assert (hit is None) == (entry is None)
                 if entry is not None:
-                    assert copy.rdatas() == entry.rrset.rdatas()
-                    assert copy.ttl == max(0, int(entry.expires_at - now))
-                    assert copy.ttl <= entry.rrset.ttl
-                    assert all(r.ttl == copy.ttl for r in copy.records)
-                    assert all(r.ttl == entry.rrset.ttl
-                               for r in entry.rrset.records)
+                    stored, ttl = hit
+                    assert stored.rdatas() == entry.rrset.rdatas()
+                    assert ttl == max(0, int(entry.expires_at - now))
+                    assert ttl <= stored.ttl == entry.rrset.ttl
+                    assert all(r.ttl == stored.ttl for r in stored.records)
                     assert entry.expires_at > now
                 assert by_get.get_negative(owner, RType.A, now) == \
                     by_peek.get_negative(owner, RType.A, now)
@@ -196,19 +195,21 @@ class TestCopyFreeRead:
         cache.put(a_rrset("x.com", ttl=60), now=0.0)
         early = cache.get(name("x.com"), RType.A, now=10.0)
         late = cache.get(name("x.com"), RType.A, now=45.5)
-        assert (early.ttl, late.ttl) == (50, 14)
-        assert [r.ttl for r in late.records] == [14]
+        assert (early[1], late[1]) == (50, 14)
         stored = peek(cache, name("x.com"), RType.A, 45.5).rrset
+        assert early[0] is late[0] is stored
         assert stored.ttl == 60 and [r.ttl for r in stored.records] == [60]
 
-    def test_mutating_a_returned_rrset_does_not_change_the_next_hit(self):
+    def test_get_hands_out_the_stored_rrset(self):
+        # No copy on a hit: who hands the RRset on stamps one at the TTL.
         cache = DNSCache()
-        cache.put(a_rrset("x.com", ttl=60), now=0.0)
-        handed_out = cache.get(name("x.com"), RType.A, now=1.0)
-        handed_out.records.clear()
-        handed_out.ttl = 0
-        again = cache.get(name("x.com"), RType.A, now=1.0)
-        assert again.ttl == 59 and again.rdatas() == [A("10.0.0.1")]
+        rrset = a_rrset("x.com", ttl=60)
+        cache.put(rrset, now=0.0)
+        stored, ttl = cache.get(name("x.com"), RType.A, now=1.0)
+        assert stored is rrset and ttl == 59
+        stamped = stored.with_ttl(ttl)
+        assert [r.ttl for r in stamped.records] == [59]
+        assert [r.ttl for r in stored.records] == [60]
 
     def test_peek_expires_lazily_and_counts_like_get(self):
         cache = DNSCache()

@@ -184,7 +184,8 @@ class TestIterativeResolution:
 
     def test_results_never_alias_the_cache(self, world):
         # Fresh answers (grouped once, cached) and cache hits alike: a
-        # caller may do anything to its result without touching the cache.
+        # caller may do anything to what it read from a result without
+        # touching the cache or the result's next read.
         loop, net, _, _ = world
         r = make_resolver(loop, net)
         fresh = resolve(loop, r, "alias.ex.net")
@@ -192,11 +193,14 @@ class TestIterativeResolution:
         assert hit.from_cache
         stored = {id(entry.rrset) for entry in r.cache._positive.values()}
         for result in (fresh, hit):
-            assert [s.rtype for s in result.answers] == [RType.CNAME, RType.A]
-            for rrset in result.answers:
+            read = result.answers
+            before = [(s.ttl, s.records[:]) for s in read]
+            assert [s.rtype for s in read] == [RType.CNAME, RType.A]
+            for rrset in read:
                 assert id(rrset) not in stored
                 rrset.records.clear()
                 rrset.ttl = 0
+            assert [(s.ttl, s.records) for s in result.answers] == before
         again = resolve(loop, r, "alias.ex.net")
         assert again.from_cache
         assert again.addresses() == ["93.184.216.34"]

@@ -209,9 +209,11 @@ class TestMappingHook:
             dynamic_domains=[name("www.ex.com")])
         edns = EDNSOptions(
             client_subnet=ClientSubnetOption.for_client("198.51.100.77"))
-        engine.respond(make_query(1, name("www.ex.com"), RType.A,
-                                  edns=edns), client_key="resolver-9")
+        resp = engine.respond(make_query(1, name("www.ex.com"), RType.A,
+                                         edns=edns), client_key="resolver-9")
         assert seen == ["198.51.100.0/24"]
+        # Tailored to the subnet: scoped to its whole source prefix.
+        assert resp.edns.client_subnet.scope_prefix_length == 24
 
     def test_provider_fallthrough_uses_zone(self, store):
         class Provider:
