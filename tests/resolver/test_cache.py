@@ -200,17 +200,6 @@ class TestCopyFreeRead:
         assert early[0] is late[0] is stored
         assert stored.ttl == 60 and [r.ttl for r in stored.records] == [60]
 
-    def test_get_hands_out_the_stored_rrset(self):
-        # No copy on a hit: who hands the RRset on stamps one at the TTL.
-        cache = DNSCache()
-        rrset = a_rrset("x.com", ttl=60)
-        cache.put(rrset, now=0.0)
-        stored, ttl = cache.get(name("x.com"), RType.A, now=1.0)
-        assert stored is rrset and ttl == 59
-        stamped = stored.with_ttl(ttl)
-        assert [r.ttl for r in stamped.records] == [59]
-        assert [r.ttl for r in stored.records] == [60]
-
     def test_peek_expires_lazily_and_counts_like_get(self):
         cache = DNSCache()
         cache.put(a_rrset("x.com", ttl=5), now=0.0)
