@@ -38,13 +38,9 @@ class NegativeEntry:
 
 
 class DNSCache:
-    """TTL-driven cache of positive RRsets and negative answers.
-
-    The one owner of the RRsets it stores: lookups return them as they
-    are, and no reader changes them (a stored RRset is replaced by
-    :meth:`put`, never edited), so a resolution can keep a reference
-    where it used to keep a copy.
-    """
+    """TTL-driven cache of positive RRsets and negative answers. It owns
+    the RRsets it stores and hands them out as they are: :meth:`put`
+    replaces an entry, and nothing edits one."""
 
     def __init__(self, max_entries: int = 100_000) -> None:
         self._positive: dict[tuple[Name, RType], CacheEntry] = {}

@@ -67,14 +67,9 @@ _ADDRESS_TYPES = (RType.A, RType.AAAA)
 
 @dataclass(slots=True)
 class ResolutionResult:
-    """Outcome of one recursive resolution.
-
-    ``chain`` is the answer chain as (RRset, TTL) pairs: each RRset the
-    one the resolver cached (a cache hit's stored RRset, or the grouped
-    RRset of the response it just cached), never a copy, and each TTL
-    the one the resolution read, fixed by the time it finished.
-    :attr:`answers` stamps the copies a caller may keep and change.
-    """
+    """Outcome of one recursive resolution. ``chain`` is the answer chain
+    as (RRset the resolver cached, TTL it read) pairs, never copies, so
+    its TTLs are those at finish; :attr:`answers` stamps the copies."""
 
     qname: Name
     qtype: RType
