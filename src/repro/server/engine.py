@@ -12,9 +12,9 @@ which is how the platform layer plugs in GTM/CDN load-balanced answers
 from __future__ import annotations
 
 from collections.abc import Iterable
+from dataclasses import replace
 from typing import Callable, Protocol
 
-from ..dnscore.edns import ClientSubnetOption
 from ..dnscore.message import Message, ResponseTemplate, make_response
 from ..dnscore.name import Name
 from ..dnscore.records import RRset
@@ -400,6 +400,9 @@ class AuthoritativeEngine:
         if question.qclass != _IN:
             return self._finish(query, make_response(
                 query, RCode.REFUSED, aa=False))
+        # An answer tailored to the ECS subnet echoes it scoped to the whole
+        # source prefix; any other keeps the echo as sent, scope 0: valid
+        # for every client (RFC 7871 section 7.2.1).
         subnet = None if query.edns is None else query.edns.client_subnet
         if subnet is not None:
             client_key = str(subnet.network())
@@ -433,7 +436,8 @@ class AuthoritativeEngine:
             if mapped is not None:
                 response.add_rrset("answers", mapped)
                 if subnet is not None:
-                    _scope_to_source(response, subnet)
+                    response.edns.client_subnet = replace(
+                        subnet, scope_prefix_length=subnet.source_prefix_length)
                 return self._finish(query, response)
 
         chain, result = zone.cname_chain(question.qname, question.qtype)
@@ -454,7 +458,9 @@ class AuthoritativeEngine:
                 if tailored is not None:
                     delegation, glue_sets = tailored
                     if subnet is not None:
-                        _scope_to_source(response, subnet)
+                        response.edns.client_subnet = replace(
+                            subnet,
+                            scope_prefix_length=subnet.source_prefix_length)
             response.add_rrset("authority", delegation)
             for glue in glue_sets:
                 response.add_rrset("additional", glue)
@@ -464,7 +470,7 @@ class AuthoritativeEngine:
         elif result.status == LookupStatus.NXDOMAIN:
             # Also after a CNAME chain: RFC 6604 has the rcode reflect the
             # last name (many servers answer NOERROR; we follow the RFC).
-            response.flags.rcode = RCode.NXDOMAIN
+            response.flags.rcode = _NXDOMAIN
             if result.soa is not None:
                 response.add_rrset("authority", result.soa)
         elif result.status == LookupStatus.CNAME:
@@ -655,13 +661,3 @@ class AuthoritativeEngine:
             for observer in observers:
                 observer(query, response)
         return response
-
-
-def _scope_to_source(response: Message, subnet: ClientSubnetOption) -> None:
-    """Echo ``subnet`` with SCOPE PREFIX-LENGTH = SOURCE PREFIX-LENGTH: the
-    answer was tailored to the query's whole source prefix, and is valid
-    for that subnet only (RFC 7871 section 7.2.1). An untailored answer
-    keeps the echo as sent, scope 0: valid for every client."""
-    response.edns.client_subnet = ClientSubnetOption(
-        subnet.family, subnet.source_prefix_length,
-        subnet.source_prefix_length, subnet.address)
