@@ -59,7 +59,7 @@ def format_result(result: ResolutionResult, *, trace: bool = False) -> str:
     if trace and result.servers:
         lines.append(";; TRACE:")
         lines.extend(f";;   -> {server}" for server in result.servers)
-    if result.answers:
+    if result.chain:
         lines.append(";; ANSWER SECTION:")
         for rrset in result.answers:
             for record in rrset.records:
