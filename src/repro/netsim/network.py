@@ -18,11 +18,11 @@ full path once per (ingress router, prefix) and schedules a single
 delivery event instead of one event per hop. Any FIB or link-state
 change bumps a global epoch, drops the cached routes it can reach (a
 FIB or delivery change for a prefix: that prefix's; a link change:
-all), and re-materializes in-flight fast-path datagrams back onto exact
-hop-by-hop forwarding at the next router they would have reached — so
-drop semantics, RNG draw order, and :class:`NetworkStats` stay
-bit-for-bit identical to the pure hop-by-hop execution (see
-docs/ARCHITECTURE.md, "Performance model").
+all), and re-materializes the in-flight fast-path datagrams it can
+reach, the same ones, back onto exact hop-by-hop forwarding at the next
+router they would have reached — so drop semantics, RNG draw order,
+and :class:`NetworkStats` stay bit-for-bit identical to the pure
+hop-by-hop execution (see docs/ARCHITECTURE.md, "Performance model").
 """
 
 from __future__ import annotations
@@ -115,8 +115,8 @@ class _LinkView:
     """What the data plane reads off one topology version and one link
     state, resolved per node on first use instead of per packet or edge
     relaxation. :class:`Network` drops the whole object when the topology
-    moves, and when a link's state moves, that link's two ends' edge maps
-    and every distance table (a link on one source's tree is on most).
+    moves; when a link's state moves, it drops that link's two ends' edge
+    maps and repairs each distance table in place.
     """
 
     def __init__(self, version: int) -> None:
@@ -196,7 +196,9 @@ class Network:
         #: and delivery handlers, and the link view.
         self._route_cache: dict[str, dict[str, _CachedRoute | None]] = {}
         self._route_cache_topo_version = -1
-        self._inflight: dict[int, _InFlight] = {}
+        #: prefix -> flight id -> fast-path datagram toward it; ids rise
+        #: in the order the flights were planned.
+        self._inflight: dict[str, dict[int, _InFlight]] = {}
         self._inflight_seq = 0
         _t = _telemetry.ACTIVE
         if _t is not None:
@@ -292,8 +294,9 @@ class Network:
         state = self._link_state.setdefault(key, _LinkState())
         if state.up == up:
             return
+        was = state.extra_latency_ms if state.up else None
         state.up = up
-        self._link_changed(a, b)
+        self._link_changed(a, b, was)
         self._bump_route_epoch()
         speaker_a = self._speakers.get(a)
         speaker_b = self._speakers.get(b)
@@ -328,10 +331,11 @@ class Network:
         key = link_key(a, b)
         self.topology.link(a, b)  # raises KeyError if absent
         state = self._link_state.setdefault(key, _LinkState())
+        was = state.extra_latency_ms if state.up else None
         state.loss = loss
         state.extra_latency_ms = extra_latency_ms
         # Added latency changes shortest paths.
-        self._link_changed(a, b)
+        self._link_changed(a, b, was)
         self._bump_route_epoch()
 
     def link_degradation(self, a: str, b: str) -> tuple[float, float]:
@@ -437,21 +441,27 @@ class Network:
     def _bump_route_epoch(self, prefix: str | None = None) -> None:
         """A change to ``prefix``'s FIB entries or delivery handlers, or
         (``prefix`` None) to the link state: drop the cached routes it
-        can reach, that prefix's or all, and hand every in-flight
-        fast-path datagram back to exact hop-by-hop forwarding at the
-        next router it would have reached, its ingress included. Every
-        flight, whatever its prefix: which ones go back decides the
-        events and their order, so the simulation with them."""
+        can reach, that prefix's or all, and hand the in-flight fast-path
+        datagrams it can reach, the same ones, back to exact hop-by-hop
+        forwarding at the next router each would have reached, its
+        ingress included. A flight's path reads only its prefix's FIB
+        entries and delivery handlers and the link view, so the others
+        keep their delivery events."""
         self.route_epoch += 1
         if prefix is None:
             self._route_cache.clear()
+            # All of them, in the order they were planned.
+            inflight = sorted(item for flights in self._inflight.values()
+                              for item in flights.items())
+            self._inflight = {}
         else:
             self._route_cache.pop(prefix, None)
-        if self._inflight:
-            inflight, self._inflight = self._inflight, {}
+            flights = self._inflight.pop(prefix, None)
+            inflight = flights.items() if flights else ()
+        if inflight:
             now = self.loop.now
             call_at = self.loop.call_at
-            for flight in inflight.values():
+            for _, flight in inflight:
                 route = flight.route
                 dgram = flight.dgram
                 hops = flight.route.hops
@@ -551,13 +561,17 @@ class Network:
         for delay in route.delays:
             t = t + delay
         self._inflight_seq = flight_id = self._inflight_seq + 1
+        flights = self._inflight.get(dgram.dst)
+        if flights is None:
+            flights = self._inflight[dgram.dst] = {}
         # One heap entry per flight, which EventLoop.rewind can move.
-        handle = self.loop.call_at(t, self._fast_delivery_due, flight_id)
-        self._inflight[flight_id] = _InFlight(dgram, route, start, handle,
-                                              ingress)
+        handle = self.loop.call_at(t, self._fast_delivery_due, flights,
+                                   flight_id)
+        flights[flight_id] = _InFlight(dgram, route, start, handle, ingress)
 
-    def _fast_delivery_due(self, flight_id: int) -> None:
-        flight = self._inflight.pop(flight_id)
+    def _fast_delivery_due(self, flights: dict[int, _InFlight],
+                           flight_id: int) -> None:
+        flight = flights.pop(flight_id)
         self._deliver_fast(flight.route, flight.dgram)
 
     def _trace_delivery(self, dgram: Datagram, at: float,
@@ -625,14 +639,106 @@ class Network:
             view = self._link_view = _LinkView(self.topology.version)
         return view
 
-    def _link_changed(self, a: str, b: str) -> None:
-        """Drop what the a—b link's state went into: the edge maps of its
-        two ends and every unicast distance table."""
+    def _link_changed(self, a: str, b: str, was: float | None) -> None:
+        """The a—b link's state moved from ``was`` (its added latency in
+        ms, None while down): drop the edge maps of its two ends and
+        repair every unicast distance table it reaches.
+
+        A table is the one fixed point of ``_dijkstra``'s relaxations
+        (every node's distance is the least ``dist + base + HOP_COST_S +
+        extra`` over its neighbours, each such sum exceeds its ``dist``),
+        so recomputing the entries that could move, by those same
+        relaxations, gives the bit-equal floats a fresh run would."""
         view = self._link_view
-        if view is not None:
-            view.edges.pop(a, None)
-            view.edges.pop(b, None)
-            view.distances.clear()
+        if view is None or view.version != self.topology.version:
+            return
+        view.edges.pop(a, None)
+        view.edges.pop(b, None)
+        state = self._link_state[link_key(a, b)]
+        now = state.extra_latency_ms if state.up else None
+        if now == was or not view.distances:
+            return
+        base = self.topology.link(a, b).latency_ms / 1000.0
+        for distances in view.distances.values():
+            if was is not None and (now is None or now > was):
+                self._repair_rise(view, distances, a, b, base, was / 1000.0)
+            else:
+                self._repair_fall(view, distances, a, b, base, now / 1000.0)
+
+    def _repair_rise(self, view: _LinkView, distances: dict[str, float],
+                     a: str, b: str, link_base: float,
+                     link_extra: float) -> None:
+        """The a—b link, once ``link_base`` + ``link_extra`` long, went
+        down or longer. Only the nodes reached through it can move: its
+        far end, when the link is on the tree, and the nodes reached from
+        there along links a shortest path takes (found by their
+        distances, so no tree is stored). Those are recomputed from the
+        rest, which keep a path that avoids the link."""
+        for near, far in ((a, b), (b, a)):
+            dist = distances.get(near)
+            if dist is not None and dist + link_base + HOP_COST_S \
+                    + link_extra == distances.get(far):
+                break
+        else:
+            return
+        stale = {far: distances.pop(far)}
+        stack = [far]
+        while stack:
+            node = stack.pop()
+            dist = stale[node]
+            for peer, base, extra, _, _ in self._edges(view, node).values():
+                if dist + base + HOP_COST_S + extra == distances.get(peer):
+                    stale[peer] = distances.pop(peer)
+                    stack.append(peer)
+        # Each stale node's best way in from the settled rest, then
+        # Dijkstra among the stale nodes.
+        unreached = float("inf")
+        frontier: list[tuple[float, str]] = []
+        for node in stale:
+            best = unreached
+            for peer, base, extra, _, _ in self._edges(view, node).values():
+                dist = distances.get(peer)
+                if dist is not None:
+                    candidate = dist + base + HOP_COST_S + extra
+                    if candidate < best:
+                        best = candidate
+            if best < unreached:
+                distances[node] = best
+                frontier.append((best, node))
+        heapq.heapify(frontier)
+        self._relax(view, distances, frontier)
+
+    def _repair_fall(self, view: _LinkView, distances: dict[str, float],
+                     a: str, b: str, base: float, extra: float) -> None:
+        """The a—b link came up or got shorter, now ``base`` + ``extra``:
+        relax outward from its two ends."""
+        unreached = float("inf")
+        frontier: list[tuple[float, str]] = []
+        for near, far in ((a, b), (b, a)):
+            dist = distances.get(near)
+            if dist is not None:
+                candidate = dist + base + HOP_COST_S + extra
+                if candidate < distances.get(far, unreached):
+                    distances[far] = candidate
+                    frontier.append((candidate, far))
+        heapq.heapify(frontier)
+        self._relax(view, distances, frontier)
+
+    def _relax(self, view: _LinkView, distances: dict[str, float],
+               frontier: list[tuple[float, str]]) -> None:
+        """Dijkstra on from a heap of ``distances`` entries just lowered
+        or set; the entries it does not reach are final already."""
+        unreached = float("inf")
+        heappop, heappush = heapq.heappop, heapq.heappush
+        while frontier:
+            dist, node = heappop(frontier)
+            if dist > distances[node]:
+                continue        # lowered again after this push
+            for peer, base, extra, _, _ in self._edges(view, node).values():
+                candidate = dist + base + HOP_COST_S + extra
+                if candidate < distances.get(peer, unreached):
+                    distances[peer] = candidate
+                    heappush(frontier, (candidate, peer))
 
     def _edges(self, view: _LinkView, node_id: str) -> dict[str, _Edge]:
         edges = view.edges.get(node_id)

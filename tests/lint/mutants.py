@@ -38,6 +38,7 @@ _STAMP_TEST = ("tests/dnscore/test_message.py::TestHelpers"
 _RESOLVER = "src/repro/resolver/resolver.py"
 _STAMP_ANSWERS = \
     "        return [rrset.with_ttl(ttl) for rrset, ttl in self.chain]\n"
+_NETWORK = "src/repro/netsim/network.py"
 
 MUTANTS = (
     # -- per-file rules: the defect each one names, on a path every
@@ -193,6 +194,18 @@ MUTANTS = (
                 "        return [rrset.with_ttl("
                 "ttl - int(_READ_LOOP.now - self.finished_at))\n"
                 "                for rrset, ttl in self.chain]\n"))),
+    # -- what the network invalidates on a change: the flights toward
+    # the prefix it moved, the distances reached over the link it moved
+    Mutant("bump-keeps-its-own-prefixs-flights",
+           "tests/netsim/test_route_cache_equivalence.py"
+           "::test_a_prefix_change_hands_back_only_that_prefixs_flights",
+           _NETWORK, (
+               ("            flights = self._inflight.pop(prefix, None)\n",
+                "            flights = None\n"),)),
+    Mutant("repair-skips-the-cut-subtree",
+           "tests/netsim/test_link_faults.py"
+           "::test_a_repaired_distance_table_is_a_fresh_one", _NETWORK, (
+               ("        stack = [far]\n", "        stack = []\n"),)),
 )
 
 def plant(mutant: Mutant, source: str) -> str:

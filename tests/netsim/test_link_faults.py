@@ -18,6 +18,7 @@ from repro.netsim import (
 from repro.netsim.network import _LinkView
 from repro.netsim.packet import Datagram
 
+from .dijkstra_reference import reference_dijkstra
 from .test_dijkstra_oracle import worlds
 
 
@@ -267,3 +268,31 @@ def test_a_link_change_leaves_the_view_reading_as_a_fresh_one(world, data):
     check()
     net.set_link_degraded(a, b, loss=0.5, extra_latency_ms=3.3)
     check()
+
+
+@given(worlds(), st.data())
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_a_repaired_distance_table_is_a_fresh_one(world, data):
+    """Every source's table is built, then a drawn run of link cuts,
+    restores and degradations repairs them in place: after each change
+    every table is still kept and equals the reference Dijkstra run from
+    scratch, bit-equal float for float."""
+    net, nodes = world
+    links = [(link.a, link.b) for link in net.topology.links()]
+    for src in nodes:
+        net.unicast_latency(src, src)
+    for _ in range(data.draw(st.integers(1, 6))):
+        a, b = data.draw(st.sampled_from(links))
+        if data.draw(st.booleans()):
+            net.set_link_up(a, b, not net.link_is_up(a, b))
+        else:
+            net.set_link_degraded(
+                a, b, loss=data.draw(st.sampled_from((0.0, 0.5))),
+                extra_latency_ms=data.draw(
+                    st.sampled_from((0.0, 3.3, 40.1))))
+        kept = net._view().distances
+        assert set(kept) == set(nodes)
+        fresh = _LinkView(net.topology.version)
+        for src in nodes:
+            assert kept[src] == reference_dijkstra(net, fresh, src), src

@@ -167,6 +167,44 @@ def test_churn_on_one_prefix_beside_another():
     assert {d[2] for d in fast[0]} == {"acast", "other"}
 
 
+def test_a_prefix_change_hands_back_only_that_prefixs_flights():
+    """Flights toward two anycast prefixes when one PoP withdraws the
+    first: its flights go back to hop-by-hop forwarding, the second's
+    keep their delivery events, and every delivery is the hop-by-hop
+    one, at the same instant."""
+    def run(network_cls):
+        inet, pops, vps, loop, net = build_world(network_cls)
+        deliveries = []
+        for prefix in ("acast", "other"):
+            for p in pops[:2]:
+                net.register_local_delivery(
+                    p, prefix, lambda d, p=p: deliveries.append(
+                        (loop.now, p, d.dst, d.ip_ttl, d.hops, d.payload)))
+                net.speaker(p).originate(prefix)
+        loop.run_until(20)
+        for i in range(40):
+            loop.call_at(21.0 + 0.001 * i, net.send, Datagram(
+                src=vps[i % len(vps)], dst=("acast", "other")[i % 2],
+                payload=i, src_port=i))
+        in_flight = []
+
+        def withdraw():
+            in_flight.append({prefix: set(flights) for prefix, flights
+                              in net._inflight.items() if flights})
+            net.speaker(pops[0]).withdraw_origin("acast")
+            in_flight.append({prefix: set(flights) for prefix, flights
+                              in net._inflight.items() if flights})
+        loop.call_at(21.03, withdraw)
+        loop.run()
+        return (deliveries, stats_dict(net), net.rng.getstate()), in_flight
+
+    (fast, (before, after)), (slow, _) = run(Network), run(HopByHopNetwork)
+    assert fast == slow
+    assert before["acast"] and before["other"]
+    assert after == {"other": before["other"]}
+    assert {d[2] for d in fast[0]} == {"acast", "other"}
+
+
 def strike(inet, net, ingress, change):
     """The change, applied at the router ``ingress`` to "acast"."""
     next_hop = net.fib_entry(ingress, "acast")
