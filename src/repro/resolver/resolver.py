@@ -79,7 +79,9 @@ class ResolutionResult:
     finished_at: float = 0.0
     queries_sent: int = 0
     timeouts: int = 0
-    servers: list[str] = field(default_factory=list)
+    #: The servers queried upstream, in order; the shared empty tuple
+    #: until the first query (a result answered from the cache has none).
+    servers: list[str] | tuple[()] = ()
     from_cache: bool = False
 
     @property
@@ -125,7 +127,7 @@ class _Resolution:
         #: The answer chain; the result holds this same list.
         self.chain: list[tuple[RRset, int]] = []
         self.result = ResolutionResult(qname, qtype, _SERVFAIL, self.chain,
-                                       resolver.loop.now, 0.0, 0, 0, [],
+                                       resolver.loop.now, 0.0, 0, 0, (),
                                        False)
         self.attempts = 0
         self.referrals = 0
@@ -317,7 +319,11 @@ class RecursiveResolver:
         self._inflight[msg_id] = resolution
         result = resolution.result
         result.queries_sent += 1
-        result.servers.append(address)
+        servers = result.servers
+        if servers:
+            servers.append(address)
+        else:
+            result.servers = [address]
         by_server = self.queries_by_server
         by_server[address] = by_server.get(address, 0) + 1
         self.network.send(dgram)
