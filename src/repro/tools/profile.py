@@ -9,9 +9,11 @@ command.
 ``--events LABEL`` counts instead of timing: events by scheduling site,
 records constructed by class and calls made, for a figure label or for
 a scenario of ``bench/workloads.py`` (measured phase only, per
-operation), and for a scenario the collector's work in its measured
-phase (collections and seconds by generation, through ``gc.callbacks``)
-and the GC-tracked objects that phase leaves alive. All but the
+operation), and for a scenario the network's route walks and
+from-scratch distance tables (calls of ``Network._resolve_route`` and
+``Network._dijkstra``), the collector's work in its measured phase
+(collections and seconds by generation, through ``gc.callbacks``) and
+the GC-tracked objects that phase leaves alive. All but the
 collector's seconds are deterministic: the calls are the profiler's
 count of every Python and builtin function call, less the counting
 wrappers' own and the collector tally's clock reads.
@@ -39,10 +41,16 @@ from typing import Callable, Iterator
 
 from ..experiments import parallel
 from ..netsim.clock import EventLoop
+from ..netsim.network import Network
 
 PROFILES_PATH = Path("docs/PROFILES.md")
 WORKLOADS_PATH = Path("bench/workloads.py")
 SCENARIO_SEED = 42   # the seed every recorded --events table was taken at
+#: What ``--events`` counts of the network's work for a scenario, read
+#: off the profiler: a walk of the FIBs toward a prefix, and a unicast
+#: distance table built from scratch.
+NETWORK_WORK = (("route walks", Network._resolve_route),
+                ("distance tables from scratch", Network._dijkstra))
 
 
 def summed_stats(profiler: cProfile.Profile) -> pstats.Stats:
@@ -335,6 +343,19 @@ def calls_made(profiler: cProfile.Profile) -> int:
     return made
 
 
+def calls_of(profiler: cProfile.Profile,
+             functions: tuple[tuple[str, Callable], ...]
+             ) -> dict[str, int]:
+    """Calls made under ``profiler`` of each named function."""
+    codes = {function.__code__: name for name, function in functions}
+    counted = dict.fromkeys(codes.values(), 0)
+    for entry in profiler.getstats():
+        name = codes.get(entry.code)
+        if name is not None:
+            counted[name] += entry.callcount
+    return counted
+
+
 def tracked_before() -> list:
     """Every GC-tracked object, after a collection: held by the returned
     list, so none of their ids can be reused by an object made later."""
@@ -381,19 +402,20 @@ def load_scenarios(path: Path) -> dict:
 def count_events(label: str, *, fast: bool = True,
                  seed: int = SCENARIO_SEED, workloads: Path = WORKLOADS_PATH
                  ) -> tuple[EventTally, collections.Counter, int, int | None,
-                            CollectorTally | None,
+                            dict[str, int] | None, CollectorTally | None,
                             collections.Counter | None]:
     """Run ``label`` counting events, records and calls; returns the
     tally, records constructed by class, calls made, the operations
-    done, the collector's work in the measured phase and that phase's
-    survivors by class (the last three None for a figure, which has no
-    operation count and no phase of its own)."""
+    done, the network's work (:data:`NETWORK_WORK`), the collector's
+    work in the measured phase and that phase's survivors by class (the
+    last four None for a figure, which has no operation count and no
+    phase of its own)."""
     tally = EventTally()
     with counted_events(tally):
         if label in parallel.JOB_ORDER:
             profiler = _profiled_units(label, fast)
             return (tally, records_by_class(profiler), calls_made(profiler),
-                    None, None, None)
+                    None, None, None, None)
         scenarios = load_scenarios(workloads)
         if label not in scenarios:
             raise SystemExit(
@@ -413,17 +435,20 @@ def count_events(label: str, *, fast: bool = True,
         alive = survivors(before)
         del before
     return (tally, records_by_class(profiler), calls_made(profiler),
-            scenario.report()["ops"], collector, alive)
+            scenario.report()["ops"], calls_of(profiler, NETWORK_WORK),
+            collector, alive)
 
 
 def events_report(label: str, tally: EventTally,
                   records: collections.Counter, ops: int | None,
                   top: int, calls: int | None = None,
                   alive: collections.Counter | None = None,
-                  collector: CollectorTally | None = None) -> str:
+                  collector: CollectorTally | None = None,
+                  network: dict[str, int] | None = None) -> str:
     """Markdown: events by scheduling site, records by class, then, for
-    a scenario, the collector's work (``collector`` given) and the
-    survivors by class (``alive`` given)."""
+    a scenario, the network's work (``network`` given), the collector's
+    (``collector`` given) and the survivors by class (``alive``
+    given)."""
     fired = sum(tally.fired.values())
     built = sum(records.values())
 
@@ -451,6 +476,12 @@ def events_report(label: str, tally: EventTally,
     for name, count in sorted(records.items(),
                               key=lambda kv: (-kv[1], kv[0]))[:top]:
         out.append(f"| `{name}` | {count:,} |{per_op(count)}")
+    if network is not None:
+        out += ["", f"| network work | calls {unit}|", f"|---|---:|{rule}"]
+        for name, function in NETWORK_WORK:
+            count = network[name]
+            out.append(f"| {name} (`{function.__qualname__}`) | {count:,} |"
+                       + (f" {count / ops:.4f} |" if ops else ""))
     if collector is not None:
         spent = sum(collector.seconds)
         share = spent / collector.phase_s if collector.phase_s else 0.0
@@ -488,7 +519,8 @@ def main(argv: list[str] | None = None) -> int:
                              "by class and calls made for a figure label "
                              f"or a scenario of {WORKLOADS_PATH} at seed "
                              f"{SCENARIO_SEED} (measured phase, per "
-                             "operation; for a scenario also the "
+                             "operation; for a scenario also route "
+                             "walks, from-scratch distance tables, the "
                              "collector's work and the objects left "
                              "alive)")
     parser.add_argument("--full", action="store_true",
@@ -501,13 +533,13 @@ def main(argv: list[str] | None = None) -> int:
                         help="pstats sort key (default cumulative)")
     args = parser.parse_args(argv)
     if args.events is not None:
-        tally, records, calls, ops, collector, alive = count_events(
-            args.events, fast=not args.full)
+        tally, records, calls, ops, network, collector, alive = \
+            count_events(args.events, fast=not args.full)
         heading = (args.events if ops is None
                    else f"{args.events} (seed {SCENARIO_SEED})")
         print(events_report(heading, tally, records, ops,
                             args.top if args.top is not None else 20, calls,
-                            alive, collector))
+                            alive, collector, network))
         return 0
     if args.all_figures:
         profile_all_figures(fast=not args.full,

@@ -171,6 +171,12 @@ def test_events_report_is_per_operation_for_a_scenario():
     assert "\n12 GC-tracked objects left alive by the measured phase " \
            "(3.00 per operation).\n" in kept
     assert "| `builtins.list` | 10 | 2.50 |" in kept and "`m.R` | 2" not in kept
+    walked = profile.events_report(
+        "w (seed 1)", tally, collections.Counter(), 4, top=1,
+        network={"route walks": 2, "distance tables from scratch": 1})
+    assert "| route walks (`Network._resolve_route`) | 2 | 0.5000 |\n" \
+        "| distance tables from scratch (`Network._dijkstra`) | 1 | " \
+        "0.2500 |" in walked
     # A figure has no operation count: plain counts only.
     plain = profile.events_report("fig", tally, collections.Counter(),
                                   None, top=1)
@@ -215,9 +221,10 @@ def tiny_workloads(tmp_path):
 
 def test_a_scenario_is_loaded_by_path_and_counted_over_its_measured_phase(
         tiny_workloads):
-    tally, records, calls, ops, collector, alive = profile.count_events(
-        "tiny", seed=6, workloads=tiny_workloads)
+    tally, records, calls, ops, network, collector, alive = \
+        profile.count_events("tiny", seed=6, workloads=tiny_workloads)
     assert ops == 3 and not records and not alive
+    assert network == {"route walks": 0, "distance tables from scratch": 0}
     assert collector not in gc.callbacks
     assert tally.fired == {"Tiny.tick": 6} and not tally.scheduled
     # Two steps, each a run_until; six events, each a heappop and a
