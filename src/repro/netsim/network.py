@@ -641,14 +641,12 @@ class Network:
 
     def _link_changed(self, a: str, b: str, was: float | None) -> None:
         """The a—b link's state moved from ``was`` (its added latency in
-        ms, None while down): drop the edge maps of its two ends and
-        repair every unicast distance table it reaches.
-
-        A table is the one fixed point of ``_dijkstra``'s relaxations
-        (every node's distance is the least ``dist + base + HOP_COST_S +
-        extra`` over its neighbours, each such sum exceeds its ``dist``),
-        so recomputing the entries that could move, by those same
-        relaxations, gives the bit-equal floats a fresh run would."""
+        ms, None while down): drop its two ends' edge maps and repair
+        each distance table in place. A table is the one fixed point of
+        :meth:`_relax` (each sum exceeds its ``dist``), so relaxing on
+        from what the change can move gives a fresh run's floats: from
+        the link's ends when it came up or got shorter, from around what
+        :meth:`_unsettle` drops when it went down or longer."""
         view = self._link_view
         if view is None or view.version != self.topology.version:
             return
@@ -656,31 +654,33 @@ class Network:
         view.edges.pop(b, None)
         state = self._link_state[link_key(a, b)]
         now = state.extra_latency_ms if state.up else None
-        if now == was or not view.distances:
+        if now == was:
             return
-        base = self.topology.link(a, b).latency_ms / 1000.0
+        rose = was is not None and (now is None or now > was)
         for distances in view.distances.values():
-            if was is not None and (now is None or now > was):
-                self._repair_rise(view, distances, a, b, base, was / 1000.0)
-            else:
-                self._repair_fall(view, distances, a, b, base, now / 1000.0)
+            ends = (self._unsettle(view, distances, a, b, was / 1000.0)
+                    if rose else (a, b))
+            frontier = [(distances[node], node) for node in ends
+                        if node in distances]
+            heapq.heapify(frontier)
+            self._relax(view, distances, frontier)
 
-    def _repair_rise(self, view: _LinkView, distances: dict[str, float],
-                     a: str, b: str, link_base: float,
-                     link_extra: float) -> None:
-        """The a—b link, once ``link_base`` + ``link_extra`` long, went
-        down or longer. Only the nodes reached through it can move: its
-        far end, when the link is on the tree, and the nodes reached from
-        there along links a shortest path takes (found by their
-        distances, so no tree is stored). Those are recomputed from the
-        rest, which keep a path that avoids the link."""
+    def _unsettle(self, view: _LinkView, distances: dict[str, float],
+                  a: str, b: str, extra: float) -> list[str]:
+        """The a—b link, ``extra`` added to its base latency before, went
+        down or longer: drop the nodes reached over it and return the
+        settled nodes next to them. Those are its far end, if the link's
+        old sum gave it its distance, and every node reached from there
+        along a link whose sum gives the node's: no tree is kept. The
+        rest keep a shortest path that avoids the link."""
+        base = self.topology.link(a, b).latency_ms / 1000.0
         for near, far in ((a, b), (b, a)):
             dist = distances.get(near)
-            if dist is not None and dist + link_base + HOP_COST_S \
-                    + link_extra == distances.get(far):
+            if dist is not None and \
+                    dist + base + HOP_COST_S + extra == distances.get(far):
                 break
         else:
-            return
+            return []
         stale = {far: distances.pop(far)}
         stack = [far]
         while stack:
@@ -690,55 +690,8 @@ class Network:
                 if dist + base + HOP_COST_S + extra == distances.get(peer):
                     stale[peer] = distances.pop(peer)
                     stack.append(peer)
-        # Each stale node's best way in from the settled rest, then
-        # Dijkstra among the stale nodes.
-        unreached = float("inf")
-        frontier: list[tuple[float, str]] = []
-        for node in stale:
-            best = unreached
-            for peer, base, extra, _, _ in self._edges(view, node).values():
-                dist = distances.get(peer)
-                if dist is not None:
-                    candidate = dist + base + HOP_COST_S + extra
-                    if candidate < best:
-                        best = candidate
-            if best < unreached:
-                distances[node] = best
-                frontier.append((best, node))
-        heapq.heapify(frontier)
-        self._relax(view, distances, frontier)
-
-    def _repair_fall(self, view: _LinkView, distances: dict[str, float],
-                     a: str, b: str, base: float, extra: float) -> None:
-        """The a—b link came up or got shorter, now ``base`` + ``extra``:
-        relax outward from its two ends."""
-        unreached = float("inf")
-        frontier: list[tuple[float, str]] = []
-        for near, far in ((a, b), (b, a)):
-            dist = distances.get(near)
-            if dist is not None:
-                candidate = dist + base + HOP_COST_S + extra
-                if candidate < distances.get(far, unreached):
-                    distances[far] = candidate
-                    frontier.append((candidate, far))
-        heapq.heapify(frontier)
-        self._relax(view, distances, frontier)
-
-    def _relax(self, view: _LinkView, distances: dict[str, float],
-               frontier: list[tuple[float, str]]) -> None:
-        """Dijkstra on from a heap of ``distances`` entries just lowered
-        or set; the entries it does not reach are final already."""
-        unreached = float("inf")
-        heappop, heappush = heapq.heappop, heapq.heappush
-        while frontier:
-            dist, node = heappop(frontier)
-            if dist > distances[node]:
-                continue        # lowered again after this push
-            for peer, base, extra, _, _ in self._edges(view, node).values():
-                candidate = dist + base + HOP_COST_S + extra
-                if candidate < distances.get(peer, unreached):
-                    distances[peer] = candidate
-                    heappush(frontier, (candidate, peer))
+        return [peer for node in stale for peer in self._edges(view, node)
+                if peer in distances]
 
     def _edges(self, view: _LinkView, node_id: str) -> dict[str, _Edge]:
         edges = view.edges.get(node_id)
@@ -774,27 +727,30 @@ class Network:
 
     def _dijkstra(self, view: _LinkView, src: str) -> dict[str, float]:
         """Shortest live-path latency from ``src`` to every node it
-        reaches, in the order the nodes were first reached.
-
-        A node with one live link (a host, a single-homed stub router)
-        is reached over that link and could relax nothing but the node
-        it was reached from, already settled at a lower cost; it gets
-        its distance and is never pushed. Settling order of the rest
-        is the heap's order of (cost, node), which the leaves never
-        affected, so distances and their order are those of the plain
-        algorithm (``tests/netsim/dijkstra_reference.py``).
-        """
+        reaches, in the order the nodes were first reached."""
         distances = {src: 0.0}
-        frontier: list[tuple[float, str]] = [(0.0, src)]
-        visited: set[str] = set()
+        self._relax(view, distances, [(0.0, src)])
+        return distances
+
+    def _relax(self, view: _LinkView, distances: dict[str, float],
+               frontier: list[tuple[float, str]]) -> None:
+        """Dijkstra on from ``frontier``, a heap of ``(distance, node)``
+        for entries of ``distances`` just set. A node with one live link
+        (a host, a single-homed stub router) is reached over that link
+        and could relax nothing but the node it was reached from, already
+        settled at a lower cost; it gets its distance and is never
+        pushed. Settling order of the rest is the heap's order of (cost,
+        node), which the leaves never affected, so distances and their
+        order are those of the plain algorithm
+        (``tests/netsim/dijkstra_reference.py``).
+        """
         unreached = float("inf")
         all_edges = view.edges
         heappop, heappush = heapq.heappop, heapq.heappush
         while frontier:
             dist, node = heappop(frontier)
-            if node in visited:
-                continue
-            visited.add(node)
+            if dist > distances[node]:
+                continue        # lowered again after this push
             edges = all_edges.get(node)
             if edges is None:
                 edges = self._edges(view, node)
@@ -807,4 +763,3 @@ class Network:
                         peer_edges = self._edges(view, peer)
                     if len(peer_edges) > 1:
                         heappush(frontier, (candidate, peer))
-        return distances

@@ -358,8 +358,8 @@ def test_announcing_a_peer_route_to_a_peer_is_caught(monkeypatch):
 
 
 def test_presumming_an_edge_cost_is_caught(monkeypatch):
-    monkeypatch.setattr(Network, "_dijkstra", mutated(
-        Network, "_dijkstra",
+    monkeypatch.setattr(Network, "_relax", mutated(
+        Network, "_relax",
         "dist + base + HOP_COST_S + extra",
         "dist + (base + HOP_COST_S + extra)", vars(network_module)))
     assert some_fixed_world_differs()
