@@ -198,13 +198,14 @@ MUTANTS = (
     # the prefix it moved, the distances reached over the link it moved
     Mutant("bump-keeps-its-own-prefixs-flights",
            "tests/netsim/test_route_cache_equivalence.py"
-           "::test_a_prefix_change_hands_back_only_that_prefixs_flights",
+           "::test_churn_on_one_prefix_beside_another",
            _NETWORK, (
                ("            flights = self._inflight.pop(prefix, None)\n",
                 "            flights = None\n"),)),
     Mutant("repair-skips-the-cut-subtree",
            "tests/netsim/test_link_faults.py"
-           "::test_a_repaired_distance_table_is_a_fresh_one", _NETWORK, (
+           "::test_a_link_change_leaves_the_view_reading_as_a_fresh_one",
+           _NETWORK, (
                ("        stack = [far]\n", "        stack = []\n"),)),
 )
 

@@ -243,45 +243,28 @@ class TestLinkDegradation:
 @settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_a_link_change_leaves_the_view_reading_as_a_fresh_one(world, data):
-    """A link goes down, comes back and degrades, each after every edge
-    map and distance table was built: the edge maps the view keeps and
-    every ``unicast_latency`` then equal a view built from scratch."""
-    net, nodes = world
-    links = [(link.a, link.b) for link in net.topology.links()]
-
-    def check():
-        kept = net._view().edges
-        fresh = _LinkView(net.topology.version)
-        for node, edges in kept.items():
-            assert list(edges.items()) == \
-                list(net._edges(fresh, node).items()), node
-        for src in nodes:
-            want = net._dijkstra(fresh, src)
-            for dst in nodes:
-                assert net.unicast_latency(src, dst) == want.get(dst)
-
-    check()
-    a, b = data.draw(st.sampled_from(links))
-    net.set_link_up(a, b, False)
-    check()
-    net.set_link_up(a, b, True)
-    check()
-    net.set_link_degraded(a, b, loss=0.5, extra_latency_ms=3.3)
-    check()
-
-
-@given(worlds(), st.data())
-@settings(max_examples=80, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-def test_a_repaired_distance_table_is_a_fresh_one(world, data):
-    """Every source's table is built, then a drawn run of link cuts,
-    restores and degradations repairs them in place: after each change
-    every table is still kept and equals the reference Dijkstra run from
-    scratch, bit-equal float for float."""
+    """Every edge map and distance table is built, then a drawn run of
+    link cuts, restores and degradations repairs them in place: after
+    each change the view still keeps every table, and its edge maps and
+    tables equal a view built from scratch (the tables by the reference
+    Dijkstra), bit-equal float for float."""
     net, nodes = world
     links = [(link.a, link.b) for link in net.topology.links()]
     for src in nodes:
         net.unicast_latency(src, src)
+
+    def check():
+        view = net._view()
+        fresh = _LinkView(net.topology.version)
+        for node, edges in view.edges.items():
+            assert list(edges.items()) == \
+                list(net._edges(fresh, node).items()), node
+        assert set(view.distances) == set(nodes)
+        for src in nodes:
+            assert view.distances[src] == \
+                reference_dijkstra(net, fresh, src), src
+
+    check()
     for _ in range(data.draw(st.integers(1, 6))):
         a, b = data.draw(st.sampled_from(links))
         if data.draw(st.booleans()):
@@ -291,8 +274,4 @@ def test_a_repaired_distance_table_is_a_fresh_one(world, data):
                 a, b, loss=data.draw(st.sampled_from((0.0, 0.5))),
                 extra_latency_ms=data.draw(
                     st.sampled_from((0.0, 3.3, 40.1))))
-        kept = net._view().distances
-        assert set(kept) == set(nodes)
-        fresh = _LinkView(net.topology.version)
-        for src in nodes:
-            assert kept[src] == reference_dijkstra(net, fresh, src), src
+        check()

@@ -141,8 +141,10 @@ class TestRouteCacheEquivalence:
 
 
 def test_churn_on_one_prefix_beside_another():
-    """Routes toward a second prefix outlive the first one's churn; both
-    modes must still agree on everything."""
+    """Routes and flights toward a second prefix outlive the first one's
+    churn: a withdrawal hands back the first prefix's flights alone, the
+    second's keep their delivery events, and both modes still agree on
+    everything, every delivery instant included."""
     def run(network_cls):
         inet, pops, vps, loop, net = build_world(network_cls)
         deliveries = []
@@ -157,35 +159,6 @@ def test_churn_on_one_prefix_beside_another():
             loop.call_at(21.0 + 0.01 * i, net.send, Datagram(
                 src=vps[i % len(vps)], dst=("acast", "other")[i % 2],
                 payload=i, src_port=i))
-        loop.call_at(21.15, net.speaker(pops[0]).withdraw_origin, "acast")
-        loop.call_at(21.35, net.speaker(pops[0]).originate, "acast")
-        loop.run()
-        return deliveries, stats_dict(net), net.rng.getstate()
-
-    fast, slow = run(Network), run(HopByHopNetwork)
-    assert fast == slow
-    assert {d[2] for d in fast[0]} == {"acast", "other"}
-
-
-def test_a_prefix_change_hands_back_only_that_prefixs_flights():
-    """Flights toward two anycast prefixes when one PoP withdraws the
-    first: its flights go back to hop-by-hop forwarding, the second's
-    keep their delivery events, and every delivery is the hop-by-hop
-    one, at the same instant."""
-    def run(network_cls):
-        inet, pops, vps, loop, net = build_world(network_cls)
-        deliveries = []
-        for prefix in ("acast", "other"):
-            for p in pops[:2]:
-                net.register_local_delivery(
-                    p, prefix, lambda d, p=p: deliveries.append(
-                        (loop.now, p, d.dst, d.ip_ttl, d.hops, d.payload)))
-                net.speaker(p).originate(prefix)
-        loop.run_until(20)
-        for i in range(40):
-            loop.call_at(21.0 + 0.001 * i, net.send, Datagram(
-                src=vps[i % len(vps)], dst=("acast", "other")[i % 2],
-                payload=i, src_port=i))
         in_flight = []
 
         def withdraw():
@@ -194,7 +167,8 @@ def test_a_prefix_change_hands_back_only_that_prefixs_flights():
             net.speaker(pops[0]).withdraw_origin("acast")
             in_flight.append({prefix: set(flights) for prefix, flights
                               in net._inflight.items() if flights})
-        loop.call_at(21.03, withdraw)
+        loop.call_at(21.15, withdraw)
+        loop.call_at(21.35, net.speaker(pops[0]).originate, "acast")
         loop.run()
         return (deliveries, stats_dict(net), net.rng.getstate()), in_flight
 
