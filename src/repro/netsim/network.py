@@ -647,9 +647,7 @@ class Network:
         from what the change can move gives a fresh run's floats: from
         the link's ends when it came up or got shorter, from around what
         :meth:`_unsettle` drops when it went down or longer."""
-        view = self._link_view
-        if view is None or view.version != self.topology.version:
-            return
+        view = self._view()
         view.edges.pop(a, None)
         view.edges.pop(b, None)
         state = self._link_state[link_key(a, b)]

@@ -343,11 +343,9 @@ def calls_made(profiler: cProfile.Profile) -> int:
     return made
 
 
-def calls_of(profiler: cProfile.Profile,
-             functions: tuple[tuple[str, Callable], ...]
-             ) -> dict[str, int]:
-    """Calls made under ``profiler`` of each named function."""
-    codes = {function.__code__: name for name, function in functions}
+def network_work(profiler: cProfile.Profile) -> dict[str, int]:
+    """Calls made under ``profiler`` of each :data:`NETWORK_WORK` row."""
+    codes = {function.__code__: name for name, function in NETWORK_WORK}
     counted = dict.fromkeys(codes.values(), 0)
     for entry in profiler.getstats():
         name = codes.get(entry.code)
@@ -435,7 +433,7 @@ def count_events(label: str, *, fast: bool = True,
         alive = survivors(before)
         del before
     return (tally, records_by_class(profiler), calls_made(profiler),
-            scenario.report()["ops"], calls_of(profiler, NETWORK_WORK),
+            scenario.report()["ops"], network_work(profiler),
             collector, alive)
 
 
